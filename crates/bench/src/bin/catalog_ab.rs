@@ -1,14 +1,12 @@
 //! Catalog read-path A/B — snapshot-isolated concurrent queries.
 //!
-//! Measures the PR's three levers on one populated deployment, all real
+//! Measures two comparisons on one populated deployment, all real
 //! execution and wall-clock:
 //!
 //! 1. **single vs batched** — per-query RPC envelopes (`query_best_ancestor`)
 //!    against N-query batches (`query_best_ancestors`) that pin one
 //!    catalog snapshot per envelope and fan across rayon provider-side;
-//! 2. **prefilter on vs off** — the per-bucket kind-bitset + signature
-//!    bloom rejection ahead of the LCP memo;
-//! 3. **reader scaling under churn** — 1 vs R reader threads issuing
+//! 2. **reader scaling under churn** — 1 vs R reader threads issuing
 //!    batched queries while a writer streams store/retire mutations
 //!    (lock-free snapshot reads must not collapse).
 //!
@@ -162,7 +160,7 @@ fn main() {
 
     banner(
         "Catalog A/B",
-        "snapshot-isolated reads: single vs batched, prefilter on/off, reader scaling under churn",
+        "snapshot-isolated reads: single vs batched, reader scaling under churn",
     );
     println!(
         "catalog = {catalog_size} architectures x {dups} models, {queries} queries, batch {batch}, \
@@ -206,22 +204,16 @@ fn main() {
     let client = dep.client();
 
     // --- Point 1: single-query envelopes (the BENCH_lcp configuration). ---
-    dep.set_prefilter_enabled(true);
     let single_qps = run_single(1, queries.min(1500), &client, &probes);
     println!("  single envelopes, 1 reader:   {single_qps:.1} q/s");
 
-    // --- Point 2: batched envelopes, prefilter ON. ---
+    // --- Point 2: batched envelopes. ---
     let batched_qps = run_batched(1, queries, batch, &client, &probes);
     let batch_speedup = batched_qps / single_qps;
     println!(
         "  batched x{batch}, 1 reader:      {batched_qps:.1} q/s ({batch_speedup:.1}x over single)"
     );
 
-    // --- Point 3: batched envelopes, prefilter OFF. ---
-    dep.set_prefilter_enabled(false);
-    let nofilter_qps = run_batched(1, queries, batch, &client, &probes);
-    dep.set_prefilter_enabled(true);
-    println!("  batched x{batch}, no prefilter:  {nofilter_qps:.1} q/s");
     let stats = client.stats().expect("provider stats");
     let prefiltered = stats.query_stats.prefiltered;
     println!(
@@ -232,7 +224,7 @@ fn main() {
         prefiltered
     );
 
-    // --- Point 4: reader scaling under a mutating writer. ---
+    // --- Point 3: reader scaling under a mutating writer. ---
     let mut scale_rows = Vec::new();
     let mut scale_points = Vec::new();
     let mut qps_by_readers = Vec::new();
@@ -278,7 +270,7 @@ fn main() {
              \"architectures\": {},\n  \"models\": {},\n  \"queries\": {queries},\n  \"churn_rate\": {churn_rate},\n  \
              \"batch\": {batch},\n  \"single_qps\": {single_qps:.1},\n  \
              \"batched_qps\": {batched_qps:.1},\n  \"batch_speedup\": {batch_speedup:.2},\n  \
-             \"nofilter_qps\": {nofilter_qps:.1},\n  \"prefiltered\": {prefiltered},\n  \
+             \"prefiltered\": {prefiltered},\n  \
              \"readers\": {readers},\n  \"scaling_ratio\": {scaling_ratio:.2},\n  \
              \"snapshot_publications\": {},\n  \"snapshot_reads\": {},\n  \
              \"batch_envelopes\": {},\n  \"batch_queries\": {},\n  \"scale_points\": [\n{}\n  ]\n}}\n",

@@ -28,7 +28,6 @@ use serde::Serialize;
 
 use crate::messages::*;
 use crate::owner_map::OwnerMap;
-use crate::policy::DataPlanePolicy;
 use crate::replication::ReplicationPolicy;
 
 /// Client-facing errors, structured so callers can branch on failure
@@ -241,7 +240,6 @@ pub struct EvoStoreClientBuilder {
     obs: Option<Arc<ObsHub>>,
     slow_op_threshold: Duration,
     flight_capacity: usize,
-    force_copy_data_plane: bool,
     telemetry_level: TelemetryLevel,
 }
 
@@ -325,24 +323,6 @@ impl EvoStoreClientBuilder {
         self
     }
 
-    /// Bulk-transfer policy: zero-copy vectored regions (the default)
-    /// or forced contiguous consolidation (the A/B measurement lever).
-    /// Must match the provider side's policy; pre-wired by
-    /// [`crate::deployment::Deployment::client_builder`].
-    pub fn data_plane(mut self, policy: DataPlanePolicy) -> Self {
-        self.force_copy_data_plane = policy.is_forced_copy();
-        self
-    }
-
-    /// Consolidate store payloads into one contiguous buffer before
-    /// exposure instead of exposing the per-tensor records as a
-    /// vectored region.
-    #[deprecated(note = "use data_plane(DataPlanePolicy::ForcedCopy) instead")]
-    pub fn force_copy_data_plane(mut self, force: bool) -> Self {
-        self.force_copy_data_plane = force;
-        self
-    }
-
     /// Build the client. Panics when no providers were configured.
     pub fn build(self) -> EvoStoreClient {
         assert!(!self.providers.is_empty(), "deployment has no providers");
@@ -391,7 +371,6 @@ impl EvoStoreClientBuilder {
             slo,
             telemetry_level: self.telemetry_level,
             pending_decrements: Arc::new(Mutex::new(Vec::new())),
-            force_copy: self.force_copy_data_plane,
         }
     }
 }
@@ -421,9 +400,6 @@ pub struct EvoStoreClient {
     /// Refcount decrements that failed transiently, awaiting re-issue
     /// (shared across clones so any handle can flush them).
     pending_decrements: Arc<Mutex<Vec<(EndpointId, RefsRequest)>>>,
-    /// Consolidate store payloads before exposure instead of exposing
-    /// them as a vectored region (forced-copy A/B lever).
-    force_copy: bool,
 }
 
 impl EvoStoreClient {
@@ -440,15 +416,8 @@ impl EvoStoreClient {
             obs: None,
             slow_op_threshold: DEFAULT_SLOW_OP_THRESHOLD,
             flight_capacity: CLIENT_FLIGHT_EVENTS,
-            force_copy_data_plane: false,
             telemetry_level: TelemetryLevel::Full,
         }
-    }
-
-    /// Client for a deployment of the given providers.
-    #[deprecated(note = "use EvoStoreClient::builder(fabric).providers(...).build()")]
-    pub fn new(fabric: Arc<Fabric>, providers: Vec<EndpointId>) -> EvoStoreClient {
-        EvoStoreClient::builder(fabric).providers(providers).build()
     }
 
     /// Operation latency telemetry (shared across clones of this client).
@@ -824,8 +793,7 @@ impl EvoStoreClient {
         // the offset assignment stays serial. The serialized records
         // are then exposed directly as a vectored bulk region — no
         // consolidation memcpy — with manifest offsets addressing their
-        // logical concatenation. The forced-copy lever restores the old
-        // contiguous consolidation for A/B measurement.
+        // logical concatenation.
         let records: Vec<bytes::Bytes> = keys
             .par_iter()
             .map(|key| write_tensor(&new_tensors[*key]))
@@ -843,17 +811,9 @@ impl EvoStoreClient {
         let tensors_written = manifest.len();
         evostore_obs::ledger::add_chunks_touched(tensors_written as u64);
         evostore_obs::ledger::add_bytes_out(offset);
-        let bulk = if self.force_copy {
-            let mut buf = BytesMut::with_capacity(offset as usize);
-            for record in &records {
-                buf.extend_from_slice(record);
-            }
-            self.fabric.bulk_expose(buf.freeze())
-        } else {
-            self.telemetry
-                .note_bulk_segments_exposed(records.len() as u64);
-            self.fabric.bulk_expose_vec(records)
-        };
+        self.telemetry
+            .note_bulk_segments_exposed(records.len() as u64);
+        let bulk = self.fabric.bulk_expose_vec(records);
 
         let req = StoreModelRequest {
             model,
@@ -1202,8 +1162,8 @@ impl EvoStoreClient {
         let handle = BulkHandle(reply.bulk);
         // Vectored pull: the provider exposes one segment per
         // memory-resident record, so the "pull" is a segment-list clone
-        // with no payload copy; a contiguous (forced-copy) region
-        // arrives as a single segment and decodes identically.
+        // with no payload copy; a contiguous region arrives as a
+        // single segment and decodes identically.
         let region = self.fabric.bulk_get_vec(handle)?;
         // Decode (and integrity-check) every manifest entry across
         // the pool; the region is released exactly once below, on

@@ -2,7 +2,8 @@
 //! run deployment-wide maintenance (GC audit, anti-entropy repair).
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::path::Path;
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -24,7 +25,7 @@ use crate::messages::{
     SyncModelRequest, SyncRefsReply, SyncRefsRequest, SyncRetireReply, SyncRetireRequest,
     Tombstone, TransferManifestReply, TransferManifestRequest,
 };
-use crate::policy::{ChunkingPolicy, DataPlanePolicy, DeltaPolicy, StorePolicy};
+use crate::policy::{ChunkingPolicy, DeltaPolicy, StorePolicy};
 use crate::provider::{Provider, ProviderState};
 use crate::replication::ReplicationPolicy;
 
@@ -75,16 +76,6 @@ pub struct DeploymentConfig {
     /// chunks, and parent-delta encoding of derived models. The default
     /// reproduces the pre-policy layout byte for byte.
     pub store_policy: StorePolicy,
-    /// Data-plane copy discipline: zero-copy scatter-gather (default) or
-    /// forced contiguous consolidation (the A/B measurement lever behind
-    /// the datapath bench's `--force-copy` mode). Results are
-    /// byte-identical either way.
-    pub data_plane: DataPlanePolicy,
-    /// Deprecated boolean form of [`DeploymentConfig::data_plane`]; kept
-    /// for one release so existing call sites keep compiling. Either
-    /// lever forcing consolidation wins.
-    #[deprecated(note = "set data_plane: DataPlanePolicy::ForcedCopy instead")]
-    pub force_copy_data_plane: bool,
     /// Broadcast-tree fanout of the delivery plane: how many subscribers
     /// fetch a released model directly from the provider; the rest fetch
     /// from an earlier subscriber along the planned tree.
@@ -94,17 +85,10 @@ pub struct DeploymentConfig {
     /// `/slo`, `/traces/recent` and `/flight` over HTTP. `None` (the
     /// default) serves nothing.
     pub obs_listen: Option<String>,
-    /// Repair/re-replication transfer discipline: negotiate chunk
-    /// possession and ship only missing chunks and stored delta records
-    /// (the default), or always ship materialized payloads — the A/B
-    /// measurement lever behind the transfer bench's `--materialized`
-    /// mode. Results are identical either way; only bytes moved differ.
-    pub negotiated_transfer: bool,
 }
 
 impl Default for DeploymentConfig {
     fn default() -> Self {
-        #[allow(deprecated)]
         DeploymentConfig {
             providers: 4,
             service_threads: 2,
@@ -112,11 +96,8 @@ impl Default for DeploymentConfig {
             replication: ReplicationPolicy::default(),
             clock: None,
             store_policy: StorePolicy::default(),
-            data_plane: DataPlanePolicy::default(),
-            force_copy_data_plane: false,
             deliver_fanout: 4,
             obs_listen: None,
-            negotiated_transfer: true,
         }
     }
 }
@@ -128,7 +109,6 @@ pub struct Deployment {
     provider_ids: Vec<EndpointId>,
     replication: ReplicationPolicy,
     obs: Arc<ObsHub>,
-    force_copy: bool,
     obs_server: Option<ObsServer>,
     /// Per-op-class resource attribution for deployment-driven work
     /// (`repair` passes, per-model `transfer` legs), exported as
@@ -137,9 +117,6 @@ pub struct Deployment {
     /// Span factory for the transfer plane: every `transfer.sync_model`
     /// root carries the negotiation round-trips as child spans.
     tracer: Arc<Tracer>,
-    /// Chunk-negotiated, delta-preserving sync (the default) vs always
-    /// materialized — the transfer bench's A/B lever.
-    negotiated_transfer: AtomicBool,
     /// The delta policy providers were built with; bounds the
     /// post-repair chain compaction pass.
     delta: DeltaPolicy,
@@ -168,8 +145,14 @@ pub struct RepairReport {
 }
 
 impl Deployment {
-    /// Start a deployment.
+    /// Start a deployment. Panics when a provider's stores cannot be
+    /// opened or the exposition server cannot bind;
+    /// [`Deployment::reopen`] returns those as errors instead.
     pub fn new(cfg: DeploymentConfig) -> Deployment {
+        Self::start(cfg).unwrap_or_else(|e| panic!("start deployment: {e}"))
+    }
+
+    fn start(cfg: DeploymentConfig) -> Result<Deployment, String> {
         assert!(cfg.providers > 0);
         let fabric = Fabric::new();
         let obs_clock: Arc<dyn TimeSource> = cfg
@@ -191,69 +174,52 @@ impl Deployment {
         }
         fabric.set_flight_recorder(Some(obs.new_recorder("fabric", FABRIC_FLIGHT_EVENTS)));
         let clock = Arc::new(AtomicU64::new(1));
-        // Either data-plane lever (typed policy or the deprecated
-        // boolean) forces consolidation.
-        #[allow(deprecated)]
-        let force_copy = cfg.data_plane.is_forced_copy() || cfg.force_copy_data_plane;
         let chunking = cfg.store_policy.chunking;
         // Under chunking, the whole-tensor layer wraps in a
         // content-addressed chunk store; persistent tensor stores switch
         // to the fanned two-level hash-directory layout (chunk keys are
         // content hashes, so fan-out by leading key byte is uniform).
-        let wrap = |b: Box<dyn KvBackend>| -> Box<dyn KvBackend> {
-            match chunking {
+        let wrap = |b: Box<dyn KvBackend>| -> Result<Box<dyn KvBackend>, String> {
+            Ok(match chunking {
                 ChunkingPolicy::Whole => b,
                 ChunkingPolicy::Chunked { chunk_size } => Box::new(
-                    ChunkedStore::open(b, chunk_size).expect("open content-addressed chunk layer"),
+                    ChunkedStore::open(b, chunk_size)
+                        .map_err(|e| format!("open content-addressed chunk layer: {e}"))?,
                 ),
-            }
+            })
+        };
+        let open_tensor_log = |dir: &Path, i: usize| -> Result<Box<dyn KvBackend>, String> {
+            let tensor_dir = dir.join(format!("provider-{i}/tensors"));
+            let err = |e| format!("open provider {i} tensor store: {e}");
+            Ok(match chunking {
+                ChunkingPolicy::Whole => Box::new(LogStore::open(tensor_dir).map_err(err)?),
+                ChunkingPolicy::Chunked { .. } => {
+                    Box::new(FannedLogStore::open(tensor_dir).map_err(err)?)
+                }
+            })
+        };
+        let open_meta_log = |dir: &Path, i: usize| -> Result<Box<dyn KvBackend>, String> {
+            let meta = LogStore::open(dir.join(format!("provider-{i}/meta")))
+                .map_err(|e| format!("open provider {i} meta store: {e}"))?;
+            Ok(Box::new(meta))
         };
         let mut providers = Vec::with_capacity(cfg.providers);
         for i in 0..cfg.providers {
             let (backend, meta): (Box<dyn KvBackend>, Box<dyn KvBackend>) = match &cfg.backend {
                 BackendKind::Memory => (
-                    wrap(Box::new(MemPoolStore::new())),
+                    wrap(Box::new(MemPoolStore::new()))?,
                     Box::new(MemPoolStore::new()),
                 ),
                 BackendKind::Log { dir } => {
-                    let tensor_dir = dir.join(format!("provider-{i}/tensors"));
-                    let tensors: Box<dyn KvBackend> = match chunking {
-                        ChunkingPolicy::Whole => Box::new(
-                            LogStore::open(tensor_dir).expect("open provider tensor store"),
-                        ),
-                        ChunkingPolicy::Chunked { .. } => Box::new(
-                            FannedLogStore::open(tensor_dir).expect("open provider tensor store"),
-                        ),
-                    };
-                    (
-                        wrap(tensors),
-                        Box::new(
-                            LogStore::open(dir.join(format!("provider-{i}/meta")))
-                                .expect("open provider meta store"),
-                        ),
-                    )
+                    (wrap(open_tensor_log(dir, i)?)?, open_meta_log(dir, i)?)
                 }
-                BackendKind::Tiered { dir, memory_budget } => {
-                    let tensor_dir = dir.join(format!("provider-{i}/tensors"));
-                    let durable: Box<dyn KvBackend> = match chunking {
-                        ChunkingPolicy::Whole => Box::new(
-                            LogStore::open(tensor_dir).expect("open provider tensor store"),
-                        ),
-                        ChunkingPolicy::Chunked { .. } => Box::new(
-                            FannedLogStore::open(tensor_dir).expect("open provider tensor store"),
-                        ),
-                    };
-                    (
-                        wrap(Box::new(evostore_kv::TieredStore::new(
-                            durable,
-                            *memory_budget,
-                        ))),
-                        Box::new(
-                            LogStore::open(dir.join(format!("provider-{i}/meta")))
-                                .expect("open provider meta store"),
-                        ),
-                    )
-                }
+                BackendKind::Tiered { dir, memory_budget } => (
+                    wrap(Box::new(evostore_kv::TieredStore::new(
+                        open_tensor_log(dir, i)?,
+                        *memory_budget,
+                    )))?,
+                    open_meta_log(dir, i)?,
+                ),
             };
             providers.push(Provider::spawn(
                 Arc::clone(&fabric),
@@ -269,16 +235,15 @@ impl Deployment {
                 cfg.deliver_fanout,
             ));
         }
-        if force_copy {
-            for p in &providers {
-                p.state.set_force_copy(true);
-            }
-        }
         let provider_ids: Vec<EndpointId> = providers.iter().map(|p| p.endpoint_id()).collect();
-        let obs_server = cfg.obs_listen.as_deref().map(|addr| {
-            Self::start_obs_server(addr, Arc::clone(&fabric), provider_ids.clone(), &obs)
-                .unwrap_or_else(|e| panic!("obs exposition server on {addr}: {e}"))
-        });
+        let obs_server = cfg
+            .obs_listen
+            .as_deref()
+            .map(|addr| {
+                Self::start_obs_server(addr, Arc::clone(&fabric), provider_ids.clone(), &obs)
+                    .map_err(|e| format!("obs exposition server on {addr}: {e}"))
+            })
+            .transpose()?;
         let ledger = Arc::new(OpLedger::new());
         {
             let l = Arc::clone(&ledger);
@@ -289,19 +254,17 @@ impl Deployment {
             Arc::clone(obs.clock()),
             obs.new_recorder("deployment", DEPLOYMENT_FLIGHT_EVENTS),
         ));
-        Deployment {
+        Ok(Deployment {
             fabric,
             providers,
             provider_ids,
             replication: cfg.replication,
             obs,
-            force_copy,
             obs_server,
             ledger,
             tracer,
-            negotiated_transfer: AtomicBool::new(cfg.negotiated_transfer),
             delta: cfg.store_policy.delta,
-        }
+        })
     }
 
     /// Spin up the live exposition server: every route re-renders from
@@ -360,7 +323,7 @@ impl Deployment {
             return Err("reopen requires a persistent (Log) backend".into());
         }
         let rep = cfg.replication;
-        let dep = Deployment::new(cfg);
+        let dep = Deployment::start(cfg)?;
         let states = dep.provider_states();
         for s in &states {
             s.recover_catalog();
@@ -441,7 +404,6 @@ impl Deployment {
             .providers(self.provider_ids.clone())
             .replication(self.replication)
             .obs_hub(Arc::clone(&self.obs))
-            .data_plane(DataPlanePolicy::from_force_copy(self.force_copy))
     }
 
     /// The deployment's observability hub (clock, unified registry,
@@ -475,42 +437,6 @@ impl Deployment {
         for p in &self.providers {
             p.state.set_index_enabled(enabled);
         }
-    }
-
-    /// Switch every provider's indexed query path between prefiltered
-    /// bucket walks (bitset/bloom rejection, the default) and plain
-    /// walks — the A/B lever behind the catalog bench's
-    /// `--no-prefilter` mode. Results are identical either way.
-    pub fn set_prefilter_enabled(&self, enabled: bool) {
-        for p in &self.providers {
-            p.state.set_prefilter_enabled(enabled);
-        }
-    }
-
-    /// Switch every provider between the zero-copy scatter-gather data
-    /// plane (the default) and forced contiguous consolidation — the
-    /// A/B lever behind the datapath bench's `--force-copy` mode.
-    /// Clients built *after* the switch pick up the matching store-side
-    /// behavior via [`Deployment::client_builder`].
-    pub fn set_force_copy(&mut self, force: bool) {
-        self.force_copy = force;
-        for p in &self.providers {
-            p.state.set_force_copy(force);
-        }
-    }
-
-    /// Switch between chunk-negotiated, delta-preserving re-replication
-    /// (the default) and materialized payload shipping — the A/B lever
-    /// behind the transfer bench's `--materialized` mode. Results are
-    /// identical either way; only bytes moved differ.
-    pub fn set_negotiated_transfer(&self, on: bool) {
-        self.negotiated_transfer.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether repair currently negotiates chunk possession before
-    /// shipping payloads.
-    pub fn negotiated_transfer(&self) -> bool {
-        self.negotiated_transfer.load(Ordering::Relaxed)
     }
 
     /// Per-op-class resource attribution for deployment-driven work:
@@ -878,8 +804,7 @@ impl Deployment {
     /// the source no longer serves the payloads (lost beyond the
     /// replication factor).
     ///
-    /// With [`DeploymentConfig::negotiated_transfer`] on (the default)
-    /// this is a chunk-negotiated, delta-preserving driver: it asks the
+    /// This is a chunk-negotiated, delta-preserving driver: it asks the
     /// source how the stored bytes decompose (`TRANSFER_MANIFEST`),
     /// probes the target's possession set (`HAVE_CHUNKS`), and ships
     /// only the missing chunks (`READ_CHUNKS` → `SYNC_CHUNKS`) — or, on
@@ -950,16 +875,14 @@ impl Deployment {
             .filter(|k| k.owner == model)
             .collect();
         keys.extend_from_slice(optimizer_keys);
-        if self.negotiated_transfer() {
-            // Anything short of a completed negotiation — declined
-            // (layout mismatch, missing delta base, whole-record source
-            // without deltas) or failed mid-flight — falls through to
-            // the materialized backstop.
-            if let Ok(Some(done)) =
-                self.sync_model_negotiated(model, &meta, &keys, source, target, retry, trace)
-            {
-                return Ok(done);
-            }
+        // Anything short of a completed negotiation — declined (layout
+        // mismatch, missing delta base, whole-record source without
+        // deltas) or failed mid-flight — falls through to the
+        // materialized backstop.
+        if let Ok(Some(done)) =
+            self.sync_model_negotiated(model, &meta, &keys, source, target, retry, trace)
+        {
+            return Ok(done);
         }
         self.sync_model_materialized(model, meta, keys, source, target, retry, trace)
     }

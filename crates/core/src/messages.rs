@@ -647,7 +647,7 @@ pub struct ProviderStats {
     #[serde(default)]
     pub zero_copy_reads: u64,
     /// Tensor reads that fell back to a copying `get` (disk-resident
-    /// record or forced-copy lever).
+    /// record or a delta that had to be reconstructed).
     #[serde(default)]
     pub copy_fallback_reads: u64,
     /// Store requests validated by the parallel decode-free path.

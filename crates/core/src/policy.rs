@@ -1,21 +1,11 @@
 //! Typed deployment policies.
 //!
-//! [`DeploymentConfig`] used to grow one boolean per storage or
-//! data-plane lever (`force_copy_data_plane`, and the chunking/delta
-//! switches would have followed). This module replaces them with two
-//! small typed policies:
-//!
-//! * [`StorePolicy`] — how tensor payloads are physically persisted:
-//!   whole records vs content-addressed chunks
-//!   ([`evostore_kv::ChunkedStore`]), and whether derived models are
-//!   delta-encoded against their parent's tensors
-//!   ([`evostore_tensor::encode_delta`]);
-//! * [`DataPlanePolicy`] — whether bulk transfers run zero-copy
-//!   (vectored scatter-gather, the default) or through forced
-//!   contiguous consolidation (the A/B measurement lever).
-//!
-//! Both have `Default` impls that reproduce the pre-policy behavior
-//! byte for byte, so `..Default::default()` call sites are unaffected.
+//! [`StorePolicy`] says how [`DeploymentConfig`] persists tensor
+//! payloads: whole records vs content-addressed chunks
+//! ([`evostore_kv::ChunkedStore`]), and whether derived models are
+//! delta-encoded against their parent's tensors
+//! ([`evostore_tensor::encode_delta`]). Its `Default` is whole records
+//! with no deltas.
 //!
 //! [`DeploymentConfig`]: crate::deployment::DeploymentConfig
 
@@ -133,35 +123,6 @@ impl StorePolicy {
     }
 }
 
-/// How bulk payloads move between clients and providers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DataPlanePolicy {
-    /// Vectored zero-copy scatter-gather regions (the default).
-    #[default]
-    ZeroCopy,
-    /// Consolidate every payload into one contiguous buffer before
-    /// exposure, and validate stores by full decode — the pre-vectored
-    /// behavior, kept as an A/B measurement lever. Results are
-    /// byte-identical to [`DataPlanePolicy::ZeroCopy`].
-    ForcedCopy,
-}
-
-impl DataPlanePolicy {
-    /// Does this policy force contiguous consolidation?
-    pub fn is_forced_copy(self) -> bool {
-        matches!(self, DataPlanePolicy::ForcedCopy)
-    }
-
-    /// The policy equivalent of the old `force_copy_data_plane` flag.
-    pub fn from_force_copy(force: bool) -> DataPlanePolicy {
-        if force {
-            DataPlanePolicy::ForcedCopy
-        } else {
-            DataPlanePolicy::ZeroCopy
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,8 +132,6 @@ mod tests {
         let p = StorePolicy::default();
         assert_eq!(p.chunking, ChunkingPolicy::Whole);
         assert!(!p.delta.enabled);
-        assert_eq!(DataPlanePolicy::default(), DataPlanePolicy::ZeroCopy);
-        assert!(!DataPlanePolicy::default().is_forced_copy());
     }
 
     #[test]
@@ -188,6 +147,5 @@ mod tests {
             ChunkingPolicy::chunked(),
             "named constructor matches policy shorthand"
         );
-        assert!(DataPlanePolicy::from_force_copy(true).is_forced_copy());
     }
 }

@@ -406,10 +406,6 @@ pub struct ProviderState {
     /// default) or by the unindexed full-catalog scan (A/B measurement;
     /// the index stays maintained either way).
     index_enabled: AtomicBool,
-    /// Serve indexed queries through the bitset/bloom prefilters (the
-    /// default) or with plain bucket walks (A/B measurement lever;
-    /// results are identical either way).
-    prefilter_enabled: AtomicBool,
     /// Cumulative per-query index statistics (LCP and pattern scans),
     /// bumped lock-free by every query handler.
     query_stats: AtomicQueryStats,
@@ -423,17 +419,13 @@ pub struct ProviderState {
     tracer: Tracer,
     /// This provider's fabric address (stamped on handler spans).
     endpoint_id: u32,
-    /// Serve the data plane through consolidated contiguous copies
-    /// instead of vectored zero-copy regions (A/B measurement lever;
-    /// semantics are identical either way).
-    force_copy: AtomicBool,
     /// Segments handed to `bulk_expose_vec` by read-side handlers.
     bulk_segments_exposed: AtomicU64,
     /// Tensor reads served as shared-buffer clones of memory-resident
     /// values (no payload copy on the provider).
     zero_copy_reads: AtomicU64,
     /// Tensor reads that fell back to a copying `get` (disk-resident
-    /// record, or the forced-copy lever is on).
+    /// record or a delta that had to be reconstructed).
     copy_fallback_reads: AtomicU64,
     /// Store requests whose manifest validation fanned out across the
     /// rayon pool (decode-free `validate_record` path).
@@ -911,13 +903,10 @@ impl ProviderState {
         // Validate the ENTIRE manifest before persisting anything, so a
         // malformed request can never leave partially-stored tensors with
         // no catalog entry referencing them. Entries are independent, so
-        // the integrity + spec checks fan out across the rayon pool; the
-        // default path verifies framing, dims and checksum via
-        // `validate_record` without materializing a `TensorData`.
-        let force_copy = self.force_copy.load(Ordering::Relaxed);
-        if !force_copy {
-            self.validate_par_batches.fetch_add(1, Ordering::Relaxed);
-        }
+        // the integrity + spec checks fan out across the rayon pool;
+        // `validate_record` verifies framing, dims and checksum without
+        // materializing a `TensorData`.
+        self.validate_par_batches.fetch_add(1, Ordering::Relaxed);
         let validated = req
             .manifest
             .par_iter()
@@ -933,13 +922,8 @@ impl ProviderState {
                     )
                 })?;
                 // Integrity + spec check before persisting.
-                let (shape, dtype) = if force_copy {
-                    let tensor = read_tensor(record.clone())
-                        .map_err(|e| format!("tensor {}: {e}", entry.key))?;
-                    (tensor.shape().to_vec(), tensor.dtype())
-                } else {
-                    validate_record(&record).map_err(|e| format!("tensor {}: {e}", entry.key))?
-                };
+                let (shape, dtype) =
+                    validate_record(&record).map_err(|e| format!("tensor {}: {e}", entry.key))?;
                 let specs = req
                     .graph
                     .param_specs(evostore_tensor::VertexId(entry.key.vertex.0));
@@ -1027,22 +1011,6 @@ impl ProviderState {
         })
     }
 
-    /// Handle a metadata fetch — lock-free: served from the published
-    /// catalog snapshot.
-    pub fn handle_get_meta(&self, req: GetMetaRequest) -> Result<ModelMetaReply, String> {
-        let snap = self.catalog_snapshot();
-        let rec = snap
-            .get(req.model)
-            .ok_or_else(|| format!("model {} not found", req.model))?;
-        Ok(ModelMetaReply {
-            graph: (*rec.graph).clone(),
-            owner_map: rec.owner_map.clone(),
-            parent: rec.parent,
-            quality: rec.quality,
-            timestamp: rec.timestamp,
-        })
-    }
-
     /// The encoded-bytes fast path behind the `GET_META` handler: build
     /// (and deep-clone the compact graph) at most once per stored record
     /// incarnation, then serve the cached JSON encoding. The cache entry
@@ -1073,11 +1041,8 @@ impl ProviderState {
     /// freshly exposed bulk region. Per-key kv lookups fan out across
     /// the rayon pool; memory-resident records are appended to the
     /// region as shared-buffer clones (`get_ref`, zero copy), anything
-    /// else falls back to a copying `get`. The forced-copy lever
-    /// restores the old behavior: one consolidation memcpy into a
-    /// contiguous region.
+    /// else falls back to a copying `get`.
     pub fn handle_read(&self, req: ReadTensorsRequest) -> Result<ReadTensorsReply, String> {
-        let force_copy = self.force_copy.load(Ordering::Relaxed);
         let kv = self.kv_span("kv.read_tensors");
         let records = req
             .keys
@@ -1103,19 +1068,17 @@ impl ProviderState {
                         .map(|record| (record, false))
                         .map_err(|_| format!("tensor {key} not stored"));
                 }
-                if !force_copy {
-                    if let Some(record) = self.store().get_record_ref(&enc) {
-                        // A delta record must be reconstructed before it
-                        // leaves the provider; it counts as a fallback
-                        // (the reply buffer is freshly built).
-                        if !is_delta(&record) {
-                            return Ok((record, true));
-                        }
-                        return self
-                            .materialize(record)
-                            .map(|r| (r, false))
-                            .map_err(|e| format!("tensor {key}: {e}"));
+                if let Some(record) = self.store().get_record_ref(&enc) {
+                    // A delta record must be reconstructed before it
+                    // leaves the provider; it counts as a fallback
+                    // (the reply buffer is freshly built).
+                    if !is_delta(&record) {
+                        return Ok((record, true));
                     }
+                    return self
+                        .materialize(record)
+                        .map(|r| (r, false))
+                        .map_err(|e| format!("tensor {key}: {e}"));
                 }
                 let record = self
                     .store()
@@ -1130,7 +1093,7 @@ impl ProviderState {
         let manifest = self.logical_manifest(&req.keys, &records);
         evostore_obs::ledger::add_chunks_touched(manifest.len() as u64);
         evostore_obs::ledger::add_bytes_out(manifest.iter().map(|e| e.len).sum());
-        let bulk = self.expose_records(records, force_copy);
+        let bulk = self.expose_records(records);
         Ok(ReadTensorsReply {
             manifest,
             bulk: bulk.0,
@@ -1167,27 +1130,13 @@ impl ProviderState {
         manifest
     }
 
-    /// Expose fetched records as a bulk region: vectored (each record
-    /// becomes a segment, no copy) by default, or consolidated into one
-    /// contiguous buffer under the forced-copy lever.
-    fn expose_records(
-        &self,
-        records: Vec<(Bytes, bool)>,
-        force_copy: bool,
-    ) -> evostore_rpc::BulkHandle {
-        if force_copy {
-            let total: usize = records.iter().map(|(r, _)| r.len()).sum();
-            let mut buf = BytesMut::with_capacity(total);
-            for (record, _) in &records {
-                buf.extend_from_slice(record);
-            }
-            self.fabric.bulk_expose(buf.freeze())
-        } else {
-            let segments: Vec<Bytes> = records.into_iter().map(|(r, _)| r).collect();
-            self.bulk_segments_exposed
-                .fetch_add(segments.len() as u64, Ordering::Relaxed);
-            self.fabric.bulk_expose_vec(segments)
-        }
+    /// Expose fetched records as one vectored bulk region: each record
+    /// becomes a segment, no copy.
+    fn expose_records(&self, records: Vec<(Bytes, bool)>) -> evostore_rpc::BulkHandle {
+        let segments: Vec<Bytes> = records.into_iter().map(|(r, _)| r).collect();
+        self.bulk_segments_exposed
+            .fetch_add(segments.len() as u64, Ordering::Relaxed);
+        self.fabric.bulk_expose_vec(segments)
     }
 
     /// Handle reference-count increments (pinning a new descendant's
@@ -1281,8 +1230,7 @@ impl ProviderState {
     /// single-query and batched handlers; the caller accumulates stats).
     fn lcp_reply_on(&self, snap: &CatalogSnapshot, g: &CompactGraph) -> LcpQueryReply {
         if self.index_enabled.load(Ordering::Relaxed) {
-            let use_prefilter = self.prefilter_enabled.load(Ordering::Relaxed);
-            let (best, stats) = snap.index.best_ancestor_with(g, use_prefilter);
+            let (best, stats) = snap.index.best_ancestor(g);
             return LcpQueryReply {
                 best: best.map(|c| LcpCandidate {
                     model: c.model,
@@ -1439,8 +1387,7 @@ impl ProviderState {
     /// single-query and batched handlers; the caller accumulates stats).
     fn pattern_reply_on(&self, snap: &CatalogSnapshot, pattern: &ArchPattern) -> PatternQueryReply {
         if self.index_enabled.load(Ordering::Relaxed) {
-            let use_prefilter = self.prefilter_enabled.load(Ordering::Relaxed);
-            let (matches, stats) = snap.index.match_pattern_with(pattern, use_prefilter);
+            let (matches, stats) = snap.index.match_pattern(pattern);
             return PatternQueryReply {
                 matches,
                 scanned: stats.scanned as usize,
@@ -1576,15 +1523,12 @@ impl ProviderState {
         // Same zero-copy gather as `handle_read`: memory-resident
         // optimizer tensors become shared segments, disk-resident ones
         // fall back to a copying `get`.
-        let force_copy = self.force_copy.load(Ordering::Relaxed);
         let records = keys
             .par_iter()
             .map(|key| {
                 let enc = key.encode();
-                if !force_copy {
-                    if let Some(record) = self.store().get_record_ref(&enc) {
-                        return Ok((record, true));
-                    }
+                if let Some(record) = self.store().get_record_ref(&enc) {
+                    return Ok((record, true));
                 }
                 self.store()
                     .get_record(&enc)
@@ -1593,7 +1537,7 @@ impl ProviderState {
             })
             .collect::<Result<Vec<(Bytes, bool)>, String>>()?;
         let manifest = self.logical_manifest(&keys, &records);
-        let bulk = self.expose_records(records, force_copy);
+        let bulk = self.expose_records(records);
         Ok(ReadTensorsReply {
             manifest,
             bulk: bulk.0,
@@ -2290,32 +2234,6 @@ impl ProviderState {
         self.index_enabled.load(Ordering::Relaxed)
     }
 
-    /// Switch the indexed query path between prefiltered bucket walks
-    /// (bitset/bloom rejection, the default) and plain walks. Results
-    /// are identical either way; this is the A/B measurement lever.
-    pub fn set_prefilter_enabled(&self, enabled: bool) {
-        self.prefilter_enabled.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Whether the bitset/bloom prefilters are active.
-    pub fn prefilter_enabled(&self) -> bool {
-        self.prefilter_enabled.load(Ordering::Relaxed)
-    }
-
-    /// Switch the data plane between zero-copy scatter-gather (default)
-    /// and forced contiguous consolidation: reads memcpy every record
-    /// into one buffer before exposure, and store validation decodes
-    /// full `TensorData`s serially-equivalent to the pre-vectored path.
-    /// A/B measurement lever; results are byte-identical either way.
-    pub fn set_force_copy(&self, force: bool) {
-        self.force_copy.store(force, Ordering::Relaxed);
-    }
-
-    /// Whether the forced-copy data-plane lever is on.
-    pub fn force_copy(&self) -> bool {
-        self.force_copy.load(Ordering::Relaxed)
-    }
-
     /// Live entries in the index's LCP memo (diagnostics/tests). The
     /// memo is shared copy-on-write across snapshots, so the published
     /// snapshot's count is the authoritative one.
@@ -2520,13 +2438,6 @@ impl ProviderState {
         self.tracer.recorder()
     }
 
-    /// Models cataloged here (diagnostics/tests).
-    pub fn cataloged_models(&self) -> Vec<ModelId> {
-        let mut v: Vec<ModelId> = self.catalog_snapshot().records().map(|(m, _)| m).collect();
-        v.sort();
-        v
-    }
-
     /// Reference count of a hosted tensor (tests/GC audits).
     pub fn tensor_refs(&self, key: TensorKey) -> u64 {
         self.store().record_refs(&key.encode())
@@ -2546,19 +2457,6 @@ impl ProviderState {
                     r.optimizer_keys.clone(),
                 )
             })
-            .collect()
-    }
-
-    /// Is the tensor payload stored here? (replication audits)
-    pub fn hosts_tensor(&self, key: TensorKey) -> bool {
-        self.store().contains_record(&key.encode())
-    }
-
-    /// Owner maps of all cataloged models (GC audits).
-    pub fn owner_maps(&self) -> Vec<OwnerMap> {
-        self.catalog_snapshot()
-            .records()
-            .map(|(_, r)| r.owner_map.clone())
             .collect()
     }
 
@@ -2591,14 +2489,6 @@ impl ProviderState {
                 },
             )
         });
-    }
-
-    /// Optimizer keys referenced by local catalog records (GC audits).
-    pub fn optimizer_key_refs(&self) -> Vec<TensorKey> {
-        self.catalog_snapshot()
-            .records()
-            .flat_map(|(_, r)| r.optimizer_keys.clone())
-            .collect()
     }
 
     /// Keys of every tensor hosted here (GC audits). Iterates the
@@ -2723,14 +2613,12 @@ impl Provider {
             refs_ops: Mutex::new(RefsOpCache::default()),
             tombstones: Mutex::new(HashMap::new()),
             index_enabled: AtomicBool::new(true),
-            prefilter_enabled: AtomicBool::new(true),
             query_stats: AtomicQueryStats::default(),
             snapshot_reads: AtomicU64::new(0),
             batch_envelopes: AtomicU64::new(0),
             batch_queries: AtomicU64::new(0),
             tracer,
             endpoint_id: endpoint.id().0,
-            force_copy: AtomicBool::new(false),
             bulk_segments_exposed: AtomicU64::new(0),
             zero_copy_reads: AtomicU64::new(0),
             copy_fallback_reads: AtomicU64::new(0),

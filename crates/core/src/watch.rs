@@ -69,16 +69,12 @@ pub struct WatchConfig {
     pub peer_poll: Duration,
     /// Polls before giving up on a parent and walking up the chain.
     pub peer_poll_attempts: usize,
-    /// When a release names a parent whose tensors are still cached
+    /// Granularity the provider chunk exchange hashes at (bytes, > 0):
+    /// when a release names a parent whose tensors are still cached
     /// (the superseded version a `NewVersionOf` watch just replaced),
-    /// fetch from the provider by chunk negotiation: hash the cached
-    /// parent bytes and pull only the chunks that actually changed —
-    /// O(changed bytes) on the wire instead of O(model bytes). `false`
-    /// always pulls materialized tensors (the `transfer_ab` baseline).
-    pub chunk_exchange: bool,
-    /// Granularity the chunk exchange hashes at (bytes, > 0). Must only
-    /// be consistent within one exchange; it is independent of the
-    /// providers' storage chunk size.
+    /// the watcher hashes the cached parent bytes and pulls only the
+    /// chunks that actually changed. Must only be consistent within one
+    /// exchange; it is independent of the providers' storage chunk size.
     pub exchange_chunk_size: usize,
 }
 
@@ -94,7 +90,6 @@ impl Default for WatchConfig {
             service_threads: 2,
             peer_poll: Duration::from_millis(2),
             peer_poll_attempts: 500,
-            chunk_exchange: true,
             exchange_chunk_size: DEFAULT_CHUNK_SIZE,
         }
     }
@@ -673,7 +668,7 @@ impl WatcherInner {
     /// committed to the cache until every record reassembles and
     /// validates; returns `false` (caller falls back to the
     /// materialized read) when the exchange doesn't apply — no parent,
-    /// nothing cached to reuse, the lever off — or any leg fails.
+    /// nothing cached to reuse — or any leg fails.
     fn fetch_chunks_from_provider(
         &self,
         ev: &ModelEvent,
@@ -681,7 +676,7 @@ impl WatcherInner {
         have: &mut HashMap<TensorKey, TensorData>,
         raw_segments: &mut HashMap<TensorKey, Bytes>,
     ) -> bool {
-        if !self.cfg.chunk_exchange || missing.is_empty() {
+        if missing.is_empty() {
             return false;
         }
         let Some(parent) = ev.parent else {

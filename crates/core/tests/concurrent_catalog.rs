@@ -2,11 +2,10 @@
 //! reader threads must never observe a half-applied store/retire (every
 //! loaded snapshot is internally coherent and versions only move
 //! forward), batched LCP / pattern RPCs must return exactly what the
-//! equivalent single-query calls return, and toggling the signature
-//! prefilter must never change an answer.
+//! equivalent single-query calls return.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier};
 
 use evostore_core::messages::RetireMetaRequest;
 use evostore_core::provider::ProviderState;
@@ -38,15 +37,27 @@ fn sample_graphs(families: usize, variants: usize, seed: u64) -> Vec<CompactGrap
     graphs
 }
 
+struct CountOnDrop<'a>(&'a AtomicUsize);
+
+impl Drop for CountOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
 /// Readers pin snapshots in a tight loop while one writer streams
-/// store/retire mutations. Every snapshot a reader loads must pass the
+/// store/retire mutations (all start behind a barrier, and the writer
+/// keeps churning until every reader has done its fixed number of loads,
+/// so the overlap does not depend on scheduling). Every snapshot a
+/// reader loads must pass the
 /// internal coherence audit (records/index mirror each other exactly)
 /// and versions must be monotone per reader — a torn publication would
 /// fail one or both.
 #[test]
 fn snapshots_stay_coherent_under_churn() {
     const READERS: usize = 4;
-    const ROUNDS: usize = 60;
+    const LOADS_PER_READER: usize = 200;
+    const MIN_ROUNDS: usize = 60;
 
     let dep = Deployment::in_memory(1);
     let states = dep.provider_states();
@@ -58,16 +69,19 @@ fn snapshots_stay_coherent_under_churn() {
         insert(&states, ModelId(i as u64 + 1), g, 0.5);
     }
 
-    let stop = AtomicBool::new(false);
+    let start = Barrier::new(READERS + 1);
+    let readers_done = AtomicUsize::new(0);
     std::thread::scope(|s| {
-        let mut handles = Vec::new();
         for _ in 0..READERS {
             let state = Arc::clone(&state);
-            let stop = &stop;
-            handles.push(s.spawn(move || {
+            let (start, readers_done) = (&start, &readers_done);
+            s.spawn(move || {
+                // Counts on unwind too: a failed reader must not leave
+                // the writer churning forever.
+                let _done = CountOnDrop(readers_done);
+                start.wait();
                 let mut last_version = 0u64;
-                let mut loads = 0u64;
-                while !stop.load(Ordering::Relaxed) {
+                for _ in 0..LOADS_PER_READER {
                     let snap = state.catalog_snapshot();
                     snap.verify_coherent().expect("torn snapshot");
                     assert!(
@@ -77,17 +91,17 @@ fn snapshots_stay_coherent_under_churn() {
                         snap.version()
                     );
                     last_version = snap.version();
-                    loads += 1;
                 }
-                loads
-            }));
+            });
         }
 
         // Writer: churn a rotating window of model ids over the sampled
         // architectures — every round stores a fresh record and retires
         // the one from two rounds ago, exercising insert + remove +
         // memo invalidation while readers hold pins.
-        for round in 0..ROUNDS {
+        start.wait();
+        let mut round = 0usize;
+        while round < MIN_ROUNDS || readers_done.load(Ordering::SeqCst) < READERS {
             let id = ModelId(10_000 + round as u64);
             let g = &graphs[round % graphs.len()];
             insert(&states, id, g, 0.3 + (round % 7) as f64 * 0.1);
@@ -97,11 +111,8 @@ fn snapshots_stay_coherent_under_churn() {
                     .handle_retire_meta(RetireMetaRequest { model: old })
                     .expect("retire");
             }
+            round += 1;
         }
-        stop.store(true, Ordering::Relaxed);
-
-        let total_loads: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
-        assert!(total_loads >= READERS as u64, "readers never ran");
     });
 
     // The final snapshot must reflect every mutation: seed population
@@ -184,49 +195,4 @@ fn batched_patterns_match_single_queries() {
         let single = client.find_matching(p).unwrap().into_inner();
         assert_eq!(norm(got), norm(single), "batch/single diverge for {p:?}");
     }
-}
-
-/// The signature prefilter is a pure rejection shortcut: turning it off
-/// must reproduce identical winners for member, mutated, and disjoint
-/// probes (and identical pattern matches).
-#[test]
-fn prefilter_toggle_preserves_answers() {
-    let dep = Deployment::in_memory(2);
-    let states = dep.provider_states();
-    let client = dep.client();
-    let graphs = sample_graphs(3, 4, 5);
-    for (i, g) in graphs.iter().enumerate() {
-        insert(
-            &states,
-            ModelId(i as u64 + 1),
-            g,
-            0.3 + (i % 4) as f64 * 0.15,
-        );
-    }
-
-    let space = GenomeSpace::attn_like();
-    let mut rng = ChaCha8Rng::seed_from_u64(31);
-    let mut probes = vec![graphs[0].clone(), graphs[graphs.len() - 1].clone()];
-    probes.push(flatten(&space.materialize(&space.sample(&mut rng))).unwrap());
-
-    for probe in &probes {
-        dep.set_prefilter_enabled(true);
-        let on = client.query_best_ancestor(probe).unwrap().into_inner();
-        dep.set_prefilter_enabled(false);
-        let off = client.query_best_ancestor(probe).unwrap().into_inner();
-        dep.set_prefilter_enabled(true);
-        assert_eq!(norm_best(on), norm_best(off), "prefilter changed answer");
-    }
-
-    let pattern = ArchPattern::any().with_layer(LayerPattern::AttentionHeads { min: 1 });
-    dep.set_prefilter_enabled(true);
-    let on = client.find_matching(&pattern).unwrap().into_inner();
-    dep.set_prefilter_enabled(false);
-    let off = client.find_matching(&pattern).unwrap().into_inner();
-    dep.set_prefilter_enabled(true);
-    let norm = |mut v: Vec<(ModelId, f64)>| {
-        v.sort_by_key(|&(m, q)| (m, q.to_bits()));
-        v
-    };
-    assert_eq!(norm(on), norm(off), "prefilter changed pattern matches");
 }

@@ -102,7 +102,11 @@ fn subscribe_store_receive_exactly_once() {
     assert!(watcher.take_errors().is_empty());
 
     // The provider side agrees on the ledger: published == delivered,
-    // nothing dropped.
+    // nothing dropped. An event counts as delivered once its ack is
+    // back at the provider, which can trail the watcher's apply.
+    assert!(watcher.wait_until(WAIT, || {
+        writer.stats().unwrap().deliver.events_delivered >= 4
+    }));
     let stats = writer.stats().unwrap();
     assert_eq!(stats.deliver.events_published, 4);
     assert_eq!(stats.deliver.events_delivered, 4);

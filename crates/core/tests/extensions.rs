@@ -303,6 +303,26 @@ fn reopen_purges_orphaned_tensors() {
 }
 
 #[test]
+fn reopen_reports_an_unopenable_provider_store_as_an_error() {
+    // `provider-0/meta` is a regular file where the meta log's directory
+    // should be: the store cannot open, and recovery must say so rather
+    // than panic.
+    let dir = std::env::temp_dir().join(format!("evostore-badmeta-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(dir.join("provider-0")).unwrap();
+    std::fs::write(dir.join("provider-0/meta"), b"not a directory").unwrap();
+    let err = Deployment::reopen(evostore_core::DeploymentConfig {
+        providers: 2,
+        backend: evostore_core::BackendKind::Log { dir: dir.clone() },
+        ..Default::default()
+    })
+    .err()
+    .expect("reopen over a broken meta store must fail");
+    assert!(err.contains("provider 0 meta store"), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn caching_client_serves_repeated_transfers_locally() {
     use evostore_core::CachingClient;
 

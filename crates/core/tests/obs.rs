@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use evostore_core::messages::methods;
-use evostore_core::{DataPlanePolicy, Deployment, DeploymentConfig, EvoStoreClient};
+use evostore_core::{Deployment, DeploymentConfig, EvoStoreClient};
 use evostore_graph::{flatten, Activation, Architecture, CompactGraph, LayerConfig, LayerKind};
 use evostore_obs::{FlightEvent, FlightRecorder, SpanRecord, TimeSource};
 use evostore_rpc::{FaultAction, FaultPlan, FaultRule};
@@ -391,56 +391,6 @@ fn zero_copy_reads_preserve_byte_accounting() {
         read >= payload,
         "kv reads ({read}) cover the fetched payload ({payload})"
     );
-}
-
-/// The forced-copy lever is a pure escape hatch: the same seeded model
-/// stored and fetched through a forced-copy deployment yields
-/// byte-identical tensors and identical kv byte counters — only the
-/// datapath counters reveal which plane served the reads.
-#[test]
-fn forced_copy_and_zero_copy_planes_agree() {
-    let fetch = |force: bool| {
-        let dep = Deployment::new(DeploymentConfig {
-            providers: 3,
-            data_plane: DataPlanePolicy::from_force_copy(force),
-            ..Default::default()
-        });
-        let client = dep.client();
-        let mut rng = ChaCha8Rng::seed_from_u64(21);
-        let model = ModelId(1);
-        client
-            .store_fresh(model, &seq(&[8, 16, 16, 4]), 0.9, &mut rng)
-            .unwrap();
-        let keys = client.get_meta(model).unwrap().owner_map.all_tensor_keys();
-        let mut got: Vec<_> = client.fetch_tensors(&keys).unwrap().into_iter().collect();
-        got.sort_by_key(|(k, _)| *k);
-        let stats = dep.stats();
-        let zero_copy: u64 = stats.iter().map(|s| s.zero_copy_reads).sum();
-        let fallback: u64 = stats.iter().map(|s| s.copy_fallback_reads).sum();
-        let written: u64 = stats.iter().map(|s| s.tensor_kv.bytes_written).sum();
-        let read: u64 = stats.iter().map(|s| s.tensor_kv.bytes_read).sum();
-        (got, zero_copy, fallback, written, read)
-    };
-
-    let (zc_tensors, zc_zero, zc_fall, zc_written, zc_read) = fetch(false);
-    let (fc_tensors, fc_zero, fc_fall, fc_written, fc_read) = fetch(true);
-
-    assert_eq!(zc_tensors.len(), fc_tensors.len());
-    for ((ka, ta), (kb, tb)) in zc_tensors.iter().zip(fc_tensors.iter()) {
-        assert_eq!(ka, kb);
-        assert_eq!(ta.bytes(), tb.bytes(), "tensor {ka} differs across planes");
-        assert_eq!(ta.shape(), tb.shape());
-    }
-
-    assert!(zc_zero > 0, "default plane is zero-copy");
-    assert_eq!(zc_fall, 0);
-    assert_eq!(fc_zero, 0, "forced-copy never takes the zero-copy path");
-    assert_eq!(fc_fall, zc_zero, "forced-copy serves every read by copy");
-
-    // Byte accounting is plane-independent: both levers report the same
-    // logical traffic.
-    assert_eq!(zc_written, fc_written);
-    assert_eq!(zc_read, fc_read);
 }
 
 /// Tentpole: operations that exceed the slow threshold are retained

@@ -1,21 +1,24 @@
 //! End-to-end tests of the derivative-aware transfer plane: repair of
 //! derived-model churn ships chunk-negotiated deltas instead of
-//! materialized payloads, the materialized fallback converges to an
-//! identical catalog, shipped chains survive provider reopen with their
-//! reclaim fencing intact, the post-repair compaction hook is
-//! idempotent, and watcher peer exchange pulls only changed chunks.
+//! materialized payloads, the materialized fallback (reached the way
+//! production reaches it: a failed negotiation leg, injected with a
+//! fault rule) converges to an identical catalog, shipped chains survive
+//! provider reopen with their reclaim fencing intact, the post-repair
+//! compaction hook is idempotent, and watcher chunk exchange pulls only
+//! changed chunks — or the whole release when the exchange fails.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::time::Duration;
 
 use bytes::Bytes;
+use evostore_core::messages::methods;
 use evostore_core::{
     random_tensors, BackendKind, CachingClient, Deployment, DeploymentConfig, ModelWatcher,
-    OwnerMap, ReplicationPolicy, StorePolicy, WatchConfig,
+    OwnerMap, ReplicationPolicy, StorePolicy, WatchConfig, WatchStats,
 };
-use evostore_deliver::SubscriptionFilter;
+use evostore_deliver::{EventKind, SubscriptionFilter};
 use evostore_graph::{flatten, Activation, Architecture, CompactGraph, LayerConfig, LayerKind};
-use evostore_rpc::FaultPlan;
+use evostore_rpc::{FaultAction, FaultPlan, FaultRule};
 use evostore_tensor::{write_tensor, ModelId, TensorData, TensorKey};
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -85,6 +88,19 @@ fn finetuned(
         .collect()
 }
 
+/// The fault plan of one plane. The negotiated plane runs fault-free;
+/// the materialized reference plane fails every call of `method` (the
+/// first leg of a negotiation), which is exactly how a deployment ends
+/// up on the materialized fallback.
+fn plane_faults(negotiated: bool, method: &str) -> FaultPlan {
+    let plan = FaultPlan::new(0);
+    if negotiated {
+        plan
+    } else {
+        plan.rule(FaultRule::new(FaultAction::Unavailable).on_method(method))
+    }
+}
+
 /// The acceptance scenario on one plane: a parent model plus four
 /// fine-tuned children on the same replica chain `[1, 2]`, all children
 /// stored while the mirror is down, then repair. Returns the converged
@@ -103,7 +119,6 @@ fn churn_plane(
         store_policy: StorePolicy::chunked_with_delta(),
         ..Default::default()
     });
-    dep.set_negotiated_transfer(negotiated);
     let client = dep.client();
     let g = seq(&[8, 32, 32, 8]);
     let mut rng = ChaCha8Rng::seed_from_u64(77);
@@ -123,7 +138,9 @@ fn churn_plane(
 
     // The mirror misses every derived generation.
     let mirror = dep.provider_ids()[2];
-    let plan = dep.fabric().install_fault_plan(FaultPlan::new(0));
+    let plan = dep
+        .fabric()
+        .install_fault_plan(plane_faults(negotiated, methods::TRANSFER_MANIFEST));
     plan.set_down(mirror);
 
     let mut children = Vec::new();
@@ -144,12 +161,18 @@ fn churn_plane(
         client.stats().unwrap().delta_stored > 0,
         "fine-tuned children must delta-encode against the parent"
     );
+    let rejected_before_repair = plan.stats().unavailable;
     let report = dep.repair().unwrap();
     assert!(
         report.models_synced >= children.len(),
         "every child re-replicates: {report:?}"
     );
     assert_eq!(report.missing_payloads, 0, "{report:?}");
+    assert_eq!(
+        plan.stats().unavailable > rejected_before_repair,
+        !negotiated,
+        "only the reference plane loses its negotiation legs"
+    );
     dep.gc_audit().unwrap();
     (dep, parent, children)
 }
@@ -174,8 +197,9 @@ fn negotiated_repair_ships_deltas_not_materialized_payloads() {
     let (mat, _, mat_children) = churn_plane(false);
 
     // The negotiated plane shipped stored delta records and negotiated
-    // possession before moving a byte; the materialized plane moved
-    // whole payloads and never touched the negotiation RPCs.
+    // possession before moving a byte; the reference plane lost every
+    // manifest request, so it moved whole payloads and no provider ever
+    // served a negotiation RPC.
     let neg_sum = neg.stats().into_iter().fold((0u64, 0u64, 0u64), |a, s| {
         (
             a.0 + s.transfer_deltas_shipped,
@@ -409,7 +433,6 @@ fn interleaved_plane(
         store_policy: StorePolicy::chunked_with_delta(),
         ..Default::default()
     });
-    dep.set_negotiated_transfer(negotiated);
     let client = dep.client();
     let g = seq(&[8, 16, 16, 4]);
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -431,7 +454,9 @@ fn interleaved_plane(
     let mut live: Vec<(ModelId, HashMap<TensorKey, TensorData>)> = vec![(base, base_tensors)];
 
     let mirror = dep.provider_ids()[2];
-    let plan = dep.fabric().install_fault_plan(FaultPlan::new(0));
+    let plan = dep
+        .fabric()
+        .install_fault_plan(plane_faults(negotiated, methods::TRANSFER_MANIFEST));
     plan.set_down(mirror);
 
     for step in steps {
@@ -529,21 +554,39 @@ fn tail_tuned(
         .collect()
 }
 
-#[test]
-fn watcher_chunk_exchange_pulls_only_changed_chunks() {
+/// What one watched release cost a `NewVersionOf` watcher.
+struct WatchedRelease {
+    /// Provider bytes the update (not the initial parent prefetch) moved.
+    update_bytes: u64,
+    /// Serialized size of the released tensors — what a materialized
+    /// fetch ships.
+    shipped: u64,
+    stats: WatchStats,
+    /// `FETCH_CHUNKS` calls the fault plan rejected.
+    faulted_calls: u64,
+    provider_chunks_offered: u64,
+    provider_chunks_skipped: u64,
+}
+
+/// A watcher caches a parent version, then a release that fine-tunes
+/// only the tail quarter of each tensor arrives. With `exchange_ok` the
+/// chunk exchange runs; otherwise every `FETCH_CHUNKS` call fails and
+/// the watcher must fall back to the materialized read. Either way the
+/// release is applied exactly once and caches byte-identical weights.
+fn watched_release(exchange_ok: bool) -> WatchedRelease {
     let dep = Deployment::new(DeploymentConfig {
         providers: 1,
         store_policy: StorePolicy::chunked_with_delta(),
         ..Default::default()
     });
+    let plan = dep
+        .fabric()
+        .install_fault_plan(plane_faults(exchange_ok, methods::FETCH_CHUNKS));
     let g = seq(&[8, 64, 64, 8]);
     let mut rng = ChaCha8Rng::seed_from_u64(91);
     let parent = ModelId(1);
 
-    // Two watchers on the same lineage: one chunk-negotiating, one on
-    // the materialized baseline (provider-direct so peers don't serve
-    // it the payload first).
-    let negotiated = ModelWatcher::attach(
+    let watcher = ModelWatcher::attach(
         CachingClient::new(dep.client(), 64 << 20),
         SubscriptionFilter::NewVersionOf(parent),
         WatchConfig {
@@ -551,17 +594,6 @@ fn watcher_chunk_exchange_pulls_only_changed_chunks() {
             ..WatchConfig::default()
         },
         Some(dep.obs()),
-    )
-    .unwrap();
-    let baseline = ModelWatcher::attach(
-        CachingClient::new(dep.client(), 64 << 20),
-        SubscriptionFilter::NewVersionOf(parent),
-        WatchConfig {
-            chunk_exchange: false,
-            use_fetch_chain: false,
-            ..WatchConfig::default()
-        },
-        None,
     )
     .unwrap();
 
@@ -572,21 +604,18 @@ fn watcher_chunk_exchange_pulls_only_changed_chunks() {
         .store_model(g.clone(), parent_map.clone(), None, 0.5, &parent_tensors)
         .unwrap();
     let parent_keys = parent_map.all_tensor_keys();
-    for w in [&negotiated, &baseline] {
-        assert!(
-            w.wait_until(WAIT, || w
-                .client()
-                .cache()
-                .get_batch(&parent_keys)
-                .1
-                .is_empty()),
-            "superseded version cached first"
-        );
-    }
-    // Wire bytes the initial (materialized) parent prefetch cost each
-    // watcher — subtracted out so the comparison isolates the update.
-    let neg_parent_bytes = negotiated.stats().provider_bytes_fetched;
-    let base_parent_bytes = baseline.stats().provider_bytes_fetched;
+    assert!(
+        watcher.wait_until(WAIT, || watcher
+            .client()
+            .cache()
+            .get_batch(&parent_keys)
+            .1
+            .is_empty()),
+        "superseded version cached first"
+    );
+    // Wire bytes the initial (materialized) parent prefetch cost —
+    // subtracted out so the measurement isolates the update.
+    let parent_bytes = watcher.stats().provider_bytes_fetched;
 
     // The new version changes only the tail quarter of each tensor.
     let child = ModelId(2);
@@ -603,48 +632,94 @@ fn watcher_chunk_exchange_pulls_only_changed_chunks() {
         .unwrap();
 
     let child_keys = child_map.all_tensor_keys();
-    for (name, w) in [("negotiated", &negotiated), ("baseline", &baseline)] {
-        assert!(
-            w.wait_until(WAIT, || w
-                .client()
-                .cache()
-                .get_batch(&child_keys)
-                .1
-                .is_empty()),
-            "{name} watcher caches the new version"
-        );
-        // Byte-identical weights either way the bytes moved.
-        let (hits, _) = w.client().cache().get_batch(&child_keys);
-        for (key, tensor) in hits {
-            assert_eq!(&tensor, &child_tensors[&key], "{name} {key} differs");
-        }
-    }
-
-    // The negotiated watcher reassembled the release from its cached
-    // superseded version, pulling only the changed chunks; the baseline
-    // pulled every byte materialized.
-    let shipped: usize = child_tensors.values().map(|t| write_tensor(t).len()).sum();
-    let neg_stats = negotiated.stats();
-    let base_stats = baseline.stats();
-    let neg_update = neg_stats.provider_bytes_fetched - neg_parent_bytes;
-    let base_update = base_stats.provider_bytes_fetched - base_parent_bytes;
-    assert!(neg_stats.chunk_fetches >= 1, "{neg_stats:?}");
-    assert!(neg_stats.chunk_bytes_reused > 0, "{neg_stats:?}");
-    assert_eq!(base_stats.chunk_fetches, 0, "{base_stats:?}");
     assert!(
-        base_update * 10 >= shipped as u64 * 9,
-        "baseline moves the materialized payload: {base_update} < ~{shipped}"
+        watcher.wait_until(WAIT, || watcher
+            .client()
+            .cache()
+            .get_batch(&child_keys)
+            .1
+            .is_empty()),
+        "watcher caches the new version"
+    );
+    // Byte-identical weights either way the bytes moved.
+    let (hits, _) = watcher.client().cache().get_batch(&child_keys);
+    for (key, tensor) in hits {
+        assert_eq!(&tensor, &child_tensors[&key], "{key} differs");
+    }
+    // Exactly once: one store event per model, no gap, no duplicate.
+    assert!(watcher.wait_until(WAIT, || watcher.applied().len() == 2));
+    let applied = watcher.applied();
+    assert_eq!(
+        applied
+            .iter()
+            .map(|e| (e.model, e.kind))
+            .collect::<Vec<_>>(),
+        vec![(parent, EventKind::Stored), (child, EventKind::Stored)]
+    );
+    assert!(watcher.take_errors().is_empty());
+
+    let stats = watcher.stats();
+    assert_eq!(stats.gaps, 0, "{stats:?}");
+    let provider = writer.stats().unwrap();
+    WatchedRelease {
+        update_bytes: stats.provider_bytes_fetched - parent_bytes,
+        shipped: child_tensors
+            .values()
+            .map(|t| write_tensor(t).len() as u64)
+            .sum(),
+        stats,
+        faulted_calls: plan.stats().unavailable,
+        provider_chunks_offered: provider.transfer_chunks_offered,
+        provider_chunks_skipped: provider.transfer_chunks_skipped,
+    }
+}
+
+#[test]
+fn watcher_chunk_exchange_pulls_only_changed_chunks() {
+    let r = watched_release(true);
+    assert_eq!(r.faulted_calls, 0);
+
+    // The watcher reassembled the release from its cached superseded
+    // version, pulling only the changed chunks: well under half of what
+    // the materialized read moves (≥ 0.9 × `shipped`, asserted by the
+    // fallback test below). Three quarters of every tensor is unchanged,
+    // so at 512-byte granularity at least two thirds of the release's
+    // bytes come from the cache (the single-chunk bias records and the
+    // chunks straddling the edit cannot).
+    assert!(r.stats.chunk_fetches >= 1, "{:?}", r.stats);
+    assert!(
+        r.update_bytes * 20 < r.shipped * 9,
+        "chunk exchange must move far fewer bytes: {} of {}",
+        r.update_bytes,
+        r.shipped
     );
     assert!(
-        neg_update * 2 < base_update,
-        "chunk exchange must move far fewer bytes: {neg_update} vs {base_update}"
+        r.stats.chunk_bytes_reused * 3 >= r.shipped * 2,
+        "two thirds of the release must come from the cached parent: {} of {}",
+        r.stats.chunk_bytes_reused,
+        r.shipped
     );
 
     // The provider counted the negotiation.
-    let stats = writer.stats().unwrap();
-    assert!(stats.transfer_chunks_offered > 0);
+    assert!(r.provider_chunks_offered > 0);
+    assert!(r.provider_chunks_skipped > 0, "unchanged chunks skipped");
+}
+
+#[test]
+fn watcher_falls_back_to_materialized_read_when_chunk_exchange_fails() {
+    let r = watched_release(false);
+    assert!(r.faulted_calls > 0, "the exchange leg must really fail");
+
+    // No exchange completed; the release still landed (exactly once,
+    // byte-identical — checked inside) by pulling every byte
+    // materialized.
+    assert_eq!(r.stats.chunk_fetches, 0, "{:?}", r.stats);
+    assert_eq!(r.stats.chunk_bytes_reused, 0, "{:?}", r.stats);
     assert!(
-        stats.transfer_chunks_skipped > 0,
-        "unchanged chunks skipped"
+        r.update_bytes * 10 >= r.shipped * 9,
+        "fallback moves the materialized payload: {} < ~{}",
+        r.update_bytes,
+        r.shipped
     );
+    assert_eq!(r.provider_chunks_offered, 0, "no provider saw the exchange");
 }

@@ -456,11 +456,11 @@ impl ArchIndex {
     }
 
     /// [`ArchIndex::best_ancestor`] with the acceleration layers
-    /// toggleable (the A/B lever for benchmarks): `false` bypasses the
-    /// bitset prefilters AND the per-snapshot answer cache, reproducing
-    /// the unaccelerated dedup+memo scan exactly. Answers are identical
-    /// either way; only the work to produce them differs.
-    pub fn best_ancestor_with(
+    /// toggleable: `false` bypasses the bitset prefilters AND the
+    /// per-snapshot answer cache, reproducing the unaccelerated
+    /// dedup+memo scan exactly — the reference the unit tests compare
+    /// the accelerated answers against.
+    pub(crate) fn best_ancestor_with(
         &self,
         g: &CompactGraph,
         use_prefilter: bool,
@@ -587,8 +587,8 @@ impl ArchIndex {
     }
 
     /// [`ArchIndex::match_pattern`] with the layer-kind bitset prefilter
-    /// toggleable.
-    pub fn match_pattern_with(
+    /// toggleable (`false` is the unit tests' reference walk).
+    pub(crate) fn match_pattern_with(
         &self,
         pattern: &ArchPattern,
         use_prefilter: bool,

@@ -172,7 +172,7 @@ impl<T> Drop for SnapshotCell<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
+    use std::sync::Barrier;
 
     struct Counted {
         a: u64,
@@ -194,6 +194,14 @@ mod tests {
     impl Drop for Counted {
         fn drop(&mut self) {
             self.live.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    struct CountOnDrop<'a>(&'a AtomicUsize);
+
+    impl Drop for CountOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::SeqCst);
         }
     }
 
@@ -229,33 +237,42 @@ mod tests {
 
     #[test]
     fn concurrent_readers_always_see_coherent_snapshots() {
+        const READERS: usize = 4;
+        const LOADS_PER_READER: usize = 2000;
         let live = Arc::new(AtomicUsize::new(0));
-        let cell = Arc::new(SnapshotCell::new(Counted::new(0, &live)));
-        let stop = Arc::new(AtomicBool::new(false));
+        let cell = SnapshotCell::new(Counted::new(0, &live));
+        // Readers and the writer start together; the writer keeps
+        // publishing until every reader has done its fixed number of
+        // loads, so loads and stores overlap however threads are
+        // scheduled.
+        let start = Barrier::new(READERS + 1);
+        let readers_done = AtomicUsize::new(0);
+        let mut published = 0u64;
 
-        let readers: Vec<_> = (0..4)
-            .map(|_| {
-                let cell = Arc::clone(&cell);
-                let stop = Arc::clone(&stop);
-                std::thread::spawn(move || {
-                    let mut reads = 0u64;
-                    while !stop.load(Ordering::Relaxed) {
+        std::thread::scope(|s| {
+            for _ in 0..READERS {
+                s.spawn(|| {
+                    // Counts on unwind too: a failed reader must not
+                    // leave the writer publishing forever.
+                    let _done = CountOnDrop(&readers_done);
+                    start.wait();
+                    let mut last = 0u64;
+                    for _ in 0..LOADS_PER_READER {
                         let snap = cell.load();
                         assert_eq!(snap.b, snap.a.wrapping_mul(3), "torn snapshot observed");
-                        reads += 1;
+                        assert!(snap.a >= last, "publication order went backwards");
+                        last = snap.a;
                     }
-                    reads
-                })
-            })
-            .collect();
-
-        for v in 1..=2000u64 {
-            cell.store(Counted::new(v, &live));
-        }
-        stop.store(true, Ordering::SeqCst);
-        let total: u64 = readers.into_iter().map(|r| r.join().unwrap()).sum();
-        assert!(total > 0);
-        assert_eq!(cell.swaps(), 2000);
+                });
+            }
+            start.wait();
+            while readers_done.load(Ordering::SeqCst) < READERS {
+                published += 1;
+                cell.store(Counted::new(published, &live));
+            }
+        });
+        assert_eq!(cell.swaps(), published);
+        assert_eq!(cell.load().a, published);
         drop(cell);
         assert_eq!(live.load(Ordering::SeqCst), 0, "no snapshot leaked");
     }

@@ -292,9 +292,6 @@ pub struct Fabric {
     /// so a postmortem dump shows *what* the plan did, not just that
     /// calls failed.
     flight: RwLock<Option<Arc<FlightRecorder>>>,
-    /// Simulated one-sided link rate in bytes/second; 0 = unshaped
-    /// (the production path: one relaxed load per bulk read).
-    bulk_rate: AtomicU64,
 }
 
 impl Fabric {
@@ -309,28 +306,7 @@ impl Fabric {
             faults: RwLock::new(None),
             dropped_replies: Arc::new(parking_lot::Mutex::new(Vec::new())),
             flight: RwLock::new(None),
-            bulk_rate: AtomicU64::new(0),
         })
-    }
-
-    /// Shape the one-sided bulk plane to `bytes_per_sec` (`None`
-    /// restores the unshaped zero-cost path). Every bulk read then
-    /// takes wall-clock time proportional to the region's length —
-    /// modeling a constrained inter-node link, so bytes-on-the-wire
-    /// reductions (chunk negotiation, delta shipping) show up in real
-    /// latency measurements. Two-sided RPC request/reply traffic
-    /// (small, header-sized) stays unshaped.
-    pub fn set_bulk_throughput(&self, bytes_per_sec: Option<u64>) {
-        self.bulk_rate
-            .store(bytes_per_sec.unwrap_or(0), Ordering::Relaxed);
-    }
-
-    /// The configured bulk-plane link rate, if shaped.
-    pub fn bulk_throughput(&self) -> Option<u64> {
-        match self.bulk_rate.load(Ordering::Relaxed) {
-            0 => None,
-            r => Some(r),
-        }
     }
 
     /// Attach (or detach) a flight recorder; injected fault decisions
@@ -673,14 +649,6 @@ impl Fabric {
                 }
             }
         }
-        let rate = self.bulk_rate.load(Ordering::Relaxed);
-        if rate > 0 && total_len > 0 {
-            let ns = (total_len as u128)
-                .saturating_mul(1_000_000_000)
-                .checked_div(rate as u128)
-                .unwrap_or(0) as u64;
-            std::thread::sleep(Duration::from_nanos(ns));
-        }
         Ok((segments, total_len))
     }
 
@@ -852,25 +820,6 @@ mod tests {
         assert!(fabric.bulk_release(h));
         assert!(!fabric.bulk_release(h));
         assert_eq!(fabric.bulk_get(h), Err(RpcError::NoSuchBulk(h)));
-    }
-
-    #[test]
-    fn bulk_throughput_shaper_charges_per_byte() {
-        let fabric = Fabric::new();
-        assert_eq!(fabric.bulk_throughput(), None);
-        let data = Bytes::from(vec![7u8; 1 << 20]);
-        let h = fabric.bulk_expose(data);
-        // 4 MiB/s => a 1 MiB read must take roughly 250ms of wall clock.
-        fabric.set_bulk_throughput(Some(4 << 20));
-        assert_eq!(fabric.bulk_throughput(), Some(4 << 20));
-        let start = std::time::Instant::now();
-        fabric.bulk_get(h).unwrap();
-        assert!(start.elapsed() >= Duration::from_millis(100));
-        // Back to unshaped: the same read is effectively instant.
-        fabric.set_bulk_throughput(None);
-        let start = std::time::Instant::now();
-        fabric.bulk_get(h).unwrap();
-        assert!(start.elapsed() < Duration::from_millis(100));
     }
 
     #[test]

@@ -1,12 +1,10 @@
 //! In-process RPC fabric for EvoStore — the Mochi/Thallium/Mercury
 //! substitute.
 //!
-//! Provides the three primitives the repository is built on (§4.3):
+//! Provides the primitives the repository is built on (§4.3):
 //! two-sided RPCs served by bounded per-endpoint thread pools
-//! ([`fabric`]), one-sided bulk transfers over registered memory regions
-//! (the RDMA path), and broadcast/reduce collectives for provider-side
-//! metadata queries ([`collective`]).
-
+//! ([`fabric`]) and one-sided bulk transfers over registered memory
+//! regions (the RDMA path).
 //!
 //! Fault tolerance is layered on top: [`fault`] injects failures
 //! (errors, delays, reply loss, down endpoints) at the dispatch and
@@ -16,13 +14,11 @@
 //! deadlines and metrics.
 
 pub mod codec;
-pub mod collective;
 pub mod fabric;
 pub mod fault;
 pub mod resilient;
 
 pub use codec::{call_typed, decode, encode, typed_handler};
-pub use collective::{broadcast_reduce, MemberReply};
 pub use fabric::{BulkHandle, Endpoint, EndpointId, Fabric, Handler, RpcError, SegmentedRegion};
 pub use fault::{FaultAction, FaultPlan, FaultRule, FaultStats, FaultWindow};
 pub use resilient::{

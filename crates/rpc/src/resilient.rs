@@ -1,9 +1,6 @@
 //! The resilient typed call surface: retries, deadlines, metrics.
 //!
-//! One policy-driven surface replaces the three ad-hoc call shapes the
-//! client used to hand-roll ([`codec::call_typed`](crate::codec::call_typed)
-//! without deadlines, a private parallel fan-out, and the raw
-//! [`collective::broadcast_reduce`](crate::collective::broadcast_reduce)):
+//! One policy-driven surface for every call shape the client needs:
 //!
 //! * [`unary`] — one typed request/response pair;
 //! * [`fan_out`] — per-target request bodies, issued in parallel;

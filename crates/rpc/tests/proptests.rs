@@ -2,8 +2,7 @@
 //! bodies, routing across many endpoints, and bulk-region semantics.
 
 use bytes::Bytes;
-use evostore_rpc::collective::broadcast;
-use evostore_rpc::Fabric;
+use evostore_rpc::{broadcast, typed_handler, Fabric, RetryPolicy};
 use proptest::prelude::*;
 
 proptest! {
@@ -46,16 +45,17 @@ proptest! {
         let eps: Vec<_> = (0..n)
             .map(|i| {
                 let ep = fabric.create_endpoint(1);
-                ep.register("v", move |_| Ok(Bytes::from(vec![i as u8])));
+                ep.register("v", typed_handler(move |_: u64| Ok(i as u64)));
                 ep
             })
             .collect();
         let ids: Vec<_> = eps.iter().map(|e| e.id()).collect();
-        let replies = broadcast(&fabric, &ids, "v", Bytes::new());
+        let replies =
+            broadcast::<u64, u64>(&fabric, &ids, "v", &0, &RetryPolicy::no_retry(), None).unwrap();
         prop_assert_eq!(replies.len(), n);
-        for (i, r) in replies.iter().enumerate() {
-            prop_assert_eq!(r.from, ids[i]);
-            prop_assert_eq!(r.reply.as_ref().unwrap().as_ref(), &[i as u8]);
+        for (i, (from, reply)) in replies.iter().enumerate() {
+            prop_assert_eq!(*from, ids[i]);
+            prop_assert_eq!(reply.as_ref().unwrap(), &(i as u64));
         }
     }
 

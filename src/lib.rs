@@ -15,7 +15,7 @@
 //! | [`graph`] | `evostore-graph` | nested architectures, flattening, compact graphs, LCP |
 //! | [`kv`] | `evostore-kv` | provider storage backends |
 //! | [`obs`] | `evostore-obs` | trace contexts/spans, metrics registry, flight recorders |
-//! | [`rpc`] | `evostore-rpc` | in-process fabric, bulk (RDMA-style) transfers, collectives |
+//! | [`rpc`] | `evostore-rpc` | in-process fabric, bulk (RDMA-style) transfers, resilient typed calls |
 //! | [`sim`] | `evostore-sim` | virtual clock, event queue, bandwidth resources, cost models |
 //! | [`core`] | `evostore-core` | the repository: providers, client, owner maps, GC, provenance |
 //! | [`baseline`] | `evostore-baseline` | HDF5-style format, simulated Lustre, Redis-Queries |

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Tier-2 catalog read-path smoke. One real-execution pass of the
-# catalog_ab bench: single vs batched LCP envelopes, prefilter on/off,
+# catalog_ab bench: single vs batched LCP envelopes
 # and reader scaling under a throttled store/retire writer, all against
 # the snapshot-isolated concurrent catalog. Results land in
 # results/BENCH_catalog.json.

@@ -15,6 +15,21 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test (workspace)"
 cargo test --workspace -q
 
+# benchmark/ is a workspace of its own, so `--workspace` cannot see it:
+# its self-tests plus one short single run per workload (the single-run
+# form appends nothing to benchmark/results/history.jsonl) catch a
+# public-API change that breaks the benchmark.
+echo "== benchmark workspace (self-tests + one 1s run per workload)"
+export CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-$PWD/target}"
+cargo test --offline --manifest-path benchmark/Cargo.toml -q
+for workload in nas_evolve bulk_checkpoint catalog_churn replicated_finetune; do
+    result=$(bash benchmark/run.sh --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)
+    if [[ "$result" != *'"failed": 0,'* ]]; then
+        echo "benchmark workload $workload did not finish clean: $result" >&2
+        exit 1
+    fi
+done
+
 # Optional tier-2: scaled-down fig5 indexed-vs-unindexed ablation,
 # recording queries/sec and the index counters to results/BENCH_lcp.json.
 if [[ "${RUN_BENCH_SMOKE:-0}" == "1" ]]; then
@@ -33,13 +48,6 @@ fi
 # window) and the unified metrics export must carry every island.
 if [[ "${RUN_OBS_SMOKE:-0}" == "1" ]]; then
     tools/obs-smoke.sh
-fi
-
-# Optional tier-2: data-path A/B — zero-copy scatter-gather vs the
-# forced-copy escape hatch, recorded to results/BENCH_datapath.json and
-# gated on the zero-copy plane moving raw fetch bytes >= 2x faster.
-if [[ "${RUN_BENCH_DATAPATH:-0}" == "1" ]]; then
-    tools/bench-datapath.sh
 fi
 
 # Optional tier-2: dedup/delta A/B — whole-tensor records vs the
@@ -75,15 +83,6 @@ fi
 # reduction with p99 time-to-weights <= 2x unicast at 1k subscribers.
 if [[ "${RUN_BENCH_DELIVER:-0}" == "1" ]]; then
     tools/bench-deliver.sh
-fi
-
-# Optional tier-2: transfer-plane A/B — chunk-negotiated delta-
-# preserving repair/re-replication and watcher chunk exchange vs the
-# materialized fallback, recorded to results/BENCH_transfer.json and
-# gated on >= 3x fewer repair bytes moved with chunk-exchange
-# time-to-weights p99 <= 0.5x the materialized baseline.
-if [[ "${RUN_BENCH_TRANSFER:-0}" == "1" ]]; then
-    tools/bench-transfer.sh
 fi
 
 echo "== OK"
