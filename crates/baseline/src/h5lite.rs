@@ -18,7 +18,7 @@
 //! ```
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use evostore_tensor::{fnv1a128, DType, TensorData};
+use evostore_tensor::{checksum64, DType, TensorData};
 
 const MAGIC: u32 = 0x4835_4C54; // "H5LT"
 const VERSION: u32 = 1;
@@ -194,7 +194,7 @@ fn write_node(buf: &mut BytesMut, node: &H5Node) {
             }
             buf.put_u64_le(data.byte_len() as u64);
             buf.put_slice(data.bytes());
-            buf.put_u64_le(fnv1a128(data.bytes()) as u64);
+            buf.put_u64_le(checksum64(data.bytes()));
         }
     }
 }
@@ -279,7 +279,7 @@ fn read_node(data: &mut Bytes) -> Result<H5Node, H5Error> {
             }
             let payload = data.split_to(len);
             let crc = data.get_u64_le();
-            if fnv1a128(&payload) as u64 != crc {
+            if checksum64(&payload) != crc {
                 return Err(H5Error::Corrupt(name));
             }
             let tensor = TensorData::from_bytes(dtype, shape, payload)

@@ -18,15 +18,14 @@ use evostore_obs::{
     current_trace, set_current_trace, FlightRecorder, MonotonicClock, ObsHub, OpCosts, OpLedger,
     SloEngine, SlowOp, SlowOpLog, TimeSource, Tracer,
 };
-use evostore_rpc::{BulkHandle, EndpointId, Fabric, RetryPolicy, RpcError, TraceHandle};
+use evostore_rpc::{BulkHandle, EndpointId, Fabric, Method, RetryPolicy, RpcError, TraceHandle};
 use evostore_tensor::{read_tensor, write_tensor, ModelId, TensorData, TensorKey, VertexId};
 use parking_lot::Mutex;
 use rand::Rng;
 use rayon::prelude::*;
-use serde::de::DeserializeOwned;
-use serde::Serialize;
 
 use crate::messages::*;
+use crate::methods;
 use crate::owner_map::OwnerMap;
 use crate::replication::ReplicationPolicy;
 
@@ -551,13 +550,13 @@ impl EvoStoreClient {
     }
 
     /// Typed unary call under this client's retry policy.
-    fn unary<Req: Serialize, Resp: DeserializeOwned>(
+    fn unary<M: Method>(
         &self,
         target: EndpointId,
-        method: &str,
-        req: &Req,
-    ) -> Result<Resp> {
-        evostore_rpc::unary_traced(
+        method: M,
+        req: &M::Request,
+    ) -> Result<M::Reply> {
+        evostore_rpc::unary(
             &self.fabric,
             target,
             method,
@@ -573,13 +572,30 @@ impl EvoStoreClient {
     /// answers, counting the failover in telemetry. Fails over on *any*
     /// error — handler errors included, because a replica that missed a
     /// write answers "not found" while its siblings hold the data.
-    fn unary_failover<Req: Serialize, Resp: DeserializeOwned>(
+    fn unary_failover<M: Method>(
         &self,
         targets: &[EndpointId],
-        method: &str,
-        req: &Req,
-    ) -> Result<Resp> {
-        let (served_by, resp, skipped) = evostore_rpc::unary_failover_traced(
+        method: M,
+        req: &M::Request,
+    ) -> Result<M::Reply> {
+        let (served_by, resp, skipped) = self.unary_failover_from(targets, method, req)?;
+        if skipped > 0 {
+            self.telemetry.note_read_failover();
+            self.note_failover(targets[0], served_by, M::METHOD);
+        }
+        Ok(resp)
+    }
+
+    /// [`EvoStoreClient::unary_failover`] without the read-failover
+    /// accounting: also reports which replica served and how many were
+    /// skipped before it.
+    fn unary_failover_from<M: Method>(
+        &self,
+        targets: &[EndpointId],
+        method: M,
+        req: &M::Request,
+    ) -> Result<(EndpointId, M::Reply, usize)> {
+        evostore_rpc::unary_failover(
             &self.fabric,
             targets,
             method,
@@ -588,27 +604,47 @@ impl EvoStoreClient {
             Some(&self.telemetry.rpc),
             self.trace_handle().as_ref(),
         )
-        .map_err(EvoError::from)?;
-        if skipped > 0 {
-            self.telemetry.note_read_failover();
-            let trace_id = current_trace().map(|c| c.trace_id).unwrap_or(0);
-            self.tracer
-                .recorder()
-                .note_failover(trace_id, targets[0].0, served_by.0, method);
-        }
-        Ok(resp)
+        .map_err(EvoError::from)
     }
 
-    /// Broadcast `req` to every provider, apply quorum semantics:
-    /// permanent failures abort; transient failures count against the
-    /// quorum. With at least `min_quorum` replies the collective
-    /// succeeds, reporting the unreachable providers alongside.
-    fn quorum_broadcast<Req: Serialize, Resp: DeserializeOwned>(
+    /// File a failover event (primary skipped, sibling served) in the
+    /// client's flight ring under the ambient trace.
+    fn note_failover(&self, primary: EndpointId, served_by: EndpointId, what: &str) {
+        let trace_id = current_trace().map(|c| c.trace_id).unwrap_or(0);
+        self.tracer
+            .recorder()
+            .note_failover(trace_id, primary.0, served_by.0, what);
+    }
+
+    /// Typed parallel fan-out (a distinct request per target) under this
+    /// client's retry policy; per-leg results in input order.
+    fn fan_out<M: Method>(
         &self,
-        method: &str,
-        req: &Req,
-    ) -> Result<(Vec<Resp>, Vec<EndpointId>)> {
-        let legs = evostore_rpc::broadcast_traced(
+        legs: &[(EndpointId, M::Request)],
+        method: M,
+    ) -> evostore_rpc::LegResults<M::Reply>
+    where
+        M::Request: Sync,
+        M::Reply: Send,
+    {
+        evostore_rpc::fan_out(
+            &self.fabric,
+            legs,
+            method,
+            &self.retry,
+            Some(&self.telemetry.rpc),
+            self.trace_handle().as_ref(),
+        )
+    }
+
+    /// Typed broadcast of `req` to every provider under this client's
+    /// retry policy; per-leg results in provider order.
+    fn broadcast<M: Method>(
+        &self,
+        method: M,
+        req: &M::Request,
+    ) -> Result<evostore_rpc::LegResults<M::Reply>> {
+        evostore_rpc::broadcast(
             &self.fabric,
             &self.providers,
             method,
@@ -617,7 +653,19 @@ impl EvoStoreClient {
             Some(&self.telemetry.rpc),
             self.trace_handle().as_ref(),
         )
-        .map_err(EvoError::from)?;
+        .map_err(EvoError::from)
+    }
+
+    /// Broadcast `req` to every provider, apply quorum semantics:
+    /// permanent failures abort; transient failures count against the
+    /// quorum. With at least `min_quorum` replies the collective
+    /// succeeds, reporting the unreachable providers alongside.
+    fn quorum_broadcast<M: Method>(
+        &self,
+        method: M,
+        req: &M::Request,
+    ) -> Result<(Vec<M::Reply>, Vec<EndpointId>)> {
+        let legs = self.broadcast(method, req)?;
         let mut replies = Vec::with_capacity(legs.len());
         let mut unreachable = Vec::new();
         for (ep, reply) in legs {
@@ -651,7 +699,7 @@ impl EvoStoreClient {
             let trace_id = current_trace().map(|c| c.trace_id).unwrap_or(0);
             self.tracer.recorder().note_degraded(
                 trace_id,
-                method,
+                M::METHOD,
                 unreachable.iter().map(|ep| ep.0).collect(),
             );
         }
@@ -719,14 +767,7 @@ impl EvoStoreClient {
             .collect();
         let mut pinned: Vec<(EndpointId, Vec<TensorKey>)> = Vec::new();
         if !pin_reqs.is_empty() {
-            let results = evostore_rpc::fan_out_traced::<RefsRequest, RefsReply>(
-                &self.fabric,
-                &pin_reqs,
-                methods::INCR_REFS,
-                &self.retry,
-                Some(&self.telemetry.rpc),
-                self.trace_handle().as_ref(),
-            );
+            let results = self.fan_out(&pin_reqs, methods::IncrRefs);
             let mut first_err: Option<EvoError> = None;
             for ((ep, req), (_, result)) in pin_reqs.iter().zip(results) {
                 match result {
@@ -767,14 +808,7 @@ impl EvoStoreClient {
             .iter()
             .map(|(ep, keys)| (*ep, RefsRequest::new(keys.clone())))
             .collect();
-        let _ = evostore_rpc::fan_out_traced::<RefsRequest, RefsReply>(
-            &self.fabric,
-            &reqs,
-            methods::DECR_REFS,
-            &self.retry,
-            Some(&self.telemetry.rpc),
-            self.trace_handle().as_ref(),
-        );
+        let _ = self.fan_out(&reqs, methods::DecrRefs);
     }
 
     fn push_store(
@@ -835,24 +869,9 @@ impl EvoStoreClient {
         let chain = self.replicas_of(model);
         let outcome = (|| -> Result<StoreOutcome> {
             let (served_by, reply, skipped) =
-                evostore_rpc::unary_failover_traced::<_, StoreModelReply>(
-                    &self.fabric,
-                    &chain,
-                    methods::STORE,
-                    &req,
-                    &self.retry,
-                    Some(&self.telemetry.rpc),
-                    self.trace_handle().as_ref(),
-                )
-                .map_err(EvoError::from)?;
+                self.unary_failover_from(&chain, methods::Store, &req)?;
             if skipped > 0 {
-                let trace_id = current_trace().map(|c| c.trace_id).unwrap_or(0);
-                self.tracer.recorder().note_failover(
-                    trace_id,
-                    chain[0].0,
-                    served_by.0,
-                    methods::STORE,
-                );
+                self.note_failover(chain[0], served_by, methods::Store::METHOD);
             }
             let mirrors: Vec<(EndpointId, StoreModelRequest)> = chain
                 .iter()
@@ -868,14 +887,7 @@ impl EvoStoreClient {
                 })
                 .collect();
             if !mirrors.is_empty() {
-                let results = evostore_rpc::fan_out_traced::<StoreModelRequest, StoreModelReply>(
-                    &self.fabric,
-                    &mirrors,
-                    methods::STORE,
-                    &self.retry,
-                    Some(&self.telemetry.rpc),
-                    self.trace_handle().as_ref(),
-                );
+                let results = self.fan_out(&mirrors, methods::Store);
                 let mut debt = 0u64;
                 let mut permanent: Option<EvoError> = None;
                 for (_, result) in results {
@@ -970,8 +982,7 @@ impl EvoStoreClient {
             "query_best_ancestor",
             &self.telemetry.query,
             || {
-                let (replies, unreachable) =
-                    self.quorum_broadcast::<_, LcpQueryReply>(methods::LCP, &req)?;
+                let (replies, unreachable) = self.quorum_broadcast(methods::Lcp, &req)?;
                 for reply in &replies {
                     self.telemetry.note_index_stats(reply.stats);
                 }
@@ -1023,8 +1034,7 @@ impl EvoStoreClient {
             "query_best_ancestors",
             &self.telemetry.query,
             || {
-                let (replies, unreachable) =
-                    self.quorum_broadcast::<_, LcpBatchReply>(methods::LCP_BATCH, &req)?;
+                let (replies, unreachable) = self.quorum_broadcast(methods::LcpBatch, &req)?;
                 self.telemetry.note_batch(graphs.len() as u64);
                 for leg in &replies {
                     if leg.replies.len() != graphs.len() {
@@ -1063,7 +1073,7 @@ impl EvoStoreClient {
     pub fn get_meta(&self, model: ModelId) -> Result<ModelMetaReply> {
         self.unary_failover(
             &self.replicas_of(model),
-            methods::GET_META,
+            methods::GetMeta,
             &GetMetaRequest { model },
         )
     }
@@ -1134,12 +1144,10 @@ impl EvoStoreClient {
                 Ok(tensors) => {
                     if attempt > 0 {
                         self.telemetry.note_read_failover();
-                        let trace_id = current_trace().map(|c| c.trace_id).unwrap_or(0);
-                        self.tracer.recorder().note_failover(
-                            trace_id,
-                            self.providers[chain[0]].0,
-                            self.providers[idx].0,
-                            methods::READ,
+                        self.note_failover(
+                            self.providers[chain[0]],
+                            self.providers[idx],
+                            methods::Read::METHOD,
                         );
                     }
                     return Ok(tensors);
@@ -1156,7 +1164,7 @@ impl EvoStoreClient {
         target: EndpointId,
         req: &ReadTensorsRequest,
     ) -> Result<Vec<(TensorKey, TensorData)>> {
-        let reply: ReadTensorsReply = self.unary(target, methods::READ, req)?;
+        let reply = self.unary(target, methods::Read, req)?;
         evostore_obs::ledger::add_chunks_touched(reply.manifest.len() as u64);
         evostore_obs::ledger::add_bytes_in(reply.manifest.iter().map(|e| e.len).sum());
         let handle = BulkHandle(reply.bulk);
@@ -1240,9 +1248,9 @@ impl EvoStoreClient {
         elem_offset: u64,
         elem_count: u64,
     ) -> Result<TensorData> {
-        let reply: ReadRangeReply = self.unary_failover(
+        let reply = self.unary_failover(
             &self.replicas_of(key.owner),
-            methods::READ_RANGE,
+            methods::ReadRange,
             &ReadRangeRequest {
                 key,
                 elem_offset,
@@ -1274,8 +1282,7 @@ impl EvoStoreClient {
             pattern: pattern.clone(),
         };
         self.with_root_op("query", "find_matching", &self.telemetry.query, || {
-            let (replies, unreachable) =
-                self.quorum_broadcast::<_, PatternQueryReply>(methods::MATCH_PATTERN, &req)?;
+            let (replies, unreachable) = self.quorum_broadcast(methods::MatchPattern, &req)?;
             for reply in &replies {
                 self.telemetry.note_index_stats(reply.stats);
             }
@@ -1309,8 +1316,8 @@ impl EvoStoreClient {
             "find_matching_batch",
             &self.telemetry.query,
             || {
-                let (replies, unreachable) = self
-                    .quorum_broadcast::<_, PatternBatchReply>(methods::MATCH_PATTERN_BATCH, &req)?;
+                let (replies, unreachable) =
+                    self.quorum_broadcast(methods::MatchPatternBatch, &req)?;
                 self.telemetry.note_batch(patterns.len() as u64);
                 for leg in &replies {
                     if leg.replies.len() != patterns.len() {
@@ -1371,16 +1378,12 @@ impl EvoStoreClient {
         // comparison).
         let chain = self.replicas_of(model);
         let reply: Result<StoreModelReply> = {
-            let legs = evostore_rpc::fan_out_traced::<StoreOptimizerRequest, StoreModelReply>(
-                &self.fabric,
+            let legs = self.fan_out(
                 &chain
                     .iter()
                     .map(|&ep| (ep, req.clone()))
                     .collect::<Vec<_>>(),
-                methods::STORE_OPTIMIZER,
-                &self.retry,
-                Some(&self.telemetry.rpc),
-                self.trace_handle().as_ref(),
+                methods::StoreOptimizer,
             );
             let mut reply: Option<StoreModelReply> = None;
             let mut debt = 0u64;
@@ -1430,9 +1433,9 @@ impl EvoStoreClient {
     /// Fetch a model's optimizer state, in the order it was stored.
     /// Empty when the model has none.
     pub fn load_optimizer_state(&self, model: ModelId) -> Result<Vec<TensorData>> {
-        let reply: ReadTensorsReply = self.unary_failover(
+        let reply = self.unary_failover(
             &self.replicas_of(model),
-            methods::LOAD_OPTIMIZER,
+            methods::LoadOptimizer,
             &LoadOptimizerRequest { model },
         )?;
         let handle = BulkHandle(reply.bulk);
@@ -1489,16 +1492,12 @@ impl EvoStoreClient {
         // replica that is down keeps a stale record, which the tombstone
         // recorded by its reachable siblings removes during repair.
         let chain = self.replicas_of(model);
-        let meta_legs = evostore_rpc::fan_out_traced::<RetireMetaRequest, RetireMetaReply>(
-            &self.fabric,
+        let meta_legs = self.fan_out(
             &chain
                 .iter()
                 .map(|&ep| (ep, RetireMetaRequest { model }))
                 .collect::<Vec<_>>(),
-            methods::RETIRE_META,
-            &self.retry,
-            Some(&self.telemetry.rpc),
-            self.trace_handle().as_ref(),
+            methods::RetireMeta,
         );
         let mut reply: Option<RetireMetaReply> = None;
         let mut first_err: Option<EvoError> = None;
@@ -1544,14 +1543,7 @@ impl EvoStoreClient {
                 )
             })
             .collect();
-        let results = evostore_rpc::fan_out_traced::<RefsRequest, RefsReply>(
-            &self.fabric,
-            &reqs,
-            methods::DECR_REFS,
-            &self.retry,
-            Some(&self.telemetry.rpc),
-            self.trace_handle().as_ref(),
-        );
+        let results = self.fan_out(&reqs, methods::DecrRefs);
         let mut tensors_reclaimed = 0;
         let mut refs_parked = 0;
         // Every leg is settled before the outcome is decided: returning
@@ -1595,14 +1587,7 @@ impl EvoStoreClient {
         if pending.is_empty() {
             return Ok(0);
         }
-        let results = evostore_rpc::fan_out_traced::<RefsRequest, RefsReply>(
-            &self.fabric,
-            &pending,
-            methods::DECR_REFS,
-            &self.retry,
-            Some(&self.telemetry.rpc),
-            self.trace_handle().as_ref(),
-        );
+        let results = self.fan_out(&pending, methods::DecrRefs);
         let mut flushed = 0;
         let mut requeue = Vec::new();
         for ((ep, req), (_, result)) in pending.into_iter().zip(results) {
@@ -1682,16 +1667,7 @@ impl EvoStoreClient {
     /// deployment, so any failed provider fails the call
     /// ([`EvoError::PartialFailure`] when transient).
     pub fn stats(&self) -> Result<ProviderStats> {
-        let legs = evostore_rpc::broadcast_traced::<_, ProviderStats>(
-            &self.fabric,
-            &self.providers,
-            methods::STATS,
-            &StatsRequest {},
-            &self.retry,
-            Some(&self.telemetry.rpc),
-            self.trace_handle().as_ref(),
-        )
-        .map_err(EvoError::from)?;
+        let legs = self.broadcast(methods::Stats, &StatsRequest {})?;
         let mut acc = ProviderStats::default();
         let mut failed = Vec::new();
         let mut permanent: Option<EvoError> = None;

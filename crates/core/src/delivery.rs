@@ -23,17 +23,16 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use evostore_deliver::wire::methods;
 use evostore_deliver::{
-    BroadcastTree, DeliverMetrics, DeliverStats, EventAck, EventKind, EventPush, ModelEvent,
-    SubscribeReply, SubscribeRequest, SubscriberQueue, SubscriptionFilter, UnsubscribeReply,
-    UnsubscribeRequest,
+    BroadcastTree, DeliverMetrics, DeliverStats, EventKind, EventPush, ModelEvent, SubscribeReply,
+    SubscribeRequest, SubscriberQueue, SubscriptionFilter, UnsubscribeReply, UnsubscribeRequest,
 };
 use evostore_graph::CompactGraph;
 use evostore_obs::Tracer;
-use evostore_rpc::{fan_out_traced, EndpointId, Fabric, RetryPolicy, TraceHandle};
+use evostore_rpc::{fan_out, EndpointId, Fabric, RetryPolicy, TraceHandle};
 use evostore_tensor::ModelId;
 
+use crate::methods;
 use crate::provider::CatalogSnapshot;
 
 /// One entry of a catalog mutation's change log, recorded by
@@ -459,15 +458,15 @@ impl DeliveryHub {
         // One `deliver.push` root span per pump round; every push
         // attempt files a child under it.
         let root = self.tracer.as_ref().map(|t| t.start_root("deliver.push"));
-        let results: Vec<(EndpointId, Result<EventAck, _>)> = {
+        let results = {
             let handle = match (&self.tracer, &root) {
                 (Some(t), Some(r)) => Some(TraceHandle::new(t, r.ctx())),
                 _ => None,
             };
-            fan_out_traced(
+            fan_out(
                 &self.fabric,
                 &legs,
-                methods::EVENT,
+                methods::Event,
                 &self.push_retry,
                 None,
                 handle.as_ref(),

@@ -14,17 +14,17 @@ use evostore_obs::{
     FlightEvent, MonotonicClock, ObsHub, ObsServer, OpCosts, OpLedger, RegistrySnapshot, SloSpec,
     TimeSource, Tracer,
 };
-use evostore_rpc::{BulkHandle, EndpointId, Fabric, RetryPolicy, TraceHandle};
+use evostore_rpc::{BulkHandle, EndpointId, Fabric, Method, RetryPolicy, RpcError, TraceHandle};
 use evostore_tensor::{ModelId, TensorKey};
 
 use crate::client::EvoStoreClient;
 use crate::messages::{
-    methods, DigestReply, DigestRequest, GetMetaRequest, HaveChunksReply, HaveChunksRequest,
-    ModelMetaReply, ObsSnapshotRequest, ProviderStats, ReadChunksReply, ReadChunksRequest,
-    ReadTensorsReply, ReadTensorsRequest, SyncChunksReply, SyncChunksRequest, SyncModelReply,
-    SyncModelRequest, SyncRefsReply, SyncRefsRequest, SyncRetireReply, SyncRetireRequest,
-    Tombstone, TransferManifestReply, TransferManifestRequest,
+    DigestReply, DigestRequest, GetMetaRequest, HaveChunksReply, HaveChunksRequest, ModelMetaReply,
+    ObsSnapshotRequest, ProviderStats, ReadChunksRequest, ReadTensorsRequest, SyncChunksRequest,
+    SyncModelRequest, SyncRefsRequest, SyncRetireRequest, Tombstone, TransferManifestReply,
+    TransferManifestRequest,
 };
+use crate::methods;
 use crate::policy::{ChunkingPolicy, DeltaPolicy, StorePolicy};
 use crate::provider::{Provider, ProviderState};
 use crate::replication::ReplicationPolicy;
@@ -631,12 +631,13 @@ impl Deployment {
         let mut report = RepairReport::default();
 
         // 1. Digest every provider; remember who is unreachable.
-        let legs = evostore_rpc::broadcast::<_, DigestReply>(
+        let legs = evostore_rpc::broadcast(
             &self.fabric,
             &self.provider_ids,
-            methods::DIGEST,
+            methods::Digest,
             &DigestRequest {},
             &retry,
+            None,
             None,
         )
         .map_err(|e| format!("digest broadcast: {e}"))?;
@@ -729,14 +730,15 @@ impl Deployment {
             // 5a. Propagate retirements first (removes stale records and
             // fences their parked decrement legs).
             if !tomb_list.is_empty() {
-                let reply: SyncRetireReply = evostore_rpc::unary(
+                let reply = evostore_rpc::unary(
                     &self.fabric,
                     ep,
-                    methods::SYNC_RETIRE,
+                    methods::SyncRetire,
                     &SyncRetireRequest {
                         tombstones: tomb_list.clone(),
                     },
                     &retry,
+                    None,
                     None,
                 )
                 .map_err(|e| format!("sync_retire on provider {idx}: {e}"))?;
@@ -780,15 +782,16 @@ impl Deployment {
                 .map(|(&key, &count)| (key, count))
                 .collect();
             entries.sort_unstable_by_key(|(key, _)| *key);
-            let reply: SyncRefsReply = evostore_rpc::unary(
+            let reply = evostore_rpc::unary(
                 &self.fabric,
                 ep,
-                methods::SYNC_REFS,
+                methods::SyncRefs,
                 &SyncRefsRequest {
                     entries,
                     prune_unlisted: full_coverage,
                 },
                 &retry,
+                None,
                 None,
             )
             .map_err(|e| format!("sync_refs on provider {idx}: {e}"))?;
@@ -827,8 +830,17 @@ impl Deployment {
         let mut root = self.tracer.start_root("transfer.sync_model");
         let out = {
             let _costs = install_costs(Some(Arc::clone(&costs)));
-            let trace = TraceHandle::new(&self.tracer, root.ctx());
-            self.sync_model_inner(model, optimizer_keys, source, target, retry, &trace)
+            Transfer {
+                fabric: &self.fabric,
+                model,
+                source,
+                target,
+                src: self.provider_ids[source],
+                dst: self.provider_ids[target],
+                retry,
+                trace: TraceHandle::new(&self.tracer, root.ctx()),
+            }
+            .run(optimizer_keys)
         };
         self.ledger.finish_op("transfer", out.is_ok(), &costs);
         // Credit the same movement to the enclosing repair op (the
@@ -843,27 +855,46 @@ impl Deployment {
         root.finish();
         out
     }
+}
 
-    fn sync_model_inner(
+/// One model's re-replication from provider `source` to provider
+/// `target`: what every leg of the transfer shares.
+struct Transfer<'a> {
+    fabric: &'a Fabric,
+    model: ModelId,
+    source: usize,
+    target: usize,
+    src: EndpointId,
+    dst: EndpointId,
+    retry: &'a RetryPolicy,
+    /// Attempt spans of every leg hang under the transfer's root span.
+    trace: TraceHandle<'a>,
+}
+
+impl Transfer<'_> {
+    /// One round-trip of the transfer, retried per its policy.
+    fn call<M: Method>(
         &self,
-        model: ModelId,
-        optimizer_keys: &[TensorKey],
-        source: usize,
-        target: usize,
-        retry: &RetryPolicy,
-        trace: &TraceHandle<'_>,
-    ) -> Result<bool, String> {
-        let src = self.provider_ids[source];
-        let meta: ModelMetaReply = evostore_rpc::unary_traced(
-            &self.fabric,
-            src,
-            methods::GET_META,
-            &GetMetaRequest { model },
-            retry,
+        to: EndpointId,
+        method: M,
+        req: &M::Request,
+    ) -> Result<M::Reply, RpcError> {
+        evostore_rpc::unary(
+            self.fabric,
+            to,
+            method,
+            req,
+            self.retry,
             None,
-            Some(trace),
+            Some(&self.trace),
         )
-        .map_err(|e| format!("get_meta({model}) from provider {source}: {e}"))?;
+    }
+
+    fn run(&self, optimizer_keys: &[TensorKey]) -> Result<bool, String> {
+        let (model, source) = (self.model, self.source);
+        let meta = self
+            .call(self.src, methods::GetMeta, &GetMetaRequest { model })
+            .map_err(|e| format!("get_meta({model}) from provider {source}: {e}"))?;
         // Ship only what the target's replica role needs: the model's
         // self-owned tensors plus its optimizer copy. Inherited keys
         // belong to their owners' chains and are synced with those
@@ -879,40 +910,27 @@ impl Deployment {
         // mismatch, missing delta base, whole-record source without
         // deltas) or failed mid-flight — falls through to the
         // materialized backstop.
-        if let Ok(Some(done)) =
-            self.sync_model_negotiated(model, &meta, &keys, source, target, retry, trace)
-        {
+        if let Ok(Some(done)) = self.negotiated(&meta, &keys) {
             return Ok(done);
         }
-        self.sync_model_materialized(model, meta, keys, source, target, retry, trace)
+        self.materialized(meta, keys)
     }
 
     /// Try the derivative-aware path. `Ok(None)` means negotiation
     /// declined and the caller should ship materialized payloads.
-    #[allow(clippy::too_many_arguments)]
-    fn sync_model_negotiated(
+    fn negotiated(
         &self,
-        model: ModelId,
         meta: &ModelMetaReply,
         keys: &[TensorKey],
-        source: usize,
-        target: usize,
-        retry: &RetryPolicy,
-        trace: &TraceHandle<'_>,
     ) -> Result<Option<bool>, String> {
-        let src = self.provider_ids[source];
-        let dst = self.provider_ids[target];
+        let (model, source, target) = (self.model, self.source, self.target);
         // 1. How do the source's stored records decompose?
-        let manifest: TransferManifestReply = match evostore_rpc::unary_traced(
-            &self.fabric,
-            src,
-            methods::TRANSFER_MANIFEST,
+        let manifest = match self.call(
+            self.src,
+            methods::TransferManifest,
             &TransferManifestRequest {
                 keys: keys.to_vec(),
             },
-            retry,
-            None,
-            Some(trace),
         ) {
             Ok(m) => m,
             Err(e) if e.is_transient() => {
@@ -948,17 +966,13 @@ impl Deployment {
         base_keys.sort_unstable();
         base_keys.dedup();
         // 2. Probe the receiver's possession set.
-        let have: HaveChunksReply = match evostore_rpc::unary_traced(
-            &self.fabric,
-            dst,
-            methods::HAVE_CHUNKS,
+        let have = match self.call(
+            self.dst,
+            methods::HaveChunks,
             &HaveChunksRequest {
                 hashes: hashes.clone(),
                 keys: base_keys,
             },
-            retry,
-            None,
-            Some(trace),
         ) {
             Ok(h) => h,
             Err(e) if e.is_transient() => {
@@ -972,15 +986,13 @@ impl Deployment {
             return Ok(None);
         }
         if manifest.chunked && have.chunked && have.chunk_size == manifest.chunk_size {
-            return self.sync_chunks_to(
-                model, meta, &manifest, &hashes, &have, source, target, retry, trace,
-            );
+            return self.chunks(meta, &manifest, &hashes, &have);
         }
         if has_deltas {
             // Chunk negotiation is off the table (layout or granularity
             // mismatch) but the delta linkage still transfers: ship the
             // stored records verbatim over SYNC_MODEL.
-            return self.sync_raw_records_to(model, meta, keys, source, target, retry, trace);
+            return self.raw_records(meta, keys);
         }
         Ok(None)
     }
@@ -988,21 +1000,14 @@ impl Deployment {
     /// Chunk-negotiated leg: pull only the chunks the target reported
     /// missing from the source and install the records manifest-level —
     /// no tensor is materialized on either side.
-    #[allow(clippy::too_many_arguments)]
-    fn sync_chunks_to(
+    fn chunks(
         &self,
-        model: ModelId,
         meta: &ModelMetaReply,
         manifest: &TransferManifestReply,
         hashes: &[[u8; 16]],
         have: &HaveChunksReply,
-        source: usize,
-        target: usize,
-        retry: &RetryPolicy,
-        trace: &TraceHandle<'_>,
     ) -> Result<Option<bool>, String> {
-        let src = self.provider_ids[source];
-        let dst = self.provider_ids[target];
+        let (model, source, target) = (self.model, self.source, self.target);
         let missing: Vec<[u8; 16]> = hashes
             .iter()
             .zip(&have.have_chunks)
@@ -1012,16 +1017,12 @@ impl Deployment {
         let mut lens: Vec<u64> = Vec::with_capacity(missing.len());
         let mut segments: Vec<Bytes> = Vec::with_capacity(missing.len());
         if !missing.is_empty() {
-            let read: ReadChunksReply = match evostore_rpc::unary_traced(
-                &self.fabric,
-                src,
-                methods::READ_CHUNKS,
+            let read = match self.call(
+                self.src,
+                methods::ReadChunks,
                 &ReadChunksRequest {
                     hashes: missing.clone(),
                 },
-                retry,
-                None,
-                Some(trace),
             ) {
                 Ok(r) => r,
                 Err(e) if e.is_transient() => {
@@ -1050,10 +1051,9 @@ impl Deployment {
         }
         let moved: u64 = lens.iter().sum();
         let out = self.fabric.bulk_expose_vec(segments);
-        let result: Result<SyncChunksReply, _> = evostore_rpc::unary_traced(
-            &self.fabric,
-            dst,
-            methods::SYNC_CHUNKS,
+        let result = self.call(
+            self.dst,
+            methods::SyncChunks,
             &SyncChunksRequest {
                 model,
                 graph: meta.graph.clone(),
@@ -1066,9 +1066,6 @@ impl Deployment {
                 lens,
                 bulk: out.0,
             },
-            retry,
-            None,
-            Some(trace),
         );
         self.fabric.bulk_release(out);
         match result {
@@ -1087,29 +1084,19 @@ impl Deployment {
     /// bytes verbatim (EVDL delta records included) and sync them as
     /// raw records, so a repaired derived model keeps its O(changed
     /// bytes) encoding and its reclaim fencing.
-    #[allow(clippy::too_many_arguments)]
-    fn sync_raw_records_to(
+    fn raw_records(
         &self,
-        model: ModelId,
         meta: &ModelMetaReply,
         keys: &[TensorKey],
-        source: usize,
-        target: usize,
-        retry: &RetryPolicy,
-        trace: &TraceHandle<'_>,
     ) -> Result<Option<bool>, String> {
-        let src = self.provider_ids[source];
-        let read: ReadTensorsReply = match evostore_rpc::unary_traced(
-            &self.fabric,
-            src,
-            methods::READ,
+        let (model, source, target) = (self.model, self.source, self.target);
+        let read = match self.call(
+            self.src,
+            methods::Read,
             &ReadTensorsRequest {
                 keys: keys.to_vec(),
                 raw_records: true,
             },
-            retry,
-            None,
-            Some(trace),
         ) {
             Ok(r) => r,
             Err(e) if e.is_transient() => {
@@ -1126,10 +1113,9 @@ impl Deployment {
         evostore_obs::ledger::add_chunks_touched(read.manifest.len() as u64);
         let moved = region.len() as u64;
         let out = self.fabric.bulk_expose(region);
-        let result: Result<SyncModelReply, _> = evostore_rpc::unary_traced(
-            &self.fabric,
-            self.provider_ids[target],
-            methods::SYNC_MODEL,
+        let result = self.call(
+            self.dst,
+            methods::SyncModel,
             &SyncModelRequest {
                 model,
                 graph: meta.graph.clone(),
@@ -1141,9 +1127,6 @@ impl Deployment {
                 bulk: out.0,
                 raw_records: true,
             },
-            retry,
-            None,
-            Some(trace),
         );
         self.fabric.bulk_release(out);
         self.fabric.bulk_release(handle);
@@ -1162,37 +1145,20 @@ impl Deployment {
     /// Materialized fallback: read fully reconstructed tensor records
     /// from the source and push them whole — correct against any layout
     /// or policy mismatch, at O(model bytes) cost.
-    #[allow(clippy::too_many_arguments)]
-    fn sync_model_materialized(
-        &self,
-        model: ModelId,
-        meta: ModelMetaReply,
-        keys: Vec<TensorKey>,
-        source: usize,
-        target: usize,
-        retry: &RetryPolicy,
-        trace: &TraceHandle<'_>,
-    ) -> Result<bool, String> {
-        let src = self.provider_ids[source];
-        let read: ReadTensorsReply = match evostore_rpc::unary_traced(
-            &self.fabric,
-            src,
-            methods::READ,
+    fn materialized(&self, meta: ModelMetaReply, keys: Vec<TensorKey>) -> Result<bool, String> {
+        let (model, source, target) = (self.model, self.source, self.target);
+        let read = match self.call(
+            self.src,
+            methods::Read,
             &ReadTensorsRequest {
                 keys,
                 raw_records: false,
             },
-            retry,
-            None,
-            Some(trace),
         ) {
             Ok(r) => r,
             // The source catalogs the record but lost payloads (e.g. a
             // crash between legs): report, don't fail the whole pass.
-            Err(e) if !e.is_transient() => {
-                let _ = e;
-                return Ok(false);
-            }
+            Err(e) if !e.is_transient() => return Ok(false),
             Err(e) => return Err(format!("read payloads of {model} from {source}: {e}")),
         };
         let handle = BulkHandle(read.bulk);
@@ -1206,26 +1172,23 @@ impl Deployment {
         // Re-expose the same bytes for the target; the manifest offsets
         // carry over unchanged.
         let out = self.fabric.bulk_expose(region);
-        let result: Result<SyncModelReply, String> = evostore_rpc::unary_traced(
-            &self.fabric,
-            self.provider_ids[target],
-            methods::SYNC_MODEL,
-            &SyncModelRequest {
-                model,
-                graph: meta.graph,
-                owner_map: meta.owner_map,
-                parent: meta.parent,
-                quality: meta.quality,
-                timestamp: meta.timestamp,
-                manifest: read.manifest,
-                bulk: out.0,
-                raw_records: false,
-            },
-            retry,
-            None,
-            Some(trace),
-        )
-        .map_err(|e| format!("sync_model({model}) to provider {target}: {e}"));
+        let result = self
+            .call(
+                self.dst,
+                methods::SyncModel,
+                &SyncModelRequest {
+                    model,
+                    graph: meta.graph,
+                    owner_map: meta.owner_map,
+                    parent: meta.parent,
+                    quality: meta.quality,
+                    timestamp: meta.timestamp,
+                    manifest: read.manifest,
+                    bulk: out.0,
+                    raw_records: false,
+                },
+            )
+            .map_err(|e| format!("sync_model({model}) to provider {target}: {e}"));
         self.fabric.bulk_release(out);
         self.fabric.bulk_release(handle);
         evostore_obs::ledger::add_bytes_out(moved);
@@ -1240,12 +1203,13 @@ impl Deployment {
 fn merged_snapshot(fabric: &Fabric, provider_ids: &[EndpointId], obs: &ObsHub) -> RegistrySnapshot {
     let mut snap = obs.registry().snapshot();
     let retry = RetryPolicy::default().with_timeout(Duration::from_secs(30));
-    if let Ok(legs) = evostore_rpc::broadcast::<_, RegistrySnapshot>(
+    if let Ok(legs) = evostore_rpc::broadcast(
         fabric,
         provider_ids,
-        methods::OBS_SNAPSHOT,
+        methods::ObsSnapshot,
         &ObsSnapshotRequest {},
         &retry,
+        None,
         None,
     ) {
         for (_, leg) in legs {

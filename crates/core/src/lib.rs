@@ -25,6 +25,7 @@ pub mod client;
 pub mod delivery;
 pub mod deployment;
 pub mod messages;
+pub mod methods;
 pub mod owner_map;
 pub mod policy;
 pub mod provider;

@@ -170,7 +170,7 @@ impl RefsRequest {
     /// function of the retirement, so it survives the client: a parked
     /// decrement re-issued after a fault window carries the same id as
     /// the fence the anti-entropy repair pass seeded on the recovered
-    /// provider ([`methods::SYNC_RETIRE`]), and the two can never both
+    /// provider ([`crate::methods::SyncRetire`]), and the two can never both
     /// apply. The top bit is always set, keeping the hash namespace
     /// disjoint from the counter namespace (counters start at 1 and
     /// cannot plausibly reach 2^63).
@@ -768,59 +768,6 @@ impl ProviderStats {
 /// counters, and flight-recorder occupancy.
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub struct ObsSnapshotRequest {}
-
-/// RPC method names registered by every provider.
-pub mod methods {
-    /// Store a model (metadata + consolidated tensors).
-    pub const STORE: &str = "evostore.store";
-    /// Fetch model metadata.
-    pub const GET_META: &str = "evostore.get_meta";
-    /// Read hosted tensors (returns a bulk region).
-    pub const READ: &str = "evostore.read";
-    /// Increment tensor refcounts.
-    pub const INCR_REFS: &str = "evostore.incr_refs";
-    /// Decrement tensor refcounts (GC at zero).
-    pub const DECR_REFS: &str = "evostore.decr_refs";
-    /// Provider-side LCP scan.
-    pub const LCP: &str = "evostore.lcp";
-    /// Batched LCP scan: N graphs, one envelope, one pinned snapshot.
-    pub const LCP_BATCH: &str = "evostore.lcp_batch";
-    /// Batched pattern scan.
-    pub const MATCH_PATTERN_BATCH: &str = "evostore.match_pattern_batch";
-    /// Partial (element-range) tensor read.
-    pub const READ_RANGE: &str = "evostore.read_range";
-    /// Retire model metadata.
-    pub const RETIRE_META: &str = "evostore.retire_meta";
-    /// Architecture pattern scan.
-    pub const MATCH_PATTERN: &str = "evostore.match_pattern";
-    /// Attach optimizer state.
-    pub const STORE_OPTIMIZER: &str = "evostore.store_optimizer";
-    /// Fetch optimizer state.
-    pub const LOAD_OPTIMIZER: &str = "evostore.load_optimizer";
-    /// Provider statistics.
-    pub const STATS: &str = "evostore.stats";
-    /// Anti-entropy catalog digest.
-    pub const DIGEST: &str = "evostore.digest";
-    /// Re-replicate one model (record + payloads) onto the target.
-    pub const SYNC_MODEL: &str = "evostore.sync_model";
-    /// Spread retirement tombstones onto the target.
-    pub const SYNC_RETIRE: &str = "evostore.sync_retire";
-    /// Set hosted reference counts to authoritative values.
-    pub const SYNC_REFS: &str = "evostore.sync_refs";
-    /// Observability registry snapshot (metrics exposition fan-in).
-    pub const OBS_SNAPSHOT: &str = "evostore.obs_snapshot";
-    /// Transfer manifests (chunk + delta decomposition) of stored
-    /// records, from the sync source.
-    pub const TRANSFER_MANIFEST: &str = "evostore.transfer_manifest";
-    /// Chunk/record possession probe on the sync target.
-    pub const HAVE_CHUNKS: &str = "evostore.have_chunks";
-    /// Read chunk payloads by content hash from the sync source.
-    pub const READ_CHUNKS: &str = "evostore.read_chunks";
-    /// Chunk-negotiated, delta-preserving model re-replication.
-    pub const SYNC_CHUNKS: &str = "evostore.sync_chunks";
-    /// Chunk-negotiated tensor fetch (delivery-plane peer exchange).
-    pub const FETCH_CHUNKS: &str = "evostore.fetch_chunks";
-}
 
 #[cfg(test)]
 mod tests {

@@ -1,0 +1,179 @@
+//! Parent-delta encoding: records of a derived model stored as EVDL
+//! deltas against the co-located parent tensor, reconstructed on read,
+//! and re-based to raw bytes before anything they depend on is
+//! reclaimed (no reference counts are taken on bases).
+
+use std::sync::atomic::Ordering;
+
+use bytes::Bytes;
+use evostore_tensor::{decode_delta, delta_header, encode_delta, is_delta, TensorKey};
+
+use super::ProviderState;
+use crate::owner_map::OwnerMap;
+
+impl ProviderState {
+    /// Materialize the raw (EVST) bytes of a fetched record, decoding
+    /// the delta chain under it when the record is delta-encoded.
+    pub(super) fn materialize(&self, record: Bytes) -> Result<Bytes, String> {
+        if !is_delta(&record) {
+            return Ok(record);
+        }
+        // Walk down to the raw base (chains are depth-bounded at store
+        // time; the u8 depth field caps the walk regardless).
+        let mut chain = vec![record];
+        let mut raw = loop {
+            let head = delta_header(chain.last().expect("chain non-empty"))
+                .map_err(|e| format!("delta record: {e}"))?;
+            let base = self
+                .tensors
+                .get(&head.base_key)
+                .map_err(|_| "delta base record missing".to_string())?;
+            if chain.len() > u8::MAX as usize {
+                return Err("delta chain exceeds the depth bound".into());
+            }
+            if is_delta(&base) {
+                chain.push(base);
+            } else {
+                break base;
+            }
+        };
+        evostore_obs::ledger::note_delta_chain_depth(chain.len() as u64);
+        // Decode back up the chain.
+        while let Some(delta) = chain.pop() {
+            raw = decode_delta(&delta, &raw).map_err(|e| format!("delta decode: {e}"))?;
+            self.delta_reconstructs.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(raw)
+    }
+
+    /// Fetch a record and materialize it to raw bytes.
+    pub(super) fn resolve_record(&self, enc: &[u8]) -> Result<Bytes, String> {
+        let record = self
+            .tensors
+            .get(enc)
+            .map_err(|_| "record not stored".to_string())?;
+        self.materialize(record)
+    }
+
+    /// Try to delta-encode a self-owned tensor of a derived model
+    /// against the parent's tensor at the same vertex/slot. Returns the
+    /// delta blob and the base's record key, or `None` when the base is
+    /// unavailable (not co-located here), the chain bound is reached, or
+    /// the delta would not actually save space.
+    pub(super) fn try_delta_encode(
+        &self,
+        key: TensorKey,
+        record: &Bytes,
+        parent_map: &OwnerMap,
+    ) -> Option<(Bytes, Vec<u8>)> {
+        if (key.vertex.0 as usize) >= parent_map.vertices.len() {
+            return None;
+        }
+        let owner = parent_map.vertex(key.vertex);
+        if key.slot >= owner.slots {
+            return None;
+        }
+        let base_key = TensorKey::new(owner.owner, owner.owner_vertex, key.slot);
+        let base_enc = base_key.encode();
+        if base_enc == key.encode() {
+            return None;
+        }
+        // Delta applies only when the base is co-located: cross-provider
+        // bases would turn every read into a remote fetch.
+        let base_rec = self.tensors.get(&base_enc).ok()?;
+        let depth = if is_delta(&base_rec) {
+            delta_header(&base_rec).ok()?.depth
+        } else {
+            0
+        };
+        if depth >= self.delta.max_chain_depth {
+            return None;
+        }
+        let base_raw = self.materialize(base_rec).ok()?;
+        let blob = encode_delta(record, &base_raw, base_enc, depth + 1)?;
+        Some((blob, base_enc.to_vec()))
+    }
+
+    /// Fence a record's physical removal: rewrite every delta directly
+    /// based on it back to raw bytes (so their payloads survive the
+    /// base's death), and unlink the record itself from its base's
+    /// dependent list. Must run before any decrement/refs-install that
+    /// can drop the record.
+    pub(super) fn before_reclaim(&self, enc: &[u8]) -> Result<(), String> {
+        if !self.delta.enabled {
+            return Ok(());
+        }
+        let deps = self.delta_deps.lock().remove(enc);
+        for dep in deps.into_iter().flatten() {
+            // A dependent may have been reclaimed (or already re-based)
+            // since it was registered; skip it silently.
+            let Ok(rec) = self.tensors.get(&dep) else {
+                continue;
+            };
+            if !is_delta(&rec) {
+                continue;
+            }
+            let raw = self.materialize(rec)?;
+            self.tensors
+                .replace(&dep, raw)
+                .map_err(|e| format!("re-base dependent record: {e}"))?;
+            self.delta_rebased.fetch_add(1, Ordering::Relaxed);
+        }
+        // If the dying record is itself a delta, drop it from its base's
+        // dependent list so the base never re-bases a reclaimed key.
+        if let Ok(rec) = self.tensors.get(enc) {
+            if is_delta(&rec) {
+                if let Ok(head) = delta_header(&rec) {
+                    let mut deps = self.delta_deps.lock();
+                    if let Some(v) = deps.get_mut(head.base_key.as_slice()) {
+                        v.retain(|k| k != enc);
+                        if v.is_empty() {
+                            deps.remove(head.base_key.as_slice());
+                        }
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Maintenance re-base: rewrite every delta record whose chain depth
+    /// exceeds `max_depth` back to raw bytes, bounding reconstruction
+    /// cost after deep derivation chains accumulate. Returns how many
+    /// records were rewritten.
+    pub fn rebase_deltas(&self, max_depth: u8) -> Result<usize, String> {
+        let mut keys = Vec::new();
+        self.tensors
+            .backend()
+            .for_each_key(&mut |k| keys.push(k.to_vec()));
+        let mut rewritten = 0;
+        for enc in keys {
+            let Ok(rec) = self.tensors.get(&enc) else {
+                continue;
+            };
+            if !is_delta(&rec) {
+                continue;
+            }
+            let head = delta_header(&rec).map_err(|e| format!("delta record: {e}"))?;
+            if head.depth <= max_depth {
+                continue;
+            }
+            let base_enc = head.base_key.to_vec();
+            let raw = self.materialize(rec)?;
+            self.tensors
+                .replace(&enc, raw)
+                .map_err(|e| format!("re-base record: {e}"))?;
+            let mut deps = self.delta_deps.lock();
+            if let Some(v) = deps.get_mut(&base_enc) {
+                v.retain(|k| k != &enc);
+                if v.is_empty() {
+                    deps.remove(&base_enc);
+                }
+            }
+            drop(deps);
+            self.delta_rebased.fetch_add(1, Ordering::Relaxed);
+            rewritten += 1;
+        }
+        Ok(rewritten)
+    }
+}

@@ -1,0 +1,673 @@
+//! Anti-entropy repair and the derivative-aware transfer plane: catalog
+//! digests, materialized and chunk-negotiated model syncs (delta records
+//! ship verbatim, fenced on arrival), chunk possession probes and reads,
+//! the delivery plane's chunk-aware fetch, and retirement syncs.
+
+use std::collections::HashMap;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+
+use bytes::{Bytes, BytesMut};
+use evostore_tensor::{
+    delta_header, delta_probe, is_delta, read_tensor, ContentHash, DeltaHeader, TensorKey,
+    DELTA_PROBE_LEN,
+};
+
+use super::{ModelRecord, ProviderState};
+use crate::messages::*;
+
+/// Decode a wire-form content hash (always 16 bytes).
+fn wire_hash(b: &[u8; 16]) -> ContentHash {
+    ContentHash::from_bytes(b).expect("16-byte content hash")
+}
+
+/// Turn a probed delta header into the transfer manifest's linkage pair
+/// (`delta_base`, `delta_depth`); raw records carry `(None, 0)`.
+fn delta_linkage(
+    key: TensorKey,
+    head: Option<DeltaHeader>,
+) -> Result<(Option<TensorKey>, u8), String> {
+    match head {
+        None => Ok((None, 0)),
+        Some(h) => {
+            let base = TensorKey::decode(&h.base_key)
+                .ok_or_else(|| format!("record {key}: undecodable delta base key"))?;
+            Ok((Some(base), h.depth))
+        }
+    }
+}
+
+impl ProviderState {
+    /// Handle a digest request: summarize every cataloged model (id,
+    /// timestamp, referenced tensor keys) and every witnessed
+    /// retirement. The repair pass unions these across providers to
+    /// find stale or under-replicated replicas.
+    pub fn handle_digest(&self, _req: DigestRequest) -> Result<DigestReply, String> {
+        let models = {
+            let snap = self.catalog_snapshot();
+            snap.records()
+                .map(|(model, rec)| ModelDigest {
+                    model,
+                    timestamp: rec.timestamp,
+                    ref_keys: rec.owner_map.all_tensor_keys(),
+                    optimizer_keys: rec.optimizer_keys.clone(),
+                })
+                .collect()
+        };
+        let tombstones = self.tombstones.lock().values().copied().collect();
+        Ok(DigestReply {
+            provider_index: self.index,
+            models,
+            tombstones,
+        })
+    }
+
+    /// Handle a model sync: install the record and its tensor payloads
+    /// unless the local copy is already at least as new. Payloads come
+    /// from a peer replica that validated them at original store time,
+    /// so only framing integrity is re-checked here.
+    pub fn handle_sync_model(&self, req: SyncModelRequest) -> Result<SyncModelReply, String> {
+        if !self.places_here(req.model) {
+            return Err(format!(
+                "model {} does not place on provider {}",
+                req.model, self.index
+            ));
+        }
+        if let Some((ts, opt_len)) = self
+            .catalog
+            .read()
+            .records
+            .get(&req.model)
+            .map(|r| (r.timestamp, r.optimizer_keys.len()))
+        {
+            // Equal-timestamp records can still differ: attaching
+            // optimizer state does not bump the write stamp, so a
+            // replica that missed only the attachment is stale despite
+            // matching timestamps.
+            let req_opt = req
+                .manifest
+                .iter()
+                .filter(|e| e.key.vertex.0 == u32::MAX)
+                .count();
+            if ts > req.timestamp || (ts == req.timestamp && opt_len >= req_opt) {
+                return Ok(SyncModelReply {
+                    applied: false,
+                    tensors_stored: 0,
+                });
+            }
+        }
+        let region = self
+            .fabric
+            .bulk_get(evostore_rpc::BulkHandle(req.bulk))
+            .map_err(|e| format!("bulk pull failed: {e}"))?;
+        evostore_obs::ledger::add_bytes_in(region.len() as u64);
+        let mut validated = Vec::with_capacity(req.manifest.len());
+        for entry in &req.manifest {
+            let (off, len) = (entry.offset as usize, entry.len as usize);
+            if off
+                .checked_add(len)
+                .map(|end| end > region.len())
+                .unwrap_or(true)
+            {
+                return Err(format!("sync manifest entry {} out of bounds", entry.key));
+            }
+            let record = region.slice(off..off + len);
+            if req.raw_records && is_delta(&record) {
+                // Delta-preserving leg: the payload is the source's
+                // stored EVDL record shipped verbatim. Validate the
+                // delta framing and require the base to be resolvable
+                // here (already stored, or part of this same sync) —
+                // otherwise the driver must fall back to a
+                // materialized sync.
+                let head =
+                    delta_header(&record).map_err(|e| format!("tensor {}: {e}", entry.key))?;
+                if !self.delta.enabled {
+                    return Err(format!(
+                        "tensor {}: delta record shipped to a delta-disabled provider",
+                        entry.key
+                    ));
+                }
+                let base_local = self.tensors.contains(&head.base_key);
+                let base_inbound = req.manifest.iter().any(|m| m.key.encode() == head.base_key);
+                if !base_local && !base_inbound {
+                    return Err(format!(
+                        "tensor {}: delta base not present on the target",
+                        entry.key
+                    ));
+                }
+            } else {
+                read_tensor(record.clone()).map_err(|e| format!("tensor {}: {e}", entry.key))?;
+            }
+            validated.push((entry.key, record));
+        }
+        // Replace a stale record (an older incarnation under the same
+        // id); its private optimizer copies go with it.
+        if let Some(old) = self.mutate_catalog(|c| c.remove(req.model)) {
+            for key in &old.optimizer_keys {
+                let enc = key.encode();
+                if self.tensors.refs(&enc) == 1 {
+                    let _ = self.before_reclaim(&enc);
+                }
+                let _ = self.tensors.decr(&enc);
+            }
+        }
+        let mut tensors_stored = 0usize;
+        for (key, record) in validated {
+            // Already-present payloads keep their count: the refs sync
+            // that follows installs the authoritative values. On the
+            // default (materialized) leg payloads arrive raw; under
+            // `raw_records` a delta record is installed verbatim and
+            // its reclaim fencing registered on arrival.
+            let enc = key.encode();
+            if !self.tensors.contains(&enc) {
+                let delta_head = if req.raw_records && is_delta(&record) {
+                    Some(delta_header(&record).map_err(|e| format!("tensor {key}: {e}"))?)
+                } else {
+                    None
+                };
+                let record_len = record.len() as u64;
+                self.tensors
+                    .put(&enc, record, 1)
+                    .map_err(|e| format!("sync tensor {key}: {e}"))?;
+                if let Some(head) = delta_head {
+                    self.delta_deps
+                        .lock()
+                        .entry(head.base_key.to_vec())
+                        .or_default()
+                        .push(enc.to_vec());
+                    self.delta_stored.fetch_add(1, Ordering::Relaxed);
+                    self.transfer_deltas_shipped.fetch_add(1, Ordering::Relaxed);
+                    self.transfer_bytes_saved.fetch_add(
+                        (head.raw_len as u64).saturating_sub(record_len),
+                        Ordering::Relaxed,
+                    );
+                }
+                tensors_stored += 1;
+            }
+        }
+        self.clock.fetch_max(req.timestamp + 1, Ordering::Relaxed);
+        let mut optimizer_keys: Vec<TensorKey> = req
+            .manifest
+            .iter()
+            .map(|e| e.key)
+            .filter(|k| k.vertex.0 == u32::MAX)
+            .collect();
+        optimizer_keys.sort_by_key(|k| k.slot);
+        let record = ModelRecord {
+            graph: Arc::new(req.graph),
+            owner_map: req.owner_map,
+            parent: req.parent,
+            quality: req.quality,
+            timestamp: req.timestamp,
+            optimizer_keys,
+        };
+        self.persist_record(req.model, &record);
+        self.mutate_catalog(|c| c.insert(req.model, record));
+        Ok(SyncModelReply {
+            applied: true,
+            tensors_stored,
+        })
+    }
+
+    /// Assemble at most [`DELTA_PROBE_LEN`] head bytes of a chunked
+    /// record from its leading chunks — `provided` payloads first, the
+    /// local chunk store second — and return the record's delta header
+    /// (`None` for raw records). Framing is validated without ever
+    /// assembling the record.
+    fn probe_chunked_framing(
+        &self,
+        key: TensorKey,
+        total: u64,
+        hashes: &[[u8; 16]],
+        provided: &HashMap<u128, Bytes>,
+    ) -> Result<Option<DeltaHeader>, String> {
+        let mut prefix = BytesMut::new();
+        for hb in hashes {
+            if prefix.len() >= DELTA_PROBE_LEN || prefix.len() as u64 >= total {
+                break;
+            }
+            let h = wire_hash(hb);
+            let chunk = match provided.get(&h.0) {
+                Some(c) => c.clone(),
+                None => match self.tensors.backend().chunk_fetch(h) {
+                    Some(Ok(c)) => c,
+                    Some(Err(_)) | None => {
+                        return Err(format!(
+                            "record {key}: head chunk {:032x} unavailable for framing validation",
+                            h.0
+                        ))
+                    }
+                },
+            };
+            prefix.extend_from_slice(&chunk);
+        }
+        if !is_delta(&prefix) {
+            return Ok(None);
+        }
+        delta_probe(&prefix, total as usize)
+            .map(Some)
+            .map_err(|e| format!("record {key}: {e}"))
+    }
+
+    /// Handle a transfer-manifest request (sync source side): describe
+    /// how each record's *stored* bytes decompose into content-addressed
+    /// chunks and delta linkage, without materializing anything — the
+    /// opening move of a chunk-negotiated sync.
+    pub fn handle_transfer_manifest(
+        &self,
+        req: TransferManifestRequest,
+    ) -> Result<TransferManifestReply, String> {
+        let chunk = self.tensors.backend().chunk_stats();
+        let (chunked, chunk_size) = match &chunk {
+            Some(s) => (true, s.chunk_size),
+            None => (false, 0),
+        };
+        let no_push = HashMap::new();
+        let mut records = Vec::with_capacity(req.keys.len());
+        for key in &req.keys {
+            let enc = key.encode();
+            let rec = match self.tensors.backend().chunk_listing(&enc) {
+                Some(Ok((total, hashes))) => {
+                    let wire: Vec<[u8; 16]> = hashes.iter().map(|h| h.to_bytes()).collect();
+                    let head = self.probe_chunked_framing(*key, total as u64, &wire, &no_push)?;
+                    let (delta_base, delta_depth) = delta_linkage(*key, head)?;
+                    TransferRecord {
+                        key: *key,
+                        total: total as u64,
+                        hashes: wire,
+                        delta_base,
+                        delta_depth,
+                    }
+                }
+                Some(Err(_)) => return Err(format!("tensor {key} not stored")),
+                None => {
+                    // Whole layout: no chunk negotiation, but the delta
+                    // linkage still drives the delta-preserving leg.
+                    let stored = self
+                        .tensors
+                        .get(&enc)
+                        .map_err(|_| format!("tensor {key} not stored"))?;
+                    let head = if is_delta(&stored) {
+                        Some(delta_header(&stored).map_err(|e| format!("tensor {key}: {e}"))?)
+                    } else {
+                        None
+                    };
+                    let (delta_base, delta_depth) = delta_linkage(*key, head)?;
+                    TransferRecord {
+                        key: *key,
+                        total: stored.len() as u64,
+                        hashes: Vec::new(),
+                        delta_base,
+                        delta_depth,
+                    }
+                }
+            };
+            records.push(rec);
+        }
+        Ok(TransferManifestReply {
+            chunked,
+            chunk_size,
+            records,
+        })
+    }
+
+    /// Handle a possession probe (sync target side): which of the
+    /// offered chunks — and record keys, for delta-base fencing — are
+    /// already held here.
+    pub fn handle_have_chunks(&self, req: HaveChunksRequest) -> Result<HaveChunksReply, String> {
+        let chunk = self.tensors.backend().chunk_stats();
+        let (chunked, chunk_size) = match &chunk {
+            Some(s) => (true, s.chunk_size),
+            None => (false, 0),
+        };
+        let hashes: Vec<ContentHash> = req.hashes.iter().map(wire_hash).collect();
+        let have_chunks = self
+            .tensors
+            .backend()
+            .chunk_probe(&hashes)
+            .unwrap_or_else(|| vec![false; hashes.len()]);
+        let have_records = req
+            .keys
+            .iter()
+            .map(|k| self.tensors.contains(&k.encode()))
+            .collect();
+        self.transfer_chunks_offered
+            .fetch_add(req.hashes.len() as u64, Ordering::Relaxed);
+        self.transfer_chunks_skipped.fetch_add(
+            have_chunks.iter().filter(|b| **b).count() as u64,
+            Ordering::Relaxed,
+        );
+        Ok(HaveChunksReply {
+            chunked,
+            chunk_size,
+            have_chunks,
+            have_records,
+        })
+    }
+
+    /// Handle a chunk read (sync source side): the requested chunk
+    /// payloads, by content hash, as one vectored bulk region of shared
+    /// buffers (the caller releases it).
+    pub fn handle_read_chunks(&self, req: ReadChunksRequest) -> Result<ReadChunksReply, String> {
+        let mut lens = Vec::with_capacity(req.hashes.len());
+        let mut segments = Vec::with_capacity(req.hashes.len());
+        for hb in &req.hashes {
+            let h = wire_hash(hb);
+            let chunk = match self.tensors.backend().chunk_fetch(h) {
+                Some(Ok(c)) => c,
+                Some(Err(e)) => return Err(format!("chunk {:032x}: {e}", h.0)),
+                None => return Err("store is not content-addressed".into()),
+            };
+            lens.push(chunk.len() as u64);
+            segments.push(chunk);
+        }
+        evostore_obs::ledger::add_bytes_out(lens.iter().sum());
+        evostore_obs::ledger::add_chunks_touched(segments.len() as u64);
+        self.transfer_chunks_sent
+            .fetch_add(segments.len() as u64, Ordering::Relaxed);
+        self.bulk_segments_exposed
+            .fetch_add(segments.len() as u64, Ordering::Relaxed);
+        let bulk = self.fabric.bulk_expose_vec(segments);
+        Ok(ReadChunksReply { lens, bulk: bulk.0 })
+    }
+
+    /// Handle a chunk-negotiated, delta-preserving model sync: install
+    /// the record from transfer manifests plus only the pushed
+    /// (receiver-missing) chunks. Tensors are never materialized on
+    /// either side; delta-encoded records arrive verbatim with their
+    /// reclaim fencing registered. Staleness rules match
+    /// [`ProviderState::handle_sync_model`]; any validation failure
+    /// leaves the driver to fall back to a materialized sync.
+    pub fn handle_sync_chunks(&self, req: SyncChunksRequest) -> Result<SyncChunksReply, String> {
+        if !self.places_here(req.model) {
+            return Err(format!(
+                "model {} does not place on provider {}",
+                req.model, self.index
+            ));
+        }
+        if req.pushed.len() != req.lens.len() {
+            return Err("pushed/lens length mismatch".into());
+        }
+        if let Some((ts, opt_len)) = self
+            .catalog
+            .read()
+            .records
+            .get(&req.model)
+            .map(|r| (r.timestamp, r.optimizer_keys.len()))
+        {
+            let req_opt = req
+                .records
+                .iter()
+                .filter(|e| e.key.vertex.0 == u32::MAX)
+                .count();
+            if ts > req.timestamp || (ts == req.timestamp && opt_len >= req_opt) {
+                return Ok(SyncChunksReply {
+                    applied: false,
+                    records_stored: 0,
+                    bytes_saved: 0,
+                });
+            }
+        }
+        let region = self
+            .fabric
+            .bulk_get_vec(evostore_rpc::BulkHandle(req.bulk))
+            .map_err(|e| format!("bulk pull failed: {e}"))?;
+        evostore_obs::ledger::add_bytes_in(region.len() as u64);
+        evostore_obs::ledger::add_chunks_touched(req.pushed.len() as u64);
+        // Frame and content-verify every pushed chunk before touching
+        // any state: a malformed push can never leave partially-stored
+        // records.
+        let mut provided: HashMap<u128, Bytes> = HashMap::with_capacity(req.pushed.len());
+        let mut off = 0usize;
+        for (hb, len) in req.pushed.iter().zip(&req.lens) {
+            let len = *len as usize;
+            let chunk = region.slice(off, len).ok_or_else(|| {
+                format!(
+                    "pushed chunk out of bulk bounds ({off} + {len} > {})",
+                    region.len()
+                )
+            })?;
+            off += len;
+            let h = wire_hash(hb);
+            if ContentHash::of_bytes(&chunk) != h {
+                return Err(format!("pushed chunk {:032x} fails its content hash", h.0));
+            }
+            provided.insert(h.0, chunk);
+        }
+        // Validate every record's claimed delta linkage from its head
+        // chunk — available pre-insert from the push or the local chunk
+        // store — so a lying manifest can never install a delta record
+        // without its reclaim fencing.
+        let incoming: std::collections::HashSet<TensorKey> =
+            req.records.iter().map(|r| r.key).collect();
+        let mut delta_raw_len: HashMap<TensorKey, u64> = HashMap::new();
+        for rec in &req.records {
+            let head = self.probe_chunked_framing(rec.key, rec.total, &rec.hashes, &provided)?;
+            if let Some(h) = &head {
+                delta_raw_len.insert(rec.key, h.raw_len as u64);
+            }
+            match (head, rec.delta_base) {
+                (None, None) => {}
+                (None, Some(_)) => {
+                    return Err(format!(
+                        "record {}: manifest claims a delta base for a raw record",
+                        rec.key
+                    ))
+                }
+                (Some(_), None) => {
+                    return Err(format!(
+                        "record {}: manifest omits the stored delta's base",
+                        rec.key
+                    ))
+                }
+                (Some(h), Some(base)) => {
+                    if !self.delta.enabled {
+                        return Err(format!(
+                            "record {}: delta record shipped to a delta-disabled provider",
+                            rec.key
+                        ));
+                    }
+                    if h.base_key != base.encode() || h.depth != rec.delta_depth {
+                        return Err(format!(
+                            "record {}: manifest disagrees with the stored delta header",
+                            rec.key
+                        ));
+                    }
+                    if !self.tensors.contains(&h.base_key) && !incoming.contains(&base) {
+                        return Err(format!(
+                            "record {}: delta base {base} not present on the target",
+                            rec.key
+                        ));
+                    }
+                }
+            }
+        }
+        // Replace a stale record (an older incarnation under the same
+        // id); its private optimizer copies go with it.
+        if let Some(old) = self.mutate_catalog(|c| c.remove(req.model)) {
+            for key in &old.optimizer_keys {
+                let enc = key.encode();
+                if self.tensors.refs(&enc) == 1 {
+                    let _ = self.before_reclaim(&enc);
+                }
+                let _ = self.tensors.decr(&enc);
+            }
+        }
+        let kv = self.kv_span("kv.sync_chunks");
+        let mut records_stored = 0usize;
+        let mut bytes_needed = 0u64;
+        for rec in &req.records {
+            let enc = rec.key.encode();
+            // Already-present records keep their count: the refs sync
+            // that follows installs the authoritative values.
+            if self.tensors.contains(&enc) {
+                continue;
+            }
+            let hashes: Vec<ContentHash> = rec.hashes.iter().map(wire_hash).collect();
+            match self
+                .tensors
+                .put_chunked(&enc, rec.total as usize, &hashes, &provided, 1)
+            {
+                Some(Ok(())) => {}
+                Some(Err(e)) => return Err(format!("sync record {}: {e}", rec.key)),
+                None => return Err("target store is not content-addressed".into()),
+            }
+            if let Some(base) = rec.delta_base {
+                self.delta_deps
+                    .lock()
+                    .entry(base.encode().to_vec())
+                    .or_default()
+                    .push(enc.to_vec());
+                self.delta_stored.fetch_add(1, Ordering::Relaxed);
+                self.transfer_deltas_shipped.fetch_add(1, Ordering::Relaxed);
+            }
+            // What a materialized sync would have moved for this record:
+            // the reconstructed length for deltas, the record itself
+            // otherwise. The pushed region is what actually moved.
+            bytes_needed += delta_raw_len.get(&rec.key).copied().unwrap_or(rec.total);
+            records_stored += 1;
+        }
+        drop(kv);
+        let bytes_saved = bytes_needed.saturating_sub(region.len() as u64);
+        self.transfer_bytes_saved
+            .fetch_add(bytes_saved, Ordering::Relaxed);
+        self.clock.fetch_max(req.timestamp + 1, Ordering::Relaxed);
+        let mut optimizer_keys: Vec<TensorKey> = req
+            .records
+            .iter()
+            .map(|e| e.key)
+            .filter(|k| k.vertex.0 == u32::MAX)
+            .collect();
+        optimizer_keys.sort_by_key(|k| k.slot);
+        let record = ModelRecord {
+            graph: Arc::new(req.graph),
+            owner_map: req.owner_map,
+            parent: req.parent,
+            quality: req.quality,
+            timestamp: req.timestamp,
+            optimizer_keys,
+        };
+        self.persist_record(req.model, &record);
+        self.mutate_catalog(|c| c.insert(req.model, record));
+        Ok(SyncChunksReply {
+            applied: true,
+            records_stored,
+            bytes_saved,
+        })
+    }
+
+    /// Handle a chunk-negotiated tensor fetch (delivery-plane peer
+    /// exchange): materialize each record, frame it at the caller's
+    /// granularity, and push only the chunks the caller does not already
+    /// hold — the chunking here is transient wire framing, so it works
+    /// over any storage layout.
+    pub fn handle_fetch_chunks(&self, req: FetchChunksRequest) -> Result<FetchChunksReply, String> {
+        if req.chunk_size == 0 {
+            return Err("chunk size must be positive".into());
+        }
+        let csize = req.chunk_size as usize;
+        let have: std::collections::HashSet<u128> =
+            req.have.iter().map(|b| wire_hash(b).0).collect();
+        let mut records = Vec::with_capacity(req.keys.len());
+        let mut pushed = Vec::new();
+        let mut lens = Vec::new();
+        let mut segments = Vec::new();
+        let mut pushed_set = std::collections::HashSet::new();
+        let (mut offered, mut skipped) = (0u64, 0u64);
+        for key in &req.keys {
+            if !self.places_here(key.owner) {
+                return Err(format!(
+                    "tensor {key} is not hosted by provider {}",
+                    self.index
+                ));
+            }
+            let raw = self
+                .resolve_record(&key.encode())
+                .map_err(|e| format!("tensor {key}: {e}"))?;
+            let mut hashes = Vec::with_capacity(raw.len().div_ceil(csize));
+            let mut at = 0usize;
+            while at < raw.len() {
+                let end = (at + csize).min(raw.len());
+                let chunk = raw.slice(at..end);
+                at = end;
+                let h = ContentHash::of_bytes(&chunk);
+                hashes.push(h.to_bytes());
+                offered += 1;
+                // Skip chunks the caller holds, and dedupe within the
+                // reply (identical chunks ship once).
+                if have.contains(&h.0) || !pushed_set.insert(h.0) {
+                    skipped += 1;
+                    continue;
+                }
+                pushed.push(h.to_bytes());
+                lens.push(chunk.len() as u64);
+                segments.push(chunk);
+            }
+            records.push(TransferRecord {
+                key: *key,
+                total: raw.len() as u64,
+                hashes,
+                delta_base: None,
+                delta_depth: 0,
+            });
+        }
+        evostore_obs::ledger::add_bytes_out(lens.iter().sum());
+        evostore_obs::ledger::add_chunks_touched(offered);
+        self.transfer_chunks_offered
+            .fetch_add(offered, Ordering::Relaxed);
+        self.transfer_chunks_skipped
+            .fetch_add(skipped, Ordering::Relaxed);
+        self.transfer_chunks_sent
+            .fetch_add(segments.len() as u64, Ordering::Relaxed);
+        self.bulk_segments_exposed
+            .fetch_add(segments.len() as u64, Ordering::Relaxed);
+        let bulk = self.fabric.bulk_expose_vec(segments);
+        Ok(FetchChunksReply {
+            records,
+            pushed,
+            lens,
+            bulk: bulk.0,
+        })
+    }
+
+    /// Handle a retirement sync: record each tombstone, drop any stale
+    /// record it covers, and fence the retirement's decrement leg so a
+    /// parked client decrement re-issued later deduplicates against the
+    /// absolute counts the refs sync installs.
+    pub fn handle_sync_retire(&self, req: SyncRetireRequest) -> Result<SyncRetireReply, String> {
+        let mut removed = 0usize;
+        for t in &req.tombstones {
+            self.record_tombstone(*t);
+            let covered = self
+                .catalog
+                .read()
+                .records
+                .get(&t.model)
+                .map(|r| r.timestamp <= t.record_timestamp)
+                .unwrap_or(false);
+            if covered {
+                if let Some(rec) = self.mutate_catalog(|c| c.remove(t.model)) {
+                    self.unpersist_record(t.model);
+                    self.meta_replies.remove(t.model);
+                    for key in &rec.optimizer_keys {
+                        let enc = key.encode();
+                        if self.tensors.refs(&enc) == 1 {
+                            let _ = self.before_reclaim(&enc);
+                        }
+                        let _ = self.tensors.decr(&enc);
+                    }
+                    removed += 1;
+                }
+            }
+            let fence = RefsRequest::retirement_op_id(t.model, t.record_timestamp, self.index);
+            self.refs_ops.lock().record(
+                fence,
+                RefsReply {
+                    applied: 0,
+                    reclaimed: 0,
+                },
+            );
+        }
+        Ok(SyncRetireReply { removed })
+    }
+}

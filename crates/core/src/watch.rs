@@ -27,20 +27,22 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::{Bytes, BytesMut};
-use evostore_deliver::wire::methods as deliver_methods;
 use evostore_deliver::{
     EventAck, EventKind, EventPush, ModelEvent, PeerFetchReply, PeerFetchRequest, SegmentEntry,
-    SubscribeReply, SubscribeRequest, SubscriptionFilter, UnsubscribeReply, UnsubscribeRequest,
+    SubscribeRequest, SubscriptionFilter, UnsubscribeRequest,
 };
 use evostore_kv::DEFAULT_CHUNK_SIZE;
 use evostore_obs::{current_trace, HistogramSummary, Metric, ObsHub, SloEngine, Tracer};
-use evostore_rpc::{typed_handler, unary, BulkHandle, Endpoint, EndpointId, Fabric, RetryPolicy};
+use evostore_rpc::{
+    unary, BulkHandle, Endpoint, EndpointId, Fabric, Method, RetryPolicy, RpcError,
+};
 use evostore_tensor::{read_tensor, write_tensor, ContentHash, ModelId, TensorData, TensorKey};
 use parking_lot::Mutex;
 
 use crate::cache::CachingClient;
 use crate::client::{EvoError, Result};
-use crate::messages::{methods as core_methods, FetchChunksReply, FetchChunksRequest};
+use crate::messages::FetchChunksRequest;
+use crate::methods;
 use crate::telemetry::LatencyHistogram;
 
 /// Watcher tuning knobs.
@@ -308,19 +310,13 @@ impl ModelWatcher {
         });
 
         let w = Arc::clone(&inner);
-        endpoint.register(
-            deliver_methods::EVENT,
-            typed_handler(move |push: EventPush| {
-                w.traced("deliver.apply", |w| w.handle_event(push))
-            }),
-        );
+        endpoint.serve(methods::Event, move |push| {
+            w.traced("deliver.apply", |w| w.handle_event(push))
+        });
         let w = Arc::clone(&inner);
-        endpoint.register(
-            deliver_methods::FETCH,
-            typed_handler(move |req: PeerFetchRequest| {
-                w.traced("deliver.fetch", |w| Ok(w.handle_peer_fetch(req)))
-            }),
-        );
+        endpoint.serve(methods::PeerFetch, move |req| {
+            w.traced(methods::PeerFetch::METHOD, |w| Ok(w.handle_peer_fetch(req)))
+        });
 
         if let Some(hub) = obs {
             let node = format!("watcher{self_ep}");
@@ -403,6 +399,17 @@ impl WatcherInner {
         out
     }
 
+    /// One untraced typed call from this watcher's endpoint.
+    fn call<M: Method>(
+        &self,
+        target: EndpointId,
+        method: M,
+        req: &M::Request,
+        retry: &RetryPolicy,
+    ) -> std::result::Result<M::Reply, RpcError> {
+        unary(&self.fabric, target, method, req, retry, None, None)
+    }
+
     // ---- subscription lifecycle -----------------------------------------
 
     fn subscribe_all(self: &Arc<Self>) -> Result<()> {
@@ -419,14 +426,7 @@ impl WatcherInner {
             queue_capacity: self.cfg.queue_capacity,
             replay_after,
         };
-        let reply: SubscribeReply = unary(
-            &self.fabric,
-            provider,
-            deliver_methods::SUBSCRIBE,
-            &req,
-            &self.retry,
-            None,
-        )?;
+        let reply = self.call(provider, methods::Subscribe, &req, &self.retry)?;
         self.subs.lock().insert(
             provider.0,
             SubCursor {
@@ -446,13 +446,11 @@ impl WatcherInner {
     fn resubscribe(&self, provider: u32, replay_from: u64) {
         let old = self.subs.lock().remove(&provider);
         if let Some(c) = old {
-            let _ = unary::<_, UnsubscribeReply>(
-                &self.fabric,
+            let _ = self.call(
                 EndpointId(provider),
-                deliver_methods::UNSUBSCRIBE,
+                methods::Unsubscribe,
                 &UnsubscribeRequest { sub_id: c.sub_id },
                 &self.peer_retry,
-                None,
             );
         }
         if let Err(e) = self.subscribe_to(EndpointId(provider), Some(replay_from)) {
@@ -468,13 +466,11 @@ impl WatcherInner {
             .map(|(&p, c)| (p, c.sub_id))
             .collect();
         for (provider, sub_id) in subs {
-            let _ = unary::<_, UnsubscribeReply>(
-                &self.fabric,
+            let _ = self.call(
                 EndpointId(provider),
-                deliver_methods::UNSUBSCRIBE,
+                methods::Unsubscribe,
                 &UnsubscribeRequest { sub_id },
                 &self.peer_retry,
-                None,
             );
         }
         let served: Vec<ServedModel> = self.served.lock().drain().map(|(_, s)| s).collect();
@@ -722,17 +718,15 @@ impl WatcherInner {
         let mut wire_bytes = 0u64;
         let mut reused_bytes = 0u64;
         for (ep, keys) in groups {
-            let reply: FetchChunksReply = match unary(
-                &self.fabric,
+            let reply = match self.call(
                 EndpointId(ep),
-                core_methods::FETCH_CHUNKS,
+                methods::FetchChunks,
                 &FetchChunksRequest {
                     keys,
                     chunk_size: csize as u64,
                     have: have_hashes.clone(),
                 },
                 &self.retry,
-                None,
             ) {
                 Ok(r) => r,
                 Err(_) => return false,
@@ -847,14 +841,7 @@ impl WatcherInner {
         let req = PeerFetchRequest { model };
         let mut reply: Option<PeerFetchReply> = None;
         for _ in 0..self.cfg.peer_poll_attempts.max(1) {
-            let r: PeerFetchReply = unary(
-                &self.fabric,
-                EndpointId(peer),
-                deliver_methods::FETCH,
-                &req,
-                &self.peer_retry,
-                None,
-            )?;
+            let r = self.call(EndpointId(peer), methods::PeerFetch, &req, &self.peer_retry)?;
             if r.ready {
                 reply = Some(r);
                 break;

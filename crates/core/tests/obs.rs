@@ -6,15 +6,18 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use evostore_core::messages::methods;
+use evostore_core::methods;
 use evostore_core::{Deployment, DeploymentConfig, EvoStoreClient};
 use evostore_graph::{flatten, Activation, Architecture, CompactGraph, LayerConfig, LayerKind};
 use evostore_obs::{FlightEvent, FlightRecorder, SpanRecord, TimeSource};
-use evostore_rpc::{FaultAction, FaultPlan, FaultRule};
+use evostore_rpc::{FaultAction, FaultPlan, FaultRule, Method};
 use evostore_sim::{SimClock, SimTime};
 use evostore_tensor::ModelId;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+
+const READ: &str = methods::Read::METHOD;
+const STORE: &str = methods::Store::METHOD;
 
 fn seq(units: &[u32]) -> CompactGraph {
     let mut a = Architecture::new("seq");
@@ -82,7 +85,7 @@ fn fetch_with_one_timeout(dep: &Deployment, seed: u64) -> EvoStoreClient {
     dep.fabric().install_fault_plan(
         FaultPlan::new(0).rule(
             FaultRule::new(FaultAction::Timeout)
-                .on_method(methods::READ)
+                .on_method(READ)
                 .first(1),
         ),
     );
@@ -111,7 +114,7 @@ fn fetch_trace_covers_retry_attempts_and_provider_kv() {
 
     let attempts: Vec<&SpanRecord> = client_spans
         .iter()
-        .filter(|s| s.name == methods::READ && s.trace_id == root.trace_id)
+        .filter(|s| s.name == READ && s.trace_id == root.trace_id)
         .collect();
     assert_eq!(attempts.len(), 2, "one timed-out attempt plus the retry");
     assert_eq!(attempts.iter().filter(|s| !s.is_ok()).count(), 1);
@@ -126,9 +129,7 @@ fn fetch_trace_covers_retry_attempts_and_provider_kv() {
     let all = all_spans(&dep);
     let handler = all
         .iter()
-        .find(|s| {
-            s.name == methods::READ && s.node.starts_with("provider") && s.trace_id == root.trace_id
-        })
+        .find(|s| s.name == READ && s.node.starts_with("provider") && s.trace_id == root.trace_id)
         .expect("provider handler span in the client's trace");
     assert!(handler.endpoint.is_some());
     let ok_attempt = attempts.iter().find(|s| s.is_ok()).unwrap();
@@ -172,7 +173,7 @@ fn spans_stamp_from_the_virtual_clock_under_simulation() {
     dep.fabric().install_fault_plan(
         FaultPlan::new(0).rule(
             FaultRule::new(FaultAction::Timeout)
-                .on_method(methods::READ)
+                .on_method(READ)
                 .first(1),
         ),
     );
@@ -186,7 +187,7 @@ fn spans_stamp_from_the_virtual_clock_under_simulation() {
         .expect("fetch root span");
     let attempts: Vec<&SpanRecord> = client_spans
         .iter()
-        .filter(|s| s.name == methods::READ && s.trace_id == root.trace_id)
+        .filter(|s| s.name == READ && s.trace_id == root.trace_id)
         .collect();
     assert_eq!(attempts.len(), 2);
     for s in std::iter::once(&root).chain(attempts.iter()) {
@@ -195,9 +196,7 @@ fn spans_stamp_from_the_virtual_clock_under_simulation() {
     }
     let handler = all_spans(&dep)
         .into_iter()
-        .find(|s| {
-            s.name == methods::READ && s.node.starts_with("provider") && s.trace_id == root.trace_id
-        })
+        .find(|s| s.name == READ && s.node.starts_with("provider") && s.trace_id == root.trace_id)
         .expect("provider handler span");
     assert_eq!(handler.start_us, 6_500_000);
     assert_eq!(handler.end_us, 6_500_000);
@@ -412,7 +411,7 @@ fn slow_ops_are_retained_with_their_breakdown() {
         .find(|op| op.root.name == "store_model")
         .expect("store retained at threshold zero");
     assert!(
-        store.children.iter().any(|c| c.name == methods::STORE),
+        store.children.iter().any(|c| c.name == STORE),
         "breakdown includes the store RPC attempt"
     );
 }
@@ -489,11 +488,11 @@ fn p99_exemplar_joins_to_the_complete_span_tree() {
 
     let attempt = spans
         .iter()
-        .find(|s| s.name == methods::READ && s.parent_span_id == root.span_id)
+        .find(|s| s.name == READ && s.parent_span_id == root.span_id)
         .expect("attempt span under the root");
     let handler = spans
         .iter()
-        .find(|s| s.name == methods::READ && s.parent_span_id == attempt.span_id)
+        .find(|s| s.name == READ && s.parent_span_id == attempt.span_id)
         .expect("provider handler span under the attempt");
     let kv = spans
         .iter()
@@ -561,7 +560,7 @@ fn client_ops_feed_the_slo_engine_and_ledger() {
     let read = dep
         .provider_states()
         .iter()
-        .filter_map(|s| s.ledger().entry(methods::READ))
+        .filter_map(|s| s.ledger().entry(READ))
         .max_by_key(|e| e.bytes_out)
         .expect("a provider served the READ");
     assert!(read.ops >= 1);

@@ -5,10 +5,11 @@
 use std::collections::HashMap;
 use std::time::Duration;
 
-use evostore_core::messages::{methods, RefsRequest};
+use evostore_core::messages::RefsRequest;
+use evostore_core::methods;
 use evostore_core::{trained_tensors, Deployment, EvoError, EvoStoreClient, OwnerMap};
 use evostore_graph::{flatten, Activation, Architecture, CompactGraph, LayerConfig, LayerKind};
-use evostore_rpc::{FaultAction, FaultPlan, FaultRule, RpcError};
+use evostore_rpc::{FaultAction, FaultPlan, FaultRule, Method, RpcError};
 use evostore_tensor::ModelId;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -306,7 +307,7 @@ fn retirement_decrements_apply_once_under_dropped_replies() {
     dep.fabric().install_fault_plan(
         FaultPlan::new(0).rule(
             FaultRule::new(FaultAction::DropReply)
-                .on_method(methods::DECR_REFS)
+                .on_method(methods::DecrRefs::METHOD)
                 .first(2),
         ),
     );

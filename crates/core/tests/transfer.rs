@@ -11,14 +11,14 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::time::Duration;
 
 use bytes::Bytes;
-use evostore_core::messages::methods;
+use evostore_core::methods;
 use evostore_core::{
     random_tensors, BackendKind, CachingClient, Deployment, DeploymentConfig, ModelWatcher,
     OwnerMap, ReplicationPolicy, StorePolicy, WatchConfig, WatchStats,
 };
 use evostore_deliver::{EventKind, SubscriptionFilter};
 use evostore_graph::{flatten, Activation, Architecture, CompactGraph, LayerConfig, LayerKind};
-use evostore_rpc::{FaultAction, FaultPlan, FaultRule};
+use evostore_rpc::{FaultAction, FaultPlan, FaultRule, Method};
 use evostore_tensor::{write_tensor, ModelId, TensorData, TensorKey};
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -140,7 +140,7 @@ fn churn_plane(
     let mirror = dep.provider_ids()[2];
     let plan = dep
         .fabric()
-        .install_fault_plan(plane_faults(negotiated, methods::TRANSFER_MANIFEST));
+        .install_fault_plan(plane_faults(negotiated, methods::TransferManifest::METHOD));
     plan.set_down(mirror);
 
     let mut children = Vec::new();
@@ -456,7 +456,7 @@ fn interleaved_plane(
     let mirror = dep.provider_ids()[2];
     let plan = dep
         .fabric()
-        .install_fault_plan(plane_faults(negotiated, methods::TRANSFER_MANIFEST));
+        .install_fault_plan(plane_faults(negotiated, methods::TransferManifest::METHOD));
     plan.set_down(mirror);
 
     for step in steps {
@@ -581,7 +581,7 @@ fn watched_release(exchange_ok: bool) -> WatchedRelease {
     });
     let plan = dep
         .fabric()
-        .install_fault_plan(plane_faults(exchange_ok, methods::FETCH_CHUNKS));
+        .install_fault_plan(plane_faults(exchange_ok, methods::FetchChunks::METHOD));
     let g = seq(&[8, 64, 64, 8]);
     let mut rng = ChaCha8Rng::seed_from_u64(91);
     let parent = ModelId(1);

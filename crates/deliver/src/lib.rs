@@ -16,7 +16,8 @@
 //!   subscribers of one release, giving every subscriber an upstream
 //!   *fetch chain* (tree parent, grandparent, ..., provider) so one
 //!   release costs ~O(log N) provider egress instead of O(N);
-//! - [`wire`] — the `deliver.*` RPC messages and method names;
+//! - [`wire`] — the `deliver.*` RPC messages (their method names are
+//!   bound to them in `evostore-core`'s method table);
 //! - [`DeliverMetrics`] / [`DeliverStats`] — the provider-side counter
 //!   block surfaced through `ProviderStats` and the ObsHub registry.
 //!
@@ -35,6 +36,6 @@ pub use filter::SubscriptionFilter;
 pub use metrics::{DeliverMetrics, DeliverStats};
 pub use tree::BroadcastTree;
 pub use wire::{
-    methods, EventAck, EventPush, PeerFetchReply, PeerFetchRequest, SegmentEntry, SubscribeReply,
+    EventAck, EventPush, PeerFetchReply, PeerFetchRequest, SegmentEntry, SubscribeReply,
     SubscribeRequest, UnsubscribeReply, UnsubscribeRequest,
 };

@@ -13,19 +13,6 @@ use serde::{Deserialize, Serialize};
 use crate::event::ModelEvent;
 use crate::filter::SubscriptionFilter;
 
-/// Method names of the delivery plane.
-pub mod methods {
-    /// Register a subscription (client -> provider).
-    pub const SUBSCRIBE: &str = "deliver.subscribe";
-    /// Drop a subscription (client -> provider).
-    pub const UNSUBSCRIBE: &str = "deliver.unsubscribe";
-    /// Push queued events (provider -> subscriber).
-    pub const EVENT: &str = "deliver.event";
-    /// Fetch a model's serialized weights from a peer subscriber
-    /// (subscriber -> subscriber).
-    pub const FETCH: &str = "deliver.fetch";
-}
-
 /// Register interest in catalog changes on one provider.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SubscribeRequest {

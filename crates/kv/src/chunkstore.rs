@@ -31,7 +31,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use bytes::{BufMut, Bytes, BytesMut};
-use evostore_tensor::{fnv1a128, ContentHash};
+use evostore_tensor::{checksum64, ContentHash};
 use parking_lot::Mutex;
 
 use crate::api::{KvBackend, KvError};
@@ -107,7 +107,7 @@ fn encode_manifest(total: usize, hashes: &[ContentHash]) -> Bytes {
     for h in hashes {
         buf.extend_from_slice(&h.to_bytes());
     }
-    let check = fnv1a128(&buf[4..]) as u64;
+    let check = checksum64(&buf[4..]);
     buf.put_u64_le(check);
     buf.freeze()
 }
@@ -132,7 +132,7 @@ fn decode_manifest(bytes: &[u8]) -> Result<(usize, Vec<ContentHash>), KvError> {
         return Err(corrupt("length disagrees with chunk count"));
     }
     let check = u64::from_le_bytes(bytes[body_end..].try_into().unwrap());
-    if fnv1a128(&bytes[4..body_end]) as u64 != check {
+    if checksum64(&bytes[4..body_end]) != check {
         return Err(corrupt("checksum mismatch"));
     }
     let hashes = bytes[MANIFEST_HEADER..body_end]

@@ -16,13 +16,14 @@
 //!   split into fixed-size chunks keyed by 128-bit content hash, so
 //!   byte-identical chunks are stored once and reference counted;
 //! * [`FannedLogStore`] — a [`LogStore`] fanned into a 16 x 16 hash
-//!   directory tree, the on-disk layout for chunk-addressed data;
-//! * [`TensorStore`] — the record-keyed logical facade provider handlers
-//!   call instead of reaching at [`KvBackend`] directly.
+//!   directory tree, the on-disk layout for chunk-addressed data.
+//!
+//! Providers hold a `RefCountedStore<Box<dyn KvBackend>>` and call it
+//! directly; physical layering (chunking, residency tiers) stays behind
+//! [`KvBackend`].
 
 pub mod api;
 pub mod chunkstore;
-pub mod facade;
 pub mod fanned;
 pub mod logstore;
 pub mod mempool;
@@ -32,7 +33,6 @@ pub mod tiered;
 
 pub use api::{KvBackend, KvError};
 pub use chunkstore::{ChunkStats, ChunkedStore, DEFAULT_CHUNK_SIZE};
-pub use facade::TensorStore;
 pub use fanned::FannedLogStore;
 pub use logstore::LogStore;
 pub use mempool::MemPoolStore;

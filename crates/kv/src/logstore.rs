@@ -15,7 +15,7 @@
 //! vlen   u32  (u32::MAX = tombstone)
 //! key    klen bytes
 //! value  vlen bytes (absent for tombstones)
-//! crc    u64  fnv1a128(key ++ value).low64
+//! crc    u64  checksum64(key ++ value)
 //! ```
 
 use std::collections::HashMap;
@@ -290,12 +290,8 @@ impl Inner {
         if let Some(v) = value {
             rec.extend_from_slice(v);
         }
-        let mut h = evostore_tensor::Fnv128::new();
-        h.update(key);
-        if let Some(v) = value {
-            h.update(v);
-        }
-        rec.extend_from_slice(&(h.finish().0 as u64).to_le_bytes());
+        let crc = evostore_tensor::checksum64_parts([key].into_iter().chain(value));
+        rec.extend_from_slice(&crc.to_le_bytes());
 
         // Arc<File> write: append mode keeps this atomic per record at the
         // OS level; we additionally serialize through the Inner mutex.
@@ -408,10 +404,7 @@ fn parse_record(buf: &[u8]) -> Result<ParsedRecord<'_>, String> {
             .try_into()
             .map_err(|_| "short crc".to_string())?,
     );
-    let mut h = evostore_tensor::Fnv128::new();
-    h.update(key);
-    h.update(value);
-    if h.finish().0 as u64 != crc {
+    if evostore_tensor::checksum64_parts([key, value]) != crc {
         return Err("crc mismatch".into());
     }
     Ok((key, if tomb { None } else { Some(value) }, need))

@@ -410,4 +410,92 @@ mod tests {
         assert!(s.contains(b"shared"));
         s.audit().unwrap();
     }
+
+    /// The wrapper must behave identically over a plain and a chunked
+    /// physical layer.
+    fn exercise<B: KvBackend>(store: &RefCountedStore<B>) {
+        store.put(b"k1", Bytes::from(vec![1u8; 100]), 1).unwrap();
+        store.put(b"k2", Bytes::from(vec![1u8; 100]), 2).unwrap();
+        assert_eq!(store.get(b"k1").unwrap().len(), 100);
+        assert!(store.contains(b"k2"));
+        assert_eq!(store.len(), 2);
+        assert_eq!(store.incr(b"k1").unwrap(), 2);
+        assert_eq!(store.decr(b"k1").unwrap(), 1);
+        assert_eq!(store.refs(b"k1"), 1);
+        store.audit().unwrap();
+
+        // Segments (or the get fallback) must reproduce the record.
+        let flat: Vec<u8> = match store.get_segments(b"k1") {
+            Some(segs) => segs.iter().flat_map(|s| s.to_vec()).collect(),
+            None => store.get(b"k1").unwrap().to_vec(),
+        };
+        assert_eq!(flat, vec![1u8; 100]);
+
+        store.replace(b"k1", Bytes::from(vec![9u8; 40])).unwrap();
+        assert_eq!(store.refs(b"k1"), 1);
+        assert_eq!(store.get(b"k1").unwrap(), Bytes::from(vec![9u8; 40]));
+
+        assert_eq!(store.decr(b"k1").unwrap(), 0);
+        assert!(!store.contains(b"k1"));
+        let mut seen = Vec::new();
+        store.backend().for_each_key(&mut |k| seen.push(k.to_vec()));
+        assert_eq!(seen, vec![b"k2".to_vec()]);
+        store.audit().unwrap();
+    }
+
+    #[test]
+    fn wrapper_over_plain_backend() {
+        let s = store();
+        exercise(&s);
+        assert!(s.backend().chunk_stats().is_none());
+        assert!(s.backend().metrics_snapshot().is_some());
+    }
+
+    #[test]
+    fn wrapper_over_chunked_backend() {
+        let s = RefCountedStore::new(crate::ChunkedStore::open(MemPoolStore::new(), 32).unwrap());
+        exercise(&s);
+        let stats = s.backend().chunk_stats().unwrap();
+        assert_eq!(stats.manifests, 1);
+        assert!(stats.dedup_hits > 0, "identical values must dedup");
+    }
+
+    #[test]
+    fn wrapper_over_boxed_backend() {
+        let backend: Box<dyn KvBackend> =
+            Box::new(crate::ChunkedStore::open(MemPoolStore::new(), 32).unwrap());
+        let s = RefCountedStore::new(backend);
+        exercise(&s);
+        assert!(s.backend().chunk_stats().is_some());
+
+        // The chunk-transfer surface passes through the boxed layering.
+        s.put(b"src", Bytes::from(vec![7u8; 64]), 1).unwrap();
+        let (total, hashes) = s.backend().chunk_listing(b"src").unwrap().unwrap();
+        assert_eq!(total, 64);
+        assert_eq!(
+            s.backend().chunk_probe(&hashes).unwrap(),
+            vec![true; hashes.len()]
+        );
+        let chunk = s.backend().chunk_fetch(hashes[0]).unwrap().unwrap();
+        assert_eq!(chunk.len(), 32);
+        // All chunks already held: the manifest insert ships zero bytes.
+        s.put_chunked(b"copy", total, &hashes, &HashMap::new(), 1)
+            .unwrap()
+            .unwrap();
+        assert_eq!(s.get(b"copy").unwrap(), Bytes::from(vec![7u8; 64]));
+        s.audit().unwrap();
+    }
+
+    #[test]
+    fn chunk_transfer_surface_declines_on_whole_layout() {
+        let s = store();
+        s.put(b"k", Bytes::from(vec![1u8; 8]), 1).unwrap();
+        assert!(s.backend().chunk_probe(&[]).is_none());
+        assert!(s.backend().chunk_listing(b"k").is_none());
+        assert!(s
+            .backend()
+            .chunk_fetch(evostore_tensor::ContentHash::of_bytes(b"x"))
+            .is_none());
+        assert!(s.put_chunked(b"k2", 0, &[], &HashMap::new(), 1).is_none());
+    }
 }

@@ -23,29 +23,29 @@ pub fn decode<T: DeserializeOwned>(bytes: &[u8]) -> Result<T, RpcError> {
     serde_json::from_slice(bytes).map_err(|e| RpcError::Codec(e.to_string()))
 }
 
-/// Typed two-sided RPC — the raw, no-retry path.
-///
-/// Since the resilient redesign this is a shim over
-/// [`resilient::unary`](crate::resilient::unary) with
-/// [`RetryPolicy::no_retry`](crate::resilient::RetryPolicy::no_retry):
-/// one attempt, a generous 30 s deadline (so an injected reply loss
-/// surfaces as [`RpcError::Timeout`] instead of hanging forever), no
-/// metrics. Prefer the resilient surface for anything that should
-/// survive transient faults.
+/// Typed two-sided RPC by method string — the raw, no-retry path kept
+/// for callers outside the [`Method`](crate::method::Method) tables
+/// (the Redis-substitute baseline): one attempt under
+/// [`RetryPolicy::no_retry`](crate::resilient::RetryPolicy::no_retry)'s
+/// generous 30 s deadline (so an injected reply loss surfaces as
+/// [`RpcError::Timeout`] instead of hanging forever), no metrics.
 pub fn call_typed<Req: Serialize, Resp: DeserializeOwned>(
     fabric: &Fabric,
     target: EndpointId,
     method: &str,
     req: &Req,
 ) -> Result<Resp, RpcError> {
-    crate::resilient::unary(
+    let policy = crate::resilient::RetryPolicy::no_retry();
+    let reply = crate::resilient::call_with_retry(
         fabric,
         target,
         method,
-        req,
-        &crate::resilient::RetryPolicy::no_retry(),
+        encode(req)?,
+        &policy,
         None,
-    )
+        None,
+    )?;
+    decode(&reply)
 }
 
 /// Wrap a typed handler into the byte-level [`crate::fabric::Handler`]

@@ -429,7 +429,7 @@ impl Fabric {
     /// Two-sided RPC: block until the target's service threads produce a
     /// response.
     pub fn call(&self, target: EndpointId, method: &str, body: Bytes) -> Result<Bytes, RpcError> {
-        self.call_async(target, method, body)?
+        self.call_async(target, method, body, None)?
             .recv()
             .map_err(|_| RpcError::Disconnected)?
     }
@@ -438,20 +438,8 @@ impl Fabric {
     /// gives up with [`RpcError::Timeout`] when no reply lands within
     /// `deadline`. The resilient client paths use this exclusively — an
     /// injected [`FaultAction::DropReply`] would hang a plain `call`
-    /// forever.
+    /// forever. A `trace` context rides the request envelope.
     pub fn call_deadline(
-        &self,
-        target: EndpointId,
-        method: &str,
-        body: Bytes,
-        deadline: Duration,
-    ) -> Result<Bytes, RpcError> {
-        self.call_deadline_ctx(target, method, body, deadline, None)
-    }
-
-    /// [`Fabric::call_deadline`] with an explicit trace context riding
-    /// the request envelope.
-    pub fn call_deadline_ctx(
         &self,
         target: EndpointId,
         method: &str,
@@ -460,7 +448,7 @@ impl Fabric {
         trace: Option<TraceContext>,
     ) -> Result<Bytes, RpcError> {
         match self
-            .call_async_ctx(target, method, body, trace)?
+            .call_async(target, method, body, trace)?
             .recv_timeout(deadline)
         {
             Ok(result) => result,
@@ -470,24 +458,14 @@ impl Fabric {
     }
 
     /// Fire a request and return the reply channel — the building block of
-    /// the broadcast collective.
+    /// the broadcast collective. A `trace` context rides the request
+    /// envelope: the target's service thread installs it as the ambient
+    /// context around the handler.
     ///
     /// This is *the* dispatch boundary: when a fault plan is installed,
     /// it decides here whether the call is rejected (`Unavailable` /
     /// `Timeout`), delayed, or delivered with its reply marked for loss.
     pub fn call_async(
-        &self,
-        target: EndpointId,
-        method: &str,
-        body: Bytes,
-    ) -> Result<Receiver<Result<Bytes, RpcError>>, RpcError> {
-        self.call_async_ctx(target, method, body, None)
-    }
-
-    /// [`Fabric::call_async`] with an explicit trace context riding the
-    /// request envelope: the target's service thread installs it as the
-    /// ambient context around the handler.
-    pub fn call_async_ctx(
         &self,
         target: EndpointId,
         method: &str,
@@ -841,12 +819,18 @@ mod tests {
             Ok(Bytes::new())
         });
         assert_eq!(
-            fabric.call_deadline(ep.id(), "slow", Bytes::new(), Duration::from_millis(20)),
+            fabric.call_deadline(
+                ep.id(),
+                "slow",
+                Bytes::new(),
+                Duration::from_millis(20),
+                None,
+            ),
             Err(RpcError::Timeout)
         );
         // Generous deadline: same handler succeeds.
         assert!(fabric
-            .call_deadline(ep.id(), "slow", Bytes::new(), Duration::from_secs(5))
+            .call_deadline(ep.id(), "slow", Bytes::new(), Duration::from_secs(5), None)
             .is_ok());
     }
 
@@ -997,7 +981,13 @@ mod tests {
             crate::fault::FaultPlan::new(1).rule(FaultRule::new(FaultAction::DropReply).first(1)),
         );
         assert_eq!(
-            fabric.call_deadline(ep.id(), "echo", Bytes::new(), Duration::from_millis(100)),
+            fabric.call_deadline(
+                ep.id(),
+                "echo",
+                Bytes::new(),
+                Duration::from_millis(100),
+                None,
+            ),
             Err(RpcError::Timeout)
         );
         // The dropped leg's sender is parked on the fabric, not leaked.

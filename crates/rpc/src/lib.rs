@@ -10,18 +10,22 @@
 //! (errors, delays, reply loss, down endpoints) at the dispatch and
 //! bulk-read boundaries — opt-in, zero overhead when unused — and
 //! [`resilient`] is the policy-driven typed call surface (`unary`,
-//! `fan_out`, `broadcast`) with bounded-backoff retries, per-call
-//! deadlines and metrics.
+//! `unary_failover`, `fan_out`, `broadcast` — one function per shape,
+//! each taking an optional trace handle) with bounded-backoff retries,
+//! per-call deadlines and metrics. [`method`] declares each RPC once —
+//! wire name, request and reply bound in a [`Method`] marker — and the
+//! call shapes and [`Endpoint::serve`] are keyed by that marker.
 
 pub mod codec;
 pub mod fabric;
 pub mod fault;
+pub mod method;
 pub mod resilient;
 
 pub use codec::{call_typed, decode, encode, typed_handler};
 pub use fabric::{BulkHandle, Endpoint, EndpointId, Fabric, Handler, RpcError, SegmentedRegion};
 pub use fault::{FaultAction, FaultPlan, FaultRule, FaultStats, FaultWindow};
+pub use method::Method;
 pub use resilient::{
-    broadcast, broadcast_traced, fan_out, fan_out_traced, unary, unary_failover,
-    unary_failover_traced, unary_traced, LegResults, RetryPolicy, RpcMetrics, TraceHandle,
+    broadcast, fan_out, unary, unary_failover, LegResults, RetryPolicy, RpcMetrics, TraceHandle,
 };

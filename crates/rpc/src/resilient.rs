@@ -21,16 +21,15 @@ use evostore_obs::ledger::{
     add_failovers, add_queue_wait_us, add_retry, current_costs, install_costs,
 };
 use evostore_obs::{Span, TraceContext, Tracer};
-use serde::de::DeserializeOwned;
-use serde::Serialize;
 
 use crate::codec::{decode, encode};
 use crate::fabric::{EndpointId, Fabric, RpcError};
+use crate::method::Method;
 
 /// Where attempt spans of a traced call should hang: a tracer to open
 /// them on and the parent context (normally the client operation's root
-/// span). Every resilient shape has a `_traced` variant taking
-/// `Option<&TraceHandle>`; `None` keeps the untraced fast path.
+/// span). Every resilient shape takes `Option<&TraceHandle>`; `None`
+/// keeps the untraced fast path.
 #[derive(Debug, Clone, Copy)]
 pub struct TraceHandle<'a> {
     /// Tracer the attempt spans are opened on (the caller's node).
@@ -163,25 +162,29 @@ fn note_metrics(metrics: Option<&RpcMetrics>, f: impl FnOnce(&RpcMetrics)) {
     }
 }
 
+/// Charge `legs` retries to the metrics and the ambient op ledger, then
+/// sleep the back-off that precedes retry number `retry`.
+fn back_off(policy: &RetryPolicy, retry: u32, legs: usize, metrics: Option<&RpcMetrics>) {
+    note_metrics(metrics, |m| {
+        m.retries.fetch_add(legs as u64, Ordering::Relaxed);
+    });
+    for _ in 0..legs {
+        add_retry();
+    }
+    let backoff = policy.backoff(retry);
+    add_queue_wait_us(backoff.as_micros() as u64);
+    std::thread::sleep(backoff);
+}
+
 /// Retry loop over raw bodies — the primitive under [`unary`] and
 /// [`fan_out`]. Each attempt runs under `policy.call_timeout`; transient
 /// errors are retried with backoff until the budget is spent.
+///
+/// With a `trace`, each attempt gets its own child span (named after
+/// the method, labeled with the target endpoint, failed with the
+/// attempt's error) and its context rides the request envelope so the
+/// provider's handler span joins the same trace.
 pub fn call_with_retry(
-    fabric: &Fabric,
-    target: EndpointId,
-    method: &str,
-    body: Bytes,
-    policy: &RetryPolicy,
-    metrics: Option<&RpcMetrics>,
-) -> Result<Bytes, RpcError> {
-    call_with_retry_traced(fabric, target, method, body, policy, metrics, None)
-}
-
-/// [`call_with_retry`] with tracing: each attempt gets its own child
-/// span (named after the method, labeled with the target endpoint,
-/// failed with the attempt's error) and its context rides the request
-/// envelope so the provider's handler span joins the same trace.
-pub fn call_with_retry_traced(
     fabric: &Fabric,
     target: EndpointId,
     method: &str,
@@ -198,7 +201,7 @@ pub fn call_with_retry_traced(
         });
         let mut span = trace.map(|t| t.attempt(method, target));
         let ctx = span.as_ref().map(|s| s.ctx());
-        match fabric.call_deadline_ctx(target, method, body.clone(), policy.call_timeout, ctx) {
+        match fabric.call_deadline(target, method, body.clone(), policy.call_timeout, ctx) {
             Ok(reply) => return Ok(reply),
             Err(err) => {
                 if let Some(s) = span.as_mut() {
@@ -215,43 +218,25 @@ pub fn call_with_retry_traced(
                     });
                     return Err(err);
                 }
-                note_metrics(metrics, |m| {
-                    m.retries.fetch_add(1, Ordering::Relaxed);
-                });
-                add_retry();
-                let backoff = policy.backoff(attempt);
-                add_queue_wait_us(backoff.as_micros() as u64);
-                std::thread::sleep(backoff);
+                back_off(policy, attempt, 1, metrics);
             }
         }
     }
 }
 
-/// Typed unary call with retries: the resilient successor of
-/// [`call_typed`](crate::codec::call_typed).
-pub fn unary<Req: Serialize, Resp: DeserializeOwned>(
+/// Typed unary call with retries (per-attempt tracing as in
+/// [`call_with_retry`]).
+pub fn unary<M: Method>(
     fabric: &Fabric,
     target: EndpointId,
-    method: &str,
-    req: &Req,
-    policy: &RetryPolicy,
-    metrics: Option<&RpcMetrics>,
-) -> Result<Resp, RpcError> {
-    unary_traced(fabric, target, method, req, policy, metrics, None)
-}
-
-/// [`unary`] with per-attempt tracing (see [`call_with_retry_traced`]).
-pub fn unary_traced<Req: Serialize, Resp: DeserializeOwned>(
-    fabric: &Fabric,
-    target: EndpointId,
-    method: &str,
-    req: &Req,
+    _method: M,
+    req: &M::Request,
     policy: &RetryPolicy,
     metrics: Option<&RpcMetrics>,
     trace: Option<&TraceHandle<'_>>,
-) -> Result<Resp, RpcError> {
+) -> Result<M::Reply, RpcError> {
     let body = encode(req)?;
-    let reply = call_with_retry_traced(fabric, target, method, body, policy, metrics, trace)?;
+    let reply = call_with_retry(fabric, target, M::METHOD, body, policy, metrics, trace)?;
     decode(&reply)
 }
 
@@ -267,37 +252,32 @@ pub fn unary_traced<Req: Serialize, Resp: DeserializeOwned>(
 /// value all replicas agree, so the last is as truthful as any).
 ///
 /// Returns the serving endpoint, its reply, and how many targets were
-/// skipped before it (0 = the primary answered).
-pub fn unary_failover<Req: Serialize, Resp: DeserializeOwned>(
+/// skipped before it (0 = the primary answered). With a `trace`,
+/// attempts against every consulted replica appear in the span tree, so
+/// a failover is visible as a failed attempt span followed by a
+/// sibling's successful one.
+pub fn unary_failover<M: Method>(
     fabric: &Fabric,
     targets: &[EndpointId],
-    method: &str,
-    req: &Req,
-    policy: &RetryPolicy,
-    metrics: Option<&RpcMetrics>,
-) -> Result<(EndpointId, Resp, usize), RpcError> {
-    unary_failover_traced(fabric, targets, method, req, policy, metrics, None)
-}
-
-/// [`unary_failover`] with per-attempt tracing (see
-/// [`call_with_retry_traced`]): attempts against every consulted
-/// replica appear in the span tree, so a failover is visible as a
-/// failed attempt span followed by a sibling's successful one.
-#[allow(clippy::type_complexity)]
-pub fn unary_failover_traced<Req: Serialize, Resp: DeserializeOwned>(
-    fabric: &Fabric,
-    targets: &[EndpointId],
-    method: &str,
-    req: &Req,
+    _method: M,
+    req: &M::Request,
     policy: &RetryPolicy,
     metrics: Option<&RpcMetrics>,
     trace: Option<&TraceHandle<'_>>,
-) -> Result<(EndpointId, Resp, usize), RpcError> {
+) -> Result<(EndpointId, M::Reply, usize), RpcError> {
     assert!(!targets.is_empty(), "failover needs at least one target");
     let body = encode(req)?;
     let mut last_err = None;
     for (skipped, &target) in targets.iter().enumerate() {
-        match call_with_retry_traced(fabric, target, method, body.clone(), policy, metrics, trace) {
+        match call_with_retry(
+            fabric,
+            target,
+            M::METHOD,
+            body.clone(),
+            policy,
+            metrics,
+            trace,
+        ) {
             Ok(reply) => {
                 if skipped > 0 {
                     add_failovers(skipped as u64);
@@ -318,33 +298,19 @@ pub type LegResults<T> = Vec<(EndpointId, Result<T, RpcError>)>;
 /// Typed parallel fan-out: a distinct request per target, all legs in
 /// flight at once, each leg independently retried per `policy`. Results
 /// come back in input order; per-leg failures do not abort the others.
-pub fn fan_out<Req, Resp>(
+/// With a `trace`, every leg's attempts become sibling spans under the
+/// same parent.
+pub fn fan_out<M: Method>(
     fabric: &Fabric,
-    legs: &[(EndpointId, Req)],
-    method: &str,
-    policy: &RetryPolicy,
-    metrics: Option<&RpcMetrics>,
-) -> LegResults<Resp>
-where
-    Req: Serialize + Sync,
-    Resp: DeserializeOwned + Send,
-{
-    fan_out_traced(fabric, legs, method, policy, metrics, None)
-}
-
-/// [`fan_out`] with per-attempt tracing: every leg's attempts become
-/// sibling spans under the same parent.
-pub fn fan_out_traced<Req, Resp>(
-    fabric: &Fabric,
-    legs: &[(EndpointId, Req)],
-    method: &str,
+    legs: &[(EndpointId, M::Request)],
+    _method: M,
     policy: &RetryPolicy,
     metrics: Option<&RpcMetrics>,
     trace: Option<&TraceHandle<'_>>,
-) -> LegResults<Resp>
+) -> LegResults<M::Reply>
 where
-    Req: Serialize + Sync,
-    Resp: DeserializeOwned + Send,
+    M::Request: Sync,
+    M::Reply: Send,
 {
     // Leg threads are fresh threads: re-install the caller's ambient
     // cost cell so per-leg retries/backoff charge the enclosing op.
@@ -358,7 +324,7 @@ where
                 scope.spawn(move || {
                     let _costs = install_costs(costs);
                     let resp = encode(req).and_then(|body| {
-                        call_with_retry_traced(fabric, target, method, body, policy, metrics, trace)
+                        call_with_retry(fabric, target, M::METHOD, body, policy, metrics, trace)
                     });
                     (target, resp.and_then(|reply| decode(&reply)))
                 })
@@ -375,21 +341,10 @@ where
 /// flight before any reply is awaited (preserving the overlap the LCP
 /// query depends on), then transient failures retried in overlapped
 /// rounds with backoff. Returns one entry per target, in input order.
+/// With a `trace`, each leg of each round gets its own attempt span,
+/// finished when the leg's reply (or its share of the round deadline)
+/// resolves.
 pub fn broadcast_with_retry(
-    fabric: &Fabric,
-    targets: &[EndpointId],
-    method: &str,
-    body: Bytes,
-    policy: &RetryPolicy,
-    metrics: Option<&RpcMetrics>,
-) -> LegResults<Bytes> {
-    broadcast_with_retry_traced(fabric, targets, method, body, policy, metrics, None)
-}
-
-/// [`broadcast_with_retry`] with per-attempt tracing: each leg of each
-/// round gets its own attempt span, finished when the leg's reply (or
-/// its share of the round deadline) resolves.
-pub fn broadcast_with_retry_traced(
     fabric: &Fabric,
     targets: &[EndpointId],
     method: &str,
@@ -415,7 +370,7 @@ pub fn broadcast_with_retry_traced(
                 (
                     i,
                     span,
-                    fabric.call_async_ctx(targets[i], method, body.clone(), ctx),
+                    fabric.call_async(targets[i], method, body.clone(), ctx),
                 )
             })
             .collect();
@@ -466,15 +421,7 @@ pub fn broadcast_with_retry_traced(
         if pending.is_empty() {
             break;
         }
-        note_metrics(metrics, |m| {
-            m.retries.fetch_add(pending.len() as u64, Ordering::Relaxed);
-        });
-        for _ in &pending {
-            add_retry();
-        }
-        let backoff = policy.backoff(attempt);
-        add_queue_wait_us(backoff.as_micros() as u64);
-        std::thread::sleep(backoff);
+        back_off(policy, attempt, pending.len(), metrics);
     }
 
     targets
@@ -487,31 +434,18 @@ pub fn broadcast_with_retry_traced(
 /// Typed resilient broadcast: encode once, send to every target, decode
 /// each success. The per-leg `Result` keeps partial outcomes visible so
 /// callers can apply quorum semantics.
-pub fn broadcast<Req: Serialize, Resp: DeserializeOwned>(
+pub fn broadcast<M: Method>(
     fabric: &Fabric,
     targets: &[EndpointId],
-    method: &str,
-    req: &Req,
-    policy: &RetryPolicy,
-    metrics: Option<&RpcMetrics>,
-) -> Result<LegResults<Resp>, RpcError> {
-    broadcast_traced(fabric, targets, method, req, policy, metrics, None)
-}
-
-/// [`broadcast`] with per-attempt tracing (see
-/// [`broadcast_with_retry_traced`]).
-pub fn broadcast_traced<Req: Serialize, Resp: DeserializeOwned>(
-    fabric: &Fabric,
-    targets: &[EndpointId],
-    method: &str,
-    req: &Req,
+    _method: M,
+    req: &M::Request,
     policy: &RetryPolicy,
     metrics: Option<&RpcMetrics>,
     trace: Option<&TraceHandle<'_>>,
-) -> Result<LegResults<Resp>, RpcError> {
+) -> Result<LegResults<M::Reply>, RpcError> {
     let body = encode(req)?;
     Ok(
-        broadcast_with_retry_traced(fabric, targets, method, body, policy, metrics, trace)
+        broadcast_with_retry(fabric, targets, M::METHOD, body, policy, metrics, trace)
             .into_iter()
             .map(|(t, r)| (t, r.and_then(|reply| decode(&reply))))
             .collect(),
@@ -522,228 +456,283 @@ pub fn broadcast_traced<Req: Serialize, Resp: DeserializeOwned>(
 mod tests {
     use super::*;
     use crate::fault::{FaultAction, FaultPlan, FaultRule};
+    use evostore_obs::{FlightRecorder, MonotonicClock, TimeSource};
     use std::sync::atomic::AtomicU64;
     use std::sync::Arc;
+
+    crate::rpc_methods! {
+        /// Replies with its request.
+        Echo = "echo": String => String;
+        /// Handler-defined lookup.
+        Get = "get": String => String;
+        /// Registered nowhere.
+        Missing = "no-such-method": String => String;
+    }
 
     fn echo_fabric(n: usize) -> (Arc<Fabric>, Vec<crate::fabric::Endpoint>) {
         let fabric = Fabric::new();
         let eps: Vec<_> = (0..n)
             .map(|_| {
                 let ep = fabric.create_endpoint(2);
-                ep.register("echo", Ok);
+                ep.serve(Echo, Ok);
                 ep
             })
             .collect();
         (fabric, eps)
     }
 
+    /// Run `check` (which builds its own fabric, so fault budgets start
+    /// fresh) once untraced and once under a trace handle — the two
+    /// halves of each former plain/`_traced` pair. Returns how many
+    /// attempt spans the traced pass recorded, and how many failed.
+    fn untraced_then_traced(check: impl Fn(Option<&TraceHandle<'_>>)) -> (usize, usize) {
+        check(None);
+        let wall: Arc<dyn TimeSource> = Arc::new(MonotonicClock::default());
+        let ring = Arc::new(FlightRecorder::new("caller", 256, Arc::clone(&wall)));
+        let tracer = Tracer::new("caller", wall, Arc::clone(&ring));
+        let root = tracer.start_root("op");
+        check(Some(&TraceHandle::new(&tracer, root.ctx())));
+        let attempts = ring.spans_for_trace(root.ctx().trace_id);
+        let failed = attempts.iter().filter(|s| !s.is_ok()).count();
+        (attempts.len(), failed)
+    }
+
     #[test]
     fn unary_retries_through_transient_faults() {
-        let (fabric, eps) = echo_fabric(1);
-        // First two dispatches time out, third succeeds.
-        fabric.install_fault_plan(
-            FaultPlan::new(7).rule(FaultRule::new(FaultAction::Timeout).first(2)),
-        );
-        let metrics = RpcMetrics::new();
-        let policy = RetryPolicy::default().with_attempts(3);
-        let got: String = unary(
-            &fabric,
-            eps[0].id(),
-            "echo",
-            &"hello".to_string(),
-            &policy,
-            Some(&metrics),
-        )
-        .unwrap();
-        assert_eq!(got, "hello");
-        assert_eq!(metrics.retries(), 2);
-        assert_eq!(metrics.timeouts(), 2);
-        assert_eq!(metrics.exhausted(), 0);
+        let attempts = untraced_then_traced(|trace| {
+            let (fabric, eps) = echo_fabric(1);
+            // First two dispatches time out, third succeeds.
+            fabric.install_fault_plan(
+                FaultPlan::new(7).rule(FaultRule::new(FaultAction::Timeout).first(2)),
+            );
+            let metrics = RpcMetrics::new();
+            let policy = RetryPolicy::default().with_attempts(3);
+            let got = unary(
+                &fabric,
+                eps[0].id(),
+                Echo,
+                &"hello".to_string(),
+                &policy,
+                Some(&metrics),
+                trace,
+            )
+            .unwrap();
+            assert_eq!(got, "hello");
+            assert_eq!(metrics.retries(), 2);
+            assert_eq!(metrics.timeouts(), 2);
+            assert_eq!(metrics.exhausted(), 0);
+        });
+        assert_eq!(attempts, (3, 2));
     }
 
     #[test]
     fn unary_exhausts_on_persistent_fault() {
-        let (fabric, eps) = echo_fabric(1);
-        let plan = fabric.install_fault_plan(FaultPlan::new(7));
-        plan.set_down(eps[0].id());
-        let metrics = RpcMetrics::new();
-        let policy = RetryPolicy::default().with_attempts(3);
-        let err = unary::<String, String>(
-            &fabric,
-            eps[0].id(),
-            "echo",
-            &"x".to_string(),
-            &policy,
-            Some(&metrics),
-        )
-        .unwrap_err();
-        assert_eq!(err, RpcError::Unavailable(eps[0].id()));
-        assert_eq!(metrics.retries(), 2);
-        assert_eq!(metrics.exhausted(), 1);
+        let attempts = untraced_then_traced(|trace| {
+            let (fabric, eps) = echo_fabric(1);
+            let plan = fabric.install_fault_plan(FaultPlan::new(7));
+            plan.set_down(eps[0].id());
+            let metrics = RpcMetrics::new();
+            let policy = RetryPolicy::default().with_attempts(3);
+            let err = unary(
+                &fabric,
+                eps[0].id(),
+                Echo,
+                &"x".to_string(),
+                &policy,
+                Some(&metrics),
+                trace,
+            )
+            .unwrap_err();
+            assert_eq!(err, RpcError::Unavailable(eps[0].id()));
+            assert_eq!(metrics.retries(), 2);
+            assert_eq!(metrics.exhausted(), 1);
+        });
+        assert_eq!(attempts, (3, 3));
     }
 
     #[test]
     fn permanent_errors_are_not_retried() {
-        let (fabric, eps) = echo_fabric(1);
-        let metrics = RpcMetrics::new();
-        let err = unary::<String, String>(
-            &fabric,
-            eps[0].id(),
-            "no-such-method",
-            &"x".to_string(),
-            &RetryPolicy::default(),
-            Some(&metrics),
-        )
-        .unwrap_err();
-        assert!(matches!(err, RpcError::NoSuchMethod(_)));
-        assert_eq!(metrics.retries(), 0);
+        let attempts = untraced_then_traced(|trace| {
+            let (fabric, eps) = echo_fabric(1);
+            let metrics = RpcMetrics::new();
+            let err = unary(
+                &fabric,
+                eps[0].id(),
+                Missing,
+                &"x".to_string(),
+                &RetryPolicy::default(),
+                Some(&metrics),
+                trace,
+            )
+            .unwrap_err();
+            assert!(matches!(err, RpcError::NoSuchMethod(_)));
+            assert_eq!(metrics.retries(), 0);
+        });
+        assert_eq!(attempts, (1, 1));
     }
 
     #[test]
     fn failover_skips_down_targets() {
-        let (fabric, eps) = echo_fabric(3);
-        let plan = fabric.install_fault_plan(FaultPlan::new(7));
-        plan.set_down(eps[0].id());
-        let ids: Vec<_> = eps.iter().map(|e| e.id()).collect();
-        let policy = RetryPolicy::default().with_attempts(2);
-        let (served_by, got, skipped) = unary_failover::<String, String>(
-            &fabric,
-            &ids,
-            "echo",
-            &"hi".to_string(),
-            &policy,
-            None,
-        )
-        .unwrap();
-        assert_eq!(got, "hi");
-        assert_eq!(served_by, ids[1]);
-        assert_eq!(skipped, 1);
+        let attempts = untraced_then_traced(|trace| {
+            let (fabric, eps) = echo_fabric(3);
+            let plan = fabric.install_fault_plan(FaultPlan::new(7));
+            plan.set_down(eps[0].id());
+            let ids: Vec<_> = eps.iter().map(|e| e.id()).collect();
+            let policy = RetryPolicy::default().with_attempts(2);
+            let (served_by, got, skipped) =
+                unary_failover(&fabric, &ids, Echo, &"hi".to_string(), &policy, None, trace)
+                    .unwrap();
+            assert_eq!(got, "hi");
+            assert_eq!(served_by, ids[1]);
+            assert_eq!(skipped, 1);
+        });
+        // Two failed attempts on the down primary, one served by its sibling.
+        assert_eq!(attempts, (3, 2));
     }
 
     #[test]
     fn failover_exhausts_to_last_error() {
-        let (fabric, eps) = echo_fabric(2);
-        let plan = fabric.install_fault_plan(FaultPlan::new(7));
-        plan.set_down(eps[0].id());
-        plan.set_down(eps[1].id());
-        let ids: Vec<_> = eps.iter().map(|e| e.id()).collect();
-        let err = unary_failover::<String, String>(
-            &fabric,
-            &ids,
-            "echo",
-            &"hi".to_string(),
-            &RetryPolicy::default().with_attempts(1),
-            None,
-        )
-        .unwrap_err();
-        assert_eq!(err, RpcError::Unavailable(eps[1].id()));
+        let attempts = untraced_then_traced(|trace| {
+            let (fabric, eps) = echo_fabric(2);
+            let plan = fabric.install_fault_plan(FaultPlan::new(7));
+            plan.set_down(eps[0].id());
+            plan.set_down(eps[1].id());
+            let ids: Vec<_> = eps.iter().map(|e| e.id()).collect();
+            let err = unary_failover(
+                &fabric,
+                &ids,
+                Echo,
+                &"hi".to_string(),
+                &RetryPolicy::default().with_attempts(1),
+                None,
+                trace,
+            )
+            .unwrap_err();
+            assert_eq!(err, RpcError::Unavailable(eps[1].id()));
+        });
+        assert_eq!(attempts, (2, 2));
     }
 
     #[test]
     fn failover_tries_siblings_on_handler_errors() {
         // A replica that missed a write answers with a handler error;
         // failover must still consult the sibling.
-        let fabric = Fabric::new();
-        let stale = fabric.create_endpoint(1);
-        stale.register("get", |_| Err("not found".to_string()));
-        let fresh = fabric.create_endpoint(1);
-        fresh.register("get", Ok);
-        let ids = vec![stale.id(), fresh.id()];
-        let (served_by, got, skipped) = unary_failover::<String, String>(
-            &fabric,
-            &ids,
-            "get",
-            &"v".to_string(),
-            &RetryPolicy::default(),
-            None,
-        )
-        .unwrap();
-        assert_eq!(got, "v");
-        assert_eq!(served_by, fresh.id());
-        assert_eq!(skipped, 1);
+        let attempts = untraced_then_traced(|trace| {
+            let fabric = Fabric::new();
+            let stale = fabric.create_endpoint(1);
+            stale.serve(Get, |_| Err("not found".to_string()));
+            let fresh = fabric.create_endpoint(1);
+            fresh.serve(Get, Ok);
+            let ids = vec![stale.id(), fresh.id()];
+            let (served_by, got, skipped) = unary_failover(
+                &fabric,
+                &ids,
+                Get,
+                &"v".to_string(),
+                &RetryPolicy::default(),
+                None,
+                trace,
+            )
+            .unwrap();
+            assert_eq!(got, "v");
+            assert_eq!(served_by, fresh.id());
+            assert_eq!(skipped, 1);
+        });
+        assert_eq!(attempts, (2, 1));
     }
 
     #[test]
     fn fan_out_isolates_leg_failures() {
-        let (fabric, eps) = echo_fabric(3);
-        let plan = fabric.install_fault_plan(FaultPlan::new(7));
-        plan.set_down(eps[1].id());
-        let legs: Vec<(EndpointId, String)> = eps
-            .iter()
-            .enumerate()
-            .map(|(i, ep)| (ep.id(), format!("leg{i}")))
-            .collect();
-        let policy = RetryPolicy::default()
-            .with_attempts(2)
-            .with_timeout(Duration::from_millis(500));
-        let results: Vec<(EndpointId, Result<String, RpcError>)> =
-            fan_out(&fabric, &legs, "echo", &policy, None);
-        assert_eq!(results[0].1.as_deref().unwrap(), "leg0");
-        assert_eq!(results[1].1, Err(RpcError::Unavailable(eps[1].id())));
-        assert_eq!(results[2].1.as_deref().unwrap(), "leg2");
+        let attempts = untraced_then_traced(|trace| {
+            let (fabric, eps) = echo_fabric(3);
+            let plan = fabric.install_fault_plan(FaultPlan::new(7));
+            plan.set_down(eps[1].id());
+            let legs: Vec<(EndpointId, String)> = eps
+                .iter()
+                .enumerate()
+                .map(|(i, ep)| (ep.id(), format!("leg{i}")))
+                .collect();
+            let policy = RetryPolicy::default()
+                .with_attempts(2)
+                .with_timeout(Duration::from_millis(500));
+            let results = fan_out(&fabric, &legs, Echo, &policy, None, trace);
+            assert_eq!(results[0].1.as_deref().unwrap(), "leg0");
+            assert_eq!(results[1].1, Err(RpcError::Unavailable(eps[1].id())));
+            assert_eq!(results[2].1.as_deref().unwrap(), "leg2");
+        });
+        // Two clean legs, two failed attempts on the down one.
+        assert_eq!(attempts, (4, 2));
     }
 
     #[test]
     fn broadcast_recovers_flaky_member_and_overlaps() {
-        let (fabric, eps) = echo_fabric(4);
-        let ids: Vec<_> = eps.iter().map(|e| e.id()).collect();
-        // Endpoint 2's first dispatch is rejected, then it heals.
-        fabric.install_fault_plan(
-            FaultPlan::new(7).rule(
-                FaultRule::new(FaultAction::Unavailable)
-                    .on_endpoint(ids[2])
-                    .first(1),
-            ),
-        );
-        let metrics = RpcMetrics::new();
-        let results = broadcast::<String, String>(
-            &fabric,
-            &ids,
-            "echo",
-            &"ping".to_string(),
-            &RetryPolicy::default(),
-            Some(&metrics),
-        )
-        .unwrap();
-        assert_eq!(results.len(), 4);
-        assert!(results.iter().all(|(_, r)| r.is_ok()));
-        assert_eq!(metrics.retries(), 1);
+        let attempts = untraced_then_traced(|trace| {
+            let (fabric, eps) = echo_fabric(4);
+            let ids: Vec<_> = eps.iter().map(|e| e.id()).collect();
+            // Endpoint 2's first dispatch is rejected, then it heals.
+            fabric.install_fault_plan(
+                FaultPlan::new(7).rule(
+                    FaultRule::new(FaultAction::Unavailable)
+                        .on_endpoint(ids[2])
+                        .first(1),
+                ),
+            );
+            let metrics = RpcMetrics::new();
+            let results = broadcast(
+                &fabric,
+                &ids,
+                Echo,
+                &"ping".to_string(),
+                &RetryPolicy::default(),
+                Some(&metrics),
+                trace,
+            )
+            .unwrap();
+            assert_eq!(results.len(), 4);
+            assert!(results.iter().all(|(_, r)| r.is_ok()));
+            assert_eq!(metrics.retries(), 1);
+        });
+        assert_eq!(attempts, (5, 1));
     }
 
     #[test]
     fn dropped_reply_surfaces_as_timeout_not_hang() {
-        let fabric = Fabric::new();
-        let ep = fabric.create_endpoint(1);
-        let served = Arc::new(AtomicU64::new(0));
-        {
-            let served = Arc::clone(&served);
-            ep.register("incr", move |_| {
-                served.fetch_add(1, Ordering::SeqCst);
-                Ok(Bytes::new())
-            });
-        }
-        fabric.install_fault_plan(
-            FaultPlan::new(7).rule(FaultRule::new(FaultAction::DropReply).first(1)),
-        );
-        let policy = RetryPolicy::default()
-            .with_attempts(2)
-            .with_timeout(Duration::from_millis(100));
-        let metrics = RpcMetrics::new();
-        let r = call_with_retry(
-            &fabric,
-            ep.id(),
-            "incr",
-            Bytes::new(),
-            &policy,
-            Some(&metrics),
-        );
-        assert!(r.is_ok(), "retry after dropped reply should succeed: {r:?}");
-        assert_eq!(metrics.timeouts(), 1);
-        // The dropped attempt's handler still ran: at the RPC layer the
-        // side effect happens twice. Handlers with non-idempotent effects
-        // must deduplicate at the application layer (as the provider's
-        // refs handlers do via a per-operation id).
-        assert_eq!(served.load(Ordering::SeqCst), 2);
+        let attempts = untraced_then_traced(|trace| {
+            let fabric = Fabric::new();
+            let ep = fabric.create_endpoint(1);
+            let served = Arc::new(AtomicU64::new(0));
+            {
+                let served = Arc::clone(&served);
+                ep.register("incr", move |_| {
+                    served.fetch_add(1, Ordering::SeqCst);
+                    Ok(Bytes::new())
+                });
+            }
+            fabric.install_fault_plan(
+                FaultPlan::new(7).rule(FaultRule::new(FaultAction::DropReply).first(1)),
+            );
+            let policy = RetryPolicy::default()
+                .with_attempts(2)
+                .with_timeout(Duration::from_millis(100));
+            let metrics = RpcMetrics::new();
+            let r = call_with_retry(
+                &fabric,
+                ep.id(),
+                "incr",
+                Bytes::new(),
+                &policy,
+                Some(&metrics),
+                trace,
+            );
+            assert!(r.is_ok(), "retry after dropped reply should succeed: {r:?}");
+            assert_eq!(metrics.timeouts(), 1);
+            // The dropped attempt's handler still ran: at the RPC layer the
+            // side effect happens twice. Handlers with non-idempotent effects
+            // must deduplicate at the application layer (as the provider's
+            // refs handlers do via a per-operation id).
+            assert_eq!(served.load(Ordering::SeqCst), 2);
+        });
+        assert_eq!(attempts, (2, 1));
     }
 
     #[test]

@@ -2,8 +2,15 @@
 //! bodies, routing across many endpoints, and bulk-region semantics.
 
 use bytes::Bytes;
-use evostore_rpc::{broadcast, typed_handler, Fabric, RetryPolicy};
+use evostore_obs::{FlightRecorder, MonotonicClock, TimeSource, Tracer};
+use evostore_rpc::{broadcast, Fabric, RetryPolicy, TraceHandle};
 use proptest::prelude::*;
+use std::sync::Arc;
+
+evostore_rpc::rpc_methods! {
+    /// Replies with the serving endpoint's index.
+    Who = "v": u64 => u64;
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -45,18 +52,30 @@ proptest! {
         let eps: Vec<_> = (0..n)
             .map(|i| {
                 let ep = fabric.create_endpoint(1);
-                ep.register("v", typed_handler(move |_: u64| Ok(i as u64)));
+                ep.serve(Who, move |_| Ok(i as u64));
                 ep
             })
             .collect();
         let ids: Vec<_> = eps.iter().map(|e| e.id()).collect();
-        let replies =
-            broadcast::<u64, u64>(&fabric, &ids, "v", &0, &RetryPolicy::no_retry(), None).unwrap();
-        prop_assert_eq!(replies.len(), n);
-        for (i, (from, reply)) in replies.iter().enumerate() {
-            prop_assert_eq!(*from, ids[i]);
-            prop_assert_eq!(reply.as_ref().unwrap(), &(i as u64));
+        // Untraced, then under a trace handle: same replies, plus one
+        // attempt span per target.
+        let wall: Arc<dyn TimeSource> = Arc::new(MonotonicClock::default());
+        let ring = Arc::new(FlightRecorder::new("caller", 64, Arc::clone(&wall)));
+        let tracer = Tracer::new("caller", wall, Arc::clone(&ring));
+        let root = tracer.start_root("op");
+        let handle = TraceHandle::new(&tracer, root.ctx());
+        for trace in [None, Some(&handle)] {
+            let replies =
+                broadcast(&fabric, &ids, Who, &0, &RetryPolicy::no_retry(), None, trace).unwrap();
+            prop_assert_eq!(replies.len(), n);
+            for (i, (from, reply)) in replies.iter().enumerate() {
+                prop_assert_eq!(*from, ids[i]);
+                prop_assert_eq!(reply.as_ref().unwrap(), &(i as u64));
+            }
         }
+        let attempts = ring.spans_for_trace(root.ctx().trace_id);
+        prop_assert_eq!(attempts.len(), n);
+        prop_assert!(attempts.iter().all(|s| s.name == "v" && s.is_ok()));
     }
 
     /// Bulk regions: expose/get preserves bytes; ranges slice correctly;

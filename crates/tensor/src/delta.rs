@@ -32,7 +32,7 @@
 //! raw_len  u64   length of the reconstructed raw record
 //! comp_len u64   compressed body length
 //! body     comp_len bytes
-//! check    u64   fnv1a128(body).low64
+//! check    u64   checksum64(body)
 //! ```
 //!
 //! The magic is disjoint from the tensor-record magic (`"EVST"`), so a
@@ -40,7 +40,7 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 
-use crate::hash::fnv1a128;
+use crate::hash::checksum64;
 
 /// First four bytes of a delta record ("EVDL" when read as LE u32).
 pub const DELTA_MAGIC: u32 = 0x4556_444C;
@@ -188,7 +188,7 @@ pub fn encode_delta(raw: &[u8], base_raw: &[u8], base_key: [u8; 16], depth: u8) 
     buf.put_u64_le(raw.len() as u64);
     buf.put_u64_le(body.len() as u64);
     buf.extend_from_slice(&body);
-    buf.put_u64_le(fnv1a128(&body) as u64);
+    buf.put_u64_le(checksum64(&body));
     Some(buf.freeze())
 }
 
@@ -210,7 +210,7 @@ pub fn decode_delta(record: &[u8], base_raw: &[u8]) -> Result<Bytes, DeltaError>
             .try_into()
             .unwrap(),
     );
-    if fnv1a128(body) as u64 != check {
+    if checksum64(body) != check {
         return Err(DeltaError::ChecksumMismatch);
     }
     let trans = rle_decode(body, header.raw_len)?;

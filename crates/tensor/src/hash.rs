@@ -80,6 +80,24 @@ pub fn fnv1a128(bytes: &[u8]) -> u128 {
     h.finish().0
 }
 
+/// The 64-bit integrity check stamped on every serialized record — EVST
+/// tensors, EVDL deltas, chunk manifests, log-store entries, the HDF5-like
+/// baseline's datasets. This function is the one place the check
+/// algorithm is chosen (today: the low half of FNV-1a-128); its output
+/// is part of every on-disk and on-wire format.
+pub fn checksum64(bytes: &[u8]) -> u64 {
+    checksum64_parts([bytes])
+}
+
+/// [`checksum64`] of the concatenation of `parts`, without building it.
+pub fn checksum64_parts<'a>(parts: impl IntoIterator<Item = &'a [u8]>) -> u64 {
+    let mut h = Fnv128::new();
+    for part in parts {
+        h.update(part);
+    }
+    h.finish().low64()
+}
+
 /// Incremental FNV-1a-128 hasher.
 ///
 /// Layer configurations hash themselves field-by-field through this (see
@@ -169,6 +187,20 @@ mod tests {
         h.update(b"hello ");
         h.update(b"world");
         assert_eq!(h.finish().0, fnv1a128(b"hello world"));
+    }
+
+    #[test]
+    fn checksum64_matches_known_vectors() {
+        // Pinned: these values are baked into every stored record.
+        assert_eq!(checksum64(b""), 0x62b8_2175_6295_c58d);
+        assert_eq!(checksum64(b"a"), 0x7891_2b70_4e4a_8964);
+        assert_eq!(checksum64(b"evostore"), 0x5264_b3e4_774a_c290);
+        let ramp: Vec<u8> = (0..=255).collect();
+        assert_eq!(checksum64(&ramp), 0x86b0_7bd6_fa33_708d);
+        assert_eq!(
+            checksum64_parts([&ramp[..100], &ramp[100..]]),
+            checksum64(&ramp)
+        );
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub use delta::{
     DELTA_MAGIC, DELTA_PROBE_LEN,
 };
 pub use dtype::DType;
-pub use hash::{fnv1a128, ContentHash, Fnv128};
+pub use hash::{checksum64, checksum64_parts, fnv1a128, ContentHash, Fnv128};
 pub use id::{ModelId, TensorKey, VertexId};
 pub use ser::{payload_range, read_tensor, validate_record, write_tensor, SerError};
 pub use tensor::TensorData;

@@ -14,13 +14,13 @@
 //! dims    u64 x rank
 //! len     u64   payload length in bytes
 //! payload len bytes
-//! check   u64   fnv1a128(payload).low64 — integrity check
+//! check   u64   checksum64(payload) — integrity check
 //! ```
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::dtype::DType;
-use crate::hash::fnv1a128;
+use crate::hash::checksum64;
 use crate::tensor::TensorData;
 
 const MAGIC: u32 = 0x4556_5354;
@@ -69,7 +69,7 @@ pub fn write_tensor(t: &TensorData) -> Bytes {
     }
     buf.put_u64_le(payload.len() as u64);
     buf.extend_from_slice(payload);
-    buf.put_u64_le(fnv1a128(payload) as u64);
+    buf.put_u64_le(checksum64(payload));
     buf.freeze()
 }
 
@@ -99,7 +99,7 @@ pub fn read_tensor(mut record: Bytes) -> Result<TensorData, SerError> {
     }
     let payload = record.split_to(len);
     let check = record.get_u64_le();
-    if fnv1a128(&payload) as u64 != check {
+    if checksum64(&payload) != check {
         return Err(SerError::ChecksumMismatch);
     }
     // Checked: a corrupted record may claim absurd dims; that must surface
@@ -227,7 +227,7 @@ pub fn validate_record(record: &[u8]) -> Result<(Vec<usize>, DType), SerError> {
     }
     let payload = &record[range.clone()];
     let check = u64::from_le_bytes(record[range.end..range.end + 8].try_into().unwrap());
-    if fnv1a128(payload) as u64 != check {
+    if checksum64(payload) != check {
         return Err(SerError::ChecksumMismatch);
     }
     let expected = shape

@@ -15,6 +15,22 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test (workspace)"
 cargo test --workspace -q
 
+# Every RPC is declared once, in the method table; a wire name quoted
+# anywhere else under crates/*/src is a second, hand-written declaration.
+# (Span names such as "deliver.push" are not wire names and do not match.)
+echo "== RPC wire names appear only in the method table"
+table=crates/core/src/methods.rs
+names=$(grep -oE '= "[a-z]+\.[a-z_]+":' "$table" | grep -oE '"[^"]+"' || true)
+if [[ -z "$names" ]]; then
+    echo "no wire names found in $table" >&2
+    exit 1
+fi
+if hits=$(grep -rnF --include='*.rs' -e "$names" crates/*/src | grep -v "^$table:"); then
+    echo "RPC wire name spelled outside $table:" >&2
+    echo "$hits" >&2
+    exit 1
+fi
+
 # benchmark/ is a workspace of its own, so `--workspace` cannot see it:
 # its self-tests plus one short single run per workload (the single-run
 # form appends nothing to benchmark/results/history.jsonl) catch a
@@ -56,15 +72,6 @@ fi
 # storage savings with delta reconstruction <= 2x raw read latency.
 if [[ "${RUN_BENCH_DEDUP:-0}" == "1" ]]; then
     tools/bench-dedup.sh
-fi
-
-# Optional tier-2: concurrent catalog A/B — snapshot-isolated reads with
-# batched query envelopes vs the per-query baseline, plus reader scaling
-# under a mutating writer, recorded to results/BENCH_catalog.json and
-# gated on >= 10x the BENCH_lcp indexed throughput (with an adaptive
-# scaling gate for single-core hosts).
-if [[ "${RUN_BENCH_CATALOG:-0}" == "1" ]]; then
-    tools/bench-catalog.sh
 fi
 
 # Optional tier-2: observability overhead A/B — the same batched LCP
