@@ -39,7 +39,9 @@ use crate::metrics::StoreMetrics;
 
 /// Manifest magic ("EVCM" as LE u32).
 const MANIFEST_MAGIC: u32 = 0x4556_434D;
-const MANIFEST_VERSION: u8 = 1;
+/// 2 = the hashes listed are lane addresses ([`ContentHash::of_bytes`]);
+/// version 1 listed FNV-1a-128 addresses, which name different chunk keys.
+const MANIFEST_VERSION: u8 = 2;
 /// magic + version + pad3 + total u64 + count u32.
 const MANIFEST_HEADER: usize = 4 + 1 + 3 + 8 + 4;
 /// Default chunk size: 64 KiB — small enough that a fine-tuned layer's
@@ -123,7 +125,10 @@ fn decode_manifest(bytes: &[u8]) -> Result<(usize, Vec<ContentHash>), KvError> {
         return Err(corrupt("bad magic"));
     }
     if bytes[4] != MANIFEST_VERSION {
-        return Err(corrupt("unsupported version"));
+        return Err(corrupt(&format!(
+            "unsupported version {} (this build reads version {MANIFEST_VERSION})",
+            bytes[4]
+        )));
     }
     let total = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
     let count = u32::from_le_bytes(bytes[16..20].try_into().unwrap()) as usize;
@@ -718,6 +723,28 @@ mod tests {
         assert!(s.delete(b"b").unwrap());
         assert_eq!(s.stats().chunks, 0);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn version_1_manifest_is_refused_by_version() {
+        // A manifest stamped by the previous format lists FNV addresses.
+        // It must be named as such — before its (FNV) check is compared.
+        let hashes = [ContentHash::of_bytes(b"chunk")];
+        let mut v1 = encode_manifest(5, &hashes).to_vec();
+        v1[4] = 1;
+        match decode_manifest(&v1) {
+            Err(KvError::Corrupt { detail }) => {
+                assert!(detail.contains("unsupported version 1"), "{detail}")
+            }
+            other => panic!("expected a version error, got {other:?}"),
+        }
+        // Read through the store, the same manifest is the same error.
+        let s = store(8);
+        s.backend.put(&manifest_key(b"k"), Bytes::from(v1)).unwrap();
+        assert!(matches!(
+            s.get(b"k"),
+            Err(KvError::Corrupt { detail }) if detail.contains("unsupported version 1")
+        ));
     }
 
     #[test]

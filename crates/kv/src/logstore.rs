@@ -4,13 +4,17 @@
 //! file and keeps an in-memory index `key -> (segment, offset)`. Deletes
 //! append tombstones. Re-opening a directory replays the segments (newest
 //! record wins), stopping at the first torn record of the final segment —
-//! the standard crash-recovery contract of log-structured stores.
+//! the standard crash-recovery contract of log-structured stores. Torn
+//! means a prefix of a record, or a record whose check fails, *under this
+//! format's magic*: bytes this build cannot verify because another format
+//! wrote them (format 1's `"LOGS"` records carry an FNV-1a check) are
+//! refused with [`KvError::Corrupt`] and never truncated.
 //! Compaction rewrites live records once dead bytes dominate.
 //!
-//! Format of one record:
+//! Format of one record (format 2):
 //!
 //! ```text
-//! magic  u32  0x4C4F4753 ("LOGS")
+//! magic  u32  0x4C4F4732 ("LOG2")
 //! klen   u32
 //! vlen   u32  (u32::MAX = tombstone)
 //! key    klen bytes
@@ -31,7 +35,10 @@ use parking_lot::Mutex;
 use crate::api::{KvBackend, KvError};
 use crate::metrics::StoreMetrics;
 
-const MAGIC: u32 = 0x4C4F_4753;
+const MAGIC: u32 = 0x4C4F_4732;
+/// Record magic of log format 1 (`"LOGS"`), whose crc was the low half of
+/// FNV-1a-128. Recognised only to be refused.
+const LEGACY_MAGIC: u32 = 0x4C4F_4753;
 const TOMBSTONE: u32 = u32::MAX;
 const HEADER: usize = 12;
 const TRAILER: usize = 8;
@@ -192,8 +199,8 @@ impl Inner {
     }
 
     /// Replay one segment into the index. For the final (possibly torn)
-    /// segment, a corrupt tail is truncated away; for earlier segments
-    /// corruption is an error.
+    /// segment, a torn tail is truncated away; for earlier segments it is
+    /// an error, and so are foreign bytes in any segment.
     fn replay_segment(&mut self, id: u64, tolerate_torn_tail: bool) -> Result<(), KvError> {
         let path = segment_path(&self.dir, id);
         let mut file = OpenOptions::new().read(true).append(true).open(&path)?;
@@ -213,11 +220,11 @@ impl Inner {
                     self.apply_replayed(key, value, id, value_offset);
                     pos += consumed;
                 }
-                Err(detail) => {
-                    if tolerate_torn_tail {
-                        valid_up_to = pos;
-                        break;
-                    }
+                Err(NotARecord::Torn(_)) if tolerate_torn_tail => {
+                    valid_up_to = pos;
+                    break;
+                }
+                Err(NotARecord::Torn(detail) | NotARecord::Foreign(detail)) => {
                     return Err(KvError::Corrupt {
                         detail: format!("segment {id} offset {pos}: {detail}"),
                     });
@@ -373,18 +380,36 @@ impl Inner {
     }
 }
 
-/// Parse one record from `buf`; returns (key, value-or-tombstone, bytes
-/// consumed) or a description of why the bytes are not a valid record.
 /// (key, value-or-tombstone, bytes consumed).
 type ParsedRecord<'a> = (&'a [u8], Option<&'a [u8]>, usize);
 
-fn parse_record(buf: &[u8]) -> Result<ParsedRecord<'_>, String> {
-    if buf.len() < HEADER {
-        return Err("short header".into());
+/// Why the bytes at a replay position are not a valid record.
+enum NotARecord {
+    /// A prefix of a record under this format's magic, or one whose check
+    /// fails: what a crash mid-append leaves at the tail.
+    Torn(String),
+    /// Bytes under another magic. This build did not write them and
+    /// cannot verify them, so they are never mistaken for a torn tail.
+    Foreign(String),
+}
+
+/// Parse one record from `buf`.
+fn parse_record(buf: &[u8]) -> Result<ParsedRecord<'_>, NotARecord> {
+    use NotARecord::{Foreign, Torn};
+    if buf.len() < 4 {
+        return Err(Torn("short header".into()));
     }
     let magic = u32::from_le_bytes(buf[0..4].try_into().unwrap());
+    if magic == LEGACY_MAGIC {
+        return Err(Foreign(
+            "record written by log format 1 (FNV-1a check); this build reads format 2".into(),
+        ));
+    }
     if magic != MAGIC {
-        return Err(format!("bad magic 0x{magic:08x}"));
+        return Err(Foreign(format!("bad magic 0x{magic:08x}")));
+    }
+    if buf.len() < HEADER {
+        return Err(Torn("short header".into()));
     }
     let klen = u32::from_le_bytes(buf[4..8].try_into().unwrap()) as usize;
     let vword = u32::from_le_bytes(buf[8..12].try_into().unwrap());
@@ -395,17 +420,17 @@ fn parse_record(buf: &[u8]) -> Result<ParsedRecord<'_>, String> {
     };
     let need = HEADER + klen + vlen + TRAILER;
     if buf.len() < need {
-        return Err("short record".into());
+        return Err(Torn("short record".into()));
     }
     let key = &buf[HEADER..HEADER + klen];
     let value = &buf[HEADER + klen..HEADER + klen + vlen];
     let crc = u64::from_le_bytes(
         buf[HEADER + klen + vlen..need]
             .try_into()
-            .map_err(|_| "short crc".to_string())?,
+            .expect("8-byte trailer"),
     );
     if evostore_tensor::checksum64_parts([key, value]) != crc {
-        return Err("crc mismatch".into());
+        return Err(Torn("crc mismatch".into()));
     }
     Ok((key, if tomb { None } else { Some(value) }, need))
 }
@@ -573,6 +598,53 @@ mod tests {
         let s = LogStore::open(&dir).unwrap();
         assert_eq!(s.len(), 2);
         assert_eq!(s.get(b"next").unwrap(), Bytes::from_static(b"n"));
+    }
+
+    #[test]
+    fn legacy_format_segment_is_refused_not_truncated() {
+        let dir = tmpdir("legacy");
+        std::fs::create_dir_all(&dir).unwrap();
+        // One record exactly as log format 1 framed it: "LOGS" magic, crc =
+        // low half of FNV-1a-128 over key ++ value.
+        let (key, value) = (&b"model-7"[..], &b"weights"[..]);
+        let mut fnv = evostore_tensor::Fnv128::new();
+        fnv.update(key);
+        fnv.update(value);
+        let mut rec = Vec::new();
+        rec.extend_from_slice(&LEGACY_MAGIC.to_le_bytes());
+        rec.extend_from_slice(&(key.len() as u32).to_le_bytes());
+        rec.extend_from_slice(&(value.len() as u32).to_le_bytes());
+        rec.extend_from_slice(key);
+        rec.extend_from_slice(value);
+        rec.extend_from_slice(&fnv.finish().low64().to_le_bytes());
+        let seg = segment_path(&dir, 0);
+        std::fs::write(&seg, &rec).unwrap();
+
+        // The only (hence final) segment: the torn-tail path must not eat it.
+        match LogStore::open(&dir) {
+            Err(KvError::Corrupt { detail }) => {
+                assert!(detail.contains("written by log format 1"), "{detail}")
+            }
+            other => panic!("expected a format error, got ok={}", other.is_ok()),
+        }
+        assert_eq!(std::fs::read(&seg).unwrap(), rec, "segment was modified");
+
+        // Likewise behind valid format-2 records, and for any unknown magic.
+        for magic in [LEGACY_MAGIC, 0xDEAD_BEEF] {
+            let dir = tmpdir("legacy-tail");
+            {
+                let s = LogStore::open(&dir).unwrap();
+                s.put(b"good", Bytes::from_static(b"value")).unwrap();
+            }
+            let seg = segment_path(&dir, 0);
+            let mut f = OpenOptions::new().append(true).open(&seg).unwrap();
+            f.write_all(&magic.to_le_bytes()).unwrap();
+            f.write_all(&rec[4..]).unwrap();
+            drop(f);
+            let before = std::fs::metadata(&seg).unwrap().len();
+            assert!(matches!(LogStore::open(&dir), Err(KvError::Corrupt { .. })));
+            assert_eq!(std::fs::metadata(&seg).unwrap().len(), before);
+        }
     }
 
     #[test]

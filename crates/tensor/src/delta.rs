@@ -25,7 +25,7 @@
 //!
 //! ```text
 //! magic    u32   0x4556444C ("EVDL")
-//! version  u8    1
+//! version  u8    2 (1 carried an FNV-1a body check)
 //! depth    u8    chain depth (1 = encoded against a raw base)
 //! _pad     u16   zero
 //! base     16 B  KV key of the base record (a TensorKey encoding)
@@ -38,14 +38,16 @@
 //! The magic is disjoint from the tensor-record magic (`"EVST"`), so a
 //! provider can classify a stored record by its first four bytes.
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes};
 
 use crate::hash::checksum64;
 
 /// First four bytes of a delta record ("EVDL" when read as LE u32).
 pub const DELTA_MAGIC: u32 = 0x4556_444C;
 
-const VERSION: u8 = 1;
+/// Bumped whenever the body check or the token stream changes; 2 = the
+/// body check is the lane hash ([`checksum64`]).
+const VERSION: u8 = 2;
 /// Fixed header length: magic + version + depth + pad + base + raw_len +
 /// comp_len.
 const HEADER_LEN: usize = 4 + 1 + 1 + 2 + 16 + 8 + 8;
@@ -169,27 +171,31 @@ pub fn encode_delta(raw: &[u8], base_raw: &[u8], base_key: [u8; 16], depth: u8) 
     if raw.len() != base_raw.len() || raw.is_empty() {
         return None;
     }
-    let mut xored = vec![0u8; raw.len()];
-    for ((out, a), b) in xored.iter_mut().zip(raw).zip(base_raw) {
-        *out = a ^ b;
-    }
-    let trans = transpose(&xored);
-    let body = rle_encode(&trans);
-    let total = HEADER_LEN + body.len() + CHECK_LEN;
+    let trans = xor_transpose(raw, base_raw);
+    // The body is encoded straight into the record buffer, after a header
+    // whose `comp_len` is patched in once it is known.
+    let mut buf = Vec::with_capacity(HEADER_LEN + raw.len() / 8 + 16 + CHECK_LEN);
+    put_header(&mut buf, depth, &base_key, raw.len(), 0);
+    rle_encode(&trans, &mut buf);
+    let body_len = buf.len() - HEADER_LEN;
+    let total = HEADER_LEN + body_len + CHECK_LEN;
     if total + raw.len() / MIN_SAVINGS_DENOM > raw.len() {
         return None;
     }
-    let mut buf = BytesMut::with_capacity(total);
+    buf[HEADER_LEN - 8..HEADER_LEN].copy_from_slice(&(body_len as u64).to_le_bytes());
+    let check = checksum64(&buf[HEADER_LEN..]);
+    buf.put_u64_le(check);
+    Some(Bytes::from(buf))
+}
+
+fn put_header(buf: &mut Vec<u8>, depth: u8, base_key: &[u8; 16], raw_len: usize, comp_len: usize) {
     buf.put_u32_le(DELTA_MAGIC);
     buf.put_u8(VERSION);
     buf.put_u8(depth);
     buf.put_u16_le(0);
-    buf.extend_from_slice(&base_key);
-    buf.put_u64_le(raw.len() as u64);
-    buf.put_u64_le(body.len() as u64);
-    buf.extend_from_slice(&body);
-    buf.put_u64_le(checksum64(&body));
-    Some(buf.freeze())
+    buf.extend_from_slice(base_key);
+    buf.put_u64_le(raw_len as u64);
+    buf.put_u64_le(comp_len as u64);
 }
 
 /// Reconstruct the raw record from a delta record and the *raw* bytes of
@@ -213,69 +219,130 @@ pub fn decode_delta(record: &[u8], base_raw: &[u8]) -> Result<Bytes, DeltaError>
     if checksum64(body) != check {
         return Err(DeltaError::ChecksumMismatch);
     }
-    let trans = rle_decode(body, header.raw_len)?;
-    let mut out = untranspose(&trans);
-    for (o, b) in out.iter_mut().zip(base_raw) {
-        *o ^= b;
-    }
-    Ok(Bytes::from(out))
+    Ok(Bytes::from(rle_decode_onto(body, base_raw)?))
 }
 
-/// Group bytes by position-within-a-4-byte-lane: all lane-0 bytes, then
-/// all lane-1 bytes, ... Tail bytes (len % 4) pass through unpermuted.
-fn transpose(src: &[u8]) -> Vec<u8> {
-    let words = src.len() / LANES;
-    let mut out = Vec::with_capacity(src.len());
-    for lane in 0..LANES {
-        for w in 0..words {
-            out.push(src[w * LANES + lane]);
+/// Words XORed per block of [`xor_transpose`]: 4 KiB, well inside L1.
+const XOR_BLOCK: usize = 1024;
+
+/// `raw ^ base`, byte-transposed, in one pass over `u32` words: byte `k`
+/// of every XORed word goes to lane `k`, so the output is all lane-0
+/// bytes, then all lane-1 bytes, ... Tail bytes (`len % 4`) are XORed
+/// and pass through unpermuted. Both inputs have the same length.
+fn xor_transpose(raw: &[u8], base: &[u8]) -> Vec<u8> {
+    let words = raw.len() / LANES;
+    let (raw_words, raw_tail) = raw.split_at(words * LANES);
+    let (base_words, base_tail) = base.split_at(words * LANES);
+    let mut out = vec![0u8; raw.len()];
+    let (l0, rest) = out.split_at_mut(words);
+    let (l1, rest) = rest.split_at_mut(words);
+    let (l2, rest) = rest.split_at_mut(words);
+    let (l3, tail) = rest.split_at_mut(words);
+    let mut lanes = [l0, l1, l2, l3];
+    // A block of XORed words at a time, then one loop per lane over
+    // the block: each has one input and one output, which the compiler
+    // turns into wide shifts and packs (a single loop storing to all four
+    // lanes stays scalar).
+    let mut xored = [0u32; XOR_BLOCK];
+    let mut done = 0;
+    for (a, b) in raw_words
+        .chunks(XOR_BLOCK * LANES)
+        .zip(base_words.chunks(XOR_BLOCK * LANES))
+    {
+        let n = a.len() / LANES;
+        for ((x, a), b) in xored
+            .iter_mut()
+            .zip(a.chunks_exact(LANES))
+            .zip(b.chunks_exact(LANES))
+        {
+            *x = u32::from_le_bytes(a.try_into().expect("4-byte word"))
+                ^ u32::from_le_bytes(b.try_into().expect("4-byte word"));
         }
+        for (k, lane) in lanes.iter_mut().enumerate() {
+            for (o, x) in lane[done..done + n].iter_mut().zip(&xored[..n]) {
+                *o = (x >> (8 * k)) as u8;
+            }
+        }
+        done += n;
     }
-    out.extend_from_slice(&src[words * LANES..]);
+    for ((o, a), b) in tail.iter_mut().zip(raw_tail).zip(base_tail) {
+        *o = a ^ b;
+    }
     out
 }
 
-/// Inverse of [`transpose`].
-fn untranspose(src: &[u8]) -> Vec<u8> {
-    let words = src.len() / LANES;
-    let mut out = vec![0u8; src.len()];
-    let mut idx = 0;
-    for lane in 0..LANES {
-        for w in 0..words {
-            out[w * LANES + lane] = src[idx];
-            idx += 1;
-        }
-    }
-    out[words * LANES..].copy_from_slice(&src[idx..]);
-    out
+const WORD: usize = 8;
+const LOW_BITS: u64 = 0x0101_0101_0101_0101;
+const HIGH_BITS: u64 = 0x8080_8080_8080_8080;
+
+#[inline]
+fn load_word(src: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(src[at..at + WORD].try_into().expect("8-byte word"))
 }
 
-/// Zero-run RLE. Token stream: `[0, len u32]` emits `len` zero bytes,
-/// `[1, len u32, bytes...]` emits a literal.
-fn rle_encode(src: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(src.len() / 8 + 16);
-    let mut i = 0;
+/// Index of the first zero byte of `src` at or after `from`, or
+/// `src.len()`. Eight bytes per step: `(x - 0x01..) & !x & 0x80..` is
+/// non-zero exactly when `x` has a zero byte, and its lowest set bit marks
+/// the first one (false positives only arise above a true zero).
+fn find_zero(src: &[u8], from: usize) -> usize {
+    let mut i = from;
+    while i + WORD <= src.len() {
+        let x = load_word(src, i);
+        let zeros = x.wrapping_sub(LOW_BITS) & !x & HIGH_BITS;
+        if zeros != 0 {
+            return i + zeros.trailing_zeros() as usize / 8;
+        }
+        i += WORD;
+    }
+    src[i..]
+        .iter()
+        .position(|&b| b == 0)
+        .map_or(src.len(), |p| i + p)
+}
+
+/// Index of the first non-zero byte of `src` at or after `from`, or
+/// `src.len()`, eight bytes per step.
+fn find_nonzero(src: &[u8], from: usize) -> usize {
+    let mut i = from;
+    while i + WORD <= src.len() {
+        let x = load_word(src, i);
+        if x != 0 {
+            return i + x.trailing_zeros() as usize / 8;
+        }
+        i += WORD;
+    }
+    src[i..]
+        .iter()
+        .position(|&b| b != 0)
+        .map_or(src.len(), |p| i + p)
+}
+
+/// Zero-run RLE, appended to `out`. Token stream: `[0, len u32]` emits
+/// `len` zero bytes, `[1, len u32, bytes...]` emits a literal. Zero runs
+/// shorter than [`ZERO_RUN_MIN`] fold into the surrounding literal.
+fn rle_encode(src: &[u8], out: &mut Vec<u8>) {
     let mut lit_start = 0;
-    while i < src.len() {
-        if src[i] == 0 {
-            let run_start = i;
-            while i < src.len() && src[i] == 0 {
-                i += 1;
-            }
-            let run = i - run_start;
-            if run >= ZERO_RUN_MIN {
-                flush_literal(&mut out, &src[lit_start..run_start]);
+    let mut i = 0;
+    loop {
+        let run_start = find_zero(src, i);
+        if run_start == src.len() {
+            break;
+        }
+        i = find_nonzero(src, run_start);
+        if i - run_start >= ZERO_RUN_MIN {
+            flush_literal(out, &src[lit_start..run_start]);
+            // A run longer than a token can count splits into several.
+            let mut run = i - run_start;
+            while run > 0 {
+                let part = run.min(u32::MAX as usize);
                 out.push(0);
-                out.extend_from_slice(&(run as u32).to_le_bytes());
-                lit_start = i;
+                out.extend_from_slice(&(part as u32).to_le_bytes());
+                run -= part;
             }
-            // Short zero runs fold into the surrounding literal.
-        } else {
-            i += 1;
+            lit_start = i;
         }
     }
-    flush_literal(&mut out, &src[lit_start..]);
-    out
+    flush_literal(out, &src[lit_start..]);
 }
 
 fn flush_literal(out: &mut Vec<u8>, lit: &[u8]) {
@@ -286,41 +353,146 @@ fn flush_literal(out: &mut Vec<u8>, lit: &[u8]) {
     }
 }
 
-fn rle_decode(src: &[u8], expect_len: usize) -> Result<Vec<u8>, DeltaError> {
-    let mut out = Vec::with_capacity(expect_len);
+/// Decode the token stream `body` onto a copy of `base`: the inverse of
+/// [`rle_encode`] ∘ [`xor_transpose`] without materializing the transposed
+/// image. A zero run leaves the base bytes it covers as they are; a
+/// literal is XORed in at stride [`LANES`], so the work beyond the one
+/// copy is proportional to the bytes that changed.
+fn rle_decode_onto(body: &[u8], base: &[u8]) -> Result<Vec<u8>, DeltaError> {
+    let expect_len = base.len();
+    let mut out = base.to_vec();
+    // Position in the transposed image the next token starts at.
+    let mut pos = 0usize;
     let mut i = 0;
-    while i < src.len() {
-        if i + 5 > src.len() {
+    while i < body.len() {
+        if i + 5 > body.len() {
             return Err(DeltaError::Truncated);
         }
-        let tag = src[i];
-        let len = u32::from_le_bytes(src[i + 1..i + 5].try_into().unwrap()) as usize;
+        let tag = body[i];
+        let len = u32::from_le_bytes(body[i + 1..i + 5].try_into().unwrap()) as usize;
         i += 5;
+        let end = pos.saturating_add(len);
         match tag {
-            0 => out.resize(out.len() + len, 0),
+            0 => {}
             1 => {
-                if i + len > src.len() {
+                if i + len > body.len() {
                     return Err(DeltaError::Truncated);
                 }
-                out.extend_from_slice(&src[i..i + len]);
+                if end <= expect_len {
+                    xor_scatter(&mut out, pos, &body[i..i + len]);
+                }
                 i += len;
             }
             t => return Err(DeltaError::BadToken(t)),
         }
-        if out.len() > expect_len {
+        pos = end;
+        if pos > expect_len {
             return Err(DeltaError::LengthMismatch {
                 expected: expect_len,
-                actual: out.len(),
+                actual: pos,
             });
         }
     }
-    if out.len() != expect_len {
+    if pos != expect_len {
         return Err(DeltaError::LengthMismatch {
             expected: expect_len,
-            actual: out.len(),
+            actual: pos,
         });
     }
     Ok(out)
+}
+
+/// XOR `lit`, which sits at `pos..pos + lit.len()` of the transposed
+/// image, into the untransposed `out`: position `p` of lane `k` (`p =
+/// k * words + w`) is byte `k` of word `w`; tail positions map to
+/// themselves. The range lies within `out.len()`.
+fn xor_scatter(out: &mut [u8], mut pos: usize, mut lit: &[u8]) {
+    let words = out.len() / LANES;
+    while !lit.is_empty() && pos < words * LANES {
+        let (lane, w) = (pos / words, pos % words);
+        let n = lit.len().min(words - w);
+        for (o, b) in out[w * LANES + lane..]
+            .iter_mut()
+            .step_by(LANES)
+            .zip(&lit[..n])
+        {
+            *o ^= b;
+        }
+        pos += n;
+        lit = &lit[n..];
+    }
+    for (o, b) in out[pos..].iter_mut().zip(lit) {
+        *o ^= b;
+    }
+}
+
+/// The byte-at-a-time codec the word-wise kernels replaced, kept as the
+/// reference they are compared against: the EVDL byte stream must not
+/// depend on how it is computed.
+#[cfg(test)]
+mod reference {
+    use super::{flush_literal, LANES, ZERO_RUN_MIN};
+
+    /// Body of the delta record for `raw` against `base`.
+    pub fn encode_body(raw: &[u8], base: &[u8]) -> Vec<u8> {
+        let xored: Vec<u8> = raw.iter().zip(base).map(|(a, b)| a ^ b).collect();
+        rle_encode(&transpose(&xored))
+    }
+
+    /// Group bytes by position-within-a-4-byte-lane: all lane-0 bytes, then
+    /// all lane-1 bytes, ... Tail bytes (len % 4) pass through unpermuted.
+    pub fn transpose(src: &[u8]) -> Vec<u8> {
+        let words = src.len() / LANES;
+        let mut out = Vec::with_capacity(src.len());
+        for lane in 0..LANES {
+            for w in 0..words {
+                out.push(src[w * LANES + lane]);
+            }
+        }
+        out.extend_from_slice(&src[words * LANES..]);
+        out
+    }
+
+    /// Inverse of [`transpose`].
+    pub fn untranspose(src: &[u8]) -> Vec<u8> {
+        let words = src.len() / LANES;
+        let mut out = vec![0u8; src.len()];
+        let mut idx = 0;
+        for lane in 0..LANES {
+            for w in 0..words {
+                out[w * LANES + lane] = src[idx];
+                idx += 1;
+            }
+        }
+        out[words * LANES..].copy_from_slice(&src[idx..]);
+        out
+    }
+
+    pub fn rle_encode(src: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(src.len() / 8 + 16);
+        let mut i = 0;
+        let mut lit_start = 0;
+        while i < src.len() {
+            if src[i] == 0 {
+                let run_start = i;
+                while i < src.len() && src[i] == 0 {
+                    i += 1;
+                }
+                let run = i - run_start;
+                if run >= ZERO_RUN_MIN {
+                    flush_literal(&mut out, &src[lit_start..run_start]);
+                    out.push(0);
+                    out.extend_from_slice(&(run as u32).to_le_bytes());
+                    lit_start = i;
+                }
+                // Short zero runs fold into the surrounding literal.
+            } else {
+                i += 1;
+            }
+        }
+        flush_literal(&mut out, &src[lit_start..]);
+        out
+    }
 }
 
 #[cfg(test)]
@@ -329,6 +501,7 @@ mod tests {
     use crate::dtype::DType;
     use crate::ser::write_tensor;
     use crate::tensor::TensorData;
+    use proptest::prelude::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -452,7 +625,25 @@ mod tests {
     fn transpose_roundtrip_all_tail_lengths() {
         for n in 0..40usize {
             let src: Vec<u8> = (0..n as u8).collect();
-            assert_eq!(untranspose(&transpose(&src)), src, "len {n}");
+            let base: Vec<u8> = (0..n as u8).map(|b| b.wrapping_mul(29) ^ 0x5A).collect();
+            let zeros = vec![0u8; n];
+            assert_eq!(
+                xor_transpose(&src, &zeros),
+                reference::transpose(&src),
+                "len {n}"
+            );
+            // One literal covering the whole image decodes to its
+            // untransposition, XORed onto the base.
+            let mut body = Vec::new();
+            flush_literal(&mut body, &src);
+            assert_eq!(
+                rle_decode_onto(&body, &zeros).unwrap(),
+                reference::untranspose(&src),
+                "len {n}"
+            );
+            body.clear();
+            flush_literal(&mut body, &xor_transpose(&src, &base));
+            assert_eq!(rle_decode_onto(&body, &base).unwrap(), src, "len {n}");
         }
     }
 
@@ -465,8 +656,205 @@ mod tests {
             [vec![0u8; 50], vec![9u8; 3], vec![0u8; 50]].concat(),
             vec![0, 1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2],
         ] {
-            let enc = rle_encode(&src);
-            assert_eq!(rle_decode(&enc, src.len()).unwrap(), src);
+            let mut enc = Vec::new();
+            rle_encode(&src, &mut enc);
+            assert_eq!(enc, reference::rle_encode(&src));
+            let zeros = vec![0u8; src.len()];
+            assert_eq!(
+                rle_decode_onto(&enc, &zeros).unwrap(),
+                reference::untranspose(&src)
+            );
+        }
+    }
+
+    #[test]
+    fn version_1_record_is_refused_by_version() {
+        // A record stamped by the previous format (FNV-1a body check) must
+        // be named as such, not reported as a corrupted body.
+        let mut rng = ChaCha8Rng::seed_from_u64(37);
+        let base = TensorData::random(&mut rng, DType::F32, vec![64]);
+        let base_rec = write_tensor(&base);
+        let tuned_rec = write_tensor(&base.perturbed_sparse(&mut rng, 0.02));
+        let mut v1 = encode_delta(&tuned_rec, &base_rec, KEY, 1)
+            .unwrap()
+            .to_vec();
+        v1[4] = 1;
+        assert_eq!(delta_header(&v1), Err(DeltaError::BadVersion(1)));
+        let err = decode_delta(&v1, &base_rec).unwrap_err();
+        assert_eq!(err, DeltaError::BadVersion(1));
+        assert!(err.to_string().contains("version 1"), "{err}");
+    }
+
+    /// A record framed around `body` with a valid check, so decoding gets
+    /// as far as the token stream.
+    fn framed(body: &[u8], raw_len: usize) -> Vec<u8> {
+        let mut rec = Vec::new();
+        put_header(&mut rec, 1, &KEY, raw_len, body.len());
+        rec.extend_from_slice(body);
+        rec.put_u64_le(checksum64(body));
+        rec
+    }
+
+    #[test]
+    fn malformed_token_streams_are_typed_errors() {
+        let base = [7u8; 10];
+        let decode = |body: &[u8]| decode_delta(&framed(body, base.len()), &base);
+        let zero_run = |n: u32| [&[0u8][..], &n.to_le_bytes()].concat();
+        let literal = |bytes: &[u8]| {
+            let mut out = Vec::new();
+            flush_literal(&mut out, bytes);
+            out
+        };
+
+        assert_eq!(decode(&zero_run(10)).unwrap()[..], base);
+        assert_eq!(decode(&[9, 1, 0, 0, 0]), Err(DeltaError::BadToken(9)));
+        // Token header or literal cut short.
+        assert_eq!(decode(&[0, 10, 0]), Err(DeltaError::Truncated));
+        assert_eq!(decode(&[1, 4, 0, 0, 0, 1, 2]), Err(DeltaError::Truncated));
+        // Too short, too long (by a zero run, by a literal, by a run whose
+        // claimed length must not be allocated).
+        for (body, actual) in [
+            (zero_run(9), 9),
+            (zero_run(11), 11),
+            ([zero_run(8), literal(&[1, 2, 3])].concat(), 11),
+            (zero_run(u32::MAX), u32::MAX as usize),
+        ] {
+            assert_eq!(
+                decode(&body),
+                Err(DeltaError::LengthMismatch {
+                    expected: 10,
+                    actual
+                })
+            );
+        }
+    }
+
+    /// The zero-scan kernels against a byte loop, from every start offset.
+    #[test]
+    fn zero_scans_match_byte_loops() {
+        let mut src = Vec::new();
+        for (zeros, fill) in [(0, 3), (1, 9), (7, 1), (8, 8), (9, 17), (16, 2), (23, 0)] {
+            src.extend(std::iter::repeat_n(0u8, zeros));
+            src.extend((0..fill).map(|i| 0x80 | i as u8));
+        }
+        // 0x01 and 0x80 neighbours are where the bit trick could misfire.
+        src.extend([0x01, 0x00, 0x01, 0x80, 0x00, 0x80, 0x01, 0x01, 0x00]);
+        for from in 0..=src.len() {
+            let zero = (from..src.len())
+                .find(|&i| src[i] == 0)
+                .unwrap_or(src.len());
+            let nonzero = (from..src.len())
+                .find(|&i| src[i] != 0)
+                .unwrap_or(src.len());
+            assert_eq!(find_zero(&src, from), zero, "find_zero from {from}");
+            assert_eq!(
+                find_nonzero(&src, from),
+                nonzero,
+                "find_nonzero from {from}"
+            );
+        }
+    }
+
+    /// An XOR image assembled from segments chosen to sit on the codec's
+    /// edges: zero runs one short of, at, and one past the token
+    /// threshold; runs and literals of word-straddling lengths; literals
+    /// with no zero byte at all.
+    fn arb_xor_image() -> impl Strategy<Value = Vec<u8>> {
+        let segment = prop_oneof![
+            // Zero runs around ZERO_RUN_MIN and around the 8-byte word.
+            prop::sample::select(vec![
+                1usize,
+                ZERO_RUN_MIN - 1,
+                ZERO_RUN_MIN,
+                ZERO_RUN_MIN + 1,
+                8,
+                9,
+                15,
+                16,
+                17,
+                64
+            ])
+            .prop_map(|n| vec![0u8; n]),
+            (1usize..600).prop_map(|n| vec![0u8; n]),
+            // Zero-free literals.
+            prop::collection::vec(1u8..=255, 1..40),
+            // Arbitrary bytes (isolated zeros included).
+            prop::collection::vec(any::<u8>(), 1..40),
+            prop::collection::vec(0u8..3, 1..40),
+        ];
+        (prop::collection::vec(segment, 0..24), 0usize..=4100).prop_map(|(segments, len)| {
+            let mut image: Vec<u8> = segments.concat();
+            // Cut or zero-extend to the drawn length, so every `len % 4`
+            // and `len % 8` tail occurs, and so do long all-zero tails.
+            image.resize(len, 0);
+            image
+        })
+    }
+
+    /// The word-wise kernels emit the reference codec's bytes for the
+    /// record whose XOR against a seeded base is `image`, and decoding
+    /// restores the record.
+    fn check_against_reference(image: &[u8], base_seed: u64) {
+        let mut x = base_seed;
+        let base: Vec<u8> = (0..image.len())
+            .map(|_| {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (x >> 56) as u8
+            })
+            .collect();
+        let raw: Vec<u8> = image.iter().zip(&base).map(|(i, b)| i ^ b).collect();
+
+        let trans = xor_transpose(&raw, &base);
+        assert_eq!(trans, reference::transpose(image));
+        let mut body = Vec::new();
+        rle_encode(&trans, &mut body);
+        assert_eq!(body, reference::encode_body(&raw, &base));
+        assert_eq!(rle_decode_onto(&body, &base).unwrap(), raw);
+
+        // Through the public pair, whenever the delta is taken.
+        if let Some(delta) = encode_delta(&raw, &base, KEY, 1) {
+            assert_eq!(delta[HEADER_LEN..delta.len() - CHECK_LEN], body[..]);
+            assert_eq!(decode_delta(&delta, &base).unwrap()[..], raw[..]);
+        }
+    }
+
+    #[test]
+    fn edge_images_match_reference() {
+        let lens = (0..=70).chain(4090..=4100);
+        for len in lens {
+            // All-zero XOR (identical records) and no zero byte at all.
+            check_against_reference(&vec![0u8; len], len as u64);
+            check_against_reference(&vec![0xA5u8; len], len as u64);
+            // One zero run of each threshold length at every offset of two
+            // words, in the transposed image (what the RLE stage scans).
+            for run in [ZERO_RUN_MIN - 1, ZERO_RUN_MIN, ZERO_RUN_MIN + 1] {
+                for start in 0..16 {
+                    let mut trans = vec![0x11u8; len];
+                    for b in trans.iter_mut().skip(start).take(run) {
+                        *b = 0;
+                    }
+                    check_against_reference(&reference::untranspose(&trans), start as u64);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn matches_reference_and_roundtrips(
+            image in arb_xor_image(),
+            base_seed in any::<u64>(),
+            transposed in any::<bool>(),
+        ) {
+            // `transposed` lays the image out so that *it* is what the RLE
+            // stage scans; otherwise it is the XOR of the two records.
+            if transposed {
+                check_against_reference(&reference::untranspose(&image), base_seed);
+            } else {
+                check_against_reference(&image, base_seed);
+            }
         }
     }
 }

@@ -10,7 +10,9 @@
 //!   binary buffers (backed by [`bytes::Bytes`], so sharing a tensor between
 //!   two models never copies the payload);
 //! * [`ContentHash`] — a 128-bit structural content hash used to detect
-//!   identical tensors and identical layer configurations;
+//!   identical tensors and identical layer configurations, from two
+//!   families ([`hash`]): a word-parallel lane hash for payload bytes,
+//!   FNV-1a for short field-by-field signatures;
 //! * [`ModelId`] / [`TensorKey`] — the identifiers the distributed repository
 //!   uses for placement (static hashing of the model id) and for owner maps
 //!   (`128` bits per leaf layer, as in the paper);

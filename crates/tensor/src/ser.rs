@@ -16,6 +16,12 @@
 //! payload len bytes
 //! check   u64   checksum64(payload) — integrity check
 //! ```
+//!
+//! The check is the word-parallel lane hash of [`crate::hash`], computed
+//! where the record is written ([`write_tensor`]), where a provider accepts
+//! it ([`validate_record`]) and where it is decoded ([`read_tensor`]). A
+//! record stamped by an earlier build (FNV-1a check) fails all three with
+//! [`SerError::ChecksumMismatch`].
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 

@@ -93,7 +93,10 @@ impl TensorData {
         self.data
     }
 
-    /// Structural content hash of dtype + shape + payload.
+    /// Structural content hash of dtype + shape + payload. The few header
+    /// fields go through [`Fnv128`] field by field; the payload enters as
+    /// its 128-bit lane address ([`ContentHash::of_bytes`]), so the cost is
+    /// one word-parallel pass over the bytes.
     pub fn content_hash(&self) -> ContentHash {
         let mut h = Fnv128::new();
         h.update(&[self.dtype.tag()]);
@@ -101,7 +104,7 @@ impl TensorData {
         for &d in &self.shape {
             h.update_u64(d as u64);
         }
-        h.update(&self.data);
+        h.update(&ContentHash::of_bytes(&self.data).to_bytes());
         h.finish()
     }
 

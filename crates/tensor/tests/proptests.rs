@@ -60,7 +60,7 @@ proptest! {
             // ...or the corruption hit a shape/len byte combination that
             // still frames consistently. That can only happen if it decodes
             // to a *different* tensor, never silently to the same one —
-            // but FNV catches payload flips, so a successful decode must
+            // but the check catches payload flips, so a successful decode must
             // mean header bytes were flipped into another valid header.
             Ok(decoded) => {
                 prop_assert!(decoded != t, "corruption at {pos} produced identical tensor");

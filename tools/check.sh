@@ -31,6 +31,28 @@ if hits=$(grep -rnF --include='*.rs' -e "$names" crates/*/src | grep -v "^$table
     exit 1
 fi
 
+# FNV-1a is one byte per 128-bit multiply: fine for signatures and shard
+# routing, never for tensor bytes. The modules every payload byte passes
+# through hash with the lane kernel (checksum64 / ContentHash::of_bytes)
+# and may name FNV only inside `#[cfg(test)]` items (the log store's
+# legacy-format fixture).
+echo "== no byte-serial FNV on the payload path"
+payload_path=(crates/tensor/src/ser.rs crates/tensor/src/delta.rs
+    crates/kv/src/chunkstore.rs crates/kv/src/logstore.rs
+    crates/core/src/provider/*.rs crates/core/src/watch.rs)
+if hits=$(awk '
+    FNR == 1 { in_test = 0; pending = 0 }
+    /^#\[cfg\(test\)\]/ { pending = 1; next }
+    pending { pending = 0; if (/\{$/) in_test = 1; else next }
+    in_test && /^}/ { in_test = 0; next }
+    !in_test && /fnv1a128|Fnv128/ { print FILENAME ":" FNR ": " $0; found = 1 }
+    END { exit !found }
+' "${payload_path[@]}"); then
+    echo "byte-serial FNV named in a payload-path module:" >&2
+    echo "$hits" >&2
+    exit 1
+fi
+
 # benchmark/ is a workspace of its own, so `--workspace` cannot see it:
 # its self-tests plus one short single run per workload (the single-run
 # form appends nothing to benchmark/results/history.jsonl) catch a
