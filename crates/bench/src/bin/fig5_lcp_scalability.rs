@@ -250,8 +250,8 @@ fn main() {
         let evo_projected = w as f64 / lat_evo;
         let qs = client.stats().expect("provider stats").query_stats;
         println!(
-            "  index counters: candidates={} scanned={} memo_hits={} deduped={} pruned={}",
-            qs.candidates, qs.scanned, qs.memo_hits, qs.deduped, qs.pruned
+            "  index counters: candidates={} scanned={} deduped={} pruned={}",
+            qs.candidates, qs.scanned, qs.deduped, qs.pruned
         );
         drop(dep);
 
@@ -378,7 +378,7 @@ fn main() {
 /// deployment, then measures query throughput with the architecture
 /// index enabled and again with it disabled (full-catalog scan). Redis
 /// is skipped. Optionally writes the rows plus the index counters
-/// (scanned vs pruned, memo hits, dedup savings) to `--json PATH`.
+/// (scanned vs pruned, dedup savings) to `--json PATH`.
 fn run_ab(
     catalog: &[CompactGraph],
     probes: &[CompactGraph],
@@ -395,9 +395,9 @@ fn run_ab(
         catalog.len() * dups
     );
     // Mix exact catalog members into the probe stream: a re-query of a
-    // stored architecture yields a full-length best LCP, which is what
-    // lets the vertex-count bound prune the tail of the scan. Fresh
-    // mutations alone have short LCPs and exercise only dedup + memo.
+    // stored architecture yields a full-length best LCP, which no other
+    // bucket's cone bound can reach, so the walk stops after one `lcp()`.
+    // Fresh mutations have shorter LCPs and leave more buckets in reach.
     let probes: Vec<CompactGraph> = {
         let mut v = probes.to_vec();
         v.extend(catalog.iter().step_by((catalog.len() / 64).max(1)).cloned());
@@ -447,9 +447,8 @@ fn run_ab(
         let stats = client.stats().expect("provider stats");
         let after = stats.query_stats;
         let idx_qps = idone as f64 / idx_secs;
-        let (scanned, memo_hits, deduped, pruned) = (
+        let (scanned, deduped, pruned) = (
             after.scanned - before.scanned,
-            after.memo_hits - before.memo_hits,
             after.deduped - before.deduped,
             after.pruned - before.pruned,
         );
@@ -465,7 +464,7 @@ fn run_ab(
 
         println!(
             "  workers {w}: indexed {idx_qps:.1} q/s vs unindexed {raw_qps:.1} q/s ({speedup:.1}x); \
-             scanned={scanned} memo_hits={memo_hits} deduped={deduped} pruned={pruned}"
+             scanned={scanned} deduped={deduped} pruned={pruned}"
         );
         rows.push(vec![
             w.to_string(),
@@ -475,12 +474,11 @@ fn run_ab(
             format!("{speedup:.1}x"),
             scanned.to_string(),
             pruned.to_string(),
-            memo_hits.to_string(),
         ]);
         points.push(format!(
             "    {{\"workers\": {w}, \"providers\": {providers}, \"indexed_qps\": {idx_qps:.1}, \
              \"unindexed_qps\": {raw_qps:.1}, \"speedup\": {speedup:.2}, \"scanned\": {scanned}, \
-             \"pruned\": {pruned}, \"memo_hits\": {memo_hits}, \"deduped\": {deduped}, \
+             \"pruned\": {pruned}, \"deduped\": {deduped}, \
              \"distinct_archs\": {}}}",
             stats.distinct_archs
         ));
@@ -496,7 +494,6 @@ fn run_ab(
             "speedup",
             "scanned",
             "pruned",
-            "memo hits",
         ],
         &rows,
     );

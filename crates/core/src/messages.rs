@@ -209,10 +209,10 @@ pub struct LcpQueryReply {
     /// Best local candidate, absent when nothing matches.
     pub best: Option<LcpCandidate>,
     /// How many LCP computations this provider actually ran: distinct
-    /// non-memoized architectures on the indexed path, every stored
-    /// model on the unindexed one (diagnostics).
+    /// architectures the cone bound could not rule out on the indexed
+    /// path, every stored model on the unindexed one (diagnostics).
     pub scanned: usize,
-    /// How the index served this query (dedup/memo/pruning breakdown).
+    /// How the index served this query (dedup/pruning breakdown).
     pub stats: IndexQueryStats,
 }
 
@@ -622,6 +622,14 @@ pub struct ProviderStats {
     /// Distinct architecture signatures in the local catalog (the
     /// ancestor-query index's dedup denominator).
     pub distinct_archs: usize,
+    /// Distinct cone hashes the ancestor-query index holds a posting list
+    /// for.
+    #[serde(default)]
+    pub index_cone_keys: usize,
+    /// Posting entries over all of them (one per distinct cone of each
+    /// distinct architecture): what the index costs in memory.
+    #[serde(default)]
+    pub index_postings: usize,
     /// Live tensors hosted here.
     pub tensors: usize,
     /// Bytes of live tensor payload.
@@ -629,7 +637,7 @@ pub struct ProviderStats {
     /// Approximate metadata bytes (owner maps).
     pub metadata_bytes: u64,
     /// Cumulative ancestor/pattern query counters (scanned, deduped,
-    /// pruned, memo hits) since this provider started.
+    /// pruned) since this provider started.
     pub query_stats: IndexQueryStats,
     /// Tensor-store backend counters (ops + bytes moved). `default` so
     /// replies from pre-observability providers still decode.
@@ -722,6 +730,8 @@ impl ProviderStats {
         ProviderStats {
             models: self.models + other.models,
             distinct_archs: self.distinct_archs + other.distinct_archs,
+            index_cone_keys: self.index_cone_keys + other.index_cone_keys,
+            index_postings: self.index_postings + other.index_postings,
             tensors: self.tensors + other.tensors,
             tensor_bytes: self.tensor_bytes + other.tensor_bytes,
             metadata_bytes: self.metadata_bytes + other.metadata_bytes,
@@ -778,6 +788,8 @@ mod tests {
         let a = ProviderStats {
             models: 1,
             distinct_archs: 1,
+            index_cone_keys: 5,
+            index_postings: 7,
             tensors: 2,
             tensor_bytes: 100,
             metadata_bytes: 16,
@@ -826,6 +838,8 @@ mod tests {
         let b = ProviderStats {
             models: 3,
             distinct_archs: 2,
+            index_cone_keys: 6,
+            index_postings: 9,
             tensors: 4,
             tensor_bytes: 900,
             metadata_bytes: 32,
@@ -866,6 +880,7 @@ mod tests {
         let m = a.merge(b);
         assert_eq!(m.models, 4);
         assert_eq!(m.distinct_archs, 3);
+        assert_eq!((m.index_cone_keys, m.index_postings), (11, 16));
         assert_eq!(m.tensors, 6);
         assert_eq!(m.tensor_bytes, 1000);
         assert_eq!(m.metadata_bytes, 48);

@@ -26,6 +26,13 @@ struct PersistedRecord {
     optimizer_keys: Vec<TensorKey>,
 }
 
+/// Gate for a graph decoded from a request: `lcp()` and the index's cone
+/// pass trust `CompactGraph`'s invariants and panic on a graph that
+/// lies, which on a service thread hangs the provider.
+pub(super) fn wire_graph(g: &CompactGraph) -> Result<(), String> {
+    g.validate().map_err(|e| format!("malformed graph: {e}"))
+}
+
 impl ModelRecord {
     fn to_persisted(&self) -> PersistedRecord {
         PersistedRecord {
@@ -82,6 +89,9 @@ impl ProviderState {
             let Ok(p) = serde_json::from_slice::<PersistedRecord>(&blob) else {
                 continue;
             };
+            if p.graph.validate().is_err() {
+                continue;
+            }
             let model = p.owner_map.model;
             self.clock.fetch_max(p.timestamp + 1, Ordering::Relaxed);
             recovered.push((model, ModelRecord::from_persisted(p)));
@@ -124,6 +134,7 @@ impl ProviderState {
 
     /// Handle a store request.
     pub fn handle_store(&self, req: StoreModelRequest) -> Result<StoreModelReply, String> {
+        wire_graph(&req.graph)?;
         if req.owner_map.model != req.model {
             return Err(format!(
                 "owner map belongs to {} but stores {}",
@@ -331,12 +342,12 @@ impl ProviderState {
     /// deterministically).
     ///
     /// The default path consults the [`evostore_graph::ArchIndex`]: one `lcp()` per
-    /// distinct non-memoized architecture whose root matches the query
-    /// and whose vertex count can still beat the best length so far. The
-    /// unindexed path (A/B measurement, [`ProviderState::set_index_enabled`])
-    /// scans every stored model in parallel; both return identical
-    /// candidates.
+    /// distinct architecture whose cone bound can still reach the best
+    /// length so far. The unindexed path (Fig 5's baseline,
+    /// [`ProviderState::set_index_enabled`]) scans every stored model in
+    /// parallel; both return identical candidates.
     pub fn handle_lcp(&self, req: LcpQueryRequest) -> Result<LcpQueryReply, String> {
+        wire_graph(&req.graph)?;
         let snap = self.catalog_snapshot();
         let reply = self.lcp_reply_on(&snap, &req.graph);
         self.query_stats.note(reply.stats);
@@ -352,7 +363,7 @@ impl ProviderState {
                 best: best.map(|c| LcpCandidate {
                     model: c.model,
                     quality: c.quality,
-                    lcp: (*c.lcp).clone(),
+                    lcp: c.lcp,
                 }),
                 scanned: stats.scanned as usize,
                 stats,
@@ -399,6 +410,7 @@ impl ProviderState {
     /// across the rayon pool. Dispatch, tracing, and snapshot acquisition
     /// are paid once per envelope instead of once per query.
     pub fn handle_lcp_batch(&self, req: LcpBatchRequest) -> Result<LcpBatchReply, String> {
+        req.graphs.iter().try_for_each(wire_graph)?;
         let snap = self.catalog_snapshot();
         let replies: Vec<LcpQueryReply> = req
             .graphs

@@ -121,7 +121,7 @@ impl Catalog {
 
     /// Freeze the current state into an immutable snapshot. Cheap:
     /// records are shared `Arc`s and [`ArchIndex::clone`] is
-    /// copy-on-write (per-bucket pointer bumps, shared memo).
+    /// copy-on-write (pointer bumps per bucket and posting shard).
     fn snapshot(&self) -> Arc<CatalogSnapshot> {
         Arc::new(CatalogSnapshot {
             records: self.records.clone(),
@@ -181,9 +181,10 @@ impl CatalogSnapshot {
     }
 
     /// Assert the snapshot is internally coherent: index membership
-    /// mirrors the record map exactly. A violation means a reader
-    /// observed a half-applied mutation — exactly what the atomic
-    /// publication protocol forbids.
+    /// mirrors the record map exactly, and inside the index postings
+    /// mirror buckets. A violation means a reader observed a
+    /// half-applied mutation — exactly what the atomic publication
+    /// protocol forbids.
     pub fn verify_coherent(&self) -> Result<(), String> {
         if self.records.len() != self.index.len() {
             return Err(format!(
@@ -214,7 +215,9 @@ impl CatalogSnapshot {
                 self.index.distinct_architectures()
             ));
         }
-        Ok(())
+        self.index
+            .verify()
+            .map_err(|e| format!("snapshot v{}: index: {e}", self.version))
     }
 }
 
@@ -493,13 +496,6 @@ impl ProviderState {
     /// Whether queries are currently served through the index.
     pub fn index_enabled(&self) -> bool {
         self.index_enabled.load(Ordering::Relaxed)
-    }
-
-    /// Live entries in the index's LCP memo (diagnostics/tests). The
-    /// memo is shared copy-on-write across snapshots, so the published
-    /// snapshot's count is the authoritative one.
-    pub fn index_memo_len(&self) -> usize {
-        self.snapshot.load().index.memo_len()
     }
 
     /// The provider's span factory (tests, diagnostics).

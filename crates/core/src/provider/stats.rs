@@ -22,6 +22,8 @@ impl ProviderState {
         ProviderStats {
             models: snap.len(),
             distinct_archs: snap.index.distinct_architectures(),
+            index_cone_keys: snap.index.cone_keys(),
+            index_postings: snap.index.postings(),
             tensors: self.tensors.len(),
             tensor_bytes: self.tensors.bytes_used() as u64,
             metadata_bytes: snap
@@ -83,10 +85,22 @@ impl ProviderState {
                 stats.metadata_bytes as f64,
             )
             .with_label("provider", p),
+            Metric::gauge(
+                "evostore_index_distinct_architectures",
+                stats.distinct_archs as f64,
+            )
+            .with_label("provider", p),
+            Metric::gauge("evostore_index_cone_keys", stats.index_cone_keys as f64)
+                .with_label("provider", p),
+            Metric::gauge("evostore_index_postings", stats.index_postings as f64)
+                .with_label("provider", p),
             Metric::counter("evostore_index_candidates", stats.query_stats.candidates)
                 .with_label("provider", p),
             Metric::counter("evostore_index_scanned", stats.query_stats.scanned)
                 .with_label("provider", p),
+            // Retired with the memo and the answer cache (always 0); kept
+            // registered, like `evostore_index_answered` below, until
+            // the benchmark stops reading them.
             Metric::counter("evostore_index_memo_hits", stats.query_stats.memo_hits)
                 .with_label("provider", p),
             Metric::counter("evostore_index_deduped", stats.query_stats.deduped)

@@ -67,6 +67,7 @@ impl ProviderState {
     /// from a peer replica that validated them at original store time,
     /// so only framing integrity is re-checked here.
     pub fn handle_sync_model(&self, req: SyncModelRequest) -> Result<SyncModelReply, String> {
+        super::catalog::wire_graph(&req.graph)?;
         if !self.places_here(req.model) {
             return Err(format!(
                 "model {} does not place on provider {}",
@@ -379,6 +380,7 @@ impl ProviderState {
     /// [`ProviderState::handle_sync_model`]; any validation failure
     /// leaves the driver to fall back to a materialized sync.
     pub fn handle_sync_chunks(&self, req: SyncChunksRequest) -> Result<SyncChunksReply, String> {
+        super::catalog::wire_graph(&req.graph)?;
         if !self.places_here(req.model) {
             return Err(format!(
                 "model {} does not place on provider {}",

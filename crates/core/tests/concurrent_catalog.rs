@@ -97,8 +97,8 @@ fn snapshots_stay_coherent_under_churn() {
 
         // Writer: churn a rotating window of model ids over the sampled
         // architectures — every round stores a fresh record and retires
-        // the one from two rounds ago, exercising insert + remove +
-        // memo invalidation while readers hold pins.
+        // the one from two rounds ago, exercising insert + remove and
+        // the posting shards they copy while readers hold pins.
         start.wait();
         let mut round = 0usize;
         while round < MIN_ROUNDS || readers_done.load(Ordering::SeqCst) < READERS {

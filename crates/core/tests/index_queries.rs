@@ -1,16 +1,24 @@
 //! Provider-level tests of the ancestor-query index: the indexed walk
 //! must be observationally identical to the unindexed full-catalog scan
 //! (same winner, same tie-breaks, same pattern matches) including under
-//! store/retire churn; retiring a model must invalidate its memoized
-//! LCP entries; and the dedup/memo/pruning counters must surface through
-//! provider stats and client telemetry.
+//! store/retire churn; a retired architecture's postings must be gone
+//! while an older pinned snapshot keeps answering as of its own epoch;
+//! the dedup/pruning counters and posting gauges must surface through
+//! provider stats and client telemetry; and a malformed graph off the
+//! wire must come back as a handler error, not take the provider down.
 
 use std::sync::Arc;
 
-use evostore_core::messages::RetireMetaRequest;
+use bytes::Bytes;
+use evostore_core::messages::{
+    LcpBatchRequest, LcpQueryRequest, RetireMetaRequest, StoreModelRequest,
+};
 use evostore_core::provider::ProviderState;
-use evostore_core::{Deployment, EvoStoreClient};
-use evostore_graph::{flatten, ArchPattern, CompactGraph, GenomeSpace, LayerPattern};
+use evostore_core::{methods, Deployment, EvoStoreClient, OwnerMap};
+use evostore_graph::{
+    flatten, layered_model, ArchPattern, CompactGraph, GenomeSpace, LayerPattern,
+};
+use evostore_rpc::{Method, RpcError};
 use evostore_tensor::ModelId;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -105,7 +113,7 @@ fn indexed_queries_match_unindexed_under_churn() {
 
     for probe in &probes {
         assert_query_equivalent(&dep, &client, probe);
-        // Second pass hits the memo; the answer must not change.
+        // The index is a value: asking again must not change the answer.
         assert_query_equivalent(&dep, &client, probe);
     }
 
@@ -157,7 +165,7 @@ fn pattern_queries_match_unindexed() {
 }
 
 #[test]
-fn retire_invalidates_memoized_entries() {
+fn retire_drops_postings_and_pinned_snapshots_keep_their_epoch() {
     let dep = Deployment::in_memory(1);
     let states = dep.provider_states();
     let client = dep.client();
@@ -167,11 +175,14 @@ fn retire_invalidates_memoized_entries() {
     let child = space.mutate(&parent, &mut rng);
     let pg = flatten(&space.materialize(&parent)).unwrap();
     let cg = flatten(&space.materialize(&child)).unwrap();
-    insert(&states, ModelId(1), &pg, 0.5);
     insert(&states, ModelId(2), &cg, 0.4);
+    let without_parent = client.stats().unwrap();
+    insert(&states, ModelId(1), &pg, 0.5);
+    let with_parent = client.stats().unwrap();
+    assert!(with_parent.index_postings > without_parent.index_postings);
+    assert!(with_parent.index_cone_keys > without_parent.index_cone_keys);
 
-    // Self-query: model 1 must win with a full-length prefix, and the
-    // memo must now hold entries for the probed architecture.
+    // Self-query: model 1 must win with a full-length prefix.
     let best = client
         .query_best_ancestor(&pg)
         .unwrap()
@@ -179,22 +190,23 @@ fn retire_invalidates_memoized_entries() {
         .expect("ancestor");
     assert_eq!(best.model, ModelId(1));
     assert_eq!(best.lcp.len(), pg.len());
-    let memo_before = states[0].index_memo_len();
-    assert!(memo_before > 0, "memo empty after a query");
 
-    // Retiring the winner purges its memo entries; the next query must
-    // not return the stale ancestor.
+    // Retiring the winner takes its postings with it; the next query
+    // must not return the stale ancestor.
+    let pinned = states[0].catalog_snapshot();
     retire(&states, ModelId(1));
-    assert!(
-        states[0].index_memo_len() < memo_before,
-        "retire did not invalidate memo entries"
-    );
+    let after = client.stats().unwrap();
+    assert_eq!(after.index_postings, without_parent.index_postings);
+    assert_eq!(after.index_cone_keys, without_parent.index_cone_keys);
+    states[0].catalog_snapshot().verify_coherent().unwrap();
     let best = client.query_best_ancestor(&pg).unwrap().into_inner();
-    assert_ne!(
-        best.as_ref().map(|b| b.model),
-        Some(ModelId(1)),
-        "stale ancestor returned after retire"
-    );
+    assert_eq!(best.map(|b| b.model), Some(ModelId(2)));
+
+    // The snapshot pinned before the retire is untouched by it.
+    pinned.verify_coherent().unwrap();
+    let (old, _) = pinned.index().best_ancestor(&pg);
+    let old = old.expect("the pinned epoch still holds model 1");
+    assert_eq!((old.model, old.lcp.len()), (ModelId(1), pg.len()));
 }
 
 #[test]
@@ -215,29 +227,150 @@ fn stats_surface_index_counters() {
         stats.models
     );
 
-    // First query does the scanning; the repeat is served by the memo.
+    // Every distinct architecture is either evaluated or pruned, on
+    // every provider, and a repeat costs what the first query did.
     let probe = &graphs[0];
     client.query_best_ancestor(probe).unwrap();
     let after_first = client.stats().unwrap().query_stats;
     assert!(after_first.scanned > 0, "no scans counted");
+    assert_eq!(
+        after_first.scanned + after_first.pruned,
+        stats.distinct_archs as u64
+    );
     client.query_best_ancestor(probe).unwrap();
     let after_second = client.stats().unwrap().query_stats;
-    // The repeat is served by a cache layer: the per-snapshot answer
-    // cache if the catalog is unchanged, the pairwise LCP memo otherwise.
-    assert!(
-        after_second.answered > after_first.answered
-            || after_second.memo_hits > after_first.memo_hits,
-        "repeat query hit neither the answer cache nor the memo"
-    );
-    assert_eq!(
-        after_second.scanned, after_first.scanned,
-        "repeat query re-ran LCPs despite the caches"
-    );
+    assert_eq!(after_second.scanned, 2 * after_first.scanned);
     assert!(after_second.deduped > 0, "dedup counter never moved");
+    // The memo and the answer cache are retired; their counters stay 0.
+    assert_eq!((after_second.memo_hits, after_second.answered), (0, 0));
+
+    // Posting growth is inspectable live: at least one posting per
+    // architecture (its root), at most one cone key per posting.
+    let stats = client.stats().unwrap();
+    assert!(stats.index_postings >= stats.distinct_archs);
+    assert!(stats.index_cone_keys <= stats.index_postings);
+    let snap = dep.metrics_snapshot();
+    for (name, want) in [
+        (
+            "evostore_index_distinct_architectures",
+            stats.distinct_archs,
+        ),
+        ("evostore_index_cone_keys", stats.index_cone_keys),
+        ("evostore_index_postings", stats.index_postings),
+    ] {
+        let got: f64 = snap
+            .find_all(name)
+            .iter()
+            .map(|m| match m.value {
+                evostore_obs::MetricValue::Gauge(v) => v,
+                _ => panic!("{name} is not a gauge"),
+            })
+            .sum();
+        assert_eq!(got, want as f64, "{name}");
+    }
 
     // The same counters flow into client telemetry.
     let t = client.telemetry().index_stats();
     assert_eq!(t.scanned, after_second.scanned);
-    assert_eq!(t.memo_hits, after_second.memo_hits);
+    assert_eq!(t.pruned, after_second.pruned);
     assert!(client.telemetry().report().contains("index:"));
+}
+
+/// A graph that lies about itself must come back as a handler error.
+/// Before `CompactGraph::validate` any of these panicked `lcp()` on the
+/// provider's one service thread, and every later call hung.
+#[test]
+fn malformed_graphs_are_refused_and_the_provider_keeps_answering() {
+    let dep = Deployment::in_memory(1);
+    let states = dep.provider_states();
+    let client = dep.client();
+    let g = flatten(&layered_model(1024, 3)).unwrap();
+    insert(&states, ModelId(1), &g, 0.5);
+
+    // The edge relation of the well-formed graph, as it is on the wire.
+    let edges = "\"out_edges\":[[1],[2],[3],[]],\"in_degree\":[0,1,1,1]";
+    let defects = [
+        (
+            "\"out_edges\":[[1],[2],[3]],\"in_degree\":[0,1,1,1]",
+            "edge lists",
+        ),
+        (
+            "\"out_edges\":[[1],[2],[3],[]],\"in_degree\":[0,1,1]",
+            "in-degrees",
+        ),
+        (
+            "\"out_edges\":[[1],[2],[9],[]],\"in_degree\":[0,1,1,1]",
+            "leaves",
+        ),
+        (
+            "\"out_edges\":[[1],[2,2],[3],[]],\"in_degree\":[0,1,2,1]",
+            "duplicate",
+        ),
+        (
+            "\"out_edges\":[[1],[2],[3],[]],\"in_degree\":[0,1,3,1]",
+            "in-degrees do not match",
+        ),
+        (
+            "\"out_edges\":[[1],[2],[],[]],\"in_degree\":[0,1,1,0]",
+            "second source",
+        ),
+        (
+            "\"out_edges\":[[1],[2],[3,0],[]],\"in_degree\":[1,1,1,1]",
+            "vertex 0",
+        ),
+        (
+            "\"out_edges\":[[1],[2],[3],[2]],\"in_degree\":[0,1,2,1]",
+            "cycle",
+        ),
+    ];
+
+    let lcp = serde_json::to_string(&LcpQueryRequest { graph: g.clone() }).unwrap();
+    let batch = serde_json::to_string(&LcpBatchRequest {
+        graphs: vec![g.clone(), g.clone()],
+    })
+    .unwrap();
+    let store = serde_json::to_string(&StoreModelRequest {
+        model: ModelId(2),
+        graph: g.clone(),
+        owner_map: OwnerMap::fresh(ModelId(2), &g),
+        parent: None,
+        quality: 0.1,
+        manifest: Vec::new(),
+        bulk: 0,
+        timestamp: None,
+    })
+    .unwrap();
+    let provider = dep.provider_ids()[0];
+    for (defect, what) in defects {
+        for (method, body) in [
+            (methods::Lcp::METHOD, &lcp),
+            (methods::LcpBatch::METHOD, &batch),
+            (methods::Store::METHOD, &store),
+        ] {
+            assert!(
+                body.contains(edges),
+                "{method}: edge relation not found in the body"
+            );
+            // The batch's first graph stays well-formed: one bad graph
+            // anywhere refuses the envelope.
+            let at = body.rfind(edges).unwrap();
+            let bad = format!("{}{defect}{}", &body[..at], &body[at + edges.len()..]);
+            match dep.fabric().call(provider, method, Bytes::from(bad)) {
+                Err(RpcError::Handler(e)) => assert!(
+                    e.contains("malformed graph") && e.contains(what),
+                    "{method} / {what}: refused with `{e}`"
+                ),
+                other => panic!("{method} / {what}: expected a handler error, got {other:?}"),
+            }
+        }
+    }
+
+    // Nothing was stored, and the same provider still answers.
+    assert_eq!(client.stats().unwrap().models, 1);
+    let best = client
+        .query_best_ancestor(&g)
+        .unwrap()
+        .into_inner()
+        .expect("ancestor");
+    assert_eq!((best.model, best.lcp.len()), (ModelId(1), g.len()));
 }

@@ -287,6 +287,9 @@ fn metrics_snapshot_unifies_every_island() {
         "evostore_provider_tensor_bytes",
         "evostore_provider_metadata_bytes",
         // Provider-side index stats.
+        "evostore_index_distinct_architectures",
+        "evostore_index_cone_keys",
+        "evostore_index_postings",
         "evostore_index_candidates",
         "evostore_index_scanned",
         "evostore_index_memo_hits",

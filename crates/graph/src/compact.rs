@@ -21,10 +21,12 @@ pub struct CompactVertex {
 
 /// A flattened leaf-layer DAG with unique vertex ids.
 ///
-/// Invariants (established by [`crate::flatten::flatten`]):
+/// Invariants (established by [`crate::flatten::flatten`]; a graph that
+/// arrived off the wire has them only once [`CompactGraph::validate`] has
+/// passed):
 /// * vertex `0` is the unique source (the input layer) — the BFS root;
 /// * every vertex is reachable from vertex `0`;
-/// * the graph is acyclic;
+/// * the graph is acyclic and has no duplicate edge;
 /// * `in_degree[v]` equals the number of edges ending at `v`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CompactGraph {
@@ -48,6 +50,65 @@ impl CompactGraph {
             out_edges,
             in_degree,
         }
+    }
+
+    /// Check the type's invariants in O(V + E). `Deserialize` is derived,
+    /// so a graph decoded from a request carries whatever the sender
+    /// wrote; [`crate::lcp::lcp`] and the cone hashes index by edge
+    /// target and count in-degrees down, and panic on a graph that lies.
+    /// Handlers call this before a decoded graph reaches either.
+    pub fn validate(&self) -> Result<(), String> {
+        let n = self.vertices.len();
+        if self.out_edges.len() != n || self.in_degree.len() != n {
+            return Err(format!(
+                "{n} vertices but {} edge lists and {} in-degrees",
+                self.out_edges.len(),
+                self.in_degree.len()
+            ));
+        }
+        if n == 0 {
+            return Ok(());
+        }
+        let mut counted = vec![0u32; n];
+        // `last_from[t] == u + 1` once edge (u, t) has been seen.
+        let mut last_from = vec![0u32; n];
+        for (from, tos) in self.out_edges.iter().enumerate() {
+            let mark = from as u32 + 1;
+            for &to in tos {
+                let Some(seen) = last_from.get_mut(to as usize) else {
+                    return Err(format!("edge ({from},{to}) leaves the {n} vertices"));
+                };
+                if std::mem::replace(seen, mark) == mark {
+                    return Err(format!("duplicate edge ({from},{to})"));
+                }
+                counted[to as usize] += 1;
+            }
+        }
+        if counted != self.in_degree {
+            return Err("in-degrees do not match the edge relation".into());
+        }
+        if let Some(v) = (1..n).find(|&v| counted[v] == 0) {
+            return Err(format!("vertex {v} is a second source"));
+        }
+        if counted[0] != 0 {
+            return Err("vertex 0 has an incoming edge".into());
+        }
+        // Kahn from the one source: an acyclic graph is consumed whole.
+        let mut ready = vec![0u32];
+        let mut ordered = 0usize;
+        while let Some(u) = ready.pop() {
+            ordered += 1;
+            for &v in &self.out_edges[u as usize] {
+                counted[v as usize] -= 1;
+                if counted[v as usize] == 0 {
+                    ready.push(v);
+                }
+            }
+        }
+        if ordered != n {
+            return Err(format!("cycle: {} vertices are never ready", n - ordered));
+        }
+        Ok(())
     }
 
     /// Number of leaf-layer vertices.
@@ -194,23 +255,6 @@ impl CompactGraph {
     }
 }
 
-/// Build the vertex lookup `sig -> vertex ids` for one graph; used by the
-/// LCP matcher when a vertex has many out-neighbors.
-pub(crate) fn adjacency_sig_index(
-    g: &CompactGraph,
-) -> Vec<std::collections::HashMap<ContentHash, Vec<u32>>> {
-    g.vertex_ids()
-        .map(|u| {
-            let mut m: std::collections::HashMap<ContentHash, Vec<u32>> =
-                std::collections::HashMap::new();
-            for &v in g.out(u) {
-                m.entry(g.sig(VertexId(v))).or_default().push(v);
-            }
-            m
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,6 +297,42 @@ mod tests {
         assert_eq!(g.in_degree(VertexId(0)), 0);
         assert_eq!(g.in_degree(VertexId(1)), 1);
         assert!(!g.is_empty());
+    }
+
+    #[test]
+    fn validate_accepts_flattened_graphs_and_names_each_defect() {
+        let g = seq_model(&[4, 8, 2]);
+        assert_eq!(g.validate(), Ok(()));
+        let broken = |out_edges: Vec<Vec<u32>>, in_degree: Vec<u32>| {
+            CompactGraph {
+                vertices: g.vertices.clone(),
+                out_edges,
+                in_degree,
+            }
+            .validate()
+            .unwrap_err()
+        };
+        let cases = [
+            (vec![vec![1], vec![2]], vec![0, 1, 1], "edge lists"),
+            (vec![vec![1], vec![7], vec![]], vec![0, 1, 1], "leaves"),
+            (
+                vec![vec![1, 1], vec![2], vec![]],
+                vec![0, 2, 1],
+                "duplicate",
+            ),
+            (vec![vec![1], vec![2], vec![]], vec![0, 1, 2], "in-degrees"),
+            (
+                vec![vec![1], vec![], vec![]],
+                vec![0, 1, 0],
+                "second source",
+            ),
+            (vec![vec![1], vec![2, 0], vec![]], vec![1, 1, 1], "vertex 0"),
+            (vec![vec![1], vec![2], vec![1]], vec![0, 2, 1], "cycle"),
+        ];
+        for (out_edges, in_degree, what) in cases {
+            let err = broken(out_edges, in_degree);
+            assert!(err.contains(what), "expected `{what}` in `{err}`");
+        }
     }
 
     #[test]

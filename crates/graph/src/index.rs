@@ -1,10 +1,8 @@
 //! Provider-side architecture index for ancestor queries.
 //!
 //! The naive LCP scan runs Algorithm 1 against *every* stored model on
-//! every query — O(catalog × graph) work per request, repeated for the
-//! structurally identical architectures that NAS mutation families
-//! produce in bulk. [`ArchIndex`] turns that scan into indexed work with
-//! four cooperating mechanisms:
+//! every query — O(catalog × graph) work per request. [`ArchIndex`]
+//! answers the same question, byte for byte, from an inverted index:
 //!
 //! 1. **Signature dedup** — catalog entries are bucketed by
 //!    [`CompactGraph::arch_signature`]. The LCP depends only on vertex
@@ -12,73 +10,47 @@
 //!    signature hashes — so `lcp()` runs at most once per *distinct*
 //!    architecture; the best `(quality, model id)` inside the winning
 //!    bucket is selected in O(bucket).
-//! 2. **Memoized LCP** — a bounded, sharded cache keyed by
-//!    `(query_sig, stored_sig) → LcpResult`. Repeated queries against a
-//!    stable catalog (the NAS-driver pattern: one population, many
-//!    probes) become hash lookups. A memo entry is *pure* — it relates
-//!    two graphs, not catalog state — so a stale entry can never produce
-//!    a wrong answer; entries are still purged when their stored
-//!    architecture leaves the catalog (retire), bounding memory.
-//! 3. **Bound-based pruning** — buckets are grouped by the root vertex
-//!    signature. The LCP's base case requires the roots to match, so a
-//!    root mismatch proves the LCP is empty and the whole group is
-//!    skipped without running anything. Within the matching group,
-//!    buckets are scanned in descending vertex-count order; since an
-//!    LCP can never be longer than the stored graph, the scan
-//!    terminates as soon as `best_len` *strictly exceeds* every
-//!    remaining vertex count. (Strictly: a remaining bucket whose
-//!    vertex count equals `best_len` can still tie on length and win
-//!    the quality tie-break, so `≥` termination would change winners.)
-//! 4. **Bitset prefilters** (see [`crate::prefilter`]) — each bucket
-//!    carries a 64-bit bloom over its non-root vertex signatures and a
-//!    bitset of its layer kinds. Ancestor scans derive a sound LCP
-//!    upper bound from one `AND` + popcount against the query's bloom
-//!    and skip buckets that provably cannot beat *or tie* the current
-//!    best (strict `<`, same reasoning as the vertex-count bound);
-//!    pattern scans skip buckets missing a required layer kind. The
-//!    group stores blooms as a flat side array, so the scan rejects
-//!    runs of disjoint buckets four at a time (the chunked-compare
-//!    fast path) without touching the bucket table or the memo.
-//! 5. **Per-snapshot answer cache** — the *final* best-ancestor answer
-//!    is memoized per query signature. This is only sound because the
-//!    index values published to readers are immutable: `Clone` hands
-//!    the clone a fresh, empty cache and in-place mutation clears it,
-//!    so a cached answer can never outlive the catalog state it was
-//!    computed against — there is no invalidation protocol to get
-//!    wrong. A repeat probe against an unchanged catalog (the dominant
-//!    NAS-driver pattern) costs one shard lock and one hash lookup
-//!    instead of a walk over every distinct architecture.
+//! 2. **Cone postings** — every distinct architecture is posted under the
+//!    cone hash of each of its vertices (see [`crate::prefilter`]):
+//!    `cone → [(bucket, multiplicity)]`. A query hashes its own cones,
+//!    sums `min(multiplicity)` out of the postings they hit into one
+//!    upper bound per bucket on `|lcp(query, bucket)|`, and runs the real
+//!    `lcp()` on buckets in descending bound, stopping when the next
+//!    bound is *strictly* below the best length so far. (Strictly: a
+//!    bucket whose bound equals `best_len` can still tie on length and
+//!    win the quality tie-break, so `≤` termination would change
+//!    winners; such a bucket is evaluated exactly when its best member
+//!    would win that tie.) The root's cone is its signature alone, so
+//!    its posting list is exactly the set of buckets Algorithm 1's base
+//!    case admits; everything outside it is never looked at. Work is
+//!    bounded by the postings the query's cones hit, not by the catalog.
+//! 3. **Layer-kind bitset** — pattern scans skip buckets missing a
+//!    required layer kind ([`PatternFilter`]).
 //!
-//! The index is a *snapshot-friendly* data structure: buckets and root
-//! groups sit behind `Arc`s with copy-on-write mutation, so `Clone` is
-//! O(distinct architectures) pointer bumps and an updated clone can be
-//! published atomically (see [`crate::snapshot::SnapshotCell`]) while
-//! readers keep scanning the previous version. The memo is *shared*
-//! across clones (entries are pure, so cross-snapshot hits are always
-//! valid) and uses sharded `parking_lot` mutexes — the only interior
-//! mutability on the read path.
+//! The index is a plain immutable value with copy-on-write parts: buckets
+//! sit behind `Arc`s and the postings are a fixed array of `Arc`ed shards
+//! keyed by cone-hash bits, so `Clone` is pointer bumps and a mutation of
+//! a clone copies only the shards its architecture's cones fall in. An
+//! updated clone is published atomically (see
+//! [`crate::snapshot::SnapshotCell`]) while readers keep walking the
+//! previous version; the read path has no interior mutability at all.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 
 use evostore_tensor::{ContentHash, ModelId};
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use crate::compact::CompactGraph;
 use crate::lcp::{lcp, LcpResult};
 use crate::pattern::ArchPattern;
-use crate::prefilter::{self, PatternFilter, QueryFilter};
+use crate::prefilter::{self, Cone, PatternFilter};
 
-/// Memo shards; also the modulus of the stored-signature shard mapping.
-const MEMO_SHARDS: usize = 64;
-
-/// Default bound on memoized `(query, stored)` pairs across all shards.
-/// Each entry holds one [`LcpResult`] (a few hundred bytes for typical
-/// NAS graphs); the default bounds the memo to low hundreds of MB on
-/// worst-case catalogs while comfortably covering a 64-probe driver
-/// against several thousand distinct architectures.
-pub const DEFAULT_MEMO_CAPACITY: usize = 1 << 19;
+/// Posting shards (the low cone-hash bits pick one). `Clone` bumps one
+/// pointer per shard; a mutation copies, flat, each shard one of its
+/// architecture's cones falls in — `1 / POSTING_SHARDS` of the postings
+/// apiece.
+const POSTING_SHARDS: usize = 256;
 
 /// Counters describing how one query (or one accumulation period) was
 /// served by the index. All counts are in *distinct architectures*
@@ -90,21 +62,21 @@ pub struct IndexQueryStats {
     /// Distinct architectures whose LCP (or pattern match) was actually
     /// computed — the residual expensive work.
     pub scanned: u64,
-    /// Distinct architectures answered from the LCP memo.
+    /// Retired with the pairwise LCP memo: always 0. Kept so replies and
+    /// stored results keep their shape.
     pub memo_hits: u64,
     /// Models skipped because another model with the same architecture
     /// signature already covered them (the dedup saving).
     pub deduped: u64,
-    /// Distinct architectures skipped outright: root-signature mismatch,
-    /// a vertex-count or bloom upper bound proving they cannot win, or a
-    /// missing layer kind (pattern queries).
+    /// Distinct architectures skipped outright: no shared root, a cone
+    /// bound proving they cannot win or tie, or a missing layer kind
+    /// (pattern queries).
     pub pruned: u64,
-    /// Subset of `pruned` rejected by the bitset prefilters specifically
-    /// (signature-bloom bound or layer-kind bitset).
+    /// Subset of `pruned` that shared the query's root and was cut by
+    /// the cone bound, or was rejected by the layer-kind bitset.
     #[serde(default)]
     pub prefiltered: u64,
-    /// Queries answered whole from the per-snapshot answer cache (the
-    /// walk never started; `pruned` covers the entire catalog).
+    /// Retired with the per-snapshot answer cache: always 0.
     #[serde(default)]
     pub answered: u64,
 }
@@ -131,18 +103,31 @@ pub struct IndexCandidate {
     pub model: ModelId,
     /// Its quality metric.
     pub quality: f64,
-    /// The LCP of the query graph against the winner's architecture
-    /// (shared with the memo).
-    pub lcp: Arc<LcpResult>,
+    /// The LCP of the query graph against the winner's architecture.
+    pub lcp: LcpResult,
+}
+
+impl IndexCandidate {
+    /// Does `(len, quality, model)` beat this candidate under the scan
+    /// order: longer prefix, then higher quality, then lower model id?
+    fn loses_to(&self, len: usize, quality: f64, model: ModelId) -> bool {
+        len > self.lcp.len()
+            || (len == self.lcp.len()
+                && (quality > self.quality || (quality == self.quality && model < self.model)))
+    }
 }
 
 /// One distinct architecture and the models that share it.
 #[derive(Clone)]
 struct Bucket {
+    /// Architecture signature (the key of `by_sig`).
+    sig: ContentHash,
     /// Representative graph (all members are structurally identical).
     graph: Arc<CompactGraph>,
     /// Bitset of layer-kind tags present in the graph.
     kind_bits: u64,
+    /// Cone multiset of `graph`, as posted.
+    cones: Vec<(Cone, u32)>,
     /// `(model, quality)` of every member, unordered.
     models: Vec<(ModelId, f64)>,
 }
@@ -160,133 +145,86 @@ impl Bucket {
         }
         best
     }
+
+    /// Run Algorithm 1 against this architecture and fold the outcome
+    /// into `best`.
+    fn evaluate(
+        &self,
+        g: &CompactGraph,
+        best: &mut Option<IndexCandidate>,
+        stats: &mut IndexQueryStats,
+    ) {
+        stats.scanned += 1;
+        stats.deduped += self.models.len() as u64 - 1;
+        let lcp = lcp(g, &self.graph);
+        if lcp.is_empty() {
+            return;
+        }
+        let (model, quality) = self.best_member();
+        if best
+            .as_ref()
+            .is_none_or(|b| b.loses_to(lcp.len(), quality, model))
+        {
+            *best = Some(IndexCandidate {
+                model,
+                quality,
+                lcp,
+            });
+        }
+    }
 }
 
-/// Buckets sharing one root-vertex signature, sorted by descending
-/// `(vertex_count, signature)`. `blooms[i]` is the non-root signature
-/// bloom of `entries[i]` — a flat side array so the ancestor scan can
-/// reject runs of disjoint buckets without touching the bucket table.
+/// One posting: the bucket in slab slot `slot` has `count` vertices
+/// whose cone is `cone`. A shard keeps its postings sorted by
+/// `(cone, slot)`, so a cone's posting list is one contiguous run.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Posting {
+    cone: Cone,
+    slot: u32,
+    count: u32,
+}
+
+/// Slots per slab chunk.
+const SLAB_CHUNK: usize = 64;
+
+/// The bucket table, in copy-on-write chunks: `Clone` bumps one pointer
+/// per chunk and a mutation copies the one chunk its slot is in, so
+/// neither grows with the catalog the way a flat table of `Arc`s would.
 #[derive(Clone, Default)]
-struct RootGroup {
-    entries: Vec<(u32, ContentHash)>,
-    blooms: Vec<u64>,
+struct Slab {
+    chunks: Vec<Arc<[Option<Arc<Bucket>>; SLAB_CHUNK]>>,
+    /// Vacant slots, reused last-freed first.
+    free: Vec<u32>,
 }
 
-/// One shard of the LCP memo: FIFO-bounded map of
-/// `(query_sig, stored_sig) → LcpResult`.
-#[derive(Default)]
-struct MemoShard {
-    map: HashMap<(u128, u128), Arc<LcpResult>>,
-    order: VecDeque<(u128, u128)>,
-}
+impl Slab {
+    fn slots(&self) -> usize {
+        self.chunks.len() * SLAB_CHUNK
+    }
 
-/// Sharded, bounded LCP memo. Sharding is by *stored* signature so that
-/// retiring an architecture invalidates exactly one shard.
-struct LcpMemo {
-    shards: Vec<Mutex<MemoShard>>,
-    per_shard_capacity: usize,
-}
+    fn get(&self, slot: u32) -> Option<&Arc<Bucket>> {
+        self.chunks[slot as usize / SLAB_CHUNK][slot as usize % SLAB_CHUNK].as_ref()
+    }
 
-impl LcpMemo {
-    fn new(capacity: usize) -> LcpMemo {
-        LcpMemo {
-            shards: (0..MEMO_SHARDS).map(|_| Mutex::default()).collect(),
-            per_shard_capacity: capacity.div_ceil(MEMO_SHARDS).max(1),
+    fn entry(&mut self, slot: u32) -> &mut Option<Arc<Bucket>> {
+        &mut Arc::make_mut(&mut self.chunks[slot as usize / SLAB_CHUNK])[slot as usize % SLAB_CHUNK]
+    }
+
+    /// A vacant slot, growing the slab by a chunk when none is left.
+    fn vacant(&mut self) -> u32 {
+        if self.free.is_empty() {
+            let base = self.slots() as u32;
+            self.chunks.push(Arc::new(std::array::from_fn(|_| None)));
+            self.free.extend((base..base + SLAB_CHUNK as u32).rev());
         }
+        self.free.pop().expect("refilled above")
     }
 
-    fn shard_of(stored: ContentHash) -> usize {
-        stored.low64() as usize % MEMO_SHARDS
-    }
-
-    fn get(&self, query: ContentHash, stored: ContentHash) -> Option<Arc<LcpResult>> {
-        let shard = self.shards[Self::shard_of(stored)].lock();
-        shard.map.get(&(query.0, stored.0)).cloned()
-    }
-
-    fn insert(&self, query: ContentHash, stored: ContentHash, value: Arc<LcpResult>) {
-        let mut shard = self.shards[Self::shard_of(stored)].lock();
-        let key = (query.0, stored.0);
-        if shard.map.insert(key, value).is_none() {
-            shard.order.push_back(key);
-            while shard.map.len() > self.per_shard_capacity {
-                let Some(evicted) = shard.order.pop_front() else {
-                    break;
-                };
-                shard.map.remove(&evicted);
-            }
-        }
-    }
-
-    /// Drop every entry memoized against `stored` (its architecture left
-    /// the catalog). Touches a single shard.
-    fn invalidate_stored(&self, stored: ContentHash) -> usize {
-        let mut shard = self.shards[Self::shard_of(stored)].lock();
-        let before = shard.map.len();
-        shard.map.retain(|k, _| k.1 != stored.0);
-        shard.order.retain(|k| k.1 != stored.0);
-        before - shard.map.len()
-    }
-
-    fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().map.len()).sum()
-    }
-}
-
-/// Answer-cache shards (per-snapshot final-result memo).
-const ANSWER_SHARDS: usize = 16;
-
-/// Per-shard bound on cached answers. When a shard fills it is cleared
-/// wholesale — crude, but the cache lives only as long as its snapshot
-/// (every catalog mutation publishes a clone with a fresh cache), so a
-/// reset costs one cold walk per distinct live probe at worst.
-const ANSWER_SHARD_CAPACITY: usize = 4096;
-
-/// Sharded cache of *final* best-ancestor answers, keyed by query
-/// architecture signature.
-///
-/// Soundness argument: a cached answer is a function of (query graph,
-/// whole catalog). The cache is therefore only consulted on index
-/// values that cannot change under it — [`ArchIndex::clone`] gives the
-/// clone a fresh cache, and every in-place mutation
-/// ([`ArchIndex::insert`]/[`ArchIndex::remove`]) clears it. Unlike the
-/// pairwise LCP memo (pure, shared across snapshots), this cache never
-/// crosses a snapshot boundary.
-struct AnswerCache {
-    shards: Vec<Mutex<HashMap<u128, Option<IndexCandidate>>>>,
-}
-
-impl AnswerCache {
-    fn new() -> AnswerCache {
-        AnswerCache {
-            shards: (0..ANSWER_SHARDS).map(|_| Mutex::default()).collect(),
-        }
-    }
-
-    fn shard_of(query: ContentHash) -> usize {
-        query.low64() as usize % ANSWER_SHARDS
-    }
-
-    /// `None` = never computed; `Some(None)` = computed, no ancestor.
-    fn get(&self, query: ContentHash) -> Option<Option<IndexCandidate>> {
-        self.shards[Self::shard_of(query)]
-            .lock()
-            .get(&query.0)
-            .cloned()
-    }
-
-    fn insert(&self, query: ContentHash, answer: Option<IndexCandidate>) {
-        let mut shard = self.shards[Self::shard_of(query)].lock();
-        if shard.len() >= ANSWER_SHARD_CAPACITY {
-            shard.clear();
-        }
-        shard.insert(query.0, answer);
-    }
-
-    fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().clear();
-        }
+    fn live(&self) -> impl Iterator<Item = (u32, &Arc<Bucket>)> {
+        let slots = self.chunks.iter().flat_map(|c| c.iter());
+        slots
+            .enumerate()
+            .filter_map(|(slot, b)| Some((slot as u32, b.as_ref()?)))
     }
 }
 
@@ -294,47 +232,26 @@ impl AnswerCache {
 /// quality)` entries, answering best-ancestor (LCP) and pattern queries
 /// without touching structurally duplicate entries.
 ///
-/// Invariants:
+/// Invariants ([`ArchIndex::verify`] checks them):
 /// * every indexed model appears in exactly one bucket, the one keyed by
 ///   its graph's architecture signature;
-/// * a bucket exists iff it has at least one member, and its signature
-///   appears in exactly one root group (at the same position as its
-///   bloom in the group's side array);
-/// * each root group is sorted by descending `(vertex_count, signature)`
-///   (the signature tail makes the order total and deterministic);
-/// * memo entries only ever relate two graphs by value — they are never
-///   consulted for signatures absent from the bucket table, so a stale
-///   entry cannot resurrect a retired ancestor.
+/// * a bucket exists iff it has at least one member;
+/// * postings mirror buckets: a bucket's every cone is posted once, with
+///   its multiplicity, under the bucket's slot, and no posting names a
+///   vacant slot.
 ///
-/// `Clone` is cheap (copy-on-write `Arc`s; the memo is shared), which is
-/// what lets the provider publish updated indexes as immutable snapshots.
+/// `Clone` is cheap (copy-on-write `Arc`s), which is what lets the
+/// provider publish updated indexes as immutable snapshots.
+#[derive(Clone)]
 pub struct ArchIndex {
-    /// arch signature → bucket of structurally identical models.
-    buckets: HashMap<ContentHash, Arc<Bucket>>,
-    /// model → its architecture signature (drives removal).
-    model_sig: HashMap<ModelId, ContentHash>,
-    /// root-vertex signature → group of buckets with that root.
-    by_root: HashMap<ContentHash, Arc<RootGroup>>,
-    memo: Arc<LcpMemo>,
-    /// Final-answer cache; valid only for THIS index value (see
-    /// [`AnswerCache`]), hence excluded from `Clone`.
-    answers: AnswerCache,
-}
-
-impl Clone for ArchIndex {
-    /// Copy-on-write clone: buckets/groups are pointer bumps, the pure
-    /// LCP memo is shared, and the clone starts with an EMPTY answer
-    /// cache — cached answers must never travel to an index value that
-    /// will be mutated out from under them.
-    fn clone(&self) -> ArchIndex {
-        ArchIndex {
-            buckets: self.buckets.clone(),
-            model_sig: self.model_sig.clone(),
-            by_root: self.by_root.clone(),
-            memo: Arc::clone(&self.memo),
-            answers: AnswerCache::new(),
-        }
-    }
+    /// Bucket slab; postings name a bucket by its slot here.
+    buckets: Slab,
+    /// arch signature → slot of the bucket of that architecture.
+    by_sig: HashMap<ContentHash, u32>,
+    /// model → slot of its bucket (drives removal).
+    model_slot: HashMap<ModelId, u32>,
+    /// Postings, sharded by the cone's low bits.
+    postings: Box<[Arc<Vec<Posting>>]>,
 }
 
 impl Default for ArchIndex {
@@ -343,237 +260,185 @@ impl Default for ArchIndex {
     }
 }
 
-impl ArchIndex {
-    /// Empty index with the default memo capacity.
-    pub fn new() -> ArchIndex {
-        ArchIndex::with_memo_capacity(DEFAULT_MEMO_CAPACITY)
-    }
+fn shard_of(cone: Cone) -> usize {
+    cone as usize % POSTING_SHARDS
+}
 
-    /// Empty index bounding the memo to `capacity` entries.
-    pub fn with_memo_capacity(capacity: usize) -> ArchIndex {
+impl ArchIndex {
+    /// Empty index.
+    pub fn new() -> ArchIndex {
         ArchIndex {
-            buckets: HashMap::new(),
-            model_sig: HashMap::new(),
-            by_root: HashMap::new(),
-            memo: Arc::new(LcpMemo::new(capacity)),
-            answers: AnswerCache::new(),
+            buckets: Slab::default(),
+            by_sig: HashMap::new(),
+            model_slot: HashMap::new(),
+            postings: (0..POSTING_SHARDS).map(|_| Arc::default()).collect(),
         }
     }
 
     /// Indexed models.
     pub fn len(&self) -> usize {
-        self.model_sig.len()
+        self.model_slot.len()
     }
 
     /// True when no model is indexed.
     pub fn is_empty(&self) -> bool {
-        self.model_sig.is_empty()
+        self.model_slot.is_empty()
     }
 
     /// Is `model` indexed?
     pub fn contains(&self, model: ModelId) -> bool {
-        self.model_sig.contains_key(&model)
+        self.model_slot.contains_key(&model)
     }
 
     /// Distinct architectures indexed (the dedup denominator).
     pub fn distinct_architectures(&self) -> usize {
-        self.buckets.len()
+        self.by_sig.len()
     }
 
-    /// Live memo entries (diagnostics/tests).
-    pub fn memo_len(&self) -> usize {
-        self.memo.len()
+    /// Distinct cone hashes posted (counted on demand, one pass over
+    /// the postings).
+    pub fn cone_keys(&self) -> usize {
+        let runs = |shard: &Arc<Vec<Posting>>| shard.chunk_by(|a, b| a.cone == b.cone).count();
+        self.postings.iter().map(runs).sum()
+    }
+
+    /// Postings over all cones (one per distinct cone of each distinct
+    /// architecture).
+    pub fn postings(&self) -> usize {
+        self.postings.iter().map(|shard| shard.len()).sum()
+    }
+
+    /// The run of postings under `cone`.
+    fn posting_list(&self, cone: Cone) -> &[Posting] {
+        let shard = &self.postings[shard_of(cone)];
+        let from = shard.partition_point(|p| p.cone < cone);
+        let len = shard[from..].partition_point(|p| p.cone == cone);
+        &shard[from..from + len]
     }
 
     /// Index `model`. Replaces any previous entry for the same id.
+    /// `graph` must satisfy [`CompactGraph::validate`].
     pub fn insert(&mut self, model: ModelId, graph: Arc<CompactGraph>, quality: f64) {
         self.remove(model);
-        self.answers.clear();
         let sig = graph.arch_signature();
-        self.model_sig.insert(model, sig);
-        match self.buckets.get_mut(&sig) {
-            Some(bucket) => Arc::make_mut(bucket).models.push((model, quality)),
-            None => {
-                let vertex_count = graph.len() as u32;
-                if !graph.is_empty() {
-                    let group =
-                        Arc::make_mut(self.by_root.entry(graph.sig(graph.root())).or_default());
-                    // Descending (vertex_count, sig): find the insertion
-                    // point in the reverse-sorted vector.
-                    let pos = group.entries.partition_point(|&e| e > (vertex_count, sig));
-                    group.entries.insert(pos, (vertex_count, sig));
-                    group.blooms.insert(pos, prefilter::sig_bloom(&graph));
-                }
-                let kind_bits = prefilter::kind_bits(&graph);
-                self.buckets.insert(
-                    sig,
-                    Arc::new(Bucket {
-                        graph,
-                        kind_bits,
-                        models: vec![(model, quality)],
-                    }),
-                );
+        let slot = match self.by_sig.get(&sig) {
+            Some(&slot) => {
+                let bucket = self.buckets.entry(slot).as_mut();
+                let bucket = bucket.expect("by_sig names live buckets");
+                Arc::make_mut(bucket).models.push((model, quality));
+                slot
             }
-        }
+            None => {
+                let slot = self.buckets.vacant();
+                let cones = prefilter::cone_counts(&graph);
+                for &(cone, count) in &cones {
+                    let shard = Arc::make_mut(&mut self.postings[shard_of(cone)]);
+                    let posting = Posting { cone, slot, count };
+                    shard.insert(shard.partition_point(|p| *p < posting), posting);
+                }
+                *self.buckets.entry(slot) = Some(Arc::new(Bucket {
+                    sig,
+                    kind_bits: prefilter::kind_bits(&graph),
+                    graph,
+                    cones,
+                    models: vec![(model, quality)],
+                }));
+                self.by_sig.insert(sig, slot);
+                slot
+            }
+        };
+        self.model_slot.insert(model, slot);
     }
 
     /// Un-index `model`; returns whether it was present. Dropping the
-    /// last member of an architecture removes its bucket and purges the
-    /// memo entries computed against it.
+    /// last member of an architecture removes its bucket and its
+    /// postings.
     pub fn remove(&mut self, model: ModelId) -> bool {
-        let Some(sig) = self.model_sig.remove(&model) else {
+        let Some(slot) = self.model_slot.remove(&model) else {
             return false;
         };
-        self.answers.clear();
-        let bucket = self.buckets.get_mut(&sig).expect("bucket exists for sig");
-        let b = Arc::make_mut(bucket);
-        b.models.retain(|&(m, _)| m != model);
-        if b.models.is_empty() {
-            let bucket = self.buckets.remove(&sig).expect("bucket exists");
-            if !bucket.graph.is_empty() {
-                let root = bucket.graph.sig(bucket.graph.root());
-                if let Some(group) = self.by_root.get_mut(&root) {
-                    let g = Arc::make_mut(group);
-                    if let Some(pos) = g.entries.iter().position(|&(_, s)| s == sig) {
-                        g.entries.remove(pos);
-                        g.blooms.remove(pos);
-                    }
-                    if g.entries.is_empty() {
-                        self.by_root.remove(&root);
-                    }
-                }
-            }
-            self.memo.invalidate_stored(sig);
+        let entry = self.buckets.entry(slot);
+        let bucket = entry.as_mut().expect("model_slot names live buckets");
+        if bucket.models.len() > 1 {
+            Arc::make_mut(bucket).models.retain(|&(m, _)| m != model);
+            return true;
+        }
+        let bucket = entry.take().expect("checked live above");
+        self.buckets.free.push(slot);
+        self.by_sig.remove(&bucket.sig);
+        for &(cone, count) in &bucket.cones {
+            let shard = Arc::make_mut(&mut self.postings[shard_of(cone)]);
+            let at = shard
+                .binary_search(&Posting { cone, slot, count })
+                .expect("a bucket's cones are posted");
+            shard.remove(at);
         }
         true
     }
 
     /// Best ancestor of `g` over the indexed catalog: longest LCP, ties
     /// broken by higher quality, then lower model id — byte-identical to
-    /// the brute-force scan over every member. Prefilters enabled.
+    /// the brute-force scan over every member. `g` must satisfy
+    /// [`CompactGraph::validate`].
     pub fn best_ancestor(&self, g: &CompactGraph) -> (Option<IndexCandidate>, IndexQueryStats) {
-        self.best_ancestor_with(g, true)
-    }
-
-    /// [`ArchIndex::best_ancestor`] with the acceleration layers
-    /// toggleable: `false` bypasses the bitset prefilters AND the
-    /// per-snapshot answer cache, reproducing the unaccelerated
-    /// dedup+memo scan exactly — the reference the unit tests compare
-    /// the accelerated answers against.
-    pub(crate) fn best_ancestor_with(
-        &self,
-        g: &CompactGraph,
-        use_prefilter: bool,
-    ) -> (Option<IndexCandidate>, IndexQueryStats) {
         let mut stats = IndexQueryStats {
-            candidates: self.model_sig.len() as u64,
+            candidates: self.len() as u64,
             ..IndexQueryStats::default()
         };
-        let total_archs = self.buckets.len() as u64;
-        if g.is_empty() {
-            stats.pruned = total_archs;
-            return (None, stats);
-        }
-        let query_sig = g.arch_signature();
-        if use_prefilter {
-            if let Some(answer) = self.answers.get(query_sig) {
-                stats.answered = 1;
-                stats.pruned = total_archs;
-                return (answer, stats);
+        let total_archs = self.distinct_architectures() as u64;
+        let cones = prefilter::cone_hashes(g);
+        // The root's posting list is every bucket the base case of
+        // Algorithm 1 admits; outside it there is nothing to bound.
+        let rooted = cones
+            .first()
+            .map_or(&[][..], |&root| self.posting_list(root));
+        let mut bound = vec![0u32; self.buckets.slots()];
+        for (cone, count) in prefilter::cone_multiset(cones) {
+            for p in self.posting_list(cone) {
+                bound[p.slot as usize] += count.min(p.count);
             }
         }
-        let group = match self.by_root.get(&g.sig(g.root())) {
-            Some(group) => group,
-            None => {
-                stats.pruned = total_archs;
-                if use_prefilter {
-                    self.answers.insert(query_sig, None);
-                }
-                return (None, stats);
-            }
-        };
-        // Every bucket outside the root group is pruned by the root
-        // precondition of Algorithm 1.
-        stats.pruned = total_archs - group.entries.len() as u64;
-
-        let qf = QueryFilter::new(g);
-        let entries = &group.entries;
-        let blooms = &group.blooms;
-        let n = entries.len();
+        // Descending bound; the slot only makes the order total.
+        let mut queue: BinaryHeap<(u32, u32)> = rooted
+            .iter()
+            .map(|p| (bound[p.slot as usize], p.slot))
+            .collect();
         let mut best: Option<IndexCandidate> = None;
-        let mut best_len = 0usize;
-        let mut i = 0usize;
-        while i < n {
-            // Chunked-compare fast path: once best_len >= 2, any bucket
-            // whose bloom is disjoint from the query's can reach at most
-            // the root (length 1) and cannot tie — reject four at a time
-            // with one AND + compare.
-            if use_prefilter && best_len >= 2 && i + 4 <= n {
-                let merged = blooms[i] | blooms[i + 1] | blooms[i + 2] | blooms[i + 3];
-                if merged & qf.sig_bloom == 0 {
-                    stats.pruned += 4;
-                    stats.prefiltered += 4;
-                    i += 4;
+        while let Some((bound, slot)) = queue.pop() {
+            let bucket = self.buckets.get(slot).expect("postings name live buckets");
+            if let Some(b) = &best {
+                if (bound as usize) < b.lcp.len() {
+                    break;
+                }
+                // At `bound == best_len` it can at most tie on length,
+                // so it is worth an `lcp()` only if it would win the tie.
+                let (model, quality) = bucket.best_member();
+                if !b.loses_to(bound as usize, quality, model) {
                     continue;
                 }
             }
-            let (vertex_count, sig) = entries[i];
-            // Vertex count bounds the LCP length; the group is sorted
-            // descending, so once even a tie on length is impossible the
-            // remainder cannot win.
-            if (vertex_count as usize) < best_len {
-                stats.pruned += (n - i) as u64;
-                break;
-            }
-            // Bloom bound: strictly below best_len means the bucket can
-            // neither win nor tie (same strictness argument as above).
-            if use_prefilter && best_len >= 2 && qf.lcp_bound(blooms[i]) < best_len {
-                stats.pruned += 1;
-                stats.prefiltered += 1;
-                i += 1;
-                continue;
-            }
-            let bucket = &self.buckets[&sig];
-            let result = match self.memo.get(query_sig, sig) {
-                Some(hit) => {
-                    stats.memo_hits += 1;
-                    hit
-                }
-                None => {
-                    stats.scanned += 1;
-                    let r = Arc::new(lcp(g, &bucket.graph));
-                    self.memo.insert(query_sig, sig, Arc::clone(&r));
-                    r
-                }
-            };
-            stats.deduped += bucket.models.len() as u64 - 1;
-            if result.is_empty() {
-                // Unreachable for a matching root (the root always joins
-                // the prefix), but harmless to tolerate.
-                i += 1;
-                continue;
-            }
-            let (model, quality) = bucket.best_member();
-            let better = match &best {
-                None => true,
-                Some(b) => {
-                    result.len() > best_len
-                        || (result.len() == best_len
-                            && (quality > b.quality || (quality == b.quality && model < b.model)))
-                }
-            };
-            if better {
-                best_len = result.len();
-                best = Some(IndexCandidate {
-                    model,
-                    quality,
-                    lcp: result,
-                });
-            }
-            i += 1;
+            bucket.evaluate(g, &mut best, &mut stats);
         }
-        if use_prefilter {
-            self.answers.insert(query_sig, best.clone());
+        stats.pruned = total_archs - stats.scanned;
+        stats.prefiltered = rooted.len() as u64 - stats.scanned;
+        (best, stats)
+    }
+
+    /// The exhaustive walk: Algorithm 1 against every distinct
+    /// architecture, no bound consulted. The reference the unit tests
+    /// hold [`ArchIndex::best_ancestor`] to.
+    #[cfg(test)]
+    fn best_ancestor_exhaustive(
+        &self,
+        g: &CompactGraph,
+    ) -> (Option<IndexCandidate>, IndexQueryStats) {
+        let mut stats = IndexQueryStats {
+            candidates: self.len() as u64,
+            ..IndexQueryStats::default()
+        };
+        let mut best = None;
+        for (_, bucket) in self.buckets.live() {
+            bucket.evaluate(g, &mut best, &mut stats);
         }
         (best, stats)
     }
@@ -594,12 +459,12 @@ impl ArchIndex {
         use_prefilter: bool,
     ) -> (Vec<(ModelId, f64)>, IndexQueryStats) {
         let mut stats = IndexQueryStats {
-            candidates: self.model_sig.len() as u64,
+            candidates: self.len() as u64,
             ..IndexQueryStats::default()
         };
         let pf = PatternFilter::new(pattern);
         let mut matches = Vec::new();
-        for bucket in self.buckets.values() {
+        for (_, bucket) in self.buckets.live() {
             if use_prefilter && !pf.admits(bucket.kind_bits) {
                 stats.pruned += 1;
                 stats.prefiltered += 1;
@@ -614,6 +479,66 @@ impl ArchIndex {
         matches.sort_by_key(|&(m, _)| m);
         (matches, stats)
     }
+
+    /// Check the invariants listed on the type: slot maps, buckets and
+    /// postings all describe the same catalog.
+    pub fn verify(&self) -> Result<(), String> {
+        let live = self.buckets.live().count();
+        if live != self.by_sig.len() || live + self.buckets.free.len() != self.buckets.slots() {
+            return Err(format!(
+                "{live} live buckets, {} signatures, {} free of {} slots",
+                self.by_sig.len(),
+                self.buckets.free.len(),
+                self.buckets.slots()
+            ));
+        }
+        let (mut members, mut posted_by_buckets) = (0, 0);
+        for (slot, bucket) in self.buckets.live() {
+            if bucket.models.is_empty() || self.by_sig.get(&bucket.sig) != Some(&slot) {
+                return Err(format!("bucket in slot {slot} is empty or mis-keyed"));
+            }
+            if bucket
+                .models
+                .iter()
+                .any(|(m, _)| self.model_slot.get(m) != Some(&slot))
+            {
+                return Err(format!("a member of slot {slot} maps elsewhere"));
+            }
+            for &(cone, count) in &bucket.cones {
+                let shard = &self.postings[shard_of(cone)];
+                if shard.binary_search(&Posting { cone, slot, count }).is_err() {
+                    return Err(format!(
+                        "slot {slot}: cone {cone:016x} x{count} is not posted"
+                    ));
+                }
+            }
+            members += bucket.models.len();
+            posted_by_buckets += bucket.cones.len();
+        }
+        if members != self.model_slot.len() {
+            return Err(format!(
+                "{members} bucket members, {} indexed models",
+                self.model_slot.len()
+            ));
+        }
+        // Every bucket cone was found above, so equal totals leave no
+        // room for a stray posting (vacant slot, stale cone).
+        if self.postings() != posted_by_buckets {
+            return Err(format!(
+                "{} postings, buckets account for {posted_by_buckets}",
+                self.postings()
+            ));
+        }
+        for (i, shard) in self.postings.iter().enumerate() {
+            if !shard.windows(2).all(|w| w[0] < w[1]) || shard.iter().any(|p| shard_of(p.cone) != i)
+            {
+                return Err(format!(
+                    "posting shard {i} is unsorted or holds a foreign cone"
+                ));
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -621,73 +546,61 @@ mod tests {
     use super::*;
     use crate::arch::Architecture;
     use crate::flatten::flatten;
+    use crate::generator::GenomeSpace;
     use crate::layer::{Activation, LayerConfig, LayerKind};
-    use crate::lcp::lcp;
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
+
+    fn input(d: u32) -> LayerConfig {
+        LayerConfig::new("in", LayerKind::Input { shape: vec![d] })
+    }
+
+    fn dense(i: u32, u: u32) -> LayerConfig {
+        LayerConfig::new(
+            "d",
+            LayerKind::Dense {
+                in_features: i,
+                units: u,
+                activation: Activation::ReLU,
+            },
+        )
+    }
 
     fn seq(units: &[u32]) -> CompactGraph {
         let mut a = Architecture::new("seq");
-        let mut prev = a.add_layer(LayerConfig::new(
-            "in",
-            LayerKind::Input {
-                shape: vec![units[0]],
-            },
-        ));
-        let mut inf = units[0];
-        for (i, &u) in units.iter().enumerate().skip(1) {
-            prev = a.chain(
-                prev,
-                LayerConfig::new(
-                    format!("d{i}"),
-                    LayerKind::Dense {
-                        in_features: inf,
-                        units: u,
-                        activation: Activation::ReLU,
-                    },
-                ),
-            );
-            inf = u;
+        let mut prev = a.add_layer(input(units[0]));
+        for w in units.windows(2) {
+            prev = a.chain(prev, dense(w[0], w[1]));
         }
         flatten(&a).unwrap()
     }
 
-    /// Brute-force reference: scan everything, max by (len, quality,
-    /// lower id) — mirrors the provider's unindexed scan.
-    fn brute(
-        g: &CompactGraph,
-        entries: &[(ModelId, Arc<CompactGraph>, f64)],
-    ) -> Option<(ModelId, f64, LcpResult)> {
-        entries
-            .iter()
-            .map(|(m, a, q)| (*m, *q, lcp(g, a)))
-            .filter(|(_, _, r)| !r.is_empty())
-            .max_by(|(ma, qa, ra), (mb, qb, rb)| {
-                ra.len()
-                    .cmp(&rb.len())
-                    .then(qa.partial_cmp(qb).unwrap_or(std::cmp::Ordering::Equal))
-                    .then(mb.cmp(ma))
-            })
-    }
-
-    fn check_equiv(
-        index: &ArchIndex,
-        entries: &[(ModelId, Arc<CompactGraph>, f64)],
-        g: &CompactGraph,
-    ) {
-        let (got, _) = index.best_ancestor(g);
-        let want = brute(g, entries);
+    /// The indexed answer must be the exhaustive walk's: same winner,
+    /// same quality, same `LcpResult`.
+    fn check_equiv(index: &ArchIndex, g: &CompactGraph) -> IndexQueryStats {
+        let (got, stats) = index.best_ancestor(g);
+        let (want, walked) = index.best_ancestor_exhaustive(g);
+        assert_eq!(walked.scanned, index.distinct_architectures() as u64);
+        assert_eq!(
+            stats.scanned + stats.pruned,
+            walked.scanned,
+            "every distinct arch accounted for: {stats:?}"
+        );
+        assert!(stats.prefiltered <= stats.pruned);
         match (got, want) {
             (None, None) => {}
-            (Some(c), Some((m, q, r))) => {
-                assert_eq!(c.model, m);
-                assert_eq!(c.quality, q);
-                assert_eq!(*c.lcp, r);
+            (Some(c), Some(w)) => {
+                assert_eq!(c.model, w.model);
+                assert_eq!(c.quality, w.quality);
+                assert_eq!(c.lcp, w.lcp);
             }
             (got, want) => panic!(
-                "index/brute mismatch: index={:?} brute={:?}",
+                "index/exhaustive mismatch: index={:?} exhaustive={:?}",
                 got.map(|c| c.model),
-                want.map(|w| w.0)
+                want.map(|w| w.model)
             ),
         }
+        stats
     }
 
     #[test]
@@ -718,6 +631,7 @@ mod tests {
         assert!(best.is_none());
         assert_eq!(stats.scanned, 0);
         assert_eq!(stats.pruned, 1);
+        assert_eq!(stats.prefiltered, 0);
     }
 
     #[test]
@@ -725,107 +639,187 @@ mod tests {
         let mut ix = ArchIndex::new();
         // Full match of the 5-vertex probe against the 5-vertex entry.
         ix.insert(ModelId(1), Arc::new(seq(&[4, 8, 8, 2, 7])), 0.5);
-        // A 2-vertex entry can reach at most len 2 < 5: must be pruned.
+        // A 2-vertex entry can reach at most len 2 < 5 (the cone bound
+        // never exceeds the entry's vertex count; here it is 1, the
+        // shared root): never evaluated.
         ix.insert(ModelId(2), Arc::new(seq(&[4, 9])), 0.5);
         let probe = seq(&[4, 8, 8, 2, 7]);
         let (best, stats) = ix.best_ancestor(&probe);
         assert_eq!(best.unwrap().model, ModelId(1));
         assert_eq!(stats.scanned, 1);
         assert_eq!(stats.pruned, 1);
+        assert_eq!(stats.prefiltered, 1);
     }
 
     #[test]
     fn equal_length_tie_is_not_pruned() {
         // Probe shares its first two vertices with a long, low-quality
         // entry and *fully* matches a 2-vertex, high-quality entry. Both
-        // reach len 2; the tie must go to quality — which requires NOT
-        // pruning the smaller bucket when best_len == its vertex count
-        // (and, symmetrically, when best_len == its bloom bound).
-        let mut ix = ArchIndex::new();
-        ix.insert(ModelId(1), Arc::new(seq(&[4, 8, 9, 9])), 0.1);
-        ix.insert(ModelId(2), Arc::new(seq(&[4, 8])), 0.9);
+        // reach len 2 and both have bound 2; the tie must go to quality —
+        // which requires NOT stopping when the next bound equals best_len.
+        let long_low = (ModelId(1), Arc::new(seq(&[4, 8, 9, 9])), 0.1);
+        let short_high = (ModelId(2), Arc::new(seq(&[4, 8])), 0.9);
         let probe = seq(&[4, 8, 2]);
-        let entries = vec![
-            (ModelId(1), Arc::new(seq(&[4, 8, 9, 9])), 0.1),
-            (ModelId(2), Arc::new(seq(&[4, 8])), 0.9),
-        ];
-        check_equiv(&ix, &entries, &probe);
-        let (best, _) = ix.best_ancestor(&probe);
-        assert_eq!(best.unwrap().model, ModelId(2));
+        // Equal bounds pop higher slot first: in this order the
+        // low-quality entry is evaluated first and the other must follow.
+        let mut ix = ArchIndex::new();
+        for (m, g, q) in [&short_high, &long_low] {
+            ix.insert(*m, Arc::clone(g), *q);
+        }
+        assert_eq!(check_equiv(&ix, &probe).scanned, 2);
+        assert_eq!(ix.best_ancestor(&probe).0.unwrap().model, ModelId(2));
+        // In the other order the winner is found first, and an entry
+        // that could only tie and lose the tie costs no `lcp()`.
+        let mut ix = ArchIndex::new();
+        for (m, g, q) in [&long_low, &short_high] {
+            ix.insert(*m, Arc::clone(g), *q);
+        }
+        assert_eq!(check_equiv(&ix, &probe).scanned, 1);
+        assert_eq!(ix.best_ancestor(&probe).0.unwrap().model, ModelId(2));
     }
 
     #[test]
     fn prefilter_rejects_disjoint_buckets() {
-        // The 5-vertex winner shares the probe's first two vertices and
-        // sorts first (most vertices). The 4-vertex decoys share only
-        // the root: their vertex count (4) survives the count bound
-        // (best_len = 2) but their blooms are disjoint from the probe's,
-        // so the bloom bound rejects them without computing any LCP.
+        // The winner shares the probe's first two vertices. The decoys
+        // share only the root: their bound is 1, below the winner's
+        // length 2, so none of them is evaluated.
         let mut ix = ArchIndex::new();
-        let winner = Arc::new(seq(&[4, 8, 77, 77, 77]));
-        ix.insert(ModelId(1), Arc::clone(&winner), 0.5);
-        let mut entries: Vec<(ModelId, Arc<CompactGraph>, f64)> = vec![(ModelId(1), winner, 0.5)];
+        ix.insert(ModelId(1), Arc::new(seq(&[4, 8, 77, 77, 77])), 0.5);
         for i in 0..8u32 {
             let decoy = Arc::new(seq(&[4, 50 + i, 60 + i, 70 + i]));
-            ix.insert(ModelId(10 + i as u64), Arc::clone(&decoy), 0.5);
-            entries.push((ModelId(10 + i as u64), decoy, 0.5));
+            ix.insert(ModelId(10 + i as u64), decoy, 0.5);
         }
         let probe = seq(&[4, 8, 99]);
-        check_equiv(&ix, &entries, &probe);
-
-        // `check_equiv` populated the answer cache; query a clone (fresh
-        // cache) so the walk actually runs and its stats are observable.
-        let ix = ix.clone();
-        let (best, stats) = ix.best_ancestor(&probe);
+        let stats = check_equiv(&ix, &probe);
+        assert_eq!(stats.scanned, 1);
+        assert_eq!(stats.prefiltered, 8);
+        let (best, _) = ix.best_ancestor(&probe);
         assert_eq!(best.unwrap().model, ModelId(1));
-        // Bloom-bit collisions can only *demote* a rejection to a scan,
-        // never break correctness; with these fixed FNV hashes most of
-        // the 8 decoys are rejected.
-        assert!(
-            stats.prefiltered >= 5,
-            "expected bloom rejections, got {stats:?}"
+    }
+
+    /// Two same-signature siblings whose downstreams are swapped between
+    /// query and ancestor: every cone is shared, so the bound is the
+    /// whole graph, but the greedy binding pairs the siblings in edge
+    /// order and both downstream vertices fail. The walk must not take
+    /// the first (loose) bound for the answer.
+    #[test]
+    fn loose_bound_keeps_the_walk_going_until_nothing_can_tie() {
+        // in -> x1 -> `first`; in -> x2 -> `second`; x1 and x2 alike.
+        let forked = |first: u32, second: u32| {
+            let mut m = Architecture::new("m");
+            let i = m.add_layer(input(4));
+            let x1 = m.chain(i, dense(4, 8));
+            let x2 = m.chain(i, dense(4, 8));
+            m.chain(x1, dense(8, first));
+            m.chain(x2, dense(8, second));
+            flatten(&m).unwrap()
+        };
+        let probe = forked(5, 6);
+        let swapped = Arc::new(forked(6, 5));
+        let bound = prefilter::cone_bound(
+            &prefilter::cone_counts(&probe),
+            &prefilter::cone_counts(&swapped),
         );
         assert_eq!(
-            stats.scanned + stats.memo_hits + stats.pruned,
-            9,
-            "every distinct arch accounted for: {stats:?}"
+            (bound, lcp(&probe, &swapped).len()),
+            (5, 3),
+            "bound is loose"
         );
-        assert!(stats.prefiltered <= stats.pruned);
 
-        // With the prefilter disabled every group member is evaluated.
-        let (best_off, stats_off) = ix.best_ancestor_with(&probe, false);
-        assert_eq!(best_off.unwrap().model, ModelId(1));
-        assert_eq!(stats_off.prefiltered, 0);
-        assert_eq!(stats_off.scanned + stats_off.memo_hits, 9);
+        // in -> x -> 5: bound 3, reached in full. in -> x -> 7: bound 2.
+        let mut ix = ArchIndex::new();
+        ix.insert(ModelId(1), swapped, 0.1);
+        ix.insert(ModelId(2), Arc::new(seq(&[4, 8, 5])), 0.9);
+        ix.insert(ModelId(3), Arc::new(seq(&[4, 8, 7])), 1.0);
+        let stats = check_equiv(&ix, &probe);
+        // Bound 5 yields 3; bound 3 can still tie and does, winning on
+        // quality; bound 2 cannot, whatever its quality.
+        assert_eq!(stats.scanned, 2);
+        assert_eq!(stats.prefiltered, 1);
+        let (best, _) = ix.best_ancestor(&probe);
+        let best = best.unwrap();
+        assert_eq!((best.model, best.lcp.len()), (ModelId(2), 3));
+    }
+
+    /// The shape `catalog_churn` has: one input layer, one width (so every
+    /// graph has about the same size and the root posting is the whole
+    /// catalog), families of 30 chained mutations.
+    #[test]
+    fn mutation_families_are_answered_from_a_few_buckets() {
+        let space = GenomeSpace {
+            input_dim: 16,
+            widths: vec![16],
+            attn_dims: vec![16],
+            attn_heads: vec![2, 4],
+            min_cells: 10,
+            max_cells: 10,
+            ..GenomeSpace::attn_like()
+        };
+        let mut rng = ChaCha8Rng::seed_from_u64(11);
+        let mut ix = ArchIndex::new();
+        let mut genomes = Vec::new();
+        for _ in 0..12 {
+            let mut genome = space.sample(&mut rng);
+            for _ in 0..30 {
+                let g = flatten(&space.materialize(&genome)).unwrap();
+                let id = ModelId(genomes.len() as u64);
+                ix.insert(id, Arc::new(g), (id.0 % 7) as f64 / 7.0);
+                let next = space.mutate(&genome, &mut rng);
+                genomes.push(std::mem::replace(&mut genome, next));
+            }
+        }
+        ix.verify().unwrap();
+        let distinct = ix.distinct_architectures() as u64;
+        assert!(distinct > 200, "population collapsed to {distinct}");
+
+        let mut scanned = 0;
+        let probes = 96u64;
+        for i in 0..probes {
+            let member = &genomes[(i as usize * 37) % genomes.len()];
+            let genome = match i % 4 {
+                0 | 1 => space.mutate(member, &mut rng),
+                2 => member.clone(),
+                _ => space.sample(&mut rng),
+            };
+            let probe = flatten(&space.materialize(&genome)).unwrap();
+            scanned += check_equiv(&ix, &probe).scanned;
+        }
+        assert!(
+            scanned * 10 < distinct * probes,
+            "{scanned} LCPs over {probes} probes of {distinct} architectures"
+        );
     }
 
     #[test]
-    fn memo_hits_on_repeat_and_invalidates_on_retire() {
+    fn retired_architecture_leaves_no_postings() {
         let mut ix = ArchIndex::new();
         let a = Arc::new(seq(&[4, 8, 8, 2]));
         let b = Arc::new(seq(&[4, 8, 9, 2]));
         ix.insert(ModelId(1), Arc::clone(&a), 0.5);
+        let only_a = (ix.cone_keys(), ix.postings());
+        assert_eq!(only_a, (4, 4));
         ix.insert(ModelId(2), Arc::clone(&b), 0.4);
-        let probe = seq(&[4, 8, 8, 2, 7]);
+        // `in` and `in -> 8` are shared cones: two keys, four entries.
+        assert_eq!((ix.cone_keys(), ix.postings()), (6, 8));
+        ix.verify().unwrap();
+        let pinned = ix.clone();
 
-        // Prefilter off: this test pins the memo lifecycle, and the
-        // bloom bound may legitimately skip the weaker bucket.
-        let (best1, s1) = ix.best_ancestor_with(&probe, false);
-        assert_eq!(s1.scanned, 2);
-        assert_eq!(s1.memo_hits, 0);
-        let (best2, s2) = ix.best_ancestor_with(&probe, false);
-        assert_eq!(s2.scanned, 0);
-        assert_eq!(s2.memo_hits, 2);
-        assert_eq!(best1.as_ref().unwrap().model, best2.as_ref().unwrap().model);
-        assert_eq!(ix.memo_len(), 2);
-
-        // Retiring the winner purges its memo entries and changes the
-        // answer — no stale ancestor survives.
-        let winner = best1.unwrap().model;
-        assert!(ix.remove(winner));
-        assert_eq!(ix.memo_len(), 1);
-        let (best3, _) = ix.best_ancestor_with(&probe, false);
-        assert_ne!(best3.as_ref().unwrap().model, winner);
+        let probe = seq(&[4, 8, 9, 2, 7]);
+        assert_eq!(ix.best_ancestor(&probe).0.unwrap().model, ModelId(2));
+        assert!(ix.remove(ModelId(2)));
+        ix.verify().unwrap();
+        assert_eq!((ix.cone_keys(), ix.postings()), only_a);
+        // No stale ancestor: the answer falls back to the survivor...
+        let (best, stats) = ix.best_ancestor(&probe);
+        assert_eq!(best.unwrap().model, ModelId(1));
+        assert_eq!(stats.scanned + stats.pruned, 1);
+        // ...while the clone taken before the retire still has it.
+        pinned.verify().unwrap();
+        assert_eq!(pinned.best_ancestor(&probe).0.unwrap().model, ModelId(2));
+        // A freed slot is reused without resurrecting anything.
+        ix.insert(ModelId(3), Arc::new(seq(&[4, 7])), 0.9);
+        ix.verify().unwrap();
+        assert_eq!(check_equiv(&ix, &probe).scanned, 1);
     }
 
     #[test]
@@ -834,19 +828,19 @@ mod tests {
         let g = Arc::new(seq(&[4, 8, 2]));
         ix.insert(ModelId(1), Arc::clone(&g), 0.9);
         ix.insert(ModelId(2), Arc::clone(&g), 0.2);
-        let probe = (*g).clone();
-        let _ = ix.best_ancestor(&probe);
-        assert_eq!(ix.memo_len(), 1);
-        // Removing one member keeps the bucket (and its memo entries).
+        let posted = ix.postings();
+        // Removing one member keeps the bucket (and its postings).
         assert!(ix.remove(ModelId(1)));
-        assert_eq!(ix.memo_len(), 1);
-        let (best, _) = ix.best_ancestor(&probe);
+        assert_eq!(ix.postings(), posted);
+        let (best, _) = ix.best_ancestor(&g);
         assert_eq!(best.unwrap().model, ModelId(2));
-        // Removing the last member drops the bucket and the memo.
+        // Removing the last member drops the bucket and the postings.
         assert!(ix.remove(ModelId(2)));
         assert!(ix.is_empty());
-        assert_eq!(ix.memo_len(), 0);
+        assert_eq!((ix.cone_keys(), ix.postings()), (0, 0));
+        assert!(ix.best_ancestor(&g).0.is_none());
         assert!(!ix.remove(ModelId(2)));
+        ix.verify().unwrap();
     }
 
     #[test]
@@ -856,29 +850,12 @@ mod tests {
         ix.insert(ModelId(1), Arc::new(seq(&[4, 9, 2])), 0.7);
         assert_eq!(ix.len(), 1);
         assert_eq!(ix.distinct_architectures(), 1);
+        ix.verify().unwrap();
         let probe = seq(&[4, 9, 2]);
         let (best, _) = ix.best_ancestor(&probe);
         let best = best.unwrap();
         assert_eq!(best.model, ModelId(1));
         assert_eq!(best.lcp.len(), probe.len());
-    }
-
-    #[test]
-    fn memo_capacity_is_bounded() {
-        let mut ix = ArchIndex::with_memo_capacity(MEMO_SHARDS); // 1 entry/shard
-        for i in 0..32u32 {
-            ix.insert(ModelId(i as u64), Arc::new(seq(&[4, 8, 2 + i])), 0.5);
-        }
-        for i in 0..16u32 {
-            let _ = ix.best_ancestor(&seq(&[4, 8, 100 + i]));
-        }
-        // 16 probes x 32 stored pairs, but at most 1 per shard survives.
-        assert!(ix.memo_len() <= MEMO_SHARDS);
-        // Bounded memo still answers correctly.
-        let entries: Vec<(ModelId, Arc<CompactGraph>, f64)> = (0..32u32)
-            .map(|i| (ModelId(i as u64), Arc::new(seq(&[4, 8, 2 + i])), 0.5))
-            .collect();
-        check_equiv(&ix, &entries, &seq(&[4, 8, 7]));
     }
 
     #[test]
@@ -896,11 +873,28 @@ mod tests {
         assert!(!snap.contains(ModelId(2)));
         let (best, _) = snap.best_ancestor(&g);
         assert_eq!(best.unwrap().model, ModelId(1));
+        snap.verify().unwrap();
 
         // ...and the mutated original answers from its own state.
         assert!(!ix.contains(ModelId(1)));
         let (best2, _) = ix.best_ancestor(&seq(&[4, 9, 2]));
         assert_eq!(best2.unwrap().model, ModelId(2));
+        ix.verify().unwrap();
+    }
+
+    #[test]
+    fn verify_names_a_posting_that_outlived_its_bucket() {
+        let mut ix = ArchIndex::new();
+        ix.insert(ModelId(1), Arc::new(seq(&[4, 8, 2])), 0.5);
+        let cone = prefilter::cone_hashes(&seq(&[4, 8]))[1];
+        let shard = Arc::make_mut(&mut ix.postings[shard_of(cone)]);
+        let stray = Posting {
+            cone,
+            slot: 9,
+            count: 1,
+        };
+        shard.insert(shard.partition_point(|p| *p < stray), stray);
+        assert!(ix.verify().unwrap_err().contains("buckets account for"));
     }
 
     #[test]

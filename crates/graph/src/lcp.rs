@@ -21,7 +21,7 @@ use std::collections::VecDeque;
 use evostore_tensor::VertexId;
 use serde::{Deserialize, Serialize};
 
-use crate::compact::{adjacency_sig_index, CompactGraph};
+use crate::compact::CompactGraph;
 
 /// Result of one LCP computation between a candidate graph `G` and one
 /// ancestor `A`.
@@ -79,9 +79,6 @@ pub fn lcp(g: &CompactGraph, a: &CompactGraph) -> LcpResult {
         return result;
     }
 
-    // sig -> out-neighbor ids, per A vertex, for O(1) match candidates.
-    let a_index = adjacency_sig_index(a);
-
     let mut visits = vec![0u32; n];
     let mut matched_a = vec![false; a.len()];
     let mut in_prefix = vec![false; n];
@@ -118,11 +115,13 @@ pub fn lcp(g: &CompactGraph, a: &CompactGraph) -> LcpResult {
                 }
                 None => {
                     // Greedily bind v to the first signature-equal,
-                    // still-unmatched out-neighbor of au in A.
-                    let Some(cands) = a_index[au.0 as usize].get(&vsig) else {
-                        continue;
-                    };
-                    let Some(&av_raw) = cands.iter().find(|&&c| !matched_a[c as usize]) else {
+                    // still-unmatched out-neighbor of au in A (out-degrees
+                    // are single digits: a scan beats any per-call index).
+                    let Some(&av_raw) = a
+                        .out(au)
+                        .iter()
+                        .find(|&&c| !matched_a[c as usize] && a.sig(VertexId(c)) == vsig)
+                    else {
                         continue;
                     };
                     let av = VertexId(av_raw);
@@ -519,6 +518,99 @@ mod tests {
         f.sort_unstable();
         s.sort_unstable();
         assert_eq!(f, s);
+    }
+
+    /// Algorithm 1 as it was before the linear-scan binding: one
+    /// `sig -> out-neighbours` map per ancestor vertex, rebuilt on every
+    /// call. The reference `lcp_equals_sig_indexed_reference` compares
+    /// against.
+    fn lcp_sig_indexed(g: &CompactGraph, a: &CompactGraph) -> LcpResult {
+        use std::collections::HashMap;
+        let n = g.len();
+        let mut result = LcpResult::empty(n);
+        if n == 0 || a.is_empty() || g.sig(g.root()) != a.sig(a.root()) {
+            return result;
+        }
+        let a_index: Vec<HashMap<_, Vec<u32>>> = a
+            .vertex_ids()
+            .map(|u| {
+                let mut m: HashMap<_, Vec<u32>> = HashMap::new();
+                for &v in a.out(u) {
+                    m.entry(a.sig(VertexId(v))).or_default().push(v);
+                }
+                m
+            })
+            .collect();
+        let mut visits = vec![0u32; n];
+        let mut matched_a = vec![false; a.len()];
+        let mut in_prefix = vec![false; n];
+        result.match_in_ancestor[0] = Some(a.root());
+        matched_a[0] = true;
+        let mut frontier = VecDeque::from([g.root()]);
+        while let Some(u) = frontier.pop_front() {
+            if std::mem::replace(&mut in_prefix[u.0 as usize], true) {
+                continue;
+            }
+            result.prefix.push(u);
+            let au = result.match_in_ancestor[u.0 as usize].unwrap();
+            for &v_raw in g.out(u) {
+                let v = VertexId(v_raw);
+                let av = match result.match_in_ancestor[v.0 as usize] {
+                    Some(av) if a.out(au).contains(&av.0) => av,
+                    Some(_) => continue,
+                    None => {
+                        let free = a_index[au.0 as usize]
+                            .get(&g.sig(v))
+                            .and_then(|cands| cands.iter().find(|&&c| !matched_a[c as usize]));
+                        let Some(&av_raw) = free else { continue };
+                        result.match_in_ancestor[v.0 as usize] = Some(VertexId(av_raw));
+                        matched_a[av_raw as usize] = true;
+                        VertexId(av_raw)
+                    }
+                };
+                visits[v.0 as usize] += 1;
+                if visits[v.0 as usize] == g.in_degree(v).max(a.in_degree(av)) {
+                    frontier.push_back(v);
+                }
+            }
+        }
+        for (v, in_p) in in_prefix.iter().enumerate() {
+            if !in_p {
+                result.match_in_ancestor[v] = None;
+            }
+        }
+        result
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// The linear-scan binding visits candidates in the order the
+        /// per-vertex signature map did, so the whole `LcpResult` — prefix
+        /// order and every binding — is unchanged, on related graphs
+        /// (branches, joins, nested submodels) and on unrelated ones.
+        #[test]
+        fn lcp_equals_sig_indexed_reference(
+            seed in proptest::prelude::any::<u64>(),
+            mseed in proptest::prelude::any::<u64>(),
+            steps in 0usize..5,
+        ) {
+            use rand::SeedableRng;
+            let space = crate::generator::GenomeSpace::attn_like();
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let parent = space.sample(&mut rng);
+            let other = flatten(&space.materialize(&space.sample(&mut rng))).unwrap();
+            let mut mrng = rand_chacha::ChaCha8Rng::seed_from_u64(mseed);
+            let mut child = parent.clone();
+            for _ in 0..steps {
+                child = space.mutate(&child, &mut mrng);
+            }
+            let a = flatten(&space.materialize(&parent)).unwrap();
+            let g = flatten(&space.materialize(&child)).unwrap();
+            for (x, y) in [(&g, &a), (&a, &g), (&g, &other), (&other, &a)] {
+                proptest::prop_assert_eq!(lcp(x, y), lcp_sig_indexed(x, y));
+            }
+        }
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //!   Algorithm 1) and the best-ancestor scan built on it;
 //! * architecture generators for micro-benchmarks and NAS search spaces
 //!   ([`generator`]);
-//! * the concurrency primitives behind the provider's lock-free catalog:
-//!   bitset signature prefilters ([`prefilter`]) and atomically published
-//!   immutable snapshots ([`snapshot`]).
+//! * what the provider's lock-free catalog is built from: the ancestor
+//!   index ([`index`]) over per-architecture cone hashes and layer-kind
+//!   bitsets ([`prefilter`]), and atomically published immutable
+//!   snapshots ([`snapshot`]).
 
 pub mod analysis;
 pub mod arch;
@@ -36,5 +37,5 @@ pub use index::{ArchIndex, IndexCandidate, IndexQueryStats};
 pub use layer::{Activation, LayerConfig, LayerKind, TensorSpec};
 pub use lcp::{best_ancestor, lcp, lcp_fixpoint, AsGraph, BestMatch, LcpResult};
 pub use pattern::{ArchPattern, LayerPattern};
-pub use prefilter::{PatternFilter, QueryFilter};
+pub use prefilter::PatternFilter;
 pub use snapshot::SnapshotCell;

@@ -1,18 +1,17 @@
-//! Bitset signature prefilters for the arch index.
+//! Per-architecture summaries the arch index precomputes so a query can
+//! reject buckets without running the matcher on them.
 //!
-//! Two 64-bit summaries are precomputed per indexed architecture and let
-//! queries reject whole buckets with one `AND` + compare, before touching
-//! the LCP memo or the graph itself:
-//!
-//! - **Signature bloom** ([`sig_bloom`]): one bit per *non-root* vertex
-//!   signature (`low64() & 63`). The LCP matcher binds every non-root
-//!   prefix vertex of the query injectively to a distinct non-root
-//!   ancestor vertex with an *equal* signature (the root always binds the
-//!   root), so `lcp_len <= 1 + Σ_b count_q(b)` over bits `b` set in both
-//!   blooms, where `count_q(b)` is the number of non-root query vertices
-//!   hashing to bit `b`. Hash collisions only *inflate* the bound, so
-//!   pruning a bucket whose bound is strictly below the best length so
-//!   far can never change the query answer ([`QueryFilter::lcp_bound`]).
+//! - **Cone hashes** ([`cone_hashes`]): `cone(v) = H(sig(v), sorted
+//!   multiset of cone(p) for p ∈ preds(v))` — a hash of everything
+//!   upstream of `v`. Algorithm 1 admits a query vertex only once it is
+//!   bound to an ancestor vertex of equal signature whose in-edges are
+//!   exactly the bindings of the query vertex's (all admitted)
+//!   predecessors, so by induction along the prefix the two have equal
+//!   cones; the binding is injective, hence
+//!   `|lcp(g, a)| ≤ Σ_c min(mult_g(c), mult_a(c))` ([`cone_bound`]). A
+//!   hash collision can only add to the sum: the bound loosens, it never
+//!   undercuts — which is why 64 bits are enough here, where identity
+//!   ([`CompactGraph::arch_signature`]) keeps 128.
 //!
 //! - **Layer-kind bitset** ([`kind_bits`]): one bit per [`LayerKind`]
 //!   tag present anywhere in the graph. [`PatternFilter`] derives, per
@@ -20,82 +19,103 @@
 //!   matching vertex *could* have; a bucket whose kind bitset misses a
 //!   required mask entirely cannot match the pattern and is skipped
 //!   without evaluating it.
+//!
+//! [`LayerKind`]: crate::layer::LayerKind
+
+use evostore_tensor::{Fnv128, VertexId};
 
 use crate::compact::CompactGraph;
 use crate::pattern::{ArchPattern, LayerPattern};
 
-/// Bit for one vertex signature (low 6 bits of the 128-bit content hash).
-#[inline]
-fn sig_bit(low64: u64) -> u64 {
-    1u64 << (low64 & 63)
+/// A cone hash: the 128-bit FNV state folded to 64 bits.
+pub type Cone = u64;
+
+/// Cone hash of every vertex of `g`, indexed by vertex id (so entry 0 is
+/// the root's). `g` must satisfy [`CompactGraph::validate`]: one pass in
+/// topological order, each vertex hashed when its last predecessor is.
+pub fn cone_hashes(g: &CompactGraph) -> Vec<Cone> {
+    let n = g.len();
+    // Predecessor cones of vertex v land in `slots[start[v]..][..in_degree(v)]`.
+    let mut start = Vec::with_capacity(n);
+    let mut total = 0usize;
+    for v in g.vertex_ids() {
+        start.push(total);
+        total += g.in_degree(v) as usize;
+    }
+    let mut slots: Vec<Cone> = vec![0; total];
+    let mut filled = vec![0u32; n];
+    let mut cones: Vec<Cone> = vec![0; n];
+    let mut ready: Vec<u32> = if n == 0 { Vec::new() } else { vec![0] };
+    while let Some(u) = ready.pop() {
+        let preds = &mut slots[start[u as usize]..][..filled[u as usize] as usize];
+        preds.sort_unstable();
+        let mut h = Fnv128::new();
+        h.update(&g.sig(VertexId(u)).to_bytes());
+        for p in preds.iter() {
+            h.update_u64(*p);
+        }
+        let state = h.finish().0;
+        let cone = (state >> 64) as u64 ^ state as u64;
+        cones[u as usize] = cone;
+        for &v in g.out(VertexId(u)) {
+            let v = v as usize;
+            slots[start[v] + filled[v] as usize] = cone;
+            filled[v] += 1;
+            if filled[v] == g.in_degree(VertexId(v as u32)) {
+                ready.push(v as u32);
+            }
+        }
+    }
+    cones
 }
 
-/// Bloom over the *non-root* vertex signatures of `g`.
-///
-/// The root is excluded on purpose: every bucket under one root group
-/// shares the root signature, so including it would make every
-/// query/bucket intersection trivially non-empty.
-pub fn sig_bloom(g: &CompactGraph) -> u64 {
-    let mut bloom = 0u64;
-    for v in g.vertex_ids() {
-        if v == g.root() {
-            continue;
+/// Collapse per-vertex cones into the multiset `(cone, multiplicity)`,
+/// sorted by cone.
+pub fn cone_multiset(mut cones: Vec<Cone>) -> Vec<(Cone, u32)> {
+    cones.sort_unstable();
+    let mut counts: Vec<(Cone, u32)> = Vec::with_capacity(cones.len());
+    for c in cones {
+        match counts.last_mut() {
+            Some((last, k)) if *last == c => *k += 1,
+            _ => counts.push((c, 1)),
         }
-        bloom |= sig_bit(g.sig(v).low64());
     }
-    bloom
+    counts
+}
+
+/// The cone multiset of `g`.
+pub fn cone_counts(g: &CompactGraph) -> Vec<(Cone, u32)> {
+    cone_multiset(cone_hashes(g))
+}
+
+/// `Σ_c min(mult_g(c), mult_a(c))` over two [`cone_counts`] lists: an
+/// upper bound on the length of the LCP of the graphs they came from, in
+/// either direction. What the index sums out of its postings.
+pub fn cone_bound(g: &[(Cone, u32)], a: &[(Cone, u32)]) -> usize {
+    let (mut i, mut j, mut bound) = (0, 0, 0usize);
+    while i < g.len() && j < a.len() {
+        match g[i].0.cmp(&a[j].0) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                bound += g[i].1.min(a[j].1) as usize;
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    bound
 }
 
 /// Bitset of [`LayerKind::tag`] values present anywhere in `g`.
+///
+/// [`LayerKind::tag`]: crate::layer::LayerKind::tag
 pub fn kind_bits(g: &CompactGraph) -> u64 {
     let mut bits = 0u64;
     for v in g.vertex_ids() {
         bits |= 1u64 << g.vertex(v).config.kind.tag();
     }
     bits
-}
-
-/// Query-side companion of [`sig_bloom`]: the bloom plus per-bit vertex
-/// counts, so a bucket bloom yields a sound LCP upper bound.
-#[derive(Debug, Clone)]
-pub struct QueryFilter {
-    /// Bloom over the query's non-root vertex signatures.
-    pub sig_bloom: u64,
-    /// Non-root query vertices hashing to each bloom bit.
-    counts: [u32; 64],
-}
-
-impl QueryFilter {
-    /// Build the filter for query graph `g`.
-    pub fn new(g: &CompactGraph) -> QueryFilter {
-        let mut counts = [0u32; 64];
-        let mut bloom = 0u64;
-        for v in g.vertex_ids() {
-            if v == g.root() {
-                continue;
-            }
-            let bit = g.sig(v).low64() & 63;
-            counts[bit as usize] += 1;
-            bloom |= 1u64 << bit;
-        }
-        QueryFilter {
-            sig_bloom: bloom,
-            counts,
-        }
-    }
-
-    /// Upper bound on the LCP length against any graph whose non-root
-    /// signature bloom is `bucket_bloom`. Never below 1 (the root match
-    /// is unconditional within a root group).
-    pub fn lcp_bound(&self, bucket_bloom: u64) -> usize {
-        let mut shared = self.sig_bloom & bucket_bloom;
-        let mut bound = 1usize;
-        while shared != 0 {
-            bound += self.counts[shared.trailing_zeros() as usize] as usize;
-            shared &= shared - 1;
-        }
-        bound
-    }
 }
 
 /// Mask of kind-tag bits a vertex matching `p` could carry.
@@ -246,39 +266,47 @@ mod tests {
     }
 
     #[test]
-    fn sig_bloom_excludes_root() {
-        let g = chain_model(&[LayerKind::Input { shape: vec![4] }]);
-        assert_eq!(sig_bloom(&g), 0, "single-vertex graph has an empty bloom");
-        let g2 = chain_model(&[LayerKind::Input { shape: vec![4] }, dense(4)]);
-        assert_eq!(sig_bloom(&g2).count_ones(), 1);
+    fn cones_hash_everything_upstream() {
+        let a = chain_model(&[LayerKind::Input { shape: vec![4] }, dense(4), dense(8)]);
+        let b = chain_model(&[LayerKind::Input { shape: vec![4] }, dense(5), dense(8)]);
+        let (ca, cb) = (cone_hashes(&a), cone_hashes(&b));
+        assert_eq!(ca[0], cb[0], "equal roots, equal cones");
+        assert_ne!(ca[1], cb[1]);
+        // Same signature downstream of a difference: a different cone.
+        assert_eq!(a.sig(VertexId(2)), b.sig(VertexId(2)));
+        assert_ne!(ca[2], cb[2]);
+        assert_eq!(cone_counts(&a).len(), 3);
     }
 
     #[test]
     fn lcp_bound_is_sound_on_random_pairs() {
-        // Differential check: the bloom bound never undercuts the real LCP.
+        // Differential check: the cone bound never undercuts the real LCP.
         let space = GenomeSpace::attn_like();
         let mut rng = ChaCha8Rng::seed_from_u64(7);
-        let mut checked = 0usize;
+        let mut tight = 0usize;
         for _ in 0..40 {
             let a = space.materialize(&space.sample(&mut rng));
             let base = space.sample(&mut rng);
             let b = space.materialize(&space.mutate(&base, &mut rng));
-            let (ga, gb) = (flatten(&a).unwrap(), flatten(&b).unwrap());
-            if ga.sig(ga.root()) != gb.sig(gb.root()) {
-                continue; // bound only claimed within a root group
-            }
-            let qf = QueryFilter::new(&ga);
-            let bound = qf.lcp_bound(sig_bloom(&gb));
-            let real = lcp(&ga, &gb).len();
-            assert!(
-                bound >= real,
-                "bound {bound} undercuts real LCP {real} ({} vs {} vertices)",
-                ga.len(),
-                gb.len()
+            let c = space.materialize(&base);
+            let (ga, gb, gc) = (
+                flatten(&a).unwrap(),
+                flatten(&b).unwrap(),
+                flatten(&c).unwrap(),
             );
-            checked += 1;
+            for (g, a) in [(&ga, &gb), (&gb, &gc), (&gc, &gb)] {
+                let bound = cone_bound(&cone_counts(g), &cone_counts(a));
+                let real = lcp(g, a).len();
+                assert!(
+                    bound >= real,
+                    "bound {bound} undercuts real LCP {real} ({} vs {} vertices)",
+                    g.len(),
+                    a.len()
+                );
+                tight += (bound == real) as usize;
+            }
         }
-        assert!(checked > 0, "no root-compatible pairs sampled");
+        assert!(tight > 0, "the bound was never tight");
     }
 
     #[test]
@@ -289,11 +317,13 @@ mod tests {
             dense(8),
             LayerKind::Flatten,
         ]);
-        let qf = QueryFilter::new(&g);
-        // Against itself the bound must admit the full graph...
-        assert!(qf.lcp_bound(sig_bloom(&g)) >= g.len());
-        // ...and against a disjoint bloom it collapses to the root.
-        assert_eq!(qf.lcp_bound(0), 1);
+        let counts = cone_counts(&g);
+        // Against itself the bound is the whole graph...
+        assert_eq!(cone_bound(&counts, &counts), g.len());
+        // ...and against a graph sharing only the root it is the root.
+        let other = chain_model(&[LayerKind::Input { shape: vec![4] }, dense(5)]);
+        assert_eq!(cone_bound(&counts, &cone_counts(&other)), 1);
+        assert_eq!(cone_bound(&counts, &[]), 0);
     }
 
     #[test]

@@ -27,6 +27,7 @@ proptest! {
         prop_assert_eq!(cg.vertex(cg.root()).config.kind.name(), "input");
         prop_assert_eq!(cg.in_degree(cg.root()), 0);
         prop_assert_eq!(cg.topo_order().len(), cg.len());
+        prop_assert_eq!(cg.validate(), Ok(()));
         // leaf count preserved by flattening
         prop_assert_eq!(cg.len(), space.materialize(&g).leaf_count());
         // in_degree matches the edge relation
@@ -115,6 +116,28 @@ proptest! {
         let fast = lcp(&g, &a);
         let slow = lcp_fixpoint(&g, &a);
         prop_assert_eq!(fast.len(), slow.len());
+    }
+
+    /// The cone bound the index prunes by never undercuts Algorithm 1, on
+    /// lineages (branches, joins, nested submodels, in both directions)
+    /// and on unrelated graphs.
+    #[test]
+    fn cone_bound_covers_lcp(seed in any::<u64>(), mseed in any::<u64>(), steps in 0usize..6) {
+        use evostore_graph::prefilter::{cone_bound, cone_counts};
+        let (space, parent) = genome_from_seed(seed);
+        let mut rng = ChaCha8Rng::seed_from_u64(mseed);
+        let mut child = parent.clone();
+        for _ in 0..steps {
+            child = space.mutate(&child, &mut rng);
+        }
+        let a = flatten(&space.materialize(&parent)).unwrap();
+        let g = flatten(&space.materialize(&child)).unwrap();
+        let other = flatten(&space.materialize(&space.sample(&mut rng))).unwrap();
+        for (x, y) in [(&g, &a), (&a, &g), (&g, &other), (&other, &a)] {
+            let bound = cone_bound(&cone_counts(x), &cone_counts(y));
+            prop_assert!(lcp(x, y).len() <= bound, "lcp {} above bound {bound}", lcp(x, y).len());
+        }
+        prop_assert_eq!(cone_bound(&cone_counts(&g), &cone_counts(&g)), g.len());
     }
 
     /// Serialization: compact graphs roundtrip through JSON with identical
@@ -238,7 +261,7 @@ proptest! {
             match (got, want) {
                 (None, None) => Ok(()),
                 (Some(c), Some((m, q, r))) => {
-                    if c.model == m && c.quality == q && *c.lcp == r {
+                    if c.model == m && c.quality == q && c.lcp == r {
                         // Dedup accounting: work + skips covers the catalog.
                         let archs: std::collections::HashSet<u128> =
                             entries.iter().map(|(_, g, _)| g.arch_signature().0).collect();
@@ -262,7 +285,7 @@ proptest! {
         };
 
         check(&ix, &entries, &probe).map_err(TestCaseError::fail)?;
-        // Query twice: the second pass runs against a warm memo.
+        // Query twice: the index is a value, a repeat changes nothing.
         check(&ix, &entries, &probe).map_err(TestCaseError::fail)?;
 
         // Interleave retirements with re-queries.

@@ -2,7 +2,7 @@
 # Tier-2 bench smoke: a scaled-down fig5 A/B ablation of the provider-side
 # architecture index. Runs the same catalog and probe stream with the
 # index enabled and disabled (--no-index path) and records queries/sec
-# plus the dedup/memo/pruning counters (scanned vs pruned) to
+# plus the dedup/pruning counters (scanned vs pruned) to
 # results/BENCH_lcp.json.
 #
 # Sized to finish in well under a minute on a single core. Invoked from

@@ -53,6 +53,20 @@ if hits=$(awk '
     exit 1
 fi
 
+# The arch index is an immutable value: readers share a published clone
+# and nothing on the read path is interior-mutable. A lock named outside
+# `#[cfg(test)]` would be the memo's 64 + 16 mutex shards growing back.
+echo "== no locks in the arch index"
+if hits=$(awk '
+    /^#\[cfg\(test\)\]/ { exit }
+    /Mutex|RwLock|\.lock\(\)/ { print FILENAME ":" FNR ": " $0; found = 1 }
+    END { exit !found }
+' crates/graph/src/index.rs); then
+    echo "lock named in the arch index read path:" >&2
+    echo "$hits" >&2
+    exit 1
+fi
+
 # benchmark/ is a workspace of its own, so `--workspace` cannot see it:
 # its self-tests plus one short single run per workload (the single-run
 # form appends nothing to benchmark/results/history.jsonl) catch a
