@@ -22,11 +22,11 @@ use evostore_rpc::{BulkHandle, EndpointId, Fabric, Method, RetryPolicy, RpcError
 use evostore_tensor::{read_tensor, write_tensor, ModelId, TensorData, TensorKey, VertexId};
 use parking_lot::Mutex;
 use rand::Rng;
-use rayon::prelude::*;
 
 use crate::messages::*;
 use crate::methods;
 use crate::owner_map::OwnerMap;
+use crate::par;
 use crate::replication::ReplicationPolicy;
 
 /// Client-facing errors, structured so callers can branch on failure
@@ -823,15 +823,14 @@ impl EvoStoreClient {
         // Deterministic order for reproducible layouts.
         let mut keys: Vec<&TensorKey> = new_tensors.keys().collect();
         keys.sort();
-        // Serialization + content hashing runs across the pool; only
-        // the offset assignment stays serial. The serialized records
-        // are then exposed directly as a vectored bulk region — no
-        // consolidation memcpy — with manifest offsets addressing their
-        // logical concatenation.
-        let records: Vec<bytes::Bytes> = keys
-            .par_iter()
-            .map(|key| write_tensor(&new_tensors[*key]))
-            .collect();
+        // Serialization (copy + record check) is shared out per tensor
+        // ([`par::map`]); only the offset assignment stays serial. The
+        // serialized records are then exposed directly as a vectored
+        // bulk region — no consolidation memcpy — with manifest offsets
+        // addressing their logical concatenation.
+        let payload_bytes = new_tensors.values().map(TensorData::byte_len).sum();
+        let records: Vec<bytes::Bytes> =
+            par::map(&keys, payload_bytes, |key| write_tensor(&new_tensors[*key]));
         let mut manifest = Vec::with_capacity(new_tensors.len());
         let mut offset = 0u64;
         for (key, record) in keys.into_iter().zip(&records) {
@@ -1094,10 +1093,14 @@ impl EvoStoreClient {
                     .or_default()
                     .push(*key);
             }
-            let groups: Vec<(usize, Vec<TensorKey>)> = groups.into_iter().collect();
-            // Neither the ambient context nor the ambient cost cell
-            // crosses threads: capture both here and re-install them
-            // inside each fetch leg.
+            let mut groups: Vec<(usize, Vec<TensorKey>)> = groups.into_iter().collect();
+            // The last (often the only) group is fetched on this thread;
+            // each other one gets a leg thread. Neither the ambient
+            // context nor the ambient cost cell crosses threads: capture
+            // both here and re-install them inside each spawned leg.
+            let Some((own_primary, own_keys)) = groups.pop() else {
+                return Ok(HashMap::new());
+            };
             let parent = current_trace();
             let costs = current_costs();
             let fetched: Vec<Result<Vec<(TensorKey, TensorData)>>> = std::thread::scope(|scope| {
@@ -1112,9 +1115,11 @@ impl EvoStoreClient {
                         })
                     })
                     .collect();
+                let own = self.fetch_group(own_primary, &own_keys);
                 handles
                     .into_iter()
                     .map(|h| h.join().expect("fetch leg panicked"))
+                    .chain([own])
                     .collect()
             });
             let mut out = HashMap::with_capacity(keys.len());
@@ -1172,27 +1177,27 @@ impl EvoStoreClient {
         // memory-resident record, so the "pull" is a segment-list clone
         // with no payload copy; a contiguous region arrives as a
         // single segment and decodes identically.
-        let region = self.fabric.bulk_get_vec(handle)?;
-        // Decode (and integrity-check) every manifest entry across
-        // the pool; the region is released exactly once below, on
-        // success and error alike.
-        let decoded: Vec<Result<(TensorKey, TensorData)>> = reply
-            .manifest
-            .par_iter()
-            .map(|entry| {
-                let (off, len) = (entry.offset as usize, entry.len as usize);
-                let record = region.slice(off, len).ok_or_else(|| {
-                    EvoError::Protocol(format!("read manifest entry {} out of bounds", entry.key))
-                })?;
-                let tensor = read_tensor(record).map_err(|_| EvoError::Corrupt {
-                    key: entry.key.to_string(),
-                })?;
-                Ok((entry.key, tensor))
-            })
-            .collect();
-        // One-sided completion: the reader withdraws the region.
+        let region = self.fabric.bulk_get_vec(handle);
+        // One-sided completion: the reader withdraws the region, whether
+        // or not the pull succeeded (the segments pulled stay alive for
+        // the decode below; a failed pull must not leave the provider's
+        // region registered).
         self.fabric.bulk_release(handle);
-        decoded.into_iter().collect()
+        let region = region?;
+        // Decode (and integrity-check) every manifest entry, shared out
+        // per tensor ([`par::map`]).
+        par::map(&reply.manifest, region.len(), |entry| {
+            let (off, len) = (entry.offset as usize, entry.len as usize);
+            let record = region.slice(off, len).ok_or_else(|| {
+                EvoError::Protocol(format!("read manifest entry {} out of bounds", entry.key))
+            })?;
+            let tensor = read_tensor(record).map_err(|_| EvoError::Corrupt {
+                key: entry.key.to_string(),
+            })?;
+            Ok((entry.key, tensor))
+        })
+        .into_iter()
+        .collect()
     }
 
     /// Fetch the tensors of an LCP prefix from the ancestor (the transfer
@@ -1258,8 +1263,9 @@ impl EvoStoreClient {
             },
         )?;
         let handle = BulkHandle(reply.bulk);
-        let payload = self.fabric.bulk_get(handle)?;
+        let payload = self.fabric.bulk_get(handle);
         self.fabric.bulk_release(handle);
+        let payload = payload?;
         let dtype = evostore_tensor::DType::from_tag(reply.dtype_tag)
             .ok_or_else(|| EvoError::Protocol(format!("bad dtype tag {}", reply.dtype_tag)))?;
         TensorData::from_bytes(dtype, vec![elem_count as usize], payload)
@@ -1439,24 +1445,22 @@ impl EvoStoreClient {
             &LoadOptimizerRequest { model },
         )?;
         let handle = BulkHandle(reply.bulk);
-        let region = self.fabric.bulk_get_vec(handle)?;
+        let region = self.fabric.bulk_get_vec(handle);
+        self.fabric.bulk_release(handle);
+        let region = region?;
         let mut entries = reply.manifest;
         entries.sort_by_key(|e| e.key.slot);
-        let mut out = Vec::with_capacity(entries.len());
-        for entry in entries {
-            let (off, len) = (entry.offset as usize, entry.len as usize);
-            let Some(record) = region.slice(off, len) else {
-                self.fabric.bulk_release(handle);
-                return Err(EvoError::Protocol(
-                    "optimizer manifest out of bounds".into(),
-                ));
-            };
-            let tensor = read_tensor(record)
-                .map_err(|e| EvoError::Protocol(format!("optimizer tensor: {e}")))?;
-            out.push(tensor);
-        }
-        self.fabric.bulk_release(handle);
-        Ok(out)
+        entries
+            .iter()
+            .map(|entry| {
+                let (off, len) = (entry.offset as usize, entry.len as usize);
+                let record = region
+                    .slice(off, len)
+                    .ok_or_else(|| EvoError::Protocol("optimizer manifest out of bounds".into()))?;
+                read_tensor(record)
+                    .map_err(|e| EvoError::Protocol(format!("optimizer tensor: {e}")))
+            })
+            .collect()
     }
 
     // ---- retirement ------------------------------------------------------

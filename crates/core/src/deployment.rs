@@ -249,6 +249,9 @@ impl Deployment {
             let l = Arc::clone(&ledger);
             obs.registry().register(move || l.metrics("deployment"));
         }
+        // The fork-join pool is process-wide: one series, registered
+        // here rather than once per provider.
+        obs.registry().register(crate::par::metrics);
         let tracer = Arc::new(Tracer::new(
             "deployment",
             Arc::clone(obs.clock()),

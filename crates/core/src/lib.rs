@@ -27,6 +27,7 @@ pub mod deployment;
 pub mod messages;
 pub mod methods;
 pub mod owner_map;
+pub mod par;
 pub mod policy;
 pub mod provider;
 pub mod replication;

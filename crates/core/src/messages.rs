@@ -658,9 +658,23 @@ pub struct ProviderStats {
     /// record or a delta that had to be reconstructed).
     #[serde(default)]
     pub copy_fallback_reads: u64,
-    /// Store requests validated by the parallel decode-free path.
+    /// Store requests whose manifest validation was shared out over the
+    /// fork-join pool ([`crate::par`]); a store under the inline
+    /// threshold, or on a host with one core, does not count.
     #[serde(default)]
     pub validate_par_batches: u64,
+    /// [`crate::par::map`] calls shared out over the pool. The pool is
+    /// process-wide, so the three `par_*` values cover every provider
+    /// and client in the process and [`ProviderStats::merge`] keeps the
+    /// larger instead of adding.
+    #[serde(default)]
+    pub par_forked_total: u64,
+    /// [`crate::par::map`] calls run inline on the caller.
+    #[serde(default)]
+    pub par_inline_total: u64,
+    /// Helper threads in the pool (`available_parallelism() − 1`).
+    #[serde(default)]
+    pub par_helpers: u64,
     /// Records stored as parent deltas rather than raw bytes.
     #[serde(default)]
     pub delta_stored: u64,
@@ -725,7 +739,8 @@ pub struct ProviderStats {
 }
 
 impl ProviderStats {
-    /// Element-wise sum (the reduce step of a stats broadcast).
+    /// Element-wise sum (the reduce step of a stats broadcast); the
+    /// process-wide `par_*` values take the maximum.
     pub fn merge(self, other: ProviderStats) -> ProviderStats {
         ProviderStats {
             models: self.models + other.models,
@@ -750,6 +765,9 @@ impl ProviderStats {
             zero_copy_reads: self.zero_copy_reads + other.zero_copy_reads,
             copy_fallback_reads: self.copy_fallback_reads + other.copy_fallback_reads,
             validate_par_batches: self.validate_par_batches + other.validate_par_batches,
+            par_forked_total: self.par_forked_total.max(other.par_forked_total),
+            par_inline_total: self.par_inline_total.max(other.par_inline_total),
+            par_helpers: self.par_helpers.max(other.par_helpers),
             delta_stored: self.delta_stored + other.delta_stored,
             delta_reconstructs: self.delta_reconstructs + other.delta_reconstructs,
             delta_rebased: self.delta_rebased + other.delta_rebased,
@@ -812,6 +830,9 @@ mod tests {
             zero_copy_reads: 4,
             copy_fallback_reads: 1,
             validate_par_batches: 2,
+            par_forked_total: 7,
+            par_inline_total: 40,
+            par_helpers: 1,
             delta_stored: 3,
             delta_reconstructs: 6,
             delta_rebased: 1,
@@ -854,6 +875,9 @@ mod tests {
             zero_copy_reads: 1,
             copy_fallback_reads: 2,
             validate_par_batches: 1,
+            par_forked_total: 9,
+            par_inline_total: 38,
+            par_helpers: 1,
             delta_stored: 1,
             delta_reconstructs: 2,
             delta_rebased: 0,
@@ -893,6 +917,11 @@ mod tests {
         assert_eq!(m.zero_copy_reads, 5);
         assert_eq!(m.copy_fallback_reads, 3);
         assert_eq!(m.validate_par_batches, 3);
+        assert_eq!(
+            (m.par_forked_total, m.par_inline_total, m.par_helpers),
+            (9, 40, 1),
+            "process-wide values are not added"
+        );
         assert_eq!(m.delta_stored, 4);
         assert_eq!(m.delta_reconstructs, 8);
         assert_eq!(m.delta_rebased, 1);

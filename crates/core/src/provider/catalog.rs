@@ -14,6 +14,7 @@ use rayon::prelude::*;
 use super::{CatalogSnapshot, ModelRecord, ProviderState};
 use crate::messages::*;
 use crate::owner_map::OwnerMap;
+use crate::par;
 
 /// On-disk form of a [`ModelRecord`] (catalog persistence).
 #[derive(serde::Serialize, serde::Deserialize)]
@@ -203,43 +204,43 @@ impl ProviderState {
         // Validate the ENTIRE manifest before persisting anything, so a
         // malformed request can never leave partially-stored tensors with
         // no catalog entry referencing them. Entries are independent, so
-        // the integrity + spec checks fan out across the rayon pool;
-        // `validate_record` verifies framing, dims and checksum without
-        // materializing a `TensorData`.
-        self.validate_par_batches.fetch_add(1, Ordering::Relaxed);
-        let validated = req
-            .manifest
-            .par_iter()
-            .map(|entry| {
-                let (off, len) = (entry.offset as usize, entry.len as usize);
-                let record = region.slice(off, len).ok_or_else(|| {
-                    format!(
-                        "manifest entry {} out of bulk bounds ({} + {} > {})",
-                        entry.key,
-                        off,
-                        len,
-                        region.len()
-                    )
-                })?;
-                // Integrity + spec check before persisting.
-                let (shape, dtype) =
-                    validate_record(&record).map_err(|e| format!("tensor {}: {e}", entry.key))?;
-                let specs = req
-                    .graph
-                    .param_specs(evostore_tensor::VertexId(entry.key.vertex.0));
-                let spec = specs
-                    .iter()
-                    .find(|s| s.slot == entry.key.slot)
-                    .ok_or_else(|| format!("tensor {} has no spec in the graph", entry.key))?;
-                if spec.shape != shape || spec.dtype != dtype {
-                    return Err(format!(
-                        "tensor {} does not match its layer spec ({:?} {} vs {:?} {})",
-                        entry.key, shape, dtype, spec.shape, spec.dtype
-                    ));
-                }
-                Ok((entry.key, record))
-            })
-            .collect::<Result<Vec<_>, String>>()?;
+        // the integrity + spec checks are shared out per tensor
+        // ([`par::map`]); `validate_record` verifies framing, dims and
+        // checksum without materializing a `TensorData`.
+        if par::forks(req.manifest.len(), region.len()) {
+            self.validate_par_batches.fetch_add(1, Ordering::Relaxed);
+        }
+        let validated = par::map(&req.manifest, region.len(), |entry| {
+            let (off, len) = (entry.offset as usize, entry.len as usize);
+            let record = region.slice(off, len).ok_or_else(|| {
+                format!(
+                    "manifest entry {} out of bulk bounds ({} + {} > {})",
+                    entry.key,
+                    off,
+                    len,
+                    region.len()
+                )
+            })?;
+            // Integrity + spec check before persisting.
+            let (shape, dtype) =
+                validate_record(&record).map_err(|e| format!("tensor {}: {e}", entry.key))?;
+            let specs = req
+                .graph
+                .param_specs(evostore_tensor::VertexId(entry.key.vertex.0));
+            let spec = specs
+                .iter()
+                .find(|s| s.slot == entry.key.slot)
+                .ok_or_else(|| format!("tensor {} has no spec in the graph", entry.key))?;
+            if spec.shape != shape || spec.dtype != dtype {
+                return Err(format!(
+                    "tensor {} does not match its layer spec ({:?} {} vs {:?} {})",
+                    entry.key, shape, dtype, spec.shape, spec.dtype
+                ));
+            }
+            Ok((entry.key, record))
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>, String>>()?;
 
         // When delta encoding is on and the parent is cataloged locally,
         // each self-owned tensor may be stored as a delta against the
@@ -258,13 +259,19 @@ impl ProviderState {
         };
 
         let kv = self.kv_span("kv.put_tensors");
+        // Encoding only reads the store, so it is shared out per tensor
+        // ahead of the puts, which stay serial and in manifest order.
+        let mut deltas = match &parent_map {
+            Some(map) => par::map(&validated, region.len(), |(key, record)| {
+                self.try_delta_encode(*key, record, map)
+            }),
+            None => Vec::new(),
+        }
+        .into_iter();
         let mut bytes_stored = 0u64;
         for (key, record) in validated {
             bytes_stored += record.len() as u64;
-            let delta = parent_map
-                .as_ref()
-                .and_then(|map| self.try_delta_encode(key, &record, map));
-            match delta {
+            match deltas.next().flatten() {
                 Some((blob, base_enc)) => {
                     self.tensors
                         .put(&key.encode(), blob, 1)

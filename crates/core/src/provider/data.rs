@@ -7,64 +7,26 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use evostore_tensor::{is_delta, TensorKey};
-use rayon::prelude::*;
 
 use super::ProviderState;
 use crate::messages::*;
+use crate::par;
 
 impl ProviderState {
     /// Handle a tensor read: gather the requested tensors into one
-    /// freshly exposed bulk region. Per-key kv lookups fan out across
-    /// the rayon pool; memory-resident records are appended to the
-    /// region as shared-buffer clones (`get_ref`, zero copy), anything
-    /// else falls back to a copying `get`.
+    /// freshly exposed bulk region ([`ProviderState::gather`]).
     pub fn handle_read(&self, req: ReadTensorsRequest) -> Result<ReadTensorsReply, String> {
         let kv = self.kv_span("kv.read_tensors");
-        let records = req
-            .keys
-            .par_iter()
-            .map(|key| {
-                if !self.places_here(key.owner) {
-                    return Err(format!(
-                        "tensor {key} is not hosted by provider {}",
-                        self.index
-                    ));
-                }
-                let enc = key.encode();
-                // The delta-preserving sync driver reads *stored* record
-                // bytes verbatim — a delta record crosses the wire as the
-                // delta, never materialized.
-                if req.raw_records {
-                    if let Some(record) = self.tensors.get_ref(&enc) {
-                        return Ok((record, true));
-                    }
-                    return self
-                        .tensors
-                        .get(&enc)
-                        .map(|record| (record, false))
-                        .map_err(|_| format!("tensor {key} not stored"));
-                }
-                if let Some(record) = self.tensors.get_ref(&enc) {
-                    // A delta record must be reconstructed before it
-                    // leaves the provider; it counts as a fallback
-                    // (the reply buffer is freshly built).
-                    if !is_delta(&record) {
-                        return Ok((record, true));
-                    }
-                    return self
-                        .materialize(record)
-                        .map(|r| (r, false))
-                        .map_err(|e| format!("tensor {key}: {e}"));
-                }
-                let record = self
-                    .tensors
-                    .get(&enc)
-                    .map_err(|_| format!("tensor {key} not stored"))?;
-                self.materialize(record)
-                    .map(|r| (r, false))
-                    .map_err(|e| format!("tensor {key}: {e}"))
-            })
-            .collect::<Result<Vec<(Bytes, bool)>, String>>()?;
+        if let Some(key) = req.keys.iter().find(|key| !self.places_here(key.owner)) {
+            return Err(format!(
+                "tensor {key} is not hosted by provider {}",
+                self.index
+            ));
+        }
+        // The delta-preserving sync driver reads *stored* record bytes
+        // verbatim — a delta record crosses the wire as the delta, never
+        // materialized.
+        let records = self.gather(&req.keys, req.raw_records, "tensor")?;
         drop(kv);
         let manifest = self.logical_manifest(&req.keys, &records);
         evostore_obs::ledger::add_chunks_touched(manifest.len() as u64);
@@ -74,6 +36,58 @@ impl ProviderState {
             manifest,
             bulk: bulk.0,
         })
+    }
+
+    /// Fetch the records under `keys`, each flagged with whether it left
+    /// the store as a shared-buffer clone. Memory-resident records are
+    /// taken on this thread (`get_ref`, zero copy). Whatever is left — a
+    /// record that needs a copying `get` and, unless `raw`, a delta that
+    /// must be reconstructed before it leaves the provider (the reply
+    /// buffer is freshly built, so it counts as a fallback) — is shared
+    /// out per tensor ([`par::map`]). The store cannot size a record
+    /// without fetching it, so that call is weighed by the mean stored
+    /// record.
+    fn gather(
+        &self,
+        keys: &[TensorKey],
+        raw: bool,
+        what: &str,
+    ) -> Result<Vec<(Bytes, bool)>, String> {
+        let mut records = Vec::with_capacity(keys.len());
+        let mut slow: Vec<(usize, Option<Bytes>)> = Vec::new();
+        for (i, key) in keys.iter().enumerate() {
+            match self.tensors.get_ref(&key.encode()) {
+                Some(record) if raw || !is_delta(&record) => records.push((record, true)),
+                // `None`, or a delta already in hand to reconstruct.
+                in_hand => {
+                    records.push((Bytes::new(), false));
+                    slow.push((i, in_hand));
+                }
+            }
+        }
+        if slow.is_empty() {
+            return Ok(records);
+        }
+        let mean_record = self.tensors.bytes_used() / self.tensors.len().max(1);
+        let fetched = par::map(&slow, slow.len() * mean_record, |(i, in_hand)| {
+            let key = keys[*i];
+            let record = match in_hand {
+                Some(record) => record.clone(),
+                None => self
+                    .tensors
+                    .get(&key.encode())
+                    .map_err(|_| format!("{what} {key} not stored"))?,
+            };
+            if raw {
+                return Ok(record);
+            }
+            self.materialize(record)
+                .map_err(|e| format!("{what} {key}: {e}"))
+        });
+        for ((i, _), record) in slow.iter().zip(fetched) {
+            records[*i].0 = record?;
+        }
+        Ok(records)
     }
 
     /// Manifest over the *logical* concatenation of `records` (offsets
@@ -225,22 +239,7 @@ impl ProviderState {
                 .ok_or_else(|| format!("model {} not found", req.model))?;
             rec.optimizer_keys.clone()
         };
-        // Same zero-copy gather as `handle_read`: memory-resident
-        // optimizer tensors become shared segments, disk-resident ones
-        // fall back to a copying `get`.
-        let records = keys
-            .par_iter()
-            .map(|key| {
-                let enc = key.encode();
-                if let Some(record) = self.tensors.get_ref(&enc) {
-                    return Ok((record, true));
-                }
-                self.tensors
-                    .get(&enc)
-                    .map(|record| (record, false))
-                    .map_err(|_| format!("optimizer tensor {key} not stored"))
-            })
-            .collect::<Result<Vec<(Bytes, bool)>, String>>()?;
+        let records = self.gather(&keys, true, "optimizer tensor")?;
         let manifest = self.logical_manifest(&keys, &records);
         let bulk = self.expose_records(records);
         Ok(ReadTensorsReply {

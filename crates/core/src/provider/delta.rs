@@ -10,6 +10,7 @@ use evostore_tensor::{decode_delta, delta_header, encode_delta, is_delta, Tensor
 
 use super::ProviderState;
 use crate::owner_map::OwnerMap;
+use crate::par;
 
 impl ProviderState {
     /// Materialize the raw (EVST) bytes of a fetched record, decoding
@@ -104,18 +105,26 @@ impl ProviderState {
             return Ok(());
         }
         let deps = self.delta_deps.lock().remove(enc);
-        for dep in deps.into_iter().flatten() {
-            // A dependent may have been reclaimed (or already re-based)
-            // since it was registered; skip it silently.
-            let Ok(rec) = self.tensors.get(&dep) else {
-                continue;
-            };
-            if !is_delta(&rec) {
-                continue;
-            }
-            let raw = self.materialize(rec)?;
+        // A dependent may have been reclaimed (or already re-based)
+        // since it was registered; skip it silently.
+        let deltas: Vec<(Vec<u8>, Bytes)> = deps
+            .into_iter()
+            .flatten()
+            .filter_map(|dep| {
+                let rec = self.tensors.get(&dep).ok()?;
+                is_delta(&rec).then_some((dep, rec))
+            })
+            .collect();
+        // Reconstruction only reads the store, so it is shared out per
+        // dependent ([`par::map`]); the rewrites stay serial.
+        let raw_bytes = deltas
+            .iter()
+            .map(|(_, rec)| delta_header(rec).map_or(0, |head| head.raw_len))
+            .sum();
+        let raws = par::map(&deltas, raw_bytes, |(_, rec)| self.materialize(rec.clone()));
+        for ((dep, _), raw) in deltas.iter().zip(raws) {
             self.tensors
-                .replace(&dep, raw)
+                .replace(dep, raw?)
                 .map_err(|e| format!("re-base dependent record: {e}"))?;
             self.delta_rebased.fetch_add(1, Ordering::Relaxed);
         }

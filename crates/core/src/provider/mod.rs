@@ -351,8 +351,9 @@ pub struct ProviderState {
     /// Tensor reads that fell back to a copying `get` (disk-resident
     /// record or a delta that had to be reconstructed).
     copy_fallback_reads: AtomicU64,
-    /// Store requests whose manifest validation fanned out across the
-    /// rayon pool (decode-free `validate_record` path).
+    /// Store requests whose manifest validation was shared out over the
+    /// fork-join pool ([`crate::par`]; decode-free `validate_record`
+    /// path).
     validate_par_batches: AtomicU64,
     /// Encoded `GET_META` replies keyed by model, each stamped with the
     /// record timestamp it was built from. A hit serves the cached JSON

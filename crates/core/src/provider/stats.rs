@@ -7,6 +7,7 @@ use evostore_obs::{Metric, RegistrySnapshot};
 
 use super::ProviderState;
 use crate::messages::ProviderStats;
+use crate::par;
 
 impl ProviderState {
     /// Chunk-occupancy counters of the tensor store, when the physical
@@ -19,6 +20,7 @@ impl ProviderState {
     pub fn stats(&self) -> ProviderStats {
         let chunk = self.tensors.backend().chunk_stats().unwrap_or_default();
         let snap = self.catalog_snapshot();
+        let par = par::stats();
         ProviderStats {
             models: snap.len(),
             distinct_archs: snap.index.distinct_architectures(),
@@ -41,6 +43,9 @@ impl ProviderState {
             zero_copy_reads: self.zero_copy_reads.load(Ordering::Relaxed),
             copy_fallback_reads: self.copy_fallback_reads.load(Ordering::Relaxed),
             validate_par_batches: self.validate_par_batches.load(Ordering::Relaxed),
+            par_forked_total: par.forked,
+            par_inline_total: par.inline,
+            par_helpers: par.helpers,
             delta_stored: self.delta_stored.load(Ordering::Relaxed),
             delta_reconstructs: self.delta_reconstructs.load(Ordering::Relaxed),
             delta_rebased: self.delta_rebased.load(Ordering::Relaxed),

@@ -300,6 +300,10 @@ fn metrics_snapshot_unifies_every_island() {
         "evostore_datapath_zero_copy_reads",
         "evostore_datapath_copy_fallback_reads",
         "evostore_datapath_validate_par_batches",
+        // Fork-join pool (process-wide).
+        "evostore_par_forked_total",
+        "evostore_par_inline_total",
+        "evostore_par_helpers",
         // KV counters, per store.
         "evostore_kv_puts",
         "evostore_kv_gets",
@@ -377,7 +381,10 @@ fn zero_copy_reads_preserve_byte_accounting() {
         "reads were exposed as vectored regions ({segments} segments)"
     );
     let batches: u64 = stats.iter().map(|s| s.validate_par_batches).sum();
-    assert!(batches > 0, "the store manifest was batch-validated");
+    assert_eq!(
+        batches, 0,
+        "a store far under the inline threshold shares nothing out"
+    );
     assert!(
         client.telemetry().bulk_segments_exposed() > 0,
         "the client's store push was vectored too"

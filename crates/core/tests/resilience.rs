@@ -3,14 +3,15 @@
 //! fault surfaces, and eventually-consistent GC via parked decrements.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Duration;
 
-use evostore_core::messages::RefsRequest;
+use evostore_core::messages::{ManifestEntry, ReadRangeReply, ReadTensorsReply, RefsRequest};
 use evostore_core::methods;
 use evostore_core::{trained_tensors, Deployment, EvoError, EvoStoreClient, OwnerMap};
 use evostore_graph::{flatten, Activation, Architecture, CompactGraph, LayerConfig, LayerKind};
 use evostore_rpc::{FaultAction, FaultPlan, FaultRule, Method, RpcError};
-use evostore_tensor::ModelId;
+use evostore_tensor::{write_tensor, DType, ModelId, TensorData, TensorKey, VertexId};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -220,6 +221,96 @@ fn bulk_get_on_withdrawn_or_down_region_errors_cleanly() {
     let err = fabric.bulk_get(handle).unwrap_err();
     assert!(matches!(err, RpcError::NoSuchBulk(_)), "got {err}");
     assert!(!err.is_transient(), "withdrawal is permanent");
+}
+
+/// Regression: a pull that fails after the provider has answered must
+/// still withdraw the region the provider exposed for it — `fetch_from`,
+/// `fetch_tensor_slice` and `load_optimizer_state` used to return through
+/// `?` ahead of `bulk_release`, leaving the region (and the record
+/// buffers it pins) registered for good. A stand-in provider exposes its
+/// reply regions under an owner the fault plan holds down, so each pull
+/// fails in transit; the last leg pulls fine and fails in the decode.
+#[test]
+fn a_failed_pull_still_releases_the_providers_region() {
+    let fabric = evostore_rpc::Fabric::new();
+    let host = fabric.create_endpoint(1);
+    let owner = fabric.create_endpoint(1).id();
+    let expose = {
+        let fabric = Arc::clone(&fabric);
+        move |record: bytes::Bytes| fabric.bulk_expose_vec_owned(vec![record], owner).0
+    };
+    let key = TensorKey::new(ModelId(1), VertexId(0), 0);
+    let manifest = move |len: usize| {
+        vec![ManifestEntry {
+            key,
+            offset: 0,
+            len: len as u64,
+        }]
+    };
+    let record = write_tensor(&TensorData::zeros(DType::F32, vec![4]));
+    {
+        let (expose, record) = (expose.clone(), record.clone());
+        host.serve(methods::Read, move |_| {
+            Ok(ReadTensorsReply {
+                manifest: manifest(record.len()),
+                bulk: expose(record.clone()),
+            })
+        });
+    }
+    {
+        let (expose, record) = (expose.clone(), record.clone());
+        host.serve(methods::ReadRange, move |_| {
+            Ok(ReadRangeReply {
+                dtype_tag: DType::F32.tag(),
+                bulk: expose(record.clone()),
+            })
+        });
+    }
+    host.serve(methods::LoadOptimizer, move |_| {
+        // Not a tensor record: the pull succeeds, the decode cannot.
+        let garbage = bytes::Bytes::from_static(b"not a tensor record");
+        Ok(ReadTensorsReply {
+            manifest: manifest(garbage.len()),
+            bulk: expose(garbage),
+        })
+    });
+
+    let client = EvoStoreClient::builder(Arc::clone(&fabric))
+        .providers(vec![host.id()])
+        .build();
+    let plan = fabric.install_fault_plan(FaultPlan::new(0));
+    plan.set_down(owner);
+
+    let err = client.fetch_tensors(&[key]).unwrap_err();
+    assert!(
+        err.is_transient(),
+        "a region in transit fault is transient: {err}"
+    );
+    assert_eq!(fabric.bulk_regions(), 0, "fetch_tensors leaked its region");
+    let err = client.fetch_tensor_slice(key, 0, 2).unwrap_err();
+    assert!(err.is_transient(), "{err}");
+    assert_eq!(
+        fabric.bulk_regions(),
+        0,
+        "fetch_tensor_slice leaked its region"
+    );
+    let err = client.load_optimizer_state(ModelId(1)).unwrap_err();
+    assert!(err.is_transient(), "{err}");
+    assert_eq!(
+        fabric.bulk_regions(),
+        0,
+        "load_optimizer_state leaked its region"
+    );
+
+    plan.set_up(owner);
+    let err = client.load_optimizer_state(ModelId(1)).unwrap_err();
+    assert!(matches!(err, EvoError::Protocol(_)), "got {err}");
+    assert_eq!(
+        fabric.bulk_regions(),
+        0,
+        "a failed decode leaked its region"
+    );
+    assert_eq!(plan.stats().bulk_rejections, 3);
 }
 
 #[test]

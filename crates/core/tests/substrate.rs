@@ -5,11 +5,13 @@
 use std::collections::HashMap;
 
 use evostore_core::{
-    random_tensors, BackendKind, Deployment, DeploymentConfig, OwnerMap, StorePolicy,
+    methods, random_tensors, BackendKind, Deployment, DeploymentConfig, OwnerMap, StorePolicy,
 };
 use evostore_graph::{
     flatten, lcp, Activation, Architecture, CompactGraph, LayerConfig, LayerKind,
 };
+use evostore_obs::FlightEvent;
+use evostore_rpc::Method;
 use evostore_tensor::{ModelId, TensorData, TensorKey};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -359,4 +361,136 @@ fn chunked_delta_deployment_survives_reopen() {
         assert_eq!(&child.tensors[key], tensor, "post-retire {key} differs");
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The fork side of `par::map`'s inline rule, end to end: every other
+/// test here moves tensors of a few KB, which the payload path walks
+/// inline. Two generations of 1 MiB layers on the chunked+delta
+/// substrate share out all six per-tensor loops (client serialize and
+/// decode; provider validate, delta-encode, gather + reconstruct, and
+/// the re-base under a reclaim) — and must read back the stored bytes,
+/// charge the ops' ledgers, and keep each op's spans in one tree.
+#[test]
+fn forked_payload_path_roundtrips_and_attributes() {
+    let dep = dep_with(StorePolicy::chunked_with_delta());
+    let client = dep.client();
+    let g = seq(&[512, 512, 512, 512]);
+    let mut rng = ChaCha8Rng::seed_from_u64(17);
+    let before = client.stats().unwrap();
+
+    let base_tensors = random_tensors(ModelId(1), &g, &mut rng);
+    assert!(base_tensors.values().any(|t| t.byte_len() >= 1 << 20));
+    let base_map = OwnerMap::fresh(ModelId(1), &g);
+    client
+        .store_model(g.clone(), base_map.clone(), None, 0.5, &base_tensors)
+        .unwrap();
+    // The child fine-tunes the last two layers: two 1 MiB weights and
+    // their biases, all four stored as deltas.
+    let child_map = suffix_map(ModelId(2), &g, &base_map, 2);
+    let child_new: HashMap<TensorKey, TensorData> = child_map
+        .self_owned()
+        .flat_map(|v| child_map.vertex(v).tensor_keys().collect::<Vec<_>>())
+        .map(|k| {
+            let base = &base_tensors[&TensorKey::new(ModelId(1), k.vertex, k.slot)];
+            (k, base.perturbed_sparse(&mut rng, 0.02))
+        })
+        .collect();
+    client
+        .store_model(g.clone(), child_map, Some(ModelId(1)), 0.6, &child_new)
+        .unwrap();
+
+    let loaded = client.load_model(ModelId(2)).unwrap();
+    let mut expected = base_tensors.clone();
+    expected.retain(|k, _| {
+        !child_new
+            .keys()
+            .any(|c| (c.vertex, c.slot) == (k.vertex, k.slot))
+    });
+    expected.extend(child_new.clone());
+    assert_eq!(loaded.tensors.len(), expected.len());
+    for (key, tensor) in &expected {
+        assert_eq!(&loaded.tensors[key], tensor, "tensor {key} differs");
+    }
+
+    let stats = client.stats().unwrap();
+    let deltas = child_new.len() as u64;
+    assert_eq!(
+        stats.delta_stored, deltas,
+        "every fine-tuned tensor is a delta"
+    );
+    assert!(stats.delta_reconstructs >= deltas);
+    if stats.par_helpers > 0 {
+        assert_eq!(
+            stats.validate_par_batches, 2,
+            "both manifests were validated across the pool"
+        );
+        // Per store: serialize + validate (+ delta-encode for the
+        // child); per load: provider gather + client decode.
+        assert!(
+            stats.par_forked_total - before.par_forked_total >= 7,
+            "forked {} -> {}",
+            before.par_forked_total,
+            stats.par_forked_total
+        );
+    } else {
+        assert_eq!(stats.validate_par_batches, 0);
+        assert_eq!(stats.par_forked_total, 0, "one core: nothing is shared out");
+    }
+
+    // Ledgers: what a helper charged landed in the op that forked.
+    let payload: u64 = expected.values().map(|t| t.byte_len() as u64).sum();
+    let fetch = client.ledger().entry("fetch").expect("fetch ledger entry");
+    assert!(
+        fetch.bytes_in >= payload,
+        "fetch charged {}",
+        fetch.bytes_in
+    );
+    assert_eq!(fetch.chunks_touched, expected.len() as u64);
+    let provider = &dep.provider_states()[0];
+    let read = provider
+        .ledger()
+        .entry(methods::Read::METHOD)
+        .expect("provider READ ledger entry");
+    assert_eq!(
+        read.bytes_out, fetch.bytes_in,
+        "both ends count the same records"
+    );
+    assert_eq!(
+        read.delta_chain_depth_max, 1,
+        "the reconstruct's chain walk reached the READ's ledger cell"
+    );
+
+    // Spans: the load's trace is one tree under the client's root.
+    let root = dep
+        .obs()
+        .recorders()
+        .iter()
+        .flat_map(|r| r.events())
+        .find_map(|e| match e {
+            FlightEvent::Span(s) if s.name == "fetch_tensors" => Some(s),
+            _ => None,
+        })
+        .expect("client root span");
+    let spans = dep.obs().trace_spans(root.trace_id);
+    assert!(spans.iter().any(|s| s.name == "kv.read_tensors"));
+    for span in &spans {
+        assert!(
+            span.span_id == root.span_id || spans.iter().any(|p| p.span_id == span.parent_span_id),
+            "span {} of the load hangs under nothing",
+            span.name
+        );
+    }
+
+    // Retiring the base re-bases its dependents (the sixth loop) and
+    // the child still reads back byte-identical.
+    client.retire_model(ModelId(1)).unwrap();
+    assert_eq!(client.stats().unwrap().delta_rebased, deltas);
+    dep.gc_audit().unwrap();
+    let loaded = client.load_model(ModelId(2)).unwrap();
+    for (key, tensor) in &expected {
+        assert_eq!(
+            &loaded.tensors[key], tensor,
+            "tensor {key} differs after re-base"
+        );
+    }
 }

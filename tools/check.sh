@@ -67,6 +67,34 @@ if hits=$(awk '
     exit 1
 fi
 
+# The payload path's per-tensor loops run through `core::par`. A loop put
+# back on the vendored rayon stub would compile, pass every test and
+# silently go serial again; and the one lifetime erasure that lets pool
+# helpers borrow a caller's stack is the only `unsafe` the core crate is
+# allowed.
+echo "== payload loops stay on core::par; unsafe stays in par.rs"
+if hits=$(grep -n 'par_iter' crates/core/src/client.rs \
+    crates/core/src/provider/data.rs crates/core/src/provider/delta.rs); then
+    echo "payload-path loop on the sequential rayon stub:" >&2
+    echo "$hits" >&2
+    exit 1
+fi
+if hits=$(grep -rnw --include='*.rs' 'unsafe' crates/core/src | grep -v '^crates/core/src/par.rs:'); then
+    echo "unsafe outside crates/core/src/par.rs:" >&2
+    echo "$hits" >&2
+    exit 1
+fi
+
+# With one CPU the pool has no helpers and `par::map` must be the plain
+# serial loop: the pool's own tests and one fixed-length bulk_checkpoint
+# run (the workload that forks on every op) have to finish there.
+pin=""
+if command -v taskset >/dev/null; then
+    pin="taskset -c 0"
+fi
+echo "== core::par on one CPU (${pin:-taskset not found: unpinned})"
+$pin cargo test -q -p evostore-core --lib par::
+
 # benchmark/ is a workspace of its own, so `--workspace` cannot see it:
 # its self-tests plus one short single run per workload (the single-run
 # form appends nothing to benchmark/results/history.jsonl) catch a
@@ -81,6 +109,11 @@ for workload in nas_evolve bulk_checkpoint catalog_churn replicated_finetune; do
         exit 1
     fi
 done
+result=$($pin bash benchmark/run.sh --workload bulk_checkpoint --seed 1 --quick --trace 0 | tail -n 1)
+if [[ "$result" != *'"failed": 0,'* ]]; then
+    echo "bulk_checkpoint on one CPU did not finish clean: $result" >&2
+    exit 1
+fi
 
 # Optional tier-2: scaled-down fig5 indexed-vs-unindexed ablation,
 # recording queries/sec and the index counters to results/BENCH_lcp.json.
