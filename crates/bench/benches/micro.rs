@@ -6,7 +6,9 @@
 //! 3. Algorithm 1 (frontier LCP) vs the naive fixpoint,
 //! 4. provider-side collective LCP vs client-side iterative pull,
 //! 5. consolidated incremental store vs full store,
-//! 6. KV backend comparison (pool vs log).
+//! 6. KV backend comparison (pool vs log),
+//! 7. contiguous vs borrowed tensor records across sizes (the sweep
+//!    `BORROW_MIN_BYTES` is read from).
 
 use std::collections::HashMap;
 
@@ -15,7 +17,10 @@ use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criteri
 use evostore_core::{random_tensors, trained_tensors, Deployment, OwnerMap};
 use evostore_graph::{flatten, lcp, lcp_fixpoint, CompactGraph, GenomeSpace};
 use evostore_kv::{KvBackend, LogStore, MemPoolStore};
-use evostore_tensor::{ModelId, TensorKey, VertexId};
+use evostore_tensor::{
+    read_tensor_segments, validate_segments, write_tensor, write_tensor_borrowed, DType, ModelId,
+    Record, TensorData, TensorKey, VertexId,
+};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -165,6 +170,43 @@ fn bench_kv(c: &mut Criterion) {
     group.finish();
 }
 
+/// Ablation 7: the two record encodings at each size — `encode` alone,
+/// and `cycle`, a record's whole life on the memory substrate (encode,
+/// provider-side validate, pool put, resident read, decode, delete). The
+/// copy the contiguous encoding pays grows with the payload; what the
+/// borrowed one pays (a second small buffer, a segment list in the pool,
+/// three segments where there was one) does not. `BORROW_MIN_BYTES` sits
+/// where the first overtakes the second.
+fn bench_record_encoding(c: &mut Criterion) {
+    let mut rng = ChaCha8Rng::seed_from_u64(7);
+    let mut group = c.benchmark_group("record_encoding");
+    type Encoder = fn(&TensorData) -> Record;
+    let encoders: [(&str, Encoder); 2] = [
+        ("contiguous", |t| Record::Contiguous(write_tensor(t))),
+        ("borrowed", |t| Record::Borrowed(write_tensor_borrowed(t))),
+    ];
+    for bytes in [256usize, 4 << 10, 64 << 10, 256 << 10, 2 << 20] {
+        let t = TensorData::random(&mut rng, DType::F32, vec![bytes / 4]);
+        for (name, encode) in encoders {
+            group.bench_function(BenchmarkId::new(format!("encode_{name}"), bytes), |b| {
+                b.iter(|| encode(&t))
+            });
+            let pool = MemPoolStore::new();
+            group.bench_function(BenchmarkId::new(format!("cycle_{name}"), bytes), |b| {
+                b.iter(|| {
+                    let record = encode(&t);
+                    validate_segments(record.segments()).unwrap();
+                    pool.put_segments(b"k", record.segments().to_vec()).unwrap();
+                    let back = read_tensor_segments(&pool.get_resident(b"k").unwrap()).unwrap();
+                    pool.delete(b"k").unwrap();
+                    back.byte_len()
+                })
+            });
+        }
+    }
+    group.finish();
+}
+
 /// Ablation 5: consolidated incremental store vs full store, plus the
 /// owner-map-guided load path, on a live deployment.
 fn bench_store_load(c: &mut Criterion) {
@@ -297,6 +339,7 @@ criterion_group!(
     bench_flatten,
     bench_owner_map,
     bench_kv,
+    bench_record_encoding,
     bench_store_load,
     bench_collective_query
 );

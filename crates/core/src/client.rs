@@ -19,7 +19,10 @@ use evostore_obs::{
     SloEngine, SlowOp, SlowOpLog, TimeSource, Tracer,
 };
 use evostore_rpc::{BulkHandle, EndpointId, Fabric, Method, RetryPolicy, RpcError, TraceHandle};
-use evostore_tensor::{read_tensor, write_tensor, ModelId, TensorData, TensorKey, VertexId};
+use evostore_tensor::{
+    read_tensor, read_tensor_segments, rope, write_tensor, write_tensor_segments, ModelId,
+    TensorData, TensorKey, VertexId,
+};
 use parking_lot::Mutex;
 use rand::Rng;
 
@@ -823,30 +826,36 @@ impl EvoStoreClient {
         // Deterministic order for reproducible layouts.
         let mut keys: Vec<&TensorKey> = new_tensors.keys().collect();
         keys.sort();
-        // Serialization (copy + record check) is shared out per tensor
-        // ([`par::map`]); only the offset assignment stays serial. The
-        // serialized records are then exposed directly as a vectored
-        // bulk region — no consolidation memcpy — with manifest offsets
-        // addressing their logical concatenation.
+        // Serialization (record check, plus the copy for tensors too small
+        // to borrow) is shared out per tensor ([`par::map`]); only the
+        // offset assignment stays serial. A large tensor's record is a
+        // rope around its own payload buffer, and the records are exposed
+        // as they are, one vectored bulk region — no staging copy, no
+        // consolidation memcpy — with manifest offsets addressing their
+        // logical concatenation.
         let payload_bytes = new_tensors.values().map(TensorData::byte_len).sum();
-        let records: Vec<bytes::Bytes> =
-            par::map(&keys, payload_bytes, |key| write_tensor(&new_tensors[*key]));
-        let mut manifest = Vec::with_capacity(new_tensors.len());
+        let records = par::map(&keys, payload_bytes, |key| {
+            write_tensor_segments(&new_tensors[*key])
+        });
+        let mut manifest = Vec::with_capacity(records.len());
+        let mut segments = Vec::with_capacity(records.len());
         let mut offset = 0u64;
         for (key, record) in keys.into_iter().zip(&records) {
+            let len = rope::len(record.segments()) as u64;
             manifest.push(ManifestEntry {
                 key: *key,
                 offset,
-                len: record.len() as u64,
+                len,
             });
-            offset += record.len() as u64;
+            offset += len;
+            segments.extend_from_slice(record.segments());
         }
         let tensors_written = manifest.len();
         evostore_obs::ledger::add_chunks_touched(tensors_written as u64);
         evostore_obs::ledger::add_bytes_out(offset);
         self.telemetry
-            .note_bulk_segments_exposed(records.len() as u64);
-        let bulk = self.fabric.bulk_expose_vec(records);
+            .note_bulk_segments_exposed(segments.len() as u64);
+        let bulk = self.fabric.bulk_expose_vec(segments);
 
         let req = StoreModelRequest {
             model,
@@ -1185,13 +1194,14 @@ impl EvoStoreClient {
         self.fabric.bulk_release(handle);
         let region = region?;
         // Decode (and integrity-check) every manifest entry, shared out
-        // per tensor ([`par::map`]).
+        // per tensor ([`par::map`]). A record the provider holds as a rope
+        // arrives as one: its payload segment becomes the tensor's buffer.
         par::map(&reply.manifest, region.len(), |entry| {
             let (off, len) = (entry.offset as usize, entry.len as usize);
-            let record = region.slice(off, len).ok_or_else(|| {
+            let record = region.slice_rope(off, len).ok_or_else(|| {
                 EvoError::Protocol(format!("read manifest entry {} out of bounds", entry.key))
             })?;
-            let tensor = read_tensor(record).map_err(|_| EvoError::Corrupt {
+            let tensor = read_tensor_segments(&record).map_err(|_| EvoError::Corrupt {
                 key: entry.key.to_string(),
             })?;
             Ok((entry.key, tensor))

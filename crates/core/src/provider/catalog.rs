@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use evostore_graph::{lcp, ArchPattern, CompactGraph, IndexQueryStats};
-use evostore_tensor::{delta_header, is_delta, validate_record, ModelId, TensorKey};
+use evostore_tensor::{delta_header, is_delta, rope, validate_segments, ModelId, TensorKey};
 use rayon::prelude::*;
 
 use super::{CatalogSnapshot, ModelRecord, ProviderState};
@@ -205,14 +205,16 @@ impl ProviderState {
         // malformed request can never leave partially-stored tensors with
         // no catalog entry referencing them. Entries are independent, so
         // the integrity + spec checks are shared out per tensor
-        // ([`par::map`]); `validate_record` verifies framing, dims and
-        // checksum without materializing a `TensorData`.
+        // ([`par::map`]); `validate_segments` verifies framing, dims and
+        // checksum without materializing a `TensorData` — and without
+        // gathering: a record pushed as a rope around the caller's payload
+        // is sliced, checked and stored as that rope.
         if par::forks(req.manifest.len(), region.len()) {
             self.validate_par_batches.fetch_add(1, Ordering::Relaxed);
         }
         let validated = par::map(&req.manifest, region.len(), |entry| {
             let (off, len) = (entry.offset as usize, entry.len as usize);
-            let record = region.slice(off, len).ok_or_else(|| {
+            let record = region.slice_rope(off, len).ok_or_else(|| {
                 format!(
                     "manifest entry {} out of bulk bounds ({} + {} > {})",
                     entry.key,
@@ -223,7 +225,7 @@ impl ProviderState {
             })?;
             // Integrity + spec check before persisting.
             let (shape, dtype) =
-                validate_record(&record).map_err(|e| format!("tensor {}: {e}", entry.key))?;
+                validate_segments(&record).map_err(|e| format!("tensor {}: {e}", entry.key))?;
             let specs = req
                 .graph
                 .param_specs(evostore_tensor::VertexId(entry.key.vertex.0));
@@ -270,7 +272,7 @@ impl ProviderState {
         .into_iter();
         let mut bytes_stored = 0u64;
         for (key, record) in validated {
-            bytes_stored += record.len() as u64;
+            bytes_stored += rope::len(&record) as u64;
             match deltas.next().flatten() {
                 Some((blob, base_enc)) => {
                     self.tensors
@@ -285,7 +287,7 @@ impl ProviderState {
                 }
                 None => {
                     self.tensors
-                        .put(&key.encode(), record, 1)
+                        .put_segments(&key.encode(), record, 1)
                         .map_err(|e| format!("store tensor {key}: {e}"))?;
                 }
             }

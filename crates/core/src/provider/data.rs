@@ -6,7 +6,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use evostore_tensor::{is_delta, TensorKey};
+use evostore_tensor::{is_delta_segments, rope, TensorKey};
 
 use super::ProviderState;
 use crate::messages::*;
@@ -38,29 +38,32 @@ impl ProviderState {
         })
     }
 
-    /// Fetch the records under `keys`, each flagged with whether it left
-    /// the store as a shared-buffer clone. Memory-resident records are
-    /// taken on this thread (`get_ref`, zero copy). Whatever is left — a
-    /// record that needs a copying `get` and, unless `raw`, a delta that
-    /// must be reconstructed before it leaves the provider (the reply
-    /// buffer is freshly built, so it counts as a fallback) — is shared
-    /// out per tensor ([`par::map`]). The store cannot size a record
-    /// without fetching it, so that call is weighed by the mean stored
-    /// record.
+    /// Fetch the records under `keys`, each as a rope flagged with
+    /// whether it left the store as shared-buffer clones. Memory-resident
+    /// records are taken on this thread (`get_resident`, zero copy —
+    /// whether the store holds them whole, as the rope they were pushed
+    /// as, or in chunks). Whatever is left — a record that needs a
+    /// copying `get` and, unless `raw`, a delta that must be reconstructed
+    /// before it leaves the provider (the reply buffer is freshly built,
+    /// so it counts as a fallback) — is shared out per tensor
+    /// ([`par::map`]). The store cannot size a record without fetching it,
+    /// so that call is weighed by the mean stored record.
     fn gather(
         &self,
         keys: &[TensorKey],
         raw: bool,
         what: &str,
-    ) -> Result<Vec<(Bytes, bool)>, String> {
+    ) -> Result<Vec<(Vec<Bytes>, bool)>, String> {
         let mut records = Vec::with_capacity(keys.len());
-        let mut slow: Vec<(usize, Option<Bytes>)> = Vec::new();
+        let mut slow: Vec<(usize, Option<Vec<Bytes>>)> = Vec::new();
         for (i, key) in keys.iter().enumerate() {
-            match self.tensors.get_ref(&key.encode()) {
-                Some(record) if raw || !is_delta(&record) => records.push((record, true)),
+            match self.tensors.get_resident(&key.encode()) {
+                // The delta sniff reads the record's first *logical*
+                // bytes: a delta held in pieces is still a delta.
+                Some(record) if raw || !is_delta_segments(&record) => records.push((record, true)),
                 // `None`, or a delta already in hand to reconstruct.
                 in_hand => {
-                    records.push((Bytes::new(), false));
+                    records.push((Vec::new(), false));
                     slow.push((i, in_hand));
                 }
             }
@@ -72,7 +75,7 @@ impl ProviderState {
         let fetched = par::map(&slow, slow.len() * mean_record, |(i, in_hand)| {
             let key = keys[*i];
             let record = match in_hand {
-                Some(record) => record.clone(),
+                Some(record) => rope::flatten(record),
                 None => self
                     .tensors
                     .get(&key.encode())
@@ -85,7 +88,7 @@ impl ProviderState {
                 .map_err(|e| format!("{what} {key}: {e}"))
         });
         for ((i, _), record) in slow.iter().zip(fetched) {
-            records[*i].0 = record?;
+            records[*i].0 = vec![record?];
         }
         Ok(records)
     }
@@ -96,18 +99,19 @@ impl ProviderState {
     fn logical_manifest(
         &self,
         keys: &[TensorKey],
-        records: &[(Bytes, bool)],
+        records: &[(Vec<Bytes>, bool)],
     ) -> Vec<ManifestEntry> {
         let mut manifest = Vec::with_capacity(records.len());
         let mut offset = 0u64;
         let (mut zero_copy, mut fallback) = (0u64, 0u64);
         for (key, (record, shared)) in keys.iter().zip(records) {
+            let len = rope::len(record) as u64;
             manifest.push(ManifestEntry {
                 key: *key,
                 offset,
-                len: record.len() as u64,
+                len,
             });
-            offset += record.len() as u64;
+            offset += len;
             if *shared {
                 zero_copy += 1;
             } else {
@@ -120,16 +124,20 @@ impl ProviderState {
         manifest
     }
 
-    /// Expose fetched records as one vectored bulk region: each record
-    /// becomes a segment, no copy.
-    fn expose_records(&self, records: Vec<(Bytes, bool)>) -> evostore_rpc::BulkHandle {
-        let segments: Vec<Bytes> = records.into_iter().map(|(r, _)| r).collect();
+    /// Expose fetched records as one vectored bulk region: each record's
+    /// segments join the region's, no copy.
+    fn expose_records(&self, records: Vec<(Vec<Bytes>, bool)>) -> evostore_rpc::BulkHandle {
+        let segments: Vec<Bytes> = records.into_iter().flat_map(|(r, _)| r).collect();
         self.bulk_segments_exposed
             .fetch_add(segments.len() as u64, Ordering::Relaxed);
         self.fabric.bulk_expose_vec(segments)
     }
 
-    /// Handle a partial (element-range) tensor read.
+    /// Handle a partial (element-range) tensor read. A memory-resident
+    /// raw record is sliced where it lies — an in-segment range of a
+    /// borrowed record is a view into the buffer the writer handed over,
+    /// and nothing else of the record is touched; a delta, or a record
+    /// that is not resident, is materialized first.
     pub fn handle_read_range(&self, req: ReadRangeRequest) -> Result<ReadRangeReply, String> {
         if !self.places_here(req.key.owner) {
             return Err(format!(
@@ -137,21 +145,30 @@ impl ProviderState {
                 req.key, self.index
             ));
         }
-        let record = self
-            .resolve_record(&req.key.encode())
-            .map_err(|e| format!("tensor {}: {e}", req.key))?;
-        let (range, dtype) = evostore_tensor::payload_range(&record)
-            .map_err(|e| format!("tensor {}: {e}", req.key))?;
+        let enc = req.key.encode();
+        let named = |e: String| format!("tensor {}: {e}", req.key);
+        let record = match self.tensors.get_resident(&enc) {
+            Some(record) if !is_delta_segments(&record) => record,
+            Some(delta) => vec![self.materialize(rope::flatten(&delta)).map_err(named)?],
+            None => vec![self.resolve_record(&enc).map_err(named)?],
+        };
+        let (payload, dtype) =
+            evostore_tensor::payload_range_segments(&record).map_err(|e| named(e.to_string()))?;
+        // Element counts come off the wire: checked, so an absurd range
+        // is the out-of-bounds error, never an arithmetic wrap.
         let esz = dtype.size_of() as u64;
-        let start = range.start as u64 + req.elem_offset * esz;
-        let end = start + req.elem_count * esz;
-        if end > range.end as u64 {
-            return Err(format!(
+        let range = (|| {
+            let start = (payload.start as u64).checked_add(req.elem_offset.checked_mul(esz)?)?;
+            let end = start.checked_add(req.elem_count.checked_mul(esz)?)?;
+            (end <= payload.end as u64).then_some(start as usize..end as usize)
+        })()
+        .ok_or_else(|| {
+            format!(
                 "range {}+{} elements out of bounds for tensor {}",
                 req.elem_offset, req.elem_count, req.key
-            ));
-        }
-        let slice = record.slice(start as usize..end as usize);
+            )
+        })?;
+        let slice = rope::slice_flat(&record, range);
         let bulk = self.fabric.bulk_expose(slice);
         Ok(ReadRangeReply {
             dtype_tag: dtype.tag(),

@@ -6,7 +6,7 @@
 use std::sync::atomic::Ordering;
 
 use bytes::Bytes;
-use evostore_tensor::{decode_delta, delta_header, encode_delta, is_delta, TensorKey};
+use evostore_tensor::{decode_delta, delta_header, encode_delta_segments, is_delta, TensorKey};
 
 use super::ProviderState;
 use crate::owner_map::OwnerMap;
@@ -64,7 +64,7 @@ impl ProviderState {
     pub(super) fn try_delta_encode(
         &self,
         key: TensorKey,
-        record: &Bytes,
+        record: &[Bytes],
         parent_map: &OwnerMap,
     ) -> Option<(Bytes, Vec<u8>)> {
         if (key.vertex.0 as usize) >= parent_map.vertices.len() {
@@ -91,7 +91,9 @@ impl ProviderState {
             return None;
         }
         let base_raw = self.materialize(base_rec).ok()?;
-        let blob = encode_delta(record, &base_raw, base_enc, depth + 1)?;
+        // Transposed from the segments where they lie: the incoming
+        // record is not gathered to be compared with its base.
+        let blob = encode_delta_segments(record, &base_raw, base_enc, depth + 1)?;
         Some((blob, base_enc.to_vec()))
     }
 

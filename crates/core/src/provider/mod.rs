@@ -352,7 +352,7 @@ pub struct ProviderState {
     /// record or a delta that had to be reconstructed).
     copy_fallback_reads: AtomicU64,
     /// Store requests whose manifest validation was shared out over the
-    /// fork-join pool ([`crate::par`]; decode-free `validate_record`
+    /// fork-join pool ([`crate::par`]; decode-free `validate_segments`
     /// path).
     validate_par_batches: AtomicU64,
     /// Encoded `GET_META` replies keyed by model, each stamped with the

@@ -4,15 +4,19 @@
 
 use std::collections::HashMap;
 
+use evostore_core::messages::{
+    ManifestEntry, ReadTensorsReply, ReadTensorsRequest, StoreModelReply, StoreModelRequest,
+};
 use evostore_core::{
-    methods, random_tensors, BackendKind, Deployment, DeploymentConfig, OwnerMap, StorePolicy,
+    methods, random_tensors, BackendKind, Deployment, DeploymentConfig, OwnerMap,
+    ReplicationPolicy, StorePolicy,
 };
 use evostore_graph::{
     flatten, lcp, Activation, Architecture, CompactGraph, LayerConfig, LayerKind,
 };
 use evostore_obs::FlightEvent;
-use evostore_rpc::Method;
-use evostore_tensor::{ModelId, TensorData, TensorKey};
+use evostore_rpc::{call_typed, BulkHandle, Method};
+use evostore_tensor::{write_tensor, ModelId, TensorData, TensorKey, BORROW_MIN_BYTES};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -493,4 +497,314 @@ fn forked_payload_path_roundtrips_and_attributes() {
             "tensor {key} differs after re-base"
         );
     }
+}
+
+/// A graph whose weights sit on both sides of the borrow threshold: a
+/// 64 KiB and a 256 KiB dense layer are stored as ropes around the
+/// caller's buffers, the 16 KiB layer and every bias as copied records.
+fn mixed_sizes() -> CompactGraph {
+    seq(&[64, 256, 256, 16])
+}
+
+fn is_borrowed(t: &TensorData) -> bool {
+    t.byte_len() >= BORROW_MIN_BYTES
+}
+
+/// (a) of the borrowed-record tests: under `whole` + memory a tensor
+/// above the threshold is never copied — the pool holds the caller's
+/// buffer, a load hands that same buffer back, and a range read is a view
+/// into it — while a tensor below it is copied exactly as before.
+#[test]
+fn borrowed_records_share_the_callers_buffer() {
+    let dep = dep_with(StorePolicy::whole());
+    let client = dep.client();
+    let g = mixed_sizes();
+    let tensors = random_tensors(ModelId(1), &g, &mut ChaCha8Rng::seed_from_u64(31));
+    assert!(tensors.values().any(is_borrowed) && !tensors.values().all(is_borrowed));
+    client
+        .store_model(
+            g.clone(),
+            OwnerMap::fresh(ModelId(1), &g),
+            None,
+            0.5,
+            &tensors,
+        )
+        .unwrap();
+
+    // What the pool holds, as a raw READ exposes it.
+    let mut keys: Vec<TensorKey> = tensors.keys().copied().collect();
+    keys.sort();
+    let reply: ReadTensorsReply = call_typed(
+        dep.fabric(),
+        dep.provider_ids()[0],
+        methods::Read::METHOD,
+        &ReadTensorsRequest {
+            keys: keys.clone(),
+            raw_records: true,
+        },
+    )
+    .unwrap();
+    let region = dep.fabric().bulk_get_vec(BulkHandle(reply.bulk)).unwrap();
+    dep.fabric().bulk_release(BulkHandle(reply.bulk));
+    for entry in &reply.manifest {
+        let t = &tensors[&entry.key];
+        let record = region
+            .slice_rope(entry.offset as usize, entry.len as usize)
+            .unwrap();
+        if is_borrowed(t) {
+            assert_eq!(record.len(), 3, "{}: head, payload, check", entry.key);
+            assert_eq!(record[1].as_ptr(), t.bytes().as_ptr(), "{}", entry.key);
+        } else {
+            assert_eq!(record.len(), 1, "{}: one copied record", entry.key);
+        }
+        assert_eq!(evostore_tensor::rope::flatten(&record), write_tensor(t));
+    }
+
+    let loaded = client.load_model(ModelId(1)).unwrap();
+    for (key, t) in &tensors {
+        let back = &loaded.tensors[key];
+        assert_eq!(back, t);
+        assert_eq!(
+            back.bytes().as_ptr() == t.bytes().as_ptr(),
+            is_borrowed(t),
+            "{key}: {} bytes",
+            t.byte_len()
+        );
+    }
+    let stats = client.stats().unwrap();
+    assert_eq!(stats.zero_copy_reads, 2 * tensors.len() as u64);
+    assert_eq!(stats.copy_fallback_reads, 0);
+
+    // A partial read of a borrowed record is a view into the caller's
+    // buffer: the record is not flattened to serve a few elements.
+    let (key, t) = tensors.iter().find(|(_, t)| is_borrowed(t)).unwrap();
+    let esz = t.dtype().size_of();
+    let part = client.fetch_tensor_slice(*key, 10, 5).unwrap();
+    assert_eq!(part.bytes()[..], t.bytes()[10 * esz..15 * esz]);
+    assert_eq!(part.bytes().as_ptr(), t.bytes()[10 * esz..].as_ptr());
+    // Out of range — by count, and by a count that overflows — is refused.
+    let n = t.num_elements() as u64;
+    assert!(client.fetch_tensor_slice(*key, n - 1, 2).is_err());
+    assert!(client.fetch_tensor_slice(*key, 1, u64::MAX).is_err());
+    assert!(client.fetch_tensor_slice(*key, u64::MAX / 2, 4).is_err());
+    dep.gc_audit().unwrap();
+}
+
+/// (c): store → derive → load → retire → `gc_audit` over borrowed
+/// records on every substrate — whole, chunked and chunked + delta
+/// records, memory and log backends, one and two replicas — and, where
+/// there is a log to reopen, once more after a restart.
+#[test]
+fn borrowed_records_roundtrip_on_every_substrate() {
+    let g = mixed_sizes();
+    let root = std::env::temp_dir().join(format!("evostore-borrowed-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let policies = [
+        ("whole", StorePolicy::whole()),
+        ("chunked", StorePolicy::chunked()),
+        ("delta", StorePolicy::chunked_with_delta()),
+    ];
+    for (name, policy) in policies {
+        for persistent in [false, true] {
+            for replicas in [1, 2] {
+                let what = format!("{name}, log {persistent}, {replicas} replicas");
+                let backend = match persistent {
+                    false => BackendKind::Memory,
+                    true => BackendKind::Log {
+                        dir: root.join(format!("{name}-{replicas}")),
+                    },
+                };
+                let cfg = DeploymentConfig {
+                    providers: replicas,
+                    backend,
+                    replication: ReplicationPolicy::new(replicas),
+                    store_policy: policy,
+                    ..Default::default()
+                };
+                let mut dep = Deployment::new(cfg.clone());
+                let mut rng = ChaCha8Rng::seed_from_u64(37);
+
+                let base = random_tensors(ModelId(1), &g, &mut rng);
+                let base_map = OwnerMap::fresh(ModelId(1), &g);
+                // The child fine-tunes the last two layers: the 256 KiB
+                // weight (borrowed) and the 16 KiB one (copied).
+                let child_map = suffix_map(ModelId(2), &g, &base_map, 2);
+                let tuned: HashMap<TensorKey, TensorData> = child_map
+                    .self_owned()
+                    .flat_map(|v| child_map.vertex(v).tensor_keys().collect::<Vec<_>>())
+                    .map(|k| {
+                        let base = &base[&TensorKey::new(ModelId(1), k.vertex, k.slot)];
+                        (k, base.perturbed_sparse(&mut rng, 0.02))
+                    })
+                    .collect();
+                assert!(tuned.values().any(is_borrowed));
+                let mut child = base.clone();
+                child.retain(|k, _| {
+                    !tuned
+                        .keys()
+                        .any(|t| (t.vertex, t.slot) == (k.vertex, k.slot))
+                });
+                child.extend(tuned.clone());
+
+                let client = dep.client();
+                client
+                    .store_model(g.clone(), base_map, None, 0.5, &base)
+                    .unwrap();
+                client
+                    .store_model(g.clone(), child_map, Some(ModelId(1)), 0.6, &tuned)
+                    .unwrap();
+                if name == "delta" {
+                    assert!(client.stats().unwrap().delta_stored > 0, "{what}");
+                }
+                dep.gc_audit().unwrap();
+                if persistent {
+                    drop(client);
+                    drop(dep);
+                    dep = Deployment::reopen(cfg).unwrap_or_else(|e| panic!("{what}: {e}"));
+                }
+                let client = dep.client();
+                assert_eq!(
+                    client.load_model(ModelId(1)).unwrap().tensors,
+                    base,
+                    "{what}"
+                );
+                assert_eq!(
+                    client.load_model(ModelId(2)).unwrap().tensors,
+                    child,
+                    "{what}"
+                );
+
+                // The base's retirement leaves the child whole (shared
+                // layers pinned, deltas re-based), the child's leaves
+                // nothing.
+                client.retire_model(ModelId(1)).unwrap();
+                dep.gc_audit().unwrap();
+                assert_eq!(
+                    client.load_model(ModelId(2)).unwrap().tensors,
+                    child,
+                    "{what}"
+                );
+                client.retire_model(ModelId(2)).unwrap();
+                dep.gc_audit().unwrap();
+                let stats = client.stats().unwrap();
+                assert_eq!(stats.tensors, 0, "{what}: tensors left behind");
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Every file under `dir`, by relative path.
+fn tree(dir: &std::path::Path) -> std::collections::BTreeMap<String, Vec<u8>> {
+    fn walk(
+        root: &std::path::Path,
+        dir: &std::path::Path,
+        out: &mut std::collections::BTreeMap<String, Vec<u8>>,
+    ) {
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                walk(root, &path, out);
+            } else {
+                let name = path
+                    .strip_prefix(root)
+                    .unwrap()
+                    .to_string_lossy()
+                    .into_owned();
+                out.insert(name, std::fs::read(&path).unwrap());
+            }
+        }
+    }
+    let mut out = std::collections::BTreeMap::new();
+    walk(dir, dir, &mut out);
+    out
+}
+
+/// The stored format did not move: a push of contiguous records — what
+/// the previous build's client sent, spelled out here by hand — and this
+/// build's borrowed push leave byte-identical tensor logs, and a log
+/// written from contiguous records reopens and loads through the rope
+/// read path.
+#[test]
+fn contiguous_and_borrowed_pushes_store_identical_bytes() {
+    let g = mixed_sizes();
+    let tensors = random_tensors(ModelId(1), &g, &mut ChaCha8Rng::seed_from_u64(41));
+    let root = std::env::temp_dir().join(format!("evostore-samebytes-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    for (name, policy) in [
+        ("whole", StorePolicy::whole()),
+        ("chunked", StorePolicy::chunked()),
+    ] {
+        let cfg = |side: &str| DeploymentConfig {
+            providers: 1,
+            backend: BackendKind::Log {
+                dir: root.join(format!("{name}-{side}")),
+            },
+            store_policy: policy,
+            ..Default::default()
+        };
+        {
+            // One contiguous record per tensor, one segment each.
+            let dep = Deployment::new(cfg("contiguous"));
+            let mut keys: Vec<&TensorKey> = tensors.keys().collect();
+            keys.sort();
+            let records: Vec<bytes::Bytes> =
+                keys.iter().map(|k| write_tensor(&tensors[*k])).collect();
+            let mut offset = 0;
+            let manifest = keys
+                .iter()
+                .zip(&records)
+                .map(|(key, record)| {
+                    let entry = ManifestEntry {
+                        key: **key,
+                        offset,
+                        len: record.len() as u64,
+                    };
+                    offset += entry.len;
+                    entry
+                })
+                .collect();
+            let bulk = dep.fabric().bulk_expose_vec(records);
+            let _: StoreModelReply = call_typed(
+                dep.fabric(),
+                dep.provider_ids()[0],
+                methods::Store::METHOD,
+                &StoreModelRequest {
+                    model: ModelId(1),
+                    graph: g.clone(),
+                    owner_map: OwnerMap::fresh(ModelId(1), &g),
+                    parent: None,
+                    quality: 0.5,
+                    manifest,
+                    bulk: bulk.0,
+                    timestamp: None,
+                },
+            )
+            .unwrap();
+            dep.fabric().bulk_release(bulk);
+
+            let dep = Deployment::new(cfg("borrowed"));
+            dep.client()
+                .store_model(
+                    g.clone(),
+                    OwnerMap::fresh(ModelId(1), &g),
+                    None,
+                    0.5,
+                    &tensors,
+                )
+                .unwrap();
+        }
+        let contiguous = tree(&root.join(format!("{name}-contiguous/provider-0/tensors")));
+        let borrowed = tree(&root.join(format!("{name}-borrowed/provider-0/tensors")));
+        assert!(contiguous.values().map(Vec::len).sum::<usize>() > 300 * 1024);
+        assert!(contiguous == borrowed, "{name}: tensor logs differ");
+
+        let dep = Deployment::reopen(cfg("contiguous")).unwrap();
+        assert_eq!(
+            dep.client().load_model(ModelId(1)).unwrap().tensors,
+            tensors
+        );
+        dep.gc_audit().unwrap();
+    }
+    let _ = std::fs::remove_dir_all(&root);
 }

@@ -58,31 +58,31 @@ pub trait KvBackend: Send + Sync {
     /// backends).
     fn get(&self, key: &[u8]) -> Result<Bytes, KvError>;
 
-    /// Zero-copy fetch of a *memory-resident* value: `Some` is a cheap
-    /// clone of the backend's shared buffer (no I/O, no promotion side
-    /// effects) and records the same read metrics as a successful
-    /// [`KvBackend::get`]. `None` means the value is not memory-resident
-    /// — absent, or parked on disk — and records *nothing*: the caller
-    /// is expected to fall back to `get`, whose miss/read accounting
-    /// then keeps the counters identical to a plain single-get path.
+    /// Insert or overwrite `key` with a value held as a rope: `segments`
+    /// in order are the value's bytes. [`KvBackend::get`] returns their
+    /// concatenation, exactly as if it had been [`KvBackend::put`].
     ///
-    /// The default (disk-backed or non-caching stores) is `None`.
-    fn get_ref(&self, key: &[u8]) -> Option<Bytes> {
-        let _ = key;
-        None
+    /// Backends that keep values in memory store the rope as it is — a
+    /// tensor record that borrows its payload is never copied on its way
+    /// in. The default, for backends that write the bytes out anyway,
+    /// gathers and `put`s.
+    fn put_segments(&self, key: &[u8], segments: Vec<Bytes>) -> Result<(), KvError> {
+        self.put(key, evostore_tensor::rope::flatten(&segments))
     }
 
-    /// Scatter-gather fetch: the value as an ordered sequence of
-    /// shared-buffer segments whose concatenation is the record, for
-    /// backends that store values in pieces (the content-addressed chunk
-    /// store). Lets a zero-copy data plane expose the pieces directly
-    /// instead of reassembling them into a contiguous buffer first.
+    /// Zero-copy fetch of a *memory-resident* value: `Some` is the value
+    /// as an ordered list of the backend's own shared buffers (cheap
+    /// clones; one for a value stored whole, one per chunk or segment for
+    /// a value stored in pieces) — no I/O, no promotion side effects —
+    /// and records the same read metrics as a successful
+    /// [`KvBackend::get`]: exactly one read of the full logical length.
+    /// `None` means the value is not memory-resident — absent, or any
+    /// piece of it parked on disk — and records *nothing*: the caller is
+    /// expected to fall back to `get`, whose miss/read accounting then
+    /// keeps the counters identical to a plain single-get path.
     ///
-    /// `None` means "no segmented representation" — the key is absent or
-    /// the backend stores values whole — and records nothing; callers
-    /// fall back to [`KvBackend::get_ref`] / [`KvBackend::get`]. `Some`
-    /// records exactly one read of the full logical length, like `get`.
-    fn get_segments(&self, key: &[u8]) -> Option<Vec<Bytes>> {
+    /// The default (disk-backed or non-caching stores) is `None`.
+    fn get_resident(&self, key: &[u8]) -> Option<Vec<Bytes>> {
         let _ = key;
         None
     }
@@ -191,11 +191,11 @@ impl<T: KvBackend + ?Sized> KvBackend for Box<T> {
     fn get(&self, key: &[u8]) -> Result<Bytes, KvError> {
         (**self).get(key)
     }
-    fn get_ref(&self, key: &[u8]) -> Option<Bytes> {
-        (**self).get_ref(key)
+    fn put_segments(&self, key: &[u8], segments: Vec<Bytes>) -> Result<(), KvError> {
+        (**self).put_segments(key, segments)
     }
-    fn get_segments(&self, key: &[u8]) -> Option<Vec<Bytes>> {
-        (**self).get_segments(key)
+    fn get_resident(&self, key: &[u8]) -> Option<Vec<Bytes>> {
+        (**self).get_resident(key)
     }
     fn delete(&self, key: &[u8]) -> Result<bool, KvError> {
         (**self).delete(key)

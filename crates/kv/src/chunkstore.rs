@@ -24,14 +24,14 @@
 //!
 //! Metrics: the store keeps its own *logical* counters — one `get` per
 //! record fetch regardless of the chunk count, one `miss` per absent
-//! record, matching the [`KvBackend::get_ref`] fallback contract — rather
-//! than surfacing the wrapped backend's per-chunk traffic.
+//! record, matching the [`KvBackend::get_resident`] fallback contract —
+//! rather than surfacing the wrapped backend's per-chunk traffic.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use bytes::{BufMut, Bytes, BytesMut};
-use evostore_tensor::{checksum64, ContentHash};
+use evostore_tensor::{checksum64, rope, ContentHash};
 use parking_lot::Mutex;
 
 use crate::api::{KvBackend, KvError};
@@ -212,16 +212,76 @@ impl<B: KvBackend> ChunkedStore<B> {
         }
     }
 
-    /// Zero-copy chunk slices of `value`.
-    fn split(&self, value: &Bytes) -> Vec<Bytes> {
-        let mut chunks = Vec::with_capacity(value.len().div_ceil(self.chunk_size));
-        let mut at = 0;
-        while at < value.len() {
-            let end = (at + self.chunk_size).min(value.len());
-            chunks.push(value.slice(at..end));
-            at = end;
+    /// The chunks of the value `segments` hold, in order: every
+    /// `chunk_size` logical bytes, and what is left. A chunk lying within
+    /// one segment is a zero-copy slice of it; only a chunk that spans a
+    /// segment boundary is gathered — the value as a whole never is.
+    fn split(&self, segments: &[Bytes]) -> Vec<Bytes> {
+        let mut left = rope::len(segments);
+        let mut chunks = Vec::with_capacity(left.div_ceil(self.chunk_size));
+        // The chunk being gathered across a boundary.
+        let mut partial: Vec<u8> = Vec::new();
+        for segment in segments {
+            let mut rest = segment.clone();
+            while !rest.is_empty() {
+                let want = self.chunk_size.min(left);
+                let take = (want - partial.len()).min(rest.len());
+                let piece = rest.split_to(take);
+                if take == want {
+                    chunks.push(piece);
+                } else {
+                    partial.reserve_exact(want - partial.len());
+                    partial.extend_from_slice(&piece);
+                    if partial.len() < want {
+                        continue;
+                    }
+                    chunks.push(Bytes::from(std::mem::take(&mut partial)));
+                }
+                left -= want;
+            }
         }
         chunks
+    }
+
+    /// Store the value `segments` hold under `key`: cut it into chunks
+    /// ([`ChunkedStore::split`]), dedup them against what is held, write
+    /// the rest, replace the manifest.
+    fn put_chunks(&self, key: &[u8], segments: &[Bytes]) -> Result<(), KvError> {
+        let total = rope::len(segments);
+        self.metrics.record_put(total);
+        let chunks = self.split(segments);
+        let hashes: Vec<ContentHash> = chunks.iter().map(|c| ContentHash::of_bytes(c)).collect();
+        let mkey = manifest_key(key);
+        let mut refs = self.chunk_refs.lock();
+        // Overwrite: release the chunks of the previous value first.
+        match self.backend.get(&mkey) {
+            Ok(old) => {
+                let (old_total, old_hashes) = decode_manifest(&old)?;
+                self.release_chunks(&mut refs, &old_hashes)?;
+                self.logical_bytes
+                    .fetch_sub(old_total as u64, Ordering::Relaxed);
+            }
+            Err(KvError::NotFound) => {
+                self.manifest_count.fetch_add(1, Ordering::Relaxed);
+            }
+            Err(e) => return Err(e),
+        }
+        for (chunk, h) in chunks.into_iter().zip(&hashes) {
+            match refs.get_mut(&h.0) {
+                Some(c) => {
+                    *c += 1;
+                    self.dedup_hits.fetch_add(1, Ordering::Relaxed);
+                }
+                None => {
+                    self.backend.put(&chunk_key(*h), chunk)?;
+                    refs.insert(h.0, 1);
+                }
+            }
+        }
+        self.backend.put(&mkey, encode_manifest(total, &hashes))?;
+        self.logical_bytes
+            .fetch_add(total as u64, Ordering::Relaxed);
+        Ok(())
     }
 
     /// Drop one reference from each hash of a parsed manifest, deleting
@@ -377,41 +437,13 @@ impl<B: KvBackend> ChunkedStore<B> {
 
 impl<B: KvBackend> KvBackend for ChunkedStore<B> {
     fn put(&self, key: &[u8], value: Bytes) -> Result<(), KvError> {
-        self.metrics.record_put(value.len());
-        let chunks = self.split(&value);
-        let hashes: Vec<ContentHash> = chunks.iter().map(|c| ContentHash::of_bytes(c)).collect();
-        let mkey = manifest_key(key);
-        let mut refs = self.chunk_refs.lock();
-        // Overwrite: release the chunks of the previous value first.
-        match self.backend.get(&mkey) {
-            Ok(old) => {
-                let (old_total, old_hashes) = decode_manifest(&old)?;
-                self.release_chunks(&mut refs, &old_hashes)?;
-                self.logical_bytes
-                    .fetch_sub(old_total as u64, Ordering::Relaxed);
-            }
-            Err(KvError::NotFound) => {
-                self.manifest_count.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(e) => return Err(e),
-        }
-        for (chunk, h) in chunks.iter().zip(&hashes) {
-            match refs.get_mut(&h.0) {
-                Some(c) => {
-                    *c += 1;
-                    self.dedup_hits.fetch_add(1, Ordering::Relaxed);
-                }
-                None => {
-                    self.backend.put(&chunk_key(*h), chunk.clone())?;
-                    refs.insert(h.0, 1);
-                }
-            }
-        }
-        self.backend
-            .put(&mkey, encode_manifest(value.len(), &hashes))?;
-        self.logical_bytes
-            .fetch_add(value.len() as u64, Ordering::Relaxed);
-        Ok(())
+        self.put_chunks(key, std::slice::from_ref(&value))
+    }
+
+    /// Chunks are cut straight from the segments: a rope is stored
+    /// without ever being gathered.
+    fn put_segments(&self, key: &[u8], segments: Vec<Bytes>) -> Result<(), KvError> {
+        self.put_chunks(key, &segments)
     }
 
     fn get(&self, key: &[u8]) -> Result<Bytes, KvError> {
@@ -445,42 +477,20 @@ impl<B: KvBackend> KvBackend for ChunkedStore<B> {
         Ok(value)
     }
 
-    fn get_ref(&self, key: &[u8]) -> Option<Bytes> {
-        // Honors the get_ref contract at the *logical* level: Some only
-        // when both manifest and payload are memory-resident (and the
-        // value is a single chunk, so no concatenation copy is needed),
-        // recording exactly one logical read. Everything else returns
-        // None with no accounting; the caller's fallback `get` then
-        // counts one read or one miss.
-        let manifest = self.backend.get_ref(&manifest_key(key))?;
-        let (total, hashes) = decode_manifest(&manifest).ok()?;
-        if hashes.len() != 1 {
-            return if total == 0 {
-                self.metrics.record_get(0);
-                Some(Bytes::new())
-            } else {
-                None
-            };
-        }
-        let chunk = self.backend.get_ref(&chunk_key(hashes[0]))?;
-        if chunk.len() != total {
-            return None;
-        }
-        self.metrics.record_get(total);
-        Some(chunk)
-    }
-
-    fn get_segments(&self, key: &[u8]) -> Option<Vec<Bytes>> {
-        let manifest = self.backend.get(&manifest_key(key)).ok()?;
-        let (total, hashes) = decode_manifest(&manifest).ok()?;
+    fn get_resident(&self, key: &[u8]) -> Option<Vec<Bytes>> {
+        // Honors the resident-read contract at the *logical* level: Some
+        // only when the manifest and every chunk are memory-resident in
+        // the wrapped backend — the chunks come back as they are held, one
+        // segment each, nothing reassembled — recording exactly one
+        // logical read. Everything else returns None with no accounting;
+        // the caller's fallback `get` then counts one read or one miss.
+        let manifest = self.backend.get_resident(&manifest_key(key))?;
+        let (total, hashes) = decode_manifest(&rope::flatten(&manifest)).ok()?;
         let mut segments = Vec::with_capacity(hashes.len());
-        let mut got = 0usize;
         for h in &hashes {
-            let chunk = self.fetch_chunk(*h).ok()?;
-            got += chunk.len();
-            segments.push(chunk);
+            segments.extend(self.backend.get_resident(&chunk_key(*h))?);
         }
-        if got != total {
+        if rope::len(&segments) != total {
             return None;
         }
         self.metrics.record_get(total);
@@ -658,32 +668,40 @@ mod tests {
     }
 
     #[test]
-    fn get_ref_serves_single_chunk_and_declines_multi() {
+    fn resident_read_serves_single_and_multi_chunk_values() {
         let s = store(32);
         s.put(b"small", Bytes::from(vec![1u8; 16])).unwrap();
         s.put(b"large", Bytes::from(vec![2u8; 100])).unwrap();
-        assert_eq!(s.get_ref(b"small").unwrap().len(), 16);
-        assert_eq!(s.get_ref(b"large"), None);
-        assert_eq!(s.get_ref(b"absent"), None);
+        s.put(b"empty", Bytes::new()).unwrap();
+        assert_eq!(s.get_resident(b"small").unwrap().len(), 1);
+        // One segment per chunk, each the buffer the backend holds.
+        let large = s.get_resident(b"large").unwrap();
+        assert_eq!(large.len(), 4);
+        let (_, hashes) = s.chunk_manifest(b"large").unwrap();
+        for (segment, h) in large.iter().zip(hashes) {
+            assert_eq!(segment.as_ptr(), s.chunk_payload(h).unwrap().as_ptr());
+        }
+        assert_eq!(s.get_resident(b"empty"), Some(Vec::new()));
+        assert_eq!(s.get_resident(b"absent"), None);
     }
 
     #[test]
     fn logical_metrics_count_one_read_per_fetch() {
         let s = store(8);
         s.put(b"multi", Bytes::from(vec![7u8; 64])).unwrap();
-        // get_ref declines (8 chunks), fallback get: exactly one logical
-        // read for the whole chain.
-        assert_eq!(s.get_ref(b"multi"), None);
+        // Eight resident chunks: exactly one logical read, and the same
+        // again through `get`.
+        assert_eq!(rope::len(&s.get_resident(b"multi").unwrap()), 64);
+        let m = s.metrics_snapshot().unwrap();
+        assert_eq!((m.gets, m.bytes_read, m.misses), (1, 64, 0));
         let _ = s.get(b"multi").unwrap();
         let m = s.metrics_snapshot().unwrap();
-        assert_eq!(m.gets, 1);
-        assert_eq!(m.bytes_read, 64);
-        assert_eq!(m.misses, 0);
+        assert_eq!((m.gets, m.bytes_read, m.misses), (2, 128, 0));
         // Miss path: one miss, no read.
-        assert_eq!(s.get_ref(b"gone"), None);
+        assert_eq!(s.get_resident(b"gone"), None);
         let _ = s.get(b"gone");
         let m = s.metrics_snapshot().unwrap();
-        assert_eq!(m.gets, 1);
+        assert_eq!(m.gets, 2);
         assert_eq!(m.misses, 1);
     }
 
@@ -692,11 +710,41 @@ mod tests {
         let s = store(8);
         let value = Bytes::from((0..50u8).collect::<Vec<u8>>());
         s.put(b"k", value.clone()).unwrap();
-        let segs = s.get_segments(b"k").unwrap();
+        let segs = s.get_resident(b"k").unwrap();
         assert_eq!(segs.len(), 7);
-        let flat: Vec<u8> = segs.iter().flat_map(|s| s.to_vec()).collect();
-        assert_eq!(flat, value.to_vec());
-        assert_eq!(s.get_segments(b"absent"), None);
+        assert_eq!(rope::flatten(&segs), value);
+        assert_eq!(s.get_resident(b"absent"), None);
+    }
+
+    /// A value put as a rope is chunked exactly as its flattened bytes
+    /// are — same hashes, refcounts and stats — and only the chunks that
+    /// span a segment boundary are gathered.
+    #[test]
+    fn rope_put_cuts_chunks_from_the_segments() {
+        let flat = Bytes::from((0..100u8).collect::<Vec<u8>>());
+        let rope = vec![
+            flat.slice(..6),
+            Bytes::new(),
+            flat.slice(6..70),
+            flat.slice(70..71),
+            flat.slice(71..),
+        ];
+        let (by_rope, by_flat) = (store(16), store(16));
+        by_rope.put_segments(b"k", rope).unwrap();
+        by_flat.put(b"k", flat.clone()).unwrap();
+        assert_eq!(by_rope.chunk_manifest(b"k"), by_flat.chunk_manifest(b"k"));
+        assert_eq!(by_rope.stats(), by_flat.stats());
+        assert_eq!(by_rope.get(b"k").unwrap(), flat);
+        // 0..16 and 64..80 span a segment boundary and are gathered; every
+        // other chunk, the short last one included, lies within a segment
+        // and shares the caller's buffer.
+        let chunks = by_rope.get_resident(b"k").unwrap();
+        let shared: Vec<bool> = chunks
+            .iter()
+            .enumerate()
+            .map(|(i, c)| c.as_ptr() == flat[i * 16..].as_ptr())
+            .collect();
+        assert_eq!(shared, [false, true, true, true, false, true, true]);
     }
 
     #[test]

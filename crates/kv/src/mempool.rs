@@ -8,8 +8,10 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use bytes::Bytes;
+use evostore_tensor::rope;
 use parking_lot::RwLock;
 
 use crate::api::{KvBackend, KvError};
@@ -18,9 +20,44 @@ use crate::metrics::StoreMetrics;
 /// Number of lock shards. Power of two so shard selection is a mask.
 const DEFAULT_SHARDS: usize = 64;
 
+/// A stored value: one buffer, or the rope it was put as
+/// ([`KvBackend::put_segments`]) — kept unflattened so its segments are
+/// still the caller's buffers when a resident read hands them out.
+#[derive(Clone)]
+enum Value {
+    Flat(Bytes),
+    Rope(Arc<[Bytes]>),
+}
+
+impl Value {
+    fn len(&self) -> usize {
+        match self {
+            Value::Flat(bytes) => bytes.len(),
+            Value::Rope(segments) => rope::len(segments),
+        }
+    }
+
+    /// The value as one buffer (a gathering copy for a rope).
+    fn into_flat(self) -> Bytes {
+        match self {
+            Value::Flat(bytes) => bytes,
+            Value::Rope(segments) => rope::flatten(&segments),
+        }
+    }
+
+    fn segments(&self) -> Vec<Bytes> {
+        match self {
+            Value::Flat(bytes) => vec![bytes.clone()],
+            Value::Rope(segments) => segments.to_vec(),
+        }
+    }
+}
+
+type Shard = RwLock<HashMap<Box<[u8]>, Value>>;
+
 /// A sharded, synchronized in-memory KV store.
 pub struct MemPoolStore {
-    shards: Vec<RwLock<HashMap<Box<[u8]>, Bytes>>>,
+    shards: Vec<Shard>,
     mask: usize,
     live_bytes: AtomicUsize,
     live_keys: AtomicUsize,
@@ -46,7 +83,7 @@ impl MemPoolStore {
     }
 
     #[inline]
-    fn shard(&self, key: &[u8]) -> &RwLock<HashMap<Box<[u8]>, Bytes>> {
+    fn shard(&self, key: &[u8]) -> &Shard {
         let h = evostore_tensor::fnv1a128(key) as usize;
         &self.shards[h & self.mask]
     }
@@ -63,8 +100,8 @@ impl Default for MemPoolStore {
     }
 }
 
-impl KvBackend for MemPoolStore {
-    fn put(&self, key: &[u8], value: Bytes) -> Result<(), KvError> {
+impl MemPoolStore {
+    fn insert(&self, key: &[u8], value: Value) {
         let vlen = value.len();
         self.metrics.record_put(vlen);
         let mut map = self.shard(key).write();
@@ -79,15 +116,32 @@ impl KvBackend for MemPoolStore {
                 self.live_keys.fetch_add(1, Ordering::Relaxed);
             }
         }
+    }
+}
+
+impl KvBackend for MemPoolStore {
+    fn put(&self, key: &[u8], value: Bytes) -> Result<(), KvError> {
+        self.insert(key, Value::Flat(value));
+        Ok(())
+    }
+
+    fn put_segments(&self, key: &[u8], mut segments: Vec<Bytes>) -> Result<(), KvError> {
+        let value = match segments.len() {
+            1 => Value::Flat(segments.pop().expect("one segment")),
+            _ => Value::Rope(segments.into()),
+        };
+        self.insert(key, value);
         Ok(())
     }
 
     fn get(&self, key: &[u8]) -> Result<Bytes, KvError> {
-        let map = self.shard(key).read();
-        match map.get(key) {
+        // Cloned out (refcount bumps) so a rope is gathered outside the
+        // shard lock.
+        let value = self.shard(key).read().get(key).cloned();
+        match value {
             Some(v) => {
                 self.metrics.record_get(v.len());
-                Ok(v.clone())
+                Ok(v.into_flat())
             }
             None => {
                 self.metrics.record_miss();
@@ -96,14 +150,14 @@ impl KvBackend for MemPoolStore {
         }
     }
 
-    fn get_ref(&self, key: &[u8]) -> Option<Bytes> {
+    fn get_resident(&self, key: &[u8]) -> Option<Vec<Bytes>> {
         // Every value is memory-resident here. A hit records its read
         // (same accounting as `get`); a miss records nothing — the
         // caller's fallback `get` supplies the miss count.
         let map = self.shard(key).read();
         map.get(key).map(|v| {
             self.metrics.record_get(v.len());
-            v.clone()
+            v.segments()
         })
     }
 
@@ -158,7 +212,6 @@ impl KvBackend for MemPoolStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn put_get_delete() {
@@ -236,6 +289,25 @@ mod tests {
         assert_eq!(s.len(), 1);
         // Whatever write won, accounting must equal the live value's size.
         assert_eq!(s.bytes_used(), s.get(b"shared").unwrap().len());
+    }
+
+    #[test]
+    fn ropes_are_stored_unflattened() {
+        let s = MemPoolStore::new();
+        let (a, b) = (Bytes::from(vec![1u8; 3]), Bytes::from(vec![2u8; 5]));
+        s.put_segments(b"r", vec![a.clone(), b.clone()]).unwrap();
+        assert_eq!(s.bytes_used(), 8);
+        assert_eq!(s.get(b"r").unwrap()[..], [1, 1, 1, 2, 2, 2, 2, 2]);
+        let resident = s.get_resident(b"r").unwrap();
+        assert_eq!(resident.len(), 2);
+        assert_eq!(resident[0].as_ptr(), a.as_ptr());
+        assert_eq!(resident[1].as_ptr(), b.as_ptr());
+        // One segment is a plain value; an overwrite adjusts the bytes.
+        s.put_segments(b"r", vec![b.clone()]).unwrap();
+        assert_eq!(s.get(b"r").unwrap().as_ptr(), b.as_ptr());
+        assert_eq!((s.len(), s.bytes_used()), (1, 5));
+        let m = s.metrics().snapshot();
+        assert_eq!((m.puts, m.gets, m.bytes_read), (2, 3, 8 + 8 + 5));
     }
 
     #[test]

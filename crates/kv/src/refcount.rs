@@ -45,9 +45,34 @@ impl<B: KvBackend> RefCountedStore<B> {
     /// *increased* by `initial_refs` — the semantics a provider needs when
     /// two models race to publish an identical tensor.
     pub fn put(&self, key: &[u8], value: Bytes, initial_refs: u64) -> Result<(), KvError> {
+        self.put_with(key, initial_refs, |backend| backend.put(key, value))
+    }
+
+    /// [`RefCountedStore::put`] of a value held as a rope (see
+    /// [`KvBackend::put_segments`]): same counting, and a backend that
+    /// keeps values in memory stores the segments without gathering them.
+    pub fn put_segments(
+        &self,
+        key: &[u8],
+        segments: Vec<Bytes>,
+        initial_refs: u64,
+    ) -> Result<(), KvError> {
+        self.put_with(key, initial_refs, |backend| {
+            backend.put_segments(key, segments)
+        })
+    }
+
+    /// Run `put` against the backend under the counts lock and, when it
+    /// succeeds, add `initial_refs` to `key`'s count.
+    fn put_with(
+        &self,
+        key: &[u8],
+        initial_refs: u64,
+        put: impl FnOnce(&B) -> Result<(), KvError>,
+    ) -> Result<(), KvError> {
         assert!(initial_refs > 0, "storing with zero references leaks");
         let mut counts = self.counts.lock();
-        self.backend.put(key, value)?;
+        put(&self.backend)?;
         *counts.entry(key.into()).or_insert(0) += initial_refs;
         Ok(())
     }
@@ -83,15 +108,9 @@ impl<B: KvBackend> RefCountedStore<B> {
     }
 
     /// Zero-copy fetch of a memory-resident value (see
-    /// [`KvBackend::get_ref`]); refcounts do not gate reads.
-    pub fn get_ref(&self, key: &[u8]) -> Option<Bytes> {
-        self.backend.get_ref(key)
-    }
-
-    /// Scatter-gather fetch (see [`KvBackend::get_segments`]); refcounts
-    /// do not gate reads.
-    pub fn get_segments(&self, key: &[u8]) -> Option<Vec<Bytes>> {
-        self.backend.get_segments(key)
+    /// [`KvBackend::get_resident`]); refcounts do not gate reads.
+    pub fn get_resident(&self, key: &[u8]) -> Option<Vec<Bytes>> {
+        self.backend.get_resident(key)
     }
 
     /// Rewrite the payload of an existing key *without* touching its
@@ -424,8 +443,8 @@ mod tests {
         assert_eq!(store.refs(b"k1"), 1);
         store.audit().unwrap();
 
-        // Segments (or the get fallback) must reproduce the record.
-        let flat: Vec<u8> = match store.get_segments(b"k1") {
+        // The resident read (or the get fallback) must reproduce the record.
+        let flat: Vec<u8> = match store.get_resident(b"k1") {
             Some(segs) => segs.iter().flat_map(|s| s.to_vec()).collect(),
             None => store.get(b"k1").unwrap().to_vec(),
         };

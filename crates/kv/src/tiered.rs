@@ -100,12 +100,12 @@ impl<D: KvBackend> KvBackend for TieredStore<D> {
         }
     }
 
-    fn get_ref(&self, key: &[u8]) -> Option<Bytes> {
+    fn get_resident(&self, key: &[u8]) -> Option<Vec<Bytes>> {
         // Memory-resident means hot-tier resident: a hit counts like a
         // hot `get`; a durable-only key returns `None` without touching
         // the miss counter — the fallback `get` misses memory, promotes,
         // and accounts exactly as the single-get path always has.
-        let v = self.memory.get_ref(key)?;
+        let v = self.memory.get_resident(key)?;
         self.hits.fetch_add(1, Ordering::Relaxed);
         Some(v)
     }

@@ -163,7 +163,7 @@ proptest! {
         // paths: contiguous get and the zero-copy segment plane.
         for (k, v) in &reference {
             prop_assert_eq!(store.get(&[*k]).unwrap().to_vec(), v.clone());
-            let segs = store.get_segments(&[*k]).unwrap();
+            let segs = store.get_resident(&[*k]).unwrap();
             let total: usize = segs.iter().map(Bytes::len).sum();
             prop_assert_eq!(total, v.len());
             let mut joined = Vec::with_capacity(total);
@@ -227,6 +227,42 @@ proptest! {
         prop_assert_eq!(stats.manifests, 0);
         prop_assert!(s.is_empty());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Putting a value as a rope, split anywhere, is putting its bytes:
+    /// the same chunk hashes, chunk refcounts (probed by deleting down to
+    /// nothing) and `ChunkStats` as the flat put, overwrites and repeated
+    /// content included, and the same bytes back through both reads.
+    #[test]
+    fn chunked_rope_put_matches_flat_put(
+        puts in prop::collection::vec(
+            (0u8..6, prop::collection::vec(0u8..4, 0..96), prop::collection::vec(any::<usize>(), 0..5)),
+            1..16,
+        ),
+        chunk_size in 1usize..40,
+    ) {
+        let by_rope = ChunkedStore::open(MemPoolStore::new(), chunk_size).unwrap();
+        let by_flat = ChunkedStore::open(MemPoolStore::new(), chunk_size).unwrap();
+        for (k, v, cuts) in &puts {
+            let mut rest = Bytes::from(v.clone());
+            let mut rope = Vec::new();
+            for cut in cuts {
+                rope.push(rest.split_to(cut % (rest.len() + 1)));
+            }
+            rope.push(rest);
+            by_rope.put_segments(&[*k], rope).unwrap();
+            by_flat.put(&[*k], Bytes::from(v.clone())).unwrap();
+            prop_assert_eq!(by_rope.stats(), by_flat.stats());
+            prop_assert_eq!(by_rope.chunk_manifest(&[*k]), by_flat.chunk_manifest(&[*k]));
+            prop_assert_eq!(&by_rope.get(&[*k]).unwrap()[..], &v[..]);
+            let resident = by_rope.get_resident(&[*k]).unwrap();
+            prop_assert_eq!(&evostore_tensor::rope::flatten(&resident)[..], &v[..]);
+        }
+        for k in 0u8..6 {
+            prop_assert_eq!(by_rope.delete(&[k]).unwrap(), by_flat.delete(&[k]).unwrap());
+            prop_assert_eq!(by_rope.stats(), by_flat.stats());
+        }
+        prop_assert_eq!(by_rope.bytes_used(), 0);
     }
 
     /// Refcount lifecycle: after an arbitrary interleaving of incr/decr

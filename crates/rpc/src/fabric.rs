@@ -175,7 +175,8 @@ struct BulkRegion {
 /// Logical offsets address the concatenation of all segments in order:
 /// [`SegmentedRegion::slice`] resolves a `(offset, len)` range against
 /// it, zero-copy when the range falls inside one segment and copying
-/// only when it spans a boundary.
+/// only when it spans a boundary; [`SegmentedRegion::slice_rope`] never
+/// copies — a range that spans boundaries comes back as a rope.
 #[derive(Debug, Clone)]
 pub struct SegmentedRegion {
     segments: Vec<Bytes>,
@@ -220,42 +221,69 @@ impl SegmentedRegion {
         self.segments.len()
     }
 
+    /// The parts of the in-bounds, non-empty logical range `offset..end`, as
+    /// (segment index, range within that segment), in order. The walk
+    /// starts at the *last* segment whose start is `<= offset`: empty
+    /// segments share their successor's start, and only the last of a run
+    /// of equal starts holds the byte at `offset`.
+    fn pieces(
+        &self,
+        offset: usize,
+        end: usize,
+    ) -> impl Iterator<Item = (usize, std::ops::Range<usize>)> + '_ {
+        let first = self.starts.partition_point(|&start| start <= offset) - 1;
+        (first..self.segments.len())
+            .take_while(move |&i| self.starts[i] < end)
+            .filter_map(move |i| {
+                let (start, seg_len) = (self.starts[i], self.segments[i].len());
+                let lo = offset.saturating_sub(start);
+                let hi = seg_len.min(end - start);
+                (lo < hi).then_some((i, lo..hi))
+            })
+    }
+
+    /// `Some(end)` when the logical range `offset..offset + len` lies
+    /// within the region.
+    fn bounded(&self, offset: usize, len: usize) -> Option<usize> {
+        offset.checked_add(len).filter(|&end| end <= self.total_len)
+    }
+
     /// Resolve a logical `(offset, len)` range. Zero-copy (a shared
     /// sub-slice) when the range lies within one segment; a fresh copy
     /// when it spans a segment boundary. `None` when out of bounds.
     pub fn slice(&self, offset: usize, len: usize) -> Option<Bytes> {
-        let end = offset.checked_add(len)?;
-        if end > self.total_len {
-            return None;
-        }
+        let end = self.bounded(offset, len)?;
         if len == 0 {
             return Some(Bytes::new());
         }
-        // Segment containing `offset`: the greatest start <= offset.
-        // (Duplicate starts from empty segments are fine — the copy loop
-        // below skips zero-length takes.)
-        let mut idx = match self.starts.binary_search(&offset) {
-            Ok(i) => i,
-            Err(i) => i - 1,
-        };
-        let seg_off = offset - self.starts[idx];
-        let seg = &self.segments[idx];
-        if seg_off + len <= seg.len() {
-            return Some(seg.slice(seg_off..seg_off + len));
+        let mut pieces = self.pieces(offset, end);
+        let (i, range) = pieces.next().expect("a non-empty range has a first piece");
+        if range.len() == len {
+            return Some(self.segments[i].slice(range));
         }
         // Boundary-spanning range: gather into one buffer.
         let mut out = Vec::with_capacity(len);
-        let mut off = seg_off;
-        let mut remaining = len;
-        while remaining > 0 {
-            let seg = &self.segments[idx];
-            let take = remaining.min(seg.len().saturating_sub(off));
-            out.extend_from_slice(&seg[off..off + take]);
-            remaining -= take;
-            off = 0;
-            idx += 1;
+        out.extend_from_slice(&self.segments[i][range]);
+        for (i, range) in pieces {
+            out.extend_from_slice(&self.segments[i][range]);
         }
         Some(Bytes::from(out))
+    }
+
+    /// Resolve a logical `(offset, len)` range as a rope: shared
+    /// sub-slices of the segments it touches, in order — no byte is
+    /// copied whether or not the range spans a boundary. `None` when out
+    /// of bounds.
+    pub fn slice_rope(&self, offset: usize, len: usize) -> Option<Vec<Bytes>> {
+        let end = self.bounded(offset, len)?;
+        if len == 0 {
+            return Some(Vec::new());
+        }
+        Some(
+            self.pieces(offset, end)
+                .map(|(i, range)| self.segments[i].slice(range))
+                .collect(),
+        )
     }
 
     /// The whole region as one contiguous buffer: the single segment's
@@ -969,6 +997,36 @@ mod tests {
         assert!(region.slice(8, 1).is_none());
         assert!(region.slice(usize::MAX, 2).is_none(), "offset overflow");
         assert_eq!(region.to_bytes().len(), 8);
+    }
+
+    #[test]
+    fn ranges_behind_empty_segments_stay_zero_copy() {
+        // Three segments start at 3: the binary search may land on either
+        // empty one, and only the last holds bytes.
+        let b = Bytes::from(vec![2u8; 5]);
+        let region = SegmentedRegion::new(vec![
+            Bytes::from(vec![1u8; 3]),
+            Bytes::new(),
+            Bytes::new(),
+            b.clone(),
+            Bytes::new(),
+        ]);
+        for (offset, len) in [(3, 5), (3, 1), (4, 3), (7, 1)] {
+            let got = region.slice(offset, len).unwrap();
+            assert_eq!(got.as_ptr(), b[offset - 3..].as_ptr(), "{offset}+{len}");
+            let rope = region.slice_rope(offset, len).unwrap();
+            assert_eq!(rope.len(), 1);
+            assert_eq!(rope[0].as_ptr(), got.as_ptr());
+            assert_eq!(rope[0].len(), len);
+        }
+        // Spanning the boundary: the rope shares both sides.
+        let rope = region.slice_rope(1, 4).unwrap();
+        assert_eq!(rope.len(), 2);
+        assert_eq!(rope[0].as_ref(), &[1, 1]);
+        assert_eq!(rope[1].as_ptr(), b.as_ptr());
+        assert_eq!(region.slice_rope(8, 0).unwrap().len(), 0);
+        assert!(region.slice_rope(8, 1).is_none());
+        assert!(region.slice_rope(usize::MAX, 2).is_none());
     }
 
     #[test]

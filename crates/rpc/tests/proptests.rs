@@ -110,10 +110,11 @@ proptest! {
         let fabric = Fabric::new();
         let flat = Bytes::from(data.clone());
 
-        // Cut the buffer at arbitrary (sorted, deduplicated) positions.
+        // Cut the buffer at arbitrary sorted positions. A repeated
+        // position leaves an empty segment between its neighbours, so
+        // runs of empty segments are interleaved anywhere.
         let mut at: Vec<usize> = splits.iter().map(|&s| (s as usize) % (data.len() + 1)).collect();
         at.sort_unstable();
-        at.dedup();
         let mut segments = Vec::new();
         let mut prev = 0usize;
         for cut in at {
@@ -143,7 +144,27 @@ proptest! {
             let c = fabric.bulk_get_range(hc, off, len).unwrap();
             prop_assert_eq!(v.as_ref(), c.as_ref());
             prop_assert_eq!(v.as_ref(), &data[off..off + len]);
+            // The rope slice never copies: every piece points into the
+            // flat buffer where its bytes are, and a range inside one
+            // segment is one piece — which the gathering slice shares too.
+            let pieces = rope.slice_rope(off, len).unwrap();
+            let mut next = off;
+            for piece in &pieces {
+                prop_assert!(!piece.is_empty());
+                prop_assert_eq!(piece.as_ptr(), flat[next..].as_ptr());
+                next += piece.len();
+            }
+            prop_assert_eq!(next, off + len);
+            let in_segment = len > 0 && segments.iter().any(|s| {
+                let start = s.as_ptr() as usize - flat.as_ptr() as usize;
+                !s.is_empty() && start <= off && off + len <= start + s.len()
+            });
+            if in_segment {
+                prop_assert_eq!(pieces.len(), 1);
+                prop_assert_eq!(v.as_ptr(), flat[off..].as_ptr());
+            }
         }
+        prop_assert!(rope.slice_rope(data.len(), 1).is_none());
         // Out-of-bounds fails identically on both.
         prop_assert!(fabric.bulk_get_range(hv, data.len(), 1).is_err());
         prop_assert!(fabric.bulk_get_range(hc, data.len(), 1).is_err());

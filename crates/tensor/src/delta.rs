@@ -41,6 +41,7 @@
 use bytes::{BufMut, Bytes};
 
 use crate::hash::checksum64;
+use crate::rope;
 
 /// First four bytes of a delta record ("EVDL" when read as LE u32).
 pub const DELTA_MAGIC: u32 = 0x4556_444C;
@@ -119,6 +120,13 @@ pub fn is_delta(record: &[u8]) -> bool {
     record.len() >= 4 && u32::from_le_bytes(record[0..4].try_into().unwrap()) == DELTA_MAGIC
 }
 
+/// [`is_delta`] over a rope: the magic is the record's first four
+/// *logical* bytes, whichever segments they lie in.
+pub fn is_delta_segments(record: &[Bytes]) -> bool {
+    let mut magic = [0u8; 4];
+    rope::copy_to(record, 0, &mut magic) == 4 && is_delta(&magic)
+}
+
 /// Bytes of record prefix [`delta_probe`] needs to parse a header.
 pub const DELTA_PROBE_LEN: usize = HEADER_LEN;
 
@@ -132,6 +140,13 @@ pub fn delta_header(record: &[u8]) -> Result<DeltaHeader, DeltaError> {
 /// chunk-negotiated transfer plane validates framing from a record's
 /// head chunk without ever assembling the record.
 pub fn delta_probe(prefix: &[u8], record_len: usize) -> Result<DeltaHeader, DeltaError> {
+    probe(prefix, record_len).map(|(header, _)| header)
+}
+
+/// The header and the body length it frames. A body length the record
+/// cannot hold — checked, so `u64::MAX` included — is
+/// [`DeltaError::Truncated`].
+fn probe(prefix: &[u8], record_len: usize) -> Result<(DeltaHeader, usize), DeltaError> {
     if prefix.len() < 4 {
         return Err(DeltaError::Truncated);
     }
@@ -150,15 +165,20 @@ pub fn delta_probe(prefix: &[u8], record_len: usize) -> Result<DeltaHeader, Delt
     let mut base_key = [0u8; 16];
     base_key.copy_from_slice(&prefix[8..24]);
     let raw_len = u64::from_le_bytes(prefix[24..32].try_into().unwrap()) as usize;
-    let comp_len = u64::from_le_bytes(prefix[32..40].try_into().unwrap()) as usize;
-    if record_len < HEADER_LEN + comp_len + CHECK_LEN {
-        return Err(DeltaError::Truncated);
-    }
-    Ok(DeltaHeader {
+    let comp_len = usize::try_from(u64::from_le_bytes(prefix[32..40].try_into().unwrap()))
+        .ok()
+        .filter(|comp_len| {
+            (HEADER_LEN + CHECK_LEN)
+                .checked_add(*comp_len)
+                .is_some_and(|all| all <= record_len)
+        })
+        .ok_or(DeltaError::Truncated)?;
+    let header = DeltaHeader {
         base_key,
         depth,
         raw_len,
-    })
+    };
+    Ok((header, comp_len))
 }
 
 /// Encode `raw` as a delta against `base_raw`.
@@ -168,18 +188,35 @@ pub fn delta_probe(prefix: &[u8], record_len: usize) -> Result<DeltaHeader, Delt
 /// not save at least 1/16th of the raw record. The caller stores the raw
 /// record in that case.
 pub fn encode_delta(raw: &[u8], base_raw: &[u8], base_key: [u8; 16], depth: u8) -> Option<Bytes> {
-    if raw.len() != base_raw.len() || raw.is_empty() {
+    encode_parts(&[raw], base_raw, base_key, depth)
+}
+
+/// [`encode_delta`] of a rope `raw`, without gathering it: the same bytes
+/// out for the same logical bytes in, however they are split.
+pub fn encode_delta_segments(
+    raw: &[Bytes],
+    base_raw: &[u8],
+    base_key: [u8; 16],
+    depth: u8,
+) -> Option<Bytes> {
+    let parts: Vec<&[u8]> = raw.iter().map(|segment| &segment[..]).collect();
+    encode_parts(&parts, base_raw, base_key, depth)
+}
+
+fn encode_parts(raw: &[&[u8]], base_raw: &[u8], base_key: [u8; 16], depth: u8) -> Option<Bytes> {
+    let raw_len: usize = raw.iter().map(|part| part.len()).sum();
+    if raw_len != base_raw.len() || raw_len == 0 {
         return None;
     }
     let trans = xor_transpose(raw, base_raw);
     // The body is encoded straight into the record buffer, after a header
     // whose `comp_len` is patched in once it is known.
-    let mut buf = Vec::with_capacity(HEADER_LEN + raw.len() / 8 + 16 + CHECK_LEN);
-    put_header(&mut buf, depth, &base_key, raw.len(), 0);
+    let mut buf = Vec::with_capacity(HEADER_LEN + raw_len / 8 + 16 + CHECK_LEN);
+    put_header(&mut buf, depth, &base_key, raw_len, 0);
     rle_encode(&trans, &mut buf);
     let body_len = buf.len() - HEADER_LEN;
     let total = HEADER_LEN + body_len + CHECK_LEN;
-    if total + raw.len() / MIN_SAVINGS_DENOM > raw.len() {
+    if total + raw_len / MIN_SAVINGS_DENOM > raw_len {
         return None;
     }
     buf[HEADER_LEN - 8..HEADER_LEN].copy_from_slice(&(body_len as u64).to_le_bytes());
@@ -202,21 +239,15 @@ fn put_header(buf: &mut Vec<u8>, depth: u8, base_key: &[u8; 16], raw_len: usize,
 /// its base (callers resolve — and, for chained deltas, recursively
 /// reconstruct — the base via [`delta_header`]).
 pub fn decode_delta(record: &[u8], base_raw: &[u8]) -> Result<Bytes, DeltaError> {
-    let header = delta_header(record)?;
+    let (header, comp_len) = probe(record, record.len())?;
     if base_raw.len() != header.raw_len {
         return Err(DeltaError::BaseMismatch {
             expected: header.raw_len,
             actual: base_raw.len(),
         });
     }
-    let comp_len = u64::from_le_bytes(record[32..40].try_into().unwrap()) as usize;
-    let body = &record[HEADER_LEN..HEADER_LEN + comp_len];
-    let check = u64::from_le_bytes(
-        record[HEADER_LEN + comp_len..HEADER_LEN + comp_len + CHECK_LEN]
-            .try_into()
-            .unwrap(),
-    );
-    if checksum64(body) != check {
+    let (body, check) = record[HEADER_LEN..HEADER_LEN + comp_len + CHECK_LEN].split_at(comp_len);
+    if checksum64(body) != u64::from_le_bytes(check.try_into().expect("8-byte check")) {
         return Err(DeltaError::ChecksumMismatch);
     }
     Ok(Bytes::from(rle_decode_onto(body, base_raw)?))
@@ -228,26 +259,57 @@ const XOR_BLOCK: usize = 1024;
 /// `raw ^ base`, byte-transposed, in one pass over `u32` words: byte `k`
 /// of every XORed word goes to lane `k`, so the output is all lane-0
 /// bytes, then all lane-1 bytes, ... Tail bytes (`len % 4`) are XORed
-/// and pass through unpermuted. Both inputs have the same length.
-fn xor_transpose(raw: &[u8], base: &[u8]) -> Vec<u8> {
-    let words = raw.len() / LANES;
-    let (raw_words, raw_tail) = raw.split_at(words * LANES);
-    let (base_words, base_tail) = base.split_at(words * LANES);
-    let mut out = vec![0u8; raw.len()];
+/// and pass through unpermuted. `raw` is the record in parts — one for a
+/// contiguous record, one per segment of a rope — that together are as
+/// long as `base`. A part is transposed where it lies: whole words go
+/// through the block kernel, and the up to three bytes on either side of
+/// a part that does not begin or end on a word boundary (a record of a
+/// dtype narrower than four bytes) are placed one by one.
+fn xor_transpose(raw: &[&[u8]], base: &[u8]) -> Vec<u8> {
+    let words = base.len() / LANES;
+    let mut out = vec![0u8; base.len()];
     let (l0, rest) = out.split_at_mut(words);
     let (l1, rest) = rest.split_at_mut(words);
     let (l2, rest) = rest.split_at_mut(words);
     let (l3, tail) = rest.split_at_mut(words);
     let mut lanes = [l0, l1, l2, l3];
+    // Byte `p` of the XOR image: byte `p % 4` of word `p / 4`, or a tail
+    // byte that keeps its place.
+    let mut place = |lanes: &mut [&mut [u8]; LANES], p: usize, x: u8| match p / LANES {
+        w if w < words => lanes[p % LANES][w] = x,
+        _ => tail[p - words * LANES] = x,
+    };
+    let mut at = 0;
+    for part in raw {
+        let base = &base[at..at + part.len()];
+        let lead = (at.wrapping_neg() % LANES).min(part.len());
+        let whole = lead + (part.len() - lead) / LANES * LANES;
+        for i in (0..lead).chain(whole..part.len()) {
+            place(&mut lanes, at + i, part[i] ^ base[i]);
+        }
+        transpose_words(
+            &part[lead..whole],
+            &base[lead..whole],
+            &mut lanes,
+            (at + lead) / LANES,
+        );
+        at += part.len();
+    }
+    out
+}
+
+/// The block kernel of [`xor_transpose`]: XOR the whole words of `raw`
+/// and `base` (equal lengths, a multiple of four) and deal their bytes to
+/// the four `lanes` from word index `done` on.
+fn transpose_words(raw: &[u8], base: &[u8], lanes: &mut [&mut [u8]; LANES], mut done: usize) {
     // A block of XORed words at a time, then one loop per lane over
     // the block: each has one input and one output, which the compiler
     // turns into wide shifts and packs (a single loop storing to all four
     // lanes stays scalar).
     let mut xored = [0u32; XOR_BLOCK];
-    let mut done = 0;
-    for (a, b) in raw_words
+    for (a, b) in raw
         .chunks(XOR_BLOCK * LANES)
-        .zip(base_words.chunks(XOR_BLOCK * LANES))
+        .zip(base.chunks(XOR_BLOCK * LANES))
     {
         let n = a.len() / LANES;
         for ((x, a), b) in xored
@@ -265,10 +327,6 @@ fn xor_transpose(raw: &[u8], base: &[u8]) -> Vec<u8> {
         }
         done += n;
     }
-    for ((o, a), b) in tail.iter_mut().zip(raw_tail).zip(base_tail) {
-        *o = a ^ b;
-    }
-    out
 }
 
 const WORD: usize = 8;
@@ -628,7 +686,7 @@ mod tests {
             let base: Vec<u8> = (0..n as u8).map(|b| b.wrapping_mul(29) ^ 0x5A).collect();
             let zeros = vec![0u8; n];
             assert_eq!(
-                xor_transpose(&src, &zeros),
+                xor_transpose(&[&src], &zeros),
                 reference::transpose(&src),
                 "len {n}"
             );
@@ -642,7 +700,7 @@ mod tests {
                 "len {n}"
             );
             body.clear();
-            flush_literal(&mut body, &xor_transpose(&src, &base));
+            flush_literal(&mut body, &xor_transpose(&[&src], &base));
             assert_eq!(rle_decode_onto(&body, &base).unwrap(), src, "len {n}");
         }
     }
@@ -729,6 +787,83 @@ mod tests {
         }
     }
 
+    #[test]
+    fn crafted_body_lengths_are_truncated_not_panics() {
+        // header 40 + comp_len + check 8: MAX inverts the body range,
+        // MAX - 39 and MAX - 47 wrap the bound to small values.
+        let base = [7u8; 10];
+        for comp_len in [u64::MAX, u64::MAX - 39, u64::MAX - 47, 1 << 63, 6] {
+            let mut rec = framed(&[0, 10, 0, 0, 0], base.len());
+            rec[32..40].copy_from_slice(&comp_len.to_le_bytes());
+            assert_eq!(
+                delta_header(&rec),
+                Err(DeltaError::Truncated),
+                "{comp_len:#x}"
+            );
+            assert_eq!(
+                delta_probe(&rec[..DELTA_PROBE_LEN], rec.len()),
+                Err(DeltaError::Truncated)
+            );
+            assert_eq!(decode_delta(&rec, &base), Err(DeltaError::Truncated));
+        }
+    }
+
+    /// A fine-tuned tensor of each element width, as a borrowed rope and
+    /// as arbitrary re-splits of the same bytes: the segmented encoder
+    /// emits the contiguous encoder's record, whose body is the reference
+    /// codec's.
+    #[test]
+    fn segmented_encode_matches_contiguous_and_reference() {
+        use crate::ser::{write_tensor_borrowed, BORROW_MIN_BYTES};
+        let mut rng = ChaCha8Rng::seed_from_u64(47);
+        assert!(!is_delta_segments(&[]));
+        for dtype in [DType::U8, DType::F16, DType::F32, DType::F64] {
+            // Odd element counts put a narrow dtype's check segment off the
+            // word boundary.
+            let base = TensorData::random(
+                &mut rng,
+                dtype,
+                vec![BORROW_MIN_BYTES / dtype.size_of() + 3],
+            );
+            let tuned = base.perturbed_sparse(&mut rng, 0.05);
+            let base_rec = write_tensor(&base);
+            let flat = write_tensor(&tuned);
+            let rope = write_tensor_borrowed(&tuned);
+            let expect = encode_delta(&flat, &base_rec, KEY, 2).expect("sparse delta wins");
+            assert_eq!(
+                expect[HEADER_LEN..expect.len() - CHECK_LEN],
+                reference::encode_body(&flat, &base_rec)[..]
+            );
+            assert_eq!(
+                encode_delta_segments(&rope, &base_rec, KEY, 2),
+                Some(expect.clone())
+            );
+            assert!(is_delta_segments(&[expect.slice(..1), expect.slice(1..)]));
+            assert!(!is_delta_segments(&rope));
+            for cuts in [
+                vec![1],
+                vec![3, 26],
+                vec![0, 24, 24, 1001],
+                vec![5, 6, 7, 8, 9],
+            ] {
+                let mut split = Vec::new();
+                let mut rest = flat.clone();
+                let mut at = 0;
+                for cut in cuts {
+                    split.push(rest.split_to(cut - at));
+                    at = cut;
+                }
+                split.push(rest);
+                assert_eq!(
+                    encode_delta_segments(&split, &base_rec, KEY, 2),
+                    Some(expect.clone())
+                );
+            }
+            // A rope of another length declines like a slice of it would.
+            assert_eq!(encode_delta_segments(&rope[..2], &base_rec, KEY, 2), None);
+        }
+    }
+
     /// The zero-scan kernels against a byte loop, from every start offset.
     #[test]
     fn zero_scans_match_byte_loops() {
@@ -806,8 +941,13 @@ mod tests {
             .collect();
         let raw: Vec<u8> = image.iter().zip(&base).map(|(i, b)| i ^ b).collect();
 
-        let trans = xor_transpose(&raw, &base);
+        let trans = xor_transpose(&[&raw], &base);
         assert_eq!(trans, reference::transpose(image));
+        // The same image from the record in parts, cut anywhere.
+        let cut = base_seed as usize % (raw.len() + 1);
+        let (head, rest) = raw.split_at(cut);
+        let (mid, last) = rest.split_at((base_seed >> 32) as usize % (rest.len() + 1));
+        assert_eq!(xor_transpose(&[head, mid, &[], last], &base), trans);
         let mut body = Vec::new();
         rle_encode(&trans, &mut body);
         assert_eq!(body, reference::encode_body(&raw, &base));

@@ -16,21 +16,27 @@
 //! * [`ModelId`] / [`TensorKey`] — the identifiers the distributed repository
 //!   uses for placement (static hashing of the model id) and for owner maps
 //!   (`128` bits per leaf layer, as in the paper);
-//! * wire (de)serialization with integrity checks ([`ser`]).
+//! * wire (de)serialization with integrity checks ([`ser`]), contiguous
+//!   or as a rope that borrows the tensor's payload ([`rope`]).
 
 pub mod delta;
 pub mod dtype;
 pub mod hash;
 pub mod id;
+pub mod rope;
 pub mod ser;
 pub mod tensor;
 
 pub use delta::{
-    decode_delta, delta_header, delta_probe, encode_delta, is_delta, DeltaError, DeltaHeader,
-    DELTA_MAGIC, DELTA_PROBE_LEN,
+    decode_delta, delta_header, delta_probe, encode_delta, encode_delta_segments, is_delta,
+    is_delta_segments, DeltaError, DeltaHeader, DELTA_MAGIC, DELTA_PROBE_LEN,
 };
 pub use dtype::DType;
 pub use hash::{checksum64, checksum64_parts, fnv1a128, ContentHash, Fnv128};
 pub use id::{ModelId, TensorKey, VertexId};
-pub use ser::{payload_range, read_tensor, validate_record, write_tensor, SerError};
+pub use ser::{
+    payload_range, payload_range_segments, read_tensor, read_tensor_segments, validate_record,
+    validate_segments, write_tensor, write_tensor_borrowed, write_tensor_segments, Record,
+    SerError, BORROW_MIN_BYTES,
+};
 pub use tensor::TensorData;

@@ -2,7 +2,9 @@
 
 use bytes::Bytes;
 use evostore_tensor::{
-    decode_delta, delta_header, encode_delta, is_delta, read_tensor, write_tensor, DType, SerError,
+    decode_delta, delta_header, encode_delta, encode_delta_segments, is_delta, is_delta_segments,
+    payload_range, payload_range_segments, read_tensor, read_tensor_segments, rope,
+    validate_record, validate_segments, write_tensor, write_tensor_segments, DType, SerError,
     TensorData, TensorKey,
 };
 use evostore_tensor::{ModelId, VertexId};
@@ -24,7 +26,55 @@ fn arb_tensor() -> impl Strategy<Value = TensorData> {
     })
 }
 
+/// `bytes` cut into a rope at `cuts` (each taken modulo what is left, so
+/// empty segments and cuts at either end occur).
+fn resplit(bytes: &Bytes, cuts: &[usize]) -> Vec<Bytes> {
+    let mut rest = bytes.clone();
+    let mut out = Vec::with_capacity(cuts.len() + 1);
+    for cut in cuts {
+        out.push(rest.split_to(cut % (rest.len() + 1)));
+    }
+    out.push(rest);
+    out
+}
+
 proptest! {
+    /// The segmented encoder's rope is the contiguous record, for every
+    /// dtype, scalar and empty-dim shapes included.
+    #[test]
+    fn segments_concatenate_to_the_record(t in arb_tensor()) {
+        let record = write_tensor_segments(&t);
+        prop_assert_eq!(rope::flatten(record.segments()), write_tensor(&t));
+        prop_assert_eq!(read_tensor_segments(record.segments()).unwrap(), t);
+    }
+
+    /// Every segmented decoder entry point over an arbitrary re-split of
+    /// a record — intact, cut short, or with one byte flipped — answers
+    /// what the contiguous call answers: the same value or the same
+    /// error, so in the same precedence.
+    #[test]
+    fn resplit_records_decode_like_contiguous_ones(
+        t in arb_tensor(),
+        cuts in prop::collection::vec(any::<usize>(), 0..6),
+        damage in (any::<bool>(), any::<usize>(), 1u8..=255),
+        keep in (any::<bool>(), any::<usize>()),
+    ) {
+        let mut rec = write_tensor(&t).to_vec();
+        if let (true, pos, flip) = damage {
+            let pos = pos % rec.len();
+            rec[pos] ^= flip;
+        }
+        if let (true, keep) = keep {
+            rec.truncate(keep % (rec.len() + 1));
+        }
+        let rec = Bytes::from(rec);
+        let rope = resplit(&rec, &cuts);
+        prop_assert_eq!(validate_segments(&rope), validate_record(&rec));
+        prop_assert_eq!(read_tensor_segments(&rope), read_tensor(rec.clone()));
+        prop_assert_eq!(payload_range_segments(&rope), payload_range(&rec));
+        prop_assert_eq!(is_delta_segments(&rope), is_delta(&rec));
+    }
+
     /// Serialization roundtrips for arbitrary dtype/shape/content.
     #[test]
     fn ser_roundtrip(t in arb_tensor()) {
@@ -120,7 +170,11 @@ proptest! {
         let raw = write_tensor(&derived);
         let base_raw = write_tensor(&base);
         let key = TensorKey::new(ModelId(7), VertexId(3), 0).encode();
-        if let Some(delta) = encode_delta(&raw, &base_raw, key, depth) {
+        let encoded = encode_delta(&raw, &base_raw, key, depth);
+        // From the record as a rope, split anywhere: the same record out.
+        let rope = resplit(&raw, &[base_seed as usize, (base_seed >> 32) as usize]);
+        prop_assert_eq!(&encode_delta_segments(&rope, &base_raw, key, depth), &encoded);
+        if let Some(delta) = encoded {
             prop_assert!(is_delta(&delta));
             prop_assert!(delta.len() < raw.len(), "kept delta must save space");
             let header = delta_header(&delta).unwrap();

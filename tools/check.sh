@@ -85,6 +85,32 @@ if hits=$(grep -rnw --include='*.rs' 'unsafe' crates/core/src | grep -v '^crates
     exit 1
 fi
 
+# A store copies no payload between the caller's tensor and the pool: the
+# client encodes through the size-choosing `write_tensor_segments`, the
+# provider takes each record out of the region as a rope. The contiguous
+# encoder or the gathering `region.slice(` put back in either function
+# would compile, pass every test and silently copy again.
+echo "== store path: records only through write_tensor_segments and slice_rope"
+fn_body() { # file, regex of the fn's first line: the method's lines, numbered
+    awk -v start="$2" '
+        $0 ~ start { in_fn = 1 }
+        in_fn { print FILENAME ":" FNR ": " $0 }
+        in_fn && /^    }$/ { exit }
+    ' "$1"
+}
+push_store=$(fn_body crates/core/src/client.rs '^    fn push_store\(')
+handle_store=$(fn_body crates/core/src/provider/catalog.rs '^    pub fn handle_store\(')
+if ! grep -q 'write_tensor_segments(' <<<"$push_store" ||
+    ! grep -q 'region\.slice_rope(' <<<"$handle_store"; then
+    echo "push_store / handle_store no longer found with their rope calls" >&2
+    exit 1
+fi
+if hits=$(grep -E 'write_tensor\(|region\.slice\(|rope::flatten\(' <<<"$push_store"$'\n'"$handle_store"); then
+    echo "a copying call on the store path:" >&2
+    echo "$hits" >&2
+    exit 1
+fi
+
 # With one CPU the pool has no helpers and `par::map` must be the plain
 # serial loop: the pool's own tests and one fixed-length bulk_checkpoint
 # run (the workload that forks on every op) have to finish there.
