@@ -19,14 +19,14 @@ use evostore_core::{
     FetchOutcome, ModelRepository, OwnerMap, RetireOutcomeStats, StoreOutcomeStats, TransferSource,
 };
 use evostore_graph::CompactGraph;
-use evostore_rpc::{call_typed, EndpointId, Fabric};
+use evostore_rpc::{EndpointId, Fabric};
 use evostore_tensor::ModelId;
 use parking_lot::Mutex;
 
 use crate::model_io::model_to_h5;
 use crate::pfs::SimulatedPfs;
 use crate::redis_queries::{
-    methods, BeginAddReply, BeginAddRequest, ModelRef, RedisLcpReply, RedisLcpRequest, RetireReply,
+    call, methods, BeginAddRequest, ModelRef, RedisLcpRequest, RetireReply,
 };
 
 /// The HDF5+PFS baseline repository.
@@ -70,10 +70,10 @@ impl Hdf5PfsRepository {
         if self.pinned.lock().remove(&ancestor).is_some() {
             if let Ok(RetireReply {
                 free_weights: Some(path),
-            }) = call_typed::<_, RetireReply>(
+            }) = call(
                 &self.fabric,
                 self.redis,
-                methods::UNPIN,
+                methods::Unpin,
                 &ModelRef { model: ancestor },
             ) {
                 let _ = self.pfs.delete(&path);
@@ -88,10 +88,10 @@ impl ModelRepository for Hdf5PfsRepository {
     }
 
     fn find_transfer_source(&self, graph: &CompactGraph) -> Option<TransferSource> {
-        let reply: RedisLcpReply = call_typed(
+        let reply = call(
             &self.fabric,
             self.redis,
-            methods::QUERY,
+            methods::Query,
             &RedisLcpRequest {
                 graph: graph.clone(),
             },
@@ -154,10 +154,10 @@ impl ModelRepository for Hdf5PfsRepository {
         let tensors = evostore_core::trained_tensors(graph, &owner_map, seed);
 
         let path = Self::weights_path(model);
-        let begin: BeginAddReply = call_typed(
+        let begin = call(
             &self.fabric,
             self.redis,
-            methods::BEGIN_ADD,
+            methods::BeginAdd,
             &BeginAddRequest {
                 model,
                 graph: graph.clone(),
@@ -180,10 +180,10 @@ impl ModelRepository for Hdf5PfsRepository {
             // trips were paid.
             stats.model_seconds = self.pfs.model().metadata_latency_s;
         }
-        let _: () = call_typed(
+        call(
             &self.fabric,
             self.redis,
-            methods::PUBLISH,
+            methods::Publish,
             &ModelRef { model },
         )
         .expect("redis publish must succeed");
@@ -191,10 +191,10 @@ impl ModelRepository for Hdf5PfsRepository {
     }
 
     fn retire_candidate(&self, model: ModelId) -> RetireOutcomeStats {
-        let reply: RetireReply = call_typed(
+        let reply = call(
             &self.fabric,
             self.redis,
-            methods::RETIRE,
+            methods::Retire,
             &ModelRef { model },
         )
         .expect("redis retire must succeed");
@@ -212,10 +212,10 @@ impl ModelRepository for Hdf5PfsRepository {
     }
 
     fn storage_bytes(&self) -> u64 {
-        let meta: crate::redis_queries::RedisStats = call_typed(
+        let meta = call(
             &self.fabric,
             self.redis,
-            methods::STATS,
+            methods::Stats,
             &ModelRef { model: ModelId(0) },
         )
         .unwrap_or_default();

@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use evostore_graph::{lcp, CompactGraph, LcpResult};
-use evostore_rpc::{typed_handler, Endpoint, EndpointId, Fabric};
+use evostore_rpc::{Endpoint, EndpointId, Fabric, Method, RetryPolicy, RpcError};
 use evostore_tensor::{ContentHash, ModelId};
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
@@ -313,20 +313,45 @@ impl RedisState {
     }
 }
 
-/// RPC method names.
+/// The server's RPC surface, declared once (`tools/check.sh` keeps the
+/// wire names out of every other file).
 pub mod methods {
-    /// Register an architecture (first half of add).
-    pub const BEGIN_ADD: &str = "redis.begin_add";
-    /// Publish after the weights are on the PFS.
-    pub const PUBLISH: &str = "redis.publish";
-    /// Retire a model.
-    pub const RETIRE: &str = "redis.retire";
-    /// Drop a query pin.
-    pub const UNPIN: &str = "redis.unpin";
-    /// LCP query.
-    pub const QUERY: &str = "redis.query_lcp";
-    /// Server statistics.
-    pub const STATS: &str = "redis.stats";
+    use super::*;
+
+    evostore_rpc::rpc_methods! {
+        /// Register an architecture (first half of add).
+        BeginAdd = "redis.begin_add": BeginAddRequest => BeginAddReply;
+        /// Publish after the weights are on the PFS.
+        Publish = "redis.publish": ModelRef => ();
+        /// Retire a model.
+        Retire = "redis.retire": ModelRef => RetireReply;
+        /// Drop a query pin.
+        Unpin = "redis.unpin": ModelRef => RetireReply;
+        /// LCP query.
+        Query = "redis.query_lcp": RedisLcpRequest => RedisLcpReply;
+        /// Server statistics (the model id is ignored).
+        Stats = "redis.stats": ModelRef => RedisStats;
+    }
+}
+
+/// One attempt of `method` against the server at `target`: the baseline
+/// has no retries to measure, so every caller runs under
+/// [`RetryPolicy::no_retry`].
+pub fn call<M: Method>(
+    fabric: &Fabric,
+    target: EndpointId,
+    method: M,
+    req: &M::Request,
+) -> Result<M::Reply, RpcError> {
+    evostore_rpc::unary(
+        fabric,
+        target,
+        method,
+        req,
+        &RetryPolicy::no_retry(),
+        None,
+        None,
+    )
 }
 
 /// A running Redis-Queries server on the fabric.
@@ -344,20 +369,17 @@ impl RedisServer {
         let state = RedisState::new();
 
         let s = Arc::clone(&state);
-        endpoint.register(methods::BEGIN_ADD, typed_handler(move |r| s.begin_add(r)));
+        endpoint.serve(methods::BeginAdd, move |r| s.begin_add(r));
         let s = Arc::clone(&state);
-        endpoint.register(methods::PUBLISH, typed_handler(move |r| s.publish(r)));
+        endpoint.serve(methods::Publish, move |r| s.publish(r));
         let s = Arc::clone(&state);
-        endpoint.register(methods::RETIRE, typed_handler(move |r| s.retire(r)));
+        endpoint.serve(methods::Retire, move |r| s.retire(r));
         let s = Arc::clone(&state);
-        endpoint.register(methods::UNPIN, typed_handler(move |r| s.unpin(r)));
+        endpoint.serve(methods::Unpin, move |r| s.unpin(r));
         let s = Arc::clone(&state);
-        endpoint.register(methods::QUERY, typed_handler(move |r| s.query_lcp(r)));
+        endpoint.serve(methods::Query, move |r| s.query_lcp(r));
         let s = Arc::clone(&state);
-        endpoint.register(
-            methods::STATS,
-            typed_handler(move |_: ModelRef| Ok(s.stats())),
-        );
+        endpoint.serve(methods::Stats, move |_| Ok(s.stats()));
 
         RedisServer { state, endpoint }
     }
@@ -498,10 +520,10 @@ mod tests {
         let fabric = evostore_rpc::Fabric::new();
         let server = RedisServer::spawn(&fabric, 2);
         let g = graph(3);
-        let reply: BeginAddReply = evostore_rpc::call_typed(
+        let reply = call(
             &fabric,
             server.endpoint_id(),
-            methods::BEGIN_ADD,
+            methods::BeginAdd,
             &BeginAddRequest {
                 model: ModelId(9),
                 graph: g.clone(),
@@ -511,17 +533,17 @@ mod tests {
         )
         .unwrap();
         assert!(reply.need_weights);
-        let _: () = evostore_rpc::call_typed(
+        call(
             &fabric,
             server.endpoint_id(),
-            methods::PUBLISH,
+            methods::Publish,
             &ModelRef { model: ModelId(9) },
         )
         .unwrap();
-        let q: RedisLcpReply = evostore_rpc::call_typed(
+        let q = call(
             &fabric,
             server.endpoint_id(),
-            methods::QUERY,
+            methods::Query,
             &RedisLcpRequest { graph: g },
         )
         .unwrap();

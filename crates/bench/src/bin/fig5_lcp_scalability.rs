@@ -131,6 +131,20 @@ fn redis_churn(
     })
 }
 
+/// One baseline query as a NAS worker issues it: the LCP scan, then the
+/// unpin of whatever it pinned.
+fn redis_query(fabric: &Fabric, server: evostore_rpc::EndpointId, probe: &CompactGraph) {
+    use evostore_baseline::redis_queries::{call, methods, ModelRef, RedisLcpRequest};
+    let req = RedisLcpRequest {
+        graph: probe.clone(),
+    };
+    let reply = call(fabric, server, methods::Query, &req).expect("redis query");
+    if let Some(best) = reply.best {
+        let unpin = ModelRef { model: best.model };
+        call(fabric, server, methods::Unpin, &unpin).expect("unpin");
+    }
+}
+
 fn main() {
     let args = Args::parse();
     let full = args.flag("full");
@@ -279,26 +293,7 @@ fn main() {
             let t0 = Instant::now();
             let n = 4.min(redis_queries);
             for i in 0..n {
-                let reply: evostore_baseline::redis_queries::RedisLcpReply =
-                    evostore_rpc::call_typed(
-                        &fabric,
-                        server.endpoint_id(),
-                        evostore_baseline::redis_queries::methods::QUERY,
-                        &evostore_baseline::redis_queries::RedisLcpRequest {
-                            graph: probes[i % probes.len()].clone(),
-                        },
-                    )
-                    .expect("redis query");
-                if let Some(best) = reply.best {
-                    let _: evostore_baseline::redis_queries::RetireReply =
-                        evostore_rpc::call_typed(
-                            &fabric,
-                            server.endpoint_id(),
-                            evostore_baseline::redis_queries::methods::UNPIN,
-                            &evostore_baseline::redis_queries::ModelRef { model: best.model },
-                        )
-                        .expect("unpin");
-                }
+                redis_query(&fabric, server.endpoint_id(), &probes[i % probes.len()]);
             }
             t0.elapsed().as_secs_f64() / n as f64
         };
@@ -311,25 +306,7 @@ fn main() {
             )
         });
         let (redis_secs, rdone) = run_queries(w, redis_queries, |i| {
-            let probe = &probes[i % probes.len()];
-            let reply: evostore_baseline::redis_queries::RedisLcpReply = evostore_rpc::call_typed(
-                &fabric,
-                server.endpoint_id(),
-                evostore_baseline::redis_queries::methods::QUERY,
-                &evostore_baseline::redis_queries::RedisLcpRequest {
-                    graph: probe.clone(),
-                },
-            )
-            .expect("redis query");
-            if let Some(best) = reply.best {
-                let _: evostore_baseline::redis_queries::RetireReply = evostore_rpc::call_typed(
-                    &fabric,
-                    server.endpoint_id(),
-                    evostore_baseline::redis_queries::methods::UNPIN,
-                    &evostore_baseline::redis_queries::ModelRef { model: best.model },
-                )
-                .expect("unpin");
-            }
+            redis_query(&fabric, server.endpoint_id(), &probes[i % probes.len()]);
         });
         let redis_tput = rdone as f64 / redis_secs;
 

@@ -125,8 +125,7 @@ pub type Result<T> = std::result::Result<T, EvoError>;
 /// best first (see [`EvoStoreClient::find_matching`]).
 pub type RankedMatches = Vec<(ModelId, f64)>;
 
-/// Flight-recorder ring capacity per client (overridable via
-/// [`EvoStoreClientBuilder::flight_capacity`]).
+/// Flight-recorder ring capacity per client.
 pub const CLIENT_FLIGHT_EVENTS: usize = 1024;
 
 /// Default slow-op retention threshold: root spans at least this long
@@ -241,7 +240,6 @@ pub struct EvoStoreClientBuilder {
     replication: ReplicationPolicy,
     obs: Option<Arc<ObsHub>>,
     slow_op_threshold: Duration,
-    flight_capacity: usize,
     telemetry_level: TelemetryLevel,
 }
 
@@ -279,15 +277,9 @@ impl EvoStoreClientBuilder {
         self
     }
 
-    /// Keep `factor` replicas of every model (successor-chain placement,
-    /// [`ReplicationPolicy`]). Must match the deployment's policy —
+    /// The replica placement policy ([`ReplicationPolicy`]). Must match
+    /// the deployment's —
     /// [`crate::deployment::Deployment::client_builder`] pre-wires it.
-    pub fn replication_factor(mut self, factor: usize) -> Self {
-        self.replication = ReplicationPolicy::new(factor);
-        self
-    }
-
-    /// Replace the whole replica placement policy.
     pub fn replication(mut self, policy: ReplicationPolicy) -> Self {
         self.replication = policy;
         self
@@ -310,12 +302,6 @@ impl EvoStoreClientBuilder {
         self
     }
 
-    /// Flight-recorder ring capacity for this client.
-    pub fn flight_capacity(mut self, cap: usize) -> Self {
-        self.flight_capacity = cap;
-        self
-    }
-
     /// How much per-op telemetry to produce ([`TelemetryLevel::Full`]
     /// by default). [`TelemetryLevel::Minimal`] skips spans, exemplars,
     /// SLO accounting, and the resource ledger — the measurement lever
@@ -331,10 +317,10 @@ impl EvoStoreClientBuilder {
         let n = self.providers.len();
         let node = format!("client{}", CLIENT_SEQ.fetch_add(1, Ordering::Relaxed));
         let recorder = match &self.obs {
-            Some(hub) => hub.new_recorder(&node, self.flight_capacity),
+            Some(hub) => hub.new_recorder(&node, CLIENT_FLIGHT_EVENTS),
             None => {
                 let wall: Arc<dyn TimeSource> = Arc::new(MonotonicClock::default());
-                Arc::new(FlightRecorder::new(&node, self.flight_capacity, wall))
+                Arc::new(FlightRecorder::new(&node, CLIENT_FLIGHT_EVENTS, wall))
             }
         };
         let clock: Arc<dyn TimeSource> = match &self.obs {
@@ -417,7 +403,6 @@ impl EvoStoreClient {
             replication: ReplicationPolicy::default(),
             obs: None,
             slow_op_threshold: DEFAULT_SLOW_OP_THRESHOLD,
-            flight_capacity: CLIENT_FLIGHT_EVENTS,
             telemetry_level: TelemetryLevel::Full,
         }
     }
@@ -583,7 +568,7 @@ impl EvoStoreClient {
     ) -> Result<M::Reply> {
         let (served_by, resp, skipped) = self.unary_failover_from(targets, method, req)?;
         if skipped > 0 {
-            self.telemetry.note_read_failover();
+            self.telemetry.read_failovers.add(1);
             self.note_failover(targets[0], served_by, M::METHOD);
         }
         Ok(resp)
@@ -697,7 +682,7 @@ impl EvoStoreClient {
             });
         }
         if !unreachable.is_empty() {
-            self.telemetry.note_degraded_query();
+            self.telemetry.degraded_queries.add(1);
             evostore_obs::ledger::add_degraded_legs(unreachable.len() as u64);
             let trace_id = current_trace().map(|c| c.trace_id).unwrap_or(0);
             self.tracer.recorder().note_degraded(
@@ -854,7 +839,8 @@ impl EvoStoreClient {
         evostore_obs::ledger::add_chunks_touched(tensors_written as u64);
         evostore_obs::ledger::add_bytes_out(offset);
         self.telemetry
-            .note_bulk_segments_exposed(segments.len() as u64);
+            .bulk_segments_exposed
+            .add(segments.len() as u64);
         let bulk = self.fabric.bulk_expose_vec(segments);
 
         let req = StoreModelRequest {
@@ -913,7 +899,7 @@ impl EvoStoreClient {
                     return Err(e);
                 }
                 if debt > 0 {
-                    self.telemetry.note_under_replicated_stores(debt);
+                    self.telemetry.under_replicated_stores.add(debt);
                 }
             }
             Ok(StoreOutcome {
@@ -1157,7 +1143,7 @@ impl EvoStoreClient {
             match self.fetch_from(self.providers[idx], &req) {
                 Ok(tensors) => {
                     if attempt > 0 {
-                        self.telemetry.note_read_failover();
+                        self.telemetry.read_failovers.add(1);
                         self.note_failover(
                             self.providers[chain[0]],
                             self.providers[idx],
@@ -1427,7 +1413,7 @@ impl EvoStoreClient {
             match (reply, first_err) {
                 (Some(r), _) => {
                     if debt > 0 {
-                        self.telemetry.note_under_replicated_stores(debt);
+                        self.telemetry.under_replicated_stores.add(debt);
                     }
                     Ok(r)
                 }
@@ -1579,7 +1565,7 @@ impl EvoStoreClient {
             }
         }
         if refs_parked > 0 {
-            self.telemetry.note_parked_decrements(refs_parked as u64);
+            self.telemetry.parked_decrements.add(refs_parked as u64);
         }
         if let Some(e) = permanent {
             return Err(e);

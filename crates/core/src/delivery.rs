@@ -174,7 +174,7 @@ impl DeliveryHub {
 
     /// Delivery counters snapshot.
     pub fn stats(&self) -> DeliverStats {
-        self.metrics.stats()
+        self.metrics.snapshot()
     }
 
     // ---- subscription management ----------------------------------------
@@ -234,10 +234,8 @@ impl DeliveryHub {
             (sub_id, published)
         };
         let live = self.sub_count.fetch_add(1, Ordering::Relaxed) + 1;
-        self.metrics.subscriptions.store(live, Ordering::Relaxed);
-        self.metrics
-            .events_published
-            .fetch_add(published, Ordering::Relaxed);
+        self.metrics.subscriptions.set(live);
+        self.metrics.events_published.add(published);
         self.ensure_pump();
         self.wake.notify_all();
         SubscribeReply {
@@ -257,7 +255,7 @@ impl DeliveryHub {
             .is_some();
         if removed {
             let live = self.sub_count.fetch_sub(1, Ordering::Relaxed) - 1;
-            self.metrics.subscriptions.store(live, Ordering::Relaxed);
+            self.metrics.subscriptions.set(live);
         }
         UnsubscribeReply { removed }
     }
@@ -327,13 +325,9 @@ impl DeliveryHub {
             let tree = (kind == EventKind::Stored).then(|| {
                 let eps: Vec<u32> = matched.iter().map(|id| inner.subs[id].subscriber).collect();
                 let tree = BroadcastTree::plan(&eps, self.fanout, model.0);
-                self.metrics.releases.fetch_add(1, Ordering::Relaxed);
-                self.metrics
-                    .tree_depth
-                    .store(tree.depth() as u64, Ordering::Relaxed);
-                self.metrics
-                    .tree_width
-                    .store(tree.len() as u64, Ordering::Relaxed);
+                self.metrics.releases.add(1);
+                self.metrics.tree_depth.set(tree.depth() as u64);
+                self.metrics.tree_width.set(tree.len() as u64);
                 tree
             });
             for id in matched {
@@ -359,12 +353,8 @@ impl DeliveryHub {
             }
         }
         drop(inner);
-        self.metrics
-            .events_published
-            .fetch_add(published, Ordering::Relaxed);
-        self.metrics
-            .events_dropped
-            .fetch_add(overflow, Ordering::Relaxed);
+        self.metrics.events_published.add(published);
+        self.metrics.events_dropped.add(overflow);
         if any {
             self.wake.notify_all();
         }
@@ -452,9 +442,7 @@ impl DeliveryHub {
                 )
             })
             .collect();
-        self.metrics
-            .event_pushes
-            .fetch_add(legs.len() as u64, Ordering::Relaxed);
+        self.metrics.event_pushes.add(legs.len() as u64);
         // One `deliver.push` root span per pump round; every push
         // attempt files a child under it.
         let root = self.tracer.as_ref().map(|t| t.start_root("deliver.push"));
@@ -483,24 +471,18 @@ impl DeliveryHub {
                     let refilled = sub.fill_from_replay();
                     sub.consecutive_failures = 0;
                     sub.backoff_until = None;
-                    self.metrics
-                        .events_delivered
-                        .fetch_add(acked, Ordering::Relaxed);
-                    self.metrics
-                        .events_published
-                        .fetch_add(refilled, Ordering::Relaxed);
+                    self.metrics.events_delivered.add(acked);
+                    self.metrics.events_published.add(refilled);
                 }
                 Err(_) => {
                     sub.consecutive_failures += 1;
-                    self.metrics.push_failures.fetch_add(1, Ordering::Relaxed);
+                    self.metrics.push_failures.add(1);
                     if sub.consecutive_failures >= DEAD_AFTER {
                         let pending = (sub.queue.pending_len() + sub.replay.len()) as u64;
                         inner.subs.remove(&job.sub_id);
                         let live = self.sub_count.fetch_sub(1, Ordering::Relaxed) - 1;
-                        self.metrics.subscriptions.store(live, Ordering::Relaxed);
-                        self.metrics
-                            .events_dropped
-                            .fetch_add(pending, Ordering::Relaxed);
+                        self.metrics.subscriptions.set(live);
+                        self.metrics.events_dropped.add(pending);
                     } else {
                         sub.backoff_until =
                             Some(Instant::now() + PUSH_BACKOFF * sub.consecutive_failures.min(8));

@@ -251,7 +251,7 @@ impl Deployment {
         }
         // The fork-join pool is process-wide: one series, registered
         // here rather than once per provider.
-        obs.registry().register(crate::par::metrics);
+        obs.registry().register(|| crate::par::stats().rows(&[]));
         let tracer = Arc::new(Tracer::new(
             "deployment",
             Arc::clone(obs.clock()),

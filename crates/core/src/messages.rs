@@ -7,6 +7,7 @@
 
 use evostore_graph::{CompactGraph, IndexQueryStats, LcpResult};
 use evostore_kv::MetricsSnapshot;
+use evostore_obs::counter_set;
 use evostore_tensor::{ModelId, TensorKey};
 use serde::{Deserialize, Serialize};
 
@@ -614,179 +615,105 @@ pub struct SyncRefsReply {
     pub missing: usize,
 }
 
-/// Provider statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
-pub struct ProviderStats {
-    /// Models whose metadata lives here.
-    pub models: usize,
-    /// Distinct architecture signatures in the local catalog (the
-    /// ancestor-query index's dedup denominator).
-    pub distinct_archs: usize,
-    /// Distinct cone hashes the ancestor-query index holds a posting list
-    /// for.
-    #[serde(default)]
-    pub index_cone_keys: usize,
-    /// Posting entries over all of them (one per distinct cone of each
-    /// distinct architecture): what the index costs in memory.
-    #[serde(default)]
-    pub index_postings: usize,
-    /// Live tensors hosted here.
-    pub tensors: usize,
-    /// Bytes of live tensor payload.
-    pub tensor_bytes: u64,
-    /// Approximate metadata bytes (owner maps).
-    pub metadata_bytes: u64,
-    /// Cumulative ancestor/pattern query counters (scanned, deduped,
-    /// pruned) since this provider started.
-    pub query_stats: IndexQueryStats,
-    /// Tensor-store backend counters (ops + bytes moved). `default` so
-    /// replies from pre-observability providers still decode.
-    #[serde(default)]
-    pub tensor_kv: MetricsSnapshot,
-    /// Metadata-store backend counters.
-    #[serde(default)]
-    pub meta_kv: MetricsSnapshot,
-    /// Segments handed to vectored bulk exposure by read-side handlers
-    /// (zero-copy scatter-gather data plane).
-    #[serde(default)]
-    pub bulk_segments_exposed: u64,
-    /// Tensor reads served without copying the payload (shared-buffer
-    /// clone of a memory-resident value).
-    #[serde(default)]
-    pub zero_copy_reads: u64,
-    /// Tensor reads that fell back to a copying `get` (disk-resident
-    /// record or a delta that had to be reconstructed).
-    #[serde(default)]
-    pub copy_fallback_reads: u64,
-    /// Store requests whose manifest validation was shared out over the
-    /// fork-join pool ([`crate::par`]); a store under the inline
-    /// threshold, or on a host with one core, does not count.
-    #[serde(default)]
-    pub validate_par_batches: u64,
-    /// [`crate::par::map`] calls shared out over the pool. The pool is
-    /// process-wide, so the three `par_*` values cover every provider
-    /// and client in the process and [`ProviderStats::merge`] keeps the
-    /// larger instead of adding.
-    #[serde(default)]
-    pub par_forked_total: u64,
-    /// [`crate::par::map`] calls run inline on the caller.
-    #[serde(default)]
-    pub par_inline_total: u64,
-    /// Helper threads in the pool (`available_parallelism() − 1`).
-    #[serde(default)]
-    pub par_helpers: u64,
-    /// Records stored as parent deltas rather than raw bytes.
-    #[serde(default)]
-    pub delta_stored: u64,
-    /// Delta decodes performed to serve reads (one per chain link).
-    #[serde(default)]
-    pub delta_reconstructs: u64,
-    /// Delta records rewritten back to raw bytes (base reclaimed, or a
-    /// maintenance re-base pass).
-    #[serde(default)]
-    pub delta_rebased: u64,
-    /// Live content-addressed chunks (zero on unchunked backends).
-    #[serde(default)]
-    pub chunks: u64,
-    /// Chunk writes absorbed by deduplication.
-    #[serde(default)]
-    pub chunk_dedup_hits: u64,
-    /// Bytes the chunked records claim to hold (pre-dedup).
-    #[serde(default)]
-    pub chunk_logical_bytes: u64,
-    /// Bytes actually occupied by deduplicated chunk payloads.
-    #[serde(default)]
-    pub chunk_physical_bytes: u64,
-    /// Catalog snapshots published (one per store/retire/sync mutation).
-    #[serde(default)]
-    pub snapshot_publications: u64,
-    /// Lock-free snapshot pins taken by read handlers.
-    #[serde(default)]
-    pub snapshot_reads: u64,
-    /// Snapshots swapped out but not yet reclaimed (still pinned by a
-    /// reader at the last publication) — a gauge, near-zero at rest.
-    #[serde(default)]
-    pub snapshot_retired: u64,
-    /// Batched query envelopes served (`LCP_BATCH` + `MATCH_PATTERN_BATCH`).
-    #[serde(default)]
-    pub batch_envelopes: u64,
-    /// Individual queries delivered inside batched envelopes.
-    #[serde(default)]
-    pub batch_queries: u64,
-    /// Delivery-plane counters (subscriptions, event pushes, broadcast
-    /// trees).
-    #[serde(default)]
-    pub deliver: evostore_deliver::DeliverStats,
-    /// Chunk hashes this provider was asked to probe for possession
-    /// (negotiated-transfer offers it received as a sync target, plus
-    /// chunk-aware watcher fetches it served).
-    #[serde(default)]
-    pub transfer_chunks_offered: u64,
-    /// Chunk payloads this provider shipped for negotiated transfers.
-    #[serde(default)]
-    pub transfer_chunks_sent: u64,
-    /// Offered chunks the negotiation elided (already held by the
-    /// receiving side).
-    #[serde(default)]
-    pub transfer_chunks_skipped: u64,
-    /// Delta-encoded records that crossed the wire verbatim (never
-    /// materialized) during sync.
-    #[serde(default)]
-    pub transfer_deltas_shipped: u64,
-    /// Payload bytes negotiation kept off the wire.
-    #[serde(default)]
-    pub transfer_bytes_saved: u64,
-}
-
-impl ProviderStats {
-    /// Element-wise sum (the reduce step of a stats broadcast); the
-    /// process-wide `par_*` values take the maximum.
-    pub fn merge(self, other: ProviderStats) -> ProviderStats {
-        ProviderStats {
-            models: self.models + other.models,
-            distinct_archs: self.distinct_archs + other.distinct_archs,
-            index_cone_keys: self.index_cone_keys + other.index_cone_keys,
-            index_postings: self.index_postings + other.index_postings,
-            tensors: self.tensors + other.tensors,
-            tensor_bytes: self.tensor_bytes + other.tensor_bytes,
-            metadata_bytes: self.metadata_bytes + other.metadata_bytes,
-            query_stats: self.query_stats.merge(other.query_stats),
-            tensor_kv: {
-                let mut kv = self.tensor_kv;
-                kv.merge(&other.tensor_kv);
-                kv
-            },
-            meta_kv: {
-                let mut kv = self.meta_kv;
-                kv.merge(&other.meta_kv);
-                kv
-            },
-            bulk_segments_exposed: self.bulk_segments_exposed + other.bulk_segments_exposed,
-            zero_copy_reads: self.zero_copy_reads + other.zero_copy_reads,
-            copy_fallback_reads: self.copy_fallback_reads + other.copy_fallback_reads,
-            validate_par_batches: self.validate_par_batches + other.validate_par_batches,
-            par_forked_total: self.par_forked_total.max(other.par_forked_total),
-            par_inline_total: self.par_inline_total.max(other.par_inline_total),
-            par_helpers: self.par_helpers.max(other.par_helpers),
-            delta_stored: self.delta_stored + other.delta_stored,
-            delta_reconstructs: self.delta_reconstructs + other.delta_reconstructs,
-            delta_rebased: self.delta_rebased + other.delta_rebased,
-            chunks: self.chunks + other.chunks,
-            chunk_dedup_hits: self.chunk_dedup_hits + other.chunk_dedup_hits,
-            chunk_logical_bytes: self.chunk_logical_bytes + other.chunk_logical_bytes,
-            chunk_physical_bytes: self.chunk_physical_bytes + other.chunk_physical_bytes,
-            snapshot_publications: self.snapshot_publications + other.snapshot_publications,
-            snapshot_reads: self.snapshot_reads + other.snapshot_reads,
-            snapshot_retired: self.snapshot_retired + other.snapshot_retired,
-            batch_envelopes: self.batch_envelopes + other.batch_envelopes,
-            batch_queries: self.batch_queries + other.batch_queries,
-            deliver: self.deliver.merge(other.deliver),
-            transfer_chunks_offered: self.transfer_chunks_offered + other.transfer_chunks_offered,
-            transfer_chunks_sent: self.transfer_chunks_sent + other.transfer_chunks_sent,
-            transfer_chunks_skipped: self.transfer_chunks_skipped + other.transfer_chunks_skipped,
-            transfer_deltas_shipped: self.transfer_deltas_shipped + other.transfer_deltas_shipped,
-            transfer_bytes_saved: self.transfer_bytes_saved + other.transfer_bytes_saved,
-        }
+counter_set! {
+    /// The counters a provider's handlers bump: the `atomic` lines of the
+    /// table. Everything else in [`ProviderStats`] is worked out from
+    /// the provider's state when `STATS` is served.
+    pub struct ProviderCounters;
+    /// Provider statistics: the `STATS` reply, the reduce step of a stats
+    /// broadcast ([`ProviderStats::merge`]) and, through
+    /// [`ProviderStats::rows`], the provider's exported series.
+    #[derive(Copy)]
+    pub struct ProviderStats {
+        /// Models whose metadata lives here.
+        models: computed sum gauge "evostore_provider_models",
+        /// Distinct architecture signatures in the local catalog (the
+        /// ancestor-query index's dedup denominator).
+        distinct_archs: computed sum gauge "evostore_provider_distinct_archs" | "evostore_index_distinct_architectures",
+        /// Distinct cone hashes the ancestor-query index holds a posting
+        /// list for.
+        index_cone_keys: computed sum gauge "evostore_index_cone_keys",
+        /// Posting entries over all of them (one per distinct cone of each
+        /// distinct architecture): what the index costs in memory.
+        index_postings: computed sum gauge "evostore_index_postings",
+        /// Live tensors hosted here.
+        tensors: computed sum gauge "evostore_provider_tensors",
+        /// Bytes of live tensor payload.
+        tensor_bytes: computed sum gauge "evostore_provider_tensor_bytes",
+        /// Approximate metadata bytes (owner maps).
+        metadata_bytes: computed sum gauge "evostore_provider_metadata_bytes",
+        /// Cumulative ancestor/pattern query counters (scanned, deduped,
+        /// pruned) since this provider started.
+        query_stats: nested(IndexQueryStats),
+        /// Tensor-store backend counters (ops + bytes moved).
+        tensor_kv: nested(MetricsSnapshot),
+        /// Metadata-store backend counters.
+        meta_kv: nested(MetricsSnapshot),
+        /// Segments handed to vectored bulk exposure by read-side handlers
+        /// (zero-copy scatter-gather data plane).
+        bulk_segments_exposed: atomic sum counter "evostore_datapath_bulk_segments_exposed",
+        /// Tensor reads served without copying the payload (shared-buffer
+        /// clone of a memory-resident value).
+        zero_copy_reads: atomic sum counter "evostore_datapath_zero_copy_reads",
+        /// Tensor reads that fell back to a copying `get` (disk-resident
+        /// record or a delta that had to be reconstructed).
+        copy_fallback_reads: atomic sum counter "evostore_datapath_copy_fallback_reads",
+        /// Store requests whose manifest validation was shared out over
+        /// the fork-join pool ([`crate::par`]); a store under the inline
+        /// threshold, or on a host with one core, does not count.
+        validate_par_batches: atomic sum counter "evostore_datapath_validate_par_batches",
+        /// [`crate::par::map`] calls shared out over the pool. The pool is
+        /// process-wide (exported once, by the deployment), so the three
+        /// `par_*` values merge by maximum.
+        par_forked_total: computed max hidden,
+        /// [`crate::par::map`] calls run inline on the caller.
+        par_inline_total: computed max hidden,
+        /// Helper threads in the pool (`available_parallelism() − 1`).
+        par_helpers: computed max hidden,
+        /// Records stored as parent deltas rather than raw bytes.
+        delta_stored: atomic sum counter "evostore_delta_stored",
+        /// Delta decodes performed to serve reads (one per chain link).
+        delta_reconstructs: atomic sum counter "evostore_delta_reconstructs",
+        /// Delta records rewritten back to raw bytes (base reclaimed, or a
+        /// maintenance re-base pass).
+        delta_rebased: atomic sum counter "evostore_delta_rebased",
+        /// Live content-addressed chunks (zero on unchunked backends).
+        chunks: computed sum gauge "evostore_chunk_count",
+        /// Chunk writes absorbed by deduplication.
+        chunk_dedup_hits: computed sum counter "evostore_chunk_dedup_hits",
+        /// Bytes the chunked records claim to hold (pre-dedup).
+        chunk_logical_bytes: computed sum gauge "evostore_chunk_logical_bytes",
+        /// Bytes actually occupied by deduplicated chunk payloads.
+        chunk_physical_bytes: computed sum gauge "evostore_chunk_physical_bytes",
+        /// Catalog snapshots published (one per store/retire/sync mutation).
+        snapshot_publications: computed sum counter "evostore_index_snapshot_publications",
+        /// Snapshot pins taken by read handlers.
+        snapshot_reads: atomic sum counter "evostore_index_snapshot_reads",
+        /// Retired with the hazard-slot cell (a swapped-out snapshot is
+        /// dropped by its last reader): always 0. Kept while the benchmark
+        /// reads it.
+        snapshot_retired: computed sum hidden,
+        /// Batched query envelopes served (`LCP_BATCH` + `MATCH_PATTERN_BATCH`).
+        batch_envelopes: atomic sum counter "evostore_index_batch_envelopes",
+        /// Individual queries delivered inside batched envelopes.
+        batch_queries: atomic sum counter "evostore_index_batch_queries",
+        /// Delivery-plane counters (subscriptions, event pushes, broadcast
+        /// trees).
+        deliver: nested(evostore_deliver::DeliverStats),
+        /// Chunk hashes this provider was asked to probe for possession
+        /// (negotiated-transfer offers it received as a sync target, plus
+        /// chunk-aware watcher fetches it served).
+        transfer_chunks_offered: atomic sum counter "evostore_transfer_chunks_offered",
+        /// Chunk payloads this provider shipped for negotiated transfers.
+        transfer_chunks_sent: atomic sum counter "evostore_transfer_chunks_sent",
+        /// Offered chunks the negotiation elided (already held by the
+        /// receiving side).
+        transfer_chunks_skipped: atomic sum counter "evostore_transfer_chunks_skipped",
+        /// Delta-encoded records that crossed the wire verbatim (never
+        /// materialized) during sync.
+        transfer_deltas_shipped: atomic sum counter "evostore_transfer_deltas_shipped",
+        /// Payload bytes negotiation kept off the wire.
+        transfer_bytes_saved: atomic sum counter "evostore_transfer_bytes_saved",
     }
 }
 
@@ -801,9 +728,12 @@ pub struct ObsSnapshotRequest {}
 mod tests {
     use super::*;
 
-    #[test]
-    fn stats_merge_sums() {
-        let a = ProviderStats {
+    /// `STATS` as commit `afe1fe9` (the parent of the table form) encoded
+    /// [`sample_stats`]: every field it had, in its order.
+    const PARENT_STATS_JSON: &str = r#"{"models":1,"distinct_archs":1,"index_cone_keys":5,"index_postings":7,"tensors":2,"tensor_bytes":100,"metadata_bytes":16,"query_stats":{"candidates":10,"scanned":2,"memo_hits":3,"deduped":4,"pruned":1,"prefiltered":1,"answered":2},"tensor_kv":{"puts":2,"gets":0,"misses":0,"deletes":0,"bytes_written":100,"bytes_read":0},"meta_kv":{"puts":0,"gets":0,"misses":0,"deletes":0,"bytes_written":0,"bytes_read":0},"bulk_segments_exposed":5,"zero_copy_reads":4,"copy_fallback_reads":1,"validate_par_batches":2,"par_forked_total":7,"par_inline_total":40,"par_helpers":1,"delta_stored":3,"delta_reconstructs":6,"delta_rebased":1,"chunks":10,"chunk_dedup_hits":7,"chunk_logical_bytes":2048,"chunk_physical_bytes":1024,"snapshot_publications":4,"snapshot_reads":20,"snapshot_retired":1,"batch_envelopes":2,"batch_queries":9,"deliver":{"subscriptions":0,"events_published":5,"events_delivered":0,"events_dropped":0,"event_pushes":0,"push_failures":0,"releases":0,"tree_depth":2,"tree_width":0},"transfer_chunks_offered":10,"transfer_chunks_sent":3,"transfer_chunks_skipped":7,"transfer_deltas_shipped":2,"transfer_bytes_saved":4096}"#;
+
+    fn sample_stats() -> ProviderStats {
+        ProviderStats {
             models: 1,
             distinct_archs: 1,
             index_cone_keys: 5,
@@ -855,7 +785,22 @@ mod tests {
             transfer_chunks_skipped: 7,
             transfer_deltas_shipped: 2,
             transfer_bytes_saved: 4096,
-        };
+        }
+    }
+
+    #[test]
+    fn stats_wire_shape_is_the_hand_written_one() {
+        let decoded: ProviderStats = serde_json::from_str(PARENT_STATS_JSON).unwrap();
+        assert_eq!(decoded, sample_stats());
+        assert_eq!(
+            serde_json::to_string(&sample_stats()).unwrap(),
+            PARENT_STATS_JSON
+        );
+    }
+
+    #[test]
+    fn stats_merge_sums() {
+        let a = sample_stats();
         let b = ProviderStats {
             models: 3,
             distinct_archs: 2,

@@ -22,12 +22,12 @@
 use std::any::Any;
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 
 use evostore_obs::ledger::{current_costs, install_costs};
-use evostore_obs::{current_trace, set_current_trace, Metric};
+use evostore_obs::{counter_set, current_trace, set_current_trace};
 
 /// Calls that walk fewer bytes than this run inline. From the sweep in
 /// EXPERIMENTS.md "Payload-path parallelism" (store + load of 4-layer
@@ -36,9 +36,6 @@ use evostore_obs::{current_trace, set_current_trace, Metric};
 /// level) and wins 22 % / 12 % at 2 MiB — so 1 MiB is the first size at
 /// which nothing loses.
 const MIN_FORK_BYTES: usize = 1024 * 1024;
-
-static FORKED: AtomicU64 = AtomicU64::new(0);
-static INLINE: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     /// Set on helper threads for good and on a caller while it runs its
@@ -68,34 +65,31 @@ pub fn forks(items: usize, weight_bytes: usize) -> bool {
     global().forks(items, weight_bytes)
 }
 
-/// What the pool has done since the process started.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParStats {
-    /// Calls shared out over the pool.
-    pub forked: u64,
-    /// Calls run inline on the caller.
-    pub inline: u64,
-    /// Helper threads in the pool (the caller is the extra worker).
-    pub helpers: u64,
+counter_set! {
+    /// Process-wide pool counters, bumped by every [`map`].
+    struct ParCounters;
+    /// What the pool has done since the process started. The pool is
+    /// process-wide, so every node of a process reports the same values
+    /// and a merge keeps the larger instead of adding.
+    #[derive(Copy, Eq)]
+    pub struct ParStats {
+        /// Calls shared out over the pool.
+        forked: atomic max counter "evostore_par_forked_total",
+        /// Calls run inline on the caller.
+        inline: atomic max counter "evostore_par_inline_total",
+        /// Helper threads in the pool (the caller is the extra worker).
+        helpers: computed max gauge "evostore_par_helpers",
+    }
 }
+
+static COUNTERS: ParCounters = ParCounters::new();
 
 /// Process-wide pool counters.
 pub fn stats() -> ParStats {
     ParStats {
-        forked: FORKED.load(Ordering::Relaxed),
-        inline: INLINE.load(Ordering::Relaxed),
         helpers: global().helpers.len() as u64,
+        ..COUNTERS.snapshot()
     }
-}
-
-/// The pool counters as registry metrics (one process-wide series each).
-pub fn metrics() -> Vec<Metric> {
-    let s = stats();
-    vec![
-        Metric::counter("evostore_par_forked_total", s.forked),
-        Metric::counter("evostore_par_inline_total", s.inline),
-        Metric::gauge("evostore_par_helpers", s.helpers as f64),
-    ]
 }
 
 fn global() -> &'static Pool {
@@ -176,10 +170,10 @@ impl Pool {
         F: Fn(&T) -> R + Sync,
     {
         if !self.forks(items.len(), weight_bytes) {
-            INLINE.fetch_add(1, Ordering::Relaxed);
+            COUNTERS.inline.add(1);
             return items.iter().map(f).collect();
         }
-        FORKED.fetch_add(1, Ordering::Relaxed);
+        COUNTERS.forked.add(1);
 
         let trace = current_trace();
         let costs = current_costs();

@@ -103,19 +103,6 @@ impl StorePolicy {
         }
     }
 
-    /// Override the chunk size (switches chunking on).
-    pub fn with_chunk_size(mut self, chunk_size: usize) -> StorePolicy {
-        assert!(chunk_size > 0, "chunk size must be positive");
-        self.chunking = ChunkingPolicy::Chunked { chunk_size };
-        self
-    }
-
-    /// Switch delta encoding on/off.
-    pub fn with_delta(mut self, enabled: bool) -> StorePolicy {
-        self.delta.enabled = enabled;
-        self
-    }
-
     /// Override the delta chain bound.
     pub fn with_max_chain_depth(mut self, depth: u8) -> StorePolicy {
         self.delta.max_chain_depth = depth;
@@ -136,9 +123,11 @@ mod tests {
 
     #[test]
     fn builders_compose() {
-        let p = StorePolicy::chunked_with_delta()
-            .with_chunk_size(1024)
-            .with_max_chain_depth(5);
+        let p = StorePolicy {
+            chunking: ChunkingPolicy::Chunked { chunk_size: 1024 },
+            ..StorePolicy::chunked_with_delta()
+        }
+        .with_max_chain_depth(5);
         assert_eq!(p.chunking, ChunkingPolicy::Chunked { chunk_size: 1024 });
         assert!(p.delta.enabled);
         assert_eq!(p.delta.max_chain_depth, 5);

@@ -210,7 +210,7 @@ impl ProviderState {
         // gathering: a record pushed as a rope around the caller's payload
         // is sliced, checked and stored as that rope.
         if par::forks(req.manifest.len(), region.len()) {
-            self.validate_par_batches.fetch_add(1, Ordering::Relaxed);
+            self.counters.validate_par_batches.add(1);
         }
         let validated = par::map(&req.manifest, region.len(), |entry| {
             let (off, len) = (entry.offset as usize, entry.len as usize);
@@ -283,7 +283,7 @@ impl ProviderState {
                         .entry(base_enc)
                         .or_default()
                         .push(key.encode().to_vec());
-                    self.delta_stored.fetch_add(1, Ordering::Relaxed);
+                    self.counters.delta_stored.add(1);
                 }
                 None => {
                     self.tensors
@@ -415,9 +415,11 @@ impl ProviderState {
     }
 
     /// Handle a batched LCP scan: every query in the envelope is answered
-    /// against *one* pinned snapshot (coherent across the batch), fanned
-    /// across the rayon pool. Dispatch, tracing, and snapshot acquisition
-    /// are paid once per envelope instead of once per query.
+    /// against *one* pinned snapshot (coherent across the batch), one
+    /// after another on the service thread (the vendored `rayon`
+    /// stand-in's `par_iter()` is `iter()`). Dispatch, tracing, and
+    /// snapshot acquisition are paid once per envelope instead of once
+    /// per query.
     pub fn handle_lcp_batch(&self, req: LcpBatchRequest) -> Result<LcpBatchReply, String> {
         req.graphs.iter().try_for_each(wire_graph)?;
         let snap = self.catalog_snapshot();
@@ -430,9 +432,8 @@ impl ProviderState {
             .iter()
             .fold(IndexQueryStats::default(), |acc, r| acc.merge(r.stats));
         self.query_stats.note(agg);
-        self.batch_envelopes.fetch_add(1, Ordering::Relaxed);
-        self.batch_queries
-            .fetch_add(req.graphs.len() as u64, Ordering::Relaxed);
+        self.counters.batch_envelopes.add(1);
+        self.counters.batch_queries.add(req.graphs.len() as u64);
         Ok(LcpBatchReply { replies })
     }
 
@@ -542,9 +543,8 @@ impl ProviderState {
             .iter()
             .fold(IndexQueryStats::default(), |acc, r| acc.merge(r.stats));
         self.query_stats.note(agg);
-        self.batch_envelopes.fetch_add(1, Ordering::Relaxed);
-        self.batch_queries
-            .fetch_add(req.patterns.len() as u64, Ordering::Relaxed);
+        self.counters.batch_envelopes.add(1);
+        self.counters.batch_queries.add(req.patterns.len() as u64);
         Ok(PatternBatchReply { replies })
     }
 

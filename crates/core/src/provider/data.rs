@@ -2,7 +2,6 @@
 //! bulk regions (zero-copy for memory-resident records), and the
 //! model-private optimizer state attached to a stored model.
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -118,9 +117,8 @@ impl ProviderState {
                 fallback += 1;
             }
         }
-        self.zero_copy_reads.fetch_add(zero_copy, Ordering::Relaxed);
-        self.copy_fallback_reads
-            .fetch_add(fallback, Ordering::Relaxed);
+        self.counters.zero_copy_reads.add(zero_copy);
+        self.counters.copy_fallback_reads.add(fallback);
         manifest
     }
 
@@ -128,8 +126,9 @@ impl ProviderState {
     /// segments join the region's, no copy.
     fn expose_records(&self, records: Vec<(Vec<Bytes>, bool)>) -> evostore_rpc::BulkHandle {
         let segments: Vec<Bytes> = records.into_iter().flat_map(|(r, _)| r).collect();
-        self.bulk_segments_exposed
-            .fetch_add(segments.len() as u64, Ordering::Relaxed);
+        self.counters
+            .bulk_segments_exposed
+            .add(segments.len() as u64);
         self.fabric.bulk_expose_vec(segments)
     }
 

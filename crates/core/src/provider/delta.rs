@@ -3,8 +3,6 @@
 //! and re-based to raw bytes before anything they depend on is
 //! reclaimed (no reference counts are taken on bases).
 
-use std::sync::atomic::Ordering;
-
 use bytes::Bytes;
 use evostore_tensor::{decode_delta, delta_header, encode_delta_segments, is_delta, TensorKey};
 
@@ -42,7 +40,7 @@ impl ProviderState {
         // Decode back up the chain.
         while let Some(delta) = chain.pop() {
             raw = decode_delta(&delta, &raw).map_err(|e| format!("delta decode: {e}"))?;
-            self.delta_reconstructs.fetch_add(1, Ordering::Relaxed);
+            self.counters.delta_reconstructs.add(1);
         }
         Ok(raw)
     }
@@ -128,7 +126,7 @@ impl ProviderState {
             self.tensors
                 .replace(dep, raw?)
                 .map_err(|e| format!("re-base dependent record: {e}"))?;
-            self.delta_rebased.fetch_add(1, Ordering::Relaxed);
+            self.counters.delta_rebased.add(1);
         }
         // If the dying record is itself a delta, drop it from its base's
         // dependent list so the base never re-bases a reclaimed key.
@@ -182,7 +180,7 @@ impl ProviderState {
                 }
             }
             drop(deps);
-            self.delta_rebased.fetch_add(1, Ordering::Relaxed);
+            self.counters.delta_rebased.add(1);
             rewritten += 1;
         }
         Ok(rewritten)

@@ -22,6 +22,8 @@ mod data;
 mod delta;
 mod refs;
 mod stats;
+
+pub use stats::{index_query_rows, kv_rows};
 mod transfer;
 
 use std::collections::HashMap;
@@ -43,7 +45,7 @@ use parking_lot::{Mutex, RwLock};
 use evostore_deliver::{SubscribeReply, SubscribeRequest, UnsubscribeReply, UnsubscribeRequest};
 
 use crate::delivery::{CatalogChange, DeliveryHub};
-use crate::messages::{GetMetaRequest, Tombstone};
+use crate::messages::{GetMetaRequest, ProviderCounters, Tombstone};
 use crate::methods;
 use crate::owner_map::OwnerMap;
 use crate::policy::DeltaPolicy;
@@ -77,7 +79,7 @@ pub struct ModelRecord {
 /// This is the *writer-side* authoritative state. Read handlers never
 /// touch it: every mutation ends by publishing an immutable
 /// [`CatalogSnapshot`] ([`ProviderState::mutate_catalog`]), and the read
-/// path pins that snapshot with zero locks.
+/// path pins that snapshot without taking the catalog lock.
 struct Catalog {
     records: HashMap<ModelId, Arc<ModelRecord>>,
     index: ArchIndex,
@@ -132,7 +134,7 @@ impl Catalog {
 }
 
 /// An immutable view of one provider's catalog, published atomically
-/// after every mutation and pinned lock-free by every read handler. A
+/// after every mutation and pinned (one `Arc` clone) by every read handler. A
 /// reader always observes records and index from the *same* publication
 /// — never a half-applied store or retire.
 pub struct CatalogSnapshot {
@@ -312,9 +314,8 @@ pub struct ProviderState {
     tensors: RefCountedStore<Box<dyn KvBackend>>,
     catalog: RwLock<Catalog>,
     /// The published immutable catalog view. Writers rebuild and swap it
-    /// (one atomic pointer store) while still holding the catalog write
-    /// lock, so publication order equals mutation order; read handlers
-    /// pin it with zero locks.
+    /// while still holding the catalog write lock, so publication order
+    /// equals mutation order; read handlers pin it without that lock.
     snapshot: SnapshotCell<CatalogSnapshot>,
     /// Durable catalog records (separate namespace from tensors).
     meta_store: Box<dyn KvBackend>,
@@ -333,28 +334,14 @@ pub struct ProviderState {
     /// Cumulative per-query index statistics (LCP and pattern scans),
     /// bumped lock-free by every query handler.
     query_stats: AtomicQueryStats,
-    /// Lock-free snapshot pins taken by read handlers.
-    snapshot_reads: AtomicU64,
-    /// Batched query envelopes served, and queries delivered in them.
-    batch_envelopes: AtomicU64,
-    batch_queries: AtomicU64,
+    /// Every other counter the handlers bump — the `atomic` lines of
+    /// the [`ProviderStats`](crate::messages::ProviderStats) table.
+    counters: ProviderCounters,
     /// Span factory for this provider; its flight recorder is the
     /// provider's postmortem ring.
     tracer: Tracer,
     /// This provider's fabric address (stamped on handler spans).
     endpoint_id: u32,
-    /// Segments handed to `bulk_expose_vec` by read-side handlers.
-    bulk_segments_exposed: AtomicU64,
-    /// Tensor reads served as shared-buffer clones of memory-resident
-    /// values (no payload copy on the provider).
-    zero_copy_reads: AtomicU64,
-    /// Tensor reads that fell back to a copying `get` (disk-resident
-    /// record or a delta that had to be reconstructed).
-    copy_fallback_reads: AtomicU64,
-    /// Store requests whose manifest validation was shared out over the
-    /// fork-join pool ([`crate::par`]; decode-free `validate_segments`
-    /// path).
-    validate_par_batches: AtomicU64,
     /// Encoded `GET_META` replies keyed by model, each stamped with the
     /// record timestamp it was built from. A hit serves the cached JSON
     /// bytes without re-cloning the compact graph; a timestamp mismatch
@@ -369,26 +356,6 @@ pub struct ProviderState {
     /// instead, every reclaim path re-bases dependents to raw bytes
     /// before the base dies. Rebuilt from record headers on recovery.
     delta_deps: Mutex<HashMap<Vec<u8>, Vec<Vec<u8>>>>,
-    /// Records stored as parent deltas rather than raw bytes.
-    delta_stored: AtomicU64,
-    /// Delta decodes performed to serve reads (one per chain link).
-    delta_reconstructs: AtomicU64,
-    /// Delta records rewritten back to raw bytes (base reclaimed, or a
-    /// maintenance re-base pass).
-    delta_rebased: AtomicU64,
-    /// Chunk hashes this provider was asked to probe for possession
-    /// (negotiated transfers it served as a sync target or chunk-aware
-    /// fetch source).
-    transfer_chunks_offered: AtomicU64,
-    /// Chunk payloads shipped for negotiated transfers.
-    transfer_chunks_sent: AtomicU64,
-    /// Offered chunks the negotiation elided (already held by the
-    /// receiving side).
-    transfer_chunks_skipped: AtomicU64,
-    /// Delta-encoded records that crossed the wire verbatim during sync.
-    transfer_deltas_shipped: AtomicU64,
-    /// Payload bytes negotiation kept off the wire.
-    transfer_bytes_saved: AtomicU64,
     /// Subscription matching and event delivery for this provider's
     /// catalog publications (the delivery plane).
     delivery: Arc<DeliveryHub>,
@@ -432,10 +399,10 @@ impl ProviderState {
         out
     }
 
-    /// Pin the current published catalog snapshot (lock-free; what every
-    /// read handler serves from).
+    /// Pin the current published catalog snapshot (what every read
+    /// handler serves from).
     pub fn catalog_snapshot(&self) -> Arc<CatalogSnapshot> {
-        self.snapshot_reads.fetch_add(1, Ordering::Relaxed);
+        self.counters.snapshot_reads.add(1);
         self.snapshot.load()
     }
 
@@ -704,26 +671,12 @@ impl Provider {
             tombstones: Mutex::new(HashMap::new()),
             index_enabled: AtomicBool::new(true),
             query_stats: AtomicQueryStats::default(),
-            snapshot_reads: AtomicU64::new(0),
-            batch_envelopes: AtomicU64::new(0),
-            batch_queries: AtomicU64::new(0),
+            counters: ProviderCounters::new(),
             tracer,
             endpoint_id: endpoint.id().0,
-            bulk_segments_exposed: AtomicU64::new(0),
-            zero_copy_reads: AtomicU64::new(0),
-            copy_fallback_reads: AtomicU64::new(0),
-            validate_par_batches: AtomicU64::new(0),
             meta_replies: MetaReplyCache::new(),
             delta,
             delta_deps: Mutex::new(HashMap::new()),
-            delta_stored: AtomicU64::new(0),
-            delta_reconstructs: AtomicU64::new(0),
-            delta_rebased: AtomicU64::new(0),
-            transfer_chunks_offered: AtomicU64::new(0),
-            transfer_chunks_sent: AtomicU64::new(0),
-            transfer_chunks_skipped: AtomicU64::new(0),
-            transfer_deltas_shipped: AtomicU64::new(0),
-            transfer_bytes_saved: AtomicU64::new(0),
             delivery,
             ledger: Arc::new(OpLedger::new()),
             hub_attached: obs.is_some(),

@@ -1,13 +1,42 @@
-//! What a provider reports about itself: the `STATS` counters and the
-//! observability registry snapshot built from them.
+//! What a provider reports about itself: the `STATS` reply and the
+//! observability registry snapshot built from it.
 
-use std::sync::atomic::Ordering;
-
+use evostore_graph::IndexQueryStats;
+use evostore_kv::MetricsSnapshot;
 use evostore_obs::{Metric, RegistrySnapshot};
 
 use super::ProviderState;
 use crate::messages::ProviderStats;
 use crate::par;
+
+/// `(series, value)` of an index-query leaf. `graph` and `kv` cannot name
+/// `evostore-obs`, so their two `nested` leaves of the [`ProviderStats`]
+/// table are spelled here, the one place outside a table that does.
+pub fn index_query_rows(s: &IndexQueryStats) -> [(&'static str, u64); 7] {
+    [
+        ("evostore_index_candidates", s.candidates),
+        ("evostore_index_scanned", s.scanned),
+        // Retired with the memo and the answer cache (always 0); kept
+        // registered until the benchmark stops reading them.
+        ("evostore_index_memo_hits", s.memo_hits),
+        ("evostore_index_deduped", s.deduped),
+        ("evostore_index_pruned", s.pruned),
+        ("evostore_index_prefilter_rejected", s.prefiltered),
+        ("evostore_index_answered", s.answered),
+    ]
+}
+
+/// `(series, value)` of a kv-backend leaf (exported once per store).
+pub fn kv_rows(s: &MetricsSnapshot) -> [(&'static str, u64); 6] {
+    [
+        ("evostore_kv_puts", s.puts),
+        ("evostore_kv_gets", s.gets),
+        ("evostore_kv_misses", s.misses),
+        ("evostore_kv_deletes", s.deletes),
+        ("evostore_kv_bytes_written", s.bytes_written),
+        ("evostore_kv_bytes_read", s.bytes_read),
+    ]
+}
 
 impl ProviderState {
     /// Chunk-occupancy counters of the tensor store, when the physical
@@ -16,17 +45,18 @@ impl ProviderState {
         self.tensors.backend().chunk_stats()
     }
 
-    /// Current statistics.
+    /// Current statistics: the handlers' counters as they stand, and
+    /// every `computed` and `nested` line of the table worked out here.
     pub fn stats(&self) -> ProviderStats {
-        let chunk = self.tensors.backend().chunk_stats().unwrap_or_default();
+        let chunk = self.chunk_stats().unwrap_or_default();
         let snap = self.catalog_snapshot();
         let par = par::stats();
         ProviderStats {
-            models: snap.len(),
-            distinct_archs: snap.index.distinct_architectures(),
-            index_cone_keys: snap.index.cone_keys(),
-            index_postings: snap.index.postings(),
-            tensors: self.tensors.len(),
+            models: snap.len() as u64,
+            distinct_archs: snap.index.distinct_architectures() as u64,
+            index_cone_keys: snap.index.cone_keys() as u64,
+            index_postings: snap.index.postings() as u64,
+            tensors: self.tensors.len() as u64,
             tensor_bytes: self.tensors.bytes_used() as u64,
             metadata_bytes: snap
                 .records()
@@ -39,188 +69,45 @@ impl ProviderState {
                 .metrics_snapshot()
                 .unwrap_or_default(),
             meta_kv: self.meta_store.metrics_snapshot().unwrap_or_default(),
-            bulk_segments_exposed: self.bulk_segments_exposed.load(Ordering::Relaxed),
-            zero_copy_reads: self.zero_copy_reads.load(Ordering::Relaxed),
-            copy_fallback_reads: self.copy_fallback_reads.load(Ordering::Relaxed),
-            validate_par_batches: self.validate_par_batches.load(Ordering::Relaxed),
             par_forked_total: par.forked,
             par_inline_total: par.inline,
             par_helpers: par.helpers,
-            delta_stored: self.delta_stored.load(Ordering::Relaxed),
-            delta_reconstructs: self.delta_reconstructs.load(Ordering::Relaxed),
-            delta_rebased: self.delta_rebased.load(Ordering::Relaxed),
             chunks: chunk.chunks,
             chunk_dedup_hits: chunk.dedup_hits,
             chunk_logical_bytes: chunk.logical_bytes,
             chunk_physical_bytes: chunk.physical_bytes,
             snapshot_publications: self.snapshot.swaps(),
-            snapshot_reads: self.snapshot_reads.load(Ordering::Relaxed),
-            snapshot_retired: self.snapshot.retired_len() as u64,
-            batch_envelopes: self.batch_envelopes.load(Ordering::Relaxed),
-            batch_queries: self.batch_queries.load(Ordering::Relaxed),
             deliver: self.delivery.stats(),
-            transfer_chunks_offered: self.transfer_chunks_offered.load(Ordering::Relaxed),
-            transfer_chunks_sent: self.transfer_chunks_sent.load(Ordering::Relaxed),
-            transfer_chunks_skipped: self.transfer_chunks_skipped.load(Ordering::Relaxed),
-            transfer_deltas_shipped: self.transfer_deltas_shipped.load(Ordering::Relaxed),
-            transfer_bytes_saved: self.transfer_bytes_saved.load(Ordering::Relaxed),
+            ..self.counters.snapshot()
         }
     }
 
     /// This provider's observability registry snapshot, built on demand
-    /// (the `OBS_SNAPSHOT` reply): catalog gauges, kv backend counters
-    /// per store, index query counters, and flight-ring occupancy.
+    /// (the `OBS_SNAPSHOT` reply): every series of the [`ProviderStats`]
+    /// table and of its nested sets, the per-method ledger, and
+    /// flight-ring occupancy.
     pub fn obs_snapshot(&self) -> RegistrySnapshot {
         let stats = self.stats();
-        let p = self.index;
-        let mut metrics = vec![
-            Metric::gauge("evostore_provider_models", stats.models as f64)
-                .with_label("provider", p),
-            Metric::gauge(
-                "evostore_provider_distinct_archs",
-                stats.distinct_archs as f64,
-            )
-            .with_label("provider", p),
-            Metric::gauge("evostore_provider_tensors", stats.tensors as f64)
-                .with_label("provider", p),
-            Metric::gauge("evostore_provider_tensor_bytes", stats.tensor_bytes as f64)
-                .with_label("provider", p),
-            Metric::gauge(
-                "evostore_provider_metadata_bytes",
-                stats.metadata_bytes as f64,
-            )
-            .with_label("provider", p),
-            Metric::gauge(
-                "evostore_index_distinct_architectures",
-                stats.distinct_archs as f64,
-            )
-            .with_label("provider", p),
-            Metric::gauge("evostore_index_cone_keys", stats.index_cone_keys as f64)
-                .with_label("provider", p),
-            Metric::gauge("evostore_index_postings", stats.index_postings as f64)
-                .with_label("provider", p),
-            Metric::counter("evostore_index_candidates", stats.query_stats.candidates)
-                .with_label("provider", p),
-            Metric::counter("evostore_index_scanned", stats.query_stats.scanned)
-                .with_label("provider", p),
-            // Retired with the memo and the answer cache (always 0); kept
-            // registered, like `evostore_index_answered` below, until
-            // the benchmark stops reading them.
-            Metric::counter("evostore_index_memo_hits", stats.query_stats.memo_hits)
-                .with_label("provider", p),
-            Metric::counter("evostore_index_deduped", stats.query_stats.deduped)
-                .with_label("provider", p),
-            Metric::counter("evostore_index_pruned", stats.query_stats.pruned)
-                .with_label("provider", p),
-            Metric::counter(
-                "evostore_index_prefilter_rejected",
-                stats.query_stats.prefiltered,
-            )
-            .with_label("provider", p),
-            Metric::counter("evostore_index_answered", stats.query_stats.answered)
-                .with_label("provider", p),
-            Metric::counter(
-                "evostore_index_snapshot_publications",
-                stats.snapshot_publications,
-            )
-            .with_label("provider", p),
-            Metric::counter("evostore_index_snapshot_reads", stats.snapshot_reads)
-                .with_label("provider", p),
-            Metric::gauge(
-                "evostore_index_snapshot_retired",
-                stats.snapshot_retired as f64,
-            )
-            .with_label("provider", p),
-            Metric::counter("evostore_index_batch_envelopes", stats.batch_envelopes)
-                .with_label("provider", p),
-            Metric::counter("evostore_index_batch_queries", stats.batch_queries)
-                .with_label("provider", p),
-            Metric::counter(
-                "evostore_datapath_bulk_segments_exposed",
-                stats.bulk_segments_exposed,
-            )
-            .with_label("provider", p),
-            Metric::counter("evostore_datapath_zero_copy_reads", stats.zero_copy_reads)
-                .with_label("provider", p),
-            Metric::counter(
-                "evostore_datapath_copy_fallback_reads",
-                stats.copy_fallback_reads,
-            )
-            .with_label("provider", p),
-            Metric::counter(
-                "evostore_datapath_validate_par_batches",
-                stats.validate_par_batches,
-            )
-            .with_label("provider", p),
-            Metric::counter("evostore_delta_stored", stats.delta_stored).with_label("provider", p),
-            Metric::counter("evostore_delta_reconstructs", stats.delta_reconstructs)
-                .with_label("provider", p),
-            Metric::counter("evostore_delta_rebased", stats.delta_rebased)
-                .with_label("provider", p),
-            Metric::gauge("evostore_chunk_count", stats.chunks as f64).with_label("provider", p),
-            Metric::counter("evostore_chunk_dedup_hits", stats.chunk_dedup_hits)
-                .with_label("provider", p),
-            Metric::gauge(
-                "evostore_chunk_logical_bytes",
-                stats.chunk_logical_bytes as f64,
-            )
-            .with_label("provider", p),
-            Metric::gauge(
-                "evostore_chunk_physical_bytes",
-                stats.chunk_physical_bytes as f64,
-            )
-            .with_label("provider", p),
-            Metric::counter(
-                "evostore_transfer_chunks_offered",
-                stats.transfer_chunks_offered,
-            )
-            .with_label("provider", p),
-            Metric::counter("evostore_transfer_chunks_sent", stats.transfer_chunks_sent)
-                .with_label("provider", p),
-            Metric::counter(
-                "evostore_transfer_chunks_skipped",
-                stats.transfer_chunks_skipped,
-            )
-            .with_label("provider", p),
-            Metric::counter(
-                "evostore_transfer_deltas_shipped",
-                stats.transfer_deltas_shipped,
-            )
-            .with_label("provider", p),
-            Metric::counter("evostore_transfer_bytes_saved", stats.transfer_bytes_saved)
-                .with_label("provider", p),
-        ];
-        for (store, snap) in [("tensors", stats.tensor_kv), ("meta", stats.meta_kv)] {
-            for (name, v) in [
-                ("evostore_kv_puts", snap.puts),
-                ("evostore_kv_gets", snap.gets),
-                ("evostore_kv_misses", snap.misses),
-                ("evostore_kv_deletes", snap.deletes),
-                ("evostore_kv_bytes_written", snap.bytes_written),
-                ("evostore_kv_bytes_read", snap.bytes_read),
-            ] {
-                metrics.push(
-                    Metric::counter(name, v)
-                        .with_label("provider", p)
-                        .with_label("store", store),
-                );
-            }
+        let provider = self.index.to_string();
+        let labels = [("provider", provider.as_str())];
+        let mut metrics = stats.rows(&labels);
+        metrics.extend(stats.deliver.metrics(self.index));
+        let leaf = |rows: &[(&str, u64)], labels: &[(&str, &str)]| -> Vec<Metric> {
+            rows.iter()
+                .map(|(name, v)| Metric::counter(name, *v).with_labels(labels))
+                .collect()
+        };
+        metrics.extend(leaf(&index_query_rows(&stats.query_stats), &labels));
+        for (store, kv) in [("tensors", stats.tensor_kv), ("meta", stats.meta_kv)] {
+            let labels = [labels[0], ("store", store)];
+            metrics.extend(leaf(&kv_rows(&kv), &labels));
         }
-        metrics.extend(stats.deliver.metrics(p));
-        metrics.extend(self.ledger.metrics(&format!("provider{p}")));
+        metrics.extend(self.ledger.metrics(&format!("provider{provider}")));
         // Under an ObsHub the hub's own source emits this ring's
         // counters; emitting them here too would double-count in the
         // merged snapshot.
         if !self.hub_attached {
-            let rec = self.tracer.recorder();
-            metrics.push(
-                Metric::counter("evostore_obs_flight_events", rec.recorded())
-                    .with_label("node", rec.node()),
-            );
-            metrics.push(
-                Metric::counter("evostore_obs_flight_dropped", rec.dropped())
-                    .with_label("node", rec.node()),
-            );
+            metrics.extend(self.tracer.recorder().metrics());
         }
         RegistrySnapshot::from_metrics(metrics)
     }

@@ -176,12 +176,11 @@ impl ProviderState {
                         .entry(head.base_key.to_vec())
                         .or_default()
                         .push(enc.to_vec());
-                    self.delta_stored.fetch_add(1, Ordering::Relaxed);
-                    self.transfer_deltas_shipped.fetch_add(1, Ordering::Relaxed);
-                    self.transfer_bytes_saved.fetch_add(
-                        (head.raw_len as u64).saturating_sub(record_len),
-                        Ordering::Relaxed,
-                    );
+                    self.counters.delta_stored.add(1);
+                    self.counters.transfer_deltas_shipped.add(1);
+                    self.counters
+                        .transfer_bytes_saved
+                        .add((head.raw_len as u64).saturating_sub(record_len));
                 }
                 tensors_stored += 1;
             }
@@ -332,12 +331,12 @@ impl ProviderState {
             .iter()
             .map(|k| self.tensors.contains(&k.encode()))
             .collect();
-        self.transfer_chunks_offered
-            .fetch_add(req.hashes.len() as u64, Ordering::Relaxed);
-        self.transfer_chunks_skipped.fetch_add(
-            have_chunks.iter().filter(|b| **b).count() as u64,
-            Ordering::Relaxed,
-        );
+        self.counters
+            .transfer_chunks_offered
+            .add(req.hashes.len() as u64);
+        self.counters
+            .transfer_chunks_skipped
+            .add(have_chunks.iter().filter(|b| **b).count() as u64);
         Ok(HaveChunksReply {
             chunked,
             chunk_size,
@@ -364,10 +363,12 @@ impl ProviderState {
         }
         evostore_obs::ledger::add_bytes_out(lens.iter().sum());
         evostore_obs::ledger::add_chunks_touched(segments.len() as u64);
-        self.transfer_chunks_sent
-            .fetch_add(segments.len() as u64, Ordering::Relaxed);
-        self.bulk_segments_exposed
-            .fetch_add(segments.len() as u64, Ordering::Relaxed);
+        self.counters
+            .transfer_chunks_sent
+            .add(segments.len() as u64);
+        self.counters
+            .bulk_segments_exposed
+            .add(segments.len() as u64);
         let bulk = self.fabric.bulk_expose_vec(segments);
         Ok(ReadChunksReply { lens, bulk: bulk.0 })
     }
@@ -520,8 +521,8 @@ impl ProviderState {
                     .entry(base.encode().to_vec())
                     .or_default()
                     .push(enc.to_vec());
-                self.delta_stored.fetch_add(1, Ordering::Relaxed);
-                self.transfer_deltas_shipped.fetch_add(1, Ordering::Relaxed);
+                self.counters.delta_stored.add(1);
+                self.counters.transfer_deltas_shipped.add(1);
             }
             // What a materialized sync would have moved for this record:
             // the reconstructed length for deltas, the record itself
@@ -531,8 +532,7 @@ impl ProviderState {
         }
         drop(kv);
         let bytes_saved = bytes_needed.saturating_sub(region.len() as u64);
-        self.transfer_bytes_saved
-            .fetch_add(bytes_saved, Ordering::Relaxed);
+        self.counters.transfer_bytes_saved.add(bytes_saved);
         self.clock.fetch_max(req.timestamp + 1, Ordering::Relaxed);
         let mut optimizer_keys: Vec<TensorKey> = req
             .records
@@ -615,14 +615,14 @@ impl ProviderState {
         }
         evostore_obs::ledger::add_bytes_out(lens.iter().sum());
         evostore_obs::ledger::add_chunks_touched(offered);
-        self.transfer_chunks_offered
-            .fetch_add(offered, Ordering::Relaxed);
-        self.transfer_chunks_skipped
-            .fetch_add(skipped, Ordering::Relaxed);
-        self.transfer_chunks_sent
-            .fetch_add(segments.len() as u64, Ordering::Relaxed);
-        self.bulk_segments_exposed
-            .fetch_add(segments.len() as u64, Ordering::Relaxed);
+        self.counters.transfer_chunks_offered.add(offered);
+        self.counters.transfer_chunks_skipped.add(skipped);
+        self.counters
+            .transfer_chunks_sent
+            .add(segments.len() as u64);
+        self.counters
+            .bulk_segments_exposed
+            .add(segments.len() as u64);
         let bulk = self.fabric.bulk_expose_vec(segments);
         Ok(FetchChunksReply {
             records,

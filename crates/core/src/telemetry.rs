@@ -1,480 +1,131 @@
-//! Client-side operation telemetry.
-//!
-//! Lock-free log-scaled latency histograms for every repository
-//! operation class. The figure harnesses and production deployments use
-//! these to report p50/p95/p99 without holding raw samples.
+//! Client-side operation telemetry: one table declares every latency
+//! histogram and counter a client keeps.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
+use evostore_graph::IndexQueryStats;
+use evostore_obs::{counter_set, Metric, MetricValue};
+use evostore_rpc::{RpcMetrics, RpcStats};
 
-use evostore_obs::Exemplar;
-use parking_lot::Mutex;
+pub use evostore_obs::LatencyHistogram;
 
-/// Number of log2 buckets: bucket `i` covers `[2^i, 2^(i+1))` microseconds,
-/// with the last bucket catching everything slower (~2.3 hours).
-const BUCKETS: usize = 43;
-
-/// Exemplars retained per bucket (last-N wins).
-const EXEMPLARS_PER_BUCKET: usize = 4;
-
-/// A log2-scaled latency histogram over microseconds. When a sample is
-/// recorded under an ambient trace context, the bucket keeps the last
-/// few `(trace_id, span_id)` exemplars so a slow percentile joins
-/// straight back to its span tree in the flight recorder.
-#[derive(Debug)]
-pub struct LatencyHistogram {
-    buckets: [AtomicU64; BUCKETS],
-    exemplars: [Mutex<Vec<Exemplar>>; BUCKETS],
-    count: AtomicU64,
-    total_us: AtomicU64,
-    max_us: AtomicU64,
-}
-
-impl LatencyHistogram {
-    /// Fresh histogram.
-    pub fn new() -> LatencyHistogram {
-        LatencyHistogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            exemplars: std::array::from_fn(|_| Mutex::new(Vec::new())),
-            count: AtomicU64::new(0),
-            total_us: AtomicU64::new(0),
-            max_us: AtomicU64::new(0),
-        }
+counter_set! {
+    /// Per-operation-class telemetry of one client (shared by clones):
+    /// latency histograms plus resilience counters — retries, timeouts,
+    /// degraded (partial-coverage) queries, and parked GC decrements.
+    pub struct ClientTelemetry;
+    /// [`ClientTelemetry`] at one instant.
+    pub struct ClientStats {
+        /// LCP best-ancestor queries.
+        query: histogram "evostore_client_query_latency_us",
+        /// Tensor fetches (grouped reads).
+        fetch: histogram "evostore_client_fetch_latency_us",
+        /// Model stores.
+        store: histogram "evostore_client_store_latency_us",
+        /// Retirements.
+        retire: histogram "evostore_client_retire_latency_us",
+        /// RPC-layer resilience counters (retries, timeouts, exhausted
+        /// calls), fed by every call this client issues.
+        rpc: nested(RpcMetrics => RpcStats),
+        /// Queries answered from fewer than all providers (quorum met,
+        /// some unreachable).
+        degraded_queries: atomic sum counter "evostore_client_degraded_queries",
+        /// Refcount decrements parked for later retry after transient
+        /// failures.
+        parked_decrements: atomic sum counter "evostore_client_parked_decrements",
+        /// Reads served by a later chain member after an earlier replica
+        /// failed (down, timed out, or missing the data).
+        read_failovers: atomic sum counter "evostore_client_read_failovers",
+        /// Store/attach mirror legs that failed, leaving a model with
+        /// fewer than `factor` copies until the next repair pass.
+        under_replicated_stores: atomic sum counter "evostore_client_under_replicated_stores",
+        /// Segments published as vectored bulk regions instead of being
+        /// consolidated into a contiguous copy.
+        bulk_segments_exposed: atomic sum counter "evostore_client_bulk_segments_exposed",
+        /// Provider-side ancestor-query index counters
+        /// ([`IndexQueryStats`]), accumulated from the per-reply stats of
+        /// every LCP/pattern broadcast this client ran: live models covered.
+        index_candidates: atomic sum counter "evostore_client_index_candidates",
+        /// Distinct architectures whose LCP or match was computed.
+        index_scanned: atomic sum counter "evostore_client_index_scanned",
+        /// Retired with the pairwise LCP memo: always 0.
+        index_memo_hits: atomic sum counter "evostore_client_index_memo_hits",
+        /// Models covered by a same-signature sibling.
+        index_deduped: atomic sum counter "evostore_client_index_deduped",
+        /// Distinct architectures skipped outright.
+        index_pruned: atomic sum counter "evostore_client_index_pruned",
+        /// Subset of pruned cut by the cone bound or the kind bitset.
+        index_prefiltered: atomic sum counter "evostore_client_index_prefiltered",
+        /// Retired with the per-snapshot answer cache: always 0.
+        index_answered: atomic sum counter "evostore_client_index_answered",
+        /// Batched-query envelopes issued.
+        batch_envelopes: atomic sum counter "evostore_client_batch_envelopes",
+        /// Individual queries shipped inside batched envelopes.
+        batch_queries: atomic sum counter "evostore_client_batch_queries",
     }
-
-    fn bucket_index(us: u64) -> usize {
-        (64 - us.max(1).leading_zeros() as usize - 1).min(BUCKETS - 1)
-    }
-
-    /// Record one latency in microseconds. If a trace context is
-    /// ambiently installed, it is kept as the bucket's exemplar.
-    pub fn record_us(&self, us: u64) {
-        let idx = Self::bucket_index(us);
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.total_us.fetch_add(us, Ordering::Relaxed);
-        self.max_us.fetch_max(us, Ordering::Relaxed);
-        // The thread-local probe is cheap; the lock is only taken when
-        // an op is actually traced.
-        if let Some(ctx) = evostore_obs::current_trace() {
-            let mut ring = self.exemplars[idx].lock();
-            if ring.len() == EXEMPLARS_PER_BUCKET {
-                ring.remove(0);
-            }
-            ring.push(Exemplar {
-                trace_id: ctx.trace_id,
-                span_id: ctx.span_id,
-                value_us: us,
-            });
-        }
-    }
-
-    /// Record a duration.
-    pub fn record(&self, d: std::time::Duration) {
-        self.record_us(d.as_micros() as u64);
-    }
-
-    /// Samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Mean latency in microseconds.
-    pub fn mean_us(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.total_us.load(Ordering::Relaxed) as f64 / n as f64
-        }
-    }
-
-    /// Maximum recorded latency in microseconds.
-    pub fn max_us(&self) -> u64 {
-        self.max_us.load(Ordering::Relaxed)
-    }
-
-    /// Sum of all recorded latencies in microseconds.
-    pub fn total_us(&self) -> u64 {
-        self.total_us.load(Ordering::Relaxed)
-    }
-
-    /// Samples in bucket `i` (bucket `i` covers `[2^i, 2^(i+1))`
-    /// microseconds; values below 1 are clamped into bucket 0).
-    pub fn bucket_count(&self, i: usize) -> u64 {
-        self.buckets[i].load(Ordering::Relaxed)
-    }
-
-    /// Median upper bound ([`LatencyHistogram::quantile_us`] at 0.50).
-    pub fn p50_us(&self) -> u64 {
-        self.quantile_us(0.50)
-    }
-
-    /// 95th-percentile upper bound.
-    pub fn p95_us(&self) -> u64 {
-        self.quantile_us(0.95)
-    }
-
-    /// 99th-percentile upper bound.
-    pub fn p99_us(&self) -> u64 {
-        self.quantile_us(0.99)
-    }
-
-    /// The histogram digested for the metrics registry, carrying the
-    /// exemplars of the slowest populated buckets.
-    pub fn summary(&self) -> evostore_obs::HistogramSummary {
-        let mut exemplars = Vec::new();
-        for ring in self.exemplars.iter().rev() {
-            let ring = ring.lock();
-            for ex in ring.iter().rev() {
-                if exemplars.len() < evostore_obs::registry::MAX_SUMMARY_EXEMPLARS {
-                    exemplars.push(*ex);
-                }
-            }
-            if exemplars.len() >= evostore_obs::registry::MAX_SUMMARY_EXEMPLARS {
-                break;
-            }
-        }
-        evostore_obs::HistogramSummary {
-            count: self.count(),
-            sum_us: self.total_us(),
-            p50_us: self.p50_us(),
-            p95_us: self.p95_us(),
-            p99_us: self.p99_us(),
-            max_us: self.max_us(),
-            exemplars,
-        }
-    }
-
-    /// Index of the bucket holding the `q` quantile, with the rank it
-    /// lands at inside that bucket and the bucket's population.
-    fn quantile_bucket(&self, q: f64) -> Option<(usize, u64, u64)> {
-        let n = self.count();
-        if n == 0 {
-            return None;
-        }
-        let target = (((n as f64) * q).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            let c = b.load(Ordering::Relaxed);
-            if c > 0 && seen + c >= target {
-                return Some((i, target - seen, c));
-            }
-            seen += c;
-        }
-        None
-    }
-
-    /// Approximate quantile: rank-interpolated within the log2 bucket
-    /// containing it (bucket `i` spans `[2^i, 2^(i+1))`), clamped to
-    /// the largest recorded sample so a sparse top bucket cannot report
-    /// a latency nothing ever reached.
-    pub fn quantile_us(&self, q: f64) -> u64 {
-        let Some((i, rank, c)) = self.quantile_bucket(q) else {
-            return if self.count() == 0 { 0 } else { self.max_us() };
-        };
-        let lo = 1u64 << i;
-        let width = 1u64 << i; // hi - lo for a log2 bucket
-        let est = lo + (width as f64 * (rank as f64 / c as f64)).round() as u64;
-        est.min(self.max_us().max(lo))
-    }
-
-    /// The exemplars retained in the bucket holding the `q` quantile —
-    /// the "show me a trace of a p99 fetch" join. Empty when the
-    /// quantile bucket's samples were recorded without an ambient
-    /// trace.
-    pub fn exemplars_for_quantile(&self, q: f64) -> Vec<Exemplar> {
-        match self.quantile_bucket(q) {
-            Some((i, _, _)) => self.exemplars[i].lock().clone(),
-            None => Vec::new(),
-        }
-    }
-
-    /// One-line report: `n=..., mean=..us, p50<=..us, p95<=..us, max=..us`.
-    pub fn report(&self) -> String {
-        format!(
-            "n={} mean={:.0}us p50<={}us p95<={}us p99<={}us max={}us",
-            self.count(),
-            self.mean_us(),
-            self.quantile_us(0.50),
-            self.quantile_us(0.95),
-            self.quantile_us(0.99),
-            self.max_us()
-        )
-    }
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Per-operation-class telemetry of one client (shared by clones):
-/// latency histograms plus resilience counters — retries, timeouts,
-/// degraded (partial-coverage) queries, and parked GC decrements.
-#[derive(Debug, Default)]
-pub struct ClientTelemetry {
-    /// LCP best-ancestor queries.
-    pub query: LatencyHistogram,
-    /// Tensor fetches (grouped reads).
-    pub fetch: LatencyHistogram,
-    /// Model stores.
-    pub store: LatencyHistogram,
-    /// Retirements.
-    pub retire: LatencyHistogram,
-    /// RPC-layer resilience counters (retries, timeouts, exhausted
-    /// calls), fed by every call this client issues.
-    pub rpc: evostore_rpc::RpcMetrics,
-    degraded_queries: AtomicU64,
-    parked_decrements: AtomicU64,
-    read_failovers: AtomicU64,
-    under_replicated_stores: AtomicU64,
-    // Segments this client handed to vectored bulk exposure (store
-    // payloads published without a consolidation copy).
-    bulk_segments_exposed: AtomicU64,
-    // Provider-side ancestor-query index counters, accumulated from the
-    // per-reply stats of every LCP/pattern broadcast this client ran.
-    index_scanned: AtomicU64,
-    index_memo_hits: AtomicU64,
-    index_deduped: AtomicU64,
-    index_pruned: AtomicU64,
-    index_prefiltered: AtomicU64,
-    index_answered: AtomicU64,
-    // Batched-query counters: envelopes issued and individual queries
-    // packed inside them.
-    batch_envelopes: AtomicU64,
-    batch_queries: AtomicU64,
 }
 
 impl ClientTelemetry {
-    /// Fresh telemetry.
-    pub fn new() -> ClientTelemetry {
-        ClientTelemetry::default()
-    }
-
-    /// Time a closure into the given histogram.
-    pub fn time<T>(hist: &LatencyHistogram, f: impl FnOnce() -> T) -> T {
-        let t0 = Instant::now();
-        let out = f();
-        hist.record(t0.elapsed());
-        out
-    }
-
-    /// Queries answered from fewer than all providers (quorum met, some
-    /// unreachable).
-    pub fn degraded_queries(&self) -> u64 {
-        self.degraded_queries.load(Ordering::Relaxed)
-    }
-
-    /// Refcount decrements parked for later retry after transient
-    /// failures.
-    pub fn parked_decrements(&self) -> u64 {
-        self.parked_decrements.load(Ordering::Relaxed)
-    }
-
-    /// Record one degraded (partial-coverage) query.
-    pub fn note_degraded_query(&self) {
-        self.degraded_queries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record `n` decrements parked in the retry queue.
-    pub fn note_parked_decrements(&self, n: u64) {
-        self.parked_decrements.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Reads served by a later chain member after an earlier replica
-    /// failed (down, timed out, or missing the data).
-    pub fn read_failovers(&self) -> u64 {
-        self.read_failovers.load(Ordering::Relaxed)
-    }
-
-    /// Store/attach mirror legs that failed, leaving a model with fewer
-    /// than `factor` copies until the next repair pass.
-    pub fn under_replicated_stores(&self) -> u64 {
-        self.under_replicated_stores.load(Ordering::Relaxed)
-    }
-
-    /// Record one read answered by a non-primary replica.
-    pub fn note_read_failover(&self) {
-        self.read_failovers.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record `n` failed mirror legs (under-replication debt).
-    pub fn note_under_replicated_stores(&self, n: u64) {
-        self.under_replicated_stores.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Segments published as vectored bulk regions instead of being
-    /// consolidated into a contiguous copy.
-    pub fn bulk_segments_exposed(&self) -> u64 {
-        self.bulk_segments_exposed.load(Ordering::Relaxed)
-    }
-
-    /// Record `n` segments exposed without a consolidation copy.
-    pub fn note_bulk_segments_exposed(&self, n: u64) {
-        self.bulk_segments_exposed.fetch_add(n, Ordering::Relaxed);
-    }
-
     /// Accumulate one provider reply's index statistics.
-    pub fn note_index_stats(&self, stats: evostore_graph::IndexQueryStats) {
-        self.index_scanned
-            .fetch_add(stats.scanned, Ordering::Relaxed);
-        self.index_memo_hits
-            .fetch_add(stats.memo_hits, Ordering::Relaxed);
-        self.index_deduped
-            .fetch_add(stats.deduped, Ordering::Relaxed);
-        self.index_pruned.fetch_add(stats.pruned, Ordering::Relaxed);
-        self.index_prefiltered
-            .fetch_add(stats.prefiltered, Ordering::Relaxed);
-        self.index_answered
-            .fetch_add(stats.answered, Ordering::Relaxed);
+    pub fn note_index_stats(&self, stats: IndexQueryStats) {
+        self.index_candidates.add(stats.candidates);
+        self.index_scanned.add(stats.scanned);
+        self.index_memo_hits.add(stats.memo_hits);
+        self.index_deduped.add(stats.deduped);
+        self.index_pruned.add(stats.pruned);
+        self.index_prefiltered.add(stats.prefiltered);
+        self.index_answered.add(stats.answered);
     }
 
     /// Record one batched-query envelope carrying `queries` queries.
     pub fn note_batch(&self, queries: u64) {
-        self.batch_envelopes.fetch_add(1, Ordering::Relaxed);
-        self.batch_queries.fetch_add(queries, Ordering::Relaxed);
-    }
-
-    /// Batched envelopes issued so far.
-    pub fn batch_envelopes(&self) -> u64 {
-        self.batch_envelopes.load(Ordering::Relaxed)
-    }
-
-    /// Individual queries shipped inside batched envelopes.
-    pub fn batch_queries(&self) -> u64 {
-        self.batch_queries.load(Ordering::Relaxed)
+        self.batch_envelopes.add(1);
+        self.batch_queries.add(queries);
     }
 
     /// Total index counters accumulated so far, as one stats value.
-    pub fn index_stats(&self) -> evostore_graph::IndexQueryStats {
-        evostore_graph::IndexQueryStats {
-            candidates: 0,
-            scanned: self.index_scanned.load(Ordering::Relaxed),
-            memo_hits: self.index_memo_hits.load(Ordering::Relaxed),
-            deduped: self.index_deduped.load(Ordering::Relaxed),
-            pruned: self.index_pruned.load(Ordering::Relaxed),
-            prefiltered: self.index_prefiltered.load(Ordering::Relaxed),
-            answered: self.index_answered.load(Ordering::Relaxed),
+    pub fn index_stats(&self) -> IndexQueryStats {
+        IndexQueryStats {
+            candidates: self.index_candidates(),
+            scanned: self.index_scanned(),
+            memo_hits: self.index_memo_hits(),
+            deduped: self.index_deduped(),
+            pruned: self.index_pruned(),
+            prefiltered: self.index_prefiltered(),
+            answered: self.index_answered(),
         }
     }
 
-    /// Every counter and histogram as named registry metrics, labeled
+    /// Every histogram and counter as named registry metrics, labeled
     /// `client="<label>"` — the client's contribution to the unified
-    /// [`MetricsRegistry`](evostore_obs::MetricsRegistry). Covers the
-    /// full `report()`: four latency summaries, the rpc counters, the
-    /// degraded/parked/replication counters, and the index counters.
-    pub fn metrics(&self, label: &str) -> Vec<evostore_obs::Metric> {
-        use evostore_obs::Metric;
-        let ix = self.index_stats();
-        let tag = |m: Metric| m.with_label("client", label);
-        vec![
-            tag(Metric::histogram(
-                "evostore_client_query_latency_us",
-                self.query.summary(),
-            )),
-            tag(Metric::histogram(
-                "evostore_client_fetch_latency_us",
-                self.fetch.summary(),
-            )),
-            tag(Metric::histogram(
-                "evostore_client_store_latency_us",
-                self.store.summary(),
-            )),
-            tag(Metric::histogram(
-                "evostore_client_retire_latency_us",
-                self.retire.summary(),
-            )),
-            tag(Metric::counter(
-                "evostore_client_rpc_calls",
-                self.rpc.calls(),
-            )),
-            tag(Metric::counter(
-                "evostore_client_rpc_retries",
-                self.rpc.retries(),
-            )),
-            tag(Metric::counter(
-                "evostore_client_rpc_timeouts",
-                self.rpc.timeouts(),
-            )),
-            tag(Metric::counter(
-                "evostore_client_rpc_exhausted",
-                self.rpc.exhausted(),
-            )),
-            tag(Metric::counter(
-                "evostore_client_degraded_queries",
-                self.degraded_queries(),
-            )),
-            tag(Metric::counter(
-                "evostore_client_parked_decrements",
-                self.parked_decrements(),
-            )),
-            tag(Metric::counter(
-                "evostore_client_read_failovers",
-                self.read_failovers(),
-            )),
-            tag(Metric::counter(
-                "evostore_client_under_replicated_stores",
-                self.under_replicated_stores(),
-            )),
-            tag(Metric::counter(
-                "evostore_client_bulk_segments_exposed",
-                self.bulk_segments_exposed(),
-            )),
-            tag(Metric::counter("evostore_client_index_scanned", ix.scanned)),
-            tag(Metric::counter(
-                "evostore_client_index_memo_hits",
-                ix.memo_hits,
-            )),
-            tag(Metric::counter("evostore_client_index_deduped", ix.deduped)),
-            tag(Metric::counter("evostore_client_index_pruned", ix.pruned)),
-            tag(Metric::counter(
-                "evostore_client_index_prefiltered",
-                ix.prefiltered,
-            )),
-            tag(Metric::counter(
-                "evostore_client_index_answered",
-                ix.answered,
-            )),
-            tag(Metric::counter(
-                "evostore_client_batch_envelopes",
-                self.batch_envelopes(),
-            )),
-            tag(Metric::counter(
-                "evostore_client_batch_queries",
-                self.batch_queries(),
-            )),
-        ]
+    /// [`MetricsRegistry`](evostore_obs::MetricsRegistry).
+    pub fn metrics(&self, label: &str) -> Vec<Metric> {
+        let stats = self.snapshot();
+        let labels = [("client", label)];
+        let mut rows = stats.rows(&labels);
+        rows.extend(stats.rpc.rows(&labels));
+        rows
     }
 
-    /// Multi-line report over all operation classes and resilience
-    /// counters.
+    /// Multi-line report: one line per operation class, then every
+    /// counter of the table by its series name.
     pub fn report(&self) -> String {
-        let ix = self.index_stats();
+        let counters: Vec<String> = self
+            .metrics("")
+            .iter()
+            .filter_map(|m| match m.value {
+                MetricValue::Counter(v) => {
+                    let name = m.name.strip_prefix("evostore_client_").unwrap_or(&m.name);
+                    Some(format!("{name}={v}"))
+                }
+                _ => None,
+            })
+            .collect();
         format!(
-            "query:  {}\nfetch:  {}\nstore:  {}\nretire: {}\nfaults: calls={} retries={} timeouts={} exhausted={} degraded_queries={} parked_decrements={}\nreplication: read_failovers={} under_replicated_stores={}\ndatapath: bulk_segments_exposed={}\nindex:  scanned={} memo_hits={} deduped={} pruned={} prefiltered={} answered={}\nbatch:  envelopes={} queries={}",
+            "query:  {}\nfetch:  {}\nstore:  {}\nretire: {}\ncounters: {}",
             self.query.report(),
             self.fetch.report(),
             self.store.report(),
             self.retire.report(),
-            self.rpc.calls(),
-            self.rpc.retries(),
-            self.rpc.timeouts(),
-            self.rpc.exhausted(),
-            self.degraded_queries(),
-            self.parked_decrements(),
-            self.read_failovers(),
-            self.under_replicated_stores(),
-            self.bulk_segments_exposed(),
-            ix.scanned,
-            ix.memo_hits,
-            ix.deduped,
-            ix.pruned,
-            ix.prefiltered,
-            ix.answered,
-            self.batch_envelopes(),
-            self.batch_queries()
+            counters.join(" ")
         )
     }
 }
@@ -484,189 +135,33 @@ mod tests {
     use super::*;
 
     #[test]
-    fn buckets_are_log2() {
-        let h = LatencyHistogram::new();
-        h.record_us(1);
-        h.record_us(2);
-        h.record_us(3);
-        h.record_us(1000);
-        assert_eq!(h.count(), 4);
-        assert!(h.mean_us() > 200.0);
-        assert_eq!(h.max_us(), 1000);
-    }
-
-    #[test]
-    fn quantiles_are_monotone_upper_bounds() {
-        let h = LatencyHistogram::new();
-        for us in [10u64, 20, 40, 80, 160, 320, 640, 1280, 2560, 5120] {
-            h.record_us(us);
-        }
-        let p50 = h.quantile_us(0.5);
-        let p95 = h.quantile_us(0.95);
-        assert!(p50 <= p95);
-        assert!(p50 >= 160, "p50 bound {p50} too low");
-        assert!(p95 >= 5120, "p95 bound {p95} too low");
-    }
-
-    #[test]
-    fn quantiles_interpolate_within_the_bucket_with_exact_counts() {
-        // Four samples of 100us all land in bucket 6 ([64, 128)).
-        let h = LatencyHistogram::new();
-        for _ in 0..4 {
-            h.record_us(100);
-        }
-        assert_eq!(h.count(), 4);
-        assert_eq!(h.total_us(), 400);
-        assert_eq!(h.mean_us(), 100.0, "mean is exact from sum/count");
-        // p50 = rank 2 of 4 in [64, 128): 64 + 64 * 2/4 = 96.
-        assert_eq!(h.quantile_us(0.50), 96);
-        // p99 = rank 4 of 4: interpolates to the bucket top (128) but is
-        // clamped to the observed max.
-        assert_eq!(h.quantile_us(0.99), 100);
-
-        // Mixed buckets: 3 fast (bucket 3) + 1 slow (bucket 10).
-        let h = LatencyHistogram::new();
-        for us in [10u64, 10, 10, 2000] {
-            h.record_us(us);
-        }
-        // p50 = rank 2 of 3 in [8, 16): 8 + 8 * 2/3 ~ 13.
-        assert_eq!(h.quantile_us(0.50), 13);
-        // p99 lands on the slow sample's bucket [1024, 2048), rank 1 of
-        // 1 interpolates to 2048, clamped to the 2000us max.
-        assert_eq!(h.quantile_us(0.99), 2000);
-    }
-
-    #[test]
-    fn exemplars_join_the_quantile_bucket_to_its_trace() {
-        let h = LatencyHistogram::new();
-        // Without an ambient trace: no exemplar retained.
-        h.record_us(10);
-        assert!(h.exemplars_for_quantile(0.5).is_empty());
-
-        let ctx = evostore_obs::TraceContext::root();
-        {
-            let _g = evostore_obs::set_current_trace(Some(ctx));
-            h.record_us(5_000); // the slow outlier, traced
-        }
-        let p99 = h.exemplars_for_quantile(0.99);
-        assert_eq!(p99.len(), 1);
-        assert_eq!(p99[0].trace_id, ctx.trace_id);
-        assert_eq!(p99[0].span_id, ctx.span_id);
-        assert_eq!(p99[0].value_us, 5_000);
-        // The summary carries the slowest buckets' exemplars outward.
-        assert!(h.summary().exemplars.contains(&p99[0]));
-        // The ring keeps only the last N per bucket.
-        {
-            let _g = evostore_obs::set_current_trace(Some(ctx));
-            for _ in 0..10 {
-                h.record_us(5_000);
-            }
-        }
-        assert_eq!(h.exemplars_for_quantile(0.99).len(), EXEMPLARS_PER_BUCKET);
-    }
-
-    #[test]
-    fn zero_latency_is_clamped() {
-        let h = LatencyHistogram::new();
-        h.record_us(0);
-        assert_eq!(h.count(), 1);
-        assert!(h.quantile_us(1.0) >= 1);
-    }
-
-    #[test]
-    fn bucket_zero_edge_cases_count_exactly() {
-        // Bucket 0 covers [1, 2): both a 1us sample and a clamped 0us
-        // sample land there, and nowhere else.
-        let h = LatencyHistogram::new();
-        h.record_us(1);
-        h.record_us(0);
-        assert_eq!(h.bucket_count(0), 2);
-        for i in 1..BUCKETS {
-            assert_eq!(h.bucket_count(i), 0, "bucket {i} should be empty");
-        }
-        // The next power of two starts bucket 1 exactly.
-        h.record_us(2);
-        assert_eq!(h.bucket_count(0), 2);
-        assert_eq!(h.bucket_count(1), 1);
-    }
-
-    #[test]
-    fn percentile_helpers_match_quantiles() {
-        let h = LatencyHistogram::new();
-        for us in [10u64, 20, 40, 80, 160, 320, 640, 1280, 2560, 5120] {
-            h.record_us(us);
-        }
-        assert_eq!(h.p50_us(), h.quantile_us(0.50));
-        assert_eq!(h.p95_us(), h.quantile_us(0.95));
-        assert_eq!(h.p99_us(), h.quantile_us(0.99));
-        assert!(h.p50_us() <= h.p95_us() && h.p95_us() <= h.p99_us());
-        let s = h.summary();
-        assert_eq!(s.count, 10);
-        assert_eq!(s.sum_us, h.total_us());
-        assert_eq!(s.max_us, 5120);
-    }
-
-    #[test]
     fn metrics_cover_every_report_counter() {
         let t = ClientTelemetry::new();
-        t.note_degraded_query();
-        t.note_parked_decrements(2);
+        t.degraded_queries.add(1);
+        t.parked_decrements.add(2);
         let metrics = t.metrics("0");
-        for name in [
-            "evostore_client_query_latency_us",
-            "evostore_client_fetch_latency_us",
-            "evostore_client_store_latency_us",
-            "evostore_client_retire_latency_us",
-            "evostore_client_rpc_calls",
-            "evostore_client_rpc_retries",
-            "evostore_client_rpc_timeouts",
-            "evostore_client_rpc_exhausted",
-            "evostore_client_degraded_queries",
-            "evostore_client_parked_decrements",
-            "evostore_client_read_failovers",
-            "evostore_client_under_replicated_stores",
-            "evostore_client_bulk_segments_exposed",
-            "evostore_client_index_scanned",
-            "evostore_client_index_memo_hits",
-            "evostore_client_index_deduped",
-            "evostore_client_index_pruned",
-            "evostore_client_index_prefiltered",
-            "evostore_client_index_answered",
-            "evostore_client_batch_envelopes",
-            "evostore_client_batch_queries",
-        ] {
+        let report = t.report();
+        assert!(report.contains("degraded_queries=1 parked_decrements=2"));
+        for name in ClientStats::SERIES.iter().chain(RpcStats::SERIES) {
             let m = metrics
                 .iter()
-                .find(|m| m.name == name)
+                .find(|m| m.name == *name)
                 .unwrap_or_else(|| panic!("missing metric {name}"));
             assert_eq!(m.labels, vec![("client".to_string(), "0".to_string())]);
+            if !name.ends_with("_latency_us") {
+                let short = name.strip_prefix("evostore_client_").unwrap();
+                assert!(report.contains(&format!("{short}=")), "{short} in report");
+            }
         }
+        assert_eq!(metrics.len(), 4 + 4 + 14);
     }
 
     #[test]
     fn report_formats() {
         let t = ClientTelemetry::new();
-        ClientTelemetry::time(&t.query, || {
-            std::thread::sleep(std::time::Duration::from_micros(50))
-        });
+        t.query.record_us(50);
         let r = t.report();
         assert!(r.contains("query:"));
         assert!(r.contains("n=1"));
-    }
-
-    #[test]
-    fn concurrent_recording() {
-        let h = std::sync::Arc::new(LatencyHistogram::new());
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                let h = std::sync::Arc::clone(&h);
-                s.spawn(move || {
-                    for i in 1..=100u64 {
-                        h.record_us(i);
-                    }
-                });
-            }
-        });
-        assert_eq!(h.count(), 800);
     }
 }

@@ -22,7 +22,6 @@
 //!   the provider ~fanout payloads instead of one per subscriber.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -32,7 +31,7 @@ use evostore_deliver::{
     SubscribeRequest, SubscriptionFilter, UnsubscribeRequest,
 };
 use evostore_kv::DEFAULT_CHUNK_SIZE;
-use evostore_obs::{current_trace, HistogramSummary, Metric, ObsHub, SloEngine, Tracer};
+use evostore_obs::{counter_set, current_trace, ObsHub, SloEngine, Tracer};
 use evostore_rpc::{
     unary, BulkHandle, Endpoint, EndpointId, Fabric, Method, RetryPolicy, RpcError,
 };
@@ -43,7 +42,6 @@ use crate::cache::CachingClient;
 use crate::client::{EvoError, Result};
 use crate::messages::FetchChunksRequest;
 use crate::methods;
-use crate::telemetry::LatencyHistogram;
 
 /// Watcher tuning knobs.
 #[derive(Debug, Clone)]
@@ -123,105 +121,40 @@ pub enum FetchSource {
     Provider,
 }
 
-/// Watcher counters snapshot.
-#[derive(Debug, Clone, Default)]
-pub struct WatchStats {
-    /// Events applied (stores + retires), exactly once each.
-    pub events_applied: u64,
-    /// Duplicate events skipped (already below the cursor).
-    pub events_duplicate: u64,
-    /// Sequence gaps / loss markers observed.
-    pub gaps: u64,
-    /// Retire events among the applied.
-    pub retires_applied: u64,
-    /// Prefetches satisfied by a peer subscriber.
-    pub peer_fetches: u64,
-    /// Prefetches satisfied by the provider.
-    pub provider_fetches: u64,
-    /// Payload bytes pulled from peers.
-    pub peer_bytes_fetched: u64,
-    /// Payload bytes pulled from providers — the provider egress this
-    /// watcher is responsible for.
-    pub provider_bytes_fetched: u64,
-    /// Payload bytes this watcher served onward to its tree children.
-    pub peer_bytes_served: u64,
-    /// Tensors a prefetch found already cached.
-    pub cache_hits_on_fetch: u64,
-    /// Provider fetches satisfied by chunk negotiation (only changed
-    /// chunks crossed the wire).
-    pub chunk_fetches: u64,
-    /// Payload bytes reassembled from the superseded cached version
-    /// instead of the wire, across chunk-negotiated fetches.
-    pub chunk_bytes_reused: u64,
-    /// Event receipt → weights cached, per prefetched release.
-    pub time_to_weights: HistogramSummary,
-}
-
-#[derive(Default)]
-struct WatchTelemetry {
-    events_applied: AtomicU64,
-    events_duplicate: AtomicU64,
-    gaps: AtomicU64,
-    retires_applied: AtomicU64,
-    peer_fetches: AtomicU64,
-    provider_fetches: AtomicU64,
-    peer_bytes_fetched: AtomicU64,
-    provider_bytes_fetched: AtomicU64,
-    peer_bytes_served: AtomicU64,
-    cache_hits_on_fetch: AtomicU64,
-    chunk_fetches: AtomicU64,
-    chunk_bytes_reused: AtomicU64,
-    time_to_weights: LatencyHistogram,
-}
-
-impl WatchTelemetry {
-    fn stats(&self) -> WatchStats {
-        WatchStats {
-            events_applied: self.events_applied.load(Ordering::Relaxed),
-            events_duplicate: self.events_duplicate.load(Ordering::Relaxed),
-            gaps: self.gaps.load(Ordering::Relaxed),
-            retires_applied: self.retires_applied.load(Ordering::Relaxed),
-            peer_fetches: self.peer_fetches.load(Ordering::Relaxed),
-            provider_fetches: self.provider_fetches.load(Ordering::Relaxed),
-            peer_bytes_fetched: self.peer_bytes_fetched.load(Ordering::Relaxed),
-            provider_bytes_fetched: self.provider_bytes_fetched.load(Ordering::Relaxed),
-            peer_bytes_served: self.peer_bytes_served.load(Ordering::Relaxed),
-            cache_hits_on_fetch: self.cache_hits_on_fetch.load(Ordering::Relaxed),
-            chunk_fetches: self.chunk_fetches.load(Ordering::Relaxed),
-            chunk_bytes_reused: self.chunk_bytes_reused.load(Ordering::Relaxed),
-            time_to_weights: self.time_to_weights.summary(),
-        }
-    }
-
-    /// The `evostore_deliver_*` rows of one watcher, labeled by node.
-    fn metrics(&self, node: &str) -> Vec<Metric> {
-        let s = self.stats();
-        vec![
-            Metric::counter("evostore_deliver_events_applied", s.events_applied)
-                .with_label("client", node),
-            Metric::counter("evostore_deliver_events_duplicate", s.events_duplicate)
-                .with_label("client", node),
-            Metric::counter("evostore_deliver_gaps", s.gaps).with_label("client", node),
-            Metric::counter("evostore_deliver_peer_fetches", s.peer_fetches)
-                .with_label("client", node),
-            Metric::counter("evostore_deliver_provider_fetches", s.provider_fetches)
-                .with_label("client", node),
-            Metric::counter("evostore_deliver_peer_bytes_fetched", s.peer_bytes_fetched)
-                .with_label("client", node),
-            Metric::counter(
-                "evostore_deliver_provider_egress_bytes",
-                s.provider_bytes_fetched,
-            )
-            .with_label("client", node),
-            Metric::counter("evostore_deliver_peer_bytes_served", s.peer_bytes_served)
-                .with_label("client", node),
-            Metric::counter("evostore_deliver_chunk_fetches", s.chunk_fetches)
-                .with_label("client", node),
-            Metric::counter("evostore_deliver_chunk_bytes_reused", s.chunk_bytes_reused)
-                .with_label("client", node),
-            Metric::histogram("evostore_deliver_time_to_weights_us", s.time_to_weights)
-                .with_label("client", node),
-        ]
+counter_set! {
+    /// What one watcher has done; bumped by its drain and fetch paths.
+    struct WatchTelemetry;
+    /// Watcher counters snapshot.
+    pub struct WatchStats {
+        /// Events applied (stores + retires), exactly once each.
+        events_applied: atomic sum counter "evostore_deliver_events_applied",
+        /// Duplicate events skipped (already below the cursor).
+        events_duplicate: atomic sum counter "evostore_deliver_events_duplicate",
+        /// Sequence gaps / loss markers observed.
+        gaps: atomic sum counter "evostore_deliver_gaps",
+        /// Retire events among the applied.
+        retires_applied: atomic sum counter "evostore_deliver_retires_applied",
+        /// Prefetches satisfied by a peer subscriber.
+        peer_fetches: atomic sum counter "evostore_deliver_peer_fetches",
+        /// Prefetches satisfied by the provider.
+        provider_fetches: atomic sum counter "evostore_deliver_provider_fetches",
+        /// Payload bytes pulled from peers.
+        peer_bytes_fetched: atomic sum counter "evostore_deliver_peer_bytes_fetched",
+        /// Payload bytes pulled from providers — the provider egress this
+        /// watcher is responsible for.
+        provider_bytes_fetched: atomic sum counter "evostore_deliver_provider_egress_bytes",
+        /// Payload bytes this watcher served onward to its tree children.
+        peer_bytes_served: atomic sum counter "evostore_deliver_peer_bytes_served",
+        /// Tensors a prefetch found already cached.
+        cache_hits_on_fetch: atomic sum counter "evostore_deliver_cache_hits_on_fetch",
+        /// Provider fetches satisfied by chunk negotiation (only changed
+        /// chunks crossed the wire).
+        chunk_fetches: atomic sum counter "evostore_deliver_chunk_fetches",
+        /// Payload bytes reassembled from the superseded cached version
+        /// instead of the wire, across chunk-negotiated fetches.
+        chunk_bytes_reused: atomic sum counter "evostore_deliver_chunk_bytes_reused",
+        /// Event receipt → weights cached, per prefetched release.
+        time_to_weights: histogram "evostore_deliver_time_to_weights_us",
     }
 }
 
@@ -321,7 +254,8 @@ impl ModelWatcher {
         if let Some(hub) = obs {
             let node = format!("watcher{self_ep}");
             let w = Arc::clone(&inner);
-            hub.registry().register(move || w.telemetry.metrics(&node));
+            hub.registry()
+                .register(move || w.telemetry.snapshot().rows(&[("client", &node)]));
         }
 
         let watcher = ModelWatcher { inner, endpoint };
@@ -351,7 +285,7 @@ impl ModelWatcher {
 
     /// Counters snapshot.
     pub fn stats(&self) -> WatchStats {
-        self.inner.telemetry.stats()
+        self.inner.telemetry.snapshot()
     }
 
     /// Poll until `pred` holds or `timeout` elapses; returns whether the
@@ -505,7 +439,7 @@ impl WatcherInner {
             resub_from = cursor.last_ts;
             if let Some(from) = push.lost_from {
                 if from >= cursor.next_expected {
-                    self.telemetry.gaps.fetch_add(1, Ordering::Relaxed);
+                    self.telemetry.gaps.add(1);
                     self.log
                         .lock()
                         .errors
@@ -517,13 +451,11 @@ impl WatcherInner {
                 if ev.seq < cursor.next_expected {
                     // Duplicate (a retried push): acknowledged, never
                     // re-applied.
-                    self.telemetry
-                        .events_duplicate
-                        .fetch_add(1, Ordering::Relaxed);
+                    self.telemetry.events_duplicate.add(1);
                     continue;
                 }
                 if ev.seq > cursor.next_expected {
-                    self.telemetry.gaps.fetch_add(1, Ordering::Relaxed);
+                    self.telemetry.gaps.add(1);
                     self.log.lock().errors.push(EvoError::EventsLost {
                         from_seq: cursor.next_expected,
                     });
@@ -556,9 +488,7 @@ impl WatcherInner {
         let mut source = None;
         match ev.kind {
             EventKind::Retired => {
-                self.telemetry
-                    .retires_applied
-                    .fetch_add(1, Ordering::Relaxed);
+                self.telemetry.retires_applied.add(1);
             }
             EventKind::Stored => {
                 if self.cfg.prefetch {
@@ -580,9 +510,7 @@ impl WatcherInner {
                 }
             }
         }
-        self.telemetry
-            .events_applied
-            .fetch_add(1, Ordering::Relaxed);
+        self.telemetry.events_applied.add(1);
         self.log.lock().applied.push(AppliedEvent {
             model: ev.model,
             kind: ev.kind,
@@ -602,9 +530,7 @@ impl WatcherInner {
         let meta = self.client.inner().get_meta(ev.model)?;
         let keys = meta.owner_map.all_tensor_keys();
         let (mut have, missing) = self.client.cache().get_batch(&keys);
-        self.telemetry
-            .cache_hits_on_fetch
-            .fetch_add(have.len() as u64, Ordering::Relaxed);
+        self.telemetry.cache_hits_on_fetch.add(have.len() as u64);
         let mut source = FetchSource::Cache;
         let mut raw_segments: HashMap<TensorKey, Bytes> = HashMap::new();
         if !missing.is_empty() {
@@ -792,16 +718,10 @@ impl WatcherInner {
             have.insert(key, tensor);
             raw_segments.insert(key, raw);
         }
-        self.telemetry.chunk_fetches.fetch_add(1, Ordering::Relaxed);
-        self.telemetry
-            .chunk_bytes_reused
-            .fetch_add(reused_bytes, Ordering::Relaxed);
-        self.telemetry
-            .provider_fetches
-            .fetch_add(1, Ordering::Relaxed);
-        self.telemetry
-            .provider_bytes_fetched
-            .fetch_add(wire_bytes, Ordering::Relaxed);
+        self.telemetry.chunk_fetches.add(1);
+        self.telemetry.chunk_bytes_reused.add(reused_bytes);
+        self.telemetry.provider_fetches.add(1);
+        self.telemetry.provider_bytes_fetched.add(wire_bytes);
         true
     }
 
@@ -814,12 +734,8 @@ impl WatcherInner {
     ) -> Result<()> {
         let fetched = self.client.inner().fetch_tensors(missing)?;
         let bytes: u64 = fetched.values().map(|t| t.byte_len() as u64).sum();
-        self.telemetry
-            .provider_fetches
-            .fetch_add(1, Ordering::Relaxed);
-        self.telemetry
-            .provider_bytes_fetched
-            .fetch_add(bytes, Ordering::Relaxed);
+        self.telemetry.provider_fetches.add(1);
+        self.telemetry.provider_bytes_fetched.add(bytes);
         for (k, t) in fetched {
             self.client.cache().put(k, t.clone());
             have.insert(k, t);
@@ -876,10 +792,8 @@ impl WatcherInner {
                 "peer {peer} manifest missing tensors of {model}"
             )));
         }
-        self.telemetry.peer_fetches.fetch_add(1, Ordering::Relaxed);
-        self.telemetry
-            .peer_bytes_fetched
-            .fetch_add(bytes, Ordering::Relaxed);
+        self.telemetry.peer_fetches.add(1);
+        self.telemetry.peer_bytes_fetched.add(bytes);
         Ok(())
     }
 
@@ -939,9 +853,7 @@ impl WatcherInner {
     fn handle_peer_fetch(&self, req: PeerFetchRequest) -> PeerFetchReply {
         match self.served.lock().get(&req.model) {
             Some(s) => {
-                self.telemetry
-                    .peer_bytes_served
-                    .fetch_add(s.bytes, Ordering::Relaxed);
+                self.telemetry.peer_bytes_served.add(s.bytes);
                 PeerFetchReply {
                     ready: true,
                     manifest: s.manifest.clone(),

@@ -235,7 +235,7 @@ fn stats_surface_index_counters() {
     assert!(after_first.scanned > 0, "no scans counted");
     assert_eq!(
         after_first.scanned + after_first.pruned,
-        stats.distinct_archs as u64
+        stats.distinct_archs
     );
     client.query_best_ancestor(probe).unwrap();
     let after_second = client.stats().unwrap().query_stats;
@@ -273,7 +273,9 @@ fn stats_surface_index_counters() {
     let t = client.telemetry().index_stats();
     assert_eq!(t.scanned, after_second.scanned);
     assert_eq!(t.pruned, after_second.pruned);
-    assert!(client.telemetry().report().contains("index:"));
+    assert_eq!(t.candidates, after_second.candidates);
+    let report = client.telemetry().report();
+    assert!(report.contains(&format!("index_scanned={}", t.scanned)));
 }
 
 /// A graph that lies about itself must come back as a handler error.

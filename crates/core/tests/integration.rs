@@ -135,7 +135,7 @@ fn derived_store_is_incremental_and_shares_tensors() {
         parent_g.total_param_bytes() + new_tensors.values().map(|t| t.byte_len()).sum::<usize>();
     // Stored records carry a fixed framing overhead per tensor.
     assert!(
-        stats.tensor_bytes as usize <= unique_bytes + 64 * stats.tensors,
+        stats.tensor_bytes <= unique_bytes as u64 + 64 * stats.tensors,
         "dedup failed: {} stored vs {} unique",
         stats.tensor_bytes,
         unique_bytes

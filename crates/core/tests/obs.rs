@@ -7,10 +7,19 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use evostore_core::methods;
-use evostore_core::{Deployment, DeploymentConfig, EvoStoreClient};
-use evostore_graph::{flatten, Activation, Architecture, CompactGraph, LayerConfig, LayerKind};
+use evostore_core::par::ParStats;
+use evostore_core::provider::{index_query_rows, kv_rows};
+use evostore_core::telemetry::ClientStats;
+use evostore_core::{
+    trained_tensors, CachingClient, Deployment, DeploymentConfig, EvoStoreClient, ModelWatcher,
+    OwnerMap, ProviderStats, WatchConfig, WatchStats,
+};
+use evostore_deliver::{DeliverStats, SubscriptionFilter};
+use evostore_graph::{
+    flatten, Activation, ArchPattern, Architecture, CompactGraph, LayerConfig, LayerKind,
+};
 use evostore_obs::{FlightEvent, FlightRecorder, SpanRecord, TimeSource};
-use evostore_rpc::{FaultAction, FaultPlan, FaultRule, Method};
+use evostore_rpc::{FaultAction, FaultPlan, FaultRule, Method, RpcStats};
 use evostore_sim::{SimClock, SimTime};
 use evostore_tensor::ModelId;
 use rand::SeedableRng;
@@ -669,4 +678,201 @@ fn minimal_telemetry_skips_spans_exemplars_and_ledger() {
         "no root spans at Minimal"
     );
     assert!(client.ledger().entries().is_empty(), "ledger stays empty");
+}
+
+/// Store `model` with `g`'s architecture, deriving from `parent` (all of
+/// whose layers but the last `g` shares) when one is given.
+fn store_in_lineage(
+    client: &EvoStoreClient,
+    model: ModelId,
+    g: &CompactGraph,
+    parent: Option<ModelId>,
+    rng: &mut ChaCha8Rng,
+) {
+    let Some(parent) = parent else {
+        client.store_fresh(model, g, 0.5, rng).unwrap();
+        return;
+    };
+    let best = client
+        .query_best_ancestor(g)
+        .unwrap()
+        .into_inner()
+        .expect("the parent is a candidate");
+    assert_eq!(best.model, parent);
+    let meta = client.get_meta(parent).unwrap();
+    let map = OwnerMap::derive(model, g, &best.lcp, &meta.owner_map);
+    let tensors = trained_tensors(g, &map, model.0);
+    client
+        .store_model(g.clone(), map, Some(parent), 0.6, &tensors)
+        .unwrap();
+}
+
+/// One watcher over a whole-family prefix on `dep`, registered with the
+/// deployment's hub.
+fn family_watcher(dep: &Deployment) -> ModelWatcher {
+    ModelWatcher::attach(
+        CachingClient::new(dep.client(), 64 << 20),
+        SubscriptionFilter::ArchPrefix(seq(&[8, 16])),
+        WatchConfig::default(),
+        Some(dep.obs()),
+    )
+    .unwrap()
+}
+
+const WAIT: Duration = Duration::from_secs(10);
+
+/// Three counters that were bumped and never reached the export: a
+/// watcher's applied retires and prefetch cache hits were missing from
+/// its row list, and the client dropped the `candidates` field of every
+/// index reply.
+#[test]
+fn counted_series_that_were_never_exported_are() {
+    let dep = Deployment::in_memory(1);
+    let watcher = family_watcher(&dep);
+    let writer = dep.client();
+    let mut rng = ChaCha8Rng::seed_from_u64(11);
+    store_in_lineage(&writer, ModelId(1), &seq(&[8, 16, 16, 4]), None, &mut rng);
+    assert!(watcher.wait_until(WAIT, || watcher.stats().events_applied == 1));
+    // The child shares its parent's first three layers, which the
+    // watcher has cached: its prefetch re-fetches only the last one.
+    store_in_lineage(
+        &writer,
+        ModelId(2),
+        &seq(&[8, 16, 16, 5]),
+        Some(ModelId(1)),
+        &mut rng,
+    );
+    assert!(watcher.wait_until(WAIT, || watcher.stats().events_applied == 2));
+    writer.retire_model(ModelId(2)).unwrap();
+    assert!(watcher.wait_until(WAIT, || watcher.stats().events_applied == 3));
+    assert!(watcher.take_errors().is_empty());
+
+    let stats = watcher.stats();
+    assert_eq!(stats.retires_applied, 1);
+    assert!(stats.cache_hits_on_fetch >= 4, "{stats:?}");
+    let candidates = writer.telemetry().index_stats().candidates;
+    assert_eq!(candidates, 1, "one query over a one-model catalog");
+
+    let snap = dep.metrics_snapshot();
+    for (name, want) in [
+        ("evostore_deliver_retires_applied", stats.retires_applied),
+        (
+            "evostore_deliver_cache_hits_on_fetch",
+            stats.cache_hits_on_fetch,
+        ),
+        ("evostore_client_index_candidates", candidates),
+    ] {
+        assert!(snap.find(name).is_some(), "{name} is not exported");
+        assert_eq!(snap.counter_total(name), want, "{name}");
+    }
+}
+
+/// ROADMAP 7(c): the exported catalogue is the tables. After one of every
+/// operation on a 2-provider, r = 2 deployment, the series names in the
+/// unified snapshot are exactly the tables' declared names plus the two
+/// hand-written leaves (`kv`, `graph`) — `evostore-obs`'s own per-class
+/// instruments (`evostore_obs_*`, `evostore_slo_*`, `evostore_ledger_*`)
+/// aside — no `(name, labels)` pair appears twice, and every counter
+/// whose operation ran has moved.
+#[test]
+fn metrics_catalogue_matches_the_tables() {
+    use std::collections::BTreeSet;
+
+    let dep = Deployment::in_memory_replicated(2, 2);
+    let watcher = family_watcher(&dep);
+    let client = dep.client();
+    let mut rng = ChaCha8Rng::seed_from_u64(23);
+    let parent_g = seq(&[8, 16, 16, 4]);
+    let child_g = seq(&[8, 16, 16, 5]);
+    store_in_lineage(&client, ModelId(1), &parent_g, None, &mut rng);
+    store_in_lineage(&client, ModelId(2), &child_g, Some(ModelId(1)), &mut rng);
+    client.load_model(ModelId(2)).unwrap();
+    client
+        .query_best_ancestors(&[parent_g.clone(), child_g.clone()])
+        .unwrap();
+    client.find_matching(&ArchPattern::any()).unwrap();
+    // Each release reaches the watcher once per replica (ROADMAP 2(ii)):
+    // let it fetch the child's weights before the child goes.
+    assert!(watcher.wait_until(WAIT, || watcher.stats().events_applied >= 4));
+    client.retire_model(ModelId(2)).unwrap();
+    assert!(watcher.wait_until(WAIT, || watcher.stats().retires_applied >= 2));
+    // Acks trail applies; wait for the providers' side of the ledger.
+    assert!(watcher.wait_until(WAIT, || {
+        let delivered: u64 = dep.stats().iter().map(|s| s.deliver.events_delivered).sum();
+        delivered >= watcher.stats().events_applied
+    }));
+
+    let snap = dep.metrics_snapshot();
+    let leaves = index_query_rows(&Default::default())
+        .into_iter()
+        .chain(kv_rows(&Default::default()))
+        .map(|(name, _)| name);
+    let declared: BTreeSet<&str> = [
+        ProviderStats::SERIES,
+        DeliverStats::SERIES,
+        ClientStats::SERIES,
+        RpcStats::SERIES,
+        WatchStats::SERIES,
+        ParStats::SERIES,
+    ]
+    .into_iter()
+    .flatten()
+    .copied()
+    .chain(leaves)
+    .collect();
+    let exported: BTreeSet<&str> = snap
+        .metrics
+        .iter()
+        .map(|m| m.name.as_str())
+        .filter(|n| {
+            !["evostore_obs_", "evostore_slo_", "evostore_ledger_"]
+                .iter()
+                .any(|own| n.starts_with(own))
+        })
+        .collect();
+    assert_eq!(exported, declared);
+
+    let mut series: Vec<_> = snap.metrics.iter().map(|m| (&m.name, &m.labels)).collect();
+    let total = series.len();
+    series.sort();
+    series.dedup();
+    assert_eq!(
+        series.len(),
+        total,
+        "a (name, labels) pair is exported twice"
+    );
+
+    for name in [
+        "evostore_client_rpc_calls",
+        "evostore_client_bulk_segments_exposed",
+        "evostore_client_index_candidates",
+        "evostore_client_index_scanned",
+        "evostore_client_batch_envelopes",
+        "evostore_client_batch_queries",
+        "evostore_index_candidates",
+        "evostore_index_scanned",
+        "evostore_index_snapshot_publications",
+        "evostore_index_snapshot_reads",
+        "evostore_index_batch_envelopes",
+        "evostore_index_batch_queries",
+        "evostore_datapath_bulk_segments_exposed",
+        "evostore_datapath_zero_copy_reads",
+        "evostore_kv_puts",
+        "evostore_kv_gets",
+        "evostore_kv_deletes",
+        "evostore_kv_bytes_written",
+        "evostore_kv_bytes_read",
+        "evostore_par_inline_total",
+        "evostore_deliver_events_published",
+        "evostore_deliver_events_delivered",
+        "evostore_deliver_event_pushes",
+        "evostore_deliver_releases",
+        "evostore_deliver_events_applied",
+        "evostore_deliver_retires_applied",
+        "evostore_deliver_provider_fetches",
+        "evostore_deliver_provider_egress_bytes",
+        "evostore_deliver_cache_hits_on_fetch",
+    ] {
+        assert!(snap.counter_total(name) > 0, "{name} did not move");
+    }
 }

@@ -4,9 +4,7 @@
 
 use std::collections::HashMap;
 
-use evostore_core::messages::{
-    ManifestEntry, ReadTensorsReply, ReadTensorsRequest, StoreModelReply, StoreModelRequest,
-};
+use evostore_core::messages::{ManifestEntry, ReadTensorsRequest, StoreModelRequest};
 use evostore_core::{
     methods, random_tensors, BackendKind, Deployment, DeploymentConfig, OwnerMap,
     ReplicationPolicy, StorePolicy,
@@ -15,7 +13,7 @@ use evostore_graph::{
     flatten, lcp, Activation, Architecture, CompactGraph, LayerConfig, LayerKind,
 };
 use evostore_obs::FlightEvent;
-use evostore_rpc::{call_typed, BulkHandle, Method};
+use evostore_rpc::{unary, BulkHandle, Method, RetryPolicy};
 use evostore_tensor::{write_tensor, ModelId, TensorData, TensorKey, BORROW_MIN_BYTES};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -534,14 +532,17 @@ fn borrowed_records_share_the_callers_buffer() {
     // What the pool holds, as a raw READ exposes it.
     let mut keys: Vec<TensorKey> = tensors.keys().copied().collect();
     keys.sort();
-    let reply: ReadTensorsReply = call_typed(
+    let reply = unary(
         dep.fabric(),
         dep.provider_ids()[0],
-        methods::Read::METHOD,
+        methods::Read,
         &ReadTensorsRequest {
             keys: keys.clone(),
             raw_records: true,
         },
+        &RetryPolicy::no_retry(),
+        None,
+        None,
     )
     .unwrap();
     let region = dep.fabric().bulk_get_vec(BulkHandle(reply.bulk)).unwrap();
@@ -765,10 +766,10 @@ fn contiguous_and_borrowed_pushes_store_identical_bytes() {
                 })
                 .collect();
             let bulk = dep.fabric().bulk_expose_vec(records);
-            let _: StoreModelReply = call_typed(
+            unary(
                 dep.fabric(),
                 dep.provider_ids()[0],
-                methods::Store::METHOD,
+                methods::Store,
                 &StoreModelRequest {
                     model: ModelId(1),
                     graph: g.clone(),
@@ -779,6 +780,9 @@ fn contiguous_and_borrowed_pushes_store_identical_bytes() {
                     bulk: bulk.0,
                     timestamp: None,
                 },
+                &RetryPolicy::no_retry(),
+                None,
+                None,
             )
             .unwrap();
             dep.fabric().bulk_release(bulk);

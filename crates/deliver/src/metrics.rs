@@ -1,116 +1,44 @@
-//! Delivery-plane counters: lock-free provider-side accumulation
-//! ([`DeliverMetrics`]), a serializable snapshot for stats replies
-//! ([`DeliverStats`]), and the `evostore_deliver_*` metric rows both
-//! surface through the ObsHub registry.
+//! Delivery-plane counters, declared once: the lock-free holder the hub
+//! and its pump thread bump ([`DeliverMetrics`]), its serializable
+//! snapshot for stats replies ([`DeliverStats`]) and the
+//! `evostore_deliver_*` rows both surface through the ObsHub registry.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use evostore_obs::{counter_set, Metric};
 
-use evostore_obs::Metric;
-use serde::{Deserialize, Serialize};
-
-/// Lock-free delivery counters bumped by the hub and its pump thread.
-#[derive(Debug, Default)]
-pub struct DeliverMetrics {
-    /// Live subscriptions (gauge).
-    pub subscriptions: AtomicU64,
-    /// Events enqueued across all subscription queues.
-    pub events_published: AtomicU64,
-    /// Events acknowledged by subscribers.
-    pub events_delivered: AtomicU64,
-    /// Events dropped: queue overflow, or pending when a dead
-    /// subscriber was reaped.
-    pub events_dropped: AtomicU64,
-    /// `deliver.event` pushes sent.
-    pub event_pushes: AtomicU64,
-    /// Pushes that failed (timeout/unavailable); the queue re-pushes.
-    pub push_failures: AtomicU64,
-    /// Store publications that matched at least one subscription.
-    pub releases: AtomicU64,
-    /// Depth of the most recent broadcast tree (gauge).
-    pub tree_depth: AtomicU64,
-    /// Subscriber count of the most recent broadcast tree (gauge).
-    pub tree_width: AtomicU64,
-}
-
-impl DeliverMetrics {
-    /// Snapshot into the serializable stats block.
-    pub fn stats(&self) -> DeliverStats {
-        DeliverStats {
-            subscriptions: self.subscriptions.load(Ordering::Relaxed),
-            events_published: self.events_published.load(Ordering::Relaxed),
-            events_delivered: self.events_delivered.load(Ordering::Relaxed),
-            events_dropped: self.events_dropped.load(Ordering::Relaxed),
-            event_pushes: self.event_pushes.load(Ordering::Relaxed),
-            push_failures: self.push_failures.load(Ordering::Relaxed),
-            releases: self.releases.load(Ordering::Relaxed),
-            tree_depth: self.tree_depth.load(Ordering::Relaxed),
-            tree_width: self.tree_width.load(Ordering::Relaxed),
-        }
+counter_set! {
+    /// Lock-free delivery counters bumped by the hub and its pump thread.
+    pub struct DeliverMetrics;
+    /// Serializable delivery counters (embedded in provider stats
+    /// replies). The tree levels merge by maximum: a merged stats reply
+    /// reports the deepest/widest recent release.
+    #[derive(Copy, Eq)]
+    pub struct DeliverStats {
+        /// Live subscriptions.
+        subscriptions: atomic sum gauge "evostore_deliver_subscriptions",
+        /// Events enqueued across all subscription queues.
+        events_published: atomic sum counter "evostore_deliver_events_published",
+        /// Events acknowledged by subscribers.
+        events_delivered: atomic sum counter "evostore_deliver_events_delivered",
+        /// Events dropped: queue overflow, or pending when a dead
+        /// subscriber was reaped.
+        events_dropped: atomic sum counter "evostore_deliver_events_dropped",
+        /// `deliver.event` pushes sent.
+        event_pushes: atomic sum counter "evostore_deliver_event_pushes",
+        /// Pushes that failed (timeout/unavailable); the queue re-pushes.
+        push_failures: atomic sum counter "evostore_deliver_push_failures",
+        /// Store publications that matched at least one subscription.
+        releases: atomic sum counter "evostore_deliver_releases",
+        /// Depth of the most recent broadcast tree.
+        tree_depth: atomic max gauge "evostore_deliver_tree_depth",
+        /// Subscriber count of the most recent broadcast tree.
+        tree_width: atomic max gauge "evostore_deliver_tree_width",
     }
-}
-
-/// Serializable delivery counters (embedded in provider stats replies).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct DeliverStats {
-    /// Live subscriptions.
-    pub subscriptions: u64,
-    /// Events enqueued across all subscription queues.
-    pub events_published: u64,
-    /// Events acknowledged by subscribers.
-    pub events_delivered: u64,
-    /// Events dropped (overflow or dead-subscriber reap).
-    pub events_dropped: u64,
-    /// `deliver.event` pushes sent.
-    pub event_pushes: u64,
-    /// Failed pushes.
-    pub push_failures: u64,
-    /// Store publications matching at least one subscription.
-    pub releases: u64,
-    /// Depth of the most recent broadcast tree.
-    pub tree_depth: u64,
-    /// Subscriber count of the most recent broadcast tree.
-    pub tree_width: u64,
 }
 
 impl DeliverStats {
-    /// Element-wise sum; the tree gauges take the maximum (a merged
-    /// stats reply reports the deepest/widest recent release).
-    pub fn merge(self, other: DeliverStats) -> DeliverStats {
-        DeliverStats {
-            subscriptions: self.subscriptions + other.subscriptions,
-            events_published: self.events_published + other.events_published,
-            events_delivered: self.events_delivered + other.events_delivered,
-            events_dropped: self.events_dropped + other.events_dropped,
-            event_pushes: self.event_pushes + other.event_pushes,
-            push_failures: self.push_failures + other.push_failures,
-            releases: self.releases + other.releases,
-            tree_depth: self.tree_depth.max(other.tree_depth),
-            tree_width: self.tree_width.max(other.tree_width),
-        }
-    }
-
     /// The `evostore_deliver_*` metric rows for one provider.
     pub fn metrics(&self, provider: usize) -> Vec<Metric> {
-        vec![
-            Metric::gauge("evostore_deliver_subscriptions", self.subscriptions as f64)
-                .with_label("provider", provider),
-            Metric::counter("evostore_deliver_events_published", self.events_published)
-                .with_label("provider", provider),
-            Metric::counter("evostore_deliver_events_delivered", self.events_delivered)
-                .with_label("provider", provider),
-            Metric::counter("evostore_deliver_events_dropped", self.events_dropped)
-                .with_label("provider", provider),
-            Metric::counter("evostore_deliver_event_pushes", self.event_pushes)
-                .with_label("provider", provider),
-            Metric::counter("evostore_deliver_push_failures", self.push_failures)
-                .with_label("provider", provider),
-            Metric::counter("evostore_deliver_releases", self.releases)
-                .with_label("provider", provider),
-            Metric::gauge("evostore_deliver_tree_depth", self.tree_depth as f64)
-                .with_label("provider", provider),
-            Metric::gauge("evostore_deliver_tree_width", self.tree_width as f64)
-                .with_label("provider", provider),
-        ]
+        self.rows(&[("provider", &provider.to_string())])
     }
 }
 

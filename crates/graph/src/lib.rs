@@ -11,7 +11,7 @@
 //!   Algorithm 1) and the best-ancestor scan built on it;
 //! * architecture generators for micro-benchmarks and NAS search spaces
 //!   ([`generator`]);
-//! * what the provider's lock-free catalog is built from: the ancestor
+//! * what the provider's snapshot-isolated catalog is built from: the ancestor
 //!   index ([`index`]) over per-architecture cone hashes and layer-kind
 //!   bitsets ([`prefilter`]), and atomically published immutable
 //!   snapshots ([`snapshot`]).

@@ -1,177 +1,60 @@
-//! Lock-free published snapshots: a hand-rolled `ArcSwap` equivalent.
+//! Published snapshots: one `Arc<T>` that a writer replaces and readers
+//! pin.
 //!
-//! [`SnapshotCell<T>`] holds one `Arc<T>` behind an atomic pointer.
-//! Readers ([`SnapshotCell::load`]) pin the current value without taking
-//! any lock — they publish the pointer they are about to use into one of
-//! a fixed set of *hazard slots*, re-verify it is still current, and only
-//! then bump the strong count. Writers ([`SnapshotCell::store`]) publish
-//! a replacement with a single atomic pointer swap, so readers always see
-//! either the old or the new value — never a partially-applied state —
-//! and a writer never blocks a reader.
-//!
-//! Reclamation is hazard-pointer style: a swapped-out value goes onto a
-//! retired list (writer-side only) and is dropped once no hazard slot
-//! protects its address. The safety argument is the classic one and
-//! relies on every cross-thread step being `SeqCst`:
-//!
-//! 1. a reader stores its candidate pointer into a hazard slot, *then*
-//!    re-loads the current pointer; it proceeds only if they match;
-//! 2. a writer swaps the current pointer, *then* scans the hazard slots.
-//!
-//! If the reader's verifying load saw the old value, it happened before
-//! the writer's swap in the total `SeqCst` order, hence the reader's slot
-//! store also precedes the writer's scan — the writer keeps the value
-//! alive. Otherwise the reader observes the new pointer and retries, and
-//! never dereferences the retired one. Address reuse (ABA) is benign:
-//! protection is by address, so a hazard slot naming a reused address
-//! protects whichever live snapshot now occupies it.
+//! [`SnapshotCell<T>`] holds the current value behind a read-write lock
+//! taken only for the pointer itself: [`SnapshotCell::load`] clones the
+//! `Arc` under the read lock, [`SnapshotCell::store`] swaps it under the
+//! write lock and drops the predecessor after releasing it. Readers
+//! therefore see either the old or the new value — never a partially
+//! applied state — and a swapped-out value lives exactly as long as the
+//! last reader that pinned it. (A hazard-slot cell with lock-free loads
+//! stood here until publication fell to 0.3–1.4 % of an op; EXPERIMENTS.md
+//! "The `SnapshotCell` trial" has the runs that retired it.)
 
-use std::ptr;
-use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::RwLock;
 
-/// Number of hazard slots — an upper bound on readers *concurrently
-/// inside* `load` (not on reader threads; slots are held for a few
-/// instructions only). Excess readers spin-yield until a slot frees.
-const SLOTS: usize = 64;
-
-/// One cache-line-padded hazard slot.
-#[repr(align(64))]
-struct Slot(AtomicPtr<()>);
-
-/// Round-robin starting slot per thread, to spread CAS traffic.
-static NEXT_HINT: AtomicUsize = AtomicUsize::new(0);
-thread_local! {
-    static HAZARD_HINT: usize = NEXT_HINT.fetch_add(1, Ordering::Relaxed);
-}
-
-/// An atomically swappable `Arc<T>` with lock-free reads.
+/// An atomically swappable `Arc<T>`.
 pub struct SnapshotCell<T> {
-    /// Current value, as a raw pointer owning one strong count.
-    current: AtomicPtr<T>,
-    /// Hazard slots protecting in-flight reads.
-    hazards: Box<[Slot; SLOTS]>,
-    /// Swapped-out values awaiting reclamation (writer side).
-    retired: Mutex<Vec<*mut T>>,
+    current: RwLock<Arc<T>>,
     /// Total publications, for observability.
     swaps: AtomicU64,
 }
-
-// Raw pointers make these !Send/!Sync by default; the hazard protocol
-// above is exactly what makes sharing sound, provided T itself is
-// shareable (the cell hands out Arc<T> clones across threads).
-unsafe impl<T: Send + Sync> Send for SnapshotCell<T> {}
-unsafe impl<T: Send + Sync> Sync for SnapshotCell<T> {}
 
 impl<T: Send + Sync> SnapshotCell<T> {
     /// New cell holding `value`.
     pub fn new(value: Arc<T>) -> SnapshotCell<T> {
         SnapshotCell {
-            current: AtomicPtr::new(Arc::into_raw(value) as *mut T),
-            hazards: Box::new(std::array::from_fn(|_| {
-                Slot(AtomicPtr::new(ptr::null_mut()))
-            })),
-            retired: Mutex::new(Vec::new()),
+            current: RwLock::new(value),
             swaps: AtomicU64::new(0),
         }
     }
 
-    /// Pin and return the current value. Lock-free: never blocks on a
-    /// writer (spin-yields only if all hazard slots are momentarily
-    /// occupied by other in-flight readers).
+    /// Pin and return the current value.
     pub fn load(&self) -> Arc<T> {
-        let hint = HAZARD_HINT.with(|h| *h) % SLOTS;
-        let mut p = self.current.load(Ordering::SeqCst);
-        // Claim a free slot, publishing our candidate pointer into it.
-        let slot = 'claim: loop {
-            for i in 0..SLOTS {
-                let s = &self.hazards[(hint + i) % SLOTS].0;
-                if s.compare_exchange(
-                    ptr::null_mut(),
-                    p as *mut (),
-                    Ordering::SeqCst,
-                    Ordering::Relaxed,
-                )
-                .is_ok()
-                {
-                    break 'claim s;
-                }
-            }
-            std::thread::yield_now();
-            p = self.current.load(Ordering::SeqCst);
-        };
-        // Re-verify: the pointer may have been swapped (and retired)
-        // between our initial load and the hazard publication.
-        loop {
-            let cur = self.current.load(Ordering::SeqCst);
-            if cur == p {
-                break;
-            }
-            p = cur;
-            slot.store(p as *mut (), Ordering::SeqCst);
-        }
-        // `p` is protected: safe to take a new strong reference.
-        let arc = unsafe {
-            Arc::increment_strong_count(p as *const T);
-            Arc::from_raw(p as *const T)
-        };
-        slot.store(ptr::null_mut(), Ordering::SeqCst);
-        arc
+        Arc::clone(&self.current.read())
     }
 
-    /// Publish `value` as the new current snapshot and reclaim any
-    /// retired predecessors no reader still protects.
+    /// Publish `value` as the new current snapshot. The predecessor is
+    /// dropped here unless a reader still pins it.
     pub fn store(&self, value: Arc<T>) {
-        let new_raw = Arc::into_raw(value) as *mut T;
-        let old = self.current.swap(new_raw, Ordering::SeqCst);
+        let old = std::mem::replace(&mut *self.current.write(), value);
         self.swaps.fetch_add(1, Ordering::Relaxed);
-        let mut retired = self.retired.lock();
-        retired.push(old);
-        let mut i = 0;
-        while i < retired.len() {
-            let q = retired[i];
-            if self.is_hazard(q as *mut ()) {
-                i += 1;
-            } else {
-                retired.swap_remove(i);
-                unsafe { drop(Arc::from_raw(q as *const T)) };
-            }
-        }
-    }
-
-    fn is_hazard(&self, q: *mut ()) -> bool {
-        self.hazards.iter().any(|s| s.0.load(Ordering::SeqCst) == q)
+        drop(old);
     }
 
     /// Number of publications so far.
     pub fn swaps(&self) -> u64 {
         self.swaps.load(Ordering::Relaxed)
     }
-
-    /// Snapshots swapped out but not yet reclaimed (still pinned by a
-    /// reader at the last publication).
-    pub fn retired_len(&self) -> usize {
-        self.retired.lock().len()
-    }
-}
-
-impl<T> Drop for SnapshotCell<T> {
-    fn drop(&mut self) {
-        // &mut self: no readers can exist, every raw pointer owns exactly
-        // the one strong count `into_raw` leaked.
-        let cur = *self.current.get_mut();
-        unsafe { drop(Arc::from_raw(cur as *const T)) };
-        for q in self.retired.get_mut().drain(..) {
-            unsafe { drop(Arc::from_raw(q as *const T)) };
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicUsize;
     use std::sync::Barrier;
 
     struct Counted {
@@ -226,9 +109,10 @@ mod tests {
         // The old snapshot is still reachable through `pinned`.
         assert_eq!(pinned.a, 1);
         assert_eq!(live.load(Ordering::SeqCst), 2);
+        // The last pin drops it, exactly once; publications drop their
+        // unpinned predecessor themselves.
         drop(pinned);
-        // The next publication reclaims everything unpinned: v1 and the
-        // just-retired v2 both drop, leaving only the current v3.
+        assert_eq!(live.load(Ordering::SeqCst), 1);
         cell.store(Counted::new(3, &live));
         assert_eq!(live.load(Ordering::SeqCst), 1);
         drop(cell);

@@ -106,14 +106,6 @@ pub trait KvBackend: Send + Sync {
     /// Total bytes of live values (the storage-space metric of Fig 10).
     fn bytes_used(&self) -> usize;
 
-    /// Bulk insert; the default loops, backends may batch.
-    fn put_many(&self, items: &[(&[u8], Bytes)]) -> Result<(), KvError> {
-        for (k, v) in items {
-            self.put(k, v.clone())?;
-        }
-        Ok(())
-    }
-
     /// Snapshot of all live keys (diagnostics, GC audits, compaction).
     fn keys(&self) -> Vec<Vec<u8>>;
 

@@ -140,13 +140,12 @@ impl KvBackend for FannedLogStore {
     }
 
     fn metrics_snapshot(&self) -> Option<MetricsSnapshot> {
-        let mut total = MetricsSnapshot::default();
-        for s in self.open_shards() {
-            if let Some(m) = s.metrics_snapshot() {
-                total.merge(&m);
-            }
-        }
-        Some(total)
+        Some(
+            self.open_shards()
+                .iter()
+                .filter_map(|s| s.metrics_snapshot())
+                .fold(MetricsSnapshot::default(), MetricsSnapshot::merge),
+        )
     }
 }
 

@@ -36,14 +36,16 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Sum `other` in (for aggregating across tiers or providers).
-    pub fn merge(&mut self, other: &MetricsSnapshot) {
-        self.puts += other.puts;
-        self.gets += other.gets;
-        self.misses += other.misses;
-        self.deletes += other.deletes;
-        self.bytes_written += other.bytes_written;
-        self.bytes_read += other.bytes_read;
+    /// Element-wise sum (for aggregating across tiers or providers).
+    pub fn merge(self, other: MetricsSnapshot) -> MetricsSnapshot {
+        MetricsSnapshot {
+            puts: self.puts + other.puts,
+            gets: self.gets + other.gets,
+            misses: self.misses + other.misses,
+            deletes: self.deletes + other.deletes,
+            bytes_written: self.bytes_written + other.bytes_written,
+            bytes_read: self.bytes_read + other.bytes_read,
+        }
     }
 }
 

@@ -10,7 +10,8 @@
 //!   ([`clock`]: wall clock live, virtual clock under simulation).
 //! * **Metrics** ([`registry`]) — a [`MetricsRegistry`] unifying the
 //!   per-island counters behind one [`RegistrySnapshot`] with JSON and
-//!   Prometheus-text exposition.
+//!   Prometheus-text exposition; every island declares its counters
+//!   once, as a [`counter_set!`] table ([`telemetry`]).
 //! * **Flight recording** ([`recorder`]) — bounded per-node rings of
 //!   recent spans/faults/failovers ([`FlightRecorder`]) merged into a
 //!   causal postmortem after a chaos run, plus a [`SlowOpLog`] retaining
@@ -32,6 +33,7 @@ pub mod recorder;
 pub mod registry;
 pub mod serve;
 pub mod slo;
+pub mod telemetry;
 pub mod trace;
 
 pub use clock::{MonotonicClock, TimeSource, VirtualClock};
@@ -42,6 +44,7 @@ pub use registry::{
 };
 pub use serve::{ObsServer, ObsServerBuilder};
 pub use slo::{SloEngine, SloSpec, SloStatus, WindowStatus};
+pub use telemetry::{Computed, Counter, LatencyHistogram};
 pub use trace::{
     current_trace, render_span_tree, set_current_trace, span_depth, Span, SpanRecord, TraceContext,
     Tracer,

@@ -15,6 +15,7 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use crate::clock::TimeSource;
+use crate::registry::Metric;
 use crate::trace::SpanRecord;
 
 /// One entry in a flight recorder ring.
@@ -238,6 +239,16 @@ impl FlightRecorder {
     /// Events evicted because the ring was full.
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
+    }
+
+    /// Ring health as `evostore_obs_flight_*` series labeled by node.
+    pub fn metrics(&self) -> Vec<Metric> {
+        vec![
+            Metric::counter("evostore_obs_flight_events", self.recorded())
+                .with_label("node", &self.node),
+            Metric::counter("evostore_obs_flight_dropped", self.dropped())
+                .with_label("node", &self.node),
+        ]
     }
 
     /// All span events in the ring belonging to `trace_id`, oldest

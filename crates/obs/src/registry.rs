@@ -61,6 +61,29 @@ pub struct HistogramSummary {
     pub exemplars: Vec<Exemplar>,
 }
 
+impl HistogramSummary {
+    /// Fold `other` in: count and sum add, the percentile bounds take
+    /// the maximum (an upper-bound digest — exact cross-node percentiles
+    /// would need the raw buckets), and the slowest exemplars are kept.
+    pub fn merge(mut self, other: HistogramSummary) -> HistogramSummary {
+        self.count += other.count;
+        self.sum_us += other.sum_us;
+        self.p50_us = self.p50_us.max(other.p50_us);
+        self.p95_us = self.p95_us.max(other.p95_us);
+        self.p99_us = self.p99_us.max(other.p99_us);
+        self.max_us = self.max_us.max(other.max_us);
+        self.exemplars.extend(other.exemplars);
+        // Keep the slowest exemplars when over budget — they are the
+        // ones worth joining to traces.
+        if self.exemplars.len() > MAX_SUMMARY_EXEMPLARS {
+            self.exemplars
+                .sort_by_key(|e| std::cmp::Reverse(e.value_us));
+            self.exemplars.truncate(MAX_SUMMARY_EXEMPLARS);
+        }
+        self
+    }
+}
+
 /// A metric's value.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum MetricValue {
@@ -117,6 +140,13 @@ impl Metric {
         self
     }
 
+    /// Attach every label of `labels`, in order.
+    pub fn with_labels(mut self, labels: &[(&str, &str)]) -> Metric {
+        self.labels
+            .extend(labels.iter().map(|(k, v)| (k.to_string(), v.to_string())));
+        self
+    }
+
     fn label_text(&self) -> String {
         if self.labels.is_empty() {
             return String::new();
@@ -156,10 +186,8 @@ impl RegistrySnapshot {
     }
 
     /// Fold `other` in. Same (name, labels) merge pointwise: counters
-    /// and gauges sum; histograms sum count/sum and take the max of the
-    /// percentile bounds (an upper-bound digest — exact cross-node
-    /// percentiles would need the raw buckets). Distinct series are
-    /// appended.
+    /// and gauges sum, histograms by [`HistogramSummary::merge`].
+    /// Distinct series are appended.
     pub fn merge(&mut self, other: &RegistrySnapshot) {
         for m in &other.metrics {
             match self
@@ -171,19 +199,7 @@ impl RegistrySnapshot {
                     (MetricValue::Counter(a), MetricValue::Counter(b)) => *a += b,
                     (MetricValue::Gauge(a), MetricValue::Gauge(b)) => *a += b,
                     (MetricValue::Histogram(a), MetricValue::Histogram(b)) => {
-                        a.count += b.count;
-                        a.sum_us += b.sum_us;
-                        a.p50_us = a.p50_us.max(b.p50_us);
-                        a.p95_us = a.p95_us.max(b.p95_us);
-                        a.p99_us = a.p99_us.max(b.p99_us);
-                        a.max_us = a.max_us.max(b.max_us);
-                        a.exemplars.extend(b.exemplars.iter().copied());
-                        // Keep the slowest exemplars when over budget —
-                        // they are the ones worth joining to traces.
-                        if a.exemplars.len() > MAX_SUMMARY_EXEMPLARS {
-                            a.exemplars.sort_by_key(|e| std::cmp::Reverse(e.value_us));
-                            a.exemplars.truncate(MAX_SUMMARY_EXEMPLARS);
-                        }
+                        *a = std::mem::take(a).merge(b.clone());
                     }
                     // Type mismatch across nodes is a bug; keep ours.
                     _ => {}
@@ -359,14 +375,7 @@ impl ObsHub {
             registry.register(move || {
                 let mut out = Vec::new();
                 for r in recorders.lock().iter() {
-                    out.push(
-                        Metric::counter("evostore_obs_flight_events", r.recorded())
-                            .with_label("node", r.node()),
-                    );
-                    out.push(
-                        Metric::counter("evostore_obs_flight_dropped", r.dropped())
-                            .with_label("node", r.node()),
-                    );
+                    out.extend(r.metrics());
                 }
                 for (node, log) in slow_logs.lock().iter() {
                     out.push(

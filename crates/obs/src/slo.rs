@@ -59,19 +59,6 @@ impl SloSpec {
             trip_burn_rate: 14.4,
         }
     }
-
-    /// Override the fast/slow evaluation windows.
-    pub fn with_windows(mut self, fast_us: u64, slow_us: u64) -> SloSpec {
-        self.fast_window_us = fast_us;
-        self.slow_window_us = slow_us.max(fast_us);
-        self
-    }
-
-    /// Override the trip threshold.
-    pub fn with_trip_burn_rate(mut self, rate: f64) -> SloSpec {
-        self.trip_burn_rate = rate;
-        self
-    }
 }
 
 /// Good/bad tallies and the burn rate over one evaluation window.
@@ -341,11 +328,12 @@ mod tests {
     fn engine() -> (Arc<VirtualClock>, SloEngine) {
         let clock = Arc::new(VirtualClock::new());
         let eng = SloEngine::new(clock.clone());
-        eng.register(
-            SloSpec::new("fetch", 1_000, 0.9)
-                .with_windows(8_000_000, 64_000_000)
-                .with_trip_burn_rate(5.0),
-        );
+        eng.register(SloSpec {
+            fast_window_us: 8_000_000,
+            slow_window_us: 64_000_000,
+            trip_burn_rate: 5.0,
+            ..SloSpec::new("fetch", 1_000, 0.9)
+        });
         (clock, eng)
     }
 

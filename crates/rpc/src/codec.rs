@@ -9,7 +9,7 @@ use bytes::Bytes;
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 
-use crate::fabric::{EndpointId, Fabric, RpcError};
+use crate::fabric::RpcError;
 
 /// Encode a typed message.
 pub fn encode<T: Serialize>(value: &T) -> Result<Bytes, RpcError> {
@@ -23,34 +23,9 @@ pub fn decode<T: DeserializeOwned>(bytes: &[u8]) -> Result<T, RpcError> {
     serde_json::from_slice(bytes).map_err(|e| RpcError::Codec(e.to_string()))
 }
 
-/// Typed two-sided RPC by method string — the raw, no-retry path kept
-/// for callers outside the [`Method`](crate::method::Method) tables
-/// (the Redis-substitute baseline): one attempt under
-/// [`RetryPolicy::no_retry`](crate::resilient::RetryPolicy::no_retry)'s
-/// generous 30 s deadline (so an injected reply loss surfaces as
-/// [`RpcError::Timeout`] instead of hanging forever), no metrics.
-pub fn call_typed<Req: Serialize, Resp: DeserializeOwned>(
-    fabric: &Fabric,
-    target: EndpointId,
-    method: &str,
-    req: &Req,
-) -> Result<Resp, RpcError> {
-    let policy = crate::resilient::RetryPolicy::no_retry();
-    let reply = crate::resilient::call_with_retry(
-        fabric,
-        target,
-        method,
-        encode(req)?,
-        &policy,
-        None,
-        None,
-    )?;
-    decode(&reply)
-}
-
 /// Wrap a typed handler into the byte-level [`crate::fabric::Handler`]
 /// signature.
-pub fn typed_handler<Req, Resp, F>(f: F) -> impl Fn(Bytes) -> Result<Bytes, String>
+pub(crate) fn typed_handler<Req, Resp, F>(f: F) -> impl Fn(Bytes) -> Result<Bytes, String>
 where
     Req: DeserializeOwned,
     Resp: Serialize,
@@ -69,41 +44,58 @@ where
 mod tests {
     use super::*;
     use crate::fabric::Fabric;
+    use crate::Method;
     use serde::Deserialize;
 
     #[derive(Serialize, Deserialize, PartialEq, Debug)]
-    struct Query {
+    pub struct Query {
         id: u64,
         tags: Vec<String>,
     }
 
     #[derive(Serialize, Deserialize, PartialEq, Debug)]
-    struct Answer {
+    pub struct Answer {
         score: f64,
+    }
+
+    crate::rpc_methods! {
+        /// Answers with a score.
+        Score = "test.score": Query => Answer;
+        /// Served by a handler that answers with bytes that are not JSON.
+        Junk = "test.junk": Query => Answer;
+    }
+
+    fn call<M: crate::Method>(
+        fabric: &Fabric,
+        ep: &crate::Endpoint,
+        m: M,
+        req: &M::Request,
+    ) -> Result<M::Reply, RpcError> {
+        crate::unary(
+            fabric,
+            ep.id(),
+            m,
+            req,
+            &crate::RetryPolicy::no_retry(),
+            None,
+            None,
+        )
     }
 
     #[test]
     fn typed_roundtrip() {
         let fabric = Fabric::new();
         let ep = fabric.create_endpoint(1);
-        ep.register(
-            "score",
-            typed_handler(|q: Query| {
-                Ok(Answer {
-                    score: q.id as f64 + q.tags.len() as f64,
-                })
-            }),
-        );
-        let ans: Answer = call_typed(
-            &fabric,
-            ep.id(),
-            "score",
-            &Query {
-                id: 40,
-                tags: vec!["a".into(), "b".into()],
-            },
-        )
-        .unwrap();
+        ep.serve(Score, |q: Query| {
+            Ok(Answer {
+                score: q.id as f64 + q.tags.len() as f64,
+            })
+        });
+        let query = Query {
+            id: 40,
+            tags: vec!["a".into(), "b".into()],
+        };
+        let ans = call(&fabric, &ep, Score, &query).unwrap();
         assert_eq!(ans, Answer { score: 42.0 });
     }
 
@@ -111,16 +103,12 @@ mod tests {
     fn decode_failure_is_codec_error() {
         let fabric = Fabric::new();
         let ep = fabric.create_endpoint(1);
-        ep.register("junk", |_| Ok(Bytes::from_static(b"not json")));
-        let r: Result<Answer, RpcError> = call_typed(
-            &fabric,
-            ep.id(),
-            "junk",
-            &Query {
-                id: 0,
-                tags: vec![],
-            },
-        );
+        ep.register(Junk::METHOD, |_| Ok(Bytes::from_static(b"not json")));
+        let query = Query {
+            id: 0,
+            tags: vec![],
+        };
+        let r = call(&fabric, &ep, Junk, &query);
         assert!(matches!(r, Err(RpcError::Codec(_))));
     }
 
@@ -128,8 +116,8 @@ mod tests {
     fn handler_decode_failure_reported() {
         let fabric = Fabric::new();
         let ep = fabric.create_endpoint(1);
-        ep.register("q", typed_handler(|_q: Query| Ok(Answer { score: 0.0 })));
-        let r = fabric.call(ep.id(), "q", Bytes::from_static(b"garbage"));
+        ep.serve(Score, |_q: Query| Ok(Answer { score: 0.0 }));
+        let r = fabric.call(ep.id(), Score::METHOD, Bytes::from_static(b"garbage"));
         assert!(matches!(r, Err(RpcError::Handler(msg)) if msg.contains("decode")));
     }
 }

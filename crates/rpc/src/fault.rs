@@ -24,6 +24,7 @@ use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
+use evostore_obs::counter_set;
 use parking_lot::{Mutex, RwLock};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -155,20 +156,24 @@ impl FaultRule {
     }
 }
 
-/// Counters for what a plan actually injected — lets tests assert the
-/// scenario they scripted really happened.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct FaultStats {
-    /// Calls rejected `Unavailable` (rule or down endpoint).
-    pub unavailable: u64,
-    /// Calls failed `Timeout` at dispatch.
-    pub timeouts: u64,
-    /// Calls whose service was delayed.
-    pub delays: u64,
-    /// Replies dropped after the handler ran.
-    pub dropped_replies: u64,
-    /// Bulk reads rejected because the owning endpoint was down.
-    pub bulk_rejections: u64,
+counter_set! {
+    /// What a plan has injected so far, bumped as it decides.
+    struct FaultCounters;
+    /// Counters for what a plan actually injected — lets tests assert the
+    /// scenario they scripted really happened.
+    #[derive(Copy, Eq)]
+    pub struct FaultStats {
+        /// Calls rejected `Unavailable` (rule or down endpoint).
+        unavailable: atomic sum hidden,
+        /// Calls failed `Timeout` at dispatch.
+        timeouts: atomic sum hidden,
+        /// Calls whose service was delayed.
+        delays: atomic sum hidden,
+        /// Replies dropped after the handler ran.
+        dropped_replies: atomic sum hidden,
+        /// Bulk reads rejected because the owning endpoint was down.
+        bulk_rejections: atomic sum hidden,
+    }
 }
 
 /// A complete fault scenario: an ordered rule list plus a dynamic
@@ -183,11 +188,7 @@ pub struct FaultPlan {
     seen: Vec<AtomicU64>,
     down: RwLock<HashSet<EndpointId>>,
     rng: Mutex<StdRng>,
-    unavailable: AtomicU64,
-    timeouts: AtomicU64,
-    delays: AtomicU64,
-    dropped_replies: AtomicU64,
-    bulk_rejections: AtomicU64,
+    injected: FaultCounters,
 }
 
 impl FaultPlan {
@@ -200,11 +201,7 @@ impl FaultPlan {
             seen: Vec::new(),
             down: RwLock::new(HashSet::new()),
             rng: Mutex::new(StdRng::seed_from_u64(seed)),
-            unavailable: AtomicU64::new(0),
-            timeouts: AtomicU64::new(0),
-            delays: AtomicU64::new(0),
-            dropped_replies: AtomicU64::new(0),
-            bulk_rejections: AtomicU64::new(0),
+            injected: FaultCounters::new(),
         }
     }
 
@@ -233,20 +230,14 @@ impl FaultPlan {
 
     /// Snapshot of what has been injected so far.
     pub fn stats(&self) -> FaultStats {
-        FaultStats {
-            unavailable: self.unavailable.load(Ordering::Relaxed),
-            timeouts: self.timeouts.load(Ordering::Relaxed),
-            delays: self.delays.load(Ordering::Relaxed),
-            dropped_replies: self.dropped_replies.load(Ordering::Relaxed),
-            bulk_rejections: self.bulk_rejections.load(Ordering::Relaxed),
-        }
+        self.injected.snapshot()
     }
 
     /// Decide the fate of a dispatch to `ep.method`. Called by the
     /// fabric only while a plan is installed.
     pub(crate) fn decide(&self, ep: EndpointId, method: &str) -> Option<FaultAction> {
         if self.is_down(ep) {
-            self.unavailable.fetch_add(1, Ordering::Relaxed);
+            self.injected.unavailable.add(1);
             return Some(FaultAction::Unavailable);
         }
         for (rule, seen) in self.rules.iter().zip(&self.seen) {
@@ -261,11 +252,12 @@ impl FaultPlan {
                 continue;
             }
             match rule.action {
-                FaultAction::Unavailable => self.unavailable.fetch_add(1, Ordering::Relaxed),
-                FaultAction::Timeout => self.timeouts.fetch_add(1, Ordering::Relaxed),
-                FaultAction::Delay(_) => self.delays.fetch_add(1, Ordering::Relaxed),
-                FaultAction::DropReply => self.dropped_replies.fetch_add(1, Ordering::Relaxed),
-            };
+                FaultAction::Unavailable => &self.injected.unavailable,
+                FaultAction::Timeout => &self.injected.timeouts,
+                FaultAction::Delay(_) => &self.injected.delays,
+                FaultAction::DropReply => &self.injected.dropped_replies,
+            }
+            .add(1);
             return Some(rule.action.clone());
         }
         None
@@ -275,7 +267,7 @@ impl FaultPlan {
     pub(crate) fn rejects_bulk(&self, owner: EndpointId) -> bool {
         let down = self.is_down(owner);
         if down {
-            self.bulk_rejections.fetch_add(1, Ordering::Relaxed);
+            self.injected.bulk_rejections.add(1);
         }
         down
     }

@@ -22,10 +22,11 @@ pub mod fault;
 pub mod method;
 pub mod resilient;
 
-pub use codec::{call_typed, decode, encode, typed_handler};
+pub use codec::{decode, encode};
 pub use fabric::{BulkHandle, Endpoint, EndpointId, Fabric, Handler, RpcError, SegmentedRegion};
 pub use fault::{FaultAction, FaultPlan, FaultRule, FaultStats, FaultWindow};
 pub use method::Method;
 pub use resilient::{
-    broadcast, fan_out, unary, unary_failover, LegResults, RetryPolicy, RpcMetrics, TraceHandle,
+    broadcast, fan_out, unary, unary_failover, LegResults, RetryPolicy, RpcMetrics, RpcStats,
+    TraceHandle,
 };

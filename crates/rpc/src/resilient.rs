@@ -13,14 +13,13 @@
 //! exhausted calls so callers (the EvoStore client's telemetry) can
 //! report them.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use evostore_obs::ledger::{
     add_failovers, add_queue_wait_us, add_retry, current_costs, install_costs,
 };
-use evostore_obs::{Span, TraceContext, Tracer};
+use evostore_obs::{counter_set, Span, TraceContext, Tracer};
 
 use crate::codec::{decode, encode};
 use crate::fabric::{EndpointId, Fabric, RpcError};
@@ -97,13 +96,6 @@ impl RetryPolicy {
         self
     }
 
-    /// Override the backoff range.
-    pub fn with_backoff(mut self, base: Duration, max: Duration) -> RetryPolicy {
-        self.base_backoff = base;
-        self.max_backoff = max;
-        self
-    }
-
     /// Backoff to sleep before retry number `retry` (1-based): base,
     /// 2·base, 4·base, ... capped at `max_backoff`.
     pub fn backoff(&self, retry: u32) -> Duration {
@@ -112,46 +104,28 @@ impl RetryPolicy {
     }
 }
 
-/// Counters for what the resilient surface had to do. Shareable across
-/// threads; all loads/stores are relaxed (these are statistics, not
-/// synchronization).
-#[derive(Debug, Default)]
-pub struct RpcMetrics {
-    calls: AtomicU64,
-    retries: AtomicU64,
-    timeouts: AtomicU64,
-    exhausted: AtomicU64,
+counter_set! {
+    /// Counters for what the resilient surface had to do, fed by every
+    /// call a client issues. Shareable across threads.
+    pub struct RpcMetrics;
+    /// [`RpcMetrics`] at one instant.
+    #[derive(Copy, Eq)]
+    pub struct RpcStats {
+        /// Total attempts issued (first tries and retries alike).
+        calls: atomic sum counter "evostore_client_rpc_calls",
+        /// Attempts re-issued after a transient failure.
+        retries: atomic sum counter "evostore_client_rpc_retries",
+        /// Attempts that ended in `RpcError::Timeout`.
+        timeouts: atomic sum counter "evostore_client_rpc_timeouts",
+        /// Calls that failed transiently with the attempt budget spent.
+        exhausted: atomic sum counter "evostore_client_rpc_exhausted",
+    }
 }
 
 impl RpcMetrics {
-    /// Fresh zeroed counters.
-    pub fn new() -> RpcMetrics {
-        RpcMetrics::default()
-    }
-
-    /// Total attempts issued (first tries and retries alike).
-    pub fn calls(&self) -> u64 {
-        self.calls.load(Ordering::Relaxed)
-    }
-
-    /// Attempts re-issued after a transient failure.
-    pub fn retries(&self) -> u64 {
-        self.retries.load(Ordering::Relaxed)
-    }
-
-    /// Attempts that ended in `RpcError::Timeout`.
-    pub fn timeouts(&self) -> u64 {
-        self.timeouts.load(Ordering::Relaxed)
-    }
-
-    /// Calls that failed transiently with the attempt budget spent.
-    pub fn exhausted(&self) -> u64 {
-        self.exhausted.load(Ordering::Relaxed)
-    }
-
     fn note(&self, err: &RpcError) {
         if matches!(err, RpcError::Timeout) {
-            self.timeouts.fetch_add(1, Ordering::Relaxed);
+            self.timeouts.add(1);
         }
     }
 }
@@ -166,7 +140,7 @@ fn note_metrics(metrics: Option<&RpcMetrics>, f: impl FnOnce(&RpcMetrics)) {
 /// sleep the back-off that precedes retry number `retry`.
 fn back_off(policy: &RetryPolicy, retry: u32, legs: usize, metrics: Option<&RpcMetrics>) {
     note_metrics(metrics, |m| {
-        m.retries.fetch_add(legs as u64, Ordering::Relaxed);
+        m.retries.add(legs as u64);
     });
     for _ in 0..legs {
         add_retry();
@@ -197,7 +171,7 @@ pub fn call_with_retry(
     loop {
         attempt += 1;
         note_metrics(metrics, |m| {
-            m.calls.fetch_add(1, Ordering::Relaxed);
+            m.calls.add(1);
         });
         let mut span = trace.map(|t| t.attempt(method, target));
         let ctx = span.as_ref().map(|s| s.ctx());
@@ -214,7 +188,7 @@ pub fn call_with_retry(
                 }
                 if attempt >= policy.max_attempts.max(1) {
                     note_metrics(metrics, |m| {
-                        m.exhausted.fetch_add(1, Ordering::Relaxed);
+                        m.exhausted.add(1);
                     });
                     return Err(err);
                 }
@@ -363,7 +337,7 @@ pub fn broadcast_with_retry(
             .iter()
             .map(|&i| {
                 note_metrics(metrics, |m| {
-                    m.calls.fetch_add(1, Ordering::Relaxed);
+                    m.calls.add(1);
                 });
                 let span = trace.map(|t| t.attempt(method, targets[i]));
                 let ctx = span.as_ref().map(|s| s.ctx());
@@ -408,7 +382,7 @@ pub fn broadcast_with_retry(
                     } else {
                         if err.is_transient() {
                             note_metrics(metrics, |m| {
-                                m.exhausted.fetch_add(1, Ordering::Relaxed);
+                                m.exhausted.add(1);
                             });
                         }
                         results[i] = Some(Err(err));
@@ -457,7 +431,7 @@ mod tests {
     use super::*;
     use crate::fault::{FaultAction, FaultPlan, FaultRule};
     use evostore_obs::{FlightRecorder, MonotonicClock, TimeSource};
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
     crate::rpc_methods! {
@@ -737,8 +711,11 @@ mod tests {
 
     #[test]
     fn backoff_is_bounded_exponential() {
-        let p = RetryPolicy::default()
-            .with_backoff(Duration::from_millis(2), Duration::from_millis(10));
+        let p = RetryPolicy {
+            base_backoff: Duration::from_millis(2),
+            max_backoff: Duration::from_millis(10),
+            ..RetryPolicy::default()
+        };
         assert_eq!(p.backoff(1), Duration::from_millis(2));
         assert_eq!(p.backoff(2), Duration::from_millis(4));
         assert_eq!(p.backoff(3), Duration::from_millis(8));

@@ -15,18 +15,35 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test (workspace)"
 cargo test --workspace -q
 
-# Every RPC is declared once, in the method table; a wire name quoted
-# anywhere else under crates/*/src is a second, hand-written declaration.
-# (Span names such as "deliver.push" are not wire names and do not match.)
-echo "== RPC wire names appear only in the method table"
-table=crates/core/src/methods.rs
-names=$(grep -oE '= "[a-z]+\.[a-z_]+":' "$table" | grep -oE '"[^"]+"' || true)
-if [[ -z "$names" ]]; then
-    echo "no wire names found in $table" >&2
-    exit 1
-fi
-if hits=$(grep -rnF --include='*.rs' -e "$names" crates/*/src | grep -v "^$table:"); then
-    echo "RPC wire name spelled outside $table:" >&2
+# Every RPC is declared once, in a method table (EvoStore's own, and the
+# Redis-substitute baseline's); a wire name quoted anywhere else under
+# crates/*/src is a second, hand-written declaration. (Span names such as
+# "deliver.push" are not wire names and do not match.)
+echo "== RPC wire names appear only in the method tables"
+for table in crates/core/src/methods.rs crates/baseline/src/redis_queries.rs; do
+    names=$(grep -oE '= "[a-z]+\.[a-z_]+":' "$table" | grep -oE '"[^"]+"' || true)
+    if [[ -z "$names" ]]; then
+        echo "no wire names found in $table" >&2
+        exit 1
+    fi
+    if hits=$(grep -rnF --include='*.rs' -e "$names" crates/*/src | grep -v "^$table:"); then
+        echo "RPC wire name spelled outside $table:" >&2
+        echo "$hits" >&2
+        exit 1
+    fi
+done
+
+# Every counter in rpc, deliver and core is one line of a `counter_set!`
+# table, which generates its export row. A `Metric::counter(` or
+# `Metric::gauge(` spelled by hand is a second declaration that the
+# table's merge rule and `SERIES` do not know about. The one exception is
+# provider/stats.rs, which exports the two leaves whose crates (`kv`,
+# `graph`) cannot name `evostore-obs`.
+echo "== counters are exported only through their tables"
+if hits=$(grep -rn --include='*.rs' -e 'Metric::counter(' -e 'Metric::gauge(' \
+    crates/rpc/src crates/deliver/src crates/core/src |
+    grep -v '^crates/core/src/provider/stats.rs:'); then
+    echo "hand-written metric row outside a counter_set! table:" >&2
     echo "$hits" >&2
     exit 1
 fi
@@ -70,8 +87,7 @@ fi
 # The payload path's per-tensor loops run through `core::par`. A loop put
 # back on the vendored rayon stub would compile, pass every test and
 # silently go serial again; and the one lifetime erasure that lets pool
-# helpers borrow a caller's stack is the only `unsafe` the core crate is
-# allowed.
+# helpers borrow a caller's stack is the only `unsafe` in the workspace.
 echo "== payload loops stay on core::par; unsafe stays in par.rs"
 if hits=$(grep -n 'par_iter' crates/core/src/client.rs \
     crates/core/src/provider/data.rs crates/core/src/provider/delta.rs); then
@@ -79,7 +95,8 @@ if hits=$(grep -n 'par_iter' crates/core/src/client.rs \
     echo "$hits" >&2
     exit 1
 fi
-if hits=$(grep -rnw --include='*.rs' 'unsafe' crates/core/src | grep -v '^crates/core/src/par.rs:'); then
+if hits=$(grep -rnw --include='*.rs' 'unsafe' crates vendor src examples tests benchmark/src |
+    grep -v '^crates/core/src/par.rs:'); then
     echo "unsafe outside crates/core/src/par.rs:" >&2
     echo "$hits" >&2
     exit 1
@@ -138,6 +155,13 @@ done
 result=$($pin bash benchmark/run.sh --workload bulk_checkpoint --seed 1 --quick --trace 0 | tail -n 1)
 if [[ "$result" != *'"failed": 0,'* ]]; then
     echo "bulk_checkpoint on one CPU did not finish clean: $result" >&2
+    exit 1
+fi
+# benchmark/Cargo.lock is part of the frozen benchmark: a dependency edge
+# added to a crate makes the build above rewrite it.
+if ! git diff --quiet -- benchmark/Cargo.lock; then
+    echo "the benchmark build rewrote benchmark/Cargo.lock (a dependency edge changed):" >&2
+    git --no-pager diff --stat -- benchmark/Cargo.lock >&2
     exit 1
 fi
 
