@@ -11,18 +11,16 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use bytes::BytesMut;
 use evostore_graph::{CompactGraph, LcpResult};
 use evostore_obs::ledger::{current_costs, install_costs};
 use evostore_obs::{
     current_trace, set_current_trace, FlightRecorder, MonotonicClock, ObsHub, OpCosts, OpLedger,
     SloEngine, SlowOp, SlowOpLog, TimeSource, Tracer,
 };
-use evostore_rpc::{BulkHandle, EndpointId, Fabric, Method, RetryPolicy, RpcError, TraceHandle};
-use evostore_tensor::{
-    read_tensor, read_tensor_segments, rope, write_tensor, write_tensor_segments, ModelId,
-    TensorData, TensorKey, VertexId,
+use evostore_rpc::{
+    BulkHandle, EndpointId, Fabric, LegResults, Method, RetryPolicy, RpcError, TraceHandle,
 };
+use evostore_tensor::{write_tensor_segments, ModelId, Record, TensorData, TensorKey, VertexId};
 use parking_lot::Mutex;
 use rand::Rng;
 
@@ -30,6 +28,7 @@ use crate::messages::*;
 use crate::methods;
 use crate::owner_map::OwnerMap;
 use crate::par;
+use crate::records::{pack, read_entry};
 use crate::replication::ReplicationPolicy;
 
 /// Client-facing errors, structured so callers can branch on failure
@@ -175,6 +174,54 @@ impl<T> Degraded<T> {
     /// Unwrap the answer, discarding the coverage annotation.
     pub fn into_inner(self) -> T {
         self.value
+    }
+}
+
+/// The legs of a fan-out, sorted by what a caller may do about each.
+/// What a transient failure *means* — replication debt, a parked
+/// decrement, an unreachable catalog — is the caller's policy.
+struct Settled<T> {
+    /// Replies, each with the index of the leg it answered.
+    ok: Vec<(usize, T)>,
+    /// Legs that may succeed on a retry: index, target, error.
+    transient: Vec<(usize, EndpointId, EvoError)>,
+    /// The first (in leg order) failure no retry can clear, and its leg.
+    permanent: Option<(usize, EvoError)>,
+}
+
+fn settle<T>(legs: LegResults<T>) -> Settled<T> {
+    let mut settled = Settled {
+        ok: Vec::with_capacity(legs.len()),
+        transient: Vec::new(),
+        permanent: None,
+    };
+    for (i, (ep, leg)) in legs.into_iter().enumerate() {
+        match leg {
+            Ok(reply) => settled.ok.push((i, reply)),
+            Err(e) if e.is_transient() => settled.transient.push((i, ep, e.into())),
+            Err(e) => {
+                settled.permanent.get_or_insert((i, e.into()));
+            }
+        }
+    }
+    settled
+}
+
+impl<T> Settled<T> {
+    /// The targets of the legs that failed transiently.
+    fn unreachable(&self) -> Vec<EndpointId> {
+        self.transient.iter().map(|(_, ep, _)| *ep).collect()
+    }
+
+    /// The failure of the earliest failed leg, of either class.
+    fn first_error(self) -> Option<EvoError> {
+        let transient = self.transient.into_iter().next().map(|(i, _, e)| (i, e));
+        match (transient, self.permanent) {
+            (Some((t, transient)), Some((p, permanent))) => {
+                Some(if t < p { transient } else { permanent })
+            }
+            (transient, permanent) => transient.or(permanent).map(|(_, e)| e),
+        }
     }
 }
 
@@ -653,16 +700,12 @@ impl EvoStoreClient {
         method: M,
         req: &M::Request,
     ) -> Result<(Vec<M::Reply>, Vec<EndpointId>)> {
-        let legs = self.broadcast(method, req)?;
-        let mut replies = Vec::with_capacity(legs.len());
-        let mut unreachable = Vec::new();
-        for (ep, reply) in legs {
-            match reply {
-                Ok(resp) => replies.push(resp),
-                Err(e) if e.is_transient() => unreachable.push(ep),
-                Err(e) => return Err(e.into()),
-            }
+        let legs = settle(self.broadcast(method, req)?);
+        let mut unreachable = legs.unreachable();
+        if let Some((_, e)) = legs.permanent {
+            return Err(e);
         }
+        let replies: Vec<M::Reply> = legs.ok.into_iter().map(|(_, reply)| reply).collect();
         // Replicated coverage: when every model still has at least one
         // reachable replica, the reachable catalogs jointly cover the
         // full deployment — the answer is complete, not degraded, and
@@ -755,22 +798,15 @@ impl EvoStoreClient {
             .collect();
         let mut pinned: Vec<(EndpointId, Vec<TensorKey>)> = Vec::new();
         if !pin_reqs.is_empty() {
-            let results = self.fan_out(&pin_reqs, methods::IncrRefs);
-            let mut first_err: Option<EvoError> = None;
-            for ((ep, req), (_, result)) in pin_reqs.iter().zip(results) {
-                match result {
-                    Ok(_) => pinned.push((*ep, req.keys.clone())),
-                    Err(e) => {
-                        if first_err.is_none() {
-                            first_err = Some(e.into());
-                        }
-                    }
-                }
-            }
+            let legs = settle(self.fan_out(&pin_reqs, methods::IncrRefs));
+            pinned.extend(legs.ok.iter().map(|&(i, _)| {
+                let (ep, req) = &pin_reqs[i];
+                (*ep, req.keys.clone())
+            }));
             // Propagate the pin failure as-is (a transient error means
             // the whole store is retryable by the caller), rolling back
             // only the legs that actually applied.
-            if let Some(e) = first_err {
+            if let Some(e) = legs.first_error() {
                 self.unpin(&pinned);
                 return Err(e);
             }
@@ -809,39 +845,13 @@ impl EvoStoreClient {
     ) -> Result<StoreOutcome> {
         let model = owner_map.model;
         // Deterministic order for reproducible layouts.
-        let mut keys: Vec<&TensorKey> = new_tensors.keys().collect();
-        keys.sort();
-        // Serialization (record check, plus the copy for tensors too small
-        // to borrow) is shared out per tensor ([`par::map`]); only the
-        // offset assignment stays serial. A large tensor's record is a
-        // rope around its own payload buffer, and the records are exposed
-        // as they are, one vectored bulk region — no staging copy, no
-        // consolidation memcpy — with manifest offsets addressing their
-        // logical concatenation.
-        let payload_bytes = new_tensors.values().map(TensorData::byte_len).sum();
-        let records = par::map(&keys, payload_bytes, |key| {
-            write_tensor_segments(&new_tensors[*key])
-        });
-        let mut manifest = Vec::with_capacity(records.len());
-        let mut segments = Vec::with_capacity(records.len());
-        let mut offset = 0u64;
-        for (key, record) in keys.into_iter().zip(&records) {
-            let len = rope::len(record.segments()) as u64;
-            manifest.push(ManifestEntry {
-                key: *key,
-                offset,
-                len,
-            });
-            offset += len;
-            segments.extend_from_slice(record.segments());
-        }
+        let mut tensors: Vec<(TensorKey, &TensorData)> =
+            new_tensors.iter().map(|(key, t)| (*key, t)).collect();
+        tensors.sort_unstable_by_key(|(key, _)| *key);
+        let (manifest, bulk) = self.expose_tensors(&tensors);
         let tensors_written = manifest.len();
         evostore_obs::ledger::add_chunks_touched(tensors_written as u64);
-        evostore_obs::ledger::add_bytes_out(offset);
-        self.telemetry
-            .bulk_segments_exposed
-            .add(segments.len() as u64);
-        let bulk = self.fabric.bulk_expose_vec(segments);
+        evostore_obs::ledger::add_bytes_out(manifest.iter().map(|e| e.len).sum());
 
         let req = StoreModelRequest {
             model,
@@ -881,26 +891,13 @@ impl EvoStoreClient {
                 })
                 .collect();
             if !mirrors.is_empty() {
-                let results = self.fan_out(&mirrors, methods::Store);
-                let mut debt = 0u64;
-                let mut permanent: Option<EvoError> = None;
-                for (_, result) in results {
-                    match result {
-                        Ok(_) => {}
-                        Err(e) if e.is_transient() => debt += 1,
-                        Err(e) => {
-                            if permanent.is_none() {
-                                permanent = Some(e.into());
-                            }
-                        }
-                    }
-                }
-                if let Some(e) = permanent {
+                let legs = settle(self.fan_out(&mirrors, methods::Store));
+                if let Some((_, e)) = legs.permanent {
                     return Err(e);
                 }
-                if debt > 0 {
-                    self.telemetry.under_replicated_stores.add(debt);
-                }
+                self.telemetry
+                    .under_replicated_stores
+                    .add(legs.transient.len() as u64);
             }
             Ok(StoreOutcome {
                 bytes_written: reply.bytes_stored,
@@ -910,6 +907,32 @@ impl EvoStoreClient {
         })();
         self.fabric.bulk_release(bulk);
         outcome
+    }
+
+    /// The producer half of every store: encode each tensor as a record
+    /// (the check, plus the copy for tensors too small to borrow, shared
+    /// out per tensor — [`par::map`]), pack the records and expose them as
+    /// they are, one vectored bulk region. A large tensor's record is a
+    /// rope around its own payload buffer: no staging copy, no
+    /// consolidation memcpy. The caller releases the region once every
+    /// leg that reads it has settled.
+    fn expose_tensors(
+        &self,
+        tensors: &[(TensorKey, &TensorData)],
+    ) -> (Vec<ManifestEntry>, BulkHandle) {
+        let payload_bytes = tensors.iter().map(|(_, t)| t.byte_len()).sum();
+        let records: Vec<Record> =
+            par::map(tensors, payload_bytes, |(_, t)| write_tensor_segments(t));
+        let (manifest, segments) = pack(
+            tensors
+                .iter()
+                .zip(&records)
+                .map(|((key, _), record)| (*key, record.segments())),
+        );
+        self.telemetry
+            .bulk_segments_exposed
+            .add(segments.len() as u64);
+        (manifest, self.fabric.bulk_expose_vec(segments))
     }
 
     /// Store a from-scratch model with randomly initialized parameters.
@@ -1133,24 +1156,44 @@ impl EvoStoreClient {
         primary: usize,
         keys: &[TensorKey],
     ) -> Result<Vec<(TensorKey, TensorData)>> {
-        let chain = self.replication.chain(primary, self.providers.len());
+        let chain: Vec<EndpointId> = self
+            .replication
+            .chain(primary, self.providers.len())
+            .into_iter()
+            .map(|idx| self.providers[idx])
+            .collect();
         let req = ReadTensorsRequest {
             keys: keys.to_vec(),
             raw_records: false,
         };
+        self.read_chain(&chain, methods::Read::METHOD, |target| {
+            let reply = self.unary(target, methods::Read, &req)?;
+            evostore_obs::ledger::add_chunks_touched(reply.manifest.len() as u64);
+            evostore_obs::ledger::add_bytes_in(reply.manifest.iter().map(|e| e.len).sum());
+            self.pull_tensors(reply)
+        })
+    }
+
+    /// Run one whole read — the call, the bulk pull, the decode — against
+    /// each replica of `chain` in turn until one serves it. Any failure
+    /// moves on: a replica that is down, one that missed the write, a
+    /// pull lost in transit, a record that fails its check. A read served
+    /// past the primary is counted and filed as a failover.
+    fn read_chain<T>(
+        &self,
+        chain: &[EndpointId],
+        what: &str,
+        read: impl Fn(EndpointId) -> Result<T>,
+    ) -> Result<T> {
         let mut last_err = None;
-        for (attempt, &idx) in chain.iter().enumerate() {
-            match self.fetch_from(self.providers[idx], &req) {
-                Ok(tensors) => {
+        for (attempt, &target) in chain.iter().enumerate() {
+            match read(target) {
+                Ok(out) => {
                     if attempt > 0 {
                         self.telemetry.read_failovers.add(1);
-                        self.note_failover(
-                            self.providers[chain[0]],
-                            self.providers[idx],
-                            methods::Read::METHOD,
-                        );
+                        self.note_failover(chain[0], target, what);
                     }
-                    return Ok(tensors);
+                    return Ok(out);
                 }
                 Err(e) => last_err = Some(e),
             }
@@ -1158,39 +1201,16 @@ impl EvoStoreClient {
         Err(last_err.expect("replica chain is never empty"))
     }
 
-    /// One READ + bulk pull + decode against a single provider.
-    fn fetch_from(
-        &self,
-        target: EndpointId,
-        req: &ReadTensorsRequest,
-    ) -> Result<Vec<(TensorKey, TensorData)>> {
-        let reply = self.unary(target, methods::Read, req)?;
-        evostore_obs::ledger::add_chunks_touched(reply.manifest.len() as u64);
-        evostore_obs::ledger::add_bytes_in(reply.manifest.iter().map(|e| e.len).sum());
-        let handle = BulkHandle(reply.bulk);
-        // Vectored pull: the provider exposes one segment per
-        // memory-resident record, so the "pull" is a segment-list clone
-        // with no payload copy; a contiguous region arrives as a
-        // single segment and decodes identically.
-        let region = self.fabric.bulk_get_vec(handle);
-        // One-sided completion: the reader withdraws the region, whether
-        // or not the pull succeeded (the segments pulled stay alive for
-        // the decode below; a failed pull must not leave the provider's
-        // region registered).
-        self.fabric.bulk_release(handle);
-        let region = region?;
-        // Decode (and integrity-check) every manifest entry, shared out
-        // per tensor ([`par::map`]). A record the provider holds as a rope
-        // arrives as one: its payload segment becomes the tensor's buffer.
+    /// The reader half of every read reply: pull the region the provider
+    /// exposed (the provider holds one segment per memory-resident record,
+    /// so the "pull" is a segment-list clone) and withdraw it, then decode
+    /// and integrity-check every manifest entry, shared out per tensor
+    /// ([`par::map`]). A record the provider holds as a rope arrives as
+    /// one: its payload segment becomes the tensor's buffer.
+    fn pull_tensors(&self, reply: ReadTensorsReply) -> Result<Vec<(TensorKey, TensorData)>> {
+        let region = self.fabric.bulk_take(BulkHandle(reply.bulk))?;
         par::map(&reply.manifest, region.len(), |entry| {
-            let (off, len) = (entry.offset as usize, entry.len as usize);
-            let record = region.slice_rope(off, len).ok_or_else(|| {
-                EvoError::Protocol(format!("read manifest entry {} out of bounds", entry.key))
-            })?;
-            let tensor = read_tensor_segments(&record).map_err(|_| EvoError::Corrupt {
-                key: entry.key.to_string(),
-            })?;
-            Ok((entry.key, tensor))
+            read_entry(entry, &region).map(|(_, tensor)| (entry.key, tensor))
         })
         .into_iter()
         .collect()
@@ -1258,10 +1278,10 @@ impl EvoStoreClient {
                 elem_count,
             },
         )?;
-        let handle = BulkHandle(reply.bulk);
-        let payload = self.fabric.bulk_get(handle);
-        self.fabric.bulk_release(handle);
-        let payload = payload?;
+        // A flat buffer is what a tensor is made of: the one gather on
+        // this path, and a copy only when the range spans segments of the
+        // stored record.
+        let payload = self.fabric.bulk_take(BulkHandle(reply.bulk))?.to_bytes();
         let dtype = evostore_tensor::DType::from_tag(reply.dtype_tag)
             .ok_or_else(|| EvoError::Protocol(format!("bad dtype tag {}", reply.dtype_tag)))?;
         TensorData::from_bytes(dtype, vec![elem_count as usize], payload)
@@ -1355,76 +1375,39 @@ impl EvoStoreClient {
         model: ModelId,
         moments: &[TensorData],
     ) -> Result<StoreOutcome> {
-        let mut buf = BytesMut::new();
-        let mut manifest = Vec::with_capacity(moments.len());
-        for (i, t) in moments.iter().enumerate() {
-            let record = write_tensor(t);
-            manifest.push(ManifestEntry {
-                // The optimizer namespace: vertex = u32::MAX sentinel.
-                key: TensorKey::new(model, VertexId(u32::MAX), i as u32),
-                offset: buf.len() as u64,
-                len: record.len() as u64,
-            });
-            buf.extend_from_slice(&record);
-        }
+        // The optimizer namespace: vertex = u32::MAX sentinel.
+        let tensors: Vec<(TensorKey, &TensorData)> = moments
+            .iter()
+            .enumerate()
+            .map(|(i, t)| (TensorKey::new(model, VertexId(u32::MAX), i as u32), t))
+            .collect();
+        let (manifest, bulk) = self.expose_tensors(&tensors);
         let tensors_written = manifest.len();
-        let bulk = self.fabric.bulk_expose(buf.freeze());
         let req = StoreOptimizerRequest {
             model,
             manifest,
             bulk: bulk.0,
         };
         // Every replica keeps its own optimizer copy. One success is
-        // required; transient mirror failures leave the attachment
+        // required; a failed mirror leaves the attachment
         // under-replicated (healed by repair's optimizer-aware digest
-        // comparison).
+        // comparison) — a permanent failure too: a mirror that missed the
+        // model's store answers "model not found", which with a successful
+        // sibling leg is under-replication, not a caller error.
         let chain = self.replicas_of(model);
-        let reply: Result<StoreModelReply> = {
-            let legs = self.fan_out(
-                &chain
-                    .iter()
-                    .map(|&ep| (ep, req.clone()))
-                    .collect::<Vec<_>>(),
-                methods::StoreOptimizer,
-            );
-            let mut reply: Option<StoreModelReply> = None;
-            let mut debt = 0u64;
-            let mut first_err: Option<EvoError> = None;
-            for (_, result) in legs {
-                match result {
-                    Ok(r) => {
-                        if reply.is_none() {
-                            reply = Some(r);
-                        }
-                    }
-                    // A mirror that missed the model's store errors
-                    // permanently here ("model not found") — with a
-                    // successful sibling leg that is under-replication,
-                    // not a caller error.
-                    Err(e) if e.is_transient() => debt += 1,
-                    Err(e) => {
-                        debt += 1;
-                        if first_err.is_none() {
-                            first_err = Some(e.into());
-                        }
-                    }
-                }
-            }
-            match (reply, first_err) {
-                (Some(r), _) => {
-                    if debt > 0 {
-                        self.telemetry.under_replicated_stores.add(debt);
-                    }
-                    Ok(r)
-                }
-                (None, Some(e)) => Err(e),
-                (None, None) => Err(EvoError::PartialFailure {
-                    failed: chain.clone(),
-                }),
-            }
-        };
+        let legs: Vec<_> = chain.iter().map(|&ep| (ep, req.clone())).collect();
+        let mut legs = settle(self.fan_out(&legs, methods::StoreOptimizer));
         self.fabric.bulk_release(bulk);
-        let reply = reply?;
+        if legs.ok.is_empty() {
+            return Err(match legs.permanent {
+                Some((_, e)) => e,
+                None => EvoError::PartialFailure { failed: chain },
+            });
+        }
+        self.telemetry
+            .under_replicated_stores
+            .add((chain.len() - legs.ok.len()) as u64);
+        let (_, reply) = legs.ok.swap_remove(0);
         Ok(StoreOutcome {
             bytes_written: reply.bytes_stored,
             tensors_written,
@@ -1433,30 +1416,17 @@ impl EvoStoreClient {
     }
 
     /// Fetch a model's optimizer state, in the order it was stored.
-    /// Empty when the model has none.
+    /// Empty when the model has none. Served by the first replica that
+    /// can, like [`EvoStoreClient::fetch_tensors`].
     pub fn load_optimizer_state(&self, model: ModelId) -> Result<Vec<TensorData>> {
-        let reply = self.unary_failover(
+        let req = LoadOptimizerRequest { model };
+        let mut moments = self.read_chain(
             &self.replicas_of(model),
-            methods::LoadOptimizer,
-            &LoadOptimizerRequest { model },
+            methods::LoadOptimizer::METHOD,
+            |target| self.pull_tensors(self.unary(target, methods::LoadOptimizer, &req)?),
         )?;
-        let handle = BulkHandle(reply.bulk);
-        let region = self.fabric.bulk_get_vec(handle);
-        self.fabric.bulk_release(handle);
-        let region = region?;
-        let mut entries = reply.manifest;
-        entries.sort_by_key(|e| e.key.slot);
-        entries
-            .iter()
-            .map(|entry| {
-                let (off, len) = (entry.offset as usize, entry.len as usize);
-                let record = region
-                    .slice(off, len)
-                    .ok_or_else(|| EvoError::Protocol("optimizer manifest out of bounds".into()))?;
-                read_tensor(record)
-                    .map_err(|e| EvoError::Protocol(format!("optimizer tensor: {e}")))
-            })
-            .collect()
+        moments.sort_unstable_by_key(|(key, _)| key.slot);
+        Ok(moments.into_iter().map(|(_, t)| t).collect())
     }
 
     // ---- retirement ------------------------------------------------------
@@ -1499,25 +1469,13 @@ impl EvoStoreClient {
                 .collect::<Vec<_>>(),
             methods::RetireMeta,
         );
-        let mut reply: Option<RetireMetaReply> = None;
-        let mut first_err: Option<EvoError> = None;
-        for (_, result) in meta_legs {
-            match result {
-                Ok(r) => {
-                    if reply.is_none() {
-                        reply = Some(r);
-                    }
-                }
-                Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e.into());
-                    }
-                }
-            }
+        let mut meta_legs = settle(meta_legs);
+        if meta_legs.ok.is_empty() {
+            return Err(meta_legs
+                .first_error()
+                .expect("replica chain is never empty"));
         }
-        let Some(reply) = reply else {
-            return Err(first_err.expect("replica chain is never empty"));
-        };
+        let (_, reply) = meta_legs.ok.swap_remove(0);
         let keys = reply.owner_map.all_tensor_keys();
         let refs_dropped = keys.len();
         // Decrement on every replica of every referenced key. Each leg
@@ -1543,31 +1501,22 @@ impl EvoStoreClient {
                 )
             })
             .collect();
-        let results = self.fan_out(&reqs, methods::DecrRefs);
-        let mut tensors_reclaimed = 0;
-        let mut refs_parked = 0;
         // Every leg is settled before the outcome is decided: returning
         // early on a permanent failure would discard later transient legs
         // without parking them, pinning those refcounts forever.
-        let mut permanent: Option<EvoError> = None;
-        for ((ep, req), (_, result)) in reqs.into_iter().zip(results) {
-            match result {
-                Ok(r) => tensors_reclaimed += r.reclaimed,
-                Err(e) if e.is_transient() => {
-                    refs_parked += req.keys.len();
-                    self.pending_decrements.lock().push((ep, req));
-                }
-                Err(e) => {
-                    if permanent.is_none() {
-                        permanent = Some(e.into());
-                    }
-                }
-            }
-        }
+        let legs = settle(self.fan_out(&reqs, methods::DecrRefs));
+        let tensors_reclaimed = legs.ok.iter().map(|(_, r)| r.reclaimed).sum();
+        let parked: Vec<(EndpointId, RefsRequest)> = legs
+            .transient
+            .iter()
+            .map(|&(i, ..)| reqs[i].clone())
+            .collect();
+        let refs_parked: usize = parked.iter().map(|(_, req)| req.keys.len()).sum();
         if refs_parked > 0 {
             self.telemetry.parked_decrements.add(refs_parked as u64);
+            self.pending_decrements.lock().extend(parked);
         }
-        if let Some(e) = permanent {
+        if let Some((_, e)) = legs.permanent {
             return Err(e);
         }
         Ok(RetireOutcome {
@@ -1587,16 +1536,9 @@ impl EvoStoreClient {
         if pending.is_empty() {
             return Ok(0);
         }
-        let results = self.fan_out(&pending, methods::DecrRefs);
-        let mut flushed = 0;
-        let mut requeue = Vec::new();
-        for ((ep, req), (_, result)) in pending.into_iter().zip(results) {
-            match result {
-                Ok(_) => flushed += req.keys.len(),
-                Err(e) if e.is_transient() => requeue.push((ep, req)),
-                Err(_) => {}
-            }
-        }
+        let legs = settle(self.fan_out(&pending, methods::DecrRefs));
+        let flushed = legs.ok.iter().map(|&(i, _)| pending[i].1.keys.len()).sum();
+        let requeue = legs.transient.iter().map(|&(i, ..)| pending[i].clone());
         self.pending_decrements.lock().extend(requeue);
         Ok(flushed)
     }
@@ -1667,28 +1609,16 @@ impl EvoStoreClient {
     /// deployment, so any failed provider fails the call
     /// ([`EvoError::PartialFailure`] when transient).
     pub fn stats(&self) -> Result<ProviderStats> {
-        let legs = self.broadcast(methods::Stats, &StatsRequest {})?;
-        let mut acc = ProviderStats::default();
-        let mut failed = Vec::new();
-        let mut permanent: Option<EvoError> = None;
-        for (ep, reply) in legs {
-            match reply {
-                Ok(s) => acc = acc.merge(s),
-                Err(e) if e.is_transient() => failed.push(ep),
-                Err(e) => {
-                    if permanent.is_none() {
-                        permanent = Some(e.into());
-                    }
-                }
-            }
-        }
-        if let Some(e) = permanent {
+        let legs = settle(self.broadcast(methods::Stats, &StatsRequest {})?);
+        let failed = legs.unreachable();
+        if let Some((_, e)) = legs.permanent {
             return Err(e);
         }
         if !failed.is_empty() {
             return Err(EvoError::PartialFailure { failed });
         }
-        Ok(acc)
+        let stats = legs.ok.into_iter().map(|(_, s)| s);
+        Ok(stats.fold(ProviderStats::default(), ProviderStats::merge))
     }
 }
 

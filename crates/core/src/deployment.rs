@@ -7,7 +7,6 @@ use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::time::Duration;
 
-use bytes::Bytes;
 use evostore_kv::{ChunkStats, ChunkedStore, FannedLogStore, KvBackend, LogStore, MemPoolStore};
 use evostore_obs::ledger::install_costs;
 use evostore_obs::{
@@ -27,6 +26,7 @@ use crate::messages::{
 use crate::methods;
 use crate::policy::{ChunkingPolicy, DeltaPolicy, StorePolicy};
 use crate::provider::{Provider, ProviderState};
+use crate::records::pushed_chunks;
 use crate::replication::ReplicationPolicy;
 
 /// Flight-recorder capacity of the fabric's ring (faults, endpoint
@@ -913,39 +913,27 @@ impl Transfer<'_> {
         // mismatch, missing delta base, whole-record source without
         // deltas) or failed mid-flight — falls through to the
         // materialized backstop.
-        if let Ok(Some(done)) = self.negotiated(&meta, &keys) {
-            return Ok(done);
+        match self.negotiated(&meta, &keys) {
+            Some(done) => Ok(done),
+            None => self.records(&meta, &keys, false),
         }
-        self.materialized(meta, keys)
     }
 
-    /// Try the derivative-aware path. `Ok(None)` means negotiation
-    /// declined and the caller should ship materialized payloads.
-    fn negotiated(
-        &self,
-        meta: &ModelMetaReply,
-        keys: &[TensorKey],
-    ) -> Result<Option<bool>, String> {
-        let (model, source, target) = (self.model, self.source, self.target);
+    /// Try the derivative-aware path. `None` means negotiation declined
+    /// or a leg of it failed, and the caller should ship materialized
+    /// payloads.
+    fn negotiated(&self, meta: &ModelMetaReply, keys: &[TensorKey]) -> Option<bool> {
         // 1. How do the source's stored records decompose?
-        let manifest = match self.call(
-            self.src,
-            methods::TransferManifest,
-            &TransferManifestRequest {
-                keys: keys.to_vec(),
-            },
-        ) {
-            Ok(m) => m,
-            Err(e) if e.is_transient() => {
-                return Err(format!("transfer_manifest({model}) from {source}: {e}"))
-            }
-            // The source can't describe its stored layout: decline.
-            Err(_) => return Ok(None),
+        let request = TransferManifestRequest {
+            keys: keys.to_vec(),
         };
+        let manifest = self
+            .call(self.src, methods::TransferManifest, &request)
+            .ok()?;
         let has_deltas = manifest.records.iter().any(|r| r.delta_base.is_some());
         if !manifest.chunked && !has_deltas {
             // Whole records, no delta linkage: negotiation saves nothing.
-            return Ok(None);
+            return None;
         }
         // Union of the chunk hashes to probe (dedup, source order) and
         // the delta bases that must already sit on the target (bases
@@ -969,35 +957,28 @@ impl Transfer<'_> {
         base_keys.sort_unstable();
         base_keys.dedup();
         // 2. Probe the receiver's possession set.
-        let have = match self.call(
-            self.dst,
-            methods::HaveChunks,
-            &HaveChunksRequest {
-                hashes: hashes.clone(),
-                keys: base_keys,
-            },
-        ) {
-            Ok(h) => h,
-            Err(e) if e.is_transient() => {
-                return Err(format!("have_chunks({model}) on {target}: {e}"))
-            }
-            Err(_) => return Ok(None),
+        let probe = HaveChunksRequest {
+            hashes: hashes.clone(),
+            keys: base_keys,
         };
+        let have = self.call(self.dst, methods::HaveChunks, &probe).ok()?;
         // Every delta base must be on the target (or in this shipment),
         // or verbatim delta transfer would strand the chain.
         if have.have_records.iter().any(|ok| !ok) {
-            return Ok(None);
+            return None;
         }
         if manifest.chunked && have.chunked && have.chunk_size == manifest.chunk_size {
             return self.chunks(meta, &manifest, &hashes, &have);
         }
+        // Chunk negotiation is off the table (layout or granularity
+        // mismatch) but the delta linkage still transfers: ship the
+        // stored records verbatim over SYNC_MODEL, so a repaired derived
+        // model keeps its O(changed bytes) encoding and its reclaim
+        // fencing.
         if has_deltas {
-            // Chunk negotiation is off the table (layout or granularity
-            // mismatch) but the delta linkage still transfers: ship the
-            // stored records verbatim over SYNC_MODEL.
-            return self.raw_records(meta, keys);
+            return self.records(meta, keys, true).ok();
         }
-        Ok(None)
+        None
     }
 
     /// Chunk-negotiated leg: pull only the chunks the target reported
@@ -1009,56 +990,35 @@ impl Transfer<'_> {
         manifest: &TransferManifestReply,
         hashes: &[[u8; 16]],
         have: &HaveChunksReply,
-    ) -> Result<Option<bool>, String> {
-        let (model, source, target) = (self.model, self.source, self.target);
+    ) -> Option<bool> {
         let missing: Vec<[u8; 16]> = hashes
             .iter()
             .zip(&have.have_chunks)
             .filter(|(_, held)| !**held)
             .map(|(h, _)| *h)
             .collect();
-        let mut lens: Vec<u64> = Vec::with_capacity(missing.len());
-        let mut segments: Vec<Bytes> = Vec::with_capacity(missing.len());
-        if !missing.is_empty() {
-            let read = match self.call(
-                self.src,
-                methods::ReadChunks,
-                &ReadChunksRequest {
-                    hashes: missing.clone(),
-                },
-            ) {
-                Ok(r) => r,
-                Err(e) if e.is_transient() => {
-                    return Err(format!("read_chunks({model}) from {source}: {e}"))
-                }
-                Err(_) => return Ok(None),
+        let (lens, segments) = if missing.is_empty() {
+            (Vec::new(), Vec::new())
+        } else {
+            let request = ReadChunksRequest {
+                hashes: missing.clone(),
             };
-            let handle = BulkHandle(read.bulk);
-            let region = self
-                .fabric
-                .bulk_get_vec(handle)
-                .map_err(|e| format!("chunk bulk pull for {model}: {e}"))?;
-            let mut off = 0usize;
-            for &len in &read.lens {
-                let len = len as usize;
-                let chunk = region
-                    .slice(off, len)
-                    .ok_or_else(|| format!("chunk region truncated for {model}"))?;
-                off += len;
-                lens.push(len as u64);
-                segments.push(chunk);
-            }
-            self.fabric.bulk_release(handle);
-            evostore_obs::ledger::add_bytes_in(off as u64);
-            evostore_obs::ledger::add_chunks_touched(segments.len() as u64);
-        }
+            let read = self.call(self.src, methods::ReadChunks, &request).ok()?;
+            let region = self.fabric.bulk_take(BulkHandle(read.bulk)).ok()?;
+            // A source that answers with other chunks than the ones asked
+            // for is caught here, not on the target.
+            let chunks = pushed_chunks(&missing, &read.lens, &region).ok()?;
+            evostore_obs::ledger::add_bytes_in(region.len() as u64);
+            evostore_obs::ledger::add_chunks_touched(chunks.len() as u64);
+            (read.lens, chunks)
+        };
         let moved: u64 = lens.iter().sum();
         let out = self.fabric.bulk_expose_vec(segments);
         let result = self.call(
             self.dst,
             methods::SyncChunks,
             &SyncChunksRequest {
-                model,
+                model: self.model,
                 graph: meta.graph.clone(),
                 owner_map: meta.owner_map.clone(),
                 parent: meta.parent,
@@ -1071,51 +1031,46 @@ impl Transfer<'_> {
             },
         );
         self.fabric.bulk_release(out);
-        match result {
-            Ok(_) => {
-                evostore_obs::ledger::add_bytes_out(moved);
-                Ok(Some(true))
-            }
-            Err(e) if e.is_transient() => Err(format!("sync_chunks({model}) to {target}: {e}")),
-            // The target rejected the manifest (e.g. a chunk it claimed
-            // got reclaimed concurrently): materialized backstop.
-            Err(_) => Ok(None),
-        }
+        // A rejected manifest (e.g. a chunk the target claimed got
+        // reclaimed concurrently) is left to the materialized backstop.
+        result.ok()?;
+        evostore_obs::ledger::add_bytes_out(moved);
+        Some(true)
     }
 
-    /// Delta-preserving leg over the whole-record plane: read the stored
-    /// bytes verbatim (EVDL delta records included) and sync them as
-    /// raw records, so a repaired derived model keeps its O(changed
-    /// bytes) encoding and its reclaim fencing.
-    fn raw_records(
+    /// Whole-record leg: read the records from the source and relay them
+    /// to the target over `SYNC_MODEL` — the pulled rope is re-exposed as
+    /// it is, so the manifest carries over unchanged and no byte is
+    /// copied in between. `raw` ships the *stored* bytes verbatim (EVDL
+    /// delta records included); otherwise the source materializes every
+    /// record, which is correct against any layout or policy mismatch at
+    /// O(model bytes) cost. `Ok(false)`: the source catalogs the record
+    /// but lost its payloads.
+    fn records(
         &self,
         meta: &ModelMetaReply,
         keys: &[TensorKey],
-    ) -> Result<Option<bool>, String> {
+        raw: bool,
+    ) -> Result<bool, String> {
         let (model, source, target) = (self.model, self.source, self.target);
-        let read = match self.call(
-            self.src,
-            methods::Read,
-            &ReadTensorsRequest {
-                keys: keys.to_vec(),
-                raw_records: true,
-            },
-        ) {
-            Ok(r) => r,
-            Err(e) if e.is_transient() => {
-                return Err(format!("read raw records of {model} from {source}: {e}"))
-            }
-            Err(_) => return Ok(None),
+        let request = ReadTensorsRequest {
+            keys: keys.to_vec(),
+            raw_records: raw,
         };
-        let handle = BulkHandle(read.bulk);
+        let read = match self.call(self.src, methods::Read, &request) {
+            Ok(r) => r,
+            // Lost payloads (e.g. a crash between legs) are reported, not
+            // failed on; only the backstop leg may conclude that.
+            Err(e) if !raw && !e.is_transient() => return Ok(false),
+            Err(e) => return Err(format!("read payloads of {model} from {source}: {e}")),
+        };
         let region = self
             .fabric
-            .bulk_get(handle)
+            .bulk_take(BulkHandle(read.bulk))
             .map_err(|e| format!("bulk pull for {model}: {e}"))?;
         evostore_obs::ledger::add_bytes_in(region.len() as u64);
         evostore_obs::ledger::add_chunks_touched(read.manifest.len() as u64);
-        let moved = region.len() as u64;
-        let out = self.fabric.bulk_expose(region);
+        let out = self.fabric.bulk_expose_vec(region.segments().to_vec());
         let result = self.call(
             self.dst,
             methods::SyncModel,
@@ -1128,74 +1083,13 @@ impl Transfer<'_> {
                 timestamp: meta.timestamp,
                 manifest: read.manifest,
                 bulk: out.0,
-                raw_records: true,
+                raw_records: raw,
             },
         );
         self.fabric.bulk_release(out);
-        self.fabric.bulk_release(handle);
-        match result {
-            Ok(_) => {
-                evostore_obs::ledger::add_bytes_out(moved);
-                Ok(Some(true))
-            }
-            Err(e) if e.is_transient() => Err(format!("sync_model({model}) to {target}: {e}")),
-            // The target rejected the verbatim records (e.g. delta
-            // disabled there): materialized backstop.
-            Err(_) => Ok(None),
-        }
-    }
-
-    /// Materialized fallback: read fully reconstructed tensor records
-    /// from the source and push them whole — correct against any layout
-    /// or policy mismatch, at O(model bytes) cost.
-    fn materialized(&self, meta: ModelMetaReply, keys: Vec<TensorKey>) -> Result<bool, String> {
-        let (model, source, target) = (self.model, self.source, self.target);
-        let read = match self.call(
-            self.src,
-            methods::Read,
-            &ReadTensorsRequest {
-                keys,
-                raw_records: false,
-            },
-        ) {
-            Ok(r) => r,
-            // The source catalogs the record but lost payloads (e.g. a
-            // crash between legs): report, don't fail the whole pass.
-            Err(e) if !e.is_transient() => return Ok(false),
-            Err(e) => return Err(format!("read payloads of {model} from {source}: {e}")),
-        };
-        let handle = BulkHandle(read.bulk);
-        let region = self
-            .fabric
-            .bulk_get(handle)
-            .map_err(|e| format!("bulk pull for {model}: {e}"))?;
-        evostore_obs::ledger::add_bytes_in(region.len() as u64);
-        evostore_obs::ledger::add_chunks_touched(read.manifest.len() as u64);
-        let moved = region.len() as u64;
-        // Re-expose the same bytes for the target; the manifest offsets
-        // carry over unchanged.
-        let out = self.fabric.bulk_expose(region);
-        let result = self
-            .call(
-                self.dst,
-                methods::SyncModel,
-                &SyncModelRequest {
-                    model,
-                    graph: meta.graph,
-                    owner_map: meta.owner_map,
-                    parent: meta.parent,
-                    quality: meta.quality,
-                    timestamp: meta.timestamp,
-                    manifest: read.manifest,
-                    bulk: out.0,
-                    raw_records: false,
-                },
-            )
-            .map_err(|e| format!("sync_model({model}) to provider {target}: {e}"));
-        self.fabric.bulk_release(out);
-        self.fabric.bulk_release(handle);
-        evostore_obs::ledger::add_bytes_out(moved);
-        result.map(|_| true)
+        result.map_err(|e| format!("sync_model({model}) to provider {target}: {e}"))?;
+        evostore_obs::ledger::add_bytes_out(region.len() as u64);
+        Ok(true)
     }
 }
 
@@ -1335,4 +1229,75 @@ fn render_flight_dump(obs: &ObsHub, provider_ids: &[EndpointId]) -> String {
         out.push_str(&format!("[{at:>10}us] {node:<10} {line}\n"));
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::messages::ReadChunksReply;
+    use bytes::Bytes;
+    use evostore_obs::FlightRecorder;
+
+    /// Regression: the chunk-negotiated leg returned through `?` ahead of
+    /// its `bulk_release` when the source's `lens` overran the region it
+    /// exposed, leaving that region — and the chunk buffers it pins —
+    /// registered for good. A stand-in source lies about `lens`.
+    #[test]
+    fn a_lying_read_chunks_reply_leaks_no_region() {
+        let fabric = Fabric::new();
+        let source = fabric.create_endpoint(1);
+        let chunk = Bytes::from_static(b"eight by");
+        let hash = evostore_tensor::ContentHash::of_bytes(&chunk).to_bytes();
+        {
+            let (fabric, chunk) = (Arc::clone(&fabric), chunk.clone());
+            source.serve(methods::ReadChunks, move |_| {
+                Ok(ReadChunksReply {
+                    lens: vec![chunk.len() as u64 + 8],
+                    bulk: fabric.bulk_expose_vec(vec![chunk.clone()]).0,
+                })
+            });
+        }
+        let wall: Arc<dyn TimeSource> = Arc::new(MonotonicClock::default());
+        let ring = Arc::new(FlightRecorder::new("repair", 16, Arc::clone(&wall)));
+        let tracer = Tracer::new("repair", wall, ring);
+        let root = tracer.start_root("transfer.sync_model");
+        let retry = RetryPolicy::no_retry();
+        let transfer = Transfer {
+            fabric: &fabric,
+            model: ModelId(1),
+            source: 0,
+            target: 1,
+            src: source.id(),
+            dst: EndpointId(u32::MAX),
+            retry: &retry,
+            trace: TraceHandle::new(&tracer, root.ctx()),
+        };
+        let mut arch = evostore_graph::Architecture::new("one-layer");
+        arch.add_layer(evostore_graph::LayerConfig::new(
+            "in",
+            evostore_graph::LayerKind::Input { shape: vec![1] },
+        ));
+        let g = evostore_graph::flatten(&arch).unwrap();
+        let meta = ModelMetaReply {
+            owner_map: crate::owner_map::OwnerMap::fresh(ModelId(1), &g),
+            graph: g,
+            parent: None,
+            quality: 0.0,
+            timestamp: 1,
+        };
+        let manifest = TransferManifestReply {
+            chunked: true,
+            chunk_size: 8,
+            records: Vec::new(),
+        };
+        let have = HaveChunksReply {
+            chunked: true,
+            chunk_size: 8,
+            have_chunks: vec![false],
+            have_records: Vec::new(),
+        };
+        let baseline = fabric.bulk_regions();
+        assert_eq!(transfer.chunks(&meta, &manifest, &[hash], &have), None);
+        assert_eq!(fabric.bulk_regions(), baseline);
+    }
 }

@@ -30,6 +30,7 @@ pub mod owner_map;
 pub mod par;
 pub mod policy;
 pub mod provider;
+pub mod records;
 pub mod replication;
 pub mod repository;
 pub mod telemetry;

@@ -8,21 +8,11 @@
 use evostore_graph::{CompactGraph, IndexQueryStats, LcpResult};
 use evostore_kv::MetricsSnapshot;
 use evostore_obs::counter_set;
+pub use evostore_tensor::ManifestEntry;
 use evostore_tensor::{ModelId, TensorKey};
 use serde::{Deserialize, Serialize};
 
 use crate::owner_map::OwnerMap;
-
-/// Location of one tensor inside a consolidated bulk region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ManifestEntry {
-    /// Which tensor this is.
-    pub key: TensorKey,
-    /// Byte offset of its serialized record inside the region.
-    pub offset: u64,
-    /// Record length in bytes.
-    pub len: u64,
-}
 
 /// Store a new (or derived) model: metadata inline, new tensors in the
 /// exposed bulk region.

@@ -8,13 +8,14 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use evostore_graph::{lcp, ArchPattern, CompactGraph, IndexQueryStats};
-use evostore_tensor::{delta_header, is_delta, rope, validate_segments, ModelId, TensorKey};
+use evostore_tensor::{delta_header, is_delta, rope, ModelId, TensorKey};
 use rayon::prelude::*;
 
 use super::{CatalogSnapshot, ModelRecord, ProviderState};
 use crate::messages::*;
 use crate::owner_map::OwnerMap;
 use crate::par;
+use crate::records::validate_entry;
 
 /// On-disk form of a [`ModelRecord`] (catalog persistence).
 #[derive(serde::Serialize, serde::Deserialize)]
@@ -205,7 +206,7 @@ impl ProviderState {
         // malformed request can never leave partially-stored tensors with
         // no catalog entry referencing them. Entries are independent, so
         // the integrity + spec checks are shared out per tensor
-        // ([`par::map`]); `validate_segments` verifies framing, dims and
+        // ([`par::map`]); `validate_entry` verifies framing, dims and
         // checksum without materializing a `TensorData` — and without
         // gathering: a record pushed as a rope around the caller's payload
         // is sliced, checked and stored as that rope.
@@ -213,19 +214,8 @@ impl ProviderState {
             self.counters.validate_par_batches.add(1);
         }
         let validated = par::map(&req.manifest, region.len(), |entry| {
-            let (off, len) = (entry.offset as usize, entry.len as usize);
-            let record = region.slice_rope(off, len).ok_or_else(|| {
-                format!(
-                    "manifest entry {} out of bulk bounds ({} + {} > {})",
-                    entry.key,
-                    off,
-                    len,
-                    region.len()
-                )
-            })?;
             // Integrity + spec check before persisting.
-            let (shape, dtype) =
-                validate_segments(&record).map_err(|e| format!("tensor {}: {e}", entry.key))?;
+            let (record, shape, dtype) = validate_entry(entry, &region)?;
             let specs = req
                 .graph
                 .param_specs(evostore_tensor::VertexId(entry.key.vertex.0));
@@ -454,8 +444,17 @@ impl ProviderState {
             record_timestamp: rec.timestamp,
             retired_at,
         });
-        // Optimizer state is model-private and replica-local: each
-        // replica reclaims its own copy on its retire leg.
+        self.drop_optimizer_copies(&rec);
+        Ok(RetireMetaReply {
+            owner_map: rec.owner_map.clone(),
+            timestamp: rec.timestamp,
+        })
+    }
+
+    /// Drop a record's optimizer state as the record leaves the catalog:
+    /// it is model-private and replica-local, so each replica reclaims its
+    /// own copy (re-basing any delta that depends on it first).
+    pub(super) fn drop_optimizer_copies(&self, rec: &ModelRecord) {
         for key in &rec.optimizer_keys {
             let enc = key.encode();
             if self.tensors.refs(&enc) == 1 {
@@ -463,10 +462,6 @@ impl ProviderState {
             }
             let _ = self.tensors.decr(&enc);
         }
-        Ok(RetireMetaReply {
-            owner_map: rec.owner_map.clone(),
-            timestamp: rec.timestamp,
-        })
     }
 
     /// Record a retirement, keeping the newest incarnation per model.

@@ -10,6 +10,7 @@ use evostore_tensor::{is_delta_segments, rope, TensorKey};
 use super::ProviderState;
 use crate::messages::*;
 use crate::par;
+use crate::records::{pack, validate_entry};
 
 impl ProviderState {
     /// Handle a tensor read: gather the requested tensors into one
@@ -27,14 +28,10 @@ impl ProviderState {
         // materialized.
         let records = self.gather(&req.keys, req.raw_records, "tensor")?;
         drop(kv);
-        let manifest = self.logical_manifest(&req.keys, &records);
-        evostore_obs::ledger::add_chunks_touched(manifest.len() as u64);
-        evostore_obs::ledger::add_bytes_out(manifest.iter().map(|e| e.len).sum());
-        let bulk = self.expose_records(records);
-        Ok(ReadTensorsReply {
-            manifest,
-            bulk: bulk.0,
-        })
+        let reply = self.expose_records(&req.keys, &records);
+        evostore_obs::ledger::add_chunks_touched(reply.manifest.len() as u64);
+        evostore_obs::ledger::add_bytes_out(reply.manifest.iter().map(|e| e.len).sum());
+        Ok(reply)
     }
 
     /// Fetch the records under `keys`, each as a rope flagged with
@@ -92,44 +89,32 @@ impl ProviderState {
         Ok(records)
     }
 
-    /// Manifest over the *logical* concatenation of `records` (offsets
-    /// accumulate record lengths; no buffer is built), tallying the
-    /// zero-copy/fallback read counters as it goes.
-    fn logical_manifest(
+    /// Pack fetched records into a read reply: one vectored bulk region
+    /// of the records' own segments (no buffer is built) plus the manifest
+    /// over it, tallying the zero-copy/fallback read counters. The reader
+    /// withdraws the region.
+    fn expose_records(
         &self,
         keys: &[TensorKey],
         records: &[(Vec<Bytes>, bool)],
-    ) -> Vec<ManifestEntry> {
-        let mut manifest = Vec::with_capacity(records.len());
-        let mut offset = 0u64;
-        let (mut zero_copy, mut fallback) = (0u64, 0u64);
-        for (key, (record, shared)) in keys.iter().zip(records) {
-            let len = rope::len(record) as u64;
-            manifest.push(ManifestEntry {
-                key: *key,
-                offset,
-                len,
-            });
-            offset += len;
-            if *shared {
-                zero_copy += 1;
-            } else {
-                fallback += 1;
-            }
-        }
-        self.counters.zero_copy_reads.add(zero_copy);
-        self.counters.copy_fallback_reads.add(fallback);
-        manifest
-    }
-
-    /// Expose fetched records as one vectored bulk region: each record's
-    /// segments join the region's, no copy.
-    fn expose_records(&self, records: Vec<(Vec<Bytes>, bool)>) -> evostore_rpc::BulkHandle {
-        let segments: Vec<Bytes> = records.into_iter().flat_map(|(r, _)| r).collect();
+    ) -> ReadTensorsReply {
+        let zero_copy = records.iter().filter(|(_, shared)| *shared).count();
+        self.counters.zero_copy_reads.add(zero_copy as u64);
+        self.counters
+            .copy_fallback_reads
+            .add((records.len() - zero_copy) as u64);
+        let (manifest, segments) = pack(
+            keys.iter()
+                .zip(records)
+                .map(|(key, (record, _))| (*key, record.as_slice())),
+        );
         self.counters
             .bulk_segments_exposed
             .add(segments.len() as u64);
-        self.fabric.bulk_expose_vec(segments)
+        ReadTensorsReply {
+            manifest,
+            bulk: self.fabric.bulk_expose_vec(segments).0,
+        }
     }
 
     /// Handle a partial (element-range) tensor read. A memory-resident
@@ -167,8 +152,9 @@ impl ProviderState {
                 req.elem_offset, req.elem_count, req.key
             )
         })?;
-        let slice = rope::slice_flat(&record, range);
-        let bulk = self.fabric.bulk_expose(slice);
+        // The range is exposed where it lies; the reader, who needs one
+        // flat buffer, gathers a range that spans segments.
+        let bulk = self.fabric.bulk_expose_vec(rope::slice(&record, range));
         Ok(ReadRangeReply {
             dtype_tag: dtype.tag(),
             bulk: bulk.0,
@@ -180,37 +166,27 @@ impl ProviderState {
         &self,
         req: StoreOptimizerRequest,
     ) -> Result<StoreModelReply, String> {
+        if let Some(stray) = req
+            .manifest
+            .iter()
+            .find(|e| e.key.owner != req.model || e.key.vertex.0 != u32::MAX)
+        {
+            return Err(format!(
+                "optimizer tensor {} must use the owner's optimizer namespace",
+                stray.key
+            ));
+        }
         let region = self
             .fabric
-            .bulk_get(evostore_rpc::BulkHandle(req.bulk))
+            .bulk_get_vec(evostore_rpc::BulkHandle(req.bulk))
             .map_err(|e| format!("bulk pull failed: {e}"))?;
-
         // Validate everything first (see handle_store): no partial state
         // on malformed requests.
-        let mut validated = Vec::with_capacity(req.manifest.len());
-        for entry in &req.manifest {
-            if entry.key.owner != req.model || entry.key.vertex.0 != u32::MAX {
-                return Err(format!(
-                    "optimizer tensor {} must use the owner's optimizer namespace",
-                    entry.key
-                ));
-            }
-            let (off, len) = (entry.offset as usize, entry.len as usize);
-            if off
-                .checked_add(len)
-                .map(|end| end > region.len())
-                .unwrap_or(true)
-            {
-                return Err(format!(
-                    "optimizer manifest entry {} out of bounds",
-                    entry.key
-                ));
-            }
-            let record = region.slice(off..off + len);
-            evostore_tensor::read_tensor(record.clone())
-                .map_err(|e| format!("optimizer tensor {}: {e}", entry.key))?;
-            validated.push((entry.key, record));
-        }
+        let validated = par::map(&req.manifest, region.len(), |entry| {
+            validate_entry(entry, &region).map(|(record, ..)| (entry.key, record))
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>, String>>()?;
         // Attach under the write lock (check-then-act vs concurrent
         // attaches stays atomic); the records are shared `Arc`s, so the
         // mutation copies-on-write and the published snapshot picks up
@@ -226,9 +202,9 @@ impl ProviderState {
             let mut bytes_stored = 0u64;
             let mut keys = Vec::with_capacity(validated.len());
             for (key, record) in validated {
-                bytes_stored += record.len() as u64;
+                bytes_stored += rope::len(&record) as u64;
                 self.tensors
-                    .put(&key.encode(), record, 1)
+                    .put_segments(&key.encode(), record, 1)
                     .map_err(|e| format!("store optimizer tensor {key}: {e}"))?;
                 keys.push(key);
             }
@@ -256,11 +232,6 @@ impl ProviderState {
             rec.optimizer_keys.clone()
         };
         let records = self.gather(&keys, true, "optimizer tensor")?;
-        let manifest = self.logical_manifest(&keys, &records);
-        let bulk = self.expose_records(records);
-        Ok(ReadTensorsReply {
-            manifest,
-            bulk: bulk.0,
-        })
+        Ok(self.expose_records(&keys, &records))
     }
 }

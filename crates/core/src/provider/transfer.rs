@@ -7,14 +7,18 @@ use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
+use evostore_graph::CompactGraph;
 use evostore_tensor::{
-    delta_header, delta_probe, is_delta, read_tensor, ContentHash, DeltaHeader, TensorKey,
-    DELTA_PROBE_LEN,
+    delta_header, delta_probe_segments, is_delta, rope, validate_segments, ContentHash,
+    DeltaHeader, ModelId, TensorKey, DELTA_PROBE_LEN,
 };
 
 use super::{ModelRecord, ProviderState};
 use crate::messages::*;
+use crate::owner_map::OwnerMap;
+use crate::par;
+use crate::records::{pushed_chunks, record_in};
 
 /// Decode a wire-form content hash (always 16 bytes).
 fn wire_hash(b: &[u8; 16]) -> ContentHash {
@@ -35,6 +39,17 @@ fn delta_linkage(
             Ok((Some(base), h.depth))
         }
     }
+}
+
+/// The catalog record a sync request carries, whichever plane its
+/// payloads ride.
+struct SyncedModel {
+    model: ModelId,
+    graph: CompactGraph,
+    owner_map: OwnerMap,
+    parent: Option<ModelId>,
+    quality: f64,
+    timestamp: u64,
 }
 
 impl ProviderState {
@@ -62,158 +77,175 @@ impl ProviderState {
         })
     }
 
-    /// Handle a model sync: install the record and its tensor payloads
-    /// unless the local copy is already at least as new. Payloads come
-    /// from a peer replica that validated them at original store time,
-    /// so only framing integrity is re-checked here.
-    pub fn handle_sync_model(&self, req: SyncModelRequest) -> Result<SyncModelReply, String> {
-        super::catalog::wire_graph(&req.graph)?;
-        if !self.places_here(req.model) {
+    /// What `SYNC_MODEL` and `SYNC_CHUNKS` share: install `m` unless the
+    /// local copy is already at least as new. `check` pulls and validates
+    /// the shipment without touching any state — a malformed sync can never
+    /// leave partially-stored records — and only then is a stale local
+    /// incarnation dropped (its private optimizer copies with it) and the
+    /// checked payloads handed to `store`. `keys` names every record of
+    /// the shipment. `Ok(None)`: not applied, the local copy stands.
+    fn install_synced<V, T>(
+        &self,
+        m: SyncedModel,
+        keys: impl Iterator<Item = TensorKey>,
+        check: impl FnOnce() -> Result<V, String>,
+        store: impl FnOnce(V) -> Result<T, String>,
+    ) -> Result<Option<T>, String> {
+        super::catalog::wire_graph(&m.graph)?;
+        if !self.places_here(m.model) {
             return Err(format!(
                 "model {} does not place on provider {}",
-                req.model, self.index
+                m.model, self.index
             ));
         }
+        let mut optimizer_keys: Vec<TensorKey> = keys.filter(|k| k.vertex.0 == u32::MAX).collect();
+        optimizer_keys.sort_by_key(|k| k.slot);
         if let Some((ts, opt_len)) = self
             .catalog
             .read()
             .records
-            .get(&req.model)
+            .get(&m.model)
             .map(|r| (r.timestamp, r.optimizer_keys.len()))
         {
             // Equal-timestamp records can still differ: attaching
             // optimizer state does not bump the write stamp, so a
             // replica that missed only the attachment is stale despite
             // matching timestamps.
-            let req_opt = req
-                .manifest
-                .iter()
-                .filter(|e| e.key.vertex.0 == u32::MAX)
-                .count();
-            if ts > req.timestamp || (ts == req.timestamp && opt_len >= req_opt) {
-                return Ok(SyncModelReply {
-                    applied: false,
-                    tensors_stored: 0,
-                });
+            if ts > m.timestamp || (ts == m.timestamp && opt_len >= optimizer_keys.len()) {
+                return Ok(None);
             }
         }
-        let region = self
-            .fabric
-            .bulk_get(evostore_rpc::BulkHandle(req.bulk))
-            .map_err(|e| format!("bulk pull failed: {e}"))?;
-        evostore_obs::ledger::add_bytes_in(region.len() as u64);
-        let mut validated = Vec::with_capacity(req.manifest.len());
-        for entry in &req.manifest {
-            let (off, len) = (entry.offset as usize, entry.len as usize);
-            if off
-                .checked_add(len)
-                .map(|end| end > region.len())
-                .unwrap_or(true)
-            {
-                return Err(format!("sync manifest entry {} out of bounds", entry.key));
-            }
-            let record = region.slice(off..off + len);
-            if req.raw_records && is_delta(&record) {
+        let checked = check()?;
+        if let Some(old) = self.mutate_catalog(|c| c.remove(m.model)) {
+            self.drop_optimizer_copies(&old);
+        }
+        let stored = store(checked)?;
+        self.clock.fetch_max(m.timestamp + 1, Ordering::Relaxed);
+        let record = ModelRecord {
+            graph: Arc::new(m.graph),
+            owner_map: m.owner_map,
+            parent: m.parent,
+            quality: m.quality,
+            timestamp: m.timestamp,
+            optimizer_keys,
+        };
+        self.persist_record(m.model, &record);
+        self.mutate_catalog(|c| c.insert(m.model, record));
+        Ok(Some(stored))
+    }
+
+    /// Register a delta record installed verbatim: fence its base's
+    /// reclaim on it and count the shipment.
+    fn note_shipped_delta(&self, enc: &[u8], base_enc: &[u8]) {
+        self.delta_deps
+            .lock()
+            .entry(base_enc.to_vec())
+            .or_default()
+            .push(enc.to_vec());
+        self.counters.delta_stored.add(1);
+        self.counters.transfer_deltas_shipped.add(1);
+    }
+
+    /// Handle a model sync: install the record and its tensor payloads
+    /// unless the local copy is already at least as new. The records ride
+    /// the same plane as a store's: pulled as a rope, each taken out with
+    /// `record_in`, checked where it lies and put as the rope it arrived
+    /// as.
+    pub fn handle_sync_model(&self, req: SyncModelRequest) -> Result<SyncModelReply, String> {
+        let SyncModelRequest {
+            model,
+            graph,
+            owner_map,
+            parent,
+            quality,
+            timestamp,
+            manifest,
+            bulk,
+            raw_records,
+        } = req;
+        let synced = SyncedModel {
+            model,
+            graph,
+            owner_map,
+            parent,
+            quality,
+            timestamp,
+        };
+        let manifest = &manifest;
+        let check = || {
+            let region = self
+                .fabric
+                .bulk_get_vec(evostore_rpc::BulkHandle(bulk))
+                .map_err(|e| format!("bulk pull failed: {e}"))?;
+            evostore_obs::ledger::add_bytes_in(region.len() as u64);
+            par::map(manifest, region.len(), |entry| {
+                let record = record_in(entry, &region).map_err(|e| e.to_string())?;
+                let named = |e: String| format!("tensor {}: {e}", entry.key);
+                let head = match raw_records {
+                    true => delta_probe_segments(&record, rope::len(&record))
+                        .map_err(|e| named(e.to_string()))?,
+                    false => None,
+                };
+                let Some(head) = head else {
+                    validate_segments(&record).map_err(|e| named(e.to_string()))?;
+                    return Ok((entry.key, record, None));
+                };
                 // Delta-preserving leg: the payload is the source's
-                // stored EVDL record shipped verbatim. Validate the
-                // delta framing and require the base to be resolvable
-                // here (already stored, or part of this same sync) —
-                // otherwise the driver must fall back to a
-                // materialized sync.
-                let head =
-                    delta_header(&record).map_err(|e| format!("tensor {}: {e}", entry.key))?;
+                // stored EVDL record shipped verbatim. Its framing just
+                // parsed; the base must be resolvable here (already
+                // stored, or part of this same sync) — otherwise the
+                // driver must fall back to a materialized sync.
                 if !self.delta.enabled {
-                    return Err(format!(
-                        "tensor {}: delta record shipped to a delta-disabled provider",
-                        entry.key
+                    return Err(named(
+                        "delta record shipped to a delta-disabled provider".into(),
                     ));
                 }
                 let base_local = self.tensors.contains(&head.base_key);
-                let base_inbound = req.manifest.iter().any(|m| m.key.encode() == head.base_key);
+                let base_inbound = manifest.iter().any(|m| m.key.encode() == head.base_key);
                 if !base_local && !base_inbound {
-                    return Err(format!(
-                        "tensor {}: delta base not present on the target",
-                        entry.key
-                    ));
+                    return Err(named("delta base not present on the target".into()));
                 }
-            } else {
-                read_tensor(record.clone()).map_err(|e| format!("tensor {}: {e}", entry.key))?;
-            }
-            validated.push((entry.key, record));
-        }
-        // Replace a stale record (an older incarnation under the same
-        // id); its private optimizer copies go with it.
-        if let Some(old) = self.mutate_catalog(|c| c.remove(req.model)) {
-            for key in &old.optimizer_keys {
+                Ok((entry.key, record, Some(head)))
+            })
+            .into_iter()
+            .collect::<Result<Vec<_>, String>>()
+        };
+        let store = |validated: Vec<(TensorKey, Vec<Bytes>, Option<DeltaHeader>)>| {
+            let mut tensors_stored = 0usize;
+            for (key, record, delta_head) in validated {
+                // Already-present payloads keep their count: the refs sync
+                // that follows installs the authoritative values.
                 let enc = key.encode();
-                if self.tensors.refs(&enc) == 1 {
-                    let _ = self.before_reclaim(&enc);
+                if self.tensors.contains(&enc) {
+                    continue;
                 }
-                let _ = self.tensors.decr(&enc);
-            }
-        }
-        let mut tensors_stored = 0usize;
-        for (key, record) in validated {
-            // Already-present payloads keep their count: the refs sync
-            // that follows installs the authoritative values. On the
-            // default (materialized) leg payloads arrive raw; under
-            // `raw_records` a delta record is installed verbatim and
-            // its reclaim fencing registered on arrival.
-            let enc = key.encode();
-            if !self.tensors.contains(&enc) {
-                let delta_head = if req.raw_records && is_delta(&record) {
-                    Some(delta_header(&record).map_err(|e| format!("tensor {key}: {e}"))?)
-                } else {
-                    None
-                };
-                let record_len = record.len() as u64;
+                let record_len = rope::len(&record) as u64;
                 self.tensors
-                    .put(&enc, record, 1)
+                    .put_segments(&enc, record, 1)
                     .map_err(|e| format!("sync tensor {key}: {e}"))?;
                 if let Some(head) = delta_head {
-                    self.delta_deps
-                        .lock()
-                        .entry(head.base_key.to_vec())
-                        .or_default()
-                        .push(enc.to_vec());
-                    self.counters.delta_stored.add(1);
-                    self.counters.transfer_deltas_shipped.add(1);
+                    self.note_shipped_delta(&enc, &head.base_key);
                     self.counters
                         .transfer_bytes_saved
                         .add((head.raw_len as u64).saturating_sub(record_len));
                 }
                 tensors_stored += 1;
             }
-        }
-        self.clock.fetch_max(req.timestamp + 1, Ordering::Relaxed);
-        let mut optimizer_keys: Vec<TensorKey> = req
-            .manifest
-            .iter()
-            .map(|e| e.key)
-            .filter(|k| k.vertex.0 == u32::MAX)
-            .collect();
-        optimizer_keys.sort_by_key(|k| k.slot);
-        let record = ModelRecord {
-            graph: Arc::new(req.graph),
-            owner_map: req.owner_map,
-            parent: req.parent,
-            quality: req.quality,
-            timestamp: req.timestamp,
-            optimizer_keys,
+            Ok(tensors_stored)
         };
-        self.persist_record(req.model, &record);
-        self.mutate_catalog(|c| c.insert(req.model, record));
+        let keys = manifest.iter().map(|e| e.key);
+        let installed = self.install_synced(synced, keys, check, store)?;
         Ok(SyncModelReply {
-            applied: true,
-            tensors_stored,
+            applied: installed.is_some(),
+            tensors_stored: installed.unwrap_or(0),
         })
     }
 
-    /// Assemble at most [`DELTA_PROBE_LEN`] head bytes of a chunked
-    /// record from its leading chunks — `provided` payloads first, the
-    /// local chunk store second — and return the record's delta header
-    /// (`None` for raw records). Framing is validated without ever
-    /// assembling the record.
+    /// Collect the leading chunks of a chunked record that hold its first
+    /// [`DELTA_PROBE_LEN`] bytes — `provided` payloads first, the local
+    /// chunk store second — and return the record's delta header (`None`
+    /// for raw records). Framing is validated without ever assembling the
+    /// record.
     fn probe_chunked_framing(
         &self,
         key: TensorKey,
@@ -221,9 +253,10 @@ impl ProviderState {
         hashes: &[[u8; 16]],
         provided: &HashMap<u128, Bytes>,
     ) -> Result<Option<DeltaHeader>, String> {
-        let mut prefix = BytesMut::new();
+        let mut head: Vec<Bytes> = Vec::new();
+        let mut have = 0usize;
         for hb in hashes {
-            if prefix.len() >= DELTA_PROBE_LEN || prefix.len() as u64 >= total {
+            if have >= DELTA_PROBE_LEN || have as u64 >= total {
                 break;
             }
             let h = wire_hash(hb);
@@ -239,14 +272,10 @@ impl ProviderState {
                     }
                 },
             };
-            prefix.extend_from_slice(&chunk);
+            have += chunk.len();
+            head.push(chunk);
         }
-        if !is_delta(&prefix) {
-            return Ok(None);
-        }
-        delta_probe(&prefix, total as usize)
-            .map(Some)
-            .map_err(|e| format!("record {key}: {e}"))
+        delta_probe_segments(&head, total as usize).map_err(|e| format!("record {key}: {e}"))
     }
 
     /// Handle a transfer-manifest request (sync source side): describe
@@ -381,178 +410,130 @@ impl ProviderState {
     /// [`ProviderState::handle_sync_model`]; any validation failure
     /// leaves the driver to fall back to a materialized sync.
     pub fn handle_sync_chunks(&self, req: SyncChunksRequest) -> Result<SyncChunksReply, String> {
-        super::catalog::wire_graph(&req.graph)?;
-        if !self.places_here(req.model) {
-            return Err(format!(
-                "model {} does not place on provider {}",
-                req.model, self.index
-            ));
-        }
-        if req.pushed.len() != req.lens.len() {
-            return Err("pushed/lens length mismatch".into());
-        }
-        if let Some((ts, opt_len)) = self
-            .catalog
-            .read()
-            .records
-            .get(&req.model)
-            .map(|r| (r.timestamp, r.optimizer_keys.len()))
-        {
-            let req_opt = req
-                .records
-                .iter()
-                .filter(|e| e.key.vertex.0 == u32::MAX)
-                .count();
-            if ts > req.timestamp || (ts == req.timestamp && opt_len >= req_opt) {
-                return Ok(SyncChunksReply {
-                    applied: false,
-                    records_stored: 0,
-                    bytes_saved: 0,
-                });
-            }
-        }
-        let region = self
-            .fabric
-            .bulk_get_vec(evostore_rpc::BulkHandle(req.bulk))
-            .map_err(|e| format!("bulk pull failed: {e}"))?;
-        evostore_obs::ledger::add_bytes_in(region.len() as u64);
-        evostore_obs::ledger::add_chunks_touched(req.pushed.len() as u64);
-        // Frame and content-verify every pushed chunk before touching
-        // any state: a malformed push can never leave partially-stored
-        // records.
-        let mut provided: HashMap<u128, Bytes> = HashMap::with_capacity(req.pushed.len());
-        let mut off = 0usize;
-        for (hb, len) in req.pushed.iter().zip(&req.lens) {
-            let len = *len as usize;
-            let chunk = region.slice(off, len).ok_or_else(|| {
-                format!(
-                    "pushed chunk out of bulk bounds ({off} + {len} > {})",
-                    region.len()
-                )
-            })?;
-            off += len;
-            let h = wire_hash(hb);
-            if ContentHash::of_bytes(&chunk) != h {
-                return Err(format!("pushed chunk {:032x} fails its content hash", h.0));
-            }
-            provided.insert(h.0, chunk);
-        }
-        // Validate every record's claimed delta linkage from its head
-        // chunk — available pre-insert from the push or the local chunk
-        // store — so a lying manifest can never install a delta record
-        // without its reclaim fencing.
-        let incoming: std::collections::HashSet<TensorKey> =
-            req.records.iter().map(|r| r.key).collect();
-        let mut delta_raw_len: HashMap<TensorKey, u64> = HashMap::new();
-        for rec in &req.records {
-            let head = self.probe_chunked_framing(rec.key, rec.total, &rec.hashes, &provided)?;
-            if let Some(h) = &head {
-                delta_raw_len.insert(rec.key, h.raw_len as u64);
-            }
-            match (head, rec.delta_base) {
-                (None, None) => {}
-                (None, Some(_)) => {
-                    return Err(format!(
-                        "record {}: manifest claims a delta base for a raw record",
-                        rec.key
-                    ))
-                }
-                (Some(_), None) => {
-                    return Err(format!(
-                        "record {}: manifest omits the stored delta's base",
-                        rec.key
-                    ))
-                }
-                (Some(h), Some(base)) => {
-                    if !self.delta.enabled {
-                        return Err(format!(
-                            "record {}: delta record shipped to a delta-disabled provider",
-                            rec.key
-                        ));
-                    }
-                    if h.base_key != base.encode() || h.depth != rec.delta_depth {
-                        return Err(format!(
-                            "record {}: manifest disagrees with the stored delta header",
-                            rec.key
-                        ));
-                    }
-                    if !self.tensors.contains(&h.base_key) && !incoming.contains(&base) {
-                        return Err(format!(
-                            "record {}: delta base {base} not present on the target",
-                            rec.key
-                        ));
-                    }
-                }
-            }
-        }
-        // Replace a stale record (an older incarnation under the same
-        // id); its private optimizer copies go with it.
-        if let Some(old) = self.mutate_catalog(|c| c.remove(req.model)) {
-            for key in &old.optimizer_keys {
-                let enc = key.encode();
-                if self.tensors.refs(&enc) == 1 {
-                    let _ = self.before_reclaim(&enc);
-                }
-                let _ = self.tensors.decr(&enc);
-            }
-        }
-        let kv = self.kv_span("kv.sync_chunks");
-        let mut records_stored = 0usize;
-        let mut bytes_needed = 0u64;
-        for rec in &req.records {
-            let enc = rec.key.encode();
-            // Already-present records keep their count: the refs sync
-            // that follows installs the authoritative values.
-            if self.tensors.contains(&enc) {
-                continue;
-            }
-            let hashes: Vec<ContentHash> = rec.hashes.iter().map(wire_hash).collect();
-            match self
-                .tensors
-                .put_chunked(&enc, rec.total as usize, &hashes, &provided, 1)
-            {
-                Some(Ok(())) => {}
-                Some(Err(e)) => return Err(format!("sync record {}: {e}", rec.key)),
-                None => return Err("target store is not content-addressed".into()),
-            }
-            if let Some(base) = rec.delta_base {
-                self.delta_deps
-                    .lock()
-                    .entry(base.encode().to_vec())
-                    .or_default()
-                    .push(enc.to_vec());
-                self.counters.delta_stored.add(1);
-                self.counters.transfer_deltas_shipped.add(1);
-            }
-            // What a materialized sync would have moved for this record:
-            // the reconstructed length for deltas, the record itself
-            // otherwise. The pushed region is what actually moved.
-            bytes_needed += delta_raw_len.get(&rec.key).copied().unwrap_or(rec.total);
-            records_stored += 1;
-        }
-        drop(kv);
-        let bytes_saved = bytes_needed.saturating_sub(region.len() as u64);
-        self.counters.transfer_bytes_saved.add(bytes_saved);
-        self.clock.fetch_max(req.timestamp + 1, Ordering::Relaxed);
-        let mut optimizer_keys: Vec<TensorKey> = req
-            .records
-            .iter()
-            .map(|e| e.key)
-            .filter(|k| k.vertex.0 == u32::MAX)
-            .collect();
-        optimizer_keys.sort_by_key(|k| k.slot);
-        let record = ModelRecord {
-            graph: Arc::new(req.graph),
-            owner_map: req.owner_map,
-            parent: req.parent,
-            quality: req.quality,
-            timestamp: req.timestamp,
-            optimizer_keys,
+        let SyncChunksRequest {
+            model,
+            graph,
+            owner_map,
+            parent,
+            quality,
+            timestamp,
+            records,
+            pushed,
+            lens,
+            bulk,
+        } = req;
+        let synced = SyncedModel {
+            model,
+            graph,
+            owner_map,
+            parent,
+            quality,
+            timestamp,
         };
-        self.persist_record(req.model, &record);
-        self.mutate_catalog(|c| c.insert(req.model, record));
+        let records = &records;
+        let check = || {
+            let region = self
+                .fabric
+                .bulk_get_vec(evostore_rpc::BulkHandle(bulk))
+                .map_err(|e| format!("bulk pull failed: {e}"))?;
+            evostore_obs::ledger::add_bytes_in(region.len() as u64);
+            evostore_obs::ledger::add_chunks_touched(pushed.len() as u64);
+            let provided: HashMap<u128, Bytes> = pushed
+                .iter()
+                .map(|hb| wire_hash(hb).0)
+                .zip(pushed_chunks(&pushed, &lens, &region)?)
+                .collect();
+            // Validate every record's claimed delta linkage from its head
+            // chunk — available pre-insert from the push or the local chunk
+            // store — so a lying manifest can never install a delta record
+            // without its reclaim fencing.
+            let incoming: std::collections::HashSet<TensorKey> =
+                records.iter().map(|r| r.key).collect();
+            let mut delta_raw_len: HashMap<TensorKey, u64> = HashMap::new();
+            for rec in records {
+                let head =
+                    self.probe_chunked_framing(rec.key, rec.total, &rec.hashes, &provided)?;
+                if let Some(h) = &head {
+                    delta_raw_len.insert(rec.key, h.raw_len as u64);
+                }
+                match (head, rec.delta_base) {
+                    (None, None) => {}
+                    (None, Some(_)) => {
+                        return Err(format!(
+                            "record {}: manifest claims a delta base for a raw record",
+                            rec.key
+                        ))
+                    }
+                    (Some(_), None) => {
+                        return Err(format!(
+                            "record {}: manifest omits the stored delta's base",
+                            rec.key
+                        ))
+                    }
+                    (Some(h), Some(base)) => {
+                        if !self.delta.enabled {
+                            return Err(format!(
+                                "record {}: delta record shipped to a delta-disabled provider",
+                                rec.key
+                            ));
+                        }
+                        if h.base_key != base.encode() || h.depth != rec.delta_depth {
+                            return Err(format!(
+                                "record {}: manifest disagrees with the stored delta header",
+                                rec.key
+                            ));
+                        }
+                        if !self.tensors.contains(&h.base_key) && !incoming.contains(&base) {
+                            return Err(format!(
+                                "record {}: delta base {base} not present on the target",
+                                rec.key
+                            ));
+                        }
+                    }
+                }
+            }
+            Ok((provided, delta_raw_len, region.len() as u64))
+        };
+        let store =
+            |(provided, delta_raw_len, moved): (HashMap<u128, Bytes>, HashMap<_, u64>, u64)| {
+                let kv = self.kv_span("kv.sync_chunks");
+                let mut records_stored = 0usize;
+                let mut bytes_needed = 0u64;
+                for rec in records {
+                    let enc = rec.key.encode();
+                    // Already-present records keep their count: the refs sync
+                    // that follows installs the authoritative values.
+                    if self.tensors.contains(&enc) {
+                        continue;
+                    }
+                    let hashes: Vec<ContentHash> = rec.hashes.iter().map(wire_hash).collect();
+                    match self
+                        .tensors
+                        .put_chunked(&enc, rec.total as usize, &hashes, &provided, 1)
+                    {
+                        Some(Ok(())) => {}
+                        Some(Err(e)) => return Err(format!("sync record {}: {e}", rec.key)),
+                        None => return Err("target store is not content-addressed".into()),
+                    }
+                    if let Some(base) = rec.delta_base {
+                        self.note_shipped_delta(&enc, &base.encode());
+                    }
+                    // What a materialized sync would have moved for this record:
+                    // the reconstructed length for deltas, the record itself
+                    // otherwise. The pushed region is what actually moved.
+                    bytes_needed += delta_raw_len.get(&rec.key).copied().unwrap_or(rec.total);
+                    records_stored += 1;
+                }
+                drop(kv);
+                let bytes_saved = bytes_needed.saturating_sub(moved);
+                self.counters.transfer_bytes_saved.add(bytes_saved);
+                Ok((records_stored, bytes_saved))
+            };
+        let keys = records.iter().map(|r| r.key);
+        let installed = self.install_synced(synced, keys, check, store)?;
+        let (records_stored, bytes_saved) = installed.unwrap_or((0, 0));
         Ok(SyncChunksReply {
-            applied: true,
+            applied: installed.is_some(),
             records_stored,
             bytes_saved,
         })
@@ -651,13 +632,7 @@ impl ProviderState {
                 if let Some(rec) = self.mutate_catalog(|c| c.remove(t.model)) {
                     self.unpersist_record(t.model);
                     self.meta_replies.remove(t.model);
-                    for key in &rec.optimizer_keys {
-                        let enc = key.encode();
-                        if self.tensors.refs(&enc) == 1 {
-                            let _ = self.before_reclaim(&enc);
-                        }
-                        let _ = self.tensors.decr(&enc);
-                    }
+                    self.drop_optimizer_copies(&rec);
                     removed += 1;
                 }
             }

@@ -25,23 +25,27 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use evostore_deliver::{
-    EventAck, EventKind, EventPush, ModelEvent, PeerFetchReply, PeerFetchRequest, SegmentEntry,
-    SubscribeRequest, SubscriptionFilter, UnsubscribeRequest,
+    EventAck, EventKind, EventPush, ModelEvent, PeerFetchReply, PeerFetchRequest, SubscribeRequest,
+    SubscriptionFilter, UnsubscribeRequest,
 };
 use evostore_kv::DEFAULT_CHUNK_SIZE;
 use evostore_obs::{counter_set, current_trace, ObsHub, SloEngine, Tracer};
 use evostore_rpc::{
     unary, BulkHandle, Endpoint, EndpointId, Fabric, Method, RetryPolicy, RpcError,
 };
-use evostore_tensor::{read_tensor, write_tensor, ContentHash, ModelId, TensorData, TensorKey};
+use evostore_tensor::{
+    read_tensor_segments, rope, write_tensor, write_tensor_segments, ContentHash, ModelId,
+    TensorData, TensorKey,
+};
 use parking_lot::Mutex;
 
 use crate::cache::CachingClient;
 use crate::client::{EvoError, Result};
-use crate::messages::FetchChunksRequest;
+use crate::messages::{FetchChunksRequest, ManifestEntry};
 use crate::methods;
+use crate::records::{pack, pushed_chunks, read_entry};
 
 /// Watcher tuning knobs.
 #[derive(Debug, Clone)]
@@ -171,7 +175,7 @@ struct SubCursor {
 
 /// A model this watcher holds serialized and exposed for its children.
 struct ServedModel {
-    manifest: Vec<SegmentEntry>,
+    manifest: Vec<ManifestEntry>,
     bulk: u64,
     bytes: u64,
 }
@@ -532,7 +536,9 @@ impl WatcherInner {
         let (mut have, missing) = self.client.cache().get_batch(&keys);
         self.telemetry.cache_hits_on_fetch.add(have.len() as u64);
         let mut source = FetchSource::Cache;
-        let mut raw_segments: HashMap<TensorKey, Bytes> = HashMap::new();
+        // Records that arrived from a peer, kept as the ropes they arrived
+        // as to be served onward without re-encoding.
+        let mut raw_segments: HashMap<TensorKey, Vec<Bytes>> = HashMap::new();
         if !missing.is_empty() {
             let chain: Vec<u32> = if self.cfg.use_fetch_chain && !ev.fetch_chain.is_empty() {
                 ev.fetch_chain.clone()
@@ -548,7 +554,7 @@ impl WatcherInner {
                     // Chunk negotiation first (reuse the superseded
                     // cached version, ship only changed chunks); the
                     // materialized read is the backstop for any decline.
-                    if self.fetch_chunks_from_provider(ev, &missing, &mut have, &mut raw_segments) {
+                    if self.fetch_chunks_from_provider(ev, &missing, &mut have) {
                         Ok(FetchSource::Provider)
                     } else {
                         self.fetch_from_provider(&missing, &mut have)
@@ -596,7 +602,6 @@ impl WatcherInner {
         ev: &ModelEvent,
         missing: &[TensorKey],
         have: &mut HashMap<TensorKey, TensorData>,
-        raw_segments: &mut HashMap<TensorKey, Bytes>,
     ) -> bool {
         if missing.is_empty() {
             return false;
@@ -640,7 +645,7 @@ impl WatcherInner {
                 .or_default()
                 .push(k);
         }
-        let mut staged: Vec<(TensorKey, Bytes, TensorData)> = Vec::new();
+        let mut staged: Vec<(TensorKey, TensorData)> = Vec::new();
         let mut wire_bytes = 0u64;
         let mut reused_bytes = 0u64;
         for (ep, keys) in groups {
@@ -657,66 +662,47 @@ impl WatcherInner {
                 Ok(r) => r,
                 Err(_) => return false,
             };
-            let handle = BulkHandle(reply.bulk);
-            let Ok(region) = self.fabric.bulk_get_vec(handle) else {
+            let Ok(region) = self.fabric.bulk_take(BulkHandle(reply.bulk)) else {
                 return false;
             };
             // Frame and content-verify the pushed chunks.
-            let mut pushed: HashMap<u128, Bytes> = HashMap::with_capacity(reply.pushed.len());
-            let mut off = 0usize;
-            for (hb, len) in reply.pushed.iter().zip(&reply.lens) {
-                let len = *len as usize;
-                let (Some(chunk), Some(h)) = (region.slice(off, len), ContentHash::from_bytes(hb))
-                else {
-                    self.fabric.bulk_release(handle);
-                    return false;
-                };
-                off += len;
-                if ContentHash::of_bytes(&chunk) != h {
-                    self.fabric.bulk_release(handle);
-                    return false;
-                }
-                pushed.insert(h.0, chunk);
-            }
-            self.fabric.bulk_release(handle);
-            wire_bytes += off as u64;
-            // Reassemble each record from the push + the local set, and
+            let Ok(chunks) = pushed_chunks(&reply.pushed, &reply.lens, &region) else {
+                return false;
+            };
+            let pushed: HashMap<[u8; 16], Bytes> =
+                reply.pushed.iter().copied().zip(chunks).collect();
+            wire_bytes += region.len() as u64;
+            // Reassemble each record from the push + the local set — as a
+            // rope of the chunks, the decode gathers the payload — and
             // validate it fully before staging.
             for rec in &reply.records {
-                let mut raw = BytesMut::with_capacity(rec.total as usize);
+                let mut raw = Vec::with_capacity(rec.hashes.len());
                 for hb in &rec.hashes {
-                    let Some(h) = ContentHash::from_bytes(hb) else {
-                        return false;
-                    };
-                    match pushed.get(&h.0) {
-                        Some(chunk) => raw.extend_from_slice(chunk),
-                        None => match local.get(&h.0) {
-                            Some(chunk) => {
-                                reused_bytes += chunk.len() as u64;
-                                raw.extend_from_slice(chunk);
-                            }
-                            None => return false,
-                        },
+                    match (pushed.get(hb), local.get(&u128::from_le_bytes(*hb))) {
+                        (Some(chunk), _) => raw.push(chunk.clone()),
+                        (None, Some(chunk)) => {
+                            reused_bytes += chunk.len() as u64;
+                            raw.push(chunk.clone());
+                        }
+                        (None, None) => return false,
                     }
                 }
-                if raw.len() as u64 != rec.total {
+                if rope::len(&raw) as u64 != rec.total {
                     return false;
                 }
-                let raw = raw.freeze();
-                let Ok(tensor) = read_tensor(raw.clone()) else {
+                let Ok(tensor) = read_tensor_segments(&raw) else {
                     return false;
                 };
-                staged.push((rec.key, raw, tensor));
+                staged.push((rec.key, tensor));
             }
         }
         if staged.len() != missing.len() {
             return false;
         }
         // Commit: every record reassembled and validated.
-        for (key, raw, tensor) in staged {
+        for (key, tensor) in staged {
             self.client.cache().put(key, tensor.clone());
             have.insert(key, tensor);
-            raw_segments.insert(key, raw);
         }
         self.telemetry.chunk_fetches.add(1);
         self.telemetry.chunk_bytes_reused.add(reused_bytes);
@@ -752,7 +738,7 @@ impl WatcherInner {
         model: ModelId,
         missing: &[TensorKey],
         have: &mut HashMap<TensorKey, TensorData>,
-        raw_segments: &mut HashMap<TensorKey, Bytes>,
+        raw_segments: &mut HashMap<TensorKey, Vec<Bytes>>,
     ) -> Result<()> {
         let req = PeerFetchRequest { model };
         let mut reply: Option<PeerFetchReply> = None;
@@ -767,6 +753,8 @@ impl WatcherInner {
         let reply = reply.ok_or(EvoError::Unavailable {
             endpoint: EndpointId(peer),
         })?;
+        // The region is the peer's for as long as it serves the model: read,
+        // never withdrawn.
         let region = self.fabric.bulk_get_vec(BulkHandle(reply.bulk))?;
         let wanted: std::collections::HashSet<TensorKey> = missing.iter().copied().collect();
         let mut bytes = 0u64;
@@ -774,14 +762,9 @@ impl WatcherInner {
             if !wanted.contains(&entry.key) {
                 continue;
             }
-            let raw = region
-                .slice(entry.offset as usize, entry.len as usize)
-                .ok_or_else(|| EvoError::Protocol("peer manifest out of range".into()))?;
             // Full deserialization validates the record (checksums);
             // a corrupt peer copy surfaces instead of propagating.
-            let tensor = read_tensor(raw.clone()).map_err(|e| EvoError::Corrupt {
-                key: format!("{}: {e}", entry.key),
-            })?;
+            let (raw, tensor) = read_entry(entry, &region)?;
             bytes += entry.len;
             self.client.cache().put(entry.key, tensor.clone());
             have.insert(entry.key, tensor);
@@ -798,31 +781,27 @@ impl WatcherInner {
     }
 
     /// Expose a model's serialized tensors for this watcher's tree
-    /// children. Segments fetched from a peer are re-exposed as the
-    /// same bytes; cache/provider tensors are serialized here once.
+    /// children. Records fetched from a peer are re-exposed as the same
+    /// ropes; cache/provider tensors are encoded here once, a large one as
+    /// a rope around its own payload.
     fn expose(
         &self,
         model: ModelId,
         keys: &[TensorKey],
         have: &HashMap<TensorKey, TensorData>,
-        raw_segments: &HashMap<TensorKey, Bytes>,
+        raw_segments: &HashMap<TensorKey, Vec<Bytes>>,
     ) {
-        let mut segments = Vec::with_capacity(keys.len());
-        let mut manifest = Vec::with_capacity(keys.len());
-        let mut offset = 0u64;
-        for &key in keys {
-            let raw = match raw_segments.get(&key) {
-                Some(raw) => raw.clone(),
-                None => match have.get(&key) {
-                    Some(t) => write_tensor(t),
-                    None => return, // incomplete set: don't serve it
-                },
-            };
-            let len = raw.len() as u64;
-            manifest.push(SegmentEntry { key, offset, len });
-            offset += len;
-            segments.push(raw);
+        let mut records: Vec<Vec<Bytes>> = Vec::with_capacity(keys.len());
+        for key in keys {
+            records.push(match (raw_segments.get(key), have.get(key)) {
+                (Some(raw), _) => raw.clone(),
+                (None, Some(t)) => write_tensor_segments(t).segments().to_vec(),
+                (None, None) => return, // incomplete set: don't serve it
+            });
         }
+        let (manifest, segments) =
+            pack(keys.iter().copied().zip(records.iter().map(Vec::as_slice)));
+        let bytes = rope::len(&segments) as u64;
         // Owned by this watcher's endpoint: if the watcher dies, the
         // region reports Unavailable and children fail over up-chain.
         let handle = self
@@ -833,7 +812,7 @@ impl WatcherInner {
             ServedModel {
                 manifest,
                 bulk: handle.0,
-                bytes: offset,
+                bytes,
             },
         );
         if let Some(old) = prev {

@@ -207,18 +207,21 @@ fn bulk_get_on_withdrawn_or_down_region_errors_cleanly() {
     let owner = dep.provider_ids()[0];
     let fabric = dep.fabric();
 
-    let handle = fabric.bulk_expose_owned(bytes::Bytes::from_static(b"payload"), owner);
+    let handle = fabric.bulk_expose_vec_owned(vec![bytes::Bytes::from_static(b"payload")], owner);
     let plan = fabric.install_fault_plan(FaultPlan::new(0));
 
     // Owner down: the region is unreadable but not gone.
     plan.set_down(owner);
-    assert!(matches!(fabric.bulk_get(handle), Err(RpcError::Unavailable(ep)) if ep == owner));
+    assert!(matches!(fabric.bulk_get_vec(handle), Err(RpcError::Unavailable(ep)) if ep == owner));
     plan.set_up(owner);
-    assert_eq!(fabric.bulk_get(handle).unwrap().as_ref(), b"payload");
+    assert_eq!(
+        fabric.bulk_get_vec(handle).unwrap().to_bytes().as_ref(),
+        b"payload"
+    );
 
     // Withdrawn: permanently gone — an error, never a panic.
     assert!(fabric.bulk_release(handle));
-    let err = fabric.bulk_get(handle).unwrap_err();
+    let err = fabric.bulk_get_vec(handle).unwrap_err();
     assert!(matches!(err, RpcError::NoSuchBulk(_)), "got {err}");
     assert!(!err.is_transient(), "withdrawal is permanent");
 }
@@ -304,7 +307,7 @@ fn a_failed_pull_still_releases_the_providers_region() {
 
     plan.set_up(owner);
     let err = client.load_optimizer_state(ModelId(1)).unwrap_err();
-    assert!(matches!(err, EvoError::Protocol(_)), "got {err}");
+    assert!(matches!(err, EvoError::Corrupt { .. }), "got {err}");
     assert_eq!(
         fabric.bulk_regions(),
         0,

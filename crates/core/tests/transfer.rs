@@ -251,6 +251,59 @@ fn negotiated_repair_ships_deltas_not_materialized_payloads() {
     }
 }
 
+/// What one provider physically holds: (records, logical record bytes,
+/// distinct chunks, logical chunked bytes, physical bytes).
+fn holdings(dep: &Deployment) -> Vec<(u64, u64, u64, u64, u64)> {
+    dep.stats()
+        .iter()
+        .map(|s| {
+            (
+                s.tensors,
+                s.tensor_bytes,
+                s.chunks,
+                s.chunk_logical_bytes,
+                s.chunk_physical_bytes,
+            )
+        })
+        .collect()
+}
+
+/// Repair moves records as ropes (pulled, relayed and put without a
+/// gather); what it leaves behind is pinned to what the gathering relay
+/// left on the same fixture — the numbers below were read off the commit
+/// before the relay changed — on both planes, with reference counts
+/// audited (`churn_plane`) and every byte read back from either replica.
+#[test]
+fn repair_lands_the_same_bytes_whichever_way_the_records_travel() {
+    // The lineage lives on chain [1, 2]: the primary delta-encodes at
+    // store time; the mirror holds the same deltas after a negotiated
+    // repair, reconstructed records after a materialized one.
+    const EMPTY: (u64, u64, u64, u64, u64) = (0, 0, 0, 0, 0);
+    const DELTAS: (u64, u64, u64, u64, u64) = (30, 12986, 30, 11666, 12986);
+    const RAW: (u64, u64, u64, u64, u64) = (30, 34560, 30, 33240, 34560);
+    let planes = [
+        (true, [EMPTY, DELTAS, DELTAS, EMPTY]),
+        (false, [EMPTY, DELTAS, RAW, EMPTY]),
+    ];
+    for (negotiated, pinned) in planes {
+        let (dep, _parent, children) = churn_plane(negotiated);
+        let held = holdings(&dep);
+        assert_eq!(held, pinned, "negotiated={negotiated}");
+        for down in [1, 2] {
+            let plan = dep.fabric().install_fault_plan(FaultPlan::new(0));
+            plan.set_down(dep.provider_ids()[down]);
+            let client = dep.client();
+            for (child, tensors) in &children {
+                let loaded = client.load_model(*child).unwrap();
+                assert_eq!(
+                    &loaded.tensors, tensors,
+                    "{child} with provider {down} down"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn post_repair_compaction_is_idempotent() {
     // Depth-7 policy, a four-generation fine-tuning chain stored while

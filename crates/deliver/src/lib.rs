@@ -36,6 +36,6 @@ pub use filter::SubscriptionFilter;
 pub use metrics::{DeliverMetrics, DeliverStats};
 pub use tree::BroadcastTree;
 pub use wire::{
-    EventAck, EventPush, PeerFetchReply, PeerFetchRequest, SegmentEntry, SubscribeReply,
-    SubscribeRequest, UnsubscribeReply, UnsubscribeRequest,
+    EventAck, EventPush, PeerFetchReply, PeerFetchRequest, SubscribeReply, SubscribeRequest,
+    UnsubscribeReply, UnsubscribeRequest,
 };

@@ -7,7 +7,7 @@
 //! like the provider read path, so a sibling fetch is byte-identical
 //! to a provider fetch.
 
-use evostore_tensor::{ModelId, TensorKey};
+use evostore_tensor::{ManifestEntry, ModelId};
 use serde::{Deserialize, Serialize};
 
 use crate::event::ModelEvent;
@@ -79,17 +79,6 @@ pub struct EventAck {
     pub next_expected: u64,
 }
 
-/// Where one serialized tensor lives inside a peer's exposed region.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SegmentEntry {
-    /// The tensor.
-    pub key: TensorKey,
-    /// Byte offset in the logical concatenation of the region.
-    pub offset: u64,
-    /// Serialized length in bytes.
-    pub len: u64,
-}
-
 /// Ask a peer subscriber for a model's serialized weights.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PeerFetchRequest {
@@ -106,7 +95,7 @@ pub struct PeerFetchReply {
     /// Whether the peer holds (and exposes) the weights.
     pub ready: bool,
     /// Manifest of the exposed region (empty when not ready).
-    pub manifest: Vec<SegmentEntry>,
+    pub manifest: Vec<ManifestEntry>,
     /// Raw bulk handle of the exposed region (0 when not ready).
     pub bulk: u64,
 }

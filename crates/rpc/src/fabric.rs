@@ -8,7 +8,7 @@
 //!   genuinely saturates under concurrent load;
 //! * two-sided RPCs carry opaque byte bodies; [`crate::codec`] layers
 //!   typed messages on top;
-//! * [`Fabric::bulk_get`] is the one-sided path: clients pull registered
+//! * [`Fabric::bulk_get_vec`] is the one-sided path: clients pull registered
 //!   memory regions directly, *without* involving the target's service
 //!   threads — the defining property of RDMA that EvoStore's design
 //!   exploits ("the providers are mostly idle because the majority of I/O
@@ -158,13 +158,11 @@ impl Endpoint {
 }
 
 /// A registered bulk region: an ordered list of shared buffers (a rope)
-/// plus (optionally) the endpoint whose memory it models. A contiguous
-/// exposure is simply a one-segment rope. Ownerless regions survive any
-/// fault; owned regions become unreadable while their owner is marked
-/// down.
+/// plus (optionally) the endpoint whose memory it models. Ownerless
+/// regions survive any fault; owned regions become unreadable while their
+/// owner is marked down.
 struct BulkRegion {
     segments: Vec<Bytes>,
-    total_len: usize,
     owner: Option<EndpointId>,
 }
 
@@ -590,63 +588,44 @@ impl Fabric {
 
     // ---- one-sided (RDMA-style) bulk operations -------------------------
 
-    /// Expose a memory region for one-sided reads. Zero-copy: the region
-    /// shares the caller's buffer. The region is *ownerless*: it stays
-    /// readable regardless of any endpoint's fault state.
-    pub fn bulk_expose(&self, data: Bytes) -> BulkHandle {
-        self.bulk_insert(vec![data], None)
-    }
-
-    /// Expose a memory region *owned by* `owner`. While `owner` is
-    /// marked down in an installed fault plan, reads of this region fail
-    /// with [`RpcError::Unavailable`] — a crashed provider's RDMA
-    /// windows go away with it.
-    pub fn bulk_expose_owned(&self, data: Bytes, owner: EndpointId) -> BulkHandle {
-        self.bulk_insert(vec![data], Some(owner))
-    }
-
     /// Expose an ordered list of buffers as ONE logical region (a
-    /// scatter-gather rope). Zero-copy: every segment shares its caller's
-    /// buffer; the region's logical bytes are the in-order concatenation.
-    /// Readable via [`Fabric::bulk_get_vec`] (segment list, copy-free) or
-    /// the contiguous [`Fabric::bulk_get`] / [`Fabric::bulk_get_range`]
-    /// compatibility paths. Ownerless, like [`Fabric::bulk_expose`].
+    /// scatter-gather rope) for one-sided reads. Zero-copy: every segment
+    /// shares its caller's buffer; the region's logical bytes are the
+    /// in-order concatenation. The region is *ownerless*: it stays
+    /// readable regardless of any endpoint's fault state.
     pub fn bulk_expose_vec(&self, segments: Vec<Bytes>) -> BulkHandle {
         self.bulk_insert(segments, None)
     }
 
-    /// [`Fabric::bulk_expose_vec`] with an owner: the whole rope becomes
-    /// unreadable (transient [`RpcError::Unavailable`]) while `owner` is
-    /// marked down.
+    /// [`Fabric::bulk_expose_vec`] with an owner: while `owner` is marked
+    /// down in an installed fault plan, reads of the region fail with the
+    /// transient [`RpcError::Unavailable`] — a crashed provider's RDMA
+    /// windows go away with it.
     pub fn bulk_expose_vec_owned(&self, segments: Vec<Bytes>, owner: EndpointId) -> BulkHandle {
         self.bulk_insert(segments, Some(owner))
     }
 
     fn bulk_insert(&self, segments: Vec<Bytes>, owner: Option<EndpointId>) -> BulkHandle {
         let id = self.next_bulk.fetch_add(1, Ordering::Relaxed);
-        let total_len = segments.iter().map(Bytes::len).sum();
-        self.bulk.write().insert(
-            id,
-            BulkRegion {
-                segments,
-                total_len,
-                owner,
-            },
-        );
+        self.bulk.write().insert(id, BulkRegion { segments, owner });
         BulkHandle(id)
     }
 
-    /// Shared lookup + fault filter behind every one-sided read: clone
-    /// the segment list (cheap buffer shares) and apply the per-region
-    /// fault rules. A withdrawn handle is the *permanent* failure
-    /// [`RpcError::NoSuchBulk`] (checked first, fault plan or not); a
-    /// region whose owner is down is the *transient*
+    /// One-sided read of an exposed region as its ordered segment list.
+    /// Does *not* involve any service thread of the exposing endpoint, and
+    /// copies nothing: the segments are cheap clones of the exposer's
+    /// buffers. A reader that needs one flat buffer asks the region for it
+    /// ([`SegmentedRegion::to_bytes`]).
+    ///
+    /// This is the second fault-injection boundary. A withdrawn handle is
+    /// the *permanent* failure [`RpcError::NoSuchBulk`] (checked first,
+    /// fault plan or not); a region whose owner is down is the *transient*
     /// [`RpcError::Unavailable`].
-    fn bulk_fetch(&self, handle: BulkHandle) -> Result<(Vec<Bytes>, usize), RpcError> {
-        let (segments, total_len, owner) = {
+    pub fn bulk_get_vec(&self, handle: BulkHandle) -> Result<SegmentedRegion, RpcError> {
+        let (segments, owner) = {
             let map = self.bulk.read();
             let region = map.get(&handle.0).ok_or(RpcError::NoSuchBulk(handle))?;
-            (region.segments.clone(), region.total_len, region.owner)
+            (region.segments.clone(), region.owner)
         };
         if self.faults_active.load(Ordering::Acquire) {
             if let (Some(owner), Some(plan)) = (owner, self.faults.read().clone()) {
@@ -655,57 +634,18 @@ impl Fabric {
                 }
             }
         }
-        Ok((segments, total_len))
-    }
-
-    /// One-sided read of an exposed region. Does *not* involve any service
-    /// thread of the exposing endpoint.
-    ///
-    /// This is the second fault-injection boundary (see
-    /// [`Fabric::bulk_fetch`]'s error contract). Against a vectored
-    /// region this is the backward-compatible *gathering* path: the
-    /// segments are concatenated into one buffer (zero-copy only for
-    /// single-segment regions). Prefer [`Fabric::bulk_get_vec`] to pull
-    /// a rope without copying.
-    pub fn bulk_get(&self, handle: BulkHandle) -> Result<Bytes, RpcError> {
-        let (mut segments, total_len) = self.bulk_fetch(handle)?;
-        Ok(match segments.len() {
-            0 => Bytes::new(),
-            1 => segments.pop().expect("one segment"),
-            _ => {
-                let mut out = Vec::with_capacity(total_len);
-                for s in &segments {
-                    out.extend_from_slice(s);
-                }
-                Bytes::from(out)
-            }
-        })
-    }
-
-    /// One-sided read of an exposed region as its ordered segment list —
-    /// the copy-free path. Same fault contract as [`Fabric::bulk_get`];
-    /// the segments are cheap clones of the exposer's buffers.
-    pub fn bulk_get_vec(&self, handle: BulkHandle) -> Result<SegmentedRegion, RpcError> {
-        let (segments, _) = self.bulk_fetch(handle)?;
         Ok(SegmentedRegion::new(segments))
     }
 
-    /// One-sided sub-range read (partial tensor access). Offsets address
-    /// the region's logical concatenation; the read is zero-copy when the
-    /// range falls inside one segment.
-    pub fn bulk_get_range(
-        &self,
-        handle: BulkHandle,
-        offset: usize,
-        len: usize,
-    ) -> Result<Bytes, RpcError> {
-        let region = self.bulk_get_vec(handle)?;
-        region.slice(offset, len).ok_or_else(|| {
-            RpcError::Handler(format!(
-                "bulk range {offset}+{len} out of bounds for region of {}",
-                region.len()
-            ))
-        })
+    /// One-sided completion: pull a region and withdraw it, whether or not
+    /// the pull succeeded. Every region exposed *for one reader* (a read
+    /// reply) is read this way — the segments pulled stay alive in the
+    /// returned rope, and a failed pull must not leave the exposer's
+    /// region, and the record buffers it pins, registered for good.
+    pub fn bulk_take(&self, handle: BulkHandle) -> Result<SegmentedRegion, RpcError> {
+        let region = self.bulk_get_vec(handle);
+        self.bulk_release(handle);
+        region
     }
 
     /// Withdraw a region.
@@ -818,24 +758,31 @@ mod tests {
     fn bulk_expose_get_release() {
         let fabric = Fabric::new();
         let data = Bytes::from(vec![42u8; 1024]);
-        let h = fabric.bulk_expose(data.clone());
-        let got = fabric.bulk_get(h).unwrap();
+        let h = fabric.bulk_expose_vec(vec![data.clone()]);
+        let got = fabric.bulk_get_vec(h).unwrap().to_bytes();
         assert_eq!(got, data);
         // Zero-copy: same allocation.
         assert_eq!(got.as_ptr(), data.as_ptr());
         assert!(fabric.bulk_release(h));
         assert!(!fabric.bulk_release(h));
-        assert_eq!(fabric.bulk_get(h), Err(RpcError::NoSuchBulk(h)));
+        assert_eq!(fabric.bulk_get_vec(h).err(), Some(RpcError::NoSuchBulk(h)));
+        // A taken region is withdrawn by the take, and its bytes outlive it.
+        let h = fabric.bulk_expose_vec(vec![data.clone()]);
+        let taken = fabric.bulk_take(h).unwrap();
+        assert_eq!(fabric.bulk_regions(), 0);
+        assert_eq!(taken.to_bytes().as_ptr(), data.as_ptr());
+        assert_eq!(fabric.bulk_take(h).err(), Some(RpcError::NoSuchBulk(h)));
     }
 
     #[test]
     fn bulk_range_reads() {
         let fabric = Fabric::new();
         let data = Bytes::from((0u8..=255).collect::<Vec<u8>>());
-        let h = fabric.bulk_expose(data);
-        let mid = fabric.bulk_get_range(h, 100, 10).unwrap();
+        let h = fabric.bulk_expose_vec(vec![data]);
+        let region = fabric.bulk_get_vec(h).unwrap();
+        let mid = region.slice(100, 10).unwrap();
         assert_eq!(mid.as_ref(), &(100u8..110).collect::<Vec<u8>>()[..]);
-        assert!(fabric.bulk_get_range(h, 250, 10).is_err());
+        assert!(region.slice(250, 10).is_none());
     }
 
     #[test]
@@ -883,25 +830,33 @@ mod tests {
         let fabric = Fabric::new();
         let ep = fabric.create_endpoint(1);
         let data = Bytes::from(vec![9u8; 64]);
-        let owned = fabric.bulk_expose_owned(data.clone(), ep.id());
-        let orphan = fabric.bulk_expose(data.clone());
+        let owned = fabric.bulk_expose_vec_owned(vec![data.clone()], ep.id());
+        let orphan = fabric.bulk_expose_vec(vec![data.clone()]);
 
         let plan = fabric.install_fault_plan(crate::fault::FaultPlan::new(1));
         plan.set_down(ep.id());
         // Owned region: transient Unavailable while the owner is down.
-        assert_eq!(fabric.bulk_get(owned), Err(RpcError::Unavailable(ep.id())));
         assert_eq!(
-            fabric.bulk_get_range(owned, 0, 8),
-            Err(RpcError::Unavailable(ep.id()))
+            fabric.bulk_get_vec(owned).err(),
+            Some(RpcError::Unavailable(ep.id()))
         );
         // Ownerless region: unaffected.
-        assert_eq!(fabric.bulk_get(orphan).unwrap(), data);
+        assert_eq!(fabric.bulk_get_vec(orphan).unwrap().to_bytes(), data);
         plan.set_up(ep.id());
-        assert_eq!(fabric.bulk_get(owned).unwrap(), data);
+        assert_eq!(fabric.bulk_get_vec(owned).unwrap().to_bytes(), data);
 
+        // A take that fails in transit still withdraws the region.
+        plan.set_down(ep.id());
+        assert_eq!(
+            fabric.bulk_take(owned).err(),
+            Some(RpcError::Unavailable(ep.id()))
+        );
+        plan.set_up(ep.id());
         // A *withdrawn* handle is the permanent error, fault plan or not.
-        assert!(fabric.bulk_release(owned));
-        assert_eq!(fabric.bulk_get(owned), Err(RpcError::NoSuchBulk(owned)));
+        assert_eq!(
+            fabric.bulk_get_vec(owned).err(),
+            Some(RpcError::NoSuchBulk(owned))
+        );
     }
 
     #[test]
@@ -920,62 +875,57 @@ mod tests {
         assert_eq!(rope.segments()[1].as_ptr(), b.as_ptr());
         assert_eq!(rope.segments()[2].as_ptr(), c.as_ptr());
 
-        // Backward-compatible gather: logical concatenation.
-        let flat = fabric.bulk_get(h).unwrap();
+        // The deliberate gather: logical concatenation.
         let mut expect = vec![1u8; 16];
         expect.extend_from_slice(&[2u8; 8]);
         expect.extend_from_slice(&[3u8; 4]);
-        assert_eq!(flat.as_ref(), &expect[..]);
+        assert_eq!(rope.to_bytes().as_ref(), &expect[..]);
 
         // Logical ranges: in-segment reads are zero-copy sub-slices,
         // boundary-spanning reads gather.
-        let within = fabric.bulk_get_range(h, 16, 8).unwrap();
+        let within = rope.slice(16, 8).unwrap();
         assert_eq!(within.as_ptr(), b.as_ptr());
-        let spanning = fabric.bulk_get_range(h, 12, 8).unwrap();
+        let spanning = rope.slice(12, 8).unwrap();
         assert_eq!(spanning.as_ref(), &[1, 1, 1, 1, 2, 2, 2, 2]);
-        let oob = fabric.bulk_get_range(h, 20, 9);
-        assert!(
-            matches!(&oob, Err(RpcError::Handler(m)) if m.contains("out of bounds")),
-            "{oob:?}"
-        );
+        assert!(rope.slice(20, 9).is_none());
         assert!(fabric.bulk_release(h));
     }
 
     #[test]
     fn vectored_region_fault_parity_with_contiguous() {
-        // Fault injection applies per region, identically for ropes and
-        // contiguous exposures: owner down => transient Unavailable on
-        // every read path, withdrawn handle => permanent NoSuchBulk.
+        // Fault injection applies per region, identically for ropes of
+        // one segment and of many: owner down => transient Unavailable,
+        // withdrawn handle => permanent NoSuchBulk.
         let fabric = Fabric::new();
         let ep = fabric.create_endpoint(1);
         let data = Bytes::from(vec![7u8; 32]);
-        let owned = fabric.bulk_expose_vec_owned(vec![data.clone(), data.clone()], ep.id());
+        let rope = fabric.bulk_expose_vec_owned(vec![data.clone(), data.clone()], ep.id());
+        let single = fabric.bulk_expose_vec_owned(vec![data.clone()], ep.id());
         let orphan = fabric.bulk_expose_vec(vec![data.clone()]);
 
         let plan = fabric.install_fault_plan(crate::fault::FaultPlan::new(1));
         plan.set_down(ep.id());
-        assert_eq!(
-            fabric.bulk_get_vec(owned).err(),
-            Some(RpcError::Unavailable(ep.id()))
-        );
-        assert_eq!(fabric.bulk_get(owned), Err(RpcError::Unavailable(ep.id())));
-        assert_eq!(
-            fabric.bulk_get_range(owned, 0, 8),
-            Err(RpcError::Unavailable(ep.id()))
-        );
+        for owned in [rope, single] {
+            assert_eq!(
+                fabric.bulk_get_vec(owned).err(),
+                Some(RpcError::Unavailable(ep.id()))
+            );
+        }
         // Ownerless rope: unaffected by the fault.
         assert_eq!(fabric.bulk_get_vec(orphan).unwrap().len(), 32);
         plan.set_up(ep.id());
-        assert_eq!(fabric.bulk_get_vec(owned).unwrap().len(), 64);
+        assert_eq!(fabric.bulk_get_vec(rope).unwrap().len(), 64);
+        assert_eq!(fabric.bulk_get_vec(single).unwrap().len(), 32);
 
         // Withdrawn: permanent error wins regardless of the fault plan.
         plan.set_down(ep.id());
-        assert!(fabric.bulk_release(owned));
-        assert_eq!(
-            fabric.bulk_get_vec(owned).err(),
-            Some(RpcError::NoSuchBulk(owned))
-        );
-        assert_eq!(fabric.bulk_get(owned), Err(RpcError::NoSuchBulk(owned)));
+        for owned in [rope, single] {
+            assert!(fabric.bulk_release(owned));
+            assert_eq!(
+                fabric.bulk_get_vec(owned).err(),
+                Some(RpcError::NoSuchBulk(owned))
+            );
+        }
         fabric.clear_fault_plan();
     }
 

@@ -83,24 +83,28 @@ proptest! {
     #[test]
     fn bulk_region_semantics(data in prop::collection::vec(any::<u8>(), 1..2048), cuts in prop::collection::vec((any::<u16>(), any::<u16>()), 0..8)) {
         let fabric = Fabric::new();
-        let h = fabric.bulk_expose(Bytes::from(data.clone()));
-        let full = fabric.bulk_get(h).unwrap();
-        prop_assert_eq!(full.as_ref(), &data[..]);
+        let h = fabric.bulk_expose_vec(vec![Bytes::from(data.clone())]);
+        let full = fabric.bulk_get_vec(h).unwrap();
+        prop_assert_eq!(&full.to_bytes()[..], &data[..]);
         for (a, b) in cuts {
             let off = (a as usize) % data.len();
             let len = (b as usize) % (data.len() - off + 1);
-            let got = fabric.bulk_get_range(h, off, len).unwrap();
+            let got = full.slice(off, len).unwrap();
             prop_assert_eq!(got.as_ref(), &data[off..off + len]);
         }
         prop_assert!(fabric.bulk_release(h));
-        prop_assert!(fabric.bulk_get(h).is_err());
+        prop_assert!(fabric.bulk_get_vec(h).is_err());
+        // A take is a get plus the release, on success and on failure.
+        let h = fabric.bulk_expose_vec(vec![Bytes::from(data.clone())]);
+        prop_assert_eq!(&fabric.bulk_take(h).unwrap().to_bytes()[..], &data[..]);
+        prop_assert!(fabric.bulk_take(h).is_err());
         prop_assert_eq!(fabric.bulk_regions(), 0);
     }
 
     /// A vectored region's logical bytes are identical to the equivalent
-    /// contiguous region under arbitrary segment splits: the gathering
-    /// `bulk_get`, every `bulk_get_range`, and the copy-free
-    /// `bulk_get_vec` rope all agree with the flat buffer.
+    /// one-segment region under arbitrary segment splits: the gathering
+    /// `to_bytes`, every gathering `slice`, and the copy-free
+    /// `slice_rope` all agree with the flat buffer.
     #[test]
     fn vectored_region_matches_contiguous(
         data in prop::collection::vec(any::<u8>(), 1..2048),
@@ -124,14 +128,15 @@ proptest! {
         segments.push(flat.slice(prev..));
 
         let hv = fabric.bulk_expose_vec(segments.clone());
-        let hc = fabric.bulk_expose(flat.clone());
+        let hc = fabric.bulk_expose_vec(vec![flat.clone()]);
+        let rope = fabric.bulk_get_vec(hv).unwrap();
+        let contiguous = fabric.bulk_get_vec(hc).unwrap();
 
-        // Gather path ≡ contiguous.
-        let gathered = fabric.bulk_get(hv).unwrap();
-        prop_assert_eq!(gathered.as_ref(), &data[..]);
+        // Gather ≡ contiguous; the one-segment gather is the buffer itself.
+        prop_assert_eq!(&rope.to_bytes()[..], &data[..]);
+        prop_assert_eq!(contiguous.to_bytes().as_ptr(), flat.as_ptr());
 
         // Rope path: segment list reassembles to the same logical bytes.
-        let rope = fabric.bulk_get_vec(hv).unwrap();
         prop_assert_eq!(rope.len(), data.len());
         let reassembled: Vec<u8> = rope.segments().iter().flat_map(|s| s.iter().copied()).collect();
         prop_assert_eq!(&reassembled[..], &data[..]);
@@ -140,8 +145,8 @@ proptest! {
         for (a, b) in cuts {
             let off = (a as usize) % data.len();
             let len = (b as usize) % (data.len() - off + 1);
-            let v = fabric.bulk_get_range(hv, off, len).unwrap();
-            let c = fabric.bulk_get_range(hc, off, len).unwrap();
+            let v = rope.slice(off, len).unwrap();
+            let c = contiguous.slice(off, len).unwrap();
             prop_assert_eq!(v.as_ref(), c.as_ref());
             prop_assert_eq!(v.as_ref(), &data[off..off + len]);
             // The rope slice never copies: every piece points into the
@@ -164,10 +169,12 @@ proptest! {
                 prop_assert_eq!(v.as_ptr(), flat[off..].as_ptr());
             }
         }
-        prop_assert!(rope.slice_rope(data.len(), 1).is_none());
-        // Out-of-bounds fails identically on both.
-        prop_assert!(fabric.bulk_get_range(hv, data.len(), 1).is_err());
-        prop_assert!(fabric.bulk_get_range(hc, data.len(), 1).is_err());
+        // Out-of-bounds fails identically on both, gathering or not.
+        for region in [&rope, &contiguous] {
+            prop_assert!(region.slice(data.len(), 1).is_none());
+            prop_assert!(region.slice_rope(data.len(), 1).is_none());
+            prop_assert!(region.slice_rope(usize::MAX, 2).is_none());
+        }
 
         prop_assert!(fabric.bulk_release(hv));
         prop_assert!(fabric.bulk_release(hc));

@@ -143,6 +143,20 @@ pub fn delta_probe(prefix: &[u8], record_len: usize) -> Result<DeltaHeader, Delt
     probe(prefix, record_len).map(|(header, _)| header)
 }
 
+/// [`delta_probe`] over a rope holding at least the head of a record
+/// `record_len` bytes long: `None` for a record that is not a delta. The
+/// header is read where it lies when one segment holds it, gathered (40
+/// bytes) otherwise.
+pub fn delta_probe_segments(
+    head: &[Bytes],
+    record_len: usize,
+) -> Result<Option<DeltaHeader>, DeltaError> {
+    if !is_delta_segments(head) {
+        return Ok(None);
+    }
+    delta_probe(&rope::slice_flat(head, 0..DELTA_PROBE_LEN), record_len).map(Some)
+}
+
 /// The header and the body length it frames. A body length the record
 /// cannot hold — checked, so `u64::MAX` included — is
 /// [`DeltaError::Truncated`].
@@ -840,6 +854,20 @@ mod tests {
             );
             assert!(is_delta_segments(&[expect.slice(..1), expect.slice(1..)]));
             assert!(!is_delta_segments(&rope));
+            // The header reads the same off any split, or off the head alone.
+            let header = delta_header(&expect).unwrap();
+            for head in [
+                vec![expect.clone()],
+                vec![expect.slice(..7), expect.slice(7..)],
+                vec![expect.slice(..HEADER_LEN)],
+            ] {
+                assert_eq!(delta_probe_segments(&head, expect.len()), Ok(Some(header)));
+            }
+            assert_eq!(delta_probe_segments(&rope, flat.len()), Ok(None));
+            assert_eq!(
+                delta_probe_segments(&[expect.slice(..HEADER_LEN - 1)], expect.len()),
+                Err(DeltaError::Truncated)
+            );
             for cuts in [
                 vec![1],
                 vec![3, 26],

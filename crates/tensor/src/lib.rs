@@ -17,23 +17,28 @@
 //!   uses for placement (static hashing of the model id) and for owner maps
 //!   (`128` bits per leaf layer, as in the paper);
 //! * wire (de)serialization with integrity checks ([`ser`]), contiguous
-//!   or as a rope that borrows the tensor's payload ([`rope`]).
+//!   or as a rope that borrows the tensor's payload ([`rope`]);
+//! * [`ManifestEntry`] / [`pack`] — records laid end to end as one vectored
+//!   bulk region plus the manifest addressing it ([`manifest`]).
 
 pub mod delta;
 pub mod dtype;
 pub mod hash;
 pub mod id;
+pub mod manifest;
 pub mod rope;
 pub mod ser;
 pub mod tensor;
 
 pub use delta::{
-    decode_delta, delta_header, delta_probe, encode_delta, encode_delta_segments, is_delta,
-    is_delta_segments, DeltaError, DeltaHeader, DELTA_MAGIC, DELTA_PROBE_LEN,
+    decode_delta, delta_header, delta_probe, delta_probe_segments, encode_delta,
+    encode_delta_segments, is_delta, is_delta_segments, DeltaError, DeltaHeader, DELTA_MAGIC,
+    DELTA_PROBE_LEN,
 };
 pub use dtype::DType;
 pub use hash::{checksum64, checksum64_parts, fnv1a128, ContentHash, Fnv128};
 pub use id::{ModelId, TensorKey, VertexId};
+pub use manifest::{pack, ManifestEntry};
 pub use ser::{
     payload_range, payload_range_segments, read_tensor, read_tensor_segments, validate_record,
     validate_segments, write_tensor, write_tensor_borrowed, write_tensor_segments, Record,
