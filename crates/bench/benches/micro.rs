@@ -8,7 +8,8 @@
 //! 5. consolidated incremental store vs full store,
 //! 6. KV backend comparison (pool vs log),
 //! 7. contiguous vs borrowed tensor records across sizes (the sweep
-//!    `BORROW_MIN_BYTES` is read from).
+//!    `BORROW_MIN_BYTES` is read from),
+//! 8. the collective engine: echo `fan_out` vs `broadcast` by leg count.
 
 use std::collections::HashMap;
 
@@ -17,6 +18,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criteri
 use evostore_core::{random_tensors, trained_tensors, Deployment, OwnerMap};
 use evostore_graph::{flatten, lcp, lcp_fixpoint, CompactGraph, GenomeSpace};
 use evostore_kv::{KvBackend, LogStore, MemPoolStore};
+use evostore_rpc::{broadcast, fan_out, EndpointId, Fabric, RetryPolicy};
 use evostore_tensor::{
     read_tensor_segments, validate_segments, write_tensor, write_tensor_borrowed, DType, ModelId,
     Record, TensorData, TensorKey, VertexId,
@@ -333,6 +335,44 @@ fn bench_collective_query(c: &mut Criterion) {
     group.finish();
 }
 
+evostore_rpc::rpc_methods! {
+    /// Replies with its request.
+    Echo = "echo": String => String;
+}
+
+/// Ablation 8: what one collective costs its caller on an idle fabric —
+/// an echo `fan_out` (a body per leg) and `broadcast` (one body for
+/// every leg) at 1, 2 and 3 legs, no handler work.
+fn bench_collective(c: &mut Criterion) {
+    let fabric = Fabric::new();
+    let eps: Vec<_> = (0..3)
+        .map(|_| {
+            let ep = fabric.create_endpoint(2);
+            ep.serve(Echo, Ok);
+            ep
+        })
+        .collect();
+    let ids: Vec<EndpointId> = eps.iter().map(|ep| ep.id()).collect();
+    let policy = RetryPolicy::default();
+    let body = "ping".to_string();
+    let mut group = c.benchmark_group("collective");
+    for legs in 1..=ids.len() {
+        let targets = &ids[..legs];
+        let reqs: Vec<(EndpointId, String)> = targets.iter().map(|&t| (t, body.clone())).collect();
+        group.bench_function(BenchmarkId::new("fan_out", legs), |b| {
+            b.iter(|| fan_out(&fabric, &reqs, Echo, &policy, None, None).len())
+        });
+        group.bench_function(BenchmarkId::new("broadcast", legs), |b| {
+            b.iter(|| {
+                broadcast(&fabric, targets, Echo, &body, &policy, None, None)
+                    .unwrap()
+                    .len()
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_lcp,
@@ -341,6 +381,7 @@ criterion_group!(
     bench_kv,
     bench_record_encoding,
     bench_store_load,
-    bench_collective_query
+    bench_collective_query,
+    bench_collective
 );
 criterion_main!(benches);

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use evostore_graph::{CompactGraph, LcpResult};
-use evostore_obs::ledger::{current_costs, install_costs};
+use evostore_obs::ledger::install_costs;
 use evostore_obs::{
     current_trace, set_current_trace, FlightRecorder, MonotonicClock, ObsHub, OpCosts, OpLedger,
     SloEngine, SlowOp, SlowOpLog, TimeSource, Tracer,
@@ -651,17 +651,14 @@ impl EvoStoreClient {
             .note_failover(trace_id, primary.0, served_by.0, what);
     }
 
-    /// Typed parallel fan-out (a distinct request per target) under this
-    /// client's retry policy; per-leg results in input order.
+    /// Typed fan-out (a distinct request per target, all in flight at
+    /// once) under this client's retry policy; per-leg results in input
+    /// order.
     fn fan_out<M: Method>(
         &self,
         legs: &[(EndpointId, M::Request)],
         method: M,
-    ) -> evostore_rpc::LegResults<M::Reply>
-    where
-        M::Request: Sync,
-        M::Reply: Send,
-    {
+    ) -> evostore_rpc::LegResults<M::Reply> {
         evostore_rpc::fan_out(
             &self.fabric,
             legs,
@@ -822,8 +819,10 @@ impl EvoStoreClient {
         result
     }
 
-    /// Best-effort rollback of pin legs that succeeded before a store
-    /// aborted.
+    /// Roll back the pin legs that succeeded before a store aborted. A
+    /// rollback leg still failing transiently after its retries is parked
+    /// like a retirement's decrement, so a later flush settles it instead
+    /// of leaking the pin; a permanently failing one can never apply.
     fn unpin(&self, pinned: &[(EndpointId, Vec<TensorKey>)]) {
         if pinned.is_empty() {
             return;
@@ -832,7 +831,26 @@ impl EvoStoreClient {
             .iter()
             .map(|(ep, keys)| (*ep, RefsRequest::new(keys.clone())))
             .collect();
-        let _ = self.fan_out(&reqs, methods::DecrRefs);
+        let legs = settle(self.fan_out(&reqs, methods::DecrRefs));
+        self.park_decrements(
+            legs.transient
+                .iter()
+                .map(|&(i, ..)| reqs[i].clone())
+                .collect(),
+        );
+    }
+
+    /// Park decrement legs that failed transiently until the next
+    /// [`EvoStoreClient::flush_pending_decrements`]. Each keeps its
+    /// original op id, so the re-issue is idempotent. Returns the tensor
+    /// references parked.
+    fn park_decrements(&self, legs: Vec<(EndpointId, RefsRequest)>) -> usize {
+        let refs: usize = legs.iter().map(|(_, req)| req.keys.len()).sum();
+        if refs > 0 {
+            self.telemetry.parked_decrements.add(refs as u64);
+            self.pending_decrements.lock().extend(legs);
+        }
+        refs
     }
 
     fn push_store(
@@ -1097,10 +1115,11 @@ impl EvoStoreClient {
 
     // ---- data plane ------------------------------------------------------
 
-    /// Fetch an arbitrary set of tensors, grouped by owning chain and
-    /// pulled in parallel via one-sided bulk reads. Each group is served
-    /// by its primary, failing over to the successor replicas when the
-    /// primary is down, missed the write, or returned a corrupt payload.
+    /// Fetch an arbitrary set of tensors, grouped by owning chain: one
+    /// `READ` per group's primary, all in flight at once, then each reply
+    /// pulled via one-sided bulk reads and decoded on this thread. A group
+    /// whose primary is down, missed the write, or returned a corrupt
+    /// payload fails over to the successor replicas.
     pub fn fetch_tensors(&self, keys: &[TensorKey]) -> Result<HashMap<TensorKey, TensorData>> {
         self.with_root_op("fetch", "fetch_tensors", &self.telemetry.fetch, || {
             let n = self.providers.len();
@@ -1111,94 +1130,85 @@ impl EvoStoreClient {
                     .or_default()
                     .push(*key);
             }
-            let mut groups: Vec<(usize, Vec<TensorKey>)> = groups.into_iter().collect();
-            // The last (often the only) group is fetched on this thread;
-            // each other one gets a leg thread. Neither the ambient
-            // context nor the ambient cost cell crosses threads: capture
-            // both here and re-install them inside each spawned leg.
-            let Some((own_primary, own_keys)) = groups.pop() else {
-                return Ok(HashMap::new());
-            };
-            let parent = current_trace();
-            let costs = current_costs();
-            let fetched: Vec<Result<Vec<(TensorKey, TensorData)>>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = groups
-                    .iter()
-                    .map(|(primary, keys)| {
-                        let costs = costs.clone();
-                        scope.spawn(move || {
-                            let _amb = set_current_trace(parent);
-                            let _costs = install_costs(costs);
-                            self.fetch_group(*primary, keys)
-                        })
-                    })
-                    .collect();
-                let own = self.fetch_group(own_primary, &own_keys);
-                handles
+            let (chains, reads): (Vec<Vec<EndpointId>>, Vec<(EndpointId, ReadTensorsRequest)>) =
+                groups
                     .into_iter()
-                    .map(|h| h.join().expect("fetch leg panicked"))
-                    .chain([own])
-                    .collect()
-            });
+                    .map(|(primary, keys)| {
+                        let chain: Vec<EndpointId> = self
+                            .replication
+                            .chain(primary, n)
+                            .into_iter()
+                            .map(|idx| self.providers[idx])
+                            .collect();
+                        let read = (
+                            chain[0],
+                            ReadTensorsRequest {
+                                keys,
+                                raw_records: false,
+                            },
+                        );
+                        (chain, read)
+                    })
+                    .unzip();
+            let replies = self.fan_out(&reads, methods::Read);
+            // Every group settles before an error surfaces: each reply's
+            // region is withdrawn only by its pull.
+            let fetched: Vec<Result<Vec<(TensorKey, TensorData)>>> = chains
+                .iter()
+                .zip(&reads)
+                .zip(replies)
+                .map(|((chain, (_, req)), (_, reply))| {
+                    let primary = reply
+                        .map_err(EvoError::from)
+                        .and_then(|r| self.pull_read(r));
+                    self.fail_over(chain, methods::Read::METHOD, primary, |target| {
+                        self.pull_read(self.unary(target, methods::Read, req)?)
+                    })
+                })
+                .collect();
             let mut out = HashMap::with_capacity(keys.len());
             for group in fetched {
-                for (key, tensor) in group? {
-                    out.insert(key, tensor);
-                }
+                out.extend(group?);
             }
             Ok(out)
         })
     }
 
-    /// Fetch one chain's keys from the first replica that can serve them.
-    fn fetch_group(
-        &self,
-        primary: usize,
-        keys: &[TensorKey],
-    ) -> Result<Vec<(TensorKey, TensorData)>> {
-        let chain: Vec<EndpointId> = self
-            .replication
-            .chain(primary, self.providers.len())
-            .into_iter()
-            .map(|idx| self.providers[idx])
-            .collect();
-        let req = ReadTensorsRequest {
-            keys: keys.to_vec(),
-            raw_records: false,
-        };
-        self.read_chain(&chain, methods::Read::METHOD, |target| {
-            let reply = self.unary(target, methods::Read, &req)?;
-            evostore_obs::ledger::add_chunks_touched(reply.manifest.len() as u64);
-            evostore_obs::ledger::add_bytes_in(reply.manifest.iter().map(|e| e.len).sum());
-            self.pull_tensors(reply)
-        })
+    /// Pull one `READ` reply, charging its records to the op's ledger.
+    fn pull_read(&self, reply: ReadTensorsReply) -> Result<Vec<(TensorKey, TensorData)>> {
+        evostore_obs::ledger::add_chunks_touched(reply.manifest.len() as u64);
+        evostore_obs::ledger::add_bytes_in(reply.manifest.iter().map(|e| e.len).sum());
+        self.pull_tensors(reply)
     }
 
-    /// Run one whole read — the call, the bulk pull, the decode — against
-    /// each replica of `chain` in turn until one serves it. Any failure
-    /// moves on: a replica that is down, one that missed the write, a
-    /// pull lost in transit, a record that fails its check. A read served
-    /// past the primary is counted and filed as a failover.
-    fn read_chain<T>(
+    /// Finish a read whose primary (`chain[0]`) ended in `primary`: on
+    /// failure, run the whole read — the call, the bulk pull, the decode —
+    /// against the rest of the chain in turn until one replica serves it.
+    /// Any failure moves on: a replica that is down, one that missed the
+    /// write, a pull lost in transit, a record that fails its check. A
+    /// read served past the primary is counted and filed as a failover.
+    fn fail_over<T>(
         &self,
         chain: &[EndpointId],
         what: &str,
+        primary: Result<T>,
         read: impl Fn(EndpointId) -> Result<T>,
     ) -> Result<T> {
-        let mut last_err = None;
-        for (attempt, &target) in chain.iter().enumerate() {
+        let mut last_err = match primary {
+            Ok(out) => return Ok(out),
+            Err(e) => e,
+        };
+        for &target in &chain[1..] {
             match read(target) {
                 Ok(out) => {
-                    if attempt > 0 {
-                        self.telemetry.read_failovers.add(1);
-                        self.note_failover(chain[0], target, what);
-                    }
+                    self.telemetry.read_failovers.add(1);
+                    self.note_failover(chain[0], target, what);
                     return Ok(out);
                 }
-                Err(e) => last_err = Some(e),
+                Err(e) => last_err = e,
             }
         }
-        Err(last_err.expect("replica chain is never empty"))
+        Err(last_err)
     }
 
     /// The reader half of every read reply: pull the region the provider
@@ -1420,11 +1430,10 @@ impl EvoStoreClient {
     /// can, like [`EvoStoreClient::fetch_tensors`].
     pub fn load_optimizer_state(&self, model: ModelId) -> Result<Vec<TensorData>> {
         let req = LoadOptimizerRequest { model };
-        let mut moments = self.read_chain(
-            &self.replicas_of(model),
-            methods::LoadOptimizer::METHOD,
-            |target| self.pull_tensors(self.unary(target, methods::LoadOptimizer, &req)?),
-        )?;
+        let chain = self.replicas_of(model);
+        let read = |target| self.pull_tensors(self.unary(target, methods::LoadOptimizer, &req)?);
+        let mut moments =
+            self.fail_over(&chain, methods::LoadOptimizer::METHOD, read(chain[0]), read)?;
         moments.sort_unstable_by_key(|(key, _)| key.slot);
         Ok(moments.into_iter().map(|(_, t)| t).collect())
     }
@@ -1506,16 +1515,12 @@ impl EvoStoreClient {
         // without parking them, pinning those refcounts forever.
         let legs = settle(self.fan_out(&reqs, methods::DecrRefs));
         let tensors_reclaimed = legs.ok.iter().map(|(_, r)| r.reclaimed).sum();
-        let parked: Vec<(EndpointId, RefsRequest)> = legs
-            .transient
-            .iter()
-            .map(|&(i, ..)| reqs[i].clone())
-            .collect();
-        let refs_parked: usize = parked.iter().map(|(_, req)| req.keys.len()).sum();
-        if refs_parked > 0 {
-            self.telemetry.parked_decrements.add(refs_parked as u64);
-            self.pending_decrements.lock().extend(parked);
-        }
+        let refs_parked = self.park_decrements(
+            legs.transient
+                .iter()
+                .map(|&(i, ..)| reqs[i].clone())
+                .collect(),
+        );
         if let Some((_, e)) = legs.permanent {
             return Err(e);
         }

@@ -12,6 +12,7 @@ use evostore_graph::{
     flatten, Activation, ArchPattern, Architecture, CompactGraph, LayerConfig, LayerKind,
     LayerPattern,
 };
+use evostore_obs::FlightEvent;
 use evostore_rpc::FaultPlan;
 use evostore_tensor::ModelId;
 use proptest::prelude::*;
@@ -131,6 +132,48 @@ fn reads_fail_over_to_a_replica_when_the_primary_is_down() {
 
     plan.set_up(primary);
     client.load_model(parent).unwrap();
+}
+
+/// A fetch sends one `READ` per group's primary, all at once. The group
+/// whose primary is down walks on to its replica, once: the primary's
+/// leg spends one retry budget, not a second one on the walk, and the
+/// other group, served by its own healthy primary, files no failover.
+#[test]
+fn a_fetch_fails_over_only_the_group_whose_primary_is_down() {
+    let dep = Deployment::in_memory_replicated(4, 2);
+    let client = dep.client();
+    let (parent, child) = store_parent_and_child(&client, 12);
+    // The child's inherited tensors are read from the parent's chain
+    // `[1, 2]`, its own from `[3, 0]`.
+    let keys = client.get_meta(child).unwrap().owner_map.all_tensor_keys();
+    assert!(keys.iter().any(|k| k.owner == parent) && keys.iter().any(|k| k.owner == child));
+    let expected = client.fetch_tensors(&keys).unwrap();
+
+    let primary = dep.provider_ids()[parent.provider_for(4)];
+    let plan = dep.fabric().install_fault_plan(FaultPlan::new(0));
+    plan.set_down(primary);
+    let failovers = client.telemetry().read_failovers();
+    let got = client.fetch_tensors(&keys).unwrap();
+
+    assert_eq!(got, expected, "the replica serves byte-identical tensors");
+    assert_eq!(client.telemetry().read_failovers(), failovers + 1);
+    assert_eq!(
+        plan.stats().unavailable,
+        u64::from(client.retry_policy().max_attempts),
+        "the primary's READ ran one retry budget"
+    );
+    let filed: Vec<(u32, u32)> = client
+        .flight_recorder()
+        .events()
+        .into_iter()
+        .filter_map(|e| match e {
+            FlightEvent::Failover { from, to, .. } => Some((from, to)),
+            _ => None,
+        })
+        .collect();
+    let replica = dep.provider_ids()[(parent.provider_for(4) + 1) % 4];
+    assert_eq!(filed, vec![(primary.0, replica.0)]);
+    assert_eq!(dep.fabric().bulk_regions(), 0);
 }
 
 /// The acceptance scenario: with factor 2 and one provider held down,

@@ -385,6 +385,66 @@ fn transient_decrement_failures_park_and_flush_for_consistent_gc() {
     );
 }
 
+/// Regression: a store that fails after pinning rolls its pins back, and
+/// a rollback leg that is still failing transiently after its retries
+/// used to be dropped — leaking the pin for good. It is parked like a
+/// retirement's decrement, so a flush settles it.
+#[test]
+fn a_failed_stores_transient_rollback_legs_park_instead_of_leaking_pins() {
+    let n = 4;
+    let dep = Deployment::in_memory(n);
+    let client = dep.client();
+    let mut rng = ChaCha8Rng::seed_from_u64(9);
+
+    // The inherited tensors live on B (the parent's host); the child's
+    // store targets A.
+    let parent = model_on(1, n);
+    let child = model_on(2, n);
+    let child_g = seq(&[8, 16, 16, 5]);
+    client
+        .store_fresh(parent, &seq(&[8, 16, 16, 4]), 0.8, &mut rng)
+        .unwrap();
+    let best = client
+        .query_best_ancestor(&child_g)
+        .unwrap()
+        .into_inner()
+        .unwrap();
+    let parent_meta = client.get_meta(parent).unwrap();
+    let owner_map = OwnerMap::derive(child, &child_g, &best.lcp, &parent_meta.owner_map);
+    let inherited: usize = owner_map
+        .inherited()
+        .map(|(_, o)| o.tensor_keys().count())
+        .sum();
+    assert!(inherited > 0);
+    let tensors: HashMap<_, _> = trained_tensors(&child_g, &owner_map, 42);
+
+    let (a, b) = (dep.provider_ids()[2], dep.provider_ids()[1]);
+    dep.fabric().install_fault_plan(
+        FaultPlan::new(0)
+            .rule(
+                FaultRule::new(FaultAction::Timeout)
+                    .on_endpoint(a)
+                    .on_method(methods::Store::METHOD),
+            )
+            .rule(
+                FaultRule::new(FaultAction::Unavailable)
+                    .on_endpoint(b)
+                    .on_method(methods::DecrRefs::METHOD),
+            ),
+    );
+    let err = client
+        .store_model(child_g, owner_map, Some(parent), 0.9, &tensors)
+        .unwrap_err();
+    assert!(err.is_transient(), "a timed-out store is retryable: {err}");
+    assert_eq!(client.pending_decrement_count(), inherited);
+    assert_eq!(client.telemetry().parked_decrements(), inherited as u64);
+
+    dep.fabric().clear_fault_plan();
+    assert_eq!(client.flush_pending_decrements().unwrap(), inherited);
+    assert_eq!(client.pending_decrement_count(), 0);
+    dep.gc_audit().unwrap();
+}
+
 #[test]
 fn retirement_decrements_apply_once_under_dropped_replies() {
     let n = 4;

@@ -6,9 +6,9 @@
 //! costs into it through the free `add_*` functions — no plumbing
 //! through signatures — and on completion the cell is folded into the
 //! node's [`OpLedger`], which aggregates by op class and exports
-//! `evostore_ledger_*` metrics. Cross-thread legs capture the cell with
-//! [`current_costs`] and re-install it in the leg thread, exactly like
-//! the ambient trace context.
+//! `evostore_ledger_*` metrics. Work shared out to another thread (the
+//! client's fork-join helpers) captures the cell with [`current_costs`]
+//! and re-installs it there, exactly like the ambient trace context.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -101,7 +101,7 @@ pub fn install_costs(costs: Option<Arc<OpCosts>>) -> CostsGuard {
 }
 
 /// The thread's ambient cost cell, if an op is in flight. Capture it
-/// before spawning a leg thread and re-install it there.
+/// before handing work to another thread and re-install it there.
 pub fn current_costs() -> Option<Arc<OpCosts>> {
     AMBIENT_COSTS.with(|c| c.borrow().clone())
 }

@@ -3,7 +3,7 @@
 //! One policy-driven surface for every call shape the client needs:
 //!
 //! * [`unary`] — one typed request/response pair;
-//! * [`fan_out`] — per-target request bodies, issued in parallel;
+//! * [`fan_out`] — per-target request bodies, all in flight at once;
 //! * [`broadcast`] — one body to many targets, all in flight at once.
 //!
 //! Every shape takes a [`RetryPolicy`]: each attempt runs under a
@@ -11,14 +11,13 @@
 //! are retried with bounded exponential backoff, permanent ones fail
 //! immediately. An optional [`RpcMetrics`] records retries, timeouts and
 //! exhausted calls so callers (the EvoStore client's telemetry) can
-//! report them.
+//! report them. Every shape runs on the caller's thread: the two
+//! collectives share one overlapped dispatch engine and spawn nothing.
 
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use evostore_obs::ledger::{
-    add_failovers, add_queue_wait_us, add_retry, current_costs, install_costs,
-};
+use evostore_obs::ledger::{add_failovers, add_queue_wait_us, add_retry};
 use evostore_obs::{counter_set, Span, TraceContext, Tracer};
 
 use crate::codec::{decode, encode};
@@ -151,7 +150,7 @@ fn back_off(policy: &RetryPolicy, retry: u32, legs: usize, metrics: Option<&RpcM
 }
 
 /// Retry loop over raw bodies — the primitive under [`unary`] and
-/// [`fan_out`]. Each attempt runs under `policy.call_timeout`; transient
+/// [`unary_failover`]. Each attempt runs under `policy.call_timeout`; transient
 /// errors are retried with backoff until the budget is spent.
 ///
 /// With a `trace`, each attempt gets its own child span (named after
@@ -269,11 +268,12 @@ pub fn unary_failover<M: Method>(
 /// input order, each leg succeeding or failing independently.
 pub type LegResults<T> = Vec<(EndpointId, Result<T, RpcError>)>;
 
-/// Typed parallel fan-out: a distinct request per target, all legs in
-/// flight at once, each leg independently retried per `policy`. Results
-/// come back in input order; per-leg failures do not abort the others.
-/// With a `trace`, every leg's attempts become sibling spans under the
-/// same parent.
+/// Typed fan-out: a distinct request per target, all legs in flight at
+/// once, transient failures retried in overlapped rounds per `policy`
+/// (the engine under [`broadcast`] too). Results come back in input
+/// order; per-leg failures — an encode error included — do not abort
+/// the others. With a `trace`, every leg's attempts become sibling spans
+/// under the same parent.
 pub fn fan_out<M: Method>(
     fabric: &Fabric,
     legs: &[(EndpointId, M::Request)],
@@ -281,34 +281,23 @@ pub fn fan_out<M: Method>(
     policy: &RetryPolicy,
     metrics: Option<&RpcMetrics>,
     trace: Option<&TraceHandle<'_>>,
-) -> LegResults<M::Reply>
-where
-    M::Request: Sync,
-    M::Reply: Send,
-{
-    // Leg threads are fresh threads: re-install the caller's ambient
-    // cost cell so per-leg retries/backoff charge the enclosing op.
-    let costs = current_costs();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = legs
-            .iter()
-            .map(|(target, req)| {
-                let target = *target;
-                let costs = costs.clone();
-                scope.spawn(move || {
-                    let _costs = install_costs(costs);
-                    let resp = encode(req).and_then(|body| {
-                        call_with_retry(fabric, target, M::METHOD, body, policy, metrics, trace)
-                    });
-                    (target, resp.and_then(|reply| decode(&reply)))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("fan-out leg panicked"))
-            .collect()
-    })
+) -> LegResults<M::Reply> {
+    let encoded: Vec<(EndpointId, Result<Bytes, RpcError>)> = legs
+        .iter()
+        .map(|(target, req)| (*target, encode(req)))
+        .collect();
+    let sent: Vec<(EndpointId, Bytes)> = encoded
+        .iter()
+        .filter_map(|(target, body)| Some((*target, body.as_ref().ok()?.clone())))
+        .collect();
+    let mut replies = overlapped(fabric, &sent, M::METHOD, policy, metrics, trace).into_iter();
+    encoded
+        .into_iter()
+        .map(|(target, body)| {
+            let reply = body.and_then(|_| replies.next().expect("one reply per sent leg").1);
+            (target, reply.and_then(|reply| decode(&reply)))
+        })
+        .collect()
 }
 
 /// Raw resilient broadcast: one body to every target, all requests in
@@ -327,8 +316,26 @@ pub fn broadcast_with_retry(
     metrics: Option<&RpcMetrics>,
     trace: Option<&TraceHandle<'_>>,
 ) -> LegResults<Bytes> {
-    let mut results: Vec<Option<Result<Bytes, RpcError>>> = targets.iter().map(|_| None).collect();
-    let mut pending: Vec<usize> = (0..targets.len()).collect();
+    let legs: Vec<(EndpointId, Bytes)> = targets.iter().map(|&t| (t, body.clone())).collect();
+    overlapped(fabric, &legs, method, policy, metrics, trace)
+}
+
+/// The one collective engine, on the caller's thread: every pending leg
+/// is issued with `call_async` before any reply is awaited, replies are
+/// collected under a per-round deadline, and legs that failed
+/// transiently go again in the next overlapped round after a backoff —
+/// so a collective costs one round trip per round, not a thread per leg.
+/// Retries and backoff charge the caller's ambient op ledger directly.
+fn overlapped(
+    fabric: &Fabric,
+    legs: &[(EndpointId, Bytes)],
+    method: &str,
+    policy: &RetryPolicy,
+    metrics: Option<&RpcMetrics>,
+    trace: Option<&TraceHandle<'_>>,
+) -> LegResults<Bytes> {
+    let mut results: Vec<Option<Result<Bytes, RpcError>>> = legs.iter().map(|_| None).collect();
+    let mut pending: Vec<usize> = (0..legs.len()).collect();
 
     let max_attempts = policy.max_attempts.max(1);
     for attempt in 1..=max_attempts {
@@ -336,15 +343,16 @@ pub fn broadcast_with_retry(
         let in_flight: Vec<(usize, _, _)> = pending
             .iter()
             .map(|&i| {
+                let (target, body) = &legs[i];
                 note_metrics(metrics, |m| {
                     m.calls.add(1);
                 });
-                let span = trace.map(|t| t.attempt(method, targets[i]));
+                let span = trace.map(|t| t.attempt(method, *target));
                 let ctx = span.as_ref().map(|s| s.ctx());
                 (
                     i,
                     span,
-                    fabric.call_async(targets[i], method, body.clone(), ctx),
+                    fabric.call_async(*target, method, body.clone(), ctx),
                 )
             })
             .collect();
@@ -398,10 +406,9 @@ pub fn broadcast_with_retry(
         back_off(policy, attempt, pending.len(), metrics);
     }
 
-    targets
-        .iter()
+    legs.iter()
         .zip(results)
-        .map(|(&t, r)| (t, r.expect("every leg resolved")))
+        .map(|((t, _), r)| (*t, r.expect("every leg resolved")))
         .collect()
 }
 
@@ -430,9 +437,9 @@ pub fn broadcast<M: Method>(
 mod tests {
     use super::*;
     use crate::fault::{FaultAction, FaultPlan, FaultRule};
-    use evostore_obs::{FlightRecorder, MonotonicClock, TimeSource};
+    use evostore_obs::{FlightRecorder, MonotonicClock, OpCosts, TimeSource};
     use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
+    use std::sync::{Arc, Barrier};
 
     crate::rpc_methods! {
         /// Replies with its request.
@@ -461,14 +468,20 @@ mod tests {
     /// attempt spans the traced pass recorded, and how many failed.
     fn untraced_then_traced(check: impl Fn(Option<&TraceHandle<'_>>)) -> (usize, usize) {
         check(None);
+        traced(check).1
+    }
+
+    /// Run `f` under a fresh trace handle; returns its output, and how
+    /// many attempt spans it recorded and how many of those failed.
+    fn traced<T>(f: impl FnOnce(Option<&TraceHandle<'_>>) -> T) -> (T, (usize, usize)) {
         let wall: Arc<dyn TimeSource> = Arc::new(MonotonicClock::default());
         let ring = Arc::new(FlightRecorder::new("caller", 256, Arc::clone(&wall)));
         let tracer = Tracer::new("caller", wall, Arc::clone(&ring));
         let root = tracer.start_root("op");
-        check(Some(&TraceHandle::new(&tracer, root.ctx())));
+        let out = f(Some(&TraceHandle::new(&tracer, root.ctx())));
         let attempts = ring.spans_for_trace(root.ctx().trace_id);
         let failed = attempts.iter().filter(|s| !s.is_ok()).count();
-        (attempts.len(), failed)
+        (out, (attempts.len(), failed))
     }
 
     #[test]
@@ -667,6 +680,103 @@ mod tests {
             assert_eq!(metrics.retries(), 1);
         });
         assert_eq!(attempts, (5, 1));
+    }
+
+    /// Every leg of a collective is in flight before any reply is
+    /// awaited: N endpoints whose handlers meet on a `Barrier(N)` all
+    /// answer. A serial loop of `unary` calls would time out every leg
+    /// but the last.
+    #[test]
+    fn fan_out_puts_every_leg_in_flight_at_once() {
+        const N: usize = 3;
+        let fabric = Fabric::new();
+        let meet = Arc::new(Barrier::new(N));
+        let eps: Vec<_> = (0..N)
+            .map(|_| {
+                let ep = fabric.create_endpoint(1);
+                let meet = Arc::clone(&meet);
+                ep.serve(Echo, move |body| {
+                    meet.wait();
+                    Ok(body)
+                });
+                ep
+            })
+            .collect();
+        let legs: Vec<(EndpointId, String)> = eps
+            .iter()
+            .enumerate()
+            .map(|(i, ep)| (ep.id(), format!("leg{i}")))
+            .collect();
+        let policy = RetryPolicy::no_retry().with_timeout(Duration::from_secs(5));
+        let results = fan_out(&fabric, &legs, Echo, &policy, None, None);
+        for (i, (_, reply)) in results.iter().enumerate() {
+            assert_eq!(reply.as_deref(), Ok(format!("leg{i}").as_str()));
+        }
+    }
+
+    /// `fan_out` with identical bodies is `broadcast`: under the same
+    /// seeded fault plan both see the same faults, settle every leg the
+    /// same way, count the same retries and open the same attempt spans.
+    #[test]
+    fn fan_out_and_broadcast_share_one_engine() {
+        let run = |as_fan_out: bool| {
+            traced(|trace| {
+                let (fabric, eps) = echo_fabric(4);
+                fabric.install_fault_plan(
+                    FaultPlan::new(11)
+                        .rule(FaultRule::new(FaultAction::Unavailable).with_probability(0.3))
+                        .rule(FaultRule::new(FaultAction::Timeout).with_probability(0.3)),
+                );
+                let ids: Vec<_> = eps.iter().map(|e| e.id()).collect();
+                let body = "ping".to_string();
+                let metrics = RpcMetrics::new();
+                let policy = RetryPolicy::default();
+                let results = if as_fan_out {
+                    let legs: Vec<_> = ids.iter().map(|&id| (id, body.clone())).collect();
+                    fan_out(&fabric, &legs, Echo, &policy, Some(&metrics), trace)
+                } else {
+                    broadcast(&fabric, &ids, Echo, &body, &policy, Some(&metrics), trace).unwrap()
+                };
+                (results, metrics.snapshot())
+            })
+        };
+        let fanned = run(true);
+        assert_eq!(fanned, run(false));
+        // The seed exercises both outcomes: legs that recover and legs
+        // that exhaust their budget.
+        let ((results, stats), _) = fanned;
+        assert!(results.iter().any(|(_, r)| r.is_ok()), "{results:?}");
+        assert!(stats.retries > 0 && stats.timeouts > 0, "{stats:?}");
+        assert!(stats.exhausted > 0, "{stats:?}");
+    }
+
+    /// A retried leg charges the caller's ambient op cell directly: the
+    /// collective runs on the caller's thread, nothing is re-installed.
+    #[test]
+    fn fan_out_retries_charge_the_callers_op_costs() {
+        let (fabric, eps) = echo_fabric(2);
+        fabric.install_fault_plan(
+            FaultPlan::new(7).rule(
+                FaultRule::new(FaultAction::Unavailable)
+                    .on_endpoint(eps[1].id())
+                    .first(1),
+            ),
+        );
+        let legs: Vec<_> = eps.iter().map(|ep| (ep.id(), "x".to_string())).collect();
+        let policy = RetryPolicy::default();
+        let costs = OpCosts::new();
+        let results = {
+            let _costs = evostore_obs::ledger::install_costs(Some(Arc::clone(&costs)));
+            fan_out(&fabric, &legs, Echo, &policy, None, None)
+        };
+        assert!(results.iter().all(|(_, r)| r.is_ok()), "{results:?}");
+        let charged = costs.snapshot();
+        assert_eq!(charged.retries, 1);
+        assert_eq!(
+            charged.queue_wait_us,
+            policy.backoff(1).as_micros() as u64,
+            "the retry's backoff is the op's queue wait"
+        );
     }
 
     #[test]

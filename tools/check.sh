@@ -88,10 +88,26 @@ fi
 # back on the vendored rayon stub would compile, pass every test and
 # silently go serial again; and the one lifetime erasure that lets pool
 # helpers borrow a caller's stack is the only `unsafe` in the workspace.
-echo "== payload loops stay on core::par; unsafe stays in par.rs"
+echo "== payload loops stay on core::par; collectives spawn no threads; unsafe stays in par.rs"
 if hits=$(grep -n 'par_iter' crates/core/src/client.rs \
     crates/core/src/provider/data.rs crates/core/src/provider/delta.rs); then
     echo "payload-path loop on the sequential rayon stub:" >&2
+    echo "$hits" >&2
+    exit 1
+fi
+# Collectives run on the caller's thread: every leg goes out with
+# `call_async` before any reply is awaited. A thread per leg put back would
+# pass every test and cost a thread start (~128 µs on a loaded 2-core host)
+# per leg of every retire again; `core::par` is the one worker pool.
+if hits=$(awk '
+    FNR == 1 { in_test = 0; pending = 0 }
+    /^#\[cfg\(test\)\]/ { pending = 1; next }
+    pending { pending = 0; if (/\{$/) in_test = 1; else next }
+    in_test && /^}/ { in_test = 0; next }
+    !in_test && /thread::scope|thread::spawn|scope\.spawn/ { print FILENAME ":" FNR ": " $0; found = 1 }
+    END { exit !found }
+' crates/rpc/src/resilient.rs crates/core/src/client.rs); then
+    echo "thread spawned on the collective / client op path:" >&2
     echo "$hits" >&2
     exit 1
 fi
