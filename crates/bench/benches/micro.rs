@@ -9,7 +9,8 @@
 //! 6. KV backend comparison (pool vs log),
 //! 7. contiguous vs borrowed tensor records across sizes (the sweep
 //!    `BORROW_MIN_BYTES` is read from),
-//! 8. the collective engine: echo `fan_out` vs `broadcast` by leg count.
+//! 8. the call engine: echo `fan_out` vs `broadcast` by leg count, and
+//!    `unary` at one leg.
 
 use std::collections::HashMap;
 
@@ -18,7 +19,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criteri
 use evostore_core::{random_tensors, trained_tensors, Deployment, OwnerMap};
 use evostore_graph::{flatten, lcp, lcp_fixpoint, CompactGraph, GenomeSpace};
 use evostore_kv::{KvBackend, LogStore, MemPoolStore};
-use evostore_rpc::{broadcast, fan_out, EndpointId, Fabric, RetryPolicy};
+use evostore_rpc::{broadcast, fan_out, unary, EndpointId, Fabric, RetryPolicy};
 use evostore_tensor::{
     read_tensor_segments, validate_segments, write_tensor, write_tensor_borrowed, DType, ModelId,
     Record, TensorData, TensorKey, VertexId,
@@ -342,7 +343,8 @@ evostore_rpc::rpc_methods! {
 
 /// Ablation 8: what one collective costs its caller on an idle fabric —
 /// an echo `fan_out` (a body per leg) and `broadcast` (one body for
-/// every leg) at 1, 2 and 3 legs, no handler work.
+/// every leg) at 1, 2 and 3 legs, and `unary` (the same engine at one
+/// leg), no handler work.
 fn bench_collective(c: &mut Criterion) {
     let fabric = Fabric::new();
     let eps: Vec<_> = (0..3)
@@ -356,6 +358,9 @@ fn bench_collective(c: &mut Criterion) {
     let policy = RetryPolicy::default();
     let body = "ping".to_string();
     let mut group = c.benchmark_group("collective");
+    group.bench_function(BenchmarkId::new("unary", 1), |b| {
+        b.iter(|| unary(&fabric, ids[0], Echo, &body, &policy, None, None).unwrap())
+    });
     for legs in 1..=ids.len() {
         let targets = &ids[..legs];
         let reqs: Vec<(EndpointId, String)> = targets.iter().map(|&t| (t, body.clone())).collect();

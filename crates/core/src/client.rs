@@ -603,52 +603,58 @@ impl EvoStoreClient {
         .map_err(EvoError::from)
     }
 
-    /// Typed unary call that walks a replica chain until one member
-    /// answers, counting the failover in telemetry. Fails over on *any*
-    /// error — handler errors included, because a replica that missed a
-    /// write answers "not found" while its siblings hold the data.
-    fn unary_failover<M: Method>(
+    /// The one replica-chain walk. `primary` is how the attempt against
+    /// `chain[0]` ended; on failure, `attempt` runs against the rest of
+    /// the chain in turn until one replica serves it, and the serving
+    /// endpoint comes back with the value. The attempt is the whole job —
+    /// call, bulk pull, decode — and any failure moves on: a replica that
+    /// is down, one that missed the write and answers "not found", a pull
+    /// lost in transit, a record that fails its check. When every replica
+    /// fails, the last error is returned (for a genuinely absent value all
+    /// replicas agree). Each hop to a successor charges one failover to
+    /// the op ledger; a value served past the primary is filed in the
+    /// flight ring.
+    fn fail_over<T>(
         &self,
-        targets: &[EndpointId],
-        method: M,
-        req: &M::Request,
-    ) -> Result<M::Reply> {
-        let (served_by, resp, skipped) = self.unary_failover_from(targets, method, req)?;
-        if skipped > 0 {
-            self.telemetry.read_failovers.add(1);
-            self.note_failover(targets[0], served_by, M::METHOD);
+        chain: &[EndpointId],
+        what: &str,
+        primary: Result<T>,
+        attempt: impl Fn(EndpointId) -> Result<T>,
+    ) -> Result<(EndpointId, T)> {
+        let mut last_err = match primary {
+            Ok(out) => return Ok((chain[0], out)),
+            Err(e) => e,
+        };
+        for &target in &chain[1..] {
+            evostore_obs::ledger::add_failovers(1);
+            match attempt(target) {
+                Ok(out) => {
+                    let trace_id = current_trace().map(|c| c.trace_id).unwrap_or(0);
+                    self.tracer
+                        .recorder()
+                        .note_failover(trace_id, chain[0].0, target.0, what);
+                    return Ok((target, out));
+                }
+                Err(e) => last_err = e,
+            }
         }
-        Ok(resp)
+        Err(last_err)
     }
 
-    /// [`EvoStoreClient::unary_failover`] without the read-failover
-    /// accounting: also reports which replica served and how many were
-    /// skipped before it.
-    fn unary_failover_from<M: Method>(
+    /// [`EvoStoreClient::fail_over`] for a read: a read served past the
+    /// primary is counted in `read_failovers`.
+    fn read_over<T>(
         &self,
-        targets: &[EndpointId],
-        method: M,
-        req: &M::Request,
-    ) -> Result<(EndpointId, M::Reply, usize)> {
-        evostore_rpc::unary_failover(
-            &self.fabric,
-            targets,
-            method,
-            req,
-            &self.retry,
-            Some(&self.telemetry.rpc),
-            self.trace_handle().as_ref(),
-        )
-        .map_err(EvoError::from)
-    }
-
-    /// File a failover event (primary skipped, sibling served) in the
-    /// client's flight ring under the ambient trace.
-    fn note_failover(&self, primary: EndpointId, served_by: EndpointId, what: &str) {
-        let trace_id = current_trace().map(|c| c.trace_id).unwrap_or(0);
-        self.tracer
-            .recorder()
-            .note_failover(trace_id, primary.0, served_by.0, what);
+        chain: &[EndpointId],
+        what: &str,
+        primary: Result<T>,
+        attempt: impl Fn(EndpointId) -> Result<T>,
+    ) -> Result<T> {
+        let (served_by, out) = self.fail_over(chain, what, primary, attempt)?;
+        if served_by != chain[0] {
+            self.telemetry.read_failovers.add(1);
+        }
+        Ok(out)
     }
 
     /// Typed fan-out (a distinct request per target, all in flight at
@@ -890,11 +896,9 @@ impl EvoStoreClient {
         // settled — mirrors read it too.
         let chain = self.replicas_of(model);
         let outcome = (|| -> Result<StoreOutcome> {
-            let (served_by, reply, skipped) =
-                self.unary_failover_from(&chain, methods::Store, &req)?;
-            if skipped > 0 {
-                self.note_failover(chain[0], served_by, methods::Store::METHOD);
-            }
+            let store = |target| self.unary(target, methods::Store, &req);
+            let (served_by, reply) =
+                self.fail_over(&chain, methods::Store::METHOD, store(chain[0]), store)?;
             let mirrors: Vec<(EndpointId, StoreModelRequest)> = chain
                 .iter()
                 .filter(|&&ep| ep != served_by)
@@ -1005,48 +1009,28 @@ impl EvoStoreClient {
     /// returned, with [`Degraded::unreachable`] naming the providers
     /// whose models were not considered. Below quorum the query fails
     /// with [`EvoError::PartialFailure`].
+    ///
+    /// On the wire this is [`EvoStoreClient::query_best_ancestors`] over
+    /// a batch of one.
     pub fn query_best_ancestor(
         &self,
         graph: &CompactGraph,
     ) -> Result<Degraded<Option<BestAncestor>>> {
-        let req = LcpQueryRequest {
-            graph: graph.clone(),
-        };
-        self.with_root_op(
-            "query",
-            "query_best_ancestor",
-            &self.telemetry.query,
-            || {
-                let (replies, unreachable) = self.quorum_broadcast(methods::Lcp, &req)?;
-                for reply in &replies {
-                    self.telemetry.note_index_stats(reply.stats);
-                }
-                let best = replies.into_iter().filter_map(|reply| reply.best).fold(
-                    None::<LcpCandidate>,
-                    |acc, b| match acc {
-                        None => Some(b),
-                        Some(a) => Some(better_candidate(a, b)),
-                    },
-                );
-                Ok(Degraded {
-                    value: best.map(|c| BestAncestor {
-                        model: c.model,
-                        quality: c.quality,
-                        lcp: c.lcp,
-                    }),
-                    unreachable,
-                })
-            },
-        )
+        let Degraded { value, unreachable } =
+            self.query_best_ancestors(std::slice::from_ref(graph))?;
+        Ok(Degraded {
+            value: value.into_iter().next().flatten(),
+            unreachable,
+        })
     }
 
     /// Batched [`EvoStoreClient::query_best_ancestor`]: pack every graph
     /// into one `LCP_BATCH` envelope per provider — each provider answers
     /// the whole batch against a single pinned catalog snapshot — and
-    /// reduce per query across the provider replies. Returns one answer
-    /// per input graph, index-aligned, with the same candidate ordering
-    /// (longest prefix; quality, then lower model id, break ties) and the
-    /// same degraded-mode quorum semantics as the single-query path.
+    /// reduce per query across the provider replies (longest prefix;
+    /// quality, then lower model id, break ties). Returns one answer per
+    /// input graph, index-aligned, with the degraded-mode quorum semantics
+    /// of the single-query form.
     ///
     /// Dispatch, tracing, and snapshot acquisition are paid once per
     /// envelope instead of once per query — the raw-throughput path for
@@ -1106,11 +1090,10 @@ impl EvoStoreClient {
 
     /// Fetch model metadata, failing over along the replica chain.
     pub fn get_meta(&self, model: ModelId) -> Result<ModelMetaReply> {
-        self.unary_failover(
-            &self.replicas_of(model),
-            methods::GetMeta,
-            &GetMetaRequest { model },
-        )
+        let req = GetMetaRequest { model };
+        let chain = self.replicas_of(model);
+        let read = |target| self.unary(target, methods::GetMeta, &req);
+        self.read_over(&chain, methods::GetMeta::METHOD, read(chain[0]), read)
     }
 
     // ---- data plane ------------------------------------------------------
@@ -1161,7 +1144,7 @@ impl EvoStoreClient {
                     let primary = reply
                         .map_err(EvoError::from)
                         .and_then(|r| self.pull_read(r));
-                    self.fail_over(chain, methods::Read::METHOD, primary, |target| {
+                    self.read_over(chain, methods::Read::METHOD, primary, |target| {
                         self.pull_read(self.unary(target, methods::Read, req)?)
                     })
                 })
@@ -1179,36 +1162,6 @@ impl EvoStoreClient {
         evostore_obs::ledger::add_chunks_touched(reply.manifest.len() as u64);
         evostore_obs::ledger::add_bytes_in(reply.manifest.iter().map(|e| e.len).sum());
         self.pull_tensors(reply)
-    }
-
-    /// Finish a read whose primary (`chain[0]`) ended in `primary`: on
-    /// failure, run the whole read — the call, the bulk pull, the decode —
-    /// against the rest of the chain in turn until one replica serves it.
-    /// Any failure moves on: a replica that is down, one that missed the
-    /// write, a pull lost in transit, a record that fails its check. A
-    /// read served past the primary is counted and filed as a failover.
-    fn fail_over<T>(
-        &self,
-        chain: &[EndpointId],
-        what: &str,
-        primary: Result<T>,
-        read: impl Fn(EndpointId) -> Result<T>,
-    ) -> Result<T> {
-        let mut last_err = match primary {
-            Ok(out) => return Ok(out),
-            Err(e) => e,
-        };
-        for &target in &chain[1..] {
-            match read(target) {
-                Ok(out) => {
-                    self.telemetry.read_failovers.add(1);
-                    self.note_failover(chain[0], target, what);
-                    return Ok(out);
-                }
-                Err(e) => last_err = e,
-            }
-        }
-        Err(last_err)
     }
 
     /// The reader half of every read reply: pull the region the provider
@@ -1279,23 +1232,24 @@ impl EvoStoreClient {
         elem_offset: u64,
         elem_count: u64,
     ) -> Result<TensorData> {
-        let reply = self.unary_failover(
-            &self.replicas_of(key.owner),
-            methods::ReadRange,
-            &ReadRangeRequest {
-                key,
-                elem_offset,
-                elem_count,
-            },
-        )?;
-        // A flat buffer is what a tensor is made of: the one gather on
-        // this path, and a copy only when the range spans segments of the
-        // stored record.
-        let payload = self.fabric.bulk_take(BulkHandle(reply.bulk))?.to_bytes();
-        let dtype = evostore_tensor::DType::from_tag(reply.dtype_tag)
-            .ok_or_else(|| EvoError::Protocol(format!("bad dtype tag {}", reply.dtype_tag)))?;
-        TensorData::from_bytes(dtype, vec![elem_count as usize], payload)
-            .ok_or_else(|| EvoError::Protocol("range length mismatch".into()))
+        let req = ReadRangeRequest {
+            key,
+            elem_offset,
+            elem_count,
+        };
+        let chain = self.replicas_of(key.owner);
+        let read = |target| {
+            let reply = self.unary(target, methods::ReadRange, &req)?;
+            // A flat buffer is what a tensor is made of: the one gather on
+            // this path, and a copy only when the range spans segments of
+            // the stored record.
+            let payload = self.fabric.bulk_take(BulkHandle(reply.bulk))?.to_bytes();
+            let dtype = evostore_tensor::DType::from_tag(reply.dtype_tag)
+                .ok_or_else(|| EvoError::Protocol(format!("bad dtype tag {}", reply.dtype_tag)))?;
+            TensorData::from_bytes(dtype, vec![elem_count as usize], payload)
+                .ok_or_else(|| EvoError::Protocol("range length mismatch".into()))
+        };
+        self.read_over(&chain, methods::ReadRange::METHOD, read(chain[0]), read)
     }
 
     /// Find every stored model whose architecture matches `pattern`
@@ -1305,31 +1259,26 @@ impl EvoStoreClient {
     /// Same degraded-mode quorum semantics as
     /// [`EvoStoreClient::query_best_ancestor`]: unreachable providers'
     /// catalogs are simply absent from the result as long as quorum is
-    /// met.
+    /// met. On the wire this is [`EvoStoreClient::find_matching_batch`]
+    /// over a batch of one.
     pub fn find_matching(
         &self,
         pattern: &evostore_graph::ArchPattern,
     ) -> Result<Degraded<RankedMatches>> {
-        let req = PatternQueryRequest {
-            pattern: pattern.clone(),
-        };
-        self.with_root_op("query", "find_matching", &self.telemetry.query, || {
-            let (replies, unreachable) = self.quorum_broadcast(methods::MatchPattern, &req)?;
-            for reply in &replies {
-                self.telemetry.note_index_stats(reply.stats);
-            }
-            // Replicas answer for the same catalogs — dedup by model
-            // before ranking (keeping the best-reported quality).
-            let value = rank_matches(replies.into_iter().flat_map(|r| r.matches));
-            Ok(Degraded { value, unreachable })
+        let Degraded { value, unreachable } =
+            self.find_matching_batch(std::slice::from_ref(pattern))?;
+        Ok(Degraded {
+            value: value.into_iter().next().unwrap_or_default(),
+            unreachable,
         })
     }
 
     /// Batched [`EvoStoreClient::find_matching`]: every pattern in one
     /// `MATCH_PATTERN_BATCH` envelope per provider, answered against a
     /// single pinned snapshot. Returns one ranked match list per input
-    /// pattern, index-aligned, with the same dedup/ranking semantics as
-    /// the single-pattern path.
+    /// pattern, index-aligned; replicas answer for the same catalogs, so
+    /// each list is deduplicated by model (keeping the best-reported
+    /// quality) before ranking.
     pub fn find_matching_batch(
         &self,
         patterns: &[evostore_graph::ArchPattern],
@@ -1433,7 +1382,7 @@ impl EvoStoreClient {
         let chain = self.replicas_of(model);
         let read = |target| self.pull_tensors(self.unary(target, methods::LoadOptimizer, &req)?);
         let mut moments =
-            self.fail_over(&chain, methods::LoadOptimizer::METHOD, read(chain[0]), read)?;
+            self.read_over(&chain, methods::LoadOptimizer::METHOD, read(chain[0]), read)?;
         moments.sort_unstable_by_key(|(key, _)| key.slot);
         Ok(moments.into_iter().map(|(_, t)| t).collect())
     }
@@ -1644,7 +1593,7 @@ impl Drop for EvoStoreClient {
 
 /// The better of two provider-reported LCP candidates: longest prefix;
 /// higher quality, then lower model id, break ties — the one global
-/// ordering shared by the single-query and batched reduce steps.
+/// ordering of the cross-provider reduce.
 fn better_candidate(a: LcpCandidate, b: LcpCandidate) -> LcpCandidate {
     let better = b.lcp.len() > a.lcp.len()
         || (b.lcp.len() == a.lcp.len()

@@ -187,7 +187,9 @@ pub struct RefsReply {
     pub reclaimed: usize,
 }
 
-/// Provider-side LCP query: the client broadcasts the candidate graph.
+/// One LCP query, carried by no method (a single query is an
+/// [`LcpBatchRequest`] of one): its only remaining user is the benchmark's
+/// replay probe, `benchmark/src/probe.rs`, and it goes with that probe.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LcpQueryRequest {
     /// The new candidate's flattened architecture.
@@ -234,7 +236,8 @@ pub struct LcpBatchReply {
     pub replies: Vec<LcpQueryReply>,
 }
 
-/// Batched pattern queries: N patterns in one envelope, answered against
+/// Pattern queries (§1's "queries that look for specific architectural
+/// features and patterns"): N patterns in one envelope, answered against
 /// one pinned catalog snapshot.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PatternBatchRequest {
@@ -270,15 +273,6 @@ pub struct RetireMetaReply {
     /// retirement from a missed (newer) store.
     #[serde(default)]
     pub timestamp: u64,
-}
-
-/// Scan the target provider's catalog for architectures matching a
-/// pattern (§1's "queries that look for specific architectural features
-/// and patterns").
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct PatternQueryRequest {
-    /// The pattern.
-    pub pattern: evostore_graph::ArchPattern,
 }
 
 /// Locally matching models.

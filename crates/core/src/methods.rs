@@ -32,18 +32,15 @@ evostore_rpc::rpc_methods! {
     IncrRefs = "evostore.incr_refs": RefsRequest => RefsReply;
     /// Decrement tensor refcounts (GC at zero).
     DecrRefs = "evostore.decr_refs": RefsRequest => RefsReply;
-    /// Provider-side LCP scan.
-    Lcp = "evostore.lcp": LcpQueryRequest => LcpQueryReply;
-    /// Batched LCP scan: N graphs, one envelope, one pinned snapshot.
+    /// Provider-side LCP scan: N graphs (a single query is a batch of
+    /// one), one envelope, one pinned snapshot.
     LcpBatch = "evostore.lcp_batch": LcpBatchRequest => LcpBatchReply;
-    /// Batched pattern scan.
+    /// Architecture pattern scan, batched the same way.
     MatchPatternBatch = "evostore.match_pattern_batch": PatternBatchRequest => PatternBatchReply;
     /// Partial (element-range) tensor read.
     ReadRange = "evostore.read_range": ReadRangeRequest => ReadRangeReply;
     /// Retire model metadata.
     RetireMeta = "evostore.retire_meta": RetireMetaRequest => RetireMetaReply;
-    /// Architecture pattern scan.
-    MatchPattern = "evostore.match_pattern": PatternQueryRequest => PatternQueryReply;
     /// Attach optimizer state.
     StoreOptimizer = "evostore.store_optimizer": StoreOptimizerRequest => StoreModelReply;
     /// Fetch optimizer state.

@@ -336,25 +336,15 @@ impl ProviderState {
         Ok(blob)
     }
 
-    /// Handle a provider-side LCP scan and return the best match (longest
-    /// prefix; quality breaks ties; lower model id breaks exact ties
-    /// deterministically).
+    /// Answer one LCP query against a pinned snapshot with the best match
+    /// (longest prefix; quality breaks ties; lower model id breaks exact
+    /// ties deterministically); the caller accumulates stats.
     ///
     /// The default path consults the [`evostore_graph::ArchIndex`]: one `lcp()` per
     /// distinct architecture whose cone bound can still reach the best
     /// length so far. The unindexed path (Fig 5's baseline,
     /// [`ProviderState::set_index_enabled`]) scans every stored model in
     /// parallel; both return identical candidates.
-    pub fn handle_lcp(&self, req: LcpQueryRequest) -> Result<LcpQueryReply, String> {
-        wire_graph(&req.graph)?;
-        let snap = self.catalog_snapshot();
-        let reply = self.lcp_reply_on(&snap, &req.graph);
-        self.query_stats.note(reply.stats);
-        Ok(reply)
-    }
-
-    /// Answer one LCP query against a pinned snapshot (shared by the
-    /// single-query and batched handlers; the caller accumulates stats).
     fn lcp_reply_on(&self, snap: &CatalogSnapshot, g: &CompactGraph) -> LcpQueryReply {
         if self.index_enabled.load(Ordering::Relaxed) {
             let (best, stats) = snap.index.best_ancestor(g);
@@ -404,11 +394,11 @@ impl ProviderState {
         }
     }
 
-    /// Handle a batched LCP scan: every query in the envelope is answered
-    /// against *one* pinned snapshot (coherent across the batch), one
-    /// after another on the service thread (the vendored `rayon`
-    /// stand-in's `par_iter()` is `iter()`). Dispatch, tracing, and
-    /// snapshot acquisition are paid once per envelope instead of once
+    /// Handle an LCP scan: every query in the envelope (one, for a single
+    /// query) is answered against *one* pinned snapshot (coherent across
+    /// the batch), one after another on the service thread (the vendored
+    /// `rayon` stand-in's `par_iter()` is `iter()`). Dispatch, tracing,
+    /// and snapshot acquisition are paid once per envelope instead of once
     /// per query.
     pub fn handle_lcp_batch(&self, req: LcpBatchRequest) -> Result<LcpBatchReply, String> {
         req.graphs.iter().try_for_each(wire_graph)?;
@@ -473,22 +463,11 @@ impl ProviderState {
         }
     }
 
-    /// Handle a catalog pattern scan. Patterns are architecture-only
-    /// predicates, so the indexed path evaluates each *distinct*
-    /// architecture once and fans the verdict out to every model in its
-    /// bucket; the unindexed path tests every record in parallel.
-    pub fn handle_match_pattern(
-        &self,
-        req: PatternQueryRequest,
-    ) -> Result<PatternQueryReply, String> {
-        let snap = self.catalog_snapshot();
-        let reply = self.pattern_reply_on(&snap, &req.pattern);
-        self.query_stats.note(reply.stats);
-        Ok(reply)
-    }
-
-    /// Answer one pattern query against a pinned snapshot (shared by the
-    /// single-query and batched handlers; the caller accumulates stats).
+    /// Answer one pattern query against a pinned snapshot; the caller
+    /// accumulates stats. Patterns are architecture-only predicates, so
+    /// the indexed path evaluates each *distinct* architecture once and
+    /// fans the verdict out to every model in its bucket; the unindexed
+    /// path tests every record in parallel.
     fn pattern_reply_on(&self, snap: &CatalogSnapshot, pattern: &ArchPattern) -> PatternQueryReply {
         if self.index_enabled.load(Ordering::Relaxed) {
             let (matches, stats) = snap.index.match_pattern(pattern);
@@ -522,8 +501,8 @@ impl ProviderState {
         }
     }
 
-    /// Handle a batched pattern scan against one pinned snapshot (see
-    /// [`ProviderState::handle_lcp_batch`]).
+    /// Handle a pattern scan, one envelope against one pinned snapshot
+    /// (see [`ProviderState::handle_lcp_batch`]).
     pub fn handle_match_pattern_batch(
         &self,
         req: PatternBatchRequest,

@@ -556,7 +556,6 @@ impl ProviderState {
         self.serve(endpoint, Read, Self::handle_read);
         self.serve(endpoint, IncrRefs, Self::handle_incr_refs);
         self.serve(endpoint, DecrRefs, Self::handle_decr_refs);
-        self.serve(endpoint, Lcp, Self::handle_lcp);
         self.serve(endpoint, LcpBatch, Self::handle_lcp_batch);
         self.serve(
             endpoint,
@@ -565,7 +564,6 @@ impl ProviderState {
         );
         self.serve(endpoint, RetireMeta, Self::handle_retire_meta);
         self.serve(endpoint, ReadRange, Self::handle_read_range);
-        self.serve(endpoint, MatchPattern, Self::handle_match_pattern);
         self.serve(endpoint, StoreOptimizer, Self::handle_store_optimizer);
         self.serve(endpoint, LoadOptimizer, Self::handle_load_optimizer);
         self.serve(endpoint, Stats, |s, _| Ok(s.stats()));

@@ -10,9 +10,7 @@
 use std::sync::Arc;
 
 use bytes::Bytes;
-use evostore_core::messages::{
-    LcpBatchRequest, LcpQueryRequest, RetireMetaRequest, StoreModelRequest,
-};
+use evostore_core::messages::{LcpBatchRequest, RetireMetaRequest, StoreModelRequest};
 use evostore_core::provider::ProviderState;
 use evostore_core::{methods, Deployment, EvoStoreClient, OwnerMap};
 use evostore_graph::{
@@ -326,7 +324,6 @@ fn malformed_graphs_are_refused_and_the_provider_keeps_answering() {
         ),
     ];
 
-    let lcp = serde_json::to_string(&LcpQueryRequest { graph: g.clone() }).unwrap();
     let batch = serde_json::to_string(&LcpBatchRequest {
         graphs: vec![g.clone(), g.clone()],
     })
@@ -345,7 +342,6 @@ fn malformed_graphs_are_refused_and_the_provider_keeps_answering() {
     let provider = dep.provider_ids()[0];
     for (defect, what) in defects {
         for (method, body) in [
-            (methods::Lcp::METHOD, &lcp),
             (methods::LcpBatch::METHOD, &batch),
             (methods::Store::METHOD, &store),
         ] {

@@ -1,4 +1,4 @@
-//! The method table is the contract: its wire names are exactly the 28
+//! The method table is the contract: its wire names are exactly the 26
 //! strings deployed peers speak, every entry is answered by whoever the
 //! table says serves it, and nothing outside the table is.
 
@@ -11,18 +11,16 @@ use evostore_rpc::RpcError;
 use evostore_tensor::ModelId;
 
 /// The wire names, spelled out so a rename is a visible diff here.
-const WIRE_NAMES: [&str; 28] = [
+const WIRE_NAMES: [&str; 26] = [
     "evostore.store",
     "evostore.get_meta",
     "evostore.read",
     "evostore.incr_refs",
     "evostore.decr_refs",
-    "evostore.lcp",
     "evostore.lcp_batch",
     "evostore.match_pattern_batch",
     "evostore.read_range",
     "evostore.retire_meta",
-    "evostore.match_pattern",
     "evostore.store_optimizer",
     "evostore.load_optimizer",
     "evostore.stats",
@@ -80,8 +78,11 @@ fn every_entry_is_served_and_nothing_else_is() {
         );
     }
 
+    // One query is a batch of one: no single-query method is served.
     for (server, name) in [
         (provider, "evostore.no_such_method"),
+        (provider, "evostore.lcp"),
+        (provider, "evostore.match_pattern"),
         (provider, "deliver.event"),
         (watcher.endpoint_id(), "evostore.stats"),
     ] {

@@ -173,7 +173,146 @@ fn a_fetch_fails_over_only_the_group_whose_primary_is_down() {
         .collect();
     let replica = dep.provider_ids()[(parent.provider_for(4) + 1) % 4];
     assert_eq!(filed, vec![(primary.0, replica.0)]);
+    // One hop to a successor replica, one failover on the op's ledger.
+    assert_eq!(client.ledger().entry("fetch").unwrap().failovers, 1);
     assert_eq!(dep.fabric().bulk_regions(), 0);
+}
+
+/// A walk skips a down primary: the primary's call spends its retry
+/// budget, then the first sibling serves, and the rest of the chain is
+/// never tried.
+#[test]
+fn a_walk_skips_a_down_primary_and_is_served_by_its_sibling() {
+    let dep = Deployment::in_memory_replicated(3, 3);
+    let client = dep.client_builder().max_attempts(2).build();
+    let model = model_on(0, 3);
+    let mut rng = ChaCha8Rng::seed_from_u64(16);
+    client
+        .store_fresh(model, &seq(&[8, 16, 4]), 0.7, &mut rng)
+        .unwrap();
+    let ids = dep.provider_ids();
+    let plan = dep.fabric().install_fault_plan(FaultPlan::new(7));
+    plan.set_down(ids[0]);
+
+    let meta = client.get_meta(model).unwrap();
+    assert_eq!(meta.graph.len(), 3);
+    // Two attempts on the down primary (one retry), one served by its sibling.
+    assert_eq!(client.telemetry().rpc.retries(), 1);
+    assert_eq!(client.telemetry().read_failovers(), 1);
+    let filed: Vec<(u32, u32, String)> = client
+        .flight_recorder()
+        .events()
+        .into_iter()
+        .filter_map(|e| match e {
+            FlightEvent::Failover { from, to, what, .. } => Some((from, to, what)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        filed,
+        vec![(ids[0].0, ids[1].0, "evostore.get_meta".to_string())]
+    );
+}
+
+/// A replica that missed a write answers "not found", a handler error;
+/// the walk still consults its sibling. Here the primary was down during
+/// the store, so the store's own walk was served by the second replica,
+/// and the primary came back without the model.
+#[test]
+fn a_walk_tries_the_sibling_of_a_replica_that_missed_the_write() {
+    let dep = Deployment::in_memory_replicated(4, 2);
+    let client = dep.client();
+    let model = model_on(1, 4);
+    let (primary, replica) = (dep.provider_ids()[1], dep.provider_ids()[2]);
+    let plan = dep.fabric().install_fault_plan(FaultPlan::new(0));
+    plan.set_down(primary);
+    let mut rng = ChaCha8Rng::seed_from_u64(17);
+    client
+        .store_fresh(model, &seq(&[8, 16, 4]), 0.7, &mut rng)
+        .unwrap();
+    assert_eq!(client.ledger().entry("store").unwrap().failovers, 1);
+    assert_eq!(client.telemetry().under_replicated_stores(), 1);
+    assert_eq!(
+        client.telemetry().read_failovers(),
+        0,
+        "a store is not a read"
+    );
+    plan.set_up(primary);
+
+    let loaded = client.load_model(model).unwrap();
+    assert_eq!(
+        loaded.tensors.len(),
+        loaded.owner_map.all_tensor_keys().len()
+    );
+    // GET_META and the READ group each walked past the stale primary.
+    assert_eq!(client.telemetry().read_failovers(), 2);
+    let filed: Vec<(u32, u32, String)> = client
+        .flight_recorder()
+        .events()
+        .into_iter()
+        .filter_map(|e| match e {
+            FlightEvent::Failover { from, to, what, .. } => Some((from, to, what)),
+            _ => None,
+        })
+        .collect();
+    let hop = |what: &str| (primary.0, replica.0, what.to_string());
+    assert_eq!(
+        filed,
+        vec![
+            hop("evostore.store"),
+            hop("evostore.get_meta"),
+            hop("evostore.read")
+        ]
+    );
+}
+
+/// When every replica of a chain fails, the walk returns the last one's
+/// error, and each hop it took is one failover on the op's ledger.
+#[test]
+fn a_walk_over_a_dead_chain_returns_the_last_replicas_error() {
+    let dep = Deployment::in_memory_replicated(4, 2);
+    let client = dep.client();
+    let model = model_on(1, 4);
+    let mut rng = ChaCha8Rng::seed_from_u64(18);
+    client
+        .store_fresh(model, &seq(&[8, 16, 4]), 0.7, &mut rng)
+        .unwrap();
+    let keys = client.get_meta(model).unwrap().owner_map.all_tensor_keys();
+
+    let plan = dep.fabric().install_fault_plan(FaultPlan::new(0));
+    plan.set_down(dep.provider_ids()[1]);
+    plan.set_down(dep.provider_ids()[2]);
+    let last = dep.provider_ids()[2];
+    for err in [
+        client.get_meta(model).unwrap_err(),
+        client.fetch_tensors(&keys).unwrap_err(),
+    ] {
+        assert!(
+            matches!(err, EvoError::Unavailable { endpoint } if endpoint == last),
+            "got {err}"
+        );
+    }
+    let fetch = client.ledger().entry("fetch").unwrap();
+    assert_eq!((fetch.errors, fetch.failovers), (1, 1));
+    assert_eq!(client.telemetry().read_failovers(), 0);
+}
+
+/// With one replica per model there is nowhere to fail over to: a store
+/// to a down provider fails and charges no failover.
+#[test]
+fn a_store_with_no_replica_to_fail_over_to_charges_no_failover() {
+    let dep = Deployment::in_memory(2);
+    let client = dep.client();
+    let model = model_on(0, 2);
+    let plan = dep.fabric().install_fault_plan(FaultPlan::new(0));
+    plan.set_down(dep.provider_ids()[0]);
+    let mut rng = ChaCha8Rng::seed_from_u64(19);
+    let err = client
+        .store_fresh(model, &seq(&[8, 16, 4]), 0.7, &mut rng)
+        .unwrap_err();
+    assert!(err.is_transient(), "got {err}");
+    let store = client.ledger().entry("store").unwrap();
+    assert_eq!((store.errors, store.failovers), (1, 0));
 }
 
 /// The acceptance scenario: with factor 2 and one provider held down,

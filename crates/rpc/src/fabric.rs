@@ -20,7 +20,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use evostore_obs::{set_current_trace, FlightRecorder, TraceContext};
 use parking_lot::RwLock;
 
@@ -460,31 +460,10 @@ impl Fabric {
             .map_err(|_| RpcError::Disconnected)?
     }
 
-    /// Two-sided RPC with a per-call deadline: like [`Fabric::call`] but
-    /// gives up with [`RpcError::Timeout`] when no reply lands within
-    /// `deadline`. The resilient client paths use this exclusively — an
-    /// injected [`FaultAction::DropReply`] would hang a plain `call`
-    /// forever. A `trace` context rides the request envelope.
-    pub fn call_deadline(
-        &self,
-        target: EndpointId,
-        method: &str,
-        body: Bytes,
-        deadline: Duration,
-        trace: Option<TraceContext>,
-    ) -> Result<Bytes, RpcError> {
-        match self
-            .call_async(target, method, body, trace)?
-            .recv_timeout(deadline)
-        {
-            Ok(result) => result,
-            Err(RecvTimeoutError::Timeout) => Err(RpcError::Timeout),
-            Err(RecvTimeoutError::Disconnected) => Err(RpcError::Disconnected),
-        }
-    }
-
     /// Fire a request and return the reply channel — the building block of
-    /// the broadcast collective. A `trace` context rides the request
+    /// every resilient call shape, which awaits it under a deadline (an
+    /// injected [`FaultAction::DropReply`] would hang a plain
+    /// [`Fabric::call`] forever). A `trace` context rides the request
     /// envelope: the target's service thread installs it as the ambient
     /// context around the handler.
     ///
@@ -662,6 +641,7 @@ impl Fabric {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crossbeam::channel::RecvTimeoutError;
 
     #[test]
     fn echo_roundtrip() {
@@ -793,20 +773,18 @@ mod tests {
             std::thread::sleep(Duration::from_millis(200));
             Ok(Bytes::new())
         });
+        let call = |deadline| {
+            fabric
+                .call_async(ep.id(), "slow", Bytes::new(), None)
+                .unwrap()
+                .recv_timeout(deadline)
+        };
         assert_eq!(
-            fabric.call_deadline(
-                ep.id(),
-                "slow",
-                Bytes::new(),
-                Duration::from_millis(20),
-                None,
-            ),
-            Err(RpcError::Timeout)
+            call(Duration::from_millis(20)),
+            Err(RecvTimeoutError::Timeout)
         );
         // Generous deadline: same handler succeeds.
-        assert!(fabric
-            .call_deadline(ep.id(), "slow", Bytes::new(), Duration::from_secs(5), None)
-            .is_ok());
+        assert_eq!(call(Duration::from_secs(5)), Ok(Ok(Bytes::new())));
     }
 
     #[test]
@@ -989,14 +967,11 @@ mod tests {
             crate::fault::FaultPlan::new(1).rule(FaultRule::new(FaultAction::DropReply).first(1)),
         );
         assert_eq!(
-            fabric.call_deadline(
-                ep.id(),
-                "echo",
-                Bytes::new(),
-                Duration::from_millis(100),
-                None,
-            ),
-            Err(RpcError::Timeout)
+            fabric
+                .call_async(ep.id(), "echo", Bytes::new(), None)
+                .unwrap()
+                .recv_timeout(Duration::from_millis(100)),
+            Err(RecvTimeoutError::Timeout)
         );
         // The dropped leg's sender is parked on the fabric, not leaked.
         // (The handler may still be finishing; wait briefly.)

@@ -10,9 +10,10 @@
 //! (errors, delays, reply loss, down endpoints) at the dispatch and
 //! bulk-read boundaries — opt-in, zero overhead when unused — and
 //! [`resilient`] is the policy-driven typed call surface (`unary`,
-//! `unary_failover`, `fan_out`, `broadcast` — one function per shape,
-//! each taking an optional trace handle) with bounded-backoff retries,
-//! per-call deadlines and metrics. [`method`] declares each RPC once —
+//! `fan_out`, `broadcast` — one function per shape, each taking an
+//! optional trace handle, all three one overlapped dispatch engine) with
+//! bounded-backoff retries, per-call deadlines and metrics. Walking a
+//! replica chain belongs to the caller. [`method`] declares each RPC once —
 //! wire name, request and reply bound in a [`Method`] marker — and the
 //! call shapes and [`Endpoint::serve`] are keyed by that marker.
 
@@ -27,6 +28,5 @@ pub use fabric::{BulkHandle, Endpoint, EndpointId, Fabric, Handler, RpcError, Se
 pub use fault::{FaultAction, FaultPlan, FaultRule, FaultStats, FaultWindow};
 pub use method::Method;
 pub use resilient::{
-    broadcast, fan_out, unary, unary_failover, LegResults, RetryPolicy, RpcMetrics, RpcStats,
-    TraceHandle,
+    broadcast, fan_out, unary, LegResults, RetryPolicy, RpcMetrics, RpcStats, TraceHandle,
 };

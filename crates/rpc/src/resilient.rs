@@ -2,7 +2,7 @@
 //!
 //! One policy-driven surface for every call shape the client needs:
 //!
-//! * [`unary`] — one typed request/response pair;
+//! * [`unary`] — one typed request/response pair (a collective of one);
 //! * [`fan_out`] — per-target request bodies, all in flight at once;
 //! * [`broadcast`] — one body to many targets, all in flight at once.
 //!
@@ -11,13 +11,15 @@
 //! are retried with bounded exponential backoff, permanent ones fail
 //! immediately. An optional [`RpcMetrics`] records retries, timeouts and
 //! exhausted calls so callers (the EvoStore client's telemetry) can
-//! report them. Every shape runs on the caller's thread: the two
-//! collectives share one overlapped dispatch engine and spawn nothing.
+//! report them. Every shape runs on the caller's thread over one
+//! overlapped dispatch engine (a unary call is a collective of one leg)
+//! and spawns nothing. Walking a replica chain is the caller's job: the
+//! EvoStore client's one walk wraps call, pull and decode together.
 
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use evostore_obs::ledger::{add_failovers, add_queue_wait_us, add_retry};
+use evostore_obs::ledger::{add_queue_wait_us, add_retry};
 use evostore_obs::{counter_set, Span, TraceContext, Tracer};
 
 use crate::codec::{decode, encode};
@@ -149,56 +151,13 @@ fn back_off(policy: &RetryPolicy, retry: u32, legs: usize, metrics: Option<&RpcM
     std::thread::sleep(backoff);
 }
 
-/// Retry loop over raw bodies — the primitive under [`unary`] and
-/// [`unary_failover`]. Each attempt runs under `policy.call_timeout`; transient
-/// errors are retried with backoff until the budget is spent.
-///
-/// With a `trace`, each attempt gets its own child span (named after
-/// the method, labeled with the target endpoint, failed with the
-/// attempt's error) and its context rides the request envelope so the
-/// provider's handler span joins the same trace.
-pub fn call_with_retry(
-    fabric: &Fabric,
-    target: EndpointId,
-    method: &str,
-    body: Bytes,
-    policy: &RetryPolicy,
-    metrics: Option<&RpcMetrics>,
-    trace: Option<&TraceHandle<'_>>,
-) -> Result<Bytes, RpcError> {
-    let mut attempt = 0u32;
-    loop {
-        attempt += 1;
-        note_metrics(metrics, |m| {
-            m.calls.add(1);
-        });
-        let mut span = trace.map(|t| t.attempt(method, target));
-        let ctx = span.as_ref().map(|s| s.ctx());
-        match fabric.call_deadline(target, method, body.clone(), policy.call_timeout, ctx) {
-            Ok(reply) => return Ok(reply),
-            Err(err) => {
-                if let Some(s) = span.as_mut() {
-                    s.fail(err.to_string());
-                }
-                drop(span);
-                note_metrics(metrics, |m| m.note(&err));
-                if !err.is_transient() {
-                    return Err(err);
-                }
-                if attempt >= policy.max_attempts.max(1) {
-                    note_metrics(metrics, |m| {
-                        m.exhausted.add(1);
-                    });
-                    return Err(err);
-                }
-                back_off(policy, attempt, 1, metrics);
-            }
-        }
-    }
-}
-
-/// Typed unary call with retries (per-attempt tracing as in
-/// [`call_with_retry`]).
+/// Typed unary call with retries: the collective engine over one leg.
+/// Each attempt runs under `policy.call_timeout`; transient errors are
+/// retried with backoff until the budget is spent. With a `trace`, each
+/// attempt gets its own child span (named after the method, labeled
+/// with the target endpoint, failed with the attempt's error) and its
+/// context rides the request envelope so the provider's handler span
+/// joins the same trace.
 pub fn unary<M: Method>(
     fabric: &Fabric,
     target: EndpointId,
@@ -208,60 +167,11 @@ pub fn unary<M: Method>(
     metrics: Option<&RpcMetrics>,
     trace: Option<&TraceHandle<'_>>,
 ) -> Result<M::Reply, RpcError> {
-    let body = encode(req)?;
-    let reply = call_with_retry(fabric, target, M::METHOD, body, policy, metrics, trace)?;
-    decode(&reply)
-}
-
-/// Typed unary call with replica failover: try `targets` in order,
-/// moving to the next on failure, until one answers. Each target runs
-/// under the full retry `policy`; a down target is rejected at dispatch
-/// (cheap), a flaky one burns its retry budget first.
-///
-/// Fails over on *any* error, not just transient ones: with replicated
-/// placement a handler-level "not found" on one replica can mean the
-/// replica missed a write, and a sibling may still hold it. When every
-/// target fails, the last error is returned (for a genuinely absent
-/// value all replicas agree, so the last is as truthful as any).
-///
-/// Returns the serving endpoint, its reply, and how many targets were
-/// skipped before it (0 = the primary answered). With a `trace`,
-/// attempts against every consulted replica appear in the span tree, so
-/// a failover is visible as a failed attempt span followed by a
-/// sibling's successful one.
-pub fn unary_failover<M: Method>(
-    fabric: &Fabric,
-    targets: &[EndpointId],
-    _method: M,
-    req: &M::Request,
-    policy: &RetryPolicy,
-    metrics: Option<&RpcMetrics>,
-    trace: Option<&TraceHandle<'_>>,
-) -> Result<(EndpointId, M::Reply, usize), RpcError> {
-    assert!(!targets.is_empty(), "failover needs at least one target");
-    let body = encode(req)?;
-    let mut last_err = None;
-    for (skipped, &target) in targets.iter().enumerate() {
-        match call_with_retry(
-            fabric,
-            target,
-            M::METHOD,
-            body.clone(),
-            policy,
-            metrics,
-            trace,
-        ) {
-            Ok(reply) => {
-                if skipped > 0 {
-                    add_failovers(skipped as u64);
-                }
-                return decode(&reply).map(|resp| (target, resp, skipped));
-            }
-            Err(err) => last_err = Some(err),
-        }
-    }
-    add_failovers(targets.len() as u64);
-    Err(last_err.expect("at least one target attempted"))
+    let leg = [(target, encode(req)?)];
+    let (_, reply) = overlapped(fabric, &leg, M::METHOD, policy, metrics, trace)
+        .pop()
+        .expect("one result per leg");
+    decode(&reply?)
 }
 
 /// Per-target results of a collective: one entry per input target, in
@@ -270,10 +180,10 @@ pub type LegResults<T> = Vec<(EndpointId, Result<T, RpcError>)>;
 
 /// Typed fan-out: a distinct request per target, all legs in flight at
 /// once, transient failures retried in overlapped rounds per `policy`
-/// (the engine under [`broadcast`] too). Results come back in input
-/// order; per-leg failures — an encode error included — do not abort
-/// the others. With a `trace`, every leg's attempts become sibling spans
-/// under the same parent.
+/// (the engine under [`unary`] and [`broadcast`] too). Results come back
+/// in input order; per-leg failures — an encode error included — do not
+/// abort the others. With a `trace`, every leg's attempts become sibling
+/// spans under the same parent.
 pub fn fan_out<M: Method>(
     fabric: &Fabric,
     legs: &[(EndpointId, M::Request)],
@@ -300,32 +210,13 @@ pub fn fan_out<M: Method>(
         .collect()
 }
 
-/// Raw resilient broadcast: one body to every target, all requests in
-/// flight before any reply is awaited (preserving the overlap the LCP
-/// query depends on), then transient failures retried in overlapped
-/// rounds with backoff. Returns one entry per target, in input order.
-/// With a `trace`, each leg of each round gets its own attempt span,
-/// finished when the leg's reply (or its share of the round deadline)
-/// resolves.
-pub fn broadcast_with_retry(
-    fabric: &Fabric,
-    targets: &[EndpointId],
-    method: &str,
-    body: Bytes,
-    policy: &RetryPolicy,
-    metrics: Option<&RpcMetrics>,
-    trace: Option<&TraceHandle<'_>>,
-) -> LegResults<Bytes> {
-    let legs: Vec<(EndpointId, Bytes)> = targets.iter().map(|&t| (t, body.clone())).collect();
-    overlapped(fabric, &legs, method, policy, metrics, trace)
-}
-
-/// The one collective engine, on the caller's thread: every pending leg
-/// is issued with `call_async` before any reply is awaited, replies are
-/// collected under a per-round deadline, and legs that failed
-/// transiently go again in the next overlapped round after a backoff —
-/// so a collective costs one round trip per round, not a thread per leg.
-/// Retries and backoff charge the caller's ambient op ledger directly.
+/// The one dispatch engine under every shape, on the caller's thread:
+/// every pending leg is issued with `call_async` before any reply is
+/// awaited, replies are collected under a per-round deadline, and legs
+/// that failed transiently go again in the next overlapped round after a
+/// backoff — so a call costs one round trip per round, not a thread per
+/// leg. Retries and backoff charge the caller's ambient op ledger
+/// directly.
 fn overlapped(
     fabric: &Fabric,
     legs: &[(EndpointId, Bytes)],
@@ -412,9 +303,12 @@ fn overlapped(
         .collect()
 }
 
-/// Typed resilient broadcast: encode once, send to every target, decode
-/// each success. The per-leg `Result` keeps partial outcomes visible so
-/// callers can apply quorum semantics.
+/// Typed resilient broadcast: encode once, send the one body to every
+/// target with all legs in flight before any reply is awaited
+/// (preserving the overlap the LCP query depends on), decode each
+/// success. Returns one entry per target, in input order; the per-leg
+/// `Result` keeps partial outcomes visible so callers can apply quorum
+/// semantics.
 pub fn broadcast<M: Method>(
     fabric: &Fabric,
     targets: &[EndpointId],
@@ -425,12 +319,11 @@ pub fn broadcast<M: Method>(
     trace: Option<&TraceHandle<'_>>,
 ) -> Result<LegResults<M::Reply>, RpcError> {
     let body = encode(req)?;
-    Ok(
-        broadcast_with_retry(fabric, targets, M::METHOD, body, policy, metrics, trace)
-            .into_iter()
-            .map(|(t, r)| (t, r.and_then(|reply| decode(&reply))))
-            .collect(),
-    )
+    let legs: Vec<(EndpointId, Bytes)> = targets.iter().map(|&t| (t, body.clone())).collect();
+    Ok(overlapped(fabric, &legs, M::METHOD, policy, metrics, trace)
+        .into_iter()
+        .map(|(t, r)| (t, r.and_then(|reply| decode(&reply))))
+        .collect())
 }
 
 #[cfg(test)]
@@ -444,8 +337,8 @@ mod tests {
     crate::rpc_methods! {
         /// Replies with its request.
         Echo = "echo": String => String;
-        /// Handler-defined lookup.
-        Get = "get": String => String;
+        /// Counts its calls.
+        Incr = "incr": String => String;
         /// Registered nowhere.
         Missing = "no-such-method": String => String;
     }
@@ -559,76 +452,6 @@ mod tests {
     }
 
     #[test]
-    fn failover_skips_down_targets() {
-        let attempts = untraced_then_traced(|trace| {
-            let (fabric, eps) = echo_fabric(3);
-            let plan = fabric.install_fault_plan(FaultPlan::new(7));
-            plan.set_down(eps[0].id());
-            let ids: Vec<_> = eps.iter().map(|e| e.id()).collect();
-            let policy = RetryPolicy::default().with_attempts(2);
-            let (served_by, got, skipped) =
-                unary_failover(&fabric, &ids, Echo, &"hi".to_string(), &policy, None, trace)
-                    .unwrap();
-            assert_eq!(got, "hi");
-            assert_eq!(served_by, ids[1]);
-            assert_eq!(skipped, 1);
-        });
-        // Two failed attempts on the down primary, one served by its sibling.
-        assert_eq!(attempts, (3, 2));
-    }
-
-    #[test]
-    fn failover_exhausts_to_last_error() {
-        let attempts = untraced_then_traced(|trace| {
-            let (fabric, eps) = echo_fabric(2);
-            let plan = fabric.install_fault_plan(FaultPlan::new(7));
-            plan.set_down(eps[0].id());
-            plan.set_down(eps[1].id());
-            let ids: Vec<_> = eps.iter().map(|e| e.id()).collect();
-            let err = unary_failover(
-                &fabric,
-                &ids,
-                Echo,
-                &"hi".to_string(),
-                &RetryPolicy::default().with_attempts(1),
-                None,
-                trace,
-            )
-            .unwrap_err();
-            assert_eq!(err, RpcError::Unavailable(eps[1].id()));
-        });
-        assert_eq!(attempts, (2, 2));
-    }
-
-    #[test]
-    fn failover_tries_siblings_on_handler_errors() {
-        // A replica that missed a write answers with a handler error;
-        // failover must still consult the sibling.
-        let attempts = untraced_then_traced(|trace| {
-            let fabric = Fabric::new();
-            let stale = fabric.create_endpoint(1);
-            stale.serve(Get, |_| Err("not found".to_string()));
-            let fresh = fabric.create_endpoint(1);
-            fresh.serve(Get, Ok);
-            let ids = vec![stale.id(), fresh.id()];
-            let (served_by, got, skipped) = unary_failover(
-                &fabric,
-                &ids,
-                Get,
-                &"v".to_string(),
-                &RetryPolicy::default(),
-                None,
-                trace,
-            )
-            .unwrap();
-            assert_eq!(got, "v");
-            assert_eq!(served_by, fresh.id());
-            assert_eq!(skipped, 1);
-        });
-        assert_eq!(attempts, (2, 1));
-    }
-
-    #[test]
     fn fan_out_isolates_leg_failures() {
         let attempts = untraced_then_traced(|trace| {
             let (fabric, eps) = echo_fabric(3);
@@ -714,16 +537,23 @@ mod tests {
         }
     }
 
-    /// `fan_out` with identical bodies is `broadcast`: under the same
-    /// seeded fault plan both see the same faults, settle every leg the
-    /// same way, count the same retries and open the same attempt spans.
+    /// `fan_out` with identical bodies is `broadcast`, and `unary` is a
+    /// one-leg `fan_out`: under the same seeded fault plan each pair sees
+    /// the same faults, settles every leg the same way, counts the same
+    /// retries and opens the same attempt spans.
     #[test]
     fn fan_out_and_broadcast_share_one_engine() {
-        let run = |as_fan_out: bool| {
+        #[derive(Clone, Copy)]
+        enum Shape {
+            FanOut,
+            Broadcast,
+            Unary,
+        }
+        let run = |shape: Shape, legs: usize, seed: u64| {
             traced(|trace| {
-                let (fabric, eps) = echo_fabric(4);
+                let (fabric, eps) = echo_fabric(legs);
                 fabric.install_fault_plan(
-                    FaultPlan::new(11)
+                    FaultPlan::new(seed)
                         .rule(FaultRule::new(FaultAction::Unavailable).with_probability(0.3))
                         .rule(FaultRule::new(FaultAction::Timeout).with_probability(0.3)),
                 );
@@ -731,23 +561,43 @@ mod tests {
                 let body = "ping".to_string();
                 let metrics = RpcMetrics::new();
                 let policy = RetryPolicy::default();
-                let results = if as_fan_out {
-                    let legs: Vec<_> = ids.iter().map(|&id| (id, body.clone())).collect();
-                    fan_out(&fabric, &legs, Echo, &policy, Some(&metrics), trace)
-                } else {
-                    broadcast(&fabric, &ids, Echo, &body, &policy, Some(&metrics), trace).unwrap()
+                let results = match shape {
+                    Shape::FanOut => {
+                        let legs: Vec<_> = ids.iter().map(|&id| (id, body.clone())).collect();
+                        fan_out(&fabric, &legs, Echo, &policy, Some(&metrics), trace)
+                    }
+                    Shape::Broadcast => {
+                        broadcast(&fabric, &ids, Echo, &body, &policy, Some(&metrics), trace)
+                            .unwrap()
+                    }
+                    Shape::Unary => vec![(
+                        ids[0],
+                        unary(&fabric, ids[0], Echo, &body, &policy, Some(&metrics), trace),
+                    )],
                 };
                 (results, metrics.snapshot())
             })
         };
-        let fanned = run(true);
-        assert_eq!(fanned, run(false));
+        let fanned = run(Shape::FanOut, 4, 11);
+        assert_eq!(fanned, run(Shape::Broadcast, 4, 11));
         // The seed exercises both outcomes: legs that recover and legs
         // that exhaust their budget.
         let ((results, stats), _) = fanned;
         assert!(results.iter().any(|(_, r)| r.is_ok()), "{results:?}");
         assert!(stats.retries > 0 && stats.timeouts > 0, "{stats:?}");
         assert!(stats.exhausted > 0, "{stats:?}");
+
+        // One leg: across these seeds the call recovers after retries on
+        // some and exhausts its budget on others.
+        let (mut recovered, mut exhausted) = (false, false);
+        for seed in 0..16 {
+            let single = run(Shape::FanOut, 1, seed);
+            assert_eq!(single, run(Shape::Unary, 1, seed), "seed {seed}");
+            let ((results, stats), _) = single;
+            recovered |= results[0].1.is_ok() && stats.retries > 0;
+            exhausted |= stats.exhausted > 0;
+        }
+        assert!(recovered && exhausted);
     }
 
     /// A retried leg charges the caller's ambient op cell directly: the
@@ -787,9 +637,9 @@ mod tests {
             let served = Arc::new(AtomicU64::new(0));
             {
                 let served = Arc::clone(&served);
-                ep.register("incr", move |_| {
+                ep.serve(Incr, move |req| {
                     served.fetch_add(1, Ordering::SeqCst);
-                    Ok(Bytes::new())
+                    Ok(req)
                 });
             }
             fabric.install_fault_plan(
@@ -799,11 +649,11 @@ mod tests {
                 .with_attempts(2)
                 .with_timeout(Duration::from_millis(100));
             let metrics = RpcMetrics::new();
-            let r = call_with_retry(
+            let r = unary(
                 &fabric,
                 ep.id(),
-                "incr",
-                Bytes::new(),
+                Incr,
+                &String::new(),
                 &policy,
                 Some(&metrics),
                 trace,

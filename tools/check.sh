@@ -88,7 +88,7 @@ fi
 # back on the vendored rayon stub would compile, pass every test and
 # silently go serial again; and the one lifetime erasure that lets pool
 # helpers borrow a caller's stack is the only `unsafe` in the workspace.
-echo "== payload loops stay on core::par; collectives spawn no threads; unsafe stays in par.rs"
+echo "== payload loops stay on core::par; collectives spawn no threads; one dispatch engine; unsafe stays in par.rs"
 if hits=$(grep -n 'par_iter' crates/core/src/client.rs \
     crates/core/src/provider/data.rs crates/core/src/provider/delta.rs); then
     echo "payload-path loop on the sequential rayon stub:" >&2
@@ -109,6 +109,19 @@ if hits=$(awk '
 ' crates/rpc/src/resilient.rs crates/core/src/client.rs); then
     echo "thread spawned on the collective / client op path:" >&2
     echo "$hits" >&2
+    exit 1
+fi
+# Every call shape (unary, fan_out, broadcast) is the one engine: a single
+# dispatch site and a single deadline wait. A second retry loop put back
+# beside it would pass every test and let the shapes drift apart again.
+sites=$(awk '
+    /^#\[cfg\(test\)\]/ { pending = 1; next }
+    pending { pending = 0; if (/\{$/) exit; else next }
+    { dispatch += gsub(/call_async\(/, "&"); wait += gsub(/recv_timeout/, "&") }
+    END { print dispatch + 0, wait + 0 }
+' crates/rpc/src/resilient.rs)
+if [[ "$sites" != "1 1" ]]; then
+    echo "crates/rpc/src/resilient.rs: want exactly one call_async( and one recv_timeout outside tests, found $sites" >&2
     exit 1
 fi
 if hits=$(grep -rnw --include='*.rs' 'unsafe' crates vendor src examples tests benchmark/src |
