@@ -10,16 +10,21 @@
 //! 7. contiguous vs borrowed tensor records across sizes (the sweep
 //!    `BORROW_MIN_BYTES` is read from),
 //! 8. the call engine: echo `fan_out` vs `broadcast` by leg count, and
-//!    `unary` at one leg.
+//!    `unary` at one leg,
+//! 9. the control codec: encode and decode of the four messages every
+//!    small op carries, on `catalog_churn`'s tiny attention models.
 
 use std::collections::HashMap;
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
+use evostore_core::messages::{
+    LcpBatchRequest, ManifestEntry, ModelMetaReply, ReadTensorsReply, StoreModelRequest,
+};
 use evostore_core::{random_tensors, trained_tensors, Deployment, OwnerMap};
 use evostore_graph::{flatten, lcp, lcp_fixpoint, CompactGraph, GenomeSpace};
 use evostore_kv::{KvBackend, LogStore, MemPoolStore};
-use evostore_rpc::{broadcast, fan_out, unary, EndpointId, Fabric, RetryPolicy};
+use evostore_rpc::{broadcast, decode, encode, fan_out, unary, EndpointId, Fabric, RetryPolicy};
 use evostore_tensor::{
     read_tensor_segments, validate_segments, write_tensor, write_tensor_borrowed, DType, ModelId,
     Record, TensorData, TensorKey, VertexId,
@@ -378,6 +383,96 @@ fn bench_collective(c: &mut Criterion) {
     group.finish();
 }
 
+/// Ablation 9: the control codec alone. One model of `catalog_churn`'s
+/// space (the attention space at width 16, ten cells) in the four
+/// messages a small op encodes or decodes: the query a client sends to
+/// every provider, the store request, the metadata reply of `get_meta`,
+/// and the read reply of every load.
+fn bench_codec(c: &mut Criterion) {
+    let space = GenomeSpace {
+        input_dim: 16,
+        widths: vec![16],
+        attn_dims: vec![16],
+        attn_heads: vec![2, 4],
+        min_cells: 10,
+        max_cells: 10,
+        ..GenomeSpace::attn_like()
+    };
+    let mut rng = ChaCha8Rng::seed_from_u64(11);
+    let graph = flatten(&space.materialize(&space.sample(&mut rng))).unwrap();
+    let model = ModelId(2_917);
+    let owner_map = OwnerMap::fresh(model, &graph);
+    let mut offset = 0;
+    let manifest: Vec<ManifestEntry> = graph
+        .vertex_ids()
+        .flat_map(|v| graph.param_specs(v).into_iter().map(move |spec| (v, spec)))
+        .map(|(v, spec)| {
+            let len = spec.byte_len() as u64 + 64;
+            offset += len;
+            ManifestEntry {
+                key: TensorKey::new(model, v, spec.slot),
+                offset: offset - len,
+                len,
+            }
+        })
+        .collect();
+
+    let mut group = c.benchmark_group("codec");
+    macro_rules! pair {
+        ($name:literal, $ty:ty, $msg:expr) => {{
+            let msg: $ty = $msg;
+            let body = encode(&msg).unwrap();
+            group.bench_function(BenchmarkId::new("encode", $name), |b| {
+                b.iter(|| encode(criterion::black_box(&msg)).unwrap())
+            });
+            group.bench_function(BenchmarkId::new("decode", $name), |b| {
+                b.iter(|| decode::<$ty>(criterion::black_box(&body)).unwrap())
+            });
+        }};
+    }
+    pair!(
+        "lcp_batch_request",
+        LcpBatchRequest,
+        LcpBatchRequest {
+            graphs: vec![graph.clone()],
+        }
+    );
+    pair!(
+        "store_model_request",
+        StoreModelRequest,
+        StoreModelRequest {
+            model,
+            graph: graph.clone(),
+            owner_map: owner_map.clone(),
+            parent: Some(ModelId(1_004)),
+            quality: 0.734_375,
+            manifest: manifest.clone(),
+            bulk: 9_001,
+            timestamp: None,
+        }
+    );
+    pair!(
+        "model_meta_reply",
+        ModelMetaReply,
+        ModelMetaReply {
+            graph,
+            owner_map,
+            parent: Some(ModelId(1_004)),
+            quality: 0.734_375,
+            timestamp: 52_113,
+        }
+    );
+    pair!(
+        "read_tensors_reply",
+        ReadTensorsReply,
+        ReadTensorsReply {
+            manifest,
+            bulk: 9_002,
+        }
+    );
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_lcp,
@@ -387,6 +482,7 @@ criterion_group!(
     bench_record_encoding,
     bench_store_load,
     bench_collective_query,
-    bench_collective
+    bench_collective,
+    bench_codec
 );
 criterion_main!(benches);

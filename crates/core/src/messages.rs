@@ -922,10 +922,9 @@ mod tests {
     fn sync_request_raw_records_defaults_to_false() {
         // Wire compatibility: a pre-transfer-plane sync body (no
         // raw_records field) still decodes as a materialized sync.
-        let json = r#"{"model":1,"graph":{"vertices":[],"edges":[]},"owner_map":{"model":1,"owners":[]},"parent":null,"quality":0.5,"timestamp":3,"manifest":[],"bulk":0}"#;
-        if let Ok(req) = serde_json::from_str::<SyncModelRequest>(json) {
-            assert!(!req.raw_records);
-        }
+        let json = r#"{"model":1,"graph":{"vertices":[],"out_edges":[],"in_degree":[]},"owner_map":{"model":1,"vertices":[]},"parent":null,"quality":0.5,"timestamp":3,"manifest":[],"bulk":0}"#;
+        let req: SyncModelRequest = serde_json::from_str(json).expect("an old sync body decodes");
+        assert!(!req.raw_records);
     }
 
     #[test]
@@ -971,9 +970,17 @@ mod tests {
     fn store_request_timestamp_defaults_to_none() {
         // Wire compatibility: a pre-replication store body (no timestamp
         // field) still decodes, as a primary-leg request.
-        let json = r#"{"model":1,"graph":{"vertices":[],"edges":[]},"owner_map":{"model":1,"owners":[]},"parent":null,"quality":0.5,"manifest":[],"bulk":0}"#;
-        if let Ok(req) = serde_json::from_str::<StoreModelRequest>(json) {
-            assert_eq!(req.timestamp, None);
-        }
+        let json = r#"{"model":1,"graph":{"vertices":[],"out_edges":[],"in_degree":[]},"owner_map":{"model":1,"vertices":[]},"parent":null,"quality":0.5,"manifest":[],"bulk":0}"#;
+        let req: StoreModelRequest = serde_json::from_str(json).expect("an old store body decodes");
+        assert_eq!(req.timestamp, None);
+    }
+
+    #[test]
+    fn read_request_raw_records_defaults_to_false() {
+        // Wire compatibility: a pre-transfer-plane read body still decodes,
+        // as a materialized read.
+        let req: ReadTensorsRequest =
+            serde_json::from_str(r#"{"keys":[]}"#).expect("an old read body decodes");
+        assert!(!req.raw_records);
     }
 }

@@ -4,6 +4,13 @@
 //! small, debuggable, and matching the paper's JSON-serialized metadata
 //! (§5.5). The *data plane* (tensor payloads) never goes through this
 //! codec: it moves via bulk regions or hand-framed binary bodies.
+//!
+//! The codec streams: a derived message writes its JSON straight into
+//! the output buffer and reads it back through one pull parser that
+//! borrows keys and plain strings from the body, with no tree in
+//! between. A small op's encode + decode is therefore a few microseconds,
+//! not most of the op. A request body nested more than 128 deep is a
+//! decode error, so no body can exhaust a service thread's stack.
 
 use bytes::Bytes;
 use serde::de::DeserializeOwned;

@@ -48,6 +48,23 @@ if hits=$(grep -rn --include='*.rs' -e 'Metric::counter(' -e 'Metric::gauge(' \
     exit 1
 fi
 
+# The control codec streams: derived types write and read JSON with no
+# value tree between. A derive that emits `::serde::Value` again would put
+# the tree back under every control message; a workspace call to
+# `to_value(` / `from_value(` names a surface only the stand-in has, so
+# tools/check-upstream-deps.sh could no longer build against upstream.
+echo "== control codec: no value tree in the derive, no tree calls in crates/"
+if hits=$(grep -n '::serde::Value' vendor/serde_derive/src/lib.rs); then
+    echo "vendor/serde_derive emits value-tree code:" >&2
+    echo "$hits" >&2
+    exit 1
+fi
+if hits=$(grep -rnE --include='*.rs' '\b(to_value|from_value)\(' crates); then
+    echo "stand-in-only serde call under crates/:" >&2
+    echo "$hits" >&2
+    exit 1
+fi
+
 # FNV-1a is one byte per 128-bit multiply: fine for signatures and shard
 # routing, never for tensor bytes. The modules every payload byte passes
 # through hash with the lane kernel (checksum64 / ContentHash::of_bytes)
