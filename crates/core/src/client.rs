@@ -252,7 +252,8 @@ pub struct StoreOutcome {
 pub struct RetireOutcome {
     /// References dropped.
     pub refs_dropped: usize,
-    /// Tensors physically reclaimed (refcount hit zero).
+    /// Tensors physically reclaimed (refcount hit zero), including
+    /// retained delta bases their last dependent released.
     pub tensors_reclaimed: usize,
     /// Decrements that failed transiently and were parked in the
     /// client's retry queue (see

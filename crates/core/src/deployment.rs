@@ -319,8 +319,8 @@ impl Deployment {
     /// Reopen a log-backed deployment after a restart: restore every
     /// provider's catalog from its durable meta store, then rebuild the
     /// tensor reference counts by replaying all owner maps (and attached
-    /// optimizer states) across providers, and finally purge tensors
-    /// orphaned by a crash.
+    /// optimizer states) across providers and every provider's local
+    /// delta links, and finally purge tensors orphaned by a crash.
     pub fn reopen(cfg: DeploymentConfig) -> Result<Deployment, String> {
         if matches!(cfg.backend, BackendKind::Memory) {
             return Err("reopen requires a persistent (Log) backend".into());
@@ -362,7 +362,11 @@ impl Deployment {
                 }
             }
         }
+        // Plus one reference per local delta → base link.
         for s in &states {
+            for (_, base) in s.delta_links()? {
+                s.replay_ref(base)?;
+            }
             s.purge_orphan_tensors()
                 .map_err(|e| format!("purge orphans: {e}"))?;
         }
@@ -506,10 +510,11 @@ impl Deployment {
     /// Cross-provider garbage-collection audit. Replication-aware: the
     /// catalogs are deduplicated into a union (replicas of a record must
     /// agree on its timestamp and optimizer state), every referenced
-    /// tensor must be hosted — with a reference count equal to the
-    /// number of union models referencing it — on *every* member of its
-    /// owner's replica chain, and nothing may be hosted off-chain or
-    /// unreferenced.
+    /// tensor must be hosted on *every* member of its owner's replica
+    /// chain, and nothing may be hosted off-chain or unreferenced. A count
+    /// is the union models referencing the key plus the local deltas
+    /// encoded against it (replicas may differ), and every delta's base
+    /// must be hosted beside it.
     pub fn gc_audit(&self) -> Result<(), String> {
         let n = self.providers.len();
         let rep = self.replication;
@@ -550,7 +555,7 @@ impl Deployment {
                 }
             }
         }
-        // Expected global count per key (same on every hosting replica).
+        // Union models referencing each key (the same on every replica).
         let mut expected: HashMap<TensorKey, u64> = HashMap::new();
         for (_, ref_keys, opt_keys) in union.values() {
             for key in ref_keys.iter().chain(opt_keys) {
@@ -560,27 +565,37 @@ impl Deployment {
         for (i, p) in self.providers.iter().enumerate() {
             p.state.audit_tensors()?;
             let hosted: HashSet<TensorKey> = p.state.hosted_tensor_keys().into_iter().collect();
-            for (&key, &want) in &expected {
-                if !rep.is_replica(key.owner, n, i) {
-                    continue;
+            let mut dependents: HashMap<TensorKey, u64> = HashMap::new();
+            for (delta, base) in p.state.delta_links()? {
+                if !hosted.contains(&base) {
+                    return Err(format!(
+                        "delta {delta} on provider {i} is encoded against {base}, which is \
+                         not hosted there"
+                    ));
                 }
-                if !hosted.contains(&key) {
+                *dependents.entry(base).or_default() += 1;
+            }
+            for &key in expected.keys() {
+                if rep.is_replica(key.owner, n, i) && !hosted.contains(&key) {
                     return Err(format!(
                         "tensor {key} missing on replica provider {i} — run repair()"
                     ));
                 }
-                let refs = p.state.tensor_refs(key);
-                if refs != want {
-                    return Err(format!(
-                        "tensor {key} on provider {i}: refcount {refs}, but {want} models \
-                         reference it"
-                    ));
-                }
             }
             for key in hosted {
-                if !expected.contains_key(&key) {
+                let models = expected.get(&key).copied().unwrap_or(0);
+                let deltas = dependents.get(&key).copied().unwrap_or(0);
+                if models + deltas == 0 {
                     return Err(format!(
-                        "tensor {key} hosted on provider {i} but referenced by no model"
+                        "tensor {key} hosted on provider {i} but referenced by no model \
+                         and no delta"
+                    ));
+                }
+                let refs = p.state.tensor_refs(key);
+                if refs != models + deltas {
+                    return Err(format!(
+                        "tensor {key} on provider {i}: refcount {refs}, but {models} models \
+                         and {deltas} local deltas reference it"
                     ));
                 }
                 if !rep.is_replica(key.owner, n, i) {
@@ -973,8 +988,7 @@ impl Transfer<'_> {
         // Chunk negotiation is off the table (layout or granularity
         // mismatch) but the delta linkage still transfers: ship the
         // stored records verbatim over SYNC_MODEL, so a repaired derived
-        // model keeps its O(changed bytes) encoding and its reclaim
-        // fencing.
+        // model keeps its O(changed bytes) encoding.
         if has_deltas {
             return self.records(meta, keys, true).ok();
         }

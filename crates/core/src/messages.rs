@@ -183,7 +183,8 @@ impl RefsRequest {
 pub struct RefsReply {
     /// Keys applied.
     pub applied: usize,
-    /// Tensors physically reclaimed (decrement reached zero).
+    /// Tensors physically reclaimed (decrement reached zero), including
+    /// the bases reclaimed deltas released.
     pub reclaimed: usize,
 }
 
@@ -388,7 +389,8 @@ pub struct SyncModelRequest {
     /// shipped verbatim — possibly EVDL delta records — instead of
     /// materialized tensors. The receiver validates delta framing,
     /// requires each delta's base to be locally present (or part of this
-    /// same request), and registers `delta_deps` fencing on arrival.
+    /// same request), and each delta takes its reference on its base on
+    /// arrival.
     /// `default` keeps pre-transfer-plane senders decodable.
     #[serde(default)]
     pub raw_records: bool,
@@ -447,7 +449,7 @@ pub struct TransferManifestReply {
 }
 
 /// Possession probe on the *receiver*: which of these chunks (by content
-/// hash) and records (by key — delta-base fencing) it already holds.
+/// hash) and records (by key — delta bases) it already holds.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct HaveChunksRequest {
     /// Chunk content hashes to probe.
@@ -489,8 +491,8 @@ pub struct ReadChunksReply {
 /// Chunk-negotiated re-replication: install a model from transfer
 /// manifests plus only the chunks the receiver reported missing — the
 /// tensor is never materialized on either side, and delta-encoded
-/// records transfer verbatim (their `delta_deps` fencing is registered
-/// on arrival). Staleness rules are identical to [`SyncModelRequest`].
+/// records transfer verbatim (each takes its reference on its base on
+/// arrival). Staleness rules are identical to [`SyncModelRequest`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SyncChunksRequest {
     /// The model being re-replicated.
@@ -574,12 +576,15 @@ pub struct SyncRetireReply {
 }
 
 /// Set the target's hosted reference counts to the authoritative values
-/// the repair pass computed from the union catalog.
+/// the repair pass computed from the union catalog, plus the references
+/// the target's own delta records hold on their bases.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SyncRefsRequest {
-    /// `(key, count)` for every tensor this provider should host.
+    /// `(key, models referencing it)` for every tensor this provider
+    /// should host.
     pub entries: Vec<(TensorKey, u64)>,
-    /// Delete hosted tensors absent from `entries`. Only set when the
+    /// Delete hosted tensors absent from `entries` that no local delta
+    /// is encoded against. Only set when the
     /// digest broadcast reached *every* provider: with a provider
     /// unreachable, a key absent from the union may simply belong to a
     /// model whose replicas are all down, and must not be dropped.
@@ -591,7 +596,8 @@ pub struct SyncRefsRequest {
 pub struct SyncRefsReply {
     /// Hosted keys whose count was changed.
     pub adjusted: usize,
-    /// Unlisted hosted tensors deleted (`prune_unlisted`).
+    /// Hosted tensors deleted: unlisted ones (`prune_unlisted`) and the
+    /// bases they released.
     pub removed: usize,
     /// Expected keys with no stored payload here (under-replication the
     /// model-sync step should have fixed; non-zero means repair could
@@ -658,8 +664,8 @@ counter_set! {
         delta_stored: atomic sum counter "evostore_delta_stored",
         /// Delta decodes performed to serve reads (one per chain link).
         delta_reconstructs: atomic sum counter "evostore_delta_reconstructs",
-        /// Delta records rewritten back to raw bytes (base reclaimed, or a
-        /// maintenance re-base pass).
+        /// Delta records rewritten back to raw bytes by the maintenance
+        /// re-base pass (`compact_deltas`), the only re-base.
         delta_rebased: atomic sum counter "evostore_delta_rebased",
         /// Live content-addressed chunks (zero on unchunked backends).
         chunks: computed sum gauge "evostore_chunk_count",

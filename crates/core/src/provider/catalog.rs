@@ -2,13 +2,12 @@
 //! LCP and pattern queries over the published snapshot, and the durable
 //! record form the catalog recovers from.
 
-use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use bytes::Bytes;
 use evostore_graph::{lcp, ArchPattern, CompactGraph, IndexQueryStats};
-use evostore_tensor::{delta_header, is_delta, rope, ModelId, TensorKey};
+use evostore_tensor::{rope, ModelId, TensorKey};
 use rayon::prelude::*;
 
 use super::{CatalogSnapshot, ModelRecord, ProviderState};
@@ -79,7 +78,8 @@ impl ProviderState {
 
     /// Restore the catalog from the durable meta store and register every
     /// hosted tensor with a zero reference count. The deployment then
-    /// replays reference counts from *all* providers' owner maps
+    /// replays reference counts from *all* providers' owner maps and each
+    /// provider's local delta links
     /// ([`crate::deployment::Deployment::reopen`]); counts are correct
     /// only after that pass completes.
     pub fn recover_catalog(&self) -> usize {
@@ -108,28 +108,8 @@ impl ProviderState {
         });
         // Adopt hosted tensors with zero counts; the deployment replay
         // brings them up to their true values.
-        let mut hosted = Vec::new();
-        self.tensors
-            .backend()
-            .for_each_key(&mut |k| hosted.push(k.to_vec()));
-        for key in &hosted {
-            self.tensors.adopt(key);
-        }
-        // Rebuild the delta dependency index from record headers, so
-        // reclaim fencing works across restarts.
-        if self.delta.enabled {
-            let mut deps: HashMap<Vec<u8>, Vec<Vec<u8>>> = HashMap::new();
-            for key in hosted {
-                let Ok(rec) = self.tensors.get(&key) else {
-                    continue;
-                };
-                if is_delta(&rec) {
-                    if let Ok(head) = delta_header(&rec) {
-                        deps.entry(head.base_key.to_vec()).or_default().push(key);
-                    }
-                }
-            }
-            *self.delta_deps.lock() = deps;
+        for key in self.hosted_tensor_keys() {
+            self.tensors.adopt(&key.encode());
         }
         restored
     }
@@ -251,37 +231,11 @@ impl ProviderState {
         };
 
         let kv = self.kv_span("kv.put_tensors");
-        // Encoding only reads the store, so it is shared out per tensor
-        // ahead of the puts, which stay serial and in manifest order.
-        let mut deltas = match &parent_map {
-            Some(map) => par::map(&validated, region.len(), |(key, record)| {
-                self.try_delta_encode(*key, record, map)
-            }),
+        let deltas = match &parent_map {
+            Some(map) => self.encode_records(&validated, map)?,
             None => Vec::new(),
-        }
-        .into_iter();
-        let mut bytes_stored = 0u64;
-        for (key, record) in validated {
-            bytes_stored += rope::len(&record) as u64;
-            match deltas.next().flatten() {
-                Some((blob, base_enc)) => {
-                    self.tensors
-                        .put(&key.encode(), blob, 1)
-                        .map_err(|e| format!("store tensor {key}: {e}"))?;
-                    self.delta_deps
-                        .lock()
-                        .entry(base_enc)
-                        .or_default()
-                        .push(key.encode().to_vec());
-                    self.counters.delta_stored.add(1);
-                }
-                None => {
-                    self.tensors
-                        .put_segments(&key.encode(), record, 1)
-                        .map_err(|e| format!("store tensor {key}: {e}"))?;
-                }
-            }
-        }
+        };
+        let bytes_stored = self.put_records(validated, deltas)?;
         drop(kv);
 
         let timestamp = match req.timestamp {
@@ -308,6 +262,50 @@ impl ProviderState {
             timestamp,
             bytes_stored,
         })
+    }
+
+    /// Delta-encode a store's records against the parent's tensors, one
+    /// entry per record (`None`: stored raw; each `Some` holds a reference
+    /// on its base). Encoding only reads the store, so it is shared out.
+    pub(super) fn encode_records(
+        &self,
+        validated: &[(TensorKey, Vec<Bytes>)],
+        parent_map: &OwnerMap,
+    ) -> Result<Vec<Option<(Bytes, TensorKey)>>, String> {
+        let bytes = validated.iter().map(|(_, record)| rope::len(record)).sum();
+        par::map(validated, bytes, |(key, record)| {
+            self.try_delta_encode(*key, record, parent_map)
+        })
+        .into_iter()
+        .collect()
+    }
+
+    /// Put a store's records serially, in manifest order, each as its
+    /// delta where it has one. Returns the bytes the caller sent.
+    pub(super) fn put_records(
+        &self,
+        validated: Vec<(TensorKey, Vec<Bytes>)>,
+        deltas: Vec<Option<(Bytes, TensorKey)>>,
+    ) -> Result<u64, String> {
+        let mut deltas = deltas.into_iter();
+        let mut bytes_stored = 0u64;
+        for (key, record) in validated {
+            bytes_stored += rope::len(&record) as u64;
+            match deltas.next().flatten() {
+                Some((blob, _)) => {
+                    self.tensors
+                        .put(&key.encode(), blob, 1)
+                        .map_err(|e| format!("store tensor {key}: {e}"))?;
+                    self.counters.delta_stored.add(1);
+                }
+                None => {
+                    self.tensors
+                        .put_segments(&key.encode(), record, 1)
+                        .map_err(|e| format!("store tensor {key}: {e}"))?;
+                }
+            }
+        }
+        Ok(bytes_stored)
     }
 
     /// The encoded-bytes fast path behind the `GET_META` handler: build
@@ -434,7 +432,7 @@ impl ProviderState {
             record_timestamp: rec.timestamp,
             retired_at,
         });
-        self.drop_optimizer_copies(&rec);
+        self.drop_optimizer_copies(&rec)?;
         Ok(RetireMetaReply {
             owner_map: rec.owner_map.clone(),
             timestamp: rec.timestamp,
@@ -443,15 +441,13 @@ impl ProviderState {
 
     /// Drop a record's optimizer state as the record leaves the catalog:
     /// it is model-private and replica-local, so each replica reclaims its
-    /// own copy (re-basing any delta that depends on it first).
-    pub(super) fn drop_optimizer_copies(&self, rec: &ModelRecord) {
+    /// own copy through the release path.
+    pub(super) fn drop_optimizer_copies(&self, rec: &ModelRecord) -> Result<(), String> {
         for key in &rec.optimizer_keys {
-            let enc = key.encode();
-            if self.tensors.refs(&enc) == 1 {
-                let _ = self.before_reclaim(&enc);
-            }
-            let _ = self.tensors.decr(&enc);
+            self.release(*key)
+                .map_err(|e| format!("drop optimizer state: {e}"))?;
         }
+        Ok(())
     }
 
     /// Record a retirement, keeping the newest incarnation per model.

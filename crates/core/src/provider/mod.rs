@@ -350,12 +350,10 @@ pub struct ProviderState {
     meta_replies: MetaReplyCache,
     /// Parent-delta encoding policy for derived-model stores.
     delta: DeltaPolicy,
-    /// Delta dependency index: base record key → keys of the delta
-    /// records encoded directly against it. No reference counts are
-    /// taken on bases (that would break the exact-count GC audit);
-    /// instead, every reclaim path re-bases dependents to raw bytes
-    /// before the base dies. Rebuilt from record headers on recovery.
-    delta_deps: Mutex<HashMap<Vec<u8>, Vec<Vec<u8>>>>,
+    /// Held by the release path (`refs`) and by compaction's rewrites, so
+    /// no count falls, and no delta header changes, between the release
+    /// path's peek at a record and its decrement.
+    drops: Mutex<()>,
     /// Subscription matching and event delivery for this provider's
     /// catalog publications (the delivery plane).
     delivery: Arc<DeliveryHub>,
@@ -674,7 +672,7 @@ impl Provider {
             endpoint_id: endpoint.id().0,
             meta_replies: MetaReplyCache::new(),
             delta,
-            delta_deps: Mutex::new(HashMap::new()),
+            drops: Mutex::new(()),
             delivery,
             ledger: Arc::new(OpLedger::new()),
             hub_attached: obs.is_some(),

@@ -1,9 +1,9 @@
-//! Reference counts: the distributed-GC primitive (§4.1). Increments
-//! pin a new descendant's inherited tensors, decrements retire them,
-//! the refs sync installs authoritative counts during repair, and the
-//! recovery replay rebuilds counts after a restart. Every path that can
-//! drop a record fences its delta dependents first
-//! (`ProviderState::before_reclaim`).
+//! Reference counts: the distributed-GC primitive (§4.1). A record is
+//! referenced by every model whose owner map names it and by every local
+//! delta encoded against it. Increments pin, decrements retire, the refs
+//! sync installs authoritative counts during repair, and the recovery
+//! replay rebuilds counts after a restart. Every physical drop goes
+//! through the one release path, [`ProviderState::release`].
 
 use std::collections::HashMap;
 
@@ -45,6 +45,44 @@ impl RefsOpCache {
 }
 
 impl ProviderState {
+    /// The release path: drop one reference on `key`. At zero the record
+    /// is deleted and, when it was a delta, its base is released in turn
+    /// — a cascade no longer than the `u8` chain depth, since every hop
+    /// deletes a record. Returns how many records were deleted.
+    pub(super) fn release(&self, key: TensorKey) -> Result<usize, String> {
+        let _drops = self.drops.lock();
+        self.release_held(key)
+    }
+
+    /// [`ProviderState::release`] with `drops` already held.
+    pub(super) fn release_held(&self, key: TensorKey) -> Result<usize, String> {
+        let mut reclaimed = 0;
+        let mut next = Some(key);
+        while let Some(key) = next {
+            let enc = key.encode();
+            // Read the base before the last decrement deletes the record.
+            let base = match self.tensors.refs(&enc) {
+                1 => self.delta_base(key)?,
+                _ => None,
+            };
+            if self.tensors.decr(&enc).map_err(|e| format!("{key}: {e}"))? > 0 {
+                break;
+            }
+            reclaimed += 1;
+            next = base;
+        }
+        Ok(reclaimed)
+    }
+
+    /// Delete `key` whatever its count, releasing its base as the release
+    /// path does. `drops` must be held.
+    fn drop_held(&self, key: TensorKey) -> Result<usize, String> {
+        self.tensors
+            .set_refs(&key.encode(), 1)
+            .map_err(|e| format!("drop {key}: {e}"))?;
+        self.release_held(key)
+    }
+
     /// Handle reference-count increments (pinning a new descendant's
     /// inherited tensors).
     ///
@@ -77,7 +115,7 @@ impl ProviderState {
     }
 
     /// Handle reference-count decrements (model retirement); tensors whose
-    /// count reaches zero are reclaimed.
+    /// count reaches zero are reclaimed, with any base they release.
     ///
     /// Idempotent per [`RefsRequest::op_id`] (see
     /// [`ProviderState::handle_incr_refs`]) — essential here, because a
@@ -96,16 +134,7 @@ impl ProviderState {
         }
         let mut reclaimed = 0usize;
         for key in &req.keys {
-            let enc = key.encode();
-            if self.tensors.refs(&enc) == 1 {
-                self.before_reclaim(&enc)
-                    .map_err(|e| format!("decr {key}: {e}"))?;
-            }
-            match self.tensors.decr(&enc) {
-                Ok(0) => reclaimed += 1,
-                Ok(_) => {}
-                Err(e) => return Err(format!("decr {key}: {e}")),
-            }
+            reclaimed += self.release(*key).map_err(|e| format!("decr {key}: {e}"))?;
         }
         let reply = RefsReply {
             applied: req.keys.len(),
@@ -116,39 +145,42 @@ impl ProviderState {
     }
 
     /// Handle a refs sync: set every listed hosted key to its
-    /// authoritative count; optionally delete unlisted tensors (only
-    /// when the repair pass saw every provider's digest).
+    /// authoritative count — the models that name it plus the local
+    /// deltas encoded against it — and optionally delete unlisted tensors
+    /// no local delta references (only when the repair pass saw every
+    /// provider's digest).
     pub fn handle_sync_refs(&self, req: SyncRefsRequest) -> Result<SyncRefsReply, String> {
-        let mut adjusted = 0usize;
-        let mut missing = 0usize;
-        let mut listed = std::collections::HashSet::with_capacity(req.entries.len());
-        for (key, want) in &req.entries {
-            listed.insert(*key);
-            let enc = key.encode();
-            if *want == 0 {
-                let _ = self.before_reclaim(&enc);
+        let _drops = self.drops.lock();
+        // Unlisted keys count only when pruning; the rest stay untouched.
+        let mut counts: HashMap<TensorKey, u64> = HashMap::new();
+        if req.prune_unlisted {
+            counts.extend(self.hosted_tensor_keys().into_iter().map(|key| (key, 0)));
+        }
+        counts.extend(req.entries);
+        for (_, base) in self.delta_links()? {
+            if let Some(count) = counts.get_mut(&base) {
+                *count += 1;
             }
-            match self.tensors.set_refs(&enc, *want) {
-                Ok(prev) => {
-                    if prev != *want {
-                        adjusted += 1;
-                    }
-                }
+        }
+        // Every count is installed before anything is dropped: a drop
+        // releases its base, whose count must already be the true one.
+        let (mut adjusted, mut missing) = (0usize, 0usize);
+        let mut drops = Vec::new();
+        for (key, want) in counts {
+            let enc = key.encode();
+            if want == 0 && self.tensors.contains(&enc) {
+                drops.push(key);
+                continue;
+            }
+            match self.tensors.set_refs(&enc, want) {
+                Ok(prev) if prev != want => adjusted += 1,
+                Ok(_) => {}
                 Err(_) => missing += 1,
             }
         }
         let mut removed = 0usize;
-        if req.prune_unlisted {
-            for key in self.hosted_tensor_keys() {
-                if listed.contains(&key) {
-                    continue;
-                }
-                let enc = key.encode();
-                let _ = self.before_reclaim(&enc);
-                if self.tensors.set_refs(&enc, 0).is_ok() {
-                    removed += 1;
-                }
-            }
+        for key in drops {
+            removed += self.drop_held(key)?;
         }
         Ok(SyncRefsReply {
             adjusted,
@@ -157,23 +189,259 @@ impl ProviderState {
         })
     }
 
-    /// Directly bump a hosted tensor's reference count (recovery replay).
+    /// Directly bump a hosted tensor's reference count (recovery replay
+    /// of owner maps and of local delta → base links).
     pub fn replay_ref(&self, key: TensorKey) -> Result<(), String> {
         self.tensors
-            .incr_adopted(&key.encode())
+            .incr(&key.encode())
             .map_err(|e| format!("replay ref {key}: {e}"))?;
         Ok(())
     }
 
-    /// Drop tensors whose replayed reference count stayed at zero,
-    /// re-basing any deltas that depend on them first.
+    /// Drop every record whose replayed count stayed at zero, through the
+    /// release path (a dropped delta releases its base). Returns how many
+    /// records were deleted.
     pub fn purge_orphan_tensors(&self) -> Result<usize, String> {
-        let bases: Vec<Vec<u8>> = self.delta_deps.lock().keys().cloned().collect();
-        for enc in bases {
-            if self.tensors.refs(&enc) == 0 && self.tensors.contains(&enc) {
-                self.before_reclaim(&enc)?;
+        let _drops = self.drops.lock();
+        let orphans: Vec<TensorKey> = self
+            .hosted_tensor_keys()
+            .into_iter()
+            .filter(|key| self.tensors.refs(&key.encode()) == 0)
+            .collect();
+        let mut purged = 0;
+        for key in orphans {
+            purged += self.drop_held(key)?;
+        }
+        Ok(purged)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The one reclamation rule, driven through the provider's own steps:
+    //! a store's steps interleaved with its parent's retirement, replayed
+    //! in order on one thread, and `gc_audit` over delta links.
+
+    use std::collections::HashMap;
+    use std::sync::atomic::Ordering;
+    use std::sync::Arc;
+
+    use bytes::Bytes;
+    use evostore_graph::{flatten, Activation, Architecture, CompactGraph, LayerConfig, LayerKind};
+    use evostore_tensor::{is_delta, write_tensor, ModelId, TensorData, TensorKey};
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
+
+    use crate::messages::{RefsRequest, RetireMetaRequest};
+    use crate::owner_map::OwnerMap;
+    use crate::provider::{ModelRecord, ProviderState};
+    use crate::{random_tensors, Deployment, DeploymentConfig, StorePolicy};
+
+    fn seq(units: &[u32]) -> CompactGraph {
+        let mut a = Architecture::new("seq");
+        let mut prev = a.add_layer(LayerConfig::new(
+            "in",
+            LayerKind::Input {
+                shape: vec![units[0]],
+            },
+        ));
+        let mut inf = units[0];
+        for (i, &u) in units.iter().enumerate().skip(1) {
+            prev = a.chain(
+                prev,
+                LayerConfig::new(
+                    format!("d{i}"),
+                    LayerKind::Dense {
+                        in_features: inf,
+                        units: u,
+                        activation: Activation::ReLU,
+                    },
+                ),
+            );
+            inf = u;
+        }
+        flatten(&a).unwrap()
+    }
+
+    /// One provider on the chunked + delta substrate holding a parent, and
+    /// a child whose every tensor is a sparse perturbation of the
+    /// parent's at the same vertex/slot (a fresh owner map: every tensor
+    /// is the child's own).
+    struct Lineage {
+        dep: Deployment,
+        graph: CompactGraph,
+        parent: ModelId,
+        child: ModelId,
+        child_tensors: HashMap<TensorKey, TensorData>,
+    }
+
+    impl Lineage {
+        fn new() -> Lineage {
+            let dep = Deployment::new(DeploymentConfig {
+                providers: 1,
+                store_policy: StorePolicy::chunked_with_delta(),
+                ..Default::default()
+            });
+            let graph = seq(&[8, 32, 32, 8]);
+            let mut rng = ChaCha8Rng::seed_from_u64(61);
+            let (parent, child) = (ModelId(1), ModelId(2));
+            let parent_tensors = random_tensors(parent, &graph, &mut rng);
+            dep.client()
+                .store_model(
+                    graph.clone(),
+                    OwnerMap::fresh(parent, &graph),
+                    None,
+                    0.5,
+                    &parent_tensors,
+                )
+                .unwrap();
+            let child_tensors = parent_tensors
+                .iter()
+                .map(|(k, t)| {
+                    let key = TensorKey::new(child, k.vertex, k.slot);
+                    (key, t.perturbed_sparse(&mut rng, 0.05))
+                })
+                .collect();
+            Lineage {
+                dep,
+                graph,
+                parent,
+                child,
+                child_tensors,
             }
         }
-        self.tensors.purge_zero_refs().map_err(|e| e.to_string())
+
+        fn state(&self) -> Arc<ProviderState> {
+            self.dep.provider_states().remove(0)
+        }
+
+        /// The child's records, as a store's validation hands them on.
+        fn child_records(&self) -> Vec<(TensorKey, Vec<Bytes>)> {
+            let mut keys: Vec<TensorKey> = self.child_tensors.keys().copied().collect();
+            keys.sort();
+            keys.into_iter()
+                .map(|k| (k, vec![write_tensor(&self.child_tensors[&k])]))
+                .collect()
+        }
+
+        /// The parent's owner map, as the store's parent lookup reads it.
+        fn parent_map(&self, state: &ProviderState) -> OwnerMap {
+            state.catalog.read().records[&self.parent].owner_map.clone()
+        }
+
+        /// The parent's retirement as a client issues it: `RETIRE_META`,
+        /// then `DECR_REFS` over every key its owner map names.
+        fn retire_parent(&self, state: &ProviderState) {
+            let reply = state
+                .handle_retire_meta(RetireMetaRequest { model: self.parent })
+                .unwrap();
+            state
+                .handle_decr_refs(RefsRequest::new(reply.owner_map.all_tensor_keys()))
+                .unwrap();
+        }
+
+        /// The store's last step: catalog the child.
+        fn catalog_child(&self, state: &ProviderState) {
+            let record = ModelRecord {
+                graph: Arc::new(self.graph.clone()),
+                owner_map: OwnerMap::fresh(self.child, &self.graph),
+                parent: Some(self.parent),
+                quality: 0.6,
+                timestamp: state.clock.fetch_add(1, Ordering::Relaxed),
+                optimizer_keys: Vec::new(),
+            };
+            state.mutate_catalog(|c| c.insert(self.child, record));
+        }
+
+        /// The child reads back byte-identical and every count audits.
+        fn check(&self) {
+            let loaded = self.dep.client().load_model(self.child).unwrap();
+            assert_eq!(loaded.tensors, self.child_tensors);
+            self.dep.gc_audit().unwrap();
+        }
+    }
+
+    /// The race a retire used to win: it lands on the provider's other
+    /// service thread after the child's records were encoded against the
+    /// parent's tensors and before they are put. The encoder's pins keep
+    /// every base alive, as a retained base held by its one dependent.
+    #[test]
+    fn a_retire_between_encode_and_put_leaves_every_base_retained() {
+        let l = Lineage::new();
+        let state = l.state();
+        let parent_map = l.parent_map(&state);
+        let records = l.child_records();
+        let deltas = state.encode_records(&records, &parent_map).unwrap();
+        assert!(deltas.iter().any(Option::is_some), "the child encodes");
+        l.retire_parent(&state);
+        state.put_records(records, deltas).unwrap();
+        l.catalog_child(&state);
+        for (delta, base) in state.delta_links().unwrap() {
+            assert_eq!(base.owner, l.parent, "{delta}");
+            assert_eq!(state.tensor_refs(base), 1, "retained base {base}");
+        }
+        l.check();
+    }
+
+    /// The same retire landing between the parent lookup and the encoder:
+    /// every pin fails, and the child lands raw.
+    #[test]
+    fn a_retire_before_the_pin_stores_the_child_raw() {
+        let l = Lineage::new();
+        let state = l.state();
+        let parent_map = l.parent_map(&state);
+        let records = l.child_records();
+        l.retire_parent(&state);
+        let deltas = state.encode_records(&records, &parent_map).unwrap();
+        assert!(deltas.iter().all(Option::is_none));
+        state.put_records(records, deltas).unwrap();
+        l.catalog_child(&state);
+        for key in l.child_tensors.keys() {
+            assert!(!is_delta(&state.tensors.get(&key.encode()).unwrap()));
+        }
+        assert_eq!(state.hosted_tensor_keys().len(), l.child_tensors.len());
+        l.check();
+    }
+
+    /// A child stored through the client, and its parent retired: every
+    /// delta's base is retained.
+    fn retired_parent() -> (Lineage, Vec<(TensorKey, TensorKey)>) {
+        let l = Lineage::new();
+        let client = l.dep.client();
+        client
+            .store_model(
+                l.graph.clone(),
+                OwnerMap::fresh(l.child, &l.graph),
+                Some(l.parent),
+                0.6,
+                &l.child_tensors,
+            )
+            .unwrap();
+        client.retire_model(l.parent).unwrap();
+        let links = l.state().delta_links().unwrap();
+        assert!(!links.is_empty());
+        (l, links)
+    }
+
+    /// `gc_audit` counts a retained base by its local dependents.
+    #[test]
+    fn gc_audit_counts_a_retained_base_by_its_dependents() {
+        let (l, links) = retired_parent();
+        let state = l.state();
+        for (_, base) in &links {
+            let dependents = links.iter().filter(|(_, b)| b == base).count() as u64;
+            assert_eq!(state.tensor_refs(*base), dependents, "{base}");
+        }
+        l.check();
+    }
+
+    /// `gc_audit` names a base deleted under a live delta.
+    #[test]
+    fn gc_audit_names_a_base_deleted_under_a_live_delta() {
+        let (l, links) = retired_parent();
+        let (_, base) = links[0];
+        l.state().tensors.set_refs(&base.encode(), 0).unwrap();
+        let err = l.dep.gc_audit().unwrap_err();
+        assert!(err.contains(&base.to_string()), "{err}");
     }
 }

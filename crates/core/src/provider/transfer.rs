@@ -1,7 +1,8 @@
 //! Anti-entropy repair and the derivative-aware transfer plane: catalog
 //! digests, materialized and chunk-negotiated model syncs (delta records
-//! ship verbatim, fenced on arrival), chunk possession probes and reads,
-//! the delivery plane's chunk-aware fetch, and retirement syncs.
+//! ship verbatim and take their base reference on arrival), chunk
+//! possession probes and reads, the delivery plane's chunk-aware fetch,
+//! and retirement syncs.
 
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
@@ -117,7 +118,7 @@ impl ProviderState {
         }
         let checked = check()?;
         if let Some(old) = self.mutate_catalog(|c| c.remove(m.model)) {
-            self.drop_optimizer_copies(&old);
+            self.drop_optimizer_copies(&old)?;
         }
         let stored = store(checked)?;
         self.clock.fetch_max(m.timestamp + 1, Ordering::Relaxed);
@@ -134,16 +135,18 @@ impl ProviderState {
         Ok(Some(stored))
     }
 
-    /// Register a delta record installed verbatim: fence its base's
-    /// reclaim on it and count the shipment.
-    fn note_shipped_delta(&self, enc: &[u8], base_enc: &[u8]) {
-        self.delta_deps
-            .lock()
-            .entry(base_enc.to_vec())
-            .or_default()
-            .push(enc.to_vec());
-        self.counters.delta_stored.add(1);
-        self.counters.transfer_deltas_shipped.add(1);
+    /// Take the reference each delta record a shipment installed verbatim
+    /// holds on its base — after the shipment's puts, since the base may
+    /// ride in the same shipment — and count the deltas.
+    fn pin_shipped_bases(&self, bases: Vec<[u8; 16]>) -> Result<(), String> {
+        for base in bases {
+            self.tensors
+                .incr(&base)
+                .map_err(|e| format!("pin a shipped delta's base: {e}"))?;
+            self.counters.delta_stored.add(1);
+            self.counters.transfer_deltas_shipped.add(1);
+        }
+        Ok(())
     }
 
     /// Handle a model sync: install the record and its tensor payloads
@@ -212,6 +215,7 @@ impl ProviderState {
         };
         let store = |validated: Vec<(TensorKey, Vec<Bytes>, Option<DeltaHeader>)>| {
             let mut tensors_stored = 0usize;
+            let mut bases = Vec::new();
             for (key, record, delta_head) in validated {
                 // Already-present payloads keep their count: the refs sync
                 // that follows installs the authoritative values.
@@ -224,13 +228,14 @@ impl ProviderState {
                     .put_segments(&enc, record, 1)
                     .map_err(|e| format!("sync tensor {key}: {e}"))?;
                 if let Some(head) = delta_head {
-                    self.note_shipped_delta(&enc, &head.base_key);
+                    bases.push(head.base_key);
                     self.counters
                         .transfer_bytes_saved
                         .add((head.raw_len as u64).saturating_sub(record_len));
                 }
                 tensors_stored += 1;
             }
+            self.pin_shipped_bases(bases)?;
             Ok(tensors_stored)
         };
         let keys = manifest.iter().map(|e| e.key);
@@ -291,48 +296,11 @@ impl ProviderState {
             Some(s) => (true, s.chunk_size),
             None => (false, 0),
         };
-        let no_push = HashMap::new();
-        let mut records = Vec::with_capacity(req.keys.len());
-        for key in &req.keys {
-            let enc = key.encode();
-            let rec = match self.tensors.backend().chunk_listing(&enc) {
-                Some(Ok((total, hashes))) => {
-                    let wire: Vec<[u8; 16]> = hashes.iter().map(|h| h.to_bytes()).collect();
-                    let head = self.probe_chunked_framing(*key, total as u64, &wire, &no_push)?;
-                    let (delta_base, delta_depth) = delta_linkage(*key, head)?;
-                    TransferRecord {
-                        key: *key,
-                        total: total as u64,
-                        hashes: wire,
-                        delta_base,
-                        delta_depth,
-                    }
-                }
-                Some(Err(_)) => return Err(format!("tensor {key} not stored")),
-                None => {
-                    // Whole layout: no chunk negotiation, but the delta
-                    // linkage still drives the delta-preserving leg.
-                    let stored = self
-                        .tensors
-                        .get(&enc)
-                        .map_err(|_| format!("tensor {key} not stored"))?;
-                    let head = if is_delta(&stored) {
-                        Some(delta_header(&stored).map_err(|e| format!("tensor {key}: {e}"))?)
-                    } else {
-                        None
-                    };
-                    let (delta_base, delta_depth) = delta_linkage(*key, head)?;
-                    TransferRecord {
-                        key: *key,
-                        total: stored.len() as u64,
-                        hashes: Vec::new(),
-                        delta_base,
-                        delta_depth,
-                    }
-                }
-            };
-            records.push(rec);
-        }
+        let records = req
+            .keys
+            .iter()
+            .map(|key| self.transfer_record(*key))
+            .collect::<Result<Vec<_>, String>>()?;
         Ok(TransferManifestReply {
             chunked,
             chunk_size,
@@ -340,9 +308,46 @@ impl ProviderState {
         })
     }
 
+    /// One record's transfer manifest: its stored length, its chunk
+    /// hashes and its delta linkage. A chunked record is described from
+    /// its listing and head chunks alone; a whole one is fetched (no
+    /// chunk negotiation, but the linkage still drives the
+    /// delta-preserving leg).
+    pub(super) fn transfer_record(&self, key: TensorKey) -> Result<TransferRecord, String> {
+        let enc = key.encode();
+        let (total, hashes, head) = match self.tensors.backend().chunk_listing(&enc) {
+            Some(Ok((total, hashes))) => {
+                let wire: Vec<[u8; 16]> = hashes.iter().map(|h| h.to_bytes()).collect();
+                let head = self.probe_chunked_framing(key, total as u64, &wire, &HashMap::new())?;
+                (total as u64, wire, head)
+            }
+            Some(Err(_)) => return Err(format!("tensor {key} not stored")),
+            None => {
+                let stored = self
+                    .tensors
+                    .get(&enc)
+                    .map_err(|_| format!("tensor {key} not stored"))?;
+                let head = if is_delta(&stored) {
+                    Some(delta_header(&stored).map_err(|e| format!("tensor {key}: {e}"))?)
+                } else {
+                    None
+                };
+                (stored.len() as u64, Vec::new(), head)
+            }
+        };
+        let (delta_base, delta_depth) = delta_linkage(key, head)?;
+        Ok(TransferRecord {
+            key,
+            total,
+            hashes,
+            delta_base,
+            delta_depth,
+        })
+    }
+
     /// Handle a possession probe (sync target side): which of the
-    /// offered chunks — and record keys, for delta-base fencing — are
-    /// already held here.
+    /// offered chunks — and record keys, for delta bases — are already
+    /// held here.
     pub fn handle_have_chunks(&self, req: HaveChunksRequest) -> Result<HaveChunksReply, String> {
         let chunk = self.tensors.backend().chunk_stats();
         let (chunked, chunk_size) = match &chunk {
@@ -405,8 +410,8 @@ impl ProviderState {
     /// Handle a chunk-negotiated, delta-preserving model sync: install
     /// the record from transfer manifests plus only the pushed
     /// (receiver-missing) chunks. Tensors are never materialized on
-    /// either side; delta-encoded records arrive verbatim with their
-    /// reclaim fencing registered. Staleness rules match
+    /// either side; delta-encoded records arrive verbatim and take their
+    /// reference on their base. Staleness rules match
     /// [`ProviderState::handle_sync_model`]; any validation failure
     /// leaves the driver to fall back to a materialized sync.
     pub fn handle_sync_chunks(&self, req: SyncChunksRequest) -> Result<SyncChunksReply, String> {
@@ -446,7 +451,7 @@ impl ProviderState {
             // Validate every record's claimed delta linkage from its head
             // chunk — available pre-insert from the push or the local chunk
             // store — so a lying manifest can never install a delta record
-            // without its reclaim fencing.
+            // without the reference on its base.
             let incoming: std::collections::HashSet<TensorKey> =
                 records.iter().map(|r| r.key).collect();
             let mut delta_raw_len: HashMap<TensorKey, u64> = HashMap::new();
@@ -499,6 +504,7 @@ impl ProviderState {
                 let kv = self.kv_span("kv.sync_chunks");
                 let mut records_stored = 0usize;
                 let mut bytes_needed = 0u64;
+                let mut bases = Vec::new();
                 for rec in records {
                     let enc = rec.key.encode();
                     // Already-present records keep their count: the refs sync
@@ -516,7 +522,7 @@ impl ProviderState {
                         None => return Err("target store is not content-addressed".into()),
                     }
                     if let Some(base) = rec.delta_base {
-                        self.note_shipped_delta(&enc, &base.encode());
+                        bases.push(base.encode());
                     }
                     // What a materialized sync would have moved for this record:
                     // the reconstructed length for deltas, the record itself
@@ -524,6 +530,7 @@ impl ProviderState {
                     bytes_needed += delta_raw_len.get(&rec.key).copied().unwrap_or(rec.total);
                     records_stored += 1;
                 }
+                self.pin_shipped_bases(bases)?;
                 drop(kv);
                 let bytes_saved = bytes_needed.saturating_sub(moved);
                 self.counters.transfer_bytes_saved.add(bytes_saved);
@@ -632,7 +639,7 @@ impl ProviderState {
                 if let Some(rec) = self.mutate_catalog(|c| c.remove(t.model)) {
                     self.unpersist_record(t.model);
                     self.meta_replies.remove(t.model);
-                    self.drop_optimizer_copies(&rec);
+                    self.drop_optimizer_copies(&rec)?;
                     removed += 1;
                 }
             }

@@ -15,7 +15,7 @@ use evostore_graph::{
 use evostore_obs::FlightEvent;
 use evostore_rpc::{unary, BulkHandle, Method, RetryPolicy};
 use evostore_tensor::{write_tensor, ModelId, TensorData, TensorKey, BORROW_MIN_BYTES};
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 fn seq(units: &[u32]) -> CompactGraph {
@@ -190,8 +190,17 @@ fn delta_chain_roundtrips_bytewise() {
     dep.gc_audit().unwrap();
 }
 
+/// Refcount of `key` on every provider hosting it.
+fn hosted_refs(dep: &Deployment, key: TensorKey) -> Vec<u64> {
+    dep.provider_states()
+        .iter()
+        .filter(|p| p.hosted_tensor_keys().contains(&key))
+        .map(|p| p.tensor_refs(key))
+        .collect()
+}
+
 #[test]
-fn retiring_a_delta_base_rebases_dependents() {
+fn retiring_a_delta_base_retains_it_until_its_last_dependent_goes() {
     let dep = dep_with(StorePolicy::chunked_with_delta());
     let client = dep.client();
     let g = seq(&[8, 16, 16, 4]);
@@ -219,17 +228,20 @@ fn retiring_a_delta_base_rebases_dependents() {
     client
         .store_model(g.clone(), map, Some(ModelId(1)), 0.6, &new)
         .unwrap();
-    assert!(client.stats().unwrap().delta_stored > 0);
+    let links = dep.provider_states()[0].delta_links().unwrap();
+    assert!(!links.is_empty());
 
-    // Retiring the parent physically reclaims the delta's base tensor
-    // (only the child references the frozen prefix). The reclaim fence
-    // must materialize the child's delta first.
-    client.retire_model(ModelId(1)).unwrap();
+    // Retiring the parent re-bases nothing: each delta's base stays, held
+    // by the one delta encoded against it; only the retrained tensors no
+    // delta holds are reclaimed.
+    let retired = client.retire_model(ModelId(1)).unwrap();
     dep.gc_audit().unwrap();
-    assert!(
-        client.stats().unwrap().delta_rebased > 0,
-        "reclaiming a delta base must re-base its dependents"
-    );
+    assert_eq!(retired.tensors_reclaimed, new.len() - links.len());
+    assert_eq!(client.stats().unwrap().delta_rebased, 0);
+    for (delta, base) in &links {
+        assert_eq!(base.owner, ModelId(1), "{delta}");
+        assert_eq!(hosted_refs(&dep, *base), vec![1], "retained base {base}");
+    }
 
     let loaded = client.load_model(ModelId(2)).unwrap();
     for (key, tensor) in &new {
@@ -241,6 +253,13 @@ fn retiring_a_delta_base_rebases_dependents() {
             assert_eq!(&loaded.tensors[key], tensor, "prefix {key} differs");
         }
     }
+
+    // Retiring the child reclaims its own tensors, the inherited prefix
+    // and, by cascade, the retained bases.
+    let retired = client.retire_model(ModelId(2)).unwrap();
+    assert_eq!(retired.tensors_reclaimed, base_tensors.len() + links.len());
+    assert_eq!(client.stats().unwrap().tensors, 0);
+    dep.gc_audit().unwrap();
 }
 
 #[test]
@@ -299,7 +318,7 @@ fn compact_deltas_bounds_reconstruction_chains() {
 }
 
 #[test]
-fn chunked_delta_deployment_survives_reopen() {
+fn chunked_delta_deployment_survives_reopen_with_its_bases_retained() {
     let dir = std::env::temp_dir().join(format!("evostore-substrate-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let cfg = DeploymentConfig {
@@ -341,37 +360,62 @@ fn chunked_delta_deployment_survives_reopen() {
         dep.gc_audit().unwrap();
     } // dropped: "process restart"
 
-    // Session 2: chunk refcounts and the delta dependency index are
-    // rebuilt from the fanned log; both models reconstruct bytewise.
-    let dep = Deployment::reopen(cfg).expect("recovery succeeds");
+    // Session 2: chunk refcounts and the deltas' references on their
+    // bases are rebuilt from the fanned log; both models reconstruct
+    // bytewise.
+    let dep = Deployment::reopen(cfg.clone()).expect("recovery succeeds");
     let client = dep.client();
     let parent = client.load_model(ModelId(1)).unwrap();
     for (key, tensor) in &base_tensors {
         assert_eq!(&parent.tensors[key], tensor, "parent {key} differs");
     }
-    let child = client.load_model(ModelId(2)).unwrap();
-    for (key, tensor) in &new {
-        assert_eq!(&child.tensors[key], tensor, "child {key} differs");
-    }
+    let child_reads_back = |client: &evostore_core::EvoStoreClient, when: &str| {
+        let child = client.load_model(ModelId(2)).unwrap();
+        for (key, tensor) in &new {
+            assert_eq!(&child.tensors[key], tensor, "{when}: child {key} differs");
+        }
+    };
+    child_reads_back(&client, "reopened");
     dep.gc_audit().unwrap();
 
-    // The recovered dependency index still fences base reclamation.
+    // The recovered references hold the bases: retiring the parent
+    // re-bases nothing and leaves each base held by its one dependent.
+    let links = dep.provider_states()[0].delta_links().unwrap();
+    assert!(!links.is_empty());
     client.retire_model(ModelId(1)).unwrap();
     dep.gc_audit().unwrap();
-    let child = client.load_model(ModelId(2)).unwrap();
-    for (key, tensor) in &new {
-        assert_eq!(&child.tensors[key], tensor, "post-retire {key} differs");
+    assert_eq!(client.stats().unwrap().delta_rebased, 0);
+    for (_, base) in &links {
+        assert_eq!(hosted_refs(&dep, *base), vec![1], "retained base {base}");
     }
+    child_reads_back(&client, "parent retired");
+
+    // Session 3: the retained bases survive another restart.
+    drop(client);
+    drop(dep);
+    let dep = Deployment::reopen(cfg).expect("second recovery succeeds");
+    let client = dep.client();
+    child_reads_back(&client, "reopened with retained bases");
+    dep.gc_audit().unwrap();
+    for (_, base) in &links {
+        assert_eq!(hosted_refs(&dep, *base), vec![1], "recovered base {base}");
+    }
+
+    // Retiring the child takes the retained bases with it.
+    let retired = client.retire_model(ModelId(2)).unwrap();
+    assert_eq!(retired.tensors_reclaimed, base_tensors.len() + links.len());
+    assert_eq!(client.stats().unwrap().tensors, 0);
+    dep.gc_audit().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The fork side of `par::map`'s inline rule, end to end: every other
 /// test here moves tensors of a few KB, which the payload path walks
 /// inline. Two generations of 1 MiB layers on the chunked+delta
-/// substrate share out all six per-tensor loops (client serialize and
-/// decode; provider validate, delta-encode, gather + reconstruct, and
-/// the re-base under a reclaim) — and must read back the stored bytes,
-/// charge the ops' ledgers, and keep each op's spans in one tree.
+/// substrate share out all five per-tensor loops (client serialize and
+/// decode; provider validate, delta-encode, gather + reconstruct) — and
+/// must read back the stored bytes, charge the ops' ledgers, and keep
+/// each op's spans in one tree.
 #[test]
 fn forked_payload_path_roundtrips_and_attributes() {
     let dep = dep_with(StorePolicy::chunked_with_delta());
@@ -483,16 +527,16 @@ fn forked_payload_path_roundtrips_and_attributes() {
         );
     }
 
-    // Retiring the base re-bases its dependents (the sixth loop) and
-    // the child still reads back byte-identical.
+    // Retiring the base leaves its dependents as they are, and the child
+    // still reads back byte-identical through the retained bases.
     client.retire_model(ModelId(1)).unwrap();
-    assert_eq!(client.stats().unwrap().delta_rebased, deltas);
+    assert_eq!(client.stats().unwrap().delta_rebased, 0);
     dep.gc_audit().unwrap();
     let loaded = client.load_model(ModelId(2)).unwrap();
     for (key, tensor) in &expected {
         assert_eq!(
             &loaded.tensors[key], tensor,
-            "tensor {key} differs after re-base"
+            "tensor {key} differs after the base retired"
         );
     }
 }
@@ -676,8 +720,8 @@ fn borrowed_records_roundtrip_on_every_substrate() {
                 );
 
                 // The base's retirement leaves the child whole (shared
-                // layers pinned, deltas re-based), the child's leaves
-                // nothing.
+                // layers pinned, delta bases retained), the child's
+                // leaves nothing.
                 client.retire_model(ModelId(1)).unwrap();
                 dep.gc_audit().unwrap();
                 assert_eq!(
@@ -811,4 +855,161 @@ fn contiguous_and_borrowed_pushes_store_identical_bytes() {
         dep.gc_audit().unwrap();
     }
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// One step of a lineage history.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// Store an unrelated model.
+    Fresh,
+    /// Derive from the `i`-th live model, retraining its last `own`
+    /// layers as sparse perturbations (so they store as deltas).
+    Derive { i: usize, own: usize },
+    /// Retire the `i`-th live model, mid-chain bases included.
+    Retire { i: usize },
+    /// `compact_deltas(1)`.
+    Compact,
+    /// Drop the deployment and reopen it from its logs.
+    Reopen,
+}
+
+/// A live model: its id, owner map and every tensor it reads back.
+type Live = (ModelId, OwnerMap, HashMap<TensorKey, TensorData>);
+
+/// One seeded history of at most 24 steps on 2 providers holding 2
+/// replicas each in log stores, chunked with deltas. After every step
+/// every live model loads byte-identical, `gc_audit` passes, and
+/// `delta_rebased` has moved only on a compaction step. Returns how many
+/// retained bases (held by a delta, named by no live model) the steps
+/// left, summed over the steps, and how many records compaction
+/// rewrote.
+fn lineage_history(seed: u64, history: &mut Vec<Step>) -> Result<(usize, usize), String> {
+    let dir = std::env::temp_dir().join(format!("evostore-lineage-{}-{seed}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = DeploymentConfig {
+        providers: 2,
+        replication: ReplicationPolicy::new(2),
+        backend: BackendKind::Log { dir: dir.clone() },
+        store_policy: StorePolicy::chunked_with_delta(),
+        ..Default::default()
+    };
+    let g = seq(&[8, 16, 16, 4]);
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut dep = Deployment::new(cfg.clone());
+    let mut live: Vec<Live> = Vec::new();
+    let mut next_id = 1u64;
+    let mut rebased = 0u64;
+    let (mut retained, mut rewritten) = (0, 0);
+    for _ in 0..24 {
+        let step = match rng.random_range(0..10u32) {
+            _ if live.is_empty() => Step::Fresh,
+            0 | 1 => Step::Fresh,
+            2..=5 => Step::Derive {
+                i: rng.random_range(0..live.len()),
+                own: rng.random_range(1..3usize),
+            },
+            6 | 7 => Step::Retire {
+                i: rng.random_range(0..live.len()),
+            },
+            8 => Step::Compact,
+            _ => Step::Reopen,
+        };
+        history.push(step);
+        match step {
+            Step::Fresh => {
+                let model = ModelId(next_id);
+                next_id += 1;
+                let map = OwnerMap::fresh(model, &g);
+                let tensors = random_tensors(model, &g, &mut rng);
+                dep.client()
+                    .store_model(g.clone(), map.clone(), None, 0.5, &tensors)
+                    .map_err(|e| format!("store {model}: {e}"))?;
+                live.push((model, map, tensors));
+            }
+            Step::Derive { i, own } => {
+                let (parent, parent_map, mut tensors) = live[i].clone();
+                let child = ModelId(next_id);
+                next_id += 1;
+                let map = suffix_map(child, &g, &parent_map, own);
+                let prev: HashMap<(u32, u32), &TensorData> = tensors
+                    .iter()
+                    .map(|(k, t)| ((k.vertex.0, k.slot), t))
+                    .collect();
+                let new: HashMap<TensorKey, TensorData> = map
+                    .self_owned()
+                    .flat_map(|v| map.vertex(v).tensor_keys().collect::<Vec<_>>())
+                    .map(|k| {
+                        (
+                            k,
+                            prev[&(k.vertex.0, k.slot)].perturbed_sparse(&mut rng, 0.05),
+                        )
+                    })
+                    .collect();
+                dep.client()
+                    .store_model(g.clone(), map.clone(), Some(parent), 0.6, &new)
+                    .map_err(|e| format!("derive {child} from {parent}: {e}"))?;
+                tensors
+                    .retain(|k, _| !new.keys().any(|n| (n.vertex, n.slot) == (k.vertex, k.slot)));
+                tensors.extend(new);
+                live.push((child, map, tensors));
+            }
+            Step::Retire { i } => {
+                let (model, ..) = live.remove(i);
+                dep.client()
+                    .retire_model(model)
+                    .map_err(|e| format!("retire {model}: {e}"))?;
+            }
+            Step::Compact => {
+                rewritten += dep.compact_deltas(1)?;
+            }
+            Step::Reopen => {
+                drop(dep);
+                dep = Deployment::reopen(cfg.clone())?;
+                rebased = 0;
+            }
+        }
+        let client = dep.client();
+        for (model, _, tensors) in &live {
+            let loaded = client
+                .load_model(*model)
+                .map_err(|e| format!("load {model}: {e}"))?;
+            if &loaded.tensors != tensors {
+                return Err(format!("{model} does not read back byte-identical"));
+            }
+        }
+        dep.gc_audit()?;
+        for state in dep.provider_states() {
+            retained += state
+                .delta_links()?
+                .iter()
+                .filter(|(_, base)| live.iter().all(|(m, ..)| *m != base.owner))
+                .count();
+        }
+        let now: u64 = dep.stats().iter().map(|s| s.delta_rebased).sum();
+        if now != rebased && !matches!(step, Step::Compact) {
+            return Err(format!("delta_rebased moved {rebased} -> {now}"));
+        }
+        rebased = now;
+    }
+    drop(dep);
+    let _ = std::fs::remove_dir_all(&dir);
+    Ok((retained, rewritten))
+}
+
+/// The lineage model test: 16 seeded histories of fresh stores,
+/// derivations from any live model, retirements of any live model,
+/// compactions and restarts. Deterministic, with no threads or sleeps of
+/// its own; a failure prints its seed and history.
+#[test]
+fn lineage_histories_keep_every_live_model_and_every_count() {
+    let (mut retained, mut rewritten) = (0, 0);
+    for seed in 0..16 {
+        let mut history = Vec::new();
+        match lineage_history(seed, &mut history) {
+            Ok((r, w)) => (retained, rewritten) = (retained + r, rewritten + w),
+            Err(e) => panic!("seed {seed}, history {history:?}: {e}"),
+        }
+    }
+    assert!(retained > 0, "no history retained a base");
+    assert!(rewritten > 0, "no history compacted a chain");
 }

@@ -3,7 +3,7 @@
 //! materialized payloads, the materialized fallback (reached the way
 //! production reaches it: a failed negotiation leg, injected with a
 //! fault rule) converges to an identical catalog, shipped chains survive
-//! provider reopen with their reclaim fencing intact, the post-repair
+//! provider reopen with their references on their bases, the post-repair
 //! compaction hook is idempotent, and watcher chunk exchange pulls only
 //! changed chunks — or the whole release when the exchange fails.
 
@@ -21,7 +21,7 @@ use evostore_graph::{flatten, Activation, Architecture, CompactGraph, LayerConfi
 use evostore_rpc::{FaultAction, FaultPlan, FaultRule, Method};
 use evostore_tensor::{write_tensor, ModelId, TensorData, TensorKey};
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 const WAIT: Duration = Duration::from_secs(10);
@@ -379,8 +379,17 @@ fn post_repair_compaction_is_idempotent() {
     }
 }
 
+/// Refcount of `key` on every provider hosting it.
+fn hosted_refs(dep: &Deployment, key: TensorKey) -> Vec<u64> {
+    dep.provider_states()
+        .iter()
+        .filter(|p| p.hosted_tensor_keys().contains(&key))
+        .map(|p| p.tensor_refs(key))
+        .collect()
+}
+
 #[test]
-fn repaired_delta_chain_survives_reopen_with_recovered_fencing() {
+fn repaired_delta_chain_survives_reopen_with_its_base_retained() {
     let dir = std::env::temp_dir().join(format!("evostore-transfer-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let cfg = DeploymentConfig {
@@ -427,29 +436,68 @@ fn repaired_delta_chain_survives_reopen_with_recovered_fencing() {
         dep.gc_audit().unwrap();
     } // dropped: "process restart"
 
-    // Session 2: the mirror's replayed log must have recorded the
-    // delta dependency the transfer installed — retiring the base on
-    // the recovered deployment re-bases the child before reclaiming.
-    let dep = Deployment::reopen(cfg).expect("recovery succeeds");
-    let client = dep.client();
-    client.retire_model(parent).unwrap();
-    dep.gc_audit().unwrap();
-    assert!(
-        dep.stats().iter().map(|s| s.delta_rebased).sum::<u64>() > 0,
-        "recovered fencing must re-base the dependent before reclaim"
-    );
-
-    // The child survives its base's retirement bytewise — from either
-    // replica.
-    for down in [0usize, 1usize] {
-        let plan = dep.fabric().install_fault_plan(FaultPlan::new(0));
-        plan.set_down(dep.provider_ids()[down]);
-        let loaded = client.load_model(child).unwrap();
-        for (key, tensor) in &child_tensors {
-            assert_eq!(&loaded.tensors[key], tensor, "replica {down} {key} differs");
+    // The child reads back byte-identical from either replica.
+    let child_reads_back = |dep: &Deployment, when: &str| {
+        let client = dep.client();
+        for down in [0usize, 1usize] {
+            let plan = dep.fabric().install_fault_plan(FaultPlan::new(0));
+            plan.set_down(dep.provider_ids()[down]);
+            let loaded = client.load_model(child).unwrap();
+            for (key, tensor) in &child_tensors {
+                assert_eq!(
+                    &loaded.tensors[key], tensor,
+                    "{when}: replica {down} {key} differs"
+                );
+            }
+            plan.set_up(dep.provider_ids()[down]);
         }
-        plan.set_up(dep.provider_ids()[down]);
+    };
+
+    // Session 2: the mirror's replayed log recounts the reference the
+    // shipped delta holds — retiring the base on the recovered
+    // deployment re-bases nothing and leaves the base retained on both
+    // replicas, held by its one dependent on each.
+    let dep = Deployment::reopen(cfg.clone()).expect("recovery succeeds");
+    let links: Vec<_> = dep
+        .provider_states()
+        .iter()
+        .map(|p| p.delta_links().unwrap())
+        .collect();
+    assert!(
+        links.iter().all(|l| !l.is_empty()),
+        "both replicas hold deltas: {links:?}"
+    );
+    let retired = dep.client().retire_model(parent).unwrap();
+    dep.gc_audit().unwrap();
+    assert_eq!(
+        dep.stats().iter().map(|s| s.delta_rebased).sum::<u64>(),
+        0,
+        "retiring a base re-bases nothing"
+    );
+    for (_, base) in links.iter().flatten() {
+        assert_eq!(hosted_refs(&dep, *base), vec![1, 1], "retained base {base}");
     }
+    child_reads_back(&dep, "parent retired");
+
+    // Session 3: the retained bases survive another restart.
+    drop(dep);
+    let dep = Deployment::reopen(cfg).expect("second recovery succeeds");
+    dep.gc_audit().unwrap();
+    child_reads_back(&dep, "reopened");
+
+    // Retiring the child takes the retained bases with it, counted on
+    // each replica.
+    let client = dep.client();
+    let last = client.retire_model(child).unwrap();
+    let stored = 2 * parent_tensors.len();
+    assert_eq!(
+        retired.tensors_reclaimed + last.tensors_reclaimed,
+        stored + 2 * child_tensors.len(),
+        "every record of both models, on both replicas"
+    );
+    assert!(last.tensors_reclaimed > 2 * child_tensors.len(), "cascade");
+    assert_eq!(client.stats().unwrap().tensors, 0);
+    dep.gc_audit().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -534,7 +582,7 @@ fn interleaved_plane(
             }
             Step::Retire => {
                 if live.len() > 1 {
-                    let (victim, _) = live.remove(0);
+                    let (victim, _) = live.remove(rng.random_range(0..live.len()));
                     client
                         .retire_model(victim)
                         .map_err(|e| TestCaseError::fail(e.to_string()))?;

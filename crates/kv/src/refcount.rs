@@ -170,43 +170,13 @@ impl<B: KvBackend> RefCountedStore<B> {
 
     /// Register an already-present backend key with a zero reference
     /// count (crash-recovery adoption). The count becomes meaningful only
-    /// after the recovery replay re-increments it; run
-    /// [`RefCountedStore::purge_zero_refs`] afterwards to drop orphans.
+    /// after the recovery replay re-increments it ([`RefCountedStore::incr`]
+    /// accepts an adopted key); a key whose count stays at zero is an
+    /// orphan for the caller to drop.
     pub fn adopt(&self, key: &[u8]) {
         if self.backend.contains(key) {
             self.counts.lock().entry(key.into()).or_insert(0);
         }
-    }
-
-    /// Increment a key's count, permitting adopted zero-count entries
-    /// (unlike [`RefCountedStore::incr`], which requires the key to have
-    /// been stored through the wrapper).
-    pub fn incr_adopted(&self, key: &[u8]) -> Result<u64, KvError> {
-        let mut counts = self.counts.lock();
-        match counts.get_mut(key) {
-            Some(c) => {
-                *c += 1;
-                Ok(*c)
-            }
-            None => Err(KvError::NotFound),
-        }
-    }
-
-    /// Remove every adopted key whose replayed count stayed at zero
-    /// (tensors orphaned by a crash between retirement steps). Returns
-    /// how many were reclaimed.
-    pub fn purge_zero_refs(&self) -> Result<usize, KvError> {
-        let mut counts = self.counts.lock();
-        let zeroes: Vec<Box<[u8]>> = counts
-            .iter()
-            .filter(|(_, &c)| c == 0)
-            .map(|(k, _)| k.clone())
-            .collect();
-        for k in &zeroes {
-            counts.remove(k);
-            self.backend.delete(k)?;
-        }
-        Ok(zeroes.len())
     }
 
     /// Force a stored key's reference count to an absolute value — the

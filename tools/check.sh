@@ -193,6 +193,38 @@ if hits=$(awk -v plane="$plane" '
     exit 1
 fi
 
+# One reclamation rule: a delta record holds a reference on its base, and
+# every physical drop goes through the release path in provider/refs.rs.
+# The fence that re-based dependents before a base died is gone; a second
+# drop path, or a release whose error is thrown away, would compile, pass
+# every test and lose a base under a live delta again.
+echo "== one release path: no fence, no second drop path, no discarded release"
+if hits=$(grep -rnwE 'delta_deps|before_reclaim' crates); then
+    echo "the reclaim fence is back:" >&2
+    echo "$hits" >&2
+    exit 1
+fi
+release=crates/core/src/provider/refs.rs
+if hits=$(awk -v release="$release" '
+    FNR == 1 { in_test = 0; pending = 0 }
+    FILENAME == release { nextfile }
+    /^#\[cfg\(test\)\]/ { pending = 1; next }
+    pending { pending = 0; if (/\{$/) in_test = 1; else next }
+    in_test && /^}/ { in_test = 0; next }
+    in_test || /^[[:space:]]*\/\// { next }
+    /\.decr\(|\.set_refs\(|purge_zero_refs\(/ { print FILENAME ":" FNR ": " $0; found = 1 }
+    END { exit !found }
+' crates/core/src/provider/*.rs); then
+    echo "reference count dropped outside the release path ($release):" >&2
+    echo "$hits" >&2
+    exit 1
+fi
+if hits=$(grep -rnE 'let _ = .*\b(release|release_held|drop_held|drop_optimizer_copies|purge_orphan_tensors|rebase_deltas)\(' crates); then
+    echo "a release path result discarded:" >&2
+    echo "$hits" >&2
+    exit 1
+fi
+
 # With one CPU the pool has no helpers and `par::map` must be the plain
 # serial loop: the pool's own tests and one fixed-length bulk_checkpoint
 # run (the workload that forks on every op) have to finish there.
