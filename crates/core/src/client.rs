@@ -1124,13 +1124,7 @@ impl EvoStoreClient {
                             .into_iter()
                             .map(|idx| self.providers[idx])
                             .collect();
-                        let read = (
-                            chain[0],
-                            ReadTensorsRequest {
-                                keys,
-                                raw_records: false,
-                            },
-                        );
+                        let read = (chain[0], ReadTensorsRequest { keys });
                         (chain, read)
                     })
                     .unzip();

@@ -7,7 +7,9 @@ use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::time::Duration;
 
-use evostore_kv::{ChunkStats, ChunkedStore, FannedLogStore, KvBackend, LogStore, MemPoolStore};
+use evostore_kv::{
+    ChunkStats, ChunkedStore, FannedLogStore, KvBackend, LogStore, MemPoolStore, DEFAULT_CHUNK_SIZE,
+};
 use evostore_obs::ledger::install_costs;
 use evostore_obs::{
     FlightEvent, MonotonicClock, ObsHub, ObsServer, OpCosts, OpLedger, RegistrySnapshot, SloSpec,
@@ -24,7 +26,7 @@ use crate::messages::{
     TransferManifestRequest,
 };
 use crate::methods;
-use crate::policy::{ChunkingPolicy, DeltaPolicy, StorePolicy};
+use crate::policy::StorePolicy;
 use crate::provider::{Provider, ProviderState};
 use crate::records::pushed_chunks;
 use crate::replication::ReplicationPolicy;
@@ -72,9 +74,9 @@ pub struct DeploymentConfig {
     /// clock; simulations pass a virtual clock (e.g.
     /// `evostore_sim::SimClock`).
     pub clock: Option<Arc<dyn TimeSource>>,
-    /// Physical tensor-storage policy: whole records vs content-addressed
-    /// chunks, and parent-delta encoding of derived models. The default
-    /// reproduces the pre-policy layout byte for byte.
+    /// Physical tensor-storage policy: whole records, or
+    /// content-addressed chunks with parent-delta encoding of derived
+    /// models. The default reproduces the pre-policy layout byte for byte.
     pub store_policy: StorePolicy,
     /// Broadcast-tree fanout of the delivery plane: how many subscribers
     /// fetch a released model directly from the provider; the rest fetch
@@ -117,9 +119,9 @@ pub struct Deployment {
     /// Span factory for the transfer plane: every `transfer.sync_model`
     /// root carries the negotiation round-trips as child spans.
     tracer: Arc<Tracer>,
-    /// The delta policy providers were built with; bounds the
-    /// post-repair chain compaction pass.
-    delta: DeltaPolicy,
+    /// The storage policy providers were built with: picks repair's
+    /// transfer leg and bounds the post-repair chain compaction pass.
+    policy: StorePolicy,
 }
 
 /// What one [`Deployment::repair`] pass did.
@@ -174,28 +176,25 @@ impl Deployment {
         }
         fabric.set_flight_recorder(Some(obs.new_recorder("fabric", FABRIC_FLIGHT_EVENTS)));
         let clock = Arc::new(AtomicU64::new(1));
-        let chunking = cfg.store_policy.chunking;
+        let chunked = cfg.store_policy != StorePolicy::Whole;
         // Under chunking, the whole-tensor layer wraps in a
         // content-addressed chunk store; persistent tensor stores switch
         // to the fanned two-level hash-directory layout (chunk keys are
         // content hashes, so fan-out by leading key byte is uniform).
         let wrap = |b: Box<dyn KvBackend>| -> Result<Box<dyn KvBackend>, String> {
-            Ok(match chunking {
-                ChunkingPolicy::Whole => b,
-                ChunkingPolicy::Chunked { chunk_size } => Box::new(
-                    ChunkedStore::open(b, chunk_size)
-                        .map_err(|e| format!("open content-addressed chunk layer: {e}"))?,
-                ),
-            })
+            if !chunked {
+                return Ok(b);
+            }
+            let store = ChunkedStore::open(b, DEFAULT_CHUNK_SIZE)
+                .map_err(|e| format!("open content-addressed chunk layer: {e}"))?;
+            Ok(Box::new(store))
         };
         let open_tensor_log = |dir: &Path, i: usize| -> Result<Box<dyn KvBackend>, String> {
             let tensor_dir = dir.join(format!("provider-{i}/tensors"));
             let err = |e| format!("open provider {i} tensor store: {e}");
-            Ok(match chunking {
-                ChunkingPolicy::Whole => Box::new(LogStore::open(tensor_dir).map_err(err)?),
-                ChunkingPolicy::Chunked { .. } => {
-                    Box::new(FannedLogStore::open(tensor_dir).map_err(err)?)
-                }
+            Ok(match chunked {
+                false => Box::new(LogStore::open(tensor_dir).map_err(err)?),
+                true => Box::new(FannedLogStore::open(tensor_dir).map_err(err)?),
             })
         };
         let open_meta_log = |dir: &Path, i: usize| -> Result<Box<dyn KvBackend>, String> {
@@ -231,7 +230,7 @@ impl Deployment {
                 meta,
                 cfg.service_threads,
                 Some(&obs),
-                cfg.store_policy.delta,
+                cfg.store_policy,
                 cfg.deliver_fanout,
             ));
         }
@@ -266,7 +265,7 @@ impl Deployment {
             obs_server,
             ledger,
             tracer,
-            delta: cfg.store_policy.delta,
+            policy: cfg.store_policy,
         })
     }
 
@@ -631,12 +630,12 @@ impl Deployment {
         let latency_us = self.obs.clock().now_us().saturating_sub(start_us);
         self.obs.slo().record("repair", latency_us, out.is_ok());
         self.ledger.finish_op("repair", out.is_ok(), &costs);
-        // Post-repair maintenance: verbatim delta transfer re-installs
-        // chains at their stored depth, so re-base anything a prior
-        // policy (or a lowered bound) left beyond the cap. Idempotent —
-        // a healthy deployment re-bases nothing.
-        if out.is_ok() && self.delta.enabled {
-            self.compact_deltas(self.delta.max_chain_depth)
+        // Post-repair maintenance: the chunk leg re-installs delta
+        // chains at their stored depth, so re-base anything a lowered
+        // bound left beyond the cap. Idempotent — a healthy deployment
+        // re-bases nothing.
+        if let (true, Some(depth)) = (out.is_ok(), self.policy.max_chain_depth()) {
+            self.compact_deltas(depth)
                 .map_err(|e| format!("post-repair delta compaction: {e}"))?;
         }
         out
@@ -825,13 +824,14 @@ impl Deployment {
     /// the source no longer serves the payloads (lost beyond the
     /// replication factor).
     ///
-    /// This is a chunk-negotiated, delta-preserving driver: it asks the
-    /// source how the stored bytes decompose (`TRANSFER_MANIFEST`),
-    /// probes the target's possession set (`HAVE_CHUNKS`), and ships
-    /// only the missing chunks (`READ_CHUNKS` → `SYNC_CHUNKS`) — or, on
-    /// layout mismatch, the stored delta records verbatim. Any decline
-    /// or failure along the way falls back to the materialized
-    /// `SYNC_MODEL` path, which is the correctness backstop.
+    /// The deployment's [`StorePolicy`] picks the leg. Whole records ship
+    /// materialized over `SYNC_MODEL`. The chunked substrate negotiates:
+    /// it asks the source how the stored bytes decompose
+    /// (`TRANSFER_MANIFEST`), probes the target's possession set
+    /// (`HAVE_CHUNKS`), and ships only the missing chunks (`READ_CHUNKS`
+    /// → `SYNC_CHUNKS`), deltas as stored; a delta base missing on the
+    /// target, or a failed leg, falls back to the materialized
+    /// `SYNC_MODEL`, which is the correctness backstop.
     ///
     /// The whole leg is accounted as one `transfer` op in the
     /// deployment ledger and as a `transfer.sync_model` span tree whose
@@ -855,6 +855,7 @@ impl Deployment {
                 target,
                 src: self.provider_ids[source],
                 dst: self.provider_ids[target],
+                chunked: self.policy != StorePolicy::Whole,
                 retry,
                 trace: TraceHandle::new(&self.tracer, root.ctx()),
             }
@@ -884,6 +885,9 @@ struct Transfer<'a> {
     target: usize,
     src: EndpointId,
     dst: EndpointId,
+    /// The deployment stores chunks and deltas: negotiate before falling
+    /// back to materialized records.
+    chunked: bool,
     retry: &'a RetryPolicy,
     /// Attempt spans of every leg hang under the transfer's root span.
     trace: TraceHandle<'a>,
@@ -924,17 +928,18 @@ impl Transfer<'_> {
             .filter(|k| k.owner == model)
             .collect();
         keys.extend_from_slice(optimizer_keys);
-        // Anything short of a completed negotiation — declined (layout
-        // mismatch, missing delta base, whole-record source without
-        // deltas) or failed mid-flight — falls through to the
+        // Anything short of a completed negotiation — declined (missing
+        // delta base) or failed mid-flight — falls through to the
         // materialized backstop.
-        match self.negotiated(&meta, &keys) {
-            Some(done) => Ok(done),
-            None => self.records(&meta, &keys, false),
+        if self.chunked {
+            if let Some(done) = self.negotiated(&meta, &keys) {
+                return Ok(done);
+            }
         }
+        self.records(&meta, &keys)
     }
 
-    /// Try the derivative-aware path. `None` means negotiation declined
+    /// The chunked substrate's path. `None` means negotiation declined
     /// or a leg of it failed, and the caller should ship materialized
     /// payloads.
     fn negotiated(&self, meta: &ModelMetaReply, keys: &[TensorKey]) -> Option<bool> {
@@ -945,11 +950,6 @@ impl Transfer<'_> {
         let manifest = self
             .call(self.src, methods::TransferManifest, &request)
             .ok()?;
-        let has_deltas = manifest.records.iter().any(|r| r.delta_base.is_some());
-        if !manifest.chunked && !has_deltas {
-            // Whole records, no delta linkage: negotiation saves nothing.
-            return None;
-        }
         // Union of the chunk hashes to probe (dedup, source order) and
         // the delta bases that must already sit on the target (bases
         // riding along in this shipment fence themselves).
@@ -978,21 +978,11 @@ impl Transfer<'_> {
         };
         let have = self.call(self.dst, methods::HaveChunks, &probe).ok()?;
         // Every delta base must be on the target (or in this shipment),
-        // or verbatim delta transfer would strand the chain.
+        // or shipping the delta as stored would strand the chain.
         if have.have_records.iter().any(|ok| !ok) {
             return None;
         }
-        if manifest.chunked && have.chunked && have.chunk_size == manifest.chunk_size {
-            return self.chunks(meta, &manifest, &hashes, &have);
-        }
-        // Chunk negotiation is off the table (layout or granularity
-        // mismatch) but the delta linkage still transfers: ship the
-        // stored records verbatim over SYNC_MODEL, so a repaired derived
-        // model keeps its O(changed bytes) encoding.
-        if has_deltas {
-            return self.records(meta, keys, true).ok();
-        }
-        None
+        self.chunks(meta, &manifest, &hashes, &have)
     }
 
     /// Chunk-negotiated leg: pull only the chunks the target reported
@@ -1052,30 +1042,22 @@ impl Transfer<'_> {
         Some(true)
     }
 
-    /// Whole-record leg: read the records from the source and relay them
+    /// Materialized leg: read the records from the source and relay them
     /// to the target over `SYNC_MODEL` — the pulled rope is re-exposed as
     /// it is, so the manifest carries over unchanged and no byte is
-    /// copied in between. `raw` ships the *stored* bytes verbatim (EVDL
-    /// delta records included); otherwise the source materializes every
-    /// record, which is correct against any layout or policy mismatch at
-    /// O(model bytes) cost. `Ok(false)`: the source catalogs the record
-    /// but lost its payloads.
-    fn records(
-        &self,
-        meta: &ModelMetaReply,
-        keys: &[TensorKey],
-        raw: bool,
-    ) -> Result<bool, String> {
+    /// copied in between. The source materializes every record, which is
+    /// correct on either substrate at O(model bytes) cost. `Ok(false)`:
+    /// the source catalogs the record but lost its payloads.
+    fn records(&self, meta: &ModelMetaReply, keys: &[TensorKey]) -> Result<bool, String> {
         let (model, source, target) = (self.model, self.source, self.target);
         let request = ReadTensorsRequest {
             keys: keys.to_vec(),
-            raw_records: raw,
         };
         let read = match self.call(self.src, methods::Read, &request) {
             Ok(r) => r,
             // Lost payloads (e.g. a crash between legs) are reported, not
-            // failed on; only the backstop leg may conclude that.
-            Err(e) if !raw && !e.is_transient() => return Ok(false),
+            // failed on.
+            Err(e) if !e.is_transient() => return Ok(false),
             Err(e) => return Err(format!("read payloads of {model} from {source}: {e}")),
         };
         let region = self
@@ -1097,7 +1079,6 @@ impl Transfer<'_> {
                 timestamp: meta.timestamp,
                 manifest: read.manifest,
                 bulk: out.0,
-                raw_records: raw,
             },
         );
         self.fabric.bulk_release(out);
@@ -1283,6 +1264,7 @@ mod tests {
             target: 1,
             src: source.id(),
             dst: EndpointId(u32::MAX),
+            chunked: true,
             retry: &retry,
             trace: TraceHandle::new(&tracer, root.ctx()),
         };
@@ -1300,13 +1282,9 @@ mod tests {
             timestamp: 1,
         };
         let manifest = TransferManifestReply {
-            chunked: true,
-            chunk_size: 8,
             records: Vec::new(),
         };
         let have = HaveChunksReply {
-            chunked: true,
-            chunk_size: 8,
             have_chunks: vec![false],
             have_records: Vec::new(),
         };

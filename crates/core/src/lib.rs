@@ -45,7 +45,7 @@ pub use delivery::{CatalogChange, DeliveryHub};
 pub use deployment::{BackendKind, Deployment, DeploymentConfig, FABRIC_FLIGHT_EVENTS};
 pub use messages::ProviderStats;
 pub use owner_map::{OwnerMap, VertexOwner};
-pub use policy::{ChunkingPolicy, DeltaPolicy, StorePolicy};
+pub use policy::StorePolicy;
 pub use provider::{CatalogSnapshot, ModelRecord, Provider, ProviderState};
 pub use replication::ReplicationPolicy;
 pub use repository::{

@@ -78,12 +78,6 @@ pub struct ModelMetaReply {
 pub struct ReadTensorsRequest {
     /// Keys to read; every key's owner must hash to the target provider.
     pub keys: Vec<TensorKey>,
-    /// When true, return the *stored* record bytes verbatim — possibly
-    /// EVDL delta records — instead of materialized tensors. Only the
-    /// delta-preserving sync driver sets this; ordinary readers always
-    /// want materialized payloads. `default` keeps old clients decodable.
-    #[serde(default)]
-    pub raw_records: bool,
 }
 
 /// Reply: a freshly exposed bulk region + manifest. The *client* releases
@@ -385,15 +379,6 @@ pub struct SyncModelRequest {
     pub manifest: Vec<ManifestEntry>,
     /// Bulk region holding the payloads.
     pub bulk: u64,
-    /// When true, the payloads are the source's *stored* record bytes
-    /// shipped verbatim — possibly EVDL delta records — instead of
-    /// materialized tensors. The receiver validates delta framing,
-    /// requires each delta's base to be locally present (or part of this
-    /// same request), and each delta takes its reference on its base on
-    /// arrival.
-    /// `default` keeps pre-transfer-plane senders decodable.
-    #[serde(default)]
-    pub raw_records: bool,
 }
 
 /// Reply to a model sync.
@@ -409,9 +394,8 @@ pub struct SyncModelReply {
 
 /// One record's *transfer manifest*: how the stored bytes decompose into
 /// content-addressed chunks at the source, plus the record's delta
-/// linkage. `hashes` is empty when the source stores records whole; the
-/// delta fields describe the *stored* encoding (which a chunk-verbatim
-/// transfer preserves).
+/// linkage. The delta fields describe the *stored* encoding (which a
+/// chunk-verbatim transfer preserves).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TransferRecord {
     /// Which record this is.
@@ -435,15 +419,10 @@ pub struct TransferManifestRequest {
     pub keys: Vec<TensorKey>,
 }
 
-/// The source's transfer manifests.
+/// The source's transfer manifests. Only a chunked store answers; every
+/// chunked store chunks at the same granularity.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TransferManifestReply {
-    /// Whether the source stores records chunked (chunk hashes present
-    /// and usable for negotiation).
-    pub chunked: bool,
-    /// The source's chunk size; manifests transfer verbatim only between
-    /// stores chunking at the same granularity.
-    pub chunk_size: u64,
     /// One entry per requested key, in request order.
     pub records: Vec<TransferRecord>,
 }
@@ -461,10 +440,6 @@ pub struct HaveChunksRequest {
 /// The receiver's possession set.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct HaveChunksReply {
-    /// Whether the receiver can accept manifest-level chunk inserts.
-    pub chunked: bool,
-    /// The receiver's chunk size.
-    pub chunk_size: u64,
     /// `have_chunks[i]` answers `hashes[i]`.
     pub have_chunks: Vec<bool>,
     /// `have_records[i]` answers `keys[i]`.
@@ -526,35 +501,6 @@ pub struct SyncChunksReply {
     pub records_stored: usize,
     /// Chunk payload bytes the negotiation avoided shipping.
     pub bytes_saved: u64,
-}
-
-/// Chunk-negotiated tensor fetch (delivery plane): the client names the
-/// content hashes it can already source locally — typically chunks of
-/// the superseded cached version after a `NewVersionOf` event — and the
-/// provider pushes only the rest. The provider frames each *materialized*
-/// record at `chunk_size`, so this works over any storage layout.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct FetchChunksRequest {
-    /// Keys to fetch; every key's owner must hash to the target provider.
-    pub keys: Vec<TensorKey>,
-    /// Chunking granularity the client hashed at (> 0).
-    pub chunk_size: u64,
-    /// Hashes the client already holds.
-    pub have: Vec<[u8; 16]>,
-}
-
-/// Reply: per-key chunk framing plus the missing chunk payloads.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct FetchChunksReply {
-    /// Chunk framing of each materialized record, in request order (the
-    /// delta fields are unused here — materialized records are raw).
-    pub records: Vec<TransferRecord>,
-    /// Hashes pushed in the bulk region, in order.
-    pub pushed: Vec<[u8; 16]>,
-    /// Byte length of each pushed chunk.
-    pub lens: Vec<u64>,
-    /// The exposed region (the client releases it).
-    pub bulk: u64,
 }
 
 /// Spread retirements to a replica: record each tombstone, drop any
@@ -925,15 +871,6 @@ mod tests {
     }
 
     #[test]
-    fn sync_request_raw_records_defaults_to_false() {
-        // Wire compatibility: a pre-transfer-plane sync body (no
-        // raw_records field) still decodes as a materialized sync.
-        let json = r#"{"model":1,"graph":{"vertices":[],"out_edges":[],"in_degree":[]},"owner_map":{"model":1,"vertices":[]},"parent":null,"quality":0.5,"timestamp":3,"manifest":[],"bulk":0}"#;
-        let req: SyncModelRequest = serde_json::from_str(json).expect("an old sync body decodes");
-        assert!(!req.raw_records);
-    }
-
-    #[test]
     fn messages_roundtrip_json() {
         let req = RefsRequest::new(vec![TensorKey::new(
             ModelId(3),
@@ -979,14 +916,5 @@ mod tests {
         let json = r#"{"model":1,"graph":{"vertices":[],"out_edges":[],"in_degree":[]},"owner_map":{"model":1,"vertices":[]},"parent":null,"quality":0.5,"manifest":[],"bulk":0}"#;
         let req: StoreModelRequest = serde_json::from_str(json).expect("an old store body decodes");
         assert_eq!(req.timestamp, None);
-    }
-
-    #[test]
-    fn read_request_raw_records_defaults_to_false() {
-        // Wire compatibility: a pre-transfer-plane read body still decodes,
-        // as a materialized read.
-        let req: ReadTensorsRequest =
-            serde_json::from_str(r#"{"keys":[]}"#).expect("an old read body decodes");
-        assert!(!req.raw_records);
     }
 }

@@ -66,8 +66,6 @@ evostore_rpc::rpc_methods! {
     ReadChunks = "evostore.read_chunks": ReadChunksRequest => ReadChunksReply;
     /// Chunk-negotiated, delta-preserving model re-replication.
     SyncChunks = "evostore.sync_chunks": SyncChunksRequest => SyncChunksReply;
-    /// Chunk-negotiated tensor fetch (delivery-plane peer exchange).
-    FetchChunks = "evostore.fetch_chunks": FetchChunksRequest => FetchChunksReply;
     /// Register a subscription (client -> provider).
     Subscribe = "deliver.subscribe": SubscribeRequest => SubscribeReply;
     /// Drop a subscription (client -> provider).

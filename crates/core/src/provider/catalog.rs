@@ -218,7 +218,7 @@ impl ProviderState {
         // each self-owned tensor may be stored as a delta against the
         // parent's tensor at the same vertex/slot (only when the base is
         // co-located and the delta actually saves space).
-        let parent_map = if self.delta.enabled {
+        let parent_map = if self.policy.max_chain_depth().is_some() {
             req.parent.and_then(|p| {
                 self.catalog
                     .read()

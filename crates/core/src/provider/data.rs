@@ -23,10 +23,7 @@ impl ProviderState {
                 self.index
             ));
         }
-        // The delta-preserving sync driver reads *stored* record bytes
-        // verbatim — a delta record crosses the wire as the delta, never
-        // materialized.
-        let records = self.gather(&req.keys, req.raw_records, "tensor")?;
+        let records = self.gather(&req.keys, "tensor")?;
         drop(kv);
         let reply = self.expose_records(&req.keys, &records);
         evostore_obs::ledger::add_chunks_touched(reply.manifest.len() as u64);
@@ -39,24 +36,19 @@ impl ProviderState {
     /// records are taken on this thread (`get_resident`, zero copy —
     /// whether the store holds them whole, as the rope they were pushed
     /// as, or in chunks). Whatever is left — a record that needs a
-    /// copying `get` and, unless `raw`, a delta that must be reconstructed
-    /// before it leaves the provider (the reply buffer is freshly built,
-    /// so it counts as a fallback) — is shared out per tensor
+    /// copying `get` and a delta that must be reconstructed before it
+    /// leaves the provider (the reply buffer is freshly built, so it
+    /// counts as a fallback) — is shared out per tensor
     /// ([`par::map`]). The store cannot size a record without fetching it,
     /// so that call is weighed by the mean stored record.
-    fn gather(
-        &self,
-        keys: &[TensorKey],
-        raw: bool,
-        what: &str,
-    ) -> Result<Vec<(Vec<Bytes>, bool)>, String> {
+    fn gather(&self, keys: &[TensorKey], what: &str) -> Result<Vec<(Vec<Bytes>, bool)>, String> {
         let mut records = Vec::with_capacity(keys.len());
         let mut slow: Vec<(usize, Option<Vec<Bytes>>)> = Vec::new();
         for (i, key) in keys.iter().enumerate() {
             match self.tensors.get_resident(&key.encode()) {
                 // The delta sniff reads the record's first *logical*
                 // bytes: a delta held in pieces is still a delta.
-                Some(record) if raw || !is_delta_segments(&record) => records.push((record, true)),
+                Some(record) if !is_delta_segments(&record) => records.push((record, true)),
                 // `None`, or a delta already in hand to reconstruct.
                 in_hand => {
                     records.push((Vec::new(), false));
@@ -77,9 +69,6 @@ impl ProviderState {
                     .get(&key.encode())
                     .map_err(|_| format!("{what} {key} not stored"))?,
             };
-            if raw {
-                return Ok(record);
-            }
             self.materialize(record)
                 .map_err(|e| format!("{what} {key}: {e}"))
         });
@@ -231,7 +220,7 @@ impl ProviderState {
                 .ok_or_else(|| format!("model {} not found", req.model))?;
             rec.optimizer_keys.clone()
         };
-        let records = self.gather(&keys, true, "optimizer tensor")?;
+        let records = self.gather(&keys, "optimizer tensor")?;
         Ok(self.expose_records(&keys, &records))
     }
 }

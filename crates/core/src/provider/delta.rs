@@ -9,6 +9,7 @@ use evostore_tensor::{decode_delta, delta_header, encode_delta_segments, is_delt
 
 use super::ProviderState;
 use crate::owner_map::OwnerMap;
+use crate::policy::StorePolicy;
 
 impl ProviderState {
     /// Materialize the raw (EVST) bytes of a fetched record, decoding
@@ -79,12 +80,13 @@ impl ProviderState {
         if base == key || self.tensors.incr(&base_enc).is_err() {
             return Ok(None);
         }
+        let bound = self.policy.max_chain_depth().unwrap_or(0);
         let blob = self.tensors.get(&base_enc).ok().and_then(|base_rec| {
             let depth = match is_delta(&base_rec) {
                 true => delta_header(&base_rec).ok()?.depth,
                 false => 0,
             };
-            if depth >= self.delta.max_chain_depth {
+            if depth >= bound {
                 return None;
             }
             let base_raw = self.materialize(base_rec).ok()?;
@@ -99,9 +101,9 @@ impl ProviderState {
     }
 
     /// The base a stored record is a delta against: `None` for a raw
-    /// record, and always when deltas are off.
+    /// record, and always under whole records.
     pub(super) fn delta_base(&self, key: TensorKey) -> Result<Option<TensorKey>, String> {
-        if !self.delta.enabled {
+        if self.policy == StorePolicy::Whole {
             return Ok(None);
         }
         Ok(self.transfer_record(key)?.delta_base)

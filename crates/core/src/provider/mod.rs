@@ -48,7 +48,7 @@ use crate::delivery::{CatalogChange, DeliveryHub};
 use crate::messages::{GetMetaRequest, ProviderCounters, Tombstone};
 use crate::methods;
 use crate::owner_map::OwnerMap;
-use crate::policy::DeltaPolicy;
+use crate::policy::StorePolicy;
 use crate::replication::ReplicationPolicy;
 
 /// Flight-recorder ring capacity per provider (recent events kept for a
@@ -348,8 +348,9 @@ pub struct ProviderState {
     /// (model re-stored or synced) rebuilds. Sharded by model id so hot
     /// fetches of different models never serialize.
     meta_replies: MetaReplyCache,
-    /// Parent-delta encoding policy for derived-model stores.
-    delta: DeltaPolicy,
+    /// Storage policy: whether derived-model stores delta-encode, and
+    /// how deep a chain may grow.
+    policy: StorePolicy,
     /// Held by the release path (`refs`) and by compaction's rewrites, so
     /// no count falls, and no delta header changes, between the release
     /// path's peek at a record and its decrement.
@@ -571,7 +572,6 @@ impl ProviderState {
         self.serve(endpoint, HaveChunks, Self::handle_have_chunks);
         self.serve(endpoint, ReadChunks, Self::handle_read_chunks);
         self.serve(endpoint, SyncChunks, Self::handle_sync_chunks);
-        self.serve(endpoint, FetchChunks, Self::handle_fetch_chunks);
         self.serve(endpoint, SyncRetire, Self::handle_sync_retire);
         self.serve(endpoint, SyncRefs, Self::handle_sync_refs);
         self.serve(endpoint, ObsSnapshot, |s, _| Ok(s.obs_snapshot()));
@@ -615,7 +615,7 @@ impl Provider {
         meta_store: Box<dyn KvBackend>,
         service_threads: usize,
         obs: Option<&ObsHub>,
-        delta: DeltaPolicy,
+        policy: StorePolicy,
         deliver_fanout: usize,
     ) -> Provider {
         let endpoint = fabric.create_endpoint(service_threads);
@@ -671,7 +671,7 @@ impl Provider {
             tracer,
             endpoint_id: endpoint.id().0,
             meta_replies: MetaReplyCache::new(),
-            delta,
+            policy,
             drops: Mutex::new(()),
             delivery,
             ledger: Arc::new(OpLedger::new()),

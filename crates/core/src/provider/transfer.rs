@@ -1,8 +1,7 @@
 //! Anti-entropy repair and the derivative-aware transfer plane: catalog
-//! digests, materialized and chunk-negotiated model syncs (delta records
-//! ship verbatim and take their base reference on arrival), chunk
-//! possession probes and reads, the delivery plane's chunk-aware fetch,
-//! and retirement syncs.
+//! digests, materialized and chunk-negotiated model syncs (on the chunked
+//! substrate delta records ship as stored and take their base reference
+//! on arrival), chunk possession probes and reads, and retirement syncs.
 
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
@@ -11,8 +10,8 @@ use std::sync::Arc;
 use bytes::Bytes;
 use evostore_graph::CompactGraph;
 use evostore_tensor::{
-    delta_header, delta_probe_segments, is_delta, rope, validate_segments, ContentHash,
-    DeltaHeader, ModelId, TensorKey, DELTA_PROBE_LEN,
+    delta_probe_segments, validate_segments, ContentHash, DeltaHeader, ModelId, TensorKey,
+    DELTA_PROBE_LEN,
 };
 
 use super::{ModelRecord, ProviderState};
@@ -20,6 +19,9 @@ use crate::messages::*;
 use crate::owner_map::OwnerMap;
 use crate::par;
 use crate::records::{pushed_chunks, record_in};
+
+/// What a whole-record provider answers every chunk-negotiation method.
+const NOT_CHUNKED: &str = "store is not content-addressed";
 
 /// Decode a wire-form content hash (always 16 bytes).
 fn wire_hash(b: &[u8; 16]) -> ContentHash {
@@ -135,25 +137,11 @@ impl ProviderState {
         Ok(Some(stored))
     }
 
-    /// Take the reference each delta record a shipment installed verbatim
-    /// holds on its base — after the shipment's puts, since the base may
-    /// ride in the same shipment — and count the deltas.
-    fn pin_shipped_bases(&self, bases: Vec<[u8; 16]>) -> Result<(), String> {
-        for base in bases {
-            self.tensors
-                .incr(&base)
-                .map_err(|e| format!("pin a shipped delta's base: {e}"))?;
-            self.counters.delta_stored.add(1);
-            self.counters.transfer_deltas_shipped.add(1);
-        }
-        Ok(())
-    }
-
-    /// Handle a model sync: install the record and its tensor payloads
-    /// unless the local copy is already at least as new. The records ride
-    /// the same plane as a store's: pulled as a rope, each taken out with
-    /// `record_in`, checked where it lies and put as the rope it arrived
-    /// as.
+    /// Handle a materialized model sync: install the record and its
+    /// tensor payloads unless the local copy is already at least as new.
+    /// The records ride the same plane as a store's: pulled as a rope,
+    /// each taken out with `record_in`, checked where it lies and put as
+    /// the rope it arrived as.
     pub fn handle_sync_model(&self, req: SyncModelRequest) -> Result<SyncModelReply, String> {
         let SyncModelRequest {
             model,
@@ -164,7 +152,6 @@ impl ProviderState {
             timestamp,
             manifest,
             bulk,
-            raw_records,
         } = req;
         let synced = SyncedModel {
             model,
@@ -183,59 +170,26 @@ impl ProviderState {
             evostore_obs::ledger::add_bytes_in(region.len() as u64);
             par::map(manifest, region.len(), |entry| {
                 let record = record_in(entry, &region).map_err(|e| e.to_string())?;
-                let named = |e: String| format!("tensor {}: {e}", entry.key);
-                let head = match raw_records {
-                    true => delta_probe_segments(&record, rope::len(&record))
-                        .map_err(|e| named(e.to_string()))?,
-                    false => None,
-                };
-                let Some(head) = head else {
-                    validate_segments(&record).map_err(|e| named(e.to_string()))?;
-                    return Ok((entry.key, record, None));
-                };
-                // Delta-preserving leg: the payload is the source's
-                // stored EVDL record shipped verbatim. Its framing just
-                // parsed; the base must be resolvable here (already
-                // stored, or part of this same sync) — otherwise the
-                // driver must fall back to a materialized sync.
-                if !self.delta.enabled {
-                    return Err(named(
-                        "delta record shipped to a delta-disabled provider".into(),
-                    ));
-                }
-                let base_local = self.tensors.contains(&head.base_key);
-                let base_inbound = manifest.iter().any(|m| m.key.encode() == head.base_key);
-                if !base_local && !base_inbound {
-                    return Err(named("delta base not present on the target".into()));
-                }
-                Ok((entry.key, record, Some(head)))
+                validate_segments(&record).map_err(|e| format!("tensor {}: {e}", entry.key))?;
+                Ok((entry.key, record))
             })
             .into_iter()
             .collect::<Result<Vec<_>, String>>()
         };
-        let store = |validated: Vec<(TensorKey, Vec<Bytes>, Option<DeltaHeader>)>| {
+        let store = |validated: Vec<(TensorKey, Vec<Bytes>)>| {
             let mut tensors_stored = 0usize;
-            let mut bases = Vec::new();
-            for (key, record, delta_head) in validated {
+            for (key, record) in validated {
                 // Already-present payloads keep their count: the refs sync
                 // that follows installs the authoritative values.
                 let enc = key.encode();
                 if self.tensors.contains(&enc) {
                     continue;
                 }
-                let record_len = rope::len(&record) as u64;
                 self.tensors
                     .put_segments(&enc, record, 1)
                     .map_err(|e| format!("sync tensor {key}: {e}"))?;
-                if let Some(head) = delta_head {
-                    bases.push(head.base_key);
-                    self.counters
-                        .transfer_bytes_saved
-                        .add((head.raw_len as u64).saturating_sub(record_len));
-                }
                 tensors_stored += 1;
             }
-            self.pin_shipped_bases(bases)?;
             Ok(tensors_stored)
         };
         let keys = manifest.iter().map(|e| e.key);
@@ -286,59 +240,35 @@ impl ProviderState {
     /// Handle a transfer-manifest request (sync source side): describe
     /// how each record's *stored* bytes decompose into content-addressed
     /// chunks and delta linkage, without materializing anything — the
-    /// opening move of a chunk-negotiated sync.
+    /// opening move of a chunk-negotiated sync. A whole-record store has
+    /// no chunks to describe and refuses.
     pub fn handle_transfer_manifest(
         &self,
         req: TransferManifestRequest,
     ) -> Result<TransferManifestReply, String> {
-        let chunk = self.tensors.backend().chunk_stats();
-        let (chunked, chunk_size) = match &chunk {
-            Some(s) => (true, s.chunk_size),
-            None => (false, 0),
-        };
         let records = req
             .keys
             .iter()
             .map(|key| self.transfer_record(*key))
             .collect::<Result<Vec<_>, String>>()?;
-        Ok(TransferManifestReply {
-            chunked,
-            chunk_size,
-            records,
-        })
+        Ok(TransferManifestReply { records })
     }
 
-    /// One record's transfer manifest: its stored length, its chunk
-    /// hashes and its delta linkage. A chunked record is described from
-    /// its listing and head chunks alone; a whole one is fetched (no
-    /// chunk negotiation, but the linkage still drives the
-    /// delta-preserving leg).
+    /// One chunked record's transfer manifest: its stored length, its
+    /// chunk hashes and its delta linkage, described from its listing and
+    /// head chunks alone.
     pub(super) fn transfer_record(&self, key: TensorKey) -> Result<TransferRecord, String> {
-        let enc = key.encode();
-        let (total, hashes, head) = match self.tensors.backend().chunk_listing(&enc) {
-            Some(Ok((total, hashes))) => {
-                let wire: Vec<[u8; 16]> = hashes.iter().map(|h| h.to_bytes()).collect();
-                let head = self.probe_chunked_framing(key, total as u64, &wire, &HashMap::new())?;
-                (total as u64, wire, head)
-            }
+        let (total, hashes) = match self.tensors.backend().chunk_listing(&key.encode()) {
+            Some(Ok(listing)) => listing,
             Some(Err(_)) => return Err(format!("tensor {key} not stored")),
-            None => {
-                let stored = self
-                    .tensors
-                    .get(&enc)
-                    .map_err(|_| format!("tensor {key} not stored"))?;
-                let head = if is_delta(&stored) {
-                    Some(delta_header(&stored).map_err(|e| format!("tensor {key}: {e}"))?)
-                } else {
-                    None
-                };
-                (stored.len() as u64, Vec::new(), head)
-            }
+            None => return Err(NOT_CHUNKED.into()),
         };
+        let hashes: Vec<[u8; 16]> = hashes.iter().map(|h| h.to_bytes()).collect();
+        let head = self.probe_chunked_framing(key, total as u64, &hashes, &HashMap::new())?;
         let (delta_base, delta_depth) = delta_linkage(key, head)?;
         Ok(TransferRecord {
             key,
-            total,
+            total: total as u64,
             hashes,
             delta_base,
             delta_depth,
@@ -349,17 +279,12 @@ impl ProviderState {
     /// offered chunks — and record keys, for delta bases — are already
     /// held here.
     pub fn handle_have_chunks(&self, req: HaveChunksRequest) -> Result<HaveChunksReply, String> {
-        let chunk = self.tensors.backend().chunk_stats();
-        let (chunked, chunk_size) = match &chunk {
-            Some(s) => (true, s.chunk_size),
-            None => (false, 0),
-        };
         let hashes: Vec<ContentHash> = req.hashes.iter().map(wire_hash).collect();
         let have_chunks = self
             .tensors
             .backend()
             .chunk_probe(&hashes)
-            .unwrap_or_else(|| vec![false; hashes.len()]);
+            .ok_or(NOT_CHUNKED)?;
         let have_records = req
             .keys
             .iter()
@@ -372,8 +297,6 @@ impl ProviderState {
             .transfer_chunks_skipped
             .add(have_chunks.iter().filter(|b| **b).count() as u64);
         Ok(HaveChunksReply {
-            chunked,
-            chunk_size,
             have_chunks,
             have_records,
         })
@@ -390,7 +313,7 @@ impl ProviderState {
             let chunk = match self.tensors.backend().chunk_fetch(h) {
                 Some(Ok(c)) => c,
                 Some(Err(e)) => return Err(format!("chunk {:032x}: {e}", h.0)),
-                None => return Err("store is not content-addressed".into()),
+                None => return Err(NOT_CHUNKED.into()),
             };
             lens.push(chunk.len() as u64);
             segments.push(chunk);
@@ -476,12 +399,6 @@ impl ProviderState {
                         ))
                     }
                     (Some(h), Some(base)) => {
-                        if !self.delta.enabled {
-                            return Err(format!(
-                                "record {}: delta record shipped to a delta-disabled provider",
-                                rec.key
-                            ));
-                        }
                         if h.base_key != base.encode() || h.depth != rec.delta_depth {
                             return Err(format!(
                                 "record {}: manifest disagrees with the stored delta header",
@@ -519,10 +436,10 @@ impl ProviderState {
                     {
                         Some(Ok(())) => {}
                         Some(Err(e)) => return Err(format!("sync record {}: {e}", rec.key)),
-                        None => return Err("target store is not content-addressed".into()),
+                        None => return Err(NOT_CHUNKED.into()),
                     }
                     if let Some(base) = rec.delta_base {
-                        bases.push(base.encode());
+                        bases.push(base);
                     }
                     // What a materialized sync would have moved for this record:
                     // the reconstructed length for deltas, the record itself
@@ -530,7 +447,16 @@ impl ProviderState {
                     bytes_needed += delta_raw_len.get(&rec.key).copied().unwrap_or(rec.total);
                     records_stored += 1;
                 }
-                self.pin_shipped_bases(bases)?;
+                // Each delta takes its reference on its base after the
+                // shipment's puts, since the base may ride in the same
+                // shipment.
+                for base in bases {
+                    self.tensors
+                        .incr(&base.encode())
+                        .map_err(|e| format!("pin a shipped delta's base: {e}"))?;
+                    self.counters.delta_stored.add(1);
+                    self.counters.transfer_deltas_shipped.add(1);
+                }
                 drop(kv);
                 let bytes_saved = bytes_needed.saturating_sub(moved);
                 self.counters.transfer_bytes_saved.add(bytes_saved);
@@ -543,80 +469,6 @@ impl ProviderState {
             applied: installed.is_some(),
             records_stored,
             bytes_saved,
-        })
-    }
-
-    /// Handle a chunk-negotiated tensor fetch (delivery-plane peer
-    /// exchange): materialize each record, frame it at the caller's
-    /// granularity, and push only the chunks the caller does not already
-    /// hold — the chunking here is transient wire framing, so it works
-    /// over any storage layout.
-    pub fn handle_fetch_chunks(&self, req: FetchChunksRequest) -> Result<FetchChunksReply, String> {
-        if req.chunk_size == 0 {
-            return Err("chunk size must be positive".into());
-        }
-        let csize = req.chunk_size as usize;
-        let have: std::collections::HashSet<u128> =
-            req.have.iter().map(|b| wire_hash(b).0).collect();
-        let mut records = Vec::with_capacity(req.keys.len());
-        let mut pushed = Vec::new();
-        let mut lens = Vec::new();
-        let mut segments = Vec::new();
-        let mut pushed_set = std::collections::HashSet::new();
-        let (mut offered, mut skipped) = (0u64, 0u64);
-        for key in &req.keys {
-            if !self.places_here(key.owner) {
-                return Err(format!(
-                    "tensor {key} is not hosted by provider {}",
-                    self.index
-                ));
-            }
-            let raw = self
-                .resolve_record(&key.encode())
-                .map_err(|e| format!("tensor {key}: {e}"))?;
-            let mut hashes = Vec::with_capacity(raw.len().div_ceil(csize));
-            let mut at = 0usize;
-            while at < raw.len() {
-                let end = (at + csize).min(raw.len());
-                let chunk = raw.slice(at..end);
-                at = end;
-                let h = ContentHash::of_bytes(&chunk);
-                hashes.push(h.to_bytes());
-                offered += 1;
-                // Skip chunks the caller holds, and dedupe within the
-                // reply (identical chunks ship once).
-                if have.contains(&h.0) || !pushed_set.insert(h.0) {
-                    skipped += 1;
-                    continue;
-                }
-                pushed.push(h.to_bytes());
-                lens.push(chunk.len() as u64);
-                segments.push(chunk);
-            }
-            records.push(TransferRecord {
-                key: *key,
-                total: raw.len() as u64,
-                hashes,
-                delta_base: None,
-                delta_depth: 0,
-            });
-        }
-        evostore_obs::ledger::add_bytes_out(lens.iter().sum());
-        evostore_obs::ledger::add_chunks_touched(offered);
-        self.counters.transfer_chunks_offered.add(offered);
-        self.counters.transfer_chunks_skipped.add(skipped);
-        self.counters
-            .transfer_chunks_sent
-            .add(segments.len() as u64);
-        self.counters
-            .bulk_segments_exposed
-            .add(segments.len() as u64);
-        let bulk = self.fabric.bulk_expose_vec(segments);
-        Ok(FetchChunksReply {
-            records,
-            pushed,
-            lens,
-            bulk: bulk.0,
         })
     }
 

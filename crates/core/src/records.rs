@@ -12,9 +12,8 @@
 //!   [`record_in`]** — a rope of shared sub-slices, bounds-checked, never
 //!   a gather — inside its own `par::map` loop.
 //! * **Whoever the region was exposed for withdraws it.** A reply region
-//!   (`READ`, `READ_RANGE`, `LOAD_OPTIMIZER`, `READ_CHUNKS`,
-//!   `FETCH_CHUNKS`) is pulled with `Fabric::bulk_take`, which releases on
-//!   every exit. A request region (`STORE`, `STORE_OPTIMIZER`,
+//!   (`READ`, `READ_RANGE`, `LOAD_OPTIMIZER`, `READ_CHUNKS`) is pulled
+//!   with `Fabric::bulk_take`, which releases on every exit. A request region (`STORE`, `STORE_OPTIMIZER`,
 //!   `SYNC_MODEL`, `SYNC_CHUNKS`) is released by the caller that exposed
 //!   it once every leg has settled; a watcher's served region lives as
 //!   long as its cached copy.
@@ -24,8 +23,8 @@
 //!   a reader runs [`read_entry`], which decodes and hands the payload
 //!   segment to the tensor. A record that fails either is named:
 //!   `tensor <key>: <why>` provider-side, [`EvoError::Corrupt`]
-//!   reader-side. Chunk framing (`SYNC_CHUNKS`, `READ_CHUNKS` and
-//!   `FETCH_CHUNKS` bodies) is content-checked by [`pushed_chunks`].
+//!   reader-side. Chunk framing (`SYNC_CHUNKS` and `READ_CHUNKS` bodies)
+//!   is content-checked by [`pushed_chunks`].
 //!
 //! ## Allow-list
 //!
@@ -36,7 +35,6 @@
 //! lines below, which `tools/check.sh` reads (`allow: file pattern
 //! reason`):
 //!
-//! allow: crates/core/src/watch.rs write_tensor( the possession set hashes flat records cut at the exchange granularity
 //! allow: crates/core/src/provider/data.rs rope::flatten( a delta in hand is gathered to be reconstructed by `materialize`
 
 use bytes::Bytes;

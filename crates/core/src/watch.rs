@@ -30,22 +30,18 @@ use evostore_deliver::{
     EventAck, EventKind, EventPush, ModelEvent, PeerFetchReply, PeerFetchRequest, SubscribeRequest,
     SubscriptionFilter, UnsubscribeRequest,
 };
-use evostore_kv::DEFAULT_CHUNK_SIZE;
 use evostore_obs::{counter_set, current_trace, ObsHub, SloEngine, Tracer};
 use evostore_rpc::{
     unary, BulkHandle, Endpoint, EndpointId, Fabric, Method, RetryPolicy, RpcError,
 };
-use evostore_tensor::{
-    read_tensor_segments, rope, write_tensor, write_tensor_segments, ContentHash, ModelId,
-    TensorData, TensorKey,
-};
+use evostore_tensor::{rope, write_tensor_segments, ModelId, TensorData, TensorKey};
 use parking_lot::Mutex;
 
 use crate::cache::CachingClient;
 use crate::client::{EvoError, Result};
-use crate::messages::{FetchChunksRequest, ManifestEntry};
+use crate::messages::ManifestEntry;
 use crate::methods;
-use crate::records::{pack, pushed_chunks, read_entry};
+use crate::records::{pack, read_entry};
 
 /// Watcher tuning knobs.
 #[derive(Debug, Clone)]
@@ -73,13 +69,6 @@ pub struct WatchConfig {
     pub peer_poll: Duration,
     /// Polls before giving up on a parent and walking up the chain.
     pub peer_poll_attempts: usize,
-    /// Granularity the provider chunk exchange hashes at (bytes, > 0):
-    /// when a release names a parent whose tensors are still cached
-    /// (the superseded version a `NewVersionOf` watch just replaced),
-    /// the watcher hashes the cached parent bytes and pulls only the
-    /// chunks that actually changed. Must only be consistent within one
-    /// exchange; it is independent of the providers' storage chunk size.
-    pub exchange_chunk_size: usize,
 }
 
 impl Default for WatchConfig {
@@ -94,7 +83,6 @@ impl Default for WatchConfig {
             service_threads: 2,
             peer_poll: Duration::from_millis(2),
             peer_poll_attempts: 500,
-            exchange_chunk_size: DEFAULT_CHUNK_SIZE,
         }
     }
 }
@@ -151,11 +139,8 @@ counter_set! {
         peer_bytes_served: atomic sum counter "evostore_deliver_peer_bytes_served",
         /// Tensors a prefetch found already cached.
         cache_hits_on_fetch: atomic sum counter "evostore_deliver_cache_hits_on_fetch",
-        /// Provider fetches satisfied by chunk negotiation (only changed
-        /// chunks crossed the wire).
-        chunk_fetches: atomic sum counter "evostore_deliver_chunk_fetches",
-        /// Payload bytes reassembled from the superseded cached version
-        /// instead of the wire, across chunk-negotiated fetches.
+        /// Retired with the provider chunk exchange: always 0. Kept
+        /// registered until the benchmark stops reading it.
         chunk_bytes_reused: atomic sum counter "evostore_deliver_chunk_bytes_reused",
         /// Event receipt → weights cached, per prefetched release.
         time_to_weights: histogram "evostore_deliver_time_to_weights_us",
@@ -551,15 +536,8 @@ impl WatcherInner {
             for (i, &hop) in chain.iter().enumerate() {
                 let from_provider = i == last;
                 let outcome = if from_provider {
-                    // Chunk negotiation first (reuse the superseded
-                    // cached version, ship only changed chunks); the
-                    // materialized read is the backstop for any decline.
-                    if self.fetch_chunks_from_provider(ev, &missing, &mut have) {
-                        Ok(FetchSource::Provider)
-                    } else {
-                        self.fetch_from_provider(&missing, &mut have)
-                            .map(|()| FetchSource::Provider)
-                    }
+                    self.fetch_from_provider(&missing, &mut have)
+                        .map(|()| FetchSource::Provider)
                 } else {
                     self.fetch_from_peer(hop, ev.model, &missing, &mut have, &mut raw_segments)
                         .map(|()| FetchSource::Peer(hop))
@@ -586,129 +564,6 @@ impl WatcherInner {
             self.expose(ev.model, &keys, &have, &raw_segments);
         }
         Ok(source)
-    }
-
-    /// Chunk-negotiated provider fetch: hash the superseded cached
-    /// version (the release's recorded parent) into a possession set
-    /// and ask each provider to push only the chunks the watcher cannot
-    /// reassemble locally — O(changed bytes) of provider egress per
-    /// `NewVersionOf` release instead of O(model bytes). Nothing is
-    /// committed to the cache until every record reassembles and
-    /// validates; returns `false` (caller falls back to the
-    /// materialized read) when the exchange doesn't apply — no parent,
-    /// nothing cached to reuse — or any leg fails.
-    fn fetch_chunks_from_provider(
-        &self,
-        ev: &ModelEvent,
-        missing: &[TensorKey],
-        have: &mut HashMap<TensorKey, TensorData>,
-    ) -> bool {
-        if missing.is_empty() {
-            return false;
-        }
-        let Some(parent) = ev.parent else {
-            return false;
-        };
-        let csize = self.cfg.exchange_chunk_size.max(1);
-        let Ok(pmeta) = self.client.inner().get_meta(parent) else {
-            return false;
-        };
-        let (pcached, _) = self
-            .client
-            .cache()
-            .get_batch(&pmeta.owner_map.all_tensor_keys());
-        if pcached.is_empty() {
-            return false;
-        }
-        // Possession set: the superseded tensors, serialized and hashed
-        // at the exchange granularity.
-        let mut local: HashMap<u128, Bytes> = HashMap::new();
-        for t in pcached.values() {
-            let raw = write_tensor(t);
-            let mut at = 0usize;
-            while at < raw.len() {
-                let end = (at + csize).min(raw.len());
-                let chunk = raw.slice(at..end);
-                at = end;
-                local.insert(ContentHash::of_bytes(&chunk).0, chunk);
-            }
-        }
-        let have_hashes: Vec<[u8; 16]> = local.keys().map(|h| ContentHash(*h).to_bytes()).collect();
-        // One FETCH_CHUNKS per primary provider of the missing keys.
-        let n = self.client.inner().num_providers();
-        let eps = self.client.inner().provider_endpoints();
-        let rep = self.client.inner().replication();
-        let mut groups: HashMap<u32, Vec<TensorKey>> = HashMap::new();
-        for &k in missing {
-            groups
-                .entry(eps[rep.replicas(k.owner, n)[0]].0)
-                .or_default()
-                .push(k);
-        }
-        let mut staged: Vec<(TensorKey, TensorData)> = Vec::new();
-        let mut wire_bytes = 0u64;
-        let mut reused_bytes = 0u64;
-        for (ep, keys) in groups {
-            let reply = match self.call(
-                EndpointId(ep),
-                methods::FetchChunks,
-                &FetchChunksRequest {
-                    keys,
-                    chunk_size: csize as u64,
-                    have: have_hashes.clone(),
-                },
-                &self.retry,
-            ) {
-                Ok(r) => r,
-                Err(_) => return false,
-            };
-            let Ok(region) = self.fabric.bulk_take(BulkHandle(reply.bulk)) else {
-                return false;
-            };
-            // Frame and content-verify the pushed chunks.
-            let Ok(chunks) = pushed_chunks(&reply.pushed, &reply.lens, &region) else {
-                return false;
-            };
-            let pushed: HashMap<[u8; 16], Bytes> =
-                reply.pushed.iter().copied().zip(chunks).collect();
-            wire_bytes += region.len() as u64;
-            // Reassemble each record from the push + the local set — as a
-            // rope of the chunks, the decode gathers the payload — and
-            // validate it fully before staging.
-            for rec in &reply.records {
-                let mut raw = Vec::with_capacity(rec.hashes.len());
-                for hb in &rec.hashes {
-                    match (pushed.get(hb), local.get(&u128::from_le_bytes(*hb))) {
-                        (Some(chunk), _) => raw.push(chunk.clone()),
-                        (None, Some(chunk)) => {
-                            reused_bytes += chunk.len() as u64;
-                            raw.push(chunk.clone());
-                        }
-                        (None, None) => return false,
-                    }
-                }
-                if rope::len(&raw) as u64 != rec.total {
-                    return false;
-                }
-                let Ok(tensor) = read_tensor_segments(&raw) else {
-                    return false;
-                };
-                staged.push((rec.key, tensor));
-            }
-        }
-        if staged.len() != missing.len() {
-            return false;
-        }
-        // Commit: every record reassembled and validated.
-        for (key, tensor) in staged {
-            self.client.cache().put(key, tensor.clone());
-            have.insert(key, tensor);
-        }
-        self.telemetry.chunk_fetches.add(1);
-        self.telemetry.chunk_bytes_reused.add(reused_bytes);
-        self.telemetry.provider_fetches.add(1);
-        self.telemetry.provider_bytes_fetched.add(wire_bytes);
-        true
     }
 
     /// Fetch `missing` straight from the deployment (placement-routed

@@ -260,7 +260,6 @@ fn corpus() -> Vec<Case> {
             READ_REQUEST,
             ReadTensorsRequest {
                 keys: vec![key(7, 1, 0), key(3, 0, 1)],
-                raw_records: true,
             },
         ),
         case(
@@ -405,8 +404,6 @@ fn corpus() -> Vec<Case> {
             "transfer_manifest_reply",
             TRANSFER_MANIFEST_REPLY,
             TransferManifestReply {
-                chunked: true,
-                chunk_size: 4096,
                 records: vec![transfer_record()],
             },
         ),
@@ -414,8 +411,6 @@ fn corpus() -> Vec<Case> {
             "have_chunks_reply",
             HAVE_CHUNKS_REPLY,
             HaveChunksReply {
-                chunked: false,
-                chunk_size: 0,
                 have_chunks: vec![true, false],
                 have_records: vec![],
             },
@@ -577,7 +572,8 @@ const OWNER_MAP: &str = r##"{"model":7,"vertices":[{"owner":3,"owner_vertex":0,"
 const STORE_REQUEST: &str = r##"{"model":7,"graph":{"vertices":[{"config":{"name":"in","kind":{"Input":{"shape":[4,2]}}},"sig":156504843126741732561642819546282345627},{"config":{"name":"q\"b\\s/n\nr\rt\tc\u0001f\u001fü€😀","kind":{"Dense":{"in_features":8,"units":3,"activation":"GeLU"}}},"sig":233530489642929389382108615980277169898},{"config":{"name":"act","kind":{"Act":{"activation":"Tanh"}}},"sig":11301446409666449482532069974776916740},{"config":{"name":"add","kind":"Add"},"sig":279349696638550368180563159326634149307}],"out_edges":[[1],[2,3],[3],[]],"in_degree":[0,1,1,2]},"owner_map":{"model":7,"vertices":[{"owner":3,"owner_vertex":0,"slots":0},{"owner":7,"owner_vertex":1,"slots":2}]},"parent":3,"quality":0.8125,"manifest":[{"key":{"owner":7,"vertex":1,"slot":0},"offset":0,"len":120},{"key":{"owner":7,"vertex":1,"slot":1},"offset":120,"len":36}],"bulk":11,"timestamp":null}"##;
 const STORE_REPLY: &str = r##"{"timestamp":44,"bytes_stored":156}"##;
 const META_REPLY: &str = r##"{"graph":{"vertices":[{"config":{"name":"in","kind":{"Input":{"shape":[4,2]}}},"sig":156504843126741732561642819546282345627},{"config":{"name":"q\"b\\s/n\nr\rt\tc\u0001f\u001fü€😀","kind":{"Dense":{"in_features":8,"units":3,"activation":"GeLU"}}},"sig":233530489642929389382108615980277169898},{"config":{"name":"act","kind":{"Act":{"activation":"Tanh"}}},"sig":11301446409666449482532069974776916740},{"config":{"name":"add","kind":"Add"},"sig":279349696638550368180563159326634149307}],"out_edges":[[1],[2,3],[3],[]],"in_degree":[0,1,1,2]},"owner_map":{"model":7,"vertices":[{"owner":3,"owner_vertex":0,"slots":0},{"owner":7,"owner_vertex":1,"slots":2}]},"parent":null,"quality":1,"timestamp":44}"##;
-const READ_REQUEST: &str = r##"{"keys":[{"owner":7,"vertex":1,"slot":0},{"owner":3,"vertex":0,"slot":1}],"raw_records":true}"##;
+const READ_REQUEST: &str =
+    r##"{"keys":[{"owner":7,"vertex":1,"slot":0},{"owner":3,"vertex":0,"slot":1}]}"##;
 const READ_REPLY: &str = r##"{"manifest":[{"key":{"owner":7,"vertex":1,"slot":0},"offset":0,"len":120},{"key":{"owner":7,"vertex":1,"slot":1},"offset":120,"len":36}],"bulk":18446744073709551615}"##;
 const REFS_REQUEST: &str =
     r##"{"op_id":9294399986928699631,"keys":[{"owner":7,"vertex":1,"slot":0}]}"##;
@@ -591,9 +587,8 @@ const STATS_REPLY: &str = r##"{"models":2,"distinct_archs":0,"index_cone_keys":0
 const DIGEST_REPLY: &str = r##"{"provider_index":1,"models":[{"model":7,"timestamp":44,"ref_keys":[{"owner":3,"vertex":0,"slot":0},{"owner":7,"vertex":1,"slot":1}],"optimizer_keys":[]}],"tombstones":[{"model":2,"record_timestamp":5,"retired_at":9}]}"##;
 const SYNC_REFS_REQUEST: &str = r##"{"entries":[[{"owner":7,"vertex":1,"slot":0},2],[{"owner":7,"vertex":1,"slot":1},0]],"prune_unlisted":false}"##;
 const OBS_SNAPSHOT_REPLY: &str = r##"{"metrics":[{"name":"evostore_client_ops","labels":[["op","q\"b\\s/n\nr\rt\tc\u0001f\u001fü€😀"]],"value":{"Counter":12}},{"name":"evostore_provider_models","labels":[],"value":{"Gauge":2}},{"name":"evostore_load","labels":[],"value":{"Gauge":-0.375}},{"name":"evostore_client_store_us","labels":[["client","0"]],"value":{"Histogram":{"count":3,"sum_us":900,"p50_us":250,"p95_us":400,"p99_us":400,"max_us":410,"exemplars":[{"trace_id":18446744073709551615,"span_id":1,"value_us":410}]}}}]}"##;
-const TRANSFER_MANIFEST_REPLY: &str = r##"{"chunked":true,"chunk_size":4096,"records":[{"key":{"owner":7,"vertex":1,"slot":0},"total":4096,"hashes":[[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],[255,255,255,255,255,255,255,255,255,255,255,255,255,255,255,255]],"delta_base":{"owner":3,"vertex":1,"slot":0},"delta_depth":2}]}"##;
-const HAVE_CHUNKS_REPLY: &str =
-    r##"{"chunked":false,"chunk_size":0,"have_chunks":[true,false],"have_records":[]}"##;
+const TRANSFER_MANIFEST_REPLY: &str = r##"{"records":[{"key":{"owner":7,"vertex":1,"slot":0},"total":4096,"hashes":[[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],[255,255,255,255,255,255,255,255,255,255,255,255,255,255,255,255]],"delta_base":{"owner":3,"vertex":1,"slot":0},"delta_depth":2}]}"##;
+const HAVE_CHUNKS_REPLY: &str = r##"{"have_chunks":[true,false],"have_records":[]}"##;
 const SYNC_CHUNKS_REQUEST: &str = r##"{"model":7,"graph":{"vertices":[{"config":{"name":"in","kind":{"Input":{"shape":[4,2]}}},"sig":156504843126741732561642819546282345627},{"config":{"name":"q\"b\\s/n\nr\rt\tc\u0001f\u001fü€😀","kind":{"Dense":{"in_features":8,"units":3,"activation":"GeLU"}}},"sig":233530489642929389382108615980277169898},{"config":{"name":"act","kind":{"Act":{"activation":"Tanh"}}},"sig":11301446409666449482532069974776916740},{"config":{"name":"add","kind":"Add"},"sig":279349696638550368180563159326634149307}],"out_edges":[[1],[2,3],[3],[]],"in_degree":[0,1,1,2]},"owner_map":{"model":7,"vertices":[{"owner":3,"owner_vertex":0,"slots":0},{"owner":7,"owner_vertex":1,"slots":2}]},"parent":3,"quality":0.8125,"timestamp":44,"records":[{"key":{"owner":7,"vertex":1,"slot":0},"total":4096,"hashes":[[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],[255,255,255,255,255,255,255,255,255,255,255,255,255,255,255,255]],"delta_base":{"owner":3,"vertex":1,"slot":0},"delta_depth":2}],"pushed":[[7,7,7,7,7,7,7,7,7,7,7,7,7,7,7,7]],"lens":[4096],"bulk":3}"##;
 const SUBSCRIBE_REQUEST: &str =
     r##"{"filter":{"NewVersionOf":3},"subscriber":4,"queue_capacity":64,"replay_after":0}"##;

@@ -1,4 +1,4 @@
-//! The method table is the contract: its wire names are exactly the 26
+//! The method table is the contract: its wire names are exactly the 25
 //! strings deployed peers speak, every entry is answered by whoever the
 //! table says serves it, and nothing outside the table is.
 
@@ -11,7 +11,7 @@ use evostore_rpc::RpcError;
 use evostore_tensor::ModelId;
 
 /// The wire names, spelled out so a rename is a visible diff here.
-const WIRE_NAMES: [&str; 26] = [
+const WIRE_NAMES: [&str; 25] = [
     "evostore.store",
     "evostore.get_meta",
     "evostore.read",
@@ -33,7 +33,6 @@ const WIRE_NAMES: [&str; 26] = [
     "evostore.have_chunks",
     "evostore.read_chunks",
     "evostore.sync_chunks",
-    "evostore.fetch_chunks",
     "deliver.subscribe",
     "deliver.unsubscribe",
     "deliver.event",

@@ -249,37 +249,35 @@ fn providers_refuse_malformed_manifests_and_persist_nothing() {
         .map(|_| ())
     });
 
-    // SYNC_MODEL, both legs, each installing a model of its own.
-    for (model, raw_records) in [(ModelId(2), false), (ModelId(3), true)] {
-        let who = format!("SYNC_MODEL raw_records={raw_records}");
-        provider_consumer_rejects(&dep, &who, table_for(model, &mut rng), |case, bulk| {
-            let req = SyncModelRequest {
-                model,
-                graph: g.clone(),
-                owner_map: OwnerMap::fresh(model, &g),
-                parent: None,
-                quality: 0.5,
-                timestamp: 40,
-                manifest: case.manifest.clone(),
-                bulk,
-                raw_records,
-            };
-            let reply = unary(
-                &fabric,
-                provider,
-                methods::SyncModel,
-                &req,
-                &retry,
-                None,
-                None,
-            )?;
-            assert!(reply.applied && reply.tensors_stored == 2, "{who}");
-            Ok(())
-        });
-    }
+    // SYNC_MODEL, installing a model of its own.
+    let synced = ModelId(2);
+    let table = table_for(synced, &mut rng);
+    provider_consumer_rejects(&dep, "SYNC_MODEL", table, |case, bulk| {
+        let req = SyncModelRequest {
+            model: synced,
+            graph: g.clone(),
+            owner_map: OwnerMap::fresh(synced, &g),
+            parent: None,
+            quality: 0.5,
+            timestamp: 40,
+            manifest: case.manifest.clone(),
+            bulk,
+        };
+        let reply = unary(
+            &fabric,
+            provider,
+            methods::SyncModel,
+            &req,
+            &retry,
+            None,
+            None,
+        )?;
+        assert!(reply.applied && reply.tensors_stored == 2, "SYNC_MODEL");
+        Ok(())
+    });
     // Everything the accepted cases installed reads back.
     let client = dep.client();
-    for model in [1, 2, 3] {
+    for model in [1, 2] {
         assert_eq!(client.load_model(ModelId(model)).unwrap().tensors.len(), 2);
     }
     assert_eq!(client.load_optimizer_state(model).unwrap(), moments);

@@ -13,7 +13,7 @@ use evostore_graph::{
     flatten, lcp, Activation, Architecture, CompactGraph, LayerConfig, LayerKind,
 };
 use evostore_obs::FlightEvent;
-use evostore_rpc::{unary, BulkHandle, Method, RetryPolicy};
+use evostore_rpc::{unary, BulkHandle, FaultPlan, Method, RetryPolicy};
 use evostore_tensor::{write_tensor, ModelId, TensorData, TensorKey, BORROW_MIN_BYTES};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -88,7 +88,7 @@ fn finetuned(
 
 #[test]
 fn unrelated_models_share_chunks_and_retire_safely() {
-    let dep = dep_with(StorePolicy::chunked());
+    let dep = dep_with(StorePolicy::chunked_with_delta());
     let client = dep.client();
     let g = seq(&[8, 32, 32, 8]);
 
@@ -130,7 +130,7 @@ fn unrelated_models_share_chunks_and_retire_safely() {
 
 #[test]
 fn delta_chain_roundtrips_bytewise() {
-    let dep = dep_with(StorePolicy::chunked_with_delta().with_max_chain_depth(3));
+    let dep = dep_with(StorePolicy::ChunkedWithDelta { max_chain_depth: 3 });
     let client = dep.client();
     let g = seq(&[8, 16, 16, 4]);
     let mut rng = ChaCha8Rng::seed_from_u64(11);
@@ -264,7 +264,7 @@ fn retiring_a_delta_base_retains_it_until_its_last_dependent_goes() {
 
 #[test]
 fn compact_deltas_bounds_reconstruction_chains() {
-    let dep = dep_with(StorePolicy::chunked_with_delta().with_max_chain_depth(7));
+    let dep = dep_with(StorePolicy::ChunkedWithDelta { max_chain_depth: 7 });
     let client = dep.client();
     let g = seq(&[8, 16, 16, 4]);
     let mut rng = ChaCha8Rng::seed_from_u64(17);
@@ -580,10 +580,7 @@ fn borrowed_records_share_the_callers_buffer() {
         dep.fabric(),
         dep.provider_ids()[0],
         methods::Read,
-        &ReadTensorsRequest {
-            keys: keys.clone(),
-            raw_records: true,
-        },
+        &ReadTensorsRequest { keys: keys.clone() },
         &RetryPolicy::no_retry(),
         None,
         None,
@@ -636,8 +633,8 @@ fn borrowed_records_share_the_callers_buffer() {
 }
 
 /// (c): store → derive → load → retire → `gc_audit` over borrowed
-/// records on every substrate — whole, chunked and chunked + delta
-/// records, memory and log backends, one and two replicas — and, where
+/// records on both substrates — whole and chunked + delta records,
+/// memory and log backends, one and two replicas — and, where
 /// there is a log to reopen, once more after a restart.
 #[test]
 fn borrowed_records_roundtrip_on_every_substrate() {
@@ -646,7 +643,6 @@ fn borrowed_records_roundtrip_on_every_substrate() {
     let _ = std::fs::remove_dir_all(&root);
     let policies = [
         ("whole", StorePolicy::whole()),
-        ("chunked", StorePolicy::chunked()),
         ("delta", StorePolicy::chunked_with_delta()),
     ];
     for (name, policy) in policies {
@@ -778,7 +774,7 @@ fn contiguous_and_borrowed_pushes_store_identical_bytes() {
     let _ = std::fs::remove_dir_all(&root);
     for (name, policy) in [
         ("whole", StorePolicy::whole()),
-        ("chunked", StorePolicy::chunked()),
+        ("delta", StorePolicy::chunked_with_delta()),
     ] {
         let cfg = |side: &str| DeploymentConfig {
             providers: 1,
@@ -871,26 +867,36 @@ enum Step {
     Compact,
     /// Drop the deployment and reopen it from its logs.
     Reopen,
+    /// Store an unrelated model while provider 1 is down, bring it back
+    /// and `repair()`.
+    Outage,
 }
 
 /// A live model: its id, owner map and every tensor it reads back.
 type Live = (ModelId, OwnerMap, HashMap<TensorKey, TensorData>);
 
 /// One seeded history of at most 24 steps on 2 providers holding 2
-/// replicas each in log stores, chunked with deltas. After every step
-/// every live model loads byte-identical, `gc_audit` passes, and
+/// replicas each in log stores under `policy`. After every step every
+/// live model loads byte-identical, `gc_audit` passes, and
 /// `delta_rebased` has moved only on a compaction step. Returns how many
 /// retained bases (held by a delta, named by no live model) the steps
 /// left, summed over the steps, and how many records compaction
 /// rewrote.
-fn lineage_history(seed: u64, history: &mut Vec<Step>) -> Result<(usize, usize), String> {
-    let dir = std::env::temp_dir().join(format!("evostore-lineage-{}-{seed}", std::process::id()));
+fn lineage_history(
+    policy: StorePolicy,
+    seed: u64,
+    history: &mut Vec<Step>,
+) -> Result<(usize, usize), String> {
+    let dir = std::env::temp_dir().join(format!(
+        "evostore-lineage-{}-{policy:?}-{seed}",
+        std::process::id()
+    ));
     let _ = std::fs::remove_dir_all(&dir);
     let cfg = DeploymentConfig {
         providers: 2,
         replication: ReplicationPolicy::new(2),
         backend: BackendKind::Log { dir: dir.clone() },
-        store_policy: StorePolicy::chunked_with_delta(),
+        store_policy: policy,
         ..Default::default()
     };
     let g = seq(&[8, 16, 16, 4]);
@@ -901,7 +907,7 @@ fn lineage_history(seed: u64, history: &mut Vec<Step>) -> Result<(usize, usize),
     let mut rebased = 0u64;
     let (mut retained, mut rewritten) = (0, 0);
     for _ in 0..24 {
-        let step = match rng.random_range(0..10u32) {
+        let step = match rng.random_range(0..11u32) {
             _ if live.is_empty() => Step::Fresh,
             0 | 1 => Step::Fresh,
             2..=5 => Step::Derive {
@@ -912,7 +918,8 @@ fn lineage_history(seed: u64, history: &mut Vec<Step>) -> Result<(usize, usize),
                 i: rng.random_range(0..live.len()),
             },
             8 => Step::Compact,
-            _ => Step::Reopen,
+            9 => Step::Reopen,
+            _ => Step::Outage,
         };
         history.push(step);
         match step {
@@ -967,6 +974,25 @@ fn lineage_history(seed: u64, history: &mut Vec<Step>) -> Result<(usize, usize),
                 dep = Deployment::reopen(cfg.clone())?;
                 rebased = 0;
             }
+            Step::Outage => {
+                let model = ModelId(next_id);
+                next_id += 1;
+                let map = OwnerMap::fresh(model, &g);
+                let tensors = random_tensors(model, &g, &mut rng);
+                let down = dep.provider_ids()[1];
+                let plan = dep.fabric().install_fault_plan(FaultPlan::new(0));
+                plan.set_down(down);
+                let stored = dep
+                    .client()
+                    .store_model(g.clone(), map.clone(), None, 0.5, &tensors);
+                plan.set_up(down);
+                stored.map_err(|e| format!("store {model} with provider 1 down: {e}"))?;
+                let report = dep.repair()?;
+                if report.models_synced == 0 || report.missing_payloads > 0 {
+                    return Err(format!("repair after the outage: {report:?}"));
+                }
+                live.push((model, map, tensors));
+            }
         }
         let client = dep.client();
         for (model, _, tensors) in &live {
@@ -998,18 +1024,24 @@ fn lineage_history(seed: u64, history: &mut Vec<Step>) -> Result<(usize, usize),
 
 /// The lineage model test: 16 seeded histories of fresh stores,
 /// derivations from any live model, retirements of any live model,
-/// compactions and restarts. Deterministic, with no threads or sleeps of
-/// its own; a failure prints its seed and history.
+/// compactions, restarts and outages healed by repair, under both store
+/// policies — so both repair legs (materialized records, negotiated
+/// chunks) run under the same checks. Deterministic, with no threads or
+/// sleeps of its own; a failure prints its policy, seed and history.
 #[test]
 fn lineage_histories_keep_every_live_model_and_every_count() {
-    let (mut retained, mut rewritten) = (0, 0);
-    for seed in 0..16 {
-        let mut history = Vec::new();
-        match lineage_history(seed, &mut history) {
-            Ok((r, w)) => (retained, rewritten) = (retained + r, rewritten + w),
-            Err(e) => panic!("seed {seed}, history {history:?}: {e}"),
+    for policy in [StorePolicy::whole(), StorePolicy::chunked_with_delta()] {
+        let (mut retained, mut rewritten) = (0, 0);
+        for seed in 0..16 {
+            let mut history = Vec::new();
+            match lineage_history(policy, seed, &mut history) {
+                Ok((r, w)) => (retained, rewritten) = (retained + r, rewritten + w),
+                Err(e) => panic!("{policy:?}, seed {seed}, history {history:?}: {e}"),
+            }
+        }
+        if policy != StorePolicy::Whole {
+            assert!(retained > 0, "no history retained a base");
+            assert!(rewritten > 0, "no history compacted a chain");
         }
     }
-    assert!(retained > 0, "no history retained a base");
-    assert!(rewritten > 0, "no history compacted a chain");
 }

@@ -1,30 +1,27 @@
-//! End-to-end tests of the derivative-aware transfer plane: repair of
-//! derived-model churn ships chunk-negotiated deltas instead of
-//! materialized payloads, the materialized fallback (reached the way
-//! production reaches it: a failed negotiation leg, injected with a
-//! fault rule) converges to an identical catalog, shipped chains survive
-//! provider reopen with their references on their bases, the post-repair
-//! compaction hook is idempotent, and watcher chunk exchange pulls only
-//! changed chunks — or the whole release when the exchange fails.
+//! End-to-end tests of the derivative-aware transfer plane: on the
+//! chunked substrate, repair of derived-model churn ships
+//! chunk-negotiated deltas instead of materialized payloads, the
+//! materialized fallback (reached the way production reaches it: a
+//! failed negotiation leg, injected with a fault rule) converges to an
+//! identical catalog, shipped chains survive provider reopen with their
+//! references on their bases, and the post-repair compaction hook is
+//! idempotent; on whole records, repair ships materialized records
+//! without opening a negotiation.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::time::Duration;
 
-use bytes::Bytes;
+use evostore_core::messages::TransferManifestRequest;
 use evostore_core::methods;
 use evostore_core::{
-    random_tensors, BackendKind, CachingClient, Deployment, DeploymentConfig, ModelWatcher,
-    OwnerMap, ReplicationPolicy, StorePolicy, WatchConfig, WatchStats,
+    random_tensors, BackendKind, Deployment, DeploymentConfig, OwnerMap, ReplicationPolicy,
+    StorePolicy,
 };
-use evostore_deliver::{EventKind, SubscriptionFilter};
 use evostore_graph::{flatten, Activation, Architecture, CompactGraph, LayerConfig, LayerKind};
-use evostore_rpc::{FaultAction, FaultPlan, FaultRule, Method};
-use evostore_tensor::{write_tensor, ModelId, TensorData, TensorKey};
+use evostore_rpc::{unary, FaultAction, FaultPlan, FaultRule, Method, RetryPolicy, RpcError};
+use evostore_tensor::{ModelId, TensorData, TensorKey};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-
-const WAIT: Duration = Duration::from_secs(10);
 
 fn seq(units: &[u32]) -> CompactGraph {
     let mut a = Architecture::new("seq");
@@ -312,7 +309,7 @@ fn post_repair_compaction_is_idempotent() {
     let dep = Deployment::new(DeploymentConfig {
         providers: 2,
         replication: ReplicationPolicy::new(2),
-        store_policy: StorePolicy::chunked_with_delta().with_max_chain_depth(7),
+        store_policy: StorePolicy::ChunkedWithDelta { max_chain_depth: 7 },
         ..Default::default()
     });
     let client = dep.client();
@@ -632,195 +629,54 @@ proptest! {
     }
 }
 
-/// Fine-tune only the tail quarter of each tensor's bytes, so most
-/// exchange-granularity chunks stay byte-identical to the parent's.
-fn tail_tuned(
-    map: &OwnerMap,
-    parent_tensors: &HashMap<TensorKey, TensorData>,
-    rng: &mut ChaCha8Rng,
-) -> HashMap<TensorKey, TensorData> {
-    let prev = by_vertex_slot(parent_tensors);
-    map.all_tensor_keys()
-        .into_iter()
-        .map(|k| {
-            let old = &prev[&(k.vertex.0, k.slot)];
-            let fresh = TensorData::random(rng, old.dtype(), old.shape().to_vec());
-            let mut data = fresh.bytes().to_vec();
-            let keep = data.len() * 3 / 4;
-            data[..keep].copy_from_slice(&old.bytes()[..keep]);
-            let t = TensorData::from_bytes(old.dtype(), old.shape().to_vec(), Bytes::from(data))
-                .unwrap();
-            (k, t)
-        })
-        .collect()
-}
+/// Whole records take one leg: repair ships them materialized over
+/// `SYNC_MODEL` and never asks for a transfer manifest, so failing every
+/// `TRANSFER_MANIFEST` refuses no call and the mirror still converges.
+#[test]
+fn whole_record_repair_ships_materialized_records_without_negotiating() {
+    let dep = Deployment::in_memory_replicated(4, 2);
+    let client = dep.client();
+    let g = seq(&[8, 32, 32, 8]);
+    let model = models_on(1, 4).next().unwrap();
+    let tensors = random_tensors(model, &g, &mut ChaCha8Rng::seed_from_u64(5));
 
-/// What one watched release cost a `NewVersionOf` watcher.
-struct WatchedRelease {
-    /// Provider bytes the update (not the initial parent prefetch) moved.
-    update_bytes: u64,
-    /// Serialized size of the released tensors — what a materialized
-    /// fetch ships.
-    shipped: u64,
-    stats: WatchStats,
-    /// `FETCH_CHUNKS` calls the fault plan rejected.
-    faulted_calls: u64,
-    provider_chunks_offered: u64,
-    provider_chunks_skipped: u64,
-}
+    // The mirror of chain [1, 2] misses the store.
+    let mirror = dep.provider_ids()[2];
+    let outage = dep.fabric().install_fault_plan(FaultPlan::new(0));
+    outage.set_down(mirror);
+    client
+        .store_model(g.clone(), OwnerMap::fresh(model, &g), None, 0.5, &tensors)
+        .unwrap();
+    outage.set_up(mirror);
 
-/// A watcher caches a parent version, then a release that fine-tunes
-/// only the tail quarter of each tensor arrives. With `exchange_ok` the
-/// chunk exchange runs; otherwise every `FETCH_CHUNKS` call fails and
-/// the watcher must fall back to the materialized read. Either way the
-/// release is applied exactly once and caches byte-identical weights.
-fn watched_release(exchange_ok: bool) -> WatchedRelease {
-    let dep = Deployment::new(DeploymentConfig {
-        providers: 1,
-        store_policy: StorePolicy::chunked_with_delta(),
-        ..Default::default()
-    });
-    let plan = dep
-        .fabric()
-        .install_fault_plan(plane_faults(exchange_ok, methods::FetchChunks::METHOD));
-    let g = seq(&[8, 64, 64, 8]);
-    let mut rng = ChaCha8Rng::seed_from_u64(91);
-    let parent = ModelId(1);
+    let plan = dep.fabric().install_fault_plan(FaultPlan::new(0).rule(
+        FaultRule::new(FaultAction::Unavailable).on_method(methods::TransferManifest::METHOD),
+    ));
+    let report = dep.repair().unwrap();
+    assert!(report.models_synced >= 1, "{report:?}");
+    assert_eq!(report.missing_payloads, 0, "{report:?}");
+    assert_eq!(plan.stats().unavailable, 0, "repair opened a negotiation");
+    dep.gc_audit().unwrap();
 
-    let watcher = ModelWatcher::attach(
-        CachingClient::new(dep.client(), 64 << 20),
-        SubscriptionFilter::NewVersionOf(parent),
-        WatchConfig {
-            exchange_chunk_size: 512,
-            ..WatchConfig::default()
+    // The mirror serves the model byte-identical with the primary down.
+    plan.set_down(dep.provider_ids()[1]);
+    assert_eq!(client.load_model(model).unwrap().tensors, tensors);
+
+    // Asked directly, a whole-record provider refuses to describe chunks.
+    dep.fabric().install_fault_plan(FaultPlan::new(0));
+    let outcome = unary(
+        dep.fabric(),
+        mirror,
+        methods::TransferManifest,
+        &TransferManifestRequest {
+            keys: tensors.keys().copied().collect(),
         },
-        Some(dep.obs()),
-    )
-    .unwrap();
-
-    let writer = dep.client();
-    let parent_map = OwnerMap::fresh(parent, &g);
-    let parent_tensors = random_tensors(parent, &g, &mut rng);
-    writer
-        .store_model(g.clone(), parent_map.clone(), None, 0.5, &parent_tensors)
-        .unwrap();
-    let parent_keys = parent_map.all_tensor_keys();
-    assert!(
-        watcher.wait_until(WAIT, || watcher
-            .client()
-            .cache()
-            .get_batch(&parent_keys)
-            .1
-            .is_empty()),
-        "superseded version cached first"
-    );
-    // Wire bytes the initial (materialized) parent prefetch cost —
-    // subtracted out so the measurement isolates the update.
-    let parent_bytes = watcher.stats().provider_bytes_fetched;
-
-    // The new version changes only the tail quarter of each tensor.
-    let child = ModelId(2);
-    let child_map = OwnerMap::fresh(child, &g);
-    let child_tensors = tail_tuned(&child_map, &parent_tensors, &mut rng);
-    writer
-        .store_model(
-            g.clone(),
-            child_map.clone(),
-            Some(parent),
-            0.6,
-            &child_tensors,
-        )
-        .unwrap();
-
-    let child_keys = child_map.all_tensor_keys();
-    assert!(
-        watcher.wait_until(WAIT, || watcher
-            .client()
-            .cache()
-            .get_batch(&child_keys)
-            .1
-            .is_empty()),
-        "watcher caches the new version"
-    );
-    // Byte-identical weights either way the bytes moved.
-    let (hits, _) = watcher.client().cache().get_batch(&child_keys);
-    for (key, tensor) in hits {
-        assert_eq!(&tensor, &child_tensors[&key], "{key} differs");
-    }
-    // Exactly once: one store event per model, no gap, no duplicate.
-    assert!(watcher.wait_until(WAIT, || watcher.applied().len() == 2));
-    let applied = watcher.applied();
-    assert_eq!(
-        applied
-            .iter()
-            .map(|e| (e.model, e.kind))
-            .collect::<Vec<_>>(),
-        vec![(parent, EventKind::Stored), (child, EventKind::Stored)]
-    );
-    assert!(watcher.take_errors().is_empty());
-
-    let stats = watcher.stats();
-    assert_eq!(stats.gaps, 0, "{stats:?}");
-    let provider = writer.stats().unwrap();
-    WatchedRelease {
-        update_bytes: stats.provider_bytes_fetched - parent_bytes,
-        shipped: child_tensors
-            .values()
-            .map(|t| write_tensor(t).len() as u64)
-            .sum(),
-        stats,
-        faulted_calls: plan.stats().unavailable,
-        provider_chunks_offered: provider.transfer_chunks_offered,
-        provider_chunks_skipped: provider.transfer_chunks_skipped,
-    }
-}
-
-#[test]
-fn watcher_chunk_exchange_pulls_only_changed_chunks() {
-    let r = watched_release(true);
-    assert_eq!(r.faulted_calls, 0);
-
-    // The watcher reassembled the release from its cached superseded
-    // version, pulling only the changed chunks: well under half of what
-    // the materialized read moves (≥ 0.9 × `shipped`, asserted by the
-    // fallback test below). Three quarters of every tensor is unchanged,
-    // so at 512-byte granularity at least two thirds of the release's
-    // bytes come from the cache (the single-chunk bias records and the
-    // chunks straddling the edit cannot).
-    assert!(r.stats.chunk_fetches >= 1, "{:?}", r.stats);
-    assert!(
-        r.update_bytes * 20 < r.shipped * 9,
-        "chunk exchange must move far fewer bytes: {} of {}",
-        r.update_bytes,
-        r.shipped
+        &RetryPolicy::no_retry(),
+        None,
+        None,
     );
     assert!(
-        r.stats.chunk_bytes_reused * 3 >= r.shipped * 2,
-        "two thirds of the release must come from the cached parent: {} of {}",
-        r.stats.chunk_bytes_reused,
-        r.shipped
+        matches!(&outcome, Err(RpcError::Handler(msg)) if msg.contains("not content-addressed")),
+        "{outcome:?}"
     );
-
-    // The provider counted the negotiation.
-    assert!(r.provider_chunks_offered > 0);
-    assert!(r.provider_chunks_skipped > 0, "unchanged chunks skipped");
-}
-
-#[test]
-fn watcher_falls_back_to_materialized_read_when_chunk_exchange_fails() {
-    let r = watched_release(false);
-    assert!(r.faulted_calls > 0, "the exchange leg must really fail");
-
-    // No exchange completed; the release still landed (exactly once,
-    // byte-identical — checked inside) by pulling every byte
-    // materialized.
-    assert_eq!(r.stats.chunk_fetches, 0, "{:?}", r.stats);
-    assert_eq!(r.stats.chunk_bytes_reused, 0, "{:?}", r.stats);
-    assert!(
-        r.update_bytes * 10 >= r.shipped * 9,
-        "fallback moves the materialized payload: {} < ~{}",
-        r.update_bytes,
-        r.shipped
-    );
-    assert_eq!(r.provider_chunks_offered, 0, "no provider saw the exchange");
 }

@@ -204,6 +204,17 @@ if hits=$(grep -rnwE 'delta_deps|before_reclaim' crates); then
     echo "$hits" >&2
     exit 1
 fi
+# One transfer path per substrate: whole records repair over materialized
+# SYNC_MODEL, the chunked + delta substrate negotiates chunks. The verbatim
+# record leg, the watcher's chunk exchange and the store-policy knobs no
+# caller built would compile and pass every test if put back, and repair
+# would choose its leg by trial again.
+echo "== one transfer path per substrate: no verbatim leg, no chunk exchange, two store policies"
+if hits=$(grep -rnwE 'raw_records|FetchChunks|fetch_chunks|ChunkingPolicy|DeltaPolicy' crates); then
+    echo "a deleted transfer path or store-policy knob is back:" >&2
+    echo "$hits" >&2
+    exit 1
+fi
 release=crates/core/src/provider/refs.rs
 if hits=$(awk -v release="$release" '
     FNR == 1 { in_test = 0; pending = 0 }
