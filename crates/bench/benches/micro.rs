@@ -12,7 +12,10 @@
 //! 8. the call engine: echo `fan_out` vs `broadcast` by leg count, and
 //!    `unary` at one leg,
 //! 9. the control codec: encode and decode of the four messages every
-//!    small op carries, on `catalog_churn`'s tiny attention models.
+//!    small op carries, on `catalog_churn`'s tiny attention models,
+//! 10. the substrate's delta path: the encoder by change density, a
+//!     decode, a depth-3 chain copied vs applied in place, and a chunked
+//!     read from the log store.
 
 use std::collections::HashMap;
 
@@ -23,11 +26,11 @@ use evostore_core::messages::{
 };
 use evostore_core::{random_tensors, trained_tensors, Deployment, OwnerMap};
 use evostore_graph::{flatten, lcp, lcp_fixpoint, CompactGraph, GenomeSpace};
-use evostore_kv::{KvBackend, LogStore, MemPoolStore};
+use evostore_kv::{ChunkedStore, KvBackend, LogStore, MemPoolStore, DEFAULT_CHUNK_SIZE};
 use evostore_rpc::{broadcast, decode, encode, fan_out, unary, EndpointId, Fabric, RetryPolicy};
 use evostore_tensor::{
-    read_tensor_segments, validate_segments, write_tensor, write_tensor_borrowed, DType, ModelId,
-    Record, TensorData, TensorKey, VertexId,
+    apply_delta, decode_delta, encode_delta, read_tensor_segments, validate_segments, write_tensor,
+    write_tensor_borrowed, DType, ModelId, Record, TensorData, TensorKey, VertexId,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -473,6 +476,77 @@ fn bench_codec(c: &mut Criterion) {
     group.finish();
 }
 
+/// Ablation 10: the substrate's delta path on a 1 MiB `f32` layer. The
+/// encoder against the parent's record when 2 % of the words changed
+/// (`sparse`, a `replicated_finetune` retrain), when every word's low
+/// byte did (`dense`), and against unrelated bytes (`unrelated`, which
+/// declines); decoding one delta; reconstructing a depth-3 chain by
+/// copying decodes (`copying`) and by applying each delta in turn to one
+/// buffer (`in_place`); and reading the raw base back from a chunked log
+/// store.
+fn bench_delta(c: &mut Criterion) {
+    let mut rng = ChaCha8Rng::seed_from_u64(12);
+    let layer = TensorData::random(&mut rng, DType::F32, vec![256, 1024]);
+    let base = write_tensor(&layer);
+    let mut dense = base.to_vec();
+    for word in dense[64..].chunks_exact_mut(4) {
+        word[0] ^= 0x5A;
+    }
+    let unrelated = write_tensor(&TensorData::random(&mut rng, DType::F32, vec![256, 1024]));
+    let key = [3u8; 16];
+    let mut chain = Vec::new();
+    let mut tuned = layer.clone();
+    let mut prev = base.clone();
+    for depth in 1..=3 {
+        tuned = tuned.perturbed_sparse(&mut rng, 0.02);
+        let rec = write_tensor(&tuned);
+        chain.push(encode_delta(&rec, &prev, key, depth).expect("a sparse delta wins"));
+        prev = rec;
+    }
+    let sparse = write_tensor(&layer.perturbed_sparse(&mut rng, 0.02));
+
+    let mut group = c.benchmark_group("delta");
+    for (name, rec) in [
+        ("sparse", &sparse[..]),
+        ("dense", &dense[..]),
+        ("unrelated", &unrelated[..]),
+    ] {
+        group.bench_function(BenchmarkId::new("encode", name), |b| {
+            b.iter(|| encode_delta(rec, &base, key, 1))
+        });
+    }
+    group.bench_function(BenchmarkId::new("decode", "sparse"), |b| {
+        b.iter(|| decode_delta(&chain[0], &base).unwrap())
+    });
+    group.bench_function(BenchmarkId::new("chain_3", "copying"), |b| {
+        b.iter(|| {
+            chain
+                .iter()
+                .try_fold(base.clone(), |raw, delta| decode_delta(delta, &raw))
+                .unwrap()
+        })
+    });
+    group.bench_function(BenchmarkId::new("chain_3", "in_place"), |b| {
+        b.iter(|| {
+            let mut raw = base.to_vec();
+            for delta in &chain {
+                apply_delta(delta, &mut raw).unwrap();
+            }
+            raw
+        })
+    });
+    let dir = std::env::temp_dir().join(format!("evostore-bench-chunks-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = ChunkedStore::open(LogStore::open(&dir).unwrap(), DEFAULT_CHUNK_SIZE).unwrap();
+    store.put(b"base", base.clone()).unwrap();
+    group.bench_function("chunked_log_get", |b| {
+        b.iter(|| store.get(b"base").unwrap())
+    });
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_lcp,
@@ -483,6 +557,7 @@ criterion_group!(
     bench_store_load,
     bench_collective_query,
     bench_collective,
-    bench_codec
+    bench_codec,
+    bench_delta
 );
 criterion_main!(benches);

@@ -5,7 +5,7 @@
 //! re-base); a live delta at depth *d* keeps at most *d* ancestors alive.
 
 use bytes::Bytes;
-use evostore_tensor::{decode_delta, delta_header, encode_delta_segments, is_delta, TensorKey};
+use evostore_tensor::{apply_delta, delta_header, encode_delta_segments, is_delta, TensorKey};
 
 use super::ProviderState;
 use crate::owner_map::OwnerMap;
@@ -13,7 +13,11 @@ use crate::policy::StorePolicy;
 
 impl ProviderState {
     /// Materialize the raw (EVST) bytes of a fetched record, decoding
-    /// the delta chain under it when the record is delta-encoded.
+    /// the delta chain under it when the record is delta-encoded: the raw
+    /// base is read into one buffer (a chunked record's chunks each land
+    /// in their place, and a buffer the store handed over is taken, not
+    /// copied) and every delta of the chain is applied to it in place,
+    /// deepest first.
     pub(super) fn materialize(&self, record: Bytes) -> Result<Bytes, String> {
         if !is_delta(&record) {
             return Ok(record);
@@ -34,16 +38,15 @@ impl ProviderState {
             if is_delta(&base) {
                 chain.push(base);
             } else {
-                break base;
+                break Vec::from(base);
             }
         };
         evostore_obs::ledger::note_delta_chain_depth(chain.len() as u64);
-        // Decode back up the chain.
-        while let Some(delta) = chain.pop() {
-            raw = decode_delta(&delta, &raw).map_err(|e| format!("delta decode: {e}"))?;
+        for delta in chain.iter().rev() {
+            apply_delta(delta, &mut raw).map_err(|e| format!("delta decode: {e}"))?;
             self.counters.delta_reconstructs.add(1);
         }
-        Ok(raw)
+        Ok(Bytes::from(raw))
     }
 
     /// Fetch a record and materialize it to raw bytes.

@@ -58,6 +58,17 @@ pub trait KvBackend: Send + Sync {
     /// backends).
     fn get(&self, key: &[u8]) -> Result<Bytes, KvError>;
 
+    /// Append the value under `key` to `out`, recording the same read
+    /// metrics as [`KvBackend::get`]; on an error `out` is as it was.
+    /// A backend that reads its values from a file reads this one into
+    /// its place in `out` — how [`crate::ChunkedStore`] lays a record's
+    /// chunks end to end without a buffer per chunk. The default copies
+    /// the value `get` returns.
+    fn get_into(&self, key: &[u8], out: &mut Vec<u8>) -> Result<(), KvError> {
+        out.extend_from_slice(&self.get(key)?);
+        Ok(())
+    }
+
     /// Insert or overwrite `key` with a value held as a rope: `segments`
     /// in order are the value's bytes. [`KvBackend::get`] returns their
     /// concatenation, exactly as if it had been [`KvBackend::put`].
@@ -182,6 +193,9 @@ impl<T: KvBackend + ?Sized> KvBackend for Box<T> {
     }
     fn get(&self, key: &[u8]) -> Result<Bytes, KvError> {
         (**self).get(key)
+    }
+    fn get_into(&self, key: &[u8], out: &mut Vec<u8>) -> Result<(), KvError> {
+        (**self).get_into(key, out)
     }
     fn put_segments(&self, key: &[u8], segments: Vec<Bytes>) -> Result<(), KvError> {
         (**self).put_segments(key, segments)

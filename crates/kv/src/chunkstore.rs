@@ -147,6 +147,16 @@ fn decode_manifest(bytes: &[u8]) -> Result<(usize, Vec<ContentHash>), KvError> {
     Ok((total, hashes))
 }
 
+/// A chunk a manifest names is absent: corruption, not a miss.
+fn named_missing(h: ContentHash, e: KvError) -> KvError {
+    match e {
+        KvError::NotFound => KvError::Corrupt {
+            detail: format!("chunk {h} missing from backend"),
+        },
+        other => other,
+    }
+}
+
 impl<B: KvBackend> ChunkedStore<B> {
     /// Wrap `backend`, splitting values into `chunk_size`-byte chunks.
     ///
@@ -308,17 +318,6 @@ impl<B: KvBackend> ChunkedStore<B> {
         Ok(())
     }
 
-    /// Fetch one chunk, surfacing absence as corruption (a manifest names
-    /// it, so it must exist).
-    fn fetch_chunk(&self, h: ContentHash) -> Result<Bytes, KvError> {
-        self.backend.get(&chunk_key(h)).map_err(|e| match e {
-            KvError::NotFound => KvError::Corrupt {
-                detail: format!("chunk {h} missing from backend"),
-            },
-            other => other,
-        })
-    }
-
     /// Possession probe: for each hash, whether a chunk with that content
     /// is physically stored (referenced by at least one manifest). One
     /// lock acquisition for the whole batch — this is the receiver side
@@ -456,14 +455,21 @@ impl<B: KvBackend> KvBackend for ChunkedStore<B> {
             Err(e) => return Err(e),
         };
         let (total, hashes) = decode_manifest(&manifest)?;
-        let value = if hashes.len() == 1 {
-            self.fetch_chunk(hashes[0])?
+        let value = if let [h] = hashes[..] {
+            // One chunk is the value as the backend holds it.
+            self.backend
+                .get(&chunk_key(h))
+                .map_err(|e| named_missing(h, e))?
         } else {
-            let mut buf = BytesMut::with_capacity(total);
+            // Each chunk is read into its place in one buffer: no buffer
+            // per chunk, no reassembly copy.
+            let mut buf = Vec::with_capacity(total);
             for h in &hashes {
-                buf.extend_from_slice(&self.fetch_chunk(*h)?);
+                self.backend
+                    .get_into(&chunk_key(*h), &mut buf)
+                    .map_err(|e| named_missing(*h, e))?;
             }
-            buf.freeze()
+            Bytes::from(buf)
         };
         if value.len() != total {
             return Err(KvError::Corrupt {
@@ -703,6 +709,32 @@ mod tests {
         let m = s.metrics_snapshot().unwrap();
         assert_eq!(m.gets, 2);
         assert_eq!(m.misses, 1);
+    }
+
+    /// Over a log store, a record's chunks are read end to end into one
+    /// buffer, as one logical read; a chunk gone from the backend is
+    /// corruption, not a miss.
+    #[test]
+    fn multi_chunk_get_reads_chunks_into_place_as_one_read() {
+        let dir = std::env::temp_dir().join(format!("evostore-chunk-into-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let s = ChunkedStore::open(crate::LogStore::open(&dir).unwrap(), 16).unwrap();
+        let value = Bytes::from((0..100u8).collect::<Vec<u8>>());
+        s.put(b"k", value.clone()).unwrap();
+        assert_eq!(s.get(b"k").unwrap(), value);
+        let m = s.metrics_snapshot().unwrap();
+        assert_eq!((m.gets, m.bytes_read, m.misses), (1, 100, 0));
+
+        assert_eq!(s.get(b"gone"), Err(KvError::NotFound));
+        let (_, hashes) = s.chunk_manifest(b"k").unwrap();
+        s.backend().delete(&chunk_key(hashes[3])).unwrap();
+        assert!(matches!(
+            s.get(b"k"),
+            Err(KvError::Corrupt { detail }) if detail.contains("missing from backend")
+        ));
+        let m = s.metrics_snapshot().unwrap();
+        assert_eq!((m.gets, m.misses), (1, 1));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

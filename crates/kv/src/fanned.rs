@@ -109,6 +109,10 @@ impl KvBackend for FannedLogStore {
         self.shard_of(key)?.get(key)
     }
 
+    fn get_into(&self, key: &[u8], out: &mut Vec<u8>) -> Result<(), KvError> {
+        self.shard_of(key)?.get_into(key, out)
+    }
+
     fn delete(&self, key: &[u8]) -> Result<bool, KvError> {
         self.shard_of(key)?.delete(key)
     }

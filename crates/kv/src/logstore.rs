@@ -24,7 +24,7 @@
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -99,6 +99,19 @@ fn segment_path(dir: &Path, id: u64) -> PathBuf {
 
 fn record_len(klen: usize, vlen: usize) -> u64 {
     (HEADER + klen + vlen + TRAILER) as u64
+}
+
+/// Write every byte of `parts`, in order, retrying short writes.
+fn write_all_vectored(mut file: &File, mut parts: &mut [IoSlice<'_>]) -> std::io::Result<()> {
+    while !parts.is_empty() {
+        match file.write_vectored(parts) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut parts, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 impl LogStore {
@@ -285,27 +298,31 @@ impl Inner {
         let id = self.active;
         let seg = self.segments.get_mut(&id).expect("active segment exists");
 
-        let vlen = value.map(|v| v.len()).unwrap_or(0);
-        let mut rec = Vec::with_capacity(HEADER + key.len() + vlen + TRAILER);
-        rec.extend_from_slice(&MAGIC.to_le_bytes());
-        rec.extend_from_slice(&(key.len() as u32).to_le_bytes());
-        match value {
-            Some(v) => rec.extend_from_slice(&(v.len() as u32).to_le_bytes()),
-            None => rec.extend_from_slice(&TOMBSTONE.to_le_bytes()),
-        }
-        rec.extend_from_slice(key);
-        if let Some(v) = value {
-            rec.extend_from_slice(v);
-        }
+        let mut head = [0u8; HEADER];
+        head[0..4].copy_from_slice(&MAGIC.to_le_bytes());
+        head[4..8].copy_from_slice(&(key.len() as u32).to_le_bytes());
+        let vword = value.map_or(TOMBSTONE, |v| v.len() as u32);
+        head[8..12].copy_from_slice(&vword.to_le_bytes());
         let crc = evostore_tensor::checksum64_parts([key].into_iter().chain(value));
-        rec.extend_from_slice(&crc.to_le_bytes());
+        let crc = crc.to_le_bytes();
 
-        // Arc<File> write: append mode keeps this atomic per record at the
-        // OS level; we additionally serialize through the Inner mutex.
-        (&*seg.file).write_all(&rec)?;
+        // The record goes out from where its pieces lie, in one vectored
+        // write: append mode keeps it one record at the OS level, and the
+        // Inner mutex serializes writers.
+        let value = value.unwrap_or_default();
+        write_all_vectored(
+            &seg.file,
+            &mut [
+                IoSlice::new(&head),
+                IoSlice::new(key),
+                IoSlice::new(value),
+                IoSlice::new(&crc),
+            ],
+        )?;
+        let rec_len = record_len(key.len(), value.len());
         let value_offset = seg.len + (HEADER + key.len()) as u64;
-        seg.len += rec.len() as u64;
-        self.total_bytes += rec.len() as u64;
+        seg.len += rec_len;
+        self.total_bytes += rec_len;
         Ok((id, value_offset))
     }
 
@@ -461,6 +478,13 @@ impl KvBackend for LogStore {
     }
 
     fn get(&self, key: &[u8]) -> Result<Bytes, KvError> {
+        let mut value = Vec::new();
+        self.get_into(key, &mut value)?;
+        Ok(Bytes::from(value))
+    }
+
+    /// The value is read from its segment straight into `out`.
+    fn get_into(&self, key: &[u8], out: &mut Vec<u8>) -> Result<(), KvError> {
         // Look up under the lock, read the file outside it.
         let (file, offset, len) = {
             let inner = self.inner.lock();
@@ -480,10 +504,14 @@ impl KvBackend for LogStore {
                 }
             }
         };
-        let mut buf = vec![0u8; len];
-        file.read_exact_at(&mut buf, offset)?;
+        let at = out.len();
+        out.resize(at + len, 0);
+        if let Err(e) = file.read_exact_at(&mut out[at..], offset) {
+            out.truncate(at);
+            return Err(e.into());
+        }
         self.metrics.record_get(len);
-        Ok(Bytes::from(buf))
+        Ok(())
     }
 
     fn delete(&self, key: &[u8]) -> Result<bool, KvError> {
@@ -557,6 +585,20 @@ mod tests {
         assert!(s.delete(b"k1").unwrap());
         assert_eq!(s.get(b"k1"), Err(KvError::NotFound));
         assert_eq!(s.len(), 1);
+    }
+
+    #[test]
+    fn get_into_appends_the_value_and_a_miss_leaves_the_buffer() {
+        let dir = tmpdir("into");
+        let s = LogStore::open(&dir).unwrap();
+        s.put(b"k", Bytes::from_static(b"value")).unwrap();
+        let mut out = b"held ".to_vec();
+        s.get_into(b"k", &mut out).unwrap();
+        assert_eq!(out, b"held value");
+        assert_eq!(s.get_into(b"gone", &mut out), Err(KvError::NotFound));
+        assert_eq!(out, b"held value");
+        let m = s.metrics().snapshot();
+        assert_eq!((m.gets, m.bytes_read, m.misses), (1, 5, 1));
     }
 
     #[test]

@@ -16,10 +16,19 @@
 //!    lane concentrates the zeros into long runs.
 //! 3. Run-length encode zero runs (literals pass through framed).
 //!
+//! The encoder never builds that image. One pass over the two records
+//! collects its non-zero *islands* per lane — a fine-tuned tensor changes
+//! few words, and a block of unchanged words costs one XOR and a compare
+//! — and the token stream is written from the islands. The decoder is the
+//! mirror image: [`apply_delta`] XORs each literal into the base's bytes
+//! where they lie, so a chain of deltas is applied, deepest first, to one
+//! buffer holding the raw base.
+//!
 //! Encoding is *opportunistic*: [`encode_delta`] returns `None` unless the
 //! delta record saves at least 1/16th of the raw record, so callers always
 //! fall back to raw storage when the delta doesn't win (unrelated content,
-//! dtype change, resized layer).
+//! dtype change, resized layer). The encoder stops as soon as the islands
+//! it has found cannot fit that budget.
 //!
 //! A delta record is self-describing:
 //!
@@ -222,15 +231,16 @@ fn encode_parts(raw: &[&[u8]], base_raw: &[u8], base_key: [u8; 16], depth: u8) -
     if raw_len != base_raw.len() || raw_len == 0 {
         return None;
     }
-    let trans = xor_transpose(raw, base_raw);
+    // The longest body that still saves 1/16th of the raw record.
+    let budget = (raw_len - raw_len / MIN_SAVINGS_DENOM).checked_sub(HEADER_LEN + CHECK_LEN)?;
+    let image = xor_islands(raw, base_raw, budget)?;
     // The body is encoded straight into the record buffer, after a header
     // whose `comp_len` is patched in once it is known.
-    let mut buf = Vec::with_capacity(HEADER_LEN + raw_len / 8 + 16 + CHECK_LEN);
+    let mut buf = Vec::with_capacity(HEADER_LEN + image.body_size_hint() + CHECK_LEN);
     put_header(&mut buf, depth, &base_key, raw_len, 0);
-    rle_encode(&trans, &mut buf);
+    image.encode(&mut buf);
     let body_len = buf.len() - HEADER_LEN;
-    let total = HEADER_LEN + body_len + CHECK_LEN;
-    if total + raw_len / MIN_SAVINGS_DENOM > raw_len {
+    if body_len > budget {
         return None;
     }
     buf[HEADER_LEN - 8..HEADER_LEN].copy_from_slice(&(body_len as u64).to_le_bytes());
@@ -250,97 +260,334 @@ fn put_header(buf: &mut Vec<u8>, depth: u8, base_key: &[u8; 16], raw_len: usize,
 }
 
 /// Reconstruct the raw record from a delta record and the *raw* bytes of
-/// its base (callers resolve — and, for chained deltas, recursively
-/// reconstruct — the base via [`delta_header`]).
+/// its base: a copy of the base with the delta applied
+/// ([`apply_delta`]).
 pub fn decode_delta(record: &[u8], base_raw: &[u8]) -> Result<Bytes, DeltaError> {
+    let mut raw = base_raw.to_vec();
+    apply_delta(record, &mut raw)?;
+    Ok(Bytes::from(raw))
+}
+
+/// Apply a delta record to the raw bytes of its base, in place: `target`
+/// holds the base on entry and the reconstructed record on return. A
+/// zero run leaves the bytes it covers as they are and a literal is XORed
+/// in at stride [`LANES`], so the work is proportional to the bytes that
+/// changed. Callers resolve the base via [`delta_header`]; for a chain,
+/// each delta is applied in turn, deepest first, to the same buffer. A
+/// record that fails its framing, length or body check is refused before
+/// `target` is touched; a token stream that turns out malformed past that
+/// check leaves `target` partly applied.
+pub fn apply_delta(record: &[u8], target: &mut [u8]) -> Result<(), DeltaError> {
     let (header, comp_len) = probe(record, record.len())?;
-    if base_raw.len() != header.raw_len {
+    if target.len() != header.raw_len {
         return Err(DeltaError::BaseMismatch {
             expected: header.raw_len,
-            actual: base_raw.len(),
+            actual: target.len(),
         });
     }
     let (body, check) = record[HEADER_LEN..HEADER_LEN + comp_len + CHECK_LEN].split_at(comp_len);
     if checksum64(body) != u64::from_le_bytes(check.try_into().expect("8-byte check")) {
         return Err(DeltaError::ChecksumMismatch);
     }
-    Ok(Bytes::from(rle_decode_onto(body, base_raw)?))
+    rle_apply(body, target)
 }
 
-/// Words XORed per block of [`xor_transpose`]: 4 KiB, well inside L1.
-const XOR_BLOCK: usize = 1024;
+/// Words XORed per block of the encoder's pass: 2 KiB, well inside L1;
+/// its [`GROUP`]s fit one `u64` mask.
+const XOR_BLOCK: usize = 512;
+/// Words whose XORs are tested for a change at once.
+const GROUP: usize = 8;
+/// A block in which at most one group in this many has a changed word is
+/// walked group by group; a denser one is transposed and scanned for runs.
+const SPARSE_DENOM: usize = 4;
+/// Streams of the transposed image: the four byte lanes, then the tail.
+const STREAMS: usize = LANES + 1;
 
-/// `raw ^ base`, byte-transposed, in one pass over `u32` words: byte `k`
-/// of every XORed word goes to lane `k`, so the output is all lane-0
-/// bytes, then all lane-1 bytes, ... Tail bytes (`len % 4`) are XORed
-/// and pass through unpermuted. `raw` is the record in parts — one for a
-/// contiguous record, one per segment of a rope — that together are as
-/// long as `base`. A part is transposed where it lies: whole words go
-/// through the block kernel, and the up to three bytes on either side of
-/// a part that does not begin or end on a word boundary (a record of a
-/// dtype narrower than four bytes) are placed one by one.
-fn xor_transpose(raw: &[&[u8]], base: &[u8]) -> Vec<u8> {
-    let words = base.len() / LANES;
-    let mut out = vec![0u8; base.len()];
-    let (l0, rest) = out.split_at_mut(words);
-    let (l1, rest) = rest.split_at_mut(words);
-    let (l2, rest) = rest.split_at_mut(words);
-    let (l3, tail) = rest.split_at_mut(words);
-    let mut lanes = [l0, l1, l2, l3];
-    // Byte `p` of the XOR image: byte `p % 4` of word `p / 4`, or a tail
-    // byte that keeps its place.
-    let mut place = |lanes: &mut [&mut [u8]; LANES], p: usize, x: u8| match p / LANES {
-        w if w < words => lanes[p % LANES][w] = x,
-        _ => tail[p - words * LANES] = x,
+/// The non-zero stretches of one stream of the transposed XOR image, in
+/// order: island `i` starts at stream position `starts[i].0`, and its
+/// bytes are `bytes[starts[i].1..]` up to the next island's. Stretches
+/// closer than [`ZERO_RUN_MIN`] are merged as they are pushed (the zeros
+/// between them become literal bytes), so every gap between two islands
+/// of a stream is a zero token.
+#[derive(Default)]
+struct Islands {
+    starts: Vec<(usize, usize)>,
+    bytes: Vec<u8>,
+    /// Stream position one past the last island.
+    end: usize,
+}
+
+impl Islands {
+    /// Append `run`, which starts with a non-zero byte, at stream position
+    /// `at` (at or past the last island's end).
+    #[inline]
+    fn push(&mut self, at: usize, run: &[u8]) {
+        self.reach(at);
+        self.bytes.extend_from_slice(run);
+        self.end = at + run.len();
+    }
+
+    /// [`Islands::push`] of one non-zero byte.
+    #[inline]
+    fn push_byte(&mut self, at: usize, byte: u8) {
+        self.reach(at);
+        self.bytes.push(byte);
+        self.end = at + 1;
+    }
+
+    /// Open an island at `at`, or, when `at` is closer than
+    /// [`ZERO_RUN_MIN`] to the last one, extend that one with zeros to it.
+    #[inline]
+    fn reach(&mut self, at: usize) {
+        if self.starts.is_empty() || at - self.end >= ZERO_RUN_MIN {
+            self.starts.push((at, self.bytes.len()));
+        } else {
+            for _ in self.end..at {
+                self.bytes.push(0);
+            }
+        }
+    }
+
+    /// Each island as (stream position, bytes).
+    fn iter(&self) -> impl Iterator<Item = (usize, &[u8])> {
+        let ends = self.starts.iter().skip(1).map(|&(_, from)| from);
+        self.starts
+            .iter()
+            .zip(ends.chain([self.bytes.len()]))
+            .map(|(&(at, from), to)| (at, &self.bytes[from..to]))
+    }
+}
+
+/// The transposed XOR image `raw ^ base`, as islands per stream: byte `k`
+/// of XORed word `w` is position `w` of lane `k`, and the `len % 4` tail
+/// bytes keep their order in a fifth stream.
+struct Image {
+    streams: [Islands; STREAMS],
+    words: usize,
+    len: usize,
+}
+
+impl Image {
+    /// The least body the islands found so far can encode to: every
+    /// island byte is a literal byte, and every island needs a literal
+    /// header of its own, save where one stream's last island and the
+    /// next stream's first share a literal (four stream boundaries).
+    fn body_floor(&self) -> usize {
+        let islands: usize = self.streams.iter().map(|s| s.starts.len()).sum();
+        let bytes: usize = self.streams.iter().map(|s| s.bytes.len()).sum();
+        bytes + 5 * islands.saturating_sub(STREAMS - 1)
+    }
+
+    /// About what the islands encode to: a literal header and a zero
+    /// token per island.
+    fn body_size_hint(&self) -> usize {
+        let islands: usize = self.streams.iter().map(|s| s.starts.len()).sum();
+        let bytes: usize = self.streams.iter().map(|s| s.bytes.len()).sum();
+        bytes + 10 * islands + 5
+    }
+
+    /// Place byte `p` of the XOR image, which is not in a whole word of
+    /// its part: byte `p % 4` of word `p / 4`, or a tail byte.
+    fn place(&mut self, p: usize, x: u8) {
+        if x == 0 {
+            return;
+        }
+        match p / LANES {
+            w if w < self.words => self.streams[p % LANES].push_byte(w, x),
+            _ => self.streams[LANES].push_byte(p - self.words * LANES, x),
+        }
+    }
+
+    /// Append the token stream to `out`: the image read stream after
+    /// stream, each gap of at least [`ZERO_RUN_MIN`] zeros a zero token
+    /// and everything between two such gaps one literal — the stream a
+    /// byte-wise zero-run RLE of the whole image writes.
+    fn encode(&self, out: &mut Vec<u8>) {
+        // The literal being written, and the image position past it.
+        let mut lit = Literal::default();
+        let mut end = 0;
+        for (k, stream) in self.streams.iter().enumerate() {
+            for (at, bytes) in stream.iter() {
+                let at = k * self.words + at;
+                lit.gap(out, at - end);
+                lit.extend(out, bytes);
+                end = at + bytes.len();
+            }
+        }
+        lit.gap(out, self.len - end);
+        lit.close(out);
+    }
+}
+
+/// The literal token being written straight into the record: where its
+/// bytes begin in the output, its length patched in when it closes.
+#[derive(Default)]
+struct Literal {
+    open: Option<usize>,
+}
+
+impl Literal {
+    /// `n` zero bytes of the image: a zero token when there are at least
+    /// [`ZERO_RUN_MIN`] of them (closing the literal), else literal bytes.
+    fn gap(&mut self, out: &mut Vec<u8>, n: usize) {
+        if n >= ZERO_RUN_MIN {
+            self.close(out);
+            zero_run(out, n);
+        } else {
+            self.extend(out, &[0; ZERO_RUN_MIN][..n]);
+        }
+    }
+
+    /// Append `bytes`, opening a literal if none is open and a new one
+    /// whenever this one reaches the longest a token can count.
+    #[inline]
+    fn extend(&mut self, out: &mut Vec<u8>, mut bytes: &[u8]) {
+        while !bytes.is_empty() {
+            let from = match self.open {
+                Some(from) => from,
+                None => {
+                    out.extend_from_slice(&[1, 0, 0, 0, 0]);
+                    *self.open.insert(out.len())
+                }
+            };
+            let n = bytes.len().min(u32::MAX as usize - (out.len() - from));
+            out.extend_from_slice(&bytes[..n]);
+            bytes = &bytes[n..];
+            if out.len() - from == u32::MAX as usize {
+                self.close(out);
+            }
+        }
+    }
+
+    fn close(&mut self, out: &mut [u8]) {
+        if let Some(from) = self.open.take() {
+            let len = (out.len() - from) as u32;
+            out[from - 4..from].copy_from_slice(&len.to_le_bytes());
+        }
+    }
+}
+
+/// The islands of `raw ^ base`, in one pass over the two records; `None`
+/// as soon as they cannot encode to `budget` bytes or fewer. `raw` is the
+/// record in parts — one for a contiguous record, one per segment of a
+/// rope — that together are as long as `base`. A part is read where it
+/// lies: whole words go through the block kernel ([`Image::xor_words`]),
+/// and the up to three bytes on either side of a part that does not
+/// begin or end on a word boundary (a record of a dtype narrower than
+/// four bytes) are placed one by one.
+fn xor_islands(raw: &[&[u8]], base: &[u8], budget: usize) -> Option<Image> {
+    let mut image = Image {
+        streams: Default::default(),
+        words: base.len() / LANES,
+        len: base.len(),
     };
     let mut at = 0;
     for part in raw {
         let base = &base[at..at + part.len()];
         let lead = (at.wrapping_neg() % LANES).min(part.len());
         let whole = lead + (part.len() - lead) / LANES * LANES;
-        for i in (0..lead).chain(whole..part.len()) {
-            place(&mut lanes, at + i, part[i] ^ base[i]);
+        for i in 0..lead {
+            image.place(at + i, part[i] ^ base[i]);
         }
-        transpose_words(
+        image.xor_words(
             &part[lead..whole],
             &base[lead..whole],
-            &mut lanes,
             (at + lead) / LANES,
-        );
+            budget,
+        )?;
+        for i in whole..part.len() {
+            image.place(at + i, part[i] ^ base[i]);
+        }
         at += part.len();
     }
-    out
+    Some(image)
 }
 
-/// The block kernel of [`xor_transpose`]: XOR the whole words of `raw`
-/// and `base` (equal lengths, a multiple of four) and deal their bytes to
-/// the four `lanes` from word index `done` on.
-fn transpose_words(raw: &[u8], base: &[u8], lanes: &mut [&mut [u8]; LANES], mut done: usize) {
-    // A block of XORed words at a time, then one loop per lane over
-    // the block: each has one input and one output, which the compiler
-    // turns into wide shifts and packs (a single loop storing to all four
-    // lanes stays scalar).
-    let mut xored = [0u32; XOR_BLOCK];
-    for (a, b) in raw
-        .chunks(XOR_BLOCK * LANES)
-        .zip(base.chunks(XOR_BLOCK * LANES))
-    {
-        let n = a.len() / LANES;
-        for ((x, a), b) in xored
-            .iter_mut()
-            .zip(a.chunks_exact(LANES))
-            .zip(b.chunks_exact(LANES))
+impl Image {
+    /// The block kernel of [`xor_islands`]: XOR the whole words of `raw`
+    /// and `base` (equal lengths, a multiple of four) a block at a time,
+    /// from word index `done` on. A block with no changed word costs the
+    /// XOR alone; a sparse one pushes the non-zero bytes of its changed
+    /// words; a dense one is dealt into one lane at a time (a loop the
+    /// compiler turns into wide shifts and packs) and scanned for runs.
+    fn xor_words(&mut self, raw: &[u8], base: &[u8], mut done: usize, budget: usize) -> Option<()> {
+        let mut xored = [0u32; XOR_BLOCK];
+        let mut lane = [0u8; XOR_BLOCK];
+        for (a, b) in raw
+            .chunks(XOR_BLOCK * LANES)
+            .zip(base.chunks(XOR_BLOCK * LANES))
         {
-            *x = u32::from_le_bytes(a.try_into().expect("4-byte word"))
-                ^ u32::from_le_bytes(b.try_into().expect("4-byte word"));
-        }
-        for (k, lane) in lanes.iter_mut().enumerate() {
-            for (o, x) in lane[done..done + n].iter_mut().zip(&xored[..n]) {
-                *o = (x >> (8 * k)) as u8;
+            let n = a.len() / LANES;
+            // A short block's last group is padded with unchanged words.
+            let groups = n.div_ceil(GROUP);
+            xored[n..groups * GROUP].fill(0);
+            for ((x, a), b) in xored
+                .iter_mut()
+                .zip(a.chunks_exact(LANES))
+                .zip(b.chunks_exact(LANES))
+            {
+                *x = u32::from_le_bytes(a.try_into().expect("4-byte word"))
+                    ^ u32::from_le_bytes(b.try_into().expect("4-byte word"));
+            }
+            // Bit `g` set: group `g` has a changed word. The changed
+            // groups and words are visited by their bits, which keeps
+            // branches on where a change lies out of the loop.
+            let touched = mask(xored[..groups * GROUP].chunks_exact(GROUP), |group| {
+                group.iter().fold(0, |acc, x| acc | x) != 0
+            });
+            if touched.count_ones() as usize * SPARSE_DENOM <= groups {
+                for g in bits(touched) {
+                    let group = &xored[g * GROUP..(g + 1) * GROUP];
+                    for i in bits(mask(group.iter(), |x| *x != 0)) {
+                        for (k, stream) in self.streams[..LANES].iter_mut().enumerate() {
+                            let byte = (group[i] >> (8 * k)) as u8;
+                            if byte != 0 {
+                                stream.push_byte(done + g * GROUP + i, byte);
+                            }
+                        }
+                    }
+                }
+            } else {
+                for (k, stream) in self.streams[..LANES].iter_mut().enumerate() {
+                    for (o, x) in lane[..n].iter_mut().zip(&xored[..n]) {
+                        *o = (x >> (8 * k)) as u8;
+                    }
+                    let lane = &lane[..n];
+                    let mut i = find_nonzero(lane, 0);
+                    while i < n {
+                        let end = find_zero(lane, i);
+                        stream.push(done + i, &lane[i..end]);
+                        i = find_nonzero(lane, end);
+                    }
+                }
+            }
+            done += n;
+            if self.body_floor() > budget {
+                return None;
             }
         }
-        done += n;
+        Some(())
     }
+}
+
+/// Bit `i` set where `test` holds for item `i` (at most 64 items).
+#[inline]
+fn mask<T>(items: impl Iterator<Item = T>, test: impl Fn(T) -> bool) -> u64 {
+    items
+        .enumerate()
+        .fold(0, |m, (i, item)| m | (u64::from(test(item)) << i))
+}
+
+/// The indices of the set bits of `m`, lowest first.
+#[inline]
+fn bits(mut m: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (m != 0).then(|| {
+            let i = m.trailing_zeros() as usize;
+            m &= m - 1;
+            i
+        })
+    })
 }
 
 const WORD: usize = 8;
@@ -389,50 +636,23 @@ fn find_nonzero(src: &[u8], from: usize) -> usize {
         .map_or(src.len(), |p| i + p)
 }
 
-/// Zero-run RLE, appended to `out`. Token stream: `[0, len u32]` emits
-/// `len` zero bytes, `[1, len u32, bytes...]` emits a literal. Zero runs
-/// shorter than [`ZERO_RUN_MIN`] fold into the surrounding literal.
-fn rle_encode(src: &[u8], out: &mut Vec<u8>) {
-    let mut lit_start = 0;
-    let mut i = 0;
-    loop {
-        let run_start = find_zero(src, i);
-        if run_start == src.len() {
-            break;
-        }
-        i = find_nonzero(src, run_start);
-        if i - run_start >= ZERO_RUN_MIN {
-            flush_literal(out, &src[lit_start..run_start]);
-            // A run longer than a token can count splits into several.
-            let mut run = i - run_start;
-            while run > 0 {
-                let part = run.min(u32::MAX as usize);
-                out.push(0);
-                out.extend_from_slice(&(part as u32).to_le_bytes());
-                run -= part;
-            }
-            lit_start = i;
-        }
-    }
-    flush_literal(out, &src[lit_start..]);
-}
-
-fn flush_literal(out: &mut Vec<u8>, lit: &[u8]) {
-    for part in lit.chunks(u32::MAX as usize) {
-        out.push(1);
-        out.extend_from_slice(&(part.len() as u32).to_le_bytes());
-        out.extend_from_slice(part);
+/// The token stream is `[0, len u32]`, which emits `len` zero bytes, and
+/// `[1, len u32, bytes...]`, which emits a literal. A zero run (or a
+/// literal) longer than a token can count splits into several.
+fn zero_run(out: &mut Vec<u8>, mut run: usize) {
+    while run > 0 {
+        let part = run.min(u32::MAX as usize);
+        out.push(0);
+        out.extend_from_slice(&(part as u32).to_le_bytes());
+        run -= part;
     }
 }
 
-/// Decode the token stream `body` onto a copy of `base`: the inverse of
-/// [`rle_encode`] ∘ [`xor_transpose`] without materializing the transposed
-/// image. A zero run leaves the base bytes it covers as they are; a
-/// literal is XORed in at stride [`LANES`], so the work beyond the one
-/// copy is proportional to the bytes that changed.
-fn rle_decode_onto(body: &[u8], base: &[u8]) -> Result<Vec<u8>, DeltaError> {
-    let expect_len = base.len();
-    let mut out = base.to_vec();
+/// Apply the token stream `body` to `out`, the base's bytes: the inverse
+/// of the encoder, without materializing the transposed image. A token
+/// is checked against `out`'s length before it is applied.
+fn rle_apply(body: &[u8], out: &mut [u8]) -> Result<(), DeltaError> {
+    let expect_len = out.len();
     // Position in the transposed image the next token starts at.
     let mut pos = 0usize;
     let mut i = 0;
@@ -451,7 +671,7 @@ fn rle_decode_onto(body: &[u8], base: &[u8]) -> Result<Vec<u8>, DeltaError> {
                     return Err(DeltaError::Truncated);
                 }
                 if end <= expect_len {
-                    xor_scatter(&mut out, pos, &body[i..i + len]);
+                    xor_scatter(out, pos, &body[i..i + len]);
                 }
                 i += len;
             }
@@ -471,7 +691,7 @@ fn rle_decode_onto(body: &[u8], base: &[u8]) -> Result<Vec<u8>, DeltaError> {
             actual: pos,
         });
     }
-    Ok(out)
+    Ok(())
 }
 
 /// XOR `lit`, which sits at `pos..pos + lit.len()` of the transposed
@@ -498,12 +718,23 @@ fn xor_scatter(out: &mut [u8], mut pos: usize, mut lit: &[u8]) {
     }
 }
 
-/// The byte-at-a-time codec the word-wise kernels replaced, kept as the
-/// reference they are compared against: the EVDL byte stream must not
-/// depend on how it is computed.
+/// The byte-at-a-time codec that materializes the transposed image, kept
+/// as the reference the island encoder and the scattering decoder are
+/// compared against: the EVDL byte stream must not depend on how it is
+/// computed.
 #[cfg(test)]
 mod reference {
-    use super::{flush_literal, LANES, ZERO_RUN_MIN};
+    use super::{LANES, ZERO_RUN_MIN};
+
+    /// `[1, len u32, bytes...]` emits a literal; an empty one emits
+    /// nothing.
+    pub fn flush_literal(out: &mut Vec<u8>, lit: &[u8]) {
+        for part in lit.chunks(u32::MAX as usize) {
+            out.push(1);
+            out.extend_from_slice(&(part.len() as u32).to_le_bytes());
+            out.extend_from_slice(part);
+        }
+    }
 
     /// Body of the delta record for `raw` against `base`.
     pub fn encode_body(raw: &[u8], base: &[u8]) -> Vec<u8> {
@@ -693,6 +924,22 @@ mod tests {
         assert_eq!(delta_header(&delta).unwrap().depth, 3);
     }
 
+    /// The token stream of `raw` against `base`, whatever its length.
+    fn body_of(raw: &[&[u8]], base: &[u8]) -> Vec<u8> {
+        let mut body = Vec::new();
+        xor_islands(raw, base, usize::MAX)
+            .expect("an unbounded budget always fits")
+            .encode(&mut body);
+        body
+    }
+
+    /// `base` with the token stream `body` applied.
+    fn applied(body: &[u8], base: &[u8]) -> Result<Vec<u8>, DeltaError> {
+        let mut out = base.to_vec();
+        rle_apply(body, &mut out)?;
+        Ok(out)
+    }
+
     #[test]
     fn transpose_roundtrip_all_tail_lengths() {
         for n in 0..40usize {
@@ -700,22 +947,23 @@ mod tests {
             let base: Vec<u8> = (0..n as u8).map(|b| b.wrapping_mul(29) ^ 0x5A).collect();
             let zeros = vec![0u8; n];
             assert_eq!(
-                xor_transpose(&[&src], &zeros),
-                reference::transpose(&src),
+                body_of(&[&src], &zeros),
+                reference::encode_body(&src, &zeros),
                 "len {n}"
             );
             // One literal covering the whole image decodes to its
             // untransposition, XORed onto the base.
             let mut body = Vec::new();
-            flush_literal(&mut body, &src);
+            reference::flush_literal(&mut body, &src);
             assert_eq!(
-                rle_decode_onto(&body, &zeros).unwrap(),
+                applied(&body, &zeros).unwrap(),
                 reference::untranspose(&src),
                 "len {n}"
             );
+            let xored: Vec<u8> = src.iter().zip(&base).map(|(a, b)| a ^ b).collect();
             body.clear();
-            flush_literal(&mut body, &xor_transpose(&[&src], &base));
-            assert_eq!(rle_decode_onto(&body, &base).unwrap(), src, "len {n}");
+            reference::flush_literal(&mut body, &reference::transpose(&xored));
+            assert_eq!(applied(&body, &base).unwrap(), src, "len {n}");
         }
     }
 
@@ -728,14 +976,12 @@ mod tests {
             [vec![0u8; 50], vec![9u8; 3], vec![0u8; 50]].concat(),
             vec![0, 1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2],
         ] {
-            let mut enc = Vec::new();
-            rle_encode(&src, &mut enc);
-            assert_eq!(enc, reference::rle_encode(&src));
+            // `src` is the transposed image of this record against zeros.
+            let raw = reference::untranspose(&src);
             let zeros = vec![0u8; src.len()];
-            assert_eq!(
-                rle_decode_onto(&enc, &zeros).unwrap(),
-                reference::untranspose(&src)
-            );
+            let enc = body_of(&[&raw], &zeros);
+            assert_eq!(enc, reference::rle_encode(&src));
+            assert_eq!(applied(&enc, &zeros).unwrap(), raw);
         }
     }
 
@@ -774,7 +1020,7 @@ mod tests {
         let zero_run = |n: u32| [&[0u8][..], &n.to_le_bytes()].concat();
         let literal = |bytes: &[u8]| {
             let mut out = Vec::new();
-            flush_literal(&mut out, bytes);
+            reference::flush_literal(&mut out, bytes);
             out
         };
 
@@ -954,9 +1200,11 @@ mod tests {
         })
     }
 
-    /// The word-wise kernels emit the reference codec's bytes for the
-    /// record whose XOR against a seeded base is `image`, and decoding
-    /// restores the record.
+    /// The island encoder emits the reference codec's bytes for the
+    /// record whose XOR against a seeded base is `image`, decoding
+    /// restores the record, and the delta is taken exactly when the
+    /// reference body saves the required share — the encoder's early
+    /// stop never declines a delta that would have won.
     fn check_against_reference(image: &[u8], base_seed: u64) {
         let mut x = base_seed;
         let base: Vec<u8> = (0..image.len())
@@ -969,23 +1217,131 @@ mod tests {
             .collect();
         let raw: Vec<u8> = image.iter().zip(&base).map(|(i, b)| i ^ b).collect();
 
-        let trans = xor_transpose(&[&raw], &base);
-        assert_eq!(trans, reference::transpose(image));
-        // The same image from the record in parts, cut anywhere.
+        let body = body_of(&[&raw], &base);
+        assert_eq!(body, reference::encode_body(&raw, &base));
+        // The same body from the record in parts, cut anywhere.
         let cut = base_seed as usize % (raw.len() + 1);
         let (head, rest) = raw.split_at(cut);
         let (mid, last) = rest.split_at((base_seed >> 32) as usize % (rest.len() + 1));
-        assert_eq!(xor_transpose(&[head, mid, &[], last], &base), trans);
-        let mut body = Vec::new();
-        rle_encode(&trans, &mut body);
-        assert_eq!(body, reference::encode_body(&raw, &base));
-        assert_eq!(rle_decode_onto(&body, &base).unwrap(), raw);
+        assert_eq!(body_of(&[head, mid, &[], last], &base), body);
+        assert_eq!(applied(&body, &base).unwrap(), raw);
 
-        // Through the public pair, whenever the delta is taken.
-        if let Some(delta) = encode_delta(&raw, &base, KEY, 1) {
+        // Through the public pair.
+        let wins = HEADER_LEN + body.len() + CHECK_LEN + raw.len() / MIN_SAVINGS_DENOM <= raw.len();
+        let delta = encode_delta(&raw, &base, KEY, 1);
+        assert_eq!(delta.is_some(), wins, "len {}", raw.len());
+        if let Some(delta) = delta {
             assert_eq!(delta[HEADER_LEN..delta.len() - CHECK_LEN], body[..]);
             assert_eq!(decode_delta(&delta, &base).unwrap()[..], raw[..]);
         }
+    }
+
+    /// Images of several encoder blocks, each of a density on one side
+    /// or the other of the sparse kernel's threshold (or exactly on it),
+    /// in every order: the two kernels feed the same islands, and a
+    /// stretch crossing a block boundary is one island.
+    #[test]
+    fn blocks_of_every_density_match_reference() {
+        let block = XOR_BLOCK * LANES;
+        let words = XOR_BLOCK;
+        // Changed words per block: none, one, one in as many groups as the
+        // sparse kernel takes, one group more, every word.
+        let at = XOR_BLOCK / GROUP / SPARSE_DENOM;
+        let densities = [0, 1, at, at + 1, words];
+        let mut seed = 1u64;
+        for first in densities {
+            for second in densities {
+                for third in densities {
+                    let mut image = vec![0u8; 3 * block + 3];
+                    for (b, changed) in [first, second, third].into_iter().enumerate() {
+                        for i in 0..changed {
+                            // Spread over the block; both low bytes of a
+                            // word and, on every third, a high one too.
+                            let w = b * words + i * words / changed.max(1);
+                            image[4 * w] = 0x5A;
+                            image[4 * w + 1] = (i as u8) | 1;
+                            if i % 3 == 0 {
+                                image[4 * w + 3] = 0x80;
+                            }
+                        }
+                    }
+                    // A changed last word and tail byte, so stretches meet
+                    // at the block and stream edges.
+                    image[3 * block - 1] = 7;
+                    image[3 * block + 1] = 9;
+                    check_against_reference(&image, seed);
+                    seed += 0x1_0000_0001;
+                }
+            }
+        }
+    }
+
+    /// A body of exactly the budget is taken and one byte more declines,
+    /// with the budget reached only in the last block: the encoder's early
+    /// stop waits until the islands provably cannot fit.
+    #[test]
+    fn a_body_at_the_budget_is_taken_and_one_past_it_declines() {
+        let len = 3 * XOR_BLOCK * LANES + 3;
+        let budget = len - len / MIN_SAVINGS_DENOM - HEADER_LEN - CHECK_LEN;
+        // One literal of `lit` non-zero bytes across three lanes, then a
+        // zero run: a body of `lit + 10` bytes.
+        for (lit, wins) in [(budget - 10, true), (budget - 9, false)] {
+            let mut trans = vec![0u8; len];
+            for (i, b) in trans[..lit].iter_mut().enumerate() {
+                *b = (i % 255) as u8 + 1;
+            }
+            let raw = reference::untranspose(&trans);
+            let zeros = vec![0u8; len];
+            assert_eq!(body_of(&[&raw], &zeros).len(), lit + 10);
+            assert_eq!(encode_delta(&raw, &zeros, KEY, 1).is_some(), wins);
+            check_against_reference(&raw, lit as u64);
+        }
+    }
+
+    /// A chain applied deepest first to one buffer holding the raw base
+    /// reconstructs its newest record; a delta that fails its framing or
+    /// body check leaves the buffer holding the base, and one whose
+    /// checked token stream overruns the record is an error.
+    #[test]
+    fn chains_apply_in_place() {
+        let mut rng = ChaCha8Rng::seed_from_u64(53);
+        let mut tensor = TensorData::random(&mut rng, DType::F32, vec![4096]);
+        let base = write_tensor(&tensor);
+        let mut deltas = Vec::new();
+        let mut prev = base.clone();
+        for depth in 1..=3 {
+            tensor = tensor.perturbed_sparse(&mut rng, 0.02);
+            let rec = write_tensor(&tensor);
+            deltas.push(encode_delta(&rec, &prev, KEY, depth).expect("sparse delta wins"));
+            prev = rec;
+        }
+        let mut buf = base.to_vec();
+        for delta in &deltas {
+            apply_delta(delta, &mut buf).unwrap();
+        }
+        assert_eq!(prev, buf);
+
+        let mut bad_check = deltas[0].to_vec();
+        bad_check[HEADER_LEN] ^= 1;
+        // A token stream that checks out but overruns the record.
+        let overrun = framed(
+            &[&[1u8, 2, 0, 0, 0, 9, 9][..], &[0, 0xFF, 0xFF, 0, 0]].concat(),
+            base.len(),
+        );
+        for bad in [&bad_check, &deltas[0][..HEADER_LEN - 1].to_vec()] {
+            let mut buf = base.to_vec();
+            assert!(apply_delta(bad, &mut buf).is_err());
+            assert_eq!(base, buf);
+        }
+        assert!(matches!(
+            apply_delta(&overrun, &mut base.to_vec()),
+            Err(DeltaError::LengthMismatch { .. })
+        ));
+        let mut short = base[..base.len() - 4].to_vec();
+        assert!(matches!(
+            apply_delta(&deltas[0], &mut short),
+            Err(DeltaError::BaseMismatch { .. })
+        ));
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub mod ser;
 pub mod tensor;
 
 pub use delta::{
-    decode_delta, delta_header, delta_probe, delta_probe_segments, encode_delta,
+    apply_delta, decode_delta, delta_header, delta_probe, delta_probe_segments, encode_delta,
     encode_delta_segments, is_delta, is_delta_segments, DeltaError, DeltaHeader, DELTA_MAGIC,
     DELTA_PROBE_LEN,
 };
