@@ -15,7 +15,9 @@
 //!    small op carries, on `catalog_churn`'s tiny attention models,
 //! 10. the substrate's delta path: the encoder by change density, a
 //!     decode, a depth-3 chain copied vs applied in place, and a chunked
-//!     read from the log store.
+//!     read from the log store,
+//! 11. the dispatch lane: a unary echo queued for a 1-thread endpoint's
+//!     service thread vs run on the caller's thread, hot and after idle.
 
 use std::collections::HashMap;
 
@@ -347,6 +349,8 @@ fn bench_collective_query(c: &mut Criterion) {
 evostore_rpc::rpc_methods! {
     /// Replies with its request.
     Echo = "echo": String => String;
+    /// The same, run on the caller's thread.
+    CallerEcho = "caller_echo": String => String, lane = Caller;
 }
 
 /// Ablation 8: what one collective costs its caller on an idle fabric —
@@ -383,6 +387,42 @@ fn bench_collective(c: &mut Criterion) {
             })
         });
     }
+    group.finish();
+}
+
+/// Ablation 11: what the lane costs one unary call on an idle 1-thread
+/// endpoint — an echo queued for the service thread vs the same echo run
+/// on the caller's thread, hot (back to back) and after 200 µs idle
+/// (the service thread has gone to sleep on its queue; untimed).
+fn bench_rpc(c: &mut Criterion) {
+    let fabric = Fabric::new();
+    let ep = fabric.create_endpoint(1);
+    ep.serve(Echo, Ok);
+    ep.serve(CallerEcho, Ok);
+    let policy = RetryPolicy::default();
+    let body = "ping".to_string();
+    let idle = || std::thread::sleep(std::time::Duration::from_micros(200));
+    let mut group = c.benchmark_group("rpc");
+    group.bench_function("queued_echo", |b| {
+        b.iter(|| unary(&fabric, ep.id(), Echo, &body, &policy, None, None).unwrap())
+    });
+    group.bench_function("caller_lane_echo", |b| {
+        b.iter(|| unary(&fabric, ep.id(), CallerEcho, &body, &policy, None, None).unwrap())
+    });
+    group.bench_function("queued_echo_after_idle", |b| {
+        b.iter_batched(
+            idle,
+            |_| unary(&fabric, ep.id(), Echo, &body, &policy, None, None).unwrap(),
+            BatchSize::PerIteration,
+        )
+    });
+    group.bench_function("caller_lane_echo_after_idle", |b| {
+        b.iter_batched(
+            idle,
+            |_| unary(&fabric, ep.id(), CallerEcho, &body, &policy, None, None).unwrap(),
+            BatchSize::PerIteration,
+        )
+    });
     group.finish();
 }
 
@@ -557,6 +597,7 @@ criterion_group!(
     bench_store_load,
     bench_collective_query,
     bench_collective,
+    bench_rpc,
     bench_codec,
     bench_delta
 );

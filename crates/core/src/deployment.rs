@@ -251,6 +251,16 @@ impl Deployment {
         // The fork-join pool is process-wide: one series, registered
         // here rather than once per provider.
         obs.registry().register(|| crate::par::stats().rows(&[]));
+        // The fabric is shared by every node too: one series for which
+        // lane its calls took. A weak handle, so the registry does not
+        // keep the endpoints (and the providers their handlers hold) alive.
+        let lanes = Arc::downgrade(&fabric);
+        obs.registry().register(move || {
+            lanes
+                .upgrade()
+                .map(|f| f.stats().rows(&[]))
+                .unwrap_or_default()
+        });
         let tracer = Arc::new(Tracer::new(
             "deployment",
             Arc::clone(obs.clock()),

@@ -406,8 +406,9 @@ impl ProviderState {
     }
 
     /// Run `f` under a handler span joined to the caller's trace. The
-    /// service thread installs the RPC envelope's [`TraceContext`]
-    /// ambiently before invoking the handler; when present, the handler
+    /// fabric installs the RPC envelope's [`TraceContext`] ambiently
+    /// before invoking the handler (on a service thread, or on the caller
+    /// for a caller-lane read); when present, the handler
     /// hop becomes a child span in the caller's trace (recorded in this
     /// provider's flight ring) and is re-installed ambiently so kv-op
     /// spans opened inside `f` nest under it. Untraced calls run `f`
@@ -425,9 +426,9 @@ impl ProviderState {
         let mut span = self
             .tracer
             .start_child(parent, method, Some(self.endpoint_id));
-        // Handlers run on provider service threads, so a fresh ambient
-        // cost cell never shadows a client op's; charges land in this
-        // provider's per-method ledger.
+        // The fabric runs every handler with no ambient cost cell — a
+        // caller-lane one too — so this fresh cell never shadows a client
+        // op's; charges land in this provider's per-method ledger.
         let costs = OpCosts::new();
         let out = {
             let _g = evostore_obs::set_current_trace(Some(span.ctx()));
@@ -545,9 +546,11 @@ impl ProviderState {
         // GET_META is the one method not registered through `serve`:
         // its handler returns pre-encoded bytes cached per record
         // incarnation, so a hot model's compact graph is deep-cloned and
-        // JSON-encoded once, not once per fetch.
+        // JSON-encoded once, not once per fetch. Like LCP_BATCH and
+        // MATCH_PATTERN_BATCH it runs on the caller's thread (its
+        // method-table line puts it on the caller lane).
         let s = Arc::clone(self);
-        endpoint.register(GetMeta::METHOD, move |body: Bytes| {
+        endpoint.serve_bytes(GetMeta, move |body: Bytes| {
             let req: GetMetaRequest =
                 serde_json::from_slice(&body).map_err(|e| format!("decode: {e}"))?;
             s.traced(GetMeta::METHOD, || s.get_meta_encoded(req))

@@ -19,7 +19,7 @@ use evostore_graph::{
     flatten, Activation, ArchPattern, Architecture, CompactGraph, LayerConfig, LayerKind,
 };
 use evostore_obs::{FlightEvent, FlightRecorder, SpanRecord, TimeSource};
-use evostore_rpc::{FaultAction, FaultPlan, FaultRule, Method, RpcStats};
+use evostore_rpc::{FabricStats, FaultAction, FaultPlan, FaultRule, Method, RpcStats};
 use evostore_sim::{SimClock, SimTime};
 use evostore_tensor::ModelId;
 use rand::SeedableRng;
@@ -814,6 +814,7 @@ fn metrics_catalogue_matches_the_tables() {
         RpcStats::SERIES,
         WatchStats::SERIES,
         ParStats::SERIES,
+        FabricStats::SERIES,
     ]
     .into_iter()
     .flatten()

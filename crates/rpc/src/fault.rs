@@ -41,7 +41,9 @@ pub enum FaultAction {
     /// — models a request lost before delivery.
     Timeout,
     /// Deliver normally, but the service thread sleeps this long first —
-    /// models a slow/overloaded provider. Deadline-aware callers surface
+    /// models a slow/overloaded provider. A delayed call goes through the
+    /// service queue even when its method is on the caller lane, so the
+    /// sleep never runs on the caller. Deadline-aware callers surface
     /// this as `Timeout` when the delay exceeds their budget.
     Delay(Duration),
     /// Deliver and execute the handler, but never send the reply —

@@ -2,9 +2,10 @@
 //! substitute.
 //!
 //! Provides the primitives the repository is built on (§4.3):
-//! two-sided RPCs served by bounded per-endpoint thread pools
-//! ([`fabric`]) and one-sided bulk transfers over registered memory
-//! regions (the RDMA path).
+//! two-sided RPCs served by bounded per-endpoint thread pools, or by the
+//! calling thread for a [`Lane::Caller`] method ([`fabric`]), and
+//! one-sided bulk transfers over registered memory regions (the RDMA
+//! path).
 //!
 //! Fault tolerance is layered on top: [`fault`] injects failures
 //! (errors, delays, reply loss, down endpoints) at the dispatch and
@@ -24,7 +25,9 @@ pub mod method;
 pub mod resilient;
 
 pub use codec::{decode, encode};
-pub use fabric::{BulkHandle, Endpoint, EndpointId, Fabric, Handler, RpcError, SegmentedRegion};
+pub use fabric::{
+    BulkHandle, Endpoint, EndpointId, Fabric, FabricStats, Handler, Lane, RpcError, SegmentedRegion,
+};
 pub use fault::{FaultAction, FaultPlan, FaultRule, FaultStats, FaultWindow};
 pub use method::Method;
 pub use resilient::{

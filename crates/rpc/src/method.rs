@@ -7,13 +7,16 @@
 //! shapes take the marker so the method string and the reply type are
 //! inferred — a request cannot be sent to the wrong method or decoded as
 //! the wrong reply. Markers are declared in tables with
-//! [`rpc_methods!`](crate::rpc_methods).
+//! [`rpc_methods!`](crate::rpc_methods); a line ending in
+//! `, lane = Caller` puts its method on the [`Lane::Caller`], and the
+//! registration takes the lane from the marker.
 
+use bytes::Bytes;
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 
 use crate::codec::typed_handler;
-use crate::fabric::Endpoint;
+use crate::fabric::{Endpoint, Lane};
 
 /// One RPC: its wire name and the types that travel under it.
 ///
@@ -27,14 +30,18 @@ pub trait Method: 'static {
     type Request: Serialize + DeserializeOwned;
     /// What the handler answers.
     type Reply: Serialize + DeserializeOwned;
+    /// Where the handler runs: the target's service queue unless the
+    /// method's table line says otherwise.
+    const LANE: Lane = Lane::Queue;
 }
 
 /// Declare a table of [`Method`] markers: one unit struct per line,
-/// `Name = "wire.name": Request => Reply;`, plus `ALL`, the wire names
-/// in declaration order.
+/// `Name = "wire.name": Request => Reply;` (or
+/// `... => Reply, lane = Caller;` for a [`Lane::Caller`] method), plus
+/// `ALL`, the wire names in declaration order.
 #[macro_export]
 macro_rules! rpc_methods {
-    ($( $(#[$doc:meta])* $name:ident = $wire:literal : $req:ty => $reply:ty; )+) => {
+    ($( $(#[$doc:meta])* $name:ident = $wire:literal : $req:ty => $reply:ty $(, lane = $lane:ident)?; )+) => {
         $(
             $(#[$doc])*
             #[derive(Debug, Clone, Copy)]
@@ -44,6 +51,7 @@ macro_rules! rpc_methods {
                 const METHOD: &'static str = $wire;
                 type Request = $req;
                 type Reply = $reply;
+                $(const LANE: $crate::Lane = $crate::Lane::$lane;)?
             }
         )+
 
@@ -55,13 +63,23 @@ macro_rules! rpc_methods {
 }
 
 impl Endpoint {
-    /// Register `handler` under `M`'s wire name: decode the request,
-    /// run the handler, encode the reply.
+    /// Register `handler` under `M`'s wire name and on `M`'s lane: decode
+    /// the request, run the handler, encode the reply.
     pub fn serve<M, F>(&self, _method: M, handler: F)
     where
         M: Method,
         F: Fn(M::Request) -> Result<M::Reply, String> + Send + Sync + 'static,
     {
-        self.register(M::METHOD, typed_handler(handler));
+        self.register_on(M::METHOD, M::LANE, typed_handler(handler));
+    }
+
+    /// Register a handler of `M`'s raw bytes under its wire name and on
+    /// its lane — for a handler that answers with pre-encoded bytes.
+    pub fn serve_bytes<M, F>(&self, _method: M, handler: F)
+    where
+        M: Method,
+        F: Fn(Bytes) -> Result<Bytes, String> + Send + Sync + 'static,
+    {
+        self.register_on(M::METHOD, M::LANE, handler);
     }
 }

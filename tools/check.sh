@@ -33,6 +33,27 @@ for table in crates/core/src/methods.rs crates/baseline/src/redis_queries.rs; do
     fi
 done
 
+# A caller-lane method runs its handler on the calling thread, so only a
+# handler that never waits on the provider's other work may be there: the
+# three catalog reads, which pin a published snapshot. The lane is declared
+# by the method-table line (`, lane = Caller`); a fourth line, or a lane
+# chosen by hand outside the rpc crate, would pass every test and put a
+# store or retire on the client's thread.
+echo "== caller lane: exactly GetMeta, LcpBatch and MatchPatternBatch"
+on_lane=$(awk '
+    FNR == 1 { in_test = 0; pending = 0 }
+    /^#\[cfg\(test\)\]/ { pending = 1; next }
+    pending { pending = 0; if (/\{$/) in_test = 1; else next }
+    in_test && /^}/ { in_test = 0; next }
+    in_test || /^[[:space:]]*\/\// { next }
+    /, lane = Caller;/ { print $1 }
+    FILENAME !~ /^crates\/rpc\/src\// && /Lane::Caller/ { print FILENAME ":" FNR }
+' $(find crates -path '*/src/*.rs' | sort) | sort | tr '\n' ' ')
+if [[ "$on_lane" != "GetMeta LcpBatch MatchPatternBatch " ]]; then
+    echo "caller lane holds: ${on_lane:-nothing} (want GetMeta LcpBatch MatchPatternBatch)" >&2
+    exit 1
+fi
+
 # Every counter in rpc, deliver and core is one line of a `counter_set!`
 # table, which generates its export row. A `Metric::counter(` or
 # `Metric::gauge(` spelled by hand is a second declaration that the
