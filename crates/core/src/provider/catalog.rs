@@ -394,10 +394,12 @@ impl ProviderState {
 
     /// Handle an LCP scan: every query in the envelope (one, for a single
     /// query) is answered against *one* pinned snapshot (coherent across
-    /// the batch), one after another on the service thread (the vendored
-    /// `rayon` stand-in's `par_iter()` is `iter()`). Dispatch, tracing,
-    /// and snapshot acquisition are paid once per envelope instead of once
-    /// per query.
+    /// the batch), one after another on the thread the fabric runs it on
+    /// — the caller's, since `LCP_BATCH` is on the caller lane, or a
+    /// service thread for a wide broadcast's leg (the vendored `rayon`
+    /// stand-in's `par_iter()` is `iter()`). Dispatch, tracing, and
+    /// snapshot acquisition are paid once per envelope instead of once per
+    /// query.
     pub fn handle_lcp_batch(&self, req: LcpBatchRequest) -> Result<LcpBatchReply, String> {
         req.graphs.iter().try_for_each(wire_graph)?;
         let snap = self.catalog_snapshot();

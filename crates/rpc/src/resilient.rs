@@ -210,13 +210,24 @@ pub fn fan_out<M: Method>(
         .collect()
 }
 
+/// The widest round whose [`Lane::Caller`](crate::Lane::Caller) legs run
+/// on the caller. Such legs run one after another during dispatch, so a
+/// round of two costs at most one handler run more than a parallel
+/// dispatch, and saves each leg the queue handoff and the wait behind the
+/// target's other work. A wider round — a broadcast over many providers,
+/// whose partitions shrink as providers are added and are walked in
+/// parallel (§4.1) — queues every leg, so its latency stays that of its
+/// slowest leg.
+const INLINE_ROUND_LEGS: usize = 2;
+
 /// The one dispatch engine under every shape, on the caller's thread:
 /// every pending leg is issued with `call_async` before any reply is
 /// awaited, replies are collected under a per-round deadline, and legs
 /// that failed transiently go again in the next overlapped round after a
 /// backoff — so a call costs one round trip per round, not a thread per
-/// leg. Retries and backoff charge the caller's ambient op ledger
-/// directly.
+/// leg. A round of at most [`INLINE_ROUND_LEGS`] runs its caller-lane
+/// legs inside their dispatch. Retries and backoff charge the caller's
+/// ambient op ledger directly.
 fn overlapped(
     fabric: &Fabric,
     legs: &[(EndpointId, Bytes)],
@@ -230,7 +241,11 @@ fn overlapped(
 
     let max_attempts = policy.max_attempts.max(1);
     for attempt in 1..=max_attempts {
-        // Issue every pending leg before collecting any reply.
+        // Issue every pending leg before collecting any reply. The
+        // round's deadline runs from here, so a leg queued by an injected
+        // delay does not gain the time the round's inline legs took.
+        let inline = pending.len() <= INLINE_ROUND_LEGS;
+        let round_start = Instant::now();
         let in_flight: Vec<(usize, _, _)> = pending
             .iter()
             .map(|&i| {
@@ -243,18 +258,19 @@ fn overlapped(
                 (
                     i,
                     span,
-                    fabric.call_async(*target, method, body.clone(), ctx),
+                    fabric.call_async(*target, method, body.clone(), ctx, inline),
                 )
             })
             .collect();
 
-        let round_start = Instant::now();
         let mut still_pending = Vec::new();
         for (i, mut span, dispatched) in in_flight {
             let outcome = match dispatched {
                 Ok(rx) => {
-                    // Legs share the round's deadline: replies arrive
-                    // concurrently, so the slowest leg bounds the round.
+                    // Legs share the round's deadline: queued legs run
+                    // concurrently, so the slowest bounds the round; an
+                    // inline leg's reply is already here, and is taken
+                    // even if running it used the deadline up.
                     let left = policy.call_timeout.saturating_sub(round_start.elapsed());
                     match rx.recv_timeout(left) {
                         Ok(result) => result,
