@@ -971,32 +971,6 @@ impl EvoStoreClient {
         self.store_model(graph.clone(), owner_map, None, quality, &tensors)
     }
 
-    /// Store a model derived from `ancestor` via the given LCP: inherits
-    /// the prefix, owns (and uploads) everything else.
-    ///
-    /// `trained_tensors` must contain one tensor per self-owned key (the
-    /// layers outside the frozen prefix).
-    #[allow(clippy::too_many_arguments)]
-    pub fn store_derived(
-        &self,
-        model: ModelId,
-        graph: &CompactGraph,
-        lcp: &LcpResult,
-        ancestor: ModelId,
-        ancestor_map: &OwnerMap,
-        quality: f64,
-        trained_tensors: &HashMap<TensorKey, TensorData>,
-    ) -> Result<StoreOutcome> {
-        let owner_map = OwnerMap::derive(model, graph, lcp, ancestor_map);
-        self.store_model(
-            graph.clone(),
-            owner_map,
-            Some(ancestor),
-            quality,
-            trained_tensors,
-        )
-    }
-
     // ---- queries ---------------------------------------------------------
 
     /// Broadcast an LCP query to every provider and reduce to the global

@@ -5,11 +5,19 @@
 //! the paper's layout), or the full substrate — content-addressed chunks
 //! at [`DEFAULT_CHUNK_SIZE`] ([`evostore_kv::ChunkedStore`]) with derived
 //! models delta-encoded against their parent's tensors
-//! ([`evostore_tensor::encode_delta`]). Repair picks its transfer leg
-//! from the same setting.
+//! ([`evostore_tensor::encode_delta`]) on chains at most
+//! [`MAX_CHAIN_DEPTH`] deep. Repair picks its transfer leg from the same
+//! setting.
 //!
 //! [`DeploymentConfig`]: crate::deployment::DeploymentConfig
 //! [`DEFAULT_CHUNK_SIZE`]: evostore_kv::DEFAULT_CHUNK_SIZE
+
+/// Longest delta chain a stored record may sit on. Both places that
+/// write a delta hold it there: a store whose base is already this deep
+/// stores raw bytes, and a sync refuses a shipped delta whose header
+/// depth is not its base's local depth plus one (repair then ships the
+/// record materialized).
+pub const MAX_CHAIN_DEPTH: u8 = 3;
 
 /// Physical tensor-storage policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -23,15 +31,9 @@ pub enum StorePolicy {
     /// to the fanned two-level directory layout,
     /// [`evostore_kv::FannedLogStore`]); a derived model's records are
     /// delta-encoded against the parent's co-located tensors when that
-    /// saves space. Repair negotiates chunks and ships deltas as stored.
-    ChunkedWithDelta {
-        /// Longest delta chain a stored record may sit on. A store whose
-        /// base is already this deep falls back to raw bytes, bounding
-        /// reconstruction cost; maintenance re-basing
-        /// ([`crate::deployment::Deployment::compact_deltas`]) flattens
-        /// chains below any chosen bound.
-        max_chain_depth: u8,
-    },
+    /// saves space and the chain stays within [`MAX_CHAIN_DEPTH`]. Repair
+    /// negotiates chunks and ships deltas as stored.
+    ChunkedWithDelta,
 }
 
 impl StorePolicy {
@@ -40,18 +42,9 @@ impl StorePolicy {
         StorePolicy::Whole
     }
 
-    /// The full substrate, chains bounded at depth 3.
+    /// The full substrate.
     pub fn chunked_with_delta() -> StorePolicy {
-        StorePolicy::ChunkedWithDelta { max_chain_depth: 3 }
-    }
-
-    /// The delta chain bound; `None` for whole records, which store no
-    /// deltas.
-    pub fn max_chain_depth(self) -> Option<u8> {
-        match self {
-            StorePolicy::Whole => None,
-            StorePolicy::ChunkedWithDelta { max_chain_depth } => Some(max_chain_depth),
-        }
+        StorePolicy::ChunkedWithDelta
     }
 }
 
@@ -62,16 +55,14 @@ mod tests {
     #[test]
     fn defaults_reproduce_legacy_behavior() {
         assert_eq!(StorePolicy::default(), StorePolicy::whole());
-        assert_eq!(StorePolicy::default().max_chain_depth(), None);
     }
 
     #[test]
     fn builders_compose() {
+        assert_eq!(StorePolicy::whole(), StorePolicy::Whole);
         assert_eq!(
             StorePolicy::chunked_with_delta(),
-            StorePolicy::ChunkedWithDelta { max_chain_depth: 3 }
+            StorePolicy::ChunkedWithDelta
         );
-        let deep = StorePolicy::ChunkedWithDelta { max_chain_depth: 5 };
-        assert_eq!(deep.max_chain_depth(), Some(5));
     }
 }

@@ -14,6 +14,7 @@ use super::{CatalogSnapshot, ModelRecord, ProviderState};
 use crate::messages::*;
 use crate::owner_map::OwnerMap;
 use crate::par;
+use crate::policy::StorePolicy;
 use crate::records::validate_entry;
 
 /// On-disk form of a [`ModelRecord`] (catalog persistence).
@@ -218,7 +219,7 @@ impl ProviderState {
         // each self-owned tensor may be stored as a delta against the
         // parent's tensor at the same vertex/slot (only when the base is
         // co-located and the delta actually saves space).
-        let parent_map = if self.policy.max_chain_depth().is_some() {
+        let parent_map = if self.policy == StorePolicy::ChunkedWithDelta {
             req.parent.and_then(|p| {
                 self.catalog
                     .read()
@@ -518,23 +519,6 @@ impl ProviderState {
         self.counters.batch_envelopes.add(1);
         self.counters.batch_queries.add(req.patterns.len() as u64);
         Ok(PatternBatchReply { replies })
-    }
-
-    /// Every cataloged record as `(model, timestamp, owner_map,
-    /// optimizer_keys)` — the union-catalog input of replication-aware
-    /// audits and recovery replays.
-    pub fn catalog_entries(&self) -> Vec<(ModelId, u64, OwnerMap, Vec<TensorKey>)> {
-        self.catalog_snapshot()
-            .records()
-            .map(|(m, r)| {
-                (
-                    m,
-                    r.timestamp,
-                    r.owner_map.clone(),
-                    r.optimizer_keys.clone(),
-                )
-            })
-            .collect()
     }
 
     /// Insert a metadata-only catalog entry (no tensors) — the tensor-less

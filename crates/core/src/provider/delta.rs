@@ -1,15 +1,23 @@
 //! Parent-delta encoding: records of a derived model stored as EVDL
 //! deltas against the co-located parent tensor and reconstructed on read.
 //! A delta holds an ordinary reference on its base, released when the
-//! delta is reclaimed or rewritten raw (`rebase_deltas`, the only
-//! re-base); a live delta at depth *d* keeps at most *d* ancestors alive.
+//! delta is reclaimed; a live delta at depth *d* keeps at most *d*
+//! ancestors alive, and *d* never exceeds [`MAX_CHAIN_DEPTH`].
 
 use bytes::Bytes;
 use evostore_tensor::{apply_delta, delta_header, encode_delta_segments, is_delta, TensorKey};
 
 use super::ProviderState;
 use crate::owner_map::OwnerMap;
-use crate::policy::StorePolicy;
+use crate::policy::{StorePolicy, MAX_CHAIN_DEPTH};
+
+/// The chain rule every stored delta keeps, checked where a delta is
+/// written and by `gc_audit`: its header depth is its base's (0 for a raw
+/// base) plus one, and at most [`MAX_CHAIN_DEPTH`]. A header's depth is
+/// therefore the length of its chain on this provider.
+pub(super) fn chain_step(depth: u8, base_depth: u8) -> bool {
+    depth == base_depth.saturating_add(1) && depth <= MAX_CHAIN_DEPTH
+}
 
 impl ProviderState {
     /// Materialize the raw (EVST) bytes of a fetched record, decoding
@@ -22,8 +30,9 @@ impl ProviderState {
         if !is_delta(&record) {
             return Ok(record);
         }
-        // Walk down to the raw base (chains are depth-bounded at store
-        // time; the u8 depth field caps the walk regardless).
+        // Walk down to the raw base (chains are written at most
+        // MAX_CHAIN_DEPTH deep; the u8 depth field caps the walk
+        // regardless).
         let mut chain = vec![record];
         let mut raw = loop {
             let head = delta_header(chain.last().expect("chain non-empty"))
@@ -83,13 +92,12 @@ impl ProviderState {
         if base == key || self.tensors.incr(&base_enc).is_err() {
             return Ok(None);
         }
-        let bound = self.policy.max_chain_depth().unwrap_or(0);
         let blob = self.tensors.get(&base_enc).ok().and_then(|base_rec| {
             let depth = match is_delta(&base_rec) {
                 true => delta_header(&base_rec).ok()?.depth,
                 false => 0,
             };
-            if depth >= bound {
+            if depth >= MAX_CHAIN_DEPTH {
                 return None;
             }
             let base_raw = self.materialize(base_rec).ok()?;
@@ -112,47 +120,25 @@ impl ProviderState {
         Ok(self.transfer_record(key)?.delta_base)
     }
 
-    /// Every local (delta → base) link, from the record headers: what
-    /// each recount (`reopen`, the refs sync, `gc_audit`) adds to the
-    /// owner-map counts.
-    pub fn delta_links(&self) -> Result<Vec<(TensorKey, TensorKey)>, String> {
-        let mut links = Vec::new();
+    /// Every local delta as `(delta, base, header depth)`, from the
+    /// record headers.
+    pub(super) fn deltas(&self) -> Result<Vec<(TensorKey, TensorKey, u8)>, String> {
+        if self.policy == StorePolicy::Whole {
+            return Ok(Vec::new());
+        }
+        let mut deltas = Vec::new();
         for key in self.hosted_tensor_keys() {
-            if let Some(base) = self.delta_base(key)? {
-                links.push((key, base));
+            let record = self.transfer_record(key)?;
+            if let Some(base) = record.delta_base {
+                deltas.push((key, base, record.delta_depth));
             }
         }
-        Ok(links)
+        Ok(deltas)
     }
 
-    /// Maintenance re-base, the only one: rewrite every delta deeper than
-    /// `max_depth` raw and release its base, bounding reconstruction cost.
-    /// Returns how many records were rewritten.
-    pub fn rebase_deltas(&self, max_depth: u8) -> Result<usize, String> {
-        let mut rewritten = 0;
-        for key in self.hosted_tensor_keys() {
-            let enc = key.encode();
-            let _drops = self.drops.lock();
-            // An earlier rewrite's release may have reclaimed this key.
-            let Ok(rec) = self.tensors.get(&enc) else {
-                continue;
-            };
-            if !is_delta(&rec) {
-                continue;
-            }
-            let head = delta_header(&rec).map_err(|e| format!("delta record {key}: {e}"))?;
-            if head.depth <= max_depth {
-                continue;
-            }
-            let base = TensorKey::decode(&head.base_key).expect("delta base keys are 16 bytes");
-            let raw = self.materialize(rec)?;
-            self.tensors
-                .replace(&enc, raw)
-                .map_err(|e| format!("re-base record {key}: {e}"))?;
-            self.release_held(base)?;
-            self.counters.delta_rebased.add(1);
-            rewritten += 1;
-        }
-        Ok(rewritten)
+    /// Every local (delta → base) link: what the recount adds to the
+    /// owner-map counts.
+    pub fn delta_links(&self) -> Result<Vec<(TensorKey, TensorKey)>, String> {
+        Ok(self.deltas()?.into_iter().map(|(d, b, _)| (d, b)).collect())
     }
 }

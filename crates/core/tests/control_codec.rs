@@ -583,7 +583,7 @@ const PATTERN_BATCH_REQUEST: &str = r##"{"patterns":[{"require_layers":["Any",{"
 const PATTERN_BATCH_REPLY: &str = r##"{"replies":[{"matches":[[3,0.25],[9,3]],"scanned":2,"stats":{"candidates":9,"scanned":2,"memo_hits":1,"deduped":4,"pruned":3,"prefiltered":0,"answered":1}}]}"##;
 const RETIRE_REPLY: &str = r##"{"owner_map":{"model":7,"vertices":[{"owner":3,"owner_vertex":0,"slots":0},{"owner":7,"owner_vertex":1,"slots":2}]},"timestamp":45}"##;
 const STATS_REQUEST: &str = r##"{}"##;
-const STATS_REPLY: &str = r##"{"models":2,"distinct_archs":0,"index_cone_keys":0,"index_postings":0,"tensors":0,"tensor_bytes":0,"metadata_bytes":0,"query_stats":{"candidates":9,"scanned":2,"memo_hits":1,"deduped":4,"pruned":3,"prefiltered":0,"answered":1},"tensor_kv":{"puts":0,"gets":0,"misses":0,"deletes":0,"bytes_written":0,"bytes_read":0},"meta_kv":{"puts":0,"gets":0,"misses":0,"deletes":0,"bytes_written":0,"bytes_read":0},"bulk_segments_exposed":0,"zero_copy_reads":0,"copy_fallback_reads":0,"validate_par_batches":0,"par_forked_total":0,"par_inline_total":0,"par_helpers":0,"delta_stored":0,"delta_reconstructs":0,"delta_rebased":0,"chunks":0,"chunk_dedup_hits":0,"chunk_logical_bytes":0,"chunk_physical_bytes":0,"snapshot_publications":0,"snapshot_reads":0,"snapshot_retired":0,"batch_envelopes":0,"batch_queries":0,"deliver":{"subscriptions":0,"events_published":0,"events_delivered":0,"events_dropped":0,"event_pushes":0,"push_failures":0,"releases":0,"tree_depth":0,"tree_width":0},"transfer_chunks_offered":0,"transfer_chunks_sent":0,"transfer_chunks_skipped":0,"transfer_deltas_shipped":0,"transfer_bytes_saved":0}"##;
+const STATS_REPLY: &str = r##"{"models":2,"distinct_archs":0,"index_cone_keys":0,"index_postings":0,"tensors":0,"tensor_bytes":0,"metadata_bytes":0,"query_stats":{"candidates":9,"scanned":2,"memo_hits":1,"deduped":4,"pruned":3,"prefiltered":0,"answered":1},"tensor_kv":{"puts":0,"gets":0,"misses":0,"deletes":0,"bytes_written":0,"bytes_read":0},"meta_kv":{"puts":0,"gets":0,"misses":0,"deletes":0,"bytes_written":0,"bytes_read":0},"bulk_segments_exposed":0,"zero_copy_reads":0,"copy_fallback_reads":0,"validate_par_batches":0,"par_forked_total":0,"par_inline_total":0,"par_helpers":0,"delta_stored":0,"delta_reconstructs":0,"chunks":0,"chunk_dedup_hits":0,"chunk_logical_bytes":0,"chunk_physical_bytes":0,"snapshot_publications":0,"snapshot_reads":0,"snapshot_retired":0,"batch_envelopes":0,"batch_queries":0,"deliver":{"subscriptions":0,"events_published":0,"events_delivered":0,"events_dropped":0,"event_pushes":0,"push_failures":0,"releases":0,"tree_depth":0,"tree_width":0},"transfer_chunks_offered":0,"transfer_chunks_sent":0,"transfer_chunks_skipped":0,"transfer_deltas_shipped":0,"transfer_bytes_saved":0}"##;
 const DIGEST_REPLY: &str = r##"{"provider_index":1,"models":[{"model":7,"timestamp":44,"ref_keys":[{"owner":3,"vertex":0,"slot":0},{"owner":7,"vertex":1,"slot":1}],"optimizer_keys":[]}],"tombstones":[{"model":2,"record_timestamp":5,"retired_at":9}]}"##;
 const SYNC_REFS_REQUEST: &str = r##"{"entries":[[{"owner":7,"vertex":1,"slot":0},2],[{"owner":7,"vertex":1,"slot":1},0]],"prune_unlisted":false}"##;
 const OBS_SNAPSHOT_REPLY: &str = r##"{"metrics":[{"name":"evostore_client_ops","labels":[["op","q\"b\\s/n\nr\rt\tc\u0001f\u001fü€😀"]],"value":{"Counter":12}},{"name":"evostore_provider_models","labels":[],"value":{"Gauge":2}},{"name":"evostore_load","labels":[],"value":{"Gauge":-0.375}},{"name":"evostore_client_store_us","labels":[["client","0"]],"value":{"Histogram":{"count":3,"sum_us":900,"p50_us":250,"p95_us":400,"p99_us":400,"max_us":410,"exemplars":[{"trace_id":18446744073709551615,"span_id":1,"value_us":410}]}}}]}"##;

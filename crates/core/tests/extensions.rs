@@ -173,6 +173,67 @@ fn optimizer_state_lifecycle() {
     assert!(client.load_optimizer_state(ModelId(1)).is_err());
 }
 
+/// One history on two log-backed providers holding two replicas each: a
+/// model stored whole, then a second stored while its mirror is down,
+/// then (when `heal`) the mirror back and a repair pass — and a restart.
+fn reopen_after_an_outage(heal: bool) -> (Result<Deployment, String>, ModelId) {
+    let dir = std::env::temp_dir().join(format!(
+        "evostore-reopen-outage-{heal}-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = evostore_core::DeploymentConfig {
+        providers: 2,
+        backend: evostore_core::BackendKind::Log { dir: dir.clone() },
+        replication: evostore_core::ReplicationPolicy::new(2),
+        ..Default::default()
+    };
+    let g = seq(&[8, 16, 16, 4]);
+    let mut rng = ChaCha8Rng::seed_from_u64(19);
+    let (first, second) = (ModelId(1), ModelId(2));
+    {
+        let dep = Deployment::new(cfg.clone());
+        let client = dep.client();
+        for model in [first, second] {
+            let mirror = dep.provider_ids()[dep.replication().replicas(model, 2)[1]];
+            let plan = dep
+                .fabric()
+                .install_fault_plan(evostore_rpc::FaultPlan::new(0));
+            if model == second {
+                plan.set_down(mirror);
+            }
+            let tensors = random_tensors(model, &g, &mut rng);
+            client
+                .store_model(g.clone(), OwnerMap::fresh(model, &g), None, 0.5, &tensors)
+                .unwrap();
+            plan.set_up(mirror);
+        }
+        if heal {
+            let report = dep.repair().unwrap();
+            assert_eq!(report.models_synced, 1, "{report:?}");
+            dep.gc_audit().unwrap();
+        }
+    } // dropped: "process restart"
+    let reopened = Deployment::reopen(cfg);
+    let _ = std::fs::remove_dir_all(&dir);
+    (reopened, second)
+}
+
+/// The strict census at restart: a record missing on a replica fails
+/// `reopen` by name, and the same history healed by `repair` first
+/// reopens and audits clean.
+#[test]
+fn reopen_requires_agreeing_replicas() {
+    let (reopened, missed) = reopen_after_an_outage(false);
+    let err = reopened.err().expect("a replica missed a record");
+    assert!(err.contains(&missed.to_string()), "{err}");
+
+    let (reopened, missed) = reopen_after_an_outage(true);
+    let dep = reopened.expect("a repaired deployment reopens");
+    dep.gc_audit().unwrap();
+    assert!(dep.client().load_model(missed).is_ok());
+}
+
 #[test]
 fn reopen_recovers_catalog_and_refcounts() {
     let dir = std::env::temp_dir().join(format!("evostore-reopen-{}", std::process::id()));

@@ -10,8 +10,8 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use evostore_core::messages::{
-    GetMetaRequest, LoadOptimizerRequest, ManifestEntry, ModelMetaReply, ReadTensorsReply,
-    StoreModelRequest, StoreOptimizerRequest, SyncModelRequest,
+    DigestRequest, GetMetaRequest, LoadOptimizerRequest, ManifestEntry, ModelMetaReply,
+    ReadTensorsReply, StoreModelRequest, StoreOptimizerRequest, SyncModelRequest,
 };
 use evostore_core::watch::FetchSource;
 use evostore_core::{
@@ -148,9 +148,11 @@ fn fingerprint(dep: &Deployment) -> String {
     dep.gc_audit().unwrap();
     let state = &dep.provider_states()[0];
     let mut models: Vec<_> = state
-        .catalog_entries()
+        .handle_digest(DigestRequest {})
+        .unwrap()
+        .models
         .into_iter()
-        .map(|(m, ts, _, opt)| (m, ts, opt))
+        .map(|m| (m.model, m.timestamp, m.optimizer_keys))
         .collect();
     models.sort();
     let mut hosted = state.hosted_tensor_keys();

@@ -4,13 +4,14 @@
 //! materialized fallback (reached the way production reaches it: a
 //! failed negotiation leg, injected with a fault rule) converges to an
 //! identical catalog, shipped chains survive provider reopen with their
-//! references on their bases, and the post-repair compaction hook is
+//! references on their bases, a shipped delta lands only where its
+//! header depth is its chain's, and repair of a deep chain is
 //! idempotent; on whole records, repair ships materialized records
 //! without opening a negotiation.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use evostore_core::messages::TransferManifestRequest;
+use evostore_core::messages::{DigestRequest, TransferManifestRequest};
 use evostore_core::methods;
 use evostore_core::{
     random_tensors, BackendKind, Deployment, DeploymentConfig, OwnerMap, ReplicationPolicy,
@@ -180,9 +181,14 @@ fn catalog_fingerprint(dep: &Deployment) -> Vec<BTreeMap<ModelId, BTreeSet<Tenso
     dep.provider_states()
         .iter()
         .map(|p| {
-            p.catalog_entries()
+            p.handle_digest(DigestRequest {})
+                .unwrap()
+                .models
                 .into_iter()
-                .map(|(model, _ts, _map, keys)| (model, keys.into_iter().collect()))
+                .map(|m| {
+                    let keys = m.ref_keys.into_iter().chain(m.optimizer_keys);
+                    (m.model, keys.collect())
+                })
                 .collect()
         })
         .collect()
@@ -302,14 +308,15 @@ fn repair_lands_the_same_bytes_whichever_way_the_records_travel() {
 }
 
 #[test]
-fn post_repair_compaction_is_idempotent() {
-    // Depth-7 policy, a four-generation fine-tuning chain stored while
-    // the mirror is down: repair re-installs the chained delta records
-    // at their stored depth (bases arrive first — sync is in id order).
+fn repair_of_a_deep_chain_is_idempotent() {
+    // A four-generation fine-tuning chain, one generation past the chain
+    // bound, stored while the mirror is down: repair re-installs the
+    // chained delta records at their stored depth (bases arrive first —
+    // sync is in id order).
     let dep = Deployment::new(DeploymentConfig {
         providers: 2,
         replication: ReplicationPolicy::new(2),
-        store_policy: StorePolicy::ChunkedWithDelta { max_chain_depth: 7 },
+        store_policy: StorePolicy::chunked_with_delta(),
         ..Default::default()
     });
     let client = dep.client();
@@ -350,16 +357,11 @@ fn post_repair_compaction_is_idempotent() {
     assert!(client.stats().unwrap().delta_stored > 0);
     let report = dep.repair().unwrap();
     assert!(report.models_synced >= generations.len(), "{report:?}");
+    let deltas: u64 = dep.stats().iter().map(|s| s.transfer_deltas_shipped).sum();
+    assert!(deltas > 0, "repair ships the chain as stored");
     dep.gc_audit().unwrap();
 
-    // The post-repair hook is bounded by the policy depth: every stored
-    // chain already satisfies it, so nothing is left to rewrite.
-    assert_eq!(dep.compact_deltas(7).unwrap(), 0);
-
-    // An explicit tighter compaction rewrites once, then reaches a
-    // fixpoint; a further repair pass finds a fully healthy deployment.
-    assert!(dep.compact_deltas(1).unwrap() > 0);
-    assert_eq!(dep.compact_deltas(1).unwrap(), 0);
+    // A further repair pass finds a fully healthy deployment.
     let second = dep.repair().unwrap();
     assert_eq!(second.models_synced, 0, "{second:?}");
     assert_eq!(second.refs_adjusted, 0, "{second:?}");
@@ -450,10 +452,10 @@ fn repaired_delta_chain_survives_reopen_with_its_base_retained() {
         }
     };
 
-    // Session 2: the mirror's replayed log recounts the reference the
-    // shipped delta holds — retiring the base on the recovered
-    // deployment re-bases nothing and leaves the base retained on both
-    // replicas, held by its one dependent on each.
+    // Session 2: the mirror's recount after the restart includes the
+    // reference the shipped delta holds — retiring the base on the
+    // recovered deployment leaves it retained on both replicas, held by
+    // its one dependent on each.
     let dep = Deployment::reopen(cfg.clone()).expect("recovery succeeds");
     let links: Vec<_> = dep
         .provider_states()
@@ -466,11 +468,6 @@ fn repaired_delta_chain_survives_reopen_with_its_base_retained() {
     );
     let retired = dep.client().retire_model(parent).unwrap();
     dep.gc_audit().unwrap();
-    assert_eq!(
-        dep.stats().iter().map(|s| s.delta_rebased).sum::<u64>(),
-        0,
-        "retiring a base re-bases nothing"
-    );
     for (_, base) in links.iter().flatten() {
         assert_eq!(hosted_refs(&dep, *base), vec![1, 1], "retained base {base}");
     }
@@ -496,6 +493,96 @@ fn repaired_delta_chain_survives_reopen_with_its_base_retained() {
     assert_eq!(client.stats().unwrap().tensors, 0);
     dep.gc_audit().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every delta on every provider as `(provider, delta, header depth,
+/// length of its chain on that provider)`.
+fn chain_depths(dep: &Deployment) -> Vec<(usize, TensorKey, u8, u8)> {
+    let mut out = Vec::new();
+    for (i, p) in dep.provider_states().iter().enumerate() {
+        let links: HashMap<TensorKey, TensorKey> = p.delta_links().unwrap().into_iter().collect();
+        let keys = links.keys().copied().collect();
+        let manifest = p
+            .handle_transfer_manifest(TransferManifestRequest { keys })
+            .unwrap();
+        for record in manifest.records {
+            let (mut key, mut chain) = (record.key, 0u8);
+            while let Some(base) = links.get(&key) {
+                (key, chain) = (*base, chain + 1);
+            }
+            out.push((i, record.key, record.delta_depth, chain));
+        }
+    }
+    out
+}
+
+/// Where a model's parent sits decides how deep its deltas go, so one
+/// record can be a delta at depth 1 on one replica and stored against a
+/// deeper base on another. Three providers, two replicas: P lives on
+/// {0, 1}, its child B and grandchild X on {1, 2}. Provider 1 encodes B
+/// against P (depth 1); provider 2 holds no P and stores B raw, so X is a
+/// depth-1 delta against raw B there — and X is stored while provider 1
+/// is down. Shipped as stored, X would sit on provider 1 on a chain of
+/// two under a header of one; the sync refuses it and repair ships X
+/// materialized instead.
+#[test]
+fn a_shipped_delta_lands_only_where_its_header_depth_holds() {
+    let dep = Deployment::new(DeploymentConfig {
+        providers: 3,
+        replication: ReplicationPolicy::new(2),
+        store_policy: StorePolicy::chunked_with_delta(),
+        ..Default::default()
+    });
+    let client = dep.client();
+    let g = seq(&[8, 32, 32, 8]);
+    let mut rng = ChaCha8Rng::seed_from_u64(41);
+    let p = models_on(0, 3).next().unwrap();
+    let mut on_1 = models_on(1, 3);
+    let (b, x) = (on_1.next().unwrap(), on_1.next().unwrap());
+
+    let p_tensors = random_tensors(p, &g, &mut rng);
+    client
+        .store_model(g.clone(), OwnerMap::fresh(p, &g), None, 0.5, &p_tensors)
+        .unwrap();
+    let b_map = OwnerMap::fresh(b, &g);
+    let b_tensors = finetuned(&b_map, &p_tensors, &mut rng);
+    client
+        .store_model(g.clone(), b_map, Some(p), 0.6, &b_tensors)
+        .unwrap();
+    let down = dep.provider_ids()[1];
+    let plan = dep.fabric().install_fault_plan(FaultPlan::new(0));
+    plan.set_down(down);
+    let x_map = OwnerMap::fresh(x, &g);
+    let x_tensors = finetuned(&x_map, &b_tensors, &mut rng);
+    client
+        .store_model(g.clone(), x_map, Some(b), 0.7, &x_tensors)
+        .unwrap();
+    plan.set_up(down);
+    let before = chain_depths(&dep);
+    assert!(
+        before.iter().any(|&(i, k, ..)| i == 1 && k.owner == b),
+        "B is a delta on provider 1: {before:?}"
+    );
+    assert!(
+        before.iter().any(|&(i, k, ..)| i == 2 && k.owner == x),
+        "X is a delta on provider 2: {before:?}"
+    );
+
+    let report = dep.repair().unwrap();
+    assert!(report.models_synced >= 1, "{report:?}");
+    assert_eq!(report.missing_payloads, 0, "{report:?}");
+    for (i, key, header, chain) in chain_depths(&dep) {
+        assert_eq!(header, chain, "delta {key} on provider {i}");
+    }
+    dep.gc_audit().unwrap();
+
+    // X reads back byte-identical from provider 1 alone.
+    plan.set_down(dep.provider_ids()[2]);
+    let loaded = client.load_model(x).unwrap();
+    assert_eq!(loaded.tensors, x_tensors);
+    plan.set_up(dep.provider_ids()[2]);
+    let second = dep.repair().unwrap();
+    assert_eq!(second.models_synced, 0, "{second:?}");
 }
 
 /// One interpreted churn step for the convergence proptest.

@@ -246,13 +246,26 @@ if hits=$(awk -v release="$release" '
     in_test || /^[[:space:]]*\/\// { next }
     /\.decr\(|\.set_refs\(|purge_zero_refs\(/ { print FILENAME ":" FNR ": " $0; found = 1 }
     END { exit !found }
-' crates/core/src/provider/*.rs); then
+' crates/core/src/provider/*.rs $(find crates/core/src -path 'crates/core/src/deployment*' -name '*.rs')); then
     echo "reference count dropped outside the release path ($release):" >&2
     echo "$hits" >&2
     exit 1
 fi
-if hits=$(grep -rnE 'let _ = .*\b(release|release_held|drop_held|drop_optimizer_copies|purge_orphan_tensors|rebase_deltas)\(' crates); then
+if hits=$(grep -rnE 'let _ = .*\b(release|release_held|drop_held|drop_optimizer_copies)\(' crates); then
     echo "a release path result discarded:" >&2
+    echo "$hits" >&2
+    exit 1
+fi
+# One reference census: reopen, repair and gc_audit take their expected
+# counts from the digests' census and install them through the refs sync,
+# and the delta chain bound is a constant held where deltas are written.
+# A replayed count, a hand-written catalog union or the re-base pass would
+# compile and pass every test if put back. The pre-change STATS fixture
+# in messages.rs keeps the dropped counter on purpose.
+echo "== one reference census: no replayed counts, no re-base pass"
+if hits=$(grep -rnwE 'compact_deltas|rebase_deltas|replay_ref|purge_orphan_tensors|catalog_entries|max_chain_depth|delta_rebased' crates examples \
+    | grep -vE '^crates/core/src/messages\.rs:[0-9]+:.*PARENT_STATS_JSON'); then
+    echo "a deleted recount or re-base path is back:" >&2
     echo "$hits" >&2
     exit 1
 fi
