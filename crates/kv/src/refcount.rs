@@ -113,20 +113,6 @@ impl<B: KvBackend> RefCountedStore<B> {
         self.backend.get_resident(key)
     }
 
-    /// Rewrite the payload of an existing key *without* touching its
-    /// reference count — the primitive behind delta re-basing, where a
-    /// record's physical encoding changes while its logical identity and
-    /// every reference to it stay put. Errors with `NotFound` when the
-    /// key is not currently counted (replacing an untracked key would
-    /// desynchronize counts and storage).
-    pub fn replace(&self, key: &[u8], value: Bytes) -> Result<(), KvError> {
-        let counts = self.counts.lock();
-        if !counts.contains_key(key) {
-            return Err(KvError::NotFound);
-        }
-        self.backend.put(key, value)
-    }
-
     /// Presence check.
     pub fn contains(&self, key: &[u8]) -> bool {
         self.backend.contains(key)
@@ -279,20 +265,6 @@ mod tests {
     }
 
     #[test]
-    fn replace_keeps_refcount() {
-        let s = store();
-        s.put(b"t", Bytes::from_static(b"old"), 2).unwrap();
-        s.replace(b"t", Bytes::from_static(b"newer")).unwrap();
-        assert_eq!(s.refs(b"t"), 2);
-        assert_eq!(s.get(b"t").unwrap(), Bytes::from_static(b"newer"));
-        s.audit().unwrap();
-        assert_eq!(
-            s.replace(b"missing", Bytes::from_static(b"x")),
-            Err(KvError::NotFound)
-        );
-    }
-
-    #[test]
     fn put_existing_accumulates_refs() {
         let s = store();
         s.put(b"t", Bytes::from_static(b"a"), 1).unwrap();
@@ -419,10 +391,6 @@ mod tests {
             None => store.get(b"k1").unwrap().to_vec(),
         };
         assert_eq!(flat, vec![1u8; 100]);
-
-        store.replace(b"k1", Bytes::from(vec![9u8; 40])).unwrap();
-        assert_eq!(store.refs(b"k1"), 1);
-        assert_eq!(store.get(b"k1").unwrap(), Bytes::from(vec![9u8; 40]));
 
         assert_eq!(store.decr(b"k1").unwrap(), 0);
         assert!(!store.contains(b"k1"));
