@@ -277,8 +277,8 @@ pub struct LoadedModel {
     pub quality: f64,
 }
 
-/// Configures an [`EvoStoreClient`]: providers, retry policy, per-call
-/// timeout, and collective quorum. Obtained from
+/// Configures an [`EvoStoreClient`]: providers, retry policy (attempts,
+/// backoff, per-call deadline), and collective quorum. Obtained from
 /// [`EvoStoreClient::builder`].
 pub struct EvoStoreClientBuilder {
     fabric: Arc<Fabric>,
@@ -301,18 +301,6 @@ impl EvoStoreClientBuilder {
     /// Replace the whole retry policy (attempts, backoff, deadline).
     pub fn retry_policy(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
-        self
-    }
-
-    /// Per-attempt deadline for every call this client issues.
-    pub fn call_timeout(mut self, timeout: Duration) -> Self {
-        self.retry.call_timeout = timeout;
-        self
-    }
-
-    /// Total attempts per call (1 = no retries).
-    pub fn max_attempts(mut self, attempts: u32) -> Self {
-        self.retry.max_attempts = attempts.max(1);
         self
     }
 

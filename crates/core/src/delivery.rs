@@ -135,9 +135,8 @@ pub struct DeliveryHub {
     /// no subscribers skip the hub lock entirely).
     sub_count: AtomicU64,
     metrics: DeliverMetrics,
-    /// Span factory for pump pushes (`deliver.push` roots); `None`
-    /// outside an observed deployment.
-    tracer: Option<Tracer>,
+    /// Span factory for pump pushes (`deliver.push` roots).
+    tracer: Tracer,
 }
 
 impl DeliveryHub {
@@ -147,7 +146,7 @@ impl DeliveryHub {
         fabric: Arc<Fabric>,
         provider_ep: u32,
         fanout: usize,
-        tracer: Option<Tracer>,
+        tracer: Tracer,
     ) -> DeliveryHub {
         DeliveryHub {
             fabric,
@@ -445,21 +444,15 @@ impl DeliveryHub {
         self.metrics.event_pushes.add(legs.len() as u64);
         // One `deliver.push` root span per pump round; every push
         // attempt files a child under it.
-        let root = self.tracer.as_ref().map(|t| t.start_root("deliver.push"));
-        let results = {
-            let handle = match (&self.tracer, &root) {
-                (Some(t), Some(r)) => Some(TraceHandle::new(t, r.ctx())),
-                _ => None,
-            };
-            fan_out(
-                &self.fabric,
-                &legs,
-                methods::Event,
-                &self.push_retry,
-                None,
-                handle.as_ref(),
-            )
-        };
+        let root = self.tracer.start_root("deliver.push");
+        let results = fan_out(
+            &self.fabric,
+            &legs,
+            methods::Event,
+            &self.push_retry,
+            None,
+            Some(&TraceHandle::new(&self.tracer, root.ctx())),
+        );
         let mut inner = self.inner.lock().expect("hub lock");
         for (job, (_, result)) in jobs.iter().zip(results) {
             let Some(sub) = inner.subs.get_mut(&job.sub_id) else {
@@ -490,9 +483,7 @@ impl DeliveryHub {
                 }
             }
         }
-        if let Some(r) = root {
-            r.finish();
-        }
+        root.finish();
     }
 }
 

@@ -3,14 +3,11 @@
 //! (`repair`) and repair's per-model re-replication legs (`transfer`).
 
 use std::collections::HashMap;
-use std::path::Path;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::time::Duration;
 
-use evostore_kv::{
-    ChunkStats, ChunkedStore, FannedLogStore, KvBackend, LogStore, MemPoolStore, DEFAULT_CHUNK_SIZE,
-};
+use evostore_kv::{KvBackend, LogStore, MemPoolStore};
 use evostore_obs::{
     FlightEvent, MonotonicClock, ObsHub, ObsServer, OpLedger, RegistrySnapshot, SloSpec,
     TimeSource, Tracer,
@@ -21,7 +18,7 @@ use crate::client::EvoStoreClient;
 use crate::messages::{ObsSnapshotRequest, ProviderStats, SyncRefsRequest};
 use crate::methods;
 use crate::policy::StorePolicy;
-use crate::provider::{Provider, ProviderState};
+use crate::provider::{Provider, ProviderState, Substrate};
 use crate::replication::ReplicationPolicy;
 
 mod repair;
@@ -153,48 +150,14 @@ impl Deployment {
         }
         fabric.set_flight_recorder(Some(obs.new_recorder("fabric", FABRIC_FLIGHT_EVENTS)));
         let clock = Arc::new(AtomicU64::new(1));
-        let chunked = cfg.store_policy != StorePolicy::Whole;
-        // Under chunking, the whole-tensor layer wraps in a
-        // content-addressed chunk store; persistent tensor stores switch
-        // to the fanned two-level hash-directory layout (chunk keys are
-        // content hashes, so fan-out by leading key byte is uniform).
-        let wrap = |b: Box<dyn KvBackend>| -> Result<Box<dyn KvBackend>, String> {
-            if !chunked {
-                return Ok(b);
-            }
-            let store = ChunkedStore::open(b, DEFAULT_CHUNK_SIZE)
-                .map_err(|e| format!("open content-addressed chunk layer: {e}"))?;
-            Ok(Box::new(store))
-        };
-        let open_tensor_log = |dir: &Path, i: usize| -> Result<Box<dyn KvBackend>, String> {
-            let tensor_dir = dir.join(format!("provider-{i}/tensors"));
-            let err = |e| format!("open provider {i} tensor store: {e}");
-            Ok(match chunked {
-                false => Box::new(LogStore::open(tensor_dir).map_err(err)?),
-                true => Box::new(FannedLogStore::open(tensor_dir).map_err(err)?),
-            })
-        };
-        let open_meta_log = |dir: &Path, i: usize| -> Result<Box<dyn KvBackend>, String> {
-            let meta = LogStore::open(dir.join(format!("provider-{i}/meta")))
-                .map_err(|e| format!("open provider {i} meta store: {e}"))?;
-            Ok(Box::new(meta))
-        };
         let mut providers = Vec::with_capacity(cfg.providers);
         for i in 0..cfg.providers {
-            let (backend, meta): (Box<dyn KvBackend>, Box<dyn KvBackend>) = match &cfg.backend {
-                BackendKind::Memory => (
-                    wrap(Box::new(MemPoolStore::new()))?,
-                    Box::new(MemPoolStore::new()),
-                ),
-                BackendKind::Log { dir } => {
-                    (wrap(open_tensor_log(dir, i)?)?, open_meta_log(dir, i)?)
-                }
-                BackendKind::Tiered { dir, memory_budget } => (
-                    wrap(Box::new(evostore_kv::TieredStore::new(
-                        open_tensor_log(dir, i)?,
-                        *memory_budget,
-                    )))?,
-                    open_meta_log(dir, i)?,
+            let tensors = Substrate::open(cfg.store_policy, &cfg.backend, i)?;
+            let meta: Box<dyn KvBackend> = match &cfg.backend {
+                BackendKind::Memory => Box::new(MemPoolStore::new()),
+                BackendKind::Log { dir } | BackendKind::Tiered { dir, .. } => Box::new(
+                    LogStore::open(dir.join(format!("provider-{i}/meta")))
+                        .map_err(|e| format!("open provider {i} meta store: {e}"))?,
                 ),
             };
             providers.push(Provider::spawn(
@@ -203,11 +166,10 @@ impl Deployment {
                 cfg.providers,
                 cfg.replication,
                 Arc::clone(&clock),
-                backend,
+                tensors,
                 meta,
                 cfg.service_threads,
-                Some(&obs),
-                cfg.store_policy,
+                &obs,
                 cfg.deliver_fanout,
             ));
         }
@@ -420,15 +382,6 @@ impl Deployment {
     /// [`ProviderStats::meta_kv`]) carried in STATS replies.
     pub fn stats(&self) -> Vec<ProviderStats> {
         self.providers.iter().map(|p| p.state.stats()).collect()
-    }
-
-    /// Per-provider chunk-occupancy counters, in provider-index order
-    /// (`None` on providers whose tensor store is not content-addressed).
-    pub fn chunk_stats(&self) -> Vec<Option<ChunkStats>> {
-        self.providers
-            .iter()
-            .map(|p| p.state.chunk_stats())
-            .collect()
     }
 
     /// One unified metrics snapshot for the whole deployment: the hub

@@ -14,7 +14,6 @@ use super::{CatalogSnapshot, ModelRecord, ProviderState};
 use crate::messages::*;
 use crate::owner_map::OwnerMap;
 use crate::par;
-use crate::policy::StorePolicy;
 use crate::records::validate_entry;
 
 /// On-disk form of a [`ModelRecord`] (catalog persistence).
@@ -215,11 +214,11 @@ impl ProviderState {
         .into_iter()
         .collect::<Result<Vec<_>, String>>()?;
 
-        // When delta encoding is on and the parent is cataloged locally,
+        // On the chunked substrate, when the parent is cataloged locally,
         // each self-owned tensor may be stored as a delta against the
         // parent's tensor at the same vertex/slot (only when the base is
         // co-located and the delta actually saves space).
-        let parent_map = if self.policy == StorePolicy::ChunkedWithDelta {
+        let parent_map = if self.tensors.backend().chunked().is_some() {
             req.parent.and_then(|p| {
                 self.catalog
                     .read()

@@ -9,7 +9,7 @@ use evostore_tensor::{apply_delta, delta_header, encode_delta_segments, is_delta
 
 use super::ProviderState;
 use crate::owner_map::OwnerMap;
-use crate::policy::{StorePolicy, MAX_CHAIN_DEPTH};
+use crate::policy::MAX_CHAIN_DEPTH;
 
 /// The chain rule every stored delta keeps, checked where a delta is
 /// written and by `gc_audit`: its header depth is its base's (0 for a raw
@@ -114,7 +114,7 @@ impl ProviderState {
     /// The base a stored record is a delta against: `None` for a raw
     /// record, and always under whole records.
     pub(super) fn delta_base(&self, key: TensorKey) -> Result<Option<TensorKey>, String> {
-        if self.policy == StorePolicy::Whole {
+        if self.tensors.backend().chunked().is_none() {
             return Ok(None);
         }
         Ok(self.transfer_record(key)?.delta_base)
@@ -123,7 +123,7 @@ impl ProviderState {
     /// Every local delta as `(delta, base, header depth)`, from the
     /// record headers.
     pub(super) fn deltas(&self) -> Result<Vec<(TensorKey, TensorKey, u8)>, String> {
-        if self.policy == StorePolicy::Whole {
+        if self.tensors.backend().chunked().is_none() {
             return Ok(Vec::new());
         }
         let mut deltas = Vec::new();

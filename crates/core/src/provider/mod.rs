@@ -14,17 +14,20 @@
 //! This module holds the shared state, the catalog and its published
 //! snapshot, and [`Provider::spawn`]; the handlers live beside it, one
 //! module per seam: `catalog`, `data`, `refs`, `delta`, `transfer`,
-//! `stats`. Handlers are reachable only through the method table
-//! ([`crate::methods`]) they are registered under.
+//! `stats`, over the tensor store `substrate` defines. Handlers are
+//! reachable only through the method table ([`crate::methods`]) they are
+//! registered under.
 
 mod catalog;
 mod data;
 mod delta;
 mod refs;
 mod stats;
+mod substrate;
+mod transfer;
 
 pub use stats::{index_query_rows, kv_rows};
-mod transfer;
+pub use substrate::Substrate;
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -34,10 +37,7 @@ use bytes::Bytes;
 use evostore_graph::{ArchIndex, CompactGraph, IndexQueryStats, SnapshotCell};
 use evostore_kv::{KvBackend, RefCountedStore};
 use evostore_obs::ledger::install_costs;
-use evostore_obs::{
-    current_trace, FlightRecorder, MonotonicClock, ObsHub, OpCosts, OpLedger, Span, TimeSource,
-    Tracer,
-};
+use evostore_obs::{current_trace, FlightRecorder, ObsHub, OpCosts, OpLedger, Span, Tracer};
 use evostore_rpc::{Endpoint, EndpointId, Fabric, Method};
 use evostore_tensor::{ModelId, TensorKey};
 use parking_lot::{Mutex, RwLock};
@@ -48,7 +48,6 @@ use crate::delivery::{CatalogChange, DeliveryHub};
 use crate::messages::{GetMetaRequest, ProviderCounters, Tombstone};
 use crate::methods;
 use crate::owner_map::OwnerMap;
-use crate::policy::StorePolicy;
 use crate::replication::ReplicationPolicy;
 
 /// Flight-recorder ring capacity per provider (recent events kept for a
@@ -311,7 +310,9 @@ pub struct ProviderState {
     /// Replica placement rule (shared by every provider and client of
     /// the deployment).
     pub replication: ReplicationPolicy,
-    tensors: RefCountedStore<Box<dyn KvBackend>>,
+    /// The tensor store; [`Substrate::chunked`] is the one answer to
+    /// "are records content-addressed here?".
+    tensors: RefCountedStore<Substrate>,
     catalog: RwLock<Catalog>,
     /// The published immutable catalog view. Writers rebuild and swap it
     /// while still holding the catalog write lock, so publication order
@@ -348,8 +349,6 @@ pub struct ProviderState {
     /// (model re-stored or synced) rebuilds. Sharded by model id so hot
     /// fetches of different models never serialize.
     meta_replies: MetaReplyCache,
-    /// Storage policy: whether derived-model stores delta-encode.
-    policy: StorePolicy,
     /// Held by the release path (`refs`) and the refs sync, so no count
     /// falls between the release path's peek at a record and its
     /// decrement.
@@ -359,10 +358,6 @@ pub struct ProviderState {
     delivery: Arc<DeliveryHub>,
     /// Per-method resource attribution for traced handler invocations.
     ledger: Arc<OpLedger>,
-    /// Spawned under an [`ObsHub`]: the hub emits this provider's
-    /// flight-ring metrics, so [`ProviderState::obs_snapshot`] must not
-    /// emit them a second time.
-    hub_attached: bool,
 }
 
 impl ProviderState {
@@ -596,11 +591,9 @@ impl Drop for Provider {
 impl Provider {
     /// Spawn a provider on `fabric` as provider `index` of
     /// `num_providers`, with the given replica placement rule, tensor
-    /// backend and RPC service thread count. When an [`ObsHub`] is
-    /// given, the provider's flight recorder registers with it (and
-    /// stamps time from the hub clock — the simulator's virtual clock in
-    /// simulated runs); otherwise the provider keeps a private
-    /// wall-clock ring.
+    /// store and RPC service thread count. Its flight recorders register
+    /// with `obs` and stamp time from the hub clock (the simulator's
+    /// virtual clock in simulated runs).
     #[allow(clippy::too_many_arguments)]
     pub fn spawn(
         fabric: Arc<Fabric>,
@@ -608,42 +601,22 @@ impl Provider {
         num_providers: usize,
         replication: ReplicationPolicy,
         clock: Arc<AtomicU64>,
-        backend: Box<dyn KvBackend>,
+        tensors: Substrate,
         meta_store: Box<dyn KvBackend>,
         service_threads: usize,
-        obs: Option<&ObsHub>,
-        policy: StorePolicy,
+        obs: &ObsHub,
         deliver_fanout: usize,
     ) -> Provider {
         let endpoint = fabric.create_endpoint(service_threads);
-        let node = format!("provider{index}");
-        let tracer = match obs {
-            Some(hub) => Tracer::new(
-                &node,
-                Arc::clone(hub.clock()),
-                hub.new_recorder(&node, PROVIDER_FLIGHT_EVENTS),
-            ),
-            None => {
-                let wall: Arc<dyn TimeSource> = Arc::new(MonotonicClock::default());
-                let ring = Arc::new(FlightRecorder::new(
-                    &node,
-                    PROVIDER_FLIGHT_EVENTS,
-                    Arc::clone(&wall),
-                ));
-                Tracer::new(&node, wall, ring)
-            }
+        let tracer_for = |node: String| {
+            let ring = obs.new_recorder(&node, PROVIDER_FLIGHT_EVENTS);
+            Tracer::new(&node, Arc::clone(obs.clock()), ring)
         };
+        let tracer = tracer_for(format!("provider{index}"));
         // The pump pushes from its own thread, outside any handler
         // span, so it gets its own span factory (`deliver.push` roots
-        // land in a dedicated flight ring under observation).
-        let deliver_tracer = obs.map(|hub| {
-            let dnode = format!("deliver{index}");
-            Tracer::new(
-                &dnode,
-                Arc::clone(hub.clock()),
-                hub.new_recorder(&dnode, PROVIDER_FLIGHT_EVENTS),
-            )
-        });
+        // land in a dedicated flight ring).
+        let deliver_tracer = tracer_for(format!("deliver{index}"));
         let delivery = Arc::new(DeliveryHub::new(
             Arc::clone(&fabric),
             endpoint.id().0,
@@ -655,7 +628,7 @@ impl Provider {
             index,
             num_providers,
             replication,
-            tensors: RefCountedStore::new(backend),
+            tensors: RefCountedStore::new(tensors),
             catalog: RwLock::new(Catalog::new()),
             snapshot: SnapshotCell::new(Arc::new(CatalogSnapshot::empty())),
             meta_store,
@@ -668,11 +641,9 @@ impl Provider {
             tracer,
             endpoint_id: endpoint.id().0,
             meta_replies: MetaReplyCache::new(),
-            policy,
             drops: Mutex::new(()),
             delivery,
             ledger: Arc::new(OpLedger::new()),
-            hub_attached: obs.is_some(),
         });
         state.register_handlers(&endpoint);
 

@@ -2,7 +2,7 @@
 //! observability registry snapshot built from it.
 
 use evostore_graph::IndexQueryStats;
-use evostore_kv::MetricsSnapshot;
+use evostore_kv::{KvBackend, MetricsSnapshot};
 use evostore_obs::{Metric, RegistrySnapshot};
 
 use super::ProviderState;
@@ -39,16 +39,15 @@ pub fn kv_rows(s: &MetricsSnapshot) -> [(&'static str, u64); 6] {
 }
 
 impl ProviderState {
-    /// Chunk-occupancy counters of the tensor store, when the physical
-    /// layer is content-addressed.
-    pub fn chunk_stats(&self) -> Option<evostore_kv::ChunkStats> {
-        self.tensors.backend().chunk_stats()
-    }
-
     /// Current statistics: the handlers' counters as they stand, and
     /// every `computed` and `nested` line of the table worked out here.
     pub fn stats(&self) -> ProviderStats {
-        let chunk = self.chunk_stats().unwrap_or_default();
+        let chunk = self
+            .tensors
+            .backend()
+            .chunked()
+            .map(|c| c.stats())
+            .unwrap_or_default();
         let snap = self.catalog_snapshot();
         let par = par::stats();
         ProviderStats {
@@ -84,8 +83,9 @@ impl ProviderState {
 
     /// This provider's observability registry snapshot, built on demand
     /// (the `OBS_SNAPSHOT` reply): every series of the [`ProviderStats`]
-    /// table and of its nested sets, the per-method ledger, and
-    /// flight-ring occupancy.
+    /// table and of its nested sets, and the per-method ledger. The
+    /// provider's flight rings are registered with the deployment's
+    /// [`ObsHub`](evostore_obs::ObsHub), which emits their occupancy.
     pub fn obs_snapshot(&self) -> RegistrySnapshot {
         let stats = self.stats();
         let provider = self.index.to_string();
@@ -103,12 +103,6 @@ impl ProviderState {
             metrics.extend(leaf(&kv_rows(&kv), &labels));
         }
         metrics.extend(self.ledger.metrics(&format!("provider{provider}")));
-        // Under an ObsHub the hub's own source emits this ring's
-        // counters; emitting them here too would double-count in the
-        // merged snapshot.
-        if !self.hub_attached {
-            metrics.extend(self.tracer.recorder().metrics());
-        }
         RegistrySnapshot::from_metrics(metrics)
     }
 }

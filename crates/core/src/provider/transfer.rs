@@ -10,6 +10,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use evostore_graph::CompactGraph;
+use evostore_kv::{ChunkedStore, KvBackend};
 use evostore_tensor::{
     delta_probe_segments, validate_segments, ContentHash, DeltaHeader, ModelId, TensorKey,
     DELTA_PROBE_LEN,
@@ -59,6 +60,16 @@ struct SyncedModel {
 }
 
 impl ProviderState {
+    /// The chunk store, or the typed refusal every chunk-negotiation
+    /// method answers on a whole-record provider (its request bodies are
+    /// outside input, so a misdirected one is refused, not trusted).
+    fn chunk_store(&self) -> Result<&ChunkedStore<Box<dyn KvBackend>>, String> {
+        self.tensors
+            .backend()
+            .chunked()
+            .ok_or_else(|| NOT_CHUNKED.to_string())
+    }
+
     /// Handle a digest request: summarize every cataloged model (id,
     /// timestamp, referenced tensor keys) and every witnessed
     /// retirement — the input of the deployment's reference census
@@ -219,15 +230,12 @@ impl ProviderState {
             let h = wire_hash(hb);
             let chunk = match provided.get(&h.0) {
                 Some(c) => c.clone(),
-                None => match self.tensors.backend().chunk_fetch(h) {
-                    Some(Ok(c)) => c,
-                    Some(Err(_)) | None => {
-                        return Err(format!(
-                            "record {key}: head chunk {:032x} unavailable for framing validation",
-                            h.0
-                        ))
-                    }
-                },
+                None => self.chunk_store()?.chunk_payload(h).map_err(|_| {
+                    format!(
+                        "record {key}: head chunk {:032x} unavailable for framing validation",
+                        h.0
+                    )
+                })?,
             };
             have += chunk.len();
             head.push(chunk);
@@ -256,11 +264,10 @@ impl ProviderState {
     /// chunk hashes and its delta linkage, described from its listing and
     /// head chunks alone.
     pub(super) fn transfer_record(&self, key: TensorKey) -> Result<TransferRecord, String> {
-        let (total, hashes) = match self.tensors.backend().chunk_listing(&key.encode()) {
-            Some(Ok(listing)) => listing,
-            Some(Err(_)) => return Err(format!("tensor {key} not stored")),
-            None => return Err(NOT_CHUNKED.into()),
-        };
+        let (total, hashes) = self
+            .chunk_store()?
+            .chunk_manifest(&key.encode())
+            .map_err(|_| format!("tensor {key} not stored"))?;
         let hashes: Vec<[u8; 16]> = hashes.iter().map(|h| h.to_bytes()).collect();
         let head = self.probe_chunked_framing(key, total as u64, &hashes, &HashMap::new())?;
         let (delta_base, delta_depth) = delta_linkage(key, head)?;
@@ -278,11 +285,7 @@ impl ProviderState {
     /// held here.
     pub fn handle_have_chunks(&self, req: HaveChunksRequest) -> Result<HaveChunksReply, String> {
         let hashes: Vec<ContentHash> = req.hashes.iter().map(wire_hash).collect();
-        let have_chunks = self
-            .tensors
-            .backend()
-            .chunk_probe(&hashes)
-            .ok_or(NOT_CHUNKED)?;
+        let have_chunks = self.chunk_store()?.probe_chunks(&hashes);
         let have_records = req
             .keys
             .iter()
@@ -304,15 +307,14 @@ impl ProviderState {
     /// payloads, by content hash, as one vectored bulk region of shared
     /// buffers (the caller releases it).
     pub fn handle_read_chunks(&self, req: ReadChunksRequest) -> Result<ReadChunksReply, String> {
+        let chunks = self.chunk_store()?;
         let mut lens = Vec::with_capacity(req.hashes.len());
         let mut segments = Vec::with_capacity(req.hashes.len());
         for hb in &req.hashes {
             let h = wire_hash(hb);
-            let chunk = match self.tensors.backend().chunk_fetch(h) {
-                Some(Ok(c)) => c,
-                Some(Err(e)) => return Err(format!("chunk {:032x}: {e}", h.0)),
-                None => return Err(NOT_CHUNKED.into()),
-            };
+            let chunk = chunks
+                .chunk_payload(h)
+                .map_err(|e| format!("chunk {:032x}: {e}", h.0))?;
             lens.push(chunk.len() as u64);
             segments.push(chunk);
         }
@@ -338,6 +340,7 @@ impl ProviderState {
     /// Staleness rules match [`ProviderState::handle_sync_model`]; on any
     /// validation failure repair falls back to a materialized sync.
     pub fn handle_sync_chunks(&self, req: SyncChunksRequest) -> Result<SyncChunksReply, String> {
+        let chunks = self.chunk_store()?;
         let SyncChunksRequest {
             model,
             graph,
@@ -445,14 +448,11 @@ impl ProviderState {
                         continue;
                     }
                     let hashes: Vec<ContentHash> = rec.hashes.iter().map(wire_hash).collect();
-                    match self
-                        .tensors
-                        .put_chunked(&enc, rec.total as usize, &hashes, &provided, 1)
-                    {
-                        Some(Ok(())) => {}
-                        Some(Err(e)) => return Err(format!("sync record {}: {e}", rec.key)),
-                        None => return Err(NOT_CHUNKED.into()),
-                    }
+                    self.tensors
+                        .put_with(&enc, 1, |_| {
+                            chunks.put_manifest(&enc, rec.total as usize, &hashes, &provided)
+                        })
+                        .map_err(|e| format!("sync record {}: {e}", rec.key))?;
                     if let Some(base) = rec.delta_base {
                         bases.push(base);
                     }

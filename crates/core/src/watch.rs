@@ -43,7 +43,15 @@ use crate::messages::ManifestEntry;
 use crate::methods;
 use crate::records::{pack, read_entry};
 
-/// Watcher tuning knobs.
+/// Service threads of a watcher's endpoint: one applies event pushes
+/// while another serves peer fetches.
+const WATCHER_SERVICE_THREADS: usize = 2;
+
+/// Poll interval while a tree parent is still fetching upstream.
+const PEER_POLL: Duration = Duration::from_millis(2);
+
+/// Watcher tuning knobs. A watcher always resubscribes with replay when
+/// it detects a sequence gap or an `EventsLost` marker.
 #[derive(Debug, Clone)]
 pub struct WatchConfig {
     /// Provider-side bound on undelivered events for this subscriber.
@@ -56,17 +64,9 @@ pub struct WatchConfig {
     /// `false` fetches every release straight from the provider — the
     /// unicast baseline the `deliver_ab` bench compares against.
     pub use_fetch_chain: bool,
-    /// Resubscribe with replay automatically when a sequence gap or an
-    /// `EventsLost` marker is detected.
-    pub auto_resubscribe: bool,
     /// Initial replay point: `Some(ts)` replays every cataloged record
     /// newer than `ts` on subscribe (use `Some(0)` for "everything").
     pub replay_after: Option<u64>,
-    /// Service threads of the watcher's endpoint (one applies event
-    /// pushes while another serves peer fetches).
-    pub service_threads: usize,
-    /// Poll interval while a tree parent is still fetching upstream.
-    pub peer_poll: Duration,
     /// Polls before giving up on a parent and walking up the chain.
     pub peer_poll_attempts: usize,
 }
@@ -78,10 +78,7 @@ impl Default for WatchConfig {
             prefetch: true,
             serve_peers: true,
             use_fetch_chain: true,
-            auto_resubscribe: true,
             replay_after: None,
-            service_threads: 2,
-            peer_poll: Duration::from_millis(2),
             peer_poll_attempts: 500,
         }
     }
@@ -211,7 +208,7 @@ impl ModelWatcher {
         obs: Option<&ObsHub>,
     ) -> Result<ModelWatcher> {
         let fabric = Arc::clone(client.inner().fabric());
-        let endpoint = fabric.create_endpoint(cfg.service_threads.max(1));
+        let endpoint = fabric.create_endpoint(WATCHER_SERVICE_THREADS);
         let self_ep = endpoint.id().0;
         let retry = client.inner().retry_policy().clone();
         let tracer = Arc::clone(client.inner().tracer());
@@ -459,7 +456,7 @@ impl WatcherInner {
         for ev in to_apply {
             self.apply(ev, push.provider);
         }
-        if need_resub && self.cfg.auto_resubscribe {
+        if need_resub {
             self.resubscribe(push.provider, resub_from);
         }
         Ok(EventAck { next_expected: ack })
@@ -603,7 +600,7 @@ impl WatcherInner {
                 reply = Some(r);
                 break;
             }
-            std::thread::sleep(self.cfg.peer_poll);
+            std::thread::sleep(PEER_POLL);
         }
         let reply = reply.ok_or(EvoError::Unavailable {
             endpoint: EndpointId(peer),

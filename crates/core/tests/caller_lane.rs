@@ -105,8 +105,11 @@ fn catalog_reads_answer_while_a_store_holds_the_only_service_thread() {
 
     let reader = dep
         .client_builder()
-        .call_timeout(Duration::from_secs(1))
-        .max_attempts(1)
+        .retry_policy(
+            RetryPolicy::default()
+                .with_timeout(Duration::from_secs(1))
+                .with_attempts(1),
+        )
         .build();
     let t0 = Instant::now();
     let got = reader.query_best_ancestor(&seq(&[8, 16, 16, 5])).unwrap();

@@ -185,7 +185,7 @@ fn queue_overflow_surfaces_typed_events_lost_and_replays() {
     plan.set_up(watcher.endpoint_id());
 
     // The first successful push carries `lost_from`; the watcher turns
-    // it into a typed error and (auto_resubscribe) replays the catalog
+    // it into a typed error and resubscribes, replaying the catalog
     // from its last applied timestamp, recovering every dropped model.
     assert!(
         watcher.wait_until(WAIT, || {

@@ -13,7 +13,7 @@ use evostore_graph::{
     LayerPattern,
 };
 use evostore_obs::FlightEvent;
-use evostore_rpc::FaultPlan;
+use evostore_rpc::{FaultPlan, RetryPolicy};
 use evostore_tensor::ModelId;
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -184,7 +184,10 @@ fn a_fetch_fails_over_only_the_group_whose_primary_is_down() {
 #[test]
 fn a_walk_skips_a_down_primary_and_is_served_by_its_sibling() {
     let dep = Deployment::in_memory_replicated(3, 3);
-    let client = dep.client_builder().max_attempts(2).build();
+    let client = dep
+        .client_builder()
+        .retry_policy(RetryPolicy::default().with_attempts(2))
+        .build();
     let model = model_on(0, 3);
     let mut rng = ChaCha8Rng::seed_from_u64(16);
     client

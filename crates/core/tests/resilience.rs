@@ -10,7 +10,7 @@ use evostore_core::messages::{ManifestEntry, ReadRangeReply, ReadTensorsReply, R
 use evostore_core::methods;
 use evostore_core::{trained_tensors, Deployment, EvoError, EvoStoreClient, OwnerMap};
 use evostore_graph::{flatten, Activation, Architecture, CompactGraph, LayerConfig, LayerKind};
-use evostore_rpc::{FaultAction, FaultPlan, FaultRule, Method, RpcError};
+use evostore_rpc::{FaultAction, FaultPlan, FaultRule, Method, RetryPolicy, RpcError};
 use evostore_tensor::{write_tensor, DType, ModelId, TensorData, TensorKey, VertexId};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -179,7 +179,10 @@ fn unary_retries_flaky_endpoint_then_exhausts_persistent_one() {
 #[test]
 fn fetch_from_down_provider_is_typed_not_panic() {
     let dep = Deployment::in_memory(2);
-    let client = dep.client_builder().max_attempts(2).build();
+    let client = dep
+        .client_builder()
+        .retry_policy(RetryPolicy::default().with_attempts(2))
+        .build();
     let mut rng = ChaCha8Rng::seed_from_u64(4);
 
     let model = ModelId(1);
@@ -451,7 +454,7 @@ fn retirement_decrements_apply_once_under_dropped_replies() {
     let dep = Deployment::in_memory(n);
     let client = dep
         .client_builder()
-        .call_timeout(Duration::from_millis(100))
+        .retry_policy(RetryPolicy::default().with_timeout(Duration::from_millis(100)))
         .build();
     let (parent, child) = store_parent_and_child(&client, n, 7);
 

@@ -7,18 +7,22 @@
 //! references on their bases, a shipped delta lands only where its
 //! header depth is its chain's, and repair of a deep chain is
 //! idempotent; on whole records, repair ships materialized records
-//! without opening a negotiation.
+//! without opening a negotiation, and every chunk method is refused.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use evostore_core::messages::{DigestRequest, TransferManifestRequest};
+use evostore_core::messages::{
+    DigestRequest, HaveChunksRequest, ReadChunksRequest, SyncChunksRequest, TransferManifestRequest,
+};
 use evostore_core::methods;
 use evostore_core::{
     random_tensors, BackendKind, Deployment, DeploymentConfig, OwnerMap, ReplicationPolicy,
     StorePolicy,
 };
 use evostore_graph::{flatten, Activation, Architecture, CompactGraph, LayerConfig, LayerKind};
-use evostore_rpc::{unary, FaultAction, FaultPlan, FaultRule, Method, RetryPolicy, RpcError};
+use evostore_rpc::{
+    unary, EndpointId, FaultAction, FaultPlan, FaultRule, Method, RetryPolicy, RpcError,
+};
 use evostore_tensor::{ModelId, TensorData, TensorKey};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -716,6 +720,26 @@ proptest! {
     }
 }
 
+/// Call `method` on `target` once and assert the whole-record refusal: a
+/// typed handler error naming the missing chunk layer, and no bulk region
+/// left behind.
+fn assert_refused<M: Method>(dep: &Deployment, target: EndpointId, method: M, req: &M::Request) {
+    let regions = dep.fabric().bulk_regions();
+    let no_retry = RetryPolicy::no_retry();
+    let outcome = unary(dep.fabric(), target, method, req, &no_retry, None, None).err();
+    assert!(
+        matches!(&outcome, Some(RpcError::Handler(msg)) if msg.contains("not content-addressed")),
+        "{}: {outcome:?}",
+        M::METHOD
+    );
+    assert_eq!(
+        dep.fabric().bulk_regions(),
+        regions,
+        "{} left a region",
+        M::METHOD
+    );
+}
+
 /// Whole records take one leg: repair ships them materialized over
 /// `SYNC_MODEL` and never asks for a transfer manifest, so failing every
 /// `TRANSFER_MANIFEST` refuses no call and the mirror still converges.
@@ -749,21 +773,41 @@ fn whole_record_repair_ships_materialized_records_without_negotiating() {
     plan.set_down(dep.provider_ids()[1]);
     assert_eq!(client.load_model(model).unwrap().tensors, tensors);
 
-    // Asked directly, a whole-record provider refuses to describe chunks.
+    // Asked directly, a whole-record provider refuses every
+    // chunk-negotiation method with a typed error, and exposes nothing.
     dep.fabric().install_fault_plan(FaultPlan::new(0));
-    let outcome = unary(
-        dep.fabric(),
-        mirror,
-        methods::TransferManifest,
-        &TransferManifestRequest {
-            keys: tensors.keys().copied().collect(),
-        },
-        &RetryPolicy::no_retry(),
-        None,
-        None,
-    );
-    assert!(
-        matches!(&outcome, Err(RpcError::Handler(msg)) if msg.contains("not content-addressed")),
-        "{outcome:?}"
-    );
+    let keys: Vec<TensorKey> = tensors.keys().copied().collect();
+    let hashes = vec![[7u8; 16]];
+    let request = TransferManifestRequest { keys: keys.clone() };
+    assert_refused(&dep, mirror, methods::TransferManifest, &request);
+    let request = HaveChunksRequest {
+        hashes: hashes.clone(),
+        keys,
+    };
+    assert_refused(&dep, mirror, methods::HaveChunks, &request);
+    let request = ReadChunksRequest {
+        hashes: hashes.clone(),
+    };
+    assert_refused(&dep, mirror, methods::ReadChunks, &request);
+    // A sync the provider would otherwise take: its model places there
+    // and carries a newer stamp than the stored copy.
+    let pushed = dep
+        .fabric()
+        .bulk_expose_vec(vec![bytes::Bytes::from(vec![7u8; 16])]);
+    let request = SyncChunksRequest {
+        model,
+        graph: g.clone(),
+        owner_map: OwnerMap::fresh(model, &g),
+        parent: None,
+        quality: 0.5,
+        timestamp: u64::MAX / 2,
+        records: Vec::new(),
+        pushed: hashes,
+        lens: vec![16],
+        bulk: pushed.0,
+    };
+    assert_refused(&dep, mirror, methods::SyncChunks, &request);
+    assert!(dep.fabric().bulk_release(pushed));
+    assert_eq!(dep.fabric().bulk_regions(), 0);
+    dep.gc_audit().unwrap();
 }

@@ -137,54 +137,6 @@ pub trait KvBackend: Send + Sync {
     fn metrics_snapshot(&self) -> Option<MetricsSnapshot> {
         None
     }
-
-    /// Chunk-occupancy counters, for content-addressed backends
-    /// ([`crate::ChunkedStore`]). `None` means the backend stores values
-    /// whole.
-    fn chunk_stats(&self) -> Option<crate::chunkstore::ChunkStats> {
-        None
-    }
-
-    /// Chunk possession probe for content-addressed backends: for each
-    /// hash, whether that chunk is physically stored. `None` means the
-    /// backend stores values whole (chunk negotiation unavailable).
-    fn chunk_probe(&self, hashes: &[evostore_tensor::ContentHash]) -> Option<Vec<bool>> {
-        let _ = hashes;
-        None
-    }
-
-    /// A stored record's transfer manifest — logical length plus chunk
-    /// hash list — without touching payloads. `None` when the backend
-    /// stores values whole.
-    fn chunk_listing(
-        &self,
-        key: &[u8],
-    ) -> Option<Result<(usize, Vec<evostore_tensor::ContentHash>), KvError>> {
-        let _ = key;
-        None
-    }
-
-    /// One chunk payload by content hash. `None` when the backend stores
-    /// values whole.
-    fn chunk_fetch(&self, h: evostore_tensor::ContentHash) -> Option<Result<Bytes, KvError>> {
-        let _ = h;
-        None
-    }
-
-    /// Manifest-level insert: store a record from `(total, hashes)` plus
-    /// the payloads of chunks not already held (keyed by hash), without
-    /// ever assembling the value. `None` when the backend stores values
-    /// whole.
-    fn chunk_insert(
-        &self,
-        key: &[u8],
-        total: usize,
-        hashes: &[evostore_tensor::ContentHash],
-        provided: &std::collections::HashMap<u128, Bytes>,
-    ) -> Option<Result<(), KvError>> {
-        let _ = (key, total, hashes, provided);
-        None
-    }
 }
 
 impl<T: KvBackend + ?Sized> KvBackend for Box<T> {
@@ -223,30 +175,6 @@ impl<T: KvBackend + ?Sized> KvBackend for Box<T> {
     }
     fn metrics_snapshot(&self) -> Option<MetricsSnapshot> {
         (**self).metrics_snapshot()
-    }
-    fn chunk_stats(&self) -> Option<crate::chunkstore::ChunkStats> {
-        (**self).chunk_stats()
-    }
-    fn chunk_probe(&self, hashes: &[evostore_tensor::ContentHash]) -> Option<Vec<bool>> {
-        (**self).chunk_probe(hashes)
-    }
-    fn chunk_listing(
-        &self,
-        key: &[u8],
-    ) -> Option<Result<(usize, Vec<evostore_tensor::ContentHash>), KvError>> {
-        (**self).chunk_listing(key)
-    }
-    fn chunk_fetch(&self, h: evostore_tensor::ContentHash) -> Option<Result<Bytes, KvError>> {
-        (**self).chunk_fetch(h)
-    }
-    fn chunk_insert(
-        &self,
-        key: &[u8],
-        total: usize,
-        hashes: &[evostore_tensor::ContentHash],
-        provided: &std::collections::HashMap<u128, Bytes>,
-    ) -> Option<Result<(), KvError>> {
-        (**self).chunk_insert(key, total, hashes, provided)
     }
 }
 

@@ -50,7 +50,7 @@ const MANIFEST_HEADER: usize = 4 + 1 + 3 + 8 + 4;
 pub const DEFAULT_CHUNK_SIZE: usize = 64 * 1024;
 
 /// Physical-occupancy counters of a [`ChunkedStore`] (see
-/// [`KvBackend::chunk_stats`]).
+/// [`ChunkedStore::stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct ChunkStats {
     /// Distinct chunks physically stored.
@@ -556,32 +556,6 @@ impl<B: KvBackend> KvBackend for ChunkedStore<B> {
 
     fn metrics_snapshot(&self) -> Option<crate::metrics::MetricsSnapshot> {
         Some(self.metrics.snapshot())
-    }
-
-    fn chunk_stats(&self) -> Option<ChunkStats> {
-        Some(self.stats())
-    }
-
-    fn chunk_probe(&self, hashes: &[ContentHash]) -> Option<Vec<bool>> {
-        Some(self.probe_chunks(hashes))
-    }
-
-    fn chunk_listing(&self, key: &[u8]) -> Option<Result<(usize, Vec<ContentHash>), KvError>> {
-        Some(self.chunk_manifest(key))
-    }
-
-    fn chunk_fetch(&self, h: ContentHash) -> Option<Result<Bytes, KvError>> {
-        Some(self.chunk_payload(h))
-    }
-
-    fn chunk_insert(
-        &self,
-        key: &[u8],
-        total: usize,
-        hashes: &[ContentHash],
-        provided: &HashMap<u128, Bytes>,
-    ) -> Option<Result<(), KvError>> {
-        Some(self.put_manifest(key, total, hashes, provided))
     }
 }
 

@@ -19,13 +19,12 @@ use bytes::Bytes;
 use parking_lot::RwLock;
 
 use crate::api::{KvBackend, KvError};
-use crate::logstore::{LogStore, LogStoreConfig};
+use crate::logstore::LogStore;
 use crate::metrics::MetricsSnapshot;
 
 /// A [`LogStore`] fanned into a 16 x 16 directory tree.
 pub struct FannedLogStore {
     dir: PathBuf,
-    cfg: LogStoreConfig,
     shards: RwLock<HashMap<u8, Arc<LogStore>>>,
 }
 
@@ -44,19 +43,10 @@ impl FannedLogStore {
     /// Open (or create) a fanned store rooted at `dir`, reopening every
     /// leaf store that already exists on disk.
     pub fn open(dir: impl AsRef<Path>) -> Result<FannedLogStore, KvError> {
-        FannedLogStore::open_with(dir, LogStoreConfig::default())
-    }
-
-    /// Open with explicit per-shard tuning.
-    pub fn open_with(
-        dir: impl AsRef<Path>,
-        cfg: LogStoreConfig,
-    ) -> Result<FannedLogStore, KvError> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
         let store = FannedLogStore {
             dir,
-            cfg,
             shards: RwLock::new(HashMap::new()),
         };
         // Reopen shards present on disk so len()/keys() see them.
@@ -82,10 +72,7 @@ impl FannedLogStore {
         if let Some(s) = shards.get(&shard) {
             return Ok(Arc::clone(s));
         }
-        let store = Arc::new(LogStore::open_with(
-            shard_dir(&self.dir, shard),
-            self.cfg.clone(),
-        )?);
+        let store = Arc::new(LogStore::open(shard_dir(&self.dir, shard))?);
         shards.insert(shard, Arc::clone(&store));
         Ok(store)
     }

@@ -18,9 +18,10 @@
 //! * [`FannedLogStore`] — a [`LogStore`] fanned into a 16 x 16 hash
 //!   directory tree, the on-disk layout for chunk-addressed data.
 //!
-//! Providers hold a `RefCountedStore<Box<dyn KvBackend>>` and call it
-//! directly; physical layering (chunking, residency tiers) stays behind
-//! [`KvBackend`].
+//! Providers hold a [`RefCountedStore`] over their tensor store and call
+//! it directly; physical layering (chunking, residency tiers) stays
+//! behind [`KvBackend`], which has no chunk-level methods: chunk
+//! negotiation uses [`ChunkedStore`]'s own.
 
 pub mod api;
 pub mod chunkstore;

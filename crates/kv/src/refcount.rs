@@ -62,9 +62,13 @@ impl<B: KvBackend> RefCountedStore<B> {
         })
     }
 
-    /// Run `put` against the backend under the counts lock and, when it
-    /// succeeds, add `initial_refs` to `key`'s count.
-    fn put_with(
+    /// The one counted insert: run `put` against the backend under the
+    /// counts lock and, when it succeeds, add `initial_refs` to `key`'s
+    /// count (an existing key is overwritten and its count *increased*).
+    /// [`RefCountedStore::put`] and [`RefCountedStore::put_segments`] are
+    /// this over a plain write; a caller holding a richer backend passes
+    /// its own write, e.g. a chunk store's manifest-level insert.
+    pub fn put_with(
         &self,
         key: &[u8],
         initial_refs: u64,
@@ -75,31 +79,6 @@ impl<B: KvBackend> RefCountedStore<B> {
         put(&self.backend)?;
         *counts.entry(key.into()).or_insert(0) += initial_refs;
         Ok(())
-    }
-
-    /// Manifest-level insert for chunked backends (see
-    /// [`KvBackend::chunk_insert`]): store a record as its chunk-hash
-    /// manifest plus the payloads of chunks not already held, registering
-    /// `initial_refs` references exactly like [`RefCountedStore::put`]
-    /// (an existing key is overwritten and its count *increased*).
-    /// `None` when the wrapped backend stores values whole.
-    pub fn put_chunked(
-        &self,
-        key: &[u8],
-        total: usize,
-        hashes: &[evostore_tensor::ContentHash],
-        provided: &HashMap<u128, Bytes>,
-        initial_refs: u64,
-    ) -> Option<Result<(), KvError>> {
-        assert!(initial_refs > 0, "storing with zero references leaks");
-        let mut counts = self.counts.lock();
-        match self.backend.chunk_insert(key, total, hashes, provided)? {
-            Ok(()) => {
-                *counts.entry(key.into()).or_insert(0) += initial_refs;
-                Some(Ok(()))
-            }
-            Err(e) => Some(Err(e)),
-        }
     }
 
     /// Fetch a value.
@@ -275,15 +254,9 @@ mod tests {
     }
 
     #[test]
-    fn put_chunked_registers_refs_over_chunked_backend() {
+    fn put_with_counts_a_manifest_insert_like_a_plain_put() {
         use evostore_tensor::ContentHash;
         let s = RefCountedStore::new(crate::ChunkedStore::open(MemPoolStore::new(), 8).unwrap());
-        assert!(
-            store()
-                .put_chunked(b"t", 0, &[], &HashMap::new(), 1)
-                .is_none(),
-            "whole-value backend declines manifest inserts"
-        );
         let value = Bytes::from((0..20u8).collect::<Vec<u8>>());
         let hashes: Vec<ContentHash> = value.chunks(8).map(ContentHash::of_bytes).collect();
         let provided: HashMap<u128, Bytes> = hashes
@@ -291,12 +264,19 @@ mod tests {
             .zip(value.chunks(8))
             .map(|(h, c)| (h.0, Bytes::copy_from_slice(c)))
             .collect();
-        s.put_chunked(b"t", value.len(), &hashes, &provided, 2)
-            .unwrap()
-            .unwrap();
+        s.put_with(b"t", 2, |chunks| {
+            chunks.put_manifest(b"t", value.len(), &hashes, &provided)
+        })
+        .unwrap();
         assert_eq!(s.refs(b"t"), 2);
         assert_eq!(s.get(b"t").unwrap(), value);
         s.audit().unwrap();
+        // A refused write registers nothing.
+        let bad = s.put_with(b"u", 1, |chunks| {
+            chunks.put_manifest(b"u", 9, &hashes[..1], &HashMap::new())
+        });
+        assert!(bad.is_err());
+        assert_eq!(s.refs(b"u"), 0);
         assert_eq!(s.decr(b"t").unwrap(), 1);
         assert_eq!(s.decr(b"t").unwrap(), 0);
         assert!(!s.contains(b"t"), "reclaimed at zero like a plain put");
@@ -404,7 +384,6 @@ mod tests {
     fn wrapper_over_plain_backend() {
         let s = store();
         exercise(&s);
-        assert!(s.backend().chunk_stats().is_none());
         assert!(s.backend().metrics_snapshot().is_some());
     }
 
@@ -412,7 +391,7 @@ mod tests {
     fn wrapper_over_chunked_backend() {
         let s = RefCountedStore::new(crate::ChunkedStore::open(MemPoolStore::new(), 32).unwrap());
         exercise(&s);
-        let stats = s.backend().chunk_stats().unwrap();
+        let stats = s.backend().stats();
         assert_eq!(stats.manifests, 1);
         assert!(stats.dedup_hits > 0, "identical values must dedup");
     }
@@ -423,36 +402,5 @@ mod tests {
             Box::new(crate::ChunkedStore::open(MemPoolStore::new(), 32).unwrap());
         let s = RefCountedStore::new(backend);
         exercise(&s);
-        assert!(s.backend().chunk_stats().is_some());
-
-        // The chunk-transfer surface passes through the boxed layering.
-        s.put(b"src", Bytes::from(vec![7u8; 64]), 1).unwrap();
-        let (total, hashes) = s.backend().chunk_listing(b"src").unwrap().unwrap();
-        assert_eq!(total, 64);
-        assert_eq!(
-            s.backend().chunk_probe(&hashes).unwrap(),
-            vec![true; hashes.len()]
-        );
-        let chunk = s.backend().chunk_fetch(hashes[0]).unwrap().unwrap();
-        assert_eq!(chunk.len(), 32);
-        // All chunks already held: the manifest insert ships zero bytes.
-        s.put_chunked(b"copy", total, &hashes, &HashMap::new(), 1)
-            .unwrap()
-            .unwrap();
-        assert_eq!(s.get(b"copy").unwrap(), Bytes::from(vec![7u8; 64]));
-        s.audit().unwrap();
-    }
-
-    #[test]
-    fn chunk_transfer_surface_declines_on_whole_layout() {
-        let s = store();
-        s.put(b"k", Bytes::from(vec![1u8; 8]), 1).unwrap();
-        assert!(s.backend().chunk_probe(&[]).is_none());
-        assert!(s.backend().chunk_listing(b"k").is_none());
-        assert!(s
-            .backend()
-            .chunk_fetch(evostore_tensor::ContentHash::of_bytes(b"x"))
-            .is_none());
-        assert!(s.put_chunked(b"k2", 0, &[], &HashMap::new(), 1).is_none());
     }
 }

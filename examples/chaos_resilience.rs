@@ -95,8 +95,11 @@ fn replay(dep: &Deployment, schedule: &FaultSchedule, repair_on_recovery: bool) 
     let n = dep.provider_ids().len();
     let client = dep
         .client_builder()
-        .retry_policy(RetryPolicy::default().with_attempts(3))
-        .call_timeout(Duration::from_secs(2))
+        .retry_policy(
+            RetryPolicy::default()
+                .with_attempts(3)
+                .with_timeout(Duration::from_secs(2)),
+        )
         .min_quorum(2)
         .build();
     let (parent, child) = populate(&client, n);

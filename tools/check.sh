@@ -270,6 +270,17 @@ if hits=$(grep -rnwE 'compact_deltas|rebase_deltas|replay_ref|purge_orphan_tenso
     exit 1
 fi
 
+# The tensor store is one type, `provider::Substrate`, chosen once from the
+# store policy: chunk operations are reached through its chunked arm, not
+# through optional methods on every backend, and the provider keeps no
+# hub-less tracing branch or never-varied watcher switch beside it.
+echo "== one substrate type: no optional chunk surface, no hub-less provider"
+if hits=$(grep -rnwE 'chunk_probe|chunk_listing|chunk_fetch|chunk_insert|put_chunked|hub_attached|auto_resubscribe' crates examples); then
+    echo "a deleted substrate or option path is back:" >&2
+    echo "$hits" >&2
+    exit 1
+fi
+
 # With one CPU the pool has no helpers and `par::map` must be the plain
 # serial loop: the pool's own tests and one fixed-length bulk_checkpoint
 # run (the workload that forks on every op) have to finish there.
