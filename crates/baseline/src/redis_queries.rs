@@ -304,13 +304,6 @@ impl RedisState {
             visited: self.entries_visited.load(Ordering::Relaxed),
         }
     }
-
-    /// Weights path of a registered model (test/diagnostic helper).
-    pub fn weights_path_of(&self, model: ModelId) -> Option<String> {
-        let cat = self.catalog.read();
-        let sig = cat.by_model.get(&model)?;
-        cat.by_sig.get(sig).map(|e| e.weights_path.clone())
-    }
 }
 
 /// The server's RPC surface, declared once (`tools/check.sh` keeps the

@@ -43,14 +43,6 @@ pub enum BackendKind {
     /// Append-only log store under `dir/provider-<i>/` (the RocksDB-style
     /// persistent config).
     Log { dir: std::path::PathBuf },
-    /// Persistent log store fronted by a byte-bounded in-memory cache
-    /// (the combined "in-memory and persistently" provider of §4.3).
-    Tiered {
-        /// Storage directory.
-        dir: std::path::PathBuf,
-        /// Memory-tier budget per provider, in bytes.
-        memory_budget: usize,
-    },
 }
 
 /// Deployment parameters.
@@ -155,7 +147,7 @@ impl Deployment {
             let tensors = Substrate::open(cfg.store_policy, &cfg.backend, i)?;
             let meta: Box<dyn KvBackend> = match &cfg.backend {
                 BackendKind::Memory => Box::new(MemPoolStore::new()),
-                BackendKind::Log { dir } | BackendKind::Tiered { dir, .. } => Box::new(
+                BackendKind::Log { dir } => Box::new(
                     LogStore::open(dir.join(format!("provider-{i}/meta")))
                         .map_err(|e| format!("open provider {i} meta store: {e}"))?,
                 ),

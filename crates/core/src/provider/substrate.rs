@@ -3,12 +3,10 @@
 //! the deployment's [`StorePolicy`]; everything after asks
 //! [`Substrate::chunked`] rather than the policy.
 
-use std::path::Path;
-
 use bytes::Bytes;
 use evostore_kv::{
     ChunkedStore, FannedLogStore, KvBackend, KvError, LogStore, MemPoolStore, MetricsSnapshot,
-    TieredStore, DEFAULT_CHUNK_SIZE,
+    DEFAULT_CHUNK_SIZE,
 };
 
 use crate::deployment::BackendKind;
@@ -34,19 +32,17 @@ impl Substrate {
         backend: &BackendKind,
         index: usize,
     ) -> Result<Substrate, String> {
-        let log = |dir: &Path| -> Result<Box<dyn KvBackend>, String> {
-            let dir = dir.join(format!("provider-{index}/tensors"));
-            let err = |e| format!("open provider {index} tensor store: {e}");
-            Ok(match policy {
-                StorePolicy::Whole => Box::new(LogStore::open(dir).map_err(err)?),
-                StorePolicy::ChunkedWithDelta => Box::new(FannedLogStore::open(dir).map_err(err)?),
-            })
-        };
         let physical: Box<dyn KvBackend> = match backend {
             BackendKind::Memory => Box::new(MemPoolStore::new()),
-            BackendKind::Log { dir } => log(dir)?,
-            BackendKind::Tiered { dir, memory_budget } => {
-                Box::new(TieredStore::new(log(dir)?, *memory_budget))
+            BackendKind::Log { dir } => {
+                let dir = dir.join(format!("provider-{index}/tensors"));
+                let err = |e| format!("open provider {index} tensor store: {e}");
+                match policy {
+                    StorePolicy::Whole => Box::new(LogStore::open(dir).map_err(err)?),
+                    StorePolicy::ChunkedWithDelta => {
+                        Box::new(FannedLogStore::open(dir).map_err(err)?)
+                    }
+                }
             }
         };
         Ok(match policy {
@@ -103,9 +99,6 @@ impl KvBackend for Substrate {
     }
     fn bytes_used(&self) -> usize {
         self.kv().bytes_used()
-    }
-    fn keys(&self) -> Vec<Vec<u8>> {
-        self.kv().keys()
     }
     fn for_each_key(&self, f: &mut dyn FnMut(&[u8])) {
         self.kv().for_each_key(f)

@@ -425,47 +425,3 @@ fn caching_client_serves_repeated_transfers_locally() {
     assert!(caching.cache().is_empty());
     dep.gc_audit().unwrap();
 }
-
-#[test]
-fn tiered_backend_deployment_roundtrip_and_reopen() {
-    let dir = std::env::temp_dir().join(format!("evostore-tiered-dep-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let cfg = evostore_core::DeploymentConfig {
-        providers: 2,
-        service_threads: 1,
-        backend: evostore_core::BackendKind::Tiered {
-            dir: dir.clone(),
-            memory_budget: 1 << 20,
-        },
-        replication: evostore_core::ReplicationPolicy::default(),
-        ..Default::default()
-    };
-    let g = seq(&[8, 16, 4]);
-    let tensors;
-    {
-        let dep = Deployment::new(cfg.clone());
-        let client = dep.client();
-        let mut rng = ChaCha8Rng::seed_from_u64(8);
-        tensors = random_tensors(ModelId(1), &g, &mut rng);
-        client
-            .store_model(
-                g.clone(),
-                OwnerMap::fresh(ModelId(1), &g),
-                None,
-                0.5,
-                &tensors,
-            )
-            .unwrap();
-        // Served from the memory tier.
-        let loaded = client.load_model(ModelId(1)).unwrap();
-        assert_eq!(loaded.tensors.len(), tensors.len());
-        dep.gc_audit().unwrap();
-    }
-    // The durable tier survives a restart.
-    let dep = Deployment::reopen(cfg).unwrap();
-    let loaded = dep.client().load_model(ModelId(1)).unwrap();
-    for (k, t) in &tensors {
-        assert_eq!(&loaded.tensors[k], t);
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}

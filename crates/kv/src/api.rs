@@ -117,18 +117,17 @@ pub trait KvBackend: Send + Sync {
     /// Total bytes of live values (the storage-space metric of Fig 10).
     fn bytes_used(&self) -> usize;
 
-    /// Snapshot of all live keys (diagnostics, GC audits, compaction).
-    fn keys(&self) -> Vec<Vec<u8>>;
+    /// Visit every live key — the one listing a backend implements.
+    /// Keys may be visited in any order; mutations made *during* the walk
+    /// (from other threads) may or may not be observed.
+    fn for_each_key(&self, f: &mut dyn FnMut(&[u8]));
 
-    /// Visit every live key without materializing a `Vec<Vec<u8>>`
-    /// snapshot — the allocation-free form of [`KvBackend::keys`] for
-    /// digest and GC-audit passes that only need to iterate. Keys may be
-    /// visited in any order; mutations made *during* the walk (from
-    /// other threads) may or may not be observed, exactly like `keys`.
-    fn for_each_key(&self, f: &mut dyn FnMut(&[u8])) {
-        for k in self.keys() {
-            f(&k);
-        }
+    /// Snapshot of all live keys, collected by
+    /// [`KvBackend::for_each_key`] (catalog reload, GC audits).
+    fn keys(&self) -> Vec<Vec<u8>> {
+        let mut out = Vec::with_capacity(self.len());
+        self.for_each_key(&mut |k| out.push(k.to_vec()));
+        out
     }
 
     /// Operation/byte counters, for backends that keep them. `None`
@@ -166,9 +165,6 @@ impl<T: KvBackend + ?Sized> KvBackend for Box<T> {
     }
     fn bytes_used(&self) -> usize {
         (**self).bytes_used()
-    }
-    fn keys(&self) -> Vec<Vec<u8>> {
-        (**self).keys()
     }
     fn for_each_key(&self, f: &mut dyn FnMut(&[u8])) {
         (**self).for_each_key(f)

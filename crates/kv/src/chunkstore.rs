@@ -536,16 +536,6 @@ impl<B: KvBackend> KvBackend for ChunkedStore<B> {
         self.backend.bytes_used()
     }
 
-    fn keys(&self) -> Vec<Vec<u8>> {
-        let mut out = Vec::with_capacity(self.len());
-        self.backend.for_each_key(&mut |k| {
-            if k.first() == Some(&b'M') {
-                out.push(k[1..].to_vec());
-            }
-        });
-        out
-    }
-
     fn for_each_key(&self, f: &mut dyn FnMut(&[u8])) {
         self.backend.for_each_key(&mut |k| {
             if k.first() == Some(&b'M') {
@@ -663,6 +653,21 @@ mod tests {
         }
         assert_eq!(s.get_resident(b"empty"), Some(Vec::new()));
         assert_eq!(s.get_resident(b"absent"), None);
+    }
+
+    /// One chunk gone from memory makes the whole value not resident,
+    /// and the declined attempt records nothing.
+    #[test]
+    fn partly_resident_value_declines_and_records_nothing() {
+        let s = store(16);
+        s.put(b"k", Bytes::from((0..100u8).collect::<Vec<u8>>()))
+            .unwrap();
+        let (_, hashes) = s.chunk_manifest(b"k").unwrap();
+        assert_eq!(hashes.len(), 7);
+        assert!(s.backend().delete(&chunk_key(hashes[2])).unwrap());
+        assert_eq!(s.get_resident(b"k"), None);
+        let m = s.metrics_snapshot().unwrap();
+        assert_eq!((m.gets, m.misses, m.bytes_read), (0, 0, 0));
     }
 
     #[test]

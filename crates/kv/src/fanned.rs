@@ -116,14 +116,6 @@ impl KvBackend for FannedLogStore {
         self.open_shards().iter().map(|s| s.bytes_used()).sum()
     }
 
-    fn keys(&self) -> Vec<Vec<u8>> {
-        let mut out = Vec::new();
-        for s in self.open_shards() {
-            out.extend(s.keys());
-        }
-        out
-    }
-
     fn for_each_key(&self, f: &mut dyn FnMut(&[u8])) {
         for s in self.open_shards() {
             s.for_each_key(f);

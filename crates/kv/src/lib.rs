@@ -18,10 +18,12 @@
 //! * [`FannedLogStore`] — a [`LogStore`] fanned into a 16 x 16 hash
 //!   directory tree, the on-disk layout for chunk-addressed data.
 //!
-//! Providers hold a [`RefCountedStore`] over their tensor store and call
-//! it directly; physical layering (chunking, residency tiers) stays
-//! behind [`KvBackend`], which has no chunk-level methods: chunk
-//! negotiation uses [`ChunkedStore`]'s own.
+//! A provider stores tensors in memory ([`MemPoolStore`]) or in a log
+//! ([`LogStore`], fanned under chunking), whole or chunked: four physical
+//! stacks. Providers hold a [`RefCountedStore`] over their tensor store
+//! and call it directly; the chunk layer stays behind [`KvBackend`],
+//! which has no chunk-level methods: chunk negotiation uses
+//! [`ChunkedStore`]'s own.
 
 pub mod api;
 pub mod chunkstore;
@@ -30,7 +32,6 @@ pub mod logstore;
 pub mod mempool;
 pub mod metrics;
 pub mod refcount;
-pub mod tiered;
 
 pub use api::{KvBackend, KvError};
 pub use chunkstore::{ChunkStats, ChunkedStore, DEFAULT_CHUNK_SIZE};
@@ -39,4 +40,3 @@ pub use logstore::LogStore;
 pub use mempool::MemPoolStore;
 pub use metrics::{MetricsSnapshot, StoreMetrics};
 pub use refcount::RefCountedStore;
-pub use tiered::TieredStore;

@@ -9,7 +9,8 @@
 //! format's magic*: bytes this build cannot verify because another format
 //! wrote them (format 1's `"LOGS"` records carry an FNV-1a check) are
 //! refused with [`KvError::Corrupt`] and never truncated.
-//! Compaction rewrites live records once dead bytes dominate.
+//! Compaction rewrites live records once dead bytes dominate; a pass that
+//! fails before its rewrite is down changes nothing a reader sees.
 //!
 //! Format of one record (format 2):
 //!
@@ -42,24 +43,10 @@ const LEGACY_MAGIC: u32 = 0x4C4F_4753;
 const TOMBSTONE: u32 = u32::MAX;
 const HEADER: usize = 12;
 const TRAILER: usize = 8;
-
-/// Tuning knobs for [`LogStore`].
-#[derive(Debug, Clone)]
-pub struct LogStoreConfig {
-    /// Rotate the active segment beyond this many bytes.
-    pub segment_max_bytes: u64,
-    /// Compact when dead bytes exceed this fraction of total bytes.
-    pub compact_garbage_ratio: f64,
-}
-
-impl Default for LogStoreConfig {
-    fn default() -> Self {
-        LogStoreConfig {
-            segment_max_bytes: 64 * 1024 * 1024,
-            compact_garbage_ratio: 0.5,
-        }
-    }
-}
+/// Rotate the active segment beyond this many bytes.
+const SEGMENT_MAX_BYTES: u64 = 64 * 1024 * 1024;
+/// Compact when dead bytes exceed this fraction of total bytes.
+const COMPACT_GARBAGE_RATIO: f64 = 0.5;
 
 #[derive(Clone)]
 struct IndexEntry {
@@ -75,16 +62,61 @@ struct Segment {
     len: u64,
 }
 
-struct Inner {
-    dir: PathBuf,
-    cfg: LogStoreConfig,
-    segments: HashMap<u64, Segment>,
-    active: u64,
+/// The index and the byte accounting of the records it was built from.
+#[derive(Default)]
+struct Books {
     index: HashMap<Box<[u8]>, IndexEntry>,
     live_bytes: u64,
     /// Bytes of overwritten/deleted records (compaction trigger).
     dead_bytes: u64,
     total_bytes: u64,
+}
+
+impl Books {
+    /// A record of `key` landed at `value_offset` of `segment`: a value of
+    /// `value_len` bytes, or a tombstone (`None`). It is now the key's
+    /// newest version; the version it replaces is dead, and so is a
+    /// tombstone itself. Replay, put, delete and the compaction rewrite
+    /// all keep their books here.
+    fn land(&mut self, key: &[u8], value_len: Option<u32>, segment: u64, value_offset: u64) {
+        let len = value_len.unwrap_or(0) as usize;
+        self.total_bytes += record_len(key.len(), len);
+        self.live_bytes += len as u64;
+        let replaced = match value_len {
+            Some(value_len) => self.index.insert(
+                key.into(),
+                IndexEntry {
+                    segment,
+                    value_offset,
+                    value_len,
+                },
+            ),
+            None => {
+                self.dead_bytes += record_len(key.len(), 0);
+                self.index.remove(key)
+            }
+        };
+        if let Some(old) = replaced {
+            self.dead_bytes += record_len(key.len(), old.value_len as usize);
+            self.live_bytes -= old.value_len as u64;
+        }
+    }
+
+    /// Segment bytes no index entry points into: what a failed
+    /// compaction wrote, or old segments it could not unlink.
+    fn dead_weight(&mut self, bytes: u64) {
+        self.dead_bytes += bytes;
+        self.total_bytes += bytes;
+    }
+}
+
+struct Inner {
+    dir: PathBuf,
+    segment_max_bytes: u64,
+    compact_garbage_ratio: f64,
+    segments: HashMap<u64, Segment>,
+    active: u64,
+    books: Books,
 }
 
 /// Append-only persistent KV backend.
@@ -117,11 +149,6 @@ fn write_all_vectored(mut file: &File, mut parts: &mut [IoSlice<'_>]) -> std::io
 impl LogStore {
     /// Open (or create) a log store in `dir`.
     pub fn open(dir: impl AsRef<Path>) -> Result<LogStore, KvError> {
-        LogStore::open_with(dir, LogStoreConfig::default())
-    }
-
-    /// Open with explicit tuning.
-    pub fn open_with(dir: impl AsRef<Path>, cfg: LogStoreConfig) -> Result<LogStore, KvError> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
 
@@ -144,13 +171,11 @@ impl LogStore {
 
         let mut inner = Inner {
             dir: dir.clone(),
-            cfg,
+            segment_max_bytes: SEGMENT_MAX_BYTES,
+            compact_garbage_ratio: COMPACT_GARBAGE_RATIO,
             segments: HashMap::new(),
             active: 0,
-            index: HashMap::new(),
-            live_bytes: 0,
-            dead_bytes: 0,
-            total_bytes: 0,
+            books: Books::default(),
         };
 
         let last = ids.last().copied();
@@ -182,7 +207,7 @@ impl LogStore {
 
     /// Total bytes across all segment files, including dead records.
     pub fn disk_bytes(&self) -> u64 {
-        self.inner.lock().total_bytes
+        self.inner.lock().books.total_bytes
     }
 
     /// Force a compaction regardless of the garbage ratio.
@@ -211,7 +236,7 @@ impl Inner {
         Ok(())
     }
 
-    /// Replay one segment into the index. For the final (possibly torn)
+    /// Replay one segment into the books. For the final (possibly torn)
     /// segment, a torn tail is truncated away; for earlier segments it is
     /// an error, and so are foreign bytes in any segment.
     fn replay_segment(&mut self, id: u64, tolerate_torn_tail: bool) -> Result<(), KvError> {
@@ -230,7 +255,8 @@ impl Inner {
             match parse_record(&buf[pos..]) {
                 Ok((key, value, consumed)) => {
                     let value_offset = (pos + HEADER + key.len()) as u64;
-                    self.apply_replayed(key, value, id, value_offset);
+                    let value_len = value.map(|v| v.len() as u32);
+                    self.books.land(key, value_len, id, value_offset);
                     pos += consumed;
                 }
                 Err(NotARecord::Torn(_)) if tolerate_torn_tail => {
@@ -250,7 +276,6 @@ impl Inner {
             file.set_len(valid_up_to as u64)?;
         }
 
-        self.total_bytes += valid_up_to as u64;
         self.segments.insert(
             id,
             Segment {
@@ -262,37 +287,9 @@ impl Inner {
         Ok(())
     }
 
-    fn apply_replayed(
-        &mut self,
-        key: &[u8],
-        value: Option<&[u8]>,
-        segment: u64,
-        value_offset: u64,
-    ) {
-        match value {
-            Some(v) => {
-                let entry = IndexEntry {
-                    segment,
-                    value_offset,
-                    value_len: v.len() as u32,
-                };
-                if let Some(old) = self.index.insert(key.into(), entry) {
-                    self.dead_bytes += record_len(key.len(), old.value_len as usize);
-                    self.live_bytes -= old.value_len as u64;
-                }
-                self.live_bytes += v.len() as u64;
-            }
-            None => {
-                if let Some(old) = self.index.remove(key) {
-                    self.dead_bytes += record_len(key.len(), old.value_len as usize);
-                    self.live_bytes -= old.value_len as u64;
-                }
-                // The tombstone itself is dead weight too.
-                self.dead_bytes += record_len(key.len(), 0);
-            }
-        }
-    }
-
+    /// Append one record to the active segment, rotating first when it is
+    /// full, and return where its value lies: `(segment, value_offset)`.
+    /// The books are the caller's to keep.
     fn append(&mut self, key: &[u8], value: Option<&[u8]>) -> Result<(u64, u64), KvError> {
         self.maybe_rotate()?;
         let id = self.active;
@@ -310,7 +307,7 @@ impl Inner {
         // write: append mode keeps it one record at the OS level, and the
         // Inner mutex serializes writers.
         let value = value.unwrap_or_default();
-        write_all_vectored(
+        let written = write_all_vectored(
             &seg.file,
             &mut [
                 IoSlice::new(&head),
@@ -318,19 +315,31 @@ impl Inner {
                 IoSlice::new(value),
                 IoSlice::new(&crc),
             ],
-        )?;
-        let rec_len = record_len(key.len(), value.len());
+        );
+        if let Err(e) = written {
+            // Cut what part of the record got out, so the next append does
+            // not land behind a torn record that replay would refuse.
+            seg.file.set_len(seg.len)?;
+            return Err(e.into());
+        }
         let value_offset = seg.len + (HEADER + key.len()) as u64;
-        seg.len += rec_len;
-        self.total_bytes += rec_len;
+        seg.len += record_len(key.len(), value.len());
         Ok((id, value_offset))
+    }
+
+    /// Append a record and enter it in the books.
+    fn write(&mut self, key: &[u8], value: Option<&[u8]>) -> Result<(), KvError> {
+        let (segment, value_offset) = self.append(key, value)?;
+        let value_len = value.map(|v| v.len() as u32);
+        self.books.land(key, value_len, segment, value_offset);
+        Ok(())
     }
 
     fn maybe_rotate(&mut self) -> Result<(), KvError> {
         let full = self
             .segments
             .get(&self.active)
-            .map(|s| s.len >= self.cfg.segment_max_bytes)
+            .map(|s| s.len >= self.segment_max_bytes)
             .unwrap_or(true);
         if full {
             let next = self.active + 1;
@@ -341,17 +350,22 @@ impl Inner {
     }
 
     fn should_compact(&self) -> bool {
-        self.total_bytes > 0
-            && (self.dead_bytes as f64) / (self.total_bytes as f64) > self.cfg.compact_garbage_ratio
-            && self.dead_bytes > 4096
+        let books = &self.books;
+        books.total_bytes > 0
+            && (books.dead_bytes as f64) / (books.total_bytes as f64) > self.compact_garbage_ratio
+            && books.dead_bytes > 4096
     }
 
-    /// Rewrite all live records into fresh segments and delete the old
-    /// files.
+    /// Rewrite all live records into fresh segments, numbered above every
+    /// existing one, and delete the old files. The books change only once
+    /// every live record is down: a pass that fails before that leaves
+    /// every read answering as it did, keeps what it wrote as dead bytes
+    /// for the next pass to unlink, and leaves the active segment its
+    /// last one, so later appends replay after its copies.
     fn compact(&mut self) -> Result<(), KvError> {
         // Snapshot live entries (key -> value bytes).
-        let mut live: Vec<(Box<[u8]>, Vec<u8>)> = Vec::with_capacity(self.index.len());
-        for (key, entry) in &self.index {
+        let mut live: Vec<(Box<[u8]>, Vec<u8>)> = Vec::with_capacity(self.books.index.len());
+        for (key, entry) in &self.books.index {
             let seg = self
                 .segments
                 .get(&entry.segment)
@@ -363,48 +377,45 @@ impl Inner {
             live.push((key.clone(), buf));
         }
 
-        let mut old: Vec<(u64, Segment)> = self.segments.drain().collect();
-        old.sort_unstable_by_key(|(id, _)| *id);
-        let new_active = self.active + 1;
-        self.index.clear();
-        self.live_bytes = 0;
-        self.dead_bytes = 0;
-        self.total_bytes = 0;
-        self.create_segment(new_active)?;
-        self.active = new_active;
-
-        for (key, value) in live {
-            let (segment, value_offset) = self.append(&key, Some(&value))?;
-            self.index.insert(
-                key,
-                IndexEntry {
-                    segment,
-                    value_offset,
-                    value_len: value.len() as u32,
-                },
-            );
-            self.live_bytes += value.len() as u64;
+        let mut old: Vec<u64> = self.segments.keys().copied().collect();
+        old.sort_unstable();
+        let mut fresh = Books::default();
+        if let Err(e) = self.rewrite(&live, &mut fresh) {
+            self.books.dead_weight(fresh.total_bytes);
+            return Err(e);
         }
+        self.books = fresh;
 
         // Unlink oldest first and stop at the first failure. A deleted
         // key's put then never outlives the tombstone that killed it: any
         // segment left behind has every newer segment left with it, and
         // replay reads them in id order. What stays is kept as dead weight
         // for the next compaction to unlink.
-        let mut old = old.into_iter();
-        while let Some((id, seg)) = old.next() {
-            match std::fs::remove_file(&seg.path) {
+        for (n, id) in old.iter().enumerate() {
+            let path = &self.segments[id].path;
+            match std::fs::remove_file(path) {
                 Ok(()) => {}
                 Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
                 Err(e) => {
-                    for (id, seg) in std::iter::once((id, seg)).chain(old) {
-                        self.dead_bytes += seg.len;
-                        self.total_bytes += seg.len;
-                        self.segments.insert(id, seg);
+                    for id in &old[n..] {
+                        self.books.dead_weight(self.segments[id].len);
                     }
                     return Err(e.into());
                 }
             }
+            self.segments.remove(id);
+        }
+        Ok(())
+    }
+
+    /// Write `live` into segments numbered from `active + 1` on, entering
+    /// each record in `fresh`.
+    fn rewrite(&mut self, live: &[(Box<[u8]>, Vec<u8>)], fresh: &mut Books) -> Result<(), KvError> {
+        self.create_segment(self.active + 1)?;
+        self.active += 1;
+        for (key, value) in live {
+            let (segment, value_offset) = self.append(key, Some(value))?;
+            fresh.land(key, Some(value.len() as u32), segment, value_offset);
         }
         Ok(())
     }
@@ -469,17 +480,7 @@ impl KvBackend for LogStore {
     fn put(&self, key: &[u8], value: Bytes) -> Result<(), KvError> {
         self.metrics.record_put(value.len());
         let mut inner = self.inner.lock();
-        let (segment, value_offset) = inner.append(key, Some(&value))?;
-        let entry = IndexEntry {
-            segment,
-            value_offset,
-            value_len: value.len() as u32,
-        };
-        if let Some(old) = inner.index.insert(key.into(), entry) {
-            inner.dead_bytes += record_len(key.len(), old.value_len as usize);
-            inner.live_bytes -= old.value_len as u64;
-        }
-        inner.live_bytes += value.len() as u64;
+        inner.write(key, Some(&value))?;
         if inner.should_compact() {
             inner.compact()?;
         }
@@ -501,7 +502,7 @@ impl KvBackend for LogStore {
         // Look up under the lock, read the file outside it.
         let (file, offset, len) = {
             let inner = self.inner.lock();
-            match inner.index.get(key) {
+            match inner.books.index.get(key) {
                 Some(e) => {
                     let seg = inner
                         .segments
@@ -529,15 +530,10 @@ impl KvBackend for LogStore {
 
     fn delete(&self, key: &[u8]) -> Result<bool, KvError> {
         let mut inner = self.inner.lock();
-        if !inner.index.contains_key(key) {
+        if !inner.books.index.contains_key(key) {
             return Ok(false);
         }
-        inner.append(key, None)?;
-        if let Some(old) = inner.index.remove(key) {
-            inner.dead_bytes += record_len(key.len(), old.value_len as usize);
-            inner.dead_bytes += record_len(key.len(), 0);
-            inner.live_bytes -= old.value_len as u64;
-        }
+        inner.write(key, None)?;
         self.metrics.record_delete();
         if inner.should_compact() {
             inner.compact()?;
@@ -546,28 +542,21 @@ impl KvBackend for LogStore {
     }
 
     fn contains(&self, key: &[u8]) -> bool {
-        self.inner.lock().index.contains_key(key)
+        self.inner.lock().books.index.contains_key(key)
     }
 
     fn len(&self) -> usize {
-        self.inner.lock().index.len()
+        self.inner.lock().books.index.len()
     }
 
     fn bytes_used(&self) -> usize {
-        self.inner.lock().live_bytes as usize
+        self.inner.lock().books.live_bytes as usize
     }
 
-    fn keys(&self) -> Vec<Vec<u8>> {
-        self.inner.lock().index.keys().map(|k| k.to_vec()).collect()
-    }
-
-    /// Walk the index under the lock without materializing the
-    /// `Vec<Vec<u8>>` snapshot `keys()` pays — digest and GC-audit
-    /// passes iterate every key of every provider, so the per-pass copy
-    /// of the whole index is pure overhead.
+    /// Walks the index under the lock.
     fn for_each_key(&self, f: &mut dyn FnMut(&[u8])) {
         let inner = self.inner.lock();
-        for k in inner.index.keys() {
+        for k in inner.books.index.keys() {
             f(k);
         }
     }
@@ -576,6 +565,21 @@ impl KvBackend for LogStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl LogStore {
+        /// Open with other limits than the production constants: small
+        /// segments, or a garbage ratio that never triggers (manual
+        /// compaction only).
+        fn open_tuned(dir: &Path, segment_max_bytes: u64, compact_garbage_ratio: f64) -> LogStore {
+            let s = LogStore::open(dir).unwrap();
+            {
+                let mut inner = s.inner.lock();
+                inner.segment_max_bytes = segment_max_bytes;
+                inner.compact_garbage_ratio = compact_garbage_ratio;
+            }
+            s
+        }
+    }
 
     fn tmpdir(name: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!(
@@ -705,11 +709,7 @@ mod tests {
     #[test]
     fn segments_rotate() {
         let dir = tmpdir("rotate");
-        let cfg = LogStoreConfig {
-            segment_max_bytes: 256,
-            compact_garbage_ratio: 10.0, // never compact in this test
-        };
-        let s = LogStore::open_with(&dir, cfg).unwrap();
+        let s = LogStore::open_tuned(&dir, 256, 10.0); // never compact in this test
         for i in 0..50u32 {
             s.put(&i.to_le_bytes(), Bytes::from(vec![7u8; 64])).unwrap();
         }
@@ -722,11 +722,7 @@ mod tests {
     #[test]
     fn compaction_reclaims_space() {
         let dir = tmpdir("compact");
-        let cfg = LogStoreConfig {
-            segment_max_bytes: 4096,
-            compact_garbage_ratio: 10.0, // manual compaction only
-        };
-        let s = LogStore::open_with(&dir, cfg).unwrap();
+        let s = LogStore::open_tuned(&dir, 4096, 10.0); // manual compaction only
         for round in 0..20u32 {
             for k in 0..10u32 {
                 s.put(&k.to_le_bytes(), Bytes::from(vec![round as u8; 128]))
@@ -769,11 +765,7 @@ mod tests {
     fn an_interrupted_compaction_never_brings_a_deleted_key_back() {
         let fill = |name: &str| {
             let dir = tmpdir(name);
-            let cfg = LogStoreConfig {
-                segment_max_bytes: 256,
-                compact_garbage_ratio: 10.0, // manual compaction only
-            };
-            let s = LogStore::open_with(&dir, cfg).unwrap();
+            let s = LogStore::open_tuned(&dir, 256, 10.0); // manual compaction only
             for i in 0..16u32 {
                 s.put(&i.to_le_bytes(), Bytes::from(vec![i as u8; 48]))
                     .unwrap();
@@ -831,14 +823,97 @@ mod tests {
         }
     }
 
+    /// A compaction that fails before its rewrite is down changes nothing
+    /// a reader sees. The pass is made to fail by making the path of a
+    /// segment it will create a directory: (a) its first new segment,
+    /// (b) its third, so it fails after rotating mid-rewrite. Either way
+    /// every key is served as before with the same `len` and
+    /// `bytes_used`, what the pass wrote stays on disk as dead bytes,
+    /// later deletes and overwrites still land (and reopen honours them,
+    /// so they were written after the pass's copies), and the next
+    /// compaction succeeds and unlinks what the failed pass left.
+    #[test]
+    fn a_failed_compaction_changes_nothing() {
+        use std::collections::BTreeMap;
+        fn check(s: &LogStore, want: &BTreeMap<u32, Vec<u8>>, state: &str) {
+            for i in 0..16u32 {
+                let got = s.get(&i.to_le_bytes()).ok().map(|v| v.to_vec());
+                assert_eq!(got.as_ref(), want.get(&i), "key {i}, {state}");
+            }
+            assert_eq!(s.len(), want.len(), "{state}");
+            let used: usize = want.values().map(Vec::len).sum();
+            assert_eq!(s.bytes_used(), used, "{state}");
+        }
+        let on_disk = |dir: &Path| -> u64 {
+            let files = segment_files(dir);
+            files.iter().map(|p| p.metadata().unwrap().len()).sum()
+        };
+        for (case, written) in [("first", 0u64), ("third", 2)] {
+            let dir = tmpdir(&format!("failed-compaction-{case}"));
+            let s = LogStore::open_tuned(&dir, 256, 10.0); // manual compaction only
+            let mut want = BTreeMap::new();
+            for i in 0..16u32 {
+                s.put(&i.to_le_bytes(), Bytes::from(vec![i as u8; 48]))
+                    .unwrap();
+                want.insert(i, vec![i as u8; 48]);
+            }
+            for i in (0..16u32).step_by(4) {
+                s.delete(&i.to_le_bytes()).unwrap();
+                want.remove(&i);
+            }
+            check(&s, &want, "before the pass");
+            let last = s.inner.lock().active;
+            let old = segment_files(&dir);
+            // Twelve live 72-byte records fill three 256-byte segments.
+            let stuck = segment_path(&dir, last + 1 + written);
+            std::fs::create_dir(&stuck).unwrap();
+
+            assert!(s.compact().is_err(), "{case}: the pass must fail");
+            check(&s, &want, &format!("{case}: after the failed pass"));
+            let left: Vec<PathBuf> = (1..=written)
+                .map(|k| segment_path(&dir, last + k))
+                .collect();
+            assert!(left.iter().all(|p| p.is_file()), "{case}: kept on disk");
+            std::fs::remove_dir(&stuck).unwrap();
+            assert_eq!(s.disk_bytes(), on_disk(&dir), "{case}: tracked bytes");
+
+            // Whichever keys the pass copied, some of these were among
+            // them: a delete or put that landed before the copies would
+            // lose to them on replay.
+            for i in (1..16u32).step_by(4) {
+                assert!(s.delete(&i.to_le_bytes()).unwrap(), "{case}: delete {i}");
+                want.remove(&i);
+            }
+            for i in (2..16u32).step_by(4) {
+                s.put(&i.to_le_bytes(), Bytes::from(vec![99u8; 48]))
+                    .unwrap();
+                want.insert(i, vec![99u8; 48]);
+            }
+            check(&s, &want, &format!("{case}: after later writes"));
+            check(
+                &LogStore::open(&dir).unwrap(),
+                &want,
+                &format!("{case}: reopened after the failed pass"),
+            );
+
+            s.compact().unwrap();
+            assert!(old.iter().chain(&left).all(|p| !p.exists()), "{case}");
+            assert_eq!(s.disk_bytes(), on_disk(&dir), "{case}: after a retry");
+            check(&s, &want, &format!("{case}: after a retry"));
+            drop(s);
+            check(
+                &LogStore::open(&dir).unwrap(),
+                &want,
+                &format!("{case}: reopened after a retry"),
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
     #[test]
     fn automatic_compaction_triggers() {
         let dir = tmpdir("autocompact");
-        let cfg = LogStoreConfig {
-            segment_max_bytes: 1 << 20,
-            compact_garbage_ratio: 0.5,
-        };
-        let s = LogStore::open_with(&dir, cfg).unwrap();
+        let s = LogStore::open(&dir).unwrap();
         for round in 0..40u32 {
             s.put(b"hot", Bytes::from(vec![round as u8; 1024])).unwrap();
         }
@@ -855,11 +930,7 @@ mod tests {
     fn corrupt_middle_segment_is_an_error() {
         let dir = tmpdir("corruptmid");
         {
-            let cfg = LogStoreConfig {
-                segment_max_bytes: 128,
-                compact_garbage_ratio: 10.0,
-            };
-            let s = LogStore::open_with(&dir, cfg).unwrap();
+            let s = LogStore::open_tuned(&dir, 128, 10.0);
             for i in 0..20u32 {
                 s.put(&i.to_le_bytes(), Bytes::from(vec![1u8; 64])).unwrap();
             }

@@ -190,15 +190,6 @@ impl KvBackend for MemPoolStore {
         Some(self.metrics.snapshot())
     }
 
-    fn keys(&self) -> Vec<Vec<u8>> {
-        let mut out = Vec::with_capacity(self.len());
-        for shard in &self.shards {
-            let map = shard.read();
-            out.extend(map.keys().map(|k| k.to_vec()));
-        }
-        out
-    }
-
     fn for_each_key(&self, f: &mut dyn FnMut(&[u8])) {
         for shard in &self.shards {
             let map = shard.read();

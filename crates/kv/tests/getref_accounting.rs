@@ -8,7 +8,7 @@
 
 use bytes::Bytes;
 use evostore_kv::{
-    ChunkedStore, FannedLogStore, KvBackend, LogStore, MemPoolStore, MetricsSnapshot, TieredStore,
+    ChunkedStore, FannedLogStore, KvBackend, LogStore, MemPoolStore, MetricsSnapshot,
 };
 use evostore_tensor::rope;
 
@@ -116,59 +116,6 @@ fn fanned_logstore_rope_put_reads_back_and_counts_once() {
 }
 
 #[test]
-fn tiered_disk_resident_fallback_counts_once() {
-    let dir = tmpdir("tiered-disk");
-    // Budget below the value size: admit declines, so the value is
-    // durable-only — the exact disk-resident fallback path.
-    let probe = TieredStore::new(LogStore::open(dir.join("probe")).unwrap(), 16);
-    let twin = TieredStore::new(LogStore::open(dir.join("twin")).unwrap(), 16);
-    for s in [&probe, &twin] {
-        s.put(b"k", Bytes::from(vec![3u8; 64])).unwrap();
-    }
-    assert!(
-        probe.get_resident(b"k").is_none(),
-        "value must be durable-only"
-    );
-    assert_fallback_counts_once(probe, twin, b"k", 64);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn tiered_evicted_then_read_counts_once() {
-    let dir = tmpdir("tiered-evict");
-    let s = TieredStore::new(LogStore::open(&dir).unwrap(), 100);
-    s.put(b"old", Bytes::from(vec![4u8; 80])).unwrap();
-    // Evicts "old" from the hot tier (budget 100 < 160).
-    s.put(b"new", Bytes::from(vec![5u8; 80])).unwrap();
-    assert!(s.get_resident(b"old").is_none(), "old must be evicted");
-    let before = s.metrics_snapshot().unwrap();
-    s.get(b"old").unwrap();
-    let after = s.metrics_snapshot().unwrap();
-    assert_eq!(after.gets - before.gets, 1, "exactly one read counted");
-    assert_eq!(after.bytes_read - before.bytes_read, 80);
-    assert_eq!(after.misses, before.misses, "a durable hit is not a miss");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn tiered_memory_hit_counts_one_read() {
-    let dir = tmpdir("tiered-hot");
-    let s = TieredStore::new(LogStore::open(&dir).unwrap(), 1024);
-    // Put as a rope: the durable leg gathers, the hot tier serves it.
-    s.put_segments(
-        b"k",
-        vec![Bytes::from(vec![6u8; 12]), Bytes::from(vec![7u8; 20])],
-    )
-    .unwrap();
-    let hot = s.get_resident(b"k").expect("hot value must be resident");
-    assert_eq!(rope::len(&hot), 32);
-    let m = s.metrics_snapshot().unwrap();
-    assert_eq!((m.gets, m.misses, m.bytes_read), (1, 0, 32));
-    assert_eq!(s.cache_stats(), (1, 0));
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn chunked_multi_chunk_fallback_counts_once() {
     // Chunks parked in a log: nothing is resident, whatever the count.
     let dir = tmpdir("chunk-log");
@@ -211,37 +158,6 @@ fn chunked_single_chunk_hit_counts_one_read() {
     assert_eq!(rope::len(&s.get_resident(b"k").unwrap()), 100);
     let m = s.metrics_snapshot().unwrap();
     assert_eq!((m.gets, m.misses, m.bytes_read), (1, 0, 100));
-}
-
-#[test]
-fn chunked_over_tiered_disk_fallback_counts_once() {
-    // The full production stack: chunks parked on disk below a hot tier
-    // below the chunk layer. Logical accounting must still show exactly
-    // one read for the resident-read -> get fallback.
-    let dir = tmpdir("chunk-tiered");
-    let s = ChunkedStore::open(TieredStore::new(LogStore::open(&dir).unwrap(), 8), 64).unwrap();
-    s.put(b"k", Bytes::from(vec![9u8; 48])).unwrap();
-    assert!(s.get_resident(b"k").is_none(), "chunk is durable-only");
-    s.get(b"k").unwrap();
-    let m = s.metrics_snapshot().unwrap();
-    assert_eq!((m.gets, m.misses, m.bytes_read), (1, 0, 48));
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn chunked_partly_resident_declines_and_counts_once() {
-    // A hot tier too small for every chunk: one evicted chunk makes the
-    // whole value not resident, and nothing is recorded for the attempt.
-    let dir = tmpdir("chunk-partial");
-    let s = ChunkedStore::open(TieredStore::new(LogStore::open(&dir).unwrap(), 120), 16).unwrap();
-    s.put(b"k", Bytes::from((0..100u8).collect::<Vec<u8>>()))
-        .unwrap();
-    assert!(s.get_resident(b"k").is_none(), "early chunks were evicted");
-    assert_eq!(s.metrics_snapshot().unwrap().gets, 0);
-    assert_eq!(s.get(b"k").unwrap().len(), 100);
-    let m = s.metrics_snapshot().unwrap();
-    assert_eq!((m.gets, m.misses, m.bytes_read), (1, 0, 100));
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -12,6 +12,8 @@ enum Op {
     Put(u8, Vec<u8>),
     Delete(u8),
     Get(u8),
+    /// A forced compaction; a no-op for stores that do not compact.
+    Compact,
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -19,11 +21,19 @@ fn arb_op() -> impl Strategy<Value = Op> {
         (any::<u8>(), prop::collection::vec(any::<u8>(), 0..64)).prop_map(|(k, v)| Op::Put(k, v)),
         any::<u8>().prop_map(Op::Delete),
         any::<u8>().prop_map(Op::Get),
+        Just(Op::Compact),
     ]
 }
 
-fn check_against_reference<B: KvBackend>(store: &B, ops: &[Op]) {
-    let mut reference: HashMap<u8, Vec<u8>> = HashMap::new();
+/// Apply `ops` to `store` and to `reference`, checking every answer and,
+/// after every op, `len` and `bytes_used`. `compact` runs on
+/// [`Op::Compact`].
+fn check_against_reference<B: KvBackend>(
+    store: &B,
+    compact: impl Fn(&B),
+    ops: &[Op],
+    reference: &mut HashMap<u8, Vec<u8>>,
+) {
     for op in ops {
         match op {
             Op::Put(k, v) => {
@@ -38,6 +48,7 @@ fn check_against_reference<B: KvBackend>(store: &B, ops: &[Op]) {
                 let got = store.get(&[*k]).ok().map(|b| b.to_vec());
                 assert_eq!(got, reference.get(k).cloned());
             }
+            Op::Compact => compact(store),
         }
         assert_eq!(store.len(), reference.len());
         assert_eq!(
@@ -47,12 +58,16 @@ fn check_against_reference<B: KvBackend>(store: &B, ops: &[Op]) {
     }
 }
 
+fn compact_log(s: &LogStore) {
+    s.compact().unwrap();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
     fn mempool_matches_reference(ops in prop::collection::vec(arb_op(), 0..120)) {
-        check_against_reference(&MemPoolStore::new(), &ops);
+        check_against_reference(&MemPoolStore::new(), |_| {}, &ops, &mut HashMap::new());
     }
 
     #[test]
@@ -63,7 +78,8 @@ proptest! {
             std::thread::current().id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        check_against_reference(&LogStore::open(&dir).unwrap(), &ops);
+        let s = LogStore::open(&dir).unwrap();
+        check_against_reference(&s, compact_log, &ops, &mut HashMap::new());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -84,42 +100,15 @@ proptest! {
 
         let split = ((ops.len() as f64) * split_frac) as usize;
         let mut reference: HashMap<u8, Vec<u8>> = HashMap::new();
-
         {
             let s = LogStore::open(&dir).unwrap();
-            for op in &ops[..split] {
-                match op {
-                    Op::Put(k, v) => {
-                        s.put(&[*k], Bytes::from(v.clone())).unwrap();
-                        reference.insert(*k, v.clone());
-                    }
-                    Op::Delete(k) => {
-                        s.delete(&[*k]).unwrap();
-                        reference.remove(k);
-                    }
-                    Op::Get(_) => {}
-                }
-            }
+            check_against_reference(&s, compact_log, &ops[..split], &mut reference);
         } // dropped: close
 
         let s = LogStore::open(&dir).unwrap();
-        for op in &ops[split..] {
-            match op {
-                Op::Put(k, v) => {
-                    s.put(&[*k], Bytes::from(v.clone())).unwrap();
-                    reference.insert(*k, v.clone());
-                }
-                Op::Delete(k) => {
-                    s.delete(&[*k]).unwrap();
-                    reference.remove(k);
-                }
-                Op::Get(k) => {
-                    let got = s.get(&[*k]).ok().map(|b| b.to_vec());
-                    prop_assert_eq!(got, reference.get(k).cloned());
-                }
-            }
-        }
+        check_against_reference(&s, compact_log, &ops[split..], &mut reference);
         prop_assert_eq!(s.len(), reference.len());
+        prop_assert_eq!(s.bytes_used(), reference.values().map(Vec::len).sum::<usize>());
         for (k, v) in &reference {
             prop_assert_eq!(s.get(&[*k]).unwrap().to_vec(), v.clone());
         }
@@ -152,6 +141,7 @@ proptest! {
                     let got = store.get(&[*k]).ok().map(|b| b.to_vec());
                     prop_assert_eq!(got, reference.get(k).cloned());
                 }
+                Op::Compact => {}
             }
             prop_assert_eq!(store.len(), reference.len());
         }

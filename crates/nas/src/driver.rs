@@ -175,11 +175,6 @@ impl TaskTrace {
     pub fn duration(&self) -> f64 {
         self.end - self.start
     }
-
-    /// Repository interaction share of the task.
-    pub fn io_share(&self) -> f64 {
-        (self.query_s + self.fetch_s + self.store_s) / self.duration().max(1e-12)
-    }
 }
 
 /// Result of one NAS run.

@@ -322,11 +322,6 @@ impl MetricsRegistry {
         self.sources.write().push(Box::new(source));
     }
 
-    /// How many sources are registered.
-    pub fn source_count(&self) -> usize {
-        self.sources.read().len()
-    }
-
     /// Pull every source into one snapshot.
     pub fn snapshot(&self) -> RegistrySnapshot {
         let sources = self.sources.read();

@@ -192,11 +192,6 @@ impl Tracer {
         &self.recorder
     }
 
-    /// The slow-op log, when configured.
-    pub fn slow_log(&self) -> Option<&Arc<SlowOpLog>> {
-        self.slow.as_ref()
-    }
-
     /// Open a root span (a fresh trace). Finishes on drop.
     pub fn start_root(&self, name: &str) -> Span<'_> {
         let ctx = TraceContext::root();

@@ -490,14 +490,6 @@ impl Fabric {
         self.dropped_replies.lock().len()
     }
 
-    /// The currently installed plan, if any.
-    pub fn fault_plan(&self) -> Option<Arc<FaultPlan>> {
-        if !self.faults_active.load(Ordering::Acquire) {
-            return None;
-        }
-        self.faults.read().clone()
-    }
-
     /// Create an endpoint with `service_threads` request-processing
     /// threads (Argobots execution streams, in Mochi terms).
     pub fn create_endpoint(self: &Arc<Self>, service_threads: usize) -> Endpoint {
@@ -655,13 +647,6 @@ impl Fabric {
         for t in threads {
             let _ = t.join();
         }
-    }
-
-    /// All currently registered endpoint ids (ascending).
-    pub fn endpoint_ids(&self) -> Vec<EndpointId> {
-        let mut ids: Vec<EndpointId> = self.endpoints.read().keys().copied().collect();
-        ids.sort();
-        ids
     }
 
     // ---- one-sided (RDMA-style) bulk operations -------------------------

@@ -47,11 +47,6 @@ impl FabricModel {
         let share = self.nic_bw / concurrent.max(1) as f64;
         self.rpc_latency_s + bytes / share
     }
-
-    /// Time for a small control RPC (LCP broadcast leg, retire, incref).
-    pub fn rpc_time(&self) -> f64 {
-        2.0 * self.rpc_latency_s
-    }
 }
 
 /// Cost model of the parallel file system (Lustre).

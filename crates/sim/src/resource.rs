@@ -53,15 +53,6 @@ impl PsResource {
         self.active.len()
     }
 
-    /// Current per-transfer rate.
-    pub fn rate_per_transfer(&self) -> f64 {
-        if self.active.is_empty() {
-            self.capacity
-        } else {
-            self.capacity / self.active.len() as f64
-        }
-    }
-
     /// Advance internal progress to `now`, draining `remaining` bytes at
     /// the fair-share rate that held since the last update.
     ///

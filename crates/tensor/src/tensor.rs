@@ -87,12 +87,6 @@ impl TensorData {
         &self.data
     }
 
-    /// Take the payload without copying.
-    #[inline]
-    pub fn into_bytes(self) -> Bytes {
-        self.data
-    }
-
     /// Structural content hash of dtype + shape + payload. The few header
     /// fields go through [`Fnv128`] field by field; the payload enters as
     /// its 128-bit lane address ([`ContentHash::of_bytes`]), so the cost is

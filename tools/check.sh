@@ -273,9 +273,11 @@ fi
 # The tensor store is one type, `provider::Substrate`, chosen once from the
 # store policy: chunk operations are reached through its chunked arm, not
 # through optional methods on every backend, and the provider keeps no
-# hub-less tracing branch or never-varied watcher switch beside it.
-echo "== one substrate type: no optional chunk surface, no hub-less provider"
-if hits=$(grep -rnwE 'chunk_probe|chunk_listing|chunk_fetch|chunk_insert|put_chunked|hub_attached|auto_resubscribe' crates examples); then
+# hub-less tracing branch or never-varied watcher switch beside it. Its
+# physical stacks are the two that run (memory, log): no tiered store, no
+# log tuning struct, and no public function that nothing calls.
+echo "== one substrate type: no optional chunk surface, no hub-less provider, no unused stack"
+if hits=$(grep -rnwE 'chunk_probe|chunk_listing|chunk_fetch|chunk_insert|put_chunked|hub_attached|auto_resubscribe|TieredStore|memory_budget|open_with|weights_path_of|io_share|source_count|endpoint_ids|rate_per_transfer' crates examples); then
     echo "a deleted substrate or option path is back:" >&2
     echo "$hits" >&2
     exit 1
