@@ -379,7 +379,10 @@ impl Inner {
 
         let mut old: Vec<u64> = self.segments.keys().copied().collect();
         old.sort_unstable();
-        let mut fresh = Books::default();
+        let mut fresh = Books {
+            index: HashMap::with_capacity(live.len()),
+            ..Books::default()
+        };
         if let Err(e) = self.rewrite(&live, &mut fresh) {
             self.books.dead_weight(fresh.total_bytes);
             return Err(e);
