@@ -62,61 +62,20 @@ struct Segment {
     len: u64,
 }
 
-/// The index and the byte accounting of the records it was built from.
-#[derive(Default)]
-struct Books {
-    index: HashMap<Box<[u8]>, IndexEntry>,
-    live_bytes: u64,
-    /// Bytes of overwritten/deleted records (compaction trigger).
-    dead_bytes: u64,
-    total_bytes: u64,
-}
-
-impl Books {
-    /// A record of `key` landed at `value_offset` of `segment`: a value of
-    /// `value_len` bytes, or a tombstone (`None`). It is now the key's
-    /// newest version; the version it replaces is dead, and so is a
-    /// tombstone itself. Replay, put, delete and the compaction rewrite
-    /// all keep their books here.
-    fn land(&mut self, key: &[u8], value_len: Option<u32>, segment: u64, value_offset: u64) {
-        let len = value_len.unwrap_or(0) as usize;
-        self.total_bytes += record_len(key.len(), len);
-        self.live_bytes += len as u64;
-        let replaced = match value_len {
-            Some(value_len) => self.index.insert(
-                key.into(),
-                IndexEntry {
-                    segment,
-                    value_offset,
-                    value_len,
-                },
-            ),
-            None => {
-                self.dead_bytes += record_len(key.len(), 0);
-                self.index.remove(key)
-            }
-        };
-        if let Some(old) = replaced {
-            self.dead_bytes += record_len(key.len(), old.value_len as usize);
-            self.live_bytes -= old.value_len as u64;
-        }
-    }
-
-    /// Segment bytes no index entry points into: what a failed
-    /// compaction wrote, or old segments it could not unlink.
-    fn dead_weight(&mut self, bytes: u64) {
-        self.dead_bytes += bytes;
-        self.total_bytes += bytes;
-    }
-}
-
 struct Inner {
     dir: PathBuf,
     segment_max_bytes: u64,
     compact_garbage_ratio: f64,
     segments: HashMap<u64, Segment>,
     active: u64,
-    books: Books,
+    // The books: the index and the byte counts of the segments' records.
+    // Every record landing goes through `land`; compaction adds only a
+    // failed pass's copies (dead) and drops the segments it unlinks.
+    index: HashMap<Box<[u8]>, IndexEntry>,
+    live_bytes: u64,
+    /// Bytes of overwritten/deleted records (compaction trigger).
+    dead_bytes: u64,
+    total_bytes: u64,
 }
 
 /// Append-only persistent KV backend.
@@ -175,7 +134,10 @@ impl LogStore {
             compact_garbage_ratio: COMPACT_GARBAGE_RATIO,
             segments: HashMap::new(),
             active: 0,
-            books: Books::default(),
+            index: HashMap::new(),
+            live_bytes: 0,
+            dead_bytes: 0,
+            total_bytes: 0,
         };
 
         let last = ids.last().copied();
@@ -207,7 +169,7 @@ impl LogStore {
 
     /// Total bytes across all segment files, including dead records.
     pub fn disk_bytes(&self) -> u64 {
-        self.inner.lock().books.total_bytes
+        self.inner.lock().total_bytes
     }
 
     /// Force a compaction regardless of the garbage ratio.
@@ -217,6 +179,35 @@ impl LogStore {
 }
 
 impl Inner {
+    /// A record of `key` landed at `value_offset` of `segment`: a value of
+    /// `value_len` bytes, or a tombstone (`None`). It is now the key's
+    /// newest version; the version it replaces is dead, and so is a
+    /// tombstone itself. Replay, put, delete and the compaction rewrite
+    /// all keep their books here.
+    fn land(&mut self, key: &[u8], value_len: Option<u32>, segment: u64, value_offset: u64) {
+        let len = value_len.unwrap_or(0) as usize;
+        self.total_bytes += record_len(key.len(), len);
+        self.live_bytes += len as u64;
+        let replaced = match value_len {
+            Some(value_len) => self.index.insert(
+                key.into(),
+                IndexEntry {
+                    segment,
+                    value_offset,
+                    value_len,
+                },
+            ),
+            None => {
+                self.dead_bytes += record_len(key.len(), 0);
+                self.index.remove(key)
+            }
+        };
+        if let Some(old) = replaced {
+            self.dead_bytes += record_len(key.len(), old.value_len as usize);
+            self.live_bytes -= old.value_len as u64;
+        }
+    }
+
     fn create_segment(&mut self, id: u64) -> Result<(), KvError> {
         let path = segment_path(&self.dir, id);
         let file = OpenOptions::new()
@@ -256,7 +247,7 @@ impl Inner {
                 Ok((key, value, consumed)) => {
                     let value_offset = (pos + HEADER + key.len()) as u64;
                     let value_len = value.map(|v| v.len() as u32);
-                    self.books.land(key, value_len, id, value_offset);
+                    self.land(key, value_len, id, value_offset);
                     pos += consumed;
                 }
                 Err(NotARecord::Torn(_)) if tolerate_torn_tail => {
@@ -331,7 +322,7 @@ impl Inner {
     fn write(&mut self, key: &[u8], value: Option<&[u8]>) -> Result<(), KvError> {
         let (segment, value_offset) = self.append(key, value)?;
         let value_len = value.map(|v| v.len() as u32);
-        self.books.land(key, value_len, segment, value_offset);
+        self.land(key, value_len, segment, value_offset);
         Ok(())
     }
 
@@ -350,22 +341,22 @@ impl Inner {
     }
 
     fn should_compact(&self) -> bool {
-        let books = &self.books;
-        books.total_bytes > 0
-            && (books.dead_bytes as f64) / (books.total_bytes as f64) > self.compact_garbage_ratio
-            && books.dead_bytes > 4096
+        self.total_bytes > 0
+            && (self.dead_bytes as f64) / (self.total_bytes as f64) > self.compact_garbage_ratio
+            && self.dead_bytes > 4096
     }
 
     /// Rewrite all live records into fresh segments, numbered above every
-    /// existing one, and delete the old files. The books change only once
-    /// every live record is down: a pass that fails before that leaves
-    /// every read answering as it did, keeps what it wrote as dead bytes
-    /// for the next pass to unlink, and leaves the active segment its
-    /// last one, so later appends replay after its copies.
+    /// existing one, and delete the old files. The index moves to the
+    /// copies only once every live record is down: a pass that fails
+    /// before that leaves every read answering as it did, keeps what it
+    /// wrote as dead bytes for the next pass to unlink, and leaves the
+    /// active segment its last one, so later appends replay after its
+    /// copies.
     fn compact(&mut self) -> Result<(), KvError> {
         // Snapshot live entries (key -> value bytes).
-        let mut live: Vec<(Box<[u8]>, Vec<u8>)> = Vec::with_capacity(self.books.index.len());
-        for (key, entry) in &self.books.index {
+        let mut live: Vec<(Box<[u8]>, Vec<u8>)> = Vec::with_capacity(self.index.len());
+        for (key, entry) in &self.index {
             let seg = self
                 .segments
                 .get(&entry.segment)
@@ -379,46 +370,51 @@ impl Inner {
 
         let mut old: Vec<u64> = self.segments.keys().copied().collect();
         old.sort_unstable();
-        let mut fresh = Books {
-            index: HashMap::with_capacity(live.len()),
-            ..Books::default()
-        };
-        if let Err(e) = self.rewrite(&live, &mut fresh) {
-            self.books.dead_weight(fresh.total_bytes);
+        let mut copies = Vec::with_capacity(live.len());
+        if let Err(e) = self.rewrite(&live, &mut copies) {
+            let written: u64 = live[..copies.len()]
+                .iter()
+                .map(|(key, value)| record_len(key.len(), value.len()))
+                .sum();
+            self.dead_bytes += written;
+            self.total_bytes += written;
             return Err(e);
         }
-        self.books = fresh;
+        // Every old record is dead once its copy lands, so an old
+        // segment leaves the books whole when it is unlinked.
+        for ((key, value), (segment, value_offset)) in live.iter().zip(copies) {
+            self.land(key, Some(value.len() as u32), segment, value_offset);
+        }
 
         // Unlink oldest first and stop at the first failure. A deleted
         // key's put then never outlives the tombstone that killed it: any
         // segment left behind has every newer segment left with it, and
-        // replay reads them in id order. What stays is kept as dead weight
-        // for the next compaction to unlink.
-        for (n, id) in old.iter().enumerate() {
-            let path = &self.segments[id].path;
-            match std::fs::remove_file(path) {
+        // replay reads them in id order. What stays is dead weight for the
+        // next compaction to unlink.
+        for id in &old {
+            match std::fs::remove_file(&self.segments[id].path) {
                 Ok(()) => {}
                 Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => {
-                    for id in &old[n..] {
-                        self.books.dead_weight(self.segments[id].len);
-                    }
-                    return Err(e.into());
-                }
+                Err(e) => return Err(e.into()),
             }
-            self.segments.remove(id);
+            let seg = self.segments.remove(id).expect("old segment is tracked");
+            self.dead_bytes -= seg.len;
+            self.total_bytes -= seg.len;
         }
         Ok(())
     }
 
-    /// Write `live` into segments numbered from `active + 1` on, entering
-    /// each record in `fresh`.
-    fn rewrite(&mut self, live: &[(Box<[u8]>, Vec<u8>)], fresh: &mut Books) -> Result<(), KvError> {
+    /// Write `live` into segments numbered from `active + 1` on, pushing
+    /// where each value landed, `(segment, value_offset)`, onto `copies`.
+    fn rewrite(
+        &mut self,
+        live: &[(Box<[u8]>, Vec<u8>)],
+        copies: &mut Vec<(u64, u64)>,
+    ) -> Result<(), KvError> {
         self.create_segment(self.active + 1)?;
         self.active += 1;
         for (key, value) in live {
-            let (segment, value_offset) = self.append(key, Some(value))?;
-            fresh.land(key, Some(value.len() as u32), segment, value_offset);
+            copies.push(self.append(key, Some(value))?);
         }
         Ok(())
     }
@@ -505,7 +501,7 @@ impl KvBackend for LogStore {
         // Look up under the lock, read the file outside it.
         let (file, offset, len) = {
             let inner = self.inner.lock();
-            match inner.books.index.get(key) {
+            match inner.index.get(key) {
                 Some(e) => {
                     let seg = inner
                         .segments
@@ -533,7 +529,7 @@ impl KvBackend for LogStore {
 
     fn delete(&self, key: &[u8]) -> Result<bool, KvError> {
         let mut inner = self.inner.lock();
-        if !inner.books.index.contains_key(key) {
+        if !inner.index.contains_key(key) {
             return Ok(false);
         }
         inner.write(key, None)?;
@@ -545,21 +541,21 @@ impl KvBackend for LogStore {
     }
 
     fn contains(&self, key: &[u8]) -> bool {
-        self.inner.lock().books.index.contains_key(key)
+        self.inner.lock().index.contains_key(key)
     }
 
     fn len(&self) -> usize {
-        self.inner.lock().books.index.len()
+        self.inner.lock().index.len()
     }
 
     fn bytes_used(&self) -> usize {
-        self.inner.lock().books.live_bytes as usize
+        self.inner.lock().live_bytes as usize
     }
 
     /// Walks the index under the lock.
     fn for_each_key(&self, f: &mut dyn FnMut(&[u8])) {
         let inner = self.inner.lock();
-        for k in inner.books.index.keys() {
+        for k in inner.index.keys() {
             f(k);
         }
     }
@@ -748,6 +744,12 @@ mod tests {
         assert_eq!(s.len(), 10);
     }
 
+    /// Bytes across the segment files in `dir`.
+    fn segment_bytes(dir: &Path) -> u64 {
+        let files = segment_files(dir);
+        files.iter().map(|p| p.metadata().unwrap().len()).sum()
+    }
+
     /// The segment files in `dir`, oldest first.
     fn segment_files(dir: &Path) -> Vec<PathBuf> {
         let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
@@ -813,6 +815,11 @@ mod tests {
             // The unlink failed, so the file is still there: reopen.
             std::fs::remove_dir(stuck).unwrap();
             std::fs::write(stuck, bytes).unwrap();
+            assert_eq!(
+                s.disk_bytes(),
+                segment_bytes(&dir),
+                "bytes after a stop at {k}"
+            );
             check(
                 &LogStore::open(&dir).unwrap(),
                 &format!("reopened with old segments {k}.. left"),
@@ -847,10 +854,6 @@ mod tests {
             let used: usize = want.values().map(Vec::len).sum();
             assert_eq!(s.bytes_used(), used, "{state}");
         }
-        let on_disk = |dir: &Path| -> u64 {
-            let files = segment_files(dir);
-            files.iter().map(|p| p.metadata().unwrap().len()).sum()
-        };
         for (case, written) in [("first", 0u64), ("third", 2)] {
             let dir = tmpdir(&format!("failed-compaction-{case}"));
             let s = LogStore::open_tuned(&dir, 256, 10.0); // manual compaction only
@@ -878,7 +881,7 @@ mod tests {
                 .collect();
             assert!(left.iter().all(|p| p.is_file()), "{case}: kept on disk");
             std::fs::remove_dir(&stuck).unwrap();
-            assert_eq!(s.disk_bytes(), on_disk(&dir), "{case}: tracked bytes");
+            assert_eq!(s.disk_bytes(), segment_bytes(&dir), "{case}: tracked bytes");
 
             // Whichever keys the pass copied, some of these were among
             // them: a delete or put that landed before the copies would
@@ -901,7 +904,7 @@ mod tests {
 
             s.compact().unwrap();
             assert!(old.iter().chain(&left).all(|p| !p.exists()), "{case}");
-            assert_eq!(s.disk_bytes(), on_disk(&dir), "{case}: after a retry");
+            assert_eq!(s.disk_bytes(), segment_bytes(&dir), "{case}: after a retry");
             check(&s, &want, &format!("{case}: after a retry"));
             drop(s);
             check(
