@@ -144,7 +144,8 @@ impl Deployment {
         let clock = Arc::new(AtomicU64::new(1));
         let mut providers = Vec::with_capacity(cfg.providers);
         for i in 0..cfg.providers {
-            let tensors = Substrate::open(cfg.store_policy, &cfg.backend, i)?;
+            let tensors = Substrate::open(cfg.store_policy, &cfg.backend, i)
+                .map_err(|e| format!("open provider {i} tensor store: {e}"))?;
             let meta: Box<dyn KvBackend> = match &cfg.backend {
                 BackendKind::Memory => Box::new(MemPoolStore::new()),
                 BackendKind::Log { dir } => Box::new(

@@ -27,12 +27,12 @@ pub enum StorePolicy {
     #[default]
     Whole,
     /// Fixed-size chunks keyed by 128-bit content hash, deduplicated and
-    /// reference-counted across all records (persistent backends switch
-    /// to the fanned two-level directory layout,
-    /// [`evostore_kv::FannedLogStore`]); a derived model's records are
-    /// delta-encoded against the parent's co-located tensors when that
-    /// saves space and the chain stays within [`MAX_CHAIN_DEPTH`]. Repair
-    /// negotiates chunks and ships deltas as stored.
+    /// reference-counted across all records (a persistent backend keeps
+    /// them in the provider's one tensor log, as it does whole records);
+    /// a derived model's records are delta-encoded against the parent's
+    /// co-located tensors when that saves space and the chain stays
+    /// within [`MAX_CHAIN_DEPTH`]. Repair negotiates chunks and ships
+    /// deltas as stored.
     ChunkedWithDelta,
 }
 

@@ -5,8 +5,7 @@
 
 use bytes::Bytes;
 use evostore_kv::{
-    ChunkedStore, FannedLogStore, KvBackend, KvError, LogStore, MemPoolStore, MetricsSnapshot,
-    DEFAULT_CHUNK_SIZE,
+    ChunkedStore, KvBackend, KvError, LogStore, MemPoolStore, MetricsSnapshot, DEFAULT_CHUNK_SIZE,
 };
 
 use crate::deployment::BackendKind;
@@ -23,34 +22,36 @@ pub enum Substrate {
 
 impl Substrate {
     /// Open provider `index`'s tensor store for `policy` over `backend`.
-    /// A persistent store lives under `dir/provider-<index>/tensors`: one
-    /// flat log for whole records, the fanned hash-directory layout under
-    /// chunking (chunk keys are content hashes, so fan-out by key byte is
-    /// uniform).
+    /// A persistent store is one log under `dir/provider-<index>/tensors`,
+    /// whole records or chunks alike. A directory holding the retired
+    /// fanned layout (`<hex>/<hex>/` shard logs) is refused: opened as one
+    /// log it would serve an empty store.
     pub(crate) fn open(
         policy: StorePolicy,
         backend: &BackendKind,
         index: usize,
-    ) -> Result<Substrate, String> {
+    ) -> Result<Substrate, KvError> {
         let physical: Box<dyn KvBackend> = match backend {
             BackendKind::Memory => Box::new(MemPoolStore::new()),
             BackendKind::Log { dir } => {
                 let dir = dir.join(format!("provider-{index}/tensors"));
-                let err = |e| format!("open provider {index} tensor store: {e}");
-                match policy {
-                    StorePolicy::Whole => Box::new(LogStore::open(dir).map_err(err)?),
-                    StorePolicy::ChunkedWithDelta => {
-                        Box::new(FannedLogStore::open(dir).map_err(err)?)
-                    }
+                if (0..16u8).any(|shard| dir.join(format!("{shard:x}")).is_dir()) {
+                    return Err(KvError::Corrupt {
+                        detail: format!(
+                            "{} holds tensor shards in the retired fanned layout \
+                             (<hex>/<hex>/ logs), which this build does not read",
+                            dir.display()
+                        ),
+                    });
                 }
+                Box::new(LogStore::open(dir)?)
             }
         };
         Ok(match policy {
             StorePolicy::Whole => Substrate::Whole(physical),
-            StorePolicy::ChunkedWithDelta => Substrate::Chunked(
-                ChunkedStore::open(physical, DEFAULT_CHUNK_SIZE)
-                    .map_err(|e| format!("open content-addressed chunk layer: {e}"))?,
-            ),
+            StorePolicy::ChunkedWithDelta => {
+                Substrate::Chunked(ChunkedStore::open(physical, DEFAULT_CHUNK_SIZE)?)
+            }
         })
     }
 
@@ -105,5 +106,38 @@ impl KvBackend for Substrate {
     }
     fn metrics_snapshot(&self) -> Option<MetricsSnapshot> {
         self.kv().metrics_snapshot()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Tensors written in the fanned layout (`<hex>/<hex>/` shard logs
+    /// under the tensor directory) are refused with the directory's name,
+    /// under either policy, and left as they are; another provider's
+    /// store in the same deployment directory still opens.
+    #[test]
+    fn the_retired_fanned_layout_is_refused_by_name() {
+        let root = std::env::temp_dir().join(format!("evostore-fanned-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let tensors = root.join("provider-1/tensors");
+        let segment = tensors.join("a/7/seg-00000000.log");
+        std::fs::create_dir_all(segment.parent().unwrap()).unwrap();
+        std::fs::write(&segment, b"chunk bytes").unwrap();
+        let backend = BackendKind::Log { dir: root.clone() };
+        for policy in [StorePolicy::whole(), StorePolicy::chunked_with_delta()] {
+            match Substrate::open(policy, &backend, 1) {
+                Err(KvError::Corrupt { detail }) => {
+                    assert!(detail.contains(&tensors.display().to_string()), "{detail}");
+                    assert!(detail.contains("fanned layout"), "{detail}");
+                }
+                Err(other) => panic!("{policy:?}: expected a layout error, got {other}"),
+                Ok(_) => panic!("{policy:?}: the fanned layout opened as an empty store"),
+            }
+        }
+        assert_eq!(std::fs::read(&segment).unwrap(), b"chunk bytes");
+        assert!(Substrate::open(StorePolicy::chunked_with_delta(), &backend, 0).is_ok());
+        let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -305,7 +305,7 @@ fn chunked_delta_deployment_survives_reopen_with_its_bases_retained() {
     } // dropped: "process restart"
 
     // Session 2: chunk refcounts and the deltas' references on their
-    // bases are rebuilt from the fanned log; both models reconstruct
+    // bases are rebuilt from the tensor log; both models reconstruct
     // bytewise.
     let dep = Deployment::reopen(cfg.clone()).expect("recovery succeeds");
     let client = dep.client();

@@ -14,7 +14,7 @@ pub enum KvError {
     NotFound,
     /// Underlying I/O failure.
     Io(std::io::Error),
-    /// A persisted record failed its integrity check.
+    /// Persisted bytes failed their check, or are in a layout this build does not read.
     Corrupt { detail: String },
 }
 

@@ -9,8 +9,13 @@
 //! format's magic*: bytes this build cannot verify because another format
 //! wrote them (format 1's `"LOGS"` records carry an FNV-1a check) are
 //! refused with [`KvError::Corrupt`] and never truncated.
-//! Compaction rewrites live records once dead bytes dominate; a pass that
-//! fails before its rewrite is down changes nothing a reader sees.
+//!
+//! Space comes back through a segment cleaner (the LFS cleaner / Bitcask
+//! merge shape): once dead bytes dominate, the sealed segment with the most
+//! dead bytes per byte it must keep has its live records, and the
+//! tombstones still needed, copied to the active segment, and is
+//! unlinked. A step that fails before its copies are down changes nothing
+//! a reader sees.
 //!
 //! Format of one record (format 2):
 //!
@@ -23,11 +28,12 @@
 //! crc    u64  checksum64(key ++ value)
 //! ```
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fs::{File, OpenOptions};
-use std::io::{IoSlice, Read, Write};
+use std::io::{IoSlice, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -44,36 +50,77 @@ const TOMBSTONE: u32 = u32::MAX;
 const HEADER: usize = 12;
 const TRAILER: usize = 8;
 /// Rotate the active segment beyond this many bytes.
-const SEGMENT_MAX_BYTES: u64 = 64 * 1024 * 1024;
-/// Compact when dead bytes exceed this fraction of total bytes.
+const SEGMENT_MAX_BYTES: u64 = 8 * 1024 * 1024;
+/// Clean when dead bytes exceed this fraction of total bytes.
 const COMPACT_GARBAGE_RATIO: f64 = 0.5;
+/// Bytes a segment is read through, on replay and by the cleaner; a
+/// record larger than this is read whole.
+const READ_WINDOW: usize = 1024 * 1024;
 
-#[derive(Clone)]
 struct IndexEntry {
     segment: u64,
     /// Offset of the *value* inside the segment file.
     value_offset: u64,
     value_len: u32,
+    /// The oldest segment that may hold a record of this key.
+    floor: u64,
+}
+
+/// Where a deleted key's tombstone lies, and the oldest segment it
+/// guards: the first one that may still hold a record of the key.
+struct Tomb {
+    segment: u64,
+    /// Offset just past the tombstone's key.
+    offset: u64,
+    floor: u64,
 }
 
 struct Segment {
     file: Arc<File>,
     path: PathBuf,
     len: u64,
+    /// Bytes of the records here that the cleaner must carry: live
+    /// values, and tombstones that still guard an older segment.
+    keep: u64,
+    /// Deleted keys whose tombstone guards this segment as its oldest.
+    /// Entries go stale when the key is put again or its tombstone is
+    /// copied; `unlink` skips those.
+    guards: Vec<Box<[u8]>>,
+}
+
+impl Segment {
+    fn new(file: File, path: PathBuf, len: u64) -> Segment {
+        Segment {
+            file: Arc::new(file),
+            path,
+            len,
+            keep: 0,
+            guards: Vec::new(),
+        }
+    }
+
+    /// Bytes no reader or replay needs.
+    fn dead(&self) -> u64 {
+        self.len - self.keep
+    }
 }
 
 struct Inner {
     dir: PathBuf,
     segment_max_bytes: u64,
     compact_garbage_ratio: f64,
-    segments: HashMap<u64, Segment>,
+    segments: BTreeMap<u64, Segment>,
     active: u64,
-    // The books: the index and the byte counts of the segments' records.
-    // Every record landing goes through `land`; compaction adds only a
-    // failed pass's copies (dead) and drops the segments it unlinks.
+    // The books: the index, the tombstones still needed, and the byte
+    // counts, store-wide and per segment. Every record landing goes
+    // through `land`; the cleaner adds only a failed step's copies (dead)
+    // and drops the segments it unlinks.
     index: HashMap<Box<[u8]>, IndexEntry>,
+    deleted: HashMap<Box<[u8]>, Tomb>,
+    /// Value bytes of the live records (`bytes_used`).
     live_bytes: u64,
-    /// Bytes of overwritten/deleted records (compaction trigger).
+    /// Bytes of overwritten/deleted records and of tombstones no longer
+    /// needed (the cleaning trigger).
     dead_bytes: u64,
     total_bytes: u64,
 }
@@ -114,17 +161,11 @@ impl LogStore {
         // Discover existing segments.
         let mut ids: Vec<u64> = Vec::new();
         for entry in std::fs::read_dir(&dir)? {
-            let entry = entry?;
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if let Some(rest) = name
-                .strip_prefix("seg-")
-                .and_then(|s| s.strip_suffix(".log"))
-            {
-                if let Ok(id) = rest.parse::<u64>() {
-                    ids.push(id);
-                }
-            }
+            let name = entry?.file_name();
+            let name = name
+                .to_str()
+                .and_then(|n| n.strip_prefix("seg-")?.strip_suffix(".log"));
+            ids.extend(name.and_then(|id| id.parse::<u64>().ok()));
         }
         ids.sort_unstable();
 
@@ -132,9 +173,10 @@ impl LogStore {
             dir: dir.clone(),
             segment_max_bytes: SEGMENT_MAX_BYTES,
             compact_garbage_ratio: COMPACT_GARBAGE_RATIO,
-            segments: HashMap::new(),
+            segments: BTreeMap::new(),
             active: 0,
             index: HashMap::new(),
+            deleted: HashMap::new(),
             live_bytes: 0,
             dead_bytes: 0,
             total_bytes: 0,
@@ -162,7 +204,7 @@ impl LogStore {
         &self.metrics
     }
 
-    /// Number of on-disk segment files (diagnostics; compaction tests).
+    /// Number of on-disk segment files (diagnostics; cleaner tests).
     pub fn segment_count(&self) -> usize {
         self.inner.lock().segments.len()
     }
@@ -172,40 +214,67 @@ impl LogStore {
         self.inner.lock().total_bytes
     }
 
-    /// Force a compaction regardless of the garbage ratio.
+    /// Clean until no segment holds dead bytes, whatever the garbage
+    /// ratio: the cleaner's step, run to the end.
     pub fn compact(&self) -> Result<(), KvError> {
-        self.inner.lock().compact()
+        let mut inner = self.inner.lock();
+        while inner.clean_step(true)?.is_some() {}
+        Ok(())
     }
 }
 
 impl Inner {
     /// A record of `key` landed at `value_offset` of `segment`: a value of
     /// `value_len` bytes, or a tombstone (`None`). It is now the key's
-    /// newest version; the version it replaces is dead, and so is a
-    /// tombstone itself. Replay, put, delete and the compaction rewrite
-    /// all keep their books here.
+    /// newest version; the version it replaces is dead. A tombstone is
+    /// kept while a segment older than it may hold a record of its key,
+    /// and is dead from the start otherwise. Replay, put, delete and the
+    /// cleaner's copies all keep their books here.
     fn land(&mut self, key: &[u8], value_len: Option<u32>, segment: u64, value_offset: u64) {
-        let len = value_len.unwrap_or(0) as usize;
-        self.total_bytes += record_len(key.len(), len);
-        self.live_bytes += len as u64;
-        let replaced = match value_len {
-            Some(value_len) => self.index.insert(
-                key.into(),
-                IndexEntry {
-                    segment,
-                    value_offset,
-                    value_len,
-                },
-            ),
-            None => {
-                self.dead_bytes += record_len(key.len(), 0);
-                self.index.remove(key)
-            }
-        };
-        if let Some(old) = replaced {
-            self.dead_bytes += record_len(key.len(), old.value_len as usize);
+        let len = record_len(key.len(), value_len.unwrap_or(0) as usize);
+        self.total_bytes += len;
+        // What the record replaces, the key's live value or the tombstone
+        // guarding its older records, is dead; it passes on the oldest
+        // segment that may hold a record of the key.
+        let replaced = if let Some(old) = self.index.remove(key) {
             self.live_bytes -= old.value_len as u64;
+            let old_len = record_len(key.len(), old.value_len as usize);
+            Some((old.segment, old_len, old.floor))
+        } else {
+            let tomb = self.deleted.remove(key);
+            tomb.map(|t| (t.segment, record_len(key.len(), 0), t.floor))
+        };
+        let floor = replaced.map(|(old_segment, old_len, floor)| {
+            self.segments.get_mut(&old_segment).expect("replaced").keep -= old_len;
+            self.dead_bytes += old_len;
+            floor
+        });
+        if let Some(value_len) = value_len {
+            self.live_bytes += value_len as u64;
+            self.segments.get_mut(&segment).expect("landing").keep += len;
+            let floor = floor.unwrap_or(segment);
+            let entry = IndexEntry {
+                segment,
+                value_offset,
+                value_len,
+                floor,
+            };
+            self.index.insert(key.into(), entry);
+            return;
         }
+        let oldest = floor.and_then(|floor| self.segments.range_mut(floor..segment).next());
+        let Some((&floor, oldest)) = oldest else {
+            self.dead_bytes += len;
+            return;
+        };
+        oldest.guards.push(key.into());
+        self.segments.get_mut(&segment).expect("landing").keep += len;
+        let tomb = Tomb {
+            segment,
+            offset: value_offset,
+            floor,
+        };
+        self.deleted.insert(key.into(), tomb);
     }
 
     fn create_segment(&mut self, id: u64) -> Result<(), KvError> {
@@ -216,14 +285,7 @@ impl Inner {
             .read(true)
             .open(&path)?;
         let len = file.metadata()?.len();
-        self.segments.insert(
-            id,
-            Segment {
-                file: Arc::new(file),
-                path,
-                len,
-            },
-        );
+        self.segments.insert(id, Segment::new(file, path, len));
         Ok(())
     }
 
@@ -232,57 +294,35 @@ impl Inner {
     /// an error, and so are foreign bytes in any segment.
     fn replay_segment(&mut self, id: u64, tolerate_torn_tail: bool) -> Result<(), KvError> {
         let path = segment_path(&self.dir, id);
-        let mut file = OpenOptions::new().read(true).append(true).open(&path)?;
-        let mut buf = Vec::new();
-        file.read_to_end(&mut buf)?;
-
-        let mut pos = 0usize;
-        let valid_up_to;
-        loop {
-            if pos == buf.len() {
-                valid_up_to = pos;
-                break;
+        let file = OpenOptions::new().read(true).append(true).open(&path)?;
+        self.segments.insert(id, Segment::new(file, path, 0));
+        let file = Arc::clone(&self.segments[&id].file);
+        let (valid_up_to, bad) = scan(&file, |key, value, value_offset| {
+            self.land(key, value.map(|v| v.len() as u32), id, value_offset)
+        })?;
+        self.segments.get_mut(&id).expect("replayed").len = valid_up_to;
+        let detail = match bad {
+            None => return Ok(()),
+            Some(NotARecord::Short(_) | NotARecord::Torn(_)) if tolerate_torn_tail => {
+                // Truncate the torn tail so future appends start clean.
+                file.set_len(valid_up_to)?;
+                return Ok(());
             }
-            match parse_record(&buf[pos..]) {
-                Ok((key, value, consumed)) => {
-                    let value_offset = (pos + HEADER + key.len()) as u64;
-                    let value_len = value.map(|v| v.len() as u32);
-                    self.land(key, value_len, id, value_offset);
-                    pos += consumed;
-                }
-                Err(NotARecord::Torn(_)) if tolerate_torn_tail => {
-                    valid_up_to = pos;
-                    break;
-                }
-                Err(NotARecord::Torn(detail) | NotARecord::Foreign(detail)) => {
-                    return Err(KvError::Corrupt {
-                        detail: format!("segment {id} offset {pos}: {detail}"),
-                    });
-                }
-            }
-        }
-
-        if valid_up_to < buf.len() {
-            // Truncate the torn tail so future appends start clean.
-            file.set_len(valid_up_to as u64)?;
-        }
-
-        self.segments.insert(
-            id,
-            Segment {
-                file: Arc::new(file),
-                path,
-                len: valid_up_to as u64,
-            },
-        );
-        Ok(())
+            Some(NotARecord::Short(_)) => "short record".to_string(),
+            Some(NotARecord::Torn(detail) | NotARecord::Foreign(detail)) => detail,
+        };
+        Err(KvError::Corrupt {
+            detail: format!("segment {id} offset {valid_up_to}: {detail}"),
+        })
     }
 
     /// Append one record to the active segment, rotating first when it is
     /// full, and return where its value lies: `(segment, value_offset)`.
     /// The books are the caller's to keep.
     fn append(&mut self, key: &[u8], value: Option<&[u8]>) -> Result<(u64, u64), KvError> {
-        self.maybe_rotate()?;
+        if self.segments[&self.active].len >= self.segment_max_bytes {
+            self.seal()?;
+        }
         let id = self.active;
         let seg = self.segments.get_mut(&id).expect("active segment exists");
 
@@ -326,118 +366,204 @@ impl Inner {
         Ok(())
     }
 
-    fn maybe_rotate(&mut self) -> Result<(), KvError> {
-        let full = self
-            .segments
-            .get(&self.active)
-            .map(|s| s.len >= self.segment_max_bytes)
-            .unwrap_or(true);
-        if full {
-            let next = self.active + 1;
-            self.create_segment(next)?;
-            self.active = next;
-        }
+    /// Start a new active segment; the old one is sealed.
+    fn seal(&mut self) -> Result<(), KvError> {
+        self.create_segment(self.active + 1)?;
+        self.active += 1;
         Ok(())
     }
 
-    fn should_compact(&self) -> bool {
+    fn should_clean(&self) -> bool {
         self.total_bytes > 0
             && (self.dead_bytes as f64) / (self.total_bytes as f64) > self.compact_garbage_ratio
             && self.dead_bytes > 4096
     }
 
-    /// Rewrite all live records into fresh segments, numbered above every
-    /// existing one, and delete the old files. The index moves to the
-    /// copies only once every live record is down: a pass that fails
-    /// before that leaves every read answering as it did, keeps what it
-    /// wrote as dead bytes for the next pass to unlink, and leaves the
-    /// active segment its last one, so later appends replay after its
-    /// copies.
-    fn compact(&mut self) -> Result<(), KvError> {
-        // Snapshot live entries (key -> value bytes).
-        let mut live: Vec<(Box<[u8]>, Vec<u8>)> = Vec::with_capacity(self.index.len());
-        for (key, entry) in &self.index {
-            let seg = self
-                .segments
-                .get(&entry.segment)
-                .ok_or_else(|| KvError::Corrupt {
-                    detail: format!("index references missing segment {}", entry.segment),
-                })?;
-            let mut buf = vec![0u8; entry.value_len as usize];
-            seg.file.read_exact_at(&mut buf, entry.value_offset)?;
-            live.push((key.clone(), buf));
-        }
-
-        let mut old: Vec<u64> = self.segments.keys().copied().collect();
-        old.sort_unstable();
-        let mut copies = Vec::with_capacity(live.len());
-        if let Err(e) = self.rewrite(&live, &mut copies) {
-            let written: u64 = live[..copies.len()]
-                .iter()
-                .map(|(key, value)| record_len(key.len(), value.len()))
-                .sum();
-            self.dead_bytes += written;
-            self.total_bytes += written;
-            return Err(e);
-        }
-        // Every old record is dead once its copy lands, so an old
-        // segment leaves the books whole when it is unlinked.
-        for ((key, value), (segment, value_offset)) in live.iter().zip(copies) {
-            self.land(key, Some(value.len() as u32), segment, value_offset);
-        }
-
-        // Unlink oldest first and stop at the first failure. A deleted
-        // key's put then never outlives the tombstone that killed it: any
-        // segment left behind has every newer segment left with it, and
-        // replay reads them in id order. What stays is dead weight for the
-        // next compaction to unlink.
-        for id in &old {
-            match std::fs::remove_file(&self.segments[id].path) {
-                Ok(()) => {}
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => return Err(e.into()),
+    /// Clean while dead bytes dominate: any number of steps that only
+    /// unlink, and at most one that copies. A write that triggers a
+    /// failed step stands: the failure is counted, and the next write's
+    /// trigger retries it.
+    fn clean(&mut self) -> Result<(), KvError> {
+        let mut may_copy = true;
+        while self.should_clean() {
+            match self.clean_step(may_copy)? {
+                Some(copied) => may_copy &= !copied,
+                None => break,
             }
-            let seg = self.segments.remove(id).expect("old segment is tracked");
-            self.dead_bytes -= seg.len;
-            self.total_bytes -= seg.len;
         }
         Ok(())
     }
 
-    /// Write `live` into segments numbered from `active + 1` on, pushing
-    /// where each value landed, `(segment, value_offset)`, onto `copies`.
-    fn rewrite(
-        &mut self,
-        live: &[(Box<[u8]>, Vec<u8>)],
-        copies: &mut Vec<(u64, u64)>,
-    ) -> Result<(), KvError> {
-        self.create_segment(self.active + 1)?;
-        self.active += 1;
-        for (key, value) in live {
-            copies.push(self.append(key, Some(value))?);
+    /// One cleaner step on the sealed segment with the most dead bytes per
+    /// byte it must keep, the oldest among equals. When only the active
+    /// segment holds dead bytes it is sealed first. The victim's live
+    /// records and needed tombstones are copied to the active segment and
+    /// land once all are down; then it is unlinked. Returns whether it
+    /// copied, or `None` when no segment holds dead bytes or the victim
+    /// has records to copy and `may_copy` is false.
+    fn clean_step(&mut self, may_copy: bool) -> Result<Option<bool>, KvError> {
+        let victim = match self.victim() {
+            Some(id) => id,
+            None if may_copy && self.segments[&self.active].dead() > 0 => {
+                self.seal()?;
+                self.active - 1
+            }
+            None => return Ok(None),
+        };
+        let copies = self.segments[&victim].keep > 0;
+        if copies {
+            if !may_copy {
+                return Ok(None);
+            }
+            self.carry_forward(victim)?;
+        }
+        self.unlink(victim)?;
+        Ok(Some(copies))
+    }
+
+    /// The sealed segment with the most dead bytes per byte it keeps.
+    fn victim(&self) -> Option<u64> {
+        let ratio = |s: &Segment| s.dead() as f64 / s.keep as f64;
+        let sealed = self.segments.range(..self.active);
+        sealed
+            .filter(|(_, s)| s.dead() > 0)
+            .max_by(|(a_id, a), (b_id, b)| ratio(a).total_cmp(&ratio(b)).then(b_id.cmp(a_id)))
+            .map(|(&id, _)| id)
+    }
+
+    /// Copy `victim`'s live records and the tombstones it carries to the
+    /// active segment, and land the copies once every one is down. A copy
+    /// that fails leaves the books as they were, with what it wrote
+    /// counted dead; later appends land above it, so replay reads them
+    /// after it.
+    fn carry_forward(&mut self, victim: u64) -> Result<(), KvError> {
+        let file = Arc::clone(&self.segments[&victim].file);
+        let mut keep = Vec::new();
+        let (end, bad) = scan(&file, |key, value, value_offset| {
+            let at = (victim, value_offset);
+            let kept = match value {
+                Some(_) => (self.index.get(key)).is_some_and(|e| (e.segment, e.value_offset) == at),
+                None => (self.deleted.get(key)).is_some_and(|t| (t.segment, t.offset) == at),
+            };
+            if kept {
+                keep.push((Box::<[u8]>::from(key), value.map(<[u8]>::to_vec)));
+            }
+        })?;
+        if bad.is_some() {
+            return Err(KvError::Corrupt {
+                detail: format!("segment {victim} offset {end}: not a record"),
+            });
+        }
+        let (mut copies, mut written) = (Vec::with_capacity(keep.len()), 0);
+        for (key, value) in &keep {
+            match self.append(key, value.as_deref()) {
+                Ok(at) => copies.push(at),
+                Err(e) => {
+                    self.dead_bytes += written;
+                    self.total_bytes += written;
+                    return Err(e);
+                }
+            }
+            written += record_len(key.len(), value.as_ref().map_or(0, Vec::len));
+        }
+        for ((key, value), (segment, value_offset)) in keep.iter().zip(copies) {
+            let value_len = value.as_ref().map(|v| v.len() as u32);
+            self.land(key, value_len, segment, value_offset);
+        }
+        Ok(())
+    }
+
+    /// Unlink a sealed segment that holds nothing to keep. The tombstones
+    /// that guarded it move on to the next segment that may hold their
+    /// keys' records, below the tombstone; one with none left is dead.
+    fn unlink(&mut self, id: u64) -> Result<(), KvError> {
+        match std::fs::remove_file(&self.segments[&id].path) {
+            Ok(()) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+            Err(e) => return Err(e.into()),
+        }
+        let seg = self.segments.remove(&id).expect("victim is tracked");
+        self.dead_bytes -= seg.len;
+        self.total_bytes -= seg.len;
+        for key in seg.guards {
+            let Some(tomb) = self.deleted.get_mut(&key).filter(|t| t.floor == id) else {
+                continue;
+            };
+            match self.segments.range_mut(id..tomb.segment).next() {
+                Some((&next, older)) => {
+                    tomb.floor = next;
+                    older.guards.push(key);
+                }
+                None => {
+                    let len = record_len(key.len(), 0);
+                    self.segments.get_mut(&tomb.segment).expect("tomb").keep -= len;
+                    self.dead_bytes += len;
+                    self.deleted.remove(&key);
+                }
+            }
         }
         Ok(())
     }
 }
 
-/// (key, value-or-tombstone, bytes consumed).
-type ParsedRecord<'a> = (&'a [u8], Option<&'a [u8]>, usize);
-
-/// Why the bytes at a replay position are not a valid record.
+/// Why the bytes at a scan position are not a valid record.
 enum NotARecord {
-    /// A prefix of a record under this format's magic, or one whose check
-    /// fails: what a crash mid-append leaves at the tail.
+    /// A prefix of a record under this format's magic: `need` bytes from
+    /// its start would hold it (a header while the header is short). At
+    /// the end of a file, what a crash mid-append leaves.
+    Short(usize),
+    /// A record under this format's magic whose check fails: torn too.
     Torn(String),
     /// Bytes under another magic. This build did not write them and
     /// cannot verify them, so they are never mistaken for a torn tail.
     Foreign(String),
 }
 
+/// Hand every record of `file` to `f`, oldest first, as (key, value or
+/// tombstone, value offset), reading through a window of `READ_WINDOW`
+/// bytes that grows only for a record larger than it. Returns where the
+/// valid records end, and why the bytes there are not a record, if any
+/// are left.
+fn scan(
+    file: &File,
+    mut f: impl FnMut(&[u8], Option<&[u8]>, u64),
+) -> Result<(u64, Option<NotARecord>), KvError> {
+    let file_len = file.metadata()?.len();
+    let (mut buf, mut base, mut pos) = (Vec::new(), 0u64, 0usize);
+    loop {
+        match parse_record(&buf[pos..]) {
+            Ok((key, value, consumed)) => {
+                f(key, value, base + (pos + HEADER + key.len()) as u64);
+                pos += consumed;
+            }
+            Err(NotARecord::Short(need)) => {
+                let at = base + pos as u64;
+                if at + need as u64 > file_len {
+                    return Ok((at, (at < file_len).then_some(NotARecord::Short(need))));
+                }
+                // Slide the window to the record and read on.
+                buf.drain(..pos);
+                (base, pos) = (at, 0);
+                let have = buf.len();
+                buf.resize(
+                    (need.max(READ_WINDOW) as u64).min(file_len - at) as usize,
+                    0,
+                );
+                file.read_exact_at(&mut buf[have..], at + have as u64)?;
+            }
+            Err(bad) => return Ok((base + pos as u64, Some(bad))),
+        }
+    }
+}
+
+/// (key, value-or-tombstone, bytes consumed).
+type ParsedRecord<'a> = (&'a [u8], Option<&'a [u8]>, usize);
+
 /// Parse one record from `buf`.
 fn parse_record(buf: &[u8]) -> Result<ParsedRecord<'_>, NotARecord> {
-    use NotARecord::{Foreign, Torn};
+    use NotARecord::{Foreign, Short, Torn};
     if buf.len() < 4 {
-        return Err(Torn("short header".into()));
+        return Err(Short(HEADER));
     }
     let magic = u32::from_le_bytes(buf[0..4].try_into().unwrap());
     if magic == LEGACY_MAGIC {
@@ -449,7 +575,7 @@ fn parse_record(buf: &[u8]) -> Result<ParsedRecord<'_>, NotARecord> {
         return Err(Foreign(format!("bad magic 0x{magic:08x}")));
     }
     if buf.len() < HEADER {
-        return Err(Torn("short header".into()));
+        return Err(Short(HEADER));
     }
     let klen = u32::from_le_bytes(buf[4..8].try_into().unwrap()) as usize;
     let vword = u32::from_le_bytes(buf[8..12].try_into().unwrap());
@@ -460,7 +586,7 @@ fn parse_record(buf: &[u8]) -> Result<ParsedRecord<'_>, NotARecord> {
     };
     let need = HEADER + klen + vlen + TRAILER;
     if buf.len() < need {
-        return Err(Torn("short record".into()));
+        return Err(Short(need));
     }
     let key = &buf[HEADER..HEADER + klen];
     let value = &buf[HEADER + klen..HEADER + klen + vlen];
@@ -480,8 +606,8 @@ impl KvBackend for LogStore {
         self.metrics.record_put(value.len());
         let mut inner = self.inner.lock();
         inner.write(key, Some(&value))?;
-        if inner.should_compact() {
-            inner.compact()?;
+        if inner.clean().is_err() {
+            self.metrics.clean_failures.fetch_add(1, Ordering::Relaxed);
         }
         Ok(())
     }
@@ -534,8 +660,8 @@ impl KvBackend for LogStore {
         }
         inner.write(key, None)?;
         self.metrics.record_delete();
-        if inner.should_compact() {
-            inner.compact()?;
+        if inner.clean().is_err() {
+            self.metrics.clean_failures.fetch_add(1, Ordering::Relaxed);
         }
         Ok(true)
     }
@@ -563,6 +689,8 @@ impl KvBackend for LogStore {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
 
     impl LogStore {
@@ -760,160 +888,481 @@ mod tests {
         files
     }
 
-    /// Compaction unlinks the old segments oldest first and stops at the
-    /// first failed unlink. Failing the unlink of each old segment in turn
-    /// (its path made a directory, which `unlink` refuses) must leave that
-    /// segment and every newer one on disk; every such state reopens with
-    /// no deleted key live and every live key at its last value, and the
-    /// next compaction unlinks what was left.
+    /// Every book against a recount from the segments, the index and
+    /// the tombstones kept.
+    fn assert_books(s: &LogStore, dir: &Path, state: &str) {
+        let inner = s.inner.lock();
+        let sum = |f: fn(&Segment) -> u64| inner.segments.values().map(f).sum::<u64>();
+        let live: u64 = inner.index.values().map(|e| e.value_len as u64).sum();
+        assert_eq!(
+            (inner.total_bytes, inner.dead_bytes, inner.live_bytes),
+            (sum(|seg| seg.len), sum(Segment::dead), live),
+            "{state}: store-wide books"
+        );
+        assert_eq!(inner.total_bytes, segment_bytes(dir), "{state}: files");
+        let mut keep: HashMap<u64, u64> = HashMap::new();
+        for (key, tomb) in &inner.deleted {
+            assert!(
+                tomb.floor < tomb.segment,
+                "{state}: a tomb guards below itself"
+            );
+            assert!(
+                inner.segments.contains_key(&tomb.floor),
+                "{state}: floor is on disk"
+            );
+            assert!(!inner.index.contains_key(key), "{state}: deleted and live");
+            *keep.entry(tomb.segment).or_default() += record_len(key.len(), 0);
+        }
+        for (key, e) in &inner.index {
+            *keep.entry(e.segment).or_default() += record_len(key.len(), e.value_len as usize);
+        }
+        for (id, seg) in &inner.segments {
+            let kept = keep.get(id).copied().unwrap_or(0);
+            assert_eq!(seg.keep, kept, "{state}: records kept in segment {id}");
+        }
+    }
+
+    /// Reads, `len` and `bytes_used` against a model of the store.
+    fn assert_matches(s: &LogStore, want: &BTreeMap<u32, Vec<u8>>, keys: u32, state: &str) {
+        for i in 0..keys {
+            let got = s.get(&i.to_le_bytes()).ok().map(|v| v.to_vec());
+            assert_eq!(got.as_ref(), want.get(&i), "key {i}, {state}");
+        }
+        assert_eq!(s.len(), want.len(), "{state}");
+        let used: usize = want.values().map(Vec::len).sum();
+        assert_eq!(s.bytes_used(), used, "{state}");
+    }
+
+    fn put_n(s: &LogStore, want: &mut BTreeMap<u32, Vec<u8>>, i: u32, len: usize, byte: u8) {
+        s.put(&i.to_le_bytes(), Bytes::from(vec![byte; len]))
+            .unwrap();
+        want.insert(i, vec![byte; len]);
+    }
+
+    fn delete_n(s: &LogStore, want: &mut BTreeMap<u32, Vec<u8>>, i: u32) {
+        assert_eq!(
+            s.delete(&i.to_le_bytes()).unwrap(),
+            want.remove(&i).is_some()
+        );
+    }
+
+    /// Sixteen 72-byte records in four sealed 256-byte segments, the
+    /// first key of each deleted, plus key 16: the tombstones land in
+    /// segment 4 and guard the segments that hold their keys' puts.
+    fn four_sealed(name: &str) -> (PathBuf, LogStore, BTreeMap<u32, Vec<u8>>) {
+        let dir = tmpdir(name);
+        let s = LogStore::open_tuned(&dir, 256, 10.0); // manual cleaning only
+        let mut want = BTreeMap::new();
+        for i in 0..16u32 {
+            put_n(&s, &mut want, i, 48, i as u8);
+        }
+        for i in (0..16u32).step_by(4) {
+            delete_n(&s, &mut want, i);
+        }
+        put_n(&s, &mut want, 16, 48, 16);
+        (dir, s, want)
+    }
+
+    /// The cleaner unlinks a victim only once its copies have landed. A
+    /// failed unlink (the victim's path made a directory, which `unlink`
+    /// refuses) of each victim in turn leaves that victim on disk beside
+    /// its copies: every such state serves every key as before, reopens
+    /// with no deleted key live (a key found in two segments resolves to
+    /// the later record) and the next step unlinks what was left.
     #[test]
     fn an_interrupted_compaction_never_brings_a_deleted_key_back() {
-        let fill = |name: &str| {
-            let dir = tmpdir(name);
-            let s = LogStore::open_tuned(&dir, 256, 10.0); // manual compaction only
-            for i in 0..16u32 {
-                s.put(&i.to_le_bytes(), Bytes::from(vec![i as u8; 48]))
-                    .unwrap();
-            }
-            // Tombstones land segments after the puts they kill; key 4 is
-            // put again after its delete.
-            for i in (0..16u32).step_by(2) {
-                s.delete(&i.to_le_bytes()).unwrap();
-            }
-            s.put(&4u32.to_le_bytes(), Bytes::from(vec![99u8; 48]))
-                .unwrap();
-            (dir, s)
-        };
-        let check = |s: &LogStore, state: &str| {
-            for i in 0..16u32 {
-                let want = match i {
-                    4 => Some(vec![99u8; 48]),
-                    i if i % 2 == 0 => None,
-                    i => Some(vec![i as u8; 48]),
-                };
-                let got = s.get(&i.to_le_bytes()).ok().map(|v| v.to_vec());
-                assert_eq!(got, want, "key {i}, {state}");
-            }
-            assert_eq!(s.len(), 9, "{state}");
-        };
-        let (probe, _) = fill("interrupted");
-        let segments = segment_files(&probe).len();
-        assert!(segments >= 4, "only {segments} segments");
+        let (probe, s, _) = four_sealed("interrupted");
+        let mut victims = Vec::new();
+        loop {
+            let mut inner = s.inner.lock();
+            let Some(victim) = inner.victim() else { break };
+            victims.push(victim);
+            inner.clean_step(true).unwrap();
+        }
+        assert!(victims.len() >= 4, "only {} victims", victims.len());
         let _ = std::fs::remove_dir_all(&probe);
-        for k in 0..segments {
-            let (dir, s) = fill(&format!("interrupted-{k}"));
-            let old = segment_files(&dir);
-            let stuck = &old[k];
-            let bytes = std::fs::read(stuck).unwrap();
-            std::fs::remove_file(stuck).unwrap();
-            std::fs::create_dir(stuck).unwrap();
-            assert!(s.compact().is_err(), "unlink of segment {k} must fail");
-            for (j, path) in old.iter().enumerate() {
-                assert_eq!(path.exists(), j >= k, "segment {j} after a stop at {k}");
+        for (k, &victim) in victims.iter().enumerate() {
+            let (dir, s, want) = four_sealed(&format!("interrupted-{k}"));
+            for _ in 0..k {
+                s.inner.lock().clean_step(true).unwrap();
             }
-            check(&s, &format!("live after a stop at {k}"));
+            assert_eq!(s.inner.lock().victim(), Some(victim));
+            let stuck = segment_path(&dir, victim);
+            let bytes = std::fs::read(&stuck).unwrap();
+            std::fs::remove_file(&stuck).unwrap();
+            std::fs::create_dir(&stuck).unwrap();
+            assert!(s.compact().is_err(), "unlink of victim {k} must fail");
+            assert_matches(&s, &want, 17, &format!("live after victim {k} stayed"));
             // The unlink failed, so the file is still there: reopen.
-            std::fs::remove_dir(stuck).unwrap();
-            std::fs::write(stuck, bytes).unwrap();
-            assert_eq!(
-                s.disk_bytes(),
-                segment_bytes(&dir),
-                "bytes after a stop at {k}"
-            );
-            check(
-                &LogStore::open(&dir).unwrap(),
-                &format!("reopened with old segments {k}.. left"),
-            );
-            // What stayed is unlinked by the next compaction.
+            std::fs::remove_dir(&stuck).unwrap();
+            std::fs::write(&stuck, bytes).unwrap();
+            assert_books(&s, &dir, &format!("victim {k} stayed"));
+            let reopened = LogStore::open(&dir).unwrap();
+            assert_matches(&reopened, &want, 17, &format!("reopened, victim {k} left"));
+            drop(reopened);
+            // What stayed is unlinked by the next step.
             s.compact().unwrap();
-            assert!(old.iter().all(|path| !path.exists()));
+            assert!(!stuck.exists(), "victim {k} unlinked on retry");
+            assert_books(&s, &dir, &format!("retry after victim {k}"));
             drop(s);
-            check(&LogStore::open(&dir).unwrap(), "reopened after a retry");
+            let reopened = LogStore::open(&dir).unwrap();
+            assert_matches(&reopened, &want, 17, "reopened after a retry");
             let _ = std::fs::remove_dir_all(&dir);
         }
     }
 
-    /// A compaction that fails before its rewrite is down changes nothing
-    /// a reader sees. The pass is made to fail by making the path of a
-    /// segment it will create a directory: (a) its first new segment,
-    /// (b) its third, so it fails after rotating mid-rewrite. Either way
-    /// every key is served as before with the same `len` and
-    /// `bytes_used`, what the pass wrote stays on disk as dead bytes,
-    /// later deletes and overwrites still land (and reopen honours them,
-    /// so they were written after the pass's copies), and the next
-    /// compaction succeeds and unlinks what the failed pass left.
+    /// A cleaner step that fails before its copies land changes nothing a
+    /// reader sees. It is made to fail by making the path of a segment it
+    /// will create a directory: (a) when garbage sits only in the active
+    /// segment, the segment the step seals it with; (b) the segment the
+    /// copies rotate into, so it fails after two of the victim's three
+    /// records are down. Either way every key is served as before, what
+    /// the step wrote stays on disk as dead bytes, later deletes and
+    /// overwrites land above it (reopen honours them), and the next step
+    /// cleans what the failed one left.
     #[test]
     fn a_failed_compaction_changes_nothing() {
-        use std::collections::BTreeMap;
-        fn check(s: &LogStore, want: &BTreeMap<u32, Vec<u8>>, state: &str) {
-            for i in 0..16u32 {
-                let got = s.get(&i.to_le_bytes()).ok().map(|v| v.to_vec());
-                assert_eq!(got.as_ref(), want.get(&i), "key {i}, {state}");
-            }
-            assert_eq!(s.len(), want.len(), "{state}");
-            let used: usize = want.values().map(Vec::len).sum();
-            assert_eq!(s.bytes_used(), used, "{state}");
-        }
-        for (case, written) in [("first", 0u64), ("third", 2)] {
+        for case in ["seal", "mid-copy"] {
             let dir = tmpdir(&format!("failed-compaction-{case}"));
-            let s = LogStore::open_tuned(&dir, 256, 10.0); // manual compaction only
             let mut want = BTreeMap::new();
-            for i in 0..16u32 {
-                s.put(&i.to_le_bytes(), Bytes::from(vec![i as u8; 48]))
-                    .unwrap();
-                want.insert(i, vec![i as u8; 48]);
-            }
-            for i in (0..16u32).step_by(4) {
-                s.delete(&i.to_le_bytes()).unwrap();
-                want.remove(&i);
-            }
-            check(&s, &want, "before the pass");
-            let last = s.inner.lock().active;
-            let old = segment_files(&dir);
-            // Twelve live 72-byte records fill three 256-byte segments.
-            let stuck = segment_path(&dir, last + 1 + written);
+            let s = if case == "seal" {
+                let s = LogStore::open_tuned(&dir, 1 << 20, 10.0); // manual cleaning only
+                for i in 0..16u32 {
+                    put_n(&s, &mut want, i, 48, i as u8);
+                }
+                delete_n(&s, &mut want, 3);
+                put_n(&s, &mut want, 5, 48, 55);
+                s
+            } else {
+                // Keys 0..16 fill segments 0..3; deleting key 0 leaves
+                // segment 0 the only victim, with three live records, and
+                // two more puts leave room in segment 4 for two copies.
+                let s = LogStore::open_tuned(&dir, 256, 10.0);
+                for i in 0..16u32 {
+                    put_n(&s, &mut want, i, 48, i as u8);
+                }
+                delete_n(&s, &mut want, 0);
+                put_n(&s, &mut want, 16, 48, 16);
+                put_n(&s, &mut want, 17, 48, 17);
+                assert_eq!(s.inner.lock().victim(), Some(0));
+                s
+            };
+            let active = s.inner.lock().active;
+            let active_len = s.inner.lock().segments[&active].len;
+            let stuck = segment_path(&dir, active + 1);
             std::fs::create_dir(&stuck).unwrap();
 
-            assert!(s.compact().is_err(), "{case}: the pass must fail");
-            check(&s, &want, &format!("{case}: after the failed pass"));
-            let left: Vec<PathBuf> = (1..=written)
-                .map(|k| segment_path(&dir, last + k))
-                .collect();
-            assert!(left.iter().all(|p| p.is_file()), "{case}: kept on disk");
+            assert!(s.compact().is_err(), "{case}: the step must fail");
+            assert_matches(&s, &want, 18, &format!("{case}: after the failed step"));
+            let wrote = s.inner.lock().segments[&active].len - active_len;
+            assert_eq!(wrote, if case == "seal" { 0 } else { 2 * 72 }, "{case}");
             std::fs::remove_dir(&stuck).unwrap();
-            assert_eq!(s.disk_bytes(), segment_bytes(&dir), "{case}: tracked bytes");
+            assert_books(&s, &dir, &format!("{case}: after the failed step"));
 
-            // Whichever keys the pass copied, some of these were among
-            // them: a delete or put that landed before the copies would
-            // lose to them on replay.
-            for i in (1..16u32).step_by(4) {
-                assert!(s.delete(&i.to_le_bytes()).unwrap(), "{case}: delete {i}");
-                want.remove(&i);
+            // Some of these keys were among the copies: a delete or put
+            // that landed below them would lose to them on replay.
+            for i in (1..18u32).step_by(4) {
+                delete_n(&s, &mut want, i);
             }
-            for i in (2..16u32).step_by(4) {
-                s.put(&i.to_le_bytes(), Bytes::from(vec![99u8; 48]))
-                    .unwrap();
-                want.insert(i, vec![99u8; 48]);
+            for i in (2..18u32).step_by(4) {
+                put_n(&s, &mut want, i, 48, 99);
             }
-            check(&s, &want, &format!("{case}: after later writes"));
-            check(
+            assert_matches(&s, &want, 18, &format!("{case}: after later writes"));
+            assert_matches(
                 &LogStore::open(&dir).unwrap(),
                 &want,
-                &format!("{case}: reopened after the failed pass"),
+                18,
+                &format!("{case}: reopened after the failed step"),
             );
 
             s.compact().unwrap();
-            assert!(old.iter().chain(&left).all(|p| !p.exists()), "{case}");
-            assert_eq!(s.disk_bytes(), segment_bytes(&dir), "{case}: after a retry");
-            check(&s, &want, &format!("{case}: after a retry"));
+            assert!(s.inner.lock().victim().is_none(), "{case}: cleaned");
+            assert_books(&s, &dir, &format!("{case}: after a retry"));
+            assert_matches(&s, &want, 18, &format!("{case}: after a retry"));
             drop(s);
-            check(
+            assert_matches(
                 &LogStore::open(&dir).unwrap(),
                 &want,
+                18,
                 &format!("{case}: reopened after a retry"),
             );
             let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+
+    /// A write whose cleaning fails still succeeds: the failed step is
+    /// counted, and the next write's trigger cleans.
+    #[test]
+    fn a_write_stands_when_the_cleaning_it_triggers_fails() {
+        let dir = tmpdir("write-stands");
+        let s = LogStore::open_tuned(&dir, 1 << 20, COMPACT_GARBAGE_RATIO);
+        let mut want = BTreeMap::new();
+        // Garbage only in the active segment: the step seals it first.
+        let stuck = segment_path(&dir, 1);
+        std::fs::create_dir(&stuck).unwrap();
+        let mut round = 0u8;
+        while s.metrics().clean_failures() == 0 {
+            put_n(&s, &mut want, 0, 1024, round);
+            round += 1;
+            assert!(round < 16, "the trigger never fired");
+        }
+        assert_matches(&s, &want, 1, "after the failed step");
+        assert_eq!(s.segment_count(), 1);
+        let before = s.disk_bytes();
+        assert!(before > 4 * 1024, "garbage stays until a step succeeds");
+
+        std::fs::remove_dir(&stuck).unwrap();
+        assert!(
+            s.delete(&0u32.to_le_bytes()).unwrap(),
+            "a delete stands too"
+        );
+        want.remove(&0);
+        put_n(&s, &mut want, 1, 16, 1);
+        assert_eq!(s.metrics().clean_failures(), 1);
+        assert!(s.disk_bytes() < 1024, "{before} -> {}", s.disk_bytes());
+        assert_eq!(s.segment_count(), 1);
+        assert_books(&s, &dir, "after the retry");
+        drop(s);
+        assert_matches(&LogStore::open(&dir).unwrap(), &want, 2, "reopened");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A crash between a step's copies and its unlink, or inside its
+    /// copies, reopens to the state before the step: (a) the victim's
+    /// bytes put back after a whole step, (b) the same with the active
+    /// segment cut inside the copies, every 20 bytes. The victim carries
+    /// tombstones that guard the segment below it.
+    #[test]
+    fn a_crash_inside_a_cleaner_step_reopens_to_the_same_state() {
+        let fill = |dir: &Path| {
+            let s = LogStore::open_tuned(dir, 1024, 10.0); // manual cleaning only
+            let mut want = BTreeMap::new();
+            // Segment 0: long-lived keys; segment 1: keys 0..15.
+            for i in 100..105u32 {
+                put_n(&s, &mut want, i, 200, 1);
+            }
+            for i in 0..15u32 {
+                put_n(&s, &mut want, i, 48, i as u8);
+            }
+            // Segment 2: six tombstones guarding segment 1, then key 20
+            // overwritten nine times, then keys 21..24, the last of them
+            // in segment 3.
+            for i in 0..6u32 {
+                delete_n(&s, &mut want, i);
+            }
+            for round in 0..10u8 {
+                put_n(&s, &mut want, 20, 48, round);
+            }
+            for i in 21..25u32 {
+                put_n(&s, &mut want, i, 48, i as u8);
+            }
+            (s, want)
+        };
+        let probe = tmpdir("crash-probe");
+        let (s, _) = fill(&probe);
+        let (active, copies_at) = {
+            let inner = s.inner.lock();
+            assert_eq!(inner.victim(), Some(2));
+            assert_eq!(inner.segments[&2].keep, 6 * 24 + 4 * 72);
+            (inner.active, inner.segments[&inner.active].len)
+        };
+        assert_eq!(s.inner.lock().clean_step(true).unwrap(), Some(true));
+        let copies_len = s.inner.lock().segments[&active].len - copies_at;
+        assert_eq!(copies_len, 6 * 24 + 4 * 72, "tombstones and live records");
+        drop(s);
+        let _ = std::fs::remove_dir_all(&probe);
+
+        let cuts = (0..copies_len).step_by(20).map(Some).chain([None]);
+        for cut in cuts {
+            let dir = tmpdir(&format!("crash-{cut:?}"));
+            let (s, want) = fill(&dir);
+            let victim_bytes = std::fs::read(segment_path(&dir, 2)).unwrap();
+            s.inner.lock().clean_step(true).unwrap();
+            assert!(!segment_path(&dir, 2).exists());
+            drop(s);
+            std::fs::write(segment_path(&dir, 2), &victim_bytes).unwrap();
+            if let Some(cut) = cut {
+                let f = OpenOptions::new()
+                    .write(true)
+                    .open(segment_path(&dir, active));
+                f.unwrap().set_len(copies_at + cut).unwrap();
+            }
+            let s = LogStore::open(&dir).unwrap();
+            assert_matches(&s, &want, 106, &format!("reopened with cut {cut:?}"));
+            assert_books(&s, &dir, &format!("cut {cut:?}"));
+            s.compact().unwrap();
+            assert_matches(&s, &want, 106, &format!("cleaned after cut {cut:?}"));
+            drop(s);
+            let s = LogStore::open(&dir).unwrap();
+            assert_matches(&s, &want, 106, &format!("reopened after cut {cut:?}"));
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// Seeded random histories of put, delete, compact and reopen, against
+    /// a `BTreeMap` after every step, with the books recounted. Key 100's
+    /// put sits in the oldest segment beside long-lived keys when it is
+    /// deleted, so its tombstone must survive every clean of the segments
+    /// above until that segment goes.
+    #[test]
+    fn random_histories_match_a_model() {
+        use rand::{Rng, SeedableRng};
+        for seed in 0..12u64 {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let dir = tmpdir(&format!("model-{seed}"));
+            let open = || LogStore::open_tuned(&dir, 512, COMPACT_GARBAGE_RATIO);
+            let mut s = open();
+            let mut want = BTreeMap::new();
+            for i in 100..104u32 {
+                put_n(&s, &mut want, i, 100, i as u8);
+            }
+            for step in 0..700u32 {
+                let state = format!("seed {seed} step {step}");
+                match rng.random_range(0..100u32) {
+                    0..=54 => {
+                        let len = rng.random_range(0..160usize);
+                        put_n(&s, &mut want, rng.random_range(0..24u32), len, step as u8);
+                    }
+                    55..=89 => delete_n(&s, &mut want, rng.random_range(0..24u32)),
+                    90..=93 => s.compact().unwrap(),
+                    94..=97 => {
+                        drop(s);
+                        s = open();
+                    }
+                    _ => delete_n(&s, &mut want, 100),
+                }
+                assert_matches(&s, &want, 104, &state);
+                assert_books(&s, &dir, &state);
+            }
+            assert!(s.metrics().clean_failures() == 0);
+            drop(s);
+            assert_matches(&open(), &want, 104, &format!("seed {seed}: reopened"));
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// Tombstones are carried only while a segment older than them may
+    /// hold their keys' records, not while any older segment exists: over
+    /// many put / delete cycles behind a long-lived oldest segment the
+    /// disk stays bounded.
+    #[test]
+    fn tombstones_do_not_pile_up_behind_a_long_lived_segment() {
+        let dir = tmpdir("tomb-bound");
+        let s = LogStore::open_tuned(&dir, 512, COMPACT_GARBAGE_RATIO);
+        let mut want = BTreeMap::new();
+        for i in 5000..5008u32 {
+            put_n(&s, &mut want, i, 200, 7);
+        }
+        let mut peak = 0;
+        for cycle in 0..400u32 {
+            for i in 0..8 {
+                put_n(&s, &mut want, cycle * 8 + i, 40, cycle as u8);
+            }
+            for i in 0..8 {
+                delete_n(&s, &mut want, cycle * 8 + i);
+            }
+            peak = peak.max(s.disk_bytes());
+        }
+        assert!(
+            segment_path(&dir, 0).exists(),
+            "the oldest segment lives on"
+        );
+        assert!(peak < 16 * 1024, "disk peaked at {peak} bytes");
+        assert!(s.inner.lock().deleted.len() < 64, "tombstones kept");
+        assert_books(&s, &dir, "after the cycles");
+        drop(s);
+        assert_matches(&LogStore::open(&dir).unwrap(), &want, 5008, "reopened");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Unlinking a tombstone's oldest guarded segment moves its guard to
+    /// the next segment below it: that one may hold the key's records
+    /// too. Key 1 is put in segment 0, put again in segment 1 and deleted
+    /// in segment 2; cleaning segment 0 and then segment 2 must carry the
+    /// tombstone, or reopen serves key 1 from segment 1.
+    #[test]
+    fn a_tombstone_guards_every_segment_below_it_that_held_its_key() {
+        let dir = tmpdir("guard-moves");
+        let s = LogStore::open_tuned(&dir, 256, 10.0); // manual cleaning only
+        let mut want = BTreeMap::new();
+        for (round, i) in [1, 10, 10, 11, 1, 13, 14, 15].into_iter().enumerate() {
+            put_n(&s, &mut want, i, 48, round as u8);
+        }
+        delete_n(&s, &mut want, 1);
+        for round in 0..3 {
+            put_n(&s, &mut want, 16, 48, round);
+        }
+        put_n(&s, &mut want, 17, 48, 17);
+        put_n(&s, &mut want, 18, 48, 18); // opens segment 3
+        for victim in [0, 2] {
+            let mut inner = s.inner.lock();
+            assert_eq!(inner.victim(), Some(victim));
+            assert_eq!(inner.clean_step(true).unwrap(), Some(true));
+        }
+        assert!(
+            segment_path(&dir, 1).exists(),
+            "key 1's second put is on disk"
+        );
+        assert_books(&s, &dir, "after two steps");
+        drop(s);
+        assert_matches(&LogStore::open(&dir).unwrap(), &want, 19, "reopened");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Replay reads through a bounded window: a record larger than the
+    /// window, a torn tail past the first window, and foreign bytes in mid
+    /// file past it (refused, never truncated).
+    #[test]
+    fn replay_reads_through_a_window() {
+        let dir = tmpdir("window");
+        let big = vec![5u8; READ_WINDOW + READ_WINDOW / 2];
+        {
+            let s = LogStore::open(&dir).unwrap();
+            s.put(b"small", Bytes::from_static(b"s")).unwrap();
+            s.put(b"big", Bytes::from(big.clone())).unwrap();
+            for i in 0..40u32 {
+                s.put(&i.to_le_bytes(), Bytes::from(vec![i as u8; 40_000]))
+                    .unwrap();
+            }
+        }
+        let check = |s: &LogStore| {
+            assert_eq!(s.get(b"big").unwrap(), Bytes::from(big.clone()));
+            for i in 0..40u32 {
+                assert_eq!(s.get(&i.to_le_bytes()).unwrap().len(), 40_000);
+            }
+            assert_eq!(s.len(), 42);
+        };
+        check(&LogStore::open(&dir).unwrap());
+
+        // Torn: a header promising more bytes than follow.
+        let seg = segment_path(&dir, 0);
+        let good = std::fs::metadata(&seg).unwrap().len();
+        assert!(good > 2 * READ_WINDOW as u64);
+        let mut f = OpenOptions::new().append(true).open(&seg).unwrap();
+        f.write_all(&MAGIC.to_le_bytes()).unwrap();
+        f.write_all(&[1, 0, 0, 0, 200, 0, 0, 0, 9]).unwrap();
+        drop(f);
+        check(&LogStore::open(&dir).unwrap());
+        assert_eq!(
+            std::fs::metadata(&seg).unwrap().len(),
+            good,
+            "torn tail cut"
+        );
+
+        // Foreign: unknown magic past the first window, valid records after.
+        let mut bytes = std::fs::read(&seg).unwrap();
+        // The magic of the twentieth 40 kB record.
+        let at =
+            (record_len(5, 1) + record_len(3, big.len()) + 20 * record_len(4, 40_000)) as usize;
+        assert!(at > READ_WINDOW && at + 40_024 < good as usize);
+        bytes[at..at + 4].copy_from_slice(&0xDEAD_BEEFu32.to_le_bytes());
+        std::fs::write(&seg, &bytes).unwrap();
+        match LogStore::open(&dir) {
+            Err(KvError::Corrupt { detail }) => assert!(detail.contains("bad magic"), "{detail}"),
+            other => panic!("expected a format error, got ok={}", other.is_ok()),
+        }
+        assert_eq!(std::fs::read(&seg).unwrap(), bytes, "segment was modified");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -16,6 +16,8 @@ pub struct StoreMetrics {
     deletes: AtomicU64,
     bytes_written: AtomicU64,
     bytes_read: AtomicU64,
+    /// Failed cleaning steps (not in [`MetricsSnapshot`], which is on the wire).
+    pub(crate) clean_failures: AtomicU64,
 }
 
 /// A point-in-time copy of [`StoreMetrics`].
@@ -72,6 +74,11 @@ impl StoreMetrics {
 
     pub(crate) fn record_delete(&self) {
         self.deletes.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Failed cleaning steps so far.
+    pub fn clean_failures(&self) -> u64 {
+        self.clean_failures.load(Ordering::Relaxed)
     }
 
     /// Copy the counters.

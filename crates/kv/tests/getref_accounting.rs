@@ -7,9 +7,7 @@
 //! double-counting the read when the value has to come off the disk tier.
 
 use bytes::Bytes;
-use evostore_kv::{
-    ChunkedStore, FannedLogStore, KvBackend, LogStore, MemPoolStore, MetricsSnapshot,
-};
+use evostore_kv::{ChunkedStore, KvBackend, LogStore, MemPoolStore, MetricsSnapshot};
 use evostore_tensor::rope;
 
 fn tmpdir(name: &str) -> std::path::PathBuf {
@@ -98,18 +96,19 @@ fn logstore_disk_resident_fallback_counts_once() {
 }
 
 #[test]
-fn fanned_logstore_rope_put_reads_back_and_counts_once() {
-    // The gathering default of `put_segments`, on the fanned log layout.
-    let dir = tmpdir("fanned");
-    let probe = FannedLogStore::open(dir.join("probe")).unwrap();
-    let twin = FannedLogStore::open(dir.join("twin")).unwrap();
+fn logstore_rope_put_reads_back_and_counts_once() {
+    // The gathering default of `put_segments`, on the log, read back
+    // after a reopen.
+    let dir = tmpdir("rope-log");
+    let probe = LogStore::open(dir.join("probe")).unwrap();
+    let twin = LogStore::open(dir.join("twin")).unwrap();
     for s in [&probe, &twin] {
         let rope = vec![Bytes::from(vec![4u8; 10]), Bytes::from(vec![5u8; 30])];
         s.put_segments(b"k", rope).unwrap();
     }
     assert_eq!(twin.get(b"k").unwrap()[8..12], [4, 4, 5, 5]);
-    let probe = FannedLogStore::open(dir.join("probe")).unwrap();
-    let twin = FannedLogStore::open(dir.join("twin")).unwrap();
+    let probe = LogStore::open(dir.join("probe")).unwrap();
+    let twin = LogStore::open(dir.join("twin")).unwrap();
     assert!(probe.get_resident(b"k").is_none());
     assert_fallback_counts_once(probe, twin, b"k", 40);
     let _ = std::fs::remove_dir_all(&dir);

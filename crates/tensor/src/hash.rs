@@ -54,12 +54,7 @@ impl ContentHash {
     }
 
     /// Fixed-width little-endian byte encoding, used as the physical KV
-    /// key of a content-addressed chunk. Little-endian so the *first* key
-    /// byte is the least-significant hash byte, the one the fanned
-    /// directory layout ([`ContentHash::fan`]) shards on (the
-    /// `aa/bb/<digest>` layout of hash-addressed object stores). Both hash
-    /// families mix that byte well: the lane hash ends in a full
-    /// avalanche, and FNV-1a mixes its low bits fastest.
+    /// key of a content-addressed chunk.
     #[inline]
     pub fn to_bytes(self) -> [u8; 16] {
         self.0.to_le_bytes()
@@ -71,17 +66,6 @@ impl ContentHash {
             return None;
         }
         Some(ContentHash(u128::from_le_bytes(bytes.try_into().ok()?)))
-    }
-
-    /// The two-level directory fan of this hash: the high and low nibble
-    /// of the least-significant byte (see [`ContentHash::to_bytes`] for
-    /// why that byte is uniformly distributed under either family). A
-    /// store fanning on these gets a 16 x 16 directory tree with a
-    /// uniform spread of chunks.
-    #[inline]
-    pub fn fan(self) -> (u8, u8) {
-        let low = self.0 as u8;
-        (low >> 4, low & 0x0F)
     }
 }
 
@@ -537,28 +521,5 @@ mod tests {
         assert_eq!(ContentHash::from_bytes(&h.to_bytes()), Some(h));
         assert_eq!(ContentHash::from_bytes(&[0u8; 15]), None);
         assert_eq!(ContentHash::from_bytes(&[0u8; 17]), None);
-    }
-
-    #[test]
-    fn fan_matches_leading_key_byte() {
-        for input in [&b"a"[..], b"bb", b"ccc", b"chunk-xyz"] {
-            let h = ContentHash::of_bytes(input);
-            let (hi, lo) = h.fan();
-            let first = h.to_bytes()[0];
-            assert_eq!(hi, first >> 4);
-            assert_eq!(lo, first & 0x0F);
-        }
-    }
-
-    #[test]
-    fn fan_spreads_uniformly() {
-        let mut buckets = [0usize; 256];
-        for i in 0..4096u32 {
-            let (hi, lo) = ContentHash::of_bytes(&i.to_le_bytes()).fan();
-            buckets[(hi as usize) << 4 | lo as usize] += 1;
-        }
-        // 4096 hashes over 256 buckets: expect 16 each, allow wide slack.
-        assert!(buckets.iter().all(|&c| c > 0), "empty fan bucket");
-        assert!(*buckets.iter().max().unwrap() <= 48);
     }
 }
