@@ -309,7 +309,9 @@ fn bench_collective_query(c: &mut Criterion) {
     let catalog = sample_graphs(400, 7);
     for (i, g) in catalog.iter().enumerate() {
         let model = ModelId(i as u64);
-        states[model.provider_for(providers)].insert_meta_only(model, g.clone(), 0.5);
+        states[model.provider_for(providers)]
+            .insert_meta_only(model, g.clone(), 0.5)
+            .unwrap();
     }
     let client = dep.client();
     let probe = catalog[200].clone();

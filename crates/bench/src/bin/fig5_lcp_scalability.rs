@@ -81,7 +81,9 @@ fn evostore_churn(
             let g = flatten(&space.materialize(&space.sample(&mut rng))).unwrap();
             let model = ModelId(next);
             next += 1;
-            states[model.provider_for(providers)].insert_meta_only(model, g, 0.5);
+            states[model.provider_for(providers)]
+                .insert_meta_only(model, g, 0.5)
+                .unwrap();
             live.push(model);
             ops += 1;
             if live.len() > 64 {
@@ -230,7 +232,7 @@ fn main() {
         for (i, g) in catalog.iter().enumerate() {
             let model = ModelId(i as u64);
             let p = model.provider_for(providers);
-            states[p].insert_meta_only(model, g.clone(), 0.5);
+            states[p].insert_meta_only(model, g.clone(), 0.5).unwrap();
         }
         dep.set_index_enabled(!no_index);
         let client = dep.client();
@@ -398,7 +400,9 @@ fn run_ab(
             let first = ModelId(next);
             next += 1;
             let placement = first.provider_for(providers);
-            states[placement].insert_meta_only(first, g.clone(), 0.5);
+            states[placement]
+                .insert_meta_only(first, g.clone(), 0.5)
+                .unwrap();
             for d in 1..dups {
                 // Duplicate models of an architecture land on the same
                 // provider (a retrained model is stored near its parent),
@@ -408,7 +412,9 @@ fn run_ab(
                 }
                 let m = ModelId(next);
                 next += 1;
-                states[placement].insert_meta_only(m, g.clone(), 0.5 + d as f64 * 0.01);
+                states[placement]
+                    .insert_meta_only(m, g.clone(), 0.5 + d as f64 * 0.01)
+                    .unwrap();
             }
         }
         let client = dep.client();

@@ -86,7 +86,9 @@ fn main() {
     let dep = Deployment::in_memory(1);
     let states = dep.provider_states();
     for (i, g) in catalog.iter().enumerate() {
-        states[0].insert_meta_only(ModelId(i as u64), g.clone(), 0.5);
+        states[0]
+            .insert_meta_only(ModelId(i as u64), g.clone(), 0.5)
+            .unwrap();
     }
     dep.set_index_enabled(true);
 

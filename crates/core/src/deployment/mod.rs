@@ -269,7 +269,7 @@ impl Deployment {
         let dep = Deployment::start(cfg)?;
         let states = dep.provider_states();
         for s in &states {
-            s.recover_catalog();
+            s.recover_catalog()?;
         }
         let digests = dep.digests()?;
         let census = Census::take(&digests, dep.replication, digests.len(), Mode::Strict)?;

@@ -2,8 +2,6 @@
 //! bulk regions (zero-copy for memory-resident records), and the
 //! model-private optimizer state attached to a stored model.
 
-use std::sync::Arc;
-
 use bytes::Bytes;
 use evostore_tensor::{is_delta_segments, rope, TensorKey};
 
@@ -176,32 +174,7 @@ impl ProviderState {
         })
         .into_iter()
         .collect::<Result<Vec<_>, String>>()?;
-        // Attach under the write lock (check-then-act vs concurrent
-        // attaches stays atomic); the records are shared `Arc`s, so the
-        // mutation copies-on-write and the published snapshot picks up
-        // the new incarnation without disturbing pinned readers.
-        let (rec_clone, timestamp, bytes_stored) = self.mutate_catalog(|catalog| {
-            let rec = catalog
-                .records
-                .get_mut(&req.model)
-                .ok_or_else(|| format!("model {} not found", req.model))?;
-            if !rec.optimizer_keys.is_empty() {
-                return Err(format!("model {} already has optimizer state", req.model));
-            }
-            let mut bytes_stored = 0u64;
-            let mut keys = Vec::with_capacity(validated.len());
-            for (key, record) in validated {
-                bytes_stored += rope::len(&record) as u64;
-                self.tensors
-                    .put_segments(&key.encode(), record, 1)
-                    .map_err(|e| format!("store optimizer tensor {key}: {e}"))?;
-                keys.push(key);
-            }
-            let rec = Arc::make_mut(rec);
-            rec.optimizer_keys = keys;
-            Ok::<_, String>((rec.clone(), rec.timestamp, bytes_stored))
-        })?;
-        self.persist_record(req.model, &rec_clone);
+        let (timestamp, bytes_stored) = self.attach_optimizer(req.model, validated)?;
         Ok(StoreModelReply {
             timestamp,
             bytes_stored,

@@ -31,7 +31,7 @@ pub use substrate::Substrate;
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use bytes::Bytes;
 use evostore_graph::{ArchIndex, CompactGraph, IndexQueryStats, SnapshotCell};
@@ -69,6 +69,11 @@ pub struct ModelRecord {
     pub timestamp: u64,
     /// Keys of attached optimizer-state tensors (model-private).
     pub optimizer_keys: Vec<TensorKey>,
+    /// This incarnation's encoded `GET_META` reply, built on the first
+    /// fetch. A re-store or sync installs a new record, so the cache
+    /// never outlives the incarnation it encodes; an optimizer attach
+    /// keeps it, since the reply names no optimizer keys.
+    meta_reply: OnceLock<Bytes>,
 }
 
 /// The provider's model catalog: the record map plus the incrementally
@@ -260,46 +265,6 @@ impl AtomicQueryStats {
     }
 }
 
-/// Shards of the encoded `GET_META` reply cache. Hot fetches of
-/// *different* models no longer serialize on one global mutex; the
-/// model id picks the shard.
-const META_REPLY_SHARDS: usize = 16;
-
-/// Sharded cache of encoded `GET_META` replies, each entry stamped with
-/// the record timestamp it was built from (a re-store or sync installs
-/// a newer stamp and invalidates implicitly).
-struct MetaReplyCache {
-    shards: [Mutex<HashMap<ModelId, (u64, Bytes)>>; META_REPLY_SHARDS],
-}
-
-impl MetaReplyCache {
-    fn new() -> MetaReplyCache {
-        MetaReplyCache {
-            shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
-        }
-    }
-
-    fn shard(&self, model: ModelId) -> &Mutex<HashMap<ModelId, (u64, Bytes)>> {
-        &self.shards[(model.0 as usize) % META_REPLY_SHARDS]
-    }
-
-    fn get(&self, model: ModelId, timestamp: u64) -> Option<Bytes> {
-        let shard = self.shard(model).lock();
-        match shard.get(&model) {
-            Some((ts, blob)) if *ts == timestamp => Some(blob.clone()),
-            _ => None,
-        }
-    }
-
-    fn insert(&self, model: ModelId, timestamp: u64, blob: Bytes) {
-        self.shard(model).lock().insert(model, (timestamp, blob));
-    }
-
-    fn remove(&self, model: ModelId) {
-        self.shard(model).lock().remove(&model);
-    }
-}
-
 /// Shared state of one provider.
 pub struct ProviderState {
     fabric: Arc<Fabric>,
@@ -343,12 +308,6 @@ pub struct ProviderState {
     tracer: Tracer,
     /// This provider's fabric address (stamped on handler spans).
     endpoint_id: u32,
-    /// Encoded `GET_META` replies keyed by model, each stamped with the
-    /// record timestamp it was built from. A hit serves the cached JSON
-    /// bytes without re-cloning the compact graph; a timestamp mismatch
-    /// (model re-stored or synced) rebuilds. Sharded by model id so hot
-    /// fetches of different models never serialize.
-    meta_replies: MetaReplyCache,
     /// Held by the release path (`refs`) and the refs sync, so no count
     /// falls between the release path's peek at a record and its
     /// decrement.
@@ -367,29 +326,6 @@ impl ProviderState {
     fn places_here(&self, model: ModelId) -> bool {
         self.replication
             .is_replica(model, self.num_providers, self.index)
-    }
-
-    // ---- snapshot publication -------------------------------------------
-
-    /// Run a catalog mutation and publish the resulting snapshot. The
-    /// swap happens while the write lock is still held, so the
-    /// publication order of snapshots is exactly the mutation order —
-    /// two racing writers can never publish out of order.
-    fn mutate_catalog<T>(&self, f: impl FnOnce(&mut Catalog) -> T) -> T {
-        let mut catalog = self.catalog.write();
-        let out = f(&mut catalog);
-        catalog.version += 1;
-        let snap = catalog.snapshot();
-        self.snapshot.store(Arc::clone(&snap));
-        // Hand the mutation's change log to the delivery hub while the
-        // write lock is still held: subscribers observe events in
-        // exactly the publication order. With no subscribers this is
-        // one atomic load.
-        let changes = std::mem::take(&mut catalog.changes);
-        if !changes.is_empty() {
-            self.delivery.on_publication(&snap, &changes);
-        }
-        out
     }
 
     /// Pin the current published catalog snapshot (what every read
@@ -533,9 +469,9 @@ impl ProviderState {
         use methods::*;
         self.serve(endpoint, Store, Self::handle_store);
         // GET_META is the one method not registered through `serve`:
-        // its handler returns pre-encoded bytes cached per record
-        // incarnation, so a hot model's compact graph is deep-cloned and
-        // JSON-encoded once, not once per fetch. Like LCP_BATCH and
+        // its handler returns the bytes cached on the record, so a hot
+        // model's compact graph is deep-cloned and JSON-encoded once per
+        // incarnation, not once per fetch. Like LCP_BATCH and
         // MATCH_PATTERN_BATCH it runs on the caller's thread (its
         // method-table line puts it on the caller lane).
         let s = Arc::clone(self);
@@ -640,7 +576,6 @@ impl Provider {
             counters: ProviderCounters::new(),
             tracer,
             endpoint_id: endpoint.id().0,
-            meta_replies: MetaReplyCache::new(),
             drops: Mutex::new(()),
             delivery,
             ledger: Arc::new(OpLedger::new()),

@@ -259,13 +259,12 @@ impl ProviderState {
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     //! The one reclamation rule, driven through the provider's own steps:
     //! a store's steps interleaved with its parent's retirement, replayed
     //! in order on one thread, and `gc_audit` over delta links.
 
     use std::collections::HashMap;
-    use std::sync::atomic::Ordering;
     use std::sync::Arc;
 
     use bytes::Bytes;
@@ -276,10 +275,12 @@ mod tests {
 
     use crate::messages::{RefsRequest, RetireMetaRequest};
     use crate::owner_map::OwnerMap;
+    use crate::provider::catalog::Origin;
     use crate::provider::{ModelRecord, ProviderState};
     use crate::{random_tensors, Deployment, DeploymentConfig, StorePolicy};
 
-    fn seq(units: &[u32]) -> CompactGraph {
+    /// A sequential dense network with the given widths.
+    pub(in crate::provider) fn seq(units: &[u32]) -> CompactGraph {
         let mut a = Architecture::new("seq");
         let mut prev = a.add_layer(LayerConfig::new(
             "in",
@@ -384,15 +385,11 @@ mod tests {
 
         /// The store's last step: catalog the child.
         fn catalog_child(&self, state: &ProviderState) {
-            let record = ModelRecord {
-                graph: Arc::new(self.graph.clone()),
-                owner_map: OwnerMap::fresh(self.child, &self.graph),
-                parent: Some(self.parent),
-                quality: 0.6,
-                timestamp: state.clock.fetch_add(1, Ordering::Relaxed),
-                optimizer_keys: Vec::new(),
-            };
-            state.mutate_catalog(|c| c.insert(self.child, record));
+            let owner_map = OwnerMap::fresh(self.child, &self.graph);
+            let record = ModelRecord::new(self.graph.clone(), owner_map, Some(self.parent), 0.6, 0);
+            state
+                .install_record(self.child, record, Origin::Fresh)
+                .unwrap();
         }
 
         /// The child reads back byte-identical and every count audits.

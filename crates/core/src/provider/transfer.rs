@@ -5,21 +5,18 @@
 //! chunk possession probes and reads, and retirement syncs.
 
 use std::collections::HashMap;
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
 
 use bytes::Bytes;
-use evostore_graph::CompactGraph;
 use evostore_kv::{ChunkedStore, KvBackend};
 use evostore_tensor::{
     delta_probe_segments, validate_segments, ContentHash, DeltaHeader, ModelId, TensorKey,
     DELTA_PROBE_LEN,
 };
 
+use super::catalog::Origin;
 use super::delta::chain_step;
 use super::{ModelRecord, ProviderState};
 use crate::messages::*;
-use crate::owner_map::OwnerMap;
 use crate::par;
 use crate::records::{pushed_chunks, record_in};
 use crate::replication::incarnation;
@@ -46,17 +43,6 @@ fn delta_linkage(
             Ok((Some(base), h.depth))
         }
     }
-}
-
-/// The catalog record a sync request carries, whichever plane its
-/// payloads ride.
-struct SyncedModel {
-    model: ModelId,
-    graph: CompactGraph,
-    owner_map: OwnerMap,
-    parent: Option<ModelId>,
-    quality: f64,
-    timestamp: u64,
 }
 
 impl ProviderState {
@@ -94,55 +80,49 @@ impl ProviderState {
         })
     }
 
-    /// What `SYNC_MODEL` and `SYNC_CHUNKS` share: install `m` unless the
-    /// local copy is already at least as new. `check` pulls and validates
-    /// the shipment without touching any state — a malformed sync can never
-    /// leave partially-stored records — and only then is a stale local
-    /// incarnation dropped (its private optimizer copies with it) and the
-    /// checked payloads handed to `store`. `keys` names every record of
-    /// the shipment. `Ok(None)`: not applied, the local copy stands.
+    /// What `SYNC_MODEL` and `SYNC_CHUNKS` share: install `rec` as
+    /// `model`'s record unless the local copy is already at least as new.
+    /// `check` pulls and validates the shipment without touching any state
+    /// — a malformed sync can never leave partially-stored records — and
+    /// only then is a stale local incarnation taken out and its private
+    /// optimizer copies dropped (before `store`, which may put records
+    /// under the same keys) and the checked payloads handed to `store`.
+    /// `keys` names every record of the shipment. `Ok(None)`: not applied,
+    /// the local copy stands.
     fn install_synced<V, T>(
         &self,
-        m: SyncedModel,
+        model: ModelId,
+        mut rec: ModelRecord,
         keys: impl Iterator<Item = TensorKey>,
         check: impl FnOnce() -> Result<V, String>,
         store: impl FnOnce(V) -> Result<T, String>,
     ) -> Result<Option<T>, String> {
-        super::catalog::wire_graph(&m.graph)?;
-        if !self.places_here(m.model) {
+        super::catalog::wire_graph(&rec.graph)?;
+        if !self.places_here(model) {
             return Err(format!(
-                "model {} does not place on provider {}",
-                m.model, self.index
+                "model {model} does not place on provider {}",
+                self.index
             ));
         }
-        let mut optimizer_keys: Vec<TensorKey> = keys.filter(|k| k.vertex.0 == u32::MAX).collect();
-        optimizer_keys.sort_by_key(|k| k.slot);
-        let incoming = incarnation(m.timestamp, &optimizer_keys);
+        rec.optimizer_keys = keys.filter(|k| k.vertex.0 == u32::MAX).collect();
+        rec.optimizer_keys.sort_by_key(|k| k.slot);
+        let incoming = incarnation(rec.timestamp, &rec.optimizer_keys);
         let local = self
             .catalog
             .read()
             .records
-            .get(&m.model)
+            .get(&model)
             .map(|r| incarnation(r.timestamp, &r.optimizer_keys));
         if local >= Some(incoming) {
             return Ok(None);
         }
         let checked = check()?;
-        if let Some(old) = self.mutate_catalog(|c| c.remove(m.model)) {
-            self.drop_optimizer_copies(&old)?;
+        let stale = |r: &ModelRecord| incarnation(r.timestamp, &r.optimizer_keys) < incoming;
+        if let Some(old) = self.take_record(model, stale)? {
+            self.release_all(&old.optimizer_keys)?;
         }
         let stored = store(checked)?;
-        self.clock.fetch_max(m.timestamp + 1, Ordering::Relaxed);
-        let record = ModelRecord {
-            graph: Arc::new(m.graph),
-            owner_map: m.owner_map,
-            parent: m.parent,
-            quality: m.quality,
-            timestamp: m.timestamp,
-            optimizer_keys,
-        };
-        self.persist_record(m.model, &record);
-        self.mutate_catalog(|c| c.insert(m.model, record));
+        self.install_record(model, rec, Origin::Replica)?;
         Ok(Some(stored))
     }
 
@@ -152,25 +132,14 @@ impl ProviderState {
     /// each taken out with `record_in`, checked where it lies and put as
     /// the rope it arrived as.
     pub fn handle_sync_model(&self, req: SyncModelRequest) -> Result<SyncModelReply, String> {
-        let SyncModelRequest {
-            model,
-            graph,
-            owner_map,
-            parent,
-            quality,
-            timestamp,
-            manifest,
-            bulk,
-        } = req;
-        let synced = SyncedModel {
-            model,
-            graph,
-            owner_map,
-            parent,
-            quality,
-            timestamp,
-        };
-        let manifest = &manifest;
+        let (model, manifest, bulk) = (req.model, &req.manifest, req.bulk);
+        let record = ModelRecord::new(
+            req.graph,
+            req.owner_map,
+            req.parent,
+            req.quality,
+            req.timestamp,
+        );
         let check = || {
             let region = self
                 .fabric
@@ -202,7 +171,7 @@ impl ProviderState {
             Ok(tensors_stored)
         };
         let keys = manifest.iter().map(|e| e.key);
-        let installed = self.install_synced(synced, keys, check, store)?;
+        let installed = self.install_synced(model, record, keys, check, store)?;
         Ok(SyncModelReply {
             applied: installed.is_some(),
             tensors_stored: installed.unwrap_or(0),
@@ -341,27 +310,15 @@ impl ProviderState {
     /// validation failure repair falls back to a materialized sync.
     pub fn handle_sync_chunks(&self, req: SyncChunksRequest) -> Result<SyncChunksReply, String> {
         let chunks = self.chunk_store()?;
-        let SyncChunksRequest {
-            model,
-            graph,
-            owner_map,
-            parent,
-            quality,
-            timestamp,
-            records,
-            pushed,
-            lens,
-            bulk,
-        } = req;
-        let synced = SyncedModel {
-            model,
-            graph,
-            owner_map,
-            parent,
-            quality,
-            timestamp,
-        };
-        let records = &records;
+        let (model, records, bulk) = (req.model, &req.records, req.bulk);
+        let (pushed, lens) = (&req.pushed, &req.lens);
+        let record = ModelRecord::new(
+            req.graph,
+            req.owner_map,
+            req.parent,
+            req.quality,
+            req.timestamp,
+        );
         let check = || {
             let region = self
                 .fabric
@@ -372,7 +329,7 @@ impl ProviderState {
             let provided: HashMap<u128, Bytes> = pushed
                 .iter()
                 .map(|hb| wire_hash(hb).0)
-                .zip(pushed_chunks(&pushed, &lens, &region)?)
+                .zip(pushed_chunks(pushed, lens, &region)?)
                 .collect();
             // Validate every record's claimed delta linkage from its head
             // chunk — available pre-insert from the push or the local chunk
@@ -478,7 +435,7 @@ impl ProviderState {
                 Ok((records_stored, bytes_saved))
             };
         let keys = records.iter().map(|r| r.key);
-        let installed = self.install_synced(synced, keys, check, store)?;
+        let installed = self.install_synced(model, record, keys, check, store)?;
         let (records_stored, bytes_saved) = installed.unwrap_or((0, 0));
         Ok(SyncChunksReply {
             applied: installed.is_some(),
@@ -487,28 +444,15 @@ impl ProviderState {
         })
     }
 
-    /// Handle a retirement sync: record each tombstone, drop any stale
-    /// record it covers, and fence the retirement's decrement leg so a
+    /// Handle a retirement sync: retire each tombstone's covered record,
+    /// if one is here, witness the tombstone either way, and fence the retirement's decrement leg so a
     /// parked client decrement re-issued later deduplicates against the
     /// absolute counts the refs sync installs.
     pub fn handle_sync_retire(&self, req: SyncRetireRequest) -> Result<SyncRetireReply, String> {
         let mut removed = 0usize;
         for t in &req.tombstones {
-            self.record_tombstone(*t);
-            let covered = self
-                .catalog
-                .read()
-                .records
-                .get(&t.model)
-                .map(|r| r.timestamp <= t.record_timestamp)
-                .unwrap_or(false);
-            if covered {
-                if let Some(rec) = self.mutate_catalog(|c| c.remove(t.model)) {
-                    self.unpersist_record(t.model);
-                    self.meta_replies.remove(t.model);
-                    self.drop_optimizer_copies(&rec)?;
-                    removed += 1;
-                }
+            if self.retire_record(*t)?.is_some() {
+                removed += 1;
             }
             let fence = RefsRequest::retirement_op_id(t.model, t.record_timestamp, self.index);
             self.refs_ops.lock().record(

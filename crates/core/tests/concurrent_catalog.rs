@@ -18,7 +18,9 @@ use rand_chacha::ChaCha8Rng;
 /// Insert a metadata-only record on the provider `model` hashes to.
 fn insert(states: &[Arc<ProviderState>], model: ModelId, g: &CompactGraph, quality: f64) {
     let p = model.provider_for(states.len());
-    states[p].insert_meta_only(model, g.clone(), quality);
+    states[p]
+        .insert_meta_only(model, g.clone(), quality)
+        .unwrap();
 }
 
 /// Sample a family tree of architectures: `families` roots, `variants`

@@ -180,7 +180,9 @@ fn queue_overflow_surfaces_typed_events_lost_and_replays() {
     plan.set_down(watcher.endpoint_id());
     let providers = dep.provider_states();
     for m in 20..30u64 {
-        providers[0].insert_meta_only(ModelId(m), family_graph(), 0.5);
+        providers[0]
+            .insert_meta_only(ModelId(m), family_graph(), 0.5)
+            .unwrap();
     }
     plan.set_up(watcher.endpoint_id());
 

@@ -63,11 +63,6 @@ pub struct ChunkStats {
     pub physical_bytes: u64,
     /// Chunk writes elided because an identical chunk was already stored.
     pub dedup_hits: u64,
-    /// Configured chunking granularity in bytes. Transfer negotiation
-    /// ships manifests verbatim only between stores chunking at the same
-    /// granularity. `default` keeps pre-transfer snapshots decodable.
-    #[serde(default)]
-    pub chunk_size: u64,
 }
 
 /// A [`KvBackend`] storing values as content-addressed, deduplicated,
@@ -205,11 +200,6 @@ impl<B: KvBackend> ChunkedStore<B> {
         &self.backend
     }
 
-    /// Configured chunk size.
-    pub fn chunk_size(&self) -> usize {
-        self.chunk_size
-    }
-
     /// Physical-occupancy counters.
     pub fn stats(&self) -> ChunkStats {
         ChunkStats {
@@ -218,7 +208,6 @@ impl<B: KvBackend> ChunkedStore<B> {
             logical_bytes: self.logical_bytes.load(Ordering::Relaxed),
             physical_bytes: self.backend.bytes_used() as u64,
             dedup_hits: self.dedup_hits.load(Ordering::Relaxed),
-            chunk_size: self.chunk_size as u64,
         }
     }
 
@@ -254,20 +243,33 @@ impl<B: KvBackend> ChunkedStore<B> {
     }
 
     /// Store the value `segments` hold under `key`: cut it into chunks
-    /// ([`ChunkedStore::split`]), dedup them against what is held, write
-    /// the rest, replace the manifest.
+    /// ([`ChunkedStore::split`]), hash them, and install the manifest.
     fn put_chunks(&self, key: &[u8], segments: &[Bytes]) -> Result<(), KvError> {
         let total = rope::len(segments);
         self.metrics.record_put(total);
         let chunks = self.split(segments);
         let hashes: Vec<ContentHash> = chunks.iter().map(|c| ContentHash::of_bytes(c)).collect();
-        let mkey = manifest_key(key);
         let mut refs = self.chunk_refs.lock();
-        // Overwrite: release the chunks of the previous value first.
+        self.install_manifest(&mut refs, key, total, &hashes, |i| chunks[i].clone())
+    }
+
+    /// The tail every manifest write shares, under the refs lock: release
+    /// the chunks of the value `key` held, bump each chunk already stored
+    /// or write it (`payload(i)` is the `i`-th chunk's bytes), write the
+    /// manifest, and update the counts.
+    fn install_manifest(
+        &self,
+        refs: &mut HashMap<u128, u64>,
+        key: &[u8],
+        total: usize,
+        hashes: &[ContentHash],
+        payload: impl Fn(usize) -> Bytes,
+    ) -> Result<(), KvError> {
+        let mkey = manifest_key(key);
         match self.backend.get(&mkey) {
             Ok(old) => {
                 let (old_total, old_hashes) = decode_manifest(&old)?;
-                self.release_chunks(&mut refs, &old_hashes)?;
+                self.release_chunks(refs, &old_hashes)?;
                 self.logical_bytes
                     .fetch_sub(old_total as u64, Ordering::Relaxed);
             }
@@ -276,19 +278,19 @@ impl<B: KvBackend> ChunkedStore<B> {
             }
             Err(e) => return Err(e),
         }
-        for (chunk, h) in chunks.into_iter().zip(&hashes) {
+        for (i, h) in hashes.iter().enumerate() {
             match refs.get_mut(&h.0) {
                 Some(c) => {
                     *c += 1;
                     self.dedup_hits.fetch_add(1, Ordering::Relaxed);
                 }
                 None => {
-                    self.backend.put(&chunk_key(*h), chunk)?;
+                    self.backend.put(&chunk_key(*h), payload(i))?;
                     refs.insert(h.0, 1);
                 }
             }
         }
-        self.backend.put(&mkey, encode_manifest(total, &hashes))?;
+        self.backend.put(&mkey, encode_manifest(total, hashes))?;
         self.logical_bytes
             .fetch_add(total as u64, Ordering::Relaxed);
         Ok(())
@@ -372,7 +374,6 @@ impl<B: KvBackend> ChunkedStore<B> {
                 self.chunk_size
             }
         };
-        let mkey = manifest_key(key);
         let mut refs = self.chunk_refs.lock();
         // Validate every not-yet-stored chunk before mutating anything,
         // so a bad push leaves the store untouched.
@@ -399,38 +400,10 @@ impl<B: KvBackend> ChunkedStore<B> {
             }
         }
         self.metrics.record_put(total);
-        // Overwrite: release the chunks of the previous value first.
-        match self.backend.get(&mkey) {
-            Ok(old) => {
-                let (old_total, old_hashes) = decode_manifest(&old)?;
-                self.release_chunks(&mut refs, &old_hashes)?;
-                self.logical_bytes
-                    .fetch_sub(old_total as u64, Ordering::Relaxed);
-            }
-            Err(KvError::NotFound) => {
-                self.manifest_count.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(e) => return Err(e),
-        }
-        for h in hashes {
-            match refs.get_mut(&h.0) {
-                Some(c) => {
-                    *c += 1;
-                    self.dedup_hits.fetch_add(1, Ordering::Relaxed);
-                }
-                None => {
-                    let chunk = provided
-                        .get(&h.0)
-                        .expect("validated above: missing chunk is provided");
-                    self.backend.put(&chunk_key(*h), chunk.clone())?;
-                    refs.insert(h.0, 1);
-                }
-            }
-        }
-        self.backend.put(&mkey, encode_manifest(total, hashes))?;
-        self.logical_bytes
-            .fetch_add(total as u64, Ordering::Relaxed);
-        Ok(())
+        // Every chunk not stored is provided: validated above.
+        self.install_manifest(&mut refs, key, total, hashes, |i| {
+            provided[&hashes[i].0].clone()
+        })
     }
 }
 

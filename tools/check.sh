@@ -251,11 +251,40 @@ if hits=$(awk -v release="$release" '
     echo "$hits" >&2
     exit 1
 fi
-if hits=$(grep -rnE 'let _ = .*\b(release|release_held|drop_held|drop_optimizer_copies)\(' crates); then
+if hits=$(grep -rnE 'let _ = .*\b(release|release_held|release_all|drop_held|persist_record|unpersist_record)\(' crates); then
     echo "a release path result discarded:" >&2
     echo "$hits" >&2
     exit 1
 fi
+# One path in and one path out of a provider's catalog: a record enters
+# through `install_record` and leaves through `retire_record`, both in
+# provider/catalog.rs, and each writes the meta store before it publishes.
+# An insert, remove or persist anywhere else would compile, pass every
+# test and publish a record the meta store does not hold (or keep one it
+# no longer does); the reply cache and sync record type it replaced would
+# be a second copy of the record to keep in step.
+echo "== one path in and out of the catalog: mutations only in provider/catalog.rs"
+catalog=crates/core/src/provider/catalog.rs
+if hits=$(awk -v catalog="$catalog" '
+    FNR == 1 { in_test = 0; pending = 0 }
+    FILENAME == catalog { nextfile }
+    /^#\[cfg\(test\)\]/ { pending = 1; next }
+    pending { pending = 0; if (/\{$/) in_test = 1; else next }
+    in_test && /^}/ { in_test = 0; next }
+    in_test || /^[[:space:]]*\/\// { next }
+    /(^|[^A-Za-z0-9_])c\.(insert|remove)\(|persist_record\(/ { print FILENAME ":" FNR ": " $0; found = 1 }
+    END { exit !found }
+' $(find crates -path '*/src/*.rs' | sort)); then
+    echo "catalog mutated outside $catalog:" >&2
+    echo "$hits" >&2
+    exit 1
+fi
+if hits=$(grep -rnwE 'MetaReplyCache|META_REPLY_SHARDS|SyncedModel' crates examples); then
+    echo "a deleted catalog copy is back:" >&2
+    echo "$hits" >&2
+    exit 1
+fi
+
 # One reference census: reopen, repair and gc_audit take their expected
 # counts from the digests' census and install them through the refs sync,
 # and the delta chain bound is a constant held where deltas are written.
