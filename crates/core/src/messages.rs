@@ -173,7 +173,7 @@ impl RefsRequest {
 }
 
 /// Reply to a refs adjustment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct RefsReply {
     /// Keys applied.
     pub applied: usize,

@@ -8,6 +8,7 @@
 //! meta store before it publishes: a failed durable write leaves the
 //! published catalog as it was and returns `Err`.
 
+use std::collections::HashSet;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -16,14 +17,15 @@ use evostore_graph::{lcp, ArchPattern, CompactGraph, IndexQueryStats};
 use evostore_tensor::{rope, ModelId, TensorKey};
 use rayon::prelude::*;
 
+use super::write_set::Payload;
 use super::{Catalog, CatalogSnapshot, ModelRecord, ProviderState};
 use crate::messages::*;
 use crate::owner_map::OwnerMap;
 use crate::par;
 use crate::records::validate_entry;
 
-/// On-disk form of a [`ModelRecord`] (catalog persistence).
-#[derive(serde::Serialize, serde::Deserialize)]
+/// On-disk form of a [`ModelRecord`] (catalog persistence), as read back.
+#[derive(serde::Deserialize)]
 struct PersistedRecord {
     graph: CompactGraph,
     owner_map: OwnerMap,
@@ -31,6 +33,18 @@ struct PersistedRecord {
     quality: f64,
     timestamp: u64,
     optimizer_keys: Vec<TensorKey>,
+}
+
+/// [`PersistedRecord`] as written: the same fields in the same order,
+/// borrowed from the record rather than copied.
+#[derive(serde::Serialize)]
+struct PersistedRecordRef<'r> {
+    graph: &'r CompactGraph,
+    owner_map: &'r OwnerMap,
+    parent: Option<ModelId>,
+    quality: f64,
+    timestamp: u64,
+    optimizer_keys: &'r [TensorKey],
 }
 
 /// Where a record entering the catalog comes from.
@@ -72,17 +86,6 @@ impl ModelRecord {
         }
     }
 
-    fn to_persisted(&self) -> PersistedRecord {
-        PersistedRecord {
-            graph: (*self.graph).clone(),
-            owner_map: self.owner_map.clone(),
-            parent: self.parent,
-            quality: self.quality,
-            timestamp: self.timestamp,
-            optimizer_keys: self.optimizer_keys.clone(),
-        }
-    }
-
     fn from_persisted(p: PersistedRecord) -> ModelRecord {
         ModelRecord {
             optimizer_keys: p.optimizer_keys,
@@ -99,11 +102,19 @@ impl ProviderState {
     }
 
     fn persist_record(&self, model: ModelId, rec: &ModelRecord) -> Result<(), String> {
-        let blob = serde_json::to_vec(&rec.to_persisted())
+        let persisted = PersistedRecordRef {
+            graph: &rec.graph,
+            owner_map: &rec.owner_map,
+            parent: rec.parent,
+            quality: rec.quality,
+            timestamp: rec.timestamp,
+            optimizer_keys: &rec.optimizer_keys,
+        };
+        let blob = serde_json::to_vec(&persisted)
             .map_err(|e| format!("encode catalog record {model}: {e}"))?;
-        self.meta_store
-            .put(&Self::meta_key(model), Bytes::from(blob))
-            .map_err(|e| format!("persist catalog record {model}: {e}"))
+        let key = Self::meta_key(model);
+        let written = self.meta_store.put(&key, Bytes::from(blob));
+        written.map_err(|e| format!("persist catalog record {model}: {e}"))
     }
 
     fn unpersist_record(&self, model: ModelId) -> Result<(), String> {
@@ -169,24 +180,20 @@ impl ProviderState {
     }
 
     /// The one way out of the catalog: take out the record `t` covers, if
-    /// one is here; then witness the retirement (newest incarnation per
+    /// one is here, then witness the retirement (newest incarnation per
     /// model), so anti-entropy can tell a replica that missed it from one
-    /// that missed a newer store of the same id; then drop its optimizer
-    /// copies (model-private and replica-local: each replica its own).
+    /// that missed a newer store of the same id.
     pub(super) fn retire_record(&self, t: Tombstone) -> Result<Option<Arc<ModelRecord>>, String> {
         let rec = self.take_record(t.model, |r| r.timestamp <= t.record_timestamp)?;
         let mut tombs = self.tombstones.lock();
         let entry = tombs.entry(t.model).or_insert(t);
         *entry = std::cmp::max_by_key(*entry, t, |x| (x.record_timestamp, x.retired_at));
-        drop(tombs);
-        if let Some(rec) = &rec {
-            self.release_all(&rec.optimizer_keys)?;
-        }
         Ok(rec)
     }
 
     /// Take `model`'s record out when `stale` holds for it: delete it from
-    /// the meta store, then unpublish it.
+    /// the meta store, unpublish it, then drop its optimizer copies
+    /// (model-private and replica-local: each replica its own).
     pub(super) fn take_record(
         &self,
         model: ModelId,
@@ -197,62 +204,58 @@ impl ProviderState {
         if !held(&self.catalog.read()) {
             return Ok(None);
         }
-        self.mutate_catalog(|c| {
+        let rec = self.mutate_catalog(|c| {
             if !held(c) {
                 return Ok(None);
             }
             self.unpersist_record(model)?;
             Ok(c.remove(model))
-        })
+        })?;
+        if let Some(rec) = &rec {
+            self.release_all(&rec.optimizer_keys)?;
+        }
+        Ok(rec)
     }
 
     /// Attach optimizer state to `model`'s record: put the records, write
     /// the attached record to the meta store, then publish it in place of
     /// the old `Arc` — all under the write lock, so a concurrent attach
-    /// cannot interleave. A failure releases what was put. Returns the
-    /// record's stamp and the bytes put.
+    /// cannot interleave — as one write set. Returns the record's stamp and
+    /// the bytes put.
     pub(super) fn attach_optimizer(
         &self,
         model: ModelId,
         validated: Vec<(TensorKey, Vec<Bytes>)>,
     ) -> Result<(u64, u64), String> {
-        let mut put = Vec::with_capacity(validated.len());
-        let attached = self.mutate_catalog(|c| {
-            let rec = c
-                .records
-                .get_mut(&model)
-                .ok_or_else(|| format!("model {model} not found"))?;
-            if !rec.optimizer_keys.is_empty() {
-                return Err(format!("model {model} already has optimizer state"));
-            }
-            let mut bytes_stored = 0u64;
-            for (key, record) in validated {
-                bytes_stored += rope::len(&record) as u64;
-                self.tensors
-                    .put_segments(&key.encode(), record, 1)
-                    .map_err(|e| format!("store optimizer tensor {key}: {e}"))?;
-                put.push(key);
-            }
-            let attached = ModelRecord {
-                optimizer_keys: put.clone(),
-                ..ModelRecord::clone(rec)
-            };
-            self.persist_record(model, &attached)?;
-            *rec = Arc::new(attached);
-            Ok((rec.timestamp, bytes_stored))
-        });
-        if attached.is_err() {
-            self.release_all(&put)?;
-        }
-        attached
+        self.land(|set| {
+            self.mutate_catalog(|c| {
+                let rec = c
+                    .records
+                    .get_mut(&model)
+                    .ok_or_else(|| format!("model {model} not found"))?;
+                if !rec.optimizer_keys.is_empty() {
+                    return Err(format!("model {model} already has optimizer state"));
+                }
+                let optimizer_keys = validated.iter().map(|(key, _)| *key).collect();
+                let mut bytes_stored = 0u64;
+                for (key, record) in validated {
+                    bytes_stored += rope::len(&record) as u64;
+                    set.write(key, Payload::Rope(record), None)?;
+                }
+                let attached = ModelRecord {
+                    optimizer_keys,
+                    ..ModelRecord::clone(rec)
+                };
+                self.persist_record(model, &attached)?;
+                *rec = Arc::new(attached);
+                Ok((rec.timestamp, bytes_stored))
+            })
+        })
     }
 
     /// Drop one reference on each of `keys` through the release path.
     pub(super) fn release_all(&self, keys: &[TensorKey]) -> Result<(), String> {
-        for key in keys {
-            self.release(*key)?;
-        }
-        Ok(())
+        keys.iter().try_for_each(|key| self.release(*key).map(drop))
     }
 
     /// Restore the catalog from the durable meta store and register every
@@ -308,19 +311,8 @@ impl ProviderState {
                 req.graph.len()
             ));
         }
-        if !self.places_here(req.model) {
-            return Err(format!(
-                "model {} does not place on provider {}",
-                req.model, self.index
-            ));
-        }
-        if let Some(existing_ts) = self
-            .catalog
-            .read()
-            .records
-            .get(&req.model)
-            .map(|r| r.timestamp)
-        {
+        self.refuse_unplaced(req.model)?;
+        if let Some(existing_ts) = self.local_record(req.model).map(|r| r.timestamp) {
             return match req.timestamp {
                 // A retried mirror leg whose first delivery applied (its
                 // reply was lost): answer idempotently — re-pulling the
@@ -334,13 +326,12 @@ impl ProviderState {
         }
 
         // The manifest must carry exactly the self-owned tensors.
-        let expected: std::collections::HashSet<TensorKey> = req
+        let expected: HashSet<TensorKey> = req
             .owner_map
             .self_owned()
             .flat_map(|v| req.owner_map.vertex(v).tensor_keys().collect::<Vec<_>>())
             .collect();
-        let got: std::collections::HashSet<TensorKey> =
-            req.manifest.iter().map(|m| m.key).collect();
+        let got: HashSet<TensorKey> = req.manifest.iter().map(|m| m.key).collect();
         if expected != got {
             return Err(format!(
                 "manifest carries {} tensors, owner map declares {} self-owned",
@@ -353,18 +344,11 @@ impl ProviderState {
         // region may be vectored (one segment per tensor record when the
         // client skipped consolidation); manifest offsets address the
         // logical concatenation either way.
-        let region = self
-            .fabric
-            .bulk_get_vec(evostore_rpc::BulkHandle(req.bulk))
-            .map_err(|e| format!("bulk pull failed: {e}"))?;
+        let region = self.pull(req.bulk)?;
         evostore_obs::ledger::add_chunks_touched(req.manifest.len() as u64);
-        evostore_obs::ledger::add_bytes_in(region.len() as u64);
 
-        // Validate the ENTIRE manifest before persisting anything, so a
-        // malformed request can never leave partially-stored tensors with
-        // no catalog entry referencing them. Entries are independent, so
-        // the integrity + spec checks are shared out per tensor
-        // ([`par::map`]); `validate_entry` verifies framing, dims and
+        // Every entry is checked before anything is put, shared out per
+        // tensor ([`par::map`]): `validate_entry` verifies framing, dims and
         // checksum without materializing a `TensorData` — and without
         // gathering: a record pushed as a rope around the caller's payload
         // is sliced, checked and stored as that rope.
@@ -372,11 +356,8 @@ impl ProviderState {
             self.counters.validate_par_batches.add(1);
         }
         let validated = par::map(&req.manifest, region.len(), |entry| {
-            // Integrity + spec check before persisting.
             let (record, shape, dtype) = validate_entry(entry, &region)?;
-            let specs = req
-                .graph
-                .param_specs(evostore_tensor::VertexId(entry.key.vertex.0));
+            let specs = req.graph.param_specs(entry.key.vertex);
             let spec = specs
                 .iter()
                 .find(|s| s.slot == entry.key.slot)
@@ -396,88 +377,30 @@ impl ProviderState {
         // each self-owned tensor may be stored as a delta against the
         // parent's tensor at the same vertex/slot (only when the base is
         // co-located and the delta actually saves space).
-        let parent_map = if self.tensors.backend().chunked().is_some() {
-            req.parent.and_then(|p| {
-                self.catalog
-                    .read()
-                    .records
-                    .get(&p)
-                    .map(|r| r.owner_map.clone())
-            })
-        } else {
-            None
+        let parent = match self.tensors.backend().chunked() {
+            Some(_) => req.parent.and_then(|p| self.local_record(p)),
+            None => None,
         };
-
-        let kv = self.kv_span("kv.put_tensors");
-        let deltas = match &parent_map {
-            Some(map) => self.encode_records(&validated, map)?,
-            None => Vec::new(),
-        };
-        let bytes_stored = self.put_records(validated, deltas)?;
-        drop(kv);
-
         // A mirror leg adopts the stamp the first replica assigned.
-        let origin = match req.timestamp {
-            Some(_) => Origin::Replica,
-            None => Origin::Fresh,
+        let (origin, stamp) = match req.timestamp {
+            Some(stamp) => (Origin::Replica, stamp),
+            None => (Origin::Fresh, 0),
         };
-        let stamp = req.timestamp.unwrap_or(0);
         let record = ModelRecord::new(req.graph, req.owner_map, req.parent, req.quality, stamp);
-        let installed = self.install_record(req.model, record, origin);
-        if installed.is_err() {
-            // No record references what this store put: give it back.
-            let put: Vec<TensorKey> = req.manifest.iter().map(|m| m.key).collect();
-            self.release_all(&put)?;
-        }
-        let timestamp = installed?;
-        Ok(StoreModelReply {
-            timestamp,
-            bytes_stored,
-        })
-    }
-
-    /// Delta-encode a store's records against the parent's tensors, one
-    /// entry per record (`None`: stored raw; each `Some` holds a reference
-    /// on its base). Encoding only reads the store, so it is shared out.
-    pub(super) fn encode_records(
-        &self,
-        validated: &[(TensorKey, Vec<Bytes>)],
-        parent_map: &OwnerMap,
-    ) -> Result<Vec<Option<(Bytes, TensorKey)>>, String> {
-        let bytes = validated.iter().map(|(_, record)| rope::len(record)).sum();
-        par::map(validated, bytes, |(key, record)| {
-            self.try_delta_encode(*key, record, parent_map)
-        })
-        .into_iter()
-        .collect()
-    }
-
-    /// Put a store's records serially, in manifest order, each as its
-    /// delta where it has one. Returns the bytes the caller sent.
-    pub(super) fn put_records(
-        &self,
-        validated: Vec<(TensorKey, Vec<Bytes>)>,
-        deltas: Vec<Option<(Bytes, TensorKey)>>,
-    ) -> Result<u64, String> {
-        let mut deltas = deltas.into_iter();
-        let mut bytes_stored = 0u64;
-        for (key, record) in validated {
-            bytes_stored += rope::len(&record) as u64;
-            match deltas.next().flatten() {
-                Some((blob, _)) => {
-                    self.tensors
-                        .put(&key.encode(), blob, 1)
-                        .map_err(|e| format!("store tensor {key}: {e}"))?;
-                    self.counters.delta_stored.add(1);
-                }
-                None => {
-                    self.tensors
-                        .put_segments(&key.encode(), record, 1)
-                        .map_err(|e| format!("store tensor {key}: {e}"))?;
-                }
+        let bytes_stored = validated.iter().map(|(_, r)| rope::len(r) as u64).sum();
+        self.land(|set| {
+            let kv = self.kv_span("kv.put_tensors");
+            let parent_map = parent.as_ref().map(|r| &r.owner_map);
+            for (key, payload, base) in self.encode_records(set, validated, parent_map)? {
+                set.write(key, payload, base)?;
             }
-        }
-        Ok(bytes_stored)
+            drop(kv);
+            let timestamp = self.install_record(req.model, record, origin)?;
+            Ok(StoreModelReply {
+                timestamp,
+                bytes_stored,
+            })
+        })
     }
 
     /// The encoded-bytes fast path behind the `GET_META` handler: the
@@ -590,17 +513,11 @@ impl ProviderState {
     /// is responsible for the decrement fan-out.
     pub fn handle_retire_meta(&self, req: RetireMetaRequest) -> Result<RetireMetaReply, String> {
         let not_found = || format!("model {} not found", req.model);
-        let record_timestamp = self
-            .catalog
-            .read()
-            .records
-            .get(&req.model)
-            .map(|r| r.timestamp)
-            .ok_or_else(not_found)?;
+        let local = self.local_record(req.model).ok_or_else(not_found)?;
         let rec = self
             .retire_record(Tombstone {
                 model: req.model,
-                record_timestamp,
+                record_timestamp: local.timestamp,
                 retired_at: self.clock.fetch_add(1, Ordering::Relaxed),
             })?
             .ok_or_else(not_found)?;
@@ -678,12 +595,7 @@ impl ProviderState {
         graph: CompactGraph,
         quality: f64,
     ) -> Result<(), String> {
-        if !self.places_here(model) {
-            return Err(format!(
-                "model {model} does not place on provider {}",
-                self.index
-            ));
-        }
+        self.refuse_unplaced(model)?;
         let owner_map = OwnerMap::fresh(model, &graph);
         let record = ModelRecord::new(graph, owner_map, None, quality, 0);
         self.install_record(model, record, Origin::Fresh).map(drop)
@@ -696,19 +608,25 @@ mod tests {
     //! build must still reopen, so its key and bytes are pinned.
 
     use std::collections::HashMap;
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
     use std::sync::Arc;
 
     use bytes::Bytes;
-    use evostore_kv::{KvBackend, KvError, LogStore, MemPoolStore};
+    use evostore_kv::{
+        ChunkedStore, KvBackend, KvError, LogStore, MemPoolStore, DEFAULT_CHUNK_SIZE,
+    };
     use evostore_obs::{MonotonicClock, ObsHub};
-    use evostore_rpc::Fabric;
+    use evostore_rpc::{BulkHandle, Fabric};
     use evostore_tensor::{DType, ModelId, TensorData, TensorKey};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
     use super::super::refs::tests::seq;
     use super::super::{Provider, Substrate};
+    use crate::messages::{
+        DigestRequest, ReadChunksRequest, ReadTensorsRequest, StoreModelRequest, SyncChunksRequest,
+        SyncModelRequest, TransferManifestRequest,
+    };
     use crate::owner_map::OwnerMap;
     use crate::replication::ReplicationPolicy;
     use crate::{random_tensors, BackendKind, Deployment, DeploymentConfig, EvoStoreClient};
@@ -753,26 +671,53 @@ mod tests {
         assert_eq!(read(), format!("{GRAPH}{optimizer}"));
     }
 
-    /// A meta store that fails `put` or `delete` while told to.
+    /// A store that refuses while told to: every `put`, the `k`-th put
+    /// from now, or every `delete`.
     #[derive(Default)]
     struct Flaky {
         kv: MemPoolStore,
         fail_puts: AtomicBool,
+        /// `n > 0`: the `n`-th put from now fails, once; `0`: disarmed.
+        fail_put_in: AtomicUsize,
         fail_deletes: AtomicBool,
     }
 
-    struct FlakyMeta(Arc<Flaky>);
+    impl Flaky {
+        /// Arm the `k`-th put from now (counting from 0) to fail.
+        fn fail_put(&self, k: usize) {
+            self.fail_put_in.store(k + 1, Ordering::Relaxed);
+        }
+
+        /// Disarm; whether the armed put failed.
+        fn disarm(&self) -> bool {
+            self.fail_put_in.swap(0, Ordering::Relaxed) == 0
+        }
+
+        fn put_refused(&self) -> Result<(), KvError> {
+            let countdown =
+                self.fail_put_in
+                    .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1));
+            if self.fail_puts.load(Ordering::Relaxed) || countdown == Ok(1) {
+                return Err(refused("put"));
+            }
+            Ok(())
+        }
+    }
+
+    struct FlakyKv(Arc<Flaky>);
 
     fn refused(what: &str) -> KvError {
         KvError::Io(std::io::Error::other(format!("{what} refused")))
     }
 
-    impl KvBackend for FlakyMeta {
+    impl KvBackend for FlakyKv {
         fn put(&self, key: &[u8], value: Bytes) -> Result<(), KvError> {
-            if self.0.fail_puts.load(Ordering::Relaxed) {
-                return Err(refused("put"));
-            }
+            self.0.put_refused()?;
             self.0.kv.put(key, value)
+        }
+        fn put_segments(&self, key: &[u8], segments: Vec<Bytes>) -> Result<(), KvError> {
+            self.0.put_refused()?;
+            self.0.kv.put_segments(key, segments)
         }
         fn get(&self, key: &[u8]) -> Result<Bytes, KvError> {
             self.0.kv.get(key)
@@ -794,38 +739,55 @@ mod tests {
         }
     }
 
-    /// One provider over a [`Flaky`] meta store, and a client of it.
+    /// One provider over a [`Flaky`] meta store and a [`Flaky`] tensor
+    /// store under the policy's substrate, and a client of it.
     struct Rig {
         provider: Provider,
         client: EvoStoreClient,
         meta: Arc<Flaky>,
+        tensors: Arc<Flaky>,
+        fabric: Arc<Fabric>,
         graph: evostore_graph::CompactGraph,
+    }
+
+    /// A provider `0` of `1` on `fabric`.
+    fn spawn(fabric: &Arc<Fabric>, tensors: Substrate, meta: Box<dyn KvBackend>) -> Provider {
+        let obs = ObsHub::new(Arc::new(MonotonicClock::default()));
+        Provider::spawn(
+            Arc::clone(fabric),
+            0,
+            1,
+            ReplicationPolicy::default(),
+            Arc::new(AtomicU64::new(1)),
+            tensors,
+            meta,
+            2,
+            &obs,
+            4,
+        )
     }
 
     impl Rig {
         fn new(policy: StorePolicy) -> Rig {
             let fabric = Fabric::new();
-            let obs = ObsHub::new(Arc::new(MonotonicClock::default()));
-            let meta = Arc::new(Flaky::default());
-            let provider = Provider::spawn(
-                Arc::clone(&fabric),
-                0,
-                1,
-                ReplicationPolicy::default(),
-                Arc::new(AtomicU64::new(1)),
-                Substrate::open(policy, &BackendKind::Memory, 0).unwrap(),
-                Box::new(FlakyMeta(Arc::clone(&meta))),
-                2,
-                &obs,
-                4,
-            );
-            let client = EvoStoreClient::builder(fabric)
+            let (meta, tensors) = (Arc::new(Flaky::default()), Arc::new(Flaky::default()));
+            let physical: Box<dyn KvBackend> = Box::new(FlakyKv(Arc::clone(&tensors)));
+            let substrate = match policy {
+                StorePolicy::Whole => Substrate::Whole(physical),
+                StorePolicy::ChunkedWithDelta => {
+                    Substrate::Chunked(ChunkedStore::open(physical, DEFAULT_CHUNK_SIZE).unwrap())
+                }
+            };
+            let provider = spawn(&fabric, substrate, Box::new(FlakyKv(Arc::clone(&meta))));
+            let client = EvoStoreClient::builder(Arc::clone(&fabric))
                 .providers(vec![provider.endpoint_id()])
                 .build();
             Rig {
                 provider,
                 client,
                 meta,
+                tensors,
+                fabric,
                 graph: seq(&[8, 32, 32, 8]),
             }
         }
@@ -859,6 +821,61 @@ mod tests {
             keys.sort();
             keys
         }
+
+        /// What a failed write must leave as it found it: the published
+        /// catalog, the meta store, every hosted record's count and, on the
+        /// chunk substrate, the chunk store's occupancy.
+        fn books(&self) -> Books {
+            let state = self.state();
+            let mut catalog: Vec<(ModelId, u64, Vec<TensorKey>)> = state
+                .catalog_snapshot()
+                .records()
+                .map(|(m, r)| (m, r.timestamp, r.optimizer_keys.clone()))
+                .collect();
+            catalog.sort_by_key(|(m, _, _)| *m);
+            let mut durable: Vec<(Vec<u8>, Bytes)> = Vec::new();
+            self.meta.kv.for_each_key(&mut |k| {
+                durable.push((k.to_vec(), self.meta.kv.get(k).unwrap()));
+            });
+            durable.sort_by(|a, b| a.0.cmp(&b.0));
+            let refs = self
+                .hosted()
+                .into_iter()
+                .map(|k| (k, state.tensor_refs(k)))
+                .collect();
+            let chunks = state.tensors.backend().chunked().map(|c| {
+                let s = c.stats();
+                (s.chunks, s.manifests, s.logical_bytes, s.physical_bytes)
+            });
+            Books {
+                catalog,
+                durable,
+                refs,
+                chunks,
+            }
+        }
+
+        /// `audit_refs` against the census of the provider's own digest.
+        fn audit(&self) {
+            let digest = self.state().handle_digest(DigestRequest {}).unwrap();
+            let mut census: HashMap<TensorKey, u64> = HashMap::new();
+            for m in &digest.models {
+                for key in m.ref_keys.iter().chain(&m.optimizer_keys) {
+                    *census.entry(*key).or_default() += 1;
+                }
+            }
+            self.state()
+                .audit_refs(census.into_iter().collect())
+                .unwrap();
+        }
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct Books {
+        catalog: Vec<(ModelId, u64, Vec<TensorKey>)>,
+        durable: Vec<(Vec<u8>, Bytes)>,
+        refs: Vec<(TensorKey, u64)>,
+        chunks: Option<(u64, u64, u64, u64)>,
     }
 
     type Tensors = HashMap<TensorKey, TensorData>;
@@ -960,6 +977,237 @@ mod tests {
         rig.meta.fail_puts.store(false, Ordering::Relaxed);
         rig.client.store_optimizer_state(model, &moments).unwrap();
         assert_eq!(rig.client.load_optimizer_state(model).unwrap().len(), 2);
+    }
+
+    /// A write path the failure sweep drives onto a [`Rig`]'s provider.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Write {
+        Store,
+        Mirror,
+        SyncModel,
+        SyncChunks,
+        Attach,
+    }
+
+    const PARENT: ModelId = ModelId(1);
+    const CHILD: ModelId = ModelId(2);
+
+    /// A rig whose provider holds `PARENT`, and a healthy source provider
+    /// on its fabric holding `PARENT` and `CHILD`, every tensor of which is
+    /// a sparse perturbation of the parent's: on the chunk substrate the
+    /// child is a delta lineage wherever its parent is local.
+    struct Sweep {
+        rig: Rig,
+        source: Provider,
+        child_tensors: Tensors,
+    }
+
+    impl Sweep {
+        fn new(policy: StorePolicy) -> Sweep {
+            let rig = Rig::new(policy);
+            let substrate = Substrate::open(policy, &BackendKind::Memory, 0).unwrap();
+            let source = spawn(&rig.fabric, substrate, Box::new(MemPoolStore::new()));
+            let client = EvoStoreClient::builder(Arc::clone(&rig.fabric))
+                .providers(vec![source.endpoint_id()])
+                .build();
+            let mut rng = ChaCha8Rng::seed_from_u64(75);
+            let parent_tensors = random_tensors(PARENT, &rig.graph, &mut rng);
+            let child_tensors: Tensors = parent_tensors
+                .iter()
+                .map(|(k, t)| {
+                    let key = TensorKey::new(CHILD, k.vertex, k.slot);
+                    (key, t.perturbed_sparse(&mut rng, 0.05))
+                })
+                .collect();
+            for (model, parent, tensors) in [
+                (PARENT, None, &parent_tensors),
+                (CHILD, Some(PARENT), &child_tensors),
+            ] {
+                let owner_map = OwnerMap::fresh(model, &rig.graph);
+                client
+                    .store_model(rig.graph.clone(), owner_map, parent, 0.5, tensors)
+                    .unwrap();
+            }
+            rig.store(PARENT, None, &parent_tensors);
+            Sweep {
+                rig,
+                source,
+                child_tensors,
+            }
+        }
+
+        /// Run `write` once: the child's store, mirror leg or sync from the
+        /// source, or an optimizer attach to the parent.
+        fn write(&self, write: Write) -> Result<(), String> {
+            let (target, source) = (self.rig.state(), &self.source.state);
+            if write == Write::Attach {
+                let moments = [
+                    TensorData::zeros(DType::F32, vec![4]),
+                    TensorData::zeros(DType::F32, vec![6]),
+                ];
+                let attached = self.rig.client.store_optimizer_state(PARENT, &moments);
+                return attached.map(drop).map_err(|e| e.to_string());
+            }
+            let meta = Arc::clone(source.catalog_snapshot().get(CHILD).unwrap());
+            let keys = sorted_keys(&self.child_tensors);
+            let (graph, owner_map) = ((*meta.graph).clone(), meta.owner_map.clone());
+            let (parent, quality, timestamp) = (meta.parent, meta.quality, meta.timestamp);
+            let (out, bulk) = if write == Write::SyncChunks {
+                let request = TransferManifestRequest { keys };
+                let records = source.handle_transfer_manifest(request)?.records;
+                let mut pushed: Vec<[u8; 16]> =
+                    records.iter().flat_map(|r| r.hashes.clone()).collect();
+                pushed.sort_unstable();
+                pushed.dedup();
+                let hashes = pushed.clone();
+                let read = source.handle_read_chunks(ReadChunksRequest { hashes })?;
+                let req = SyncChunksRequest {
+                    model: CHILD,
+                    graph,
+                    owner_map,
+                    parent,
+                    quality,
+                    timestamp,
+                    records,
+                    pushed,
+                    lens: read.lens,
+                    bulk: read.bulk,
+                };
+                (target.handle_sync_chunks(req).map(drop), read.bulk)
+            } else {
+                let read = source.handle_read(ReadTensorsRequest { keys })?;
+                let (manifest, bulk) = (read.manifest, read.bulk);
+                let out = match write {
+                    Write::SyncModel => target
+                        .handle_sync_model(SyncModelRequest {
+                            model: CHILD,
+                            graph,
+                            owner_map,
+                            parent,
+                            quality,
+                            timestamp,
+                            manifest,
+                            bulk,
+                        })
+                        .map(|reply| assert!(reply.applied)),
+                    _ => target
+                        .handle_store(StoreModelRequest {
+                            model: CHILD,
+                            graph,
+                            owner_map,
+                            parent,
+                            quality,
+                            manifest,
+                            bulk,
+                            timestamp: (write == Write::Mirror).then_some(timestamp),
+                        })
+                        .map(drop),
+                };
+                (out, bulk)
+            };
+            assert!(self.rig.fabric.bulk_release(BulkHandle(bulk)));
+            out
+        }
+    }
+
+    /// Fail `write`'s meta write, then each of its tensor-store puts in
+    /// turn (chunk and manifest puts on the chunk substrate): each failure
+    /// answers `Err`, leaves the books as they were and audits. Then the
+    /// write lands, and audits.
+    fn sweep(policy: StorePolicy, write: Write) {
+        let s = Sweep::new(policy);
+        let rig = &s.rig;
+        let before = rig.books();
+        rig.audit();
+        rig.meta.fail_puts.store(true, Ordering::Relaxed);
+        let err = s.write(write).unwrap_err();
+        rig.meta.fail_puts.store(false, Ordering::Relaxed);
+        assert!(
+            err.contains("put refused"),
+            "{policy:?} {write:?}, meta: {err}"
+        );
+        assert_eq!(
+            rig.books(),
+            before,
+            "{policy:?} {write:?}, meta write failed"
+        );
+        rig.audit();
+        let mut failed = 0;
+        loop {
+            rig.tensors.fail_put(failed);
+            let out = s.write(write);
+            if !rig.tensors.disarm() {
+                out.unwrap();
+                break;
+            }
+            let err = out.unwrap_err();
+            assert!(
+                err.contains("put refused"),
+                "{policy:?} {write:?}, put {failed}: {err}"
+            );
+            assert_eq!(
+                rig.books(),
+                before,
+                "{policy:?} {write:?}, put {failed} failed"
+            );
+            rig.audit();
+            failed += 1;
+        }
+        assert!(failed >= 2, "{policy:?} {write:?}: {failed} puts");
+        rig.audit();
+        if write == Write::Attach {
+            let moments = rig.client.load_optimizer_state(PARENT).unwrap();
+            assert_eq!(moments.len(), 2);
+            return;
+        }
+        let loaded = rig.client.load_model(CHILD).unwrap();
+        assert_eq!(loaded.tensors, s.child_tensors);
+        // A materialized sync ships raw records.
+        if policy == StorePolicy::chunked_with_delta() && write != Write::SyncModel {
+            let links = rig.state().delta_links().unwrap();
+            assert!(!links.is_empty(), "{write:?}: the child lands as deltas");
+        }
+    }
+
+    /// A store that fails at any put or at its meta write gives back every
+    /// record it put and every base pin it took.
+    #[test]
+    fn a_store_that_fails_anywhere_gives_back_every_reference() {
+        for policy in [StorePolicy::whole(), StorePolicy::chunked_with_delta()] {
+            sweep(policy, Write::Store);
+        }
+    }
+
+    /// A mirror leg, likewise.
+    #[test]
+    fn a_mirror_leg_that_fails_anywhere_gives_back_every_reference() {
+        for policy in [StorePolicy::whole(), StorePolicy::chunked_with_delta()] {
+            sweep(policy, Write::Mirror);
+        }
+    }
+
+    /// A materialized sync that fails at any put or at its meta write
+    /// gives back every record it put.
+    #[test]
+    fn a_model_sync_that_fails_anywhere_gives_back_every_reference() {
+        for policy in [StorePolicy::whole(), StorePolicy::chunked_with_delta()] {
+            sweep(policy, Write::SyncModel);
+        }
+    }
+
+    /// A chunk sync, likewise, with the base reference each shipped delta
+    /// took.
+    #[test]
+    fn a_chunk_sync_that_fails_anywhere_gives_back_every_reference() {
+        sweep(StorePolicy::chunked_with_delta(), Write::SyncChunks);
+    }
+
+    /// An optimizer attach, likewise.
+    #[test]
+    fn an_attach_that_fails_anywhere_gives_back_every_reference() {
+        for policy in [StorePolicy::whole(), StorePolicy::chunked_with_delta()] {
+            sweep(policy, Write::Attach);
+        }
     }
 
     /// `reopen` refuses a catalog record it cannot read — bytes that are

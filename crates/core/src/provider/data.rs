@@ -163,12 +163,9 @@ impl ProviderState {
                 stray.key
             ));
         }
-        let region = self
-            .fabric
-            .bulk_get_vec(evostore_rpc::BulkHandle(req.bulk))
-            .map_err(|e| format!("bulk pull failed: {e}"))?;
-        // Validate everything first (see handle_store): no partial state
-        // on malformed requests.
+        let region = self.pull(req.bulk)?;
+        // Validate everything first (see handle_store), outside the catalog
+        // lock the attach takes.
         let validated = par::map(&req.manifest, region.len(), |entry| {
             validate_entry(entry, &region).map(|(record, ..)| (entry.key, record))
         })

@@ -5,10 +5,13 @@
 //! ancestors alive, and *d* never exceeds [`MAX_CHAIN_DEPTH`].
 
 use bytes::Bytes;
+use evostore_tensor::rope;
 use evostore_tensor::{apply_delta, delta_header, encode_delta_segments, is_delta, TensorKey};
 
+use super::write_set::{Payload, WriteSet};
 use super::ProviderState;
 use crate::owner_map::OwnerMap;
+use crate::par;
 use crate::policy::MAX_CHAIN_DEPTH;
 
 /// The chain rule every stored delta keeps, checked where a delta is
@@ -65,6 +68,34 @@ impl ProviderState {
             .get(enc)
             .map_err(|_| "record not stored".to_string())?;
         self.materialize(record)
+    }
+
+    /// A store's writes, one per record in manifest order: against a local
+    /// parent's owner map, a record's delta on the parent's tensor where
+    /// that saves space (its base pin joins `set`), else the record as it
+    /// arrived. Encoding only reads the store, so it is shared out.
+    pub(super) fn encode_records(
+        &self,
+        set: &mut WriteSet<'_>,
+        validated: Vec<(TensorKey, Vec<Bytes>)>,
+        parent_map: Option<&OwnerMap>,
+    ) -> Result<Vec<(TensorKey, Payload<'static>, Option<TensorKey>)>, String> {
+        let bytes = validated.iter().map(|(_, record)| rope::len(record)).sum();
+        let deltas = match parent_map {
+            Some(map) => par::map(&validated, bytes, |(key, record)| {
+                self.try_delta_encode(*key, record, map)
+            }),
+            None => Vec::new(),
+        };
+        for (_, base) in deltas.iter().flatten().flatten() {
+            set.pinned(*base);
+        }
+        let mut deltas = deltas.into_iter();
+        let write = |(key, record)| match deltas.next().transpose()?.flatten() {
+            Some((blob, base)) => Ok((key, Payload::Rope(vec![blob]), Some(base))),
+            None => Ok((key, Payload::Rope(record), None)),
+        };
+        validated.into_iter().map(write).collect()
     }
 
     /// Try to delta-encode a self-owned tensor of a derived model against

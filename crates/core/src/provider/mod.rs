@@ -25,6 +25,7 @@ mod refs;
 mod stats;
 mod substrate;
 mod transfer;
+mod write_set;
 
 pub use stats::{index_query_rows, kv_rows};
 pub use substrate::Substrate;
@@ -38,7 +39,7 @@ use evostore_graph::{ArchIndex, CompactGraph, IndexQueryStats, SnapshotCell};
 use evostore_kv::{KvBackend, RefCountedStore};
 use evostore_obs::ledger::install_costs;
 use evostore_obs::{current_trace, FlightRecorder, ObsHub, OpCosts, OpLedger, Span, Tracer};
-use evostore_rpc::{Endpoint, EndpointId, Fabric, Method};
+use evostore_rpc::{Endpoint, EndpointId, Fabric, Method, SegmentedRegion};
 use evostore_tensor::{ModelId, TensorKey};
 use parking_lot::{Mutex, RwLock};
 
@@ -84,6 +85,7 @@ pub struct ModelRecord {
 /// touch it: every mutation ends by publishing an immutable
 /// [`CatalogSnapshot`] ([`ProviderState::mutate_catalog`]), and the read
 /// path pins that snapshot without taking the catalog lock.
+#[derive(Default)]
 struct Catalog {
     records: HashMap<ModelId, Arc<ModelRecord>>,
     index: ArchIndex,
@@ -96,15 +98,6 @@ struct Catalog {
 }
 
 impl Catalog {
-    fn new() -> Catalog {
-        Catalog {
-            records: HashMap::new(),
-            index: ArchIndex::new(),
-            version: 0,
-            changes: Vec::new(),
-        }
-    }
-
     fn insert(&mut self, model: ModelId, rec: ModelRecord) {
         self.index
             .insert(model, Arc::clone(&rec.graph), rec.quality);
@@ -141,6 +134,7 @@ impl Catalog {
 /// after every mutation and pinned (one `Arc` clone) by every read handler. A
 /// reader always observes records and index from the *same* publication
 /// — never a half-applied store or retire.
+#[derive(Default)]
 pub struct CatalogSnapshot {
     records: HashMap<ModelId, Arc<ModelRecord>>,
     index: ArchIndex,
@@ -148,14 +142,6 @@ pub struct CatalogSnapshot {
 }
 
 impl CatalogSnapshot {
-    fn empty() -> CatalogSnapshot {
-        CatalogSnapshot {
-            records: HashMap::new(),
-            index: ArchIndex::new(),
-            version: 0,
-        }
-    }
-
     /// Publication counter of the mutation that produced this snapshot.
     pub fn version(&self) -> u64 {
         self.version
@@ -328,6 +314,22 @@ impl ProviderState {
             .is_replica(model, self.num_providers, self.index)
     }
 
+    /// `model`'s record in the writer-side catalog, if one is here.
+    fn local_record(&self, model: ModelId) -> Option<Arc<ModelRecord>> {
+        self.catalog.read().records.get(&model).cloned()
+    }
+
+    /// [`ProviderState::places_here`] as the refusal a write answers.
+    fn refuse_unplaced(&self, model: ModelId) -> Result<(), String> {
+        match self.places_here(model) {
+            true => Ok(()),
+            false => Err(format!(
+                "model {model} does not place on provider {}",
+                self.index
+            )),
+        }
+    }
+
     /// Pin the current published catalog snapshot (what every read
     /// handler serves from).
     pub fn catalog_snapshot(&self) -> Arc<CatalogSnapshot> {
@@ -376,6 +378,15 @@ impl ProviderState {
     /// Per-method handler resource attribution (tests, diagnostics).
     pub fn ledger(&self) -> &Arc<OpLedger> {
         &self.ledger
+    }
+
+    /// Pull a write's bulk region (one one-sided read of the caller's) and
+    /// charge what moved in to the handler's op.
+    fn pull(&self, bulk: u64) -> Result<SegmentedRegion, String> {
+        let region = self.fabric.bulk_get_vec(evostore_rpc::BulkHandle(bulk));
+        let region = region.map_err(|e| format!("bulk pull failed: {e}"))?;
+        evostore_obs::ledger::add_bytes_in(region.len() as u64);
+        Ok(region)
     }
 
     /// A child span for a kv-store operation inside a traced handler
@@ -565,8 +576,8 @@ impl Provider {
             num_providers,
             replication,
             tensors: RefCountedStore::new(tensors),
-            catalog: RwLock::new(Catalog::new()),
-            snapshot: SnapshotCell::new(Arc::new(CatalogSnapshot::empty())),
+            catalog: RwLock::default(),
+            snapshot: SnapshotCell::new(Arc::default()),
             meta_store,
             clock,
             refs_ops: Mutex::new(refs::RefsOpCache::default()),

@@ -384,12 +384,10 @@ pub(super) mod tests {
         }
 
         /// The store's last step: catalog the child.
-        fn catalog_child(&self, state: &ProviderState) {
+        fn catalog_child(&self, state: &ProviderState) -> Result<u64, String> {
             let owner_map = OwnerMap::fresh(self.child, &self.graph);
             let record = ModelRecord::new(self.graph.clone(), owner_map, Some(self.parent), 0.6, 0);
-            state
-                .install_record(self.child, record, Origin::Fresh)
-                .unwrap();
+            state.install_record(self.child, record, Origin::Fresh)
         }
 
         /// The child reads back byte-identical and every count audits.
@@ -410,11 +408,20 @@ pub(super) mod tests {
         let state = l.state();
         let parent_map = l.parent_map(&state);
         let records = l.child_records();
-        let deltas = state.encode_records(&records, &parent_map).unwrap();
-        assert!(deltas.iter().any(Option::is_some), "the child encodes");
-        l.retire_parent(&state);
-        state.put_records(records, deltas).unwrap();
-        l.catalog_child(&state);
+        state
+            .land(|set| {
+                let writes = state.encode_records(set, records, Some(&parent_map))?;
+                assert!(
+                    writes.iter().any(|(_, _, base)| base.is_some()),
+                    "the child encodes"
+                );
+                l.retire_parent(&state);
+                for (key, payload, base) in writes {
+                    set.write(key, payload, base)?;
+                }
+                l.catalog_child(&state)
+            })
+            .unwrap();
         for (delta, base) in state.delta_links().unwrap() {
             assert_eq!(base.owner, l.parent, "{delta}");
             assert_eq!(state.tensor_refs(base), 1, "retained base {base}");
@@ -431,10 +438,16 @@ pub(super) mod tests {
         let parent_map = l.parent_map(&state);
         let records = l.child_records();
         l.retire_parent(&state);
-        let deltas = state.encode_records(&records, &parent_map).unwrap();
-        assert!(deltas.iter().all(Option::is_none));
-        state.put_records(records, deltas).unwrap();
-        l.catalog_child(&state);
+        state
+            .land(|set| {
+                let writes = state.encode_records(set, records, Some(&parent_map))?;
+                assert!(writes.iter().all(|(_, _, base)| base.is_none()));
+                for (key, payload, base) in writes {
+                    set.write(key, payload, base)?;
+                }
+                l.catalog_child(&state)
+            })
+            .unwrap();
         for key in l.child_tensors.keys() {
             assert!(!is_delta(&state.tensors.get(&key.encode()).unwrap()));
         }

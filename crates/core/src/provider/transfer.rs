@@ -15,6 +15,7 @@ use evostore_tensor::{
 
 use super::catalog::Origin;
 use super::delta::chain_step;
+use super::write_set::{Payload, WriteSet};
 use super::{ModelRecord, ProviderState};
 use crate::messages::*;
 use crate::par;
@@ -24,32 +25,21 @@ use crate::replication::incarnation;
 /// What a whole-record provider answers every chunk-negotiation method.
 const NOT_CHUNKED: &str = "store is not content-addressed";
 
-/// Decode a wire-form content hash (always 16 bytes).
-fn wire_hash(b: &[u8; 16]) -> ContentHash {
-    ContentHash::from_bytes(b).expect("16-byte content hash")
-}
+/// A `SYNC_CHUNKS` shipment as its check hands it on: the pushed chunks by
+/// content hash, what a materialized sync would move for each record in
+/// store order (a delta's reconstructed length), and the bytes pulled.
+type Shipment = (HashMap<u128, Bytes>, Vec<u64>, u64);
 
-/// Turn a probed delta header into the transfer manifest's linkage pair
-/// (`delta_base`, `delta_depth`); raw records carry `(None, 0)`.
-fn delta_linkage(
-    key: TensorKey,
-    head: Option<DeltaHeader>,
-) -> Result<(Option<TensorKey>, u8), String> {
-    match head {
-        None => Ok((None, 0)),
-        Some(h) => {
-            let base = TensorKey::decode(&h.base_key)
-                .ok_or_else(|| format!("record {key}: undecodable delta base key"))?;
-            Ok((Some(base), h.depth))
-        }
-    }
+/// Decode a wire-form content hash (always 16 bytes).
+pub(super) fn wire_hash(b: &[u8; 16]) -> ContentHash {
+    ContentHash::from_bytes(b).expect("16-byte content hash")
 }
 
 impl ProviderState {
     /// The chunk store, or the typed refusal every chunk-negotiation
     /// method answers on a whole-record provider (its request bodies are
     /// outside input, so a misdirected one is refused, not trusted).
-    fn chunk_store(&self) -> Result<&ChunkedStore<Box<dyn KvBackend>>, String> {
+    pub(super) fn chunk_store(&self) -> Result<&ChunkedStore<Box<dyn KvBackend>>, String> {
         self.tensors
             .backend()
             .chunked()
@@ -82,48 +72,38 @@ impl ProviderState {
 
     /// What `SYNC_MODEL` and `SYNC_CHUNKS` share: install `rec` as
     /// `model`'s record unless the local copy is already at least as new.
-    /// `check` pulls and validates the shipment without touching any state
-    /// — a malformed sync can never leave partially-stored records — and
-    /// only then is a stale local incarnation taken out and its private
-    /// optimizer copies dropped (before `store`, which may put records
-    /// under the same keys) and the checked payloads handed to `store`.
-    /// `keys` names every record of the shipment. `Ok(None)`: not applied,
-    /// the local copy stands.
+    /// `check` pulls and validates the shipment without touching any state;
+    /// only then is a stale local incarnation taken out (before `store` may
+    /// put records under its optimizer keys) and the checked payloads put
+    /// by `store` into the write the record lands with. `keys` names every
+    /// record of the shipment. `Ok(None)`: the local copy stands.
     fn install_synced<V, T>(
         &self,
         model: ModelId,
         mut rec: ModelRecord,
         keys: impl Iterator<Item = TensorKey>,
         check: impl FnOnce() -> Result<V, String>,
-        store: impl FnOnce(V) -> Result<T, String>,
+        store: impl FnOnce(&mut WriteSet<'_>, V) -> Result<T, String>,
     ) -> Result<Option<T>, String> {
         super::catalog::wire_graph(&rec.graph)?;
-        if !self.places_here(model) {
-            return Err(format!(
-                "model {model} does not place on provider {}",
-                self.index
-            ));
-        }
+        self.refuse_unplaced(model)?;
         rec.optimizer_keys = keys.filter(|k| k.vertex.0 == u32::MAX).collect();
         rec.optimizer_keys.sort_by_key(|k| k.slot);
         let incoming = incarnation(rec.timestamp, &rec.optimizer_keys);
         let local = self
-            .catalog
-            .read()
-            .records
-            .get(&model)
+            .local_record(model)
             .map(|r| incarnation(r.timestamp, &r.optimizer_keys));
         if local >= Some(incoming) {
             return Ok(None);
         }
         let checked = check()?;
         let stale = |r: &ModelRecord| incarnation(r.timestamp, &r.optimizer_keys) < incoming;
-        if let Some(old) = self.take_record(model, stale)? {
-            self.release_all(&old.optimizer_keys)?;
-        }
-        let stored = store(checked)?;
-        self.install_record(model, rec, Origin::Replica)?;
-        Ok(Some(stored))
+        self.take_record(model, stale)?;
+        self.land(|set| {
+            let stored = store(set, checked)?;
+            self.install_record(model, rec, Origin::Replica)?;
+            Ok(Some(stored))
+        })
     }
 
     /// Handle a materialized model sync: install the record and its
@@ -141,11 +121,7 @@ impl ProviderState {
             req.timestamp,
         );
         let check = || {
-            let region = self
-                .fabric
-                .bulk_get_vec(evostore_rpc::BulkHandle(bulk))
-                .map_err(|e| format!("bulk pull failed: {e}"))?;
-            evostore_obs::ledger::add_bytes_in(region.len() as u64);
+            let region = self.pull(bulk)?;
             par::map(manifest, region.len(), |entry| {
                 let record = record_in(entry, &region).map_err(|e| e.to_string())?;
                 validate_segments(&record).map_err(|e| format!("tensor {}: {e}", entry.key))?;
@@ -154,19 +130,12 @@ impl ProviderState {
             .into_iter()
             .collect::<Result<Vec<_>, String>>()
         };
-        let store = |validated: Vec<(TensorKey, Vec<Bytes>)>| {
+        let store = |set: &mut WriteSet<'_>, validated: Vec<(TensorKey, Vec<Bytes>)>| {
             let mut tensors_stored = 0usize;
             for (key, record) in validated {
-                // Already-present payloads keep their count: the refs sync
-                // that follows installs the authoritative values.
-                let enc = key.encode();
-                if self.tensors.contains(&enc) {
-                    continue;
+                if set.write_absent(key, None, Payload::Rope(record))? {
+                    tensors_stored += 1;
                 }
-                self.tensors
-                    .put_segments(&enc, record, 1)
-                    .map_err(|e| format!("sync tensor {key}: {e}"))?;
-                tensors_stored += 1;
             }
             Ok(tensors_stored)
         };
@@ -239,13 +208,15 @@ impl ProviderState {
             .map_err(|_| format!("tensor {key} not stored"))?;
         let hashes: Vec<[u8; 16]> = hashes.iter().map(|h| h.to_bytes()).collect();
         let head = self.probe_chunked_framing(key, total as u64, &hashes, &HashMap::new())?;
-        let (delta_base, delta_depth) = delta_linkage(key, head)?;
+        let undecodable = || format!("record {key}: undecodable delta base key");
+        let delta_base = head.map(|h| TensorKey::decode(&h.base_key).ok_or_else(undecodable));
         Ok(TransferRecord {
             key,
             total: total as u64,
             hashes,
-            delta_base,
-            delta_depth,
+            delta_base: delta_base.transpose()?,
+            // Raw records carry `(None, 0)`.
+            delta_depth: head.map_or(0, |h| h.depth),
         })
     }
 
@@ -309,7 +280,7 @@ impl ProviderState {
     /// Staleness rules match [`ProviderState::handle_sync_model`]; on any
     /// validation failure repair falls back to a materialized sync.
     pub fn handle_sync_chunks(&self, req: SyncChunksRequest) -> Result<SyncChunksReply, String> {
-        let chunks = self.chunk_store()?;
+        self.chunk_store()?;
         let (model, records, bulk) = (req.model, &req.records, req.bulk);
         let (pushed, lens) = (&req.pushed, &req.lens);
         let record = ModelRecord::new(
@@ -319,12 +290,12 @@ impl ProviderState {
             req.quality,
             req.timestamp,
         );
+        // Shallowest first, as they are checked and stored: a base riding in
+        // the shipment is probed and stored before the deltas against it.
+        let mut shallowest_first: Vec<&TransferRecord> = records.iter().collect();
+        shallowest_first.sort_by_key(|r| r.delta_depth);
         let check = || {
-            let region = self
-                .fabric
-                .bulk_get_vec(evostore_rpc::BulkHandle(bulk))
-                .map_err(|e| format!("bulk pull failed: {e}"))?;
-            evostore_obs::ledger::add_bytes_in(region.len() as u64);
+            let region = self.pull(bulk)?;
             evostore_obs::ledger::add_chunks_touched(pushed.len() as u64);
             let provided: HashMap<u128, Bytes> = pushed
                 .iter()
@@ -336,104 +307,71 @@ impl ProviderState {
             // store — so a lying manifest can never install a delta record
             // without the reference on its base.
             let mut heads: HashMap<TensorKey, Option<DeltaHeader>> = HashMap::new();
-            for r in records {
-                let head = self.probe_chunked_framing(r.key, r.total, &r.hashes, &provided)?;
-                heads.insert(r.key, head);
-            }
-            let mut delta_raw_len: HashMap<TensorKey, u64> = HashMap::new();
-            for rec in records {
-                match (heads[&rec.key], rec.delta_base) {
-                    (None, None) => {}
-                    (None, Some(_)) => {
+            let mut needed = Vec::with_capacity(records.len());
+            for rec in &shallowest_first {
+                let head =
+                    self.probe_chunked_framing(rec.key, rec.total, &rec.hashes, &provided)?;
+                heads.insert(rec.key, head);
+                needed.push(head.map_or(rec.total, |h| h.raw_len as u64));
+                let (h, base) = match (head, rec.delta_base) {
+                    (None, None) => continue,
+                    (Some(h), Some(base))
+                        if h.base_key == base.encode() && h.depth == rec.delta_depth =>
+                    {
+                        (h, base)
+                    }
+                    _ => {
                         return Err(format!(
-                            "record {}: manifest claims a delta base for a raw record",
+                            "record {}: manifest disagrees with the stored delta header",
                             rec.key
                         ))
                     }
-                    (Some(_), None) => {
-                        return Err(format!(
-                            "record {}: manifest omits the stored delta's base",
-                            rec.key
-                        ))
-                    }
-                    (Some(h), Some(base)) => {
-                        if h.base_key != base.encode() || h.depth != rec.delta_depth {
-                            return Err(format!(
-                                "record {}: manifest disagrees with the stored delta header",
-                                rec.key
-                            ));
-                        }
-                        // The base's depth here: a stored base keeps its
-                        // own record, else it rides in this shipment.
-                        let base_depth = if self.tensors.contains(&h.base_key) {
-                            self.transfer_record(base)?.delta_depth
-                        } else if let Some(head) = heads.get(&base) {
-                            head.map_or(0, |b| b.depth)
-                        } else {
-                            return Err(format!(
-                                "record {}: delta base {base} not present on the target",
-                                rec.key
-                            ));
-                        };
-                        // A chain the source built on another base layout
-                        // would sit here at a depth its header does not
-                        // state: refused, the record ships materialized.
-                        if !chain_step(h.depth, base_depth) {
-                            return Err(format!(
-                                "record {}: header depth {} on a base at depth {base_depth} \
-                                 here",
-                                rec.key, h.depth
-                            ));
-                        }
-                        delta_raw_len.insert(rec.key, h.raw_len as u64);
-                    }
+                };
+                // The base's depth here: a stored base keeps its own
+                // record, else it rides (shallower) in this shipment.
+                let base_depth = if self.tensors.contains(&h.base_key) {
+                    self.transfer_record(base)?.delta_depth
+                } else if let Some(head) = heads.get(&base) {
+                    head.map_or(0, |b| b.depth)
+                } else {
+                    return Err(format!(
+                        "record {}: delta base {base} not present on the target",
+                        rec.key
+                    ));
+                };
+                // A chain the source built on another base layout would
+                // sit here at a depth its header does not state: refused,
+                // the record ships materialized.
+                if !chain_step(h.depth, base_depth) {
+                    return Err(format!(
+                        "record {}: header depth {} on a base at depth {base_depth} here",
+                        rec.key, h.depth
+                    ));
                 }
             }
-            Ok((provided, delta_raw_len, region.len() as u64))
+            Ok((provided, needed, region.len() as u64))
         };
-        let store =
-            |(provided, delta_raw_len, moved): (HashMap<u128, Bytes>, HashMap<_, u64>, u64)| {
-                let kv = self.kv_span("kv.sync_chunks");
-                let mut records_stored = 0usize;
-                let mut bytes_needed = 0u64;
-                let mut bases = Vec::new();
-                for rec in records {
-                    let enc = rec.key.encode();
-                    // Already-present records keep their count: the refs sync
-                    // that follows installs the authoritative values.
-                    if self.tensors.contains(&enc) {
-                        continue;
-                    }
-                    let hashes: Vec<ContentHash> = rec.hashes.iter().map(wire_hash).collect();
-                    self.tensors
-                        .put_with(&enc, 1, |_| {
-                            chunks.put_manifest(&enc, rec.total as usize, &hashes, &provided)
-                        })
-                        .map_err(|e| format!("sync record {}: {e}", rec.key))?;
-                    if let Some(base) = rec.delta_base {
-                        bases.push(base);
-                    }
-                    // What a materialized sync would have moved for this record:
-                    // the reconstructed length for deltas, the record itself
-                    // otherwise. The pushed region is what actually moved.
-                    bytes_needed += delta_raw_len.get(&rec.key).copied().unwrap_or(rec.total);
-                    records_stored += 1;
+        let store = |set: &mut WriteSet<'_>, (provided, needed, moved): Shipment| {
+            let kv = self.kv_span("kv.sync_chunks");
+            let mut records_stored = 0usize;
+            let mut bytes_needed = 0u64;
+            for (rec, needed) in shallowest_first.iter().zip(needed) {
+                let payload = Payload::Chunks(rec, &provided);
+                if !set.write_absent(rec.key, rec.delta_base, payload)? {
+                    continue;
                 }
-                // Each delta takes its reference on its base after the
-                // shipment's puts, since the base may ride in the same
-                // shipment.
-                for base in bases {
-                    self.tensors
-                        .incr(&base.encode())
-                        .map_err(|e| format!("pin a shipped delta's base: {e}"))?;
-                    self.counters.delta_stored.add(1);
+                if rec.delta_base.is_some() {
                     self.counters.transfer_deltas_shipped.add(1);
                 }
-                drop(kv);
-                let bytes_saved = bytes_needed.saturating_sub(moved);
-                self.counters.transfer_bytes_saved.add(bytes_saved);
-                Ok((records_stored, bytes_saved))
-            };
+                // The pushed region is what actually moved.
+                bytes_needed += needed;
+                records_stored += 1;
+            }
+            drop(kv);
+            let bytes_saved = bytes_needed.saturating_sub(moved);
+            self.counters.transfer_bytes_saved.add(bytes_saved);
+            Ok((records_stored, bytes_saved))
+        };
         let keys = records.iter().map(|r| r.key);
         let installed = self.install_synced(model, record, keys, check, store)?;
         let (records_stored, bytes_saved) = installed.unwrap_or((0, 0));
@@ -455,13 +393,7 @@ impl ProviderState {
                 removed += 1;
             }
             let fence = RefsRequest::retirement_op_id(t.model, t.record_timestamp, self.index);
-            self.refs_ops.lock().record(
-                fence,
-                RefsReply {
-                    applied: 0,
-                    reclaimed: 0,
-                },
-            );
+            self.refs_ops.lock().record(fence, RefsReply::default());
         }
         Ok(SyncRetireReply { removed })
     }

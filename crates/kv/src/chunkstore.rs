@@ -253,10 +253,11 @@ impl<B: KvBackend> ChunkedStore<B> {
         self.install_manifest(&mut refs, key, total, &hashes, |i| chunks[i].clone())
     }
 
-    /// The tail every manifest write shares, under the refs lock: release
-    /// the chunks of the value `key` held, bump each chunk already stored
-    /// or write it (`payload(i)` is the `i`-th chunk's bytes), write the
-    /// manifest, and update the counts.
+    /// The tail every manifest write shares, under the refs lock: bump
+    /// each chunk already stored or write it (`payload(i)` is the `i`-th
+    /// chunk's bytes), write the manifest, then release the chunks of the
+    /// value `key` held and update the counts. A failed write gives back
+    /// every chunk reference it took, so the store holds what it held.
     fn install_manifest(
         &self,
         refs: &mut HashMap<u128, u64>,
@@ -266,31 +267,36 @@ impl<B: KvBackend> ChunkedStore<B> {
         payload: impl Fn(usize) -> Bytes,
     ) -> Result<(), KvError> {
         let mkey = manifest_key(key);
-        match self.backend.get(&mkey) {
-            Ok(old) => {
-                let (old_total, old_hashes) = decode_manifest(&old)?;
+        let old = match self.backend.get(&mkey) {
+            Ok(old) => Some(decode_manifest(&old)?),
+            Err(KvError::NotFound) => None,
+            Err(e) => return Err(e),
+        };
+        let mut dedup_hits = 0;
+        for (i, h) in hashes.iter().enumerate() {
+            if let Some(c) = refs.get_mut(&h.0) {
+                *c += 1;
+                dedup_hits += 1;
+            } else if let Err(e) = self.backend.put(&chunk_key(*h), payload(i)) {
+                return self.release_chunks(refs, &hashes[..i]).and(Err(e));
+            } else {
+                refs.insert(h.0, 1);
+            }
+        }
+        if let Err(e) = self.backend.put(&mkey, encode_manifest(total, hashes)) {
+            return self.release_chunks(refs, hashes).and(Err(e));
+        }
+        match old {
+            Some((old_total, old_hashes)) => {
                 self.release_chunks(refs, &old_hashes)?;
                 self.logical_bytes
                     .fetch_sub(old_total as u64, Ordering::Relaxed);
             }
-            Err(KvError::NotFound) => {
+            None => {
                 self.manifest_count.fetch_add(1, Ordering::Relaxed);
             }
-            Err(e) => return Err(e),
         }
-        for (i, h) in hashes.iter().enumerate() {
-            match refs.get_mut(&h.0) {
-                Some(c) => {
-                    *c += 1;
-                    self.dedup_hits.fetch_add(1, Ordering::Relaxed);
-                }
-                None => {
-                    self.backend.put(&chunk_key(*h), payload(i))?;
-                    refs.insert(h.0, 1);
-                }
-            }
-        }
-        self.backend.put(&mkey, encode_manifest(total, hashes))?;
+        self.dedup_hits.fetch_add(dedup_hits, Ordering::Relaxed);
         self.logical_bytes
             .fetch_add(total as u64, Ordering::Relaxed);
         Ok(())

@@ -251,11 +251,41 @@ if hits=$(awk -v release="$release" '
     echo "$hits" >&2
     exit 1
 fi
-if hits=$(grep -rnE 'let _ = .*\b(release|release_held|release_all|drop_held|persist_record|unpersist_record)\(' crates); then
+if hits=$(grep -rnE 'let _ = .*\b(release|release_held|release_all|drop_held|persist_record|unpersist_record|land)\(' crates); then
     echo "a release path result discarded:" >&2
     echo "$hits" >&2
     exit 1
 fi
+# One write set per provider write: every reference a store, mirror leg,
+# sync or attach takes (a record put at count 1, a pin on a delta's base)
+# goes into its `WriteSet`, and `land` commits the set with the record or
+# gives all of it back. A tensor-store put anywhere but provider/write_set.rs
+# (substrate.rs defines the store; the meta store is not a tensor store)
+# would compile, pass every test and leak its reference the first time the
+# write failed after it, as the deleted `put_records` did.
+echo "== one write set per provider write: tensor-store puts only in provider/write_set.rs"
+write_set=crates/core/src/provider/write_set.rs
+if hits=$(awk -v write_set="$write_set" '
+    FNR == 1 { in_test = 0; pending = 0 }
+    FILENAME == write_set || FILENAME ~ /provider\/substrate\.rs$/ { nextfile }
+    /^#\[cfg\(test\)\]/ { pending = 1; next }
+    pending { pending = 0; if (/\{$/) in_test = 1; else next }
+    in_test && /^}/ { in_test = 0; next }
+    in_test || /^[[:space:]]*\/\// { next }
+    /meta_store\.put\(/ { next }
+    /\.(put|put_segments|put_with)\(/ { print FILENAME ":" FNR ": " $0; found = 1 }
+    END { exit !found }
+' crates/core/src/provider/*.rs); then
+    echo "tensor-store put outside the write set ($write_set):" >&2
+    echo "$hits" >&2
+    exit 1
+fi
+if hits=$(grep -rnw 'put_records' crates examples); then
+    echo "a deleted write path is back:" >&2
+    echo "$hits" >&2
+    exit 1
+fi
+
 # One path in and one path out of a provider's catalog: a record enters
 # through `install_record` and leaves through `retire_record`, both in
 # provider/catalog.rs, and each writes the meta store before it publishes.
