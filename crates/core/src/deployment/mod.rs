@@ -93,13 +93,19 @@ impl Default for DeploymentConfig {
 }
 
 /// A running EvoStore deployment.
+///
+/// It has no `Drop` of its own: the fields drop in declaration order, the
+/// exposition server first (its thread is joined), then each [`Provider`]
+/// (its pump stopped, its endpoint deregistered and joined, its stores
+/// freed). The fabric goes with the last `Arc` to it — a client's, or this
+/// one — since no endpoint's registration holds one.
 pub struct Deployment {
+    obs_server: Option<ObsServer>,
     fabric: Arc<Fabric>,
     providers: Vec<Provider>,
     provider_ids: Vec<EndpointId>,
     replication: ReplicationPolicy,
     obs: Arc<ObsHub>,
-    obs_server: Option<ObsServer>,
     /// Per-op-class resource attribution for deployment-driven work
     /// (`repair` passes, per-model `transfer` legs), exported as
     /// `evostore_ledger_*` under node `deployment`.

@@ -520,10 +520,16 @@ impl ProviderState {
 }
 
 /// A running provider: shared state + its fabric endpoint.
+///
+/// Teardown runs in three steps: [`Drop`] stops the delivery pump, then
+/// the fields drop in declaration order — the endpoint first, which
+/// deregisters it and joins its service threads, releasing the handlers'
+/// clones of the state; then the state, whose last `Arc` this usually is,
+/// and with it the tensor and meta stores.
 pub struct Provider {
+    endpoint: Endpoint,
     /// Shared state (handlers hold clones of this Arc).
     pub state: Arc<ProviderState>,
-    endpoint: Endpoint,
 }
 
 impl Drop for Provider {
@@ -593,7 +599,7 @@ impl Provider {
         });
         state.register_handlers(&endpoint);
 
-        Provider { state, endpoint }
+        Provider { endpoint, state }
     }
 
     /// The provider's fabric address.

@@ -6,6 +6,7 @@
 use std::collections::HashMap;
 
 use bytes::Bytes;
+use evostore_kv::KvBackend;
 use evostore_tensor::{ContentHash, TensorKey};
 
 use super::transfer::wire_hash;
@@ -58,6 +59,9 @@ impl WriteSet<'_> {
 
     /// Put `payload` under `key` at count 1. A delta on `base` is put after
     /// the set pinned `base`, and that pin becomes the delta's reference.
+    /// A `key` still referenced — a re-stored model id whose old tensors a
+    /// child inherits or a delta keeps as its base — is refused, naming it:
+    /// overwriting it would change what its holders read.
     pub(super) fn write(
         &mut self,
         key: TensorKey,
@@ -71,11 +75,13 @@ impl WriteSet<'_> {
         let enc = key.encode();
         let tensors = &self.state.tensors;
         match payload {
-            Payload::Rope(record) => tensors.put_segments(&enc, record, 1),
+            Payload::Rope(record) => {
+                tensors.put_fresh_with(&enc, 1, |kv| kv.put_segments(&enc, record))
+            }
             Payload::Chunks(rec, provided) => {
                 let (chunks, total) = (self.state.chunk_store()?, rec.total as usize);
                 let hashes: Vec<ContentHash> = rec.hashes.iter().map(wire_hash).collect();
-                tensors.put_with(&enc, 1, |_| {
+                tensors.put_fresh_with(&enc, 1, |_| {
                     chunks.put_manifest(&enc, total, &hashes, provided)
                 })
             }

@@ -21,8 +21,9 @@
 //!   the one-sided bulk plane (`deliver.fetch`), so one release costs
 //!   the provider ~fanout payloads instead of one per subscriber.
 
+use std::any::Any;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
@@ -189,6 +190,11 @@ struct WatcherInner {
 }
 
 /// A live subscription endpoint: see the module docs.
+///
+/// Dropping it unsubscribes from every provider, then drops its endpoint,
+/// whose handlers hold the other clones of its state: once the endpoint
+/// has answered its last push, the state goes, withdrawing the regions it
+/// served to its tree children.
 pub struct ModelWatcher {
     inner: Arc<WatcherInner>,
     endpoint: Endpoint,
@@ -238,10 +244,15 @@ impl ModelWatcher {
         });
 
         if let Some(hub) = obs {
+            // A weak handle: the hub outlives the watcher, and must not
+            // keep its state (and through it the fabric) alive.
             let node = format!("watcher{self_ep}");
-            let w = Arc::clone(&inner);
-            hub.registry()
-                .register(move || w.telemetry.snapshot().rows(&[("client", &node)]));
+            let w = Arc::downgrade(&inner);
+            hub.registry().register(move || {
+                w.upgrade()
+                    .map(|w| w.telemetry.snapshot().rows(&[("client", &node)]))
+                    .unwrap_or_default()
+            });
         }
 
         let watcher = ModelWatcher { inner, endpoint };
@@ -252,6 +263,13 @@ impl ModelWatcher {
     /// The watcher's fabric endpoint id (its address in fetch chains).
     pub fn endpoint_id(&self) -> EndpointId {
         self.endpoint.id()
+    }
+
+    /// A weak handle on the watcher's shared state (leak checks in tests):
+    /// it stops upgrading once the watcher is dropped, since its handlers
+    /// go with its endpoint and its metrics source holds it weakly.
+    pub fn state_weak(&self) -> Weak<dyn Any + Send + Sync> {
+        Arc::downgrade(&self.inner) as Weak<dyn Any + Send + Sync>
     }
 
     /// The caching client the watcher feeds.
@@ -292,7 +310,18 @@ impl ModelWatcher {
 
 impl Drop for ModelWatcher {
     fn drop(&mut self) {
-        self.inner.shutdown();
+        self.inner.unsubscribe_all();
+    }
+}
+
+impl Drop for WatcherInner {
+    /// Withdraw the regions served to tree children. The last clone goes
+    /// with the endpoint's handlers, after its service threads answered
+    /// their last push, so no prefetch can expose a region after this.
+    fn drop(&mut self) {
+        for (_, s) in self.served.get_mut().drain() {
+            self.fabric.bulk_release(BulkHandle(s.bulk));
+        }
     }
 }
 
@@ -378,7 +407,7 @@ impl WatcherInner {
         }
     }
 
-    fn shutdown(&self) {
+    fn unsubscribe_all(&self) {
         let subs: Vec<(u32, u64)> = self
             .subs
             .lock()
@@ -392,10 +421,6 @@ impl WatcherInner {
                 &UnsubscribeRequest { sub_id },
                 &self.peer_retry,
             );
-        }
-        let served: Vec<ServedModel> = self.served.lock().drain().map(|(_, s)| s).collect();
-        for s in served {
-            self.fabric.bulk_release(BulkHandle(s.bulk));
         }
     }
 

@@ -261,6 +261,92 @@ fn retiring_a_delta_base_retains_it_until_its_last_dependent_goes() {
     dep.gc_audit().unwrap();
 }
 
+/// Every hosted tensor's count, per provider, and every catalog's size.
+fn books(dep: &Deployment) -> Vec<(Vec<(TensorKey, u64)>, usize)> {
+    dep.provider_states()
+        .iter()
+        .map(|p| {
+            let mut keys: Vec<_> = p
+                .hosted_tensor_keys()
+                .into_iter()
+                .map(|k| (k, p.tensor_refs(k)))
+                .collect();
+            keys.sort();
+            (keys, p.catalog_snapshot().len())
+        })
+        .collect()
+}
+
+/// A retired model id whose tensors are still held — an inherited prefix
+/// under either policy, and a retained delta base under the chunked one —
+/// cannot be stored again: the store names a held key, nothing lands,
+/// every count stays, and the child reads back as it was stored.
+#[test]
+fn restoring_a_retired_id_never_overwrites_a_held_tensor() {
+    for policy in [StorePolicy::Whole, StorePolicy::chunked_with_delta()] {
+        let dep = dep_with(policy);
+        let client = dep.client();
+        let g = seq(&[8, 16, 16, 4]);
+        let mut rng = ChaCha8Rng::seed_from_u64(41);
+        let t1 = random_tensors(ModelId(1), &g, &mut rng);
+        let parent_map = OwnerMap::fresh(ModelId(1), &g);
+        client
+            .store_model(g.clone(), parent_map.clone(), None, 0.5, &t1)
+            .unwrap();
+        let last_v = g.len() - 1;
+        let prev: HashMap<u32, TensorData> = t1
+            .iter()
+            .filter(|(k, _)| k.vertex.0 as usize == last_v)
+            .map(|(k, t)| (k.slot, t.clone()))
+            .collect();
+        let map = suffix_map(ModelId(2), &g, &parent_map, 1);
+        let t2 = finetuned(&map, &prev, &mut rng);
+        client
+            .store_model(g.clone(), map, Some(ModelId(1)), 0.6, &t2)
+            .unwrap();
+        let want = client.load_model(ModelId(2)).unwrap().tensors;
+        client.retire_model(ModelId(1)).unwrap();
+        let held: Vec<String> = dep.provider_states()[0]
+            .hosted_tensor_keys()
+            .into_iter()
+            .filter(|k| k.owner == ModelId(1))
+            .map(|k| k.to_string())
+            .collect();
+        assert!(
+            !held.is_empty(),
+            "{policy:?}: model 2 holds model 1's tensors"
+        );
+        let before = books(&dep);
+
+        let again = random_tensors(ModelId(1), &g, &mut ChaCha8Rng::seed_from_u64(42));
+        let err = client
+            .store_model(
+                g.clone(),
+                OwnerMap::fresh(ModelId(1), &g),
+                None,
+                0.7,
+                &again,
+            )
+            .expect_err("a re-store overwrote a held tensor")
+            .to_string();
+        assert!(
+            held.iter().any(|k| err.contains(k.as_str())),
+            "{policy:?}: {err} names none of {held:?}"
+        );
+        assert_eq!(
+            books(&dep),
+            before,
+            "{policy:?}: the failed store moved the books"
+        );
+        dep.gc_audit().unwrap();
+        assert_eq!(
+            client.load_model(ModelId(2)).unwrap().tensors,
+            want,
+            "{policy:?}"
+        );
+    }
+}
+
 #[test]
 fn chunked_delta_deployment_survives_reopen_with_its_bases_retained() {
     let dir = std::env::temp_dir().join(format!("evostore-substrate-{}", std::process::id()));

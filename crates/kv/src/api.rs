@@ -6,8 +6,8 @@ use crate::metrics::MetricsSnapshot;
 
 /// Errors a backend can produce.
 ///
-/// In-memory backends only ever return `NotFound`; the log store adds I/O
-/// and corruption cases.
+/// In-memory backends only ever return `NotFound`; the log store adds I/O,
+/// corruption and a held directory, and the refcounting wrapper `Exists`.
 #[derive(Debug)]
 pub enum KvError {
     /// Key not present.
@@ -16,6 +16,10 @@ pub enum KvError {
     Io(std::io::Error),
     /// Persisted bytes failed their check, or are in a layout this build does not read.
     Corrupt { detail: String },
+    /// A fresh-key insert found the key already stored and referenced.
+    Exists,
+    /// The store's directory is held open by another live store.
+    Locked { dir: std::path::PathBuf },
 }
 
 impl std::fmt::Display for KvError {
@@ -24,6 +28,10 @@ impl std::fmt::Display for KvError {
             KvError::NotFound => write!(f, "key not found"),
             KvError::Io(e) => write!(f, "kv i/o error: {e}"),
             KvError::Corrupt { detail } => write!(f, "kv corruption: {detail}"),
+            KvError::Exists => write!(f, "key already stored and referenced"),
+            KvError::Locked { dir } => {
+                write!(f, "{} is held open by another live store", dir.display())
+            }
         }
     }
 }
@@ -38,11 +46,13 @@ impl From<std::io::Error> for KvError {
 
 impl PartialEq for KvError {
     fn eq(&self, other: &Self) -> bool {
-        matches!(
-            (self, other),
+        match (self, other) {
             (KvError::NotFound, KvError::NotFound)
-                | (KvError::Corrupt { .. }, KvError::Corrupt { .. })
-        )
+            | (KvError::Corrupt { .. }, KvError::Corrupt { .. })
+            | (KvError::Exists, KvError::Exists) => true,
+            (KvError::Locked { dir: a }, KvError::Locked { dir: b }) => a == b,
+            _ => false,
+        }
     }
 }
 

@@ -126,10 +126,19 @@ struct Inner {
 }
 
 /// Append-only persistent KV backend.
+///
+/// A live store owns its directory: it holds an exclusive lock on the
+/// directory's `LOCK` file until it is dropped, and a second open of the
+/// directory meanwhile fails with [`KvError::Locked`].
 pub struct LogStore {
     inner: Mutex<Inner>,
     metrics: StoreMetrics,
+    /// Held, never read: closing the file releases the lock.
+    _lock: File,
 }
+
+/// The file a live store locks in its directory.
+const LOCK_FILE: &str = "LOCK";
 
 fn segment_path(dir: &Path, id: u64) -> PathBuf {
     dir.join(format!("seg-{id:08}.log"))
@@ -153,10 +162,21 @@ fn write_all_vectored(mut file: &File, mut parts: &mut [IoSlice<'_>]) -> std::io
 }
 
 impl LogStore {
-    /// Open (or create) a log store in `dir`.
+    /// Open (or create) a log store in `dir`. Fails with
+    /// [`KvError::Locked`] while another live store holds `dir`.
     pub fn open(dir: impl AsRef<Path>) -> Result<LogStore, KvError> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
+        let lock = OpenOptions::new()
+            .create(true)
+            .truncate(false)
+            .write(true)
+            .open(dir.join(LOCK_FILE))?;
+        match lock.try_lock() {
+            Ok(()) => {}
+            Err(std::fs::TryLockError::WouldBlock) => return Err(KvError::Locked { dir }),
+            Err(std::fs::TryLockError::Error(e)) => return Err(e.into()),
+        }
 
         // Discover existing segments.
         let mut ids: Vec<u64> = Vec::new();
@@ -196,6 +216,7 @@ impl LogStore {
         Ok(LogStore {
             inner: Mutex::new(inner),
             metrics: StoreMetrics::new(),
+            _lock: lock,
         })
     }
 
@@ -718,6 +739,25 @@ mod tests {
         d
     }
 
+    /// A live directory has one owner: a second open fails, naming the
+    /// directory, until the first store is dropped.
+    #[test]
+    fn a_live_directory_refuses_a_second_open() {
+        let dir = tmpdir("lock");
+        let s = LogStore::open(&dir).unwrap();
+        s.put(b"k", Bytes::from_static(b"v")).unwrap();
+        match LogStore::open(&dir) {
+            Err(e) => {
+                assert_eq!(e, KvError::Locked { dir: dir.clone() });
+                assert!(e.to_string().contains(&dir.display().to_string()), "{e}");
+            }
+            Ok(_) => panic!("a second store opened a live directory"),
+        }
+        drop(s);
+        let s = LogStore::open(&dir).unwrap();
+        assert_eq!(s.get(b"k").unwrap(), Bytes::from_static(b"v"));
+    }
+
     #[test]
     fn put_get_delete_roundtrip() {
         let dir = tmpdir("basic");
@@ -872,6 +912,22 @@ mod tests {
         assert_eq!(s.len(), 10);
     }
 
+    /// Open what `dir` holds on disk now, as a restart would, while the
+    /// store writing it is live (and owns `dir`): a copy of its segment
+    /// files is replayed.
+    fn open_image(dir: &Path) -> LogStore {
+        let image = dir.with_extension("image");
+        let _ = std::fs::remove_dir_all(&image);
+        std::fs::create_dir_all(&image).unwrap();
+        for path in segment_files(dir) {
+            let name = path.file_name().unwrap();
+            if name.to_string_lossy().starts_with("seg-") {
+                std::fs::copy(&path, image.join(name)).unwrap();
+            }
+        }
+        LogStore::open(&image).unwrap()
+    }
+
     /// Bytes across the segment files in `dir`.
     fn segment_bytes(dir: &Path) -> u64 {
         let files = segment_files(dir);
@@ -997,7 +1053,7 @@ mod tests {
             std::fs::remove_dir(&stuck).unwrap();
             std::fs::write(&stuck, bytes).unwrap();
             assert_books(&s, &dir, &format!("victim {k} stayed"));
-            let reopened = LogStore::open(&dir).unwrap();
+            let reopened = open_image(&dir);
             assert_matches(&reopened, &want, 17, &format!("reopened, victim {k} left"));
             drop(reopened);
             // What stayed is unlinked by the next step.
@@ -1069,7 +1125,7 @@ mod tests {
             }
             assert_matches(&s, &want, 18, &format!("{case}: after later writes"));
             assert_matches(
-                &LogStore::open(&dir).unwrap(),
+                &open_image(&dir),
                 &want,
                 18,
                 &format!("{case}: reopened after the failed step"),

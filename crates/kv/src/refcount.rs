@@ -74,8 +74,34 @@ impl<B: KvBackend> RefCountedStore<B> {
         initial_refs: u64,
         put: impl FnOnce(&B) -> Result<(), KvError>,
     ) -> Result<(), KvError> {
+        self.insert(key, initial_refs, false, put)
+    }
+
+    /// [`RefCountedStore::put_with`] of a key nothing references: a key
+    /// already counted is refused with [`KvError::Exists`] before `put`
+    /// runs, under the same lock, so a value something still references
+    /// is never overwritten.
+    pub fn put_fresh_with(
+        &self,
+        key: &[u8],
+        initial_refs: u64,
+        put: impl FnOnce(&B) -> Result<(), KvError>,
+    ) -> Result<(), KvError> {
+        self.insert(key, initial_refs, true, put)
+    }
+
+    fn insert(
+        &self,
+        key: &[u8],
+        initial_refs: u64,
+        fresh: bool,
+        put: impl FnOnce(&B) -> Result<(), KvError>,
+    ) -> Result<(), KvError> {
         assert!(initial_refs > 0, "storing with zero references leaks");
         let mut counts = self.counts.lock();
+        if fresh && counts.contains_key(key) {
+            return Err(KvError::Exists);
+        }
         put(&self.backend)?;
         *counts.entry(key.into()).or_insert(0) += initial_refs;
         Ok(())
@@ -280,6 +306,20 @@ mod tests {
         assert_eq!(s.decr(b"t").unwrap(), 1);
         assert_eq!(s.decr(b"t").unwrap(), 0);
         assert!(!s.contains(b"t"), "reclaimed at zero like a plain put");
+        s.audit().unwrap();
+    }
+
+    #[test]
+    fn a_fresh_put_refuses_a_counted_key_and_keeps_its_value() {
+        let s = store();
+        s.put(b"t", Bytes::from_static(b"a"), 2).unwrap();
+        let again = s.put_fresh_with(b"t", 1, |b| b.put(b"t", Bytes::from_static(b"b")));
+        assert!(matches!(again, Err(KvError::Exists)), "{again:?}");
+        assert_eq!(s.get(b"t").unwrap(), Bytes::from_static(b"a"));
+        assert_eq!(s.refs(b"t"), 2);
+        s.put_fresh_with(b"u", 1, |b| b.put(b"u", Bytes::from_static(b"c")))
+            .unwrap();
+        assert_eq!(s.refs(b"u"), 1);
         s.audit().unwrap();
     }
 

@@ -107,6 +107,7 @@ fn logstore_rope_put_reads_back_and_counts_once() {
         s.put_segments(b"k", rope).unwrap();
     }
     assert_eq!(twin.get(b"k").unwrap()[8..12], [4, 4, 5, 5]);
+    drop((probe, twin));
     let probe = LogStore::open(dir.join("probe")).unwrap();
     let twin = LogStore::open(dir.join("twin")).unwrap();
     assert!(probe.get_resident(b"k").is_none());

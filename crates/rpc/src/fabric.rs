@@ -24,7 +24,8 @@
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -155,22 +156,58 @@ struct Job {
     trace: Option<TraceContext>,
 }
 
-struct EndpointInner {
-    /// Read by callers at dispatch; the service threads get the handler
-    /// in the [`Job`].
-    handlers: RwLock<HashMap<String, Registered>>,
+/// An endpoint's method table, shared by the [`Endpoint`] (which
+/// registers into it) and its [`Route`] (which callers read at dispatch;
+/// the service threads get the handler in the [`Job`]).
+type Handlers = RwLock<HashMap<String, Registered>>;
+
+/// What the fabric's endpoint map holds for one endpoint: the method
+/// table and the one long-lived sender of its request queue. Dispatch
+/// clones the `Arc` for the length of one call, so removing the map entry
+/// closes the queue as soon as the calls in flight have queued their jobs.
+struct Route {
+    handlers: Arc<Handlers>,
     queue: Sender<Job>,
-    /// Joined on shutdown.
-    threads: parking_lot::Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
-/// A registered endpoint (provider, metadata server, ...).
+/// A registered endpoint (provider, metadata server, ...): the owner of
+/// its registration and of its service threads.
 ///
-/// Holds the registration alive; dropping the `Endpoint` (or calling
-/// [`Fabric::shutdown_endpoint`]) stops its service threads.
+/// Dropping the `Endpoint` deregisters it: later calls fail with
+/// [`RpcError::NoSuchEndpoint`]. The drop closes the request queue; the
+/// service threads answer every job queued before it, then exit, and the
+/// drop joins them. When it returns, the fabric holds nothing the
+/// endpoint's handlers captured. (A handler capturing the state that owns
+/// its endpoint would otherwise keep both alive for good, through the
+/// fabric's map.) Dropped on one of its own service threads, the endpoint
+/// detaches that thread instead of joining itself; the thread exits once
+/// its current job is answered. [`Fabric::shutdown_endpoint`] is the same
+/// drop, by name.
 pub struct Endpoint {
     id: EndpointId,
-    inner: Arc<EndpointInner>,
+    handlers: Arc<Handlers>,
+    /// Not an `Arc`: the fabric's map reaches this endpoint's handlers,
+    /// and a handler may capture what owns this endpoint.
+    fabric: Weak<Fabric>,
+    threads: Vec<JoinHandle<()>>,
+}
+
+impl Drop for Endpoint {
+    fn drop(&mut self) {
+        // The route is dropped outside the map's lock: the queue closes
+        // with it, and nothing a handler captured is freed under the lock.
+        let route = self
+            .fabric
+            .upgrade()
+            .and_then(|fabric| fabric.endpoints.write().remove(&self.id));
+        drop(route);
+        let me = std::thread::current().id();
+        for t in self.threads.drain(..) {
+            if t.thread().id() != me {
+                let _ = t.join();
+            }
+        }
+    }
 }
 
 impl Endpoint {
@@ -197,8 +234,7 @@ impl Endpoint {
         F: Fn(Bytes) -> Result<Bytes, String> + Send + Sync + 'static,
     {
         let handler = Arc::new(handler);
-        self.inner
-            .handlers
+        self.handlers
             .write()
             .insert(method.to_string(), Registered { handler, lane });
     }
@@ -405,7 +441,7 @@ fn answer(reply: Reply, result: Result<Bytes, RpcError>, drop_reply_into: Option
 
 /// The fabric: endpoint registry + bulk-region registry.
 pub struct Fabric {
-    endpoints: RwLock<HashMap<EndpointId, Arc<EndpointInner>>>,
+    endpoints: RwLock<HashMap<EndpointId, Arc<Route>>>,
     next_endpoint: AtomicU64,
     bulk: RwLock<HashMap<u64, BulkRegion>>,
     next_bulk: AtomicU64,
@@ -517,13 +553,18 @@ impl Fabric {
                     .expect("spawn service thread")
             })
             .collect();
-        let inner = Arc::new(EndpointInner {
-            handlers: RwLock::new(HashMap::new()),
+        let handlers = Arc::new(Handlers::default());
+        let route = Route {
+            handlers: Arc::clone(&handlers),
             queue: tx,
-            threads: parking_lot::Mutex::new(threads),
-        });
-        self.endpoints.write().insert(id, Arc::clone(&inner));
-        Endpoint { id, inner }
+        };
+        self.endpoints.write().insert(id, Arc::new(route));
+        Endpoint {
+            id,
+            handlers,
+            fabric: Arc::downgrade(self),
+            threads,
+        }
     }
 
     /// Two-sided RPC: block until the response is ready — produced by the
@@ -566,18 +607,21 @@ impl Fabric {
             (None, false)
         };
         let drop_reply_into = drop_reply.then(|| Arc::clone(&self.dropped_replies));
-        let inner = self
+        let route = self
             .endpoints
             .read()
             .get(&target)
             .cloned()
             .ok_or(RpcError::NoSuchEndpoint(target))?;
-        let (handler, lane) = match inner.handlers.read().get(method) {
+        let (handler, lane) = match route.handlers.read().get(method) {
             Some(r) => (Some(Arc::clone(&r.handler)), r.lane),
             None => (None, Lane::Queue),
         };
         let (reply_tx, reply_rx) = bounded(1);
         if inline && lane == Lane::Caller && delay.is_none() {
+            // An inline handler that drops this endpoint must not find its
+            // queue held open by its own caller.
+            drop(route);
             self.lanes.caller_lane_calls.add(1);
             let result = {
                 let _costs = install_costs(None);
@@ -587,7 +631,7 @@ impl Fabric {
             return Ok(reply_rx);
         }
         self.lanes.queued_calls.add(1);
-        inner
+        route
             .queue
             .send(Job {
                 method: method.to_string(),
@@ -636,17 +680,10 @@ impl Fabric {
     }
 
     /// Deregister an endpoint and stop its service threads (pending
-    /// requests are drained first; new calls fail with `NoSuchEndpoint`).
+    /// requests are drained first; new calls fail with `NoSuchEndpoint`):
+    /// what dropping the [`Endpoint`] does.
     pub fn shutdown_endpoint(&self, ep: Endpoint) {
-        self.endpoints.write().remove(&ep.id);
-        let Endpoint { inner, .. } = ep;
-        // Dropping our map entry + the Endpoint's queue clone closes the
-        // channel once all senders are gone; service threads then exit.
-        let threads = std::mem::take(&mut *inner.threads.lock());
-        drop(inner);
-        for t in threads {
-            let _ = t.join();
-        }
+        drop(ep);
     }
 
     // ---- one-sided (RDMA-style) bulk operations -------------------------
@@ -1066,6 +1103,103 @@ mod tests {
         assert_eq!(fabric.parked_reply_count(), 1);
         fabric.clear_fault_plan();
         assert_eq!(fabric.parked_reply_count(), 0);
+    }
+
+    /// A dropped endpoint is gone from the fabric, and so is everything
+    /// its handlers captured.
+    #[test]
+    fn a_dropped_endpoint_releases_what_its_handlers_captured() {
+        let fabric = Fabric::new();
+        let ep = fabric.create_endpoint(2);
+        let captured = Arc::new(());
+        let weak = Arc::downgrade(&captured);
+        ep.register("hold", move |body| {
+            let _ = &captured;
+            Ok(body)
+        });
+        let id = ep.id();
+        assert!(fabric.call(id, "hold", Bytes::new()).is_ok());
+        drop(ep);
+        assert!(
+            weak.upgrade().is_none(),
+            "the handler outlived its endpoint"
+        );
+        assert_eq!(
+            fabric.call(id, "hold", Bytes::new()),
+            Err(RpcError::NoSuchEndpoint(id))
+        );
+    }
+
+    /// A job queued before the drop is still answered: the drop closes
+    /// the queue, and the service thread drains it before it exits.
+    #[test]
+    fn a_job_queued_before_the_drop_is_answered() {
+        let fabric = Fabric::new();
+        let ep = fabric.create_endpoint(1);
+        let (open, gate) = crossbeam::channel::unbounded::<()>();
+        ep.register("gated", move |body| {
+            gate.recv().map_err(|e| e.to_string())?;
+            Ok(body)
+        });
+        // Answered on the caller, so polling it never waits in the queue.
+        ep.register_on("probe", Lane::Caller, Ok);
+        let id = ep.id();
+        let call = |body: &'static [u8]| {
+            fabric
+                .call_async(id, "gated", Bytes::from_static(body), None, true)
+                .unwrap()
+        };
+        // The first call holds the one service thread; the second waits
+        // in the queue behind it.
+        let (running, queued) = (call(b"running"), call(b"queued"));
+        std::thread::scope(|s| {
+            let dropper = s.spawn(move || drop(ep));
+            let deadline = std::time::Instant::now() + Duration::from_secs(5);
+            while fabric.call(id, "probe", Bytes::new()) != Err(RpcError::NoSuchEndpoint(id)) {
+                assert!(std::time::Instant::now() < deadline, "never deregistered");
+                std::thread::yield_now();
+            }
+            open.send(()).unwrap();
+            open.send(()).unwrap();
+            dropper.join().unwrap();
+        });
+        let wait = Duration::from_secs(5);
+        assert_eq!(
+            running.recv_timeout(wait),
+            Ok(Ok(Bytes::from_static(b"running")))
+        );
+        assert_eq!(
+            queued.recv_timeout(wait),
+            Ok(Ok(Bytes::from_static(b"queued")))
+        );
+    }
+
+    /// An endpoint dropped by its own handler, on its own service thread,
+    /// detaches that thread instead of joining it: the call is answered.
+    #[test]
+    fn an_endpoint_dropped_on_its_own_service_thread_does_not_hang() {
+        let fabric = Fabric::new();
+        let slot = Arc::new(parking_lot::Mutex::new(None::<Endpoint>));
+        let ep = fabric.create_endpoint(2);
+        {
+            let slot = Arc::clone(&slot);
+            ep.register("quit", move |body| {
+                drop(slot.lock().take());
+                Ok(body)
+            });
+        }
+        let id = ep.id();
+        *slot.lock() = Some(ep);
+        let reply = fabric
+            .call_async(id, "quit", Bytes::from_static(b"bye"), None, true)
+            .unwrap()
+            .recv_timeout(Duration::from_secs(5));
+        assert_eq!(reply, Ok(Ok(Bytes::from_static(b"bye"))));
+        assert!(slot.lock().is_none());
+        assert_eq!(
+            fabric.call(id, "quit", Bytes::new()),
+            Err(RpcError::NoSuchEndpoint(id))
+        );
     }
 
     #[test]

@@ -149,7 +149,7 @@ fn a_panicking_handler_fails_its_call_and_the_endpoint_keeps_serving() {
 fn a_wide_round_queues_its_caller_lane_legs_and_runs_them_in_parallel() {
     let fabric = Fabric::new();
     let started = Arc::new(AtomicUsize::new(0));
-    let ids: Vec<EndpointId> = (0..3)
+    let eps: Vec<_> = (0..3)
         .map(|_| {
             let ep = fabric.create_endpoint(1);
             let started = Arc::clone(&started);
@@ -166,9 +166,10 @@ fn a_wide_round_queues_its_caller_lane_legs_and_runs_them_in_parallel() {
                 }
                 Ok(this_thread())
             });
-            ep.id()
+            ep
         })
         .collect();
+    let ids: Vec<EndpointId> = eps.iter().map(|ep| ep.id()).collect();
     let policy = RetryPolicy::no_retry().with_timeout(Duration::from_secs(5));
     let threads = |targets: &[EndpointId], wide: String| -> Vec<String> {
         broadcast(&fabric, targets, Here, &wide, &policy, None, None)

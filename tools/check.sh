@@ -273,7 +273,7 @@ if hits=$(awk -v write_set="$write_set" '
     in_test && /^}/ { in_test = 0; next }
     in_test || /^[[:space:]]*\/\// { next }
     /meta_store\.put\(/ { next }
-    /\.(put|put_segments|put_with)\(/ { print FILENAME ":" FNR ": " $0; found = 1 }
+    /\.(put|put_segments|put_with|put_fresh_with)\(/ { print FILENAME ":" FNR ": " $0; found = 1 }
     END { exit !found }
 ' crates/core/src/provider/*.rs); then
     echo "tensor-store put outside the write set ($write_set):" >&2
@@ -365,6 +365,17 @@ for workload in nas_evolve bulk_checkpoint catalog_churn replicated_finetune; do
     if [[ "$result" != *'"failed": 0,'* ]]; then
         echo "benchmark workload $workload did not finish clean: $result" >&2
         exit 1
+    fi
+    # nas_evolve sets its deployment up three times, each holding about
+    # 425 MB of tensors. A dropped deployment gives its memory back, so
+    # the peak stays near one set-up (about 0.46 GB); set-ups that stack,
+    # as when a dropped endpoint kept its provider alive, read about 1.3 GB.
+    if [[ "$workload" == nas_evolve ]]; then
+        rss=$(sed -n 's/.*"peak_rss_mb": {"value": \([0-9.]*\).*/\1/p' <<<"$result")
+        if [[ -z "$rss" ]] || awk -v rss="$rss" 'BEGIN { exit !(rss > 800) }'; then
+            echo "nas_evolve peak_rss_mb ${rss:-missing} is above 800 MB: dropped set-ups stack" >&2
+            exit 1
+        fi
     fi
 done
 result=$($pin bash benchmark/run.sh --workload bulk_checkpoint --seed 1 --quick --trace 0 | tail -n 1)
