@@ -14,8 +14,8 @@ use std::time::Duration;
 use evostore_graph::{CompactGraph, LcpResult};
 use evostore_obs::ledger::install_costs;
 use evostore_obs::{
-    current_trace, set_current_trace, FlightRecorder, MonotonicClock, ObsHub, OpCosts, OpLedger,
-    SloEngine, SlowOp, SlowOpLog, TimeSource, Tracer,
+    current_trace, set_current_trace, FlightRecorder, MetricsSource, MonotonicClock, ObsHub,
+    OpCosts, OpLedger, SloEngine, SlowOp, SlowOpLog, Tracer,
 };
 use evostore_rpc::{
     BulkHandle, EndpointId, Fabric, LegResults, Method, RetryPolicy, RpcError, TraceHandle,
@@ -324,7 +324,9 @@ impl EvoStoreClientBuilder {
     /// Attach the client to a deployment observability hub: its spans
     /// stamp time from the hub clock (the virtual clock in simulated
     /// runs), its flight recorder joins the hub's postmortem dump, and
-    /// its telemetry registers as a metrics source.
+    /// its telemetry registers as a metrics source. The hub holds all
+    /// three weakly: when the last clone of the client drops, its ring,
+    /// slow-op log and series leave the hub.
     /// [`crate::deployment::Deployment::client_builder`] pre-wires this.
     pub fn obs_hub(mut self, hub: Arc<ObsHub>) -> Self {
         self.obs = Some(hub);
@@ -352,36 +354,28 @@ impl EvoStoreClientBuilder {
         assert!(!self.providers.is_empty(), "deployment has no providers");
         let n = self.providers.len();
         let node = format!("client{}", CLIENT_SEQ.fetch_add(1, Ordering::Relaxed));
-        let recorder = match &self.obs {
-            Some(hub) => hub.new_recorder(&node, CLIENT_FLIGHT_EVENTS),
-            None => {
-                let wall: Arc<dyn TimeSource> = Arc::new(MonotonicClock::default());
-                Arc::new(FlightRecorder::new(&node, CLIENT_FLIGHT_EVENTS, wall))
-            }
-        };
-        let clock: Arc<dyn TimeSource> = match &self.obs {
-            Some(hub) => Arc::clone(hub.clock()),
-            None => Arc::new(MonotonicClock::default()),
-        };
+        // A client built without a hub gets a private one on the wall
+        // clock that nothing reads: one attach path either way.
+        let hub = self
+            .obs
+            .clone()
+            .unwrap_or_else(|| Arc::new(ObsHub::new(Arc::new(MonotonicClock::default()))));
         let slow = Arc::new(SlowOpLog::new(
+            &node,
             self.slow_op_threshold.as_micros() as u64,
             SLOW_OP_CAPACITY,
         ));
-        let tracer = Arc::new(Tracer::new(&node, clock, recorder).with_slow_log(Arc::clone(&slow)));
+        hub.attach_slow_log(&slow);
+        let tracer = Tracer::new(hub.new_recorder(&node, CLIENT_FLIGHT_EVENTS));
+        let tracer = Arc::new(tracer.with_slow_log(Arc::clone(&slow)));
         let telemetry = Arc::new(crate::telemetry::ClientTelemetry::new());
         let ledger = Arc::new(OpLedger::new());
-        let slo = self.obs.as_ref().map(|hub| Arc::clone(hub.slo()));
-        if let Some(hub) = &self.obs {
-            hub.attach_slow_log(&node, Arc::clone(&slow));
-            let t = Arc::clone(&telemetry);
-            let l = Arc::clone(&ledger);
-            let metric_node = node.clone();
-            hub.registry().register(move || {
-                let mut out = t.metrics(&metric_node);
-                out.extend(l.metrics(&metric_node));
-                out
-            });
-        }
+        let (t, l) = (Arc::clone(&telemetry), Arc::clone(&ledger));
+        let metrics_source = hub.registry().register(move || {
+            let mut out = t.metrics(&node);
+            out.extend(l.metrics(&node));
+            out
+        });
         EvoStoreClient {
             fabric: self.fabric,
             providers: Arc::new(self.providers),
@@ -392,9 +386,10 @@ impl EvoStoreClientBuilder {
             tracer,
             slow_ops: slow,
             ledger,
-            slo,
+            slo: self.obs.map(|hub| Arc::clone(hub.slo())),
             telemetry_level: self.telemetry_level,
             pending_decrements: Arc::new(Mutex::new(Vec::new())),
+            _metrics_source: metrics_source,
         }
     }
 }
@@ -424,6 +419,9 @@ pub struct EvoStoreClient {
     /// Refcount decrements that failed transiently, awaiting re-issue
     /// (shared across clones so any handle can flush them).
     pending_decrements: Arc<Mutex<Vec<(EndpointId, RefsRequest)>>>,
+    /// The hub's registry holds this source weakly: it leaves with the
+    /// last clone of this client.
+    _metrics_source: MetricsSource,
 }
 
 impl EvoStoreClient {

@@ -9,8 +9,8 @@ use std::time::Duration;
 
 use evostore_kv::{KvBackend, LogStore, MemPoolStore};
 use evostore_obs::{
-    FlightEvent, MonotonicClock, ObsHub, ObsServer, OpLedger, RegistrySnapshot, SloSpec,
-    TimeSource, Tracer,
+    FlightEvent, MetricsSource, MonotonicClock, ObsHub, ObsServer, OpLedger, RegistrySnapshot,
+    SloSpec, TimeSource, Tracer,
 };
 use evostore_rpc::{EndpointId, Fabric, RetryPolicy};
 
@@ -116,6 +116,10 @@ pub struct Deployment {
     /// The storage policy providers were built with: picks repair's
     /// transfer leg.
     policy: StorePolicy,
+    /// The ledger, fork-join pool and fabric lane sources. The hub holds
+    /// them weakly, so the fabric one may hold the fabric: it goes with
+    /// the deployment.
+    _metrics_sources: [MetricsSource; 3],
 }
 
 impl Deployment {
@@ -182,26 +186,16 @@ impl Deployment {
             })
             .transpose()?;
         let ledger = Arc::new(OpLedger::new());
-        {
-            let l = Arc::clone(&ledger);
-            obs.registry().register(move || l.metrics("deployment"));
-        }
-        // The fork-join pool is process-wide: one series, registered
-        // here rather than once per provider.
-        obs.registry().register(|| crate::par::stats().rows(&[]));
-        // The fabric is shared by every node too: one series for which
-        // lane its calls took. A weak handle, so the registry does not
-        // keep the endpoints (and the providers their handlers hold) alive.
-        let lanes = Arc::downgrade(&fabric);
-        obs.registry().register(move || {
-            lanes
-                .upgrade()
-                .map(|f| f.stats().rows(&[]))
-                .unwrap_or_default()
-        });
+        let (l, f) = (Arc::clone(&ledger), Arc::clone(&fabric));
+        let sources = [
+            obs.registry().register(move || l.metrics("deployment")),
+            // The fork-join pool and the fabric are shared by every
+            // node: one series each, registered here rather than once
+            // per provider.
+            obs.registry().register(|| crate::par::stats().rows(&[])),
+            obs.registry().register(move || f.stats().rows(&[])),
+        ];
         let tracer = Arc::new(Tracer::new(
-            "deployment",
-            Arc::clone(obs.clock()),
             obs.new_recorder("deployment", DEPLOYMENT_FLIGHT_EVENTS),
         ));
         Ok(Deployment {
@@ -214,6 +208,7 @@ impl Deployment {
             ledger,
             tracer,
             policy: cfg.store_policy,
+            _metrics_sources: sources,
         })
     }
 
@@ -384,7 +379,7 @@ impl Deployment {
     }
 
     /// One unified metrics snapshot for the whole deployment: the hub
-    /// registry (clients built via [`Deployment::client_builder`]
+    /// registry (live clients built via [`Deployment::client_builder`]
     /// register their telemetry there) merged with every provider's
     /// registry, fanned in over the `OBS_SNAPSHOT` RPC.
     pub fn metrics_snapshot(&self) -> RegistrySnapshot {
@@ -397,11 +392,12 @@ impl Deployment {
         self.metrics_snapshot().to_prometheus_text()
     }
 
-    /// Merge every flight recorder (fabric, providers, clients) into one
-    /// time-ordered postmortem dump. Degraded answers and failovers are
-    /// annotated with the fault window of the endpoints involved (down
-    /// since when, per the fabric's down/up transitions), so each
-    /// degraded line alone names the provider and fault responsible.
+    /// Merge every live flight recorder (fabric, providers, live
+    /// clients) into one time-ordered postmortem dump. Degraded answers
+    /// and failovers are annotated with the fault window of the endpoints
+    /// involved (down since when, per the fabric's down/up transitions),
+    /// so each degraded line alone names the provider and fault
+    /// responsible.
     pub fn flight_dump(&self) -> String {
         render_flight_dump(&self.obs, &self.provider_ids)
     }
@@ -434,11 +430,7 @@ fn merged_snapshot(fabric: &Fabric, provider_ids: &[EndpointId], obs: &ObsHub) -
     snap
 }
 
-/// Merge every flight recorder (fabric, providers, clients) into one
-/// time-ordered postmortem dump. Degraded answers and failovers are
-/// annotated with the fault window of the endpoints involved (down
-/// since when, per the fabric's down/up transitions), so each degraded
-/// line alone names the provider and fault responsible.
+/// [`Deployment::flight_dump`], free-standing for the exposition server.
 fn render_flight_dump(obs: &ObsHub, provider_ids: &[EndpointId]) -> String {
     // `providerN(epM)` when the endpoint is a provider of this
     // deployment, `epM` otherwise (clients, external endpoints).

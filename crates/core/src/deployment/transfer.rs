@@ -318,8 +318,7 @@ mod tests {
             });
         }
         let wall: Arc<dyn TimeSource> = Arc::new(MonotonicClock::default());
-        let ring = Arc::new(FlightRecorder::new("repair", 16, Arc::clone(&wall)));
-        let tracer = Tracer::new("repair", wall, ring);
+        let tracer = Tracer::new(Arc::new(FlightRecorder::new("repair", 16, wall)));
         let root = tracer.start_root("transfer.sync_model");
         let retry = RetryPolicy::no_retry();
         let transfer = Transfer {

@@ -467,8 +467,7 @@ mod tests {
     fn helpers_work_under_the_callers_trace_and_ledger_cell() {
         let pool = Pool::new(1);
         let clock = Arc::new(MonotonicClock::new());
-        let recorder = Arc::new(FlightRecorder::new("par-test", 64, clock.clone()));
-        let tracer = Tracer::new("par-test", clock, recorder);
+        let tracer = Tracer::new(Arc::new(FlightRecorder::new("par-test", 64, clock)));
         let root = TraceContext::root();
         let costs = Arc::new(OpCosts::default());
         let _trace = set_current_trace(Some(root));

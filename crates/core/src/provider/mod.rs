@@ -561,10 +561,8 @@ impl Provider {
         deliver_fanout: usize,
     ) -> Provider {
         let endpoint = fabric.create_endpoint(service_threads);
-        let tracer_for = |node: String| {
-            let ring = obs.new_recorder(&node, PROVIDER_FLIGHT_EVENTS);
-            Tracer::new(&node, Arc::clone(obs.clock()), ring)
-        };
+        let tracer_for =
+            |node: String| Tracer::new(obs.new_recorder(&node, PROVIDER_FLIGHT_EVENTS));
         let tracer = tracer_for(format!("provider{index}"));
         // The pump pushes from its own thread, outside any handler
         // span, so it gets its own span factory (`deliver.push` roots

@@ -31,7 +31,7 @@ use evostore_deliver::{
     EventAck, EventKind, EventPush, ModelEvent, PeerFetchReply, PeerFetchRequest, SubscribeRequest,
     SubscriptionFilter, UnsubscribeRequest,
 };
-use evostore_obs::{counter_set, current_trace, ObsHub, SloEngine, Tracer};
+use evostore_obs::{counter_set, current_trace, MetricsSource, ObsHub, SloEngine, Tracer};
 use evostore_rpc::{
     unary, BulkHandle, Endpoint, EndpointId, Fabric, Method, RetryPolicy, RpcError,
 };
@@ -192,12 +192,16 @@ struct WatcherInner {
 /// A live subscription endpoint: see the module docs.
 ///
 /// Dropping it unsubscribes from every provider, then drops its endpoint,
-/// whose handlers hold the other clones of its state: once the endpoint
-/// has answered its last push, the state goes, withdrawing the regions it
-/// served to its tree children.
+/// whose handlers hold the other clones of its state, and then its metrics
+/// source, which holds the last: once the endpoint has answered its last
+/// push, the state goes, withdrawing the regions it served to its tree
+/// children.
 pub struct ModelWatcher {
     inner: Arc<WatcherInner>,
     endpoint: Endpoint,
+    /// The hub's registry holds this source weakly: it leaves with the
+    /// watcher.
+    _metrics_source: Option<MetricsSource>,
 }
 
 impl ModelWatcher {
@@ -243,19 +247,15 @@ impl ModelWatcher {
             w.traced(methods::PeerFetch::METHOD, |w| Ok(w.handle_peer_fetch(req)))
         });
 
-        if let Some(hub) = obs {
-            // A weak handle: the hub outlives the watcher, and must not
-            // keep its state (and through it the fabric) alive.
-            let node = format!("watcher{self_ep}");
-            let w = Arc::downgrade(&inner);
-            hub.registry().register(move || {
-                w.upgrade()
-                    .map(|w| w.telemetry.snapshot().rows(&[("client", &node)]))
-                    .unwrap_or_default()
-            });
-        }
-
-        let watcher = ModelWatcher { inner, endpoint };
+        let watcher = ModelWatcher {
+            _metrics_source: obs.map(|hub| {
+                let (w, node) = (Arc::clone(&inner), format!("watcher{self_ep}"));
+                hub.registry()
+                    .register(move || w.telemetry.snapshot().rows(&[("client", &node)]))
+            }),
+            inner,
+            endpoint,
+        };
         watcher.inner.subscribe_all()?;
         Ok(watcher)
     }
@@ -267,7 +267,7 @@ impl ModelWatcher {
 
     /// A weak handle on the watcher's shared state (leak checks in tests):
     /// it stops upgrading once the watcher is dropped, since its handlers
-    /// go with its endpoint and its metrics source holds it weakly.
+    /// go with its endpoint and its metrics source with the watcher.
     pub fn state_weak(&self) -> Weak<dyn Any + Send + Sync> {
         Arc::downgrade(&self.inner) as Weak<dyn Any + Send + Sync>
     }
@@ -316,7 +316,7 @@ impl Drop for ModelWatcher {
 
 impl Drop for WatcherInner {
     /// Withdraw the regions served to tree children. The last clone goes
-    /// with the endpoint's handlers, after its service threads answered
+    /// after the endpoint's handlers, once its service threads answered
     /// their last push, so no prefetch can expose a region after this.
     fn drop(&mut self) {
         for (_, s) in self.served.get_mut().drain() {

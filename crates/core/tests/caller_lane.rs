@@ -190,11 +190,7 @@ fn an_inline_read_keeps_span_and_ledger_parity() {
     let (dep, model) = one_thread_deployment();
     let client = dep.client();
     let wall: Arc<dyn TimeSource> = Arc::new(MonotonicClock::default());
-    let tracer = Tracer::new(
-        "test",
-        Arc::clone(&wall),
-        Arc::new(FlightRecorder::new("test", 16, wall)),
-    );
+    let tracer = Tracer::new(Arc::new(FlightRecorder::new("test", 16, wall)));
     let root = tracer.start_root("op");
     let costs = OpCosts::new();
     let before = dep.fabric().stats();

@@ -185,3 +185,54 @@ fn a_dropped_log_deployment_frees_everything_whole() {
 fn a_dropped_log_deployment_frees_everything_chunked() {
     tear_down(log_backend("chunked"), StorePolicy::chunked_with_delta());
 }
+
+/// A dropped client or watcher leaves nothing attached to the hub: after
+/// a thousand clients built and dropped (some through the builder) and
+/// one watcher attached and dropped, the hub holds what a fresh
+/// deployment holds, and no series names a dropped node.
+#[test]
+fn dropped_clients_and_watchers_leave_nothing_on_the_hub() {
+    let dep = Deployment::in_memory(2);
+    let hub = dep.obs();
+    let counts = || {
+        (
+            hub.registry().live_sources(),
+            hub.recorders().len(),
+            hub.slow_logs().len(),
+        )
+    };
+    let baseline = counts();
+    let baseline_series = hub.registry().snapshot().metrics.len();
+
+    let mut dropped = std::collections::HashSet::new();
+    for i in 0..1_000 {
+        let client = if i % 4 == 0 {
+            dep.client_builder().min_quorum(1).build()
+        } else {
+            dep.client()
+        };
+        dropped.insert(client.tracer().node().to_string());
+    }
+    let watcher = ModelWatcher::attach(
+        CachingClient::new(dep.client(), 1 << 20),
+        SubscriptionFilter::ArchPrefix(seq(&[8, 32])),
+        WatchConfig::default(),
+        Some(hub),
+    )
+    .unwrap();
+    dropped.insert(format!("watcher{}", watcher.endpoint_id().0));
+    dropped.insert(watcher.client().inner().tracer().node().to_string());
+    drop(watcher);
+
+    assert_eq!(counts(), baseline, "(sources, recorders, slow logs)");
+    let snap = hub.registry().snapshot();
+    assert_eq!(snap.metrics.len(), baseline_series);
+    for m in &snap.metrics {
+        assert!(
+            m.labels.iter().all(|(_, v)| !dropped.contains(v)),
+            "{} {:?} names a dropped node",
+            m.name,
+            m.labels
+        );
+    }
+}

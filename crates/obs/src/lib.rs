@@ -16,6 +16,10 @@
 //!   recent spans/faults/failovers ([`FlightRecorder`]) merged into a
 //!   causal postmortem after a chaos run, plus a [`SlowOpLog`] retaining
 //!   over-threshold operations verbatim with their child breakdown.
+//!
+//! A deployment's [`ObsHub`] holds every source, recorder and slow-op log
+//! attached to it weakly: whoever created one owns it, and a dropped one
+//! leaves the hub.
 
 //!
 //! PR 9 turned the passive counters into an active telemetry pipeline:
@@ -40,7 +44,8 @@ pub use clock::{MonotonicClock, TimeSource, VirtualClock};
 pub use ledger::{CostsSnapshot, LedgerEntry, OpCosts, OpLedger};
 pub use recorder::{FlightEvent, FlightRecorder, SlowOp, SlowOpLog};
 pub use registry::{
-    Exemplar, HistogramSummary, Metric, MetricValue, MetricsRegistry, ObsHub, RegistrySnapshot,
+    Exemplar, HistogramSummary, Metric, MetricValue, MetricsRegistry, MetricsSource, ObsHub,
+    RegistrySnapshot,
 };
 pub use serve::{ObsServer, ObsServerBuilder};
 pub use slo::{SloEngine, SloSpec, SloStatus, WindowStatus};

@@ -140,11 +140,6 @@ impl FlightRecorder {
         &self.node
     }
 
-    /// Ring capacity.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
     /// Current time on the recorder's clock.
     pub fn now_us(&self) -> u64 {
         self.clock.now_us()
@@ -280,6 +275,7 @@ pub struct SlowOp {
 /// threshold. Like the flight recorder, oldest entries are evicted.
 #[derive(Debug)]
 pub struct SlowOpLog {
+    node: String,
     threshold_us: u64,
     cap: usize,
     entries: Mutex<VecDeque<SlowOp>>,
@@ -288,10 +284,11 @@ pub struct SlowOpLog {
 }
 
 impl SlowOpLog {
-    /// Retain root spans of at least `threshold_us`, keeping at most
-    /// `cap` (cap 0 clamped to 1).
-    pub fn new(threshold_us: u64, cap: usize) -> SlowOpLog {
+    /// Retain `node`'s root spans of at least `threshold_us`, keeping at
+    /// most `cap` (cap 0 clamped to 1).
+    pub fn new(node: &str, threshold_us: u64, cap: usize) -> SlowOpLog {
         SlowOpLog {
+            node: node.to_string(),
             threshold_us,
             cap: cap.max(1),
             entries: Mutex::new(VecDeque::new()),
@@ -324,6 +321,16 @@ impl SlowOpLog {
     /// Slow ops evicted because the log was full.
     pub fn evicted(&self) -> u64 {
         self.evicted.load(Ordering::Relaxed)
+    }
+
+    /// Log health as `evostore_obs_slowop_*` series labeled by node.
+    pub fn metrics(&self) -> Vec<Metric> {
+        vec![
+            Metric::counter("evostore_obs_slowop_recorded", self.recorded())
+                .with_label("node", &self.node),
+            Metric::counter("evostore_obs_slowop_evicted", self.evicted())
+                .with_label("node", &self.node),
+        ]
     }
 
     /// Oldest-to-newest copy of the log.
@@ -386,7 +393,7 @@ mod tests {
 
     #[test]
     fn slow_log_is_bounded() {
-        let log = SlowOpLog::new(10, 2);
+        let log = SlowOpLog::new("n", 10, 2);
         let span = |n: &str| SpanRecord {
             trace_id: 1,
             span_id: 1,

@@ -3,7 +3,8 @@
 //! Every telemetry island (client histograms, rpc retry counters, kv
 //! store counters, index query stats, replication counters) registers a
 //! *source* — a closure producing named [`Metric`]s — with one
-//! [`MetricsRegistry`]. A [`RegistrySnapshot`] is the single snapshot
+//! [`MetricsRegistry`], and keeps the handle it gets back: the registry
+//! holds sources weakly. A [`RegistrySnapshot`] is the single snapshot
 //! type, mergeable across nodes (provider-side registries arrive over
 //! the `OBS_SNAPSHOT` RPC) and exportable as JSON or Prometheus text.
 //!
@@ -11,9 +12,9 @@
 //! pairs distinguishing instances — e.g.
 //! `evostore_kv_bytes_written{provider="2",store="tensors"}`.
 
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use crate::clock::TimeSource;
@@ -291,110 +292,103 @@ impl RegistrySnapshot {
     }
 }
 
-type Source = Box<dyn Fn() -> Vec<Metric> + Send + Sync>;
+/// A closure producing an island's current metrics; see [`MetricsRegistry::register`].
+pub type MetricsSource = Arc<dyn Fn() -> Vec<Metric> + Send + Sync>;
+
+/// The hub's one attachment rule: it holds weak handles, and the creator
+/// owns the thing. A dead entry is skipped on read, pruned on attach.
+struct Attached<T: ?Sized>(Mutex<Vec<Weak<T>>>);
+
+impl<T: ?Sized> Default for Attached<T> {
+    fn default() -> Self {
+        Attached(Mutex::default())
+    }
+}
+
+impl<T: ?Sized> Attached<T> {
+    fn attach(&self, item: &Arc<T>) {
+        let mut list = self.0.lock();
+        list.retain(|w| w.strong_count() > 0);
+        list.push(Arc::downgrade(item));
+    }
+
+    /// The entries whose owner still holds them, in attach order.
+    fn live(&self) -> Vec<Arc<T>> {
+        self.0.lock().iter().filter_map(Weak::upgrade).collect()
+    }
+}
 
 /// The one place metrics come from: telemetry islands register closures
 /// producing their current metrics; [`MetricsRegistry::snapshot`] pulls
 /// them all into one [`RegistrySnapshot`].
+#[derive(Default)]
 pub struct MetricsRegistry {
-    sources: RwLock<Vec<Source>>,
-}
-
-impl std::fmt::Debug for MetricsRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MetricsRegistry")
-            .field("sources", &self.sources.read().len())
-            .finish()
-    }
+    sources: Attached<dyn Fn() -> Vec<Metric> + Send + Sync>,
 }
 
 impl MetricsRegistry {
-    /// An empty registry.
-    pub fn new() -> MetricsRegistry {
-        MetricsRegistry {
-            sources: RwLock::new(Vec::new()),
-        }
+    /// Register a metrics source, pulled (in registration order) on
+    /// every snapshot for as long as the caller keeps the returned
+    /// handle: the registry holds it weakly, so a source leaves with
+    /// its owner.
+    #[must_use = "the registry holds a source weakly: a dropped handle unregisters it"]
+    pub fn register(
+        &self,
+        source: impl Fn() -> Vec<Metric> + Send + Sync + 'static,
+    ) -> MetricsSource {
+        let source: MetricsSource = Arc::new(source);
+        self.sources.attach(&source);
+        source
     }
 
-    /// Register a metrics source. Sources are pulled (in registration
-    /// order) on every snapshot.
-    pub fn register(&self, source: impl Fn() -> Vec<Metric> + Send + Sync + 'static) {
-        self.sources.write().push(Box::new(source));
+    /// Sources whose owner still holds them.
+    pub fn live_sources(&self) -> usize {
+        self.sources.live().len()
     }
 
-    /// Pull every source into one snapshot.
+    /// Pull every live source into one snapshot.
     pub fn snapshot(&self) -> RegistrySnapshot {
-        let sources = self.sources.read();
-        let mut metrics = Vec::new();
-        for s in sources.iter() {
-            metrics.extend(s());
-        }
-        RegistrySnapshot::from_metrics(metrics)
-    }
-}
-
-impl Default for MetricsRegistry {
-    fn default() -> Self {
-        MetricsRegistry::new()
+        RegistrySnapshot::from_metrics(self.sources.live().iter().flat_map(|s| s()).collect())
     }
 }
 
 /// The per-deployment observability hub: the shared clock all tracers
-/// stamp from, the unified registry, the list of flight recorders a
-/// postmortem dump collects, the slow-op logs, and the SLO burn-rate
-/// engine. The hub registers its own registry source exposing ring
-/// health (`evostore_obs_flight_*`, `evostore_obs_slowop_*`) and the
-/// `evostore_slo_*` series for every recorder/log/spec attached to it.
-#[derive(Debug)]
+/// stamp from, the unified registry, the flight recorders a postmortem
+/// dump collects, the slow-op logs, and the SLO burn-rate engine. It
+/// holds every source, recorder and slow log weakly, and owns two sources
+/// of its own: ring health (`evostore_obs_flight_*`, `evostore_obs_slowop_*`)
+/// of the live ones, and the `evostore_slo_*` series.
 pub struct ObsHub {
     clock: Arc<dyn TimeSource>,
     registry: Arc<MetricsRegistry>,
-    recorders: Arc<Mutex<Vec<Arc<FlightRecorder>>>>,
-    slow_logs: SharedSlowOpLogs,
+    recorders: Arc<Attached<FlightRecorder>>,
+    slow_logs: Arc<Attached<SlowOpLog>>,
     slo: Arc<SloEngine>,
+    _own_sources: [MetricsSource; 2],
 }
-
-/// Named slow-op logs shared between the hub and its registry source.
-type SharedSlowOpLogs = Arc<Mutex<Vec<(String, Arc<SlowOpLog>)>>>;
 
 impl ObsHub {
     /// A hub stamping time from `clock`.
     pub fn new(clock: Arc<dyn TimeSource>) -> ObsHub {
-        let registry = Arc::new(MetricsRegistry::new());
-        let recorders: Arc<Mutex<Vec<Arc<FlightRecorder>>>> = Arc::new(Mutex::new(Vec::new()));
-        let slow_logs: SharedSlowOpLogs = Arc::new(Mutex::new(Vec::new()));
+        let registry = Arc::new(MetricsRegistry::default());
+        let recorders: Arc<Attached<FlightRecorder>> = Arc::default();
+        let slow_logs: Arc<Attached<SlowOpLog>> = Arc::default();
         let slo = Arc::new(SloEngine::new(clock.clone()));
-        {
-            let recorders = recorders.clone();
-            let slow_logs = slow_logs.clone();
-            registry.register(move || {
-                let mut out = Vec::new();
-                for r in recorders.lock().iter() {
-                    out.extend(r.metrics());
-                }
-                for (node, log) in slow_logs.lock().iter() {
-                    out.push(
-                        Metric::counter("evostore_obs_slowop_recorded", log.recorded())
-                            .with_label("node", node),
-                    );
-                    out.push(
-                        Metric::counter("evostore_obs_slowop_evicted", log.evicted())
-                            .with_label("node", node),
-                    );
-                }
-                out
-            });
-        }
-        {
-            let slo = slo.clone();
-            registry.register(move || slo.metrics());
-        }
+        let (rings, logs) = (Arc::clone(&recorders), Arc::clone(&slow_logs));
+        let ring_health = registry.register(move || {
+            let flight = rings.live().into_iter().flat_map(|r| r.metrics());
+            let slow = logs.live().into_iter().flat_map(|l| l.metrics());
+            flight.chain(slow).collect()
+        });
+        let engine = Arc::clone(&slo);
+        let slo_source = registry.register(move || engine.metrics());
         ObsHub {
             clock,
             registry,
             recorders,
             slow_logs,
             slo,
+            _own_sources: [ring_health, slo_source],
         }
     }
 
@@ -413,32 +407,30 @@ impl ObsHub {
         &self.slo
     }
 
-    /// Create a `cap`-bounded recorder for `node` on the hub clock and
-    /// track it for dumps.
+    /// Create a `cap`-bounded recorder for `node` on the hub clock. The
+    /// hub holds it weakly for dumps and trace joins; the caller owns
+    /// it, and a dropped recorder leaves both.
     pub fn new_recorder(&self, node: &str, cap: usize) -> Arc<FlightRecorder> {
         let r = Arc::new(FlightRecorder::new(node, cap, self.clock.clone()));
-        self.attach_recorder(r.clone());
+        self.recorders.attach(&r);
         r
     }
 
-    /// Track an externally-created recorder for dumps.
-    pub fn attach_recorder(&self, r: Arc<FlightRecorder>) {
-        self.recorders.lock().push(r);
-    }
-
-    /// All tracked recorders.
+    /// Every live recorder, in attach order.
     pub fn recorders(&self) -> Vec<Arc<FlightRecorder>> {
-        self.recorders.lock().clone()
+        self.recorders.live()
     }
 
-    /// Track a node's slow-op log so its ring health is exported.
-    pub fn attach_slow_log(&self, node: &str, log: Arc<SlowOpLog>) {
-        self.slow_logs.lock().push((node.to_string(), log));
+    /// Track a node's slow-op log so its ring health is exported and
+    /// its entries join traces. The hub holds it weakly: it leaves with
+    /// the last handle its owner keeps.
+    pub fn attach_slow_log(&self, log: &Arc<SlowOpLog>) {
+        self.slow_logs.attach(log);
     }
 
-    /// All tracked slow-op logs with their node names.
-    pub fn slow_logs(&self) -> Vec<(String, Arc<SlowOpLog>)> {
-        self.slow_logs.lock().clone()
+    /// Every live slow-op log, in attach order.
+    pub fn slow_logs(&self) -> Vec<Arc<SlowOpLog>> {
+        self.slow_logs.live()
     }
 
     /// All spans recorded for `trace_id` across every tracked recorder
@@ -446,10 +438,10 @@ impl ObsHub {
     /// time: the exemplar→trace join in one call.
     pub fn trace_spans(&self, trace_id: u64) -> Vec<SpanRecord> {
         let mut spans: Vec<SpanRecord> = Vec::new();
-        for r in self.recorders.lock().iter() {
+        for r in self.recorders.live() {
             spans.extend(r.spans_for_trace(trace_id));
         }
-        for (_, log) in self.slow_logs.lock().iter() {
+        for log in self.slow_logs.live() {
             for op in log.entries() {
                 if op.root.trace_id == trace_id {
                     spans.push(op.root.clone());
@@ -473,7 +465,7 @@ impl ObsHub {
     /// end time) as indented span trees: the `/traces/recent` endpoint.
     pub fn recent_traces(&self, limit: usize) -> String {
         let mut latest: Vec<(u64, u64)> = Vec::new(); // (end_us, trace_id)
-        for r in self.recorders.lock().iter() {
+        for r in self.recorders.live() {
             for e in r.events() {
                 if let crate::recorder::FlightEvent::Span(s) = e {
                     match latest.iter_mut().find(|(_, t)| *t == s.trace_id) {
@@ -500,9 +492,9 @@ mod tests {
 
     #[test]
     fn snapshot_pulls_all_sources_sorted() {
-        let reg = MetricsRegistry::new();
-        reg.register(|| vec![Metric::counter("b_metric", 2)]);
-        reg.register(|| {
+        let reg = MetricsRegistry::default();
+        let _b = reg.register(|| vec![Metric::counter("b_metric", 2)]);
+        let _a = reg.register(|| {
             vec![
                 Metric::counter("a_metric", 1).with_label("provider", 1),
                 Metric::counter("a_metric", 3).with_label("provider", 0),
@@ -513,6 +505,65 @@ mod tests {
         assert_eq!(names, ["a_metric", "a_metric", "b_metric"]);
         assert_eq!(snap.metrics[0].labels[0].1, "0");
         assert_eq!(snap.counter_total("a_metric"), 4);
+    }
+
+    fn hub() -> ObsHub {
+        ObsHub::new(Arc::new(crate::clock::VirtualClock::new()))
+    }
+
+    #[test]
+    fn what_an_owner_drops_leaves_the_hub() {
+        let hub = hub();
+        let base_sources = hub.registry().live_sources();
+        let base_series = hub.registry().snapshot().metrics.len();
+        let source = hub
+            .registry()
+            .register(|| vec![Metric::counter("evostore_probe", 1).with_label("node", "gone")]);
+        let recorder = hub.new_recorder("gone", 4);
+        let slow = Arc::new(SlowOpLog::new("gone", 0, 4));
+        hub.attach_slow_log(&slow);
+        assert_eq!(hub.registry().live_sources(), base_sources + 1);
+        assert_eq!(hub.recorders().len(), 1);
+        assert_eq!(hub.slow_logs().len(), 1);
+        let held = hub.registry().snapshot();
+        assert!(held.metrics.len() > base_series);
+
+        drop((source, recorder, slow));
+        assert_eq!(hub.registry().live_sources(), base_sources);
+        assert!(hub.recorders().is_empty());
+        assert!(hub.slow_logs().is_empty());
+        let snap = hub.registry().snapshot();
+        assert_eq!(snap.metrics.len(), base_series);
+        assert!(
+            snap.metrics
+                .iter()
+                .all(|m| m.labels.iter().all(|(_, v)| v != "gone")),
+            "a dropped owner's series stayed: {snap:?}"
+        );
+    }
+
+    #[test]
+    fn pruning_on_attach_bounds_every_list() {
+        let hub = hub();
+        let kept_source = hub.registry().register(Vec::new);
+        let kept_recorder = hub.new_recorder("kept", 4);
+        let kept_slow = Arc::new(SlowOpLog::new("kept", 0, 4));
+        hub.attach_slow_log(&kept_slow);
+        let own = hub.registry().sources.0.lock().len() - 1;
+        for i in 0..10_000 {
+            drop(hub.registry().register(Vec::new));
+            drop(hub.new_recorder(&format!("r{i}"), 4));
+            hub.attach_slow_log(&Arc::new(SlowOpLog::new("s", 0, 4)));
+            // The live entries plus at most the one dropped since the
+            // last attach.
+            assert!(hub.registry().sources.0.lock().len() <= own + 2);
+            assert!(hub.recorders.0.lock().len() <= 2);
+            assert!(hub.slow_logs.0.lock().len() <= 2);
+        }
+        assert_eq!(hub.registry().live_sources(), own + 1);
+        assert_eq!(hub.recorders().len(), 1);
+        assert_eq!(hub.slow_logs().len(), 1);
+        drop((kept_source, kept_recorder, kept_slow));
     }
 
     #[test]

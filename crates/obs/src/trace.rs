@@ -22,7 +22,6 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
-use crate::clock::TimeSource;
 use crate::recorder::{FlightEvent, FlightRecorder, SlowOp, SlowOpLog};
 
 /// Process-global id allocator: ids are unique across all tracers in the
@@ -133,12 +132,10 @@ impl SpanRecord {
 /// slow-op breakdown without bound.
 const MAX_PENDING_CHILDREN: usize = 256;
 
-/// Creates and finishes spans for one node, timestamping them from a
-/// shared [`TimeSource`] and sinking finished records into the node's
-/// [`FlightRecorder`] (and, for roots that ran long, the [`SlowOpLog`]).
+/// Creates and finishes spans for one node, timestamping them from the
+/// node's [`FlightRecorder`] clock and sinking finished records into it
+/// (and, for roots that ran long, into the [`SlowOpLog`]).
 pub struct Tracer {
-    node: String,
-    clock: Arc<dyn TimeSource>,
     recorder: Arc<FlightRecorder>,
     slow: Option<Arc<SlowOpLog>>,
     /// Children of *open roots started on this tracer*, buffered so a
@@ -149,16 +146,16 @@ pub struct Tracer {
 
 impl std::fmt::Debug for Tracer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Tracer").field("node", &self.node).finish()
+        f.debug_struct("Tracer")
+            .field("node", &self.node())
+            .finish()
     }
 }
 
 impl Tracer {
-    /// A tracer for `node`, sinking spans into `recorder`.
-    pub fn new(node: &str, clock: Arc<dyn TimeSource>, recorder: Arc<FlightRecorder>) -> Tracer {
+    /// A tracer for `recorder`'s node, stamping spans from its clock.
+    pub fn new(recorder: Arc<FlightRecorder>) -> Tracer {
         Tracer {
-            node: node.to_string(),
-            clock,
             recorder,
             slow: None,
             pending: Mutex::new(HashMap::new()),
@@ -174,17 +171,12 @@ impl Tracer {
 
     /// Node name spans are stamped with.
     pub fn node(&self) -> &str {
-        &self.node
-    }
-
-    /// The tracer's time source.
-    pub fn clock(&self) -> &Arc<dyn TimeSource> {
-        &self.clock
+        self.recorder.node()
     }
 
     /// Current time on the tracer's clock.
     pub fn now_us(&self) -> u64 {
-        self.clock.now_us()
+        self.recorder.now_us()
     }
 
     /// The flight recorder finished spans are pushed into.
@@ -219,7 +211,7 @@ impl Tracer {
             ctx,
             name: name.to_string(),
             endpoint,
-            start_us: self.clock.now_us(),
+            start_us: self.now_us(),
             root,
             status: None,
             finished: false,
@@ -288,10 +280,10 @@ impl Span<'_> {
             span_id: self.ctx.span_id,
             parent_span_id: self.ctx.parent_span_id,
             name: std::mem::take(&mut self.name),
-            node: self.tracer.node.clone(),
+            node: self.tracer.node().to_string(),
             endpoint: self.endpoint,
             start_us: self.start_us,
-            end_us: self.tracer.clock.now_us(),
+            end_us: self.tracer.now_us(),
             status: self.status.take().unwrap_or_else(|| "ok".to_string()),
         };
         self.tracer.finish(record, self.root);
@@ -369,7 +361,7 @@ mod tests {
 
     fn tracer_with(clock: Arc<VirtualClock>) -> (Tracer, Arc<FlightRecorder>) {
         let rec = Arc::new(FlightRecorder::new("test", 64, clock.clone()));
-        (Tracer::new("test", clock, rec.clone()), rec)
+        (Tracer::new(rec.clone()), rec)
     }
 
     fn spans(rec: &FlightRecorder) -> Vec<SpanRecord> {
@@ -434,8 +426,8 @@ mod tests {
     fn slow_ops_are_retained_with_breakdown() {
         let clock = Arc::new(VirtualClock::new());
         let rec = Arc::new(FlightRecorder::new("test", 64, clock.clone()));
-        let slow = Arc::new(SlowOpLog::new(100, 8));
-        let tracer = Tracer::new("test", clock.clone(), rec).with_slow_log(slow.clone());
+        let slow = Arc::new(SlowOpLog::new("test", 100, 8));
+        let tracer = Tracer::new(rec).with_slow_log(slow.clone());
 
         // Fast op: not retained.
         {
@@ -496,8 +488,8 @@ mod tests {
     fn child_of_foreign_trace_is_not_buffered() {
         let clock = Arc::new(VirtualClock::new());
         let rec = Arc::new(FlightRecorder::new("test", 64, clock.clone()));
-        let slow = Arc::new(SlowOpLog::new(0, 8));
-        let tracer = Tracer::new("test", clock, rec).with_slow_log(slow);
+        let slow = Arc::new(SlowOpLog::new("test", 0, 8));
+        let tracer = Tracer::new(rec).with_slow_log(slow);
         let foreign = TraceContext::root();
         drop(tracer.start_child(foreign, "handler", None));
         assert!(tracer.pending.lock().is_empty());

@@ -384,8 +384,8 @@ mod tests {
     /// many attempt spans it recorded and how many of those failed.
     fn traced<T>(f: impl FnOnce(Option<&TraceHandle<'_>>) -> T) -> (T, (usize, usize)) {
         let wall: Arc<dyn TimeSource> = Arc::new(MonotonicClock::default());
-        let ring = Arc::new(FlightRecorder::new("caller", 256, Arc::clone(&wall)));
-        let tracer = Tracer::new("caller", wall, Arc::clone(&ring));
+        let ring = Arc::new(FlightRecorder::new("caller", 256, wall));
+        let tracer = Tracer::new(Arc::clone(&ring));
         let root = tracer.start_root("op");
         let out = f(Some(&TraceHandle::new(&tracer, root.ctx())));
         let attempts = ring.spans_for_trace(root.ctx().trace_id);

@@ -87,8 +87,7 @@ fn a_caller_lane_handler_runs_under_the_trace_but_outside_the_callers_costs() {
     });
 
     let wall: Arc<dyn TimeSource> = Arc::new(MonotonicClock::default());
-    let ring = Arc::new(FlightRecorder::new("caller", 16, Arc::clone(&wall)));
-    let tracer = Tracer::new("caller", wall, ring);
+    let tracer = Tracer::new(Arc::new(FlightRecorder::new("caller", 16, wall)));
     let root = tracer.start_root("op");
     let costs = OpCosts::new();
     let _costs = install_costs(Some(Arc::clone(&costs)));

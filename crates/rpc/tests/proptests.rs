@@ -60,8 +60,8 @@ proptest! {
         // Untraced, then under a trace handle: same replies, plus one
         // attempt span per target.
         let wall: Arc<dyn TimeSource> = Arc::new(MonotonicClock::default());
-        let ring = Arc::new(FlightRecorder::new("caller", 64, Arc::clone(&wall)));
-        let tracer = Tracer::new("caller", wall, Arc::clone(&ring));
+        let ring = Arc::new(FlightRecorder::new("caller", 64, wall));
+        let tracer = Tracer::new(Arc::clone(&ring));
         let root = tracer.start_root("op");
         let handle = TraceHandle::new(&tracer, root.ctx());
         for trace in [None, Some(&handle)] {

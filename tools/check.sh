@@ -15,6 +15,23 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test (workspace)"
 cargo test --workspace -q
 
+# DESIGN.md's "Promises" table names the tests that check each promise, as
+# `path::name`. A test renamed or deleted away must take its row with it.
+echo "== every test the Promises table names exists"
+listed=$(cargo test --workspace -q -- --list 2>/dev/null | sed -n 's/: test$//p')
+named=$(sed -n '/^## Promises$/,/^## /p' DESIGN.md | grep -oE '`[A-Za-z0-9_/.-]+\.rs::[A-Za-z0-9_:]+`' |
+    sed -E 's/`//g; s/.*:://' | sort -u)
+if [[ -z "$named" ]]; then
+    echo "DESIGN.md has no Promises table naming tests" >&2
+    exit 1
+fi
+for name in $named; do
+    if ! grep -qE "(^|::)${name}\$" <<<"$listed"; then
+        echo "DESIGN.md Promises names a test the suite does not have: $name" >&2
+        exit 1
+    fi
+done
+
 # Every RPC is declared once, in a method table (EvoStore's own, and the
 # Redis-substitute baseline's); a wire name quoted anywhere else under
 # crates/*/src is a second, hand-written declaration. (Span names such as
@@ -343,6 +360,16 @@ if hits=$(grep -rnwE 'chunk_probe|chunk_listing|chunk_fetch|chunk_insert|put_chu
     exit 1
 fi
 
+# The obs hub holds what is attached to it weakly, through one list type:
+# the owner keeps the strong handle. A hub-side attach of a caller's
+# recorder or a strong list of logs would keep a dropped client's ring.
+echo "== one hub attachment rule: no strong hub lists"
+if hits=$(grep -rnwE 'attach_recorder|SharedSlowOpLogs' crates examples src tests); then
+    echo "a deleted hub attachment path is back:" >&2
+    echo "$hits" >&2
+    exit 1
+fi
+
 # With one CPU the pool has no helpers and `par::map` must be the plain
 # serial loop: the pool's own tests and one fixed-length bulk_checkpoint
 # run (the workload that forks on every op) have to finish there.
@@ -390,6 +417,36 @@ if ! git diff --quiet -- benchmark/Cargo.lock; then
     git --no-pager diff --stat -- benchmark/Cargo.lock >&2
     exit 1
 fi
+
+# Every paper-figure and ablation bin runs end to end at its smallest
+# size (a few seconds in all): they build deployments and clients through
+# the public API, which no test covers. A new bin needs a row here.
+echo "== every figure and ablation bin at its smallest size"
+declare -A smallest=(
+    [fig4_incremental_write]="--model-gb 0.01 --layers 10"
+    [fig5_lcp_scalability]="--catalog 200 --queries 100 --workers 2"
+    [fig6_accuracy_over_time]="--workers 4 --candidates 20"
+    [fig7_time_to_target]="--candidates 20"
+    [fig8_end_to_end]="--candidates 20"
+    [fig9_task_timeline]="--workers 4 --candidates 20"
+    [fig10_storage_space]="--workers 4 --candidates 20"
+    [ablation_incremental]="--workers 4 --candidates 20"
+    [ablation_zero_cost_proxy]="--workers 4 --candidates 20"
+)
+cargo build --release -q -p evostore-bench --bins
+for src in crates/bench/src/bin/fig*.rs crates/bench/src/bin/ablation_*.rs; do
+    bin=$(basename "$src" .rs)
+    if [[ -z "${smallest[$bin]+set}" ]]; then
+        echo "no smallest size for $bin in tools/check.sh" >&2
+        exit 1
+    fi
+    # shellcheck disable=SC2086 # the size is a list of arguments
+    if ! out=$("$CARGO_TARGET_DIR/release/$bin" ${smallest[$bin]} 2>&1); then
+        echo "$bin ${smallest[$bin]} failed:" >&2
+        tail -n 20 <<<"$out" >&2
+        exit 1
+    fi
+done
 
 # Optional tier-2: scaled-down fig5 indexed-vs-unindexed ablation,
 # recording queries/sec and the index counters to results/BENCH_lcp.json.
