@@ -229,11 +229,13 @@ fn main() {
             ..Default::default()
         });
         let states = dep.provider_states();
+        let fill = Instant::now();
         for (i, g) in catalog.iter().enumerate() {
             let model = ModelId(i as u64);
             let p = model.provider_for(providers);
             states[p].insert_meta_only(model, g.clone(), 0.5).unwrap();
         }
+        report_fill(catalog.len(), providers, fill);
         dep.set_index_enabled(!no_index);
         let client = dep.client();
         // Single-client latency (distribution benefit: partitions shrink
@@ -353,6 +355,14 @@ fn main() {
     );
 }
 
+/// Print how long filling the catalog took (one publication per
+/// `insert_meta_only`) and return it in seconds.
+fn report_fill(models: usize, providers: usize, since: Instant) -> f64 {
+    let secs = since.elapsed().as_secs_f64();
+    println!("  catalog fill: {models} models on {providers} provider(s) in {secs:.2} s");
+    secs
+}
+
 /// A/B ablation: each worker point loads the same catalog into one
 /// deployment, then measures query throughput with the architecture
 /// index enabled and again with it disabled (full-catalog scan). Redis
@@ -395,6 +405,7 @@ fn run_ab(
             ..Default::default()
         });
         let states = dep.provider_states();
+        let fill = Instant::now();
         let mut next = 0u64;
         for g in catalog.iter() {
             let first = ModelId(next);
@@ -417,6 +428,7 @@ fn run_ab(
                     .unwrap();
             }
         }
+        let fill_s = report_fill(catalog.len() * dups, providers, fill);
         let client = dep.client();
 
         // Indexed pass (the default configuration). Counters are read as
@@ -462,7 +474,7 @@ fn run_ab(
             "    {{\"workers\": {w}, \"providers\": {providers}, \"indexed_qps\": {idx_qps:.1}, \
              \"unindexed_qps\": {raw_qps:.1}, \"speedup\": {speedup:.2}, \"scanned\": {scanned}, \
              \"pruned\": {pruned}, \"deduped\": {deduped}, \
-             \"distinct_archs\": {}}}",
+             \"distinct_archs\": {}, \"fill_s\": {fill_s:.3}}}",
             stats.distinct_archs
         ));
     }

@@ -8,12 +8,17 @@
 //! same batched LCP query stream; the relative throughput gap is the
 //! telemetry pipeline's overhead on the hottest read path.
 //!
-//! Rounds are interleaved (minimal, full, minimal, full, ...) and the
-//! best round per arm is kept, so scheduler noise and cache warm-up hit
-//! both arms symmetrically. Writes `--json PATH` with both rates and
-//! the relative overhead for the gate in tools/bench-obs.sh.
+//! In each round the two arms take turns envelope by envelope, the arm
+//! that goes first alternating from one envelope to the next, and the
+//! round yields one overhead ratio `(minimal − full) / minimal` from each
+//! arm's summed envelope time; the reported overhead is the median of
+//! those ratios. Adjacent envelopes share whatever the host is doing at
+//! the time, and the median ignores the rounds a burst of noise still
+//! skews, where a best-of-N per arm compares rounds run at different
+//! moments. Writes `--json PATH` with the median rates and overhead for
+//! the gate in tools/bench-obs.sh.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use evostore_bench::{banner, Args};
 use evostore_core::{Deployment, EvoStoreClient, TelemetryLevel};
@@ -38,21 +43,42 @@ fn generate_catalog(space: &GenomeSpace, n: usize, seed: u64) -> Vec<CompactGrap
     graphs
 }
 
-/// One round of `total` queries in `batch`-sized envelopes; returns q/s.
-fn run_round(total: usize, batch: usize, client: &EvoStoreClient, probes: &[CompactGraph]) -> f64 {
-    let envelopes = total.div_ceil(batch);
-    let t0 = Instant::now();
-    for e in 0..envelopes {
+/// One round: `total` queries per client in `batch`-sized envelopes, the
+/// clients taking turns envelope by envelope (which goes first
+/// alternates); returns each client's q/s over its own envelope time.
+fn run_round(
+    total: usize,
+    batch: usize,
+    clients: [&EvoStoreClient; 2],
+    probes: &[CompactGraph],
+) -> [f64; 2] {
+    let mut busy = [Duration::ZERO; 2];
+    for e in 0..total.div_ceil(batch) {
         let lo = e * batch;
         let hi = (lo + batch).min(total);
         let pack: Vec<CompactGraph> = (lo..hi).map(|i| probes[i % probes.len()].clone()).collect();
-        let replies = client
-            .query_best_ancestors(&pack)
-            .expect("batch succeeds")
-            .into_inner();
-        assert_eq!(replies.len(), pack.len());
+        for turn in 0..2 {
+            let arm = (e + turn) % 2;
+            let t0 = Instant::now();
+            let replies = clients[arm]
+                .query_best_ancestors(&pack)
+                .expect("batch succeeds")
+                .into_inner();
+            busy[arm] += t0.elapsed();
+            assert_eq!(replies.len(), pack.len());
+        }
     }
-    total as f64 / t0.elapsed().as_secs_f64()
+    busy.map(|b| total as f64 / b.as_secs_f64())
+}
+
+/// The median of `xs` (the mean of the middle two for an even count).
+fn median(xs: &mut [f64]) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    let mid = xs.len() / 2;
+    match xs.len() % 2 {
+        1 => xs[mid],
+        _ => (xs[mid - 1] + xs[mid]) / 2.0,
+    }
 }
 
 fn main() {
@@ -60,7 +86,7 @@ fn main() {
     let catalog_size: usize = args.get("catalog", 1000);
     let queries: usize = args.get("queries", 3000);
     let batch: usize = args.get("batch", 64);
-    let rounds: usize = args.get("rounds", 3);
+    let rounds: usize = args.get("rounds", 9).max(1);
     let json_path: String = args.get("json", String::new());
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -100,21 +126,24 @@ fn main() {
 
     // Warm-up: populate the LCP memo and fault in catalog pages so the
     // first measured round is not paying one-time costs.
-    run_round(queries.min(500), batch, &minimal, &probes);
+    run_round(queries.min(500), batch, [&minimal, &full], &probes);
 
-    let mut best_full = 0.0f64;
-    let mut best_minimal = 0.0f64;
+    let (mut minimal_qps, mut full_qps, mut overheads) = (Vec::new(), Vec::new(), Vec::new());
     for r in 0..rounds {
-        let m = run_round(queries, batch, &minimal, &probes);
-        let f = run_round(queries, batch, &full, &probes);
-        println!("  round {r}: minimal {m:.1} q/s | full {f:.1} q/s");
-        best_minimal = best_minimal.max(m);
-        best_full = best_full.max(f);
+        let [m, f] = run_round(queries, batch, [&minimal, &full], &probes);
+        let overhead = (m - f) / m;
+        println!(
+            "  round {r}: minimal {m:.1} q/s | full {f:.1} q/s | overhead {:.2}%",
+            overhead * 100.0
+        );
+        minimal_qps.push(m);
+        full_qps.push(f);
+        overheads.push(overhead);
     }
-
-    let overhead = (best_minimal - best_full) / best_minimal;
+    let (median_minimal, median_full) = (median(&mut minimal_qps), median(&mut full_qps));
+    let overhead = median(&mut overheads);
     println!(
-        "  best: minimal {best_minimal:.1} q/s | full {best_full:.1} q/s | overhead {:.2}%",
+        "  median: minimal {median_minimal:.1} q/s | full {median_full:.1} q/s | overhead {:.2}% (median of {rounds} rounds)",
         overhead * 100.0
     );
 
@@ -137,7 +166,7 @@ fn main() {
         let json = format!(
             "{{\n  \"bench\": \"obs_ab\",\n  \"cores\": {cores},\n  \"catalog\": {catalog_size},\n  \
              \"queries\": {queries},\n  \"batch\": {batch},\n  \"rounds\": {rounds},\n  \
-             \"minimal_qps\": {best_minimal:.1},\n  \"full_qps\": {best_full:.1},\n  \
+             \"minimal_qps\": {median_minimal:.1},\n  \"full_qps\": {median_full:.1},\n  \
              \"overhead_pct\": {:.2},\n  \"ledger_ops\": {queried},\n  \"slo_samples\": {slo_samples}\n}}\n",
             overhead * 100.0
         );

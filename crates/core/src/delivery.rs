@@ -36,7 +36,8 @@ use crate::methods;
 use crate::provider::CatalogSnapshot;
 
 /// One entry of a catalog mutation's change log, recorded by
-/// `Catalog::insert` / `Catalog::remove` and drained at publication.
+/// `CatalogEdit::insert` / `CatalogEdit::remove` and handed over at
+/// publication.
 /// Retirements capture the record fields they need for matching, since
 /// the record is gone from the published snapshot.
 #[derive(Debug, Clone)]

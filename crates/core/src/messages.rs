@@ -629,6 +629,10 @@ counter_set! {
         snapshot_publications: computed sum counter "evostore_index_snapshot_publications",
         /// Snapshot pins taken by read handlers.
         snapshot_reads: atomic sum counter "evostore_index_snapshot_reads",
+        /// Publications whose writer found its spare buffer still pinned
+        /// by a reader (or lost to a failed mutation) and cloned the
+        /// published catalog instead of replaying into the spare.
+        snapshot_clones: computed sum counter "evostore_index_snapshot_clones",
         /// Retired with the hazard-slot cell (a swapped-out snapshot is
         /// dropped by its last reader): always 0. Kept while the benchmark
         /// reads it.
@@ -711,6 +715,7 @@ mod tests {
             chunk_physical_bytes: 1024,
             snapshot_publications: 4,
             snapshot_reads: 20,
+            snapshot_clones: 0,
             snapshot_retired: 1,
             batch_envelopes: 2,
             batch_queries: 9,
@@ -729,14 +734,17 @@ mod tests {
 
     #[test]
     fn stats_wire_shape_is_the_hand_written_one() {
-        // The fixture still carries a counter since dropped: an older
-        // build's reply decodes (the derive skips the unknown field), and
-        // every other field keeps its place.
+        // The fixture still carries a counter since dropped and lacks one
+        // since added: an older build's reply decodes (the derive skips the
+        // unknown field and defaults the missing one), and every other
+        // field keeps its place.
         let decoded: ProviderStats = serde_json::from_str(PARENT_STATS_JSON).unwrap();
         assert_eq!(decoded, sample_stats());
+        let expected = PARENT_STATS_JSON.replace(r#""delta_rebased":1,"#, "");
+        let added = r#""snapshot_reads":20,"snapshot_clones":0,"#;
         assert_eq!(
             serde_json::to_string(&sample_stats()).unwrap(),
-            PARENT_STATS_JSON.replace(r#""delta_rebased":1,"#, "")
+            expected.replace(r#""snapshot_reads":20,"#, added)
         );
     }
 
@@ -773,6 +781,7 @@ mod tests {
             chunk_physical_bytes: 256,
             snapshot_publications: 1,
             snapshot_reads: 5,
+            snapshot_clones: 3,
             snapshot_retired: 0,
             batch_envelopes: 1,
             batch_queries: 3,
@@ -818,6 +827,7 @@ mod tests {
         assert_eq!(m.query_stats.answered, 2);
         assert_eq!(m.snapshot_publications, 5);
         assert_eq!(m.snapshot_reads, 25);
+        assert_eq!(m.snapshot_clones, 3);
         assert_eq!(m.snapshot_retired, 1);
         assert_eq!(m.batch_envelopes, 3);
         assert_eq!(m.batch_queries, 12);

@@ -18,7 +18,7 @@ use evostore_tensor::{rope, ModelId, TensorKey};
 use rayon::prelude::*;
 
 use super::write_set::Payload;
-use super::{Catalog, CatalogSnapshot, ModelRecord, ProviderState};
+use super::{CatalogEdit, CatalogSnapshot, ModelRecord, ProviderState};
 use crate::messages::*;
 use crate::owner_map::OwnerMap;
 use crate::par;
@@ -125,25 +125,20 @@ impl ProviderState {
     }
 
     /// Run a catalog mutation and, when it succeeds, publish the resulting
-    /// snapshot (a failed one must leave the catalog as it found it). The
-    /// swap happens under the write lock, so snapshots publish in exactly
-    /// the mutation order.
+    /// snapshot ([`super::CatalogBuffers::mutate`]); a failed one publishes
+    /// nothing. The swap happens under the write lock, so snapshots
+    /// publish in exactly the mutation order.
     fn mutate_catalog<T>(
         &self,
-        f: impl FnOnce(&mut Catalog) -> Result<T, String>,
+        f: impl FnOnce(&mut CatalogEdit) -> Result<T, String>,
     ) -> Result<T, String> {
-        let mut catalog = self.catalog.write();
-        let out = f(&mut catalog)?;
-        catalog.version += 1;
-        let snap = catalog.snapshot();
-        self.snapshot.store(Arc::clone(&snap));
         // Subscribers see events in publication order: the change log goes
         // to the delivery hub under the lock (one atomic load if none).
-        let changes = std::mem::take(&mut catalog.changes);
-        if !changes.is_empty() {
-            self.delivery.on_publication(&snap, &changes);
-        }
-        Ok(out)
+        self.catalog.mutate(f, |snap, changes| {
+            if !changes.is_empty() {
+                self.delivery.on_publication(snap, changes);
+            }
+        })
     }
 
     /// The one way into the catalog: stamp `rec` as `origin` says, write
@@ -160,7 +155,7 @@ impl ProviderState {
 
     fn install_into(
         &self,
-        c: &mut Catalog,
+        c: &mut CatalogEdit,
         model: ModelId,
         mut rec: ModelRecord,
         origin: Origin,
@@ -199,13 +194,13 @@ impl ProviderState {
         model: ModelId,
         stale: impl Fn(&ModelRecord) -> bool,
     ) -> Result<Option<Arc<ModelRecord>>, String> {
-        let held = |c: &Catalog| c.records.get(&model).is_some_and(|r| stale(r));
+        let held = |rec: Option<&Arc<ModelRecord>>| rec.is_some_and(|r| stale(r));
         // Nothing to take publishes nothing.
-        if !held(&self.catalog.read()) {
+        if !held(self.local_record(model).as_ref()) {
             return Ok(None);
         }
         let rec = self.mutate_catalog(|c| {
-            if !held(c) {
+            if !held(c.get(model)) {
                 return Ok(None);
             }
             self.unpersist_record(model)?;
@@ -230,8 +225,7 @@ impl ProviderState {
         self.land(|set| {
             self.mutate_catalog(|c| {
                 let rec = c
-                    .records
-                    .get_mut(&model)
+                    .get(model)
                     .ok_or_else(|| format!("model {model} not found"))?;
                 if !rec.optimizer_keys.is_empty() {
                     return Err(format!("model {model} already has optimizer state"));
@@ -247,8 +241,9 @@ impl ProviderState {
                     ..ModelRecord::clone(rec)
                 };
                 self.persist_record(model, &attached)?;
-                *rec = Arc::new(attached);
-                Ok((rec.timestamp, bytes_stored))
+                let timestamp = attached.timestamp;
+                c.replace(model, attached);
+                Ok((timestamp, bytes_stored))
             })
         })
     }

@@ -35,7 +35,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use bytes::Bytes;
-use evostore_graph::{ArchIndex, CompactGraph, IndexQueryStats, SnapshotCell};
+use evostore_graph::{ArchIndex, CompactGraph, IndexQueryStats, IndexedArch, SnapshotCell};
 use evostore_kv::{KvBackend, RefCountedStore};
 use evostore_obs::ledger::install_costs;
 use evostore_obs::{current_trace, FlightRecorder, ObsHub, OpCosts, OpLedger, Span, Tracer};
@@ -77,37 +77,76 @@ pub struct ModelRecord {
     meta_reply: OnceLock<Bytes>,
 }
 
-/// The provider's model catalog: the record map plus the incrementally
-/// maintained [`ArchIndex`] over it, always mutated together under one
-/// lock so index membership exactly mirrors the records.
-///
-/// This is the *writer-side* authoritative state. Read handlers never
-/// touch it: every mutation ends by publishing an immutable
-/// [`CatalogSnapshot`] ([`ProviderState::mutate_catalog`]), and the read
-/// path pins that snapshot without taking the catalog lock.
-#[derive(Default)]
-struct Catalog {
+/// One provider's catalog as one publication left it: the record map and
+/// the [`ArchIndex`] over it, published atomically after every mutation
+/// and pinned (one `Arc` clone) by every read handler. A reader always
+/// observes records and index from the *same* publication — never a
+/// half-applied store or retire — and a published snapshot never changes
+/// while anything pins it. Index membership mirrors the records because
+/// both change only in one place, `CatalogSnapshot::apply`.
+#[derive(Clone, Default)]
+pub struct CatalogSnapshot {
     records: HashMap<ModelId, Arc<ModelRecord>>,
     index: ArchIndex,
-    /// Publication counter: bumped once per mutation, stamped on the
-    /// snapshot it produces (strictly monotone across publications).
+    /// Publication counter, strictly monotone across publications.
     version: u64,
-    /// Change log of the in-progress mutation, drained at publication
-    /// and handed to the delivery hub for subscription matching.
+}
+
+/// One change to a catalog buffer, kept so the other buffer can replay it
+/// ([`CatalogBuffers`]). It carries everything the change needs, the
+/// architecture's cones included, so a replay recomputes nothing.
+enum CatalogOp {
+    /// `rec` becomes `model`'s record, replacing any, indexed under `arch`.
+    Insert {
+        model: ModelId,
+        rec: Arc<ModelRecord>,
+        arch: Arc<IndexedArch>,
+    },
+    /// `rec` takes the place of `model`'s record, with the same graph and
+    /// quality, so the index entry stands (an optimizer attach).
+    Replace {
+        model: ModelId,
+        rec: Arc<ModelRecord>,
+    },
+    /// `model`'s record and index entry go.
+    Remove { model: ModelId },
+}
+
+/// A catalog mutation in progress: a private working copy of the
+/// published catalog, the ops applied to it so far, and the change log
+/// the delivery hub matches at publication. Reads see the working copy.
+pub(super) struct CatalogEdit<'a> {
+    snap: &'a mut CatalogSnapshot,
+    ops: Vec<CatalogOp>,
     changes: Vec<CatalogChange>,
 }
 
-impl Catalog {
-    fn insert(&mut self, model: ModelId, rec: ModelRecord) {
-        self.index
-            .insert(model, Arc::clone(&rec.graph), rec.quality);
-        self.records.insert(model, Arc::new(rec));
+impl CatalogEdit<'_> {
+    /// `model`'s record as this mutation has left it so far.
+    pub(super) fn get(&self, model: ModelId) -> Option<&Arc<ModelRecord>> {
+        self.snap.records.get(&model)
+    }
+
+    /// Insert `rec` as `model`'s record, replacing any there.
+    pub(super) fn insert(&mut self, model: ModelId, rec: ModelRecord) {
+        let arch = self.snap.index.arch_of(Arc::clone(&rec.graph));
+        let rec = Arc::new(rec);
+        self.apply(CatalogOp::Insert { model, rec, arch });
         self.changes.push(CatalogChange::Stored { model });
     }
 
-    fn remove(&mut self, model: ModelId) -> Option<Arc<ModelRecord>> {
-        let rec = self.records.remove(&model)?;
-        self.index.remove(model);
+    /// Replace `model`'s record by `rec`, which has its graph and quality.
+    pub(super) fn replace(&mut self, model: ModelId, rec: ModelRecord) {
+        self.apply(CatalogOp::Replace {
+            model,
+            rec: Arc::new(rec),
+        });
+    }
+
+    /// Take `model`'s record out, if one is here.
+    pub(super) fn remove(&mut self, model: ModelId) -> Option<Arc<ModelRecord>> {
+        let rec = Arc::clone(self.get(model)?);
+        self.apply(CatalogOp::Remove { model });
         self.changes.push(CatalogChange::Retired {
             model,
             parent: rec.parent,
@@ -118,30 +157,133 @@ impl Catalog {
         Some(rec)
     }
 
-    /// Freeze the current state into an immutable snapshot. Cheap:
-    /// records are shared `Arc`s and [`ArchIndex::clone`] is
-    /// copy-on-write (pointer bumps per bucket and posting shard).
-    fn snapshot(&self) -> Arc<CatalogSnapshot> {
-        Arc::new(CatalogSnapshot {
-            records: self.records.clone(),
-            index: self.index.clone(),
-            version: self.version,
-        })
+    fn apply(&mut self, op: CatalogOp) {
+        self.snap.apply(&op);
+        self.ops.push(op);
     }
 }
 
-/// An immutable view of one provider's catalog, published atomically
-/// after every mutation and pinned (one `Arc` clone) by every read handler. A
-/// reader always observes records and index from the *same* publication
-/// — never a half-applied store or retire.
-#[derive(Default)]
-pub struct CatalogSnapshot {
-    records: HashMap<ModelId, Arc<ModelRecord>>,
-    index: ArchIndex,
-    version: u64,
+/// The snapshot published before the current one, and the ops of the
+/// current one's mutation, which it lacks.
+struct Spare {
+    /// `None` after a failed mutation that had changed its working copy.
+    buffer: Option<Arc<CatalogSnapshot>>,
+    missing: Vec<CatalogOp>,
+}
+
+/// The catalog's two buffers: the published snapshot readers pin, and
+/// the writer's spare. A mutation brings the spare up to date by
+/// replaying the ops it is missing (or, when a reader still pins it,
+/// clones the published snapshot instead), applies its own ops to it,
+/// publishes it with one pointer swap and keeps the predecessor as the
+/// next spare — so a publication costs its own ops twice, not a copy of
+/// the catalog.
+pub(super) struct CatalogBuffers {
+    published: SnapshotCell<CatalogSnapshot>,
+    /// The write lock: mutations run under it one at a time, so
+    /// publication order is mutation order.
+    writer: RwLock<Spare>,
+    /// Mutations that found the spare pinned (or lost) and cloned the
+    /// published snapshot.
+    clones: AtomicU64,
+}
+
+impl CatalogBuffers {
+    fn new() -> CatalogBuffers {
+        let writer = Spare {
+            buffer: Some(Arc::default()),
+            missing: Vec::new(),
+        };
+        CatalogBuffers {
+            published: SnapshotCell::new(Arc::default()),
+            writer: RwLock::new(writer),
+            clones: AtomicU64::new(0),
+        }
+    }
+
+    /// Pin the published snapshot.
+    fn load(&self) -> Arc<CatalogSnapshot> {
+        self.published.load()
+    }
+
+    /// Publications so far.
+    fn publications(&self) -> u64 {
+        self.published.swaps()
+    }
+
+    /// Mutations that had to clone the published snapshot.
+    fn clones(&self) -> u64 {
+        self.clones.load(Ordering::Relaxed)
+    }
+
+    /// Run `f` on a working copy of the published catalog and, when it
+    /// succeeds, publish the copy and hand it, with the mutation's change
+    /// log, to `on_publication` — still under the write lock, so whatever
+    /// that does happens in publication order. A failed `f` publishes
+    /// nothing and its working copy is dropped, unless it changed nothing.
+    fn mutate<T>(
+        &self,
+        f: impl FnOnce(&mut CatalogEdit) -> Result<T, String>,
+        on_publication: impl FnOnce(&CatalogSnapshot, &[CatalogChange]),
+    ) -> Result<T, String> {
+        let mut spare = self.writer.write();
+        let current = self.published.load();
+        let missing = std::mem::take(&mut spare.missing);
+        let reused = spare.buffer.take().and_then(|mut buffer| {
+            let unshared = Arc::get_mut(&mut buffer)?;
+            missing.iter().for_each(|op| unshared.apply(op));
+            Some(buffer)
+        });
+        let mut work = reused.unwrap_or_else(|| {
+            self.clones.fetch_add(1, Ordering::Relaxed);
+            Arc::new(CatalogSnapshot::clone(&current))
+        });
+        let snap = Arc::get_mut(&mut work).expect("the working copy is private");
+        snap.version = current.version + 1;
+        let mut edit = CatalogEdit {
+            snap,
+            ops: Vec::new(),
+            changes: Vec::new(),
+        };
+        let out = f(&mut edit);
+        let CatalogEdit { ops, changes, .. } = edit;
+        let out = match out {
+            Ok(out) => out,
+            Err(e) => {
+                if ops.is_empty() {
+                    spare.buffer = Some(work);
+                }
+                return Err(e);
+            }
+        };
+        drop(current);
+        let predecessor = self.published.swap(Arc::clone(&work));
+        *spare = Spare {
+            buffer: Some(predecessor),
+            missing: ops,
+        };
+        on_publication(&work, &changes);
+        Ok(out)
+    }
 }
 
 impl CatalogSnapshot {
+    fn apply(&mut self, op: &CatalogOp) {
+        match op {
+            CatalogOp::Insert { model, rec, arch } => {
+                self.index.insert_arch(*model, arch, rec.quality);
+                self.records.insert(*model, Arc::clone(rec));
+            }
+            CatalogOp::Replace { model, rec } => {
+                self.records.insert(*model, Arc::clone(rec));
+            }
+            CatalogOp::Remove { model } => {
+                self.records.remove(model);
+                self.index.remove(*model);
+            }
+        }
+    }
+
     /// Publication counter of the mutation that produced this snapshot.
     pub fn version(&self) -> u64 {
         self.version
@@ -264,11 +406,9 @@ pub struct ProviderState {
     /// The tensor store; [`Substrate::chunked`] is the one answer to
     /// "are records content-addressed here?".
     tensors: RefCountedStore<Substrate>,
-    catalog: RwLock<Catalog>,
-    /// The published immutable catalog view. Writers rebuild and swap it
-    /// while still holding the catalog write lock, so publication order
-    /// equals mutation order; read handlers pin it without that lock.
-    snapshot: SnapshotCell<CatalogSnapshot>,
+    /// The published immutable catalog view, which read handlers pin
+    /// without the write lock, and the writer's spare.
+    catalog: CatalogBuffers,
     /// Durable catalog records (separate namespace from tensors).
     meta_store: Box<dyn KvBackend>,
     /// Deployment-wide write-ordering clock.
@@ -314,9 +454,9 @@ impl ProviderState {
             .is_replica(model, self.num_providers, self.index)
     }
 
-    /// `model`'s record in the writer-side catalog, if one is here.
+    /// `model`'s published record, if one is here.
     fn local_record(&self, model: ModelId) -> Option<Arc<ModelRecord>> {
-        self.catalog.read().records.get(&model).cloned()
+        self.catalog.load().get(model).cloned()
     }
 
     /// [`ProviderState::places_here`] as the refusal a write answers.
@@ -334,7 +474,7 @@ impl ProviderState {
     /// handler serves from).
     pub fn catalog_snapshot(&self) -> Arc<CatalogSnapshot> {
         self.counters.snapshot_reads.add(1);
-        self.snapshot.load()
+        self.catalog.load()
     }
 
     /// Run `f` under a handler span joined to the caller's trace. The
@@ -448,8 +588,8 @@ impl ProviderState {
         // write lock, so no store can slip between the snapshot this
         // replay sees and the moment the subscription starts matching
         // (such a store would otherwise be neither replayed nor pushed).
-        let _catalog = self.catalog.read();
-        let snap = self.snapshot.load();
+        let _writer = self.catalog.writer.read();
+        let snap = self.catalog.load();
         Ok(self.delivery.subscribe(req, &snap))
     }
 
@@ -580,8 +720,7 @@ impl Provider {
             num_providers,
             replication,
             tensors: RefCountedStore::new(tensors),
-            catalog: RwLock::default(),
-            snapshot: SnapshotCell::new(Arc::default()),
+            catalog: CatalogBuffers::new(),
             meta_store,
             clock,
             refs_ops: Mutex::new(refs::RefsOpCache::default()),
@@ -603,5 +742,191 @@ impl Provider {
     /// The provider's fabric address.
     pub fn endpoint_id(&self) -> EndpointId {
         self.endpoint.id()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The two-buffer publication, driven step by step on one thread with
+    //! no fabric: random mutations against a map of what the catalog
+    //! should hold, with readers pinning snapshots across publications.
+
+    use std::collections::BTreeMap;
+    use std::sync::Arc;
+
+    use evostore_graph::{lcp, CompactGraph};
+    use evostore_tensor::{ModelId, TensorKey, VertexId};
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+
+    use super::refs::tests::seq;
+    use super::{CatalogBuffers, CatalogEdit, CatalogSnapshot, ModelRecord};
+    use crate::owner_map::OwnerMap;
+
+    /// What one model's record should be: its graph (an index into the
+    /// pool), quality, stamp and optimizer key count.
+    type Want = (usize, f64, u64, usize);
+
+    /// What the catalog should hold.
+    type Oracle = BTreeMap<ModelId, Want>;
+
+    /// Where the writer's spare comes from, as the model sees it.
+    #[derive(Clone, Copy)]
+    enum SpareIs {
+        /// The snapshot published as this version: a pin on it forces a
+        /// clone.
+        Published(u64),
+        /// A buffer no reader ever saw.
+        Private,
+        /// Dropped with a failed mutation's working copy.
+        Lost,
+    }
+
+    fn record(pool: &[CompactGraph], model: ModelId, want: Want) -> ModelRecord {
+        let (g, quality, stamp, keys) = want;
+        let graph = pool[g].clone();
+        let owner_map = OwnerMap::fresh(model, &graph);
+        ModelRecord {
+            optimizer_keys: (0..keys as u32)
+                .map(|slot| TensorKey::new(model, VertexId(u32::MAX), slot))
+                .collect(),
+            ..ModelRecord::new(graph, owner_map, None, quality, stamp)
+        }
+    }
+
+    /// `snap` holds exactly `oracle`, its index agrees with its records,
+    /// and every pool graph's best ancestor is the brute-force one.
+    fn assert_holds(snap: &CatalogSnapshot, oracle: &Oracle, pool: &[CompactGraph], what: &str) {
+        snap.verify_coherent()
+            .unwrap_or_else(|e| panic!("{what}: {e}"));
+        let held: Oracle = snap
+            .records()
+            .map(|(m, r)| {
+                let sig = r.graph.arch_signature();
+                let g = pool.iter().position(|p| p.arch_signature() == sig);
+                let g = g.expect("a pool graph");
+                (m, (g, r.quality, r.timestamp, r.optimizer_keys.len()))
+            })
+            .collect();
+        assert_eq!(&held, oracle, "{what}");
+        for probe in pool {
+            let brute = oracle
+                .iter()
+                .map(|(&m, &(g, q, _, _))| (lcp(probe, &pool[g]).len(), q, m))
+                .filter(|&(len, _, _)| len > 0)
+                .max_by(|a, b| {
+                    (a.0, a.1)
+                        .partial_cmp(&(b.0, b.1))
+                        .unwrap()
+                        .then(b.2.cmp(&a.2))
+                });
+            let (best, _) = snap.index().best_ancestor(probe);
+            assert_eq!(best.map(|c| c.model), brute.map(|b| b.2), "{what}");
+        }
+    }
+
+    /// Random insert / replace / remove batches, some failing after their
+    /// ops or before any, with readers pinning and dropping snapshots:
+    /// after every step the published snapshot and every pin hold what
+    /// they should, and a mutation clones the published catalog exactly
+    /// when its spare is pinned or was lost to a failure.
+    #[test]
+    fn publications_match_the_oracle_and_clone_only_for_a_pinned_spare() {
+        let pool: Vec<CompactGraph> = [&[4, 8, 2][..], &[4, 8, 2, 5], &[4, 8, 3], &[4, 9], &[5, 8]]
+            .iter()
+            .map(|units| seq(units))
+            .collect();
+        for seed in 0..6 {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let buffers = CatalogBuffers::new();
+            let mut oracle = Oracle::new();
+            let mut pins: Vec<(Arc<CatalogSnapshot>, Oracle)> = Vec::new();
+            let mut spare = SpareIs::Private;
+            let mut stamp = 0u64;
+            let (mut reused, mut cloned) = (0, 0);
+            for step in 0..400 {
+                let what = format!("seed {seed} step {step}");
+                if rng.random_bool(0.3) && pins.len() < 4 {
+                    pins.push((buffers.load(), oracle.clone()));
+                }
+                if rng.random_bool(0.3) && !pins.is_empty() {
+                    pins.swap_remove(rng.random_range(0..pins.len()));
+                }
+                let forced = match spare {
+                    SpareIs::Published(v) => pins.iter().any(|(p, _)| p.version() == v),
+                    SpareIs::Private => false,
+                    SpareIs::Lost => true,
+                };
+                let fails = rng.random_bool(0.15);
+                let ops = rng.random_range(0..4usize);
+                let mut next = oracle.clone();
+                // Ops that changed the working copy (a remove of an absent
+                // model changes nothing).
+                let mut applied = 0;
+                let clones = buffers.clones();
+                let version = buffers.load().version();
+                let out = buffers.mutate(
+                    |c: &mut CatalogEdit| {
+                        for _ in 0..ops {
+                            let model = ModelId(rng.random_range(0..12u64));
+                            match (rng.random_range(0..3u32), next.get(&model).copied()) {
+                                (1, Some((g, q, s, _))) => {
+                                    let want = (g, q, s, rng.random_range(1..4usize));
+                                    c.replace(model, record(&pool, model, want));
+                                    next.insert(model, want);
+                                    applied += 1;
+                                }
+                                (2, _) => {
+                                    let gone = c.remove(model).map(|r| r.timestamp);
+                                    assert_eq!(gone, next.remove(&model).map(|w| w.2));
+                                    applied += usize::from(gone.is_some());
+                                }
+                                _ => {
+                                    stamp += 1;
+                                    let g = rng.random_range(0..pool.len());
+                                    let q = f64::from(rng.random_range(0..4u32)) / 4.0;
+                                    c.insert(model, record(&pool, model, (g, q, stamp, 0)));
+                                    next.insert(model, (g, q, stamp, 0));
+                                    applied += 1;
+                                }
+                            }
+                        }
+                        if fails {
+                            return Err("refused".to_string());
+                        }
+                        Ok(())
+                    },
+                    |_, _| {},
+                );
+                let published = buffers.load();
+                assert_eq!(out.is_ok(), !fails, "{what}");
+                let published_as = version + u64::from(!fails);
+                assert_eq!(published.version(), published_as, "{what}");
+                spare = match (fails, applied) {
+                    (false, _) => SpareIs::Published(version),
+                    (true, 0) => SpareIs::Private,
+                    (true, _) => SpareIs::Lost,
+                };
+                if !fails {
+                    oracle = next;
+                }
+                let took = buffers.clones() - clones;
+                assert_eq!(took, u64::from(forced), "{what}: clones");
+                if forced {
+                    cloned += 1;
+                } else {
+                    reused += 1;
+                }
+                assert_holds(&published, &oracle, &pool, &what);
+                for (pin, held) in &pins {
+                    assert_holds(pin, held, &pool, &format!("{what}, pin v{}", pin.version()));
+                }
+            }
+            assert!(
+                reused > 100 && cloned > 10,
+                "seed {seed}: {reused} / {cloned}"
+            );
+            assert_eq!(buffers.clones(), cloned);
+        }
     }
 }

@@ -369,7 +369,7 @@ pub(super) mod tests {
 
         /// The parent's owner map, as the store's parent lookup reads it.
         fn parent_map(&self, state: &ProviderState) -> OwnerMap {
-            state.catalog.read().records[&self.parent].owner_map.clone()
+            state.local_record(self.parent).unwrap().owner_map.clone()
         }
 
         /// The parent's retirement as a client issues it: `RETIRE_META`,

@@ -75,7 +75,8 @@ impl ProviderState {
             chunk_dedup_hits: chunk.dedup_hits,
             chunk_logical_bytes: chunk.logical_bytes,
             chunk_physical_bytes: chunk.physical_bytes,
-            snapshot_publications: self.snapshot.swaps(),
+            snapshot_publications: self.catalog.publications(),
+            snapshot_clones: self.catalog.clones(),
             deliver: self.delivery.stats(),
             ..self.counters.snapshot()
         }

@@ -27,13 +27,16 @@
 //! 3. **Layer-kind bitset** — pattern scans skip buckets missing a
 //!    required layer kind ([`PatternFilter`]).
 //!
-//! The index is a plain immutable value with copy-on-write parts: buckets
-//! sit behind `Arc`s and the postings are a fixed array of `Arc`ed shards
+//! The index is a plain value with copy-on-write parts: buckets sit
+//! behind `Arc`s and the postings are a fixed array of `Arc`ed shards
 //! keyed by cone-hash bits, so `Clone` is pointer bumps and a mutation of
-//! a clone copies only the shards its architecture's cones fall in. An
-//! updated clone is published atomically (see
-//! [`crate::snapshot::SnapshotCell`]) while readers keep walking the
-//! previous version; the read path has no interior mutability at all.
+//! a clone copies only the shards its architecture's cones fall in. A
+//! writer changes its own copy and publishes it (see
+//! [`crate::snapshot::SnapshotCell`]) while readers keep walking the copy
+//! they pinned; the read path has no interior mutability at all. An
+//! architecture's cones are worked out once ([`ArchIndex::arch_of`]) and
+//! shared by every copy that posts them, so a writer applying one insert
+//! to two copies pays the cone pass once.
 
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
@@ -117,9 +120,12 @@ impl IndexCandidate {
     }
 }
 
-/// One distinct architecture and the models that share it.
-#[derive(Clone)]
-struct Bucket {
+/// One distinct architecture as the index posts it, worked out from a
+/// graph once ([`ArchIndex::arch_of`]; the cone pass is the costly part)
+/// and shared by every copy of the index that holds it, so an insert
+/// replayed into a second copy ([`ArchIndex::insert_arch`]) recomputes
+/// nothing.
+pub struct IndexedArch {
     /// Architecture signature (the key of `by_sig`).
     sig: ContentHash,
     /// Representative graph (all members are structurally identical).
@@ -128,6 +134,12 @@ struct Bucket {
     kind_bits: u64,
     /// Cone multiset of `graph`, as posted.
     cones: Vec<(Cone, u32)>,
+}
+
+/// One distinct architecture and the models that share it.
+#[derive(Clone)]
+struct Bucket {
+    arch: Arc<IndexedArch>,
     /// `(model, quality)` of every member, unordered.
     models: Vec<(ModelId, f64)>,
 }
@@ -156,7 +168,7 @@ impl Bucket {
     ) {
         stats.scanned += 1;
         stats.deduped += self.models.len() as u64 - 1;
-        let lcp = lcp(g, &self.graph);
+        let lcp = lcp(g, &self.arch.graph);
         if lcp.is_empty() {
             return;
         }
@@ -319,9 +331,33 @@ impl ArchIndex {
     /// Index `model`. Replaces any previous entry for the same id.
     /// `graph` must satisfy [`CompactGraph::validate`].
     pub fn insert(&mut self, model: ModelId, graph: Arc<CompactGraph>, quality: f64) {
-        self.remove(model);
+        let arch = self.arch_of(graph);
+        self.insert_arch(model, &arch, quality);
+    }
+
+    /// `graph`'s architecture as this index posts it: the bucket's own
+    /// when one holds its signature, else worked out (cones and kind
+    /// bits) here. `graph` must satisfy [`CompactGraph::validate`].
+    pub fn arch_of(&self, graph: Arc<CompactGraph>) -> Arc<IndexedArch> {
         let sig = graph.arch_signature();
-        let slot = match self.by_sig.get(&sig) {
+        if let Some(&slot) = self.by_sig.get(&sig) {
+            let bucket = self.buckets.get(slot).expect("by_sig names live buckets");
+            return Arc::clone(&bucket.arch);
+        }
+        Arc::new(IndexedArch {
+            sig,
+            kind_bits: prefilter::kind_bits(&graph),
+            cones: prefilter::cone_counts(&graph),
+            graph,
+        })
+    }
+
+    /// Index `model` under `arch` (from [`ArchIndex::arch_of`] on this
+    /// index or on a copy in the same state). Replaces any previous entry
+    /// for the same id.
+    pub fn insert_arch(&mut self, model: ModelId, arch: &Arc<IndexedArch>, quality: f64) {
+        self.remove(model);
+        let slot = match self.by_sig.get(&arch.sig) {
             Some(&slot) => {
                 let bucket = self.buckets.entry(slot).as_mut();
                 let bucket = bucket.expect("by_sig names live buckets");
@@ -330,20 +366,16 @@ impl ArchIndex {
             }
             None => {
                 let slot = self.buckets.vacant();
-                let cones = prefilter::cone_counts(&graph);
-                for &(cone, count) in &cones {
+                for &(cone, count) in &arch.cones {
                     let shard = Arc::make_mut(&mut self.postings[shard_of(cone)]);
                     let posting = Posting { cone, slot, count };
                     shard.insert(shard.partition_point(|p| *p < posting), posting);
                 }
                 *self.buckets.entry(slot) = Some(Arc::new(Bucket {
-                    sig,
-                    kind_bits: prefilter::kind_bits(&graph),
-                    graph,
-                    cones,
+                    arch: Arc::clone(arch),
                     models: vec![(model, quality)],
                 }));
-                self.by_sig.insert(sig, slot);
+                self.by_sig.insert(arch.sig, slot);
                 slot
             }
         };
@@ -365,8 +397,8 @@ impl ArchIndex {
         }
         let bucket = entry.take().expect("checked live above");
         self.buckets.free.push(slot);
-        self.by_sig.remove(&bucket.sig);
-        for &(cone, count) in &bucket.cones {
+        self.by_sig.remove(&bucket.arch.sig);
+        for &(cone, count) in &bucket.arch.cones {
             let shard = Arc::make_mut(&mut self.postings[shard_of(cone)]);
             let at = shard
                 .binary_search(&Posting { cone, slot, count })
@@ -465,14 +497,14 @@ impl ArchIndex {
         let pf = PatternFilter::new(pattern);
         let mut matches = Vec::new();
         for (_, bucket) in self.buckets.live() {
-            if use_prefilter && !pf.admits(bucket.kind_bits) {
+            if use_prefilter && !pf.admits(bucket.arch.kind_bits) {
                 stats.pruned += 1;
                 stats.prefiltered += 1;
                 continue;
             }
             stats.scanned += 1;
             stats.deduped += bucket.models.len() as u64 - 1;
-            if pattern.matches(&bucket.graph) {
+            if pattern.matches(&bucket.arch.graph) {
                 matches.extend(bucket.models.iter().copied());
             }
         }
@@ -494,7 +526,7 @@ impl ArchIndex {
         }
         let (mut members, mut posted_by_buckets) = (0, 0);
         for (slot, bucket) in self.buckets.live() {
-            if bucket.models.is_empty() || self.by_sig.get(&bucket.sig) != Some(&slot) {
+            if bucket.models.is_empty() || self.by_sig.get(&bucket.arch.sig) != Some(&slot) {
                 return Err(format!("bucket in slot {slot} is empty or mis-keyed"));
             }
             if bucket
@@ -504,7 +536,7 @@ impl ArchIndex {
             {
                 return Err(format!("a member of slot {slot} maps elsewhere"));
             }
-            for &(cone, count) in &bucket.cones {
+            for &(cone, count) in &bucket.arch.cones {
                 let shard = &self.postings[shard_of(cone)];
                 if shard.binary_search(&Posting { cone, slot, count }).is_err() {
                     return Err(format!(
@@ -513,7 +545,7 @@ impl ArchIndex {
                 }
             }
             members += bucket.models.len();
-            posted_by_buckets += bucket.cones.len();
+            posted_by_buckets += bucket.arch.cones.len();
         }
         if members != self.model_slot.len() {
             return Err(format!(

@@ -33,7 +33,7 @@ pub use arch::{ArchError, ArchNode, Architecture, NodeRef};
 pub use compact::{CompactGraph, CompactVertex};
 pub use flatten::flatten;
 pub use generator::{layered_model, CellGene, Genome, GenomeSpace, JoinKind, NormKind};
-pub use index::{ArchIndex, IndexCandidate, IndexQueryStats};
+pub use index::{ArchIndex, IndexCandidate, IndexQueryStats, IndexedArch};
 pub use layer::{Activation, LayerConfig, LayerKind, TensorSpec};
 pub use lcp::{best_ancestor, lcp, lcp_fixpoint, AsGraph, BestMatch, LcpResult};
 pub use pattern::{ArchPattern, LayerPattern};

@@ -4,7 +4,8 @@
 //! [`SnapshotCell<T>`] holds the current value behind a read-write lock
 //! taken only for the pointer itself: [`SnapshotCell::load`] clones the
 //! `Arc` under the read lock, [`SnapshotCell::store`] swaps it under the
-//! write lock and drops the predecessor after releasing it. Readers
+//! write lock and drops the predecessor after releasing it
+//! ([`SnapshotCell::swap`] hands it back instead). Readers
 //! therefore see either the old or the new value — never a partially
 //! applied state — and a swapped-out value lives exactly as long as the
 //! last reader that pinned it. (A hazard-slot cell with lock-free loads
@@ -40,9 +41,16 @@ impl<T: Send + Sync> SnapshotCell<T> {
     /// Publish `value` as the new current snapshot. The predecessor is
     /// dropped here unless a reader still pins it.
     pub fn store(&self, value: Arc<T>) {
+        drop(self.swap(value));
+    }
+
+    /// Publish `value` as the new current snapshot and hand back the
+    /// predecessor (after releasing the lock), for a writer that reuses
+    /// it rather than drop it.
+    pub fn swap(&self, value: Arc<T>) -> Arc<T> {
         let old = std::mem::replace(&mut *self.current.write(), value);
         self.swaps.fetch_add(1, Ordering::Relaxed);
-        drop(old);
+        old
     }
 
     /// Number of publications so far.
@@ -98,6 +106,17 @@ mod tests {
         assert_eq!(cell.swaps(), 1);
         drop(cell);
         assert_eq!(live.load(Ordering::SeqCst), 0, "all snapshots dropped");
+    }
+
+    #[test]
+    fn swap_hands_back_the_predecessor() {
+        let live = Arc::new(AtomicUsize::new(0));
+        let cell = SnapshotCell::new(Counted::new(1, &live));
+        let old = cell.swap(Counted::new(2, &live));
+        assert_eq!((old.a, cell.load().a, cell.swaps()), (1, 2, 1));
+        assert_eq!(Arc::strong_count(&old), 1, "the cell keeps no reference");
+        drop((old, cell));
+        assert_eq!(live.load(Ordering::SeqCst), 0);
     }
 
     #[test]
