@@ -23,7 +23,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use evostore_graph::{lcp, CompactGraph, LcpResult};
+use evostore_graph::{lcp, CompactGraph, LcpResult, Rank};
 use evostore_rpc::{Endpoint, EndpointId, Fabric, Method, RetryPolicy, RpcError};
 use evostore_tensor::{ContentHash, ModelId};
 use parking_lot::RwLock;
@@ -90,6 +90,15 @@ pub struct RedisLcpCandidate {
     pub lcp: LcpResult,
     /// Where its weights live on the PFS.
     pub weights_path: String,
+}
+
+/// Where `entry`, matched with prefix `r`, stands in the one order.
+fn rank(entry: &Entry, r: &LcpResult) -> Rank {
+    Rank {
+        len: r.len(),
+        quality: entry.quality,
+        model: entry.model,
+    }
 }
 
 /// Requests.
@@ -243,7 +252,8 @@ impl RedisState {
 
     /// The LCP query: reader lock across the full catalog iteration,
     /// JSON-decoding every published entry (the measured slowness), then
-    /// pinning the winner.
+    /// pinning the winner. Entries are ranked by EvoStore's one order
+    /// ([`evostore_graph::ancestor`]), so both name the same winner.
     pub fn query_lcp(&self, req: RedisLcpRequest) -> Result<RedisLcpReply, String> {
         self.queries_served.fetch_add(1, Ordering::Relaxed);
         let cat = self.catalog.read();
@@ -263,16 +273,10 @@ impl RedisState {
             if r.is_empty() {
                 continue;
             }
-            let better = match &best {
-                None => true,
-                Some((be, br)) => {
-                    r.len() > br.len()
-                        || (r.len() == br.len()
-                            && (entry.quality > be.quality
-                                || (entry.quality == be.quality && entry.model < be.model)))
-                }
-            };
-            if better {
+            if best
+                .as_ref()
+                .is_none_or(|(be, br)| rank(entry, &r).beats(rank(be, br)))
+            {
                 best = Some((entry, r));
             }
         }

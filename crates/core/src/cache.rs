@@ -23,8 +23,8 @@ use std::sync::Arc;
 use evostore_tensor::{ModelId, TensorData, TensorKey};
 use parking_lot::Mutex;
 
-use crate::client::{BestAncestor, EvoStoreClient, Result, RetireOutcome};
-use crate::messages::ModelMetaReply;
+use crate::client::{prefix_keys, EvoStoreClient, Result, RetireOutcome};
+use crate::messages::{LcpCandidate, ModelMetaReply};
 
 struct CacheEntry {
     tensor: TensorData,
@@ -228,17 +228,10 @@ impl CachingClient {
     /// [`EvoStoreClient::fetch_prefix`]).
     pub fn fetch_prefix(
         &self,
-        best: &BestAncestor,
+        best: &LcpCandidate,
     ) -> Result<(ModelMetaReply, HashMap<TensorKey, TensorData>)> {
         let meta = self.client.get_meta(best.model)?;
-        let mut keys = Vec::new();
-        for &gv in &best.lcp.prefix {
-            let av = best.lcp.match_in_ancestor[gv.0 as usize].ok_or_else(|| {
-                crate::client::EvoError::Protocol(format!("prefix vertex {gv} has no match"))
-            })?;
-            keys.extend(meta.owner_map.vertex(av).tensor_keys());
-        }
-        let tensors = self.fetch_tensors(&keys)?;
+        let tensors = self.fetch_tensors(&prefix_keys(best, &meta.owner_map)?)?;
         Ok((meta, tensors))
     }
 

@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use evostore_graph::{CompactGraph, LcpResult};
+use evostore_graph::{best_of, CompactGraph};
 use evostore_obs::ledger::install_costs;
 use evostore_obs::{
     current_trace, set_current_trace, FlightRecorder, MetricsSource, MonotonicClock, ObsHub,
@@ -223,17 +223,6 @@ impl<T> Settled<T> {
             (transient, permanent) => transient.or(permanent).map(|(_, e)| e),
         }
     }
-}
-
-/// The best transfer-learning ancestor found by an LCP query.
-#[derive(Debug, Clone)]
-pub struct BestAncestor {
-    /// The ancestor model.
-    pub model: ModelId,
-    /// Its quality metric.
-    pub quality: f64,
-    /// LCP of the queried graph against it.
-    pub lcp: LcpResult,
 }
 
 /// Outcome of a store.
@@ -976,7 +965,7 @@ impl EvoStoreClient {
     pub fn query_best_ancestor(
         &self,
         graph: &CompactGraph,
-    ) -> Result<Degraded<Option<BestAncestor>>> {
+    ) -> Result<Degraded<Option<LcpCandidate>>> {
         let Degraded { value, unreachable } =
             self.query_best_ancestors(std::slice::from_ref(graph))?;
         Ok(Degraded {
@@ -999,7 +988,7 @@ impl EvoStoreClient {
     pub fn query_best_ancestors(
         &self,
         graphs: &[CompactGraph],
-    ) -> Result<Degraded<Vec<Option<BestAncestor>>>> {
+    ) -> Result<Degraded<Vec<Option<LcpCandidate>>>> {
         if graphs.is_empty() {
             return Ok(Degraded {
                 value: Vec::new(),
@@ -1028,21 +1017,9 @@ impl EvoStoreClient {
                         self.telemetry.note_index_stats(r.stats);
                     }
                 }
+                let mut legs: Vec<_> = replies.into_iter().map(|l| l.replies.into_iter()).collect();
                 let value = (0..graphs.len())
-                    .map(|i| {
-                        replies
-                            .iter()
-                            .filter_map(|leg| leg.replies[i].best.clone())
-                            .fold(None::<LcpCandidate>, |acc, b| match acc {
-                                None => Some(b),
-                                Some(a) => Some(better_candidate(a, b)),
-                            })
-                            .map(|c| BestAncestor {
-                                model: c.model,
-                                quality: c.quality,
-                                lcp: c.lcp,
-                            })
-                    })
+                    .map(|_| best_of(legs.iter_mut().filter_map(|leg| leg.next()?.best)))
                     .collect();
                 Ok(Degraded { value, unreachable })
             },
@@ -1139,27 +1116,10 @@ impl EvoStoreClient {
     /// keyed by their owner-map keys.
     pub fn fetch_prefix(
         &self,
-        best: &BestAncestor,
+        best: &LcpCandidate,
     ) -> Result<(ModelMetaReply, HashMap<TensorKey, TensorData>)> {
         let meta = self.get_meta(best.model)?;
-        let mut keys = Vec::new();
-        for &gv in &best.lcp.prefix {
-            let av = best.lcp.match_in_ancestor[gv.0 as usize].ok_or_else(|| {
-                EvoError::Protocol(format!("prefix vertex {gv} has no ancestor match"))
-            })?;
-            // A stale LCP (computed against a different architecture than
-            // the one actually stored) must surface as an error, never a
-            // panic.
-            if av.0 as usize >= meta.owner_map.len() {
-                return Err(EvoError::Protocol(format!(
-                    "LCP match {av} out of bounds for ancestor {} ({} vertices) — stale query?",
-                    best.model,
-                    meta.owner_map.len()
-                )));
-            }
-            keys.extend(meta.owner_map.vertex(av).tensor_keys());
-        }
-        let tensors = self.fetch_tensors(&keys)?;
+        let tensors = self.fetch_tensors(&prefix_keys(best, &meta.owner_map)?)?;
         Ok((meta, tensors))
     }
 
@@ -1546,18 +1506,39 @@ impl Drop for EvoStoreClient {
     }
 }
 
-/// The better of two provider-reported LCP candidates: longest prefix;
-/// higher quality, then lower model id, break ties — the one global
-/// ordering of the cross-provider reduce.
-fn better_candidate(a: LcpCandidate, b: LcpCandidate) -> LcpCandidate {
-    let better = b.lcp.len() > a.lcp.len()
-        || (b.lcp.len() == a.lcp.len()
-            && (b.quality > a.quality || (b.quality == a.quality && b.model < a.model)));
-    if better {
-        b
-    } else {
-        a
+/// The ancestor's tensor keys under `best`'s prefix (the transfer step of
+/// both [`EvoStoreClient::fetch_prefix`] and the caching client's). The
+/// candidate comes off the wire or from the caller and may not fit the
+/// ancestor as stored (a stale query, a forged candidate): a prefix vertex
+/// past the match table or without a match, or a match past the
+/// ancestor's owner map, is a protocol error, never a panic.
+pub(crate) fn prefix_keys(best: &LcpCandidate, owner_map: &OwnerMap) -> Result<Vec<TensorKey>> {
+    let mut keys = Vec::new();
+    for &gv in &best.lcp.prefix {
+        let av = match best.lcp.match_in_ancestor.get(gv.0 as usize) {
+            Some(&Some(av)) => av,
+            Some(None) => {
+                return Err(EvoError::Protocol(format!(
+                    "prefix vertex {gv} has no ancestor match"
+                )))
+            }
+            None => {
+                return Err(EvoError::Protocol(format!(
+                    "prefix vertex {gv} is past the match table ({} vertices)",
+                    best.lcp.match_in_ancestor.len()
+                )))
+            }
+        };
+        if av.0 as usize >= owner_map.len() {
+            return Err(EvoError::Protocol(format!(
+                "LCP match {av} out of bounds for ancestor {} ({} vertices) — stale query?",
+                best.model,
+                owner_map.len()
+            )));
+        }
+        keys.extend(owner_map.vertex(av).tensor_keys());
     }
+    Ok(keys)
 }
 
 /// Dedup pattern matches by model (replicas answer for the same

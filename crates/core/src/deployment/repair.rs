@@ -294,11 +294,7 @@ impl<'a> Census<'a> {
             Mode::Converge => {
                 for t in digests.iter().flat_map(|d| &d.tombstones) {
                     let newest = tombstones.entry(t.model).or_insert(*t);
-                    if (t.record_timestamp, t.retired_at)
-                        > (newest.record_timestamp, newest.retired_at)
-                    {
-                        *newest = *t;
-                    }
+                    *newest = newest.newer(*t);
                 }
                 records.retain(|model, live| {
                     let retired = tombstones.get(model);

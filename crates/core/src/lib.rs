@@ -38,8 +38,8 @@ pub mod watch;
 
 pub use cache::{CachingClient, TensorCache};
 pub use client::{
-    random_tensors, BestAncestor, Degraded, EvoError, EvoStoreClient, EvoStoreClientBuilder,
-    LoadedModel, RetireOutcome, StoreOutcome, TelemetryLevel,
+    random_tensors, Degraded, EvoError, EvoStoreClient, EvoStoreClientBuilder, LoadedModel,
+    RetireOutcome, StoreOutcome, TelemetryLevel,
 };
 pub use delivery::{CatalogChange, DeliveryHub};
 pub use deployment::{BackendKind, Deployment, DeploymentConfig, FABRIC_FLIGHT_EVENTS};

@@ -5,7 +5,10 @@
 //! manifest, and the payload moves through one consolidated one-sided
 //! transfer (the owner-based consolidation of §4.1).
 
-use evostore_graph::{CompactGraph, IndexQueryStats, LcpResult};
+/// A candidate ancestor found by a provider: the graph crate's one
+/// candidate type, ranked by its one order.
+pub use evostore_graph::LcpCandidate;
+use evostore_graph::{CompactGraph, IndexQueryStats};
 use evostore_kv::MetricsSnapshot;
 use evostore_obs::counter_set;
 pub use evostore_tensor::ManifestEntry;
@@ -202,17 +205,6 @@ pub struct LcpQueryReply {
     pub scanned: usize,
     /// How the index served this query (dedup/pruning breakdown).
     pub stats: IndexQueryStats,
-}
-
-/// A candidate ancestor found by a provider.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct LcpCandidate {
-    /// The ancestor model.
-    pub model: ModelId,
-    /// Its quality metric (tie-break).
-    pub quality: f64,
-    /// The LCP of the queried graph against this ancestor.
-    pub lcp: LcpResult,
 }
 
 /// Batched LCP queries: N candidate graphs in one envelope. The provider

@@ -13,7 +13,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use evostore_graph::{lcp, ArchPattern, CompactGraph, IndexQueryStats};
+use evostore_graph::{scan_lcp, scan_pattern, ArchPattern, CompactGraph, IndexQueryStats};
 use evostore_tensor::{rope, ModelId, TensorKey};
 use rayon::prelude::*;
 
@@ -182,7 +182,7 @@ impl ProviderState {
         let rec = self.take_record(t.model, |r| r.timestamp <= t.record_timestamp)?;
         let mut tombs = self.tombstones.lock();
         let entry = tombs.entry(t.model).or_insert(t);
-        *entry = std::cmp::max_by_key(*entry, t, |x| (x.record_timestamp, x.retired_at));
+        *entry = entry.newer(t);
         Ok(rec)
     }
 
@@ -422,59 +422,23 @@ impl ProviderState {
     }
 
     /// Answer one LCP query against a pinned snapshot with the best match
-    /// (longest prefix; quality breaks ties; lower model id breaks exact
-    /// ties deterministically); the caller accumulates stats.
+    /// under the one order of [`evostore_graph::ancestor`]; the caller
+    /// accumulates stats.
     ///
     /// The default path consults the [`evostore_graph::ArchIndex`]: one `lcp()` per
     /// distinct architecture whose cone bound can still reach the best
     /// length so far. The unindexed path (Fig 5's baseline,
-    /// [`ProviderState::set_index_enabled`]) scans every stored model in
-    /// parallel; both return identical candidates.
+    /// [`ProviderState::set_index_enabled`]) is the full scan over every
+    /// stored model; both return identical candidates.
     fn lcp_reply_on(&self, snap: &CatalogSnapshot, g: &CompactGraph) -> LcpQueryReply {
-        if self.index_enabled.load(Ordering::Relaxed) {
-            let (best, stats) = snap.index.best_ancestor(g);
-            return LcpQueryReply {
-                best: best.map(|c| LcpCandidate {
-                    model: c.model,
-                    quality: c.quality,
-                    lcp: c.lcp,
-                }),
-                scanned: stats.scanned as usize,
-                stats,
-            };
-        }
-
-        let candidates: Vec<(ModelId, Arc<CompactGraph>, f64)> = snap
-            .records()
-            .map(|(id, rec)| (id, Arc::clone(&rec.graph), rec.quality))
-            .collect();
-        let scanned = candidates.len();
-        let best = candidates
-            .into_par_iter()
-            .map(|(model, graph, quality)| {
-                let r = lcp(g, &graph);
-                (model, quality, r)
-            })
-            .filter(|(_, _, r)| !r.is_empty())
-            .max_by(|(ma, qa, ra), (mb, qb, rb)| {
-                ra.len()
-                    .cmp(&rb.len())
-                    .then(qa.partial_cmp(qb).unwrap_or(std::cmp::Ordering::Equal))
-                    .then(mb.cmp(ma)) // lower id wins => treat lower as greater
-            })
-            .map(|(model, quality, lcp)| LcpCandidate {
-                model,
-                quality,
-                lcp,
-            });
-        let stats = IndexQueryStats {
-            candidates: scanned as u64,
-            scanned: scanned as u64,
-            ..IndexQueryStats::default()
+        let (best, stats) = if self.index_enabled.load(Ordering::Relaxed) {
+            snap.index.best_ancestor(g)
+        } else {
+            (scan_lcp(g, members(snap)), full_scan(snap))
         };
         LcpQueryReply {
             best,
-            scanned,
+            scanned: stats.scanned as usize,
             stats,
         }
     }
@@ -526,36 +490,16 @@ impl ProviderState {
     /// accumulates stats. Patterns are architecture-only predicates, so
     /// the indexed path evaluates each *distinct* architecture once and
     /// fans the verdict out to every model in its bucket; the unindexed
-    /// path tests every record in parallel.
+    /// path is the full scan over every record.
     fn pattern_reply_on(&self, snap: &CatalogSnapshot, pattern: &ArchPattern) -> PatternQueryReply {
-        if self.index_enabled.load(Ordering::Relaxed) {
-            let (matches, stats) = snap.index.match_pattern(pattern);
-            return PatternQueryReply {
-                matches,
-                scanned: stats.scanned as usize,
-                stats,
-            };
-        }
-
-        let candidates: Vec<(ModelId, Arc<CompactGraph>, f64)> = snap
-            .records()
-            .map(|(id, rec)| (id, Arc::clone(&rec.graph), rec.quality))
-            .collect();
-        let scanned = candidates.len();
-        let mut matches: Vec<(ModelId, f64)> = candidates
-            .into_par_iter()
-            .filter(|(_, g, _)| pattern.matches(g))
-            .map(|(id, _, q)| (id, q))
-            .collect();
-        matches.sort_by_key(|a| a.0);
-        let stats = IndexQueryStats {
-            candidates: scanned as u64,
-            scanned: scanned as u64,
-            ..IndexQueryStats::default()
+        let (matches, stats) = if self.index_enabled.load(Ordering::Relaxed) {
+            snap.index.match_pattern(pattern)
+        } else {
+            (scan_pattern(pattern, members(snap)), full_scan(snap))
         };
         PatternQueryReply {
             matches,
-            scanned,
+            scanned: stats.scanned as usize,
             stats,
         }
     }
@@ -594,6 +538,22 @@ impl ProviderState {
         let owner_map = OwnerMap::fresh(model, &graph);
         let record = ModelRecord::new(graph, owner_map, None, quality, 0);
         self.install_record(model, record, Origin::Fresh).map(drop)
+    }
+}
+
+/// Every `(model, graph, quality)` of a snapshot: what the full scans walk.
+fn members(snap: &CatalogSnapshot) -> impl Iterator<Item = (ModelId, &CompactGraph, f64)> {
+    snap.records()
+        .map(|(id, rec)| (id, &*rec.graph, rec.quality))
+}
+
+/// A full scan's counters: every record is a candidate and is scanned.
+fn full_scan(snap: &CatalogSnapshot) -> IndexQueryStats {
+    let n = snap.len() as u64;
+    IndexQueryStats {
+        candidates: n,
+        scanned: n,
+        ..IndexQueryStats::default()
     }
 }
 

@@ -16,6 +16,8 @@
 
 use evostore_tensor::ModelId;
 
+use crate::messages::Tombstone;
+
 /// How many copies of every model (metadata + self-owned tensors) the
 /// deployment keeps, and on which providers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,6 +93,16 @@ impl ReplicationPolicy {
 /// install all order copies by it.
 pub(crate) fn incarnation<T>(timestamp: u64, optimizer_keys: &[T]) -> (u64, usize) {
     (timestamp, optimizer_keys.len())
+}
+
+impl Tombstone {
+    /// The newer of two tombstones of one model: the one with the greater
+    /// `(record_timestamp, retired_at)` — it retires a later incarnation,
+    /// or the same one later. A provider's witness list and the census
+    /// both keep the newer.
+    pub(crate) fn newer(self, other: Tombstone) -> Tombstone {
+        std::cmp::max_by_key(self, other, |t| (t.record_timestamp, t.retired_at))
+    }
 }
 
 #[cfg(test)]

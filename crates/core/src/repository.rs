@@ -7,12 +7,12 @@
 
 use std::collections::HashMap;
 
-use evostore_graph::{CompactGraph, LcpResult};
+use evostore_graph::{CompactGraph, LcpCandidate, LcpResult};
 use evostore_tensor::{ModelId, TensorData, TensorKey, VertexId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::client::{BestAncestor, EvoStoreClient};
+use crate::client::EvoStoreClient;
 use crate::owner_map::OwnerMap;
 
 /// A transfer source selected by a best-ancestor query.
@@ -144,7 +144,7 @@ impl ModelRepository for EvoStoreClient {
     }
 
     fn fetch_transfer(&self, _graph: &CompactGraph, src: &TransferSource) -> Option<FetchOutcome> {
-        let best = BestAncestor {
+        let best = LcpCandidate {
             model: src.ancestor,
             quality: src.quality,
             lcp: src.lcp.clone(),

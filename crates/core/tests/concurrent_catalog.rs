@@ -9,8 +9,8 @@ use std::sync::{Arc, Barrier};
 
 use evostore_core::messages::RetireMetaRequest;
 use evostore_core::provider::ProviderState;
-use evostore_core::{BestAncestor, Deployment};
-use evostore_graph::{flatten, ArchPattern, CompactGraph, GenomeSpace, LayerPattern};
+use evostore_core::Deployment;
+use evostore_graph::{flatten, ArchPattern, CompactGraph, GenomeSpace, LayerPattern, LcpCandidate};
 use evostore_tensor::ModelId;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -124,7 +124,7 @@ fn snapshots_stay_coherent_under_churn() {
     assert_eq!(snap.len(), graphs.len() + 2);
 }
 
-fn norm_best(b: Option<BestAncestor>) -> Option<(ModelId, u64, usize)> {
+fn norm_best(b: Option<LcpCandidate>) -> Option<(ModelId, u64, usize)> {
     b.map(|b| (b.model, b.quality.to_bits(), b.lcp.len()))
 }
 

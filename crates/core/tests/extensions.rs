@@ -425,3 +425,51 @@ fn caching_client_serves_repeated_transfers_locally() {
     assert!(caching.cache().is_empty());
     dep.gc_audit().unwrap();
 }
+
+/// A candidate off the wire may not fit the ancestor as stored. Each way
+/// it can miss — a prefix vertex past the match table, a prefix vertex
+/// with no match, a match past the ancestor's owner map — is a protocol
+/// error from both clients' `fetch_prefix`, never a panic.
+#[test]
+fn a_candidate_that_misses_its_ancestor_is_a_protocol_error_in_both_clients() {
+    use evostore_core::{CachingClient, EvoError};
+    use evostore_graph::{LcpCandidate, LcpResult};
+
+    let dep = Deployment::in_memory(2);
+    let client = dep.client();
+    let caching = CachingClient::new(dep.client(), 64 << 20);
+    let mut rng = ChaCha8Rng::seed_from_u64(8);
+    let ancestor = seq(&[8, 16, 16, 4]);
+    client
+        .store_fresh(ModelId(1), &ancestor, 0.9, &mut rng)
+        .unwrap();
+    let candidate = |prefix: &[u32], matches: &[Option<u32>]| LcpCandidate {
+        model: ModelId(1),
+        quality: 0.9,
+        lcp: LcpResult {
+            prefix: prefix.iter().map(|&v| VertexId(v)).collect(),
+            match_in_ancestor: matches.iter().map(|m| m.map(VertexId)).collect(),
+        },
+    };
+    let cases = [
+        ("past the match table", candidate(&[0, 5], &[Some(0)])),
+        ("no match", candidate(&[0, 1], &[Some(0), None])),
+        (
+            "past the owner map",
+            candidate(&[0], &[Some(ancestor.len() as u32)]),
+        ),
+    ];
+    for (what, best) in &cases {
+        let plain = client.fetch_prefix(best).map(drop);
+        let cached = caching.fetch_prefix(best).map(drop);
+        for (who, got) in [("client", plain), ("caching client", cached)] {
+            assert!(
+                matches!(got, Err(EvoError::Protocol(_))),
+                "{who}, {what}: {got:?}"
+            );
+        }
+    }
+    // A candidate that fits still transfers.
+    let fits = candidate(&[0, 1], &[Some(0), Some(1)]);
+    assert!(!caching.fetch_prefix(&fits).unwrap().1.is_empty());
+}

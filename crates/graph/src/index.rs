@@ -8,8 +8,8 @@
 //!    [`CompactGraph::arch_signature`]. The LCP depends only on vertex
 //!    signatures and the edge relation — exactly what the architecture
 //!    signature hashes — so `lcp()` runs at most once per *distinct*
-//!    architecture; the best `(quality, model id)` inside the winning
-//!    bucket is selected in O(bucket).
+//!    architecture; the best member inside the winning bucket is
+//!    selected in O(bucket), by the order of [`crate::ancestor`].
 //! 2. **Cone postings** — every distinct architecture is posted under the
 //!    cone hash of each of its vertices (see [`crate::prefilter`]):
 //!    `cone → [(bucket, multiplicity)]`. A query hashes its own cones,
@@ -44,8 +44,9 @@ use std::sync::Arc;
 use evostore_tensor::{ContentHash, ModelId};
 use serde::{Deserialize, Serialize};
 
+use crate::ancestor::{LcpCandidate, Rank};
 use crate::compact::CompactGraph;
-use crate::lcp::{lcp, LcpResult};
+use crate::lcp::lcp;
 use crate::pattern::ArchPattern;
 use crate::prefilter::{self, Cone, PatternFilter};
 
@@ -99,27 +100,6 @@ impl IndexQueryStats {
     }
 }
 
-/// The best ancestor found by an indexed scan.
-#[derive(Debug, Clone)]
-pub struct IndexCandidate {
-    /// The winning model.
-    pub model: ModelId,
-    /// Its quality metric.
-    pub quality: f64,
-    /// The LCP of the query graph against the winner's architecture.
-    pub lcp: LcpResult,
-}
-
-impl IndexCandidate {
-    /// Does `(len, quality, model)` beat this candidate under the scan
-    /// order: longer prefix, then higher quality, then lower model id?
-    fn loses_to(&self, len: usize, quality: f64, model: ModelId) -> bool {
-        len > self.lcp.len()
-            || (len == self.lcp.len()
-                && (quality > self.quality || (quality == self.quality && model < self.model)))
-    }
-}
-
 /// One distinct architecture as the index posts it, worked out from a
 /// graph once ([`ArchIndex::arch_of`]; the cone pass is the costly part)
 /// and shared by every copy of the index that holds it, so an insert
@@ -145,17 +125,16 @@ struct Bucket {
 }
 
 impl Bucket {
-    /// Best member under the scan tie-break: highest quality, then
-    /// lowest model id.
-    fn best_member(&self) -> (ModelId, f64) {
-        let mut it = self.models.iter();
-        let mut best = *it.next().expect("buckets are never empty");
-        for &(m, q) in it {
-            if q > best.1 || (q == best.1 && m < best.0) {
-                best = (m, q);
-            }
-        }
-        best
+    /// The best member, ranked at prefix length `len`: every member
+    /// shares the architecture, so only quality and id set them apart.
+    fn best_member(&self, len: usize) -> Rank {
+        let mut members = self.models.iter().map(|&(model, quality)| Rank {
+            len,
+            quality,
+            model,
+        });
+        let first = members.next().expect("buckets are never empty");
+        members.fold(first, |best, m| if m.beats(best) { m } else { best })
     }
 
     /// Run Algorithm 1 against this architecture and fold the outcome
@@ -163,7 +142,7 @@ impl Bucket {
     fn evaluate(
         &self,
         g: &CompactGraph,
-        best: &mut Option<IndexCandidate>,
+        best: &mut Option<LcpCandidate>,
         stats: &mut IndexQueryStats,
     ) {
         stats.scanned += 1;
@@ -172,14 +151,11 @@ impl Bucket {
         if lcp.is_empty() {
             return;
         }
-        let (model, quality) = self.best_member();
-        if best
-            .as_ref()
-            .is_none_or(|b| b.loses_to(lcp.len(), quality, model))
-        {
-            *best = Some(IndexCandidate {
-                model,
-                quality,
+        let top = self.best_member(lcp.len());
+        if best.as_ref().is_none_or(|b| top.beats(b.rank())) {
+            *best = Some(LcpCandidate {
+                model: top.model,
+                quality: top.quality,
                 lcp,
             });
         }
@@ -408,11 +384,10 @@ impl ArchIndex {
         true
     }
 
-    /// Best ancestor of `g` over the indexed catalog: longest LCP, ties
-    /// broken by higher quality, then lower model id — byte-identical to
-    /// the brute-force scan over every member. `g` must satisfy
-    /// [`CompactGraph::validate`].
-    pub fn best_ancestor(&self, g: &CompactGraph) -> (Option<IndexCandidate>, IndexQueryStats) {
+    /// Best ancestor of `g` over the indexed catalog under the order of
+    /// [`crate::ancestor`] — byte-identical to [`crate::scan_lcp`] over
+    /// every member. `g` must satisfy [`CompactGraph::validate`].
+    pub fn best_ancestor(&self, g: &CompactGraph) -> (Option<LcpCandidate>, IndexQueryStats) {
         let mut stats = IndexQueryStats {
             candidates: self.len() as u64,
             ..IndexQueryStats::default()
@@ -435,7 +410,7 @@ impl ArchIndex {
             .iter()
             .map(|p| (bound[p.slot as usize], p.slot))
             .collect();
-        let mut best: Option<IndexCandidate> = None;
+        let mut best: Option<LcpCandidate> = None;
         while let Some((bound, slot)) = queue.pop() {
             let bucket = self.buckets.get(slot).expect("postings name live buckets");
             if let Some(b) = &best {
@@ -444,8 +419,7 @@ impl ArchIndex {
                 }
                 // At `bound == best_len` it can at most tie on length,
                 // so it is worth an `lcp()` only if it would win the tie.
-                let (model, quality) = bucket.best_member();
-                if !b.loses_to(bound as usize, quality, model) {
+                if !bucket.best_member(bound as usize).beats(b.rank()) {
                     continue;
                 }
             }
@@ -456,40 +430,12 @@ impl ArchIndex {
         (best, stats)
     }
 
-    /// The exhaustive walk: Algorithm 1 against every distinct
-    /// architecture, no bound consulted. The reference the unit tests
-    /// hold [`ArchIndex::best_ancestor`] to.
-    #[cfg(test)]
-    fn best_ancestor_exhaustive(
-        &self,
-        g: &CompactGraph,
-    ) -> (Option<IndexCandidate>, IndexQueryStats) {
-        let mut stats = IndexQueryStats {
-            candidates: self.len() as u64,
-            ..IndexQueryStats::default()
-        };
-        let mut best = None;
-        for (_, bucket) in self.buckets.live() {
-            bucket.evaluate(g, &mut best, &mut stats);
-        }
-        (best, stats)
-    }
-
     /// Every `(model, quality)` whose architecture matches `pattern`,
-    /// sorted by model id. The pattern is evaluated once per distinct
-    /// architecture (patterns are architecture-only predicates, so
-    /// signature dedup applies verbatim). Prefilters enabled.
+    /// sorted by model id — [`crate::scan_pattern`]'s answer. The pattern
+    /// is evaluated once per distinct architecture (patterns are
+    /// architecture-only predicates, so signature dedup applies
+    /// verbatim), after the layer-kind bitset prefilter.
     pub fn match_pattern(&self, pattern: &ArchPattern) -> (Vec<(ModelId, f64)>, IndexQueryStats) {
-        self.match_pattern_with(pattern, true)
-    }
-
-    /// [`ArchIndex::match_pattern`] with the layer-kind bitset prefilter
-    /// toggleable (`false` is the unit tests' reference walk).
-    pub(crate) fn match_pattern_with(
-        &self,
-        pattern: &ArchPattern,
-        use_prefilter: bool,
-    ) -> (Vec<(ModelId, f64)>, IndexQueryStats) {
         let mut stats = IndexQueryStats {
             candidates: self.len() as u64,
             ..IndexQueryStats::default()
@@ -497,7 +443,7 @@ impl ArchIndex {
         let pf = PatternFilter::new(pattern);
         let mut matches = Vec::new();
         for (_, bucket) in self.buckets.live() {
-            if use_prefilter && !pf.admits(bucket.arch.kind_bits) {
+            if !pf.admits(bucket.arch.kind_bits) {
                 stats.pruned += 1;
                 stats.prefiltered += 1;
                 continue;
@@ -576,6 +522,7 @@ impl ArchIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ancestor::{scan_lcp, scan_pattern};
     use crate::arch::Architecture;
     use crate::flatten::flatten;
     use crate::generator::GenomeSpace;
@@ -607,15 +554,20 @@ mod tests {
         flatten(&a).unwrap()
     }
 
-    /// The indexed answer must be the exhaustive walk's: same winner,
-    /// same quality, same `LcpResult`.
+    /// Every indexed `(model, graph, quality)`, for the full scans.
+    fn members(index: &ArchIndex) -> impl Iterator<Item = (ModelId, &CompactGraph, f64)> {
+        let buckets = index.buckets.live().map(|(_, bucket)| bucket);
+        buckets.flat_map(|b| b.models.iter().map(|&(m, q)| (m, &*b.arch.graph, q)))
+    }
+
+    /// The indexed answer must be the full scan's over every member: same
+    /// winner, same quality, same `LcpResult`.
     fn check_equiv(index: &ArchIndex, g: &CompactGraph) -> IndexQueryStats {
         let (got, stats) = index.best_ancestor(g);
-        let (want, walked) = index.best_ancestor_exhaustive(g);
-        assert_eq!(walked.scanned, index.distinct_architectures() as u64);
+        let want = scan_lcp(g, members(index));
         assert_eq!(
             stats.scanned + stats.pruned,
-            walked.scanned,
+            index.distinct_architectures() as u64,
             "every distinct arch accounted for: {stats:?}"
         );
         assert!(stats.prefiltered <= stats.pruned);
@@ -627,7 +579,7 @@ mod tests {
                 assert_eq!(c.lcp, w.lcp);
             }
             (got, want) => panic!(
-                "index/exhaustive mismatch: index={:?} exhaustive={:?}",
+                "index/scan mismatch: index={:?} scan={:?}",
                 got.map(|c| c.model),
                 want.map(|w| w.model)
             ),
@@ -943,6 +895,7 @@ mod tests {
             matches.iter().map(|&(m, _)| m).collect::<Vec<_>>(),
             vec![ModelId(3), ModelId(9)]
         );
+        assert_eq!(matches, scan_pattern(&pattern, members(&ix)));
         assert_eq!(stats.scanned, 2); // two distinct architectures
         assert_eq!(stats.deduped, 1);
     }
@@ -960,11 +913,8 @@ mod tests {
         assert_eq!(stats.scanned, 0);
         assert_eq!(stats.prefiltered, 1);
         assert_eq!(stats.pruned, 1);
-        // Same answer with the prefilter off, paying the evaluation.
-        let (matches_off, stats_off) = ix.match_pattern_with(&pattern, false);
-        assert!(matches_off.is_empty());
-        assert_eq!(stats_off.scanned, 1);
-        assert_eq!(stats_off.prefiltered, 0);
+        // The full scan, which evaluates every member, agrees.
+        assert!(scan_pattern(&pattern, members(&ix)).is_empty());
     }
 
     #[test]

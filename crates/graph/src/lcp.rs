@@ -222,65 +222,6 @@ pub fn lcp_fixpoint(g: &CompactGraph, a: &CompactGraph) -> LcpResult {
     result
 }
 
-/// Outcome of scanning a set of ancestors for the best transfer source.
-#[derive(Debug, Clone)]
-pub struct BestMatch<K> {
-    /// Caller-supplied key of the winning ancestor.
-    pub key: K,
-    /// The LCP against that ancestor.
-    pub result: LcpResult,
-    /// Tie-break score of the winner (higher wins on equal prefix length —
-    /// the paper prefers the ancestor "with the highest quality metrics").
-    pub score: f64,
-}
-
-/// Scan `ancestors` and return the one with the longest LCP against `g`,
-/// breaking prefix-length ties by the higher `score`. Returns `None` when
-/// no ancestor matches at all (empty prefixes everywhere).
-pub fn best_ancestor<K, I>(g: &CompactGraph, ancestors: I) -> Option<BestMatch<K>>
-where
-    I: IntoIterator<Item = (K, f64)>,
-    K: AsGraph,
-{
-    let mut best: Option<BestMatch<K>> = None;
-    for (key, score) in ancestors {
-        let r = lcp(g, key.graph());
-        if r.is_empty() {
-            continue;
-        }
-        let better = match &best {
-            None => true,
-            Some(b) => r.len() > b.result.len() || (r.len() == b.result.len() && score > b.score),
-        };
-        if better {
-            best = Some(BestMatch {
-                key,
-                result: r,
-                score,
-            });
-        }
-    }
-    best
-}
-
-/// Anything that can lend a compact graph to [`best_ancestor`].
-pub trait AsGraph {
-    /// Borrow the graph.
-    fn graph(&self) -> &CompactGraph;
-}
-
-impl AsGraph for &CompactGraph {
-    fn graph(&self) -> &CompactGraph {
-        self
-    }
-}
-
-impl AsGraph for std::sync::Arc<CompactGraph> {
-    fn graph(&self) -> &CompactGraph {
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -484,27 +425,6 @@ mod tests {
         let r = lcp(&g, &a);
         // input, l2, l3 match; l4 differs.
         assert_eq!(r.len(), 3);
-    }
-
-    #[test]
-    fn best_ancestor_picks_longest_then_score() {
-        let g = seq(&[4, 8, 8, 2]);
-        let a_short = seq(&[4, 8, 9, 2]); // LCP 2
-        let a_long = seq(&[4, 8, 8, 3]); // LCP 3
-        let a_long2 = seq(&[4, 8, 8, 5]); // LCP 3, higher score
-
-        let got =
-            best_ancestor(&g, vec![(&a_short, 0.9), (&a_long, 0.5), (&a_long2, 0.8)]).unwrap();
-        assert_eq!(got.result.len(), 3);
-        assert!((got.score - 0.8).abs() < 1e-9);
-        assert!(std::ptr::eq(got.key, &a_long2));
-    }
-
-    #[test]
-    fn best_ancestor_none_when_nothing_matches() {
-        let g = seq(&[4, 8]);
-        let a = seq(&[5, 8]);
-        assert!(best_ancestor(&g, vec![(&a, 1.0)]).is_none());
     }
 
     #[test]

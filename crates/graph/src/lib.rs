@@ -8,7 +8,8 @@
 //!   single hierarchy of leaf layers with unique vertex ids that providers
 //!   store and query;
 //! * the longest-common-prefix query ([`lcp::lcp`], the paper's
-//!   Algorithm 1) and the best-ancestor scan built on it;
+//!   Algorithm 1) and the one best-ancestor rule built on it
+//!   ([`ancestor`]: the candidate type, its order and the full scans);
 //! * architecture generators for micro-benchmarks and NAS search spaces
 //!   ([`generator`]);
 //! * what the provider's snapshot-isolated catalog is built from: the ancestor
@@ -17,6 +18,7 @@
 //!   snapshots ([`snapshot`]).
 
 pub mod analysis;
+pub mod ancestor;
 pub mod arch;
 pub mod compact;
 pub mod flatten;
@@ -29,13 +31,14 @@ pub mod prefilter;
 pub mod snapshot;
 
 pub use analysis::{arch_stats, to_dot, ArchStats, GraphDiff};
+pub use ancestor::{best_of, scan_lcp, scan_pattern, LcpCandidate, Rank};
 pub use arch::{ArchError, ArchNode, Architecture, NodeRef};
 pub use compact::{CompactGraph, CompactVertex};
 pub use flatten::flatten;
 pub use generator::{layered_model, CellGene, Genome, GenomeSpace, JoinKind, NormKind};
-pub use index::{ArchIndex, IndexCandidate, IndexQueryStats, IndexedArch};
+pub use index::{ArchIndex, IndexQueryStats, IndexedArch};
 pub use layer::{Activation, LayerConfig, LayerKind, TensorSpec};
-pub use lcp::{best_ancestor, lcp, lcp_fixpoint, AsGraph, BestMatch, LcpResult};
+pub use lcp::{lcp, lcp_fixpoint, LcpResult};
 pub use pattern::{ArchPattern, LayerPattern};
 pub use prefilter::PatternFilter;
 pub use snapshot::SnapshotCell;

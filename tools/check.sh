@@ -370,6 +370,35 @@ if hits=$(grep -rnwE 'attach_recorder|SharedSlowOpLogs' crates examples src test
     exit 1
 fi
 
+# One best-ancestor rule: the candidate type, its order (longer prefix,
+# then higher quality, then lower model id) and the full scans live in
+# crates/graph/src/ancestor.rs, and the index walk, the unindexed scan,
+# the client's reduce and the Redis baseline all call them. A second copy
+# of the order would compile and pass every test until the copies drift,
+# and Fig 5 would then race queries with different winners. Tests keep
+# their own oracles.
+echo "== one ancestor order: the rule lives in graph::ancestor"
+if hits=$(grep -rnwE 'BestMatch|AsGraph|better_candidate|IndexCandidate|BestAncestor|best_ancestor_exhaustive|match_pattern_with' crates examples src tests); then
+    echo "a deleted ancestor type or scan is back:" >&2
+    echo "$hits" >&2
+    exit 1
+fi
+if hits=$(awk '
+    FNR == 1 { in_test = 0; pending = 0 }
+    FILENAME == "crates/graph/src/ancestor.rs" { nextfile }
+    /^#\[cfg\(test\)\]/ { pending = 1; next }
+    pending { pending = 0; if (/\{$/) in_test = 1; else next }
+    in_test && /^}/ { in_test = 0; next }
+    in_test || /^[[:space:]]*\/\// { next }
+    /quality[A-Za-z0-9_.]*[[:space:]]*(==|!=|>=|<=|>|<)[[:space:]]*[*&]?[A-Za-z0-9_.]*quality/ ||
+    /quality[A-Za-z0-9_.]*\.(partial_cmp|total_cmp)\(/ { print FILENAME ":" FNR ": " $0; found = 1 }
+    END { exit !found }
+' $(find crates/*/src src examples -name '*.rs' | sort)); then
+    echo "candidate qualities compared outside crates/graph/src/ancestor.rs:" >&2
+    echo "$hits" >&2
+    exit 1
+fi
+
 # With one CPU the pool has no helpers and `par::map` must be the plain
 # serial loop: the pool's own tests and one fixed-length bulk_checkpoint
 # run (the workload that forks on every op) have to finish there.
@@ -447,6 +476,14 @@ for src in crates/bench/src/bin/fig*.rs crates/bench/src/bin/ablation_*.rs; do
         exit 1
     fi
 done
+# The A/B form of fig5 is the one end-to-end run of the unindexed scan
+# (`--no-index`): it answers the same probes both ways on one catalog.
+# shellcheck disable=SC2086 # the size is a list of arguments
+if ! out=$("$CARGO_TARGET_DIR/release/fig5_lcp_scalability" ${smallest[fig5_lcp_scalability]} --ab 2>&1); then
+    echo "fig5_lcp_scalability ${smallest[fig5_lcp_scalability]} --ab failed:" >&2
+    tail -n 20 <<<"$out" >&2
+    exit 1
+fi
 
 # Optional tier-2: scaled-down fig5 indexed-vs-unindexed ablation,
 # recording queries/sec and the index counters to results/BENCH_lcp.json.
