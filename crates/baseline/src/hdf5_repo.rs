@@ -16,9 +16,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use evostore_core::{
-    FetchOutcome, ModelRepository, OwnerMap, RetireOutcomeStats, StoreOutcomeStats, TransferSource,
+    FetchOutcome, ModelRepository, OwnerMap, RetireOutcomeStats, StoreOutcomeStats,
 };
-use evostore_graph::CompactGraph;
+use evostore_graph::{CompactGraph, LcpCandidate};
 use evostore_rpc::{EndpointId, Fabric};
 use evostore_tensor::ModelId;
 use parking_lot::Mutex;
@@ -87,7 +87,7 @@ impl ModelRepository for Hdf5PfsRepository {
         "HDF5+PFS"
     }
 
-    fn find_transfer_source(&self, graph: &CompactGraph) -> Option<TransferSource> {
+    fn find_transfer_source(&self, graph: &CompactGraph) -> Option<LcpCandidate> {
         let reply = call(
             &self.fabric,
             self.redis,
@@ -101,15 +101,15 @@ impl ModelRepository for Hdf5PfsRepository {
         self.pinned
             .lock()
             .insert(best.model, best.weights_path.clone());
-        Some(TransferSource {
-            ancestor: best.model,
+        Some(LcpCandidate {
+            model: best.model,
             quality: best.quality,
             lcp: best.lcp,
         })
     }
 
-    fn fetch_transfer(&self, _graph: &CompactGraph, src: &TransferSource) -> Option<FetchOutcome> {
-        let path = self.pinned.lock().get(&src.ancestor).cloned()?;
+    fn fetch_transfer(&self, _graph: &CompactGraph, src: &LcpCandidate) -> Option<FetchOutcome> {
+        let path = self.pinned.lock().get(&src.model).cloned()?;
         let result = match self.pfs.read(&path) {
             Ok((data, op)) => {
                 // Bulk-only access: the whole file is read and parsed even
@@ -136,7 +136,7 @@ impl ModelRepository for Hdf5PfsRepository {
             }
             Err(_) => None,
         };
-        self.unpin(src.ancestor);
+        self.unpin(src.model);
         result
     }
 
@@ -144,7 +144,7 @@ impl ModelRepository for Hdf5PfsRepository {
         &self,
         model: ModelId,
         graph: &CompactGraph,
-        _src: Option<&TransferSource>,
+        _src: Option<&LcpCandidate>,
         quality: f64,
         seed: u64,
     ) -> StoreOutcomeStats {
@@ -278,7 +278,7 @@ mod tests {
         assert!(s1.model_seconds > 0.0);
 
         let src = repo.find_transfer_source(&g2).unwrap();
-        assert_eq!(src.ancestor, ModelId(1));
+        assert_eq!(src.model, ModelId(1));
         assert_eq!(src.lcp.len(), 3);
 
         let fetch = repo.fetch_transfer(&g2, &src).unwrap();

@@ -12,9 +12,9 @@ use std::sync::Arc;
 use evostore_bench::{banner, f2, gb, paper_space, print_table, Args};
 use evostore_core::{
     Deployment, EvoStoreClient, FetchOutcome, ModelRepository, RetireOutcomeStats,
-    StoreOutcomeStats, TransferSource,
+    StoreOutcomeStats,
 };
-use evostore_graph::CompactGraph;
+use evostore_graph::{CompactGraph, LcpCandidate};
 use evostore_nas::{run_nas, NasConfig, RepoSetup};
 use evostore_sim::FabricModel;
 use evostore_tensor::ModelId;
@@ -27,17 +27,17 @@ impl ModelRepository for FullWriteRepo {
     fn name(&self) -> &'static str {
         "EvoStore-FullWrites"
     }
-    fn find_transfer_source(&self, graph: &CompactGraph) -> Option<TransferSource> {
+    fn find_transfer_source(&self, graph: &CompactGraph) -> Option<LcpCandidate> {
         self.0.find_transfer_source(graph)
     }
-    fn fetch_transfer(&self, graph: &CompactGraph, src: &TransferSource) -> Option<FetchOutcome> {
+    fn fetch_transfer(&self, graph: &CompactGraph, src: &LcpCandidate) -> Option<FetchOutcome> {
         self.0.fetch_transfer(graph, src)
     }
     fn store_candidate(
         &self,
         model: ModelId,
         graph: &CompactGraph,
-        _src: Option<&TransferSource>,
+        _src: Option<&LcpCandidate>,
         quality: f64,
         seed: u64,
     ) -> StoreOutcomeStats {

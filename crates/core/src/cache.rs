@@ -67,19 +67,7 @@ impl TensorCache {
 
     /// Look up one tensor.
     pub fn get(&self, key: &TensorKey) -> Option<TensorData> {
-        let mut inner = self.inner.lock();
-        let stamp = self.stamp();
-        match inner.entries.get_mut(key) {
-            Some(e) => {
-                e.last_used = stamp;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(e.tensor.clone())
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        self.touch(&mut self.inner.lock(), key)
     }
 
     /// Look up many tensors under one lock acquisition, splitting them
@@ -94,20 +82,30 @@ impl TensorCache {
         let mut missing = Vec::new();
         let mut inner = self.inner.lock();
         for key in keys {
-            let stamp = self.stamp();
-            match inner.entries.get_mut(key) {
-                Some(e) => {
-                    e.last_used = stamp;
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    hits.insert(*key, e.tensor.clone());
+            match self.touch(&mut inner, key) {
+                Some(tensor) => {
+                    hits.insert(*key, tensor);
                 }
-                None => {
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    missing.push(*key);
-                }
+                None => missing.push(*key),
             }
         }
         (hits, missing)
+    }
+
+    /// The one lookup: stamp a hit's LRU use and count the hit or miss.
+    fn touch(&self, inner: &mut CacheInner, key: &TensorKey) -> Option<TensorData> {
+        let stamp = self.stamp();
+        let hit = inner.entries.get_mut(key).map(|e| {
+            e.last_used = stamp;
+            e.tensor.clone()
+        });
+        let counter = if hit.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        hit
     }
 
     /// Insert a tensor, evicting least-recently-used entries if needed.

@@ -50,7 +50,6 @@ pub use provider::{CatalogSnapshot, ModelRecord, Provider, ProviderState};
 pub use replication::ReplicationPolicy;
 pub use repository::{
     trained_tensors, FetchOutcome, ModelRepository, RetireOutcomeStats, StoreOutcomeStats,
-    TransferSource,
 };
 pub use telemetry::{ClientTelemetry, LatencyHistogram};
 pub use watch::{AppliedEvent, ModelWatcher, WatchConfig, WatchStats};

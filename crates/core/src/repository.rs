@@ -7,36 +7,13 @@
 
 use std::collections::HashMap;
 
-use evostore_graph::{CompactGraph, LcpCandidate, LcpResult};
+use evostore_graph::{CompactGraph, LcpCandidate};
 use evostore_tensor::{ModelId, TensorData, TensorKey, VertexId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::client::EvoStoreClient;
 use crate::owner_map::OwnerMap;
-
-/// A transfer source selected by a best-ancestor query.
-#[derive(Debug, Clone)]
-pub struct TransferSource {
-    /// The ancestor to transfer from.
-    pub ancestor: ModelId,
-    /// Its quality metric.
-    pub quality: f64,
-    /// LCP of the candidate graph against the ancestor.
-    pub lcp: LcpResult,
-}
-
-impl TransferSource {
-    /// Fraction of the candidate's vertices covered by the prefix.
-    pub fn prefix_fraction(&self, graph: &CompactGraph) -> f64 {
-        self.lcp.fraction_of(graph)
-    }
-
-    /// Parameter bytes covered by the prefix (what transfer saves).
-    pub fn prefix_bytes(&self, graph: &CompactGraph) -> usize {
-        graph.param_bytes_of(&self.lcp.prefix)
-    }
-}
 
 /// Outcome of fetching transferred weights.
 #[derive(Debug, Clone, Copy, Default)]
@@ -81,13 +58,14 @@ pub trait ModelRepository: Send + Sync {
     /// Human-readable name for reports ("EvoStore", "HDF5+PFS").
     fn name(&self) -> &'static str;
 
-    /// Best transfer source for a candidate architecture, if any.
-    fn find_transfer_source(&self, graph: &CompactGraph) -> Option<TransferSource>;
+    /// Best transfer source for a candidate architecture, if any: the
+    /// ancestor, its quality and the candidate's LCP against it.
+    fn find_transfer_source(&self, graph: &CompactGraph) -> Option<LcpCandidate>;
 
     /// Fetch the prefix weights from the source (the transfer read).
     /// `None` when the source vanished (retired between query and fetch);
     /// the worker then trains from scratch.
-    fn fetch_transfer(&self, graph: &CompactGraph, src: &TransferSource) -> Option<FetchOutcome>;
+    fn fetch_transfer(&self, graph: &CompactGraph, src: &LcpCandidate) -> Option<FetchOutcome>;
 
     /// Store a trained candidate. When `src` is given, the layers inside
     /// its prefix were frozen during training (only the rest changed);
@@ -96,7 +74,7 @@ pub trait ModelRepository: Send + Sync {
         &self,
         model: ModelId,
         graph: &CompactGraph,
-        src: Option<&TransferSource>,
+        src: Option<&LcpCandidate>,
         quality: f64,
         seed: u64,
     ) -> StoreOutcomeStats;
@@ -132,26 +110,14 @@ impl ModelRepository for EvoStoreClient {
         "EvoStore"
     }
 
-    fn find_transfer_source(&self, graph: &CompactGraph) -> Option<TransferSource> {
-        self.query_best_ancestor(graph)
-            .ok()
-            .and_then(|d| d.into_inner())
-            .map(|b| TransferSource {
-                ancestor: b.model,
-                quality: b.quality,
-                lcp: b.lcp,
-            })
+    fn find_transfer_source(&self, graph: &CompactGraph) -> Option<LcpCandidate> {
+        self.query_best_ancestor(graph).ok()?.into_inner()
     }
 
-    fn fetch_transfer(&self, _graph: &CompactGraph, src: &TransferSource) -> Option<FetchOutcome> {
-        let best = LcpCandidate {
-            model: src.ancestor,
-            quality: src.quality,
-            lcp: src.lcp.clone(),
-        };
+    fn fetch_transfer(&self, _graph: &CompactGraph, src: &LcpCandidate) -> Option<FetchOutcome> {
         // A failed fetch means the ancestor was retired in between — the
         // legitimate race of a concurrent NAS; the caller falls back.
-        self.fetch_prefix(&best)
+        self.fetch_prefix(src)
             .ok()
             .map(|(_meta, tensors)| FetchOutcome {
                 bytes_read: tensors.values().map(|t| t.byte_len() as u64).sum(),
@@ -164,41 +130,31 @@ impl ModelRepository for EvoStoreClient {
         &self,
         model: ModelId,
         graph: &CompactGraph,
-        src: Option<&TransferSource>,
+        src: Option<&LcpCandidate>,
         quality: f64,
         seed: u64,
     ) -> StoreOutcomeStats {
-        if let Some(s) = src {
-            // Derived store; may lose a race with the ancestor's retirement.
-            let derived = self.get_meta(s.ancestor).and_then(|meta| {
-                let owner_map = OwnerMap::derive(model, graph, &s.lcp, &meta.owner_map);
-                let tensors = trained_tensors(graph, &owner_map, seed);
-                self.store_model(
-                    graph.clone(),
-                    owner_map,
-                    Some(s.ancestor),
-                    quality,
-                    &tensors,
-                )
-            });
-            if let Ok(o) = derived {
-                return StoreOutcomeStats {
-                    bytes_written: o.bytes_written,
-                    tensors: o.tensors_written,
-                    fell_back_fresh: false,
-                    model_seconds: 0.0,
-                };
-            }
-        }
-        let owner_map = OwnerMap::fresh(model, graph);
-        let tensors = trained_tensors(graph, &owner_map, seed);
-        let o = self
-            .store_model(graph.clone(), owner_map, None, quality, &tensors)
-            .expect("fresh store must succeed");
+        // A derived store may lose a race with the ancestor's retirement;
+        // it then falls back to a fresh one.
+        let derived = src.and_then(|s| {
+            let meta = self.get_meta(s.model).ok()?;
+            let owner_map = OwnerMap::derive(model, graph, &s.lcp, &meta.owner_map);
+            let tensors = trained_tensors(graph, &owner_map, seed);
+            let parent = Some(s.model);
+            self.store_model(graph.clone(), owner_map, parent, quality, &tensors)
+                .ok()
+        });
+        let fell_back_fresh = src.is_some() && derived.is_none();
+        let o = derived.unwrap_or_else(|| {
+            let owner_map = OwnerMap::fresh(model, graph);
+            let tensors = trained_tensors(graph, &owner_map, seed);
+            self.store_model(graph.clone(), owner_map, None, quality, &tensors)
+                .expect("fresh store must succeed")
+        });
         StoreOutcomeStats {
             bytes_written: o.bytes_written,
             tensors: o.tensors_written,
-            fell_back_fresh: src.is_some(),
+            fell_back_fresh,
             model_seconds: 0.0,
         }
     }

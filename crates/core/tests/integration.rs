@@ -335,7 +335,7 @@ fn repository_trait_full_cycle_with_fallback() {
 
     // Transfer path.
     let src = client.find_transfer_source(&g2).unwrap();
-    assert_eq!(src.ancestor, ModelId(1));
+    assert_eq!(src.model, ModelId(1));
     let fetched = client.fetch_transfer(&g2, &src).unwrap();
     assert!(fetched.bytes_read > 0);
     let s2 = client.store_candidate(ModelId(2), &g2, Some(&src), 0.6, 12);
@@ -346,7 +346,7 @@ fn repository_trait_full_cycle_with_fallback() {
     // stale source — the store falls back to a fresh (full) write.
     let g3 = seq(&[8, 16, 6]);
     let stale = client.find_transfer_source(&g3).unwrap();
-    client.retire_candidate(stale.ancestor);
+    client.retire_candidate(stale.model);
     let s3 = client.store_candidate(ModelId(3), &g3, Some(&stale), 0.6, 13);
     assert!(s3.fell_back_fresh, "stale ancestor must trigger fallback");
     assert!(s3.bytes_written >= s1.bytes_written / 2);

@@ -6,10 +6,15 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use evostore_core::messages::{ManifestEntry, ReadRangeReply, ReadTensorsReply, RefsRequest};
+use evostore_core::messages::{
+    LcpBatchReply, LcpQueryReply, ManifestEntry, PatternBatchReply, PatternQueryReply,
+    ReadRangeReply, ReadTensorsReply, RefsRequest,
+};
 use evostore_core::methods;
 use evostore_core::{trained_tensors, Deployment, EvoError, EvoStoreClient, OwnerMap};
-use evostore_graph::{flatten, Activation, Architecture, CompactGraph, LayerConfig, LayerKind};
+use evostore_graph::{
+    flatten, Activation, ArchPattern, Architecture, CompactGraph, LayerConfig, LayerKind,
+};
 use evostore_rpc::{FaultAction, FaultPlan, FaultRule, Method, RetryPolicy, RpcError};
 use evostore_tensor::{write_tensor, DType, ModelId, TensorData, TensorKey, VertexId};
 use rand::SeedableRng;
@@ -227,6 +232,57 @@ fn bulk_get_on_withdrawn_or_down_region_errors_cleanly() {
     let err = fabric.bulk_get_vec(handle).unwrap_err();
     assert!(matches!(err, RpcError::NoSuchBulk(_)), "got {err}");
     assert!(!err.is_transient(), "withdrawal is permanent");
+}
+
+/// A provider whose batched reply carries one answer too few breaks the
+/// index alignment of the reduce: both batched queries refuse it with a
+/// protocol error (not a transient one, not a panic), and the batch
+/// counters still record the envelope that was sent.
+#[test]
+fn a_batched_reply_one_answer_short_is_a_protocol_error() {
+    let fabric = evostore_rpc::Fabric::new();
+    let host = fabric.create_endpoint(1);
+    host.serve(methods::LcpBatch, |req| {
+        let answer = || LcpQueryReply {
+            best: None,
+            scanned: 0,
+            stats: Default::default(),
+        };
+        let replies = (1..req.graphs.len()).map(|_| answer()).collect();
+        Ok(LcpBatchReply { replies })
+    });
+    host.serve(methods::MatchPatternBatch, |req| {
+        let answer = || PatternQueryReply {
+            matches: Vec::new(),
+            scanned: 0,
+            stats: Default::default(),
+        };
+        let replies = (1..req.patterns.len()).map(|_| answer()).collect();
+        Ok(PatternBatchReply { replies })
+    });
+    let client = EvoStoreClient::builder(Arc::clone(&fabric))
+        .providers(vec![host.id()])
+        .build();
+
+    let graphs = [seq(&[8, 16, 4]), seq(&[8, 16, 5])];
+    match client.query_best_ancestors(&graphs) {
+        Err(EvoError::Protocol(m)) => {
+            assert!(m.contains("1 answers for 2 queries"), "{m}")
+        }
+        other => panic!("want a protocol error, got {other:?}"),
+    }
+    let patterns = [ArchPattern::any(), ArchPattern::any().with_vertices(1, 9)];
+    match client.find_matching_batch(&patterns) {
+        Err(EvoError::Protocol(m)) => {
+            assert!(m.contains("1 answers for 2 queries"), "{m}")
+        }
+        other => panic!("want a protocol error, got {other:?}"),
+    }
+    assert!(matches!(
+        client.query_best_ancestor(&graphs[0]),
+        Err(EvoError::Protocol(_))
+    ));
+    assert_eq!(client.telemetry().batch_envelopes(), 3);
 }
 
 /// Regression: a pull that fails after the provider has answered must

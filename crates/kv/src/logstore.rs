@@ -729,14 +729,39 @@ mod tests {
         }
     }
 
-    fn tmpdir(name: &str) -> PathBuf {
+    /// A scratch directory, removed with the [`open_image`] copy beside it
+    /// when the guard drops (after any store declared later).
+    #[derive(Debug)]
+    struct TmpDir(PathBuf);
+
+    impl std::ops::Deref for TmpDir {
+        type Target = PathBuf;
+        fn deref(&self) -> &PathBuf {
+            &self.0
+        }
+    }
+
+    impl AsRef<Path> for TmpDir {
+        fn as_ref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TmpDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+            let _ = std::fs::remove_dir_all(self.0.with_extension("image"));
+        }
+    }
+
+    fn tmpdir(name: &str) -> TmpDir {
         let d = std::env::temp_dir().join(format!(
             "evostore-logstore-{name}-{}-{:?}",
             std::process::id(),
             std::thread::current().id()
         ));
         let _ = std::fs::remove_dir_all(&d);
-        d
+        TmpDir(d)
     }
 
     /// A live directory has one owner: a second open fails, naming the
@@ -1005,7 +1030,7 @@ mod tests {
     /// Sixteen 72-byte records in four sealed 256-byte segments, the
     /// first key of each deleted, plus key 16: the tombstones land in
     /// segment 4 and guard the segments that hold their keys' puts.
-    fn four_sealed(name: &str) -> (PathBuf, LogStore, BTreeMap<u32, Vec<u8>>) {
+    fn four_sealed(name: &str) -> (TmpDir, LogStore, BTreeMap<u32, Vec<u8>>) {
         let dir = tmpdir(name);
         let s = LogStore::open_tuned(&dir, 256, 10.0); // manual cleaning only
         let mut want = BTreeMap::new();
@@ -1027,7 +1052,7 @@ mod tests {
     /// the later record) and the next step unlinks what was left.
     #[test]
     fn an_interrupted_compaction_never_brings_a_deleted_key_back() {
-        let (probe, s, _) = four_sealed("interrupted");
+        let (_probe, s, _) = four_sealed("interrupted");
         let mut victims = Vec::new();
         loop {
             let mut inner = s.inner.lock();
@@ -1036,7 +1061,6 @@ mod tests {
             inner.clean_step(true).unwrap();
         }
         assert!(victims.len() >= 4, "only {} victims", victims.len());
-        let _ = std::fs::remove_dir_all(&probe);
         for (k, &victim) in victims.iter().enumerate() {
             let (dir, s, want) = four_sealed(&format!("interrupted-{k}"));
             for _ in 0..k {
@@ -1063,7 +1087,6 @@ mod tests {
             drop(s);
             let reopened = LogStore::open(&dir).unwrap();
             assert_matches(&reopened, &want, 17, "reopened after a retry");
-            let _ = std::fs::remove_dir_all(&dir);
         }
     }
 
@@ -1142,7 +1165,6 @@ mod tests {
                 18,
                 &format!("{case}: reopened after a retry"),
             );
-            let _ = std::fs::remove_dir_all(&dir);
         }
     }
 
@@ -1180,7 +1202,6 @@ mod tests {
         assert_books(&s, &dir, "after the retry");
         drop(s);
         assert_matches(&LogStore::open(&dir).unwrap(), &want, 2, "reopened");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A crash between a step's copies and its unlink, or inside its
@@ -1226,7 +1247,6 @@ mod tests {
         let copies_len = s.inner.lock().segments[&active].len - copies_at;
         assert_eq!(copies_len, 6 * 24 + 4 * 72, "tombstones and live records");
         drop(s);
-        let _ = std::fs::remove_dir_all(&probe);
 
         let cuts = (0..copies_len).step_by(20).map(Some).chain([None]);
         for cut in cuts {
@@ -1251,7 +1271,6 @@ mod tests {
             drop(s);
             let s = LogStore::open(&dir).unwrap();
             assert_matches(&s, &want, 106, &format!("reopened after cut {cut:?}"));
-            let _ = std::fs::remove_dir_all(&dir);
         }
     }
 
@@ -1293,7 +1312,6 @@ mod tests {
             assert!(s.metrics().clean_failures() == 0);
             drop(s);
             assert_matches(&open(), &want, 104, &format!("seed {seed}: reopened"));
-            let _ = std::fs::remove_dir_all(&dir);
         }
     }
 
@@ -1328,7 +1346,6 @@ mod tests {
         assert_books(&s, &dir, "after the cycles");
         drop(s);
         assert_matches(&LogStore::open(&dir).unwrap(), &want, 5008, "reopened");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Unlinking a tombstone's oldest guarded segment moves its guard to
@@ -1362,7 +1379,6 @@ mod tests {
         assert_books(&s, &dir, "after two steps");
         drop(s);
         assert_matches(&LogStore::open(&dir).unwrap(), &want, 19, "reopened");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Replay reads through a bounded window: a record larger than the
@@ -1418,7 +1434,6 @@ mod tests {
             other => panic!("expected a format error, got ok={}", other.is_ok()),
         }
         assert_eq!(std::fs::read(&seg).unwrap(), bytes, "segment was modified");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -20,8 +20,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use evostore_core::{ModelRepository, TransferSource};
-use evostore_graph::{flatten, Genome, GenomeSpace};
+use evostore_core::ModelRepository;
+use evostore_graph::{flatten, Genome, GenomeSpace, LcpCandidate};
 use evostore_sim::{EventQueue, FabricModel, SimTime, TrainModel};
 use evostore_tensor::ModelId;
 use serde::Serialize;
@@ -355,15 +355,15 @@ pub fn run_nas(cfg: &NasConfig, setup: &RepoSetup) -> NasRunResult {
         let mut frozen_fraction = 0.0;
         let mut frozen_params = 0usize;
         let mut ancestor_exp = 0.0;
-        let mut live_src: Option<TransferSource> = None;
+        let mut live_src: Option<LcpCandidate> = None;
         if let (Some(repo), Some(s)) = (setup.repo(), src) {
             match repo.fetch_transfer(&graph, &s) {
                 Some(fetch) => {
                     fetch_s =
                         setup.io_seconds(fetch.bytes_read, fetch.model_seconds, cfg.io_byte_scale);
-                    frozen_fraction = s.prefix_fraction(&graph);
-                    frozen_params = s.prefix_bytes(&graph) / 4;
-                    ancestor_exp = experience.get(&s.ancestor).copied().unwrap_or(0.0);
+                    frozen_fraction = s.lcp.fraction_of(&graph);
+                    frozen_params = graph.param_bytes_of(&s.lcp.prefix) / 4;
+                    ancestor_exp = experience.get(&s.model).copied().unwrap_or(0.0);
                     live_src = Some(s);
                 }
                 None => {

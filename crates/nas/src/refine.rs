@@ -9,8 +9,8 @@
 
 use std::sync::Arc;
 
-use evostore_core::{ModelRepository, TransferSource};
-use evostore_graph::{flatten, GenomeSpace};
+use evostore_core::ModelRepository;
+use evostore_graph::{flatten, GenomeSpace, LcpCandidate};
 use evostore_sim::TrainModel;
 use evostore_tensor::ModelId;
 use serde::Serialize;
@@ -73,8 +73,8 @@ pub fn refine_top_k(
         let graph = flatten(&space.materialize(&genome)).expect("genomes flatten");
         // Warm-start from the stored weights: load the model through its
         // owner map (full read, one metadata lookup).
-        let src = TransferSource {
-            ancestor: ModelId(trace.model),
+        let src = LcpCandidate {
+            model: ModelId(trace.model),
             quality: trace.accuracy,
             lcp: evostore_graph::lcp(&graph, &graph),
         };

@@ -144,7 +144,17 @@ fi
 # silently go serial again; and the one lifetime erasure that lets pool
 # helpers borrow a caller's stack is the only `unsafe` in the workspace.
 echo "== payload loops stay on core::par; collectives spawn no threads; one dispatch engine; unsafe stays in par.rs"
-if hits=$(grep -n 'par_iter' crates/core/src/client.rs \
+# A guarded file that moves would make grep and awk error out, which the
+# guards below would read as "no hit": every path must exist.
+client_src=(crates/core/src/client/*.rs)
+for path in "${client_src[@]}" crates/core/src/provider/data.rs \
+    crates/core/src/provider/delta.rs crates/rpc/src/resilient.rs; do
+    if [[ ! -f "$path" ]]; then
+        echo "tools/check.sh: guarded file $path is gone; retarget its guard" >&2
+        exit 1
+    fi
+done
+if hits=$(grep -n 'par_iter' "${client_src[@]}" \
     crates/core/src/provider/data.rs crates/core/src/provider/delta.rs); then
     echo "payload-path loop on the sequential rayon stub:" >&2
     echo "$hits" >&2
@@ -161,7 +171,7 @@ if hits=$(awk '
     in_test && /^}/ { in_test = 0; next }
     !in_test && /thread::scope|thread::spawn|scope\.spawn/ { print FILENAME ":" FNR ": " $0; found = 1 }
     END { exit !found }
-' crates/rpc/src/resilient.rs crates/core/src/client.rs); then
+' crates/rpc/src/resilient.rs "${client_src[@]}"); then
     echo "thread spawned on the collective / client op path:" >&2
     echo "$hits" >&2
     exit 1
@@ -378,7 +388,7 @@ fi
 # and Fig 5 would then race queries with different winners. Tests keep
 # their own oracles.
 echo "== one ancestor order: the rule lives in graph::ancestor"
-if hits=$(grep -rnwE 'BestMatch|AsGraph|better_candidate|IndexCandidate|BestAncestor|best_ancestor_exhaustive|match_pattern_with' crates examples src tests); then
+if hits=$(grep -rnwE 'BestMatch|AsGraph|better_candidate|IndexCandidate|BestAncestor|best_ancestor_exhaustive|match_pattern_with|TransferSource' crates examples src tests); then
     echo "a deleted ancestor type or scan is back:" >&2
     echo "$hits" >&2
     exit 1
