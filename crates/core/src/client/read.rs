@@ -142,13 +142,16 @@ impl EvoStoreClient {
     /// Empty when the model has none. Served by the first replica that
     /// can, like [`EvoStoreClient::fetch_tensors`].
     pub fn load_optimizer_state(&self, model: ModelId) -> Result<Vec<TensorData>> {
-        let req = LoadOptimizerRequest { model };
-        let chain = self.replicas_of(model);
-        let read = |target| self.pull_tensors(self.unary(target, methods::LoadOptimizer, &req)?);
-        let mut moments =
-            self.read_over(&chain, methods::LoadOptimizer::METHOD, read(chain[0]), read)?;
-        moments.sort_unstable_by_key(|(key, _)| key.slot);
-        Ok(moments.into_iter().map(|(_, t)| t).collect())
+        let hist = &self.telemetry.optimizer;
+        self.with_root_op("optimizer", "load_optimizer_state", hist, || {
+            let req = LoadOptimizerRequest { model };
+            let chain = self.replicas_of(model);
+            let read = |target| self.pull_read(self.unary(target, methods::LoadOptimizer, &req)?);
+            let mut moments =
+                self.read_over(&chain, methods::LoadOptimizer::METHOD, read(chain[0]), read)?;
+            moments.sort_unstable_by_key(|(key, _)| key.slot);
+            Ok(moments.into_iter().map(|(_, t)| t).collect())
+        })
     }
 
     /// The transfer-learning chain of `model`, oldest last:

@@ -173,43 +173,49 @@ impl EvoStoreClient {
         model: ModelId,
         moments: &[TensorData],
     ) -> Result<StoreOutcome> {
-        // The optimizer namespace: vertex = u32::MAX sentinel.
-        let tensors: Vec<(TensorKey, &TensorData)> = moments
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (TensorKey::new(model, VertexId(u32::MAX), i as u32), t))
-            .collect();
-        let (manifest, bulk) = self.expose_tensors(&tensors);
-        let tensors_written = manifest.len();
-        let req = StoreOptimizerRequest {
-            model,
-            manifest,
-            bulk: bulk.0,
-        };
-        // Every replica keeps its own optimizer copy. One success is
-        // required; a failed mirror leaves the attachment
-        // under-replicated (healed by repair's optimizer-aware digest
-        // comparison) — a permanent failure too: a mirror that missed the
-        // model's store answers "model not found", which with a successful
-        // sibling leg is under-replication, not a caller error.
-        let chain = self.replicas_of(model);
-        let legs: Vec<_> = chain.iter().map(|&ep| (ep, req.clone())).collect();
-        let mut legs = settle(self.fan_out(&legs, methods::StoreOptimizer));
-        self.fabric.bulk_release(bulk);
-        if legs.ok.is_empty() {
-            return Err(match legs.permanent {
-                Some((_, e)) => e,
-                None => EvoError::PartialFailure { failed: chain },
-            });
-        }
-        self.telemetry
-            .under_replicated_stores
-            .add((chain.len() - legs.ok.len()) as u64);
-        let (_, reply) = legs.ok.swap_remove(0);
-        Ok(StoreOutcome {
-            bytes_written: reply.bytes_stored,
-            tensors_written,
-            timestamp: reply.timestamp,
+        let hist = &self.telemetry.optimizer;
+        self.with_root_op("optimizer", "store_optimizer_state", hist, || {
+            // The optimizer namespace: vertex = u32::MAX sentinel.
+            let tensors: Vec<(TensorKey, &TensorData)> = moments
+                .iter()
+                .enumerate()
+                .map(|(i, t)| (TensorKey::new(model, VertexId(u32::MAX), i as u32), t))
+                .collect();
+            let (manifest, bulk) = self.expose_tensors(&tensors);
+            let tensors_written = manifest.len();
+            evostore_obs::ledger::add_chunks_touched(tensors_written as u64);
+            evostore_obs::ledger::add_bytes_out(manifest.iter().map(|e| e.len).sum());
+            let req = StoreOptimizerRequest {
+                model,
+                manifest,
+                bulk: bulk.0,
+            };
+            // Every replica keeps its own optimizer copy. One success is
+            // required; a failed mirror leaves the attachment
+            // under-replicated (healed by repair's optimizer-aware digest
+            // comparison) — a permanent failure too: a mirror that missed
+            // the model's store answers "model not found", which with a
+            // successful sibling leg is under-replication, not a caller
+            // error.
+            let chain = self.replicas_of(model);
+            let legs: Vec<_> = chain.iter().map(|&ep| (ep, req.clone())).collect();
+            let mut legs = settle(self.fan_out(&legs, methods::StoreOptimizer));
+            self.fabric.bulk_release(bulk);
+            if legs.ok.is_empty() {
+                return Err(match legs.permanent {
+                    Some((_, e)) => e,
+                    None => EvoError::PartialFailure { failed: chain },
+                });
+            }
+            self.telemetry
+                .under_replicated_stores
+                .add((chain.len() - legs.ok.len()) as u64);
+            let (_, reply) = legs.ok.swap_remove(0);
+            Ok(StoreOutcome {
+                bytes_written: reply.bytes_stored,
+                tensors_written,
+                timestamp: reply.timestamp,
+            })
         })
     }
 }

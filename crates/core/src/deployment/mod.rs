@@ -9,8 +9,8 @@ use std::time::Duration;
 
 use evostore_kv::{KvBackend, LogStore, MemPoolStore};
 use evostore_obs::{
-    FlightEvent, MetricsSource, MonotonicClock, ObsHub, ObsServer, OpLedger, RegistrySnapshot,
-    SloSpec, TimeSource, Tracer,
+    counter_set, FlightEvent, MetricsSource, MonotonicClock, ObsHub, ObsServer, OpLedger,
+    RegistrySnapshot, SloSpec, TimeSource, Tracer,
 };
 use evostore_rpc::{EndpointId, Fabric, RetryPolicy};
 
@@ -34,6 +34,33 @@ pub const FABRIC_FLIGHT_EVENTS: usize = 4096;
 /// Flight-recorder capacity of the deployment's own ring (repair and
 /// transfer spans).
 pub const DEPLOYMENT_FLIGHT_EVENTS: usize = 1024;
+
+counter_set! {
+    /// Never filled: every line is the kv pool's own counter.
+    struct KvPoolCells;
+    /// The process-wide read-buffer pool ([`evostore_kv::pool`]) at one
+    /// instant. Every node of a process shares it, so a merge keeps the
+    /// larger instead of adding.
+    #[derive(Copy, Eq)]
+    pub struct KvPoolStats {
+        /// Read buffers served from the pool.
+        recycled: computed max counter "evostore_kv_pool_recycled_total",
+        /// Read buffers the pool had to allocate.
+        fresh: computed max counter "evostore_kv_pool_fresh_total",
+        /// Bytes of free buffers the pool holds.
+        retained_bytes: computed max gauge "evostore_kv_pool_retained_bytes",
+    }
+}
+
+/// The read-buffer pool's counters as they stand.
+fn kv_pool_stats() -> KvPoolStats {
+    let pool = evostore_kv::pool::stats();
+    KvPoolStats {
+        recycled: pool.recycled,
+        fresh: pool.fresh,
+        retained_bytes: pool.retained_bytes,
+    }
+}
 
 /// Which KV backend providers persist tensors into.
 #[derive(Debug, Clone)]
@@ -116,10 +143,10 @@ pub struct Deployment {
     /// The storage policy providers were built with: picks repair's
     /// transfer leg.
     policy: StorePolicy,
-    /// The ledger, fork-join pool and fabric lane sources. The hub holds
-    /// them weakly, so the fabric one may hold the fabric: it goes with
-    /// the deployment.
-    _metrics_sources: [MetricsSource; 3],
+    /// The ledger, fork-join pool, read-buffer pool and fabric lane
+    /// sources. The hub holds them weakly, so the fabric one may hold the
+    /// fabric: it goes with the deployment.
+    _metrics_sources: [MetricsSource; 4],
 }
 
 impl Deployment {
@@ -189,10 +216,11 @@ impl Deployment {
         let (l, f) = (Arc::clone(&ledger), Arc::clone(&fabric));
         let sources = [
             obs.registry().register(move || l.metrics("deployment")),
-            // The fork-join pool and the fabric are shared by every
-            // node: one series each, registered here rather than once
-            // per provider.
+            // The fork-join pool, the read-buffer pool and the fabric
+            // are shared by every node: one series each, registered here
+            // rather than once per provider.
             obs.registry().register(|| crate::par::stats().rows(&[])),
+            obs.registry().register(|| kv_pool_stats().rows(&[])),
             obs.registry().register(move || f.stats().rows(&[])),
         ];
         let tracer = Arc::new(Tracer::new(

@@ -5,6 +5,7 @@
 //! ancestors alive, and *d* never exceeds [`MAX_CHAIN_DEPTH`].
 
 use bytes::Bytes;
+use evostore_kv::pool;
 use evostore_tensor::rope;
 use evostore_tensor::{apply_delta, delta_header, encode_delta_segments, is_delta, TensorKey};
 
@@ -25,10 +26,10 @@ pub(super) fn chain_step(depth: u8, base_depth: u8) -> bool {
 impl ProviderState {
     /// Materialize the raw (EVST) bytes of a fetched record, decoding
     /// the delta chain under it when the record is delta-encoded: the raw
-    /// base is read into one buffer (a chunked record's chunks each land
-    /// in their place, and a buffer the store handed over is taken, not
-    /// copied) and every delta of the chain is applied to it in place,
-    /// deepest first.
+    /// base is read straight into a buffer from [`evostore_kv::pool`] (a
+    /// chunked record's chunks each land in their place) and every delta
+    /// of the chain is applied to it in place, deepest first. The result
+    /// views that buffer, which returns to the pool with its last view.
     pub(super) fn materialize(&self, record: Bytes) -> Result<Bytes, String> {
         if !is_delta(&record) {
             return Ok(record);
@@ -40,17 +41,20 @@ impl ProviderState {
         let mut raw = loop {
             let head = delta_header(chain.last().expect("chain non-empty"))
                 .map_err(|e| format!("delta record: {e}"))?;
-            let base = self
-                .tensors
-                .get(&head.base_key)
-                .map_err(|_| "delta base record missing".to_string())?;
             if chain.len() > u8::MAX as usize {
                 return Err("delta chain exceeds the depth bound".into());
             }
+            // A depth-1 delta's base is raw and as long as the delta's
+            // target, so its buffer is sized for it; a deeper base is a
+            // delta, which the read sizes as it goes.
+            let mut base = pool::take(if head.depth <= 1 { head.raw_len } else { 0 });
+            self.tensors
+                .get_into(&head.base_key, &mut base)
+                .map_err(|_| "delta base record missing".to_string())?;
             if is_delta(&base) {
-                chain.push(base);
+                chain.push(base.freeze());
             } else {
-                break Vec::from(base);
+                break base;
             }
         };
         evostore_obs::ledger::note_delta_chain_depth(chain.len() as u64);
@@ -58,7 +62,7 @@ impl ProviderState {
             apply_delta(delta, &mut raw).map_err(|e| format!("delta decode: {e}"))?;
             self.counters.delta_reconstructs.add(1);
         }
-        Ok(Bytes::from(raw))
+        Ok(raw.freeze())
     }
 
     /// Fetch a record and materialize it to raw bytes.

@@ -22,6 +22,8 @@ counter_set! {
         store: histogram "evostore_client_store_latency_us",
         /// Retirements.
         retire: histogram "evostore_client_retire_latency_us",
+        /// Optimizer-state attaches and resumes.
+        optimizer: histogram "evostore_client_optimizer_latency_us",
         /// RPC-layer resilience counters (retries, timeouts, exhausted
         /// calls), fed by every call this client issues.
         rpc: nested(RpcMetrics => RpcStats),
@@ -120,11 +122,12 @@ impl ClientTelemetry {
             })
             .collect();
         format!(
-            "query:  {}\nfetch:  {}\nstore:  {}\nretire: {}\ncounters: {}",
+            "query:  {}\nfetch:  {}\nstore:  {}\nretire: {}\noptimizer: {}\ncounters: {}",
             self.query.report(),
             self.fetch.report(),
             self.store.report(),
             self.retire.report(),
+            self.optimizer.report(),
             counters.join(" ")
         )
     }
@@ -153,7 +156,7 @@ mod tests {
                 assert!(report.contains(&format!("{short}=")), "{short} in report");
             }
         }
-        assert_eq!(metrics.len(), 4 + 4 + 14);
+        assert_eq!(metrics.len(), 5 + 4 + 14);
     }
 
     #[test]

@@ -6,6 +6,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use evostore_core::deployment::KvPoolStats;
 use evostore_core::methods;
 use evostore_core::par::ParStats;
 use evostore_core::provider::{index_query_rows, kv_rows};
@@ -646,6 +647,49 @@ fn exposition_server_serves_all_five_endpoints() {
     assert!(missing.contains("/metrics"));
 }
 
+/// Optimizer state is an op class of its own: an attach and a resume
+/// each run as a root op, are timed by the one `optimizer` histogram, and
+/// share one ledger row that charges the resume's bytes as they arrive
+/// (and the attach's as they leave).
+#[test]
+fn optimizer_attach_and_resume_are_root_ops_with_their_bytes_charged() {
+    use evostore_tensor::{DType, TensorData};
+
+    let dep = Deployment::in_memory(2);
+    let client = dep.client();
+    let mut rng = ChaCha8Rng::seed_from_u64(37);
+    let model = ModelId(1);
+    client
+        .store_fresh(model, &seq(&[8, 16, 4]), 0.9, &mut rng)
+        .unwrap();
+    let moments = vec![
+        TensorData::random(&mut rng, DType::F32, vec![16, 8]),
+        TensorData::random(&mut rng, DType::F32, vec![4, 16]),
+    ];
+    let stored = client.store_optimizer_state(model, &moments).unwrap();
+    assert_eq!(client.load_optimizer_state(model).unwrap(), moments);
+
+    let row = client
+        .ledger()
+        .entry("optimizer")
+        .expect("an optimizer ledger row");
+    assert_eq!((row.ops, row.errors), (2, 0));
+    assert!(stored.bytes_written > 0);
+    assert_eq!(row.bytes_in, stored.bytes_written, "resumed bytes charged");
+    assert_eq!(
+        row.bytes_out, stored.bytes_written,
+        "attached bytes charged"
+    );
+    let snap = dep.metrics_snapshot();
+    let hist = snap
+        .find("evostore_client_optimizer_latency_us")
+        .expect("the optimizer histogram is exported");
+    match &hist.value {
+        evostore_obs::MetricValue::Histogram(h) => assert_eq!(h.count, 2),
+        other => panic!("not a histogram: {other:?}"),
+    }
+}
+
 /// Satellite: a client built at `TelemetryLevel::Minimal` still times
 /// its op histograms but opens no spans, records no exemplars, and
 /// leaves the ledger empty — the obs-off side of the overhead A/B.
@@ -814,6 +858,7 @@ fn metrics_catalogue_matches_the_tables() {
         RpcStats::SERIES,
         WatchStats::SERIES,
         ParStats::SERIES,
+        KvPoolStats::SERIES,
         FabricStats::SERIES,
     ]
     .into_iter()

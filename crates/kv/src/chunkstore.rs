@@ -36,6 +36,7 @@ use parking_lot::Mutex;
 
 use crate::api::{KvBackend, KvError};
 use crate::metrics::StoreMetrics;
+use crate::pool;
 
 /// Manifest magic ("EVCM" as LE u32).
 const MANIFEST_MAGIC: u32 = 0x4556_434D;
@@ -150,6 +151,16 @@ fn named_missing(h: ContentHash, e: KvError) -> KvError {
         },
         other => other,
     }
+}
+
+/// A reassembled value must be as long as its manifest says.
+fn check_assembled(len: usize, total: usize) -> Result<(), KvError> {
+    if len != total {
+        return Err(KvError::Corrupt {
+            detail: format!("chunked value reassembled to {len} bytes, manifest says {total}"),
+        });
+    }
+    Ok(())
 }
 
 impl<B: KvBackend> ChunkedStore<B> {
@@ -349,6 +360,28 @@ impl<B: KvBackend> ChunkedStore<B> {
         self.backend.get(&chunk_key(h))
     }
 
+    /// A logical read's manifest; an absent record counts one miss.
+    fn read_manifest(&self, key: &[u8]) -> Result<(usize, Vec<ContentHash>), KvError> {
+        match self.backend.get(&manifest_key(key)) {
+            Ok(manifest) => decode_manifest(&manifest),
+            Err(KvError::NotFound) => {
+                self.metrics.record_miss();
+                Err(KvError::NotFound)
+            }
+            Err(e) => Err(e),
+        }
+    }
+
+    /// Append the chunks under `hashes`, in order, to `out`.
+    fn read_chunks(&self, hashes: &[ContentHash], out: &mut Vec<u8>) -> Result<(), KvError> {
+        for h in hashes {
+            self.backend
+                .get_into(&chunk_key(*h), out)
+                .map_err(|e| named_missing(*h, e))?;
+        }
+        Ok(())
+    }
+
     /// Manifest-level insert: store a record as `(total, hashes)` without
     /// ever holding the assembled value, taking missing chunk payloads
     /// from `provided` (keyed by content hash). Chunks already stored are
@@ -425,41 +458,35 @@ impl<B: KvBackend> KvBackend for ChunkedStore<B> {
     }
 
     fn get(&self, key: &[u8]) -> Result<Bytes, KvError> {
-        let manifest = match self.backend.get(&manifest_key(key)) {
-            Ok(m) => m,
-            Err(KvError::NotFound) => {
-                self.metrics.record_miss();
-                return Err(KvError::NotFound);
-            }
-            Err(e) => return Err(e),
-        };
-        let (total, hashes) = decode_manifest(&manifest)?;
+        let (total, hashes) = self.read_manifest(key)?;
         let value = if let [h] = hashes[..] {
             // One chunk is the value as the backend holds it.
             self.backend
                 .get(&chunk_key(h))
                 .map_err(|e| named_missing(h, e))?
         } else {
-            // Each chunk is read into its place in one buffer: no buffer
-            // per chunk, no reassembly copy.
-            let mut buf = Vec::with_capacity(total);
-            for h in &hashes {
-                self.backend
-                    .get_into(&chunk_key(*h), &mut buf)
-                    .map_err(|e| named_missing(*h, e))?;
-            }
-            Bytes::from(buf)
+            // Each chunk is read into its place in one pooled buffer: no
+            // buffer per chunk, no reassembly copy, no fresh pages.
+            let mut buf = pool::take(total);
+            self.read_chunks(&hashes, &mut buf)?;
+            buf.freeze()
         };
-        if value.len() != total {
-            return Err(KvError::Corrupt {
-                detail: format!(
-                    "chunked value reassembled to {} bytes, manifest says {total}",
-                    value.len()
-                ),
-            });
-        }
+        check_assembled(value.len(), total)?;
         self.metrics.record_get(total);
         Ok(value)
+    }
+
+    /// The record's chunks are laid end to end in `out`.
+    fn get_into(&self, key: &[u8], out: &mut Vec<u8>) -> Result<(), KvError> {
+        let (total, hashes) = self.read_manifest(key)?;
+        let at = out.len();
+        let read = self.read_chunks(&hashes, out);
+        if let Err(e) = read.and_then(|()| check_assembled(out.len() - at, total)) {
+            out.truncate(at);
+            return Err(e);
+        }
+        self.metrics.record_get(total);
+        Ok(())
     }
 
     fn get_resident(&self, key: &[u8]) -> Option<Vec<Bytes>> {
@@ -670,8 +697,8 @@ mod tests {
     }
 
     /// Over a log store, a record's chunks are read end to end into one
-    /// buffer, as one logical read; a chunk gone from the backend is
-    /// corruption, not a miss.
+    /// buffer (or after a caller's bytes), as one logical read; a chunk
+    /// gone from the backend is corruption, not a miss.
     #[test]
     fn multi_chunk_get_reads_chunks_into_place_as_one_read() {
         let dir = std::env::temp_dir().join(format!("evostore-chunk-into-{}", std::process::id()));
@@ -684,14 +711,23 @@ mod tests {
         assert_eq!((m.gets, m.bytes_read, m.misses), (1, 100, 0));
 
         assert_eq!(s.get(b"gone"), Err(KvError::NotFound));
+        // `get_into` lays the same chunks after what `out` holds.
+        let mut out = vec![9u8; 3];
+        s.get_into(b"k", &mut out).unwrap();
+        assert_eq!((&out[..3], &out[3..]), (&[9u8; 3][..], &value[..]));
+        assert_eq!(s.get_into(b"gone", &mut out), Err(KvError::NotFound));
+        assert_eq!(out.len(), 103);
         let (_, hashes) = s.chunk_manifest(b"k").unwrap();
         s.backend().delete(&chunk_key(hashes[3])).unwrap();
         assert!(matches!(
             s.get(b"k"),
             Err(KvError::Corrupt { detail }) if detail.contains("missing from backend")
         ));
+        // A read that fails part-way leaves `out` as it was.
+        assert!(s.get_into(b"k", &mut out).is_err());
+        assert_eq!(out.len(), 103);
         let m = s.metrics_snapshot().unwrap();
-        assert_eq!((m.gets, m.misses), (1, 1));
+        assert_eq!((m.gets, m.misses), (2, 2));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -15,7 +15,10 @@
 //!   long as some stored model still references them;
 //! * [`ChunkedStore`] — the content-addressed chunking layer: values
 //!   split into fixed-size chunks keyed by 128-bit content hash, so
-//!   byte-identical chunks are stored once and reference counted.
+//!   byte-identical chunks are stored once and reference counted;
+//! * [`pool`] — the bounded, process-wide pool the log read path takes
+//!   its record-sized buffers from, so a load does not fault in fresh
+//!   pages.
 //!
 //! A provider stores tensors in memory ([`MemPoolStore`]) or in one log
 //! ([`LogStore`]), whole or chunked: four physical stacks. Providers hold a [`RefCountedStore`] over their tensor store
@@ -28,6 +31,7 @@ pub mod chunkstore;
 pub mod logstore;
 pub mod mempool;
 pub mod metrics;
+pub mod pool;
 pub mod refcount;
 
 pub use api::{KvBackend, KvError};

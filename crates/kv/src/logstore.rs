@@ -41,6 +41,7 @@ use parking_lot::Mutex;
 
 use crate::api::{KvBackend, KvError};
 use crate::metrics::StoreMetrics;
+use crate::pool;
 
 const MAGIC: u32 = 0x4C4F_4732;
 /// Record magic of log format 1 (`"LOGS"`), whose crc was the low half of
@@ -218,6 +219,42 @@ impl LogStore {
             metrics: StoreMetrics::new(),
             _lock: lock,
         })
+    }
+
+    /// Where `key`'s value lies: its segment file, offset and length.
+    /// Looked up under the lock; the caller reads the file outside it.
+    fn locate(&self, key: &[u8]) -> Result<(Arc<File>, u64, usize), KvError> {
+        let inner = self.inner.lock();
+        let Some(e) = inner.index.get(key) else {
+            self.metrics.record_miss();
+            return Err(KvError::NotFound);
+        };
+        let seg = inner
+            .segments
+            .get(&e.segment)
+            .ok_or_else(|| KvError::Corrupt {
+                detail: format!("missing segment {}", e.segment),
+            })?;
+        Ok((Arc::clone(&seg.file), e.value_offset, e.value_len as usize))
+    }
+
+    /// Append the `len` bytes at `offset` of `file` to `out`; on an error
+    /// `out` is as it was.
+    fn read_at(
+        &self,
+        file: &File,
+        offset: u64,
+        len: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<(), KvError> {
+        let at = out.len();
+        out.resize(at + len, 0);
+        if let Err(e) = file.read_exact_at(&mut out[at..], offset) {
+            out.truncate(at);
+            return Err(e.into());
+        }
+        self.metrics.record_get(len);
+        Ok(())
     }
 
     /// Operation counters.
@@ -637,41 +674,18 @@ impl KvBackend for LogStore {
         Some(self.metrics.snapshot())
     }
 
+    /// The value is read into a buffer from [`crate::pool`].
     fn get(&self, key: &[u8]) -> Result<Bytes, KvError> {
-        let mut value = Vec::new();
-        self.get_into(key, &mut value)?;
-        Ok(Bytes::from(value))
+        let (file, offset, len) = self.locate(key)?;
+        let mut value = pool::take(len);
+        self.read_at(&file, offset, len, &mut value)?;
+        Ok(value.freeze())
     }
 
     /// The value is read from its segment straight into `out`.
     fn get_into(&self, key: &[u8], out: &mut Vec<u8>) -> Result<(), KvError> {
-        // Look up under the lock, read the file outside it.
-        let (file, offset, len) = {
-            let inner = self.inner.lock();
-            match inner.index.get(key) {
-                Some(e) => {
-                    let seg = inner
-                        .segments
-                        .get(&e.segment)
-                        .ok_or_else(|| KvError::Corrupt {
-                            detail: format!("missing segment {}", e.segment),
-                        })?;
-                    (Arc::clone(&seg.file), e.value_offset, e.value_len as usize)
-                }
-                None => {
-                    self.metrics.record_miss();
-                    return Err(KvError::NotFound);
-                }
-            }
-        };
-        let at = out.len();
-        out.resize(at + len, 0);
-        if let Err(e) = file.read_exact_at(&mut out[at..], offset) {
-            out.truncate(at);
-            return Err(e.into());
-        }
-        self.metrics.record_get(len);
-        Ok(())
+        let (file, offset, len) = self.locate(key)?;
+        self.read_at(&file, offset, len, out)
     }
 
     fn delete(&self, key: &[u8]) -> Result<bool, KvError> {

@@ -112,6 +112,11 @@ impl<B: KvBackend> RefCountedStore<B> {
         self.backend.get(key)
     }
 
+    /// Append a value to `out` (see [`KvBackend::get_into`]).
+    pub fn get_into(&self, key: &[u8], out: &mut Vec<u8>) -> Result<(), KvError> {
+        self.backend.get_into(key, out)
+    }
+
     /// Zero-copy fetch of a memory-resident value (see
     /// [`KvBackend::get_resident`]); refcounts do not gate reads.
     pub fn get_resident(&self, key: &[u8]) -> Option<Vec<Bytes>> {

@@ -196,6 +196,41 @@ if hits=$(grep -rnw --include='*.rs' 'unsafe' crates vendor src examples tests b
     exit 1
 fi
 
+# A pooled read buffer reaches a `Bytes` only through `PoolBuf::freeze`
+# in crates/kv/src/pool.rs, the one owner that gives its buffer back. A
+# second owner type would compile, pass every test and fault fresh pages
+# on every load again (or never return its buffer). `Vec::from` of an
+# owner-backed `Bytes` copies the record: the delta chain's raw base is
+# read into a pool buffer and patched there, never converted.
+echo "== read buffers: Bytes::from_owner only in kv::pool, no Vec::from in the delta chain"
+pool=crates/kv/src/pool.rs
+delta=crates/core/src/provider/delta.rs
+for path in "$pool" "$delta"; do
+    if [[ ! -f "$path" ]]; then
+        echo "tools/check.sh: guarded file $path is gone; retarget its guard" >&2
+        exit 1
+    fi
+done
+if hits=$(awk -v pool="$pool" '
+    FNR == 1 { in_test = 0; pending = 0 }
+    FILENAME == pool { nextfile }
+    /^#\[cfg\(test\)\]/ { pending = 1; next }
+    pending { pending = 0; if (/\{$/) in_test = 1; else next }
+    in_test && /^}/ { in_test = 0; next }
+    in_test || /^[[:space:]]*\/\// { next }
+    /Bytes::from_owner\(/ { print FILENAME ":" FNR ": " $0; found = 1 }
+    END { exit !found }
+' $(find crates/*/src src examples vendor -name '*.rs' | sort)); then
+    echo "Bytes::from_owner( called outside $pool:" >&2
+    echo "$hits" >&2
+    exit 1
+fi
+if hits=$(grep -n 'Vec::from(' "$delta"); then
+    echo "Vec::from( in $delta (it copies a pooled record):" >&2
+    echo "$hits" >&2
+    exit 1
+fi
+
 # Tensor records cross the fabric through one module (pack, record_in,
 # validate_entry / read_entry, pushed_chunks). The contiguous codec, a
 # consolidation buffer, a gathering slice or a manifest built or walked by
