@@ -30,6 +30,10 @@ impl ProviderState {
     /// chunked record's chunks each land in their place) and every delta
     /// of the chain is applied to it in place, deepest first. The result
     /// views that buffer, which returns to the pool with its last view.
+    ///
+    /// The base's buffer is sized from the depth-1 delta's `raw_len`,
+    /// which is read off disk unchecked: [`pool::take`] treats it as a
+    /// hint, so a corrupt one ends in `apply_delta`'s length check.
     pub(super) fn materialize(&self, record: Bytes) -> Result<Bytes, String> {
         if !is_delta(&record) {
             return Ok(record);
@@ -44,13 +48,18 @@ impl ProviderState {
             if chain.len() > u8::MAX as usize {
                 return Err("delta chain exceeds the depth bound".into());
             }
+            let missing = |_| "delta base record missing".to_string();
+            if head.depth > 1 {
+                // The base is itself a delta (the chain rule), read whole.
+                chain.push(self.tensors.get(&head.base_key).map_err(missing)?);
+                continue;
+            }
             // A depth-1 delta's base is raw and as long as the delta's
-            // target, so its buffer is sized for it; a deeper base is a
-            // delta, which the read sizes as it goes.
-            let mut base = pool::take(if head.depth <= 1 { head.raw_len } else { 0 });
+            // target.
+            let mut base = pool::take(head.raw_len);
             self.tensors
                 .get_into(&head.base_key, &mut base)
-                .map_err(|_| "delta base record missing".to_string())?;
+                .map_err(missing)?;
             if is_delta(&base) {
                 chain.push(base.freeze());
             } else {

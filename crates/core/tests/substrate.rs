@@ -438,6 +438,84 @@ fn chunked_delta_deployment_survives_reopen_with_its_bases_retained() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Overwrite the `raw_len` field of every depth-1 delta record stored
+/// under `dir` with `raw_len`, in place, as a flipped bit on disk would.
+/// Returns how many records it changed.
+fn corrupt_delta_raw_lens(dir: &std::path::Path, raw_len: u64) -> usize {
+    use std::os::unix::fs::FileExt;
+    // magic, version 2, depth 1, zero pad; raw_len sits 16 key bytes on.
+    let mut head = evostore_tensor::DELTA_MAGIC.to_le_bytes().to_vec();
+    head.extend_from_slice(&[2, 1, 0, 0]);
+    let mut patched = 0;
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            patched += corrupt_delta_raw_lens(&path, raw_len);
+            continue;
+        }
+        let bytes = std::fs::read(&path).unwrap();
+        let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        for at in 0..bytes.len().saturating_sub(32) {
+            if bytes[at..at + 8] == head[..] {
+                file.write_all_at(&raw_len.to_le_bytes(), (at + 24) as u64)
+                    .unwrap();
+                patched += 1;
+            }
+        }
+    }
+    patched
+}
+
+/// A delta's `raw_len` is read off disk unchecked and sizes the buffer
+/// its base is read into. A corrupt one that no allocator can give (here
+/// past any address space) fails the read with an error — it neither
+/// panics nor aborts the process — and leaves other records readable.
+#[test]
+fn a_delta_with_a_corrupt_raw_len_fails_its_read() {
+    let dir = std::env::temp_dir().join(format!("evostore-raw-len-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let dep = Deployment::new(DeploymentConfig {
+        providers: 1,
+        backend: BackendKind::Log { dir: dir.clone() },
+        store_policy: StorePolicy::chunked_with_delta(),
+        ..Default::default()
+    });
+    let client = dep.client();
+    let g = seq(&[8, 16, 16, 4]);
+    let mut rng = ChaCha8Rng::seed_from_u64(29);
+    let base_tensors = random_tensors(ModelId(1), &g, &mut rng);
+    let parent_map = OwnerMap::fresh(ModelId(1), &g);
+    client
+        .store_model(g.clone(), parent_map.clone(), None, 0.5, &base_tensors)
+        .unwrap();
+    let last_v = g.len() - 1;
+    let prev: HashMap<u32, TensorData> = base_tensors
+        .iter()
+        .filter(|(k, _)| k.vertex.0 as usize == last_v)
+        .map(|(k, t)| (k.slot, t.clone()))
+        .collect();
+    let map = suffix_map(ModelId(2), &g, &parent_map, 1);
+    let new = finetuned(&map, &prev, &mut rng);
+    client
+        .store_model(g.clone(), map, Some(ModelId(1)), 0.6, &new)
+        .unwrap();
+    assert!(client.stats().unwrap().delta_stored > 0);
+    client.load_model(ModelId(2)).unwrap();
+
+    assert!(
+        corrupt_delta_raw_lens(&dir, 1 << 62) > 0,
+        "no delta on disk"
+    );
+    assert!(client.load_model(ModelId(2)).is_err());
+    let parent = client.load_model(ModelId(1)).unwrap();
+    for (key, tensor) in &base_tensors {
+        assert_eq!(&parent.tensors[key], tensor, "parent {key} differs");
+    }
+    drop(client);
+    drop(dep);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The fork side of `par::map`'s inline rule, end to end: every other
 /// test here moves tensors of a few KB, which the payload path walks
 /// inline. Two generations of 1 MiB layers on the chunked+delta

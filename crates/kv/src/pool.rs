@@ -14,8 +14,10 @@
 //! The pool is process-wide and bounded: it keeps at most
 //! [`RETAINED_CAP`] bytes of free buffers, and only buffers of at least
 //! [`MIN_POOLED`] bytes; a buffer returned to a full pool is freed.
-//! Stores that hand out their own shared buffers (`MemPoolStore`, every
-//! zero-copy read) never take from it.
+//! A read that hands out a store's own shared buffer (`MemPoolStore`'s,
+//! every zero-copy read) takes nothing from it; a read that builds its
+//! record does, on any backend: a delta chain's raw base, and a chunked
+//! record of several chunks, come from the pool over `MemPoolStore` too.
 
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -23,11 +25,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use bytes::Bytes;
 use parking_lot::Mutex;
 
-/// Bytes of free buffers the pool keeps at most. A `replicated_finetune`
-/// load holds eight 1 MiB records and a store decodes its two bases
-/// beside them: on one such lineage a 4 MiB cap still left 256 minor
-/// faults per load and 8 MiB none; 24 MiB leaves room for the workload's
-/// twelve lineages and its watcher overlapping.
+/// Bytes of free buffers the pool keeps at most. Measured on the
+/// `replicated_finetune` benchmark, whose one client fine-tunes its users
+/// in turn: at this cap the free list stood at 14 MiB (10–22 MiB) when a
+/// run ended. A smaller cap frees what it cannot keep and allocates it
+/// again: 1.23 fresh buffers per cycle at 8 MiB, 0.036 at 12 and 0.009 at
+/// 16 against 0.003 here, and peak RSS 1.06×, 1.11× and 1.03× of this
+/// cap's, while load latency held from 8 MiB up. 32 MiB moved neither.
 pub const RETAINED_CAP: usize = 24 << 20;
 
 /// The smallest buffer the pool hands out or keeps. Smaller requests are
@@ -73,6 +77,11 @@ pub fn stats() -> PoolStats {
 /// An empty buffer with room for at least `capacity` bytes: the smallest
 /// retained one that fits (with at most [`MAX_SLACK`] times the room),
 /// else a fresh one. Below [`MIN_POOLED`] it is a plain allocation.
+///
+/// `capacity` is a hint, not a promise: a size the allocator cannot give
+/// (one read off disk from a corrupt header, say) yields an empty buffer
+/// that grows as it is filled, so the reader's own length checks report
+/// the fault instead of the process aborting.
 pub fn take(capacity: usize) -> PoolBuf {
     POOL.take(capacity)
 }
@@ -99,13 +108,13 @@ impl Pool {
 
     fn take(&'static self, capacity: usize) -> PoolBuf {
         let buf = if capacity < MIN_POOLED {
-            Vec::with_capacity(capacity)
+            allocate(capacity)
         } else if let Some(buf) = self.retained(capacity) {
             self.recycled.fetch_add(1, Ordering::Relaxed);
             buf
         } else {
             self.fresh.fetch_add(1, Ordering::Relaxed);
-            Vec::with_capacity(capacity)
+            allocate(capacity)
         };
         PoolBuf { buf, home: self }
     }
@@ -141,6 +150,14 @@ impl Pool {
             free.bufs.push(buf);
         }
     }
+}
+
+/// A fresh buffer with room for `capacity` bytes, or an empty one when
+/// the allocator cannot give that much.
+fn allocate(capacity: usize) -> Vec<u8> {
+    let mut buf = Vec::new();
+    let _ = buf.try_reserve_exact(capacity);
+    buf
 }
 
 /// A buffer from [`take`], used as the `Vec` it is; it goes back to the
@@ -234,6 +251,20 @@ mod tests {
         drop(POOL.take(MIN_POOLED - 1));
         assert_eq!(POOL.stats().fresh, 3);
         assert_eq!(held(&POOL).len(), 1);
+    }
+
+    #[test]
+    fn a_size_no_allocator_can_give_yields_an_empty_buffer() {
+        static POOL: Pool = Pool::new();
+        // Past `isize::MAX`, and past any address space.
+        for capacity in [usize::MAX, 1 << 62] {
+            let mut buf = POOL.take(capacity);
+            assert_eq!(buf.len(), 0);
+            buf.extend_from_slice(&[7; 16]);
+            assert_eq!(&buf[..], &[7; 16]);
+        }
+        assert_eq!(POOL.stats().fresh, 2);
+        assert!(held(&POOL).is_empty(), "a small grown buffer is freed");
     }
 
     #[test]
