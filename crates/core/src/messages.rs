@@ -588,7 +588,7 @@ counter_set! {
         /// (zero-copy scatter-gather data plane).
         bulk_segments_exposed: atomic sum counter "evostore_datapath_bulk_segments_exposed",
         /// Tensor reads served without copying the payload (shared-buffer
-        /// clone of a memory-resident value).
+        /// clone of a memory-resident value or of a raw-cache entry).
         zero_copy_reads: atomic sum counter "evostore_datapath_zero_copy_reads",
         /// Tensor reads that fell back to a copying `get` (disk-resident
         /// record or a delta that had to be reconstructed).
@@ -609,6 +609,14 @@ counter_set! {
         delta_stored: atomic sum counter "evostore_delta_stored",
         /// Delta decodes performed to serve reads (one per chain link).
         delta_reconstructs: atomic sum counter "evostore_delta_reconstructs",
+        /// Delta bases the store encoder took from the raw-record cache:
+        /// no log read and no chain decode (chunked substrate only).
+        raw_cache_base_hits: atomic sum counter "evostore_raw_cache_base_hits",
+        /// Delta bases the store encoder read from the store because the
+        /// raw-record cache did not hold them (chunked substrate only).
+        raw_cache_base_misses: atomic sum counter "evostore_raw_cache_base_misses",
+        /// Bytes of raw records the raw-record cache holds.
+        raw_cache_bytes: computed sum gauge "evostore_raw_cache_bytes",
         /// Live content-addressed chunks (zero on unchunked backends).
         chunks: computed sum gauge "evostore_chunk_count",
         /// Chunk writes absorbed by deduplication.
@@ -701,6 +709,9 @@ mod tests {
             par_helpers: 1,
             delta_stored: 3,
             delta_reconstructs: 6,
+            raw_cache_base_hits: 0,
+            raw_cache_base_misses: 0,
+            raw_cache_bytes: 0,
             chunks: 10,
             chunk_dedup_hits: 7,
             chunk_logical_bytes: 2048,
@@ -726,18 +737,21 @@ mod tests {
 
     #[test]
     fn stats_wire_shape_is_the_hand_written_one() {
-        // The fixture still carries a counter since dropped and lacks one
+        // The fixture still carries a counter since dropped and lacks four
         // since added: an older build's reply decodes (the derive skips the
-        // unknown field and defaults the missing one), and every other
+        // unknown field and defaults the missing ones), and every other
         // field keeps its place.
         let decoded: ProviderStats = serde_json::from_str(PARENT_STATS_JSON).unwrap();
         assert_eq!(decoded, sample_stats());
+        let raw_cache = r#""delta_reconstructs":6,"raw_cache_base_hits":0,"raw_cache_base_misses":0,"raw_cache_bytes":0,"#;
         let expected = PARENT_STATS_JSON.replace(r#""delta_rebased":1,"#, "");
-        let added = r#""snapshot_reads":20,"snapshot_clones":0,"#;
-        assert_eq!(
-            serde_json::to_string(&sample_stats()).unwrap(),
-            expected.replace(r#""snapshot_reads":20,"#, added)
-        );
+        let expected = expected
+            .replace(r#""delta_reconstructs":6,"#, raw_cache)
+            .replace(
+                r#""snapshot_reads":20,"#,
+                r#""snapshot_reads":20,"snapshot_clones":0,"#,
+            );
+        assert_eq!(serde_json::to_string(&sample_stats()).unwrap(), expected);
     }
 
     #[test]
@@ -767,6 +781,9 @@ mod tests {
             par_helpers: 1,
             delta_stored: 1,
             delta_reconstructs: 2,
+            raw_cache_base_hits: 7,
+            raw_cache_base_misses: 1,
+            raw_cache_bytes: 4096,
             chunks: 5,
             chunk_dedup_hits: 3,
             chunk_logical_bytes: 512,
@@ -811,6 +828,14 @@ mod tests {
         );
         assert_eq!(m.delta_stored, 4);
         assert_eq!(m.delta_reconstructs, 8);
+        assert_eq!(
+            (
+                m.raw_cache_base_hits,
+                m.raw_cache_base_misses,
+                m.raw_cache_bytes
+            ),
+            (7, 1, 4096)
+        );
         assert_eq!(m.chunks, 15);
         assert_eq!(m.chunk_dedup_hits, 10);
         assert_eq!(m.chunk_logical_bytes, 2560);

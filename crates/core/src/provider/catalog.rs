@@ -383,13 +383,32 @@ impl ProviderState {
         };
         let record = ModelRecord::new(req.graph, req.owner_map, req.parent, req.quality, stamp);
         let bytes_stored = validated.iter().map(|(_, r)| rope::len(r) as u64).sum();
+        // A derived store keeps its raw records in the raw-record cache,
+        // the one place that fills it: its child will delta-encode against
+        // them and its loads will read them.
+        let cache = self.raw_cache.as_ref().filter(|_| parent.is_some());
+        let raws = match cache {
+            Some(_) => validated.clone(),
+            None => Vec::new(),
+        };
         self.land(|set| {
             let kv = self.kv_span("kv.put_tensors");
             let parent_map = parent.as_ref().map(|r| &r.owner_map);
-            for (key, payload, base) in self.encode_records(set, validated, parent_map)? {
-                set.write(key, payload, base)?;
+            let writes = self.encode_records(set, validated, parent_map)?;
+            let mut depths = Vec::with_capacity(writes.len());
+            for (key, payload, link) in writes {
+                set.write(key, payload, link.map(|(base, _)| base))?;
+                depths.push(link.map_or(0, |(_, depth)| depth));
             }
             drop(kv);
+            // After every write and before publication: no retire can
+            // reach these keys yet, and a failed install releases them,
+            // entries and all.
+            if let Some(cache) = cache {
+                for ((key, rope), depth) in raws.into_iter().zip(depths) {
+                    cache.admit(key, rope, depth);
+                }
+            }
             let timestamp = self.install_record(req.model, record, origin)?;
             Ok(StoreModelReply {
                 timestamp,
@@ -779,7 +798,8 @@ mod tests {
 
         /// What a failed write must leave as it found it: the published
         /// catalog, the meta store, every hosted record's count and, on the
-        /// chunk substrate, the chunk store's occupancy.
+        /// chunk substrate, the chunk store's occupancy and the raw-record
+        /// cache's.
         fn books(&self) -> Books {
             let state = self.state();
             let mut catalog: Vec<(ModelId, u64, Vec<TensorKey>)> = state
@@ -807,6 +827,7 @@ mod tests {
                 durable,
                 refs,
                 chunks,
+                raw_cache: state.raw_cache.as_ref().map(|c| c.bytes()),
             }
         }
 
@@ -831,6 +852,7 @@ mod tests {
         durable: Vec<(Vec<u8>, Bytes)>,
         refs: Vec<(TensorKey, u64)>,
         chunks: Option<(u64, u64, u64, u64)>,
+        raw_cache: Option<usize>,
     }
 
     type Tensors = HashMap<TensorKey, TensorData>;
@@ -1117,6 +1139,14 @@ mod tests {
         }
         let loaded = rig.client.load_model(CHILD).unwrap();
         assert_eq!(loaded.tensors, s.child_tensors);
+        // A landed store of a derived model is kept raw; a sync is not.
+        let kept = rig.state().stats().raw_cache_bytes > 0;
+        let landed = matches!(write, Write::Store | Write::Mirror);
+        assert_eq!(
+            kept,
+            landed && policy == StorePolicy::chunked_with_delta(),
+            "{policy:?} {write:?}"
+        );
         // A materialized sync ships raw records.
         if policy == StorePolicy::chunked_with_delta() && write != Write::SyncModel {
             let links = rig.state().delta_links().unwrap();

@@ -30,10 +30,11 @@ impl ProviderState {
     }
 
     /// Fetch the records under `keys`, each as a rope flagged with
-    /// whether it left the store as shared-buffer clones. Memory-resident
-    /// records are taken on this thread (`get_resident`, zero copy —
-    /// whether the store holds them whole, as the rope they were pushed
-    /// as, or in chunks). Whatever is left — a record that needs a
+    /// whether it left the store as shared-buffer clones. Raw-cache
+    /// entries and memory-resident records are taken on this thread (zero
+    /// copy: a cached rope, or `get_resident` — whether the store holds a
+    /// record whole, as the rope it was pushed as, or in chunks).
+    /// Whatever is left — a record that needs a
     /// copying `get` and a delta that must be reconstructed before it
     /// leaves the provider (the reply buffer is freshly built, so it
     /// counts as a fallback) — is shared out per tensor
@@ -43,6 +44,10 @@ impl ProviderState {
         let mut records = Vec::with_capacity(keys.len());
         let mut slow: Vec<(usize, Option<Vec<Bytes>>)> = Vec::new();
         for (i, key) in keys.iter().enumerate() {
+            if let Some(raw) = self.cached_raw(key) {
+                records.push((raw, true));
+                continue;
+            }
             match self.tensors.get_resident(&key.encode()) {
                 // The delta sniff reads the record's first *logical*
                 // bytes: a delta held in pieces is still a delta.
@@ -76,6 +81,12 @@ impl ProviderState {
         Ok(records)
     }
 
+    /// `key`'s raw record from the raw-record cache, when it holds one:
+    /// a just-stored record served with no store read and no decode.
+    fn cached_raw(&self, key: &TensorKey) -> Option<Vec<Bytes>> {
+        self.raw_cache.as_ref()?.get(key)
+    }
+
     /// Pack fetched records into a read reply: one vectored bulk region
     /// of the records' own segments (no buffer is built) plus the manifest
     /// over it, tallying the zero-copy/fallback read counters. The reader
@@ -104,11 +115,12 @@ impl ProviderState {
         }
     }
 
-    /// Handle a partial (element-range) tensor read. A memory-resident
-    /// raw record is sliced where it lies — an in-segment range of a
-    /// borrowed record is a view into the buffer the writer handed over,
-    /// and nothing else of the record is touched; a delta, or a record
-    /// that is not resident, is materialized first.
+    /// Handle a partial (element-range) tensor read. A raw-cache entry or
+    /// a memory-resident raw record is sliced where it lies — an
+    /// in-segment range of a borrowed record is a view into the buffer
+    /// the writer handed over, and nothing else of the record is touched;
+    /// a delta, or a record that is not resident, is materialized first
+    /// ([`ProviderState::range_record`]).
     pub fn handle_read_range(&self, req: ReadRangeRequest) -> Result<ReadRangeReply, String> {
         if !self.places_here(req.key.owner) {
             return Err(format!(
@@ -116,13 +128,8 @@ impl ProviderState {
                 req.key, self.index
             ));
         }
-        let enc = req.key.encode();
         let named = |e: String| format!("tensor {}: {e}", req.key);
-        let record = match self.tensors.get_resident(&enc) {
-            Some(record) if !is_delta_segments(&record) => record,
-            Some(delta) => vec![self.materialize(rope::flatten(&delta)).map_err(named)?],
-            None => vec![self.resolve_record(&enc).map_err(named)?],
-        };
+        let record = self.range_record(req.key).map_err(named)?;
         let (payload, dtype) =
             evostore_tensor::payload_range_segments(&record).map_err(|e| named(e.to_string()))?;
         // Element counts come off the wire: checked, so an absurd range
@@ -146,6 +153,21 @@ impl ProviderState {
             dtype_tag: dtype.tag(),
             bulk: bulk.0,
         })
+    }
+
+    /// The record a range read slices: a raw-cache entry, else a
+    /// memory-resident raw record as it lies, else the record
+    /// materialized.
+    fn range_record(&self, key: TensorKey) -> Result<Vec<Bytes>, String> {
+        if let Some(raw) = self.cached_raw(&key) {
+            return Ok(raw);
+        }
+        let enc = key.encode();
+        match self.tensors.get_resident(&enc) {
+            Some(record) if !is_delta_segments(&record) => Ok(record),
+            Some(delta) => Ok(vec![self.materialize(rope::flatten(&delta))?]),
+            None => Ok(vec![self.resolve_record(&enc)?]),
+        }
     }
 
     /// Handle attaching optimizer state to a stored model.

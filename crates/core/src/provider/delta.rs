@@ -9,11 +9,15 @@ use evostore_kv::pool;
 use evostore_tensor::rope;
 use evostore_tensor::{apply_delta, delta_header, encode_delta_segments, is_delta, TensorKey};
 
+use super::raw_cache::RawRecord;
 use super::write_set::{Payload, WriteSet};
 use super::ProviderState;
 use crate::owner_map::OwnerMap;
 use crate::par;
 use crate::policy::MAX_CHAIN_DEPTH;
+
+/// A delta's base and the depth the delta is written at.
+pub(super) type DeltaLink = (TensorKey, u8);
 
 /// The chain rule every stored delta keeps, checked where a delta is
 /// written and by `gc_audit`: its header depth is its base's (0 for a raw
@@ -85,14 +89,15 @@ impl ProviderState {
 
     /// A store's writes, one per record in manifest order: against a local
     /// parent's owner map, a record's delta on the parent's tensor where
-    /// that saves space (its base pin joins `set`), else the record as it
-    /// arrived. Encoding only reads the store, so it is shared out.
+    /// that saves space (its base pin joins `set`), with the base and the
+    /// delta's depth, else the record as it arrived. Encoding only reads
+    /// the store, so it is shared out.
     pub(super) fn encode_records(
         &self,
         set: &mut WriteSet<'_>,
         validated: Vec<(TensorKey, Vec<Bytes>)>,
         parent_map: Option<&OwnerMap>,
-    ) -> Result<Vec<(TensorKey, Payload<'static>, Option<TensorKey>)>, String> {
+    ) -> Result<Vec<(TensorKey, Payload<'static>, Option<DeltaLink>)>, String> {
         let bytes = validated.iter().map(|(_, record)| rope::len(record)).sum();
         let deltas = match parent_map {
             Some(map) => par::map(&validated, bytes, |(key, record)| {
@@ -100,12 +105,12 @@ impl ProviderState {
             }),
             None => Vec::new(),
         };
-        for (_, base) in deltas.iter().flatten().flatten() {
+        for (_, base, _) in deltas.iter().flatten().flatten() {
             set.pinned(*base);
         }
         let mut deltas = deltas.into_iter();
         let write = |(key, record)| match deltas.next().transpose()?.flatten() {
-            Some((blob, base)) => Ok((key, Payload::Rope(vec![blob]), Some(base))),
+            Some((blob, base, depth)) => Ok((key, Payload::Rope(vec![blob]), Some((base, depth)))),
             None => Ok((key, Payload::Rope(record), None)),
         };
         validated.into_iter().map(write).collect()
@@ -114,14 +119,17 @@ impl ProviderState {
     /// Try to delta-encode a self-owned tensor of a derived model against
     /// the parent's tensor at the same vertex/slot, pinning the base before
     /// reading it (a concurrent retire cannot reclaim it under the encoder;
-    /// the pin becomes the delta's reference). `None`, pin given back: the
-    /// base is not here, the chain bound is reached, or no space is saved.
+    /// the pin becomes the delta's reference). The base comes from the
+    /// raw-record cache when it holds it — taken, since the child is now
+    /// its lineage's newest record — and is otherwise read and decoded.
+    /// `None`, pin given back: the base is not here, the chain bound is
+    /// reached, or no space is saved. `Some` carries the delta's depth.
     pub(super) fn try_delta_encode(
         &self,
         key: TensorKey,
         record: &[Bytes],
         parent_map: &OwnerMap,
-    ) -> Result<Option<(Bytes, TensorKey)>, String> {
+    ) -> Result<Option<(Bytes, TensorKey, u8)>, String> {
         if (key.vertex.0 as usize) >= parent_map.vertices.len() {
             return Ok(None);
         }
@@ -136,23 +144,42 @@ impl ProviderState {
         if base == key || self.tensors.incr(&base_enc).is_err() {
             return Ok(None);
         }
-        let blob = self.tensors.get(&base_enc).ok().and_then(|base_rec| {
-            let depth = match is_delta(&base_rec) {
-                true => delta_header(&base_rec).ok()?.depth,
-                false => 0,
-            };
-            if depth >= MAX_CHAIN_DEPTH {
-                return None;
+        let base_raw = match self.raw_cache.as_ref().map(|cache| cache.take(&base)) {
+            Some(Some(RawRecord { rope, depth })) => {
+                self.counters.raw_cache_base_hits.add(1);
+                (depth < MAX_CHAIN_DEPTH).then_some((rope, depth + 1))
             }
-            let base_raw = self.materialize(base_rec).ok()?;
-            // Transposed from the segments where they lie: the incoming
-            // record is not gathered to be compared with its base.
-            encode_delta_segments(record, &base_raw, base_enc, depth + 1)
+            Some(None) => {
+                self.counters.raw_cache_base_misses.add(1);
+                self.read_base(&base_enc)
+            }
+            None => self.read_base(&base_enc),
+        };
+        // Transposed from the segments where they lie: neither the
+        // incoming record nor its base is gathered to be compared.
+        let blob = base_raw.and_then(|(base_raw, depth)| {
+            encode_delta_segments(record, &base_raw, base_enc, depth).map(|blob| (blob, depth))
         });
         match blob {
-            Some(blob) => Ok(Some((blob, base))),
+            Some((blob, depth)) => Ok(Some((blob, base, depth))),
             None => self.release(base).map(|_| None),
         }
+    }
+
+    /// A delta base read from the store and decoded, with the depth a
+    /// delta on it is written at: `None` when it cannot be read or is
+    /// already at the chain bound.
+    fn read_base(&self, base_enc: &[u8]) -> Option<(Vec<Bytes>, u8)> {
+        let base_rec = self.tensors.get(base_enc).ok()?;
+        let depth = match is_delta(&base_rec) {
+            true => delta_header(&base_rec).ok()?.depth,
+            false => 0,
+        };
+        if depth >= MAX_CHAIN_DEPTH {
+            return None;
+        }
+        let base_raw = self.materialize(base_rec).ok()?;
+        Some((vec![base_raw], depth + 1))
     }
 
     /// The base a stored record is a delta against: `None` for a raw

@@ -14,19 +14,22 @@
 //! This module holds the shared state, the catalog and its published
 //! snapshot, and [`Provider::spawn`]; the handlers live beside it, one
 //! module per seam: `catalog`, `data`, `refs`, `delta`, `transfer`,
-//! `stats`, over the tensor store `substrate` defines. Handlers are
+//! `stats`, over the tensor store `substrate` defines and, on the chunked
+//! substrate, the `raw_cache` of the newest derived records. Handlers are
 //! reachable only through the method table ([`crate::methods`]) they are
 //! registered under.
 
 mod catalog;
 mod data;
 mod delta;
+mod raw_cache;
 mod refs;
 mod stats;
 mod substrate;
 mod transfer;
 mod write_set;
 
+pub use raw_cache::RAW_CACHE_CAP;
 pub use stats::{index_query_rows, kv_rows};
 pub use substrate::Substrate;
 
@@ -429,6 +432,9 @@ pub struct ProviderState {
     /// Every other counter the handlers bump — the `atomic` lines of
     /// the [`ProviderStats`](crate::messages::ProviderStats) table.
     counters: ProviderCounters,
+    /// The raw ropes of the newest derived records, on the chunked
+    /// substrate only ([`raw_cache`]): `None` under whole records.
+    raw_cache: Option<raw_cache::RawCache>,
     /// Span factory for this provider; its flight recorder is the
     /// provider's postmortem ring.
     tracer: Tracer,
@@ -714,6 +720,7 @@ impl Provider {
             deliver_fanout,
             deliver_tracer,
         ));
+        let raw_cache = tensors.chunked().map(|_| raw_cache::RawCache::new());
         let state = Arc::new(ProviderState {
             fabric: Arc::clone(&fabric),
             index,
@@ -728,6 +735,7 @@ impl Provider {
             index_enabled: AtomicBool::new(true),
             query_stats: AtomicQueryStats::default(),
             counters: ProviderCounters::new(),
+            raw_cache,
             tracer,
             endpoint_id: endpoint.id().0,
             drops: Mutex::new(()),

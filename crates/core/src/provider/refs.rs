@@ -62,9 +62,16 @@ impl ProviderState {
         let mut next = Some(key);
         while let Some(key) = next {
             let enc = key.encode();
-            // Read the base before the last decrement deletes the record.
+            // Before the last decrement deletes the record: read its base,
+            // and drop its raw-cache entry, so no read is served bytes its
+            // key no longer holds.
             let base = match self.tensors.refs(&enc) {
-                1 => self.delta_base(key)?,
+                1 => {
+                    if let Some(cache) = &self.raw_cache {
+                        cache.remove(&key);
+                    }
+                    self.delta_base(key)?
+                }
                 _ => None,
             };
             if self.tensors.decr(&enc).map_err(|e| format!("{key}: {e}"))? > 0 {
@@ -412,12 +419,12 @@ pub(super) mod tests {
             .land(|set| {
                 let writes = state.encode_records(set, records, Some(&parent_map))?;
                 assert!(
-                    writes.iter().any(|(_, _, base)| base.is_some()),
+                    writes.iter().any(|(_, _, link)| link.is_some()),
                     "the child encodes"
                 );
                 l.retire_parent(&state);
-                for (key, payload, base) in writes {
-                    set.write(key, payload, base)?;
+                for (key, payload, link) in writes {
+                    set.write(key, payload, link.map(|(base, _)| base))?;
                 }
                 l.catalog_child(&state)
             })
@@ -441,9 +448,9 @@ pub(super) mod tests {
         state
             .land(|set| {
                 let writes = state.encode_records(set, records, Some(&parent_map))?;
-                assert!(writes.iter().all(|(_, _, base)| base.is_none()));
-                for (key, payload, base) in writes {
-                    set.write(key, payload, base)?;
+                assert!(writes.iter().all(|(_, _, link)| link.is_none()));
+                for (key, payload, link) in writes {
+                    set.write(key, payload, link.map(|(base, _)| base))?;
                 }
                 l.catalog_child(&state)
             })

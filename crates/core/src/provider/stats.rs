@@ -71,6 +71,7 @@ impl ProviderState {
             par_forked_total: par.forked,
             par_inline_total: par.inline,
             par_helpers: par.helpers,
+            raw_cache_bytes: self.raw_cache.as_ref().map_or(0, |c| c.bytes() as u64),
             chunks: chunk.chunks,
             chunk_dedup_hits: chunk.dedup_hits,
             chunk_logical_bytes: chunk.logical_bytes,

@@ -12,8 +12,8 @@ use evostore_core::par::ParStats;
 use evostore_core::provider::{index_query_rows, kv_rows};
 use evostore_core::telemetry::ClientStats;
 use evostore_core::{
-    trained_tensors, CachingClient, Deployment, DeploymentConfig, EvoStoreClient, ModelWatcher,
-    OwnerMap, ProviderStats, WatchConfig, WatchStats,
+    random_tensors, trained_tensors, CachingClient, Deployment, DeploymentConfig, EvoStoreClient,
+    ModelWatcher, OwnerMap, ProviderStats, StorePolicy, WatchConfig, WatchStats,
 };
 use evostore_deliver::{DeliverStats, SubscriptionFilter};
 use evostore_graph::{
@@ -22,7 +22,7 @@ use evostore_graph::{
 use evostore_obs::{FlightEvent, FlightRecorder, SpanRecord, TimeSource};
 use evostore_rpc::{FabricStats, FaultAction, FaultPlan, FaultRule, Method, RpcStats};
 use evostore_sim::{SimClock, SimTime};
-use evostore_tensor::ModelId;
+use evostore_tensor::{ModelId, TensorKey};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -921,4 +921,40 @@ fn metrics_catalogue_matches_the_tables() {
     ] {
         assert!(snap.counter_total(name) > 0, "{name} did not move");
     }
+
+    // The raw-record cache's series move on the chunked substrate only: a
+    // child's bases come from the store, a grandchild's from the cache.
+    let chunked = Deployment::new(DeploymentConfig {
+        providers: 1,
+        store_policy: StorePolicy::chunked_with_delta(),
+        ..Default::default()
+    });
+    let client = chunked.client();
+    let mut tensors = random_tensors(ModelId(1), &parent_g, &mut rng);
+    for (model, parent) in [(1, None), (2, Some(ModelId(1))), (3, Some(ModelId(2)))] {
+        let model = ModelId(model);
+        tensors = tensors
+            .iter()
+            .map(|(k, t)| {
+                let key = TensorKey::new(model, k.vertex, k.slot);
+                (key, t.perturbed_sparse(&mut rng, 0.05))
+            })
+            .collect();
+        let map = OwnerMap::fresh(model, &parent_g);
+        client
+            .store_model(parent_g.clone(), map, parent, 0.5, &tensors)
+            .unwrap();
+    }
+    let snap = chunked.metrics_snapshot();
+    for name in [
+        "evostore_raw_cache_base_hits",
+        "evostore_raw_cache_base_misses",
+    ] {
+        assert!(snap.counter_total(name) > 0, "{name} did not move");
+    }
+    let bytes = snap.find("evostore_raw_cache_bytes").map(|m| &m.value);
+    assert!(
+        matches!(bytes, Some(evostore_obs::MetricValue::Gauge(v)) if *v > 0.0),
+        "evostore_raw_cache_bytes: {bytes:?}"
+    );
 }

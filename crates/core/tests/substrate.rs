@@ -470,16 +470,19 @@ fn corrupt_delta_raw_lens(dir: &std::path::Path, raw_len: u64) -> usize {
 /// its base is read into. A corrupt one that no allocator can give (here
 /// past any address space) fails the read with an error — it neither
 /// panics nor aborts the process — and leaves other records readable.
+/// The read runs after a restart: a just-stored child is served from the
+/// raw-record cache, which a reopened provider starts without.
 #[test]
 fn a_delta_with_a_corrupt_raw_len_fails_its_read() {
     let dir = std::env::temp_dir().join(format!("evostore-raw-len-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let dep = Deployment::new(DeploymentConfig {
+    let cfg = DeploymentConfig {
         providers: 1,
         backend: BackendKind::Log { dir: dir.clone() },
         store_policy: StorePolicy::chunked_with_delta(),
         ..Default::default()
-    });
+    };
+    let dep = Deployment::new(cfg.clone());
     let client = dep.client();
     let g = seq(&[8, 16, 16, 4]);
     let mut rng = ChaCha8Rng::seed_from_u64(29);
@@ -501,6 +504,12 @@ fn a_delta_with_a_corrupt_raw_len_fails_its_read() {
         .unwrap();
     assert!(client.stats().unwrap().delta_stored > 0);
     client.load_model(ModelId(2)).unwrap();
+    drop(client);
+    drop(dep);
+    let dep = Deployment::reopen(cfg).unwrap();
+    let client = dep.client();
+    client.load_model(ModelId(2)).unwrap();
+    assert!(client.stats().unwrap().delta_reconstructs > 0);
 
     assert!(
         corrupt_delta_raw_lens(&dir, 1 << 62) > 0,
@@ -518,11 +527,13 @@ fn a_delta_with_a_corrupt_raw_len_fails_its_read() {
 
 /// The fork side of `par::map`'s inline rule, end to end: every other
 /// test here moves tensors of a few KB, which the payload path walks
-/// inline. Two generations of 1 MiB layers on the chunked+delta
-/// substrate share out all five per-tensor loops (client serialize and
-/// decode; provider validate, delta-encode, gather + reconstruct) — and
-/// must read back the stored bytes, charge the ops' ledgers, and keep
-/// each op's spans in one tree.
+/// inline. Generations of 1 MiB layers on the chunked+delta substrate
+/// share out all five per-tensor loops (client serialize and decode;
+/// provider validate, delta-encode, gather + reconstruct) — and must read
+/// back the stored bytes, charge the ops' ledgers, and keep each op's
+/// spans in one tree. The child is loaded once a grandchild has been
+/// derived from it, which takes the child's raw-record cache entries, so
+/// the load reconstructs the child's deltas.
 #[test]
 fn forked_payload_path_roundtrips_and_attributes() {
     let dep = dep_with(StorePolicy::chunked_with_delta());
@@ -549,7 +560,28 @@ fn forked_payload_path_roundtrips_and_attributes() {
         })
         .collect();
     client
-        .store_model(g.clone(), child_map, Some(ModelId(1)), 0.6, &child_new)
+        .store_model(
+            g.clone(),
+            child_map.clone(),
+            Some(ModelId(1)),
+            0.6,
+            &child_new,
+        )
+        .unwrap();
+    // The grandchild retrains the same layers from scratch: no delta wins,
+    // so its records are stored raw and the child's stay the only deltas.
+    let grandchild_map = suffix_map(ModelId(3), &g, &child_map, 2);
+    let mut grandchild_new = random_tensors(ModelId(3), &g, &mut rng);
+    grandchild_new
+        .retain(|k, _| child_new.contains_key(&TensorKey::new(ModelId(2), k.vertex, k.slot)));
+    client
+        .store_model(
+            g.clone(),
+            grandchild_map,
+            Some(ModelId(2)),
+            0.7,
+            &grandchild_new,
+        )
         .unwrap();
 
     let loaded = client.load_model(ModelId(2)).unwrap();
@@ -571,16 +603,21 @@ fn forked_payload_path_roundtrips_and_attributes() {
         stats.delta_stored, deltas,
         "every fine-tuned tensor is a delta"
     );
+    assert_eq!(
+        (stats.raw_cache_base_hits, stats.raw_cache_base_misses),
+        (deltas, deltas),
+        "the grandchild's bases come from the cache, the child's from the store"
+    );
     assert!(stats.delta_reconstructs >= deltas);
     if stats.par_helpers > 0 {
         assert_eq!(
-            stats.validate_par_batches, 2,
-            "both manifests were validated across the pool"
+            stats.validate_par_batches, 3,
+            "every manifest was validated across the pool"
         );
         // Per store: serialize + validate (+ delta-encode for the
-        // child); per load: provider gather + client decode.
+        // descendants); per load: provider gather + client decode.
         assert!(
-            stats.par_forked_total - before.par_forked_total >= 7,
+            stats.par_forked_total - before.par_forked_total >= 10,
             "forked {} -> {}",
             before.par_forked_total,
             stats.par_forked_total

@@ -30,8 +30,10 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::fs::{File, OpenOptions};
-use std::io::{IoSlice, Write};
+use std::io::{self, IoSlice, Write};
+use std::os::raw::{c_int, c_void};
 use std::os::unix::fs::FileExt;
+use std::os::unix::io::AsRawFd;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -239,7 +241,10 @@ impl LogStore {
     }
 
     /// Append the `len` bytes at `offset` of `file` to `out`; on an error
-    /// `out` is as it was.
+    /// `out` is as it was. The bytes are read into `out`'s spare capacity
+    /// as they are, never zero-filled first: a value is written once, by
+    /// the read. A read that reaches past the end of the file is an
+    /// `UnexpectedEof` error.
     fn read_at(
         &self,
         file: &File,
@@ -247,12 +252,41 @@ impl LogStore {
         len: usize,
         out: &mut Vec<u8>,
     ) -> Result<(), KvError> {
-        let at = out.len();
-        out.resize(at + len, 0);
-        if let Err(e) = file.read_exact_at(&mut out[at..], offset) {
-            out.truncate(at);
-            return Err(e.into());
+        // `off_t` is 64 bits on the 64-bit Unix targets this builds for.
+        extern "C" {
+            fn pread(fd: c_int, buf: *mut c_void, count: usize, offset: i64) -> isize;
         }
+        out.reserve(len);
+        let at = out.len();
+        let mut done = 0;
+        while done < len {
+            let spare = &mut out.spare_capacity_mut()[done..len];
+            let from = i64::try_from(offset + done as u64)
+                .map_err(|_| io::Error::from(io::ErrorKind::InvalidInput))?;
+            // SAFETY: `spare` is `len - done` bytes of `out`'s allocation
+            // past its initialized length, borrowed mutably for this call
+            // alone, and `pread` writes at most `count` bytes through the
+            // pointer. `file` holds the descriptor open for the call.
+            let n = unsafe {
+                pread(
+                    file.as_raw_fd(),
+                    spare.as_mut_ptr().cast(),
+                    spare.len(),
+                    from,
+                )
+            };
+            match n {
+                0 => return Err(io::Error::from(io::ErrorKind::UnexpectedEof).into()),
+                n if n > 0 => done += n as usize,
+                _ => match io::Error::last_os_error() {
+                    e if e.kind() == io::ErrorKind::Interrupted => continue,
+                    e => return Err(e.into()),
+                },
+            }
+        }
+        // SAFETY: the loop above ran until `pread` had written every one
+        // of the `len` bytes past `at`, and `reserve` made room for them.
+        unsafe { out.set_len(at + len) };
         self.metrics.record_get(len);
         Ok(())
     }
@@ -822,6 +856,29 @@ mod tests {
         assert_eq!(out, b"held value");
         let m = s.metrics().snapshot();
         assert_eq!((m.gets, m.bytes_read, m.misses), (1, 5, 1));
+    }
+
+    #[test]
+    fn a_read_past_the_end_of_its_file_fails_and_leaves_the_buffer() {
+        let dir = tmpdir("past-end");
+        let s = LogStore::open(&dir).unwrap();
+        s.put(b"k", Bytes::from_static(b"value")).unwrap();
+        let (file, offset, len) = s.locate(b"k").unwrap();
+        let mut out = b"held ".to_vec();
+        s.read_at(&file, offset, len, &mut out).unwrap();
+        assert_eq!(out, b"held value");
+        out.truncate(5);
+        // Reads that end one byte past the end, start at it, start
+        // beyond it, or run from the value to past the end.
+        let end = file.metadata().unwrap().len();
+        let tail = (end - offset) as usize;
+        for (from, len) in [(end - 2, 3), (end, 1), (end + 9, 4), (offset, tail + 1)] {
+            match s.read_at(&file, from, len, &mut out) {
+                Err(KvError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof),
+                other => panic!("read of {len} at {from}, past {end}: {other:?}"),
+            }
+            assert_eq!(out, b"held ");
+        }
     }
 
     #[test]

@@ -211,24 +211,27 @@ fn probe(prefix: &[u8], record_len: usize) -> Result<(DeltaHeader, usize), Delta
 /// not save at least 1/16th of the raw record. The caller stores the raw
 /// record in that case.
 pub fn encode_delta(raw: &[u8], base_raw: &[u8], base_key: [u8; 16], depth: u8) -> Option<Bytes> {
-    encode_parts(&[raw], base_raw, base_key, depth)
+    encode_parts(&[raw], &[base_raw], base_key, depth)
 }
 
-/// [`encode_delta`] of a rope `raw`, without gathering it: the same bytes
-/// out for the same logical bytes in, however they are split.
+/// [`encode_delta`] of a rope `raw` against a rope `base_raw`, gathering
+/// neither: the same bytes out for the same logical bytes in, however
+/// either is split.
 pub fn encode_delta_segments(
     raw: &[Bytes],
-    base_raw: &[u8],
+    base_raw: &[Bytes],
     base_key: [u8; 16],
     depth: u8,
 ) -> Option<Bytes> {
-    let parts: Vec<&[u8]> = raw.iter().map(|segment| &segment[..]).collect();
-    encode_parts(&parts, base_raw, base_key, depth)
+    fn parts(rope: &[Bytes]) -> Vec<&[u8]> {
+        rope.iter().map(|segment| &segment[..]).collect()
+    }
+    encode_parts(&parts(raw), &parts(base_raw), base_key, depth)
 }
 
-fn encode_parts(raw: &[&[u8]], base_raw: &[u8], base_key: [u8; 16], depth: u8) -> Option<Bytes> {
+fn encode_parts(raw: &[&[u8]], base_raw: &[&[u8]], base_key: [u8; 16], depth: u8) -> Option<Bytes> {
     let raw_len: usize = raw.iter().map(|part| part.len()).sum();
-    if raw_len != base_raw.len() || raw_len == 0 {
+    if raw_len != base_raw.iter().map(|part| part.len()).sum() || raw_len == 0 {
         return None;
     }
     // The longest body that still saves 1/16th of the raw record.
@@ -468,37 +471,55 @@ impl Literal {
 }
 
 /// The islands of `raw ^ base`, in one pass over the two records; `None`
-/// as soon as they cannot encode to `budget` bytes or fewer. `raw` is the
-/// record in parts — one for a contiguous record, one per segment of a
-/// rope — that together are as long as `base`. A part is read where it
-/// lies: whole words go through the block kernel ([`Image::xor_words`]),
-/// and the up to three bytes on either side of a part that does not
-/// begin or end on a word boundary (a record of a dtype narrower than
-/// four bytes) are placed one by one.
-fn xor_islands(raw: &[&[u8]], base: &[u8], budget: usize) -> Option<Image> {
+/// as soon as they cannot encode to `budget` bytes or fewer. `raw` and
+/// `base` are the records in parts — one for a contiguous record, one per
+/// segment of a rope — of the same total length. The two are walked
+/// together, one piece at a time, a piece running to the nearer end of a
+/// part of either, and a piece is read where it lies: whole words go
+/// through the block kernel ([`Image::xor_words`]), and the up to three
+/// bytes on either side of a piece that does not begin or end on a word
+/// boundary (a record of a dtype narrower than four bytes) are placed one
+/// by one.
+fn xor_islands(raw: &[&[u8]], base: &[&[u8]], budget: usize) -> Option<Image> {
+    let len: usize = base.iter().map(|part| part.len()).sum();
     let mut image = Image {
         streams: Default::default(),
-        words: base.len() / LANES,
-        len: base.len(),
+        words: len / LANES,
+        len,
     };
-    let mut at = 0;
-    for part in raw {
-        let base = &base[at..at + part.len()];
-        let lead = (at.wrapping_neg() % LANES).min(part.len());
-        let whole = lead + (part.len() - lead) / LANES * LANES;
+    let (mut raw, mut base) = (raw.iter().copied(), base.iter().copied());
+    let (mut a, mut b): (&[u8], &[u8]) = (&[], &[]);
+    let mut at: usize = 0;
+    loop {
+        if a.is_empty() {
+            a = match raw.next() {
+                Some(part) => part,
+                None => break,
+            };
+            continue;
+        }
+        if b.is_empty() {
+            b = base.next().expect("base as long as raw");
+            continue;
+        }
+        let n = a.len().min(b.len());
+        let (piece, base_piece) = (&a[..n], &b[..n]);
+        let lead = (at.wrapping_neg() % LANES).min(n);
+        let whole = lead + (n - lead) / LANES * LANES;
         for i in 0..lead {
-            image.place(at + i, part[i] ^ base[i]);
+            image.place(at + i, piece[i] ^ base_piece[i]);
         }
         image.xor_words(
-            &part[lead..whole],
-            &base[lead..whole],
+            &piece[lead..whole],
+            &base_piece[lead..whole],
             (at + lead) / LANES,
             budget,
         )?;
-        for i in whole..part.len() {
-            image.place(at + i, part[i] ^ base[i]);
+        for i in whole..n {
+            image.place(at + i, piece[i] ^ base_piece[i]);
         }
-        at += part.len();
+        (a, b) = (&a[n..], &b[n..]);
+        at += n;
     }
     Some(image)
 }
@@ -927,7 +948,7 @@ mod tests {
     /// The token stream of `raw` against `base`, whatever its length.
     fn body_of(raw: &[&[u8]], base: &[u8]) -> Vec<u8> {
         let mut body = Vec::new();
-        xor_islands(raw, base, usize::MAX)
+        xor_islands(raw, &[base], usize::MAX)
             .expect("an unbounded budget always fits")
             .encode(&mut body);
         body
@@ -1068,10 +1089,23 @@ mod tests {
         }
     }
 
+    /// `bytes` cut at the ascending offsets `cuts`.
+    fn cut(bytes: &Bytes, cuts: &[usize]) -> Vec<Bytes> {
+        let mut rest = bytes.clone();
+        let mut at = 0;
+        let mut parts = Vec::new();
+        for &c in cuts {
+            parts.push(rest.split_to(c - at));
+            at = c;
+        }
+        parts.push(rest);
+        parts
+    }
+
     /// A fine-tuned tensor of each element width, as a borrowed rope and
-    /// as arbitrary re-splits of the same bytes: the segmented encoder
-    /// emits the contiguous encoder's record, whose body is the reference
-    /// codec's.
+    /// as arbitrary re-splits of the same bytes, against a base split
+    /// anywhere too: the segmented encoder emits the contiguous encoder's
+    /// record, whose body is the reference codec's.
     #[test]
     fn segmented_encode_matches_contiguous_and_reference() {
         use crate::ser::{write_tensor_borrowed, BORROW_MIN_BYTES};
@@ -1094,8 +1128,9 @@ mod tests {
                 expect[HEADER_LEN..expect.len() - CHECK_LEN],
                 reference::encode_body(&flat, &base_rec)[..]
             );
+            let base_rope = write_tensor_borrowed(&base);
             assert_eq!(
-                encode_delta_segments(&rope, &base_rec, KEY, 2),
+                encode_delta_segments(&rope, &base_rope, KEY, 2),
                 Some(expect.clone())
             );
             assert!(is_delta_segments(&[expect.slice(..1), expect.slice(1..)]));
@@ -1120,20 +1155,22 @@ mod tests {
                 vec![0, 24, 24, 1001],
                 vec![5, 6, 7, 8, 9],
             ] {
-                let mut split = Vec::new();
-                let mut rest = flat.clone();
-                let mut at = 0;
-                for cut in cuts {
-                    split.push(rest.split_to(cut - at));
-                    at = cut;
+                let split = cut(&flat, &cuts);
+                // The base cut where the record is, elsewhere, or not at all.
+                let shifted: Vec<usize> = cuts.iter().map(|c| c + 2).collect();
+                for base in [
+                    vec![base_rec.clone()],
+                    cut(&base_rec, &cuts),
+                    cut(&base_rec, &shifted),
+                ] {
+                    assert_eq!(
+                        encode_delta_segments(&split, &base, KEY, 2),
+                        Some(expect.clone())
+                    );
                 }
-                split.push(rest);
-                assert_eq!(
-                    encode_delta_segments(&split, &base_rec, KEY, 2),
-                    Some(expect.clone())
-                );
             }
             // A rope of another length declines like a slice of it would.
+            let base_rec = [base_rec];
             assert_eq!(encode_delta_segments(&rope[..2], &base_rec, KEY, 2), None);
         }
     }

@@ -171,9 +171,11 @@ proptest! {
         let base_raw = write_tensor(&base);
         let key = TensorKey::new(ModelId(7), VertexId(3), 0).encode();
         let encoded = encode_delta(&raw, &base_raw, key, depth);
-        // From the record as a rope, split anywhere: the same record out.
+        // From the record and its base as ropes, each split anywhere: the
+        // same record out.
         let rope = resplit(&raw, &[base_seed as usize, (base_seed >> 32) as usize]);
-        prop_assert_eq!(&encode_delta_segments(&rope, &base_raw, key, depth), &encoded);
+        let base_rope = resplit(&base_raw, &[(base_seed >> 16) as usize, base_seed.rotate_left(8) as usize]);
+        prop_assert_eq!(&encode_delta_segments(&rope, &base_rope, key, depth), &encoded);
         if let Some(delta) = encoded {
             prop_assert!(is_delta(&delta));
             prop_assert!(delta.len() < raw.len(), "kept delta must save space");
