@@ -76,26 +76,6 @@ impl EvoStoreClient {
         chain.into_iter().map(|i| self.providers[i]).collect()
     }
 
-    /// Group tensor keys by *every* replica of their owning model — the
-    /// write-side fan-out (pins, decrements go to each copy). Groups are
-    /// keyed by provider index, in index order, and never empty.
-    pub(super) fn group_by_replicas(
-        &self,
-        keys: impl IntoIterator<Item = TensorKey>,
-    ) -> impl Iterator<Item = (usize, Vec<TensorKey>)> {
-        let n = self.providers.len();
-        let mut groups: Vec<Vec<TensorKey>> = vec![Vec::new(); n];
-        for key in keys {
-            for idx in self.replication.replicas(key.owner, n) {
-                groups[idx].push(key);
-            }
-        }
-        groups
-            .into_iter()
-            .enumerate()
-            .filter(|(_, keys)| !keys.is_empty())
-    }
-
     /// A trace handle for the ambiently active operation, if any — every
     /// RPC attempt issued under it opens a child span on this client's
     /// tracer. Top-level operations install their root span ambiently

@@ -213,15 +213,16 @@ pub struct StoreOutcome {
 /// Outcome of a retirement.
 #[derive(Debug, Clone, Copy)]
 pub struct RetireOutcome {
-    /// References dropped.
+    /// References dropped: the keys the retired record's owner map names.
     pub refs_dropped: usize,
-    /// Tensors physically reclaimed (refcount hit zero), including
-    /// retained delta bases their last dependent released.
+    /// Retired with the client's decrement round (the retiring provider's
+    /// pump sends the decrements after the reply): always 0. Kept so the
+    /// outcome keeps its shape; read reclamation from the store after
+    /// [`crate::Deployment::drain_decrements`].
     pub tensors_reclaimed: usize,
-    /// Decrements that failed transiently and were parked in the
-    /// client's retry queue (see
-    /// [`EvoStoreClient::flush_pending_decrements`]); GC remains
-    /// eventually consistent.
+    /// Retired with the client's decrement round: always 0. The pump
+    /// retries a leg that fails transiently (`gc_legs_retried` in
+    /// [`crate::ProviderStats`]).
     pub refs_parked: usize,
 }
 
@@ -379,8 +380,9 @@ pub struct EvoStoreClient {
     slo: Option<Arc<SloEngine>>,
     /// How much telemetry each op produces.
     telemetry_level: TelemetryLevel,
-    /// Refcount decrements that failed transiently, awaiting re-issue
-    /// (shared across clones so any handle can flush them).
+    /// A failed store's pin-rollback decrements that failed transiently,
+    /// awaiting re-issue (shared across clones so any handle can flush
+    /// them).
     pending_decrements: Arc<Mutex<Vec<(EndpointId, RefsRequest)>>>,
     /// The hub's registry holds this source weakly: it leaves with the
     /// last clone of this client.

@@ -27,7 +27,8 @@ impl EvoStoreClient {
             // reclaim a tensor the new model still references.
             let inherited = owner_map.inherited().flat_map(|(_, o)| o.tensor_keys());
             let pins: Vec<(EndpointId, RefsRequest)> = self
-                .group_by_replicas(inherited)
+                .replication
+                .group_by_replicas(inherited, self.providers.len())
                 .map(|(idx, keys)| (self.providers[idx], RefsRequest::new(keys)))
                 .collect();
             let mut pinned = Vec::new();

@@ -204,6 +204,9 @@ impl Deployment {
             ));
         }
         let provider_ids: Vec<EndpointId> = providers.iter().map(|p| p.endpoint_id()).collect();
+        for p in &providers {
+            p.set_peers(provider_ids.clone());
+        }
         let obs_server = cfg
             .obs_listen
             .as_deref()
@@ -401,8 +404,12 @@ impl Deployment {
 
     /// Per-provider statistics, in provider-index order — including the
     /// KV byte counters ([`ProviderStats::tensor_kv`] /
-    /// [`ProviderStats::meta_kv`]) carried in STATS replies.
+    /// [`ProviderStats::meta_kv`]) carried in STATS replies — read once
+    /// the decrement pumps have drained ([`Deployment::drain_decrements`]),
+    /// so the space they report has every retirement so far reclaimed on
+    /// every reachable provider, not only on the ones that retired it.
     pub fn stats(&self) -> Vec<ProviderStats> {
+        self.drain_decrements();
         self.providers.iter().map(|p| p.state.stats()).collect()
     }
 

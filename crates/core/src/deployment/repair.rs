@@ -37,6 +37,10 @@ pub struct RepairReport {
     /// Referenced payloads that could not be installed because no live
     /// replica holds them (data loss beyond the replication factor).
     pub missing_payloads: usize,
+    /// Retirement decrement legs still queued when the pass began: the
+    /// drain before it could not deliver them, so their targets are
+    /// unreachable. Each hits the fence this pass seeds when it lands.
+    pub decrements_queued: usize,
 }
 
 impl Deployment {
@@ -48,14 +52,33 @@ impl Deployment {
     /// off-chain or unreferenced, every count the census's owner-map
     /// count plus the local deltas encoded against the key, and every
     /// delta chain as deep as its header says and within
-    /// [`crate::policy::MAX_CHAIN_DEPTH`].
+    /// [`crate::policy::MAX_CHAIN_DEPTH`]. It drains every decrement pump
+    /// first ([`Deployment::drain_decrements`]), and fails while a
+    /// retirement's legs are still queued.
     pub fn gc_audit(&self) -> Result<(), String> {
+        let queued = self.drain_decrements();
+        if queued > 0 {
+            return Err(format!(
+                "{queued} retirement decrement legs still queued: their target is unreachable"
+            ));
+        }
         let digests = self.digests()?;
         let census = Census::take(&digests, self.replication, digests.len(), Mode::Strict)?;
         for (i, p) in self.providers.iter().enumerate() {
             p.state.audit_refs(census.counts_on(i))?;
         }
         Ok(())
+    }
+
+    /// Send every decrement leg the providers' pumps hold and wait until
+    /// each has landed or failed twice, a few seconds at most per
+    /// provider, so every retirement so far is reclaimed. Returns the legs
+    /// still queued: their targets are unreachable.
+    pub fn drain_decrements(&self) -> usize {
+        self.providers
+            .iter()
+            .map(|p| p.state.drain_decrements())
+            .sum()
     }
 
     /// Every provider's digest, taken in process: what the strict census
@@ -69,12 +92,12 @@ impl Deployment {
 
     // ---- anti-entropy repair ---------------------------------------------
 
-    /// One anti-entropy pass over every reachable provider: exchange
-    /// digests, converge each replica chain on the newest incarnation of
-    /// every record, propagate witnessed retirements (fencing their
-    /// parked decrements), install authoritative reference counts, and —
-    /// when every provider contributed a digest — reclaim orphaned
-    /// payloads.
+    /// One anti-entropy pass over every reachable provider: drain the
+    /// decrement pumps (a bounded wait), exchange digests, converge each
+    /// replica chain on the newest incarnation of every record, propagate
+    /// witnessed retirements (fencing their queued decrement legs),
+    /// install authoritative reference counts, and — when every provider
+    /// contributed a digest — reclaim orphaned payloads.
     ///
     /// An administrative pass: run it against a quiescent deployment
     /// (no concurrent stores/retires), typically after a failed provider
@@ -97,7 +120,10 @@ impl Deployment {
         let retry = RetryPolicy::default().with_timeout(Duration::from_secs(30));
         let n = self.provider_ids.len();
         let rep = self.replication;
-        let mut report = RepairReport::default();
+        let mut report = RepairReport {
+            decrements_queued: self.drain_decrements(),
+            ..RepairReport::default()
+        };
 
         // 1. Digest every provider; remember who is unreachable.
         let legs = evostore_rpc::broadcast(

@@ -658,6 +658,16 @@ counter_set! {
         transfer_deltas_shipped: atomic sum counter "evostore_transfer_deltas_shipped",
         /// Payload bytes negotiation kept off the wire.
         transfer_bytes_saved: atomic sum counter "evostore_transfer_bytes_saved",
+        /// Decrement legs of this provider's retirements that its pump
+        /// holds, queued or in flight.
+        gc_legs_queued: computed sum gauge "evostore_gc_legs_queued",
+        /// Age of the oldest of them, in µs (0 when there is none).
+        gc_oldest_leg_age_us: computed max gauge "evostore_gc_oldest_leg_age_us",
+        /// Legs re-queued after a transient failure.
+        gc_legs_retried: computed sum counter "evostore_gc_legs_retried",
+        /// Legs dropped after a failure no retry can clear (each noted in
+        /// the provider's flight ring).
+        gc_legs_dropped: computed sum counter "evostore_gc_legs_dropped",
     }
 }
 
@@ -732,12 +742,16 @@ mod tests {
             transfer_chunks_skipped: 7,
             transfer_deltas_shipped: 2,
             transfer_bytes_saved: 4096,
+            gc_legs_queued: 0,
+            gc_oldest_leg_age_us: 0,
+            gc_legs_retried: 0,
+            gc_legs_dropped: 0,
         }
     }
 
     #[test]
     fn stats_wire_shape_is_the_hand_written_one() {
-        // The fixture still carries a counter since dropped and lacks four
+        // The fixture still carries a counter since dropped and lacks eight
         // since added: an older build's reply decodes (the derive skips the
         // unknown field and defaults the missing ones), and every other
         // field keeps its place.
@@ -750,13 +764,20 @@ mod tests {
             .replace(
                 r#""snapshot_reads":20,"#,
                 r#""snapshot_reads":20,"snapshot_clones":0,"#,
+            )
+            .replace(
+                r#""transfer_bytes_saved":4096}"#,
+                r#""transfer_bytes_saved":4096,"gc_legs_queued":0,"gc_oldest_leg_age_us":0,"gc_legs_retried":0,"gc_legs_dropped":0}"#,
             );
         assert_eq!(serde_json::to_string(&sample_stats()).unwrap(), expected);
     }
 
     #[test]
     fn stats_merge_sums() {
-        let a = sample_stats();
+        let a = ProviderStats {
+            gc_oldest_leg_age_us: 300,
+            ..sample_stats()
+        };
         let b = ProviderStats {
             models: 3,
             distinct_archs: 2,
@@ -804,6 +825,10 @@ mod tests {
             transfer_chunks_skipped: 4,
             transfer_deltas_shipped: 1,
             transfer_bytes_saved: 1024,
+            gc_legs_queued: 2,
+            gc_oldest_leg_age_us: 700,
+            gc_legs_retried: 5,
+            gc_legs_dropped: 1,
         };
         let m = a.merge(b);
         assert_eq!(m.models, 4);
@@ -850,6 +875,16 @@ mod tests {
         assert_eq!(m.batch_queries, 12);
         assert_eq!(m.deliver.events_published, 7);
         assert_eq!(m.deliver.tree_depth, 3, "gauges merge by max");
+        assert_eq!(
+            (
+                m.gc_legs_queued,
+                m.gc_oldest_leg_age_us,
+                m.gc_legs_retried,
+                m.gc_legs_dropped
+            ),
+            (2, 700, 5, 1),
+            "the oldest leg's age merges by max"
+        );
         assert_eq!(m.transfer_chunks_offered, 15);
         assert_eq!(m.transfer_chunks_sent, 4);
         assert_eq!(m.transfer_chunks_skipped, 11);

@@ -487,9 +487,12 @@ impl ProviderState {
         Ok(LcpBatchReply { replies })
     }
 
-    /// Handle metadata retirement. The caller receives the owner map and
-    /// is responsible for the decrement fan-out.
+    /// Handle metadata retirement: take the record out, apply its
+    /// decrements on this provider and queue the others on this
+    /// provider's pump ([`decrements`](super::decrements)), then reply with
+    /// the owner map and the record's stamp.
     pub fn handle_retire_meta(&self, req: RetireMetaRequest) -> Result<RetireMetaReply, String> {
+        self.pump.ready()?;
         let not_found = || format!("model {} not found", req.model);
         let local = self.local_record(req.model).ok_or_else(not_found)?;
         let rec = self
@@ -499,6 +502,15 @@ impl ProviderState {
                 retired_at: self.clock.fetch_add(1, Ordering::Relaxed),
             })?
             .ok_or_else(not_found)?;
+        let keys = rec.owner_map.all_tensor_keys();
+        if let Some(own) = self.pump.retire(req.model, rec.timestamp, keys, self.index) {
+            // The record is gone whatever this leg does: a failure here is
+            // one no retry clears (a key not stored), as for a sent leg.
+            let (op_id, keys) = (own.op_id, own.keys.len());
+            if let Err(e) = self.handle_decr_refs(own) {
+                self.pump.drop_leg(self.index, op_id, keys, &e);
+            }
+        }
         Ok(RetireMetaReply {
             owner_map: rec.owner_map.clone(),
             timestamp: rec.timestamp,
@@ -727,7 +739,7 @@ mod tests {
     /// A provider `0` of `1` on `fabric`.
     fn spawn(fabric: &Arc<Fabric>, tensors: Substrate, meta: Box<dyn KvBackend>) -> Provider {
         let obs = ObsHub::new(Arc::new(MonotonicClock::default()));
-        Provider::spawn(
+        let provider = Provider::spawn(
             Arc::clone(fabric),
             0,
             1,
@@ -738,7 +750,9 @@ mod tests {
             2,
             &obs,
             4,
-        )
+        );
+        provider.set_peers(vec![provider.endpoint_id()]);
+        provider
     }
 
     impl Rig {

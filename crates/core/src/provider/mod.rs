@@ -21,6 +21,7 @@
 
 mod catalog;
 mod data;
+mod decrements;
 mod delta;
 mod raw_cache;
 mod refs;
@@ -416,8 +417,12 @@ pub struct ProviderState {
     meta_store: Box<dyn KvBackend>,
     /// Deployment-wide write-ordering clock.
     clock: Arc<AtomicU64>,
-    /// Applied refs operations, for duplicate suppression under retries.
-    refs_ops: Mutex<refs::RefsOpCache>,
+    /// Refs operations claimed and applied, for duplicate suppression
+    /// under retries and replicated retirements.
+    refs_ops: refs::RefsOps,
+    /// The decrement legs of the records this provider retired, and the
+    /// thread that sends them.
+    pump: Arc<decrements::DecrementPump>,
     /// Retirements witnessed here (anti-entropy): lets a digest exchange
     /// distinguish "this replica missed a store" from "the others missed
     /// a retirement" when catalogs diverge after a fault window.
@@ -563,6 +568,13 @@ impl ProviderState {
         self.tracer.recorder()
     }
 
+    /// Send every decrement leg this provider's pump holds and wait, at
+    /// most a few seconds, until each has landed or failed twice. Returns
+    /// the legs still queued: their targets are unreachable.
+    pub fn drain_decrements(&self) -> usize {
+        self.pump.drain(decrements::DRAIN_BOUND)
+    }
+
     /// Reference count of a hosted tensor (tests/GC audits).
     pub fn tensor_refs(&self, key: TensorKey) -> u64 {
         self.tensors.refs(&key.encode())
@@ -667,7 +679,8 @@ impl ProviderState {
 
 /// A running provider: shared state + its fabric endpoint.
 ///
-/// Teardown runs in three steps: [`Drop`] stops the delivery pump, then
+/// Teardown runs in three steps: [`Drop`] stops the delivery pump and the
+/// decrement pump (dropping the legs it still holds), then
 /// the fields drop in declaration order — the endpoint first, which
 /// deregisters it and joins its service threads, releasing the handlers'
 /// clones of the state; then the state, whose last `Arc` this usually is,
@@ -684,6 +697,7 @@ impl Drop for Provider {
         // push racing teardown would otherwise spin on dead endpoints
         // until its subscriber reap kicks in.
         self.state.delivery.shutdown();
+        self.state.pump.shutdown();
     }
 }
 
@@ -721,6 +735,11 @@ impl Provider {
             deliver_tracer,
         ));
         let raw_cache = tensors.chunked().map(|_| raw_cache::RawCache::new());
+        let pump = Arc::new(decrements::DecrementPump::new(
+            Arc::clone(&fabric),
+            replication,
+            Arc::clone(tracer.recorder()),
+        ));
         let state = Arc::new(ProviderState {
             fabric: Arc::clone(&fabric),
             index,
@@ -730,7 +749,8 @@ impl Provider {
             catalog: CatalogBuffers::new(),
             meta_store,
             clock,
-            refs_ops: Mutex::new(refs::RefsOpCache::default()),
+            refs_ops: refs::RefsOps::default(),
+            pump,
             tombstones: Mutex::new(HashMap::new()),
             index_enabled: AtomicBool::new(true),
             query_stats: AtomicQueryStats::default(),
@@ -750,6 +770,14 @@ impl Provider {
     /// The provider's fabric address.
     pub fn endpoint_id(&self) -> EndpointId {
         self.endpoint.id()
+    }
+
+    /// Give the provider the deployment's provider endpoints, in
+    /// provider-index order (the list clients get): where its decrement
+    /// pump sends. Set once, after every provider is spawned; until then
+    /// the provider refuses a retirement.
+    pub fn set_peers(&self, peers: Vec<EndpointId>) {
+        self.state.pump.set_peers(peers);
     }
 }
 

@@ -5,7 +5,8 @@
 //! restart, by `reopen`. Every physical drop goes through the one release
 //! path, [`ProviderState::release`].
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
+use std::sync::{Condvar, Mutex, MutexGuard};
 
 use evostore_tensor::TensorKey;
 
@@ -14,35 +15,120 @@ use super::ProviderState;
 use crate::messages::{RefsReply, RefsRequest, SyncRefsReply, SyncRefsRequest};
 use crate::policy::MAX_CHAIN_DEPTH;
 
-/// How many applied refs-operation ids a provider remembers for duplicate
-/// suppression. Must comfortably exceed (in-flight refs ops) ×
-/// (retry attempts) so a retried leg always finds its first delivery in
-/// the cache; beyond that window a duplicate would re-apply.
+/// How many refs-operation ids a provider remembers for duplicate
+/// suppression. Must comfortably exceed (in-flight refs ops) × (retry
+/// attempts) so a retried leg always finds its first delivery in the
+/// memo, and it bounds how late a duplicate may arrive: a decrement
+/// pump's leg that every replica of a retired record sends, or a retry,
+/// delivered past this window would re-apply.
 const REFS_OP_MEMORY: usize = 65_536;
 
-/// Bounded memo of applied [`RefsRequest`]s: `op_id` → the reply the
-/// first delivery produced. Evicts in insertion order at
-/// [`REFS_OP_MEMORY`].
-#[derive(Default)]
-pub(super) struct RefsOpCache {
-    replies: HashMap<u64, RefsReply>,
-    order: std::collections::VecDeque<u64>,
+/// Where one op id stands in the memo.
+enum OpState {
+    /// A delivery holds the claim and is applying it.
+    Claimed,
+    /// Applied: the reply the applying delivery produced.
+    Done(RefsReply),
 }
 
-impl RefsOpCache {
-    pub(super) fn get(&self, op_id: u64) -> Option<RefsReply> {
-        self.replies.get(&op_id).cloned()
-    }
+/// Bounded memo of [`RefsRequest`] op ids: each is claimed by the one
+/// delivery that applies it, then answers every other delivery with that
+/// delivery's reply. Evicts in insertion order at [`REFS_OP_MEMORY`].
+#[derive(Default)]
+struct Memo {
+    ops: HashMap<u64, OpState>,
+    order: VecDeque<u64>,
+}
 
-    pub(super) fn record(&mut self, op_id: u64, reply: RefsReply) {
-        if self.replies.insert(op_id, reply).is_none() {
+impl Memo {
+    fn set(&mut self, op_id: u64, state: OpState) {
+        if self.ops.insert(op_id, state).is_none() {
             self.order.push_back(op_id);
             while self.order.len() > REFS_OP_MEMORY {
                 if let Some(evicted) = self.order.pop_front() {
-                    self.replies.remove(&evicted);
+                    self.ops.remove(&evicted);
                 }
             }
         }
+    }
+}
+
+/// The op-id memo and the wait for a claim held by another delivery, so
+/// that check, apply and record are one step: two deliveries of one op
+/// id — a retry beside its first attempt, or the same retirement leg
+/// sent by two replicas, on two service threads — apply it once.
+#[derive(Default)]
+pub(super) struct RefsOps {
+    memo: Mutex<Memo>,
+    /// Signalled when a claim is released.
+    released: Condvar,
+}
+
+impl RefsOps {
+    fn memo(&self) -> MutexGuard<'_, Memo> {
+        self.memo.lock().expect("refs memo lock")
+    }
+
+    /// Run `apply` once per `op_id`: the first delivery claims the id and
+    /// applies it; one arriving while the claim is held waits for it and
+    /// gets the applied reply, or claims the id itself when `apply`
+    /// failed (a failed delivery records nothing).
+    fn once(
+        &self,
+        op_id: u64,
+        apply: impl FnOnce() -> Result<RefsReply, String>,
+    ) -> Result<RefsReply, String> {
+        let mut memo = self.memo();
+        loop {
+            match memo.ops.get(&op_id) {
+                Some(OpState::Done(reply)) => return Ok(reply.clone()),
+                Some(OpState::Claimed) => {
+                    memo = self.released.wait(memo).expect("refs memo lock");
+                }
+                None => break,
+            }
+        }
+        memo.set(op_id, OpState::Claimed);
+        drop(memo);
+        let mut claim = Claim {
+            ops: self,
+            op_id,
+            reply: None,
+        };
+        let out = apply();
+        claim.reply = out.as_ref().ok().cloned();
+        out
+    }
+
+    /// Seed `op_id` as applied with an empty reply: the repair fence a
+    /// retirement's late decrement leg no-ops against.
+    pub(super) fn fence(&self, op_id: u64) {
+        self.memo().set(op_id, OpState::Done(RefsReply::default()));
+    }
+}
+
+/// A held claim on an op id. Dropping it — after `apply` returned, or
+/// while a panic unwinds through it — records the reply, or releases the
+/// id when there is none, and wakes the deliveries waiting on it.
+struct Claim<'a> {
+    ops: &'a RefsOps,
+    op_id: u64,
+    reply: Option<RefsReply>,
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        let mut memo = self.ops.memo();
+        match self.reply.take() {
+            Some(reply) => {
+                memo.ops.insert(self.op_id, OpState::Done(reply));
+            }
+            None => {
+                memo.ops.remove(&self.op_id);
+            }
+        }
+        drop(memo);
+        self.ops.released.notify_all();
     }
 }
 
@@ -95,62 +181,57 @@ impl ProviderState {
     /// Handle reference-count increments (pinning a new descendant's
     /// inherited tensors).
     ///
-    /// Idempotent per [`RefsRequest::op_id`]: a retry of an operation that
-    /// already applied (its reply was lost in flight) is answered from
-    /// cache without touching the counts.
+    /// Applied once per [`RefsRequest::op_id`]: a retry of an operation
+    /// that already applied (its reply was lost in flight), or a second
+    /// delivery running beside the first, is answered with the first
+    /// delivery's reply without touching the counts.
     pub fn handle_incr_refs(&self, req: RefsRequest) -> Result<RefsReply, String> {
-        if let Some(reply) = self.refs_ops.lock().get(req.op_id) {
-            return Ok(reply);
-        }
-        // Check-then-apply: a missing tensor indicates the ancestor was
-        // retired between query and pin; the whole request fails and the
-        // client re-queries.
-        for key in &req.keys {
-            if !self.tensors.contains(&key.encode()) {
-                return Err(format!("tensor {key} no longer stored (ancestor retired?)"));
+        self.refs_ops.once(req.op_id, || {
+            // Check-then-apply: a missing tensor indicates the ancestor
+            // was retired between query and pin; the whole request fails
+            // and the client re-queries.
+            for key in &req.keys {
+                if !self.tensors.contains(&key.encode()) {
+                    return Err(format!("tensor {key} no longer stored (ancestor retired?)"));
+                }
             }
-        }
-        for key in &req.keys {
-            self.tensors
-                .incr(&key.encode())
-                .map_err(|e| format!("incr {key}: {e}"))?;
-        }
-        let reply = RefsReply {
-            applied: req.keys.len(),
-            reclaimed: 0,
-        };
-        self.refs_ops.lock().record(req.op_id, reply.clone());
-        Ok(reply)
+            for key in &req.keys {
+                self.tensors
+                    .incr(&key.encode())
+                    .map_err(|e| format!("incr {key}: {e}"))?;
+            }
+            Ok(RefsReply {
+                applied: req.keys.len(),
+                reclaimed: 0,
+            })
+        })
     }
 
     /// Handle reference-count decrements (model retirement); tensors whose
     /// count reaches zero are reclaimed, with any base they release.
     ///
-    /// Idempotent per [`RefsRequest::op_id`] (see
+    /// Applied once per [`RefsRequest::op_id`] (see
     /// [`ProviderState::handle_incr_refs`]) — essential here, because a
     /// duplicated decrement would drop a shared tensor's count to zero
     /// and delete data still referenced by live models.
     pub fn handle_decr_refs(&self, req: RefsRequest) -> Result<RefsReply, String> {
-        if let Some(reply) = self.refs_ops.lock().get(req.op_id) {
-            return Ok(reply);
-        }
-        // Check-then-apply so a malformed request fails whole: no keys
-        // decremented when any key is unknown.
-        for key in &req.keys {
-            if !self.tensors.contains(&key.encode()) {
-                return Err(format!("decr {key}: not stored"));
+        self.refs_ops.once(req.op_id, || {
+            // Check-then-apply so a malformed request fails whole: no keys
+            // decremented when any key is unknown.
+            for key in &req.keys {
+                if !self.tensors.contains(&key.encode()) {
+                    return Err(format!("decr {key}: not stored"));
+                }
             }
-        }
-        let mut reclaimed = 0usize;
-        for key in &req.keys {
-            reclaimed += self.release(*key).map_err(|e| format!("decr {key}: {e}"))?;
-        }
-        let reply = RefsReply {
-            applied: req.keys.len(),
-            reclaimed,
-        };
-        self.refs_ops.lock().record(req.op_id, reply.clone());
-        Ok(reply)
+            let mut reclaimed = 0usize;
+            for key in &req.keys {
+                reclaimed += self.release(*key).map_err(|e| format!("decr {key}: {e}"))?;
+            }
+            Ok(RefsReply {
+                applied: req.keys.len(),
+                reclaimed,
+            })
+        })
     }
 
     /// The one recount: the count every `listed` key — and, with
@@ -272,7 +353,7 @@ pub(super) mod tests {
     //! in order on one thread, and `gc_audit` over delta links.
 
     use std::collections::HashMap;
-    use std::sync::Arc;
+    use std::sync::{Arc, Barrier};
 
     use bytes::Bytes;
     use evostore_graph::{flatten, Activation, Architecture, CompactGraph, LayerConfig, LayerKind};
@@ -379,14 +460,12 @@ pub(super) mod tests {
             state.local_record(self.parent).unwrap().owner_map.clone()
         }
 
-        /// The parent's retirement as a client issues it: `RETIRE_META`,
-        /// then `DECR_REFS` over every key its owner map names.
+        /// The parent's retirement: `RETIRE_META`, which on this one
+        /// provider also applies the decrement of every key its owner map
+        /// names before it replies.
         fn retire_parent(&self, state: &ProviderState) {
-            let reply = state
-                .handle_retire_meta(RetireMetaRequest { model: self.parent })
-                .unwrap();
             state
-                .handle_decr_refs(RefsRequest::new(reply.owner_map.all_tensor_keys()))
+                .handle_retire_meta(RetireMetaRequest { model: self.parent })
                 .unwrap();
         }
 
@@ -492,6 +571,46 @@ pub(super) mod tests {
             assert_eq!(state.tensor_refs(*base), dependents, "{base}");
         }
         l.check();
+    }
+
+    /// Two deliveries of one decrement leg at once — a retry beside its
+    /// first attempt, or the leg both replicas of a retired record send —
+    /// on two threads apply it once: keys held twice end at 1, round
+    /// after round.
+    #[test]
+    fn two_deliveries_of_one_decrement_leg_apply_once() {
+        let dep = Deployment::new(DeploymentConfig {
+            providers: 1,
+            ..Default::default()
+        });
+        let graph = seq(&[8, 32, 32, 8]);
+        let model = ModelId(1);
+        let tensors = random_tensors(model, &graph, &mut ChaCha8Rng::seed_from_u64(3));
+        let owner_map = OwnerMap::fresh(model, &graph);
+        dep.client()
+            .store_model(graph, owner_map, None, 0.5, &tensors)
+            .unwrap();
+        let state = dep.provider_states().remove(0);
+        let keys: Vec<TensorKey> = tensors.keys().copied().collect();
+        for round in 0..200 {
+            state
+                .handle_incr_refs(RefsRequest::new(keys.clone()))
+                .unwrap();
+            let leg = RefsRequest::new(keys.clone());
+            let start = Barrier::new(2);
+            std::thread::scope(|s| {
+                for _ in 0..2 {
+                    s.spawn(|| {
+                        start.wait();
+                        state.handle_decr_refs(leg.clone()).unwrap();
+                    });
+                }
+            });
+            for key in &keys {
+                assert_eq!(state.tensor_refs(*key), 1, "round {round}: {key}");
+            }
+        }
+        dep.gc_audit().unwrap();
     }
 
     /// `gc_audit` names a base deleted under a live delta.

@@ -50,6 +50,7 @@ impl ProviderState {
             .unwrap_or_default();
         let snap = self.catalog_snapshot();
         let par = par::stats();
+        let pump = self.pump.stats();
         ProviderStats {
             models: snap.len() as u64,
             distinct_archs: snap.index.distinct_architectures() as u64,
@@ -79,6 +80,10 @@ impl ProviderState {
             snapshot_publications: self.catalog.publications(),
             snapshot_clones: self.catalog.clones(),
             deliver: self.delivery.stats(),
+            gc_legs_queued: pump.queued,
+            gc_oldest_leg_age_us: pump.oldest_age_us,
+            gc_legs_retried: pump.retried,
+            gc_legs_dropped: pump.dropped,
             ..self.counters.snapshot()
         }
     }

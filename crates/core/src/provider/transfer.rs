@@ -383,9 +383,11 @@ impl ProviderState {
     }
 
     /// Handle a retirement sync: retire each tombstone's covered record,
-    /// if one is here, witness the tombstone either way, and fence the retirement's decrement leg so a
-    /// parked client decrement re-issued later deduplicates against the
-    /// absolute counts the refs sync installs.
+    /// if one is here, witness the tombstone either way, and fence the
+    /// retirement's decrement leg, so a leg a decrement pump delivers
+    /// later no-ops against the absolute counts the refs sync installs.
+    /// The record leaves without queuing legs: the refs sync that follows
+    /// sets every count.
     pub fn handle_sync_retire(&self, req: SyncRetireRequest) -> Result<SyncRetireReply, String> {
         let mut removed = 0usize;
         for t in &req.tombstones {
@@ -393,7 +395,7 @@ impl ProviderState {
                 removed += 1;
             }
             let fence = RefsRequest::retirement_op_id(t.model, t.record_timestamp, self.index);
-            self.refs_ops.lock().record(fence, RefsReply::default());
+            self.refs_ops.fence(fence);
         }
         Ok(SyncRetireReply { removed })
     }

@@ -14,7 +14,7 @@
 //! is `[provider_for(model)]` and every path through the system behaves
 //! as before.
 
-use evostore_tensor::ModelId;
+use evostore_tensor::{ModelId, TensorKey};
 
 use crate::messages::Tombstone;
 
@@ -59,6 +59,27 @@ impl ReplicationPolicy {
         (0..self.effective_factor(n))
             .map(|i| (primary + i) % n)
             .collect()
+    }
+
+    /// Group tensor keys by *every* replica of their owning model in an
+    /// `n`-provider deployment — the write-side fan-out (pins and
+    /// decrements go to each copy). Groups are keyed by provider index, in
+    /// index order, and never empty.
+    pub fn group_by_replicas(
+        &self,
+        keys: impl IntoIterator<Item = TensorKey>,
+        n: usize,
+    ) -> impl Iterator<Item = (usize, Vec<TensorKey>)> {
+        let mut groups: Vec<Vec<TensorKey>> = vec![Vec::new(); n];
+        for key in keys {
+            for idx in self.replicas(key.owner, n) {
+                groups[idx].push(key);
+            }
+        }
+        groups
+            .into_iter()
+            .enumerate()
+            .filter(|(_, keys)| !keys.is_empty())
     }
 
     /// Does provider `index` hold a replica of `model`?

@@ -47,7 +47,9 @@ pub struct StoreOutcomeStats {
 /// Outcome of retiring a candidate.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RetireOutcomeStats {
-    /// Tensors physically reclaimed.
+    /// Tensors physically reclaimed by the time the retire returned: 0 for
+    /// EvoStore, whose providers do not report what their decrements
+    /// reclaim.
     pub reclaimed: usize,
     /// Modeled seconds charged by the repository's own medium.
     pub model_seconds: f64,
@@ -169,9 +171,24 @@ impl ModelRepository for EvoStoreClient {
         }
     }
 
+    /// Read once reclamation has caught up: a retire's decrements on other
+    /// providers trail it by the retiring providers' pump round. A `STATS` round in which no
+    /// pump holds a leg shows every leg queued before it applied, so the
+    /// round after it reads their space back. The wait is bounded, so a
+    /// leg aimed at a down provider is counted as still stored.
     fn storage_bytes(&self) -> u64 {
-        self.stats()
-            .map(|s| s.tensor_bytes + s.metadata_bytes)
-            .unwrap_or(0)
+        let deadline = std::time::Instant::now() + SETTLE_BOUND;
+        let mut settled = false;
+        loop {
+            let Ok(s) = self.stats() else { return 0 };
+            if settled || std::time::Instant::now() >= deadline {
+                return s.tensor_bytes + s.metadata_bytes;
+            }
+            settled = s.gc_legs_queued == 0;
+        }
     }
 }
+
+/// How long [`ModelRepository::storage_bytes`] waits for the decrement
+/// pumps to go idle.
+const SETTLE_BOUND: std::time::Duration = std::time::Duration::from_millis(100);

@@ -116,6 +116,7 @@ fn mixed_workload_stays_consistent() {
     for m in stored {
         client.retire_model(m).unwrap();
     }
+    assert_eq!(dep.drain_decrements(), 0);
     let stats = client.stats().unwrap();
     assert_eq!(stats.models, 0);
     assert_eq!(stats.tensors, 0);

@@ -166,6 +166,7 @@ fn optimizer_state_lifecycle() {
     // Retirement reclaims the state with the model.
     let before = client.stats().unwrap();
     client.retire_model(ModelId(1)).unwrap();
+    assert_eq!(dep.drain_decrements(), 0);
     let after = client.stats().unwrap();
     assert_eq!(after.tensors, 0);
     assert!(after.tensor_bytes < before.tensor_bytes);
@@ -318,6 +319,7 @@ fn reopen_recovers_catalog_and_refcounts() {
     dep.gc_audit().unwrap();
     assert!(client.load_model(ModelId(2)).is_ok());
     client.retire_model(ModelId(2)).unwrap();
+    assert_eq!(dep.drain_decrements(), 0);
     let stats = client.stats().unwrap();
     assert_eq!(stats.models, 0);
     assert_eq!(stats.tensors, 0);

@@ -205,14 +205,18 @@ fn figure2_chain_ownership_and_retirement() {
 
     // Retire the parent: tensors owned by the parent but inherited by the
     // child must survive; the parent's un-inherited tensors are reclaimed.
+    // Reclamation trails the retire by its providers' decrement round:
+    // drain it, then read what went from the store.
     let before = client.stats().unwrap();
-    let retired = client.retire_model(ModelId(2)).unwrap();
+    client.retire_model(ModelId(2)).unwrap();
+    assert_eq!(dep.drain_decrements(), 0);
+    let after = client.stats().unwrap();
     // Layer 50's two tensors were never inherited by the child.
     assert_eq!(
-        retired.tensors_reclaimed, 2,
+        before.tensors - after.tensors,
+        2,
         "parent's unshared layer reclaimed"
     );
-    let after = client.stats().unwrap();
     assert!(after.tensor_bytes < before.tensor_bytes);
     dep.gc_audit().unwrap();
 
@@ -223,6 +227,7 @@ fn figure2_chain_ownership_and_retirement() {
     // Retire everything: the store must drain to zero tensors.
     client.retire_model(ModelId(1)).unwrap();
     client.retire_model(ModelId(3)).unwrap();
+    assert_eq!(dep.drain_decrements(), 0);
     let empty = client.stats().unwrap();
     assert_eq!(empty.models, 0);
     assert_eq!(empty.tensors, 0);

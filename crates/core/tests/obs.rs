@@ -957,4 +957,46 @@ fn metrics_catalogue_matches_the_tables() {
         matches!(bytes, Some(evostore_obs::MetricValue::Gauge(v)) if *v > 0.0),
         "evostore_raw_cache_bytes: {bytes:?}"
     );
+
+    // The decrement pump's series move while a leg waits on a refused
+    // target — the child's inherited leg, which its host sends to the
+    // parent's — and a leg no retry can clear counts as dropped: a lone
+    // model's tensors are decremented away behind the store's back first.
+    let one = Deployment::in_memory(2);
+    let client = one.client();
+    let on = |provider: usize, from: u64| {
+        (from..)
+            .map(ModelId)
+            .find(|m| m.provider_for(2) == provider)
+            .unwrap()
+    };
+    let (parent, child) = (on(0, 1), on(1, 1));
+    store_in_lineage(&client, parent, &parent_g, None, &mut rng);
+    store_in_lineage(&client, child, &child_g, Some(parent), &mut rng);
+    let lone = on(0, parent.0 + 1);
+    client.store_fresh(lone, &parent_g, 0.5, &mut rng).unwrap();
+    let keys = OwnerMap::fresh(lone, &parent_g).all_tensor_keys();
+    one.provider_states()[0]
+        .handle_decr_refs(evostore_core::messages::RefsRequest::new(keys))
+        .unwrap();
+    client.retire_model(lone).unwrap();
+    one.fabric().install_fault_plan(
+        FaultPlan::new(0)
+            .rule(FaultRule::new(FaultAction::Unavailable).on_method(methods::DecrRefs::METHOD)),
+    );
+    client.retire_model(child).unwrap();
+    assert_eq!(one.drain_decrements(), 1);
+    let snap = one.metrics_snapshot();
+    for name in ["evostore_gc_legs_retried", "evostore_gc_legs_dropped"] {
+        assert!(snap.counter_total(name) > 0, "{name} did not move");
+    }
+    for name in ["evostore_gc_legs_queued", "evostore_gc_oldest_leg_age_us"] {
+        let held = snap
+            .find_all(name)
+            .iter()
+            .any(|m| matches!(m.value, evostore_obs::MetricValue::Gauge(v) if v > 0.0));
+        assert!(held, "{name} did not move");
+    }
+    one.fabric().clear_fault_plan();
+    one.gc_audit().unwrap();
 }

@@ -92,6 +92,7 @@ proptest! {
         for &m in &live {
             client.retire_model(m).unwrap();
         }
+        prop_assert_eq!(dep.drain_decrements(), 0);
         let stats = client.stats().unwrap();
         prop_assert_eq!(stats.models, 0);
         prop_assert_eq!(stats.tensors, 0);

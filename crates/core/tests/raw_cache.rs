@@ -130,8 +130,10 @@ fn a_read_never_serves_bytes_its_key_no_longer_holds() {
             "log {log}: served from the cache"
         );
 
-        let retired = client.retire_model(child).unwrap();
-        assert_eq!(retired.tensors_reclaimed, child_tensors.len());
+        let before = stats_of(&dep).tensors;
+        client.retire_model(child).unwrap();
+        assert_eq!(dep.drain_decrements(), 0);
+        assert_eq!(before - stats_of(&dep).tensors, child_tensors.len() as u64);
         assert_eq!(stats_of(&dep).raw_cache_bytes, 0, "log {log}");
         let read = unary(
             dep.fabric(),

@@ -5,6 +5,7 @@
 
 use std::collections::HashMap;
 
+use evostore_core::methods;
 use evostore_core::{
     trained_tensors, Deployment, EvoError, EvoStoreClient, OwnerMap, ReplicationPolicy,
 };
@@ -13,7 +14,7 @@ use evostore_graph::{
     LayerPattern,
 };
 use evostore_obs::FlightEvent;
-use evostore_rpc::{FaultPlan, RetryPolicy};
+use evostore_rpc::{FaultAction, FaultPlan, FaultRule, Method, RetryPolicy};
 use evostore_tensor::ModelId;
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -321,7 +322,8 @@ fn a_store_with_no_replica_to_fail_over_to_charges_no_failover() {
 /// The acceptance scenario: with factor 2 and one provider held down,
 /// fetches, LCP queries, pattern queries and retirement all succeed
 /// without `Degraded`/`PartialFailure`; after recovery plus `repair()`
-/// (and draining the parked decrement queue) the GC audit is clean.
+/// (which first drains the decrement legs the pumps kept retrying) the GC
+/// audit is clean.
 #[test]
 fn replicated_deployment_stays_available_and_repairs_clean() {
     let dep = Deployment::in_memory_replicated(4, 2);
@@ -356,25 +358,24 @@ fn replicated_deployment_stays_available_and_repairs_clean() {
     let matches = found.into_inner();
     assert_eq!(matches.iter().filter(|(m, _)| *m == child).count(), 1);
 
-    // retire_model succeeds; legs to the down replica park.
-    let outcome = client.retire_model(child).unwrap();
-    assert!(
-        outcome.refs_parked > 0,
-        "decrements for the down replica must park"
-    );
+    // retire_model succeeds; the pumps keep retrying the legs aimed at
+    // the down replica.
+    client.retire_model(child).unwrap();
     assert!(client.get_meta(child).is_err(), "child is gone");
+    assert!(
+        dep.drain_decrements() > 0,
+        "decrements for the down replica stay queued"
+    );
+    assert_eq!(client.pending_decrement_count(), 0);
 
     // Recovery: the provider returns with stale state (missed the
-    // retirement and the pin decrements). Repair converges it.
+    // retirement and the pin decrements). Repair drains the pumps first —
+    // the queued legs land now — then converges it.
     plan.set_up(down_ep);
     let report = dep.repair().unwrap();
     assert!(report.unreachable.is_empty());
     assert_eq!(report.missing_payloads, 0);
-
-    // The parked decrements re-issue against the repaired provider and
-    // hit the retirement fence repair seeded — no double-free.
-    let flushed = client.flush_pending_decrements().unwrap();
-    assert_eq!(flushed, outcome.refs_parked);
+    assert_eq!(report.decrements_queued, 0, "{report:?}");
     dep.gc_audit().unwrap();
 
     // Parent survives the churn fully loadable from either replica.
@@ -467,21 +468,57 @@ fn queries_fail_typed_when_a_whole_chain_is_down() {
     assert!(err.is_transient());
 }
 
+/// A failed store's rollback legs that park are flushed by the last
+/// client handle's drop.
 #[test]
 fn dropping_the_last_client_flushes_parked_decrements() {
     let dep = Deployment::in_memory_replicated(4, 2);
     let client = dep.client();
-    let (parent, child) = store_parent_and_child(&client, 16);
+    let mut rng = ChaCha8Rng::seed_from_u64(16);
+    // The parent's chain is [1, 2]; the child's store goes to [3, 0].
+    let parent = model_on(1, 4);
+    let child = model_on(3, 4);
+    let child_g = seq(&[8, 16, 16, 5]);
+    client
+        .store_fresh(parent, &seq(&[8, 16, 16, 4]), 0.8, &mut rng)
+        .unwrap();
+    let best = client
+        .query_best_ancestor(&child_g)
+        .unwrap()
+        .into_inner()
+        .unwrap();
+    let parent_meta = client.get_meta(parent).unwrap();
+    let owner_map = OwnerMap::derive(child, &child_g, &best.lcp, &parent_meta.owner_map);
+    let tensors: HashMap<_, _> = trained_tensors(&child_g, &owner_map, 42);
 
-    let down_ep = dep.provider_ids()[parent.provider_for(4)];
-    let plan = dep.fabric().install_fault_plan(FaultPlan::new(0));
-    plan.set_down(down_ep);
-    let outcome = client.retire_model(child).unwrap();
-    assert!(outcome.refs_parked > 0);
+    // The store fails after its pins landed, and the rollback legs to the
+    // parent's chain are refused: they park.
+    let ids = dep.provider_ids().to_vec();
+    let mut plan = FaultPlan::new(0);
+    for host in [ids[3], ids[0]] {
+        plan = plan.rule(
+            FaultRule::new(FaultAction::Timeout)
+                .on_endpoint(host)
+                .on_method(methods::Store::METHOD),
+        );
+    }
+    for host in [ids[1], ids[2]] {
+        plan = plan.rule(
+            FaultRule::new(FaultAction::Unavailable)
+                .on_endpoint(host)
+                .on_method(methods::DecrRefs::METHOD),
+        );
+    }
+    dep.fabric().install_fault_plan(plan);
+    let err = client
+        .store_model(child_g, owner_map, Some(parent), 0.9, &tensors)
+        .unwrap_err();
+    assert!(err.is_transient(), "{err}");
+    assert!(client.pending_decrement_count() > 0);
 
-    // The provider comes back while the decrements are still parked;
-    // the client exits without an explicit flush.
-    plan.set_up(down_ep);
+    // The chain answers again while the legs are still parked; the client
+    // exits without an explicit flush.
+    dep.fabric().clear_fault_plan();
     drop(client);
 
     // Drop drained the queue: counts converged without repair.

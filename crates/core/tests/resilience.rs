@@ -4,7 +4,6 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
 
 use evostore_core::messages::{
     LcpBatchReply, LcpQueryReply, ManifestEntry, PatternBatchReply, PatternQueryReply,
@@ -44,6 +43,18 @@ fn seq(units: &[u32]) -> CompactGraph {
         inf = u;
     }
     flatten(&a).unwrap()
+}
+
+/// The decrement pumps' legs held, retried and dropped, over every
+/// provider.
+fn pump(dep: &Deployment) -> (u64, u64, u64) {
+    dep.stats().iter().fold((0, 0, 0), |(q, r, d), s| {
+        (
+            q + s.gc_legs_queued,
+            r + s.gc_legs_retried,
+            d + s.gc_legs_dropped,
+        )
+    })
 }
 
 /// The first model id (from 1) hashing to provider index `want` of `n`.
@@ -411,29 +422,38 @@ fn transient_decrement_failures_park_and_flush_for_consistent_gc() {
     plan.set_down(parent_host);
 
     let outcome = client.retire_model(child).unwrap();
-    assert!(
-        outcome.refs_parked > 0,
-        "inherited decrements must be parked"
-    );
-    assert_eq!(client.pending_decrement_count(), outcome.refs_parked);
     assert_eq!(
-        client.telemetry().parked_decrements(),
-        outcome.refs_parked as u64
+        (outcome.tensors_reclaimed, outcome.refs_parked),
+        (0, 0),
+        "retired fields"
     );
     // The child is gone even though GC is still pending.
     assert!(client.get_meta(child).is_err());
+    // The child's host holds the inherited leg and retries it; the client
+    // parks nothing.
+    assert!(
+        dep.drain_decrements() > 0,
+        "the leg to the down host stays queued"
+    );
+    let (queued, retried, _) = pump(&dep);
+    assert!(
+        queued > 0 && retried > 0,
+        "queued {queued}, retried {retried}"
+    );
+    assert!(dep.stats().iter().any(|s| s.gc_oldest_leg_age_us > 0));
+    assert_eq!(client.pending_decrement_count(), 0);
+    assert_eq!(client.telemetry().parked_decrements(), 0);
 
-    // Refcounts are over-pinned until the flush — audit must fail.
+    // Refcounts are over-pinned until the leg lands — audit must fail.
     assert!(
         dep.gc_audit().is_err(),
-        "parked decrements leave refs over-pinned"
+        "a queued decrement leaves refs over-pinned"
     );
 
-    // Recovery: the host comes back, the queue drains, GC converges.
+    // Recovery: the host comes back, the pump's retry lands, GC converges.
     plan.set_up(parent_host);
-    let flushed = client.flush_pending_decrements().unwrap();
-    assert_eq!(flushed, outcome.refs_parked);
-    assert_eq!(client.pending_decrement_count(), 0);
+    assert_eq!(dep.drain_decrements(), 0);
+    assert_eq!(pump(&dep).0, 0);
     dep.gc_audit().unwrap();
 
     // The parent is intact and fully loadable after the churn.
@@ -508,29 +528,26 @@ fn a_failed_stores_transient_rollback_legs_park_instead_of_leaking_pins() {
 fn retirement_decrements_apply_once_under_dropped_replies() {
     let n = 4;
     let dep = Deployment::in_memory(n);
-    let client = dep
-        .client_builder()
-        .retry_policy(RetryPolicy::default().with_timeout(Duration::from_millis(100)))
-        .build();
+    let client = dep.client();
     let (parent, child) = store_parent_and_child(&client, n, 7);
 
-    // Both DECR_REFS legs of the retirement lose their first reply
-    // *after* the handler ran — the duplicated-side-effect hazard: the
-    // client cannot tell a lost reply from a lost request, so it retries.
+    // The DECR_REFS leg the child's host sends to the parent's loses its
+    // first reply *after* the handler ran — the duplicated-side-effect
+    // hazard: the pump cannot tell a lost reply from a lost request, so it
+    // retries.
     dep.fabric().install_fault_plan(
         FaultPlan::new(0).rule(
             FaultRule::new(FaultAction::DropReply)
                 .on_method(methods::DecrRefs::METHOD)
-                .first(2),
+                .first(1),
         ),
     );
 
-    let outcome = client.retire_model(child).unwrap();
-    assert_eq!(
-        outcome.refs_parked, 0,
-        "retries recovered the dropped replies"
-    );
-    assert!(client.telemetry().rpc.retries() >= 1);
+    client.retire_model(child).unwrap();
+    assert_eq!(dep.drain_decrements(), 0, "retries recovered the replies");
+    let (_, retried, dropped) = pump(&dep);
+    assert!(retried >= 1, "the leg retried: {retried}");
+    assert_eq!(dropped, 0);
     dep.fabric().clear_fault_plan();
 
     // The duplicate deliveries were suppressed provider-side (op_id
@@ -571,25 +588,25 @@ fn permanent_decrement_leg_does_not_discard_transient_legs() {
     let plan = dep.fabric().install_fault_plan(FaultPlan::new(0));
     plan.set_down(parent_host);
 
-    let err = client.retire_model(child).unwrap_err();
-    assert!(
-        !err.is_transient(),
-        "self-owned leg failed permanently: {err}"
-    );
-    // The inherited leg's transient failure was still parked — not
-    // discarded by the permanent error on the sibling leg.
-    assert!(
-        client.pending_decrement_count() > 0,
-        "transient leg must be parked despite the permanent failure"
-    );
+    // The client sees none of it: the retiring provider owns the legs.
+    client.retire_model(child).unwrap();
+    // The pump dropped the permanent leg (and noted it in the child host's
+    // flight ring) but kept the transient one queued.
+    assert!(dep.drain_decrements() > 0, "transient leg kept");
+    let (_, _, dropped) = pump(&dep);
+    assert_eq!(dropped, 1, "the self-owned leg is dropped");
+    assert!(dep.flight_dump().contains("GC DROP decrement leg"));
 
-    // Recovery drains the queue and unpins the parent-host refs.
+    // Recovery lands the queued leg and unpins the parent-host refs.
     plan.set_up(parent_host);
-    let flushed = client.flush_pending_decrements().unwrap();
-    assert!(flushed > 0);
-    assert_eq!(client.pending_decrement_count(), 0);
+    assert_eq!(dep.drain_decrements(), 0);
+    assert_eq!(pump(&dep).2, 1, "nothing else dropped");
+    dep.gc_audit().unwrap();
+    client.load_model(parent).unwrap();
 }
 
+/// The rollback legs a failed store parked are re-sent by the client's
+/// next retirement, with no explicit flush.
 #[test]
 fn parked_decrements_flush_opportunistically_on_next_retire() {
     let n = 4;
@@ -597,14 +614,17 @@ fn parked_decrements_flush_opportunistically_on_next_retire() {
     let client = dep.client();
     let mut rng = ChaCha8Rng::seed_from_u64(6);
 
+    // The inherited tensors live on B (the parent's host); the child's
+    // store targets A.
     let parent = model_on(1, n);
     let child = model_on(2, n);
     let other = model_on(3, n);
-    let parent_g = seq(&[8, 16, 16, 4]);
     let child_g = seq(&[8, 16, 16, 5]);
-
     client
-        .store_fresh(parent, &parent_g, 0.8, &mut rng)
+        .store_fresh(parent, &seq(&[8, 16, 16, 4]), 0.8, &mut rng)
+        .unwrap();
+    client
+        .store_fresh(other, &seq(&[6, 12, 3]), 0.4, &mut rng)
         .unwrap();
     let best = client
         .query_best_ancestor(&child_g)
@@ -614,21 +634,28 @@ fn parked_decrements_flush_opportunistically_on_next_retire() {
     let parent_meta = client.get_meta(parent).unwrap();
     let owner_map = OwnerMap::derive(child, &child_g, &best.lcp, &parent_meta.owner_map);
     let tensors: HashMap<_, _> = trained_tensors(&child_g, &owner_map, 42);
-    client
-        .store_model(child_g.clone(), owner_map, Some(parent), 0.9, &tensors)
-        .unwrap();
-    client
-        .store_fresh(other, &seq(&[6, 12, 3]), 0.4, &mut rng)
-        .unwrap();
 
-    let parent_host = dep.provider_ids()[parent.provider_for(n)];
-    let plan = dep.fabric().install_fault_plan(FaultPlan::new(0));
-    plan.set_down(parent_host);
-    let parked = client.retire_model(child).unwrap().refs_parked;
-    assert!(parked > 0);
+    let (a, b) = (dep.provider_ids()[2], dep.provider_ids()[1]);
+    dep.fabric().install_fault_plan(
+        FaultPlan::new(0)
+            .rule(
+                FaultRule::new(FaultAction::Timeout)
+                    .on_endpoint(a)
+                    .on_method(methods::Store::METHOD),
+            )
+            .rule(
+                FaultRule::new(FaultAction::Unavailable)
+                    .on_endpoint(b)
+                    .on_method(methods::DecrRefs::METHOD),
+            ),
+    );
+    client
+        .store_model(child_g, owner_map, Some(parent), 0.9, &tensors)
+        .unwrap_err();
+    assert!(client.pending_decrement_count() > 0);
 
     // Next retirement drains the queue first — no explicit flush call.
-    plan.set_up(parent_host);
+    dep.fabric().clear_fault_plan();
     client.retire_model(other).unwrap();
     assert_eq!(client.pending_decrement_count(), 0);
     dep.gc_audit().unwrap();

@@ -190,6 +190,17 @@ fn delta_chain_roundtrips_bytewise() {
     dep.gc_audit().unwrap();
 }
 
+/// Retire `model` and count the records that went with it, once its
+/// providers' decrement round has drained.
+fn retire_counted(dep: &Deployment, model: ModelId) -> usize {
+    let hosted =
+        |dep: &Deployment| -> usize { dep.stats().iter().map(|s| s.tensors as usize).sum() };
+    let before = hosted(dep);
+    dep.client().retire_model(model).unwrap();
+    assert_eq!(dep.drain_decrements(), 0, "a target is unreachable");
+    before - hosted(dep)
+}
+
 /// Refcount of `key` on every provider hosting it.
 fn hosted_refs(dep: &Deployment, key: TensorKey) -> Vec<u64> {
     dep.provider_states()
@@ -234,9 +245,9 @@ fn retiring_a_delta_base_retains_it_until_its_last_dependent_goes() {
     // Retiring the parent leaves each delta's base in place, held by the
     // one delta encoded against it; only the retrained tensors no delta
     // holds are reclaimed.
-    let retired = client.retire_model(ModelId(1)).unwrap();
+    let reclaimed = retire_counted(&dep, ModelId(1));
     dep.gc_audit().unwrap();
-    assert_eq!(retired.tensors_reclaimed, new.len() - links.len());
+    assert_eq!(reclaimed, new.len() - links.len());
     for (delta, base) in &links {
         assert_eq!(base.owner, ModelId(1), "{delta}");
         assert_eq!(hosted_refs(&dep, *base), vec![1], "retained base {base}");
@@ -255,8 +266,8 @@ fn retiring_a_delta_base_retains_it_until_its_last_dependent_goes() {
 
     // Retiring the child reclaims its own tensors, the inherited prefix
     // and, by cascade, the retained bases.
-    let retired = client.retire_model(ModelId(2)).unwrap();
-    assert_eq!(retired.tensors_reclaimed, base_tensors.len() + links.len());
+    let reclaimed = retire_counted(&dep, ModelId(2));
+    assert_eq!(reclaimed, base_tensors.len() + links.len());
     assert_eq!(client.stats().unwrap().tensors, 0);
     dep.gc_audit().unwrap();
 }
@@ -306,6 +317,7 @@ fn restoring_a_retired_id_never_overwrites_a_held_tensor() {
             .unwrap();
         let want = client.load_model(ModelId(2)).unwrap().tensors;
         client.retire_model(ModelId(1)).unwrap();
+        assert_eq!(dep.drain_decrements(), 0);
         let held: Vec<String> = dep.provider_states()[0]
             .hosted_tensor_keys()
             .into_iter()
@@ -431,8 +443,8 @@ fn chunked_delta_deployment_survives_reopen_with_its_bases_retained() {
     }
 
     // Retiring the child takes the retained bases with it.
-    let retired = client.retire_model(ModelId(2)).unwrap();
-    assert_eq!(retired.tensors_reclaimed, base_tensors.len() + links.len());
+    let reclaimed = retire_counted(&dep, ModelId(2));
+    assert_eq!(reclaimed, base_tensors.len() + links.len());
     assert_eq!(client.stats().unwrap().tensors, 0);
     dep.gc_audit().unwrap();
     let _ = std::fs::remove_dir_all(&dir);

@@ -178,7 +178,8 @@ fn replay(dep: &Deployment, schedule: &FaultSchedule, repair_on_recovery: bool) 
     }
 
     // Eventually-consistent GC: retire the child while the parent's host
-    // is down; the inherited decrements park, then flush on recovery.
+    // is down; the child's host keeps retrying the inherited decrement leg
+    // on its pump until the parent's host is back.
     let parent_host = dep.provider_ids()[parent.provider_for(n)];
     plan.set_down(parent_host);
     if let Some(rec) = dep.fabric().flight_recorder() {
@@ -186,8 +187,9 @@ fn replay(dep: &Deployment, schedule: &FaultSchedule, repair_on_recovery: bool) 
     }
     let outcome = client.retire_model(child).unwrap();
     println!(
-        "  retired {child} with {parent_host:?} down: {} refs dropped, {} decrements parked",
-        outcome.refs_dropped, outcome.refs_parked
+        "  retired {child} with {parent_host:?} down: {} refs dropped, {} decrement legs queued",
+        outcome.refs_dropped,
+        dep.drain_decrements()
     );
     plan.set_up(parent_host);
     if let Some(rec) = dep.fabric().flight_recorder() {
@@ -200,9 +202,9 @@ fn replay(dep: &Deployment, schedule: &FaultSchedule, repair_on_recovery: bool) 
             report.retirements_applied, report.refs_adjusted
         );
     }
-    let flushed = client.flush_pending_decrements().unwrap();
+    let queued = dep.drain_decrements();
     dep.gc_audit().unwrap();
-    println!("  host recovered: flushed {flushed} parked decrements, GC audit clean");
+    println!("  host recovered: {queued} decrement legs left queued, GC audit clean");
     println!("\n  client telemetry:\n{}", client.telemetry().report());
 
     // Postmortem: the merged flight recorders alone name the provider

@@ -83,6 +83,8 @@ fn main() {
             client.retire_model(victim).unwrap();
             let _ = pfs.delete(&format!("/ckpt/round-{}.h5", victim.0));
         }
+        // Reclamation trails a retire by its providers' decrement round.
+        dep.drain_decrements();
 
         let evo = client.stats().unwrap().tensor_bytes as f64 / 1e6;
         let hdf = pfs.total_bytes() as f64 / 1e6;

@@ -112,10 +112,14 @@ fn main() {
     );
 
     // 5. Retire the base model: tensors inherited by the child survive.
+    // The providers that drop its record send the decrements after the
+    // reply; drain them to read what was reclaimed.
     let retired = client.retire_model(base_id).unwrap();
+    dep.drain_decrements();
+    let reclaimed = stats.tensors - client.stats().unwrap().tensors;
     println!(
-        "retired base: {} refs dropped, {} tensors reclaimed (shared ones survive)",
-        retired.refs_dropped, retired.tensors_reclaimed
+        "retired base: {} refs dropped, {reclaimed} tensors reclaimed (shared ones survive)",
+        retired.refs_dropped
     );
     let loaded = client.load_model(child_id).unwrap();
     println!(

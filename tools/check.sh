@@ -361,6 +361,48 @@ if hits=$(grep -rnE 'let _ = .*\b(release|release_held|release_all|drop_held|per
     echo "$hits" >&2
     exit 1
 fi
+# A retirement's decrements belong to the provider that drops the record:
+# its decrement pump sends them, and a client's retire is one round. Under
+# client/ the one DECR_REFS call is `decrement`, which only a failed
+# store's pin rollback (`unpin`) and the flush of its parked legs reach;
+# and a retirement's deterministic op id is named only where the pump
+# builds its legs and where repair fences them. A client-side decrement
+# round put back would compile, pass every test and cost every retire a
+# second round again.
+echo "== retirement decrements: sent by the provider pump; the client decrements only for unpin"
+fn_hits() {
+    # `file:fn:count` for every non-test, non-comment line matching $1.
+    local pattern=$1
+    shift
+    awk -v pattern="$pattern" '
+        FNR == 1 { in_test = 0; pending = 0; cur = "" }
+        /^#\[cfg\(test\)\]/ { pending = 1; next }
+        pending { pending = 0; if (/\{$/) in_test = 1; else next }
+        in_test && /^}/ { in_test = 0; next }
+        in_test || /^[[:space:]]*\/\// { next }
+        match($0, /fn [A-Za-z0-9_]+/) { cur = substr($0, RSTART + 3, RLENGTH - 3) }
+        $0 ~ pattern { print FILENAME ":" cur }
+    ' "$@" | sort | uniq -c | awk '{ print $2 ":" $1 }' | tr '\n' ' '
+}
+want="crates/core/src/client/retire.rs:decrement:1 "
+if [[ "$(fn_hits 'DecrRefs' "${client_src[@]}")" != "$want" ]]; then
+    echo "DECR_REFS named under crates/core/src/client/ at: $(fn_hits 'DecrRefs' "${client_src[@]}") (want $want)" >&2
+    exit 1
+fi
+want="crates/core/src/client/retire.rs:flush_pending_decrements:1 crates/core/src/client/retire.rs:unpin:1 "
+if [[ "$(fn_hits '[.]decrement[(]' "${client_src[@]}")" != "$want" ]]; then
+    echo "the client's decrement reached from: $(fn_hits '[.]decrement[(]' "${client_src[@]}") (want $want)" >&2
+    exit 1
+fi
+sources=$(find crates/*/src src examples -name '*.rs' | sort)
+# shellcheck disable=SC2086 # one path per line, none with spaces
+named=$(fn_hits 'retirement_op_id[(]' $sources)
+want="crates/core/src/messages.rs:retirement_op_id:1 crates/core/src/provider/decrements.rs:retire:1 crates/core/src/provider/transfer.rs:handle_sync_retire:1 "
+if [[ "$named" != "$want" ]]; then
+    echo "retirement_op_id( named at: $named (want its definition, the pump and the repair fence: $want)" >&2
+    exit 1
+fi
+
 # One write set per provider write: every reference a store, mirror leg,
 # sync or attach takes (a record put at count 1, a pin on a delta's base)
 # goes into its `WriteSet`, and `land` commits the set with the record or
